@@ -65,7 +65,13 @@ type Detector struct {
 	self amac.NodeID
 	n    int
 
-	members    []amac.NodeID // sorted ascending; always contains self
+	members []amac.NodeID // sorted ascending; always contains self
+	// known is a membership bitset over the ids [0, 64*len(known)), sized
+	// from n so the simulator's default ids 1..n fall inside. It only
+	// answers Learn's "already a member?" without touching members, which
+	// stays the source of truth and the rotation and gossip order; ids
+	// outside the range take the binary search.
+	known      []uint64
 	suspected  map[amac.NodeID]bool
 	omega      amac.NodeID
 	gossipCur  int
@@ -92,16 +98,24 @@ const maxDetectorMult = 1 << 16
 // NewDetector returns a detector for a node with the given id in a
 // network of size n.
 func NewDetector(self amac.NodeID, n int) *Detector {
-	return &Detector{
+	d := new(Detector)
+	d.init(self, n)
+	return d
+}
+
+// init sets up a detector in place; wPAXOS embeds one by value in its
+// node.
+func (d *Detector) init(self amac.NodeID, n int) {
+	*d = Detector{
 		self:      self,
 		n:         n,
-		members:   []amac.NodeID{self},
+		known:     make([]uint64, n/64+1),
 		suspected: make(map[amac.NodeID]bool),
-		omega:     self,
 		fhat:      1,
 		sendAt:    -1,
 		mult:      1,
 	}
+	d.Learn(self) // the first member, hence omega
 }
 
 // Instrument registers the detector's metric slots against r (nil-safe:
@@ -134,8 +148,16 @@ func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected[id] }
 // takes over immediately (the paper's max-id election, now over a gossiped
 // membership rather than a monotone high-water mark).
 func (d *Detector) Learn(id amac.NodeID) bool {
+	// A negative id wraps far past the last word and takes the search.
+	w, bit := uint64(id)>>6, uint64(1)<<(uint64(id)&63)
+	inRange := w < uint64(len(d.known))
+	if inRange && d.known[w]&bit != 0 {
+		return false
+	}
 	i := sort.Search(len(d.members), func(k int) bool { return d.members[k] >= id })
-	if i < len(d.members) && d.members[i] == id {
+	if inRange {
+		d.known[w] |= bit
+	} else if i < len(d.members) && d.members[i] == id {
 		return false
 	}
 	d.members = append(d.members, 0)

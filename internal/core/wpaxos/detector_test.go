@@ -205,3 +205,40 @@ func TestStateMsgNewer(t *testing.T) {
 		t.Fatal("lower promise with acceptance beat a higher promise")
 	}
 }
+
+// TestDetectorLearnStraddlesBitsetRange: the membership bitset answers ids
+// inside [0, 64*words) and everything else — larger, negative, or a self
+// id out of range — takes the binary search over members. Both paths must
+// agree with a plain set, in any order, and keep members sorted.
+func TestDetectorLearnStraddlesBitsetRange(t *testing.T) {
+	const n = 100 // 2 words: ids 0..127 are in range
+	for _, self := range []amac.NodeID{5, 127, 128, 1_000_000_007, -3} {
+		d := NewDetector(self, n)
+		limit := amac.NodeID(64 * len(d.known))
+		ids := []amac.NodeID{0, 1, 63, 64, limit - 1, limit, limit + 1, 4 * limit, 1 << 40,
+			1_000_000_000, 1_000_000_017, -1, -64, -1 << 62, self}
+		rng := rand.New(rand.NewSource(int64(self)))
+		seen := map[amac.NodeID]bool{self: true}
+		for round := 0; round < 4; round++ {
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			for _, id := range ids {
+				if got, want := d.Learn(id), !seen[id]; got != want {
+					t.Fatalf("self %d round %d: Learn(%d) = %v, want %v (limit %d)", self, round, id, got, want, limit)
+				}
+				seen[id] = true
+			}
+		}
+		m := d.Members()
+		if len(m) != len(seen) {
+			t.Fatalf("self %d: %d members, want %d: %v", self, len(m), len(seen), m)
+		}
+		for i := range m {
+			if !seen[m[i]] || (i > 0 && m[i-1] >= m[i]) {
+				t.Fatalf("self %d: members not the sorted learned set: %v", self, m)
+			}
+		}
+		if d.Omega() != m[len(m)-1] {
+			t.Fatalf("self %d: omega %d is not the maximum member %d", self, d.Omega(), m[len(m)-1])
+		}
+	}
+}

@@ -23,11 +23,16 @@ type Config struct {
 }
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
-// given configuration. Nodes built through a factory recycle their
-// per-pump send buffers (response, state, leader, search) across
-// broadcasts, which relies on the delivery-before-ack guarantee of
-// serialized substrates (internal/sim); on wall-clock substrates build
-// nodes with New/NewGeneral instead.
+// given configuration. Every call of the factory allocates a fresh node
+// with empty tables: nothing is pooled across nodes, runs or
+// Engine.Reset, and apart from the detector's N-bit membership set a
+// node's state grows with the ids it hears of, not with N (doc.go,
+// "wPAXOS per-node state and the n² budget"). What a factory-built node
+// does recycle is its own four per-pump send buffers (leader, search,
+// response, state), overwritten at the next pump. That relies on every
+// receiver having handled a broadcast by the time its sender is acked,
+// which the serialized simulator (internal/sim) guarantees; on wall-clock
+// substrates build nodes with New/NewGeneral instead.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
@@ -59,7 +64,7 @@ type Node struct {
 	audit *CountAudit
 	noPri bool
 
-	det    *Detector
+	det    Detector
 	change changeService
 	tree   treeService
 	prop   proposerState
@@ -71,8 +76,11 @@ type Node struct {
 	// — so a proposition survives lossy overlay edges.
 	propQ *ProposerMsg
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
-	// and doubles as the acceptor's responded-once guard.
+	// and doubles as the acceptor's responded-once guard. lastProp is the
+	// member looked up last: the flood queue is sticky, so nearly every
+	// delivery repeats it and is answered without hashing the key.
 	seenProps map[Proposition]bool
+	lastProp  Proposition
 	// maxLeaderNum is the largest proposal number seen from the current
 	// leader; the fast-path response queue is pruned against it.
 	maxLeaderNum ProposalNum
@@ -88,7 +96,7 @@ type Node struct {
 	// weave ipam/paxos idiom): merged monotonically, gossiped cyclically,
 	// each entry re-broadcast until superseded by newer state from its
 	// origin. stateOrder is the sorted gossip cycle.
-	stateTbl   map[amac.NodeID]StateMsg
+	stateTbl   idTable[StateMsg]
 	stateOrder []amac.NodeID
 	stateCur   int
 	// chosen is the chosen-value watch: per proposal number, the origins
@@ -162,7 +170,6 @@ func NewGeneral(input amac.Value, cfg Config) *Node {
 		audit:     cfg.Audit,
 		noPri:     cfg.NoTreePriority,
 		seenProps: make(map[Proposition]bool),
-		stateTbl:  make(map[amac.NodeID]StateMsg),
 		chosen:    make(map[ProposalNum]*chosenTally),
 		gossAcks:  make(map[amac.NodeID]bool),
 		gossNacks: make(map[amac.NodeID]bool),
@@ -206,7 +213,7 @@ func (nd *Node) instrument(r *metrics.Registry) {
 func (nd *Node) Start(api amac.API) {
 	nd.api = api
 	nd.id = api.ID()
-	nd.det = NewDetector(nd.id, nd.n)
+	nd.det.init(nd.id, nd.n)
 	nd.det.Instrument(nd.mreg)
 	nd.change.init()
 	nd.tree.init(nd.id)
@@ -369,7 +376,7 @@ func (nd *Node) popState() (StateMsg, bool) {
 	}
 	origin := nd.stateOrder[nd.stateCur]
 	nd.stateCur++
-	return nd.stateTbl[origin], true
+	return *nd.stateTbl.find(origin), true
 }
 
 // ---- Service message handlers ----
@@ -460,6 +467,10 @@ func (nd *Node) onProposer(m ProposerMsg) {
 		nd.prop.maxTagSeen = m.Num.Tag
 	}
 	key := m.Proposition()
+	if key == nd.lastProp {
+		return
+	}
+	nd.lastProp = key
 	if nd.seenProps[key] {
 		return // flood dedup: relay and respond only on first sight
 	}
@@ -591,17 +602,18 @@ func (nd *Node) noteOwnState() {
 // replaces older (monotone merge), feeds the chosen-value watch, and lets
 // the local proposer count the origin.
 func (nd *Node) mergeState(st StateMsg) {
-	cur, ok := nd.stateTbl[st.Origin]
-	if ok && !st.Newer(cur) {
+	cur := nd.stateTbl.find(st.Origin)
+	if cur != nil && !st.Newer(*cur) {
 		return // retransmission or stale: not novel
 	}
-	if !ok {
+	if cur == nil {
 		i := sort.Search(len(nd.stateOrder), func(k int) bool { return nd.stateOrder[k] >= st.Origin })
 		nd.stateOrder = append(nd.stateOrder, 0)
 		copy(nd.stateOrder[i+1:], nd.stateOrder[i:])
 		nd.stateOrder[i] = st.Origin
+		cur = nd.stateTbl.insert(st.Origin)
 	}
-	nd.stateTbl[st.Origin] = st
+	*cur = st
 	nd.det.Novel(nd.api.Now())
 	if st.Accepted != nil {
 		nd.tallyChosen(*st.Accepted, st.Origin)

@@ -67,93 +67,124 @@ func (s *changeService) pop() *ChangeMsg {
 // so a node that lost its parent re-learns a route from any live
 // neighbor's retransmissions after a purge.
 type treeService struct {
-	self   amac.NodeID
-	dist   map[amac.NodeID]int64
-	parent map[amac.NodeID]amac.NodeID
+	self amac.NodeID
+	// tbl holds one entry per root heard of: a delivery that improves
+	// nothing costs a single find.
+	tbl idTable[treeEnt]
 	// roots is the sorted list of known roots, cycled by pop when the
 	// pending queue is empty.
 	roots    []amac.NodeID
 	rootsCur int
-	// queue preserves FIFO order except that the current leader's entry
-	// is pinned to the front; it holds the not-yet-broadcast improvements
-	// (one entry per root with pending propagation).
-	queue []SearchMsg
+	// queue[qhead:] is the pending queue: the roots whose latest
+	// improvement has not been broadcast yet, at most once each
+	// (treeEnt.queued marks which), in FIFO order except that the current
+	// leader is pinned to the front. A root stands for the message
+	// <search, root, dist+1>: a second improvement before the first went
+	// out dominates it (Algorithm 4 discards the larger hop count), so
+	// the pending message is always the one the table describes at pop
+	// time. pop advances qhead and updateQ compacts before the slice
+	// would grow, so the backing array is reused.
+	//
+	// Invariant: if the current leader is pending it is at the head.
+	// Every change of the leader estimate goes through prioritize, other
+	// roots are only ever appended behind it, and pop removes the head —
+	// so updateQ has to re-pin only when the root it enqueued is the
+	// leader.
+	queue []amac.NodeID
+	qhead int
+}
+
+// treeEnt is what a node knows about one root. Hop counts are path
+// lengths, below n, so 32 bits hold them.
+type treeEnt struct {
+	parent amac.NodeID
+	dist   int32
+	queued bool // a search message for this root is pending
 }
 
 func (s *treeService) init(self amac.NodeID) {
 	s.self = self
-	s.dist = map[amac.NodeID]int64{self: 0}
-	s.parent = map[amac.NodeID]amac.NodeID{self: self}
+	*s.tbl.insert(self) = treeEnt{parent: self, queued: true}
 	s.roots = []amac.NodeID{self}
-	s.queue = []SearchMsg{{Root: self, Hops: 1, Sender: self}}
+	s.queue = []amac.NodeID{self}
 }
 
 // distTo returns the best known distance to root, or -1 when unknown
 // (the paper's infinity).
 func (s *treeService) distTo(root amac.NodeID) int64 {
-	d, ok := s.dist[root]
-	if !ok {
-		return -1
+	if e := s.tbl.find(root); e != nil {
+		return int64(e.dist)
 	}
-	return d
+	return -1
 }
 
 // parentTo returns the parent toward root, or amac.NoID when unknown.
 func (s *treeService) parentTo(root amac.NodeID) amac.NodeID {
-	p, ok := s.parent[root]
-	if !ok {
-		return amac.NoID
+	if e := s.tbl.find(root); e != nil {
+		return e.parent
 	}
-	return p
+	return amac.NoID
 }
 
 // receive processes <search, root, h> from sender; it reports whether the
-// distance estimate improved (h < dist[root]).
+// distance estimate improved (h < dist[root]). leader is the caller's
+// current leader estimate, which must have been announced through
+// prioritize when it last changed.
 func (s *treeService) receive(m SearchMsg, leader amac.NodeID) bool {
-	cur, known := s.dist[m.Root]
-	if known && m.Hops >= cur {
+	e := s.tbl.find(m.Root)
+	if e != nil && m.Hops >= int64(e.dist) {
 		return false
 	}
-	if !known {
+	if m.Hops != int64(int32(m.Hops)) {
+		return false // not a path length; keeps dist's 32 bits honest
+	}
+	if e == nil {
 		i := sort.Search(len(s.roots), func(k int) bool { return s.roots[k] >= m.Root })
 		s.roots = append(s.roots, 0)
 		copy(s.roots[i+1:], s.roots[i:])
 		s.roots[i] = m.Root
+		e = s.tbl.insert(m.Root)
 	}
-	s.dist[m.Root] = m.Hops
-	s.parent[m.Root] = m.Sender
-	s.updateQ(SearchMsg{Root: m.Root, Hops: m.Hops + 1, Sender: s.self}, leader)
+	e.dist = int32(m.Hops)
+	e.parent = m.Sender
+	s.updateQ(e, m.Root, leader)
 	return true
 }
 
-// updateQ enqueues a search message, discards any queued message for the
-// same root with a larger hop count, and pins the leader's message to the
-// front (Algorithm 4's UpdateQ).
-func (s *treeService) updateQ(m SearchMsg, leader amac.NodeID) {
-	kept := s.queue[:0]
-	for _, q := range s.queue {
-		if q.Root == m.Root {
-			if q.Hops <= m.Hops {
-				// The queued message dominates; drop the new one.
-				m = q
+// updateQ makes root, whose entry is e, pending behind everything already
+// queued — discarding its earlier, dominated message if that is still
+// pending — and pins the leader to the front (Algorithm 4's UpdateQ).
+func (s *treeService) updateQ(e *treeEnt, root, leader amac.NodeID) {
+	if e.queued {
+		q := s.queue[s.qhead:]
+		for i := range q {
+			if q[i] == root {
+				copy(q[i:], q[i+1:])
+				s.queue = s.queue[:len(s.queue)-1]
+				break
 			}
-			continue // the dominated copy is discarded
 		}
-		kept = append(kept, q)
 	}
-	s.queue = append(kept, m)
-	s.prioritize(leader)
+	e.queued = true
+	if len(s.queue) == cap(s.queue) && s.qhead > 0 {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.qhead:])]
+		s.qhead = 0
+	}
+	s.queue = append(s.queue, root)
+	if root == leader {
+		s.prioritize(leader)
+	}
 }
 
-// prioritize moves the current leader's search message (if any) to the
-// front; called on enqueue and when the leader estimate changes
+// prioritize moves the current leader (if pending) to the front; called
+// when the leader is enqueued and when the leader estimate changes
 // (Algorithm 4's OnLeaderChange).
 func (s *treeService) prioritize(leader amac.NodeID) {
-	for i, q := range s.queue {
-		if q.Root == leader && i > 0 {
-			m := s.queue[i]
-			copy(s.queue[1:i+1], s.queue[:i])
-			s.queue[0] = m
+	q := s.queue[s.qhead:]
+	for i := range q {
+		if q[i] == leader {
+			copy(q[1:i+1], q[:i])
+			q[0] = leader
 			return
 		}
 	}
@@ -164,18 +195,24 @@ func (s *treeService) prioritize(leader amac.NodeID) {
 // the best known distance to the next root in the cycle. It reports
 // false only before init.
 func (s *treeService) pop() (SearchMsg, bool) {
-	if len(s.queue) > 0 {
-		m := s.queue[0]
-		s.queue = s.queue[1:]
-		return m, true
-	}
-	if len(s.roots) == 0 {
+	var root amac.NodeID
+	switch {
+	case s.qhead < len(s.queue):
+		root = s.queue[s.qhead]
+		s.qhead++
+		if s.qhead == len(s.queue) {
+			s.queue, s.qhead = s.queue[:0], 0
+		}
+	case len(s.roots) == 0:
 		return SearchMsg{}, false
+	default:
+		if s.rootsCur >= len(s.roots) {
+			s.rootsCur = 0
+		}
+		root = s.roots[s.rootsCur]
+		s.rootsCur++
 	}
-	if s.rootsCur >= len(s.roots) {
-		s.rootsCur = 0
-	}
-	root := s.roots[s.rootsCur]
-	s.rootsCur++
-	return SearchMsg{Root: root, Hops: s.dist[root] + 1, Sender: s.self}, true
+	e := s.tbl.find(root)
+	e.queued = false // already so in the idle cycle: it runs only with nothing pending
+	return SearchMsg{Root: root, Hops: int64(e.dist) + 1, Sender: s.self}, true
 }

@@ -1,6 +1,7 @@
 package wpaxos
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -97,6 +98,42 @@ func TestLeaderFarFromCenter(t *testing.T) {
 	inputs := mixedInputs(n)
 	res, audit := runOn(t, g, inputs, sim.NewRandom(3, 7), ids)
 	checkOK(t, "leader-at-end", inputs, res, audit)
+}
+
+// TestSparseAndMixedIDs: nothing in the node may assume ids are 1..n. Run
+// with a shuffle of sparse ids far above n (every id misses the
+// detector's membership bitset) and with a mix of ids at most n and ids
+// far above it (both Learn paths in one execution), under the random
+// scheduler.
+func TestSparseAndMixedIDs(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid4x4", graph.Grid(4, 4)},
+		{"expander64x4", graph.Expander(64, 4, 3)},
+	}
+	for _, tc := range graphs {
+		n := tc.g.N()
+		rng := rand.New(rand.NewSource(int64(n)))
+		sparse := make([]amac.NodeID, n)
+		mixed := make([]amac.NodeID, n)
+		for i := range sparse {
+			sparse[i] = amac.NodeID(1_000_000_000 + 17*i)
+			if mixed[i] = amac.NodeID(i/2 + 1); i%2 == 1 {
+				mixed[i] = amac.NodeID(1<<40 + 1_000_003*i)
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { sparse[i], sparse[j] = sparse[j], sparse[i] })
+		rng.Shuffle(n, func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+		inputs := mixedInputs(n)
+		for seed := int64(0); seed < 4; seed++ {
+			res, audit := runOn(t, tc.g, inputs, sim.NewRandom(4, seed), sparse)
+			checkOK(t, tc.name+"/sparse", inputs, res, audit)
+			res, audit = runOn(t, tc.g, inputs, sim.NewRandom(4, seed), mixed)
+			checkOK(t, tc.name+"/mixed", inputs, res, audit)
+		}
+	}
 }
 
 func TestDecisionTimeScalesWithDiameter(t *testing.T) {
@@ -398,5 +435,54 @@ func TestCrashSafetyOnly(t *testing.T) {
 		if rep.SomeoneDecided && !rep.Validity {
 			t.Fatalf("seed %d: validity violated under crash: %v", seed, rep.Errors)
 		}
+	}
+}
+
+// stubAPI is a substrate that accepts one broadcast and never acks it, so
+// the node under test stays in flight.
+type stubAPI struct {
+	id         amac.NodeID
+	now        int64
+	broadcasts int
+}
+
+func (a *stubAPI) ID() amac.NodeID { return a.id }
+func (a *stubAPI) Broadcast(amac.Message) bool {
+	a.broadcasts++
+	return true
+}
+func (a *stubAPI) Decide(amac.Value) {}
+func (a *stubAPI) Now() int64        { return a.now }
+
+// TestSteadyStateDeliveryDoesNotAllocate pins the path nearly every
+// delivery of a large run takes: with the node's own broadcast in flight,
+// a Combined whose leader id, search (not an improvement), change, state
+// (a retransmission) and proposition are all already known is absorbed
+// without allocating.
+func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
+	api := &stubAPI{id: 3, now: 10}
+	nd := NewFactory(Config{N: 5})(amac.NodeConfig{ID: 3, Input: 1}).(*Node)
+	nd.Start(api)
+	if api.broadcasts != 1 {
+		t.Fatalf("Start made %d broadcasts, want 1 in flight", api.broadcasts)
+	}
+	num := ProposalNum{Tag: 1, ID: 9}
+	var msg amac.Message = Combined{
+		Leader:   &LeaderMsg{ID: 9},
+		Change:   &ChangeMsg{T: 5, ID: 9},
+		Search:   &SearchMsg{Root: 9, Hops: 1, Sender: 9},
+		Proposer: &ProposerMsg{Kind: Prepare, Num: num},
+		State:    &StateMsg{Origin: 9, Promised: num},
+	}
+	nd.OnReceive(msg) // first sight: everything is learned here
+	if nd.Leader() != 9 || nd.DistToLeader() != 1 || nd.stateTbl.find(9) == nil || !nd.seenProps[Proposition{Kind: Prepare, Num: num}] {
+		t.Fatal("the first delivery was not absorbed")
+	}
+	api.now = 20
+	if avg := testing.AllocsPerRun(200, func() { nd.OnReceive(msg) }); avg != 0 {
+		t.Fatalf("a fully known delivery allocates %.1f times", avg)
+	}
+	if api.broadcasts != 1 {
+		t.Fatalf("the node broadcast %d times while in flight", api.broadcasts)
 	}
 }

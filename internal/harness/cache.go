@@ -133,6 +133,9 @@ func (c *caches) overlay(spec string, t Topo, base *graph.Graph, seed int64) (*g
 	c.mu.Unlock()
 	e.once.Do(func() {
 		e.g, e.deliverP, e.err = NewOverlay(spec, base, seed)
+		if e.g != nil {
+			e.g.Freeze() // shared across workers: no lazy CSR rebuild under readers
+		}
 	})
 	return e.g, e.deliverP, e.err
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -398,6 +399,63 @@ func TestSweepMetricsAggregation(t *testing.T) {
 	}
 	if parallel := sweep(4); !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("metric aggregation differs between 1 and 4 workers")
+	}
+}
+
+// TestSweepMetricsIndependentOfCellOrderAndWidth: a cell's metrics are a
+// function of its executions alone. A worker reuses one engine (slab,
+// ring, registry) across the cells it runs, so anything that measured the
+// engine's warm-up would differ with what the worker ran earlier: run the
+// same cells in permuted orders on one worker, and at widths 1/2/8, and
+// require identical Cell.Metrics every time.
+func TestSweepMetricsIndependentOfCellOrderAndWidth(t *testing.T) {
+	cells, err := Grid{
+		Algos:  []string{"wpaxos", "floodpaxos", "twophase", "gatherall"},
+		Topos:  []Topo{{Kind: "ring", N: 6}, {Kind: "clique", N: 9}},
+		Scheds: []string{"random"},
+		Facks:  []int64{3},
+		Seeds:  []int64{1, 2, 3},
+	}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(work []CellWork, workers int) []Cell {
+		out, err := SweepCellsOpts(work, SweepOptions{Workers: workers, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := sweep(cells, 1)
+	for _, c := range want {
+		if len(c.Metrics) == 0 {
+			t.Fatalf("cell %s %s: no metrics", c.Algo, c.Topo)
+		}
+	}
+	for _, w := range []int{2, 8} {
+		if got := sweep(cells, w); !reflect.DeepEqual(want, got) {
+			t.Fatalf("cells differ between 1 and %d workers", w)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 4; round++ {
+		perm := rng.Perm(len(cells))
+		if round == 0 { // the exact reverse: every cell inherits the other neighbour's warm-up
+			for i := range perm {
+				perm[i] = len(cells) - 1 - i
+			}
+		}
+		work := make([]CellWork, len(cells))
+		for i, p := range perm {
+			work[i] = cells[p]
+		}
+		got := sweep(work, 1)
+		for i, p := range perm {
+			if !reflect.DeepEqual(want[p], got[i]) {
+				t.Fatalf("round %d: cell %s %s differs when run at position %d instead of %d:\n%+v\n%+v",
+					round, want[p].Algo, want[p].Topo, i, p, want[p].Metrics, got[i].Metrics)
+			}
+		}
 	}
 }
 

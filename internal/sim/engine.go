@@ -72,8 +72,6 @@ type Engine struct {
 	mDeliver   metrics.Counter // deliveries handed to OnReceive
 	mDrops     metrics.Counter // deliveries/acks lost to crash cutoffs
 	mDiscards  metrics.Counter // broadcasts attempted while one in flight
-	mFreeHits  metrics.Counter // event allocations served by the freelist
-	mFreeMiss  metrics.Counter // event allocations that hit the allocator
 	mQueueHigh metrics.Gauge   // event-queue depth (high-water tracked)
 }
 
@@ -195,8 +193,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.mDeliver = m.Counter("sim_deliveries")
 	e.mDrops = m.Counter("sim_crash_drops")
 	e.mDiscards = m.Counter("sim_discards")
-	e.mFreeHits = m.Counter("sim_freelist_hits")
-	e.mFreeMiss = m.Counter("sim_freelist_misses")
 	e.mQueueHigh = m.Gauge("sim_queue_depth")
 
 	for i := 0; i < n; i++ {
@@ -262,17 +258,11 @@ func (e *Engine) crashedBy(i int, t int64) bool {
 	return at >= 0 && at < t
 }
 
-// push enqueues one event, stamping its insertion sequence. The queue's
-// slab recycles slots; a free-chain hit or a slab growth is surfaced on
-// the freelist metrics (growth amortizes to one allocation per doubling).
+// push enqueues one event, stamping its insertion sequence.
 func (e *Engine) push(ev event) {
 	ev.seq = e.nexts
 	e.nexts++
-	if e.q.push(ev) {
-		e.mFreeHits.Inc()
-	} else {
-		e.mFreeMiss.Inc()
-	}
+	e.q.push(ev)
 	e.mQueueHigh.Set(int64(e.q.len()))
 }
 

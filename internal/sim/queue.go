@@ -140,12 +140,10 @@ func (q *eventQueue) init(fack, window int64) {
 
 func (q *eventQueue) len() int { return q.count }
 
-// push enqueues ev, reporting whether the slot came from the free chain
-// (false means the slab grew — the engine's freelist-miss metric).
-func (q *eventQueue) push(ev event) bool {
+// push enqueues ev, reusing a slot from the free chain when there is one.
+func (q *eventQueue) push(ev event) {
 	idx := q.free
-	reused := idx != nilEvent
-	if reused {
+	if idx != nilEvent {
 		q.free = q.slab[idx].next
 		q.slab[idx] = ev
 	} else {
@@ -159,7 +157,6 @@ func (q *eventQueue) push(ev event) bool {
 		q.heapPush(idx)
 	}
 	q.count++
-	return reused
 }
 
 // pop removes and returns the minimum event by value, recycling its slab

@@ -148,10 +148,14 @@ type Config struct {
 	// test knob, never a semantic one.
 	QueueWindow int64
 	// Metrics, when non-nil, receives the engine's hot-path counters
-	// (events processed, deliveries, crash drops, freelist hit rate,
-	// queue-depth high-water) and is handed to every node's factory via
+	// (events processed, deliveries, crash drops, discards, queue-depth
+	// high-water) and is handed to every node's factory via
 	// amac.NodeConfig so algorithms register their own slots against the
-	// same registry. Reset zeroes the registry's values (registrations
+	// same registry. Every slot is determined by the execution alone —
+	// nothing that depends on what the engine ran before (slab or ring
+	// warm-up) may be registered, because sweeps merge these values into
+	// cell output that must be identical at any worker width and cell
+	// order. Reset zeroes the registry's values (registrations
 	// persist, so a reused engine pays O(registered slots) per run).
 	// When nil, every handle is disabled and the run path is unchanged —
 	// the zero-cost-when-off contract pinned by BenchmarkBroadcastPlan.
