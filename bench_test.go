@@ -1,7 +1,7 @@
 package absmac_test
 
-// One benchmark per experiment in DESIGN.md's index (E1..E13): each
-// regenerates the workload behind the corresponding EXPERIMENTS.md table
+// One benchmark per experiment in the index (exp.All, E1..E13): each
+// regenerates the workload behind the corresponding `benchsuite` table
 // at a representative size, reporting domain metrics (decision time over
 // Fack, over D*Fack, ...) alongside the usual ns/op. cmd/benchsuite
 // produces the full tables; these targets make every experiment's cost
@@ -285,7 +285,7 @@ func BenchmarkGraphConstruction(b *testing.B) {
 }
 
 // BenchmarkFullSuite runs the entire experiment suite once per iteration —
-// the cost of regenerating EXPERIMENTS.md.
+// the cost of `go run ./cmd/benchsuite`.
 func BenchmarkFullSuite(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full suite in short mode")

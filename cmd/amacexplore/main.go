@@ -91,6 +91,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/critpath"
 	"github.com/absmac/absmac/internal/explore"
 	"github.com/absmac/absmac/internal/harness"
@@ -225,7 +226,7 @@ func runExplore(sc harness.Scenario, opts explore.Options, minimize bool, out st
 		if err != nil {
 			return fail(err)
 		}
-		v := explore.Classify(fOut)
+		v := fOut.Violation()
 		if v == nil || v.Kind != f.Violation.Kind {
 			return fail(fmt.Errorf("finding %d did not reproduce on re-recording (got %+v, want %s)", f.Candidate, v, f.Violation.Kind))
 		}
@@ -275,7 +276,7 @@ func runExplore(sc harness.Scenario, opts explore.Options, minimize bool, out st
 	return 0
 }
 
-func printReport(rep *explore.Report, shrink *explore.ShrinkResult, out string, violation *explore.Violation) {
+func printReport(rep *explore.Report, shrink *explore.ShrinkResult, out string, violation *consensus.Violation) {
 	fmt.Printf("scenario    %s on %s under %s (Fack=%d, seed=%d, crashes=%s, overlay=%s)\n",
 		rep.Scenario.Algo, rep.Scenario.Topo, rep.Scenario.Sched, rep.Scenario.Fack, rep.Scenario.Seed,
 		rep.Scenario.Crashes, rep.Scenario.Overlay)
@@ -370,12 +371,12 @@ func printCampaign(rep *explore.CampaignReport) {
 
 // replayOutput is the -json schema of replay mode.
 type replayOutput struct {
-	Artifact   string             `json:"artifact"`
-	Violation  *explore.Violation `json:"violation,omitempty"`
-	Recorded   *explore.Violation `json:"recorded_violation,omitempty"`
-	Diverged   bool               `json:"diverged"`
-	DivergedAt int                `json:"diverged_at"`
-	Reproduced bool               `json:"reproduced"`
+	Artifact   string               `json:"artifact"`
+	Violation  *consensus.Violation `json:"violation,omitempty"`
+	Recorded   *consensus.Violation `json:"recorded_violation,omitempty"`
+	Diverged   bool                 `json:"diverged"`
+	DivergedAt int                  `json:"diverged_at"`
+	Reproduced bool                 `json:"reproduced"`
 	// CritPath is the decide-latency critical path of the replayed
 	// execution (-critpath; spans always sum to decide_time).
 	CritPath *critpath.Report `json:"critical_path,omitempty"`
@@ -425,7 +426,7 @@ func runReplay(path, traceFile string, critPath, jsonOut bool) int {
 		}
 	}
 
-	got := explore.Classify(out)
+	got := out.Violation()
 	// Reproduction: a clean replay (no divergence — the schedule fully
 	// drove the run) whose violation kind matches what the artifact
 	// recorded (both nil for a healthy artifact).

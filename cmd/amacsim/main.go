@@ -244,7 +244,7 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 		diameter = out.Diameter // RunRecorded already paid the BFS
 		artifact := &explore.Artifact{
 			Format: explore.ArtifactFormat, Scenario: sc,
-			Schedule: schedule, Violation: explore.Classify(out),
+			Schedule: schedule, Violation: out.Violation(),
 			Note: "amacsim -record",
 		}
 		if err := artifact.WriteFile(recordFile); err != nil {

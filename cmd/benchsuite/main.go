@@ -1,6 +1,6 @@
-// Command benchsuite regenerates every experiment table in EXPERIMENTS.md
-// (one experiment per theorem/figure/complexity claim of the paper; see
-// DESIGN.md's experiment index) and, with -grid, runs the canonical
+// Command benchsuite prints every experiment table (one experiment per
+// theorem/figure/complexity claim of the paper; internal/exp's All is the
+// index, E1..E13) and, with -grid, runs the canonical
 // scenario grid — every registered algorithm crossed with the topology,
 // scheduler and Fack axes — in parallel through internal/harness.
 //
@@ -201,7 +201,7 @@ func runGrid(workers int, jsonOut bool) int {
 		work = append(work, expanded...)
 		runs += len(expanded) * len(g.Seeds)
 	}
-	cells, err := harness.SweepCells(work, workers)
+	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsuite:", err)
 		return 2

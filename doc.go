@@ -6,8 +6,11 @@
 // Fack), both of its algorithms (two-phase consensus for single-hop
 // networks, wPAXOS for multihop networks), the baselines its analysis
 // argues against, and executable versions of all four lower-bound
-// constructions. See README.md for a tour, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the paper-vs-measured record.
+// constructions. This page is the per-layer architecture reference (the
+// sections below state each layer's contracts and invariants);
+// internal/exp's All is the experiment index E1..E13 and
+// `go run ./cmd/benchsuite` prints the paper-vs-measured tables;
+// CHANGES.md records what each PR changed and measured.
 //
 // The root package carries no code — the library lives under internal/
 // (this is a research artifact: the stable entry points are the example
@@ -245,36 +248,30 @@
 //
 // # Event queue and the Fack horizon
 //
-// The engine's pending-event queue exploits the model's own contract.
-// validatePlan admits only plans whose deliveries and ack land in
-// (Now, Now+Fack], so at any instant every queued event lives within one
-// Fack window of the clock — bounded-horizon scheduling, the regime where
-// a calendar (timing-wheel) structure beats a heap. internal/sim/queue.go
-// keeps a power-of-two ring of per-time buckets spanning the horizon:
-// push appends to a bucket FIFO, pop advances the clock cursor to the
-// next nonempty bucket (one bitmap word scan per 64 buckets) and takes
-// its head. Both are O(1); a 36k-event backlog on expander:4096:8 costs
-// the same per operation as an empty queue.
+// Invariant: the engine's event ring covers the scheduler's declared
+// horizon. validatePlan panics on any plan whose deliveries or ack fall
+// outside (Now, Now+Fack], so every queued event lies within one Fack of
+// the clock. internal/sim/queue.go therefore keeps one structure, a
+// calendar ring of per-time buckets whose span is the smallest power of
+// two above Scheduler.Fack() — 16 B per bucket plus a bitmap bit: 128 B at
+// Fack 4, 128 KiB for EdgeOrder on clique:4096. Config.Validate rejects a
+// Fack above sim.MaxFack (2^20-1: a 2^20-bucket, 16 MiB ring) with an
+// error naming the number, and push panics on an event outside [cur, cur+span), so nothing can
+// alias another time's bucket. Push appends to a bucket FIFO; pop advances
+// the cursor to the next nonempty bucket (one bitmap word scan per 64
+// buckets) and takes its head. Both are O(1) whatever the backlog.
 //
-// The pop order is byte-identical to the quaternary heap it replaced,
-// not approximately so. The engine's total order is (time, deliveries
-// before acks, insertion seq); seq is assigned monotonically and a FIFO
-// preserves insertion order, so one FIFO chain per (bucket, kind)
-// reproduces the order exactly: the cursor visits times in order, and
-// within a time the deliver chain drains before the ack chain, each in
-// seq order. Two escape hatches keep the structure exact: events past
-// the ring window (wrapping schedulers — Gate, SlowSubset — declare
-// horizons wider than their base) overflow into the old quaternary heap
-// and migrate into the ring as the cursor advances, strictly before any
-// new push can reach the exposed buckets; and events live in a dense
-// value slab indexed by int32 with an intrusive free chain, so the GC
-// never scans the queue and slab growth amortizes to one allocation per
-// doubling. Config.QueueWindow tunes the hybrid (0 sizes the ring to the
-// scheduler's Fack, negative forces the pure reference heap), and the
-// harness differential queue test drives both — plus a deliberately tiny
-// ring that migrates constantly — through every registered scheduler,
-// crash pattern and overlay family, asserting identical event sequences,
-// results and fingerprints.
+// The engine's total order is (time, deliveries before acks, insertion
+// seq); seq is assigned monotonically and a FIFO preserves insertion
+// order, so one FIFO chain per (bucket, kind) yields exactly that order.
+// Events live in a dense value slab indexed by int32 with an intrusive
+// free chain, so the GC never scans the queue and slab growth amortizes
+// to one allocation per doubling. The reference for the order is a
+// quaternary heap that exists only in internal/sim's tests: the
+// differential test attaches it to an engine through an unexported hook,
+// mirrors every push, and requires every pop to be the heap's minimum —
+// across every registered scheduler, crash pattern and overlay family
+// plus a seeded fuzz loop.
 //
 // # Observability
 //

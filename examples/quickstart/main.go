@@ -51,7 +51,7 @@ func main() {
 
 	// One execution is an anecdote; the harness measures distributions.
 	// A Grid expands to cell work-units — here a single cell whose seeds
-	// 1..32 replicate the scenario above — and SweepCells runs each cell's
+	// 1..32 replicate the scenario above — and SweepCellsOpts runs each cell's
 	// seeds back to back on a reusable engine, aggregating latency and
 	// message statistics. (This is the same path behind `amacsim -sweep`.)
 	seeds := make([]int64, 32)
@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cells, err := harness.SweepCells(work, 0)
+	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

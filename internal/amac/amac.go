@@ -104,6 +104,13 @@ type NodeConfig struct {
 	// registry hands back disabled handles that no-op, so algorithms
 	// instrument unconditionally.
 	Metrics *metrics.Registry
+	// AckAfterHandlers is set by a substrate that guarantees every
+	// OnReceive of a broadcast has returned before its sender's OnAck
+	// runs (the serialized simulator). Only then may an algorithm recycle
+	// a message it broadcast once the ack arrives; on wall-clock
+	// substrates a receiver may still be reading it, so they leave the
+	// zero value.
+	AckAfterHandlers bool
 }
 
 // Factory builds one node's algorithm instance. A Factory is invoked once

@@ -179,7 +179,7 @@ type Node struct {
 	decision   amac.Value
 
 	// reuse recycles broadcast buffers through msgFree after each ack
-	// (see NewFactory for the substrate guarantee this relies on). A node
+	// (amac.NodeConfig.AckAfterHandlers, via NewFactory). A node
 	// has at most one broadcast in flight, so the pool holds at most one
 	// message.
 	reuse   bool
@@ -197,8 +197,7 @@ type Node struct {
 }
 
 // New returns a flood-paxos node knowing the network size n. Nodes built
-// this way allocate a fresh message per broadcast and are safe on any
-// substrate; NewFactory enables buffer reuse for simulator runs.
+// this way allocate a fresh message per broadcast.
 func New(input amac.Value, n int) *Node {
 	if n < 1 {
 		panic(fmt.Sprintf("floodpaxos: invalid network size %d", n))
@@ -222,19 +221,16 @@ func New(input amac.Value, n int) *Node {
 	}
 }
 
-// NewFactory returns a factory for networks of the given size. Nodes it
-// builds recycle their broadcast buffer after each ack, which makes the
-// steady-state broadcast path allocation-free. Reuse relies on the
-// delivery-before-ack guarantee of serialized substrates — by the time the
-// sender's OnAck runs, every OnReceive handler for that broadcast has
-// returned (internal/sim's engine orders co-timed deliveries before acks
-// and runs handlers serially). On wall-clock substrates (internal/live,
-// internal/netmac), where a receiver may still be processing the message
-// when the ack lands, build nodes with New instead.
+// NewFactory returns a factory for networks of the given size. On
+// substrates that declare amac.NodeConfig.AckAfterHandlers its nodes
+// recycle their broadcast buffer after each ack, which makes the
+// steady-state broadcast path allocation-free; elsewhere a receiver may
+// still be reading the message when the ack lands, so every broadcast
+// allocates a fresh one.
 func NewFactory(n int) amac.Factory {
 	return func(cfg amac.NodeConfig) amac.Algorithm {
 		a := New(cfg.Input, n)
-		a.reuse = true
+		a.reuse = cfg.AckAfterHandlers
 		a.instrument(cfg.Metrics)
 		return a
 	}
@@ -331,8 +327,8 @@ func (a *Node) localChange() {
 func (a *Node) OnAck(m amac.Message) {
 	a.inflight = false
 	if a.reuse {
-		// Every delivery handler for this broadcast has returned (the
-		// NewFactory contract), so the buffer can be recycled.
+		// Every delivery handler for this broadcast has returned
+		// (AckAfterHandlers), so the buffer can be recycled.
 		c := m.(*Combined)
 		*c = Combined{}
 		a.msgFree = append(a.msgFree, c)

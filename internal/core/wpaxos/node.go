@@ -27,19 +27,17 @@ type Config struct {
 // with empty tables: nothing is pooled across nodes, runs or
 // Engine.Reset, and apart from the detector's N-bit membership set a
 // node's state grows with the ids it hears of, not with N (doc.go,
-// "wPAXOS per-node state and the n² budget"). What a factory-built node
-// does recycle is its own four per-pump send buffers (leader, search,
-// response, state), overwritten at the next pump. That relies on every
-// receiver having handled a broadcast by the time its sender is acked,
-// which the serialized simulator (internal/sim) guarantees; on wall-clock
-// substrates build nodes with New/NewGeneral instead.
+// "wPAXOS per-node state and the n² budget"). What a node recycles, on
+// substrates that declare amac.NodeConfig.AckAfterHandlers, is its own
+// four per-pump send buffers (leader, search, response, state),
+// overwritten at the next pump; elsewhere every pump allocates fresh ones.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return func(nc amac.NodeConfig) amac.Algorithm {
 		a := New(nc.Input, cfg)
-		a.reuse = true
+		a.reuse = nc.AckAfterHandlers
 		a.instrument(nc.Metrics)
 		return a
 	}
@@ -132,8 +130,8 @@ type Node struct {
 	propSent bool
 
 	// reuse recycles the per-pump send buffers below across broadcasts
-	// (factory-built nodes only; see NewFactory). The queues themselves
-	// are value slices, so steady-state pumping does not allocate.
+	// (see NewFactory). The queues themselves are value slices, so
+	// steady-state pumping does not allocate.
 	reuse bool
 	bufs  struct {
 		leader LeaderMsg
@@ -173,20 +171,6 @@ func NewGeneral(input amac.Value, cfg Config) *Node {
 		chosen:    make(map[ProposalNum]*chosenTally),
 		gossAcks:  make(map[amac.NodeID]bool),
 		gossNacks: make(map[amac.NodeID]bool),
-	}
-}
-
-// NewGeneralFactory returns a factory of NewGeneral nodes (with send-buffer
-// reuse; see NewFactory for the substrate caveat).
-func NewGeneralFactory(cfg Config) amac.Factory {
-	if cfg.N < 1 {
-		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
-	}
-	return func(nc amac.NodeConfig) amac.Algorithm {
-		a := NewGeneral(nc.Input, cfg)
-		a.reuse = true
-		a.instrument(nc.Metrics)
-		return a
 	}
 }
 

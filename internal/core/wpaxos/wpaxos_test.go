@@ -138,8 +138,9 @@ func TestSparseAndMixedIDs(t *testing.T) {
 
 func TestDecisionTimeScalesWithDiameter(t *testing.T) {
 	// Theorem 4.6: decisions within O(D*Fack). The constant here is an
-	// empirical envelope (see EXPERIMENTS.md): comfortably small, and the
-	// point is that it does not grow with D.
+	// empirical envelope (experiment E6 in internal/exp/upper.go measures
+	// it across topologies): comfortably small, and the point is that it
+	// does not grow with D.
 	const f = 4
 	for _, d := range []int{4, 8, 16, 32} {
 		g := graph.Line(d + 1)
@@ -377,7 +378,7 @@ func TestMultivaluedConsensus(t *testing.T) {
 		res := sim.Run(sim.Config{
 			Graph:           g,
 			Inputs:          inputs,
-			Factory:         NewGeneralFactory(Config{N: 12}),
+			Factory:         func(nc amac.NodeConfig) amac.Algorithm { return NewGeneral(nc.Input, Config{N: 12}) },
 			Scheduler:       sim.NewRandom(4, seed*3+1),
 			StopWhenDecided: true,
 			Audit:           true,

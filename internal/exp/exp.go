@@ -1,6 +1,6 @@
-// Package exp contains the experiment drivers behind EXPERIMENTS.md: one
-// function per experiment (E1..E10 in DESIGN.md), each reproducing one of
-// the paper's theorems, figures, or complexity claims as a measured table
+// Package exp contains the experiment drivers: one function per
+// experiment (E1..E13, indexed by All), each reproducing one of the
+// paper's theorems, figures, or complexity claims as a measured table
 // plus a pass/fail shape check. The drivers are shared by cmd/benchsuite
 // (which regenerates the full report) and bench_test.go (one testing.B
 // target per experiment).
@@ -16,7 +16,7 @@ import (
 
 // Experiment is one reproduced result.
 type Experiment struct {
-	// ID is the DESIGN.md experiment id, e.g. "E5".
+	// ID is the experiment's index in All, e.g. "E5".
 	ID string
 	// Title names the experiment.
 	Title string

@@ -92,7 +92,7 @@ func E2Anonymous() *Experiment {
 	}
 	e.Notes = append(e.Notes,
 		"the anonymous min-flood algorithm is correct on the threefold cover B yet splits on network A",
-		"diam(B) is D+1..D+2 in our reconstruction of the cover (see DESIGN.md); both runs use a common diameter bound")
+		"diam(B) is D+1..D+2 in our reconstruction of the cover (see internal/graph/paper.go); both runs use a common diameter bound")
 	return e
 }
 

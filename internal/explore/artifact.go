@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/sim"
 )
@@ -32,7 +33,7 @@ type Artifact struct {
 	// execution.
 	Schedule *sim.Schedule `json:"schedule"`
 	// Violation is what replaying the schedule must reproduce.
-	Violation *Violation `json:"violation,omitempty"`
+	Violation *consensus.Violation `json:"violation,omitempty"`
 	// Note is free-text provenance (how the artifact was found/minimized).
 	Note string `json:"note,omitempty"`
 }

@@ -101,7 +101,7 @@ type CampaignFinding struct {
 	// kind equals what the sweep flagged, except when a perturbation
 	// search (Budget > 0) escalated to a more severe violation found in
 	// the flagged run's schedule neighborhood.
-	Violation *Violation `json:"violation"`
+	Violation *consensus.Violation `json:"violation"`
 	// Steps and Deliveries size the artifact's schedule.
 	Steps      int `json:"steps"`
 	Deliveries int `json:"deliveries"`
@@ -234,7 +234,7 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 
 	var (
 		schedule  *sim.Schedule
-		violation *Violation
+		violation *consensus.Violation
 		explored  *Stats
 	)
 	if opts.Budget > 0 {
@@ -279,7 +279,7 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 		if err != nil {
 			return nil, err
 		}
-		schedule, violation = sched, Classify(out)
+		schedule, violation = sched, out.Violation()
 		if violation == nil || violation.Kind != f.Violation.Kind {
 			return nil, fmt.Errorf("flagged %s violation did not reproduce on recording (got %+v)", f.Violation.Kind, violation)
 		}
@@ -360,10 +360,10 @@ func orNone(s string) string {
 // returning the closed schedule (every broadcast a recorded step, so it
 // replays with zero divergence) and its classification. It errors when the
 // finding's violation kind does not reproduce on re-recording.
-func closeFinding(pool *evalPool, sc harness.Scenario, f *Finding) (*sim.Schedule, *Violation, error) {
+func closeFinding(pool *evalPool, sc harness.Scenario, f *Finding) (*sim.Schedule, *consensus.Violation, error) {
 	var (
 		closed *sim.Schedule
-		v      *Violation
+		v      *consensus.Violation
 		err    error
 	)
 	pool.runOne(func(rs *runnerSet) {
@@ -377,7 +377,7 @@ func closeFinding(pool *evalPool, sc harness.Scenario, f *Finding) (*sim.Schedul
 			err = e
 			return
 		}
-		closed, v = cl, Classify(out)
+		closed, v = cl, out.Violation()
 	})
 	if err != nil {
 		return nil, nil, err

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
 )
 
@@ -40,7 +41,7 @@ func TestCampaignFindsKnownStall(t *testing.T) {
 		t.Fatalf("%d findings, want 1 (PerCell defaults to 1)", len(rep.Findings))
 	}
 	f := rep.Findings[0]
-	if f.Cell != 0 || f.Violation.Kind != KindNonTermination || !f.Minimized {
+	if f.Cell != 0 || f.Violation.Kind != consensus.KindNonTermination || !f.Minimized {
 		t.Fatalf("finding misclassified: %+v", f)
 	}
 	// The campaign's artifact must stand alone: replay, no divergence,
@@ -52,7 +53,7 @@ func TestCampaignFindsKnownStall(t *testing.T) {
 	if rp.Diverged() {
 		t.Fatalf("campaign artifact diverged at %d on replay", rp.DivergedAt())
 	}
-	if v := Classify(out); v == nil || v.Kind != KindNonTermination {
+	if v := out.Violation(); v == nil || v.Kind != consensus.KindNonTermination {
 		t.Fatalf("campaign artifact does not reproduce: %+v", v)
 	}
 	// Coverage was measured for every cell.

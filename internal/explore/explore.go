@@ -50,26 +50,6 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// Violation kinds, in the severity order Classify assigns them. The
-// classification itself lives in internal/consensus so sweep workers
-// (internal/harness) flag runs with exactly the judgment the explorer and
-// the minimizer preserve; these names re-export it for this package's
-// callers and artifacts.
-const (
-	KindAgreement      = consensus.KindAgreement
-	KindValidity       = consensus.KindValidity
-	KindNonTermination = consensus.KindNonTermination
-	KindSubstrate      = consensus.KindSubstrate
-)
-
-// Violation describes one property breach found in an execution (see
-// consensus.Violation — the serialized artifact layout is unchanged).
-type Violation = consensus.Violation
-
-// Classify reduces an outcome to its violation, or nil when the execution
-// satisfied agreement, validity and termination with a clean substrate.
-func Classify(o *harness.Outcome) *Violation { return o.Violation() }
-
 // Options tunes an exploration. The zero value means: budget 256, workers
 // GOMAXPROCS, seed 1, the sweep default event cap, walk length 8, all
 // findings reported.
@@ -117,7 +97,7 @@ type Finding struct {
 	// identity of the finding within one exploration.
 	Candidate int `json:"candidate"`
 	// Violation describes what broke.
-	Violation Violation `json:"violation"`
+	Violation consensus.Violation `json:"violation"`
 	// Steps and Deliveries size the violating schedule.
 	Steps      int `json:"steps"`
 	Deliveries int `json:"deliveries"`
@@ -153,7 +133,7 @@ type Report struct {
 	// Base is the violation of the unperturbed recorded run, if any — the
 	// scenario's own behaviour is candidate -1, minimizable like any
 	// finding.
-	Base *Violation `json:"base_violation,omitempty"`
+	Base *consensus.Violation `json:"base_violation,omitempty"`
 	// BaseSteps/BaseDeliveries size the base recording.
 	BaseSteps      int `json:"base_steps"`
 	BaseDeliveries int `json:"base_deliveries"`
@@ -195,7 +175,7 @@ func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) 
 	}
 	rep := &Report{
 		Scenario:       sc,
-		Base:           Classify(baseOut),
+		Base:           baseOut.Violation(),
 		BaseSteps:      len(baseSched.Steps),
 		BaseDeliveries: baseSched.Deliveries(),
 		BaseSchedule:   baseSched,
@@ -243,7 +223,7 @@ func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) 
 			if rp.Diverged() {
 				diverged.Add(1)
 			}
-			if v := Classify(out); v != nil {
+			if v := out.Violation(); v != nil {
 				results[c.idx] = &Finding{
 					Candidate:  c.idx,
 					Violation:  *v,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
 )
 
@@ -30,7 +31,7 @@ func TestExploreStallCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Base == nil || rep.Base.Kind != KindNonTermination {
+	if rep.Base == nil || rep.Base.Kind != consensus.KindNonTermination {
 		t.Fatalf("base violation = %+v, want the known non-termination stall", rep.Base)
 	}
 	if !rep.Base.Quiescent {
@@ -103,12 +104,12 @@ func TestShrinkPreservesViolationAndReduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Shrink(sc, sched, KindNonTermination, ShrinkOptions{MaxEvents: 200_000})
+	res, err := Shrink(sc, sched, consensus.KindNonTermination, ShrinkOptions{MaxEvents: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := res.Artifact
-	if a.Violation == nil || a.Violation.Kind != KindNonTermination {
+	if a.Violation == nil || a.Violation.Kind != consensus.KindNonTermination {
 		t.Fatalf("minimized artifact lost the violation: %+v", a.Violation)
 	}
 	if !res.Reduced() {
@@ -124,8 +125,8 @@ func TestShrinkPreservesViolationAndReduces(t *testing.T) {
 	if rp.Diverged() {
 		t.Fatalf("minimized artifact diverged at step %d on replay", rp.DivergedAt())
 	}
-	v := Classify(out)
-	if v == nil || v.Kind != KindNonTermination {
+	v := out.Violation()
+	if v == nil || v.Kind != consensus.KindNonTermination {
 		t.Fatalf("minimized artifact does not reproduce on replay: %+v", v)
 	}
 }
@@ -138,7 +139,7 @@ func TestShrinkRefusesHealthySchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Shrink(sc, sched, KindNonTermination, ShrinkOptions{MaxEvents: 200_000}); err == nil {
+	if _, err := Shrink(sc, sched, consensus.KindNonTermination, ShrinkOptions{MaxEvents: 200_000}); err == nil {
 		t.Fatal("Shrink accepted a schedule that violates nothing")
 	}
 }
@@ -152,7 +153,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	a := &Artifact{
 		Format: ArtifactFormat, Scenario: sc, MaxEvents: 200_000,
-		Schedule: sched, Violation: Classify(out), Note: "round-trip test",
+		Schedule: sched, Violation: out.Violation(), Note: "round-trip test",
 	}
 	var buf bytes.Buffer
 	if err := a.Encode(&buf); err != nil {
@@ -179,7 +180,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if rp.Diverged() {
 		t.Fatal("decoded artifact diverged on replay")
 	}
-	if v := Classify(out2); v == nil || v.Kind != a.Violation.Kind {
+	if v := out2.Violation(); v == nil || v.Kind != a.Violation.Kind {
 		t.Fatalf("decoded artifact reproduces %+v, want %s", v, a.Violation.Kind)
 	}
 	// Corrupt structure must be rejected at decode time.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/sim"
 )
@@ -168,9 +169,9 @@ func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string
 // classification and the divergence step (-1 = none) are extracted inside
 // the worker, per the pool's engine-ownership rule — the Outcome's Result
 // would not survive the worker's next run.
-func (s *shrinker) verify() (*Violation, int, error) {
+func (s *shrinker) verify() (*consensus.Violation, int, error) {
 	var (
-		v          *Violation
+		v          *consensus.Violation
 		divergedAt = -1
 		err        error
 	)
@@ -186,7 +187,7 @@ func (s *shrinker) verify() (*Violation, int, error) {
 			err = e
 			return
 		}
-		v = Classify(out)
+		v = out.Violation()
 		if rp.Diverged() {
 			divergedAt = rp.DivergedAt()
 		}
@@ -242,7 +243,7 @@ func (s *shrinker) round(cands []*sim.Schedule) (int, error) {
 				outs[i].err = err
 				return
 			}
-			if v := Classify(out); v != nil && v.Kind == kind {
+			if v := out.Violation(); v != nil && v.Kind == kind {
 				outs[i] = evalOut{closed: closed, ok: true, cost: cost(closed)}
 			}
 		})
@@ -283,7 +284,7 @@ func (s *shrinker) shrinkTopology(maxEvents int) {
 		if err != nil {
 			return
 		}
-		v := Classify(out2)
+		v := out2.Violation()
 		if v == nil || v.Kind != s.kind {
 			return
 		}

@@ -23,7 +23,8 @@ import (
 // network-A diameter D = 2d+2. Our three-fold cover B satisfies property
 // (*) exactly but has diameter D+1 rather than D; experiments therefore
 // hand algorithms a common diameter bound valid for both networks, which
-// preserves the force of the construction (see DESIGN.md).
+// preserves the force of the construction (experiment E2 in
+// internal/exp/lower.go reports both diameters).
 
 // Gadget holds the local node indexing of one Figure 1 gadget. Local
 // indices: C() is the connector, A(i) for i in [1,d] is the spine,

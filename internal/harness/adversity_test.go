@@ -251,22 +251,16 @@ func TestGridFaultAxes(t *testing.T) {
 		Overlays: []string{"none", "extra:2"},
 		Seeds:    []int64{1, 2, 3},
 	}
-	scs, err := g.Scenarios()
-	if err != nil {
-		t.Fatal(err)
+	work := mustCells(t, g)
+	if want := 2 * 2; len(work) != want {
+		t.Fatalf("expanded %d cells, want %d", len(work), want)
 	}
-	if want := 2 * 2 * 3; len(scs) != want {
-		t.Fatalf("expanded %d scenarios, want %d", len(scs), want)
-	}
-	// Seeds remain the innermost axis.
-	if scs[0].Seed == scs[1].Seed || scs[0].Crashes != scs[1].Crashes || scs[0].Overlay != scs[1].Overlay {
-		t.Fatalf("seed is not the innermost axis: %+v then %+v", scs[0], scs[1])
+	// The overlay axis is innermost; seeds replicate inside each cell.
+	if a, b := work[0].Base, work[1].Base; a.Crashes != b.Crashes || a.Overlay == b.Overlay || len(work[0].Seeds) != 3 {
+		t.Fatalf("overlay is not the innermost axis: %+v then %+v", work[0], work[1])
 	}
 
-	cells, err := Sweep(scs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := mustSweep(t, g, 4)
 	if len(cells) != 4 {
 		t.Fatalf("%d cells, want 4 (2 crash x 2 overlay)", len(cells))
 	}

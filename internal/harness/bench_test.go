@@ -35,14 +35,11 @@ func BenchmarkSweepCell(b *testing.B) {
 		Overlays: []string{"extra:4"},
 		Seeds:    []int64{1, 2, 3, 4, 5, 6, 7, 8},
 	}
-	scs, err := grid.Scenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
+	work := mustCells(b, grid)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := Sweep(scs, 0)
+		cells, err := SweepCellsOpts(work, SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,14 +64,11 @@ func BenchmarkSweepCellMetrics(b *testing.B) {
 		Overlays: []string{"extra:4"},
 		Seeds:    []int64{1, 2, 3, 4, 5, 6, 7, 8},
 	}
-	scs, err := grid.Scenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
+	work := mustCells(b, grid)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := sweepGroups(groupScenarios(scs), SweepOptions{Metrics: true})
+		cells, err := SweepCellsOpts(work, SweepOptions{Metrics: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,14 +83,11 @@ func BenchmarkSweepCellMetrics(b *testing.B) {
 // topologies, diameters and overlays across the cross product, and each
 // worker reuses one engine across the seeds of a cell.
 func BenchmarkSweepGrid(b *testing.B) {
-	scs, err := sweepGridBench().Scenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
+	work := mustCells(b, sweepGridBench())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := Sweep(scs, 0)
+		cells, err := SweepCellsOpts(work, SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -220,7 +220,7 @@ func TestSweepCoverageAndSaturation(t *testing.T) {
 
 	// Without fingerprinting the coverage field stays zero (and the JSON
 	// omits it — the golden sweep output pins that byte-for-byte).
-	plain, err := SweepCells(work, 0)
+	plain, err := SweepCellsOpts(work, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

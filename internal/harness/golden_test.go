@@ -39,38 +39,13 @@ func TestSweepGoldenJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work, err := goldenGrid().Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := SweepCells(work, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, cells); err != nil {
+	if err := WriteJSON(&buf, mustSweep(t, goldenGrid(), 0)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("cell-grouped sweep output diverged from the golden flat-scenario aggregation "+
+		t.Fatalf("sweep output diverged from the golden aggregation "+
 			"(got %d bytes, want %d; run the regeneration command in this file's comment only "+
 			"for an intentional schema change)", buf.Len(), len(want))
-	}
-
-	// The flat-scenario entry point must agree with the cell path.
-	scs, err := goldenGrid().Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Sweep(scs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteJSON(&buf, flat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("Sweep (flat scenarios) output diverged from the golden aggregation")
 	}
 }

@@ -237,7 +237,11 @@ func NewScheduler(name string, fack, seed int64, g *graph.Graph) (sim.Scheduler,
 	if fack <= 0 {
 		return nil, fmt.Errorf("harness: Fack=%d, need > 0", fack)
 	}
-	return ctor(fack, seed, g), nil
+	s := ctor(fack, seed, g)
+	if f := s.Fack(); f > sim.MaxFack {
+		return nil, fmt.Errorf("harness: scheduler %q declares Fack=%d, above sim.MaxFack=%d", name, f, int64(sim.MaxFack))
+	}
+	return s, nil
 }
 
 // --- input-pattern registry ---
@@ -381,7 +385,7 @@ func (s Scenario) build(c *caches) (sim.Config, buildInfo, error) {
 // Run executes the scenario and checks the consensus properties. It builds
 // everything fresh and allocates its own engine — the right call for a
 // single execution. Sweeps instead run cells of seeds through per-worker
-// reusable engines and shared caches (see Sweep).
+// reusable engines and shared caches (see SweepCellsOpts).
 func (s Scenario) Run() (*Outcome, error) {
 	cfg, _, err := s.build(nil)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/sim"
 )
 
 func TestRegistriesCoverSeedNames(t *testing.T) {
@@ -219,6 +220,7 @@ func TestScenarioConfigErrors(t *testing.T) {
 		func() Scenario { s := base; s.Algo = "nope"; return s }(),
 		func() Scenario { s := base; s.Sched = "nope"; return s }(),
 		func() Scenario { s := base; s.Fack = 0; return s }(),
+		func() Scenario { s := base; s.Fack = sim.MaxFack + 1; return s }(),
 		func() Scenario { s := base; s.Topo = Topo{Kind: "nope"}; return s }(),
 		func() Scenario { s := base; s.Inputs = "nope"; return s }(),
 		func() Scenario { s := base; s.InputValues = []amac.Value{0, 1}; return s }(),

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/explore"
 )
 
@@ -42,7 +43,7 @@ func TestLegacyStallArtifactsNoLongerReproduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Violation == nil || a.Violation.Kind != explore.KindNonTermination {
+		if a.Violation == nil || a.Violation.Kind != consensus.KindNonTermination {
 			t.Fatalf("%s records %+v, want a non-termination violation", path, a.Violation)
 		}
 		replay := func() string {
@@ -54,7 +55,7 @@ func TestLegacyStallArtifactsNoLongerReproduce(t *testing.T) {
 				t.Fatalf("%s replayed divergence-free: the fixed algorithm reproduced its "+
 					"pre-fix broadcast schedule, which should be impossible", path)
 			}
-			if v := explore.Classify(out); v != nil {
+			if v := out.Violation(); v != nil {
 				t.Fatalf("%s still violates after divergence (%+v): the leader-death "+
 					"liveness fix regressed", path, v)
 			}
@@ -130,7 +131,7 @@ func TestTwophaseStallArtifactReplaysByteIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Violation == nil || a.Violation.Kind != explore.KindNonTermination {
+	if a.Violation == nil || a.Violation.Kind != consensus.KindNonTermination {
 		t.Fatalf("artifact records %+v, want a non-termination violation", a.Violation)
 	}
 	replay := func() string {
@@ -144,7 +145,7 @@ func TestTwophaseStallArtifactReplaysByteIdentically(t *testing.T) {
 		if !out.Report.Agreement || !out.Report.Validity {
 			t.Fatalf("replayed stall broke safety: %v", out.Report.Errors)
 		}
-		v := explore.Classify(out)
+		v := out.Violation()
 		if v == nil || v.Kind != a.Violation.Kind || v.Events != a.Violation.Events || v.Quiescent != a.Violation.Quiescent {
 			t.Fatalf("replay classified as %+v, artifact records %+v", v, a.Violation)
 		}

@@ -112,25 +112,6 @@ func (g Grid) Cells() ([]CellWork, error) {
 	return cells, nil
 }
 
-// Scenarios expands the grid into flat scenarios — the cell work-units of
-// Cells flattened with seeds innermost. Sweep re-groups flat scenarios
-// into cells, so Cells plus SweepCells is the direct route.
-func (g Grid) Scenarios() ([]Scenario, error) {
-	cells, err := g.Cells()
-	if err != nil {
-		return nil, err
-	}
-	scs := make([]Scenario, 0, len(cells)*len(g.Seeds))
-	for _, cw := range cells {
-		for _, seed := range cw.Seeds {
-			s := cw.Base
-			s.Seed = seed
-			scs = append(scs, s)
-		}
-	}
-	return scs, nil
-}
-
 // Summary is a five-number summary of one per-cell sample.
 type Summary struct {
 	Min    float64 `json:"min"`
@@ -277,7 +258,7 @@ func cellMetrics(agg *metrics.Registry) []CellMetric {
 // cellIdent is a scenario's cell identity: every axis except the seed,
 // with the optional axes normalized to their defaults exactly as the cell
 // reports them. It is a comparable value used directly as a map key, so
-// grouping scenarios into cells renders no strings.
+// detecting duplicate work-units renders no strings.
 type cellIdent struct {
 	algo             string
 	topo             Topo
@@ -399,33 +380,6 @@ func (a *cellAccum) finish() Cell {
 	return a.cell
 }
 
-// cellGroup is the sweep-internal unit of work: one cell's scenarios (in
-// seed order) plus their positions in the caller's flat scenario list, for
-// error attribution.
-type cellGroup struct {
-	scs  []Scenario
-	idxs []int
-}
-
-// groupScenarios buckets flat scenarios into cells by cell identity, in
-// first-appearance order, preserving the scenario order within each cell.
-func groupScenarios(scs []Scenario) []*cellGroup {
-	byKey := make(map[cellIdent]*cellGroup)
-	var groups []*cellGroup
-	for i, s := range scs {
-		k := s.cellKey()
-		g, ok := byKey[k]
-		if !ok {
-			g = &cellGroup{}
-			byKey[k] = g
-			groups = append(groups, g)
-		}
-		g.scs = append(g.scs, s)
-		g.idxs = append(g.idxs, i)
-	}
-	return groups
-}
-
 // FlaggedRun is one violating execution streamed out of a sweep: the
 // scenario (seed included), its classification, where it sits in the
 // sweep's cell list, and — when fingerprinting is on — its
@@ -447,8 +401,8 @@ type FlaggedRun struct {
 	Fingerprint uint64
 }
 
-// SweepOptions tunes a sweep beyond the worker-pool width. The zero value
-// reproduces the plain Sweep/SweepCells behaviour exactly.
+// SweepOptions tunes a sweep. The zero value is a plain sweep at
+// GOMAXPROCS workers.
 type SweepOptions struct {
 	// Workers is the worker-pool width (<= 0 means GOMAXPROCS).
 	Workers int
@@ -489,76 +443,43 @@ func (o SweepOptions) normalized() SweepOptions {
 	return o
 }
 
-// Sweep runs every scenario on a worker pool of the given width (<= 0
-// means GOMAXPROCS) and aggregates outcomes into cells, one per distinct
-// (algo, topo, inputs, sched, fack, crashes, overlay) combination, in
-// first-appearance order. Scenarios are grouped into cells first and
-// whole cells are scheduled onto workers: each worker reuses one engine
-// across the seeds of a cell, and all workers share memoized topology,
-// diameter, overlay and input caches. Scenario construction errors abort
-// the sweep; consensus violations do not — they are reported per cell
-// (and streamed to SweepOptions.OnFlag, via SweepCellsOpts).
-func Sweep(scs []Scenario, workers int) ([]Cell, error) {
-	return sweepGroups(groupScenarios(scs), SweepOptions{Workers: workers})
-}
-
-// SweepCells runs cell work-units (see Grid.Cells) directly, one unit per
-// worker-pool task. It is Sweep without the flat-scenario detour: cells
-// come in already grouped, so nothing is re-keyed — which is why two
-// work-units sharing a cell identity are rejected rather than silently
-// emitted as duplicate rows (flatten to Sweep when merging is wanted).
-func SweepCells(cells []CellWork, workers int) ([]Cell, error) {
-	return SweepCellsOpts(cells, SweepOptions{Workers: workers})
-}
-
-// SweepCellsOpts is SweepCells with the full option set: flagged-run
-// streaming, schedule-coverage fingerprints and coverage saturation.
-func SweepCellsOpts(cells []CellWork, opts SweepOptions) ([]Cell, error) {
-	seen := make(map[cellIdent]bool, len(cells))
-	for _, cw := range cells {
+// SweepCellsOpts runs cell work-units (see Grid.Cells) on a worker pool
+// and aggregates each into a Cell, in input order. Whole cells are
+// scheduled onto workers: each worker reuses one engine across the seeds
+// of a cell, and all workers share memoized topology, diameter, overlay
+// and input caches. Work-units without seeds or sharing a cell identity
+// are rejected, and scenario construction errors abort the sweep;
+// consensus violations do not — they are reported per cell and streamed
+// to SweepOptions.OnFlag.
+func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
+	seen := make(map[cellIdent]bool, len(work))
+	for _, cw := range work {
 		if len(cw.Seeds) == 0 {
 			return nil, fmt.Errorf("harness: cell %s on %s under %s has no seeds", cw.Base.Algo, cw.Base.Topo, cw.Base.Sched)
 		}
 		k := cw.Base.cellKey()
 		if seen[k] {
-			return nil, fmt.Errorf("harness: duplicate cell %s on %s under %s (crashes %s, overlay %s, Fack %d): merge the work-units or sweep flat scenarios",
+			return nil, fmt.Errorf("harness: duplicate cell %s on %s under %s (crashes %s, overlay %s, Fack %d): merge the work-units",
 				k.algo, k.topo, k.sched, k.crashes, k.overlay, k.fack)
 		}
 		seen[k] = true
 	}
-	groups := make([]*cellGroup, len(cells))
-	idx := 0
-	for i, cw := range cells {
-		g := &cellGroup{scs: make([]Scenario, len(cw.Seeds)), idxs: make([]int, len(cw.Seeds))}
-		for j, seed := range cw.Seeds {
-			s := cw.Base
-			s.Seed = seed
-			g.scs[j] = s
-			g.idxs[j] = idx
-			idx++
-		}
-		groups[i] = g
-	}
-	return sweepGroups(groups, opts)
-}
-
-func sweepGroups(groups []*cellGroup, opts SweepOptions) ([]Cell, error) {
 	opts = opts.normalized()
 	type cellErr struct {
-		idx int // scenario index, for deterministic error attribution
+		run int // position within the cell's seeds
 		sc  Scenario
 		err error
 	}
-	cells := make([]Cell, len(groups))
-	errs := make([]cellErr, len(groups))
+	cells := make([]Cell, len(work))
+	errs := make([]cellErr, len(work))
 	shared := newCaches()
 	// Buffered so the producer never blocks and workers never serialize
 	// on an unbuffered handoff.
-	work := make(chan int, len(groups))
-	for i := range groups {
-		work <- i
+	next := make(chan int, len(work))
+	for i := range work {
+		next <- i
 	}
-	close(work)
+	close(next)
 	// Captured as individual locals, not via opts, so the options struct
 	// does not escape into the worker closures (the plain sweep path's
 	// allocation count is pinned by BENCH_engine.json).
@@ -577,19 +498,21 @@ func sweepGroups(groups []*cellGroup, opts SweepOptions) ([]Cell, error) {
 			if metricsOn {
 				reg = metrics.New()
 			}
-			for gi := range work {
-				g := groups[gi]
-				acc := newCellAccum(len(g.scs))
+			for gi := range next {
+				cw := work[gi]
+				acc := newCellAccum(len(cw.Seeds))
 				var cellAgg *metrics.Registry
 				if metricsOn {
 					cellAgg = metrics.New()
 				}
 				ok := true
 				stale := 0
-				for k, s := range g.scs {
+				for k, seed := range cw.Seeds {
+					s := cw.Base
+					s.Seed = seed
 					o, fp, err := r.run(s, fingerprint, reg)
 					if err != nil {
-						errs[gi] = cellErr{idx: g.idxs[k], sc: s, err: err}
+						errs[gi] = cellErr{run: k, sc: s, err: err}
 						ok = false
 						break
 					}
@@ -620,17 +543,15 @@ func sweepGroups(groups []*cellGroup, opts SweepOptions) ([]Cell, error) {
 		}()
 	}
 	wg.Wait()
-	// Report the error of the lowest-index scenario, so failures are
-	// attributed deterministically regardless of worker scheduling.
-	first := -1
-	for gi := range errs {
-		if errs[gi].err != nil && (first < 0 || errs[gi].idx < errs[first].idx) {
-			first = gi
+	// Report the first failing cell's error, numbering the scenario by its
+	// position in cell-major, seed-minor order, so failures are attributed
+	// deterministically regardless of worker scheduling.
+	start := 0
+	for gi, e := range errs {
+		if e.err != nil {
+			return nil, fmt.Errorf("scenario %d (%s on %s under %s): %w", start+e.run, e.sc.Algo, e.sc.Topo, e.sc.Sched, e.err)
 		}
-	}
-	if first >= 0 {
-		e := errs[first]
-		return nil, fmt.Errorf("scenario %d (%s on %s under %s): %w", e.idx, e.sc.Algo, e.sc.Topo, e.sc.Sched, e.err)
+		start += len(work[gi].Seeds)
 	}
 	return cells, nil
 }

@@ -22,19 +22,43 @@ func testGrid() Grid {
 	}
 }
 
-func TestGridExpansion(t *testing.T) {
-	g := testGrid()
-	scs, err := g.Scenarios()
+// mustCells expands g into cell work-units.
+func mustCells(t testing.TB, g Grid) []CellWork {
+	t.Helper()
+	work, err := g.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * 2 * 2 * 2 * 3; len(scs) != want {
-		t.Fatalf("expanded %d scenarios, want %d", len(scs), want)
+	return work
+}
+
+// mustSweep sweeps g's cells at the given worker width.
+func mustSweep(t testing.TB, g Grid, workers int) []Cell {
+	t.Helper()
+	cells, err := SweepCellsOpts(mustCells(t, g), SweepOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Seeds vary fastest: consecutive scenarios within a cell differ only
-	// in seed.
-	if scs[0].Seed == scs[1].Seed || scs[0].Algo != scs[1].Algo || scs[0].Fack != scs[1].Fack {
-		t.Fatalf("seed is not the innermost axis: %+v then %+v", scs[0], scs[1])
+	return cells
+}
+
+func TestGridExpansion(t *testing.T) {
+	g := testGrid()
+	g.Crashes = []string{"none", "one@0"}
+	work := mustCells(t, g)
+	if want := 2 * 2 * 2 * 2 * 2; len(work) != want {
+		t.Fatalf("expanded %d cells, want %d", len(work), want)
+	}
+	// Seeds are the replication axis inside each cell, and the fault axes
+	// are innermost: consecutive cells differ only in the crash spec.
+	for _, cw := range work {
+		if !reflect.DeepEqual(cw.Seeds, g.Seeds) {
+			t.Fatalf("cell %+v has seeds %v, want %v", cw.Base, cw.Seeds, g.Seeds)
+		}
+	}
+	a, b := work[0].Base, work[1].Base
+	if a.Crashes == b.Crashes || a.Algo != b.Algo || a.Fack != b.Fack || a.Sched != b.Sched {
+		t.Fatalf("crash spec is not the innermost varying axis: %+v then %+v", a, b)
 	}
 }
 
@@ -44,7 +68,7 @@ func TestGridExpansion(t *testing.T) {
 // random).
 func TestGridEmptyAxisDeterministicError(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		_, err := Grid{Seeds: []int64{1}}.Scenarios()
+		_, err := Grid{Seeds: []int64{1}}.Cells()
 		if err == nil {
 			t.Fatal("grid with empty axes accepted")
 		}
@@ -54,61 +78,19 @@ func TestGridEmptyAxisDeterministicError(t *testing.T) {
 	}
 }
 
-// TestGridCellsMatchScenarios pins that the cell work-units are exactly
-// the flat expansion regrouped: flattening Cells with seeds innermost
-// reproduces Scenarios.
-func TestGridCellsMatchScenarios(t *testing.T) {
-	g := testGrid()
-	g.Crashes = []string{"none", "one@0"}
-	cells, err := g.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scs, err := g.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat []Scenario
-	for _, cw := range cells {
-		if len(cw.Seeds) != len(g.Seeds) {
-			t.Fatalf("cell %+v has %d seeds, want %d", cw.Base, len(cw.Seeds), len(g.Seeds))
-		}
-		for _, seed := range cw.Seeds {
-			s := cw.Base
-			s.Seed = seed
-			flat = append(flat, s)
-		}
-	}
-	if !reflect.DeepEqual(flat, scs) {
-		t.Fatal("flattened cells differ from the scenario expansion")
-	}
-	// And the two sweep entry points agree on the result.
-	fromCells, err := SweepCells(cells, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFlat, err := Sweep(scs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromCells, fromFlat) {
-		t.Fatal("SweepCells and Sweep disagree on the same grid")
-	}
-}
-
-// TestSweepCellsRejectsMalformedWork pins SweepCells' validation: cells
+// TestSweepCellsRejectsMalformedWork pins SweepCellsOpts' validation: cells
 // without seeds and duplicate cell identities fail loudly instead of
 // producing empty-but-OK or duplicate rows.
 func TestSweepCellsRejectsMalformedWork(t *testing.T) {
 	base := Scenario{Algo: "twophase", Topo: Topo{Kind: "clique", N: 4}, Sched: "sync", Fack: 2}
-	if _, err := SweepCells([]CellWork{{Base: base}}, 1); err == nil || !strings.Contains(err.Error(), "no seeds") {
+	if _, err := SweepCellsOpts([]CellWork{{Base: base}}, SweepOptions{Workers: 1}); err == nil || !strings.Contains(err.Error(), "no seeds") {
 		t.Fatalf("seedless cell accepted (err=%v)", err)
 	}
 	dup := []CellWork{
 		{Base: base, Seeds: []int64{1}},
 		{Base: base, Seeds: []int64{2}},
 	}
-	if _, err := SweepCells(dup, 1); err == nil || !strings.Contains(err.Error(), "duplicate cell") {
+	if _, err := SweepCellsOpts(dup, SweepOptions{Workers: 1}); err == nil || !strings.Contains(err.Error(), "duplicate cell") {
 		t.Fatalf("duplicate cell identity accepted (err=%v)", err)
 	}
 }
@@ -116,30 +98,20 @@ func TestSweepCellsRejectsMalformedWork(t *testing.T) {
 func TestGridEmptyAxis(t *testing.T) {
 	g := testGrid()
 	g.Facks = nil
-	if _, err := g.Scenarios(); err == nil {
+	if _, err := g.Cells(); err == nil {
 		t.Fatal("empty Facks axis accepted")
 	}
 	// Inputs is the one axis allowed to be empty (defaults to alternating).
 	g = testGrid()
 	g.Inputs = nil
-	scs, err := g.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scs[0].Inputs != "alternating" {
-		t.Fatalf("default input pattern %q, want alternating", scs[0].Inputs)
+	if in := mustCells(t, g)[0].Base.Inputs; in != "alternating" {
+		t.Fatalf("default input pattern %q, want alternating", in)
 	}
 }
 
 func TestSweepAggregation(t *testing.T) {
-	scs, err := testGrid().Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := Sweep(scs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	work := mustCells(t, testGrid())
+	cells := mustSweep(t, testGrid(), 4)
 	if want := 2 * 2 * 2 * 2; len(cells) != want {
 		t.Fatalf("%d cells, want %d", len(cells), want)
 	}
@@ -157,9 +129,11 @@ func TestSweepAggregation(t *testing.T) {
 			t.Errorf("cell %s/%s/%s: summary out of order %+v", c.Algo, c.Topo, c.Sched, c.Decide)
 		}
 	}
-	// First-appearance order follows the expansion order.
-	if cells[0].Algo != scs[0].Algo || cells[0].Topo != scs[0].Topo.String() {
-		t.Errorf("cell order does not follow scenario order: %+v vs %+v", cells[0], scs[0])
+	// Cell order follows the expansion order.
+	for i, cw := range work {
+		if cells[i].Algo != cw.Base.Algo || cells[i].Topo != cw.Base.Topo.String() || cells[i].Sched != cw.Base.Sched || cells[i].Fack != cw.Base.Fack {
+			t.Fatalf("cell %d does not follow work order: %+v vs %+v", i, cells[i], cw.Base)
+		}
 	}
 }
 
@@ -167,45 +141,33 @@ func TestSweepAggregation(t *testing.T) {
 // nondeterminism into results: one worker and many workers produce
 // identical cells.
 func TestSweepParallelMatchesSerial(t *testing.T) {
-	scs, err := testGrid().Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Sweep(scs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Sweep(scs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := mustSweep(t, testGrid(), 1)
+	parallel := mustSweep(t, testGrid(), 8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel sweep differs from serial sweep")
 	}
 }
 
 func TestSweepScenarioError(t *testing.T) {
-	scs := []Scenario{{Algo: "nope", Topo: Topo{Kind: "clique", N: 4}, Sched: "sync", Fack: 2, Seed: 1}}
-	if _, err := Sweep(scs, 2); err == nil {
-		t.Fatal("sweep accepted an invalid scenario")
+	ok := Scenario{Algo: "twophase", Topo: Topo{Kind: "clique", N: 4}, Sched: "sync", Fack: 2}
+	bad := ok
+	bad.Algo = "nope"
+	work := []CellWork{{Base: ok, Seeds: []int64{1, 2, 3}}, {Base: bad, Seeds: []int64{7}}}
+	// The failing scenario is numbered in cell-major, seed-minor order.
+	_, err := SweepCellsOpts(work, SweepOptions{Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "scenario 3 (nope on clique:4 under sync)") {
+		t.Fatalf("sweep of an invalid scenario returned %v, want an error naming scenario 3", err)
 	}
 }
 
 func TestWriteJSON(t *testing.T) {
-	scs, err := Grid{
+	cells := mustSweep(t, Grid{
 		Algos:  []string{"twophase"},
 		Topos:  []Topo{{Kind: "clique", N: 4}},
 		Scheds: []string{"random"},
 		Facks:  []int64{3},
 		Seeds:  []int64{1, 2},
-	}.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := Sweep(scs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 0)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, cells); err != nil {
 		t.Fatal(err)
@@ -270,23 +232,17 @@ func TestCellAccumUndecided(t *testing.T) {
 // TestEffectiveFack pins down that cells report the scheduler's declared
 // bound, not the requested axis value, for structural schedulers.
 func TestEffectiveFack(t *testing.T) {
-	scs, err := Grid{
+	g := Grid{
 		Algos:  []string{"twophase"},
 		Topos:  []Topo{{Kind: "clique", N: 8}}, // max degree 7
 		Scheds: []string{"edgeorder", "sync"},
 		Facks:  []int64{4},
 		Seeds:  []int64{1},
-	}.Scenarios()
-	if err != nil {
-		t.Fatal(err)
 	}
-	if scs[0].MaxEvents != DefaultSweepMaxEvents {
-		t.Fatalf("sweep scenarios default MaxEvents=%d, want %d", scs[0].MaxEvents, DefaultSweepMaxEvents)
+	if me := mustCells(t, g)[0].Base.MaxEvents; me != DefaultSweepMaxEvents {
+		t.Fatalf("sweep scenarios default MaxEvents=%d, want %d", me, DefaultSweepMaxEvents)
 	}
-	cells, err := Sweep(scs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := mustSweep(t, g, 1)
 	byName := map[string]Cell{}
 	for _, c := range cells {
 		byName[c.Sched] = c
@@ -473,7 +429,7 @@ func TestSweepMetricsOffLeavesJSONUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SweepCells(cells, 1)
+	out, err := SweepCellsOpts(cells, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/baseline/floodpaxos"
 	"github.com/absmac/absmac/internal/baseline/gatherall"
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
@@ -51,15 +52,10 @@ func TestWPaxosOnMultihop(t *testing.T) {
 	for i, g := range cases {
 		inputs := mixed(g.N())
 		audit := wpaxos.NewCountAudit()
-		// Build nodes with New, not NewFactory: the factory enables
-		// send-buffer reuse, which relies on the delivery-before-ack
-		// guarantee of serialized substrates — this substrate hands the
-		// message pointer to concurrently running receivers.
-		cfg := wpaxos.Config{N: g.N(), Audit: audit}
 		res, err := Run(context.Background(), Config{
 			Graph:   g,
 			Inputs:  inputs,
-			Factory: func(nc amac.NodeConfig) amac.Algorithm { return wpaxos.New(nc.Input, cfg) },
+			Factory: wpaxos.NewFactory(wpaxos.Config{N: g.N(), Audit: audit}),
 			Fack:    2 * time.Millisecond,
 			Seed:    int64(i),
 		})
@@ -72,6 +68,37 @@ func TestWPaxosOnMultihop(t *testing.T) {
 		}
 		if v := audit.Violations(); len(v) != 0 {
 			t.Fatalf("case %d: Lemma 4.2 violated live: %v", i, v)
+		}
+	}
+}
+
+// TestPaxosFactoriesDoNotRecycleLiveMessages runs the two factories whose
+// nodes recycle send buffers on the simulator: this substrate hands the
+// message pointer to concurrently running receivers and does not declare
+// amac.NodeConfig.AckAfterHandlers, so the nodes must allocate per
+// broadcast — under -race, a recycled buffer is a reported data race.
+func TestPaxosFactoriesDoNotRecycleLiveMessages(t *testing.T) {
+	g := graph.Grid(3, 3)
+	inputs := mixed(g.N())
+	for _, tc := range []struct {
+		name    string
+		factory amac.Factory
+	}{
+		{"wpaxos", wpaxos.NewFactory(wpaxos.Config{N: g.N()})},
+		{"floodpaxos", floodpaxos.NewFactory(g.N())},
+	} {
+		res, err := Run(context.Background(), Config{
+			Graph:   g,
+			Inputs:  inputs,
+			Factory: tc.factory,
+			Fack:    2 * time.Millisecond,
+			Seed:    7,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep := res.Report(inputs); !rep.OK() {
+			t.Fatalf("%s: %v", tc.name, rep.Errors)
 		}
 	}
 }

@@ -64,6 +64,10 @@ type Engine struct {
 	// checkStops, set by tests, asserts the counter against the O(n)
 	// reference scan at every stop evaluation.
 	checkStops bool
+	// queueHook, set by tests, sees every event the engine pushes
+	// (popped false) and pops (popped true): the differential test mirrors
+	// the pushes into the reference heap and asserts each pop against it.
+	queueHook func(ev event, popped bool)
 
 	// Hot-path metric handles, re-registered at every Reset. With
 	// Config.Metrics nil these are zero handles and every mutation is one
@@ -120,7 +124,7 @@ func (e *Engine) Reset(cfg Config) {
 	// recycle them so the slab, not the allocator, feeds the next run —
 	// then re-arm the calendar ring for the new scheduler's horizon.
 	e.q.drain()
-	e.q.init(cfg.Scheduler.Fack(), cfg.QueueWindow)
+	e.q.init(cfg.Scheduler.Fack())
 	e.cfg = cfg
 	e.nexts = 0
 	e.now = 0
@@ -200,7 +204,9 @@ func (e *Engine) Reset(cfg Config) {
 		if cfg.IDs != nil {
 			id = cfg.IDs[i]
 		}
-		alg := cfg.Factory(amac.NodeConfig{ID: id, Input: cfg.Inputs[i], Metrics: cfg.Metrics})
+		// Handlers run serially and co-timed deliveries precede acks, so
+		// every receiver is done with a message when its sender is acked.
+		alg := cfg.Factory(amac.NodeConfig{ID: id, Input: cfg.Inputs[i], Metrics: cfg.Metrics, AckAfterHandlers: true})
 		if alg == nil {
 			panic(fmt.Sprintf("sim: factory returned nil algorithm for node %d", i))
 		}
@@ -263,6 +269,9 @@ func (e *Engine) push(ev event) {
 	ev.seq = e.nexts
 	e.nexts++
 	e.q.push(ev)
+	if e.queueHook != nil {
+		e.queueHook(ev, false)
+	}
 	e.mQueueHigh.Set(int64(e.q.len()))
 }
 
@@ -438,6 +447,9 @@ func (e *Engine) Run() *Result {
 			break
 		}
 		ev := e.q.pop()
+		if e.queueHook != nil {
+			e.queueHook(ev, true)
+		}
 		if ev.time < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: %d -> %d", e.now, ev.time))
 		}

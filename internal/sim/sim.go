@@ -138,15 +138,6 @@ type Config struct {
 	// observer that retains events must extract what it needs rather than
 	// hold the Message reference (trace.Recorder formats only the type).
 	Observer func(Event)
-	// QueueWindow tunes the engine's calendar event queue (see queue.go):
-	// 0 sizes the bucket ring to the scheduler's declared Fack (capped at
-	// a default), a positive value caps the ring's time span lower — more
-	// events take the overflow heap — and a negative value disables the
-	// ring entirely, so every event flows through the reference quaternary
-	// heap. Every setting produces byte-identical executions (pinned by
-	// the harness differential queue test); this is a performance and
-	// test knob, never a semantic one.
-	QueueWindow int64
 	// Metrics, when non-nil, receives the engine's hot-path counters
 	// (events processed, deliveries, crash drops, discards, queue-depth
 	// high-water) and is handed to every node's factory via
@@ -165,9 +156,14 @@ type Config struct {
 // DefaultMaxEvents bounds event processing when Config.MaxEvents is zero.
 const DefaultMaxEvents = 20_000_000
 
+// MaxFack is the widest horizon a scheduler may declare. The event queue
+// keeps one bucket per time in [Now, Now+Fack], rounded up to a power of
+// two; MaxFack caps that ring at 2^20 buckets (16 MiB).
+const MaxFack = 1<<20 - 1
+
 // Validate checks the configuration without running it: required fields,
-// input/id lengths, id uniqueness, scheduler Fack positivity, crash ranges
-// and the unreliable-graph contract. Run panics on exactly the errors
+// input/id lengths, id uniqueness, a scheduler Fack in [1, MaxFack],
+// crash ranges and the unreliable-graph contract. Run panics on exactly the errors
 // Validate reports, so callers that assemble configurations from external
 // input (flags, sweep grids) can surface them as errors instead.
 func (cfg *Config) Validate() error {
@@ -186,6 +182,9 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Scheduler.Fack() <= 0 {
 		return fmt.Errorf("sim: scheduler declares Fack=%d, need > 0", cfg.Scheduler.Fack())
+	}
+	if f := cfg.Scheduler.Fack(); f > MaxFack {
+		return fmt.Errorf("sim: scheduler declares Fack=%d, above MaxFack=%d", f, int64(MaxFack))
 	}
 	if cfg.IDs != nil {
 		if len(cfg.IDs) != n {
@@ -316,9 +315,9 @@ type Result struct {
 	MaxDecideTime int64
 	// Broadcasts, Deliveries, Acks and Discards count MAC-layer events.
 	Broadcasts, Deliveries, Acks, Discards int
-	// Events counts processed heap events.
+	// Events counts processed queue events.
 	Events int
-	// Quiescent reports that the event heap drained.
+	// Quiescent reports that the event queue drained.
 	Quiescent bool
 	// Cutoff reports that MaxEvents was reached.
 	Cutoff bool

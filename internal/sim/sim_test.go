@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -427,6 +428,44 @@ func TestConfigValidation(t *testing.T) {
 			Run(cfg)
 		})
 	}
+}
+
+// TestConfigValidationQueueHorizon: a scheduler whose declared horizon does
+// not fit the event ring is a configuration error naming both numbers, and
+// MaxFack itself gets the 2^20-bucket ring.
+func TestConfigValidationQueueHorizon(t *testing.T) {
+	cfg := Config{
+		Graph:     graph.Clique(2),
+		Inputs:    inputs(0, 0),
+		Factory:   onceFactory,
+		Scheduler: MaxDelay{F: 1<<20 + 1},
+	}
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "1048577") || !strings.Contains(err.Error(), "1048575") {
+		t.Fatalf("Fack 2^20+1: got error %v, want one naming 1048577 and MaxFack 1048575", err)
+	}
+	cfg.Scheduler = MaxDelay{F: MaxFack}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Fack %d rejected: %v", int64(MaxFack), err)
+	}
+	if e := NewEngine(cfg); e.q.span != 1<<20 {
+		t.Fatalf("ring for MaxFack spans %d buckets, want 2^20", e.q.span)
+	}
+}
+
+// TestQueuePushOutsideRingPanics: an event past the ring would alias an
+// earlier time's bucket, so push refuses it rather than misorder it.
+func TestQueuePushOutsideRingPanics(t *testing.T) {
+	var q eventQueue
+	q.drain()
+	q.init(4) // 8 buckets: times [0, 8)
+	q.push(event{time: 7, kind: EventDeliver})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push at t=8 into an 8-bucket ring at cur=0 did not panic")
+		}
+	}()
+	q.push(event{time: 8, kind: EventDeliver})
 }
 
 func TestBadSchedulerPanics(t *testing.T) {

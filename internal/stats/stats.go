@@ -1,7 +1,7 @@
 // Package stats provides the small statistical and formatting helpers the
 // experiment drivers use: summary statistics over samples, least-squares
 // fits for shape checks (is decision time linear in D?), and a plain-text
-// table renderer for EXPERIMENTS.md-style output.
+// table renderer for the experiment and sweep reports.
 package stats
 
 import (
