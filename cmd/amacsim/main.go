@@ -316,10 +316,32 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 		}
 	}
 	if len(rep.Errors) > 0 {
-		fmt.Printf("errors      %v\n", rep.Errors)
+		printErrors(res, rep)
 		return 1
 	}
 	return 0
+}
+
+// printErrors reports a failed run in a few lines whatever n is: how many
+// non-faulty nodes never decided (the report carries one error per such
+// node) and the first eight errors.
+func printErrors(res *sim.Result, rep *consensus.Report) {
+	const show = 8
+	var undecided []int
+	for i, d := range res.Decided {
+		if !d && !res.Crashed[i] {
+			undecided = append(undecided, i)
+		}
+	}
+	if k := len(undecided); k > 0 {
+		fmt.Printf("undecided   %d of %d non-faulty nodes never decided (first ids: %v)\n",
+			k, len(res.Decided)-rep.Crashed, undecided[:min(k, show)])
+	}
+	fmt.Printf("errors      %s", strings.Join(rep.Errors[:min(len(rep.Errors), show)], "; "))
+	if more := len(rep.Errors) - show; more > 0 {
+		fmt.Printf("; and %d more", more)
+	}
+	fmt.Println()
 }
 
 // chainObservers fans one engine-event stream out to the trace recorder

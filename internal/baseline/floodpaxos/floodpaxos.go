@@ -13,14 +13,44 @@
 // the shared suspicion-based Ω detector (internal/core/wpaxos/detector.go):
 // membership is gossiped one id per broadcast, the maximum unsuspected
 // member is the leader, and silence demotes it so the proposership rotates
-// off corpses. Outbound queues are retransmit-until-superseded: the newest
-// change, the highest-numbered proposition, and every pending response
-// stay queued and are re-broadcast (responses round-robin) until newer
-// state supersedes them, so a message lost to a lossy overlay edge is
-// re-offered forever rather than gone. Receivers deduplicate, keeping the
-// retransmissions idempotent. Any node that observes a majority of
-// acceptors accepting the same proposal decides — termination does not
-// require the proposer to survive its own round.
+// off corpses.
+//
+// # The relay invariant
+//
+// A node relays only what can still be counted. Its live number is the
+// highest proposal number it has seen from anyone, in a proposition or in
+// a response, and one order decides what supersedes what:
+//
+//   - a higher number supersedes everything below it: the pending
+//     responses, the per-acceptor dedup/tally table and the queued
+//     proposition are cleared, and propositions and responses for lower
+//     numbers are dropped on arrival from then on;
+//   - a Propose for the live number retires the Prepare responses for it
+//     (the proposer already holds its majority of promises).
+//
+// So a node has at most two live propositions, both of one number, and at
+// most 2n pending responses. What is live is sticky: the newest change,
+// the live proposition and every pending response stay queued and are
+// re-broadcast (responses round-robin, one per broadcast) until
+// superseded, so a message lost to a lossy overlay edge is re-offered
+// rather than gone; receivers deduplicate per acceptor, keeping the
+// retransmissions idempotent. Every node relays every live response, one
+// by one — no aggregation, no majority cap, no batching: the Theta(n)
+// backlog is the point.
+//
+// Dropping a relay is safe because it is message loss, which PAXOS
+// tolerates by construction: acceptor state (promised, accepted) is
+// written only when an acceptor answers a proposition, never forgotten,
+// and never touched by the relay rules. Since an acceptor never answers
+// below its live number there are no refusals to flood; a proposer learns
+// that its round lost from the flood itself — seeing a higher number ends
+// the round and, while it still believes itself leader and has budget,
+// starts the next one. The detector's re-arm restores liveness when that
+// is not enough (the proposer died, or spent its budget): silence hands
+// out a fresh proposal, which supersedes whatever was in flight. Any node
+// that observes a majority of acceptors accepting the live proposal
+// decides — termination does not require the proposer to survive its own
+// round.
 package floodpaxos
 
 import (
@@ -56,13 +86,13 @@ func (m ProposerMsg) Proposition() wpaxos.Proposition {
 }
 
 // ResponseMsg is one acceptor's (un-aggregated) response, flooded through
-// the whole network until it reaches the proposer.
+// the whole network until it reaches the proposer. There are no refusals:
+// an acceptor answers only propositions for the highest number it has
+// seen, which it can always grant (see the package comment).
 type ResponseMsg struct {
-	Prop      wpaxos.Proposition
-	Acceptor  amac.NodeID
-	Positive  bool
-	Prev      *wpaxos.Proposal
-	Committed wpaxos.ProposalNum
+	Prop     wpaxos.Proposition
+	Acceptor amac.NodeID
+	Prev     *wpaxos.Proposal
 }
 
 // DecideMsg floods the decision.
@@ -112,24 +142,14 @@ func (m *Combined) IDCount() int {
 		if m.Response.Prev != nil {
 			c++
 		}
-		if !m.Response.Committed.IsZero() {
-			c++
-		}
 	}
 	return c
 }
 
-// respKey dedups response floods.
-type respKey struct {
-	prop     wpaxos.Proposition
-	acceptor amac.NodeID
-}
-
 // Node is the per-node state machine. The outbound queues (changeQ, propQ,
-// decideQ) are value slots with presence flags; respQ is a sticky cycle —
-// entries leave only when a newer proposition from the same proposer
-// supersedes them — so queue traffic allocates only when respQ has to
-// grow.
+// decideQ) are value slots with presence flags; respQ is a sticky cycle
+// whose entries leave only when superseded. Everything keyed by the live
+// number starts empty and grows with what the node hears.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
@@ -142,35 +162,38 @@ type Node struct {
 	hasChangeQ bool
 	changeQ    ChangeMsg
 
-	hasPropQ  bool
-	propQ     ProposerMsg
-	seenProps map[wpaxos.Proposition]bool
-	// maxNumBy is the largest proposal number seen per proposer; pending
-	// responses are pruned per proposer, so one proposer's newer round
-	// never discards another proposer's countable responses.
-	maxNumBy map[amac.NodeID]wpaxos.ProposalNum
+	// live is the highest proposal number seen from anyone; prepared and
+	// proposed record which of its two propositions this node has seen
+	// (and answered), and liveVal is the value of its Propose. propQ, respQ
+	// and heard hold state for live only: raising live clears them
+	// (supersede), and seeing the Propose drops the Prepare responses.
+	live     wpaxos.ProposalNum
+	prepared bool
+	proposed bool
+	liveVal  amac.Value
 
-	respQ    []ResponseMsg
-	respCur  int
-	seenResp map[respKey]bool
+	hasPropQ bool
+	propQ    ProposerMsg
 
-	// propVals remembers the value of every propose seen, and chosenBy
-	// the acceptors seen accepting each number: a majority means the
-	// value is chosen and any observer decides, proposer dead or alive.
-	propVals map[wpaxos.ProposalNum]amac.Value
-	chosenBy map[wpaxos.ProposalNum]map[amac.NodeID]bool
+	respQ   []ResponseMsg
+	respCur int
+	// heard has, per acceptor, one bit for each of live's propositions
+	// (heardBit) the acceptor was heard answering: the flood's dedup set
+	// and the tally in one. promises and accepts count the set bits; a
+	// majority of accepts means liveVal is chosen and any observer
+	// decides, proposer dead or alive.
+	heard    map[amac.NodeID]uint8
+	promises int
+	accepts  int
 
 	promised wpaxos.ProposalNum
 	accepted *wpaxos.Proposal
 
-	phase      int // 0 idle, 1 preparing, 2 proposing
-	num        wpaxos.ProposalNum
-	maxTagSeen int64
-	triesLeft  int
-	acks       map[amac.NodeID]bool
-	nacks      map[amac.NodeID]bool
-	bestPrev   *wpaxos.Proposal
-	value      amac.Value
+	// phase is the state of this node's own round, which is always for
+	// live: a higher number ends it (supersede).
+	phase     int // 0 idle, 1 preparing, 2 proposing
+	triesLeft int
+	bestPrev  *wpaxos.Proposal
 
 	hasDecideQ bool
 	decideQ    DecideMsg
@@ -191,10 +214,14 @@ type Node struct {
 	mreg         *metrics.Registry
 	mProposals   metrics.Counter
 	mRetries     metrics.Counter
-	mNacks       metrics.Counter
 	mRetransmits metrics.Counter
+	mSuperseded  metrics.Counter
 	propSent     bool
 }
+
+// heardBit is the bit of a heard entry that records an answer to a
+// proposition of the given kind.
+func heardBit(k wpaxos.PropKind) uint8 { return 1 << uint(k) }
 
 // New returns a flood-paxos node knowing the network size n. Nodes built
 // this way allocate a fresh message per broadcast.
@@ -205,20 +232,7 @@ func New(input amac.Value, n int) *Node {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("floodpaxos: input %d is not binary", input))
 	}
-	return &Node{
-		n:     n,
-		input: input,
-		// Sized for the common census: a couple of propositions, each
-		// drawing one response per acceptor, deduped network-wide. Sizing
-		// up front trades one allocation for the incremental bucket
-		// growth that otherwise dominates the flood path.
-		seenProps: make(map[wpaxos.Proposition]bool, 8),
-		seenResp:  make(map[respKey]bool, 4*n),
-		respQ:     make([]ResponseMsg, 0, 2*n),
-		maxNumBy:  make(map[amac.NodeID]wpaxos.ProposalNum, 4),
-		propVals:  make(map[wpaxos.ProposalNum]amac.Value, 4),
-		chosenBy:  make(map[wpaxos.ProposalNum]map[amac.NodeID]bool, 4),
-	}
+	return &Node{n: n, input: input, heard: make(map[amac.NodeID]uint8)}
 }
 
 // NewFactory returns a factory for networks of the given size. On
@@ -239,12 +253,14 @@ func NewFactory(n int) amac.Factory {
 // instrument registers the node's metric slots against r (nil-safe; all
 // nodes share the slots, so values are network totals) and stashes the
 // registry so Start can instrument the shared Ω detector.
+// flood_superseded counts the responses the relay rules dropped on arrival
+// or pruned from a pending cycle.
 func (a *Node) instrument(r *metrics.Registry) {
 	a.mreg = r
 	a.mProposals = r.Counter("flood_proposals")
 	a.mRetries = r.Counter("flood_retries")
-	a.mNacks = r.Counter("flood_nacks")
 	a.mRetransmits = r.Counter("flood_retransmits")
+	a.mSuperseded = r.Counter("flood_superseded")
 }
 
 // getMsg takes a broadcast buffer from the pool, or allocates one.
@@ -304,8 +320,6 @@ func (a *Node) OnReceive(m amac.Message) {
 	}
 	if c.Decide != nil && !a.decided {
 		a.decide(c.Decide.Val)
-		a.hasDecideQ = true
-		a.decideQ = DecideMsg{Val: c.Decide.Val}
 	}
 	a.pump()
 }
@@ -378,8 +392,8 @@ func (a *Node) pump() {
 			c.Change = &c.buf.change
 		}
 		if a.hasPropQ {
-			// Sticky: the highest-numbered proposition is re-broadcast
-			// until superseded (receivers dedup on first sight).
+			// Sticky: the live proposition is re-broadcast until
+			// superseded (receivers dedup on first sight).
 			ensure()
 			c.buf.proposer = a.propQ
 			c.Proposer = &c.buf.proposer
@@ -390,8 +404,8 @@ func (a *Node) pump() {
 			}
 		}
 		if len(a.respQ) > 0 {
-			// Sticky cycle: pending responses are re-broadcast
-			// round-robin until superseded per proposer.
+			// Sticky cycle: the live responses are re-broadcast
+			// round-robin, one per broadcast, until superseded.
 			if a.respCur >= len(a.respQ) {
 				a.respCur = 0
 			}
@@ -409,139 +423,141 @@ func (a *Node) pump() {
 	a.api.Broadcast(c)
 }
 
-func (a *Node) onProposer(m ProposerMsg) {
-	if a.maxTagSeen < m.Num.Tag {
-		a.maxTagSeen = m.Num.Tag
+// supersede raises the live number to num: nothing held for a lower number
+// can be counted any more, so the pending responses, the heard table and
+// the queued proposition go. If the number it replaces was this node's own
+// round, the round is over, and retry decides whether to start another.
+func (a *Node) supersede(num wpaxos.ProposalNum) {
+	a.mSuperseded.Add(int64(len(a.respQ)))
+	a.respQ = a.respQ[:0]
+	a.respCur = 0
+	clear(a.heard)
+	a.promises, a.accepts = 0, 0
+	a.hasPropQ = false
+	a.live = num
+	a.prepared, a.proposed = false, false
+	if a.phase != 0 && num.ID != a.id {
+		a.retry()
 	}
-	key := m.Proposition()
-	if a.seenProps[key] {
+}
+
+// onProposer answers and relays every first-seen proposition for the live
+// number, whoever proposed it: with a rotating Ω, nodes may disagree about
+// the leader, and PAXOS safety is proposer-independent. Propositions below
+// the live number are ignored — no answer to them could be counted.
+func (a *Node) onProposer(m ProposerMsg) {
+	if a.live.Less(m.Num) {
+		a.supersede(m.Num)
+	}
+	// A retry inside supersede may have raised live past m.Num; and a
+	// Prepare whose Propose was seen is as dead as a lower number.
+	if m.Num != a.live || a.proposed || (a.prepared && m.Kind == wpaxos.Prepare) {
 		return
 	}
-	a.seenProps[key] = true
 	a.det.Novel(a.api.Now())
-	// Respond to and relay every first-seen proposition, whoever proposed
-	// it: with a rotating Ω, nodes may disagree about the leader, and
-	// PAXOS safety is proposer-independent.
-	a.noteProposerNum(m.Num)
-	if m.Kind == wpaxos.Propose {
-		a.propVals[m.Num] = m.Val
-		a.maybeDecideChosen(m.Num)
-	}
-	if !a.hasPropQ || a.propQ.Num.Less(m.Num) ||
-		(a.propQ.Num == m.Num && a.propQ.Kind == wpaxos.Prepare && m.Kind == wpaxos.Propose) {
-		a.hasPropQ = true
-		a.propQ = m
-		a.propSent = false
-	}
-	a.respond(m)
+	a.adopt(m)
 }
 
-// noteProposerNum updates the largest proposal number seen from num's
-// proposer and prunes that proposer's superseded responses from the
-// pending cycle.
-func (a *Node) noteProposerNum(num wpaxos.ProposalNum) {
-	if cur := a.maxNumBy[num.ID]; cur.Less(num) {
-		a.maxNumBy[num.ID] = num
+// adopt marks a proposition for the live number seen, queues it for the
+// sticky flood and answers it. A Propose retires the Prepare responses.
+func (a *Node) adopt(m ProposerMsg) {
+	if m.Kind == wpaxos.Propose {
+		a.proposed = true
+		a.liveVal = m.Val
 		kept := a.respQ[:0]
 		for _, r := range a.respQ {
-			if r.Prop.Num.ID == num.ID && r.Prop.Num.Less(num) {
-				continue
+			if r.Prop.Kind == wpaxos.Propose {
+				kept = append(kept, r)
 			}
-			kept = append(kept, r)
 		}
+		a.mSuperseded.Add(int64(len(a.respQ) - len(kept)))
 		a.respQ = kept
-		if a.respCur > len(a.respQ) {
-			a.respCur = 0
-		}
+		a.respCur = 0
+	} else {
+		a.prepared = true
 	}
+	a.hasPropQ = true
+	a.propQ = m
+	a.propSent = false
+	a.respond(m)
+	a.maybeDecideChosen()
 }
 
-// respond runs the acceptor and emits one individual response.
+// respond runs the acceptor and emits one individual response. It is the
+// only writer of promised and accepted. Callers pass propositions for the
+// live number only, and no higher number was ever answered, so both guards
+// hold; they stay because an acceptor that breaks a promise breaks
+// agreement, whatever a caller gets wrong.
 func (a *Node) respond(m ProposerMsg) {
 	r := ResponseMsg{Prop: m.Proposition(), Acceptor: a.id}
 	switch m.Kind {
 	case wpaxos.Prepare:
-		if a.promised.Less(m.Num) {
-			a.promised = m.Num
-			r.Positive = true
-			r.Prev = a.accepted
-		} else {
-			r.Committed = a.promised
+		if !a.promised.Less(m.Num) {
+			return
 		}
+		a.promised = m.Num
+		r.Prev = a.accepted
 	case wpaxos.Propose:
-		if !m.Num.Less(a.promised) {
-			a.promised = m.Num
-			a.accepted = &wpaxos.Proposal{Num: m.Num, Val: m.Val}
-			r.Positive = true
-		} else {
-			r.Committed = a.promised
+		if m.Num.Less(a.promised) {
+			return
 		}
+		a.promised = m.Num
+		a.accepted = &wpaxos.Proposal{Num: m.Num, Val: m.Val}
 	}
-	// Mark our own response seen so the flood echoing it back is not
-	// re-queued as a duplicate.
-	a.seenResp[respKey{prop: r.Prop, acceptor: r.Acceptor}] = true
 	a.routeResponse(r)
 }
 
-// routeResponse queues a response for sticky flooding (or consumes it when
-// this node is the proposer) and feeds the chosen-value watch.
-func (a *Node) routeResponse(r ResponseMsg) {
-	if r.Positive && r.Prop.Kind == wpaxos.Propose {
-		a.tallyChosen(r.Prop.Num, r.Acceptor)
-	}
-	if r.Prop.Num.ID == a.id {
-		a.consume(r)
-		return
-	}
-	if r.Prop.Num.Less(a.maxNumBy[r.Prop.Num.ID]) {
-		return // superseded by a newer round from the same proposer
-	}
-	a.respQ = append(a.respQ, r)
-}
-
+// onResponse handles a flooded response: seeing its number is seeing a
+// proposal number, so it may raise live before it is routed.
 func (a *Node) onResponse(r ResponseMsg) {
-	if a.maxTagSeen < r.Committed.Tag {
-		a.maxTagSeen = r.Committed.Tag
+	if a.live.Less(r.Prop.Num) {
+		a.supersede(r.Prop.Num)
 	}
-	key := respKey{prop: r.Prop, acceptor: r.Acceptor}
-	if a.seenResp[key] {
-		return
-	}
-	a.seenResp[key] = true
-	a.det.Novel(a.api.Now())
-	a.noteProposerNum(r.Prop.Num)
 	a.routeResponse(r)
 }
 
-// tallyChosen records that acceptor accepted num; a majority of acceptors
-// accepting the same number means its value is chosen, and any observer
-// decides it (the responses keep flooding stickily even if the proposer
-// died mid-round).
-func (a *Node) tallyChosen(num wpaxos.ProposalNum, acceptor amac.NodeID) {
-	set := a.chosenBy[num]
-	if set == nil {
-		set = make(map[amac.NodeID]bool, a.n)
-		a.chosenBy[num] = set
-	}
-	if set[acceptor] {
+// routeResponse drops a dead response, dedups a live one against heard,
+// tallies it, and queues it for sticky flooding unless this node is the
+// proposer it was travelling to.
+func (a *Node) routeResponse(r ResponseMsg) {
+	if r.Prop.Num != a.live || (a.proposed && r.Prop.Kind == wpaxos.Prepare) {
+		a.mSuperseded.Inc()
 		return
 	}
-	set[acceptor] = true
-	a.maybeDecideChosen(num)
+	bit := heardBit(r.Prop.Kind)
+	h := a.heard[r.Acceptor]
+	if h&bit != 0 {
+		return
+	}
+	a.heard[r.Acceptor] = h | bit
+	a.det.Novel(a.api.Now())
+	if r.Prop.Num.ID != a.id {
+		a.respQ = append(a.respQ, r)
+	}
+	if r.Prop.Kind == wpaxos.Propose {
+		a.accepts++
+		a.maybeDecideChosen()
+		return
+	}
+	a.promises++
+	if a.phase != 1 {
+		return
+	}
+	// This node is the proposer counting promises for its own Prepare.
+	if r.Prev != nil && (a.bestPrev == nil || a.bestPrev.Num.Less(r.Prev.Num)) {
+		a.bestPrev = r.Prev
+	}
+	if 2*a.promises > a.n {
+		a.beginPropose()
+	}
 }
 
-func (a *Node) maybeDecideChosen(num wpaxos.ProposalNum) {
-	if a.decided {
-		return
-	}
-	v, ok := a.propVals[num]
-	if !ok {
-		return // value not yet known; re-checked when the propose arrives
-	}
-	if 2*len(a.chosenBy[num]) > a.n {
-		a.decide(v)
-		a.hasDecideQ = true
-		a.decideQ = DecideMsg{Val: v}
+// maybeDecideChosen decides once a majority of acceptors was heard
+// accepting the live number and its value is known (the responses may
+// outrun the Propose; the check is repeated when it arrives).
+func (a *Node) maybeDecideChosen() {
+	if !a.decided && a.proposed && 2*a.accepts > a.n {
+		a.decide(a.liveVal)
 	}
 }
 
@@ -553,104 +569,47 @@ func (a *Node) generateProposal() {
 	a.startProposal()
 }
 
-// resetTallies re-arms the ack/nack tallies for a new phase, reusing the
-// maps across phases and proposals.
-func (a *Node) resetTallies() {
-	if a.acks == nil {
-		a.acks = make(map[amac.NodeID]bool, a.n)
-		a.nacks = make(map[amac.NodeID]bool, a.n)
-		return
-	}
-	clear(a.acks)
-	clear(a.nacks)
-}
-
+// startProposal opens a round of this node's own above everything seen.
 func (a *Node) startProposal() {
 	a.mProposals.Inc()
 	a.triesLeft--
-	a.maxTagSeen++
-	a.num = wpaxos.ProposalNum{Tag: a.maxTagSeen, ID: a.id}
 	a.phase = 1
-	a.resetTallies()
 	a.bestPrev = nil
-	m := ProposerMsg{Kind: wpaxos.Prepare, Num: a.num}
-	a.seenProps[m.Proposition()] = true
-	a.noteProposerNum(a.num)
-	a.hasPropQ = true
-	a.propQ = m
-	a.propSent = false
-	a.respond(m)
+	num := wpaxos.ProposalNum{Tag: a.live.Tag + 1, ID: a.id}
+	a.supersede(num)
+	a.adopt(ProposerMsg{Kind: wpaxos.Prepare, Num: num})
 }
 
-// consume is the proposer counting individual responses.
-func (a *Node) consume(r ResponseMsg) {
-	if a.decided || r.Prop.Num != a.num {
-		return
-	}
-	wantKind := wpaxos.Prepare
-	if a.phase == 2 {
-		wantKind = wpaxos.Propose
-	}
-	if a.phase == 0 || r.Prop.Kind != wantKind {
-		return
-	}
-	if r.Positive {
-		a.acks[r.Acceptor] = true
-		if a.phase == 1 {
-			if r.Prev != nil && (a.bestPrev == nil || a.bestPrev.Num.Less(r.Prev.Num)) {
-				a.bestPrev = r.Prev
-			}
-			if 2*len(a.acks) > a.n {
-				a.beginPropose()
-			}
-		} else if 2*len(a.acks) > a.n {
-			a.decide(a.value)
-			a.hasDecideQ = true
-			a.decideQ = DecideMsg{Val: a.value}
-		}
-		return
-	}
-	a.mNacks.Inc()
-	a.nacks[r.Acceptor] = true
-	if 2*len(a.nacks) > a.n {
-		a.retry()
-	}
-}
-
+// beginPropose moves this node's round to its second phase, proposing the
+// value of the highest-numbered proposal the promises reported, if any.
 func (a *Node) beginPropose() {
 	a.phase = 2
-	a.resetTallies()
+	v := a.input
 	if a.bestPrev != nil {
-		a.value = a.bestPrev.Val
-	} else {
-		a.value = a.input
+		v = a.bestPrev.Val
 	}
-	m := ProposerMsg{Kind: wpaxos.Propose, Num: a.num, Val: a.value}
-	a.seenProps[m.Proposition()] = true
-	a.propVals[a.num] = a.value
-	a.hasPropQ = true
-	a.propQ = m
-	a.propSent = false
-	a.respond(m)
+	a.adopt(ProposerMsg{Kind: wpaxos.Propose, Num: a.live, Val: v})
 }
 
-// retry abandons the current number after a majority rejected it. A node
-// that exhausts its two-numbers budget goes idle; the failure detector's
-// re-arm (or the next change event) hands out a fresh budget, so no
-// proposer is gated forever while it believes itself leader.
+// retry abandons this node's round after a higher number superseded it. A
+// node that exhausts its two-numbers budget goes idle; the failure
+// detector's re-arm (or the next change event) hands out a fresh budget,
+// so no proposer is gated forever while it believes itself leader.
 func (a *Node) retry() {
 	a.mRetries.Inc()
 	if a.det.Omega() != a.id || a.triesLeft <= 0 {
 		a.phase = 0
-		a.num = wpaxos.ProposalNum{}
 		return
 	}
 	a.startProposal()
 }
 
+// decide records the decision and queues its flood.
 func (a *Node) decide(v amac.Value) {
 	a.decided = true
 	a.decision = v
+	a.hasDecideQ = true
+	a.decideQ = DecideMsg{Val: v}
 	a.api.Decide(v)
 }
 

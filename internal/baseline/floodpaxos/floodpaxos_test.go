@@ -1,6 +1,7 @@
 package floodpaxos
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -121,5 +122,149 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestRelayInvariant watches a whole execution — several proposers
+// duelling while Ω settles, then the winner's two phases — and checks the
+// relay invariant on a node before each of its handlers runs, and on every
+// node at the end: so after every handler. The pending cycle holds
+// only responses to the node's live number, never a Prepare response once
+// the Propose was seen, and at most 2n of them; and the live number is no
+// lower than any proposal number the node was ever sent, tracked here from
+// the messages alone.
+func TestRelayInvariant(t *testing.T) {
+	const n = 32
+	g := graph.Expander(n, 4, 1)
+	inputs := mixed(n)
+	for seed := int64(1); seed <= 3; seed++ {
+		nodes := make([]*Node, n)
+		base := NewFactory(n)
+		sent := make([]wpaxos.ProposalNum, n)     // highest number sent to (or by) each node
+		proposed := make([]wpaxos.ProposalNum, n) // highest number whose Propose each node was sent
+		note := func(i int, c *Combined) {
+			if c.Proposer != nil {
+				sent[i] = sent[i].Max(c.Proposer.Num)
+				if c.Proposer.Kind == wpaxos.Propose {
+					proposed[i] = proposed[i].Max(c.Proposer.Num)
+				}
+			}
+			if c.Response != nil {
+				sent[i] = sent[i].Max(c.Response.Prop.Num)
+			}
+		}
+		check := func(i int, at int64) {
+			a := nodes[i]
+			if a.live.Less(sent[i]) {
+				t.Fatalf("seed %d t=%d node %d: live number %v below %v, which it was sent", seed, at, i, a.live, sent[i])
+			}
+			if len(a.respQ) > 2*n {
+				t.Fatalf("seed %d t=%d node %d: %d pending responses, want <= 2n = %d", seed, at, i, len(a.respQ), 2*n)
+			}
+			for _, r := range a.respQ {
+				if r.Prop.Num != a.live {
+					t.Fatalf("seed %d t=%d node %d: pending response to %v, live number is %v", seed, at, i, r.Prop, a.live)
+				}
+				if r.Prop.Kind == wpaxos.Prepare && proposed[i] == a.live {
+					t.Fatalf("seed %d t=%d node %d: pending response to %v after its Propose was seen", seed, at, i, r.Prop)
+				}
+			}
+		}
+		res := sim.Run(sim.Config{
+			Graph:  g,
+			Inputs: inputs,
+			Factory: func(cfg amac.NodeConfig) amac.Algorithm {
+				a := base(cfg).(*Node)
+				nodes[cfg.ID-1] = a
+				return a
+			},
+			Scheduler:       sim.NewRandom(4, seed),
+			StopWhenDecided: true,
+			Observer: func(ev sim.Event) {
+				// Deliver and ack events are reported before the handler
+				// runs: the node is as its previous handler left it.
+				switch ev.Kind {
+				case sim.EventDeliver, sim.EventAck:
+					check(ev.Node, ev.Time)
+				}
+				if ev.Kind == sim.EventDeliver || ev.Kind == sim.EventBroadcast {
+					note(ev.Node, ev.Message.(*Combined))
+				}
+			},
+		})
+		for i := range nodes {
+			check(i, res.Time)
+		}
+		if rep := consensus.Check(inputs, res); !rep.OK() {
+			t.Fatalf("seed %d: %v", seed, rep.Errors)
+		}
+	}
+}
+
+// fakeAPI lets a test drive one node by hand.
+type fakeAPI struct {
+	id  amac.NodeID
+	now int64
+}
+
+func (f *fakeAPI) ID() amac.NodeID             { return f.id }
+func (f *fakeAPI) Broadcast(amac.Message) bool { return true }
+func (f *fakeAPI) Decide(amac.Value)           {}
+func (f *fakeAPI) Now() int64                  { return f.now }
+
+// TestSupersededProposerRetriesWithinBudget: no nack tells a proposer its
+// round lost any more; seeing a higher number does. The first such sighting
+// ends the round and starts the next above it (the node still believes
+// itself leader and has one number left), the second exhausts the
+// two-numbers budget and leaves the node idle for the detector's re-arm or
+// the next change event.
+func TestSupersededProposerRetriesWithinBudget(t *testing.T) {
+	a := New(0, 5)
+	a.Start(&fakeAPI{id: 3})
+	// Alone in its membership the node is its own leader; a change
+	// notification makes it propose.
+	a.OnReceive(&Combined{Change: &ChangeMsg{T: 1, ID: 9}})
+	if want := (wpaxos.ProposalNum{Tag: 1, ID: 3}); a.phase != 1 || a.live != want {
+		t.Fatalf("after the change: phase %d, live %v, want phase 1, live %v", a.phase, a.live, want)
+	}
+	rival := func(tag int64) *Combined {
+		return &Combined{Response: &ResponseMsg{
+			Prop:     wpaxos.Proposition{Kind: wpaxos.Prepare, Num: wpaxos.ProposalNum{Tag: tag, ID: 2}},
+			Acceptor: 4,
+		}}
+	}
+	a.OnReceive(rival(5))
+	if want := (wpaxos.ProposalNum{Tag: 6, ID: 3}); a.phase != 1 || a.live != want {
+		t.Fatalf("after the first rival: phase %d, live %v, want a fresh round %v", a.phase, a.live, want)
+	}
+	if len(a.respQ) != 0 || a.promises != 1 {
+		t.Fatalf("after the first rival: %d pending responses, %d promises; want the rival's response dropped and only the node's own promise counted",
+			len(a.respQ), a.promises)
+	}
+	a.OnReceive(rival(8))
+	if want := (wpaxos.ProposalNum{Tag: 8, ID: 2}); a.phase != 0 || a.live != want {
+		t.Fatalf("after the second rival: phase %d, live %v, want idle with live %v", a.phase, a.live, want)
+	}
+	if len(a.respQ) != 1 {
+		t.Fatalf("idle node holds %d pending responses, want the rival's one relayed", len(a.respQ))
+	}
+}
+
+// TestNewAllocatesLittle pins the table sizing: everything keyed by the live
+// number starts empty, so building a node costs the same at any n (it was
+// 74 KB at n=128 and over 500 KB at n=1024 when the tables were sized for
+// the worst case up front).
+func TestNewAllocatesLittle(t *testing.T) {
+	const n, nodes = 1024, 64
+	keep := make([]*Node, nodes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New(amac.Value(i%2), n)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / nodes; perNode >= 64<<10 {
+		t.Fatalf("New at n=%d allocates %d bytes per node, want < 64 KB", n, perNode)
 	}
 }

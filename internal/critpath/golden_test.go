@@ -46,10 +46,10 @@ func TestGoldenCriticalPaths(t *testing.T) {
 			// gossip — exactly the O(n) vs O(D) gap the paper's wPAXOS
 			// routing avoids.
 			path:       "../harness/testdata/golden_floodpaxos_one3_extra.json",
-			decideTime: 610,
-			decideNode: 1,
-			hops:       225,
-			spans:      map[string]int64{"election": 467, "aggregation": 25, "stall": 118},
+			decideTime: 602,
+			decideNode: 3,
+			hops:       222,
+			spans:      map[string]int64{"election": 467, "aggregation": 19, "stall": 116},
 		},
 	}
 	for _, tc := range cases {

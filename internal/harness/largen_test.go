@@ -1,0 +1,48 @@
+package harness
+
+import "testing"
+
+// TestLargeNDecidesWithinEventBudget is the scale guard: full consensus on
+// a 1024-node expander must arrive inside a per-algorithm budget of
+// simulator events — a count, so the guard reads the same on any machine
+// and fails with numbers. The budgets leave under 2x headroom over the
+// pinned cell (floodpaxos decides at t=977 in 2.28M events, wpaxos at t=106
+// in 244k): a baseline that slides back into relaying responses nobody can
+// count, or a wPAXOS whose aggregation stops bounding its traffic, runs
+// out of budget undecided.
+func TestLargeNDecidesWithinEventBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node runs; the test-long CI job runs this by name")
+	}
+	for _, tc := range []struct {
+		algo   string
+		budget int
+	}{
+		{"floodpaxos", 4_000_000},
+		{"wpaxos", 500_000},
+	} {
+		sc := Scenario{
+			Algo:      tc.algo,
+			Topo:      Topo{Kind: "expander", N: 1024, Deg: 8},
+			Sched:     "random",
+			Fack:      4,
+			Seed:      1,
+			MaxEvents: tc.budget,
+		}
+		out, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.OK() || out.Result.Cutoff {
+			undecided := 0
+			for i, d := range out.Result.Decided {
+				if !d && !out.Result.Crashed[i] {
+					undecided++
+				}
+			}
+			t.Errorf("%s on expander:1024:8: used %d of %d events (cutoff=%v), decide time %d, %d of %d nodes undecided, agreement=%v validity=%v",
+				tc.algo, out.Result.Events, tc.budget, out.Result.Cutoff, out.Result.MaxDecideTime,
+				undecided, out.N, out.Report.Agreement, out.Report.Validity)
+		}
+	}
+}
