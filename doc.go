@@ -265,6 +265,51 @@
 // delivery over a ~100 MB working set (the two finds and the bit test
 // are a third of the samples), which only n² memory would remove.
 //
+// # Two-phase per-node state
+//
+// Two-phase (internal/core/twophase) runs on cliques, where every node
+// hears every other twice: at n = 1024 that is 2·n·(n−1) ≈ 2.1 M deliveries
+// in 2·Fack ticks, each of which only has to answer "is this sender a
+// witness, and has its phase-2 message arrived". The contract for that
+// state:
+//
+//   - One probe per delivery. The ids a node has heard live in one
+//     open-addressed key array ([]NodeID, Fibonacci hash, linear probing,
+//     doubled before it passes half full); a delivery hashes the sender,
+//     probes once, and writes at most one bit. Keys are arbitrary NodeIDs
+//     (sim.Config.IDs): 0, NoID and negative ids are members like any
+//     other, because occupancy is a bitset beside the keys and not a
+//     reserved key value.
+//   - Flags are bitsets over slots: used (the slot holds a member) and
+//     phase2 (that member's phase-2 message has arrived) — 512 B for the
+//     2048 slots of a node in clique:1024, where a flag per key would be
+//     another key array's worth of cache lines.
+//   - The witness set is the table at the phase-2 ack, frozen by not
+//     inserting afterwards: an id first heard in the witness wait is by
+//     definition not in W, so its messages only feed the decided(0) scan.
+//     The table therefore never grows after the freeze, and a node that
+//     has decided stops probing at all.
+//   - missing counts witnesses without their phase-2 flag. It is armed at
+//     the freeze (popcount of used &^ phase2) and decremented when a
+//     witness's flag is first set, so the release test of the witness wait
+//     is a compare, where the listing walks W on every delivery.
+//   - The listing's three maps survive as the oracle of a differential test
+//     (twophase_oracle_test.go) that compares phase, status, broadcasts and
+//     decisions after every call over dense, shuffled, strided, negative
+//     and NoID-adjacent ids, and a test pins a node of clique:1024 at
+//     ≤ 24 KB retained (17 KB today: 16 KiB of keys, 512 B of flags and
+//     the struct). bench's algo.live_bytes_per_node, which also counts the
+//     clique graph a Reset displaces, read 142 027 B with the maps and
+//     reads 48 027 B now.
+//
+// Rejected: the shape wPAXOS uses above (an insertion-ordered entry slice
+// behind an []int32 slot index). It makes each delivery two dependent
+// misses — slot, then entry — and on decide_clique1024 ran 0.50 / 0.48
+// s/op against 0.31 / 0.27 for the key array in two interleaved pairs
+// (65 MB allocated per op against 33 MB). wPAXOS keeps it because its
+// entries are 24–40 bytes and iterated in insertion order; here an entry
+// is a key and a bit.
+//
 // # Event queue and the Fack horizon
 //
 // Invariant: the engine's event ring covers the scheduler's declared
@@ -272,25 +317,53 @@
 // outside (Now, Now+Fack], so every queued event lies within one Fack of
 // the clock. internal/sim/queue.go therefore keeps one structure, a
 // calendar ring of per-time buckets whose span is the smallest power of
-// two above Scheduler.Fack() — 16 B per bucket plus a bitmap bit: 128 B at
-// Fack 4, 128 KiB for EdgeOrder on clique:4096. Config.Validate rejects a
-// Fack above sim.MaxFack (2^20-1: a 2^20-bucket, 16 MiB ring) with an
-// error naming the number, and push panics on an event outside [cur, cur+span), so nothing can
-// alias another time's bucket. Push appends to a bucket FIFO; pop advances
-// the cursor to the next nonempty bucket (one bitmap word scan per 64
-// buckets) and takes its head. Both are O(1) whatever the backlog.
+// two above Scheduler.Fack(). Config.Validate rejects a Fack above
+// sim.MaxFack (2^20-1) with an error naming the number, and push panics
+// on an event outside [cur, cur+span), so nothing can alias another time's
+// bucket. Push appends to a bucket array; pop advances the cursor to the
+// next nonempty bucket (one bitmap word scan per 64 buckets) and reads the
+// next entry. Both are O(1) whatever the backlog.
+//
+// Invariant: the message of a queued delivery is its sender's in-flight
+// message. The abstract MAC layer gives a node one outstanding broadcast
+// (Engine.broadcast discards a second), validatePlan puts every delivery
+// of a broadcast at or before its ack, and co-timed deliveries are
+// processed before acks — so from the moment a delivery is pushed until it
+// is popped, Engine.inMsg[sender] is the message it was planned with. The
+// queue stores none: a bucket is two append-only arrays, []{receiver,
+// sender int32} for deliveries and []{node, bseq int32} for acks, each
+// with a read cursor, truncated in place when the bucket drains. Time is
+// the bucket and insertion order is the array position, so neither is
+// stored; an entry is 8 bytes with no pointer in it (clique:1024 peaks at
+// 2^20 queued deliveries: 8 MB, where an event that carried its message
+// was 72 B and 72 MB). Config.Validate bounds the node count by
+// sim.MaxNodes so indices fit. A test outside the engine
+// (TestDeliveryCarriesItsBroadcastsMessage) logs every plan and checks
+// each delivery against it — message, time, before the ack, once — under
+// mid-broadcast crashes, lossy overlays and the plan-stretching
+// schedulers.
+//
+// What the GC sees: the entry arrays are pointer-free and never scanned;
+// the ring itself is 56 B a bucket (two slice headers and two cursors) and
+// is scanned, as is inMsg (one interface per node). The ring is 448 B at
+// Fack 4, 28 KiB for Gate at Until ≈ 500, 448 KiB for EdgeOrder on
+// clique:4096 and 56 MiB at MaxFack. Entry arrays stay with their bucket
+// across runs, so a reused engine allocates nothing on the event path
+// once every bucket has seen its peak. A fresh engine would pay for its
+// 2·span arrays one doubling at a time, so arrays under 2048 entries are
+// cut from shared 4096-entry blocks instead (a sim.Run on clique:16
+// allocates 53 times, 2 of them for the queue; the outgrown halves stay
+// in their block, at most 32 KiB an array) and only larger ones grow by
+// append. BENCH_engine.json pins those counts.
 //
 // The engine's total order is (time, deliveries before acks, insertion
-// seq); seq is assigned monotonically and a FIFO preserves insertion
-// order, so one FIFO chain per (bucket, kind) yields exactly that order.
-// Events live in a dense value slab indexed by int32 with an intrusive
-// free chain, so the GC never scans the queue and slab growth amortizes
-// to one allocation per doubling. The reference for the order is a
-// quaternary heap that exists only in internal/sim's tests: the
-// differential test attaches it to an engine through an unexported hook,
-// mirrors every push, and requires every pop to be the heap's minimum —
-// across every registered scheduler, crash pattern and overlay family
-// plus a seeded fuzz loop.
+// order); an array read front to back is insertion order, so one array per
+// (bucket, kind) yields exactly that order. The reference is a quaternary
+// heap that exists only in internal/sim's tests: the differential test
+// attaches it to an engine through an unexported hook, stamps its own
+// sequence number on every push it mirrors, and requires every pop to be
+// the heap's minimum — across every registered scheduler, crash pattern
+// and overlay family plus a seeded fuzz loop.
 //
 // # Observability
 //

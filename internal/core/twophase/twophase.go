@@ -80,14 +80,16 @@ type TwoPhase struct {
 	sawOtherValue bool
 	sawBivalent   bool
 
-	// heard is the set of ids seen in any message (the senders behind
-	// R1 and R2); witnesses is its frozen copy W at the phase-2 ack.
-	heard     map[amac.NodeID]bool
-	witnesses map[amac.NodeID]bool
+	// ids holds every id seen in a message up to the phase-2 ack (the
+	// senders behind R1 and R2), each flagged once its phase-2 message
+	// has arrived. The phase-2 ack freezes it into the witness set W: an
+	// id first heard later is by definition not a witness, so it is never
+	// inserted. missing counts the witnesses whose phase-2 message is
+	// still outstanding; it is armed at the freeze.
+	ids     idSet
+	missing int
 
-	// phase2From records which ids have delivered a phase-2 message;
 	// sawDecidedZero records whether any decided(0) status was seen.
-	phase2From     map[amac.NodeID]bool
 	sawDecidedZero bool
 
 	decided  bool
@@ -99,11 +101,7 @@ func New(input amac.Value) *TwoPhase {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("twophase: input %d is not binary", input))
 	}
-	return &TwoPhase{
-		input:      input,
-		heard:      make(map[amac.NodeID]bool),
-		phase2From: make(map[amac.NodeID]bool),
-	}
+	return &TwoPhase{input: input}
 }
 
 // Factory adapts New to the amac.Factory shape.
@@ -113,7 +111,7 @@ func Factory(cfg amac.NodeConfig) amac.Algorithm { return New(cfg.Input) }
 func (a *TwoPhase) Start(api amac.API) {
 	a.api = api
 	a.phase = phaseOne
-	a.heard[api.ID()] = true // R1 starts with u's own phase-1 message
+	a.ids.add(api.ID()) // R1 starts with u's own phase-1 message
 	api.Broadcast(Phase1{From: api.ID(), V: a.input})
 }
 
@@ -121,13 +119,20 @@ func (a *TwoPhase) Start(api amac.API) {
 func (a *TwoPhase) OnReceive(m amac.Message) {
 	switch msg := m.(type) {
 	case Phase1:
-		a.heard[msg.From] = true
+		if a.phase < phaseWitness {
+			a.ids.add(msg.From)
+		}
 		if msg.V != a.input {
 			a.sawOtherValue = true
 		}
 	case Phase2:
-		a.heard[msg.From] = true
-		a.phase2From[msg.From] = true
+		if a.phase < phaseWitness {
+			a.ids.markPhase2(a.ids.add(msg.From))
+		} else if a.phase == phaseWitness {
+			if i, ok := a.ids.find(msg.From); ok && a.ids.markPhase2(i) {
+				a.missing--
+			}
+		}
 		if !msg.Decided {
 			a.sawBivalent = true
 		} else if msg.V == 0 {
@@ -150,7 +155,7 @@ func (a *TwoPhase) OnAck(m amac.Message) {
 		a.phase = phaseTwo
 		own := Phase2{From: a.api.ID(), Decided: a.statusDecided, V: a.input}
 		// R2 starts with u's own phase-2 message (listing line 15).
-		a.phase2From[own.From] = true
+		a.ids.markPhase2(a.ids.add(own.From))
 		if own.Decided && own.V == 0 {
 			a.sawDecidedZero = true
 		}
@@ -164,10 +169,7 @@ func (a *TwoPhase) OnAck(m amac.Message) {
 			return
 		}
 		// Freeze the witness set W: every id heard so far.
-		a.witnesses = make(map[amac.NodeID]bool, len(a.heard))
-		for id := range a.heard {
-			a.witnesses[id] = true
-		}
+		a.missing = a.ids.withoutPhase2()
 		a.phase = phaseWitness
 		a.maybeDecide()
 	default:
@@ -178,10 +180,8 @@ func (a *TwoPhase) OnAck(m amac.Message) {
 // maybeDecide completes the bivalent branch once every witness has
 // delivered a phase-2 message.
 func (a *TwoPhase) maybeDecide() {
-	for id := range a.witnesses {
-		if !a.phase2From[id] {
-			return
-		}
+	if a.missing > 0 {
+		return
 	}
 	a.phase = phaseDone
 	if a.sawDecidedZero {

@@ -23,7 +23,7 @@ func run(t *testing.T, n int, inputs []amac.Value, sched sim.Scheduler) *sim.Res
 	})
 }
 
-func bits(n, mask int) []amac.Value {
+func inputBits(n, mask int) []amac.Value {
 	out := make([]amac.Value, n)
 	for i := range out {
 		if mask&(1<<i) != 0 {
@@ -115,7 +115,7 @@ func TestExhaustiveSmallCliques(t *testing.T) {
 	}
 	for n := 2; n <= 5; n++ {
 		for mask := 0; mask < 1<<n; mask++ {
-			inputs := bits(n, mask)
+			inputs := inputBits(n, mask)
 			for name, mk := range scheds {
 				res := run(t, n, inputs, mk())
 				rep := consensus.Check(inputs, res)
@@ -234,7 +234,7 @@ func TestMessageIDCounts(t *testing.T) {
 // decision time grows linearly in Fack and stays flat in n.
 func TestTimeScalesWithFackNotN(t *testing.T) {
 	time := func(n int, f int64) int64 {
-		inputs := bits(n, 0x55555555)
+		inputs := inputBits(n, 0x55555555)
 		res := run(t, n, inputs, sim.NewRandom(f, 42))
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {
@@ -276,7 +276,7 @@ func TestConsensusProperty(t *testing.T) {
 	f := func(nRaw uint8, mask uint16, fRaw uint8, seed int64) bool {
 		n := int(nRaw%12) + 2
 		fack := int64(fRaw%20) + 1
-		inputs := bits(n, int(mask))
+		inputs := inputBits(n, int(mask))
 		res := sim.Run(sim.Config{
 			Graph:           graph.Clique(n),
 			Inputs:          inputs,

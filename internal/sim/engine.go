@@ -10,10 +10,10 @@ import (
 
 // Engine executes configurations on a reusable arena: Reset re-arms the
 // same engine for a new configuration, keeping the node-state arrays, the
-// Result slices, the delivery-plan buffer, the event-queue backing array
-// and the event freelist from the previous run. A sweep worker that runs
-// the seeds of one cell back to back on one Engine pays the engine's
-// allocation cost once per cell instead of once per seed.
+// Result slices, the delivery-plan buffer and the event queue's per-tick
+// arrays from the previous run. A sweep worker that runs the seeds of one
+// cell back to back on one Engine pays the engine's allocation cost once
+// per cell instead of once per seed.
 //
 // Node runtime state is stored structure-of-arrays: one flat slice per
 // field (algorithm, id, in-flight broadcast, crash time) instead of one
@@ -37,12 +37,15 @@ type Engine struct {
 	apis     []api
 	ids      []amac.NodeID
 	inflight []bool // a broadcast is awaiting its ack
-	inMsg    []amac.Message
-	bseq     []int // next broadcast sequence number
-	crashAt  []int64
+	// inMsg is each node's in-flight message, set at broadcast and cleared
+	// at the ack. It is also the payload of every queued delivery from that
+	// node: a node has one broadcast outstanding and validatePlan puts
+	// every delivery of it at or before its ack, so the queue stores none.
+	inMsg   []amac.Message
+	bseq    []int // next broadcast sequence number
+	crashAt []int64
 
 	q      eventQueue
-	nexts  int64 // next event seq
 	now    int64
 	res    *Result
 	maxEvt int
@@ -50,8 +53,8 @@ type Engine struct {
 	// Invariant between broadcasts: every slot in [0, cap) holds
 	// NoDelivery — the push loops restore exactly the slots the scheduler
 	// filled as they read them, so a broadcast never pays a pre-zero pass
-	// over slots nobody wrote (the queue's slab plays the same role for
-	// events; together they keep the hot path allocation-free).
+	// over slots nobody wrote (the queue's bucket arrays play the same role
+	// for events; together they keep the hot path allocation-free).
 	plan Plan
 
 	// O(1) StopWhenDecided bookkeeping: undecided counts nodes that have
@@ -65,9 +68,10 @@ type Engine struct {
 	// reference scan at every stop evaluation.
 	checkStops bool
 	// queueHook, set by tests, sees every event the engine pushes
-	// (popped false) and pops (popped true): the differential test mirrors
-	// the pushes into the reference heap and asserts each pop against it.
-	queueHook func(ev event, popped bool)
+	// (popped false) and pops (popped true), in that order: the
+	// differential test mirrors the pushes into the reference heap and
+	// asserts each pop against it.
+	queueHook func(t int64, ev event, popped bool)
 
 	// Hot-path metric handles, re-registered at every Reset. With
 	// Config.Metrics nil these are zero handles and every mutation is one
@@ -112,21 +116,18 @@ func NewEngine(cfg Config) *Engine {
 // Reset re-arms the engine for a new configuration, reusing every buffer
 // the previous run left behind. No state leaks across runs: node states
 // (crash flags, decisions, in-flight broadcasts), the Result, the clock,
-// the event sequence counter and the queue are all reinitialized; events
-// still queued from a run stopped early (StopWhenDecided, MaxEvents) are
-// drained to the freelist with their message references cleared. It panics
-// on configuration errors, exactly as Run does.
+// and the queue are all reinitialized; events still queued from a run
+// stopped early (StopWhenDecided, MaxEvents) are dropped, and with them the
+// in-flight messages they would have delivered. It panics on configuration
+// errors, exactly as Run does.
 func (e *Engine) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	// A run stopped by StopWhenDecided or MaxEvents leaves events queued;
-	// recycle them so the slab, not the allocator, feeds the next run —
-	// then re-arm the calendar ring for the new scheduler's horizon.
-	e.q.drain()
+	// Empty the queue and re-arm the calendar ring for the new scheduler's
+	// horizon.
 	e.q.init(cfg.Scheduler.Fack())
 	e.cfg = cfg
-	e.nexts = 0
 	e.now = 0
 	n := cfg.Graph.N()
 	e.maxEvt = cfg.MaxEvents
@@ -264,13 +265,11 @@ func (e *Engine) crashedBy(i int, t int64) bool {
 	return at >= 0 && at < t
 }
 
-// push enqueues one event, stamping its insertion sequence.
-func (e *Engine) push(ev event) {
-	ev.seq = e.nexts
-	e.nexts++
-	e.q.push(ev)
+// push enqueues one event at time t.
+func (e *Engine) push(t int64, ev event) {
+	e.q.push(t, ev)
 	if e.queueHook != nil {
-		e.queueHook(ev, false)
+		e.queueHook(t, ev, false)
 	}
 	e.mQueueHigh.Set(int64(e.q.len()))
 }
@@ -320,7 +319,7 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	e.observe(Event{Kind: EventBroadcast, Time: e.now, Node: u, Message: m})
 
 	// Push deliveries in deterministic (reliable-then-unreliable,
-	// index-ordered) order: queue ties break by insertion sequence. Each
+	// index-ordered) order: queue ties break by insertion order. Each
 	// consumed slot is restored to NoDelivery in the same pass — exactly
 	// the slots the scheduler wrote, re-establishing the buffer invariant
 	// without a separate sweep (reliable slots are always written;
@@ -328,15 +327,15 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	for i, v := range nbrs {
 		at := e.plan.Recv[i]
 		e.plan.Recv[i] = NoDelivery
-		e.push(event{time: at, kind: EventDeliver, node: v, peer: u, bseq: b.Seq, msg: m})
+		e.push(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)})
 	}
 	for i, v := range b.Unreliable {
 		if at := e.plan.Recv[len(nbrs)+i]; at != NoDelivery {
 			e.plan.Recv[len(nbrs)+i] = NoDelivery
-			e.push(event{time: at, kind: EventDeliver, node: v, peer: u, bseq: b.Seq, msg: m})
+			e.push(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)})
 		}
 	}
-	e.push(event{time: e.plan.Ack, kind: EventAck, node: u, bseq: b.Seq, msg: m})
+	e.push(e.plan.Ack, event{kind: EventAck, node: int32(u), bseq: int32(b.Seq)})
 	return true
 }
 
@@ -446,14 +445,14 @@ func (e *Engine) Run() *Result {
 			e.res.Cutoff = true
 			break
 		}
-		ev := e.q.pop()
+		t, ev := e.q.pop()
 		if e.queueHook != nil {
-			e.queueHook(ev, true)
+			e.queueHook(t, ev, true)
 		}
-		if ev.time < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %d -> %d", e.now, ev.time))
+		if t < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: %d -> %d", e.now, t))
 		}
-		e.now = ev.time
+		e.now = t
 		e.advanceCrashCursor()
 		e.res.Events++
 		e.mEvents.Inc()
@@ -465,35 +464,37 @@ func (e *Engine) Run() *Result {
 			// when the sender crashed before this delivery time
 			// (mid-broadcast crash: the remaining neighbors never
 			// receive the message).
-			if e.crashedBy(ev.node, ev.time) {
-				e.markCrashed(ev.node)
+			v, u := int(ev.node), int(ev.peer)
+			if e.crashedBy(v, t) {
+				e.markCrashed(v)
 				e.mDrops.Inc()
 				continue
 			}
-			if e.crashedBy(ev.peer, ev.time) {
-				e.markCrashed(ev.peer)
+			if e.crashedBy(u, t) {
+				e.markCrashed(u)
 				e.mDrops.Inc()
 				continue
 			}
 			e.res.Deliveries++
 			e.mDeliver.Inc()
-			e.observe(Event{Kind: EventDeliver, Time: e.now, Node: ev.node, Peer: ev.peer, Message: ev.msg})
-			e.algs[ev.node].OnReceive(ev.msg)
+			msg := e.inMsg[u]
+			e.observe(Event{Kind: EventDeliver, Time: t, Node: v, Peer: u, Message: msg})
+			e.algs[v].OnReceive(msg)
 		case EventAck:
-			if e.crashedBy(ev.node, ev.time) {
-				e.markCrashed(ev.node)
+			u := int(ev.node)
+			if e.crashedBy(u, t) {
+				e.markCrashed(u)
 				e.mDrops.Inc()
 				continue
 			}
-			u := ev.node
-			if !e.inflight[u] || e.bseq[u]-1 != ev.bseq {
+			if !e.inflight[u] || int32(e.bseq[u]-1) != ev.bseq {
 				panic(fmt.Sprintf("sim: stray ack for node %d bseq %d", u, ev.bseq))
 			}
 			e.inflight[u] = false
 			msg := e.inMsg[u]
 			e.inMsg[u] = nil
 			e.res.Acks++
-			e.observe(Event{Kind: EventAck, Time: e.now, Node: u, Message: msg})
+			e.observe(Event{Kind: EventAck, Time: t, Node: u, Message: msg})
 			e.algs[u].OnAck(msg)
 		default:
 			panic(fmt.Sprintf("sim: unexpected queue event kind %v", ev.kind))

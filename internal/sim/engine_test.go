@@ -84,8 +84,8 @@ func TestEngineResetMatchesFreshRun(t *testing.T) {
 
 // TestEngineResetLeavesNoState inspects the engine internals after Reset:
 // no crash flags, decisions or in-flight broadcasts survive from the prior
-// run, the queue is empty, and every freelist event has dropped its
-// message reference (pooled events must not retain algorithm payloads).
+// run, the queue and every bucket of its ring are empty, and no in-flight
+// message slot still holds the payload of a dropped delivery.
 func TestEngineResetLeavesNoState(t *testing.T) {
 	crashy := freshResetConfig(t, 0)
 	e := NewEngine(crashy)
@@ -108,9 +108,16 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 	if e.q.len() != 0 {
 		t.Errorf("%d events still queued after Reset", e.q.len())
 	}
-	for i := range e.q.slab {
-		if e.q.slab[i].msg != nil {
-			t.Errorf("slab event %d retains message %v after Reset", i, e.q.slab[i].msg)
+	// Every bucket the engine owns, past the new ring's span too: a stale
+	// entry there would replay when a later Reset widens the ring again.
+	for i, b := range e.q.buckets[:cap(e.q.buckets)] {
+		if len(b.dels) != 0 || len(b.acks) != 0 || b.nextDel != 0 || b.nextAck != 0 {
+			t.Errorf("bucket %d not empty after Reset: %d deliveries (cursor %d), %d acks (cursor %d)", i, len(b.dels), b.nextDel, len(b.acks), b.nextAck)
+		}
+	}
+	for i, m := range e.inMsg[:cap(e.inMsg)] {
+		if m != nil {
+			t.Errorf("inMsg[%d] retains message %v after Reset", i, m)
 		}
 	}
 	for i := range e.algs {
@@ -121,8 +128,8 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 			t.Errorf("node %d keeps run state (decided=%v inflight=%v bseq=%d)", i, e.res.Decided[i], e.inflight[i], e.bseq[i])
 		}
 	}
-	if e.now != 0 || e.nexts != 0 {
-		t.Errorf("clock/seq not reset: now=%d nexts=%d", e.now, e.nexts)
+	if e.now != 0 || e.q.cur != 0 {
+		t.Errorf("clock not reset: now=%d queue cursor=%d", e.now, e.q.cur)
 	}
 	res = e.Run()
 	for i, crashed := range res.Crashed {

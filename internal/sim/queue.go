@@ -6,7 +6,8 @@ import (
 )
 
 // eventQueue is the engine's pending-event queue: a calendar ring of
-// per-time buckets over a dense value slab of events.
+// per-time buckets, each a pair of append-only arrays of payload-free
+// entries.
 //
 // Invariant: the ring covers the scheduler's declared horizon. validatePlan
 // admits only plans whose deliveries and ack land in (Now, Now+Fack], and
@@ -16,28 +17,26 @@ import (
 // -> bucket a mask and gives every live time its own bucket; push panics
 // on an event outside that window, so a plan that slipped past
 // validatePlan cannot alias an earlier bucket. Push appends to a bucket
-// FIFO and pop advances the cursor to the next nonempty bucket by a bitmap
+// array and pop advances the cursor to the next nonempty bucket by a bitmap
 // word scan — both O(1) regardless of backlog.
 //
 // Order: the engine's event order is (time, deliveries before acks,
-// insertion seq). seq is assigned monotonically and a FIFO preserves
-// insertion order, so one FIFO chain per (bucket, kind) reproduces the
-// total order exactly: the cursor visits times in order, and within a time
-// the deliver chain drains before the ack chain, each in seq order. The
-// reference for that order is the quaternary heap in heap_test.go, which
-// the differential test attaches through Engine.queueHook and compares
-// against on every pop.
+// insertion order). An array read front to back is insertion order, so one
+// array per (bucket, kind) reproduces the total order exactly: the cursor
+// visits times in order, and within a time the delivery array drains before
+// the ack array. The reference for that order is the quaternary heap in
+// heap_test.go, which the differential test attaches through
+// Engine.queueHook and compares against on every pop.
 //
-// Slab: events live in one []event indexed by int32, free slots chained
-// through the intrusive next link. Push recycles a slot or appends, pop
-// returns the event by value and frees the slot immediately — the engine
-// never holds a reference into the slab across algorithm callbacks, which
-// may push and grow it.
+// Entries carry no time (it is the bucket), no sequence number (it is the
+// array position) and no message: the abstract MAC layer gives a node one
+// outstanding broadcast, and validatePlan puts each of its deliveries at or
+// before its ack with co-timed deliveries first, so the message of a queued
+// delivery is the sender's in-flight message, which the engine keeps once
+// per sender in inMsg. An entry is 8 bytes of two narrowed indices
+// (Config.Validate bounds the node count by MaxNodes) with no pointer in
+// it.
 type eventQueue struct {
-	// slab is the dense event store; free heads the chain of recycled
-	// slots threaded through event.next. count is the queue's size.
-	slab  []event
-	free  int32
 	count int
 
 	// The calendar ring: span buckets (a power of two, so time maps to a
@@ -50,23 +49,44 @@ type eventQueue struct {
 	cur     int64
 	buckets []bucket
 	bits    []uint64
+
+	// delBlock and ackBlock are the unused tails of the blocks that small
+	// bucket arrays are carved from (see carve).
+	delBlock []delivery
+	ackBlock []ack
 }
 
-// bucket holds two intrusive FIFO chains of slab indices: chain 0 for
-// deliveries, chain 1 for acks, matching the model's deliveries-first
-// order within a time step.
+// delivery and ack are the queue's two entry shapes.
+type (
+	delivery struct{ node, peer int32 } // receiver, sender
+	ack      struct{ node, bseq int32 } // sender, its broadcast
+)
+
+// bucket holds one time step's events: deliveries drain before acks,
+// matching the model's deliveries-first order, each array from its read
+// cursor up. A bucket that drains is truncated in place, so its arrays are
+// reused the next time the ring comes round.
 type bucket struct {
-	head [2]int32
-	tail [2]int32
+	dels    []delivery
+	acks    []ack
+	nextDel int32
+	nextAck int32
 }
 
-// nilEvent is the slab's nil index (chain terminators, empty free list).
-const nilEvent int32 = -1
+func (b *bucket) reset() {
+	b.dels, b.acks, b.nextDel, b.nextAck = b.dels[:0], b.acks[:0], 0, 0
+}
 
-// init re-arms the queue for a scheduler horizon of fack: the ring gets
-// the smallest power-of-two span above fack. The queue must be empty
-// (Reset drains it first); the slab and free chain persist untouched.
+// init empties the queue — a run stopped early leaves events behind — and
+// re-arms it for a scheduler horizon of fack: the ring gets the smallest
+// power-of-two span above fack. Bucket arrays persist for the next run.
 func (q *eventQueue) init(fack int64) {
+	if q.count > 0 {
+		for i := range q.buckets {
+			q.buckets[i].reset()
+		}
+		q.count = 0
+	}
 	span := int64(1)
 	for span <= fack {
 		span <<= 1
@@ -82,102 +102,82 @@ func (q *eventQueue) init(fack int64) {
 		q.buckets = make([]bucket, span)
 		q.bits = make([]uint64, words)
 	}
-	for i := range q.buckets {
-		q.buckets[i] = bucket{
-			head: [2]int32{nilEvent, nilEvent},
-			tail: [2]int32{nilEvent, nilEvent},
-		}
-	}
 	clear(q.bits)
 }
 
 func (q *eventQueue) len() int { return q.count }
 
-// push enqueues ev, reusing a slot from the free chain when there is one.
-// An event outside [cur, cur+span) would alias another time's bucket; the
-// ring covers the declared horizon, so that is a broken invariant.
-func (q *eventQueue) push(ev event) {
-	if d := ev.time - q.cur; d < 0 || d >= q.span {
-		panic(fmt.Sprintf("sim: event at t=%d outside the queue ring [%d, %d)", ev.time, q.cur, q.cur+q.span))
+// push enqueues ev at time t, behind every queued event of that time and
+// kind. A time outside [cur, cur+span) would alias another time's bucket;
+// the ring covers the declared horizon, so that is a broken invariant.
+func (q *eventQueue) push(t int64, ev event) {
+	if d := t - q.cur; d < 0 || d >= q.span {
+		panic(fmt.Sprintf("sim: event at t=%d outside the queue ring [%d, %d)", t, q.cur, q.cur+q.span))
 	}
-	idx := q.free
-	if idx != nilEvent {
-		q.free = q.slab[idx].next
-		q.slab[idx] = ev
+	bi := t & q.mask
+	b := &q.buckets[bi]
+	if ev.kind == EventDeliver {
+		if len(b.dels) == cap(b.dels) && cap(b.dels) < carveMax {
+			b.dels = carve(&q.delBlock, b.dels)
+		}
+		b.dels = append(b.dels, delivery{node: ev.node, peer: ev.peer})
 	} else {
-		q.slab = append(q.slab, ev)
-		idx = int32(len(q.slab) - 1)
+		if len(b.acks) == cap(b.acks) && cap(b.acks) < carveMax {
+			b.acks = carve(&q.ackBlock, b.acks)
+		}
+		b.acks = append(b.acks, ack{node: ev.node, bseq: ev.bseq})
 	}
-	q.slab[idx].next = nilEvent
-	q.link(idx, ev.time, ev.kind)
+	q.bits[bi>>6] |= 1 << uint(bi&63)
 	q.count++
 }
 
-// pop removes and returns the minimum event by value, recycling its slab
-// slot immediately (the message reference is cleared so pooled slots do
-// not retain algorithm payloads). It panics on an empty queue (the
-// engine's run loop checks len first).
-func (q *eventQueue) pop() event {
+// A fresh engine on a small topology — every sim.Run of a test, the first
+// seed of a sweep cell — would pay a handful of tiny allocations for each
+// of its ring's 2*span arrays as they double. Arrays below carveMax entries
+// are instead cut, at twice their capacity, from shared blocks: the
+// outgrown half is wasted (under 2*carveMax entries, 32 KiB, per array),
+// which is why larger ones grow by append and leave that to the collector.
+const (
+	carveMax   = 2048
+	carveBlock = 2 * carveMax
+)
+
+// carve returns s moved into a region of twice its capacity cut from
+// *block, starting a new block when the current one is too short.
+func carve[T any](block *[]T, s []T) []T {
+	c := max(2*cap(s), 16)
+	if len(*block) < c {
+		*block = make([]T, carveBlock)
+	}
+	grown := append((*block)[:0:c], s...)
+	*block = (*block)[c:]
+	return grown
+}
+
+// pop removes and returns the minimum event and its time: the next
+// delivery of the earliest nonempty bucket, or its next ack when no
+// deliveries remain. It panics on an empty queue (the engine's run loop
+// checks len first).
+func (q *eventQueue) pop() (int64, event) {
 	q.cur = q.nextBucketTime()
-	idx := q.unlinkMin(q.cur)
-	ev := q.slab[idx]
-	q.slab[idx].msg = nil
-	q.slab[idx].next = q.free
-	q.free = idx
-	q.count--
-	ev.next = nilEvent
-	return ev
-}
-
-// drain empties the queue in one pass over the slab, rebuilding the free
-// chain over every slot and dropping all message references — bucket
-// order is irrelevant to a recycling pass.
-func (q *eventQueue) drain() {
-	for i := range q.slab {
-		q.slab[i].msg = nil
-		q.slab[i].next = int32(i) - 1
-	}
-	q.free = int32(len(q.slab)) - 1
-	q.count = 0
-	// Ring chains and bits are rebuilt by init, which Reset calls next.
-}
-
-// link appends slab index idx to the FIFO chain for (time t, kind) and
-// marks the bucket nonempty.
-func (q *eventQueue) link(idx int32, t int64, kind EventKind) {
-	bi := t & q.mask
+	bi := q.cur & q.mask
 	b := &q.buckets[bi]
-	k := 0
-	if kind != EventDeliver {
-		k = 1
-	}
-	if tail := b.tail[k]; tail != nilEvent {
-		q.slab[tail].next = idx
+	var ev event
+	if int(b.nextDel) < len(b.dels) {
+		d := b.dels[b.nextDel]
+		b.nextDel++
+		ev = event{kind: EventDeliver, node: d.node, peer: d.peer}
 	} else {
-		b.head[k] = idx
+		a := b.acks[b.nextAck]
+		b.nextAck++
+		ev = event{kind: EventAck, node: a.node, bseq: a.bseq}
 	}
-	b.tail[k] = idx
-	q.bits[bi>>6] |= 1 << uint(bi&63)
-}
-
-// unlinkMin removes and returns the head of bucket t's deliver chain, or
-// its ack chain when no deliveries remain — the model's within-time order.
-func (q *eventQueue) unlinkMin(t int64) int32 {
-	bi := t & q.mask
-	b := &q.buckets[bi]
-	k := 0
-	if b.head[0] == nilEvent {
-		k = 1
+	if int(b.nextDel) == len(b.dels) && int(b.nextAck) == len(b.acks) {
+		b.reset()
+		q.bits[bi>>6] &^= 1 << uint(bi&63)
 	}
-	idx := b.head[k]
-	b.head[k] = q.slab[idx].next
-	if b.head[k] == nilEvent {
-		b.tail[k] = nilEvent
-		if b.head[1-k] == nilEvent {
-			q.bits[bi>>6] &^= 1 << uint(bi&63)
-		}
-	}
-	return idx
+	q.count--
+	return q.cur, ev
 }
 
 // nextBucketTime returns the absolute time of the earliest nonempty

@@ -6,12 +6,12 @@
 // each broadcast the scheduler fills a delivery plan (a receive time per
 // neighbor plus an acknowledgment time) into an engine-owned reusable
 // buffer, and the engine executes plans on a bounded-horizon calendar
-// queue of slab-pooled events (see eventQueue) — push and pop are O(1) on
-// the hot path, and the steady-state broadcast path allocates nothing and
-// dispatches no interface methods. Engines are
+// queue of per-tick event arrays (see eventQueue) — push and pop are O(1)
+// on the hot path, and the steady-state broadcast path allocates nothing
+// and dispatches no interface methods. Engines are
 // reusable: NewEngine/Reset re-arm one engine for configuration after
 // configuration, keeping node state, Result slices, the plan buffer and
-// the event freelist, which is how sweep workers amortize per-run setup
+// the queue's arrays, which is how sweep workers amortize per-run setup
 // across the seeds of a cell.
 // The engine validates every plan against the
 // model contract — deliveries strictly after the broadcast, the ack no
@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/graph"
@@ -143,7 +144,7 @@ type Config struct {
 	// high-water) and is handed to every node's factory via
 	// amac.NodeConfig so algorithms register their own slots against the
 	// same registry. Every slot is determined by the execution alone —
-	// nothing that depends on what the engine ran before (slab or ring
+	// nothing that depends on what the engine ran before (queue or ring
 	// warm-up) may be registered, because sweeps merge these values into
 	// cell output that must be identical at any worker width and cell
 	// order. Reset zeroes the registry's values (registrations
@@ -158,19 +159,27 @@ const DefaultMaxEvents = 20_000_000
 
 // MaxFack is the widest horizon a scheduler may declare. The event queue
 // keeps one bucket per time in [Now, Now+Fack], rounded up to a power of
-// two; MaxFack caps that ring at 2^20 buckets (16 MiB).
+// two; MaxFack caps that ring at 2^20 buckets (56 MiB of bucket headers).
 const MaxFack = 1<<20 - 1
 
+// MaxNodes is the largest topology the engine runs: the event queue stores
+// node indices as int32.
+const MaxNodes = math.MaxInt32
+
 // Validate checks the configuration without running it: required fields,
-// input/id lengths, id uniqueness, a scheduler Fack in [1, MaxFack],
-// crash ranges and the unreliable-graph contract. Run panics on exactly the errors
-// Validate reports, so callers that assemble configurations from external
-// input (flags, sweep grids) can surface them as errors instead.
+// a node count within MaxNodes, input/id lengths, id uniqueness, a
+// scheduler Fack in [1, MaxFack], crash ranges and the unreliable-graph
+// contract. Run panics on exactly the errors Validate reports, so callers
+// that assemble configurations from external input (flags, sweep grids)
+// can surface them as errors instead.
 func (cfg *Config) Validate() error {
 	if cfg.Graph == nil {
 		return fmt.Errorf("sim: Config.Graph is nil")
 	}
 	n := cfg.Graph.N()
+	if err := checkNodeCount(n); err != nil {
+		return err
+	}
 	if len(cfg.Inputs) != n {
 		return fmt.Errorf("sim: %d inputs for %d nodes", len(cfg.Inputs), n)
 	}
@@ -217,6 +226,15 @@ func (cfg *Config) Validate() error {
 		if c.At < 0 {
 			return fmt.Errorf("sim: crash at negative time %d", c.At)
 		}
+	}
+	return nil
+}
+
+// checkNodeCount rejects a topology whose indices the event queue cannot
+// hold.
+func checkNodeCount(n int) error {
+	if n > MaxNodes {
+		return fmt.Errorf("sim: topology has %d nodes, above MaxNodes=%d", n, MaxNodes)
 	}
 	return nil
 }
@@ -348,19 +366,19 @@ func (r *Result) DecidedValues() []amac.Value {
 	return vals
 }
 
-// event is a queue entry. seq breaks time ties deterministically in
-// insertion order (see eventQueue in queue.go for the full order). Events
-// live in the queue's value slab; next is the intrusive link threading
-// both the per-bucket FIFO chains and the free chain.
+// event is a queued occurrence as the engine pushes and pops it: what
+// happens (kind) and to whom; its time travels beside it. The queue stores
+// less than this — see eventQueue in queue.go for what it drops and why.
+// Four fields in 24 bytes is within what the compiler passes and returns
+// in registers; push and pop run once per delivery.
 type event struct {
-	time int64
-	seq  int64
 	kind EventKind
-	node int // acted-on node (receiver for deliver, sender for ack)
-	peer int // sender for deliver
-	bseq int // sender's broadcast sequence the event belongs to
-	msg  amac.Message
-	next int32 // slab index of the chain successor (nilEvent terminates)
+	node int32 // acted-on node (receiver for deliver, sender for ack)
+	peer int32 // deliveries only: the sender
+	// bseq (acks only) is the sender's broadcast sequence number truncated
+	// to 32 bits: it only feeds the stray-ack check, which compares it
+	// under the same truncation.
+	bseq int32
 }
 
 // Run executes the configuration to completion and returns the result. It

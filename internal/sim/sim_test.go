@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -453,19 +454,37 @@ func TestConfigValidationQueueHorizon(t *testing.T) {
 	}
 }
 
+// TestConfigValidationNodeCount: the queue stores node indices as int32, so
+// a topology past MaxNodes is a configuration error naming the count — not
+// an index that wraps somewhere in push. (No such graph can be built in a
+// test, so the check Validate calls is driven directly.)
+func TestConfigValidationNodeCount(t *testing.T) {
+	if err := checkNodeCount(MaxNodes); err != nil {
+		t.Fatalf("%d nodes rejected: %v", MaxNodes, err)
+	}
+	if strconv.IntSize == 32 {
+		t.Skip("int cannot exceed MaxNodes on this platform")
+	}
+	tooMany := MaxNodes
+	tooMany++
+	err := checkNodeCount(tooMany)
+	if err == nil || !strings.Contains(err.Error(), "2147483648") || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("2^31 nodes: got error %v, want one naming 2147483648 and MaxNodes 2147483647", err)
+	}
+}
+
 // TestQueuePushOutsideRingPanics: an event past the ring would alias an
 // earlier time's bucket, so push refuses it rather than misorder it.
 func TestQueuePushOutsideRingPanics(t *testing.T) {
 	var q eventQueue
-	q.drain()
 	q.init(4) // 8 buckets: times [0, 8)
-	q.push(event{time: 7, kind: EventDeliver})
+	q.push(7, event{kind: EventDeliver})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("push at t=8 into an 8-bucket ring at cur=0 did not panic")
 		}
 	}()
-	q.push(event{time: 8, kind: EventDeliver})
+	q.push(8, event{kind: EventDeliver})
 }
 
 func TestBadSchedulerPanics(t *testing.T) {
