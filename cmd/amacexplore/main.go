@@ -59,7 +59,7 @@
 // original execution exactly, so the breakdown is the one the recorded
 // run had (with -json it rides along as "critical_path").
 //
-//	amacexplore -replay internal/harness/testdata/stall_wpaxos_midbroadcast_chords.json
+//	amacexplore -replay internal/harness/testdata/stall_twophase_coordinator_chords.json
 //	amacexplore -replay stall.json -critpath
 //
 // Artifacts are indented JSON with this layout (explore.Artifact):

@@ -14,7 +14,7 @@
 //
 // The root package carries no code — the library lives under internal/
 // (this is a research artifact: the stable entry points are the example
-// programs, the cmd/ tools, and the benchmarks in bench_test.go).
+// programs and the cmd/ tools; bench/ is the performance record).
 //
 // internal/harness is the scenario entry point: it names algorithms,
 // topologies, input patterns, schedulers, crash patterns and unreliable
@@ -70,11 +70,10 @@
 // shared harness.AxisFlags helper) and emits a JSON campaign report. The
 // first artifacts found this way were two multihop liveness stalls (a
 // wPAXOS response lost forever on a lossy chord, a floodpaxos leader
-// dying after election); both are fixed (see the next section) and their
-// recordings under internal/harness/testdata/ now serve as divergence
-// regressions, with the minimized two-phase coordinator-crash stall —
-// the paper's Theorem 3.2 counterexample, which is supposed to stall —
-// as the canonical violating artifact.
+// dying after election); both are fixed (see the next section). The
+// canonical violating artifact under internal/harness/testdata/ is the
+// minimized two-phase coordinator-crash stall — the paper's Theorem 3.2
+// counterexample, which is supposed to stall.
 //
 // # Liveness under leader death
 //
@@ -127,12 +126,6 @@
 //     every node converges on the same sorted member list, which makes
 //     rotation deterministic across nodes and seeds.
 //
-// The formerly pinned stalls now terminate
-// (internal/harness/known_issue_test.go asserts termination, CI scans
-// the whole crash×overlay leader-death grid clean), including the
-// maxid@T crash pattern — killing the stable max-id leader after
-// election has settled, the exact axis that used to stall both variants.
-//
 // # Determinism contract
 //
 // Everything above leans on one invariant: a (scenario, seed) pair fully
@@ -150,8 +143,8 @@
 //     search-seed derivation. Global math/rand functions, opaque sources
 //     and wall-clock seeds are rejected.
 //   - nowallclock: no time.Now/Since/Until anywhere under internal/
-//     except the wall-clock substrates internal/live and internal/netmac;
-//     simulated time is the event queue's logical clock.
+//     except the wall-clock runtime internal/live and its UDP MAC
+//     internal/netmac; simulated time is the event queue's logical clock.
 //   - maporder: a `range` over a map must not feed an order-sensitive
 //     sink (encoding/json, fmt output, hash writes, or an append whose
 //     slice the function returns). Collect the keys, sort them, iterate
@@ -180,6 +173,43 @@
 // states its precise rule; fixtures under internal/lint/*/testdata pin
 // both the findings and the escape hatches, and `detlint -fix` inserts
 // annotation skeletons for human audit.
+//
+// # Wall-clock substrates
+//
+// The paper's deployability claim — the algorithms run unchanged on a
+// real MAC layer — is carried by one wall-clock runtime and two MACs
+// under it. The runtime (internal/live) owns everything an algorithm can
+// observe: configuration checks and defaults, ids, one unbounded mailbox
+// (internal/mailbox) and one goroutine per node that serializes its
+// handlers, the amac.API (Now is a shared atomic counter; Broadcast is
+// refused and counted as a discard while one is in flight), termination
+// (all decided, timeout, cancellation, contract breach), teardown order
+// and the result. A MAC (live.MAC) only moves messages: handed
+// (sender, msg) it owes the runtime exactly one Deliver(sender, to, msg)
+// per neighbor of sender and then one Ack(sender, msg). The timer MAC in
+// internal/live sleeps seeded random delays inside a wall-clock Fack;
+// internal/netmac retransmits gob datagrams over loopback UDP until every
+// neighbor's socket has acknowledged them, so its Fack is emergent.
+//
+// Invariant, enforced in one place for every MAC: Broadcast arms a
+// per-sender countdown with the sender's degree, Deliver decrements it
+// (and rejects a non-neighbor), Ack requires it to be exactly zero. A MAC
+// that acks with a delivery outstanding, delivers twice or delivers after
+// the ack ends the run with live.ErrContract naming the sender. For the
+// UDP MAC this dictates the reader's order: enqueue the datagram, then
+// acknowledge it on the wire. Its sockets are open to any local process,
+// so a datagram that does not decode, or whose source address is not the
+// socket of the neighbor it names, is dropped and counted (net_dropped).
+//
+// Delivered means enqueued, not handled: a receiver may still be inside
+// OnReceive when the sender's OnAck runs, so the runtime leaves
+// amac.NodeConfig.AckAfterHandlers false and nodes allocate a message per
+// broadcast here instead of recycling send buffers. The periodic metrics
+// exposition (live_* from the runtime, net_* from the UDP MAC) is the only
+// place in the repository wall-clock stamps surface. One contract test,
+// TestSubstrateContract in internal/netmac, runs the same algorithm rows
+// on the simulator and on both MACs through a decorator that asserts the
+// amac.Algorithm/API contract as the algorithm sees it.
 //
 // # Scale
 //
@@ -380,8 +410,8 @@
 // byte-identical at any worker width; the golden grid JSON does not
 // change at all unless SweepOptions.Metrics is set. Wall-clock
 // timestamps appear in exactly one place: the periodic text exposition
-// of the live/netmac substrates (live.ExposeMetrics), which the
-// nowallclock scope already exempts.
+// of the wall-clock runtime (internal/live, whichever MAC it runs over),
+// which the nowallclock scope already exempts.
 //
 // internal/critpath answers "where did the decide latency go": it
 // observes a run through sim.Config.Observer, then walks the causal

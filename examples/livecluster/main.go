@@ -1,9 +1,8 @@
 // Livecluster: the same consensus state machines that run on the simulator
-// run here on two real substrates — the goroutine runtime (every node a
-// goroutine, the MAC layer real timers) and the UDP runtime (every node a
-// loopback UDP socket, messages gob-encoded, reliability by
-// retransmission). This is the paper's deployability claim in action: the
-// algorithms are unchanged, only the substrate differs.
+// run here on the wall-clock runtime (every node a goroutine) over its two
+// MACs — real timers, and loopback UDP sockets (messages gob-encoded,
+// reliability by retransmission). This is the paper's deployability claim in
+// action: the algorithms are unchanged, only the substrate differs.
 //
 // Run with:
 //
@@ -75,12 +74,11 @@ func main() {
 	for i := range udpInputs {
 		udpInputs[i] = amac.Value(i % 2)
 	}
-	udpRes, err := netmac.Run(context.Background(), netmac.Config{
+	udpRes, err := netmac.Run(context.Background(), live.Config{
 		Graph:   udpGraph,
 		Inputs:  udpInputs,
 		Factory: wpaxos.NewFactory(wpaxos.Config{N: udpGraph.N()}),
-		RTO:     2 * time.Millisecond,
-	})
+	}, 2*time.Millisecond)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "udp: %v\n", err)
 		os.Exit(1)

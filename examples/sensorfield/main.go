@@ -47,8 +47,9 @@ func main() {
 
 	audit := wpaxos.NewCountAudit()
 	var nodes []*wpaxos.Node
+	build := wpaxos.NewFactory(wpaxos.Config{N: n, Audit: audit})
 	factory := func(nc amac.NodeConfig) amac.Algorithm {
-		nd := wpaxos.New(nc.Input, wpaxos.Config{N: n, Audit: audit})
+		nd := build(nc).(*wpaxos.Node)
 		nodes = append(nodes, nd)
 		return nd
 	}

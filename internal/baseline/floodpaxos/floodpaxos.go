@@ -223,9 +223,9 @@ type Node struct {
 // proposition of the given kind.
 func heardBit(k wpaxos.PropKind) uint8 { return 1 << uint(k) }
 
-// New returns a flood-paxos node knowing the network size n. Nodes built
-// this way allocate a fresh message per broadcast.
-func New(input amac.Value, n int) *Node {
+// newNode returns the bare flood-paxos node NewFactory completes, knowing
+// the network size n.
+func newNode(input amac.Value, n int) *Node {
 	if n < 1 {
 		panic(fmt.Sprintf("floodpaxos: invalid network size %d", n))
 	}
@@ -243,7 +243,7 @@ func New(input amac.Value, n int) *Node {
 // allocates a fresh one.
 func NewFactory(n int) amac.Factory {
 	return func(cfg amac.NodeConfig) amac.Algorithm {
-		a := New(cfg.Input, n)
+		a := newNode(cfg.Input, n)
 		a.reuse = cfg.AckAfterHandlers
 		a.instrument(cfg.Metrics)
 		return a

@@ -111,8 +111,8 @@ func TestUnanimousValidity(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, 0) },
-		func() { New(2, 3) },
+		func() { newNode(0, 0) },
+		func() { newNode(2, 3) },
 	} {
 		func() {
 			defer func() {
@@ -219,7 +219,7 @@ func (f *fakeAPI) Now() int64                  { return f.now }
 // two-numbers budget and leaves the node idle for the detector's re-arm or
 // the next change event.
 func TestSupersededProposerRetriesWithinBudget(t *testing.T) {
-	a := New(0, 5)
+	a := newNode(0, 5)
 	a.Start(&fakeAPI{id: 3})
 	// Alone in its membership the node is its own leader; a change
 	// notification makes it propose.
@@ -260,7 +260,7 @@ func TestNewAllocatesLittle(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range keep {
-		keep[i] = New(amac.Value(i%2), n)
+		keep[i] = newNode(amac.Value(i%2), n)
 	}
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(keep)

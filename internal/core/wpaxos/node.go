@@ -36,7 +36,7 @@ func NewFactory(cfg Config) amac.Factory {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return func(nc amac.NodeConfig) amac.Algorithm {
-		a := New(nc.Input, cfg)
+		a := newNode(nc.Input, cfg)
 		a.reuse = nc.AckAfterHandlers
 		a.instrument(nc.Metrics)
 		return a
@@ -141,24 +141,24 @@ type Node struct {
 	}
 }
 
-// New returns a wPAXOS node for the given binary input. The paper studies
-// binary consensus (which strengthens its lower bounds); use NewGeneral
-// for arbitrary value sets.
-func New(input amac.Value, cfg Config) *Node {
+// newNode returns the bare wPAXOS node NewFactory completes, for the given
+// binary input. The paper studies binary consensus (which strengthens its
+// lower bounds); newGeneral takes arbitrary value sets.
+func newNode(input amac.Value, cfg Config) *Node {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("wpaxos: input %d is not binary", input))
 	}
-	return NewGeneral(input, cfg)
+	return newGeneral(input, cfg)
 }
 
-// NewGeneral returns a wPAXOS node for an arbitrary input value. The
+// newGeneral returns a wPAXOS node for an arbitrary input value. The
 // binary restriction in the paper exists to strengthen its lower bounds,
 // not because the algorithm needs it: a PAXOS value rides along in
 // propose messages and previous-proposal reports unchanged, still within
 // the O(1)-ids message bound. (The paper's open problem about general
 // values concerns solutions built from binary consensus bit by bit; wPAXOS
 // sidesteps it because the value never needs to be decomposed.)
-func NewGeneral(input amac.Value, cfg Config) *Node {
+func newGeneral(input amac.Value, cfg Config) *Node {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}

@@ -230,7 +230,7 @@ func TestTagGrowthModest(t *testing.T) {
 		inputs := mixedInputs(n)
 		var nodes []*Node
 		factory := func(nc amac.NodeConfig) amac.Algorithm {
-			nd := New(nc.Input, Config{N: n})
+			nd := newNode(nc.Input, Config{N: n})
 			nodes = append(nodes, nd)
 			return nd
 		}
@@ -268,8 +268,8 @@ func TestEdgeOrderAdversary(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(2, Config{N: 3}) },
-		func() { New(0, Config{N: 0}) },
+		func() { newNode(2, Config{N: 3}) },
+		func() { newNode(0, Config{N: 0}) },
 		func() { NewFactory(Config{N: 0}) },
 	} {
 		func() {
@@ -289,7 +289,7 @@ func TestIntrospectionAfterRun(t *testing.T) {
 	inputs := mixedInputs(n)
 	var nodes []*Node
 	factory := func(nc amac.NodeConfig) amac.Algorithm {
-		nd := New(nc.Input, Config{N: n})
+		nd := newNode(nc.Input, Config{N: n})
 		nodes = append(nodes, nd)
 		return nd
 	}
@@ -378,7 +378,7 @@ func TestMultivaluedConsensus(t *testing.T) {
 		res := sim.Run(sim.Config{
 			Graph:           g,
 			Inputs:          inputs,
-			Factory:         func(nc amac.NodeConfig) amac.Algorithm { return NewGeneral(nc.Input, Config{N: 12}) },
+			Factory:         func(nc amac.NodeConfig) amac.Algorithm { return newGeneral(nc.Input, Config{N: 12}) },
 			Scheduler:       sim.NewRandom(4, seed*3+1),
 			StopWhenDecided: true,
 			Audit:           true,
@@ -404,10 +404,10 @@ func TestMultivaluedConsensus(t *testing.T) {
 func TestBinaryConstructorStillStrict(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-binary input via New")
+			t.Fatal("expected panic for non-binary input via newNode")
 		}
 	}()
-	New(7, Config{N: 3})
+	newNode(7, Config{N: 3})
 }
 
 // TestCrashSafetyOnly documents that Theorem 3.2 applies to wPAXOS too:

@@ -168,12 +168,7 @@ func E13TreePriorityAblation() *Experiment {
 	e.OK = true
 	run := func(g *graph.Graph, noPri bool, seed int64) (decide, treeStab float64, ok bool) {
 		inputs := mixedInputs(g.N())
-		var nodes []*wpaxos.Node
-		factory := func(nc amac.NodeConfig) amac.Algorithm {
-			nd := wpaxos.New(nc.Input, wpaxos.Config{N: g.N(), NoTreePriority: noPri})
-			nodes = append(nodes, nd)
-			return nd
-		}
+		factory, nodes := keepNodes(wpaxos.Config{N: g.N(), NoTreePriority: noPri})
 		// Put the max id far from the middle via reversed ids so the
 		// leader tree must cross the diameter after election.
 		ids := make([]amac.NodeID, g.N())
@@ -190,7 +185,7 @@ func E13TreePriorityAblation() *Experiment {
 		})
 		rep := consensus.Check(inputs, res)
 		var ts int64
-		for _, nd := range nodes {
+		for _, nd := range *nodes {
 			if _, tr := nd.StabilizationTimes(); tr > ts {
 				ts = tr
 			}

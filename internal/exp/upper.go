@@ -74,6 +74,18 @@ func E5TwoPhase() *Experiment {
 	return e
 }
 
+// keepNodes returns a wPAXOS factory and the nodes it has built so far, for
+// experiments that read a node's introspection accessors after the run.
+func keepNodes(cfg wpaxos.Config) (amac.Factory, *[]*wpaxos.Node) {
+	build := wpaxos.NewFactory(cfg)
+	nodes := new([]*wpaxos.Node)
+	return func(nc amac.NodeConfig) amac.Algorithm {
+		nd := build(nc).(*wpaxos.Node)
+		*nodes = append(*nodes, nd)
+		return nd
+	}, nodes
+}
+
 // E6WPaxos reproduces Theorem 4.6: wPAXOS decides in O(D*Fack), with the
 // Lemma 4.5 GST decomposition (leader election stabilization, then leader
 // tree completion, then a constant number of proposals).
@@ -105,12 +117,7 @@ func E6WPaxos() *Experiment {
 			var sample, leaderStabs, treeStabs []float64
 			for seed := int64(0); seed < 4; seed++ {
 				inputs := mixedInputs(in.g.N())
-				var nodes []*wpaxos.Node
-				factory := func(nc amac.NodeConfig) amac.Algorithm {
-					nd := wpaxos.New(nc.Input, wpaxos.Config{N: in.g.N()})
-					nodes = append(nodes, nd)
-					return nd
-				}
+				factory, nodes := keepNodes(wpaxos.Config{N: in.g.N()})
 				res := sim.Run(sim.Config{
 					Graph:           in.g,
 					Inputs:          inputs,
@@ -125,7 +132,7 @@ func E6WPaxos() *Experiment {
 				}
 				sample = append(sample, float64(res.MaxDecideTime))
 				var ls, ts int64
-				for _, nd := range nodes {
+				for _, nd := range *nodes {
 					l, tr := nd.StabilizationTimes()
 					if l > ls {
 						ls = l
@@ -230,12 +237,7 @@ func E8TagGrowth() *Experiment {
 		for seed := int64(0); seed < 4; seed++ {
 			g := graph.RandomConnected(n, 0.1, int64(n)*31+seed)
 			inputs := mixedInputs(n)
-			var nodes []*wpaxos.Node
-			factory := func(nc amac.NodeConfig) amac.Algorithm {
-				nd := wpaxos.New(nc.Input, wpaxos.Config{N: n})
-				nodes = append(nodes, nd)
-				return nd
-			}
+			factory, nodes := keepNodes(wpaxos.Config{N: n})
 			res := sim.Run(sim.Config{
 				Graph:           g,
 				Inputs:          inputs,
@@ -247,7 +249,7 @@ func E8TagGrowth() *Experiment {
 			if !rep.OK() {
 				e.OK = false
 			}
-			for _, nd := range nodes {
+			for _, nd := range *nodes {
 				if nd.MaxTagUsed() > maxTag {
 					maxTag = nd.MaxTagUsed()
 				}

@@ -8,9 +8,7 @@ import "testing"
 // Ω failure-detector redesign (suspicion + rotation + retransmit-until-
 // superseded queues), wPAXOS quiesced here with every survivor undecided
 // while floodpaxos decided in the very same cell; the stall was a ROADMAP
-// open item anchored by this test. Both algorithms must now terminate —
-// the recorded stall schedules survive as divergence regressions in
-// testdata/ (see replay_golden_test.go).
+// open item anchored by this test. Both algorithms must now terminate.
 func TestWPaxosCrashOverlayStallFixed(t *testing.T) {
 	cell := Scenario{
 		Topo:    Topo{Kind: "ring", N: 9},
@@ -44,8 +42,7 @@ func TestWPaxosCrashOverlayStallFixed(t *testing.T) {
 
 // TestFloodPaxosLeaderDeathExtraOverlayFixed pins the second retired stall:
 // floodpaxos on grid:3x3 with a seeded extra overlay, the max-id leader
-// (node 8) crashing at T=3, seed 1 — the cell recorded in
-// testdata/stall_floodpaxos_one3_extra.json. The monotone max-id election
+// (node 8) crashing at T=3, seed 1. The monotone max-id election
 // waited on the corpse forever; the suspicion detector must now rotate the
 // proposership and terminate.
 func TestFloodPaxosLeaderDeathExtraOverlayFixed(t *testing.T) {

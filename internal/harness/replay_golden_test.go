@@ -12,68 +12,15 @@ import (
 	"github.com/absmac/absmac/internal/explore"
 )
 
-// The two stall_*.json artifacts record the liveness stalls the Ω
-// failure-detector redesign fixed: wPAXOS quiescing undecided under the
-// Theorem 3.2 mid-broadcast crash with the chords overlay, and floodpaxos
-// waiting forever on a dead max-id leader. The fixed algorithms broadcast
-// differently (membership gossip, sticky retransmission), so the recorded
-// schedules CANNOT replay cleanly anymore — and that is now the point:
-// each artifact is a divergence regression. If a replay ever stops
-// diverging and reproduces the recorded stall again, the liveness fix has
-// been reverted. The matching golden_*.json artifacts record the same
-// cells terminating under the fixed algorithms and must keep replaying
+// The golden_*.json artifacts record the two cells that stalled before the
+// Ω failure-detector redesign (wPAXOS under the Theorem 3.2 mid-broadcast
+// crash with the chords overlay; floodpaxos behind a dead max-id leader)
+// terminating under the current algorithms; they must keep replaying
 // byte-identically.
 const (
-	legacyWPaxosStall = "testdata/stall_wpaxos_midbroadcast_chords.json"
-	legacyFloodStall  = "testdata/stall_floodpaxos_one3_extra.json"
-
 	goldenWPaxos = "testdata/golden_wpaxos_midbroadcast_chords.json"
 	goldenFlood  = "testdata/golden_floodpaxos_one3_extra.json"
 )
-
-// TestLegacyStallArtifactsNoLongerReproduce pins the fix from the
-// artifact side: replaying either retired stall recording must detect
-// divergence (the fixed algorithm sends messages the recording never saw)
-// and must NOT end in the recorded non-termination — the fallback
-// execution terminates. Deterministically so: two replays agree byte for
-// byte.
-func TestLegacyStallArtifactsNoLongerReproduce(t *testing.T) {
-	for _, path := range []string{legacyWPaxosStall, legacyFloodStall} {
-		a, err := explore.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Violation == nil || a.Violation.Kind != consensus.KindNonTermination {
-			t.Fatalf("%s records %+v, want a non-termination violation", path, a.Violation)
-		}
-		replay := func() string {
-			out, rp, err := a.Replay(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rp.Diverged() {
-				t.Fatalf("%s replayed divergence-free: the fixed algorithm reproduced its "+
-					"pre-fix broadcast schedule, which should be impossible", path)
-			}
-			if v := out.Violation(); v != nil {
-				t.Fatalf("%s still violates after divergence (%+v): the leader-death "+
-					"liveness fix regressed", path, v)
-			}
-			// Safety holds throughout, as it did in the recorded stall.
-			if !out.Report.Agreement || !out.Report.Validity {
-				t.Fatalf("%s replay broke safety: %v", path, out.Report.Errors)
-			}
-			b, err := json.Marshal(out.Result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return string(b)
-		}
-		if replay() != replay() {
-			t.Fatalf("%s: two replays differ", path)
-		}
-	}
-}
 
 // TestTerminatingGoldensReplayByteIdentically is the golden replay test
 // for the re-recorded cells: zero divergence, no violation (the artifacts

@@ -30,7 +30,8 @@
 // Scope: the deterministic parallel layers — internal/sim,
 // internal/graph, internal/harness, internal/explore, internal/baseline,
 // internal/ext, internal/metrics, internal/critpath. The wall-clock
-// substrates order results by real arrival on purpose and are exempt.
+// runtime and its MACs (internal/live, internal/netmac) order results by
+// real arrival on purpose and are exempt.
 package goroutineorder
 
 import (

@@ -6,8 +6,9 @@
 // diverge and schedule replay stops being byte-identical. The analyzer
 // reports every call to those functions inside the scoped packages.
 //
-// Scope: every package under internal/ EXCEPT the wall-clock substrates
-// internal/live and internal/netmac, whose whole point is real time.
+// Scope: every package under internal/ EXCEPT the wall-clock runtime
+// internal/live and its UDP MAC internal/netmac, whose whole point is real
+// time.
 // cmd/ front-ends and examples/ are also exempt (they time user-visible
 // work, not simulated executions). There is no comment escape hatch: code
 // in the deterministic core that genuinely needs a duration measurement
@@ -32,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 // exempt lists the internal/ subtrees allowed to read the wall clock.
 var exempt = []string{"live", "netmac"}
 
-// scope admits every internal/ package except the wall-clock substrates;
+// scope admits every internal/ package except the wall-clock runtime and MAC;
 // fixture packages (any /testdata/ path) are always in scope.
 func scope(path string) bool {
 	if strings.Contains(path, "/testdata/") {

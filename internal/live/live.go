@@ -1,15 +1,24 @@
-// Package live is the repository's second substrate for the abstract MAC
-// layer model: a real goroutine-and-channels runtime in which the same
-// amac.Algorithm state machines that run on the deterministic simulator
-// run concurrently, with broadcast deliveries and acknowledgments arriving
-// on real timers bounded by a wall-clock Fack.
+// Package live is the repository's wall-clock runtime for the abstract MAC
+// layer model: the same amac.Algorithm state machines that run on the
+// deterministic simulator run here concurrently, one goroutine per node,
+// over a MAC that delivers and acknowledges broadcasts in real time.
 //
 // Its purpose is the paper's deployability claim (Section 1): algorithms
 // written against the abstract MAC layer contract port unchanged from
-// analysis to a running system. The runtime enforces the same contract as
-// the simulator — every neighbor receives a broadcast before the sender's
-// ack, one broadcast in flight per node, extra broadcasts discarded — with
-// timing drawn from a seeded randomized scheduler instead of a plan.
+// analysis to a running system. The split is runtime versus MAC. The
+// runtime (this package) owns everything an algorithm can observe — ids,
+// the amac.API with its one-broadcast-in-flight rule, the per-node
+// mailboxes and serialized handler loops, termination, teardown, the
+// result and the metrics exposition. A MAC only moves messages: handed
+// (sender, msg), it owes the runtime one Deliver per neighbor and then one
+// Ack. Two MACs exist: the timer goroutine in this package (Run), with
+// delays drawn from a seeded generator inside a wall-clock Fack, and
+// internal/netmac's retransmission layer over loopback UDP sockets.
+//
+// The model's one guarantee — every neighbor receives a broadcast before
+// its sender is acknowledged — is checked here, for every MAC, by a
+// per-sender countdown in Deliver/Ack; a MAC that breaks it ends the run
+// with ErrContract.
 //
 // Crash failures are deliberately out of scope here; the Theorem 3.2
 // experiments need the simulator's reproducible schedules.
@@ -21,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +43,7 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// Config describes one live execution.
+// Config describes one wall-clock execution.
 type Config struct {
 	// Graph is the topology. Required.
 	Graph *graph.Graph
@@ -41,11 +51,11 @@ type Config struct {
 	Inputs []amac.Value
 	// Factory builds each node's algorithm. Required.
 	Factory amac.Factory
-	// Fack is the wall-clock delivery bound. Deliveries land within
-	// (0, Fack/2] and the ack within (0, Fack] of the broadcast.
-	// 0 means DefaultFack.
+	// Fack is the timer MAC's wall-clock delivery bound: deliveries land
+	// within (0, Fack/2] and the ack within (0, Fack] of the broadcast.
+	// 0 means DefaultFack. A MAC whose timing is emergent ignores it.
 	Fack time.Duration
-	// Seed seeds the randomized delays.
+	// Seed seeds the timer MAC's randomized delays.
 	Seed int64
 	// IDs optionally assigns node ids (defaults to index+1).
 	IDs []amac.NodeID
@@ -53,12 +63,12 @@ type Config struct {
 	Timeout time.Duration
 	// MetricsInterval enables periodic flight-recorder exposition: every
 	// interval a wall-clock-stamped text snapshot of the run's counters is
-	// written to MetricsOut (both must be set). The wall-clock substrates
-	// are the only place timestamps appear — the metrics package itself is
+	// written to MetricsOut (both must be set). This is the only place in
+	// the repository timestamps surface — the metrics package itself is
 	// wall-clock free, which is what keeps the simulator deterministic.
 	MetricsInterval time.Duration
 	// MetricsOut receives the exposition lines. Writes happen from a
-	// dedicated goroutine that exits before Run returns.
+	// dedicated goroutine that exits before the run returns.
 	MetricsOut io.Writer
 }
 
@@ -71,7 +81,28 @@ const DefaultTimeout = 30 * time.Second
 // ErrTimeout reports that the run timed out before every node decided.
 var ErrTimeout = errors.New("live: run timed out before all nodes decided")
 
-// Result summarizes a live execution.
+// ErrContract reports that the MAC broke the model's delivery guarantee;
+// the returned error wraps it and names the sender.
+var ErrContract = errors.New("live: MAC broke the deliver-before-ack contract")
+
+// MAC is the transport under the runtime. Its methods are called by the
+// runtime only.
+type MAC interface {
+	// Broadcast starts transmitting m from node sender and returns without
+	// waiting for it. The MAC then owes the runtime, from any goroutine,
+	// exactly one Deliver(sender, to, m) for each neighbor of sender,
+	// followed by one Ack(sender, m). The runtime never calls it again for
+	// that sender before the Ack.
+	Broadcast(sender int, m amac.Message)
+	// Expose adds the MAC's own counters to one exposition snapshot.
+	Expose(reg *metrics.Registry)
+	// Close releases the MAC's resources and returns once its goroutines
+	// have exited. It is called once, after Done is closed and every node
+	// loop has returned.
+	Close()
+}
+
+// Result summarizes a wall-clock execution.
 type Result struct {
 	// Decided, Decision and DecideTime mirror the simulator's result
 	// (times are wall-clock offsets from the run start).
@@ -106,141 +137,130 @@ type event struct {
 	msg amac.Message
 }
 
-type runtime struct {
-	cfg     Config
-	fack    time.Duration
+// Runtime is one execution as its MAC sees it: where deliveries and acks
+// go, and when to stop.
+type Runtime struct {
+	graph   *graph.Graph
 	ids     []amac.NodeID
+	mac     MAC
 	boxes   []*mailbox.Mailbox[event]
+	owed    []atomic.Int64 // per sender: deliveries its broadcast still owes
 	clock   atomic.Int64
 	started time.Time
+	done    <-chan struct{}
+	fail    context.CancelCauseFunc // ends the run with a contract error
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	broadcasts, discards atomic.Int64
 
-	resMu      sync.Mutex
-	res        *Result
+	res        *Result // node i's slots are its loop's until the loops have exited
 	undecided  atomic.Int64
 	allDecided chan struct{}
-
-	ctx     context.Context
-	wg      sync.WaitGroup // node loops
-	senders sync.WaitGroup // delivery goroutines
 }
 
-// liveAPI implements amac.API for one node. Its methods are only called
-// from the node's event loop goroutine; the MAC state it touches is owned
-// by that goroutine.
-type liveAPI struct {
-	rt       *runtime
+// Done is closed when the run is over; MAC goroutines stop on it.
+func (rt *Runtime) Done() <-chan struct{} { return rt.done }
+
+// Deliver hands m, broadcast by sender, to node to.
+func (rt *Runtime) Deliver(sender, to int, m amac.Message) {
+	if !rt.graph.HasEdge(sender, to) {
+		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered to non-neighbor %d", ErrContract, sender, to))
+		return
+	}
+	if rt.owed[sender].Add(-1) < 0 {
+		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered more than once per neighbor or after its ack", ErrContract, sender))
+		return
+	}
+	rt.boxes[to].Push(event{msg: m})
+}
+
+// Ack completes sender's broadcast of m.
+func (rt *Runtime) Ack(sender int, m amac.Message) {
+	if owed := rt.owed[sender].Load(); owed != 0 {
+		rt.fail(fmt.Errorf("%w: node %d acked with %d deliveries outstanding", ErrContract, sender, owed))
+		return
+	}
+	rt.boxes[sender].Push(event{ack: true, msg: m})
+}
+
+// api implements amac.API for one node. Its methods are only called from
+// the node's event loop goroutine, which owns the in-flight flag.
+type api struct {
+	rt       *Runtime
 	node     int
 	inflight bool
 }
 
-func (a *liveAPI) ID() amac.NodeID { return a.rt.ids[a.node] }
+func (a *api) ID() amac.NodeID { return a.rt.ids[a.node] }
 
 // Now returns a strictly increasing logical timestamp shared by all nodes
 // (the total order the change service needs).
-func (a *liveAPI) Now() int64 { return a.rt.clock.Add(1) }
+func (a *api) Now() int64 { return a.rt.clock.Add(1) }
 
-func (a *liveAPI) Broadcast(m amac.Message) bool {
+func (a *api) Broadcast(m amac.Message) bool {
 	if m == nil {
 		panic(fmt.Sprintf("live: node %d broadcast a nil message", a.node))
 	}
+	rt := a.rt
 	if a.inflight {
-		a.rt.resMu.Lock()
-		a.rt.res.Discards++
-		a.rt.resMu.Unlock()
+		rt.discards.Add(1)
 		return false
 	}
 	a.inflight = true
-	a.rt.resMu.Lock()
-	a.rt.res.Broadcasts++
-	a.rt.resMu.Unlock()
-	a.rt.deliver(a.node, m)
+	rt.broadcasts.Add(1)
+	rt.owed[a.node].Store(int64(rt.graph.Degree(a.node)))
+	rt.mac.Broadcast(a.node, m)
 	return true
 }
 
-func (a *liveAPI) Decide(v amac.Value) {
+func (a *api) Decide(v amac.Value) {
 	rt := a.rt
-	rt.resMu.Lock()
-	already := rt.res.Decided[a.node]
-	if !already {
-		rt.res.Decided[a.node] = true
-		rt.res.Decision[a.node] = v
-		rt.res.DecideTime[a.node] = time.Since(rt.started)
+	if rt.res.Decided[a.node] {
+		return
 	}
-	rt.resMu.Unlock()
-	if !already && rt.undecided.Add(-1) == 0 {
+	rt.res.Decided[a.node] = true
+	rt.res.Decision[a.node] = v
+	rt.res.DecideTime[a.node] = time.Since(rt.started)
+	if rt.undecided.Add(-1) == 0 {
 		close(rt.allDecided)
 	}
 }
 
-// deliver spawns the MAC-layer goroutine for one broadcast: randomized
-// per-neighbor delays within (0, Fack/2], then the ack within the Fack
-// budget.
-func (rt *runtime) deliver(sender int, m amac.Message) {
-	nbrs := rt.cfg.Graph.Neighbors(sender)
-	half := rt.fack / 2
-	if half < time.Microsecond {
-		half = time.Microsecond
-	}
-	delays := make([]time.Duration, len(nbrs))
-	rt.rngMu.Lock()
-	maxDelay := time.Duration(0)
-	for i := range delays {
-		delays[i] = time.Duration(rt.rng.Int63n(int64(half))) + 1
-		if delays[i] > maxDelay {
-			maxDelay = delays[i]
-		}
-	}
-	ackDelay := maxDelay + time.Duration(rt.rng.Int63n(int64(half)))
-	rt.rngMu.Unlock()
-
-	rt.senders.Add(1)
-	go func() {
-		defer rt.senders.Done()
-		start := time.Now()
-		// Deliver in delay order; sleeping the increments keeps one
-		// goroutine per broadcast.
-		order := make([]int, len(nbrs))
-		for i := range order {
-			order[i] = i
-		}
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && delays[order[j]] < delays[order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-		for _, i := range order {
-			if !rt.sleepUntil(start, delays[i]) {
-				return
-			}
-			rt.boxes[nbrs[i]].Push(event{msg: m})
-		}
-		if !rt.sleepUntil(start, ackDelay) {
+// loop is one node's goroutine: Start, then serve the mailbox until it is
+// closed and drained.
+func (rt *Runtime) loop(node int, alg amac.Algorithm) {
+	a := &api{rt: rt, node: node}
+	alg.Start(a)
+	for {
+		ev, ok := rt.boxes[node].Pop()
+		if !ok {
 			return
 		}
-		rt.boxes[sender].Push(event{ack: true, msg: m})
-	}()
+		if ev.ack {
+			a.inflight = false
+			alg.OnAck(ev.msg)
+		} else {
+			alg.OnReceive(ev.msg)
+		}
+	}
 }
 
-// ExposeMetrics runs a periodic flight-recorder exposition loop until ctx
-// is canceled: every interval it calls fill to refresh the registry's
-// slots from the substrate's counters, writes one wall-clock stamp line
-// (RFC 3339 plus elapsed time since started), and renders the registry as
-// sorted text. Shared by the live and netmac substrates — the one place
-// in the repository wall-clock timestamps are allowed to surface.
-func ExposeMetrics(ctx context.Context, w io.Writer, every time.Duration, started time.Time, fill func(*metrics.Registry)) {
-	reg := metrics.New()
+// expose is the exposition loop: every interval, one wall-clock stamp line
+// (RFC 3339 plus elapsed time) and the runtime's and the MAC's counters as
+// sorted text.
+func (rt *Runtime) expose(w io.Writer, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-rt.done:
 			return
 		case now := <-t.C:
-			fill(reg)
-			fmt.Fprintf(w, "# %s elapsed=%s\n", now.Format(time.RFC3339Nano), now.Sub(started).Round(time.Millisecond))
+			reg := metrics.New()
+			reg.Counter("live_broadcasts").Add(rt.broadcasts.Load())
+			reg.Counter("live_discards").Add(rt.discards.Load())
+			reg.Gauge("live_decided").Set(int64(len(rt.boxes)) - rt.undecided.Load())
+			rt.mac.Expose(reg)
+			fmt.Fprintf(w, "# %s elapsed=%s\n", now.Format(time.RFC3339Nano), now.Sub(rt.started).Round(time.Millisecond))
 			if err := reg.WriteText(w); err != nil {
 				return
 			}
@@ -248,56 +268,24 @@ func ExposeMetrics(ctx context.Context, w io.Writer, every time.Duration, starte
 	}
 }
 
-// setCounter pins a counter slot to an externally tracked total (the
-// substrates count under their own result mutex; the exposition registry
-// just mirrors the totals at each tick).
-func setCounter(c metrics.Counter, total int64) { c.Add(total - c.Value()) }
-
-// expose is the live substrate's exposition goroutine body. Registration
-// dedups by name, so re-registering each tick is a map hit, not a slot.
-func (rt *runtime) expose(every time.Duration, w io.Writer) {
-	ExposeMetrics(rt.ctx, w, every, rt.started, func(reg *metrics.Registry) {
-		rt.resMu.Lock()
-		b, d := rt.res.Broadcasts, rt.res.Discards
-		var dec int64
-		for _, x := range rt.res.Decided {
-			if x {
-				dec++
-			}
+// Run executes the configuration over the timer MAC until every node
+// decides, the context is canceled, or the timeout elapses. The result
+// always reflects whatever progress was made; the error is non-nil on
+// timeout/cancellation.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
+	return RunMAC(ctx, cfg, func(rt *Runtime) (MAC, error) {
+		fack := cfg.Fack
+		if fack <= 0 {
+			fack = DefaultFack
 		}
-		rt.resMu.Unlock()
-		setCounter(reg.Counter("live_broadcasts"), b)
-		setCounter(reg.Counter("live_discards"), d)
-		reg.Gauge("live_decided").Set(dec)
+		return &timers{rt: rt, half: max(fack/2, time.Microsecond), rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 	})
 }
 
-// sleepUntil sleeps until start+d or the run's cancellation; it reports
-// whether the run is still live.
-func (rt *runtime) sleepUntil(start time.Time, d time.Duration) bool {
-	remaining := time.Until(start.Add(d))
-	if remaining <= 0 {
-		select {
-		case <-rt.ctx.Done():
-			return false
-		default:
-			return true
-		}
-	}
-	t := time.NewTimer(remaining)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-rt.ctx.Done():
-		return false
-	}
-}
-
-// Run executes the configuration until every node decides, the context is
-// canceled, or the timeout elapses. The result always reflects whatever
-// progress was made; the error is non-nil on timeout/cancellation.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
+// RunMAC is Run over the MAC that open returns. open is called once, with
+// the configuration validated and the graph frozen; if it fails, so does
+// the run, with a nil result.
+func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (*Result, error) {
 	if cfg.Graph == nil {
 		panic("live: Config.Graph is nil")
 	}
@@ -318,31 +306,27 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(ids) != n {
 		panic(fmt.Sprintf("live: %d ids for %d nodes", len(ids), n))
 	}
-	fack := cfg.Fack
-	if fack <= 0 {
-		fack = DefaultFack
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
 
-	// Node goroutines read Graph.Neighbors concurrently; materialize the
-	// CSR now, while the graph is still single-threaded.
+	// Node and MAC goroutines read the graph concurrently; materialize the
+	// CSR now, while it is still single-threaded.
 	cfg.Graph.Freeze()
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
-	rt := &runtime{
-		cfg:        cfg,
-		fack:       fack,
+	rt := &Runtime{
+		graph:      cfg.Graph,
 		ids:        ids,
 		boxes:      make([]*mailbox.Mailbox[event], n),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		allDecided: make(chan struct{}),
-		ctx:        runCtx,
+		owed:       make([]atomic.Int64, n),
 		started:    time.Now(),
+		done:       runCtx.Done(),
+		fail:       cancel,
+		allDecided: make(chan struct{}),
 		res: &Result{
 			Decided:    make([]bool, n),
 			Decision:   make([]amac.Value, n),
@@ -354,65 +338,126 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		rt.boxes[i] = mailbox.New[event]()
 	}
 
+	// AckAfterHandlers stays false: a receiver may still be inside
+	// OnReceive when the sender's OnAck runs, so nodes must not recycle
+	// the messages they broadcast.
 	algs := make([]amac.Algorithm, n)
-	for i := 0; i < n; i++ {
+	for i := range algs {
 		algs[i] = cfg.Factory(amac.NodeConfig{ID: ids[i], Input: cfg.Inputs[i]})
 		if algs[i] == nil {
 			panic(fmt.Sprintf("live: factory returned nil algorithm for node %d", i))
 		}
 	}
 
+	mac, err := open(rt)
+	if err != nil {
+		return nil, err
+	}
+	rt.mac = mac
+
+	var running sync.WaitGroup // node loops and the exposition loop
 	if cfg.MetricsInterval > 0 && cfg.MetricsOut != nil {
-		// The exposition goroutine exits on cancel; senders.Wait below
-		// guarantees it is gone before Run returns the result.
-		rt.senders.Add(1)
+		running.Add(1)
 		go func() {
-			defer rt.senders.Done()
-			rt.expose(cfg.MetricsInterval, cfg.MetricsOut)
+			defer running.Done()
+			rt.expose(cfg.MetricsOut, cfg.MetricsInterval)
+		}()
+	}
+	for i := range algs {
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			rt.loop(i, algs[i])
 		}()
 	}
 
-	// Node event loops: Start, then serve the mailbox until close.
-	for i := 0; i < n; i++ {
-		rt.wg.Add(1)
-		go func(i int) {
-			defer rt.wg.Done()
-			api := &liveAPI{rt: rt, node: i}
-			algs[i].Start(api)
-			for {
-				ev, ok := rt.boxes[i].Pop()
-				if !ok {
-					return
-				}
-				if ev.ack {
-					api.inflight = false
-					algs[i].OnAck(ev.msg)
-				} else {
-					algs[i].OnReceive(ev.msg)
-				}
-			}
-		}(i)
-	}
-
-	var err error
 	select {
 	case <-rt.allDecided:
 	case <-time.After(timeout):
 		err = ErrTimeout
-	case <-ctx.Done():
-		err = ctx.Err()
+	case <-runCtx.Done(): // the caller's cancellation, or a contract breach
+		err = context.Cause(runCtx)
 	}
 
-	cancel()
+	// Teardown order: stop the MAC's goroutines at their next wait, let
+	// the node loops drain and exit (a Push after Close is a no-op), and
+	// only then close the MAC, so no Broadcast reaches a closed one.
+	cancel(nil)
 	for _, b := range rt.boxes {
 		b.Close()
 	}
-	rt.wg.Wait()
-	rt.senders.Wait()
+	running.Wait()
+	mac.Close()
 
-	rt.resMu.Lock()
+	if cause := context.Cause(runCtx); errors.Is(cause, ErrContract) {
+		err = cause // a breach outranks whatever else ended the run
+	}
+	rt.res.Broadcasts, rt.res.Discards = rt.broadcasts.Load(), rt.discards.Load()
 	rt.res.Elapsed = time.Since(rt.started)
-	out := rt.res
-	rt.resMu.Unlock()
-	return out, err
+	return rt.res, err
+}
+
+// timers is the in-process MAC: one goroutine per broadcast sleeps out
+// randomized per-neighbor delays within (0, Fack/2], then the ack within
+// the Fack budget.
+type timers struct {
+	rt   *Runtime
+	half time.Duration
+	mu   sync.Mutex
+	rng  *rand.Rand
+	wg   sync.WaitGroup
+}
+
+func (t *timers) Expose(*metrics.Registry) {}
+
+func (t *timers) Close() { t.wg.Wait() }
+
+func (t *timers) Broadcast(sender int, m amac.Message) {
+	nbrs := t.rt.graph.Neighbors(sender)
+	type hop struct {
+		to    int
+		delay time.Duration
+	}
+	hops := make([]hop, len(nbrs))
+	t.mu.Lock()
+	for i, v := range nbrs {
+		hops[i] = hop{v, time.Duration(t.rng.Int63n(int64(t.half))) + 1}
+	}
+	slack := time.Duration(t.rng.Int63n(int64(t.half)))
+	t.mu.Unlock()
+	// Deliver in delay order; sleeping the increments keeps one goroutine
+	// per broadcast.
+	sort.SliceStable(hops, func(i, j int) bool { return hops[i].delay < hops[j].delay })
+	ackDelay := slack
+	if len(hops) > 0 {
+		ackDelay += hops[len(hops)-1].delay
+	}
+
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		start := time.Now()
+		for _, h := range hops {
+			if !t.sleepUntil(start.Add(h.delay)) {
+				return
+			}
+			t.rt.Deliver(sender, h.to, m)
+		}
+		if t.sleepUntil(start.Add(ackDelay)) {
+			t.rt.Ack(sender, m)
+		}
+	}()
+}
+
+// sleepUntil sleeps until the deadline or the end of the run; it reports
+// whether the run is still live.
+func (t *timers) sleepUntil(deadline time.Time) bool {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-t.rt.done:
+		return false
+	case <-timer.C:
+		return true
+	}
 }

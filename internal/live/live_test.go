@@ -3,17 +3,23 @@ package live
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/baseline/floodpaxos"
-	"github.com/absmac/absmac/internal/baseline/gatherall"
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/metrics"
 )
+
+// The algorithm-facing contract of the runtime, over this package's timer
+// MAC as over the others, is checked by TestSubstrateContract in
+// internal/netmac (the one package that can see all three substrates).
+// The tests here are the runtime's own: what it does around a MAC.
 
 func mixed(n int) []amac.Value {
 	inputs := make([]amac.Value, n)
@@ -23,57 +29,73 @@ func mixed(n int) []amac.Value {
 	return inputs
 }
 
-func TestTwoPhaseOnClique(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		inputs := mixed(8)
-		res, err := Run(context.Background(), Config{
-			Graph:   graph.Clique(8),
-			Inputs:  inputs,
-			Factory: twophase.Factory,
-			Fack:    2 * time.Millisecond,
-			Seed:    seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		rep := res.Report(inputs)
-		if !rep.OK() {
-			t.Fatalf("seed %d: %v", seed, rep.Errors)
-		}
+// fakeMAC delivers and acks synchronously inside Broadcast, so a run over it
+// needs no timers or sockets. targets, when set, replaces the sender's
+// neighbor row as the list of nodes delivered to — the way to break the
+// contract on purpose.
+type fakeMAC struct {
+	rt      *Runtime
+	targets func(sender int, nbrs []int) []int
+}
+
+func (f *fakeMAC) Broadcast(sender int, m amac.Message) {
+	to := f.rt.graph.Neighbors(sender)
+	if f.targets != nil {
+		to = f.targets(sender, to)
+	}
+	for _, v := range to {
+		f.rt.Deliver(sender, v, m)
+	}
+	f.rt.Ack(sender, m)
+}
+func (f *fakeMAC) Expose(*metrics.Registry) {}
+func (f *fakeMAC) Close()                   {}
+
+func runFake(ctx context.Context, cfg Config, targets func(int, []int) []int) (*Result, error) {
+	return RunMAC(ctx, cfg, func(rt *Runtime) (MAC, error) {
+		return &fakeMAC{rt: rt, targets: targets}, nil
+	})
+}
+
+func TestFakeMACDecides(t *testing.T) {
+	inputs := mixed(5)
+	res, err := runFake(context.Background(), Config{Graph: graph.Clique(5), Inputs: inputs, Factory: twophase.Factory}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := res.Report(inputs); !rep.OK() {
+		t.Fatal(rep.Errors)
 	}
 }
 
-func TestWPaxosOnMultihop(t *testing.T) {
-	cases := []*graph.Graph{
-		graph.Line(7),
-		graph.Grid(3, 3),
-		graph.RandomConnected(12, 0.2, 4),
-	}
-	for i, g := range cases {
-		inputs := mixed(g.N())
-		audit := wpaxos.NewCountAudit()
-		res, err := Run(context.Background(), Config{
-			Graph:   g,
-			Inputs:  inputs,
-			Factory: wpaxos.NewFactory(wpaxos.Config{N: g.N(), Audit: audit}),
-			Fack:    2 * time.Millisecond,
-			Seed:    int64(i),
+// TestContractViolations: a MAC that does not give every neighbor the
+// broadcast, once, before the ack ends the run with ErrContract naming the
+// sender — whatever the algorithm would have made of it.
+func TestContractViolations(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		targets func(sender int, nbrs []int) []int
+		want    string
+	}{
+		{"ack with one delivery outstanding", func(_ int, nbrs []int) []int { return nbrs[1:] }, "acked with 1 deliveries outstanding"},
+		{"delivers twice", func(_ int, nbrs []int) []int { return append([]int{nbrs[0]}, nbrs...) }, "more than once"},
+		{"delivers to a non-neighbor", func(sender int, _ []int) []int { return []int{(sender + 2) % 4} }, "non-neighbor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// ring:4, so that node i and node i+2 are not neighbors.
+			res, err := runFake(context.Background(), Config{Graph: graph.Ring(4), Inputs: mixed(4), Factory: twophase.Factory}, tc.targets)
+			if !errors.Is(err, ErrContract) || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "node ") {
+				t.Fatalf("err = %v, want ErrContract naming the sender and %q", err, tc.want)
+			}
+			if res == nil {
+				t.Fatal("no result beside the contract error")
+			}
 		})
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		rep := res.Report(inputs)
-		if !rep.OK() {
-			t.Fatalf("case %d: %v", i, rep.Errors)
-		}
-		if v := audit.Violations(); len(v) != 0 {
-			t.Fatalf("case %d: Lemma 4.2 violated live: %v", i, v)
-		}
 	}
 }
 
 // TestPaxosFactoriesDoNotRecycleLiveMessages runs the two factories whose
-// nodes recycle send buffers on the simulator: this substrate hands the
+// nodes recycle send buffers on the simulator: this runtime hands the
 // message pointer to concurrently running receivers and does not declare
 // amac.NodeConfig.AckAfterHandlers, so the nodes must allocate per
 // broadcast — under -race, a recycled buffer is a reported data race.
@@ -103,29 +125,8 @@ func TestPaxosFactoriesDoNotRecycleLiveMessages(t *testing.T) {
 	}
 }
 
-func TestGatherAllLive(t *testing.T) {
-	g := graph.Ring(9)
-	inputs := mixed(9)
-	res, err := Run(context.Background(), Config{
-		Graph:   g,
-		Inputs:  inputs,
-		Factory: gatherall.NewFactory(9),
-		Fack:    time.Millisecond,
-		Seed:    42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Report(inputs)
-	if !rep.OK() || rep.Value != 0 {
-		t.Fatalf("report %+v errors %v", rep, rep.Errors)
-	}
-	if res.Broadcasts == 0 {
-		t.Fatal("no broadcasts counted")
-	}
-}
-
-// stubborn never decides; used to exercise the timeout path.
+// stubborn never decides and always has a broadcast in flight, so timeout
+// and cancellation tear the run down with traffic in the mailboxes.
 type stubborn struct{ api amac.API }
 
 func (s *stubborn) Start(api amac.API) {
@@ -139,20 +140,26 @@ type beat struct{}
 
 func (beat) IDCount() int { return 0 }
 
-func TestTimeout(t *testing.T) {
-	inputs := mixed(2)
-	res, err := Run(context.Background(), Config{
+func stubbornConfig() Config {
+	return Config{
 		Graph:   graph.Clique(2),
-		Inputs:  inputs,
+		Inputs:  mixed(2),
 		Factory: func(amac.NodeConfig) amac.Algorithm { return &stubborn{} },
-		Fack:    time.Millisecond,
-		Timeout: 50 * time.Millisecond,
-	})
+	}
+}
+
+func TestTimeout(t *testing.T) {
+	cfg := stubbornConfig()
+	cfg.Timeout = 50 * time.Millisecond
+	res, err := runFake(context.Background(), cfg, nil)
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if res.Decided[0] || res.Decided[1] {
 		t.Fatal("stubborn nodes decided")
+	}
+	if res.Broadcasts == 0 || res.Elapsed < cfg.Timeout {
+		t.Fatalf("result does not reflect the progress made: %+v", res)
 	}
 }
 
@@ -162,14 +169,16 @@ func TestContextCancellation(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := Run(ctx, Config{
-		Graph:   graph.Clique(2),
-		Inputs:  mixed(2),
-		Factory: func(amac.NodeConfig) amac.Algorithm { return &stubborn{} },
-		Fack:    time.Millisecond,
-	})
-	if err != context.Canceled {
+	if _, err := runFake(ctx, stubbornConfig(), nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestOpenFailure(t *testing.T) {
+	boom := errors.New("boom")
+	res, err := RunMAC(context.Background(), stubbornConfig(), func(*Runtime) (MAC, error) { return nil, boom })
+	if res != nil || err != boom {
+		t.Fatalf("RunMAC = %v, %v; want nil, boom", res, err)
 	}
 }
 
@@ -190,17 +199,16 @@ func TestConfigValidationPanics(t *testing.T) {
 					t.Fatal("expected panic")
 				}
 			}()
-			Run(context.Background(), tc.cfg)
+			runFake(context.Background(), tc.cfg, nil)
 		})
 	}
 }
 
 func TestNowStrictlyIncreasing(t *testing.T) {
-	rt := &runtime{}
-	api := &liveAPI{rt: rt}
-	prev := api.Now()
+	a := &api{rt: &Runtime{}}
+	prev := a.Now()
 	for i := 0; i < 100; i++ {
-		next := api.Now()
+		next := a.Now()
 		if next <= prev {
 			t.Fatalf("Now went from %d to %d", prev, next)
 		}
@@ -233,7 +241,7 @@ func TestMetricsExposition(t *testing.T) {
 	if out == "" {
 		t.Skip("run finished before the first exposition tick")
 	}
-	for _, want := range []string{"# 2", "elapsed=", "live_broadcasts ", "live_decided "} {
+	for _, want := range []string{"# 2", "elapsed=", "live_broadcasts ", "live_discards ", "live_decided "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition output missing %q:\n%s", want, out)
 		}

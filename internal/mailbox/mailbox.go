@@ -1,8 +1,8 @@
 // Package mailbox provides an unbounded multi-producer single-consumer
 // queue. The abstract MAC layer model has no backpressure on receives —
-// deliveries happen when the scheduler says so — so both concurrent
-// substrates (internal/live and internal/netmac) funnel deliveries and
-// acknowledgments through one of these per node.
+// deliveries happen when the scheduler says so — so the wall-clock runtime
+// (internal/live) funnels every MAC's deliveries and acknowledgments
+// through one of these per node.
 package mailbox
 
 import "sync"

@@ -1,9 +1,11 @@
-// Package netmac is the repository's third substrate for the abstract MAC
-// layer model: the same amac.Algorithm state machines run over real UDP
-// sockets on the loopback interface, with gob-encoded wire messages and an
-// application-level reliability layer (per-neighbor retransmission until
-// acknowledged) that supplies exactly the model's contract — a broadcast
-// reaches every neighbor, then the sender gets its acknowledgment.
+// Package netmac is a MAC for the wall-clock runtime (internal/live) made
+// of real UDP sockets on the loopback interface: gob-encoded wire messages
+// and an application-level reliability layer (per-neighbor retransmission
+// until acknowledged) that supplies exactly the model's contract — a
+// broadcast reaches every neighbor, then the sender gets its
+// acknowledgment. Everything an algorithm can observe (the amac.API, the
+// node loops, termination) is the runtime's; this package only moves
+// messages, and the runtime checks that it moves them in the right order.
 //
 // This is the paper's deployment claim taken literally (Section 1: "our
 // upper bounds can be easily implemented in real wireless devices on
@@ -17,9 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -28,7 +28,6 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/graph"
 	"github.com/absmac/absmac/internal/live"
-	"github.com/absmac/absmac/internal/mailbox"
 	"github.com/absmac/absmac/internal/metrics"
 )
 
@@ -55,34 +54,10 @@ type packet struct {
 	Payload []byte
 }
 
-// Config describes one UDP execution.
-type Config struct {
-	// Graph, Inputs, Factory, IDs: as in the other substrates.
-	Graph   *graph.Graph
-	Inputs  []amac.Value
-	Factory amac.Factory
-	IDs     []amac.NodeID
-	// RTO is the retransmission interval; 0 means DefaultRTO.
-	RTO time.Duration
-	// Timeout bounds the whole run; 0 means DefaultTimeout.
-	Timeout time.Duration
-	// MetricsInterval and MetricsOut enable periodic flight-recorder
-	// exposition exactly as in the live substrate (live.ExposeMetrics),
-	// extended with the wire-level counters.
-	MetricsInterval time.Duration
-	MetricsOut      io.Writer
-}
-
-// DefaultRTO is the retransmission interval when Config.RTO is zero.
+// DefaultRTO is the retransmission interval when Run is given zero.
 const DefaultRTO = 5 * time.Millisecond
 
-// DefaultTimeout bounds runs when Config.Timeout is zero.
-const DefaultTimeout = 30 * time.Second
-
-// ErrTimeout reports that the run timed out before every node decided.
-var ErrTimeout = errors.New("netmac: run timed out before all nodes decided")
-
-// Result extends the live substrate's result with wire-level counters.
+// Result extends the runtime's result with wire-level counters.
 type Result struct {
 	live.Result
 	// PacketsSent counts UDP datagrams sent (data and acks).
@@ -91,377 +66,226 @@ type Result struct {
 	BytesSent int64
 	// Retransmits counts data datagrams beyond each neighbor's first.
 	Retransmits int64
+	// Dropped counts received datagrams discarded as not ours: undecodable,
+	// or not from the socket of the neighbor they name.
+	Dropped int64
 }
 
-// event is a mailbox entry.
-type event struct {
-	ack bool
-	msg amac.Message
-}
-
-// node is the per-node network runtime.
+// node is one node's socket and reliability state.
 type node struct {
-	idx   int
-	conn  *net.UDPConn
-	box   *mailbox.Mailbox[event]
-	peers []*net.UDPAddr // by node index; nil for non-neighbors
+	idx       int
+	conn      *net.UDPConn
+	peers     []*net.UDPAddr // by node index; nil for non-neighbors
+	delivered []int64        // highest seq delivered, per sender; the reader's alone
 
-	mu            sync.Mutex
-	lastDelivered map[int]int64 // highest seq delivered, per sender
-	pendingSeq    int64         // broadcast awaiting app-level acks
-	pendingWait   map[int]bool  // neighbors yet to ack
-	pendingMsg    amac.Message
+	mu      sync.Mutex
+	seq     int64        // the broadcast awaiting wire acks
+	waiting map[int]bool // neighbors yet to ack seq
 }
 
-type runtime struct {
-	cfg     Config
-	rto     time.Duration
-	nodes   []*node
-	clock   atomic.Int64
-	started time.Time
+// udp implements live.MAC.
+type udp struct {
+	rt    *live.Runtime
+	rto   time.Duration
+	nodes []*node
+	wg    sync.WaitGroup // readers and retransmission loops
 
-	resMu      sync.Mutex
-	res        *Result
-	undecided  atomic.Int64
-	allDecided chan struct{}
-
-	ctx context.Context
-	wg  sync.WaitGroup
+	packets, bytes, retransmits, dropped atomic.Int64
 }
 
-type api struct {
-	rt       *runtime
-	nd       *node
-	inflight bool
-}
-
-func (a *api) ID() amac.NodeID {
-	ids := a.rt.cfg.IDs
-	return ids[a.nd.idx]
-}
-
-func (a *api) Now() int64 { return a.rt.clock.Add(1) }
-
-func (a *api) Broadcast(m amac.Message) bool {
-	if m == nil {
-		panic(fmt.Sprintf("netmac: node %d broadcast a nil message", a.nd.idx))
+// open binds one loopback socket per node, wires neighbor addresses and
+// starts the readers.
+func open(rt *live.Runtime, g *graph.Graph, rto time.Duration) (*udp, error) {
+	n := g.N()
+	u := &udp{rt: rt, rto: rto, nodes: make([]*node, n)}
+	addrs := make([]*net.UDPAddr, n)
+	for i := range u.nodes {
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			for _, nd := range u.nodes[:i] {
+				nd.conn.Close()
+			}
+			return nil, fmt.Errorf("netmac: listen: %w", err)
+		}
+		u.nodes[i] = &node{
+			idx:       i,
+			conn:      conn,
+			peers:     make([]*net.UDPAddr, n),
+			delivered: make([]int64, n),
+			waiting:   make(map[int]bool),
+		}
+		addrs[i] = conn.LocalAddr().(*net.UDPAddr)
 	}
-	if a.inflight {
-		return false
+	for i, nd := range u.nodes {
+		for _, v := range g.Neighbors(i) {
+			nd.peers[v] = addrs[v]
+		}
+		u.wg.Add(1)
+		go u.reader(nd)
 	}
-	a.inflight = true
-	a.rt.broadcast(a.nd, m)
-	return true
+	return u, nil
 }
 
-func (a *api) Decide(v amac.Value) {
-	rt := a.rt
-	i := a.nd.idx
-	rt.resMu.Lock()
-	already := rt.res.Decided[i]
-	if !already {
-		rt.res.Decided[i] = true
-		rt.res.Decision[i] = v
-		rt.res.DecideTime[i] = time.Since(rt.started)
-	}
-	rt.resMu.Unlock()
-	if !already && rt.undecided.Add(-1) == 0 {
-		close(rt.allDecided)
-	}
-}
-
-// broadcast starts the reliability loop for one broadcast: transmit to
-// every unacked neighbor each RTO until all acked, then deliver the MAC
-// ack to the sender's own mailbox.
-func (rt *runtime) broadcast(nd *node, m amac.Message) {
+func encode(v any) []byte {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(envelope{M: m}); err != nil {
-		panic(fmt.Sprintf("netmac: encoding %T: %v (did you RegisterMessages it?)", m, err))
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		panic(fmt.Sprintf("netmac: encoding %T: %v (did you RegisterMessages it?)", v, err))
 	}
-	payload := buf.Bytes()
+	return buf.Bytes()
+}
 
+// Broadcast starts the reliability loop for one broadcast: transmit to
+// every unacked neighbor each RTO until all have acked, then ack the
+// sender.
+func (u *udp) Broadcast(sender int, m amac.Message) {
+	payload := encode(envelope{M: m})
+	nd := u.nodes[sender]
 	nd.mu.Lock()
-	nd.pendingSeq++
-	seq := nd.pendingSeq
-	nd.pendingWait = make(map[int]bool)
+	nd.seq++
+	seq := nd.seq
 	for v, addr := range nd.peers {
 		if addr != nil {
-			nd.pendingWait[v] = true
+			nd.waiting[v] = true
 		}
 	}
-	nd.pendingMsg = m
-	done := len(nd.pendingWait) == 0
 	nd.mu.Unlock()
+	wire := encode(packet{Node: sender, Seq: seq, Payload: payload})
 
-	rt.resMu.Lock()
-	rt.res.Broadcasts++
-	rt.resMu.Unlock()
-
-	if done {
-		// No neighbors (n=1): ack immediately.
-		nd.box.Push(event{ack: true, msg: m})
-		return
-	}
-
-	pkt := packet{Node: nd.idx, Seq: seq, Payload: payload}
-	rt.wg.Add(1)
+	u.wg.Add(1)
 	go func() {
-		defer rt.wg.Done()
-		first := true
-		ticker := time.NewTicker(rt.rto)
+		defer u.wg.Done()
+		ticker := time.NewTicker(u.rto)
 		defer ticker.Stop()
-		for {
+		for first := true; ; first = false {
 			nd.mu.Lock()
-			if nd.pendingSeq != seq {
-				nd.mu.Unlock()
-				return // superseded (cannot happen: one broadcast at a time) or done
-			}
-			targets := make([]int, 0, len(nd.pendingWait))
-			for v, waiting := range nd.pendingWait {
-				if waiting {
-					targets = append(targets, v)
-				}
+			targets := make([]int, 0, len(nd.waiting))
+			for v := range nd.waiting {
+				targets = append(targets, v)
 			}
 			nd.mu.Unlock()
 			if len(targets) == 0 {
-				nd.box.Push(event{ack: true, msg: m})
+				u.rt.Ack(sender, m)
 				return
 			}
 			for _, v := range targets {
-				rt.send(nd, nd.peers[v], pkt, !first)
+				if u.send(nd, nd.peers[v], wire) && !first {
+					u.retransmits.Add(1)
+				}
 			}
-			first = false
 			select {
 			case <-ticker.C:
-			case <-rt.ctx.Done():
+			case <-u.rt.Done():
 				return
 			}
 		}
 	}()
 }
 
-// send transmits one packet and accounts for it.
-func (rt *runtime) send(nd *node, to *net.UDPAddr, pkt packet, retransmit bool) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pkt); err != nil {
-		panic(fmt.Sprintf("netmac: packet encode: %v", err))
-	}
-	n, err := nd.conn.WriteToUDP(buf.Bytes(), to)
+// send transmits one encoded packet and accounts for it. Transient send
+// errors are just "loss": the RTO loop retries.
+func (u *udp) send(nd *node, to *net.UDPAddr, wire []byte) bool {
+	n, err := nd.conn.WriteToUDP(wire, to)
 	if err != nil {
-		return // transient send errors are just "loss"; the RTO loop retries
+		return false
 	}
-	rt.resMu.Lock()
-	rt.res.PacketsSent++
-	rt.res.BytesSent += int64(n)
-	if retransmit && !pkt.Ack {
-		rt.res.Retransmits++
-	}
-	rt.resMu.Unlock()
+	u.packets.Add(1)
+	u.bytes.Add(int64(n))
+	return true
 }
 
-// expose is the UDP substrate's exposition goroutine body: the live
-// substrate's loop (live.ExposeMetrics) over the wire-level counters.
-func (rt *runtime) expose(every time.Duration, w io.Writer) {
-	setCounter := func(c metrics.Counter, total int64) { c.Add(total - c.Value()) }
-	live.ExposeMetrics(rt.ctx, w, every, rt.started, func(reg *metrics.Registry) {
-		rt.resMu.Lock()
-		b, pkts, bytes, rtx := rt.res.Broadcasts, rt.res.PacketsSent, rt.res.BytesSent, rt.res.Retransmits
-		var dec int64
-		for _, x := range rt.res.Decided {
-			if x {
-				dec++
-			}
-		}
-		rt.resMu.Unlock()
-		setCounter(reg.Counter("net_broadcasts"), b)
-		setCounter(reg.Counter("net_packets_sent"), pkts)
-		setCounter(reg.Counter("net_bytes_sent"), bytes)
-		setCounter(reg.Counter("net_retransmits"), rtx)
-		reg.Gauge("net_decided").Set(dec)
-	})
-}
-
-// reader is the per-node socket loop: decode packets, deliver fresh data
-// (acking every data packet, fresh or not), and clear reliability state on
-// acks.
-func (rt *runtime) reader(nd *node) {
-	defer rt.wg.Done()
+// reader is the per-node socket loop; it ends when Close closes the socket.
+func (u *udp) reader(nd *node) {
+	defer u.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
-		n, _, err := nd.conn.ReadFromUDP(buf)
+		n, from, err := nd.conn.ReadFromUDP(buf)
 		if err != nil {
-			return // socket closed: run over
+			return
 		}
-		var pkt packet
-		if err := gob.NewDecoder(bytes.NewReader(buf[:n])).Decode(&pkt); err != nil {
-			continue // garbage datagram: drop, as a radio would
+		if !u.receive(nd, from, buf[:n]) {
+			u.dropped.Add(1)
 		}
-		if pkt.Ack {
-			nd.mu.Lock()
-			if pkt.Seq == nd.pendingSeq {
-				delete(nd.pendingWait, pkt.Node)
-			}
-			nd.mu.Unlock()
-			continue
-		}
-		sender := pkt.Node
-		if sender < 0 || sender >= len(nd.peers) || nd.peers[sender] == nil {
-			continue // not a neighbor: a radio would not even hear it
-		}
-		// Always (re-)ack data; deliver only the next fresh sequence.
-		rt.send(nd, nd.peers[sender], packet{Ack: true, Node: nd.idx, Seq: pkt.Seq}, false)
-		nd.mu.Lock()
-		fresh := pkt.Seq == nd.lastDelivered[sender]+1
-		if fresh {
-			nd.lastDelivered[sender] = pkt.Seq
-		}
-		nd.mu.Unlock()
-		if !fresh {
-			continue
-		}
-		var env envelope
-		if err := gob.NewDecoder(bytes.NewReader(pkt.Payload)).Decode(&env); err != nil {
-			panic(fmt.Sprintf("netmac: payload decode: %v (unregistered message type?)", err))
-		}
-		nd.box.Push(event{msg: env.M})
 	}
 }
 
-// Run executes the configuration over loopback UDP until every node
-// decides, the context is canceled, or the timeout elapses.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Graph == nil {
-		panic("netmac: Config.Graph is nil")
+// receive handles one datagram: clear reliability state on an ack; deliver
+// fresh data and ack every data packet, fresh or not. The port is open to
+// any local process, so it reports false — drop, as a radio would — for
+// whatever does not decode or does not come from the socket of the neighbor
+// it names.
+func (u *udp) receive(nd *node, from *net.UDPAddr, datagram []byte) bool {
+	var pkt packet
+	if err := gob.NewDecoder(bytes.NewReader(datagram)).Decode(&pkt); err != nil {
+		return false
 	}
-	n := cfg.Graph.N()
-	if len(cfg.Inputs) != n {
-		panic(fmt.Sprintf("netmac: %d inputs for %d nodes", len(cfg.Inputs), n))
+	if pkt.Node < 0 || pkt.Node >= len(nd.peers) {
+		return false
 	}
-	if cfg.Factory == nil {
-		panic("netmac: Config.Factory is nil")
+	peer := nd.peers[pkt.Node]
+	if peer == nil || peer.Port != from.Port || !peer.IP.Equal(from.IP) {
+		return false
 	}
-	if cfg.IDs == nil {
-		cfg.IDs = make([]amac.NodeID, n)
-		for i := range cfg.IDs {
-			cfg.IDs[i] = amac.NodeID(i + 1)
+	if pkt.Ack {
+		nd.mu.Lock()
+		if pkt.Seq == nd.seq {
+			delete(nd.waiting, pkt.Node)
 		}
+		nd.mu.Unlock()
+		return true
 	}
-	if len(cfg.IDs) != n {
-		panic(fmt.Sprintf("netmac: %d ids for %d nodes", len(cfg.IDs), n))
+	if pkt.Seq == nd.delivered[pkt.Node]+1 {
+		var env envelope
+		if err := gob.NewDecoder(bytes.NewReader(pkt.Payload)).Decode(&env); err != nil {
+			return false
+		}
+		nd.delivered[pkt.Node] = pkt.Seq
+		// Enqueue, then ack on the wire: the sender's MAC ack is released
+		// by the last wire ack, so it cannot overtake this delivery.
+		u.rt.Deliver(pkt.Node, nd.idx, env.M)
 	}
-	rto := cfg.RTO
+	u.send(nd, peer, encode(packet{Ack: true, Node: nd.idx, Seq: pkt.Seq}))
+	return true
+}
+
+func (u *udp) Expose(reg *metrics.Registry) {
+	reg.Counter("net_packets_sent").Add(u.packets.Load())
+	reg.Counter("net_bytes_sent").Add(u.bytes.Load())
+	reg.Counter("net_retransmits").Add(u.retransmits.Load())
+	reg.Counter("net_dropped").Add(u.dropped.Load())
+}
+
+// Close closes the sockets, which ends the readers, and waits for them and
+// for the retransmission loops (which end on the runtime's Done).
+func (u *udp) Close() {
+	for _, nd := range u.nodes {
+		nd.conn.Close()
+	}
+	u.wg.Wait()
+}
+
+// Run executes the configuration over loopback UDP, retransmitting every
+// rto (0 means DefaultRTO), until every node decides, the context is
+// canceled, or cfg.Timeout elapses. Validation, defaults and errors are
+// live.Run's; cfg.Fack and cfg.Seed are unused.
+func Run(ctx context.Context, cfg live.Config, rto time.Duration) (*Result, error) {
 	if rto <= 0 {
 		rto = DefaultRTO
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	rt := &runtime{
-		cfg:        cfg,
-		rto:        rto,
-		nodes:      make([]*node, n),
-		allDecided: make(chan struct{}),
-		ctx:        runCtx,
-		started:    time.Now(),
-		res: &Result{Result: live.Result{
-			Decided:    make([]bool, n),
-			Decision:   make([]amac.Value, n),
-			DecideTime: make([]time.Duration, n),
-		}},
-	}
-	rt.undecided.Store(int64(n))
-
-	// Open every socket first, then wire neighbor addresses.
-	addrs := make([]*net.UDPAddr, n)
-	for i := 0; i < n; i++ {
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			for j := 0; j < i; j++ {
-				rt.nodes[j].conn.Close()
-			}
-			return nil, fmt.Errorf("netmac: listen: %w", err)
+	var u *udp
+	res, err := live.RunMAC(ctx, cfg, func(rt *live.Runtime) (mac live.MAC, err error) {
+		if u, err = open(rt, cfg.Graph, rto); err != nil {
+			return nil, err
 		}
-		rt.nodes[i] = &node{
-			idx:           i,
-			conn:          conn,
-			box:           mailbox.New[event](),
-			lastDelivered: make(map[int]int64),
-		}
-		addrs[i] = conn.LocalAddr().(*net.UDPAddr)
+		return u, nil
+	})
+	if res == nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		rt.nodes[i].peers = make([]*net.UDPAddr, n)
-		for _, v := range cfg.Graph.Neighbors(i) {
-			rt.nodes[i].peers[v] = addrs[v]
-		}
-	}
-
-	algs := make([]amac.Algorithm, n)
-	for i := 0; i < n; i++ {
-		algs[i] = cfg.Factory(amac.NodeConfig{ID: cfg.IDs[i], Input: cfg.Inputs[i]})
-		if algs[i] == nil {
-			panic(fmt.Sprintf("netmac: factory returned nil algorithm for node %d", i))
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		rt.wg.Add(1)
-		go rt.reader(rt.nodes[i])
-	}
-	if cfg.MetricsInterval > 0 && cfg.MetricsOut != nil {
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			rt.expose(cfg.MetricsInterval, cfg.MetricsOut)
-		}()
-	}
-	var loops sync.WaitGroup
-	for i := 0; i < n; i++ {
-		loops.Add(1)
-		go func(i int) {
-			defer loops.Done()
-			a := &api{rt: rt, nd: rt.nodes[i]}
-			algs[i].Start(a)
-			for {
-				ev, ok := rt.nodes[i].box.Pop()
-				if !ok {
-					return
-				}
-				if ev.ack {
-					a.inflight = false
-					algs[i].OnAck(ev.msg)
-				} else {
-					algs[i].OnReceive(ev.msg)
-				}
-			}
-		}(i)
-	}
-
-	var err error
-	select {
-	case <-rt.allDecided:
-	case <-time.After(timeout):
-		err = ErrTimeout
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-
-	cancel()
-	for _, nd := range rt.nodes {
-		nd.conn.Close() // unblocks readers
-		nd.box.Close()  // unblocks event loops
-	}
-	loops.Wait()
-	rt.wg.Wait()
-
-	rt.resMu.Lock()
-	rt.res.Elapsed = time.Since(rt.started)
-	out := rt.res
-	rt.resMu.Unlock()
-	return out, err
+	return &Result{
+		Result:      *res,
+		PacketsSent: u.packets.Load(),
+		BytesSent:   u.bytes.Load(),
+		Retransmits: u.retransmits.Load(),
+		Dropped:     u.dropped.Load(),
+	}, err
 }
