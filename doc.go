@@ -243,22 +243,69 @@
 // # wPAXOS per-node state and the n² budget
 //
 // Theorem 4.6 has wPAXOS decide in O(D·Fack) — long before a node has
-// heard from all n peers. On expander:4096:8 a node knows 270–380 of the
-// 4096 roots when it decides, yet every delivery looks up the root, the
-// gossiped origin, the announced member and the flooded proposition. The
-// contract for that state, all of it in internal/core/wpaxos:
+// heard from all n peers — and routes every aggregated response up one
+// tree, the one rooted at the receiver's current leader estimate. A node
+// therefore stores and relays only what can still be used; n nodes that
+// each remember every id they hear of are the n² this section is named
+// after. The contract, all of it in internal/core/wpaxos:
 //
-//   - Tables are sized by the ids a node has heard, never by n. The tree
-//     service's (parent, dist, pending) per root and the acceptor-state
-//     gossip's latest StateMsg per origin live in idTable: an append-only
-//     entry slice in insertion order plus an open-addressed []int32 slot
-//     index over it (multiplicative hash, linear probing, load ≤ 1/2,
-//     re-threaded only on growth). Keys are arbitrary NodeIDs — sparse,
+//   - What is kept. The tree service tracks (parent, dist, pending) for
+//     the node itself and for the roots that can be its leader estimate —
+//     a short slice sorted by root, a handful of entries. The state gossip
+//     keeps the latest StateMsg of the origins some counter can still
+//     count, in an idTable (an append-only entry slice in insertion order
+//     plus an open-addressed []int32 slot index: multiplicative hash,
+//     linear probing, load ≤ 1/2, re-threaded on growth and on retain)
+//     beside the sorted gossip cycle. Keys are arbitrary NodeIDs — sparse,
 //     shuffled or negative ids take the same path as 1..n — and nothing
-//     iterates a Go map, so there is no order for detlint to police.
-//   - Pointer validity: find and insert return pointers into the entry
-//     slice, valid until the next insert on that table. Callers use them
-//     at once and never hold one across a call that may insert.
+//     iterates a Go map, so there is no order for detlint to police. The
+//     wpaxos_tree_roots and wpaxos_state_origins gauges are the largest of
+//     each table any node held; Node.WorkingSet reads one node's.
+//   - Rule 1, trees: a root is tracked only while it can be this node's
+//     leader estimate. A <search> for a root below Ω, or for a suspected
+//     root, is dropped before any lookup and is not novel to the detector
+//     (without a suspicion Ω only rises, so such a root is never routed
+//     toward); whenever Ω moves, the roots below it other than the node
+//     itself leave the table, the idle cycle and the pending queue.
+//     Suspected roots above Ω stay, frozen: a wrap may re-promote them,
+//     and a falsely suspected leader that never fired would not
+//     re-advertise its own tree.
+//   - Rule 2, gossip: another origin's acceptor state is stored and
+//     relayed only while some counter can still count it — it carries an
+//     acceptance (the chosen-value watch counts those whatever their
+//     number), or its promise is at least the highest proposition number
+//     this node has seen (the proposer tallies look at Promised == num,
+//     num < Promised and Accepted.Num == num, so a bare promise below that
+//     number can only serve a proposal it has already superseded). The
+//     rest is dropped before the table lookup, and when the highest number
+//     seen rises the entries that now fail the test leave table and cycle.
+//   - Own acceptor state is exempt from rule 2, always. "Acceptors must
+//     not forget their promises" (weave's ipam/paxos): promised and
+//     accepted live in acceptorState and are never pruned, and the node's
+//     own gossip entry — how everyone else hears of them — stays whatever
+//     it says, including the instant between a higher proposition
+//     entering the flood queue and the local acceptor answering it. What
+//     rules 1 and 2 drop is routing state and other nodes' state, both of
+//     which the network re-offers.
+//   - Rule 3, re-advertisement waits for a suspicion. Improvements are
+//     flooded once, pending-first, and over reliable edges that reaches
+//     every neighbor. The idle round-robin over the tracked roots (self
+//     included) is anti-entropy that runs only once this node's own
+//     detector has fired: a root ignored under rule 1 can only matter
+//     after a suspicion, and after one the fired nodes re-offer what they
+//     hold so the successor's tree forms over the region that demoted.
+//     This is observed, not configured, and it is load-bearing: an
+//     always-on cycle over {self, Ω} re-offers the leader's tree every
+//     other broadcast, lossy overlay edges then hand nodes
+//     shorter-but-lossy parents late, and each adoption is a change event
+//     that restarts the proposal (TestWPaxosLossyOverlayDecideTime). A
+//     node that has not fired neither tracks nor relays the successor's
+//     tree, exactly as it refuses to relay the successor's responses
+//     (queue invariant (1) of Section 4.2.1).
+//   - Pointer validity: idTable's find and insert return pointers into
+//     the entry slice, valid until the next insert or retain on that
+//     table; the tree service's entry pointers until its next receive or
+//     purge. Callers use them at once.
 //   - The one n-sized per-node structure is the Ω detector's membership
 //     bitset (n/64+1 words: 520 B per node, 2 MB in total at n = 4096).
 //     It answers Learn's "already a member?" with a bit test for ids in
@@ -272,28 +319,21 @@
 //     dominates it, so the table always describes the pending message).
 //     The queue is head-indexed over a reused backing array. Invariant:
 //     if the current leader is pending it is at the head — every change
-//     of the leader estimate goes through prioritize, other roots are
-//     only appended behind it, pop removes the head — so updateQ is O(1)
-//     for a root that is not pending and re-pins only when the root it
-//     enqueued is the leader. The map-based service this replaced lives
-//     on as the oracle of a differential test that checks the invariant
-//     after every call.
+//     of the leader estimate goes through purge and prioritize, other
+//     roots are only appended behind it, pop removes the head — so
+//     updateQ re-pins only when the root it enqueued is the leader. The
+//     map-based service that tracked every root lives on as the oracle of
+//     a differential test that drives receive, purge, prioritize and pop
+//     through both and checks the invariant after every call.
 //   - The proposer flood remembers the last proposition it looked up:
 //     the flood queue is sticky, so nearly every delivery repeats it and
 //     skips hashing the 24-byte key.
 //
-// Measured on decide_expander4096 (bench/, seed 1, n = 4096):
-// algo.live_bytes_per_node 29 045 B → 24 751 B, live_heap_mb
-// 115.4 → 99.1, alloc_mb_per_op 225.5 → 191.0, with every simulated
-// counter identical. Dense 0..n-1 slices for dist, parent and state —
-// the obvious alternative when ids are dense — were rejected on
-// arithmetic: 8 B × 4096² is 128 MB for dist and parent alone, more than
-// everything a run keeps live today, and they would need a second path
-// for sparse ids. Open addressing with inline 24-byte slots was as fast
-// as the compact table but cost 17 % more allocation and live heap. What
-// remains is memory latency: about five dependent cache misses per
-// delivery over a ~100 MB working set (the two finds and the bit test
-// are a third of the samples), which only n² memory would remove.
+// Dense 0..n-1 slices for dist, parent and state — the obvious
+// alternative when ids are dense — stay rejected on arithmetic (8 B ×
+// 4096² is 128 MB for dist and parent alone, and they would need a second
+// path for sparse ids). Measurements, before and after each change to
+// this contract, are in CHANGES.md.
 //
 // # Two-phase per-node state
 //

@@ -143,6 +143,10 @@ func (d *Detector) Members() []amac.NodeID { return d.members }
 // Suspects reports whether id is currently suspected.
 func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected[id] }
 
+// Fired reports whether this node's silence check has ever fired (the
+// bound multiplier has left 1): the node has seen a suspicion of its own.
+func (d *Detector) Fired() bool { return d.mult > 1 }
+
 // Learn adds id to the member set, reporting whether it was new. The
 // caller should compare Omega before and after: a newly learned maximum
 // takes over immediately (the paper's max-id election, now over a gossiped

@@ -7,15 +7,17 @@ import (
 )
 
 // idTable is a compact hash table keyed by node id, for per-node state
-// that grows with the ids a node has heard of (see doc.go, "wPAXOS
-// per-node state and the n² budget"). Entries live in one append-only
-// slice, in insertion order; idx is an open-addressed index over it
+// about the ids a node has heard of and still has a use for (see doc.go,
+// "wPAXOS per-node state and the n² budget"). Entries live in one slice,
+// in insertion order; idx is an open-addressed index over it
 // (multiplicative hash, linear probing, load at most 1/2) whose slots hold
 // entry positions, so growth re-threads 4-byte slots and never moves or
-// reorders an entry. Keys are arbitrary ids — nothing assumes 0..n-1.
+// reorders an entry; retain, the only removal, compacts the slice in
+// order and re-threads. Keys are arbitrary ids — nothing assumes 0..n-1.
 //
 // Pointers returned by find and insert point into the entry slice and are
-// invalid after the next insert. The zero value is an empty table.
+// invalid after the next insert or retain. The zero value is an empty
+// table.
 type idTable[V any] struct {
 	ents  []idEntry[V]
 	idx   []int32 // entry position + 1; 0 marks an empty slot
@@ -61,6 +63,28 @@ func (t *idTable[V]) insert(id amac.NodeID) *V {
 	t.ents = append(t.ents, idEntry[V]{id: id})
 	t.thread(len(t.ents) - 1)
 	return &t.ents[len(t.ents)-1].v
+}
+
+// retain drops the entries keep rejects, preserving the order of the
+// rest, and reports whether any left. Pointers into the table are invalid
+// afterwards.
+func (t *idTable[V]) retain(keep func(*V) bool) bool {
+	kept := t.ents[:0]
+	for i := range t.ents { // in place: keep sees the stored value, nothing is copied out
+		if keep(&t.ents[i].v) {
+			kept = append(kept, t.ents[i])
+		}
+	}
+	if len(kept) == len(t.ents) {
+		return false
+	}
+	clear(t.ents[len(kept):]) // let go of what the dropped values point to
+	t.ents = kept
+	clear(t.idx)
+	for p := range t.ents {
+		t.thread(p)
+	}
+	return true
 }
 
 // thread points the first free slot of entry p's probe sequence at it.

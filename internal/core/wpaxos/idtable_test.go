@@ -13,7 +13,8 @@ import (
 // side by side, writing through the returned pointers, and after every
 // insert batch verifies lookups of present and absent keys, that values
 // written earlier survived the growth in between, and that entries stay in
-// insertion order. It returns a description of the first mismatch.
+// insertion order; then it does the same across a retain. It returns a
+// description of the first mismatch.
 func checkIDTable(keys []amac.NodeID, absent []amac.NodeID) string {
 	var tbl idTable[[2]int64]
 	ref := map[amac.NodeID][2]int64{}
@@ -70,7 +71,40 @@ func checkIDTable(keys []amac.NodeID, absent []amac.NodeID) string {
 		v[1] = -7
 		ref[id] = v
 	}
-	return verify()
+	if msg := verify(); msg != "" {
+		return msg
+	}
+	// retain drops every third key in one pass; the rest keep their
+	// order and values, the dropped ones are gone and can come back.
+	var kept, dropped []amac.NodeID
+	for i, id := range order {
+		if i%3 == 1 {
+			dropped = append(dropped, id)
+			delete(ref, id)
+		} else {
+			kept = append(kept, id)
+		}
+	}
+	order = kept
+	if tbl.retain(func(v *[2]int64) bool { _, ok := ref[amac.NodeID(v[0])]; return ok }) != (len(dropped) > 0) {
+		return "retain misreports whether anything left"
+	}
+	if tbl.retain(func(*[2]int64) bool { return true }) {
+		return "a retain that keeps everything reports a removal"
+	}
+	absent = append(absent, dropped...)
+	if msg := verify(); msg != "" {
+		return "after retain: " + msg
+	}
+	for _, id := range dropped {
+		*tbl.insert(id) = [2]int64{int64(id), -7}
+		ref[id] = [2]int64{int64(id), -7}
+		order = append(order, id)
+	}
+	if msg := verify(); msg != "" {
+		return "after re-inserting what retain dropped: " + msg
+	}
+	return ""
 }
 
 func TestIDTableMatchesMap(t *testing.T) {

@@ -2,6 +2,7 @@ package wpaxos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -18,16 +19,18 @@ type Config struct {
 	// NoTreePriority disables the tree queue's leader-first pinning
 	// (Algorithm 4's UpdateQ optimization). Ablation only: Lemma 4.5's
 	// fast stabilization argument relies on the priority; correctness
-	// does not. Experiment E11's ablation row measures the difference.
+	// does not. Experiment E13 measures the difference.
 	NoTreePriority bool
 }
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
 // given configuration. Every call of the factory allocates a fresh node
 // with empty tables: nothing is pooled across nodes, runs or
-// Engine.Reset, and apart from the detector's N-bit membership set a
-// node's state grows with the ids it hears of, not with N (doc.go,
-// "wPAXOS per-node state and the n² budget"). What a node recycles, on
+// Engine.Reset. Apart from the detector's membership (an N-bit set and
+// the sorted ids heard of), a node keeps what it can still use, not what
+// it has heard: trees for the roots that can be its leader estimate and
+// the gossiped acceptor states a counter can still count (doc.go, "wPAXOS
+// per-node state and the n² budget"). What a node recycles, on
 // substrates that declare amac.NodeConfig.AckAfterHandlers, is its own
 // four per-pump send buffers (leader, search, response, state),
 // overwritten at the next pump; elsewhere every pump allocates fresh ones.
@@ -93,7 +96,8 @@ type Node struct {
 	// stateTbl holds the latest known acceptor state per origin (the
 	// weave ipam/paxos idiom): merged monotonically, gossiped cyclically,
 	// each entry re-broadcast until superseded by newer state from its
-	// origin. stateOrder is the sorted gossip cycle.
+	// origin — or, for another node's, until no counter can count it any
+	// more (countable). stateOrder is the sorted gossip cycle.
 	stateTbl   idTable[StateMsg]
 	stateOrder []amac.NodeID
 	stateCur   int
@@ -181,6 +185,10 @@ type nodeMetrics struct {
 	retries     metrics.Counter // proposals abandoned after a nack majority
 	nacks       metrics.Counter // negative fast-path responses consumed
 	retransmits metrics.Counter // sticky proposer-queue re-broadcasts
+	// The working set: the high-water marks are the largest tree table
+	// and the largest gossip table any node held.
+	treeRoots    metrics.Gauge // roots tracked by the tree service
+	stateOrigins metrics.Gauge // origins held in the state gossip table
 }
 
 // instrument registers the node's metric slots against r (nil-safe) and
@@ -191,6 +199,8 @@ func (nd *Node) instrument(r *metrics.Registry) {
 	nd.met.retries = r.Counter("wpaxos_retries")
 	nd.met.nacks = r.Counter("wpaxos_nacks")
 	nd.met.retransmits = r.Counter("wpaxos_retransmits")
+	nd.met.treeRoots = r.Gauge("wpaxos_tree_roots")
+	nd.met.stateOrigins = r.Gauge("wpaxos_state_origins")
 }
 
 // Start implements amac.Algorithm.
@@ -288,7 +298,7 @@ func (nd *Node) pump() {
 		if m := nd.change.pop(); m != nil {
 			c.Change = m
 		}
-		if m, ok := nd.tree.pop(); ok {
+		if m, ok := nd.tree.pop(nd.det.Fired()); ok {
 			if nd.reuse {
 				nd.bufs.search = m
 				c.Search = &nd.bufs.search
@@ -348,9 +358,9 @@ func (nd *Node) popResp() (ResponseMsg, bool) {
 	return ResponseMsg{}, false
 }
 
-// popState returns the next acceptor state in the gossip cycle. Entries
-// are never removed — each is re-broadcast until superseded in place by
-// newer state from its origin.
+// popState returns the next acceptor state in the gossip cycle: each is
+// re-broadcast until superseded in place by newer state from its origin,
+// or dropped by purgeStates.
 func (nd *Node) popState() (StateMsg, bool) {
 	if len(nd.stateOrder) == 0 {
 		return StateMsg{}, false
@@ -378,11 +388,13 @@ func (nd *Node) onLeader(m LeaderMsg) {
 	}
 }
 
-// onOmegaChange re-pins the tree queue and resets the fast-path response
-// queue invariants after the leader estimate moved (a new maximum member,
-// a demotion, or a wrap-around re-promotion).
+// onOmegaChange drops the trees the new estimate has overtaken, re-pins
+// the tree queue and resets the fast-path response queue invariants after
+// the leader estimate moved (a new maximum member, a demotion, or a
+// wrap-around re-promotion).
 func (nd *Node) onOmegaChange() {
 	nd.lastLeaderUpdate = nd.api.Now()
+	nd.tree.purge(nd.det.Omega())
 	// OnLeaderChange (Algorithm 4): re-pin the tree queue.
 	if !nd.noPri {
 		nd.tree.prioritize(nd.det.Omega())
@@ -395,13 +407,21 @@ func (nd *Node) onOmegaChange() {
 }
 
 func (nd *Node) onSearch(m SearchMsg) {
+	// A root is tracked only while it can be this node's leader estimate:
+	// responses are routed up Ω's tree alone, and a root below Ω or a
+	// suspected one is not Ω until a suspicion or a wrap says otherwise —
+	// after which the fired nodes re-advertise (treeService).
 	pin := nd.det.Omega()
+	if m.Root < pin || nd.det.Suspects(m.Root) {
+		return
+	}
 	if nd.noPri {
 		pin = amac.NoID
 	}
 	if !nd.tree.receive(m, pin) {
 		return
 	}
+	nd.met.treeRoots.Set(int64(len(nd.tree.ents)))
 	nd.det.Novel(nd.api.Now())
 	// Only improvements of the distance to the *current leader* are
 	// change events; see the package comment for why this reading of
@@ -490,9 +510,13 @@ func (nd *Node) noteLeaderNum(num ProposalNum) {
 // the same number).
 func (nd *Node) enqueueProp(m ProposerMsg) {
 	cur := nd.propQ
-	if cur == nil || cur.Num.Less(m.Num) || (cur.Num == m.Num && cur.Kind == Prepare && m.Kind == Propose) {
+	rose := cur == nil || cur.Num.Less(m.Num)
+	if rose || (cur.Num == m.Num && cur.Kind == Prepare && m.Kind == Propose) {
 		nd.propQ = &m
 		nd.propSent = false
+	}
+	if rose {
+		nd.purgeStates()
 	}
 }
 
@@ -582,10 +606,36 @@ func (nd *Node) noteOwnState() {
 	nd.mergeState(StateMsg{Origin: nd.id, Promised: nd.acc.promised, Accepted: nd.acc.accepted})
 }
 
+// countable reports whether some counter can still count another origin's
+// gossiped state. The chosen-value watch counts any acceptance; a
+// proposer's tallies look at Promised == num, num < Promised and
+// Accepted.Num == num, so a bare promise below the highest proposition
+// number seen here (propQ is the flood's maximum) can only be counted
+// toward a proposal that number has already superseded.
+func (nd *Node) countable(st *StateMsg) bool {
+	return st.Accepted != nil || nd.propQ == nil || !st.Promised.Less(nd.propQ.Num)
+}
+
+// purgeStates drops the other origins' states that stopped being
+// countable when the highest proposition number seen rose. The node's own
+// acceptor state stays whatever it says: acceptors must not forget their
+// promises, and this entry is how the rest of the network hears of them.
+func (nd *Node) purgeStates() {
+	keep := func(st *StateMsg) bool { return st.Origin == nd.id || nd.countable(st) }
+	if nd.stateTbl.retain(keep) {
+		gone := func(origin amac.NodeID) bool { return nd.stateTbl.find(origin) == nil }
+		nd.stateOrder = slices.DeleteFunc(nd.stateOrder, gone)
+	}
+}
+
 // mergeState merges a gossiped acceptor state: newer state per origin
 // replaces older (monotone merge), feeds the chosen-value watch, and lets
-// the local proposer count the origin.
+// the local proposer count the origin. Another origin's state that no
+// counter can count any more (countable) is neither stored nor relayed.
 func (nd *Node) mergeState(st StateMsg) {
+	if st.Origin != nd.id && !nd.countable(&st) {
+		return
+	}
 	cur := nd.stateTbl.find(st.Origin)
 	if cur != nil && !st.Newer(*cur) {
 		return // retransmission or stale: not novel
@@ -596,6 +646,7 @@ func (nd *Node) mergeState(st StateMsg) {
 		copy(nd.stateOrder[i+1:], nd.stateOrder[i:])
 		nd.stateOrder[i] = st.Origin
 		cur = nd.stateTbl.insert(st.Origin)
+		nd.met.stateOrigins.Set(int64(len(nd.stateOrder)))
 	}
 	*cur = st
 	nd.det.Novel(nd.api.Now())
@@ -803,6 +854,14 @@ func (nd *Node) DistToLeader() int64 { return nd.tree.distTo(nd.det.Omega()) }
 // ParentToLeader returns the next hop toward the current leader estimate,
 // or amac.NoID when unknown.
 func (nd *Node) ParentToLeader() amac.NodeID { return nd.tree.parentTo(nd.det.Omega()) }
+
+// WorkingSet returns the sizes of the node's two id-keyed tables: the
+// roots its tree service tracks and the origins in its state gossip
+// table. The wpaxos_tree_roots and wpaxos_state_origins gauges carry the
+// network-wide high-water marks of the same two numbers.
+func (nd *Node) WorkingSet() (treeRoots, stateOrigins int) {
+	return len(nd.tree.ents), len(nd.stateOrder)
+}
 
 // MaxTagUsed returns the largest proposal tag this node proposed with
 // (0 when it never proposed); Lemma 4.4 bounds it polynomially in n.

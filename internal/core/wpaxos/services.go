@@ -1,7 +1,7 @@
 package wpaxos
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/absmac/absmac/internal/amac"
 )
@@ -12,7 +12,9 @@ import (
 // retransmit-until-superseded: once a service has something to say it
 // keeps saying it on every pump until newer state supersedes it, so a
 // message lost to a lossy overlay edge (or a crashed relay) is re-offered
-// forever rather than gone. Leader election itself moved to the suspicion
+// forever rather than gone. (The tree service is the exception until the
+// node's detector fires; see treeService for why its improvements are
+// flooded once.) Leader election itself moved to the suspicion
 // detector (detector.go); the leader slot of every broadcast now carries
 // membership gossip from Detector.Gossip.
 
@@ -58,23 +60,33 @@ func (s *changeService) pop() *ChangeMsg {
 	return s.queue
 }
 
-// treeService implements Algorithm 4 (tree building): for every root id
-// seen, maintain the best known distance and the parent realizing it,
-// Bellman-Ford style. The pending queue keeps at most one search message
-// per root (the lowest hop count seen), with the current leader's message
-// kept at the front; once the pending queue drains, the service keeps
-// re-advertising its best known distance per root, cycling round-robin —
-// so a node that lost its parent re-learns a route from any live
-// neighbor's retransmissions after a purge.
+// treeService implements Algorithm 4 (tree building), Bellman-Ford style,
+// for the roots the node asks it to keep: the node itself and every root
+// that can still be its leader estimate. Responses are only ever routed up
+// the tree of the current Ω (popResp; queue invariant (1) of Section
+// 4.2.1), and without a suspicion Ω only rises, so the node (onSearch)
+// never hands over a search for a root below Ω or for a suspected one, and
+// purge drops the roots an Ω rise has overtaken. The pending queue keeps at
+// most one search message per root (the lowest hop count seen), with the
+// current leader's message kept at the front, and over reliable edges that
+// flood alone reaches every neighbor. What the flood cannot do is tell a
+// node about a tree it refused to track: after a suspicion the new Ω is a
+// root everyone ignored while the old one stood. So once the node's own
+// detector has fired, pop turns the drained queue into anti-entropy — it
+// re-advertises the best known distance per tracked root, self included,
+// cycling round-robin — and a node that demotes later re-learns the
+// successor's tree from any fired neighbor's retransmissions. Before a
+// suspicion the cycle stays off: it would re-offer the leader's tree on
+// every other broadcast, lossy overlay edges would keep handing nodes
+// shorter-but-lossy parents late, and each adoption is a change event
+// that restarts the proposal.
 type treeService struct {
 	self amac.NodeID
-	// tbl holds one entry per root heard of: a delivery that improves
-	// nothing costs a single find.
-	tbl idTable[treeEnt]
-	// roots is the sorted list of known roots, cycled by pop when the
-	// pending queue is empty.
-	roots    []amac.NodeID
-	rootsCur int
+	// ents holds one entry per tracked root, sorted by root: a handful
+	// (self, Ω, and roots heard of before the detector learned them), so
+	// a lookup is a short scan. It is also the idle cycle, at cursor cur.
+	ents []treeEnt
+	cur  int
 	// queue[qhead:] is the pending queue: the roots whose latest
 	// improvement has not been broadcast yet, at most once each
 	// (treeEnt.queued marks which), in FIFO order except that the current
@@ -97,22 +109,34 @@ type treeService struct {
 // treeEnt is what a node knows about one root. Hop counts are path
 // lengths, below n, so 32 bits hold them.
 type treeEnt struct {
-	parent amac.NodeID
-	dist   int32
-	queued bool // a search message for this root is pending
+	root, parent amac.NodeID
+	dist         int32
+	queued       bool // a search message for this root is pending
 }
 
 func (s *treeService) init(self amac.NodeID) {
 	s.self = self
-	*s.tbl.insert(self) = treeEnt{parent: self, queued: true}
-	s.roots = []amac.NodeID{self}
+	s.ents = []treeEnt{{root: self, parent: self, queued: true}}
 	s.queue = []amac.NodeID{self}
+}
+
+// find returns root's entry, or nil with the position it would take.
+func (s *treeService) find(root amac.NodeID) (*treeEnt, int) {
+	for i := range s.ents {
+		if e := &s.ents[i]; e.root >= root {
+			if e.root == root {
+				return e, i
+			}
+			return nil, i
+		}
+	}
+	return nil, len(s.ents)
 }
 
 // distTo returns the best known distance to root, or -1 when unknown
 // (the paper's infinity).
 func (s *treeService) distTo(root amac.NodeID) int64 {
-	if e := s.tbl.find(root); e != nil {
+	if e, _ := s.find(root); e != nil {
 		return int64(e.dist)
 	}
 	return -1
@@ -120,7 +144,7 @@ func (s *treeService) distTo(root amac.NodeID) int64 {
 
 // parentTo returns the parent toward root, or amac.NoID when unknown.
 func (s *treeService) parentTo(root amac.NodeID) amac.NodeID {
-	if e := s.tbl.find(root); e != nil {
+	if e, _ := s.find(root); e != nil {
 		return e.parent
 	}
 	return amac.NoID
@@ -131,7 +155,7 @@ func (s *treeService) parentTo(root amac.NodeID) amac.NodeID {
 // current leader estimate, which must have been announced through
 // prioritize when it last changed.
 func (s *treeService) receive(m SearchMsg, leader amac.NodeID) bool {
-	e := s.tbl.find(m.Root)
+	e, i := s.find(m.Root)
 	if e != nil && m.Hops >= int64(e.dist) {
 		return false
 	}
@@ -139,26 +163,35 @@ func (s *treeService) receive(m SearchMsg, leader amac.NodeID) bool {
 		return false // not a path length; keeps dist's 32 bits honest
 	}
 	if e == nil {
-		i := sort.Search(len(s.roots), func(k int) bool { return s.roots[k] >= m.Root })
-		s.roots = append(s.roots, 0)
-		copy(s.roots[i+1:], s.roots[i:])
-		s.roots[i] = m.Root
-		e = s.tbl.insert(m.Root)
+		s.ents = append(s.ents, treeEnt{})
+		copy(s.ents[i+1:], s.ents[i:])
+		e = &s.ents[i]
+		*e = treeEnt{root: m.Root}
 	}
 	e.dist = int32(m.Hops)
 	e.parent = m.Sender
-	s.updateQ(e, m.Root, leader)
+	s.updateQ(e, leader)
 	return true
 }
 
-// updateQ makes root, whose entry is e, pending behind everything already
-// queued — discarding its earlier, dominated message if that is still
-// pending — and pins the leader to the front (Algorithm 4's UpdateQ).
-func (s *treeService) updateQ(e *treeEnt, root, leader amac.NodeID) {
+// purge stops tracking every root below omega other than the node itself:
+// they leave the table, the idle cycle and the pending queue. The node
+// calls it whenever its leader estimate moves, which keeps the invariant
+// that every tracked root but self is at least Ω.
+func (s *treeService) purge(omega amac.NodeID) {
+	stale := func(root amac.NodeID) bool { return root < omega && root != s.self }
+	s.ents = slices.DeleteFunc(s.ents, func(e treeEnt) bool { return stale(e.root) })
+	s.queue = s.queue[:s.qhead+len(slices.DeleteFunc(s.queue[s.qhead:], stale))]
+}
+
+// updateQ makes e's root pending behind everything already queued —
+// discarding its earlier, dominated message if that is still pending —
+// and pins the leader to the front (Algorithm 4's UpdateQ).
+func (s *treeService) updateQ(e *treeEnt, leader amac.NodeID) {
 	if e.queued {
 		q := s.queue[s.qhead:]
 		for i := range q {
-			if q[i] == root {
+			if q[i] == e.root {
 				copy(q[i:], q[i+1:])
 				s.queue = s.queue[:len(s.queue)-1]
 				break
@@ -170,8 +203,8 @@ func (s *treeService) updateQ(e *treeEnt, root, leader amac.NodeID) {
 		s.queue = s.queue[:copy(s.queue, s.queue[s.qhead:])]
 		s.qhead = 0
 	}
-	s.queue = append(s.queue, root)
-	if root == leader {
+	s.queue = append(s.queue, e.root)
+	if e.root == leader {
 		s.prioritize(leader)
 	}
 }
@@ -191,28 +224,27 @@ func (s *treeService) prioritize(leader amac.NodeID) {
 }
 
 // pop yields one message for the broadcast service: the next pending
-// improvement when there is one, otherwise the sticky retransmission of
-// the best known distance to the next root in the cycle. It reports
-// false only before init.
-func (s *treeService) pop() (SearchMsg, bool) {
-	var root amac.NodeID
+// improvement when there is one; otherwise, when cycle is set (the node's
+// detector has fired), the anti-entropy retransmission of the best known
+// distance to the next tracked root; otherwise nothing.
+func (s *treeService) pop(cycle bool) (SearchMsg, bool) {
+	var e *treeEnt
 	switch {
 	case s.qhead < len(s.queue):
-		root = s.queue[s.qhead]
+		e, _ = s.find(s.queue[s.qhead])
 		s.qhead++
 		if s.qhead == len(s.queue) {
 			s.queue, s.qhead = s.queue[:0], 0
 		}
-	case len(s.roots) == 0:
+		e.queued = false
+	case !cycle:
 		return SearchMsg{}, false
 	default:
-		if s.rootsCur >= len(s.roots) {
-			s.rootsCur = 0
+		if s.cur >= len(s.ents) {
+			s.cur = 0
 		}
-		root = s.roots[s.rootsCur]
-		s.rootsCur++
+		e = &s.ents[s.cur]
+		s.cur++
 	}
-	e := s.tbl.find(root)
-	e.queued = false // already so in the idle cycle: it runs only with nothing pending
-	return SearchMsg{Root: root, Hops: int64(e.dist) + 1, Sender: s.self}, true
+	return SearchMsg{Root: e.root, Hops: int64(e.dist) + 1, Sender: s.self}, true
 }

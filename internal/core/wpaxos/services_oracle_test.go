@@ -11,15 +11,16 @@ import (
 )
 
 // oracleTreeService is the map-based tree service this package shipped
-// before idTable, kept verbatim as the reference the compact one is
-// compared against. It implements Algorithm 4 (tree building): for every root id
-// seen, maintain the best known distance and the parent realizing it,
+// first, kept as the reference the compact one is compared against. It
+// implements Algorithm 4 (tree building): for every root id handed to it,
+// maintain the best known distance and the parent realizing it,
 // Bellman-Ford style. The pending queue keeps at most one search message
 // per root (the lowest hop count seen), with the current leader's message
-// kept at the front; once the pending queue drains, the service keeps
-// re-advertising its best known distance per root, cycling round-robin —
-// so a node that lost its parent re-learns a route from any live
-// neighbor's retransmissions after a purge.
+// kept at the front; once the pending queue drains, the service
+// re-advertises its best known distance per root, cycling round-robin.
+// Two things were added when the production service learned to forget:
+// purge, written here the obvious way over the maps, and pop's cycle
+// gate. Everything else is verbatim.
 type oracleTreeService struct {
 	self   amac.NodeID
 	dist   map[amac.NodeID]int64
@@ -113,17 +114,30 @@ func (s *oracleTreeService) prioritize(leader amac.NodeID) {
 	}
 }
 
+// purge forgets every root below omega other than self.
+func (s *oracleTreeService) purge(omega amac.NodeID) {
+	stale := func(root amac.NodeID) bool { return root < omega && root != s.self }
+	s.roots = slices.DeleteFunc(s.roots, stale)
+	s.queue = slices.DeleteFunc(s.queue, func(m SearchMsg) bool { return stale(m.Root) })
+	for root := range s.dist {
+		if stale(root) {
+			delete(s.dist, root)
+			delete(s.parent, root)
+		}
+	}
+}
+
 // pop yields one message for the broadcast service: the next pending
-// improvement when there is one, otherwise the sticky retransmission of
-// the best known distance to the next root in the cycle. It reports
-// false only before init.
-func (s *oracleTreeService) pop() (SearchMsg, bool) {
+// improvement when there is one, otherwise — when cycle is set — the
+// sticky retransmission of the best known distance to the next root in
+// the cycle.
+func (s *oracleTreeService) pop(cycle bool) (SearchMsg, bool) {
 	if len(s.queue) > 0 {
 		m := s.queue[0]
 		s.queue = s.queue[1:]
 		return m, true
 	}
-	if len(s.roots) == 0 {
+	if !cycle {
 		return SearchMsg{}, false
 	}
 	if s.rootsCur >= len(s.roots) {
@@ -157,13 +171,16 @@ func treeIDUniverses(rng *rand.Rand) []idUniverse {
 }
 
 // TestTreeServiceMatchesMapOracle drives the compact tree service and the
-// map-based oracle with the same seeded stream of receive / prioritize /
-// pop calls, the way a node does — the pin passed to receive is the
-// current leader estimate, every change of it is announced through
-// prioritize, and under NoTreePriority the pin is NoID and prioritize is
-// never called — and requires identical return values, pop sequences,
-// distances, parents and pending queues after every call, plus the
-// head-of-queue invariant the incremental updateQ rests on.
+// map-based oracle with the same seeded stream of receive / purge /
+// prioritize / pop calls, the way a node does — the pin passed to receive
+// is the current leader estimate, every change of it is announced through
+// purge and then prioritize, under NoTreePriority the pin is NoID and
+// prioritize is never called, and the idle cycle is off until the driver
+// "fires" partway through — and requires identical return values, pop
+// sequences, distances, parents, tracked roots and pending queues after
+// every call, plus the head-of-queue invariant the incremental updateQ
+// rests on. The stream is wider than a node's: receive is handed roots
+// below the leader too, so purge always has something to drop.
 func TestTreeServiceMatchesMapOracle(t *testing.T) {
 	for _, noPri := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -213,17 +230,17 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 				t.Fatalf("%s noPri=%v step %d (%s): pending[%d] = root %d hops %d, oracle %+v",
 					name, noPri, step, op, i, pending[i], got.distTo(pending[i])+1, q)
 			}
-			if !got.tbl.find(q.Root).queued {
-				t.Fatalf("%s step %d (%s): root %d pending but not marked queued", name, step, op, q.Root)
-			}
 		}
-		for i, r := range got.roots {
-			if queued := got.tbl.find(r).queued; queued != slices.Contains(pending, r) {
-				t.Fatalf("%s step %d (%s): roots[%d]=%d queued flag %v disagrees with the queue", name, step, op, i, r, queued)
-			}
+		if len(got.ents) != len(want.roots) {
+			t.Fatalf("%s step %d (%s): %d tracked roots, oracle %v", name, step, op, len(got.ents), want.roots)
 		}
-		if !sort.SliceIsSorted(got.roots, func(i, j int) bool { return got.roots[i] < got.roots[j] }) || len(got.roots) != len(want.roots) {
-			t.Fatalf("%s step %d (%s): roots %v, oracle %v", name, step, op, got.roots, want.roots)
+		for i, e := range got.ents {
+			if e.root != want.roots[i] {
+				t.Fatalf("%s step %d (%s): ents[%d] is root %d, oracle's sorted roots %v", name, step, op, i, e.root, want.roots)
+			}
+			if e.queued != slices.Contains(pending, e.root) {
+				t.Fatalf("%s step %d (%s): root %d queued flag %v disagrees with the queue", name, step, op, e.root, e.queued)
+			}
 		}
 		// The invariant: the current leader's message, if pending, is at
 		// the head — in the oracle too, or the claim about the old code
@@ -238,17 +255,23 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 	}
 
 	check(0, "init")
+	purged, idle := false, false
 	for step := 1; step <= 1500; step++ {
 		// Alternate phases that fill the pending queue with phases that
 		// drain it into the idle round-robin.
 		fill := (step/150)%2 == 0
 		var op string
 		switch r := rng.Intn(20); {
-		case r < 1 && !noPri:
+		case r < 1:
 			op = "leader change"
 			leader = pick()
-			got.prioritize(leader)
-			want.prioritize(leader)
+			got.purge(leader)
+			want.purge(leader)
+			purged = true
+			if !noPri {
+				got.prioritize(leader)
+				want.prioritize(leader)
+			}
 		case (fill && r < 16) || (!fill && r < 6):
 			op = "receive"
 			m := SearchMsg{Root: pick(), Hops: int64(1 + rng.Intn(14)), Sender: pick()}
@@ -257,13 +280,18 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 			}
 		default:
 			op = "pop"
-			gm, gok := got.pop()
-			wm, wok := want.pop()
+			cycle := step > 600 // the detector fires partway through
+			gm, gok := got.pop(cycle)
+			wm, wok := want.pop(cycle)
+			idle = idle || (!cycle && !gok)
 			if gm != wm || gok != wok {
 				t.Fatalf("%s noPri=%v step %d: pop = %+v %v, oracle %+v %v", name, noPri, step, gm, gok, wm, wok)
 			}
 		}
 		check(step, op)
+	}
+	if !purged || !idle {
+		t.Fatalf("%s: the stream never purged (%v) or never popped an idle, unfired service (%v)", name, purged, idle)
 	}
 	if cap(got.queue) > 2*len(ids) {
 		t.Fatalf("%s: pending queue backing array grew to %d for %d roots", name, cap(got.queue), len(ids))

@@ -1,6 +1,7 @@
 package wpaxos
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,44 +106,95 @@ func TestTreeServiceBasics(t *testing.T) {
 func TestTreeQueueReplacesDominated(t *testing.T) {
 	var s treeService
 	s.init(1)
-	s.pop() // drain own search
+	s.pop(false) // drain own search
 	s.receive(SearchMsg{Root: 7, Hops: 3, Sender: 4}, 0)
 	s.receive(SearchMsg{Root: 7, Hops: 1, Sender: 2}, 0)
 	// Only one pending message for root 7 remains, the improved relay
 	// (hops 2).
-	m, ok := s.pop()
+	m, ok := s.pop(false)
 	if !ok || m.Root != 7 || m.Hops != 2 {
 		t.Fatalf("queued message %+v, want root 7 hops 2", m)
 	}
-	// With the pending queue drained, pop turns sticky: it re-advertises
-	// the best known distance per root, cycling (roots sorted: 1, 7).
-	if m, ok = s.pop(); !ok || m.Root != 1 || m.Hops != 1 {
-		t.Fatalf("sticky pop %+v, want root 1 hops 1", m)
+	// With the pending queue drained, a node whose detector has not fired
+	// says nothing more about trees.
+	for i := 0; i < 3; i++ {
+		if m, ok = s.pop(false); ok {
+			t.Fatalf("idle pop before any suspicion yielded %+v", m)
+		}
 	}
-	if m, ok = s.pop(); !ok || m.Root != 7 || m.Hops != 2 {
-		t.Fatalf("sticky pop %+v, want root 7 hops 2", m)
+	// Once it has, pop is anti-entropy: it re-advertises the best known
+	// distance per tracked root, cycling (roots sorted: 1, 7).
+	if m, ok = s.pop(true); !ok || m.Root != 1 || m.Hops != 1 {
+		t.Fatalf("cycle pop %+v, want root 1 hops 1", m)
 	}
-	if m, ok = s.pop(); !ok || m.Root != 1 {
-		t.Fatalf("sticky cycle %+v, want wrap to root 1", m)
+	if m, ok = s.pop(true); !ok || m.Root != 7 || m.Hops != 2 {
+		t.Fatalf("cycle pop %+v, want root 7 hops 2", m)
+	}
+	if m, ok = s.pop(true); !ok || m.Root != 1 {
+		t.Fatalf("cycle pop %+v, want wrap to root 1", m)
+	}
+	// A pending improvement still goes first.
+	s.receive(SearchMsg{Root: 9, Hops: 4, Sender: 2}, 0)
+	if m, ok = s.pop(true); !ok || m.Root != 9 || m.Hops != 5 {
+		t.Fatalf("pop %+v, want the pending root 9 hops 5", m)
+	}
+}
+
+// TestTreePurgeForgetsOvertakenRoots: an Ω rise empties table, cycle and
+// pending queue of the roots below it, and keeps the node itself.
+func TestTreePurgeForgetsOvertakenRoots(t *testing.T) {
+	var s treeService
+	s.init(5)
+	for _, root := range []amac.NodeID{2, 7, 3, 9, 8} {
+		s.receive(SearchMsg{Root: root, Hops: 2, Sender: 4}, 5)
+	}
+	s.pop(false) // self
+	s.pop(false) // root 2: tracked, no longer pending
+	s.purge(8)
+	var roots []amac.NodeID
+	for _, e := range s.ents {
+		roots = append(roots, e.root)
+	}
+	if !slices.Equal(roots, []amac.NodeID{5, 8, 9}) {
+		t.Fatalf("tracked after purge(8): %v, want [5 8 9]", roots)
+	}
+	if q := s.queue[s.qhead:]; !slices.Equal(q, []amac.NodeID{9, 8}) {
+		t.Fatalf("pending after purge(8): %v, want [9 8]", q)
+	}
+	for _, root := range []amac.NodeID{2, 3, 7} {
+		if s.distTo(root) != -1 || s.parentTo(root) != amac.NoID {
+			t.Fatalf("root %d survived the purge", root)
+		}
+	}
+	if s.distTo(5) != 0 || s.parentTo(5) != 5 {
+		t.Fatal("the node's own root was purged")
+	}
+	// Drained and fired, the cycle runs over what is left.
+	s.pop(false)
+	s.pop(false)
+	for _, want := range []amac.NodeID{5, 8, 9, 5} {
+		if m, ok := s.pop(true); !ok || m.Root != want {
+			t.Fatalf("cycle pop %+v, want root %d", m, want)
+		}
 	}
 }
 
 func TestTreeQueueLeaderPriority(t *testing.T) {
 	var s treeService
 	s.init(1)
-	s.pop()
+	s.pop(false)
 	s.receive(SearchMsg{Root: 5, Hops: 2, Sender: 4}, 9)
 	s.receive(SearchMsg{Root: 6, Hops: 2, Sender: 4}, 9)
 	s.receive(SearchMsg{Root: 9, Hops: 2, Sender: 4}, 9) // the leader's
 	// The leader's message must pop first despite arriving last.
-	if m, ok := s.pop(); !ok || m.Root != 9 {
+	if m, ok := s.pop(false); !ok || m.Root != 9 {
 		t.Fatalf("first pop %+v, want leader root 9", m)
 	}
 	// FIFO order among the rest.
-	if m, ok := s.pop(); !ok || m.Root != 5 {
+	if m, ok := s.pop(false); !ok || m.Root != 5 {
 		t.Fatalf("second pop %+v, want root 5", m)
 	}
-	if m, ok := s.pop(); !ok || m.Root != 6 {
+	if m, ok := s.pop(false); !ok || m.Root != 6 {
 		t.Fatalf("third pop %+v, want root 6", m)
 	}
 }
@@ -150,11 +202,11 @@ func TestTreeQueueLeaderPriority(t *testing.T) {
 func TestTreeQueueReprioritizeOnLeaderChange(t *testing.T) {
 	var s treeService
 	s.init(1)
-	s.pop()
+	s.pop(false)
 	s.receive(SearchMsg{Root: 5, Hops: 2, Sender: 4}, 5)
 	s.receive(SearchMsg{Root: 8, Hops: 2, Sender: 4}, 5)
 	s.prioritize(8) // leader changed to 8
-	if m, ok := s.pop(); !ok || m.Root != 8 {
+	if m, ok := s.pop(false); !ok || m.Root != 8 {
 		t.Fatalf("pop %+v, want new leader root 8", m)
 	}
 }

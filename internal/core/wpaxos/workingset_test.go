@@ -1,0 +1,218 @@
+package wpaxos
+
+import (
+	"slices"
+	"testing"
+
+	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/consensus"
+	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/sim"
+)
+
+// These tests pin the three rules that bound a node's working set (doc.go,
+// "wPAXOS per-node state and the n² budget") at the node's handlers; the
+// tree service's own half is in services_test.go and the differential
+// test.
+
+// startedNode returns node `id` of a network of n, started on a substrate
+// that never acks — so it stays in flight and its queues keep what the
+// handlers put there.
+func startedNode(id amac.NodeID, n int) (*Node, *stubAPI) {
+	api := &stubAPI{id: id, now: 10}
+	nd := NewFactory(Config{N: n})(amac.NodeConfig{ID: id, Input: 1}).(*Node)
+	nd.Start(api)
+	return nd, api
+}
+
+func trackedRoots(nd *Node) []amac.NodeID {
+	var roots []amac.NodeID
+	for _, e := range nd.tree.ents {
+		roots = append(roots, e.root)
+	}
+	return roots
+}
+
+func pendingRoots(nd *Node) []amac.NodeID {
+	return slices.Clone(nd.tree.queue[nd.tree.qhead:])
+}
+
+// TestSearchForRootThatCannotLeadIsIgnored: a <search> for a root below Ω,
+// or for a suspected root, changes nothing — no entry, no improvement, no
+// pending relay — and is not novel information to the detector.
+func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
+	nd, api := startedNode(3, 5)
+	nd.OnReceive(Combined{Leader: &LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
+	nd.OnReceive(Combined{Leader: &LeaderMsg{ID: 6}}) // a member below Ω
+	if nd.Leader() != 9 || nd.DistToLeader() != 4 {
+		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.Leader(), nd.DistToLeader())
+	}
+	roots, pending, novel := trackedRoots(nd), pendingRoots(nd), nd.det.lastNovel
+
+	api.now = 20
+	nd.OnReceive(Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
+	if got := trackedRoots(nd); !slices.Equal(got, roots) || nd.tree.distTo(6) != -1 {
+		t.Fatalf("a search for root 6 < Ω = 9 was tracked: roots %v", got)
+	}
+	if got := pendingRoots(nd); !slices.Equal(got, pending) {
+		t.Fatalf("a search for a root below Ω is pending relay: %v, was %v", got, pending)
+	}
+	if nd.det.lastNovel != novel {
+		t.Fatal("a search for a root below Ω reset the silence window")
+	}
+
+	// Silence past the bound: the node suspects 9 and falls back to 6.
+	api.now = 20 + nd.det.Bound() + 1
+	nd.det.NoteSend(api.now) // the ack below is prompt: fhat stays put
+	nd.OnAck(nil)
+	if nd.Leader() != 6 || !nd.det.Suspects(9) {
+		t.Fatalf("after the silence bound: leader %d, suspects(9)=%v", nd.Leader(), nd.det.Suspects(9))
+	}
+	novel = nd.det.lastNovel
+	api.now++
+	nd.OnReceive(Combined{Search: &SearchMsg{Root: 9, Hops: 1, Sender: 4}})
+	if nd.tree.distTo(9) != 4 || nd.tree.parentTo(9) != 2 {
+		t.Fatalf("a search for suspected root 9 was adopted: dist %d parent %d", nd.tree.distTo(9), nd.tree.parentTo(9))
+	}
+	if nd.det.lastNovel != novel {
+		t.Fatal("a search for a suspected root reset the silence window")
+	}
+	// The successor's tree is now wanted, and the old one is kept for a
+	// wrap to find.
+	nd.OnReceive(Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
+	if nd.DistToLeader() != 1 || !slices.Equal(trackedRoots(nd), []amac.NodeID{3, 6, 9}) {
+		t.Fatalf("after demotion: dist to leader %d, roots %v", nd.DistToLeader(), trackedRoots(nd))
+	}
+}
+
+// TestOmegaRiseForgetsLowerRoots: when the leader estimate rises, the roots
+// below it leave the table, the idle cycle and the pending queue; the node
+// itself and the roots above stay.
+func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
+	nd, _ := startedNode(3, 5)
+	for _, root := range []amac.NodeID{7, 4, 8} { // all above Ω = self
+		nd.OnReceive(Combined{Search: &SearchMsg{Root: root, Hops: 2, Sender: 2}})
+	}
+	if got := trackedRoots(nd); !slices.Equal(got, []amac.NodeID{3, 4, 7, 8}) {
+		t.Fatalf("tracked %v, want [3 4 7 8]", got)
+	}
+	nd.OnReceive(Combined{Leader: &LeaderMsg{ID: 8}})
+	if got := trackedRoots(nd); !slices.Equal(got, []amac.NodeID{3, 8}) {
+		t.Fatalf("tracked after Ω rose to 8: %v, want [3 8]", got)
+	}
+	if got := pendingRoots(nd); !slices.Equal(got, []amac.NodeID{8}) {
+		t.Fatalf("pending after Ω rose to 8: %v, want the leader alone (self went out at Start)", got)
+	}
+	if tr, _ := nd.WorkingSet(); tr != 2 {
+		t.Fatalf("WorkingSet reports %d tree roots, want 2", tr)
+	}
+}
+
+// gossiped returns the origins one full turn of the state gossip cycle
+// offers.
+func gossiped(nd *Node) []amac.NodeID {
+	var origins []amac.NodeID
+	for range nd.stateOrder {
+		st, _ := nd.popState()
+		origins = append(origins, st.Origin)
+	}
+	slices.Sort(origins)
+	return origins
+}
+
+// TestStateGossipKeepsOnlyWhatCanBeCounted: another origin's bare promise
+// below the highest proposition number seen is neither stored nor relayed,
+// nor is it novel; an acceptance always is; a rise of that number drops the
+// entries it overtook; and the node's own acceptor state is never dropped.
+func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
+	nd, api := startedNode(3, 7)
+	num := ProposalNum{Tag: 2, ID: 9}
+	nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: num}})
+	if own := nd.stateTbl.find(3); own == nil || own.Promised != num {
+		t.Fatalf("own acceptor state not published: %+v", own)
+	}
+	novel := nd.det.lastNovel
+	api.now = 20
+
+	nd.OnReceive(Combined{State: &StateMsg{Origin: 4, Promised: ProposalNum{Tag: 1, ID: 4}}})
+	if nd.stateTbl.find(4) != nil || nd.det.lastNovel != novel {
+		t.Fatal("a bare promise below the highest number seen was stored or counted as novel")
+	}
+	old := &Proposal{Num: ProposalNum{Tag: 1, ID: 5}, Val: 1}
+	nd.OnReceive(Combined{State: &StateMsg{Origin: 5, Promised: old.Num, Accepted: old}})
+	nd.OnReceive(Combined{State: &StateMsg{Origin: 6, Promised: num}})
+	nd.OnReceive(Combined{State: &StateMsg{Origin: 7, Promised: ProposalNum{Tag: 5, ID: 1}}})
+	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 6, 7}) {
+		t.Fatalf("gossip cycle offers origins %v, want [3 5 6 7]", got)
+	}
+	if len(nd.chosen[old.Num].by) != 1 {
+		t.Fatal("the chosen-value watch did not see origin 5's acceptance")
+	}
+
+	// A higher proposition: 6's promise can no longer be counted by
+	// anyone, 5's acceptance and 7's higher promise still can.
+	nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 3, ID: 9}}})
+	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 7}) {
+		t.Fatalf("after the number rose: origins %v, want [3 5 7]", got)
+	}
+	if nd.stateTbl.find(6) != nil {
+		t.Fatal("origin 6 left the cycle but not the table")
+	}
+	// The flood can run ahead of the local acceptor (enqueueProp comes
+	// before respond): the node's own entry is exempt, whatever it says.
+	nd.enqueueProp(ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 9, ID: 9}})
+	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5}) {
+		t.Fatalf("after the flood ran ahead: origins %v, want [3 5]", got)
+	}
+	if own := nd.stateTbl.find(3); own == nil || own.Promised != (ProposalNum{Tag: 3, ID: 9}) {
+		t.Fatalf("own acceptor state after the purge: %+v", own)
+	}
+	if _, so := nd.WorkingSet(); so != 2 {
+		t.Fatalf("WorkingSet reports %d state origins, want 2", so)
+	}
+}
+
+// TestFailoverBuildsSuccessorsTree: the max id dies mid-round on grid:4x4.
+// Every survivor decides, and every survivor that has demoted the dead
+// leader holds a route to the successor — learned after its own suspicion
+// from the fired neighbors' re-advertisement, since until then it refused
+// to track that root (as it refuses to relay the successor's responses:
+// queue invariant (1)).
+func TestFailoverBuildsSuccessorsTree(t *testing.T) {
+	g := graph.Grid(4, 4)
+	n := g.N()
+	inputs := mixedInputs(n)
+	var nodes []*Node
+	res := sim.Run(sim.Config{
+		Graph:  g,
+		Inputs: inputs,
+		Factory: func(nc amac.NodeConfig) amac.Algorithm {
+			nd := newNode(nc.Input, Config{N: n})
+			nodes = append(nodes, nd)
+			return nd
+		},
+		Scheduler:       sim.NewRandom(4, 1),
+		Crashes:         []sim.Crash{{Node: n - 1, At: 40}}, // default ids: node n-1 holds id n
+		StopWhenDecided: true,
+		MaxEvents:       2_000_000,
+	})
+	if rep := consensus.Check(inputs, res); !rep.Agreement || !rep.Validity || !res.AllDecided() {
+		t.Fatalf("survivors did not all decide: %v (all decided %v)", rep.Errors, res.AllDecided())
+	}
+	successor, demoted := amac.NodeID(n-1), 0
+	for i, nd := range nodes[:n-1] {
+		if nd.Leader() != successor {
+			continue
+		}
+		demoted++
+		if nd.id != successor && nd.ParentToLeader() == amac.NoID {
+			t.Errorf("node %d follows successor %d but has no route to it", i, successor)
+		}
+		if nd.id == successor && nd.ParentToLeader() != successor {
+			t.Errorf("the successor's parent to itself is %d", nd.ParentToLeader())
+		}
+	}
+	if demoted == 0 {
+		t.Fatal("no survivor demoted the dead leader: the cell does not exercise failover")
+	}
+}

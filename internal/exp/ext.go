@@ -157,7 +157,11 @@ func E12Randomization() *Experiment {
 }
 
 // E13TreePriorityAblation ablates the tree queue's leader-first pinning,
-// the optimization Lemma 4.5's stabilization argument leans on.
+// the optimization Lemma 4.5's stabilization argument leans on. Since the
+// tree service stopped tracking roots below Ω the queue behind the leader
+// is nearly always empty, and the ablation documents that: the pinning is
+// what Algorithm 4 needs when every root is tracked, and costs nothing
+// when only the candidates are.
 func E13TreePriorityAblation() *Experiment {
 	e := &Experiment{
 		ID:    "E13",
@@ -218,6 +222,6 @@ func E13TreePriorityAblation() *Experiment {
 	}
 	e.Notes = append(e.Notes,
 		"correctness survives the ablation (the priority is purely a liveness optimization);",
-		"the measured effect on these sizes is modest because the non-leader tree backlog is small; the asymptotic gap appears as n grows")
+		"a node tracks only the roots that can be its leader estimate, so the backlog the priority jumps is a root or two heard of before the detector learned them — empty on these runs, where the two columns coincide; tracking every root, the same cells stabilized the tree in 86 vs 133 and 44 vs 130 ticks")
 	return e
 }

@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -19,11 +20,13 @@ import (
 // graph with a fixed node count.
 //
 // Mutation is cheap and batched: AddEdge appends to a flat edge log
-// (with an O(1) duplicate check against an edge set) and marks the CSR
-// stale; the first read accessor after a mutation rebuilds the CSR with
-// one O(n+m) counting pass. Build-then-read construction therefore pays
-// O(n+m) total, and interleaved HasEdge probes during construction stay
-// O(1) via the edge set.
+// (with an O(1) duplicate check) and marks the CSR stale; the first read
+// accessor after a mutation rebuilds the CSR with one O(n+m) counting
+// pass. Build-then-read construction therefore pays O(n+m) total, and
+// interleaved HasEdge probes during construction stay O(1) via the edge
+// set — which exists only on graphs that need it: a family that appends
+// every edge in ascending order at both endpoints and never probes while
+// stale (cliques, the sparse families) is never charged for one.
 //
 // Adjacency rows preserve edge-insertion order exactly — the order the
 // previous [][]int representation produced — because delivery plans are
@@ -40,7 +43,11 @@ type Graph struct {
 	// never force a rebuild.
 	deg []int32
 	// set holds every edge (normalized min<<32|max) for O(1) duplicate
-	// rejection in AddEdge and O(1) HasEdge while the CSR is stale.
+	// rejection in AddEdge and O(1) HasEdge while the CSR is stale. It is
+	// nil until edgeSet builds it from the edge log, at the first append
+	// that is not ascending at both endpoints or the first stale HasEdge;
+	// so it is never nil once rowsSorted is false, and a frozen graph's
+	// HasEdge builds nothing.
 	set map[int64]struct{}
 	// CSR arrays: nbrs[off[u]:off[u+1]] is u's adjacency row.
 	off  []int32
@@ -62,7 +69,6 @@ func New(n int) *Graph {
 		n:          n,
 		deg:        make([]int32, n),
 		last:       make([]int32, n),
-		set:        make(map[int64]struct{}),
 		rowsSorted: true,
 	}
 	for i := range g.last {
@@ -86,16 +92,21 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.check(u)
 	g.check(v)
-	key := edgeKey(u, v)
-	if _, dup := g.set[key]; dup {
-		panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, v))
+	// An append beyond the largest neighbor of both endpoints is a new
+	// edge by that fact alone; anything else asks the set.
+	ascending := int32(v) > g.last[u] && int32(u) > g.last[v]
+	if !ascending || g.set != nil {
+		key := edgeKey(u, v)
+		if _, dup := g.edgeSet()[key]; dup {
+			panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, v))
+		}
+		g.set[key] = struct{}{}
 	}
-	g.set[key] = struct{}{}
-	g.eu = append(g.eu, int32(u))
-	g.ev = append(g.ev, int32(v))
-	if int32(v) < g.last[u] || int32(u) < g.last[v] {
+	if !ascending {
 		g.rowsSorted = false
 	}
+	g.eu = append(g.eu, int32(u))
+	g.ev = append(g.ev, int32(v))
 	if int32(v) > g.last[u] {
 		g.last[u] = int32(v)
 	}
@@ -105,6 +116,18 @@ func (g *Graph) AddEdge(u, v int) {
 	g.deg[u]++
 	g.deg[v]++
 	g.dirty = true
+}
+
+// edgeSet returns the set of all edges, building it from the edge log on
+// first use.
+func (g *Graph) edgeSet() map[int64]struct{} {
+	if g.set == nil {
+		g.set = make(map[int64]struct{}, len(g.eu))
+		for i := range g.eu {
+			g.set[edgeKey(int(g.eu[i]), int(g.ev[i]))] = struct{}{}
+		}
+	}
+	return g.set
 }
 
 func (g *Graph) check(u int) {
@@ -166,7 +189,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		return false
 	}
 	if g.dirty || !g.rowsSorted {
-		_, ok := g.set[edgeKey(u, v)]
+		_, ok := g.edgeSet()[edgeKey(u, v)]
 		return ok
 	}
 	a, b := u, v
@@ -262,12 +285,9 @@ func (g *Graph) Clone() *Graph {
 		ev:         append([]int32(nil), g.ev...),
 		deg:        append([]int32(nil), g.deg...),
 		last:       append([]int32(nil), g.last...),
-		set:        make(map[int64]struct{}, len(g.set)),
+		set:        maps.Clone(g.set), // nil stays nil
 		rowsSorted: g.rowsSorted,
 		dirty:      true,
-	}
-	for k := range g.set {
-		c.set[k] = struct{}{}
 	}
 	return c
 }
@@ -358,7 +378,9 @@ const exactDiameterLimit = 512
 const diameterBFSBudget = 64
 
 // Diameter returns the graph diameter, or -1 when the graph is
-// disconnected. A single-node graph has diameter 0.
+// disconnected. A single-node graph has diameter 0, and a graph holding
+// all n(n-1)/2 possible edges (the graph is simple, so the count says so)
+// has diameter 1 without a traversal.
 //
 // For n <= exactDiameterLimit the value is computed by exact all-pairs
 // BFS with a shared scratch (two allocations total). For larger graphs it
@@ -371,7 +393,10 @@ func (g *Graph) Diameter() int {
 	if g.n == 0 {
 		return -1
 	}
-	g.ensure()
+	g.ensure() // a read accessor like the rest: whoever runs next finds the CSR built
+	if g.n >= 2 && g.M() == g.n*(g.n-1)/2 {
+		return 1
+	}
 	if g.n <= exactDiameterLimit {
 		return g.diameterExact()
 	}

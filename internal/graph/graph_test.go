@@ -98,6 +98,115 @@ func TestFreezeAllowsConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEdgeSetIsLazy: a graph built by ascending appends carries no edge
+// set, the set appears at the first non-ascending append or stale
+// HasEdge, and duplicate and self-loop rejection, HasEdge and Clone
+// answer the same on both sides of that moment.
+func TestEdgeSetIsLazy(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	agree := func(when string, g *Graph, edges [][2]int) {
+		t.Helper()
+		for _, h := range []*Graph{g, g.Clone()} {
+			is := map[[2]int]bool{}
+			for _, e := range edges {
+				is[e], is[[2]int{e[1], e[0]}] = true, true
+			}
+			for u := 0; u < h.N(); u++ {
+				for v := 0; v < h.N(); v++ {
+					if h.HasEdge(u, v) != is[[2]int{u, v}] {
+						t.Fatalf("%s: HasEdge(%d,%d) = %v", when, u, v, h.HasEdge(u, v))
+					}
+				}
+			}
+		}
+	}
+
+	// Ascending appends, read only through the fresh CSR: no set, ever.
+	g := New(5)
+	edges := [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 4}}
+	for _, e := range edges {
+		g.AddEdge(e[0], e[1])
+	}
+	g.Freeze()
+	agree("ascending, fresh CSR", g, edges)
+	if g.set != nil || g.Clone().set != nil || !g.Sorted() {
+		t.Fatal("ascending appends and fresh-CSR reads built an edge set")
+	}
+	// Duplicates of an ascending log are caught with the set still
+	// unbuilt when they arrive: equal to the last append, below it, and
+	// with the endpoints swapped.
+	for _, e := range [][2]int{{2, 4}, {0, 1}, {2, 1}} {
+		h := g.Clone()
+		if h.set != nil {
+			t.Fatal("clone of a set-less graph has a set")
+		}
+		mustPanic("duplicate on the lazy path", func() { h.AddEdge(e[0], e[1]) })
+	}
+	mustPanic("self-loop on the lazy path", func() { g.Clone().AddEdge(2, 2) })
+
+	// A stale HasEdge materialises the set; answers do not change.
+	g.AddEdge(3, 4)
+	edges = append(edges, [2]int{3, 4})
+	if g.set != nil {
+		t.Fatal("an ascending append built the set")
+	}
+	agree("stale", g, edges)
+	if g.set == nil {
+		t.Fatal("stale HasEdge answered without the set")
+	}
+	// A non-ascending append does too, on a graph that never probed.
+	h := Clique(4).Clone()
+	h2 := New(4)
+	h2.AddEdge(2, 3)
+	h2.AddEdge(0, 1)
+	h2.AddEdge(0, 3)
+	h2.AddEdge(0, 2) // below last[0] = 3
+	if h.set != nil || h2.set == nil || h2.Sorted() {
+		t.Fatalf("set built: clique clone %v, non-ascending %v (sorted=%v)", h.set != nil, h2.set != nil, h2.Sorted())
+	}
+	agree("non-ascending", h2, [][2]int{{2, 3}, {0, 1}, {0, 3}, {0, 2}})
+	// With the set in place every append goes through it, ascending or
+	// not, and both panics still fire.
+	h2.AddEdge(1, 2)
+	mustPanic("duplicate with the set built", func() { h2.AddEdge(2, 1) })
+	mustPanic("duplicate of a pre-set edge", func() { h2.AddEdge(1, 0) })
+	mustPanic("self-loop with the set built", func() { h2.AddEdge(3, 3) })
+	agree("after the set", h2, [][2]int{{2, 3}, {0, 1}, {0, 3}, {0, 2}, {1, 2}})
+}
+
+// TestCliqueDiameterByCount: a complete graph's diameter is read off its
+// edge count — including above exactDiameterLimit, where the estimator
+// would otherwise run — and near-complete graphs still take the traversal.
+func TestCliqueDiameterByCount(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{{1, 0}, {2, 1}, {1500, 1}} {
+		g := Clique(tc.n)
+		if d := g.Diameter(); d != tc.want {
+			t.Fatalf("Clique(%d).Diameter() = %d, want %d", tc.n, d, tc.want)
+		}
+		if g.set != nil {
+			t.Fatalf("Clique(%d) or its Diameter built the edge set", tc.n)
+		}
+	}
+	g := New(4) // K4 minus {2,3}
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}} {
+		g.AddEdge(e[0], e[1])
+	}
+	if d := g.Diameter(); d != 2 {
+		t.Fatalf("K4 minus an edge: diameter %d, want 2", d)
+	}
+	if d := New(2).Diameter(); d != -1 {
+		t.Fatalf("two isolated nodes: diameter %d, want -1", d)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	g := Line(4)
 	c := g.Clone()

@@ -101,6 +101,7 @@ func (c *caches) topo(t Topo, seed int64) (*graph.Graph, int, error) {
 		e.g, e.err = t.Build(seed)
 		if e.err == nil {
 			e.diameter = e.g.Diameter()
+			e.g.Freeze() // shared across workers: no lazy CSR rebuild under readers
 		}
 	})
 	return e.g, e.diameter, e.err

@@ -15,7 +15,9 @@ import (
 // byte. CI additionally diffs `amacsim -sweep -json` on the same grid
 // against the same file, covering the CLI flag plumbing.
 //
-// Regenerate (only when the cell schema intentionally changes) with:
+// Regenerate (only when the cell schema or an algorithm's executions
+// intentionally change; the diff must touch that algorithm's cells alone)
+// with:
 //
 //	go run ./cmd/amacsim -sweep -algos wpaxos,floodpaxos \
 //	    -topos clique:4,ring:5 -scheds sync,random -facks 3 -seeds 3 \
@@ -46,6 +48,6 @@ func TestSweepGoldenJSON(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("sweep output diverged from the golden aggregation "+
 			"(got %d bytes, want %d; run the regeneration command in this file's comment only "+
-			"for an intentional schema change)", buf.Len(), len(want))
+			"for an intentional schema or execution change)", buf.Len(), len(want))
 	}
 }

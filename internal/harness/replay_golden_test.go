@@ -17,6 +17,24 @@ import (
 // crash with the chords overlay; floodpaxos behind a dead max-id leader)
 // terminating under the current algorithms; they must keep replaying
 // byte-identically.
+//
+// An artifact is what the tree produces for its embedded scenario, so a
+// change to an algorithm's executions re-records it (and the pins of
+// critpath's TestGoldenCriticalPaths, which replays the same two files):
+//
+//	go run ./cmd/amacsim -algo wpaxos -topo ring:9 -sched random -fack 4 -seed 4 \
+//	    -crash midbroadcast -overlay chords -record /tmp/w.json
+//	go run ./cmd/amacsim -algo floodpaxos -topo grid:3x3 -sched random -fack 4 -seed 1 \
+//	    -crash one@3 -overlay extra:4@0.6 -record /tmp/f.json
+//
+// and splices the new schedule under the committed header, which keeps
+// the note and the wPAXOS artifact's "max_events": 200000 (-record writes
+// neither):
+//
+//	jq --slurpfile n /tmp/w.json '.schedule = $n[0].schedule' testdata/golden_wpaxos_midbroadcast_chords.json
+//
+// CI re-records both and compares the schedules, so a stale artifact
+// fails there by name rather than as a replay divergence here.
 const (
 	goldenWPaxos = "testdata/golden_wpaxos_midbroadcast_chords.json"
 	goldenFlood  = "testdata/golden_floodpaxos_one3_extra.json"
