@@ -1,6 +1,6 @@
 // Command benchsuite prints every experiment table (one experiment per
 // theorem/figure/complexity claim of the paper; internal/exp's All is the
-// index, E1..E13) and, with -grid, runs the canonical
+// index, E1..E12) and, with -grid, runs the canonical
 // scenario grid — every registered algorithm crossed with the topology,
 // scheduler and Fack axes — in parallel through internal/harness.
 //

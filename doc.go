@@ -8,7 +8,7 @@
 // argues against, and executable versions of all four lower-bound
 // constructions. This page is the per-layer architecture reference (the
 // sections below state each layer's contracts and invariants);
-// internal/exp's All is the experiment index E1..E13 and
+// internal/exp's All is the experiment index E1..E12 and
 // `go run ./cmd/benchsuite` prints the paper-vs-measured tables;
 // CHANGES.md records what each PR changed and measured.
 //
@@ -231,8 +231,8 @@
 //     Result, and per-node amac.API values pre-boxed at Reset so a run
 //     performs no per-node interface allocation. Steady-state allocs/op
 //     on a reused engine are independent of n (BenchmarkBroadcastPlanLarge
-//     pins this at n=1024 and n=4096; BENCH_engine.json records the
-//     before/after).
+//     pins this at n=1024 and n=4096; BENCH_engine.json holds the
+//     ceilings CI enforces).
 //   - Two degree-bounded sparse families put large n on sweep axes:
 //     expander:N:D (seeded random D-regular via stub pairing with
 //     conflict repair) and pods:P:K:C (an Octopus-style mesh of P
@@ -253,12 +253,16 @@
 //     the node itself and for the roots that can be its leader estimate —
 //     a short slice sorted by root, a handful of entries. The state gossip
 //     keeps the latest StateMsg of the origins some counter can still
-//     count, in an idTable (an append-only entry slice in insertion order
-//     plus an open-addressed []int32 slot index: multiplicative hash,
-//     linear probing, load ≤ 1/2, re-threaded on growth and on retain)
-//     beside the sorted gossip cycle. Keys are arbitrary NodeIDs — sparse,
-//     shuffled or negative ids take the same path as 1..n — and nothing
-//     iterates a Go map, so there is no order for detlint to police. The
+//     count in one slice sorted by origin, which is the lookup (binary
+//     search), the gossip cycle (a cursor walks it in id order, one entry
+//     a pump) and the purge target (compacted in place; the cursor is not
+//     adjusted, so the lap goes on over what is left and wraps when it
+//     runs off the end). A slice and not a hash table because rule 2
+//     keeps it at tens of entries however large n is, and because the
+//     cycle needs id order anyway: a table would want a second, sorted
+//     structure beside it. Keys are arbitrary NodeIDs — sparse, shuffled
+//     or negative ids take the same path as 1..n — and nothing iterates a
+//     Go map, so there is no order for detlint to police. The
 //     wpaxos_tree_roots and wpaxos_state_origins gauges are the largest of
 //     each table any node held; Node.WorkingSet reads one node's.
 //   - Rule 1, trees: a root is tracked only while it can be this node's
@@ -274,11 +278,11 @@
 //     relayed only while some counter can still count it — it carries an
 //     acceptance (the chosen-value watch counts those whatever their
 //     number), or its promise is at least the highest proposition number
-//     this node has seen (the proposer tallies look at Promised == num,
-//     num < Promised and Accepted.Num == num, so a bare promise below that
+//     this node has seen (the proposer's two gossip tallies look at
+//     Promised == num and num < Promised, so a bare promise below that
 //     number can only serve a proposal it has already superseded). The
 //     rest is dropped before the table lookup, and when the highest number
-//     seen rises the entries that now fail the test leave table and cycle.
+//     seen rises the entries that now fail the test leave the table.
 //   - Own acceptor state is exempt from rule 2, always. "Acceptors must
 //     not forget their promises" (weave's ipam/paxos): promised and
 //     accepted live in acceptorState and are never pruned, and the node's
@@ -302,10 +306,8 @@
 //     node that has not fired neither tracks nor relays the successor's
 //     tree, exactly as it refuses to relay the successor's responses
 //     (queue invariant (1) of Section 4.2.1).
-//   - Pointer validity: idTable's find and insert return pointers into
-//     the entry slice, valid until the next insert or retain on that
-//     table; the tree service's entry pointers until its next receive or
-//     purge. Callers use them at once.
+//   - Pointer validity: the tree service's entry pointers are valid
+//     until its next receive or purge. Callers use them at once.
 //   - The one n-sized per-node structure is the Ω detector's membership
 //     bitset (n/64+1 words: 520 B per node, 2 MB in total at n = 4096).
 //     It answers Learn's "already a member?" with a bit test for ids in
@@ -368,17 +370,7 @@
 //     decisions after every call over dense, shuffled, strided, negative
 //     and NoID-adjacent ids, and a test pins a node of clique:1024 at
 //     ≤ 24 KB retained (17 KB today: 16 KiB of keys, 512 B of flags and
-//     the struct). bench's algo.live_bytes_per_node, which also counts the
-//     clique graph a Reset displaces, read 142 027 B with the maps and
-//     reads 48 027 B now.
-//
-// Rejected: the shape wPAXOS uses above (an insertion-ordered entry slice
-// behind an []int32 slot index). It makes each delivery two dependent
-// misses — slot, then entry — and on decide_clique1024 ran 0.50 / 0.48
-// s/op against 0.31 / 0.27 for the key array in two interleaved pairs
-// (65 MB allocated per op against 33 MB). wPAXOS keeps it because its
-// entries are 24–40 bytes and iterated in insertion order; here an entry
-// is a key and a bit.
+//     the struct).
 //
 // # Event queue and the Fack horizon
 //

@@ -3,7 +3,6 @@ package wpaxos
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
@@ -16,11 +15,6 @@ type Config struct {
 	N int
 	// Audit optionally instruments the Lemma 4.2 counting invariant.
 	Audit *CountAudit
-	// NoTreePriority disables the tree queue's leader-first pinning
-	// (Algorithm 4's UpdateQ optimization). Ablation only: Lemma 4.5's
-	// fast stabilization argument relies on the priority; correctness
-	// does not. Experiment E13 measures the difference.
-	NoTreePriority bool
 }
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
@@ -63,7 +57,6 @@ type Node struct {
 	n     int
 	input amac.Value
 	audit *CountAudit
-	noPri bool
 
 	det    Detector
 	change changeService
@@ -93,22 +86,23 @@ type Node struct {
 	// sticky state gossip below is the loss-proof fallback.
 	respQ []ResponseMsg
 
-	// stateTbl holds the latest known acceptor state per origin (the
-	// weave ipam/paxos idiom): merged monotonically, gossiped cyclically,
-	// each entry re-broadcast until superseded by newer state from its
-	// origin — or, for another node's, until no counter can count it any
-	// more (countable). stateOrder is the sorted gossip cycle.
-	stateTbl   idTable[StateMsg]
-	stateOrder []amac.NodeID
-	stateCur   int
+	// states holds the latest known acceptor state per origin (the weave
+	// ipam/paxos idiom), sorted by origin: merged monotonically, each
+	// entry re-broadcast until superseded by newer state from its origin
+	// — or, for another node's, until no counter can count it any more
+	// (countable). The slice is the lookup (findState) and the gossip
+	// cycle at once; stateCur is the cycle's cursor into it.
+	states   []StateMsg
+	stateCur int
 	// chosen is the chosen-value watch: per proposal number, the origins
 	// ever seen with it accepted. A majority decides regardless of who
 	// proposed (safety does not depend on the proposer surviving).
 	chosen map[ProposalNum]*chosenTally
-	// gossAcks/gossNacks count distinct origins supporting/refusing the
-	// current proposition via gossiped state. They are tallied separately
-	// from the fast path's aggregated counts — each tally is individually
-	// sound, and they are never summed.
+	// gossAcks/gossNacks count, via gossiped state, the distinct origins
+	// that promised the current prepare / are committed past the current
+	// number (a propose's acceptances are the chosen-value watch's to
+	// count). They are tallied separately from the fast path's aggregated
+	// counts — each tally is individually sound, and they are never summed.
 	gossAcks  map[amac.NodeID]bool
 	gossNacks map[amac.NodeID]bool
 
@@ -170,7 +164,6 @@ func newGeneral(input amac.Value, cfg Config) *Node {
 		n:         cfg.N,
 		input:     input,
 		audit:     cfg.Audit,
-		noPri:     cfg.NoTreePriority,
 		seenProps: make(map[Proposition]bool),
 		chosen:    make(map[ProposalNum]*chosenTally),
 		gossAcks:  make(map[amac.NodeID]bool),
@@ -362,15 +355,15 @@ func (nd *Node) popResp() (ResponseMsg, bool) {
 // re-broadcast until superseded in place by newer state from its origin,
 // or dropped by purgeStates.
 func (nd *Node) popState() (StateMsg, bool) {
-	if len(nd.stateOrder) == 0 {
+	if len(nd.states) == 0 {
 		return StateMsg{}, false
 	}
-	if nd.stateCur >= len(nd.stateOrder) {
+	if nd.stateCur >= len(nd.states) {
 		nd.stateCur = 0
 	}
-	origin := nd.stateOrder[nd.stateCur]
+	st := nd.states[nd.stateCur]
 	nd.stateCur++
-	return *nd.stateTbl.find(origin), true
+	return st, true
 }
 
 // ---- Service message handlers ----
@@ -396,9 +389,7 @@ func (nd *Node) onOmegaChange() {
 	nd.lastLeaderUpdate = nd.api.Now()
 	nd.tree.purge(nd.det.Omega())
 	// OnLeaderChange (Algorithm 4): re-pin the tree queue.
-	if !nd.noPri {
-		nd.tree.prioritize(nd.det.Omega())
-	}
+	nd.tree.prioritize(nd.det.Omega())
 	// The fast-path response queue only ever holds material for the
 	// current leader (Section 4.2.1 queue invariants); responses to
 	// other proposers travel as state gossip instead.
@@ -411,14 +402,11 @@ func (nd *Node) onSearch(m SearchMsg) {
 	// responses are routed up Ω's tree alone, and a root below Ω or a
 	// suspected one is not Ω until a suspicion or a wrap says otherwise —
 	// after which the fired nodes re-advertise (treeService).
-	pin := nd.det.Omega()
-	if m.Root < pin || nd.det.Suspects(m.Root) {
+	omega := nd.det.Omega()
+	if m.Root < omega || nd.det.Suspects(m.Root) {
 		return
 	}
-	if nd.noPri {
-		pin = amac.NoID
-	}
-	if !nd.tree.receive(m, pin) {
+	if !nd.tree.receive(m, omega) {
 		return
 	}
 	nd.met.treeRoots.Set(int64(len(nd.tree.ents)))
@@ -608,10 +596,10 @@ func (nd *Node) noteOwnState() {
 
 // countable reports whether some counter can still count another origin's
 // gossiped state. The chosen-value watch counts any acceptance; a
-// proposer's tallies look at Promised == num, num < Promised and
-// Accepted.Num == num, so a bare promise below the highest proposition
-// number seen here (propQ is the flood's maximum) can only be counted
-// toward a proposal that number has already superseded.
+// proposer's tallies look at Promised == num and num < Promised, so a bare
+// promise below the highest proposition number seen here (propQ is the
+// flood's maximum) can only be counted toward a proposal that number has
+// already superseded.
 func (nd *Node) countable(st *StateMsg) bool {
 	return st.Accepted != nil || nd.propQ == nil || !st.Promised.Less(nd.propQ.Num)
 }
@@ -621,11 +609,31 @@ func (nd *Node) countable(st *StateMsg) bool {
 // acceptor state stays whatever it says: acceptors must not forget their
 // promises, and this entry is how the rest of the network hears of them.
 func (nd *Node) purgeStates() {
-	keep := func(st *StateMsg) bool { return st.Origin == nd.id || nd.countable(st) }
-	if nd.stateTbl.retain(keep) {
-		gone := func(origin amac.NodeID) bool { return nd.stateTbl.find(origin) == nil }
-		nd.stateOrder = slices.DeleteFunc(nd.stateOrder, gone)
+	kept := nd.states[:0]
+	for i := range nd.states { // in place: countable sees the stored entry, nothing is copied out
+		if st := &nd.states[i]; st.Origin == nd.id || nd.countable(st) {
+			kept = append(kept, *st)
+		}
 	}
+	clear(nd.states[len(kept):]) // let go of the dropped entries' acceptances
+	nd.states = kept
+}
+
+// findState returns the position of origin's entry in the gossip table,
+// or the position it would be inserted at. Every gossiped state that gets
+// past countable comes through here, so the search is written out:
+// slices.BinarySearchFunc is not inlined and calls its comparison through
+// a pointer with a 32-byte StateMsg copied in.
+func (nd *Node) findState(origin amac.NodeID) (int, bool) {
+	lo, hi := 0, len(nd.states)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); nd.states[mid].Origin < origin {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(nd.states) && nd.states[lo].Origin == origin
 }
 
 // mergeState merges a gossiped acceptor state: newer state per origin
@@ -636,19 +644,16 @@ func (nd *Node) mergeState(st StateMsg) {
 	if st.Origin != nd.id && !nd.countable(&st) {
 		return
 	}
-	cur := nd.stateTbl.find(st.Origin)
-	if cur != nil && !st.Newer(*cur) {
+	i, found := nd.findState(st.Origin)
+	switch {
+	case !found:
+		nd.states = slices.Insert(nd.states, i, st)
+		nd.met.stateOrigins.Set(int64(len(nd.states)))
+	case st.Newer(nd.states[i]):
+		nd.states[i] = st
+	default:
 		return // retransmission or stale: not novel
 	}
-	if cur == nil {
-		i := sort.Search(len(nd.stateOrder), func(k int) bool { return nd.stateOrder[k] >= st.Origin })
-		nd.stateOrder = append(nd.stateOrder, 0)
-		copy(nd.stateOrder[i+1:], nd.stateOrder[i:])
-		nd.stateOrder[i] = st.Origin
-		cur = nd.stateTbl.insert(st.Origin)
-		nd.met.stateOrigins.Set(int64(len(nd.stateOrder)))
-	}
-	*cur = st
 	nd.det.Novel(nd.api.Now())
 	if st.Accepted != nil {
 		nd.tallyChosen(*st.Accepted, st.Origin)
@@ -693,22 +698,14 @@ func (nd *Node) countState(st StateMsg) {
 			return
 		}
 	}
-	switch nd.prop.phase {
-	case propPreparing:
-		if st.Promised == num && !nd.gossAcks[st.Origin] {
-			nd.gossAcks[st.Origin] = true
-			nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
-			if 2*len(nd.gossAcks) > nd.n {
-				nd.beginPropose()
-			}
-		}
-	case propProposing:
-		if st.Accepted != nil && st.Accepted.Num == num && !nd.gossAcks[st.Origin] {
-			nd.gossAcks[st.Origin] = true
-			if 2*len(nd.gossAcks) > nd.n {
-				nd.decide(nd.prop.value)
-				nd.decideQ = &DecideMsg{Val: nd.prop.value}
-			}
+	// Acceptances of num are not tallied here: mergeState hands every one
+	// to the chosen-value watch first, which counts the same origins and
+	// decides at the same majority.
+	if nd.prop.phase == propPreparing && st.Promised == num && !nd.gossAcks[st.Origin] {
+		nd.gossAcks[st.Origin] = true
+		nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
+		if 2*len(nd.gossAcks) > nd.n {
+			nd.beginPropose()
 		}
 	}
 }
@@ -860,7 +857,7 @@ func (nd *Node) ParentToLeader() amac.NodeID { return nd.tree.parentTo(nd.det.Om
 // table. The wpaxos_tree_roots and wpaxos_state_origins gauges carry the
 // network-wide high-water marks of the same two numbers.
 func (nd *Node) WorkingSet() (treeRoots, stateOrigins int) {
-	return len(nd.tree.ents), len(nd.stateOrder)
+	return len(nd.tree.ents), len(nd.states)
 }
 
 // MaxTagUsed returns the largest proposal tag this node proposed with

@@ -174,25 +174,22 @@ func treeIDUniverses(rng *rand.Rand) []idUniverse {
 // map-based oracle with the same seeded stream of receive / purge /
 // prioritize / pop calls, the way a node does — the pin passed to receive
 // is the current leader estimate, every change of it is announced through
-// purge and then prioritize, under NoTreePriority the pin is NoID and
-// prioritize is never called, and the idle cycle is off until the driver
+// purge and then prioritize, and the idle cycle is off until the driver
 // "fires" partway through — and requires identical return values, pop
 // sequences, distances, parents, tracked roots and pending queues after
 // every call, plus the head-of-queue invariant the incremental updateQ
 // rests on. The stream is wider than a node's: receive is handed roots
 // below the leader too, so purge always has something to drop.
 func TestTreeServiceMatchesMapOracle(t *testing.T) {
-	for _, noPri := range []bool{false, true} {
-		for seed := int64(1); seed <= 6; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			for _, u := range treeIDUniverses(rng) {
-				driveTreePair(t, u.name, u.ids, noPri, rng)
-			}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, u := range treeIDUniverses(rng) {
+			driveTreePair(t, u.name, u.ids, rng)
 		}
 	}
 }
 
-func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng *rand.Rand) {
+func driveTreePair(t *testing.T, name string, ids []amac.NodeID, rng *rand.Rand) {
 	t.Helper()
 	self := ids[rng.Intn(len(ids))]
 	var got treeService
@@ -200,22 +197,16 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 	got.init(self)
 	want.init(self)
 	leader := self // a fresh detector elects its own node
-	pin := func() amac.NodeID {
-		if noPri {
-			return amac.NoID
-		}
-		return leader
-	}
 	pick := func() amac.NodeID { return ids[rng.Intn(len(ids))] }
 
 	check := func(step int, op string) {
 		t.Helper()
 		for _, id := range ids {
 			if g, w := got.distTo(id), want.distTo(id); g != w {
-				t.Fatalf("%s noPri=%v step %d (%s): distTo(%d) = %d, oracle %d", name, noPri, step, op, id, g, w)
+				t.Fatalf("%s step %d (%s): distTo(%d) = %d, oracle %d", name, step, op, id, g, w)
 			}
 			if g, w := got.parentTo(id), want.parentTo(id); g != w {
-				t.Fatalf("%s noPri=%v step %d (%s): parentTo(%d) = %d, oracle %d", name, noPri, step, op, id, g, w)
+				t.Fatalf("%s step %d (%s): parentTo(%d) = %d, oracle %d", name, step, op, id, g, w)
 			}
 		}
 		if g, w := got.distTo(amac.NoID), want.distTo(amac.NoID); g != w {
@@ -223,12 +214,12 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 		}
 		pending := got.queue[got.qhead:]
 		if len(pending) != len(want.queue) {
-			t.Fatalf("%s noPri=%v step %d (%s): %d pending, oracle %d", name, noPri, step, op, len(pending), len(want.queue))
+			t.Fatalf("%s step %d (%s): %d pending, oracle %d", name, step, op, len(pending), len(want.queue))
 		}
 		for i, q := range want.queue {
 			if pending[i] != q.Root || got.distTo(q.Root)+1 != q.Hops || q.Sender != self {
-				t.Fatalf("%s noPri=%v step %d (%s): pending[%d] = root %d hops %d, oracle %+v",
-					name, noPri, step, op, i, pending[i], got.distTo(pending[i])+1, q)
+				t.Fatalf("%s step %d (%s): pending[%d] = root %d hops %d, oracle %+v",
+					name, step, op, i, pending[i], got.distTo(pending[i])+1, q)
 			}
 		}
 		if len(got.ents) != len(want.roots) {
@@ -245,11 +236,9 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 		// The invariant: the current leader's message, if pending, is at
 		// the head — in the oracle too, or the claim about the old code
 		// is wrong.
-		if !noPri {
-			for i := 1; i < len(pending); i++ {
-				if pending[i] == leader || want.queue[i].Root == leader {
-					t.Fatalf("%s step %d (%s): leader %d pending at position %d, not at the head", name, step, op, leader, i)
-				}
+		for i := 1; i < len(pending); i++ {
+			if pending[i] == leader || want.queue[i].Root == leader {
+				t.Fatalf("%s step %d (%s): leader %d pending at position %d, not at the head", name, step, op, leader, i)
 			}
 		}
 	}
@@ -268,15 +257,13 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 			got.purge(leader)
 			want.purge(leader)
 			purged = true
-			if !noPri {
-				got.prioritize(leader)
-				want.prioritize(leader)
-			}
+			got.prioritize(leader)
+			want.prioritize(leader)
 		case (fill && r < 16) || (!fill && r < 6):
 			op = "receive"
 			m := SearchMsg{Root: pick(), Hops: int64(1 + rng.Intn(14)), Sender: pick()}
-			if g, w := got.receive(m, pin()), want.receive(m, pin()); g != w {
-				t.Fatalf("%s noPri=%v step %d: receive(%+v) = %v, oracle %v", name, noPri, step, m, g, w)
+			if g, w := got.receive(m, leader), want.receive(m, leader); g != w {
+				t.Fatalf("%s step %d: receive(%+v) = %v, oracle %v", name, step, m, g, w)
 			}
 		default:
 			op = "pop"
@@ -285,7 +272,7 @@ func driveTreePair(t *testing.T, name string, ids []amac.NodeID, noPri bool, rng
 			wm, wok := want.pop(cycle)
 			idle = idle || (!cycle && !gok)
 			if gm != wm || gok != wok {
-				t.Fatalf("%s noPri=%v step %d: pop = %+v %v, oracle %+v %v", name, noPri, step, gm, gok, wm, wok)
+				t.Fatalf("%s step %d: pop = %+v %v, oracle %+v %v", name, step, gm, gok, wm, wok)
 			}
 		}
 		check(step, op)

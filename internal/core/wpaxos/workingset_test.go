@@ -108,11 +108,19 @@ func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
 	}
 }
 
+// stateOf returns the gossip table's entry for origin, or nil.
+func stateOf(nd *Node, origin amac.NodeID) *StateMsg {
+	if i, ok := nd.findState(origin); ok {
+		return &nd.states[i]
+	}
+	return nil
+}
+
 // gossiped returns the origins one full turn of the state gossip cycle
 // offers.
 func gossiped(nd *Node) []amac.NodeID {
 	var origins []amac.NodeID
-	for range nd.stateOrder {
+	for range nd.states {
 		st, _ := nd.popState()
 		origins = append(origins, st.Origin)
 	}
@@ -128,14 +136,14 @@ func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	nd, api := startedNode(3, 7)
 	num := ProposalNum{Tag: 2, ID: 9}
 	nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: num}})
-	if own := nd.stateTbl.find(3); own == nil || own.Promised != num {
+	if own := stateOf(nd, 3); own == nil || own.Promised != num {
 		t.Fatalf("own acceptor state not published: %+v", own)
 	}
 	novel := nd.det.lastNovel
 	api.now = 20
 
 	nd.OnReceive(Combined{State: &StateMsg{Origin: 4, Promised: ProposalNum{Tag: 1, ID: 4}}})
-	if nd.stateTbl.find(4) != nil || nd.det.lastNovel != novel {
+	if stateOf(nd, 4) != nil || nd.det.lastNovel != novel {
 		t.Fatal("a bare promise below the highest number seen was stored or counted as novel")
 	}
 	old := &Proposal{Num: ProposalNum{Tag: 1, ID: 5}, Val: 1}
@@ -155,8 +163,8 @@ func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 7}) {
 		t.Fatalf("after the number rose: origins %v, want [3 5 7]", got)
 	}
-	if nd.stateTbl.find(6) != nil {
-		t.Fatal("origin 6 left the cycle but not the table")
+	if stateOf(nd, 6) != nil {
+		t.Fatal("origin 6 is still in the table")
 	}
 	// The flood can run ahead of the local acceptor (enqueueProp comes
 	// before respond): the node's own entry is exempt, whatever it says.
@@ -164,11 +172,118 @@ func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5}) {
 		t.Fatalf("after the flood ran ahead: origins %v, want [3 5]", got)
 	}
-	if own := nd.stateTbl.find(3); own == nil || own.Promised != (ProposalNum{Tag: 3, ID: 9}) {
+	if own := stateOf(nd, 3); own == nil || own.Promised != (ProposalNum{Tag: 3, ID: 9}) {
 		t.Fatalf("own acceptor state after the purge: %+v", own)
 	}
 	if _, so := nd.WorkingSet(); so != 2 {
 		t.Fatalf("WorkingSet reports %d state origins, want 2", so)
+	}
+}
+
+// TestStateGossipCycleAndChosenTally pins the gossip table's two roles
+// beyond lookup. The cycle: popState offers origins in ascending id order
+// and wraps; a purge in mid-lap does not move the cursor, so the lap goes
+// on strictly ascending over what is left (nothing is offered twice, an
+// entry that slid below the cursor waits for the next lap), a cursor left
+// past the end wraps, and the node's own entry outlives any purge. The
+// tally: a proposer in its propose phase counts gossiped acceptances of its
+// number through the chosen-value watch alone, and decides that value once.
+//
+// Every row is node 3. Unless it proposes, it first hears <prepare, (2,9)>,
+// so its own acceptor state is in the table and (2,9) is the highest
+// proposition number seen.
+func TestStateGossipCycleAndChosenTally(t *testing.T) {
+	heard := ProposalNum{Tag: 2, ID: 9}
+	mine := ProposalNum{Tag: 1, ID: 3}
+	promise := func(origin amac.NodeID, num ProposalNum) StateMsg {
+		return StateMsg{Origin: origin, Promised: num}
+	}
+	accept := func(origin amac.NodeID, num ProposalNum) StateMsg {
+		return StateMsg{Origin: origin, Promised: num, Accepted: &Proposal{Num: num, Val: 1}}
+	}
+	// With the node's own, five entries, merged out of order. Origins 2
+	// and 6 hold bare promises a higher proposition overtakes; 4's
+	// acceptance and 8's higher promise stay countable.
+	five := []StateMsg{promise(8, ProposalNum{Tag: 5, ID: 1}), promise(2, heard), promise(6, heard), accept(4, ProposalNum{Tag: 1, ID: 4})}
+	for _, tc := range []struct {
+		name    string
+		n       int
+		propose bool        // the node starts its own proposal, (1,3), first
+		merge   []StateMsg  // gossip delivered, in this order
+		pops    int         // states popped before the purge
+		raise   ProposalNum // then the highest proposition number seen rises to this (zero: it does not)
+		lap     []amac.NodeID
+		next    []amac.NodeID
+		decided []amac.Value
+	}{
+		{name: "ascending order, wraps", n: 9, merge: five,
+			lap: []amac.NodeID{2, 3, 4, 6, 8}, next: []amac.NodeID{2, 3, 4, 6, 8}},
+		{name: "purge in mid-lap", n: 9, merge: five, pops: 2, raise: ProposalNum{Tag: 3, ID: 9},
+			lap: []amac.NodeID{2, 3, 8}, next: []amac.NodeID{3, 4, 8}},
+		{name: "purge leaves the cursor past the end", n: 9, merge: five, pops: 4, raise: ProposalNum{Tag: 3, ID: 9},
+			lap: []amac.NodeID{2, 3, 4, 6}, next: []amac.NodeID{3, 4, 8}},
+		{name: "purge drops everything but the node's own entry", n: 9, merge: []StateMsg{promise(2, heard), promise(6, heard)},
+			pops: 1, raise: ProposalNum{Tag: 9, ID: 9},
+			lap: []amac.NodeID{2}, next: []amac.NodeID{3}},
+		{name: "proposer decides on a majority of gossiped acceptances, once", n: 5, propose: true,
+			merge: []StateMsg{promise(1, mine), promise(2, mine), // a majority with its own: on to the propose phase
+				accept(1, mine), accept(2, mine), accept(4, mine), accept(5, mine)},
+			lap: []amac.NodeID{1, 2, 3, 4, 5}, next: []amac.NodeID{1, 2, 3, 4, 5},
+			decided: []amac.Value{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nd, api := startedNode(3, tc.n)
+			if tc.propose {
+				nd.generateProposal()
+			} else {
+				nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: heard}})
+			}
+			for i := range tc.merge {
+				nd.OnReceive(Combined{State: &tc.merge[i]})
+			}
+			// One lap: pop until the cursor is about to wrap.
+			var lap []amac.NodeID
+			pop := func() {
+				st, ok := nd.popState()
+				if !ok {
+					t.Fatal("the gossip table is empty: the node's own entry is gone")
+				}
+				lap = append(lap, st.Origin)
+			}
+			for range tc.pops {
+				pop()
+			}
+			if tc.raise != (ProposalNum{}) {
+				nd.enqueueProp(ProposerMsg{Kind: Prepare, Num: tc.raise})
+			}
+			for nd.stateCur < len(nd.states) {
+				pop()
+			}
+			if !slices.Equal(lap, tc.lap) {
+				t.Errorf("the lap offered origins %v, want %v", lap, tc.lap)
+			}
+			lap = nil
+			for range nd.states {
+				pop()
+			}
+			if !slices.Equal(lap, tc.next) {
+				t.Errorf("the next lap offered origins %v, want %v", lap, tc.next)
+			}
+			if stateOf(nd, 3) == nil {
+				t.Error("the node's own acceptor state left the table")
+			}
+			if !slices.Equal(api.decisions, tc.decided) {
+				t.Errorf("decided %v, want %v", api.decisions, tc.decided)
+			}
+			if tc.propose {
+				if nd.prop.phase != propProposing || nd.prop.num != mine {
+					t.Fatalf("proposer is in phase %v at %v, want proposing %v", nd.prop.phase, nd.prop.num, mine)
+				}
+				if by := nd.chosen[mine].by; len(by) != 5 || len(nd.gossAcks) != 0 {
+					t.Errorf("acceptances of %v: chosen-value watch counts %d origins, the prepare tally %d; want 5 and 0", mine, len(by), len(nd.gossAcks))
+				}
+			}
+		})
 	}
 }
 

@@ -445,6 +445,7 @@ type stubAPI struct {
 	id         amac.NodeID
 	now        int64
 	broadcasts int
+	decisions  []amac.Value
 }
 
 func (a *stubAPI) ID() amac.NodeID { return a.id }
@@ -452,8 +453,8 @@ func (a *stubAPI) Broadcast(amac.Message) bool {
 	a.broadcasts++
 	return true
 }
-func (a *stubAPI) Decide(amac.Value) {}
-func (a *stubAPI) Now() int64        { return a.now }
+func (a *stubAPI) Decide(v amac.Value) { a.decisions = append(a.decisions, v) }
+func (a *stubAPI) Now() int64          { return a.now }
 
 // TestSteadyStateDeliveryDoesNotAllocate pins the path nearly every
 // delivery of a large run takes: with the node's own broadcast in flight,
@@ -476,7 +477,7 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 		State:    &StateMsg{Origin: 9, Promised: num},
 	}
 	nd.OnReceive(msg) // first sight: everything is learned here
-	if nd.Leader() != 9 || nd.DistToLeader() != 1 || nd.stateTbl.find(9) == nil || !nd.seenProps[Proposition{Kind: Prepare, Num: num}] {
+	if nd.Leader() != 9 || nd.DistToLeader() != 1 || stateOf(nd, 9) == nil || !nd.seenProps[Proposition{Kind: Prepare, Num: num}] {
 		t.Fatal("the first delivery was not absorbed")
 	}
 	api.now = 20

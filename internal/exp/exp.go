@@ -1,9 +1,9 @@
 // Package exp contains the experiment drivers: one function per
-// experiment (E1..E13, indexed by All), each reproducing one of the
+// experiment (E1..E12, indexed by All), each reproducing one of the
 // paper's theorems, figures, or complexity claims as a measured table
 // plus a pass/fail shape check. The drivers are shared by cmd/benchsuite
-// (which regenerates the full report) and bench_test.go (one testing.B
-// target per experiment).
+// (which regenerates the full report) and this package's tests (one per
+// experiment).
 package exp
 
 import (
@@ -63,7 +63,6 @@ func All() []*Experiment {
 		E10UnknownParticipants(),
 		E11UnreliableLinks(),
 		E12Randomization(),
-		E13TreePriorityAblation(),
 	}
 }
 

@@ -38,15 +38,14 @@ func TestE9(t *testing.T)  { checkExperiment(t, E9AggregationAudit()) }
 func TestE10(t *testing.T) { checkExperiment(t, E10UnknownParticipants()) }
 func TestE11(t *testing.T) { checkExperiment(t, E11UnreliableLinks()) }
 func TestE12(t *testing.T) { checkExperiment(t, E12Randomization()) }
-func TestE13(t *testing.T) { checkExperiment(t, E13TreePriorityAblation()) }
 
 func TestAllOrdered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
 	all := All()
-	if len(all) != 13 {
-		t.Fatalf("All() returned %d experiments, want 13", len(all))
+	if len(all) != 12 {
+		t.Fatalf("All() returned %d experiments, want 12", len(all))
 	}
 	for i, e := range all {
 		if want := fmt.Sprintf("E%d", i+1); e.ID != want {

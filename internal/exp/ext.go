@@ -13,30 +13,31 @@ import (
 	"github.com/absmac/absmac/internal/stats"
 )
 
-// The paper's conclusion names three future-work directions; E11..E13
+// The paper's conclusion names three future-work directions; E11 and E12
 // reproduce the two that are implementable today as extensions of the
-// model and algorithms (unreliable links; randomization), plus an ablation
-// of the design choice Lemma 4.5's analysis singles out (the tree queue's
-// leader priority).
+// model and algorithms (unreliable links; randomization).
 
 // E11UnreliableLinks exercises the dual-graph model variant: reliable
 // topology plus an overlay of unreliable edges that deliver at the
-// scheduler's whim. The measured result makes the paper's open question
-// concrete: wPAXOS's *safety* (agreement, validity, Lemma 4.2 counting) is
-// untouched by arbitrary extra deliveries, but its *liveness* genuinely
-// breaks — the tree service can adopt a parent across an unreliable edge,
-// and an acceptor response routed over that edge is sent exactly once and
-// may be lost, stalling the count. "Optimizing our multihop upper bound to
-// work in the presence of such links ... is left an open question" (Sec 2);
-// this experiment is that question, executable.
+// scheduler's whim. wPAXOS's *safety* (agreement, validity, Lemma 4.2
+// counting) is untouched by arbitrary extra deliveries. Its fast path is
+// not: the tree service can adopt a parent across an unreliable edge, and
+// an acceptor response routed over that edge is sent exactly once and may
+// be lost. What keeps the run live is the retransmit-until-superseded
+// state gossip, which carries the same acceptor state to the proposer by
+// another road — so every row must terminate in every run, and a row that
+// does not fails the shape check: it is a regression of that fallback, not
+// the paper's open question. "Optimizing our multihop upper bound to work
+// in the presence of such links ... is left an open question" (Sec 2) is
+// about the O(D*Fack) bound, which this table does not measure.
 func E11UnreliableLinks() *Experiment {
 	e := &Experiment{
 		ID:    "E11",
-		Title: "Extension: unreliable links (dual-graph model) — safety holds, liveness is the open question",
 		Claim: "Sec 2/5: the dual-graph abstract MAC layer variant; adapting the multihop upper bound to it is explicitly open",
 		Table: &stats.Table{Columns: []string{"topology", "overlay edges", "loss prob", "runs", "safety OK", "Lemma 4.2 OK", "terminated"}},
 	}
 	e.OK = true
+	total, stalled := 0, 0
 	cases := []struct {
 		name    string
 		g       *graph.Graph
@@ -77,13 +78,32 @@ func E11UnreliableLinks() *Experiment {
 					terminated++
 				}
 			}
+			total += runs
+			stalled += runs - terminated
 			e.Table.AddRow(tc.name, tc.overlay, p, runs, boolMark(safeAll), boolMark(auditOK), fmt.Sprintf("%d/%d", terminated, runs))
 		}
 	}
-	e.Notes = append(e.Notes,
-		"safety (agreement, validity, response counting) survives arbitrary extra deliveries unconditionally",
-		"liveness does NOT always survive: a response routed to a parent across an unreliable edge is sent once and can be lost —",
-		"the stalls in the 'terminated' column are the paper's open question (optimizing wPAXOS for unreliable links) made concrete")
+	// Title and notes are read off the counts; up to here e.OK is safety.
+	safety, liveness := "safety holds", "every run terminates"
+	if e.OK {
+		e.Notes = append(e.Notes, "safety (agreement, validity, response counting) held in every run, whatever the overlay delivered")
+	} else {
+		safety = "SAFETY VIOLATED"
+		e.Notes = append(e.Notes, "safety violated: see the 'safety OK' and 'Lemma 4.2 OK' columns")
+	}
+	if stalled == 0 {
+		e.Notes = append(e.Notes, fmt.Sprintf(
+			"liveness: all %d runs terminated — a fast-path response lost on an unreliable edge is sent once, and the sticky state gossip delivers the same acceptor state by another road",
+			total))
+	} else {
+		e.OK = false
+		liveness = fmt.Sprintf("%d of %d runs stall", stalled, total)
+		e.Notes = append(e.Notes, fmt.Sprintf(
+			"liveness: %d of %d runs did not terminate — the state-gossip fallback for responses lost on unreliable edges has regressed",
+			stalled, total))
+	}
+	e.Title = fmt.Sprintf("Extension: unreliable links (dual-graph model) — %s, %s", safety, liveness)
+	e.Notes = append(e.Notes, "not measured here: the paper's open question (Sec 2), an O(D*Fack) bound in the presence of such links")
 	return e
 }
 
@@ -153,75 +173,5 @@ func E12Randomization() *Experiment {
 		e.Table.AddRow(tc.n, tc.f, runs, stalls, decides, unsafe)
 	}
 	e.Notes = append(e.Notes, "Ben-Or terminates with probability 1 under up to f < n/2 crashes; both algorithms keep agreement and validity unconditionally")
-	return e
-}
-
-// E13TreePriorityAblation ablates the tree queue's leader-first pinning,
-// the optimization Lemma 4.5's stabilization argument leans on. Since the
-// tree service stopped tracking roots below Ω the queue behind the leader
-// is nearly always empty, and the ablation documents that: the pinning is
-// what Algorithm 4 needs when every root is tracked, and costs nothing
-// when only the candidates are.
-func E13TreePriorityAblation() *Experiment {
-	e := &Experiment{
-		ID:    "E13",
-		Title: "Ablation: the tree queue's leader priority",
-		Claim: "Sec 4.2: leader-prioritized search messages let the leader's tree complete soon after election stabilizes",
-		Table: &stats.Table{Columns: []string{"topology", "n", "decide w/ priority", "decide w/o priority", "tree stab w/", "tree stab w/o"}},
-	}
-	e.OK = true
-	run := func(g *graph.Graph, noPri bool, seed int64) (decide, treeStab float64, ok bool) {
-		inputs := mixedInputs(g.N())
-		factory, nodes := keepNodes(wpaxos.Config{N: g.N(), NoTreePriority: noPri})
-		// Put the max id far from the middle via reversed ids so the
-		// leader tree must cross the diameter after election.
-		ids := make([]amac.NodeID, g.N())
-		for i := range ids {
-			ids[i] = amac.NodeID(g.N() - i)
-		}
-		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         factory,
-			Scheduler:       sim.NewRandom(4, seed),
-			IDs:             ids,
-			StopWhenDecided: true,
-		})
-		rep := consensus.Check(inputs, res)
-		var ts int64
-		for _, nd := range *nodes {
-			if _, tr := nd.StabilizationTimes(); tr > ts {
-				ts = tr
-			}
-		}
-		return float64(res.MaxDecideTime), float64(ts), rep.OK()
-	}
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"line-25", graph.Line(25)},
-		{"grid-6x6", graph.Grid(6, 6)},
-	} {
-		var with, without, tsWith, tsWithout []float64
-		for seed := int64(0); seed < 5; seed++ {
-			d, ts, ok := run(tc.g, false, seed)
-			if !ok {
-				e.OK = false
-			}
-			with = append(with, d)
-			tsWith = append(tsWith, ts)
-			d, ts, ok = run(tc.g, true, seed)
-			if !ok {
-				e.OK = false // correctness must survive the ablation
-			}
-			without = append(without, d)
-			tsWithout = append(tsWithout, ts)
-		}
-		e.Table.AddRow(tc.name, tc.g.N(), stats.Median(with), stats.Median(without), stats.Median(tsWith), stats.Median(tsWithout))
-	}
-	e.Notes = append(e.Notes,
-		"correctness survives the ablation (the priority is purely a liveness optimization);",
-		"a node tracks only the roots that can be its leader estimate, so the backlog the priority jumps is a root or two heard of before the detector learned them — empty on these runs, where the two columns coincide; tracking every root, the same cells stabilized the tree in 86 vs 133 and 44 vs 130 ticks")
 	return e
 }

@@ -109,22 +109,48 @@ func TestCampaignDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestCampaignCleanGrid: a healthy grid flags nothing and produces no
-// findings.
+// faultGrid is the healthy fault grid the campaign is expected to scan
+// clean: floodpaxos under one early crash or a mid-broadcast crash, with
+// and without unreliable overlays — 12 cells. BenchmarkCampaignScan times
+// the same scan.
+func faultGrid() harness.Grid {
+	return harness.Grid{
+		Algos:    []string{"floodpaxos"},
+		Topos:    []harness.Topo{{Kind: "ring", N: 9}, {Kind: "grid", Rows: 3, Cols: 3}},
+		Scheds:   []string{"random"},
+		Facks:    []int64{4},
+		Crashes:  []string{"one@0", "midbroadcast"},
+		Overlays: []string{"none", "extra:4", "chords"},
+		Seeds:    []int64{1, 2, 3, 4, 5, 6, 7, 8},
+	}
+}
+
+// TestCampaignCleanGrid: a healthy grid — crash-free, or with faults
+// injected — scans every cell, flags nothing and produces no findings.
 func TestCampaignCleanGrid(t *testing.T) {
-	grid := harness.Grid{
-		Algos:  []string{"floodpaxos"},
-		Topos:  []harness.Topo{{Kind: "ring", N: 5}},
-		Scheds: []string{"sync", "random"},
-		Facks:  []int64{3},
-		Seeds:  []int64{1, 2, 3, 4},
-	}
-	rep, err := Campaign(grid, CampaignOptions{MaxEvents: 200_000, Minimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Flagged != 0 || len(rep.Findings) != 0 {
-		t.Fatalf("healthy grid flagged %d runs, findings %d", rep.Flagged, len(rep.Findings))
+	for _, tc := range []struct {
+		name  string
+		grid  harness.Grid
+		opts  CampaignOptions
+		cells int
+	}{
+		{"crash-free", harness.Grid{
+			Algos:  []string{"floodpaxos"},
+			Topos:  []harness.Topo{{Kind: "ring", N: 5}},
+			Scheds: []string{"sync", "random"},
+			Facks:  []int64{3},
+			Seeds:  []int64{1, 2, 3, 4},
+		}, CampaignOptions{MaxEvents: 200_000, Minimize: true}, 2},
+		{"crashes x overlays", faultGrid(), CampaignOptions{}, 12},
+	} {
+		rep, err := Campaign(tc.grid, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rep.Cells) != tc.cells || rep.Flagged != 0 || len(rep.Findings) != 0 {
+			t.Fatalf("%s: healthy grid scanned %d cells (want %d), flagged %d runs, findings %d",
+				tc.name, len(rep.Cells), tc.cells, rep.Flagged, len(rep.Findings))
+		}
 	}
 }
 
