@@ -260,11 +260,33 @@
 //     runs off the end). A slice and not a hash table because rule 2
 //     keeps it at tens of entries however large n is, and because the
 //     cycle needs id order anyway: a table would want a second, sorted
-//     structure beside it. Keys are arbitrary NodeIDs — sparse, shuffled
-//     or negative ids take the same path as 1..n — and nothing iterates a
-//     Go map, so there is no order for detlint to police. The
-//     wpaxos_tree_roots and wpaxos_state_origins gauges are the largest of
-//     each table any node held; Node.WorkingSet reads one node's.
+//     structure beside it. Every other set a delivery consults is the
+//     same thing, a sorted slice with a written-out binary search: as
+//     idSet (sets.go) the detector's members and suspected ids, the
+//     proposer's two gossip tallies and the origins behind each
+//     chosen-value tally (one tally per accepted proposal number: a
+//     handful, scanned), and under Node.findSeen the propositions seen,
+//     sorted by (number, kind) — the one table that is never purged, a
+//     few dozen entries a node at n = 4096. A Go map lookup
+//     is four dependent loads and at this scale each one misses the cache;
+//     there is no map in a node (TestNoMapsOnTheDeliveryPath; the opt-in
+//     CountAudit, shared by a run, keeps its two), so there is no
+//     iteration order for detlint to police either. Keys are arbitrary
+//     NodeIDs — sparse, shuffled or negative ids take the same path as
+//     1..n. The wpaxos_tree_roots, wpaxos_state_origins and
+//     wpaxos_seen_props gauges are the largest of each table any node
+//     held; Node.WorkingSet reads one node's.
+//   - What is sent. The outbound queues are value slots with presence
+//     flags, and a broadcast is one *Combined whose exported pointer
+//     fields point into its own inline slots. A delivered *Combined is
+//     immutable, and receivers copy what they keep; on a substrate that
+//     declares AckAfterHandlers (the simulator) it is valid until the
+//     sender's ack, after which the sender — who owns exactly one message,
+//     one broadcast being in flight at a time — refills it, so neither
+//     sending nor receiving allocates in steady state. Elsewhere (live,
+//     netmac) a receiver may still be reading when the ack lands, and
+//     every pump allocates a fresh message. floodpaxos' Combined makes the
+//     same promise.
 //   - Rule 1, trees: a root is tracked only while it can be this node's
 //     leader estimate. A <search> for a root below Ω, or for a suspected
 //     root, is dropped before any lookup and is not novel to the detector
@@ -328,8 +350,8 @@
 //     a differential test that drives receive, purge, prioritize and pop
 //     through both and checks the invariant after every call.
 //   - The proposer flood remembers the last proposition it looked up:
-//     the flood queue is sticky, so nearly every delivery repeats it and
-//     skips hashing the 24-byte key.
+//     the flood queue is sticky, so nearly two in three deliveries repeat
+//     it and skip the search of the seen set.
 //
 // Dense 0..n-1 slices for dist, parent and state — the obvious
 // alternative when ids are dense — stay rejected on arithmetic (8 B ×

@@ -68,7 +68,7 @@ func main() {
 
 	// The same algorithms over real UDP sockets on loopback: gob on the
 	// wire, reliability by retransmission, Fack emergent.
-	netmac.RegisterMessages(twophase.Phase1{}, twophase.Phase2{}, wpaxos.Combined{})
+	netmac.RegisterMessages(twophase.Phase1{}, twophase.Phase2{}, &wpaxos.Combined{})
 	udpGraph := graph.Grid(3, 4)
 	udpInputs := make([]amac.Value, udpGraph.N())
 	for i := range udpInputs {

@@ -1,8 +1,6 @@
 package wpaxos
 
 import (
-	"sort"
-
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
 )
@@ -65,14 +63,14 @@ type Detector struct {
 	self amac.NodeID
 	n    int
 
-	members []amac.NodeID // sorted ascending; always contains self
+	members idSet // always contains self and omega
 	// known is a membership bitset over the ids [0, 64*len(known)), sized
 	// from n so the simulator's default ids 1..n fall inside. It only
 	// answers Learn's "already a member?" without touching members, which
 	// stays the source of truth and the rotation and gossip order; ids
 	// outside the range take the binary search.
 	known      []uint64
-	suspected  map[amac.NodeID]bool
+	suspected  idSet
 	omega      amac.NodeID
 	gossipCur  int
 	gossipTick int
@@ -107,15 +105,14 @@ func NewDetector(self amac.NodeID, n int) *Detector {
 // node.
 func (d *Detector) init(self amac.NodeID, n int) {
 	*d = Detector{
-		self:      self,
-		n:         n,
-		known:     make([]uint64, n/64+1),
-		suspected: make(map[amac.NodeID]bool),
-		fhat:      1,
-		sendAt:    -1,
-		mult:      1,
+		self:   self,
+		n:      n,
+		known:  make([]uint64, n/64+1),
+		fhat:   1,
+		sendAt: -1,
+		mult:   1,
 	}
-	d.Learn(self) // the first member, hence omega
+	d.learn(self) // the first member, hence omega
 }
 
 // Instrument registers the detector's metric slots against r (nil-safe:
@@ -141,7 +138,7 @@ func (d *Detector) Omega() amac.NodeID { return d.omega }
 func (d *Detector) Members() []amac.NodeID { return d.members }
 
 // Suspects reports whether id is currently suspected.
-func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected[id] }
+func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected.has(id) }
 
 // Fired reports whether this node's silence check has ever fired (the
 // bound multiplier has left 1): the node has seen a suspicion of its own.
@@ -150,23 +147,20 @@ func (d *Detector) Fired() bool { return d.mult > 1 }
 // Learn adds id to the member set, reporting whether it was new. The
 // caller should compare Omega before and after: a newly learned maximum
 // takes over immediately (the paper's max-id election, now over a gossiped
-// membership rather than a monotone high-water mark).
-func (d *Detector) Learn(id amac.NodeID) bool {
+// membership rather than a monotone high-water mark). Omega is a member, and
+// over a third of all gossip names it: answered before known[w], a cache miss.
+func (d *Detector) Learn(id amac.NodeID) bool { return id != d.omega && d.learn(id) }
+
+func (d *Detector) learn(id amac.NodeID) bool {
 	// A negative id wraps far past the last word and takes the search.
 	w, bit := uint64(id)>>6, uint64(1)<<(uint64(id)&63)
 	inRange := w < uint64(len(d.known))
-	if inRange && d.known[w]&bit != 0 {
+	if inRange && d.known[w]&bit != 0 || !d.members.add(id) {
 		return false
 	}
-	i := sort.Search(len(d.members), func(k int) bool { return d.members[k] >= id })
 	if inRange {
 		d.known[w] |= bit
-	} else if i < len(d.members) && d.members[i] == id {
-		return false
 	}
-	d.members = append(d.members, 0)
-	copy(d.members[i+1:], d.members[i:])
-	d.members[i] = id
 	d.elect()
 	return true
 }
@@ -238,7 +232,7 @@ func (d *Detector) Check(now int64) DetectorEvent {
 		d.mMult.Set(d.mult)
 	}
 	if d.omega != d.self {
-		d.suspected[d.omega] = true
+		d.suspected.add(d.omega)
 		d.mSuspicions.Inc()
 		d.elect()
 		return DetectorDemoted
@@ -250,9 +244,7 @@ func (d *Detector) Check(now int64) DetectorEvent {
 	// This node rotated all the way down to itself and still nothing
 	// moved: clear the suspicions and re-probe from the top. A demoted
 	// leader that was falsely suspected re-promotes here.
-	for _, m := range d.members {
-		delete(d.suspected, m)
-	}
+	d.suspected = d.suspected[:0]
 	d.elect()
 	d.mWraps.Inc()
 	if d.omega == d.self {
@@ -267,13 +259,11 @@ func (d *Detector) Check(now int64) DetectorEvent {
 // so the scan is deterministic.
 func (d *Detector) elect() {
 	for i := len(d.members) - 1; i >= 0; i-- {
-		if !d.suspected[d.members[i]] {
+		if !d.suspected.has(d.members[i]) {
 			d.omega = d.members[i]
 			return
 		}
 	}
-	for _, m := range d.members {
-		delete(d.suspected, m)
-	}
+	d.suspected = d.suspected[:0]
 	d.omega = d.members[len(d.members)-1]
 }

@@ -107,7 +107,9 @@ type DecideMsg struct {
 
 // Combined is the broadcast service's multiplexed message (Algorithm 5):
 // one message from each non-empty queue, sent as a single bounded-size
-// broadcast. Nil fields mean the corresponding queue was empty.
+// broadcast. Nil fields mean the corresponding queue was empty. The sender
+// fills the inline slots of buf and points the exported fields at them, so
+// a broadcast allocates at most the Combined itself (see NewFactory).
 type Combined struct {
 	Leader   *LeaderMsg
 	Change   *ChangeMsg
@@ -116,12 +118,26 @@ type Combined struct {
 	Response *ResponseMsg
 	State    *StateMsg
 	Decide   *DecideMsg
+
+	// buf backs the pointer fields above when pump assembles the message.
+	// Receivers must treat a delivered Combined as immutable and copy what
+	// they keep (they do): on an AckAfterHandlers substrate it is valid only
+	// until the sender's ack, after which the sender refills all of it.
+	buf struct {
+		leader   LeaderMsg
+		change   ChangeMsg
+		search   SearchMsg
+		proposer ProposerMsg
+		response ResponseMsg
+		state    StateMsg
+		decide   DecideMsg
+	}
 }
 
 // IDCount implements amac.Message. Each constituent carries a constant
 // number of ids, so the combined message does too (the model's O(1)-ids
 // restriction, audited by the simulator).
-func (m Combined) IDCount() int {
+func (m *Combined) IDCount() int {
 	c := 0
 	if m.Leader != nil {
 		c++
@@ -156,4 +172,4 @@ func (m Combined) IDCount() int {
 	return c
 }
 
-var _ amac.Message = Combined{}
+var _ amac.Message = (*Combined)(nil)

@@ -25,27 +25,31 @@ type Config struct {
 // it has heard: trees for the roots that can be its leader estimate and
 // the gossiped acceptor states a counter can still count (doc.go, "wPAXOS
 // per-node state and the n² budget"). What a node recycles, on
-// substrates that declare amac.NodeConfig.AckAfterHandlers, is its own
-// four per-pump send buffers (leader, search, response, state),
-// overwritten at the next pump; elsewhere every pump allocates fresh ones.
+// substrates that declare amac.NodeConfig.AckAfterHandlers, is its one
+// broadcast message, refilled at the next pump (at most one is in flight,
+// and after its ack no handler is reading it); elsewhere a receiver may
+// still be, so every pump allocates a fresh one.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return func(nc amac.NodeConfig) amac.Algorithm {
 		a := newNode(nc.Input, cfg)
-		a.reuse = nc.AckAfterHandlers
+		if nc.AckAfterHandlers {
+			a.msg = new(Combined)
+		}
 		a.instrument(nc.Metrics)
 		return a
 	}
 }
 
-// chosenTally tracks, per proposal number, the set of origins ever seen
+// chosenTally tracks, for one proposal number, the set of origins ever seen
 // with that proposal accepted. A majority means the value is chosen —
 // any node may then decide, whether or not the proposer survived.
 type chosenTally struct {
+	num ProposalNum
 	val amac.Value
-	by  map[amac.NodeID]bool
+	by  idSet
 }
 
 // Node is one wPAXOS participant: the support services, the suspicion-based
@@ -68,12 +72,13 @@ type Node struct {
 	// seen anywhere (a propose supersedes the prepare of the same
 	// number). It is sticky — re-broadcast on every pump until superseded
 	// — so a proposition survives lossy overlay edges.
-	propQ *ProposerMsg
+	propQ    ProposerMsg
+	hasPropQ bool
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
-	// and doubles as the acceptor's responded-once guard. lastProp is the
-	// member looked up last: the flood queue is sticky, so nearly every
-	// delivery repeats it and is answered without hashing the key.
-	seenProps map[Proposition]bool
+	// and doubles as the acceptor's responded-once guard; it only grows.
+	// lastProp is the member looked up last: the flood queue is sticky, so
+	// nearly every delivery repeats it and is answered without a search.
+	seenProps []Proposition // sorted by (number, kind)
 	lastProp  Proposition
 	// maxLeaderNum is the largest proposal number seen from the current
 	// leader; the fast-path response queue is pruned against it.
@@ -94,22 +99,23 @@ type Node struct {
 	// cycle at once; stateCur is the cycle's cursor into it.
 	states   []StateMsg
 	stateCur int
-	// chosen is the chosen-value watch: per proposal number, the origins
-	// ever seen with it accepted. A majority decides regardless of who
-	// proposed (safety does not depend on the proposer surviving).
-	chosen map[ProposalNum]*chosenTally
+	// chosen is the chosen-value watch: per accepted proposal number (a
+	// handful, scanned), the origins ever seen with it accepted. A majority
+	// decides, whoever proposed and whether or not the proposer survived.
+	chosen []chosenTally
 	// gossAcks/gossNacks count, via gossiped state, the distinct origins
 	// that promised the current prepare / are committed past the current
 	// number (a propose's acceptances are the chosen-value watch's to
 	// count). They are tallied separately from the fast path's aggregated
 	// counts — each tally is individually sound, and they are never summed.
-	gossAcks  map[amac.NodeID]bool
-	gossNacks map[amac.NodeID]bool
+	gossAcks  idSet
+	gossNacks idSet
 
-	decideQ  *DecideMsg
-	inflight bool
-	decided  bool
-	decision amac.Value
+	decideQ    DecideMsg
+	hasDecideQ bool
+	inflight   bool
+	decided    bool
+	decision   amac.Value
 
 	// maxTagUsed tracks the largest tag this node proposed with
 	// (experiment E8 / Lemma 4.4).
@@ -127,16 +133,10 @@ type Node struct {
 	met      nodeMetrics
 	propSent bool
 
-	// reuse recycles the per-pump send buffers below across broadcasts
-	// (see NewFactory). The queues themselves are value slices, so
-	// steady-state pumping does not allocate.
-	reuse bool
-	bufs  struct {
-		leader LeaderMsg
-		search SearchMsg
-		resp   ResponseMsg
-		state  StateMsg
-	}
+	// msg, where the substrate lets a node have one (see NewFactory), is
+	// the one message it ever broadcasts, refilled by every pump. The queues
+	// are values and value slices, so steady-state pumping does not allocate.
+	msg *Combined
 }
 
 // newNode returns the bare wPAXOS node NewFactory completes, for the given
@@ -160,15 +160,7 @@ func newGeneral(input amac.Value, cfg Config) *Node {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
-	return &Node{
-		n:         cfg.N,
-		input:     input,
-		audit:     cfg.Audit,
-		seenProps: make(map[Proposition]bool),
-		chosen:    make(map[ProposalNum]*chosenTally),
-		gossAcks:  make(map[amac.NodeID]bool),
-		gossNacks: make(map[amac.NodeID]bool),
-	}
+	return &Node{n: cfg.N, input: input, audit: cfg.Audit}
 }
 
 // nodeMetrics is the wPAXOS node's counter set. All nodes of a run share
@@ -178,10 +170,11 @@ type nodeMetrics struct {
 	retries     metrics.Counter // proposals abandoned after a nack majority
 	nacks       metrics.Counter // negative fast-path responses consumed
 	retransmits metrics.Counter // sticky proposer-queue re-broadcasts
-	// The working set: the high-water marks are the largest tree table
-	// and the largest gossip table any node held.
+	// The working set: the high-water marks are the largest tree table,
+	// gossip table and seen-proposition set any node held.
 	treeRoots    metrics.Gauge // roots tracked by the tree service
 	stateOrigins metrics.Gauge // origins held in the state gossip table
+	seenProps    metrics.Gauge // propositions seen (never purged)
 }
 
 // instrument registers the node's metric slots against r (nil-safe) and
@@ -194,6 +187,7 @@ func (nd *Node) instrument(r *metrics.Registry) {
 	nd.met.retransmits = r.Counter("wpaxos_retransmits")
 	nd.met.treeRoots = r.Gauge("wpaxos_tree_roots")
 	nd.met.stateOrigins = r.Gauge("wpaxos_state_origins")
+	nd.met.seenProps = r.Gauge("wpaxos_seen_props")
 }
 
 // Start implements amac.Algorithm.
@@ -216,7 +210,7 @@ func (nd *Node) Start(api amac.API) {
 
 // OnReceive implements amac.Algorithm.
 func (nd *Node) OnReceive(m amac.Message) {
-	c, ok := m.(Combined)
+	c, ok := m.(*Combined)
 	if !ok {
 		panic(fmt.Sprintf("wpaxos: unexpected message type %T", m))
 	}
@@ -269,66 +263,44 @@ func (nd *Node) OnAck(amac.Message) {
 // silent; after the node decides, only the decide flood remains relevant
 // and the execution quiesces.
 func (nd *Node) pump() {
-	if nd.inflight {
+	if nd.inflight || nd.decided && !nd.hasDecideQ {
 		return
 	}
-	var c Combined
-	any := false
-	if nd.decideQ != nil {
-		c.Decide, nd.decideQ = nd.decideQ, nil
-		any = true
+	c := nd.msg
+	if c == nil {
+		c = new(Combined)
+	} else {
+		*c = Combined{}
+	}
+	var ok bool
+	if nd.hasDecideQ {
+		c.buf.decide, nd.hasDecideQ = nd.decideQ, false
+		c.Decide = &c.buf.decide
 	}
 	if !nd.decided {
-		lm := LeaderMsg{ID: nd.det.Gossip()}
-		if nd.reuse {
-			nd.bufs.leader = lm
-			c.Leader = &nd.bufs.leader
-		} else {
-			cp := lm
-			c.Leader = &cp
+		c.buf.leader = LeaderMsg{ID: nd.det.Gossip()}
+		c.Leader = &c.buf.leader
+		if c.buf.change, ok = nd.change.pop(); ok {
+			c.Change = &c.buf.change
 		}
-		any = true
-		if m := nd.change.pop(); m != nil {
-			c.Change = m
+		if c.buf.search, ok = nd.tree.pop(nd.det.Fired()); ok {
+			c.Search = &c.buf.search
 		}
-		if m, ok := nd.tree.pop(nd.det.Fired()); ok {
-			if nd.reuse {
-				nd.bufs.search = m
-				c.Search = &nd.bufs.search
-			} else {
-				cp := m
-				c.Search = &cp
-			}
-		}
-		if nd.propQ != nil {
-			c.Proposer = nd.propQ // sticky: retransmitted until superseded
+		if nd.hasPropQ {
+			c.buf.proposer = nd.propQ // sticky: retransmitted until superseded
+			c.Proposer = &c.buf.proposer
 			if nd.propSent {
 				nd.met.retransmits.Inc()
 			} else {
 				nd.propSent = true
 			}
 		}
-		if r, ok := nd.popResp(); ok {
-			if nd.reuse {
-				nd.bufs.resp = r
-				c.Response = &nd.bufs.resp
-			} else {
-				cp := r
-				c.Response = &cp
-			}
+		if c.buf.response, ok = nd.popResp(); ok {
+			c.Response = &c.buf.response
 		}
-		if st, ok := nd.popState(); ok {
-			if nd.reuse {
-				nd.bufs.state = st
-				c.State = &nd.bufs.state
-			} else {
-				cp := st
-				c.State = &cp
-			}
+		if c.buf.state, ok = nd.popState(); ok {
+			c.State = &c.buf.state
 		}
-	}
-	if !any {
-		return
 	}
 	nd.det.NoteSend(nd.api.Now())
 	nd.inflight = true
@@ -443,12 +415,14 @@ func (nd *Node) onDecide(m DecideMsg) {
 		return
 	}
 	nd.decide(m.Val)
-	nd.decideQ = &DecideMsg{Val: m.Val} // flood onward
 }
 
+// decide decides v and queues the decide flood (which a singleton network
+// never pumps).
 func (nd *Node) decide(v amac.Value) {
 	nd.decided = true
 	nd.decision = v
+	nd.decideQ, nd.hasDecideQ = DecideMsg{Val: v}, true // flood onward
 	nd.api.Decide(v)
 }
 
@@ -463,10 +437,9 @@ func (nd *Node) onProposer(m ProposerMsg) {
 		return
 	}
 	nd.lastProp = key
-	if nd.seenProps[key] {
+	if !nd.markSeen(key) {
 		return // flood dedup: relay and respond only on first sight
 	}
-	nd.seenProps[key] = true
 	nd.det.Novel(nd.api.Now())
 	// Relay and answer every first-seen proposition, whoever proposed it:
 	// with a rotating Ω, nodes may disagree about the leader, and safety
@@ -475,6 +448,32 @@ func (nd *Node) onProposer(m ProposerMsg) {
 	// through the state gossip.
 	nd.enqueueProp(m)
 	nd.respond(m)
+}
+
+// findSeen returns p's position in seenProps, or the position it would be
+// inserted at.
+func (nd *Node) findSeen(p Proposition) (int, bool) {
+	s := nd.seenProps
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q := &s[mid]; q.Num.Less(p.Num) || (q.Num == p.Num && q.Kind < p.Kind) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(s) && s[lo] == p
+}
+
+// markSeen adds p to seenProps, reporting whether this is its first sight.
+func (nd *Node) markSeen(p Proposition) bool {
+	i, found := nd.findSeen(p)
+	if !found {
+		nd.seenProps = slices.Insert(nd.seenProps, i, p)
+		nd.met.seenProps.Set(int64(len(nd.seenProps)))
+	}
+	return !found
 }
 
 // noteLeaderNum updates the largest proposal number seen from the current
@@ -497,10 +496,10 @@ func (nd *Node) noteLeaderNum(num ProposalNum) {
 // anything older (larger number wins; a propose supersedes the prepare of
 // the same number).
 func (nd *Node) enqueueProp(m ProposerMsg) {
-	cur := nd.propQ
-	rose := cur == nil || cur.Num.Less(m.Num)
+	cur := &nd.propQ
+	rose := !nd.hasPropQ || cur.Num.Less(m.Num)
 	if rose || (cur.Num == m.Num && cur.Kind == Prepare && m.Kind == Propose) {
-		nd.propQ = &m
+		nd.propQ, nd.hasPropQ = m, true
 		nd.propSent = false
 	}
 	if rose {
@@ -525,10 +524,11 @@ func (nd *Node) respond(m ProposerMsg) {
 	r.Count = 1
 	if r.Positive {
 		nd.audit.addGenerated(r.Prop)
+		// The acceptor state advanced: let the gossip layer (and the local
+		// proposer) see it. A rejection changes nothing, and the promise
+		// behind it was published by the positive response that made it.
+		nd.noteOwnState()
 	}
-	// The acceptor state may have advanced; let the gossip layer (and the
-	// local proposer) see it.
-	nd.noteOwnState()
 	if m.Num.ID == nd.id {
 		// The proposer's own acceptor responds directly.
 		nd.consumeResponse(r)
@@ -601,7 +601,7 @@ func (nd *Node) noteOwnState() {
 // flood's maximum) can only be counted toward a proposal that number has
 // already superseded.
 func (nd *Node) countable(st *StateMsg) bool {
-	return st.Accepted != nil || nd.propQ == nil || !st.Promised.Less(nd.propQ.Num)
+	return st.Accepted != nil || !nd.hasPropQ || !st.Promised.Less(nd.propQ.Num)
 }
 
 // purgeStates drops the other origins' states that stopped being
@@ -665,18 +665,16 @@ func (nd *Node) mergeState(st StateMsg) {
 // acceptors having accepted the same proposal means its value is chosen
 // (the PAXOS chosen condition); any observer may decide it.
 func (nd *Node) tallyChosen(p Proposal, origin amac.NodeID) {
-	t := nd.chosen[p.Num]
-	if t == nil {
-		t = &chosenTally{val: p.Val, by: make(map[amac.NodeID]bool)}
-		nd.chosen[p.Num] = t
+	i := 0
+	for i < len(nd.chosen) && nd.chosen[i].num != p.Num {
+		i++
 	}
-	if t.by[origin] {
-		return
+	if i == len(nd.chosen) {
+		nd.chosen = append(nd.chosen, chosenTally{num: p.Num, val: p.Val})
 	}
-	t.by[origin] = true
-	if !nd.decided && 2*len(t.by) > nd.n {
+	t := &nd.chosen[i]
+	if t.by.add(origin) && !nd.decided && 2*len(t.by) > nd.n {
 		nd.decide(t.val)
-		nd.decideQ = &DecideMsg{Val: t.val}
 	}
 }
 
@@ -689,20 +687,15 @@ func (nd *Node) countState(st StateMsg) {
 		return
 	}
 	num := nd.prop.num
-	if num.Less(st.Promised) && !nd.gossNacks[st.Origin] {
-		// The origin is committed past our number and will never answer
-		// it positively.
-		nd.gossNacks[st.Origin] = true
-		if 2*len(nd.gossNacks) > nd.n {
-			nd.retry()
-			return
-		}
+	// An origin committed past our number will never answer it positively.
+	if num.Less(st.Promised) && nd.gossNacks.add(st.Origin) && 2*len(nd.gossNacks) > nd.n {
+		nd.retry()
+		return
 	}
 	// Acceptances of num are not tallied here: mergeState hands every one
 	// to the chosen-value watch first, which counts the same origins and
 	// decides at the same majority.
-	if nd.prop.phase == propPreparing && st.Promised == num && !nd.gossAcks[st.Origin] {
-		nd.gossAcks[st.Origin] = true
+	if nd.prop.phase == propPreparing && st.Promised == num && nd.gossAcks.add(st.Origin) {
 		nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
 		if 2*len(nd.gossAcks) > nd.n {
 			nd.beginPropose()
@@ -734,16 +727,14 @@ func (nd *Node) startProposal() {
 	nd.prop.phase = propPreparing
 	nd.prop.acks, nd.prop.nacks = 0, 0
 	nd.prop.bestPrev = nil
-	clear(nd.gossAcks)
-	clear(nd.gossNacks)
+	nd.gossAcks, nd.gossNacks = nd.gossAcks[:0], nd.gossNacks[:0]
 	nd.originate(ProposerMsg{Kind: Prepare, Num: nd.prop.num})
 }
 
 // originate floods one of this node's own proposer messages and runs the
 // local acceptor against it.
 func (nd *Node) originate(m ProposerMsg) {
-	key := m.Proposition()
-	nd.seenProps[key] = true
+	nd.markSeen(m.Proposition())
 	if nd.det.Omega() == nd.id {
 		nd.noteLeaderNum(m.Num)
 	}
@@ -790,7 +781,6 @@ func (nd *Node) consumeResponse(r ResponseMsg) {
 			if 2*nd.prop.acks > int64(nd.n) {
 				// A majority accepted: decide and flood.
 				nd.decide(nd.prop.value)
-				nd.decideQ = &DecideMsg{Val: nd.prop.value}
 			}
 		} else {
 			nd.met.nacks.Add(r.Count)
@@ -808,8 +798,7 @@ func (nd *Node) consumeResponse(r ResponseMsg) {
 func (nd *Node) beginPropose() {
 	nd.prop.phase = propProposing
 	nd.prop.acks, nd.prop.nacks = 0, 0
-	clear(nd.gossAcks)
-	clear(nd.gossNacks)
+	nd.gossAcks, nd.gossNacks = nd.gossAcks[:0], nd.gossNacks[:0]
 	if nd.prop.bestPrev != nil {
 		nd.prop.value = nd.prop.bestPrev.Val
 	} else {
@@ -852,12 +841,12 @@ func (nd *Node) DistToLeader() int64 { return nd.tree.distTo(nd.det.Omega()) }
 // or amac.NoID when unknown.
 func (nd *Node) ParentToLeader() amac.NodeID { return nd.tree.parentTo(nd.det.Omega()) }
 
-// WorkingSet returns the sizes of the node's two id-keyed tables: the
-// roots its tree service tracks and the origins in its state gossip
-// table. The wpaxos_tree_roots and wpaxos_state_origins gauges carry the
-// network-wide high-water marks of the same two numbers.
-func (nd *Node) WorkingSet() (treeRoots, stateOrigins int) {
-	return len(nd.tree.ents), len(nd.states)
+// WorkingSet returns the sizes of the node's three growing tables: the roots
+// its tree service tracks, the origins in its state gossip table and the
+// propositions it has seen (the one never purged). The wpaxos_tree_roots,
+// wpaxos_state_origins and wpaxos_seen_props gauges carry their high-water marks.
+func (nd *Node) WorkingSet() (treeRoots, stateOrigins, seenProps int) {
+	return len(nd.tree.ents), len(nd.states), len(nd.seenProps)
 }
 
 // MaxTagUsed returns the largest proposal tag this node proposed with

@@ -26,19 +26,19 @@ import (
 // receive reports true and the node currently believes it is the leader.
 type changeService struct {
 	lastChange int64 // -1 stands in for the paper's negative infinity
-	queue      *ChangeMsg
+	queue      ChangeMsg
+	queued     bool
 }
 
 func (s *changeService) init() {
-	s.lastChange = -1
-	s.queue = nil
+	*s = changeService{lastChange: -1}
 }
 
 // onChange handles a local change event (Omega_u or dist[Omega_u]
 // updated) at time now.
 func (s *changeService) onChange(now int64, self amac.NodeID) {
 	s.lastChange = now
-	s.queue = &ChangeMsg{T: now, ID: self}
+	s.queue, s.queued = ChangeMsg{T: now, ID: self}, true
 }
 
 // receive processes <change, t, id>; it reports whether the message was
@@ -48,16 +48,14 @@ func (s *changeService) receive(m ChangeMsg) bool {
 		return false
 	}
 	s.lastChange = m.T
-	s.queue = &ChangeMsg{T: m.T, ID: m.ID}
+	s.queue, s.queued = m, true
 	return true
 }
 
 // pop returns the current queue entry without clearing it: the newest
-// change is re-broadcast until superseded. The returned message is never
-// mutated in place (receive and onChange replace it wholesale), so the
-// shared pointer is safe on every substrate.
-func (s *changeService) pop() *ChangeMsg {
-	return s.queue
+// change is re-broadcast until superseded.
+func (s *changeService) pop() (ChangeMsg, bool) {
+	return s.queue, s.queued
 }
 
 // treeService implements Algorithm 4 (tree building), Bellman-Ford style,

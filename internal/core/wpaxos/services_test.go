@@ -49,15 +49,15 @@ func TestMaxPrev(t *testing.T) {
 func TestChangeService(t *testing.T) {
 	var s changeService
 	s.init()
-	if s.queue != nil {
+	if _, ok := s.pop(); ok {
 		t.Fatal("fresh change service has queued message")
 	}
 	s.onChange(10, 4)
-	if m := s.pop(); m == nil || m.T != 10 || m.ID != 4 {
+	if m, ok := s.pop(); !ok || m.T != 10 || m.ID != 4 {
 		t.Fatalf("queued %v", m)
 	}
 	// pop is sticky: the newest change stays queued until superseded.
-	if m := s.pop(); m == nil || m.T != 10 {
+	if m, ok := s.pop(); !ok || m.T != 10 {
 		t.Fatalf("sticky pop %v", m)
 	}
 	if s.receive(ChangeMsg{T: 9, ID: 1}) {
@@ -68,6 +68,9 @@ func TestChangeService(t *testing.T) {
 	}
 	if !s.receive(ChangeMsg{T: 11, ID: 1}) {
 		t.Fatal("fresh timestamp rejected")
+	}
+	if m, ok := s.pop(); !ok || m != (ChangeMsg{T: 11, ID: 1}) {
+		t.Fatalf("queued %v after a fresh change", m)
 	}
 }
 

@@ -42,15 +42,15 @@ func pendingRoots(nd *Node) []amac.NodeID {
 // pending relay — and is not novel information to the detector.
 func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	nd, api := startedNode(3, 5)
-	nd.OnReceive(Combined{Leader: &LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
-	nd.OnReceive(Combined{Leader: &LeaderMsg{ID: 6}}) // a member below Ω
+	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
+	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 6}}) // a member below Ω
 	if nd.Leader() != 9 || nd.DistToLeader() != 4 {
 		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.Leader(), nd.DistToLeader())
 	}
 	roots, pending, novel := trackedRoots(nd), pendingRoots(nd), nd.det.lastNovel
 
 	api.now = 20
-	nd.OnReceive(Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
+	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
 	if got := trackedRoots(nd); !slices.Equal(got, roots) || nd.tree.distTo(6) != -1 {
 		t.Fatalf("a search for root 6 < Ω = 9 was tracked: roots %v", got)
 	}
@@ -70,7 +70,7 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	}
 	novel = nd.det.lastNovel
 	api.now++
-	nd.OnReceive(Combined{Search: &SearchMsg{Root: 9, Hops: 1, Sender: 4}})
+	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 9, Hops: 1, Sender: 4}})
 	if nd.tree.distTo(9) != 4 || nd.tree.parentTo(9) != 2 {
 		t.Fatalf("a search for suspected root 9 was adopted: dist %d parent %d", nd.tree.distTo(9), nd.tree.parentTo(9))
 	}
@@ -79,7 +79,7 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	}
 	// The successor's tree is now wanted, and the old one is kept for a
 	// wrap to find.
-	nd.OnReceive(Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
+	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
 	if nd.DistToLeader() != 1 || !slices.Equal(trackedRoots(nd), []amac.NodeID{3, 6, 9}) {
 		t.Fatalf("after demotion: dist to leader %d, roots %v", nd.DistToLeader(), trackedRoots(nd))
 	}
@@ -91,19 +91,19 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
 	nd, _ := startedNode(3, 5)
 	for _, root := range []amac.NodeID{7, 4, 8} { // all above Ω = self
-		nd.OnReceive(Combined{Search: &SearchMsg{Root: root, Hops: 2, Sender: 2}})
+		nd.OnReceive(&Combined{Search: &SearchMsg{Root: root, Hops: 2, Sender: 2}})
 	}
 	if got := trackedRoots(nd); !slices.Equal(got, []amac.NodeID{3, 4, 7, 8}) {
 		t.Fatalf("tracked %v, want [3 4 7 8]", got)
 	}
-	nd.OnReceive(Combined{Leader: &LeaderMsg{ID: 8}})
+	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 8}})
 	if got := trackedRoots(nd); !slices.Equal(got, []amac.NodeID{3, 8}) {
 		t.Fatalf("tracked after Ω rose to 8: %v, want [3 8]", got)
 	}
 	if got := pendingRoots(nd); !slices.Equal(got, []amac.NodeID{8}) {
 		t.Fatalf("pending after Ω rose to 8: %v, want the leader alone (self went out at Start)", got)
 	}
-	if tr, _ := nd.WorkingSet(); tr != 2 {
+	if tr, _, _ := nd.WorkingSet(); tr != 2 {
 		t.Fatalf("WorkingSet reports %d tree roots, want 2", tr)
 	}
 }
@@ -112,6 +112,17 @@ func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
 func stateOf(nd *Node, origin amac.NodeID) *StateMsg {
 	if i, ok := nd.findState(origin); ok {
 		return &nd.states[i]
+	}
+	return nil
+}
+
+// chosenBy returns the origins the chosen-value watch has seen accepting
+// num.
+func chosenBy(nd *Node, num ProposalNum) idSet {
+	for _, t := range nd.chosen {
+		if t.num == num {
+			return t.by
+		}
 	}
 	return nil
 }
@@ -135,31 +146,31 @@ func gossiped(nd *Node) []amac.NodeID {
 func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	nd, api := startedNode(3, 7)
 	num := ProposalNum{Tag: 2, ID: 9}
-	nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: num}})
+	nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: num}})
 	if own := stateOf(nd, 3); own == nil || own.Promised != num {
 		t.Fatalf("own acceptor state not published: %+v", own)
 	}
 	novel := nd.det.lastNovel
 	api.now = 20
 
-	nd.OnReceive(Combined{State: &StateMsg{Origin: 4, Promised: ProposalNum{Tag: 1, ID: 4}}})
+	nd.OnReceive(&Combined{State: &StateMsg{Origin: 4, Promised: ProposalNum{Tag: 1, ID: 4}}})
 	if stateOf(nd, 4) != nil || nd.det.lastNovel != novel {
 		t.Fatal("a bare promise below the highest number seen was stored or counted as novel")
 	}
 	old := &Proposal{Num: ProposalNum{Tag: 1, ID: 5}, Val: 1}
-	nd.OnReceive(Combined{State: &StateMsg{Origin: 5, Promised: old.Num, Accepted: old}})
-	nd.OnReceive(Combined{State: &StateMsg{Origin: 6, Promised: num}})
-	nd.OnReceive(Combined{State: &StateMsg{Origin: 7, Promised: ProposalNum{Tag: 5, ID: 1}}})
+	nd.OnReceive(&Combined{State: &StateMsg{Origin: 5, Promised: old.Num, Accepted: old}})
+	nd.OnReceive(&Combined{State: &StateMsg{Origin: 6, Promised: num}})
+	nd.OnReceive(&Combined{State: &StateMsg{Origin: 7, Promised: ProposalNum{Tag: 5, ID: 1}}})
 	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 6, 7}) {
 		t.Fatalf("gossip cycle offers origins %v, want [3 5 6 7]", got)
 	}
-	if len(nd.chosen[old.Num].by) != 1 {
+	if len(chosenBy(nd, old.Num)) != 1 {
 		t.Fatal("the chosen-value watch did not see origin 5's acceptance")
 	}
 
 	// A higher proposition: 6's promise can no longer be counted by
 	// anyone, 5's acceptance and 7's higher promise still can.
-	nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 3, ID: 9}}})
+	nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 3, ID: 9}}})
 	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 7}) {
 		t.Fatalf("after the number rose: origins %v, want [3 5 7]", got)
 	}
@@ -175,8 +186,9 @@ func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	if own := stateOf(nd, 3); own == nil || own.Promised != (ProposalNum{Tag: 3, ID: 9}) {
 		t.Fatalf("own acceptor state after the purge: %+v", own)
 	}
-	if _, so := nd.WorkingSet(); so != 2 {
-		t.Fatalf("WorkingSet reports %d state origins, want 2", so)
+	// Two prepares came through onProposer; the enqueueProp above did not.
+	if _, so, sp := nd.WorkingSet(); so != 2 || sp != 2 {
+		t.Fatalf("WorkingSet reports %d state origins and %d seen propositions, want 2 and 2", so, sp)
 	}
 }
 
@@ -236,10 +248,10 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 			if tc.propose {
 				nd.generateProposal()
 			} else {
-				nd.OnReceive(Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: heard}})
+				nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: heard}})
 			}
 			for i := range tc.merge {
-				nd.OnReceive(Combined{State: &tc.merge[i]})
+				nd.OnReceive(&Combined{State: &tc.merge[i]})
 			}
 			// One lap: pop until the cursor is about to wrap.
 			var lap []amac.NodeID
@@ -279,7 +291,7 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 				if nd.prop.phase != propProposing || nd.prop.num != mine {
 					t.Fatalf("proposer is in phase %v at %v, want proposing %v", nd.prop.phase, nd.prop.num, mine)
 				}
-				if by := nd.chosen[mine].by; len(by) != 5 || len(nd.gossAcks) != 0 {
+				if by := chosenBy(nd, mine); len(by) != 5 || len(nd.gossAcks) != 0 {
 					t.Errorf("acceptances of %v: chosen-value watch counts %d origins, the prepare tally %d; want 5 and 0", mine, len(by), len(nd.gossAcks))
 				}
 			}

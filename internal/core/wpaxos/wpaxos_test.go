@@ -439,18 +439,20 @@ func TestCrashSafetyOnly(t *testing.T) {
 	}
 }
 
-// stubAPI is a substrate that accepts one broadcast and never acks it, so
-// the node under test stays in flight.
+// stubAPI is a substrate that accepts every broadcast and acks none, so
+// the node under test stays in flight until the test calls OnAck itself.
 type stubAPI struct {
 	id         amac.NodeID
 	now        int64
 	broadcasts int
+	last       amac.Message // the latest broadcast
 	decisions  []amac.Value
 }
 
 func (a *stubAPI) ID() amac.NodeID { return a.id }
-func (a *stubAPI) Broadcast(amac.Message) bool {
+func (a *stubAPI) Broadcast(m amac.Message) bool {
 	a.broadcasts++
+	a.last = m
 	return true
 }
 func (a *stubAPI) Decide(v amac.Value) { a.decisions = append(a.decisions, v) }
@@ -468,16 +470,10 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 	if api.broadcasts != 1 {
 		t.Fatalf("Start made %d broadcasts, want 1 in flight", api.broadcasts)
 	}
-	num := ProposalNum{Tag: 1, ID: 9}
-	var msg amac.Message = Combined{
-		Leader:   &LeaderMsg{ID: 9},
-		Change:   &ChangeMsg{T: 5, ID: 9},
-		Search:   &SearchMsg{Root: 9, Hops: 1, Sender: 9},
-		Proposer: &ProposerMsg{Kind: Prepare, Num: num},
-		State:    &StateMsg{Origin: 9, Promised: num},
-	}
+	msg := fullMessage()
 	nd.OnReceive(msg) // first sight: everything is learned here
-	if nd.Leader() != 9 || nd.DistToLeader() != 1 || stateOf(nd, 9) == nil || !nd.seenProps[Proposition{Kind: Prepare, Num: num}] {
+	_, seen := nd.findSeen(msg.Proposer.Proposition())
+	if nd.Leader() != 9 || nd.DistToLeader() != 1 || stateOf(nd, 9) == nil || !seen {
 		t.Fatal("the first delivery was not absorbed")
 	}
 	api.now = 20
@@ -486,5 +482,74 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 	}
 	if api.broadcasts != 1 {
 		t.Fatalf("the node broadcast %d times while in flight", api.broadcasts)
+	}
+}
+
+// fullMessage is a delivery that leaves a fresh node with something in
+// every sticky queue: a leader, a change, its tree, a proposition and two
+// acceptor states (the sender's and, after the response, the node's own).
+func fullMessage() *Combined {
+	num := ProposalNum{Tag: 1, ID: 9}
+	return &Combined{
+		Leader:   &LeaderMsg{ID: 9},
+		Change:   &ChangeMsg{T: 5, ID: 9},
+		Search:   &SearchMsg{Root: 9, Hops: 1, Sender: 9},
+		Proposer: &ProposerMsg{Kind: Prepare, Num: num},
+		State:    &StateMsg{Origin: 9, Promised: num},
+	}
+}
+
+// TestSteadyStateBroadcastDoesNotAllocate pins the sending half on a
+// substrate that acks after the handlers (the simulator): the node owns one
+// message and every ack -> pump -> broadcast refills it, so a broadcast
+// costs no allocation once that message exists.
+func TestSteadyStateBroadcastDoesNotAllocate(t *testing.T) {
+	api := &stubAPI{id: 3, now: 10}
+	nd := NewFactory(Config{N: 5})(amac.NodeConfig{ID: 3, Input: 1, AckAfterHandlers: true}).(*Node)
+	nd.Start(api)
+	own := api.last
+	nd.OnReceive(fullMessage())
+	for range 4 { // past the one-shot slots: the pending tree improvement and the response
+		nd.OnAck(api.last)
+	}
+	sent := api.broadcasts
+	if avg := testing.AllocsPerRun(200, func() { nd.OnAck(api.last) }); avg != 0 {
+		t.Fatalf("a steady-state broadcast allocates %.1f times", avg)
+	}
+	if api.broadcasts < sent+200 || api.last != own {
+		t.Fatalf("%d broadcasts for 200+ acks, the last one %p; want one each, all of them the node's own message %p",
+			api.broadcasts-sent, api.last, own)
+	}
+	c := own.(*Combined)
+	if c.Leader == nil || c.Change == nil || c.Proposer == nil || c.State == nil {
+		t.Fatalf("the steady-state broadcast is missing a sticky slot: %+v", c)
+	}
+}
+
+// TestBroadcastsAreDistinctWithoutAckAfterHandlers pins the other half of
+// the pooling contract, the one live and netmac rely on: where a receiver
+// may still be reading a message when its ack lands, two consecutive pumps
+// hand Broadcast distinct objects and the second does not touch the first.
+func TestBroadcastsAreDistinctWithoutAckAfterHandlers(t *testing.T) {
+	nd, api := startedNode(3, 5)
+	nd.OnReceive(fullMessage())
+	nd.OnAck(api.last)
+	first := api.last.(*Combined)
+	before := *first
+	if first.Proposer == nil || first.State == nil {
+		t.Fatalf("the first message carries no proposition or state: %+v", first)
+	}
+	api.now = 20
+	nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 2, ID: 9}}})
+	nd.OnAck(first)
+	second := api.last.(*Combined)
+	if second == first {
+		t.Fatal("the second pump reused the first message")
+	}
+	if *first != before {
+		t.Fatalf("the second pump changed the first message:\n%+v\nwas\n%+v", *first, before)
+	}
+	if second.Proposer == nil || *second.Proposer == *first.Proposer {
+		t.Fatalf("the second message does not carry the newer proposition: %+v", second.Proposer)
 	}
 }

@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/absmac/absmac/internal/sim"
+)
 
 // sweepGridBench is the whole-grid benchmark workload: one multihop
 // algorithm crossed with two topologies, two crash patterns and three
@@ -74,6 +78,32 @@ func BenchmarkSweepCellMetrics(b *testing.B) {
 		}
 		if len(cells) != 1 || !cells[0].OK() || len(cells[0].Metrics) == 0 {
 			b.Fatalf("sweep cell broken: %+v", cells)
+		}
+	}
+}
+
+// BenchmarkWPaxosDecideLarge is one whole wPAXOS execution at the scale
+// tier — scenario assembly and a run to all-decided on expander:1024:8 —
+// with metrics off. Its allocs/op is pinned (BENCH_engine.json): a delivery
+// allocates nothing and a broadcast refills the node's own message, so what
+// is left is table growth, and a per-delivery or per-broadcast allocation
+// coming back shows as a multiple of the pin.
+func BenchmarkWPaxosDecideLarge(b *testing.B) {
+	sc := Scenario{
+		Algo:  "wpaxos",
+		Topo:  Topo{Kind: "expander", N: 1024, Deg: 8},
+		Sched: "random",
+		Fack:  4,
+		Seed:  1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg, err := sc.Config()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := sim.Run(cfg); !res.AllDecided() {
+			b.Fatalf("not all decided after %d events", res.Events)
 		}
 	}
 }

@@ -69,9 +69,13 @@ func TestLargeNDecidesWithinEventBudget(t *testing.T) {
 // over nodes at the end of the run (measured: 2.0 roots, 47 origins; a
 // node that stores every root it hears of holds 154 here, so the tree
 // bound is the one that bites at this size — the state table separates
-// only further up, ≈ 60 against ≈ 250 at n = 4096). The two gauges carry
-// the largest table any node held at any time and must cover what the
-// nodes report at the end.
+// only further up, ≈ 60 against ≈ 250 at n = 4096). The third count is
+// the one table that is never purged, the propositions a node has seen:
+// one or two per proposal number that reached it (measured: mean 26.0,
+// largest 35; the bound of 40 fails once re-proposals stop being Θ(1) per
+// change or something other than propositions lands in the set). The three
+// gauges carry the largest table any node held at any time and must cover
+// what the nodes report at the end.
 func TestWPaxosWorkingSetStaysSmall(t *testing.T) {
 	reg := metrics.New()
 	cfg, err := Scenario{
@@ -95,11 +99,11 @@ func TestWPaxosWorkingSetStaysSmall(t *testing.T) {
 	if res := sim.Run(cfg); !res.AllDecided() {
 		t.Fatalf("not all decided after %d events", res.Events)
 	}
-	var roots, origins, maxRoots, maxOrigins int
+	var roots, origins, props, maxRoots, maxOrigins, maxProps int
 	for _, nd := range nodes {
-		r, o := nd.WorkingSet()
-		roots, origins = roots+r, origins+o
-		maxRoots, maxOrigins = max(maxRoots, r), max(maxOrigins, o)
+		r, o, p := nd.WorkingSet()
+		roots, origins, props = roots+r, origins+o, props+p
+		maxRoots, maxOrigins, maxProps = max(maxRoots, r), max(maxOrigins, o), max(maxProps, p)
 	}
 	n := float64(len(nodes))
 	if mean := float64(roots) / n; mean > 4 {
@@ -108,11 +112,17 @@ func TestWPaxosWorkingSetStaysSmall(t *testing.T) {
 	if mean := float64(origins) / n; mean > 64 {
 		t.Errorf("mean state origins per node at decide = %.1f, want <= 64", mean)
 	}
+	if mean := float64(props) / n; mean > 40 {
+		t.Errorf("mean seen propositions per node at decide = %.1f, want <= 40", mean)
+	}
 	if high := reg.Gauge("wpaxos_tree_roots").High(); high < int64(maxRoots) || high > 64 {
 		t.Errorf("wpaxos_tree_roots high-water %d; a node ends with %d, bound 64", high, maxRoots)
 	}
 	if high := reg.Gauge("wpaxos_state_origins").High(); high < int64(maxOrigins) || high > 256 {
 		t.Errorf("wpaxos_state_origins high-water %d; a node ends with %d, bound 256", high, maxOrigins)
+	}
+	if high := reg.Gauge("wpaxos_seen_props").High(); high < int64(maxProps) || high > 128 {
+		t.Errorf("wpaxos_seen_props high-water %d; a node ends with %d, bound 128", high, maxProps)
 	}
 }
 

@@ -28,7 +28,7 @@ func register() {
 	registerOnce.Do(func() {
 		RegisterMessages(
 			twophase.Phase1{}, twophase.Phase2{},
-			wpaxos.Combined{},
+			&wpaxos.Combined{},
 			gatherall.PairMsg{},
 			beat{},
 		)
