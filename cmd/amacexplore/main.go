@@ -9,9 +9,9 @@
 // unreliable-edge coin, every crash time — then replays -budget seeded
 // perturbations of it (swapped delivery orders, re-jittered delays within
 // Fack, flipped overlay coins, shifted or dropped crashes) on a parallel
-// worker pool, deduplicating candidates by schedule hash and classifying
-// every outcome against the consensus properties. Exploration is
-// deterministic given the scenario and -searchseed.
+// worker pool, deduplicating candidates by schedule fingerprint and
+// classifying every outcome against the consensus properties. Exploration
+// is deterministic given the scenario and -searchseed.
 //
 //	amacexplore -algo wpaxos -topo ring:9 -sched random -fack 4 -seed 4 \
 //	            -crash midbroadcast -overlay chords -budget 512
@@ -213,25 +213,9 @@ func runExplore(sc harness.Scenario, opts explore.Options, minimize bool, out st
 		violation = rep.Base
 	)
 	if violation == nil && len(rep.Findings) > 0 {
-		f := rep.Findings[0]
-		// A perturbed finding's schedule diverges by construction (the
-		// replay falls back past the perturbation point). Close it into a
-		// complete recording of the violating execution, so the artifact
-		// replays divergence-free and -replay verification passes.
-		runner, err := rep.Scenario.NewReplayRunner()
-		if err != nil {
+		if schedule, violation, err = explore.CloseFinding(rep.Scenario, rep.Findings[0]); err != nil {
 			return fail(err)
 		}
-		fOut, _, closed, err := runner.RunRecorded(f.Schedule, nil)
-		if err != nil {
-			return fail(err)
-		}
-		v := fOut.Violation()
-		if v == nil || v.Kind != f.Violation.Kind {
-			return fail(fmt.Errorf("finding %d did not reproduce on re-recording (got %+v, want %s)", f.Candidate, v, f.Violation.Kind))
-		}
-		schedule = closed
-		violation = v
 	}
 	if violation != nil {
 		kind = violation.Kind
@@ -388,27 +372,19 @@ func runReplay(path, traceFile string, critPath, jsonOut bool) int {
 		return fail(err)
 	}
 	var rec *trace.Recorder
-	var observer func(sim.Event)
+	var observers []func(sim.Event)
 	if traceFile != "" {
 		// Unbounded: the dumped trace must be the whole replay, not the
 		// last ring-buffer window of it.
 		rec = trace.New(trace.Unbounded)
-		observer = rec.Observer()
+		observers = append(observers, rec.Observer())
 	}
 	var coll *critpath.Collector
 	if critPath {
 		coll = critpath.NewCollector(critpath.ClassifierFor(a.Scenario.Algo))
-		if observer == nil {
-			observer = coll.Observer()
-		} else {
-			tr, cp := observer, coll.Observer()
-			observer = func(ev sim.Event) {
-				tr(ev)
-				cp(ev)
-			}
-		}
+		observers = append(observers, coll.Observer())
 	}
-	out, rp, err := a.Replay(observer)
+	out, rp, err := a.Replay(harness.ChainObservers(observers...))
 	if err != nil {
 		return fail(err)
 	}

@@ -198,50 +198,38 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 		return fail(err)
 	}
 	sc := harness.Scenario{Algo: algo, Topo: t, Inputs: inputs, Sched: sched, Fack: fack, Seed: seed, Crashes: crash, Overlay: overlay}
-	var reg *metrics.Registry
-	var coll *critpath.Collector
-	if metricsOn {
-		reg = metrics.New()
-		sc.Metrics = reg // flows into every config built from the scenario
-		coll = critpath.NewCollector(critpath.ClassifierFor(algo))
-	}
-	// The display config: the summary lines print facts (edge counts, the
-	// crash schedule, the overlay graph) that Outcome does not carry. In
-	// -record mode RunRecorded builds its own identical config — scenario
-	// construction is deterministic, so both describe the same execution,
-	// and the duplicate build is one small graph per CLI invocation.
+	// Built once: the summary lines print facts (edge counts, the crash
+	// schedule, the overlay graph) that Outcome does not carry, and the
+	// same configuration is what the executor runs.
 	cfg, err := sc.Config()
 	if err != nil {
 		return fail(err)
 	}
+	req := harness.Exec{Record: recordFile != ""}
+	var observers []func(sim.Event)
 	var rec *trace.Recorder
 	if verbose || traceFile != "" {
 		// Unbounded: -v and -trace promise the FULL trace, not the last
 		// ring-buffer window of it.
 		rec = trace.New(trace.Unbounded)
+		observers = append(observers, rec.Observer())
 	}
-	obs := chainObservers(rec, coll)
-	cfg.Observer = obs
-	var res *sim.Result
-	var rep *consensus.Report
-	diameter := -1
+	var coll *critpath.Collector
+	if metricsOn {
+		req.Metrics = metrics.New()
+		coll = critpath.NewCollector(critpath.ClassifierFor(algo))
+		observers = append(observers, coll.Observer())
+	}
+	req.Observer = harness.ChainObservers(observers...)
+	out, _, schedule, err := harness.Execute(sc, cfg, req)
+	if err != nil {
+		return fail(err)
+	}
+	res, rep := out.Result, out.Report
 	if recordFile != "" {
-		// Record the schedule and write it as a replayable artifact (the
-		// escape hatch into amacexplore -replay / -minimize). The recorded
-		// run is byte-identical to an unrecorded one.
-		var out *harness.Outcome
-		var schedule *sim.Schedule
-		if obs != nil {
-			out, schedule, err = sc.RunRecorded(obs)
-		} else {
-			out, schedule, err = sc.RunRecorded()
-		}
-		if err != nil {
-			return fail(err)
-		}
-		res = out.Result
-		rep = out.Report
-		diameter = out.Diameter // RunRecorded already paid the BFS
+		// Write the recorded schedule as a replayable artifact (the escape
+		// hatch into amacexplore -replay / -minimize). The recorded run is
+		// byte-identical to an unrecorded one.
 		artifact := &explore.Artifact{
 			Format: explore.ArtifactFormat, Scenario: sc,
 			Schedule: schedule, Violation: out.Violation(),
@@ -250,9 +238,6 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 		if err := artifact.WriteFile(recordFile); err != nil {
 			return fail(err)
 		}
-	} else {
-		res = sim.Run(cfg)
-		rep = consensus.Check(cfg.Inputs, res)
 	}
 	if rec != nil {
 		if verbose {
@@ -276,13 +261,10 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 		fmt.Println("trace summary:", rec.Summary())
 	}
 
-	g := cfg.Graph
-	if diameter < 0 {
-		diameter = g.Diameter()
-	}
+	g, diameter := cfg.Graph, out.Diameter
 	// Structural schedulers (edgeorder) override the requested bound, so
 	// report and normalize by what the scheduler actually declared.
-	fack = cfg.Scheduler.Fack()
+	fack = out.Fack
 	fmt.Printf("algorithm   %s\n", algo)
 	fmt.Printf("topology    %s (n=%d, m=%d, diameter=%d)\n", t, g.N(), g.M(), diameter)
 	if cfg.Unreliable != nil {
@@ -307,7 +289,7 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 	fmt.Printf("agreement   %v\nvalidity    %v\ntermination %v\n", rep.Agreement, rep.Validity, rep.Termination)
 	if metricsOn {
 		fmt.Println("\nmetrics:")
-		if err := reg.WriteText(os.Stdout); err != nil {
+		if err := req.Metrics.WriteText(os.Stdout); err != nil {
 			return fail(err)
 		}
 		fmt.Println()
@@ -342,25 +324,6 @@ func printErrors(res *sim.Result, rep *consensus.Report) {
 		fmt.Printf("; and %d more", more)
 	}
 	fmt.Println()
-}
-
-// chainObservers fans one engine-event stream out to the trace recorder
-// and the critical-path collector, either of which may be absent. Returns
-// nil when both are, so the engine skips observer dispatch entirely.
-func chainObservers(rec *trace.Recorder, coll *critpath.Collector) func(sim.Event) {
-	switch {
-	case rec == nil && coll == nil:
-		return nil
-	case coll == nil:
-		return rec.Observer()
-	case rec == nil:
-		return coll.Observer()
-	}
-	tr, cp := rec.Observer(), coll.Observer()
-	return func(ev sim.Event) {
-		tr(ev)
-		cp(ev)
-	}
 }
 
 func runSweep(grid harness.Grid, workers int, jsonOut, metricsOn bool) int {

@@ -25,7 +25,9 @@
 // seeds back to back on a reusable simulator engine, and workers share
 // per-sweep caches of built topologies, their diameters and overlay dual
 // graphs keyed by (topo, seed) — so everything that depends only on the
-// topology and seed is computed once per sweep, not once per scenario. The two adversity registries put the paper's fault
+// topology and seed is computed once per sweep, not once per scenario (a
+// single run builds through a cache of its own: a sweep of one). The two
+// adversity registries put the paper's fault
 // models on sweep axes: crash patterns (none, one@T, maxid@T,
 // coordinator, midbroadcast, minorityrand) schedule the crash failures
 // of Theorem 3.2
@@ -44,27 +46,48 @@
 //
 // — and the JSON cell schema.
 //
-// On top of seeded sweeps sits the schedule-space explorer: internal/sim
-// records every nondeterministic decision of a run (each broadcast's
-// delivery plan, every unreliable-edge coin, every crash time) into a
-// JSON-serializable Schedule that replays byte-identically, and
+// Every execution — a single run, a recording, a replay, a sweep run, a
+// CLI invocation — goes through one executor in internal/harness
+// (execute.go). The paper puts every nondeterministic choice in the
+// message scheduler, so the tooling is scheduler wrappers, and the
+// executor is the one place that stacks them, in the one legal order: the
+// scenario's scheduler (under sim.Lossy when there is an overlay) or a
+// sim.Replay of a given schedule in their place; then sim.ScheduleRecorder,
+// which captures each broadcast's finished delivery plan, every
+// unreliable-edge coin and the crash times into a JSON-serializable
+// Schedule that replays byte-identically; then sim.Fingerprinter, which
+// folds the same decisions into a coverage digest
+// (Outcome.Fingerprint == Schedule.Fingerprint() of the same run). A
+// caller names what it wants in a request value (harness.Exec: replay this
+// schedule, record, fingerprint, observer, metrics registry); the executor
+// installs it, runs on an engine it owns — fresh, or reused across a
+// ReplayRunner's replays and a sweep worker's seeds, which is why an
+// Outcome's sim.Result is valid only until that executor's next run —
+// judges the result with consensus.Check and returns the one Outcome.
+// Scenario.Run/RunRecorded, ReplayRunner.Run/RunRecorded and the sweep
+// worker are adapters of a few lines (bench/ compiles against their
+// signatures); anything that must see every execution is installed in
+// the executor, once.
+//
 // internal/explore searches perturbations of recorded schedules — swapped
 // delivery orders, re-jittered delays within Fack, flipped overlay coins,
-// shifted crashes — for property violations, then delta-debugs what it
-// finds into minimal replayable counterexample artifacts. cmd/amacexplore
-// is the CLI (-budget, -minimize, -replay); `amacsim -record` captures
-// any single run as an artifact and `amacsim -trace` dumps machine-
-// readable JSONL event traces.
+// shifted crashes — for property violations, replaying each candidate
+// through a ReplayRunner and deduplicating candidates on
+// Schedule.Fingerprint, then delta-debugs what it finds into minimal
+// replayable counterexample artifacts (every accepted reduction is a
+// replay-with-re-recording, so artifacts replay with zero divergence).
+// cmd/amacexplore is the CLI (-budget, -minimize, -replay); `amacsim
+// -record` captures any single run as an artifact and `amacsim -trace`
+// dumps machine-readable JSONL event traces.
 //
-// The campaign layer composes the two pipelines: sweeps stream every
-// violating (scenario, seed) to a consumer as cell workers classify it
-// (harness.SweepOptions/FlaggedRun, with the violation verdict hoisted
-// into internal/consensus so both sides share it), and
-// internal/explore.Campaign drives a whole grid — sweep with
-// schedule-coverage fingerprints (sim.Fingerprinter, reporting how many
-// distinct delivery orderings each cell exercised and stopping saturated
-// cells early), then record, perturb and parallel-shrink every flagged
-// cell on one shared worker pool into minimized artifacts, all
+// The campaign layer composes sweeps and the explorer: a sweep whose
+// requests ask for fingerprints reports how many distinct delivery
+// orderings each cell exercised and stops saturated cells early, and
+// streams every violating (scenario, seed) to a consumer as cell workers
+// classify it (harness.SweepOptions/FlaggedRun, the verdict being
+// consensus.Classify on both sides); internal/explore.Campaign then
+// re-records, perturbs and parallel-shrinks every flagged cell on one
+// shared pool of per-worker ReplayRunners into minimized artifacts, all
 // byte-reproducible at any worker count. `amacexplore -grid` runs
 // campaigns from the same sweep-axis grammar as `amacsim -sweep` (the
 // shared harness.AxisFlags helper) and emits a JSON campaign report. The

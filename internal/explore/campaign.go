@@ -268,7 +268,7 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 			}
 		}
 		if best != nil {
-			closed, v, err := closeFinding(pool, sc, best)
+			closed, v, err := CloseFinding(sc, best)
 			if err != nil {
 				return nil, err
 			}
@@ -326,17 +326,12 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 // specs ( : @ . ) flattens to '-' (letters and digits survive, so
 // grid:3x3 names grid-3x3).
 func ArtifactName(sc harness.Scenario) string {
-	// The defaults mirror harness's cell identity (empty Inputs means
-	// "alternating", empty fault axes mean "none" — exactly what the
-	// sweep's Cell rows report), so a finding's filename and its cell row
-	// name the same scenario.
-	inputs := sc.Inputs
-	if inputs == "" {
-		inputs = "alternating"
-	}
+	// harness.Key applies the defaults exactly as the sweep's Cell rows
+	// report them, so a finding's filename and its cell row name the same
+	// scenario.
+	k := sc.Key()
 	stem := fmt.Sprintf("%s_%s_%s_%s_f%d_c%s_o%s_s%d",
-		sc.Algo, sc.Topo, inputs, sc.Sched, sc.Fack,
-		orNone(sc.Crashes), orNone(sc.Overlay), sc.Seed)
+		k.Algo, k.Topo, k.Inputs, k.Sched, k.Fack, k.Crashes, k.Overlay, k.Seed)
 	out := make([]rune, 0, len(stem))
 	for _, r := range stem {
 		switch {
@@ -349,39 +344,22 @@ func ArtifactName(sc harness.Scenario) string {
 	return string(out) + ".json"
 }
 
-func orNone(s string) string {
-	if s == "" {
-		return "none"
-	}
-	return s
-}
-
-// closeFinding re-records a perturbed finding's execution on the pool,
-// returning the closed schedule (every broadcast a recorded step, so it
-// replays with zero divergence) and its classification. It errors when the
-// finding's violation kind does not reproduce on re-recording.
-func closeFinding(pool *evalPool, sc harness.Scenario, f *Finding) (*sim.Schedule, *consensus.Violation, error) {
-	var (
-		closed *sim.Schedule
-		v      *consensus.Violation
-		err    error
-	)
-	pool.runOne(func(rs *runnerSet) {
-		r, e := rs.runner(sc)
-		if e != nil {
-			err = e
-			return
-		}
-		out, _, cl, e := r.RunRecorded(f.Schedule, nil)
-		if e != nil {
-			err = e
-			return
-		}
-		closed, v = cl, out.Violation()
-	})
+// CloseFinding re-records a perturbed finding's execution — its schedule
+// diverges by construction, the replay falling back past the perturbation
+// point — and returns the closed schedule (every broadcast a recorded
+// step, so it replays with zero divergence and passes -replay
+// verification) with its classification. It errors when the finding's
+// violation kind does not reproduce on re-recording.
+func CloseFinding(sc harness.Scenario, f *Finding) (*sim.Schedule, *consensus.Violation, error) {
+	runner, err := sc.NewReplayRunner()
 	if err != nil {
 		return nil, nil, err
 	}
+	out, _, closed, err := runner.RunRecorded(f.Schedule, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	v := out.Violation()
 	if v == nil || v.Kind != f.Violation.Kind {
 		return nil, nil, fmt.Errorf("finding %d did not reproduce on re-recording (got %+v, want %s)", f.Candidate, v, f.Violation.Kind)
 	}

@@ -17,8 +17,8 @@
 // Exploration is deterministic given (scenario, Options): candidates are
 // generated centrally — a bounded radius-1 neighborhood enumeration of the
 // base schedule followed by seeded random walks — deduplicated by schedule
-// hash, and findings are reported in candidate order regardless of worker
-// scheduling.
+// fingerprint, and findings are reported in candidate order regardless of
+// worker scheduling.
 //
 // The Shrinker (shrink.go) delta-debugs a violating schedule down to a
 // minimal failing artifact; Artifact (artifact.go) is the JSON file format
@@ -51,8 +51,7 @@ import (
 )
 
 // Options tunes an exploration. The zero value means: budget 256, workers
-// GOMAXPROCS, seed 1, the sweep default event cap, walk length 8, all
-// findings reported.
+// GOMAXPROCS, seed 1, the sweep default event cap.
 type Options struct {
 	// Budget is the number of perturbed schedules to replay.
 	Budget int
@@ -63,14 +62,12 @@ type Options struct {
 	// MaxEvents caps each execution; a capped run with undecided survivors
 	// classifies as non-termination. 0 means harness.DefaultSweepMaxEvents.
 	MaxEvents int
-	// WalkLen is the random-walk chain length: every WalkLen-th walk
-	// candidate restarts from the base schedule, in between each candidate
-	// perturbs its predecessor.
-	WalkLen int
-	// MaxFindings truncates the reported findings (0 = report all). The
-	// full budget always runs, so results are deterministic.
-	MaxFindings int
 }
+
+// walkLen is the random-walk chain length: every walkLen-th walk candidate
+// restarts from the base schedule, in between each candidate perturbs its
+// predecessor.
+const walkLen = 8
 
 func (o Options) withDefaults() Options {
 	if o.Budget <= 0 {
@@ -84,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEvents <= 0 {
 		o.MaxEvents = harness.DefaultSweepMaxEvents
-	}
-	if o.WalkLen <= 0 {
-		o.WalkLen = 8
 	}
 	return o
 }
@@ -116,14 +110,14 @@ type Stats struct {
 	// Options.Budget when perturbation exhausts the reachable schedule
 	// space (every further candidate deduplicates away).
 	Replays int `json:"replays"`
-	// Deduped counts candidates discarded as hash-duplicates of earlier
-	// ones (the base schedule included).
+	// Deduped counts candidates discarded as fingerprint-duplicates of
+	// earlier ones (the base schedule included).
 	Deduped int `json:"deduped"`
 	// Diverged counts replays that left the base recording (perturbations
 	// upstream of a broadcast change everything after it, so this is
 	// normally close to Replays).
 	Diverged int `json:"diverged"`
-	// Violations counts violating candidates before MaxFindings truncation.
+	// Violations counts violating candidates.
 	Violations int `json:"violations"`
 }
 
@@ -195,7 +189,7 @@ func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) 
 	gen := &generator{
 		base: baseSched,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
-		seen: map[uint64]bool{baseSched.Hash(): true},
+		seen: map[uint64]bool{baseSched.Fingerprint(): true},
 		opts: opts,
 	}
 	gen.run(func(c candidate) {
@@ -252,9 +246,6 @@ func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) 
 			continue
 		}
 		rep.Stats.Violations++
-		if opts.MaxFindings > 0 && len(rep.Findings) >= opts.MaxFindings {
-			continue
-		}
 		rep.Findings = append(rep.Findings, f)
 	}
 	return rep, nil
@@ -273,7 +264,7 @@ type generator struct {
 // emit deduplicates and sinks a candidate; it reports whether the
 // candidate was fresh.
 func (g *generator) emit(work func(candidate), s *sim.Schedule) bool {
-	h := s.Hash()
+	h := s.Fingerprint()
 	if g.seen[h] {
 		g.deduped++
 		return false
@@ -322,12 +313,12 @@ func (g *generator) run(work func(candidate)) {
 		}
 	}
 
-	// Phase 2 — seeded random walks: chains of WalkLen perturbations, each
+	// Phase 2 — seeded random walks: chains of walkLen perturbations, each
 	// chain restarted from the base schedule.
 	cur := g.base
 	step := 0
 	for attempts := 0; g.produced < g.opts.Budget && attempts < 16*g.opts.Budget; attempts++ {
-		if step%g.opts.WalkLen == 0 {
+		if step%walkLen == 0 {
 			cur = g.base
 		}
 		c := cur.Clone()

@@ -73,7 +73,7 @@ func TestExploreDeterministic(t *testing.T) {
 	for i := range a.Findings {
 		fa, fb := a.Findings[i], b.Findings[i]
 		if fa.Candidate != fb.Candidate || fa.Violation.Kind != fb.Violation.Kind ||
-			fa.Schedule.Hash() != fb.Schedule.Hash() {
+			fa.Schedule.Fingerprint() != fb.Schedule.Fingerprint() {
 			t.Fatalf("finding %d differs: %+v vs %+v", i, fa, fb)
 		}
 	}
@@ -163,7 +163,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Schedule.Hash() != a.Schedule.Hash() {
+	if b.Schedule.Fingerprint() != a.Schedule.Fingerprint() {
 		t.Fatal("schedule hash changed across encode/decode")
 	}
 	// Scenario must survive serialization field for field (MaxEvents

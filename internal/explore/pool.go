@@ -28,33 +28,12 @@ import (
 // deterministic candidate position and reduces them in that order, so pool
 // width changes wall-clock time, never results.
 
-// runnerKey is a scenario's comparable identity for runner reuse: every
-// serializable scenario field plus the event cap (two explorations of the
-// same cell under different caps are different executions).
+// runnerKey is an execution's identity for runner reuse: the scenario's
+// (harness.Key, seed included) plus the event cap — two explorations of
+// the same cell under different caps are different executions.
 type runnerKey struct {
-	algo      string
-	topo      harness.Topo
-	inputs    string
-	sched     string
-	fack      int64
-	seed      int64
-	crashes   string
-	overlay   string
+	harness.Key
 	maxEvents int
-}
-
-func keyOf(sc harness.Scenario) (runnerKey, error) {
-	if sc.InputValues != nil {
-		// InputValues is a slice — it has no comparable identity to key
-		// runner reuse on, and it does not serialize into artifacts either
-		// (Artifact.Validate refuses it for the same reason).
-		return runnerKey{}, fmt.Errorf("explore: scenario carries explicit InputValues; use a named input pattern")
-	}
-	return runnerKey{
-		algo: sc.Algo, topo: sc.Topo, inputs: sc.Inputs, sched: sc.Sched,
-		fack: sc.Fack, seed: sc.Seed, crashes: sc.Crashes, overlay: sc.Overlay,
-		maxEvents: sc.MaxEvents,
-	}, nil
 }
 
 // runnerSet is one worker's private runner cache.
@@ -72,10 +51,13 @@ const runnerCacheCap = 16
 
 // runner returns the worker's runner for sc, building it on first use.
 func (rs *runnerSet) runner(sc harness.Scenario) (*harness.ReplayRunner, error) {
-	k, err := keyOf(sc)
-	if err != nil {
-		return nil, err
+	if sc.InputValues != nil {
+		// InputValues is a slice — it has no comparable identity to key
+		// runner reuse on, and it does not serialize into artifacts either
+		// (Artifact.Validate refuses it for the same reason).
+		return nil, fmt.Errorf("explore: scenario carries explicit InputValues; use a named input pattern")
 	}
+	k := runnerKey{sc.Key(), sc.MaxEvents}
 	if r, ok := rs.runners[k]; ok {
 		return r, nil
 	}

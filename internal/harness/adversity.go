@@ -222,6 +222,21 @@ func overlayFamily(spec string) string {
 // Overlays returns the registered overlay family names, sorted.
 func Overlays() []string { return sortedKeys(overlayFamilies) }
 
+// overlayDeliverP returns the unreliable-edge delivery probability a spec
+// declares — its @Q suffix, DefaultOverlayDeliverP without one — for the
+// lossy wrapper (NewOverlay) and for recordings (Schedule.DeliverP).
+func overlayDeliverP(spec string) (float64, error) {
+	_, q, hasQ := strings.Cut(spec, "@")
+	if !hasQ {
+		return DefaultOverlayDeliverP, nil
+	}
+	v, err := strconv.ParseFloat(q, 64)
+	if err != nil || v < 0 || v > 1 {
+		return 0, fmt.Errorf("harness: bad delivery probability in overlay %q: want @Q with Q in [0,1]", spec)
+	}
+	return v, nil
+}
+
 // NewOverlay builds the named overlay for the base topology. It returns
 // the unreliable graph (nil for "none") and the unreliable-edge delivery
 // probability the scenario's scheduler should be wrapped with. The empty
@@ -230,15 +245,11 @@ func NewOverlay(spec string, base *graph.Graph, seed int64) (*graph.Graph, float
 	if spec == "" {
 		spec = "none"
 	}
-	body, q, hasQ := strings.Cut(spec, "@")
-	deliverP := DefaultOverlayDeliverP
-	if hasQ {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 || v > 1 {
-			return nil, 0, fmt.Errorf("harness: bad delivery probability in overlay %q: want @Q with Q in [0,1]", spec)
-		}
-		deliverP = v
+	deliverP, err := overlayDeliverP(spec)
+	if err != nil {
+		return nil, 0, err
 	}
+	body, _, _ := strings.Cut(spec, "@")
 	name := overlayFamily(spec)
 	_, arg, _ := strings.Cut(body, ":")
 	mk, ok := overlayFamilies[name]

@@ -7,13 +7,14 @@ import (
 	"github.com/absmac/absmac/internal/graph"
 )
 
-// This file holds the sweep caches: memoized topologies (with their
-// diameters), overlay dual graphs and input assignments, shared by every
-// worker of one sweep. A sweep grid's cross product reuses the same
-// (topo, seed) pair across all of its algo/sched/fack/crash/overlay
-// combinations, so building the graph and running the all-pairs BFS for
-// the diameter once per key — instead of once per scenario — removes the
-// dominant per-run setup cost.
+// This file holds the build caches: memoized topologies (with their
+// diameters, computed on first demand), overlay dual graphs and input
+// assignments. Every scenario is built through one (Scenario.build): a
+// sweep shares one among its workers, a single run has its own. A sweep
+// grid's cross product reuses the same (topo, seed) pair across all of its
+// algo/sched/fack/crash/overlay combinations, so building the graph and
+// running the all-pairs BFS for the diameter once per key — instead of
+// once per scenario — removes the dominant per-run setup cost.
 //
 // Keys are normalized to maximize sharing: a topology family that ignores
 // its seed (every family except random) caches under seed 0, so a whole
@@ -35,10 +36,18 @@ type topoKey struct {
 }
 
 type topoEntry struct {
-	once     sync.Once
-	g        *graph.Graph
-	diameter int
-	err      error
+	once sync.Once
+	g    *graph.Graph
+	err  error
+
+	diaOnce sync.Once
+	dia     int
+}
+
+// diameter pays the BFS on the first call only.
+func (e *topoEntry) diameter() int {
+	e.diaOnce.Do(func() { e.dia = e.g.Diameter() })
+	return e.dia
 }
 
 type overlayKey struct {
@@ -66,11 +75,11 @@ type inputEntry struct {
 	err  error
 }
 
-// caches is one sweep's shared memoization state. The zero value is not
-// usable; construct with newCaches. All methods are safe for concurrent
-// use: entries are created under a mutex and built exactly once via their
-// sync.Once, so concurrent workers asking for the same key share one
-// build.
+// caches is the memoization state of one sweep (or one single run). The
+// zero value is not usable; construct with newCaches. All methods are safe
+// for concurrent use: entries are created under a mutex and built exactly
+// once via their sync.Once, so concurrent workers asking for the same key
+// share one build.
 type caches struct {
 	mu       sync.Mutex
 	topos    map[topoKey]*topoEntry
@@ -86,9 +95,9 @@ func newCaches() *caches {
 	}
 }
 
-// topo returns the built graph and its diameter, memoized per
+// topo returns the entry holding the built graph, memoized per
 // (topo, build-seed).
-func (c *caches) topo(t Topo, seed int64) (*graph.Graph, int, error) {
+func (c *caches) topo(t Topo, seed int64) (*topoEntry, error) {
 	key := topoKey{t, t.buildSeed(seed)}
 	c.mu.Lock()
 	e, ok := c.topos[key]
@@ -100,11 +109,10 @@ func (c *caches) topo(t Topo, seed int64) (*graph.Graph, int, error) {
 	e.once.Do(func() {
 		e.g, e.err = t.Build(seed)
 		if e.err == nil {
-			e.diameter = e.g.Diameter()
 			e.g.Freeze() // shared across workers: no lazy CSR rebuild under readers
 		}
 	})
-	return e.g, e.diameter, e.err
+	return e, e.err
 }
 
 // overlayCacheSeed is the overlay cache-key seed: a family that is

@@ -38,10 +38,11 @@ func TestCacheHitDeterminism(t *testing.T) {
 	for _, topo := range topos {
 		for _, overlay := range overlays {
 			for _, seed := range []int64{1, 2, 3} {
-				g, diam, err := c.topo(topo, seed)
+				te, err := c.topo(topo, seed)
 				if err != nil {
 					t.Fatalf("cached topo %s seed %d: %v", topo, seed, err)
 				}
+				g, diam := te.g, te.diameter()
 				fresh, err := topo.Build(seed)
 				if err != nil {
 					t.Fatal(err)
@@ -88,20 +89,22 @@ func TestCacheHitDeterminism(t *testing.T) {
 func TestCacheSharing(t *testing.T) {
 	c := newCaches()
 	ring := Topo{Kind: "ring", N: 8}
-	g1, _, err := c.topo(ring, 1)
+	te1, err := c.topo(ring, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _, _ := c.topo(ring, 2)
+	te2, _ := c.topo(ring, 2)
+	g1, g2 := te1.g, te2.g
 	if g1 != g2 {
 		t.Error("seed-independent topology not shared across seeds")
 	}
 	rnd := Topo{Kind: "random", N: 10, P: 0.3}
-	r1, _, err := c.topo(rnd, 1)
+	rte1, err := c.topo(rnd, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, _ := c.topo(rnd, 2)
+	rte2, _ := c.topo(rnd, 2)
+	r1, r2 := rte1.g, rte2.g
 	if r1 == r2 {
 		t.Error("random topology shared across distinct seeds")
 	}
@@ -152,11 +155,12 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for _, topo := range topos {
-					g, diam, err := c.topo(topo, 3)
-					if err != nil || g == nil || diam <= 0 {
-						t.Errorf("worker %d: topo %s: g=%v diam=%d err=%v", w, topo, g, diam, err)
+					te, err := c.topo(topo, 3)
+					if err != nil || te.g == nil || te.diameter() <= 0 {
+						t.Errorf("worker %d: topo %s: entry=%+v err=%v", w, topo, te, err)
 						return
 					}
+					g := te.g
 					o, _, err := c.overlay("extra:2", topo, g, 3)
 					if err != nil || o == nil {
 						t.Errorf("worker %d: overlay on %s: %v", w, topo, err)

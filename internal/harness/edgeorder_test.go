@@ -7,8 +7,7 @@ import (
 )
 
 // edgeOrderTopos picks one representative topology per registered family,
-// sized so degrees straddle the sort threshold (clique:40 and expander's
-// regular degree exercise the sorted path even at its default cutoff).
+// with degrees from 1 (line ends) to 39 (clique:40).
 var edgeOrderTopos = map[string]string{
 	"clique":    "clique:40",
 	"expander":  "expander:64:8",
@@ -22,11 +21,12 @@ var edgeOrderTopos = map[string]string{
 	"tree":      "tree:3x3",
 }
 
-// TestEdgeOrderSortMatchesQuadratic pins EdgeOrder's scratch-sort path to
-// the quadratic rank count: for every registered topology family, every
-// node's plan must be byte-identical between a scheduler forced onto the
-// sorted path (SortThreshold 1) and one forced onto the quadratic path
-// (SortThreshold -1), in both serialization directions.
+// TestEdgeOrderSortMatchesQuadratic pins EdgeOrder's scratch sort to the
+// definition it implements: a neighbor's slot is the number of neighbors
+// that precede it in (node index, slot) order — counted directly here, the
+// O(d^2) loop the scheduler itself ran below degree 32 until the two paths
+// were shown byte-identical. For every registered topology family, every
+// node's plan must match the count, in both serialization directions.
 func TestEdgeOrderSortMatchesQuadratic(t *testing.T) {
 	for _, fam := range Topologies() {
 		spec, ok := edgeOrderTopos[fam]
@@ -48,26 +48,32 @@ func TestEdgeOrderSortMatchesQuadratic(t *testing.T) {
 			}
 		}
 		for _, descending := range []bool{false, true} {
-			sorted := &sim.EdgeOrder{MaxDegree: maxDeg, Descending: descending, SortThreshold: 1}
-			quad := &sim.EdgeOrder{MaxDegree: maxDeg, Descending: descending, SortThreshold: -1}
+			sched := &sim.EdgeOrder{MaxDegree: maxDeg, Descending: descending}
 			for u := 0; u < g.N(); u++ {
 				nbrs := g.Neighbors(u)
+				d := len(nbrs)
 				b := sim.Broadcast{Sender: u, Neighbors: nbrs, Now: int64(u % 3)}
-				ps := sim.Plan{Recv: make([]int64, len(nbrs))}
-				pq := sim.Plan{Recv: make([]int64, len(nbrs))}
-				for i := range ps.Recv {
-					ps.Recv[i] = sim.NoDelivery
-					pq.Recv[i] = sim.NoDelivery
+				p := sim.Plan{Recv: make([]int64, d)}
+				for i := range p.Recv {
+					p.Recv[i] = sim.NoDelivery
 				}
-				sorted.Plan(b, &ps)
-				quad.Plan(b, &pq)
-				if ps.Ack != pq.Ack {
-					t.Fatalf("%s desc=%v node %d: ack %d (sorted) != %d (quadratic)", spec, descending, u, ps.Ack, pq.Ack)
+				sched.Plan(b, &p)
+				if want := b.Now + int64(d) + 1; p.Ack != want {
+					t.Fatalf("%s desc=%v node %d: ack %d, want %d", spec, descending, u, p.Ack, want)
 				}
-				for i := range ps.Recv {
-					if ps.Recv[i] != pq.Recv[i] {
-						t.Fatalf("%s desc=%v node %d slot %d: %d (sorted) != %d (quadratic)",
-							spec, descending, u, i, ps.Recv[i], pq.Recv[i])
+				for i, v := range nbrs {
+					rank := 0
+					for j, w := range nbrs {
+						if w < v || (w == v && j < i) {
+							rank++
+						}
+					}
+					if descending {
+						rank = d - 1 - rank
+					}
+					if want := b.Now + int64(rank) + 1; p.Recv[i] != want {
+						t.Fatalf("%s desc=%v node %d slot %d: %d (sorted) != %d (rank count)",
+							spec, descending, u, i, p.Recv[i], want)
 					}
 				}
 			}

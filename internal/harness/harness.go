@@ -14,46 +14,62 @@
 // dual graph of the Kuhn–Lynch–Newport model variant, with a lossy
 // scheduler wrapper delivering over its edges probabilistically.
 //
-// On top of single scenarios, sweep.go expands a Grid (the cross product
-// of named axes, now including the two fault axes) into cell work-units —
-// one per (algo, topo, inputs, sched, fack, crashes, overlay) combination,
-// seeds inside — and schedules whole cells onto a GOMAXPROCS-wide worker
-// pool, aggregating per-cell decision-latency, survivor-latency, fault and
-// message-count distributions in streaming accumulators. Execution is
-// cell-grouped for performance: a worker runs all seeds of a cell back to
-// back on one reusable sim.Engine (NewEngine/Reset), and all workers share
-// the sweep's memoized caches (cache.go) of built topologies, their
-// diameters and overlay dual graphs keyed by (topo, seed) — normalized to
-// a shared key when the family ignores its seed — plus named input
-// assignments keyed by (pattern, n). Everything that depends only on
-// (topo, seed) is computed once per sweep instead of once per scenario;
-// per-seed state (schedulers, algorithm instances, crash schedules) is
-// always built fresh. Scenario.Run stays the uncached single-execution
-// API. See cmd/amacsim's package comment for the sweep grammar.
+// There is one way to execute a scenario (execute.go). Scenario.build
+// assembles a sim.Config through a set of caches (cache.go) and
+// executor.execute runs it under an Exec, a request value naming what to
+// wrap around the run. The paper puts every nondeterministic choice in the
+// message scheduler, so replay, recording and coverage are scheduler
+// wrappers, stacked in the one legal order:
+//
+//	the scenario's scheduler, under sim.Lossy when there is an overlay
+//	  (Exec.Replay: a sim.Replay in their place, and the schedule's
+//	  crashes in place of the configuration's)
+//	sim.ScheduleRecorder  (Exec.Record: sees finished plans, so coin
+//	                       outcomes and replay fallbacks are captured)
+//	sim.Fingerprinter     (Exec.Fingerprint: folds what the recorder
+//	                       captures, salted as fingerprintSalt says)
+//
+// The executor then installs Exec.Observer and Exec.Metrics, runs on its
+// engine — allocated by its first execution, Reset by every later one —
+// calls consensus.Check and fills the one Outcome, returning the Replay
+// and the recorded Schedule beside it. The engine owns the sim.Result, so
+// an Outcome's Result lives until its executor's next execution. Anything
+// that must see every execution (an invariant observer, a stall report at
+// the event cap) is installed there, once.
+//
+// Every entry point is an adapter of a few lines that fills in the request
+// and owns an executor: Scenario.Run and RunRecorded (one execution on a
+// private cache: a sweep of one), ReplayRunner (the scenario built once
+// into a template and one engine across the explorer's thousands of
+// replays), the sweep worker (sweep.go: one executor over the sweep's
+// shared caches, running a cell's seeds back to back) and Execute (for
+// amacsim, which also prints facts only the configuration carries). The
+// method signatures are what bench/ compiles against, which is why they
+// exist beside Execute; internal/explore builds its search and its
+// minimizer on RunRecorded and ReplayRunner.
+//
+// sweep.go expands a Grid (the cross product of named axes, the two fault
+// axes included) into cell work-units — one per (algo, topo, inputs, sched,
+// fack, crashes, overlay) combination, seeds inside — and schedules whole
+// cells onto a GOMAXPROCS-wide worker pool, aggregating per-cell
+// decision-latency, survivor-latency, fault and message-count
+// distributions in streaming accumulators. What depends only on
+// (topo, seed) is computed once per sweep, per-seed state once per run.
+// See cmd/amacsim's package comment for the sweep grammar.
 //
 // Sweeps also feed the campaign layer (internal/explore.Campaign):
 // SweepCellsOpts streams every violating run out of the cell workers as a
 // FlaggedRun the moment it is classified (consensus.Classify — the same
-// judgment the explorer applies to perturbed schedules), and can wrap each
-// run in a sim.Fingerprinter to report per-cell schedule coverage
+// judgment the explorer applies to perturbed schedules), and can request
+// fingerprints to report per-cell schedule coverage
 // (Cell.DistinctSchedules — how many distinct delivery orderings the seeds
 // actually exercised) and stop a cell early when coverage saturates. Both
-// are opt-in: a plain sweep builds neither and its hot path is pinned
+// are opt-in: a plain sweep requests neither and its hot path is pinned
 // allocation-for-allocation by BENCH_engine.json.
-//
-// Scenarios are also recordable and replayable (record.go):
-// Scenario.RunRecorded captures every nondeterministic decision of a run
-// — each broadcast's delivery plan with its unreliable-edge coin
-// outcomes, plus the crash schedule — into a sim.Schedule, and a
-// ReplayRunner re-executes schedules (recorded, perturbed or minimized)
-// against the scenario's fixed configuration on a reusable engine,
-// byte-identically for an unmodified recording. internal/explore builds
-// its schedule-space search and counterexample minimizer on these; the
-// golden test in replay_golden_test.go holds the committed stall artifact
-// under testdata/ to this contract.
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -67,14 +83,14 @@ import (
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/ext/benor"
 	"github.com/absmac/absmac/internal/graph"
-	"github.com/absmac/absmac/internal/metrics"
 	"github.com/absmac/absmac/internal/sim"
 )
 
 // Scenario names one execution: which algorithm, on which topology, with
 // which inputs, under which scheduler. Scenarios are plain values — they
-// marshal to JSON, compare with ==, and rebuild identical executions, which
-// is what makes sweeps reproducible.
+// marshal to JSON and rebuild identical executions, which is what makes
+// sweeps reproducible. InputValues makes the struct itself incomparable;
+// Key is a scenario's comparable identity.
 type Scenario struct {
 	// Algo is a registered algorithm name (see Algorithms).
 	Algo string `json:"algo"`
@@ -102,32 +118,51 @@ type Scenario struct {
 	// default). Sweeps set it so one non-quiescent cell cannot stall the
 	// whole grid.
 	MaxEvents int `json:"-"`
-	// Metrics optionally installs a flight-recorder registry on the
-	// execution (see internal/metrics; `amacsim -metrics` sets it). Never
-	// serialized — a replayed artifact produces identical metrics because
-	// the execution is identical, not because the registry is recorded.
-	// Sweeps ignore it and install per-worker registries through
-	// SweepOptions.Metrics instead.
-	Metrics *metrics.Registry `json:"-"`
 	// InputValues optionally overrides Inputs with an explicit
 	// assignment (length must match the topology's node count).
 	InputValues []amac.Value `json:"-"`
 }
 
-// Outcome is the result of running one Scenario: the raw simulator result
-// plus the consensus-property report and the built topology's shape.
+// Key is a scenario's comparable identity: every serialized axis with its
+// default applied (empty Inputs is "alternating", empty Crashes and Overlay
+// are "none") — the one rendering behind cell rows, duplicate-cell
+// detection, artifact file names and runner reuse. A cell's identity is
+// its Key with Seed zeroed; an execution's adds the event cap. InputValues
+// has no comparable form and is not part of it: code that keys executions
+// refuses scenarios that carry one (explore, Artifact.Validate).
+type Key struct {
+	Algo             string
+	Topo             Topo
+	Inputs, Sched    string
+	Fack, Seed       int64
+	Crashes, Overlay string
+}
+
+// Key returns the scenario's identity.
+func (s Scenario) Key() Key {
+	return Key{Algo: s.Algo, Topo: s.Topo, Inputs: cmp.Or(s.Inputs, "alternating"), Sched: s.Sched,
+		Fack: s.Fack, Seed: s.Seed, Crashes: cmp.Or(s.Crashes, "none"), Overlay: cmp.Or(s.Overlay, "none")}
+}
+
+// Outcome is the result of one execution: the raw simulator result, the
+// consensus-property report and the built topology's shape.
 type Outcome struct {
 	Scenario Scenario
-	Result   *sim.Result
-	Report   *consensus.Report
+	// Result is owned by the engine that ran the execution: a reused one
+	// (ReplayRunner, sweep workers) overwrites it on its next run.
+	Result *sim.Result
+	Report *consensus.Report
 	// N and Diameter describe the topology the run was built on (they
 	// vary with the seed for the random family).
-	N        int
-	Diameter int
+	N, Diameter int
 	// Fack is the delivery bound the scheduler actually declared, which
 	// differs from Scenario.Fack for schedulers with a structural bound
 	// (edgeorder declares MaxDegree+1 and ignores the requested value).
 	Fack int64
+	// Fingerprint is the schedule-coverage digest of an execution run
+	// under Exec.Fingerprint (0 otherwise): Schedule.Fingerprint() of the
+	// same run's recording, salted where fingerprintSalt says so.
+	Fingerprint uint64
 }
 
 // OK reports whether the run decided everywhere and satisfied agreement,
@@ -288,86 +323,56 @@ func NewInputs(pattern string, n int) ([]amac.Value, error) {
 
 // Config assembles the scenario into a validated simulator configuration.
 func (s Scenario) Config() (sim.Config, error) {
-	cfg, _, err := s.build(nil)
+	cfg, _, err := s.build(newCaches())
 	return cfg, err
 }
 
-// buildInfo carries the side facts build learns while assembling a
-// configuration: the topology diameter (when cached) and the unreliable
-// delivery probability of the scenario's overlay spec (which recording
-// needs for Schedule.DeliverP).
-type buildInfo struct {
-	diameter int
-	deliverP float64
-}
-
-// build assembles the scenario and returns the configuration plus build
-// side facts. With a non-nil cache the graph, its diameter, the
-// overlay dual graph and the input assignment are memoized and shared
-// (this is the sweep path); with nil everything is built fresh and the
-// diameter is NOT computed (returned as 0) — uncached callers that need
-// it compute it from the graph, so Config() never pays an all-pairs BFS
-// it would discard. The per-seed pieces — scheduler, algorithm factory,
-// crash schedule, lossy wrapper — are always built fresh, since they
-// carry run state.
-func (s Scenario) build(c *caches) (sim.Config, buildInfo, error) {
-	var (
-		g    *graph.Graph
-		info buildInfo
-		err  error
-	)
-	if c != nil {
-		g, info.diameter, err = c.topo(s.Topo, s.Seed)
-	} else {
-		g, err = s.Topo.Build(s.Seed)
-	}
+// build assembles the scenario through the caches c: the graph, the
+// overlay dual graph and the input assignment are memoized there, while
+// the per-seed pieces (scheduler, algorithm factory, crash schedule, lossy
+// wrapper) carry run state and are always built fresh. The returned entry
+// answers the topology's diameter on first demand, so a caller that never
+// asks (Config) never pays the all-pairs BFS.
+func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
+	te, err := c.topo(s.Topo, s.Seed)
 	if err != nil {
-		return sim.Config{}, info, err
+		return sim.Config{}, nil, err
 	}
+	g := te.g
 	ins := s.InputValues
 	if ins == nil {
-		if c != nil {
-			ins, err = c.inputValues(s.Inputs, g.N())
-		} else {
-			ins, err = NewInputs(s.Inputs, g.N())
-		}
-		if err != nil {
-			return sim.Config{}, info, err
+		if ins, err = c.inputValues(s.Inputs, g.N()); err != nil {
+			return sim.Config{}, nil, err
 		}
 	} else if len(ins) != g.N() {
-		return sim.Config{}, info, fmt.Errorf("harness: %d input values for %d nodes", len(ins), g.N())
+		return sim.Config{}, nil, fmt.Errorf("harness: %d input values for %d nodes", len(ins), g.N())
 	}
 	if err := amac.ValidateBinaryInputs(ins); err != nil {
-		return sim.Config{}, info, err
+		return sim.Config{}, nil, err
 	}
 	factory, err := NewFactory(s.Algo, g.N(), s.Seed)
 	if err != nil {
-		return sim.Config{}, info, err
+		return sim.Config{}, nil, err
 	}
 	scheduler, err := NewScheduler(s.Sched, s.Fack, s.Seed, g)
 	if err != nil {
-		return sim.Config{}, info, err
+		return sim.Config{}, nil, err
 	}
 	crashes, err := NewCrashes(s.Crashes, g.N(), s.Fack, s.Seed)
 	if err != nil {
-		return sim.Config{}, info, err
+		return sim.Config{}, nil, err
 	}
-	var unreliable *graph.Graph
-	if c != nil {
-		unreliable, info.deliverP, err = c.overlay(s.Overlay, s.Topo, g, s.Seed)
-	} else {
-		unreliable, info.deliverP, err = NewOverlay(s.Overlay, g, s.Seed)
-	}
+	unreliable, deliverP, err := c.overlay(s.Overlay, s.Topo, g, s.Seed)
 	if err != nil {
-		return sim.Config{}, info, err
+		return sim.Config{}, nil, err
 	}
 	if unreliable != nil {
 		// The lossy wrapper is what makes overlay edges deliver at all:
 		// base schedulers plan only the reliable neighbors.
-		scheduler = sim.NewLossy(scheduler, info.deliverP, lossySeed(s.Seed))
+		scheduler = sim.NewLossy(scheduler, deliverP, lossySeed(s.Seed))
 	}
 	// Every Validate check is already guaranteed by the construction
-	// above (and sim.Run re-validates), so the config is returned as is.
+	// above (and the engine re-validates), so the config is returned as is.
 	return sim.Config{
 		Graph:           g,
 		Inputs:          ins,
@@ -376,86 +381,9 @@ func (s Scenario) build(c *caches) (sim.Config, buildInfo, error) {
 		Unreliable:      unreliable,
 		Crashes:         crashes,
 		MaxEvents:       s.MaxEvents,
-		Metrics:         s.Metrics,
 		StopWhenDecided: true,
 		Audit:           true,
-	}, info, nil
-}
-
-// Run executes the scenario and checks the consensus properties. It builds
-// everything fresh and allocates its own engine — the right call for a
-// single execution. Sweeps instead run cells of seeds through per-worker
-// reusable engines and shared caches (see SweepCellsOpts).
-func (s Scenario) Run() (*Outcome, error) {
-	cfg, _, err := s.build(nil)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Run(cfg)
-	return &Outcome{
-		Scenario: s,
-		Result:   res,
-		Report:   consensus.Check(cfg.Inputs, res),
-		N:        cfg.Graph.N(),
-		Diameter: cfg.Graph.Diameter(),
-		Fack:     cfg.Scheduler.Fack(),
-	}, nil
-}
-
-// runner executes scenarios for one sweep worker: configurations are
-// assembled through the sweep's shared caches and executed on a single
-// reusable engine, so across the seeds of a cell the only per-run
-// allocations are the scenario's own state (algorithm instances, seeded
-// schedulers, the consensus report).
-type runner struct {
-	caches *caches
-	eng    *sim.Engine
-}
-
-// run executes one scenario. The returned Outcome's Result is owned by the
-// runner's engine and is valid only until the next run call — callers must
-// extract what they need (the accumulator does) before running again.
-// With fingerprint set, the scheduler is wrapped in a sim.Fingerprinter
-// and the run's schedule-coverage digest is returned alongside the
-// outcome; without it the wrapper is never constructed and the second
-// return is 0 — the sweep hot path pays nothing for the capability.
-// A non-nil reg is installed as the run's metrics registry; the engine's
-// Reset zeroes it, so after run returns it holds exactly this run's
-// values (callers merge before the next run). Nil keeps the instrumented
-// paths on disabled handles — that is the configuration the allocation
-// pins in BENCH_engine.json measure.
-func (r *runner) run(s Scenario, fingerprint bool, reg *metrics.Registry) (*Outcome, uint64, error) {
-	cfg, info, err := s.build(r.caches)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg.Metrics = reg
-	var fp *sim.Fingerprinter
-	if fingerprint {
-		fp = sim.NewFingerprinter(cfg.Scheduler, cfg.Crashes)
-		cfg.Scheduler = fp
-	}
-	if r.eng == nil {
-		r.eng = sim.NewEngine(cfg)
-	} else {
-		r.eng.Reset(cfg)
-	}
-	res := r.eng.Run()
-	var sum uint64
-	if fp != nil {
-		sum = fp.Sum()
-		if salt := s.fingerprintSalt(); salt != 0 {
-			sum = sim.SaltFingerprint(sum, salt)
-		}
-	}
-	return &Outcome{
-		Scenario: s,
-		Result:   res,
-		Report:   consensus.Check(cfg.Inputs, res),
-		N:        cfg.Graph.N(),
-		Diameter: info.diameter,
-		Fack:     cfg.Scheduler.Fack(),
-	}, sum, nil
+	}, te, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

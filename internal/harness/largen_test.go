@@ -79,16 +79,16 @@ func TestLargeNDecidesWithinEventBudget(t *testing.T) {
 func TestWPaxosWorkingSetStaysSmall(t *testing.T) {
 	reg := metrics.New()
 	cfg, err := Scenario{
-		Algo:    "wpaxos",
-		Topo:    Topo{Kind: "expander", N: 1024, Deg: 8},
-		Sched:   "random",
-		Fack:    4,
-		Seed:    1,
-		Metrics: reg,
+		Algo:  "wpaxos",
+		Topo:  Topo{Kind: "expander", N: 1024, Deg: 8},
+		Sched: "random",
+		Fack:  4,
+		Seed:  1,
 	}.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Metrics = reg
 	var nodes []*wpaxos.Node
 	factory := cfg.Factory
 	cfg.Factory = func(nc amac.NodeConfig) amac.Algorithm {

@@ -24,7 +24,7 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 func cellJSON(t *testing.T, o *Outcome) string {
 	t.Helper()
 	acc := newCellAccum(1)
-	acc.add(o, 0, false)
+	acc.add(o, false)
 	c := acc.finish()
 	b, err := json.Marshal(c)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestRecordReplayByteIdentity(t *testing.T) {
 				if err := json.Unmarshal(blob, &decoded); err != nil {
 					t.Fatal(err)
 				}
-				if decoded.Hash() != schedule.Hash() {
+				if decoded.Fingerprint() != schedule.Fingerprint() {
 					t.Fatal("schedule hash changed across JSON round-trip")
 				}
 

@@ -255,30 +255,6 @@ func cellMetrics(agg *metrics.Registry) []CellMetric {
 	return rows
 }
 
-// cellIdent is a scenario's cell identity: every axis except the seed,
-// with the optional axes normalized to their defaults exactly as the cell
-// reports them. It is a comparable value used directly as a map key, so
-// detecting duplicate work-units renders no strings.
-type cellIdent struct {
-	algo             string
-	topo             Topo
-	inputs, sched    string
-	fack             int64
-	crashes, overlay string
-}
-
-func (s Scenario) cellKey() cellIdent {
-	return cellIdent{algo: s.Algo, topo: s.Topo, inputs: defaulted(s.Inputs, "alternating"),
-		sched: s.Sched, fack: s.Fack, crashes: defaulted(s.Crashes, "none"), overlay: defaulted(s.Overlay, "none")}
-}
-
-func defaulted(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
 // OK reports whether every run in the cell was correct.
 func (c *Cell) OK() bool { return c.Correct == c.Runs }
 
@@ -311,17 +287,17 @@ func newCellAccum(runs int) *cellAccum {
 	}
 }
 
-// add folds one outcome in; fp is the run's schedule-coverage fingerprint
-// and fpOn whether fingerprints were computed at all. It reports whether
-// the fingerprint was fresh for this cell (always false with fpOn unset),
-// which is what the saturation early-stop counts.
-func (a *cellAccum) add(o *Outcome, fp uint64, fpOn bool) bool {
-	s := o.Scenario
+// add folds one outcome in; fpOn says whether the run computed
+// o.Fingerprint at all. It reports whether the fingerprint was fresh for
+// this cell (always false with fpOn unset), which is what the saturation
+// early-stop counts.
+func (a *cellAccum) add(o *Outcome, fpOn bool) bool {
 	if !a.started {
 		a.started = true
-		a.cell = Cell{Algo: s.Algo, Topo: s.Topo.String(), Inputs: defaulted(s.Inputs, "alternating"),
-			Sched: s.Sched, Crashes: defaulted(s.Crashes, "none"), Overlay: defaulted(s.Overlay, "none"),
-			Fack: s.Fack, N: o.N}
+		k := o.Scenario.Key()
+		a.cell = Cell{Algo: k.Algo, Topo: k.Topo.String(), Inputs: k.Inputs,
+			Sched: k.Sched, Crashes: k.Crashes, Overlay: k.Overlay,
+			Fack: k.Fack, N: o.N}
 	}
 	a.cell.Runs++
 	if o.OK() {
@@ -358,10 +334,10 @@ func (a *cellAccum) add(o *Outcome, fp uint64, fpOn bool) bool {
 	if a.fpSeen == nil {
 		a.fpSeen = map[uint64]bool{}
 	}
-	if a.fpSeen[fp] {
+	if a.fpSeen[o.Fingerprint] {
 		return false
 	}
-	a.fpSeen[fp] = true
+	a.fpSeen[o.Fingerprint] = true
 	a.cell.DistinctSchedules++
 	return true
 }
@@ -452,15 +428,16 @@ func (o SweepOptions) normalized() SweepOptions {
 // consensus violations do not — they are reported per cell and streamed
 // to SweepOptions.OnFlag.
 func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
-	seen := make(map[cellIdent]bool, len(work))
+	seen := make(map[Key]bool, len(work))
 	for _, cw := range work {
 		if len(cw.Seeds) == 0 {
 			return nil, fmt.Errorf("harness: cell %s on %s under %s has no seeds", cw.Base.Algo, cw.Base.Topo, cw.Base.Sched)
 		}
-		k := cw.Base.cellKey()
+		k := cw.Base.Key()
+		k.Seed = 0 // a cell's identity: every axis but the replication one
 		if seen[k] {
 			return nil, fmt.Errorf("harness: duplicate cell %s on %s under %s (crashes %s, overlay %s, Fack %d): merge the work-units",
-				k.algo, k.topo, k.sched, k.crashes, k.overlay, k.fack)
+				k.Algo, k.Topo, k.Sched, k.Crashes, k.Overlay, k.Fack)
 		}
 		seen[k] = true
 	}
@@ -489,7 +466,12 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := &runner{caches: shared}
+			// One executor per worker, so across the seeds of a cell the
+			// only per-run allocations are the scenario's own state
+			// (algorithm instances, seeded schedulers, outcome and report).
+			// An Outcome's Result dies at the worker's next run; the
+			// accumulator has extracted what it needs by then.
+			x := &executor{caches: shared}
 			// One registry per worker, reset by the engine each run; its
 			// registrations persist across the worker's cells (they can
 			// include other algorithms' slots from earlier cells), which is
@@ -510,17 +492,17 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 				for k, seed := range cw.Seeds {
 					s := cw.Base
 					s.Seed = seed
-					o, fp, err := r.run(s, fingerprint, reg)
+					o, _, _, err := x.run(s, Exec{Fingerprint: fingerprint, Metrics: reg})
 					if err != nil {
 						errs[gi] = cellErr{run: k, sc: s, err: err}
 						ok = false
 						break
 					}
 					cellAgg.Merge(reg)
-					fresh := acc.add(o, fp, fingerprint)
+					fresh := acc.add(o, fingerprint)
 					if onFlag != nil {
 						if v := o.Violation(); v != nil {
-							onFlag(FlaggedRun{Cell: gi, Run: k, Scenario: s, Violation: v, Fingerprint: fp})
+							onFlag(FlaggedRun{Cell: gi, Run: k, Scenario: s, Violation: v, Fingerprint: o.Fingerprint})
 						}
 					}
 					if saturateAfter > 0 {

@@ -10,16 +10,17 @@ package sim
 // exercised, which is what the campaign layer reports as coverage and uses
 // to stop a saturated cell early.
 //
-// The digest is computable two ways and the two agree by construction:
+// The digest is computable two ways, and both go through foldConfig and
+// foldStep, so they agree by construction:
 //
 //   - Fingerprinter wraps a live scheduler and folds each plan as it is
 //     produced — no schedule is materialized, so fingerprinting a sweep
 //     run costs one small fixed-size struct instead of a recording;
-//   - Schedule.Fingerprint folds an already-recorded schedule.
+//   - Schedule.Fingerprint folds an already-recorded schedule, and is also
+//     the explorer's candidate-dedup key.
 //
-// TestFingerprintMatchesRecording pins the equality. Like recording,
-// fingerprinting is an opt-in wrapper: sweeps that do not ask for coverage
-// never construct one, so the hot path is untouched.
+// Like recording, fingerprinting is an opt-in wrapper: sweeps that do not
+// ask for coverage never construct one, so the hot path is untouched.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -37,6 +38,33 @@ func fnvWord(h uint64, v int64) uint64 {
 		x >>= 8
 	}
 	return h
+}
+
+// foldConfig starts a digest with the decisions the configuration owns and
+// no scheduler wrapper sees flow by: the declared Fack and the crash
+// schedule.
+func foldConfig(fack int64, crashes []Crash) uint64 {
+	h := fnvWord(fnvOffset64, fack)
+	h = fnvWord(h, int64(len(crashes)))
+	for _, c := range crashes {
+		h = fnvWord(h, int64(c.Node))
+		h = fnvWord(h, c.At)
+	}
+	return h
+}
+
+// foldStep folds one broadcast's finished plan, in the field order of a
+// ScheduleStep. It is the only per-step fold, so the streaming digest and
+// the digest of a recording cannot disagree.
+func foldStep(h uint64, sender, seq int, now int64, nr int, recv []int64, ack int64) uint64 {
+	h = fnvWord(h, int64(sender))
+	h = fnvWord(h, int64(seq))
+	h = fnvWord(h, now)
+	h = fnvWord(h, int64(nr))
+	for _, t := range recv {
+		h = fnvWord(h, t)
+	}
+	return fnvWord(h, ack)
 }
 
 // Fingerprinter wraps a scheduler and folds every plan it produces into a
@@ -58,14 +86,7 @@ func NewFingerprinter(base Scheduler, crashes []Crash) *Fingerprinter {
 	if base == nil {
 		panic("sim: NewFingerprinter needs a base scheduler")
 	}
-	h := uint64(fnvOffset64)
-	h = fnvWord(h, base.Fack())
-	h = fnvWord(h, int64(len(crashes)))
-	for _, c := range crashes {
-		h = fnvWord(h, int64(c.Node))
-		h = fnvWord(h, c.At)
-	}
-	return &Fingerprinter{Base: base, h: h}
+	return &Fingerprinter{Base: base, h: foldConfig(base.Fack(), crashes)}
 }
 
 // Fack implements Scheduler.
@@ -74,16 +95,7 @@ func (f *Fingerprinter) Fack() int64 { return f.Base.Fack() }
 // Plan implements Scheduler: delegate, then fold the finished plan.
 func (f *Fingerprinter) Plan(b Broadcast, p *Plan) {
 	f.Base.Plan(b, p)
-	h := f.h
-	h = fnvWord(h, int64(b.Sender))
-	h = fnvWord(h, int64(b.Seq))
-	h = fnvWord(h, b.Now)
-	h = fnvWord(h, int64(len(b.Neighbors)))
-	for _, t := range p.Recv {
-		h = fnvWord(h, t)
-	}
-	h = fnvWord(h, p.Ack)
-	f.h = h
+	f.h = foldStep(f.h, b.Sender, b.Seq, b.Now, len(b.Neighbors), p.Recv, p.Ack)
 	f.steps++
 }
 
@@ -99,29 +111,16 @@ func (f *Fingerprinter) Sum() uint64 { return fnvWord(f.h, f.steps) }
 // knows which scenarios those are and salts with the scenario seed.
 func SaltFingerprint(fp uint64, salt int64) uint64 { return fnvWord(fp, salt) }
 
-// Fingerprint returns the schedule's coverage digest — equal to the Sum of
-// a Fingerprinter that watched the execution this schedule records. It
-// differs from Hash only in word order (Hash length-prefixes the steps,
-// which a streaming digest cannot); both identify a schedule uniquely for
-// dedup purposes.
+// Fingerprint returns the schedule's digest over every decision it holds —
+// equal to the Sum of a Fingerprinter that watched the execution this
+// schedule records. Two schedules with equal fingerprints are, for
+// exploration purposes, the same execution prescription: the explorer
+// deduplicates candidates by it.
 func (s *Schedule) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvWord(h, s.Fack)
-	h = fnvWord(h, int64(len(s.Crashes)))
-	for _, c := range s.Crashes {
-		h = fnvWord(h, int64(c.Node))
-		h = fnvWord(h, c.At)
-	}
+	h := foldConfig(s.Fack, s.Crashes)
 	for i := range s.Steps {
 		st := &s.Steps[i]
-		h = fnvWord(h, int64(st.Sender))
-		h = fnvWord(h, int64(st.Seq))
-		h = fnvWord(h, st.Now)
-		h = fnvWord(h, int64(st.NR))
-		for _, t := range st.Recv {
-			h = fnvWord(h, t)
-		}
-		h = fnvWord(h, st.Ack)
+		h = foldStep(h, st.Sender, st.Seq, st.Now, st.NR, st.Recv, st.Ack)
 	}
 	return fnvWord(h, int64(len(s.Steps)))
 }

@@ -117,44 +117,16 @@ func (r *Replay) diverge(b Broadcast) {
 	}
 }
 
-// fallback plans one broadcast the recording no longer covers: uniform
-// delivery times in (Now, Now+Fack], an ack between the latest delivery
-// and the deadline, and DeliverP coins for unreliable slots — the
-// Random+Lossy behaviour, seeded by the schedule so perturbed executions
-// stay deterministic.
+// fallback plans one broadcast the recording no longer covers with the
+// uniform planner and DeliverP coins — what Random under Lossy does, on
+// one rng seeded by the schedule so perturbed executions stay
+// deterministic.
 func (r *Replay) fallback(b Broadcast, p *Plan) {
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(r.s.FallbackSeed))
 	}
-	f := r.s.Fack
-	latest := b.Now + 1
-	for i := range b.Neighbors {
-		t := b.Now + 1 + r.rng.Int63n(f)
-		p.Recv[i] = t
-		if t > latest {
-			latest = t
-		}
-	}
-	ack := latest
-	if room := b.Now + f - latest; room > 0 {
-		ack += r.rng.Int63n(room + 1)
-	}
-	p.Ack = ack
-	nr := len(b.Neighbors)
-	for i := range b.Unreliable {
-		if r.rng.Float64() >= r.s.DeliverP {
-			continue
-		}
-		span := ack - b.Now
-		if span < 1 {
-			span = 1
-		}
-		t := b.Now + 1 + r.rng.Int63n(span)
-		if t > ack {
-			t = ack
-		}
-		p.Recv[nr+i] = t
-	}
+	p.Ack = uniformTimes(r.rng, b.Now, r.s.Fack, p.Recv[:len(b.Neighbors)], false)
+	flipUnreliable(r.rng, r.s.DeliverP, b, p)
 }
 
 var _ Scheduler = (*Replay)(nil)

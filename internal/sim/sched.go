@@ -94,19 +94,33 @@ func (s *Random) Fack() int64 { return s.F }
 
 // Plan implements Scheduler.
 func (s *Random) Plan(b Broadcast, p *Plan) {
-	latest := b.Now + 1
-	for i := range b.Neighbors {
-		t := b.Now + 1 + s.rng.Int63n(s.F)
-		p.Recv[i] = t
+	p.Ack = uniformTimes(s.rng, b.Now, s.F, p.Recv[:len(b.Neighbors)], false)
+}
+
+// uniformTimes is the one uniform planner (Random, Replay's fallback past
+// a divergence, Schedule.JitterStep): each slot of recv gets a time drawn
+// uniformly from (now, now+f], in slot order, and the returned ack is
+// drawn between the latest of them and the deadline now+f. With
+// deliveredOnly, slots holding NoDelivery are skipped and stay skipped —
+// re-timing a recorded step keeps its coin outcomes. The rng call order is
+// part of every recorded execution.
+func uniformTimes(rng *rand.Rand, now, f int64, recv []int64, deliveredOnly bool) (ack int64) {
+	latest := now + 1
+	for i, old := range recv {
+		if deliveredOnly && old == NoDelivery {
+			continue
+		}
+		t := now + 1 + rng.Int63n(f)
+		recv[i] = t
 		if t > latest {
 			latest = t
 		}
 	}
-	ack := latest
-	if room := b.Now + s.F - latest; room > 0 {
-		ack += s.rng.Int63n(room + 1)
+	ack = latest
+	if room := now + f - latest; room > 0 {
+		ack += rng.Int63n(room + 1)
 	}
-	p.Ack = ack
+	return ack
 }
 
 // Gate wraps a base scheduler and silences a set of senders until a global
@@ -185,68 +199,30 @@ func (s SlowSubset) Plan(b Broadcast, p *Plan) {
 // declared bound must cover the widest neighborhood: MaxDegree+1 slots.
 //
 // EdgeOrder is used by pointer so its sort scratch persists across
-// broadcasts; both paths produce byte-identical plans (the rank of a slot
-// under the quadratic count equals its position in a sort by the unique
-// (neighbor, slot) key), pinned by TestEdgeOrderSortMatchesQuadratic
-// across every registered family.
+// broadcasts.
 type EdgeOrder struct {
 	// MaxDegree must be at least the maximum degree in the topology.
 	MaxDegree int
 	// Descending reverses the serialization order.
 	Descending bool
-	// SortThreshold is the degree at which planning switches from the
-	// O(d^2) rank count to an O(d log d) scratch sort: 0 picks the
-	// default, negative forces the quadratic path at every degree.
-	SortThreshold int
 
 	scratch []int32
 }
 
-// edgeOrderSortThreshold is the default degree at which sorting a scratch
-// permutation beats the quadratic rank count. Below it the d^2 inner loop
-// is a handful of compares over one cache line; above it d log d wins.
-const edgeOrderSortThreshold = 32
-
 // Fack implements Scheduler.
 func (s *EdgeOrder) Fack() int64 { return int64(s.MaxDegree) + 1 }
 
-// Plan implements Scheduler.
+// Plan implements Scheduler. A neighbor's slot is its rank in the
+// node-index serialization, computed by sorting a reusable permutation of
+// slot indices by (neighbor, slot). The composite key is unique —
+// duplicate neighbor entries tie-break on slot — so an unstable sort is
+// deterministic (TestEdgeOrderSortMatchesQuadratic checks the positions
+// against a direct rank count on every registered family).
 func (s *EdgeOrder) Plan(b Broadcast, p *Plan) {
 	d := len(b.Neighbors)
 	if d > s.MaxDegree {
 		panic(fmt.Sprintf("sim: EdgeOrder.MaxDegree=%d below degree %d of node %d", s.MaxDegree, d, b.Sender))
 	}
-	threshold := s.SortThreshold
-	if threshold == 0 {
-		threshold = edgeOrderSortThreshold
-	}
-	if threshold > 0 && d >= threshold {
-		s.planSorted(b, p, d)
-		return
-	}
-	// Each neighbor's slot is its rank in the node-index serialization.
-	// Short neighbor lists stay on the O(d^2) rank count: a handful of
-	// compares, no scratch traffic.
-	for i, v := range b.Neighbors {
-		rank := 0
-		for j, w := range b.Neighbors {
-			if w < v || (w == v && j < i) {
-				rank++
-			}
-		}
-		if s.Descending {
-			rank = d - 1 - rank
-		}
-		p.Recv[i] = b.Now + int64(rank) + 1
-	}
-	p.Ack = b.Now + int64(d) + 1
-}
-
-// planSorted computes the same ranks by sorting a reusable permutation of
-// slot indices by (neighbor, slot). The composite key is unique — duplicate
-// neighbor entries tie-break on slot — so an unstable sort is deterministic
-// and the resulting positions equal the quadratic path's rank counts.
-func (s *EdgeOrder) planSorted(b Broadcast, p *Plan, d int) {
 	if cap(s.scratch) < d {
 		s.scratch = make([]int32, d)
 	}
@@ -304,16 +280,24 @@ func (s *Lossy) Fack() int64 { return s.Base.Fack() }
 // Plan implements Scheduler.
 func (s *Lossy) Plan(b Broadcast, p *Plan) {
 	s.Base.Plan(b, p)
+	flipUnreliable(s.rng, s.P, b, p)
+}
+
+// flipUnreliable is the one coin planner (Lossy, Replay's fallback): over
+// a plan whose reliable slots and ack are final, each unreliable edge
+// delivers with probability prob, at a uniform time no later than the ack
+// — one coin per edge in slot order, a winner's time drawn right after it.
+func flipUnreliable(rng *rand.Rand, prob float64, b Broadcast, p *Plan) {
 	nr := len(b.Neighbors)
 	for i := range b.Unreliable {
-		if s.rng.Float64() >= s.P {
+		if rng.Float64() >= prob {
 			continue
 		}
 		span := p.Ack - b.Now
 		if span < 1 {
 			span = 1
 		}
-		t := b.Now + 1 + s.rng.Int63n(span)
+		t := b.Now + 1 + rng.Int63n(span)
 		if t > p.Ack {
 			t = p.Ack
 		}

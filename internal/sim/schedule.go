@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"slices"
 )
 
 // This file implements schedule recording: capturing every nondeterministic
@@ -126,37 +125,6 @@ func (s *Schedule) Deliveries() int {
 	return n
 }
 
-// Hash returns a 64-bit FNV-1a digest over every decision in the schedule.
-// Two schedules with equal hashes are, for exploration purposes, the same
-// execution prescription — the explorer deduplicates candidates by it.
-func (s *Schedule) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	w(s.Fack)
-	w(int64(len(s.Crashes)))
-	for _, c := range s.Crashes {
-		w(int64(c.Node))
-		w(c.At)
-	}
-	w(int64(len(s.Steps)))
-	for i := range s.Steps {
-		st := &s.Steps[i]
-		w(int64(st.Sender))
-		w(int64(st.Seq))
-		w(st.Now)
-		w(int64(st.NR))
-		for _, t := range st.Recv {
-			w(t)
-		}
-		w(st.Ack)
-	}
-	return h.Sum64()
-}
-
 // --- perturbations ---
 //
 // Each perturbation mutates the schedule in place and reports whether it
@@ -192,37 +160,18 @@ func (s *Schedule) SwapRecv(k, i, j int) bool {
 	return true
 }
 
-// JitterStep redraws every delivered slot of step k uniformly in
-// (Now, Now+Fack] and re-picks the ack between the latest delivery and the
-// deadline, seeded — the "same coin outcomes, different timing"
-// perturbation. Undelivered slots stay undelivered.
+// JitterStep redraws every delivered slot of step k and its ack with the
+// uniform planner (uniformTimes), seeded — the "same coin outcomes,
+// different timing" perturbation. Undelivered slots stay undelivered.
 func (s *Schedule) JitterStep(k int, seed int64) bool {
 	if !s.stepOK(k) {
 		return false
 	}
 	st := &s.Steps[k]
-	rng := rand.New(rand.NewSource(seed))
-	latest := int64(0)
-	any := false
-	for i, t := range st.Recv {
-		if t == NoDelivery {
-			continue
-		}
-		nt := st.Now + 1 + rng.Int63n(s.Fack)
-		st.Recv[i] = nt
-		if nt > latest {
-			latest = nt
-		}
-		any = true
-	}
-	if !any {
+	if !slices.ContainsFunc(st.Recv, func(t int64) bool { return t != NoDelivery }) {
 		return false
 	}
-	ack := latest
-	if room := st.Now + s.Fack - latest; room > 0 {
-		ack += rng.Int63n(room + 1)
-	}
-	st.Ack = ack
+	st.Ack = uniformTimes(rand.New(rand.NewSource(seed)), st.Now, s.Fack, st.Recv, true)
 	return true
 }
 

@@ -158,7 +158,7 @@ func TestSchedulePerturbationOps(t *testing.T) {
 		},
 		Crashes: []Crash{{Node: 2, At: 7}},
 	}
-	h0 := s.Hash()
+	h0 := s.Fingerprint()
 
 	c := s.Clone()
 	if !c.SwapRecv(0, 0, 1) {
@@ -167,13 +167,13 @@ func TestSchedulePerturbationOps(t *testing.T) {
 	if c.Steps[0].Recv[0] != 3 || c.Steps[0].Recv[1] != 1 {
 		t.Fatalf("swap result %v", c.Steps[0].Recv)
 	}
-	if c.Hash() == h0 {
+	if c.Fingerprint() == h0 {
 		t.Fatal("swap did not change the hash")
 	}
 	if s.Steps[0].Recv[0] != 1 {
 		t.Fatal("Clone is not deep: mutation reached the original")
 	}
-	if s.Hash() != h0 {
+	if s.Fingerprint() != h0 {
 		t.Fatal("original hash changed")
 	}
 
@@ -217,7 +217,7 @@ func TestSchedulePerturbationOps(t *testing.T) {
 	}
 	d := s.Clone()
 	d.JitterStep(0, 42)
-	if d.Hash() != c.Hash() {
+	if d.Fingerprint() != c.Fingerprint() {
 		t.Fatal("jitter with equal seeds disagrees")
 	}
 
