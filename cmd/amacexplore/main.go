@@ -374,9 +374,7 @@ func runReplay(path, traceFile string, critPath, jsonOut bool) int {
 	var rec *trace.Recorder
 	var observers []func(sim.Event)
 	if traceFile != "" {
-		// Unbounded: the dumped trace must be the whole replay, not the
-		// last ring-buffer window of it.
-		rec = trace.New(trace.Unbounded)
+		rec = trace.New()
 		observers = append(observers, rec.Observer())
 	}
 	var coll *critpath.Collector

@@ -31,9 +31,9 @@
 // first broadcast to the first decision, with the latency attributed to
 // algorithm phases and stalls. In sweep mode it adds an aggregated
 // "metrics" array to every JSON cell (counters summed, gauge high-water
-// marks maxed, histogram quantiles, across all runs of the cell);
-// without the flag the sweep output is byte-identical to a build without
-// the metrics layer, and the engine's hot path stays allocation-free.
+// marks maxed, across all runs of the cell); without the flag the sweep
+// output is byte-identical to a build without the metrics layer, and the
+// engine's hot path stays allocation-free.
 //
 // Sweep mode expands the cross product of comma-separated axes and runs it
 // on a GOMAXPROCS-wide worker pool, aggregating each (algo, topo, inputs,
@@ -209,9 +209,7 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 	var observers []func(sim.Event)
 	var rec *trace.Recorder
 	if verbose || traceFile != "" {
-		// Unbounded: -v and -trace promise the FULL trace, not the last
-		// ring-buffer window of it.
-		rec = trace.New(trace.Unbounded)
+		rec = trace.New()
 		observers = append(observers, rec.Observer())
 	}
 	var coll *critpath.Collector

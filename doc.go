@@ -240,15 +240,16 @@
 // paper's small worked examples. Three layers carry the load:
 //
 //   - internal/graph stores adjacency in flat CSR arrays (one offsets
-//     slice, one packed neighbor slice) rebuilt lazily from an
-//     insertion-ordered edge log, with an O(1) edge-set behind AddEdge
-//     and HasEdge during construction and binary search on sorted rows
-//     after. Row order is part of the determinism contract — the random
-//     scheduler draws per-neighbor delivery times by row index — so the
-//     CSR reproduces exact insertion order, families built by
-//     graph.FromEdges are sorted by construction, and Diameter switches
-//     from the exact all-pairs BFS to a bounded-effort double-sweep +
-//     iFUB lower-bound certificate past 512 nodes.
+//     slice, one packed neighbor slice). A graph is built once, by
+//     graph.Build from a whole edge list, and is immutable afterwards:
+//     there is no edge log, no edge set and no Freeze, and a graph is
+//     safe to share between goroutines with no preparation. Row order is
+//     part of the determinism contract — the random scheduler draws
+//     per-neighbor delivery times by row index — so rows are in edge-list
+//     order, families built by graph.FromEdges have ascending rows (where
+//     HasEdge binary-searches), and Diameter switches from the exact
+//     all-pairs BFS to a bounded-effort double-sweep + iFUB lower-bound
+//     certificate past 512 nodes.
 //   - internal/sim keeps node runtime state structure-of-arrays: flat
 //     slices per field, decisions living directly in the reusable
 //     Result, and per-node amac.API values pre-boxed at Reset so a run
@@ -476,8 +477,8 @@
 //
 // internal/metrics is a flight-recorder registry built for the engine's
 // hot path: fixed slots allocated at registration (counters, gauges with
-// high-water marks, power-of-two-bucket histograms), handles that are
-// plain value structs, and every mutation a branch plus an array write —
+// high-water marks), handles that are plain value structs, and every
+// mutation a branch plus an array write —
 // no locks, no interfaces, no allocation. A nil registry hands out
 // disabled handles whose mutators are one predictable branch, so
 // instrumented code never guards call sites and the metrics-off

@@ -103,8 +103,8 @@ type DecideMsg struct {
 // Combined multiplexes one message per queue into a single broadcast. The
 // sender fills the unexported inline slots and points the exported fields
 // at them, so assembling a broadcast allocates nothing beyond the Combined
-// itself — and nothing at all once a pooling node (see NewFactory) has
-// recycled its first message.
+// itself — and nothing at all on a node that owns the one message it
+// refills (see NewFactory).
 type Combined struct {
 	Leader   *LeaderMsg
 	Change   *ChangeMsg
@@ -114,8 +114,8 @@ type Combined struct {
 
 	// buf backs the pointer fields above when the message is assembled by
 	// pump. Receivers must treat a delivered Combined as immutable and
-	// copy what they keep (they do), because pooling senders reuse the
-	// whole object — buf included — after the ack.
+	// copy what they keep (they do), because a sender that owns its
+	// message refills the whole object — buf included — after the ack.
 	buf struct {
 		leader   LeaderMsg
 		change   ChangeMsg
@@ -201,12 +201,9 @@ type Node struct {
 	decided    bool
 	decision   amac.Value
 
-	// reuse recycles broadcast buffers through msgFree after each ack
-	// (amac.NodeConfig.AckAfterHandlers, via NewFactory). A node
-	// has at most one broadcast in flight, so the pool holds at most one
-	// message.
-	reuse   bool
-	msgFree []*Combined
+	// msg, where the substrate lets a node have one (see NewFactory), is
+	// the one message it ever broadcasts, refilled by every pump.
+	msg *Combined
 
 	// mreg is the substrate's metrics registry (nil when metrics are off);
 	// the handles below are zero (disabled) then. propSent distinguishes a
@@ -236,15 +233,18 @@ func newNode(input amac.Value, n int) *Node {
 }
 
 // NewFactory returns a factory for networks of the given size. On
-// substrates that declare amac.NodeConfig.AckAfterHandlers its nodes
-// recycle their broadcast buffer after each ack, which makes the
+// substrates that declare amac.NodeConfig.AckAfterHandlers a node owns one
+// broadcast message and refills it at every pump (at most one is in
+// flight, and after its ack no handler is reading it), which makes the
 // steady-state broadcast path allocation-free; elsewhere a receiver may
-// still be reading the message when the ack lands, so every broadcast
+// still be reading the message when the ack lands, so every pump
 // allocates a fresh one.
 func NewFactory(n int) amac.Factory {
 	return func(cfg amac.NodeConfig) amac.Algorithm {
 		a := newNode(cfg.Input, n)
-		a.reuse = cfg.AckAfterHandlers
+		if cfg.AckAfterHandlers {
+			a.msg = new(Combined)
+		}
 		a.instrument(cfg.Metrics)
 		return a
 	}
@@ -261,16 +261,6 @@ func (a *Node) instrument(r *metrics.Registry) {
 	a.mRetries = r.Counter("flood_retries")
 	a.mRetransmits = r.Counter("flood_retransmits")
 	a.mSuperseded = r.Counter("flood_superseded")
-}
-
-// getMsg takes a broadcast buffer from the pool, or allocates one.
-func (a *Node) getMsg() *Combined {
-	if k := len(a.msgFree); k > 0 {
-		c := a.msgFree[k-1]
-		a.msgFree = a.msgFree[:k-1]
-		return c
-	}
-	return &Combined{}
 }
 
 // Start implements amac.Algorithm.
@@ -338,15 +328,8 @@ func (a *Node) localChange() {
 // OnAck implements amac.Algorithm. The ack stream clocks the failure
 // detector: undecided nodes broadcast on every pump (the leader slot is
 // never empty), so silence checks never stop arriving.
-func (a *Node) OnAck(m amac.Message) {
+func (a *Node) OnAck(amac.Message) {
 	a.inflight = false
-	if a.reuse {
-		// Every delivery handler for this broadcast has returned
-		// (AckAfterHandlers), so the buffer can be recycled.
-		c := m.(*Combined)
-		*c = Combined{}
-		a.msgFree = append(a.msgFree, c)
-	}
 	now := a.api.Now()
 	a.det.NoteAck(now)
 	if !a.decided {
@@ -361,18 +344,17 @@ func (a *Node) OnAck(m amac.Message) {
 }
 
 func (a *Node) pump() {
-	if a.inflight {
+	// A decided node has nothing left to say but its decide flood.
+	if a.inflight || a.decided && !a.hasDecideQ {
 		return
 	}
-	var c *Combined
-	// ensure allocates the outgoing message only once something queued.
-	ensure := func() {
-		if c == nil {
-			c = a.getMsg()
-		}
+	c := a.msg
+	if c == nil {
+		c = new(Combined)
+	} else {
+		*c = Combined{}
 	}
 	if a.hasDecideQ {
-		ensure()
 		c.buf.decide = a.decideQ
 		c.Decide = &c.buf.decide
 		a.hasDecideQ = false
@@ -381,20 +363,17 @@ func (a *Node) pump() {
 		// Membership gossip: one known id per pump, cycling. This slot
 		// is always non-empty, so an undecided node is never silent —
 		// the detector's liveness tick.
-		ensure()
 		c.buf.leader = LeaderMsg{ID: a.det.Gossip()}
 		c.Leader = &c.buf.leader
 		if a.hasChangeQ {
 			// Sticky: the newest change is re-broadcast until a newer
 			// one supersedes it (receivers dedup by timestamp).
-			ensure()
 			c.buf.change = a.changeQ
 			c.Change = &c.buf.change
 		}
 		if a.hasPropQ {
 			// Sticky: the live proposition is re-broadcast until
 			// superseded (receivers dedup on first sight).
-			ensure()
 			c.buf.proposer = a.propQ
 			c.Proposer = &c.buf.proposer
 			if a.propSent {
@@ -409,14 +388,10 @@ func (a *Node) pump() {
 			if a.respCur >= len(a.respQ) {
 				a.respCur = 0
 			}
-			ensure()
 			c.buf.response = a.respQ[a.respCur]
 			c.Response = &c.buf.response
 			a.respCur++
 		}
-	}
-	if c == nil {
-		return
 	}
 	a.det.NoteSend(a.api.Now())
 	a.inflight = true

@@ -108,14 +108,6 @@ func Check(inputs []amac.Value, res *sim.Result) *Report {
 	return rep
 }
 
-// MustOK is a test/driver helper: it panics with a descriptive message when
-// the report is not clean.
-func MustOK(rep *Report) {
-	if !rep.OK() {
-		panic(fmt.Sprintf("consensus violated: %v", rep.Errors))
-	}
-}
-
 // anonAPI wraps an amac.API and records id reads.
 type anonAPI struct {
 	amac.API

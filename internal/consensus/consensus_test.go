@@ -133,16 +133,6 @@ func TestCheckSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestMustOKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	rep := Check([]amac.Value{0}, result(1)) // termination violation
-	MustOK(rep)
-}
-
 // idReader reads its id once at start; the audit must count it.
 type idReader struct{}
 

@@ -7,42 +7,48 @@ import (
 
 // Clique returns the complete graph K_n (the paper's single-hop topology).
 func Clique(n int) *Graph {
-	g := New(n)
+	edges := make([][2]int, 0, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return g
+	return Build(n, edges)
+}
+
+// lineEdges lists the path 0-1-...-(n-1).
+func lineEdges(n int) [][2]int {
+	var edges [][2]int
+	for u := 0; u+1 < n; u++ {
+		edges = append(edges, [2]int{u, u + 1})
+	}
+	return edges
 }
 
 // Line returns the path graph on n nodes (diameter n-1). The paper writes
 // L_d for the line with d+1 nodes; Line(d+1) constructs it.
 func Line(n int) *Graph {
-	g := New(n)
-	for u := 0; u+1 < n; u++ {
-		g.AddEdge(u, u+1)
-	}
-	return g
+	return Build(n, lineEdges(n))
 }
 
-// Ring returns the cycle graph on n >= 3 nodes.
+// Ring returns the cycle graph on n >= 3 nodes: the line plus the closing
+// edge {n-1, 0} listed last, so node n-1's row reads [n-2, 0] — the one
+// structured family whose rows are not all ascending, kept because the
+// golden executions on rings are positional over that row.
 func Ring(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: ring needs >= 3 nodes, got %d", n))
 	}
-	g := Line(n)
-	g.AddEdge(n-1, 0)
-	return g
+	return Build(n, append(lineEdges(n), [2]int{n - 1, 0}))
 }
 
 // Star returns the star graph: node 0 is the hub, nodes 1..n-1 are leaves.
 func Star(n int) *Graph {
-	g := New(n)
+	var edges [][2]int
 	for v := 1; v < n; v++ {
-		g.AddEdge(0, v)
+		edges = append(edges, [2]int{0, v})
 	}
-	return g
+	return Build(n, edges)
 }
 
 // Grid returns the rows x cols grid graph (diameter rows+cols-2).
@@ -50,19 +56,19 @@ func Grid(rows, cols int) *Graph {
 	if rows < 1 || cols < 1 {
 		panic(fmt.Sprintf("graph: invalid grid %dx%d", rows, cols))
 	}
-	g := New(rows * cols)
+	var edges [][2]int
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
+				edges = append(edges, [2]int{id(r, c), id(r, c+1)})
 			}
 			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
+				edges = append(edges, [2]int{id(r, c), id(r+1, c)})
 			}
 		}
 	}
-	return g
+	return Build(rows*cols, edges)
 }
 
 // BalancedTree returns the complete b-ary tree of the given depth
@@ -79,15 +85,15 @@ func BalancedTree(branch, depth int) *Graph {
 		level *= branch
 		total += level
 	}
-	g := New(total)
+	edges := make([][2]int, 0, total-1)
 	next := 1
 	for u := 0; next < total; u++ {
 		for c := 0; c < branch && next < total; c++ {
-			g.AddEdge(u, next)
+			edges = append(edges, [2]int{u, next})
 			next++
 		}
 	}
-	return g
+	return Build(total, edges)
 }
 
 // StarOfLines returns `arms` disjoint paths of length armLen joined at a
@@ -98,17 +104,17 @@ func StarOfLines(arms, armLen int) *Graph {
 	if arms < 1 || armLen < 1 {
 		panic(fmt.Sprintf("graph: invalid star-of-lines arms=%d armLen=%d", arms, armLen))
 	}
-	g := New(1 + arms*armLen)
+	edges := make([][2]int, 0, arms*armLen)
 	node := 1
 	for a := 0; a < arms; a++ {
 		prev := 0
 		for i := 0; i < armLen; i++ {
-			g.AddEdge(prev, node)
+			edges = append(edges, [2]int{prev, node})
 			prev = node
 			node++
 		}
 	}
-	return g
+	return Build(1+arms*armLen, edges)
 }
 
 // RandomOverlay returns a graph on the same node set as g containing up to
@@ -136,8 +142,6 @@ func RandomOverlay(g *Graph, extra int, seed int64) *Graph {
 	if extra > len(nonEdges) {
 		extra = len(nonEdges)
 	}
-	// Canonical emission yields the same sorted adjacency rows the old
-	// build-then-Sort pass produced, without the extra O(m log d) pass.
 	return FromEdges(n, nonEdges[:extra])
 }
 
@@ -152,18 +156,23 @@ func RandomConnected(n int, p float64, seed int64) *Graph {
 		panic(fmt.Sprintf("graph: invalid edge probability %v", p))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	edges := make([][2]int, 0, n)
 	// Random attachment tree keeps the graph connected with varied shape.
+	// The pair loop below meets every pair once, so the tree's edges are
+	// the only ones it can find already present.
+	tree := make(map[int64]struct{}, n)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(perm[i], perm[rng.Intn(i)])
+		u, v := perm[i], perm[rng.Intn(i)]
+		tree[edgeKey(u, v)] = struct{}{}
+		edges = append(edges, [2]int{u, v})
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && rng.Float64() < p {
-				g.AddEdge(u, v)
+			if _, has := tree[edgeKey(u, v)]; !has && rng.Float64() < p {
+				edges = append(edges, [2]int{u, v})
 			}
 		}
 	}
-	return g
+	return Build(n, edges)
 }

@@ -8,7 +8,7 @@ package graph
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"sort"
 )
 
@@ -16,119 +16,125 @@ import (
 // compressed-sparse-row (CSR) form: one offsets array plus one packed
 // neighbors array, so a node's adjacency row is a contiguous slice and a
 // whole-graph traversal walks two flat arrays instead of chasing n
-// slice headers. The zero value is an empty graph; use New to allocate a
-// graph with a fixed node count.
+// slice headers.
 //
-// Mutation is cheap and batched: AddEdge appends to a flat edge log
-// (with an O(1) duplicate check) and marks the CSR stale; the first read
-// accessor after a mutation rebuilds the CSR with one O(n+m) counting
-// pass. Build-then-read construction therefore pays O(n+m) total, and
-// interleaved HasEdge probes during construction stay O(1) via the edge
-// set — which exists only on graphs that need it: a family that appends
-// every edge in ascending order at both endpoints and never probes while
-// stale (cliques, the sparse families) is never charged for one.
+// A graph is built once, by Build or FromEdges from a whole edge list,
+// and is immutable afterwards — the paper's topology is fixed for an
+// execution (Section 2). No method writes a field, so a graph may be
+// shared by any number of concurrent readers with no preparation. The
+// zero value is the empty graph.
 //
-// Adjacency rows preserve edge-insertion order exactly — the order the
-// previous [][]int representation produced — because delivery plans are
-// positional over Neighbors and the pinned golden executions depend on
-// that order. Sort canonicalizes the rows to ascending; the sparse
-// families emit their edges pre-sorted so their rows are sorted without
-// any Sort pass.
+// Adjacency rows are in edge-list order — each edge appends v to u's row
+// and u to v's, in the order the list gives them — because delivery plans
+// are positional over Neighbors and the pinned golden executions depend
+// on that order. FromEdges lists the edges canonically, which makes every
+// row ascending; so does every family constructor except Ring and
+// RandomConnected.
 type Graph struct {
-	n int
-	// eu/ev is the edge log in insertion order (eu[i],ev[i] as passed to
-	// AddEdge). It is the canonical representation; the CSR is derived.
-	eu, ev []int32
-	// deg is maintained incrementally so Degree and the CSR offsets
-	// never force a rebuild.
-	deg []int32
-	// set holds every edge (normalized min<<32|max) for O(1) duplicate
-	// rejection in AddEdge and O(1) HasEdge while the CSR is stale. It is
-	// nil until edgeSet builds it from the edge log, at the first append
-	// that is not ascending at both endpoints or the first stale HasEdge;
-	// so it is never nil once rowsSorted is false, and a frozen graph's
-	// HasEdge builds nothing.
-	set map[int64]struct{}
-	// CSR arrays: nbrs[off[u]:off[u+1]] is u's adjacency row.
+	n, m int
+	// nbrs[off[u]:off[u+1]] is u's adjacency row.
 	off  []int32
 	nbrs []int
-	// last[u] is the most recently appended neighbor of u; rowsSorted
-	// stays true while every append is ascending, which is what lets
-	// HasEdge binary-search instead of consulting the edge set.
-	last       []int32
-	rowsSorted bool
-	dirty      bool
+	// sorted: every row is ascending, so HasEdge may binary-search.
+	sorted bool
 }
 
-// New returns a graph with n isolated nodes.
-func New(n int) *Graph {
+// Build returns the graph on n nodes with the given undirected edges,
+// adjacency rows in edge-list order. A self-loop, a duplicate edge (in
+// either orientation), an endpoint outside [0,n), a negative n or more
+// edges than the int32 row offsets can address panic: topology
+// construction bugs must fail loudly rather than silently distort an
+// experiment. The edge list is only read.
+func Build(n int, edges [][2]int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	g := &Graph{
-		n:          n,
-		deg:        make([]int32, n),
-		last:       make([]int32, n),
-		rowsSorted: true,
+	m := len(edges)
+	if m > math.MaxInt32/2 {
+		panic(fmt.Sprintf("graph: %d edges: row offsets 2*m do not fit int32", m))
 	}
-	for i := range g.last {
-		g.last[i] = -1
+	g := &Graph{n: n, m: m, off: make([]int32, n+1), nbrs: make([]int, 2*m), sorted: true}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop at node %d", u))
+		}
+		g.check(u)
+		g.check(v)
+		g.off[u+1]++
+		g.off[v+1]++
+	}
+	for u := 0; u < n; u++ {
+		g.off[u+1] += g.off[u]
+	}
+	// Filling in edge-list order appends to both endpoints' rows in the
+	// order an adjacency list built edge by edge would.
+	cur := make([]int32, n)
+	copy(cur, g.off)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		g.nbrs[cur[u]] = v
+		cur[u]++
+		g.nbrs[cur[v]] = u
+		cur[v]++
+	}
+	// A duplicate edge is a repeated neighbor in a row. A strictly
+	// ascending row has none; any other row is checked on a sorted copy.
+	var scratch []int
+	for u := 0; u < n; u++ {
+		row := g.row(u)
+		if strictlyAscending(row) {
+			continue
+		}
+		scratch = append(scratch[:0], row...)
+		sort.Ints(scratch)
+		for i := 1; i < len(scratch); i++ {
+			if scratch[i] == scratch[i-1] {
+				panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, scratch[i]))
+			}
+		}
+		g.sorted = false
 	}
 	return g
+}
+
+func strictlyAscending(row []int) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i] <= row[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// FromEdges builds the graph over the edge list in canonical order —
+// endpoints normalized to (min,max), edges sorted lexicographically — so
+// every adjacency row comes out ascending: a node's smaller neighbors are
+// appended while the enumeration passes their rows, then its larger
+// neighbors in ascending order. The input slice is not modified.
+func FromEdges(n int, edges [][2]int) *Graph {
+	es := make([][2]int, len(edges))
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		if u > v {
+			u, v = v, u
+		}
+		es[i] = [2]int{u, v}
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i][0] != es[j][0] {
+			return es[i][0] < es[j][0]
+		}
+		return es[i][1] < es[j][1]
+	})
+	return Build(n, es)
 }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.eu) }
-
-// AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate
-// edges are rejected with a panic: topology construction bugs must fail
-// loudly rather than silently distort an experiment.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d", u))
-	}
-	g.check(u)
-	g.check(v)
-	// An append beyond the largest neighbor of both endpoints is a new
-	// edge by that fact alone; anything else asks the set.
-	ascending := int32(v) > g.last[u] && int32(u) > g.last[v]
-	if !ascending || g.set != nil {
-		key := edgeKey(u, v)
-		if _, dup := g.edgeSet()[key]; dup {
-			panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, v))
-		}
-		g.set[key] = struct{}{}
-	}
-	if !ascending {
-		g.rowsSorted = false
-	}
-	g.eu = append(g.eu, int32(u))
-	g.ev = append(g.ev, int32(v))
-	if int32(v) > g.last[u] {
-		g.last[u] = int32(v)
-	}
-	if int32(u) > g.last[v] {
-		g.last[v] = int32(u)
-	}
-	g.deg[u]++
-	g.deg[v]++
-	g.dirty = true
-}
-
-// edgeSet returns the set of all edges, building it from the edge log on
-// first use.
-func (g *Graph) edgeSet() map[int64]struct{} {
-	if g.set == nil {
-		g.set = make(map[int64]struct{}, len(g.eu))
-		for i := range g.eu {
-			g.set[edgeKey(int(g.eu[i]), int(g.ev[i]))] = struct{}{}
-		}
-	}
-	return g.set
-}
+func (g *Graph) M() int { return g.m }
 
 func (g *Graph) check(u int) {
 	if u < 0 || u >= g.n {
@@ -136,167 +142,56 @@ func (g *Graph) check(u int) {
 	}
 }
 
-// ensure materializes the CSR from the edge log. Filling in edge-log
-// order reproduces the append order of both endpoints' rows, so the CSR
-// rows are byte-identical to the adjacency lists the old representation
-// built.
-func (g *Graph) ensure() {
-	if !g.dirty && g.off != nil {
-		return
-	}
-	m := len(g.eu)
-	if cap(g.off) >= g.n+1 {
-		g.off = g.off[:g.n+1]
-	} else {
-		g.off = make([]int32, g.n+1)
-	}
-	if cap(g.nbrs) >= 2*m {
-		g.nbrs = g.nbrs[:2*m]
-	} else {
-		g.nbrs = make([]int, 2*m)
-	}
-	g.off[0] = 0
-	for u := 0; u < g.n; u++ {
-		g.off[u+1] = g.off[u] + g.deg[u]
-	}
-	// Cursor pass: reuse the tail of off as cursors would alias, so keep
-	// a scratch copy of the running offsets.
-	cur := make([]int32, g.n)
-	copy(cur, g.off[:g.n])
-	for i := 0; i < m; i++ {
-		u, v := g.eu[i], g.ev[i]
-		g.nbrs[cur[u]] = int(v)
-		cur[u]++
-		g.nbrs[cur[v]] = int(u)
-		cur[v]++
-	}
-	g.dirty = false
-}
-
-// row returns u's CSR adjacency row (callers must have run ensure).
 func (g *Graph) row(u int) []int {
 	return g.nbrs[g.off[u]:g.off[u+1]]
 }
 
-// HasEdge reports whether {u, v} is an edge. On a graph whose rows are
-// sorted (every family constructor emits sorted rows; Sort canonicalizes
-// the rest) this is a binary search over the smaller row; on a stale or
-// insertion-ordered graph it is an O(1) edge-set lookup.
+// HasEdge reports whether {u, v} is an edge, looking for the other
+// endpoint in the shorter of the two rows: a binary search when rows are
+// ascending, a scan otherwise (the ring's and the random family's rows,
+// a few entries long).
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
 	if u == v {
 		return false
 	}
-	if g.dirty || !g.rowsSorted {
-		_, ok := g.edgeSet()[edgeKey(u, v)]
-		return ok
+	if g.Degree(u) > g.Degree(v) {
+		u, v = v, u
 	}
-	a, b := u, v
-	if g.deg[a] > g.deg[b] {
-		a, b = b, a
+	row := g.row(u)
+	if g.sorted {
+		i := sort.SearchInts(row, v)
+		return i < len(row) && row[i] == v
 	}
-	row := g.row(a)
-	i := sort.SearchInts(row, b)
-	return i < len(row) && row[i] == b
-}
-
-// Freeze materializes the CSR arrays from the edge log. Reads lazily
-// rebuild the CSR after a mutation, so a graph handed to concurrently
-// running readers (the wall-clock substrates: node goroutines calling
-// Neighbors) must be frozen first — concurrent lazy rebuilds race.
-// Reading a frozen graph concurrently is safe until the next mutation.
-func (g *Graph) Freeze() {
-	g.ensure()
+	for _, w := range row {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Neighbors returns u's adjacency row. The returned slice aliases the
-// graph's packed neighbor array and must not be mutated by callers; it is
-// valid until the next mutation.
+// graph's packed neighbor array and must not be mutated by callers.
 func (g *Graph) Neighbors(u int) []int {
 	g.check(u)
-	g.ensure()
 	return g.row(u)
 }
 
 // Degree returns the degree of u.
 func (g *Graph) Degree(u int) int {
 	g.check(u)
-	return int(g.deg[u])
+	return int(g.off[u+1] - g.off[u])
 }
 
-// Sorted reports whether every adjacency row is in ascending order —
-// true for every family constructor that emits sorted-by-construction
-// edges, and after any Sort call.
-func (g *Graph) Sorted() bool { return g.rowsSorted }
-
-// Sort canonicalizes the adjacency rows to ascending order by rewriting
-// the edge log in normalized (min,max) lexicographic order: replaying a
-// canonical log yields fully sorted rows. On a graph whose rows are
-// already sorted this is a no-op. Edges added after Sort append at the
-// row tails, exactly as the old sorted-then-appended representation did.
-func (g *Graph) Sort() {
-	if g.rowsSorted {
-		return
-	}
-	m := len(g.eu)
-	for i := 0; i < m; i++ {
-		if g.eu[i] > g.ev[i] {
-			g.eu[i], g.ev[i] = g.ev[i], g.eu[i]
-		}
-	}
-	sort.Sort(edgeLog{g.eu, g.ev})
-	for i := range g.last {
-		g.last[i] = -1
-	}
-	for i := 0; i < m; i++ {
-		u, v := g.eu[i], g.ev[i]
-		if v > g.last[u] {
-			g.last[u] = v
-		}
-		if u > g.last[v] {
-			g.last[v] = u
-		}
-	}
-	g.rowsSorted = true
-	g.dirty = true
-}
-
-// edgeLog sorts the edge log in (u,v) lexicographic order in place.
-type edgeLog struct{ u, v []int32 }
-
-func (e edgeLog) Len() int { return len(e.u) }
-func (e edgeLog) Less(i, j int) bool {
-	if e.u[i] != e.u[j] {
-		return e.u[i] < e.u[j]
-	}
-	return e.v[i] < e.v[j]
-}
-func (e edgeLog) Swap(i, j int) {
-	e.u[i], e.u[j] = e.u[j], e.u[i]
-	e.v[i], e.v[j] = e.v[j], e.v[i]
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		n:          g.n,
-		eu:         append([]int32(nil), g.eu...),
-		ev:         append([]int32(nil), g.ev...),
-		deg:        append([]int32(nil), g.deg...),
-		last:       append([]int32(nil), g.last...),
-		set:        maps.Clone(g.set), // nil stays nil
-		rowsSorted: g.rowsSorted,
-		dirty:      true,
-	}
-	return c
-}
+// Sorted reports whether every adjacency row is in ascending order.
+func (g *Graph) Sorted() bool { return g.sorted }
 
 // BFS returns the hop distance from src to every node; unreachable nodes
 // get -1.
 func (g *Graph) BFS(src int) []int {
 	g.check(src)
-	g.ensure()
 	dist := make([]int, g.n)
 	for i := range dist {
 		dist[i] = -1
@@ -324,7 +219,7 @@ func (g *Graph) Dist(u, v int) int {
 // eccFrom runs one BFS from src into the caller's scratch (dist and queue,
 // both length N()) and returns src's eccentricity, or -1 when some node is
 // unreachable. Callers reuse the scratch across sources, so a BFS costs no
-// allocation. The caller must have run ensure.
+// allocation.
 func (g *Graph) eccFrom(src int, dist, queue []int) int {
 	for i := range dist {
 		dist[i] = -1
@@ -357,7 +252,6 @@ func (g *Graph) eccFrom(src int, dist, queue []int) int {
 // the graph is disconnected.
 func (g *Graph) Eccentricity(u int) int {
 	g.check(u)
-	g.ensure()
 	n := g.n
 	return g.eccFrom(u, make([]int, n), make([]int, n))
 }
@@ -393,7 +287,6 @@ func (g *Graph) Diameter() int {
 	if g.n == 0 {
 		return -1
 	}
-	g.ensure() // a read accessor like the rest: whoever runs next finds the CSR built
 	if g.n >= 2 && g.M() == g.n*(g.n-1)/2 {
 		return 1
 	}
@@ -435,7 +328,7 @@ func (g *Graph) diameterEstimate() int {
 
 	start := 0
 	for u := 1; u < n; u++ {
-		if g.deg[u] > g.deg[start] {
+		if g.Degree(u) > g.Degree(start) {
 			start = u
 		}
 	}
@@ -525,7 +418,7 @@ func (g *Graph) IsConnected() bool {
 func (g *Graph) DegreeSequence() []int {
 	seq := make([]int, g.n)
 	for u := 0; u < g.n; u++ {
-		seq[u] = int(g.deg[u])
+		seq[u] = g.Degree(u)
 	}
 	sort.Ints(seq)
 	return seq

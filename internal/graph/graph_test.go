@@ -1,14 +1,16 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewEmpty(t *testing.T) {
-	g := New(0)
+	g := Build(0, nil)
 	if g.N() != 0 || g.M() != 0 {
 		t.Fatalf("empty graph: N=%d M=%d", g.N(), g.M())
 	}
@@ -21,7 +23,7 @@ func TestNewEmpty(t *testing.T) {
 }
 
 func TestSingleNode(t *testing.T) {
-	g := New(1)
+	g := Build(1, nil)
 	if !g.IsConnected() {
 		t.Fatal("single node not connected")
 	}
@@ -31,9 +33,7 @@ func TestSingleNode(t *testing.T) {
 }
 
 func TestAddEdgeBasics(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := Build(3, [][2]int{{0, 1}, {1, 2}})
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Fatal("edge {0,1} missing")
 	}
@@ -48,15 +48,35 @@ func TestAddEdgeBasics(t *testing.T) {
 	}
 }
 
+// tooManyEdges is an edge list Build must refuse on its length alone,
+// before it reads an edge or sizes an array from it. A real list that long
+// is 16 GB, so this is a one-edge array under a header claiming
+// MaxInt32/2+1 entries — which the race job's pointer checks would
+// rightly refuse to construct, hence the directive.
+//
+//go:nocheckptr
+func tooManyEdges() [][2]int {
+	one := make([][2]int, 1)
+	return unsafe.Slice(&one[0], math.MaxInt32/2+1)
+}
+
+// TestAddEdgePanics is Build's table of refused inputs — the checks
+// AddEdge made one edge at a time, now made over the whole list.
 func TestAddEdgePanics(t *testing.T) {
 	cases := []struct {
-		name string
-		f    func(*Graph)
+		name  string
+		n     int
+		edges [][2]int
 	}{
-		{"self-loop", func(g *Graph) { g.AddEdge(1, 1) }},
-		{"duplicate", func(g *Graph) { g.AddEdge(0, 1); g.AddEdge(1, 0) }},
-		{"out-of-range", func(g *Graph) { g.AddEdge(0, 9) }},
-		{"negative", func(g *Graph) { g.AddEdge(-1, 0) }},
+		{"self-loop", 3, [][2]int{{0, 1}, {1, 1}}},
+		{"duplicate", 3, [][2]int{{0, 1}, {1, 0}}}, // reversed, rows ascending
+		{"duplicate-same-orientation", 3, [][2]int{{0, 1}, {0, 2}, {0, 1}}},
+		{"duplicate-unsorted-rows", 3, [][2]int{{0, 2}, {0, 1}, {0, 2}}},
+		{"duplicate-unsorted-rows-reversed", 4, [][2]int{{2, 3}, {0, 3}, {0, 1}, {3, 0}}},
+		{"out-of-range", 3, [][2]int{{0, 9}}},
+		{"negative", 3, [][2]int{{-1, 0}}},
+		{"negative-n", -1, nil},
+		{"too-many-edges", 2, tooManyEdges()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,121 +85,43 @@ func TestAddEdgePanics(t *testing.T) {
 					t.Fatalf("%s: no panic", tc.name)
 				}
 			}()
-			tc.f(New(3))
+			Build(tc.n, tc.edges)
 		})
 	}
 }
 
-// TestFreezeAllowsConcurrentReads pins the concurrent-reader contract
-// the wall-clock substrates rely on: after Freeze, Neighbors/HasEdge
-// from many goroutines must be race-free (run under -race to enforce).
-// Without Freeze, the first read after a mutation rebuilds the CSR
-// lazily and concurrent readers would race on that rebuild.
+// TestFreezeAllowsConcurrentReads: a graph straight out of its
+// constructor — ascending rows and the ring's — is read by eight
+// goroutines at once with nothing in between (there is no Freeze to
+// forget any more; the race job is what enforces this).
 func TestFreezeAllowsConcurrentReads(t *testing.T) {
-	g := Clique(8)
-	g.Freeze()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for u := 0; u < g.N(); u++ {
-				if len(g.Neighbors(u)) != 7 {
-					t.Errorf("worker %d: node %d has %d neighbors", w, u, len(g.Neighbors(u)))
-					return
-				}
-				if !g.HasEdge(u, (u+1)%g.N()) {
-					t.Errorf("worker %d: missing clique edge at %d", w, u)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// TestEdgeSetIsLazy: a graph built by ascending appends carries no edge
-// set, the set appears at the first non-ascending append or stale
-// HasEdge, and duplicate and self-loop rejection, HasEdge and Clone
-// answer the same on both sides of that moment.
-func TestEdgeSetIsLazy(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	agree := func(when string, g *Graph, edges [][2]int) {
-		t.Helper()
-		for _, h := range []*Graph{g, g.Clone()} {
-			is := map[[2]int]bool{}
-			for _, e := range edges {
-				is[e], is[[2]int{e[1], e[0]}] = true, true
-			}
-			for u := 0; u < h.N(); u++ {
-				for v := 0; v < h.N(); v++ {
-					if h.HasEdge(u, v) != is[[2]int{u, v}] {
-						t.Fatalf("%s: HasEdge(%d,%d) = %v", when, u, v, h.HasEdge(u, v))
+	for _, tc := range []struct {
+		g         *Graph
+		deg, diam int
+	}{{Clique(8), 7, 1}, {Ring(8), 2, 4}} {
+		g, deg, diam := tc.g, tc.deg, tc.diam
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for u := 0; u < g.N(); u++ {
+					if len(g.Neighbors(u)) != deg || g.Degree(u) != deg {
+						t.Errorf("worker %d: node %d has %d neighbors, degree %d", w, u, len(g.Neighbors(u)), g.Degree(u))
+						return
+					}
+					if !g.HasEdge(u, (u+1)%g.N()) {
+						t.Errorf("worker %d: missing edge at %d", w, u)
+						return
 					}
 				}
-			}
+				if d := g.Diameter(); d != diam {
+					t.Errorf("worker %d: diameter %d, want %d", w, d, diam)
+				}
+			}(w)
 		}
+		wg.Wait()
 	}
-
-	// Ascending appends, read only through the fresh CSR: no set, ever.
-	g := New(5)
-	edges := [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 4}}
-	for _, e := range edges {
-		g.AddEdge(e[0], e[1])
-	}
-	g.Freeze()
-	agree("ascending, fresh CSR", g, edges)
-	if g.set != nil || g.Clone().set != nil || !g.Sorted() {
-		t.Fatal("ascending appends and fresh-CSR reads built an edge set")
-	}
-	// Duplicates of an ascending log are caught with the set still
-	// unbuilt when they arrive: equal to the last append, below it, and
-	// with the endpoints swapped.
-	for _, e := range [][2]int{{2, 4}, {0, 1}, {2, 1}} {
-		h := g.Clone()
-		if h.set != nil {
-			t.Fatal("clone of a set-less graph has a set")
-		}
-		mustPanic("duplicate on the lazy path", func() { h.AddEdge(e[0], e[1]) })
-	}
-	mustPanic("self-loop on the lazy path", func() { g.Clone().AddEdge(2, 2) })
-
-	// A stale HasEdge materialises the set; answers do not change.
-	g.AddEdge(3, 4)
-	edges = append(edges, [2]int{3, 4})
-	if g.set != nil {
-		t.Fatal("an ascending append built the set")
-	}
-	agree("stale", g, edges)
-	if g.set == nil {
-		t.Fatal("stale HasEdge answered without the set")
-	}
-	// A non-ascending append does too, on a graph that never probed.
-	h := Clique(4).Clone()
-	h2 := New(4)
-	h2.AddEdge(2, 3)
-	h2.AddEdge(0, 1)
-	h2.AddEdge(0, 3)
-	h2.AddEdge(0, 2) // below last[0] = 3
-	if h.set != nil || h2.set == nil || h2.Sorted() {
-		t.Fatalf("set built: clique clone %v, non-ascending %v (sorted=%v)", h.set != nil, h2.set != nil, h2.Sorted())
-	}
-	agree("non-ascending", h2, [][2]int{{2, 3}, {0, 1}, {0, 3}, {0, 2}})
-	// With the set in place every append goes through it, ascending or
-	// not, and both panics still fire.
-	h2.AddEdge(1, 2)
-	mustPanic("duplicate with the set built", func() { h2.AddEdge(2, 1) })
-	mustPanic("duplicate of a pre-set edge", func() { h2.AddEdge(1, 0) })
-	mustPanic("self-loop with the set built", func() { h2.AddEdge(3, 3) })
-	agree("after the set", h2, [][2]int{{2, 3}, {0, 1}, {0, 3}, {0, 2}, {1, 2}})
 }
 
 // TestCliqueDiameterByCount: a complete graph's diameter is read off its
@@ -187,35 +129,16 @@ func TestEdgeSetIsLazy(t *testing.T) {
 // would otherwise run — and near-complete graphs still take the traversal.
 func TestCliqueDiameterByCount(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{{1, 0}, {2, 1}, {1500, 1}} {
-		g := Clique(tc.n)
-		if d := g.Diameter(); d != tc.want {
+		if d := Clique(tc.n).Diameter(); d != tc.want {
 			t.Fatalf("Clique(%d).Diameter() = %d, want %d", tc.n, d, tc.want)
 		}
-		if g.set != nil {
-			t.Fatalf("Clique(%d) or its Diameter built the edge set", tc.n)
-		}
 	}
-	g := New(4) // K4 minus {2,3}
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}} {
-		g.AddEdge(e[0], e[1])
-	}
+	g := Build(4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}}) // K4 minus {2,3}
 	if d := g.Diameter(); d != 2 {
 		t.Fatalf("K4 minus an edge: diameter %d, want 2", d)
 	}
-	if d := New(2).Diameter(); d != -1 {
+	if d := Build(2, nil).Diameter(); d != -1 {
 		t.Fatalf("two isolated nodes: diameter %d, want -1", d)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := Line(4)
-	c := g.Clone()
-	c.AddEdge(0, 3)
-	if g.HasEdge(0, 3) {
-		t.Fatal("mutating clone changed original")
-	}
-	if g.M() != 3 || c.M() != 4 {
-		t.Fatalf("edge counts: orig=%d clone=%d", g.M(), c.M())
 	}
 }
 
@@ -299,8 +222,7 @@ func TestBFSLine(t *testing.T) {
 }
 
 func TestBFSDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
+	g := Build(4, [][2]int{{0, 1}})
 	dist := g.BFS(0)
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Fatalf("unreachable nodes got distances %v", dist)

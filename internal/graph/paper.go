@@ -98,12 +98,7 @@ func (g Gadget) edges() [][2]int {
 
 // Build returns the standalone gadget graph.
 func (g Gadget) Build() *Graph {
-	gr := New(g.Size())
-	for _, e := range g.edges() {
-		gr.AddEdge(e[0], e[1])
-	}
-	gr.Sort()
-	return gr
+	return FromEdges(g.Size(), g.edges())
 }
 
 // Figure1 holds the two networks of the paper's Figure 1 along with the
@@ -156,7 +151,7 @@ func BuildFigure1(D, n int) *Figure1 {
 
 	// ---- Network A: gadget0 + gadget1 + q + clique C. ----
 	cliqueSize := total - 2*size - 1 // = d+k+3
-	a := New(total)
+	var aEdges [][2]int
 	for copyIdx := 0; copyIdx < 2; copyIdx++ {
 		off := copyIdx * size
 		nodes := make([]int, size)
@@ -165,22 +160,21 @@ func BuildFigure1(D, n int) *Figure1 {
 		}
 		fig.AGadget[copyIdx] = nodes
 		for _, e := range gad.edges() {
-			a.AddEdge(off+e[0], off+e[1])
+			aEdges = append(aEdges, [2]int{off + e[0], off + e[1]})
 		}
 	}
 	fig.Q = 2 * size
-	a.AddEdge(fig.Q, fig.AGadget[0][gad.C()])
-	a.AddEdge(fig.Q, fig.AGadget[1][gad.C()])
+	aEdges = append(aEdges, [2]int{fig.Q, fig.AGadget[0][gad.C()]})
+	aEdges = append(aEdges, [2]int{fig.Q, fig.AGadget[1][gad.C()]})
 	fig.Clique = make([]int, cliqueSize)
 	for i := 0; i < cliqueSize; i++ {
 		fig.Clique[i] = 2*size + 1 + i
-		a.AddEdge(fig.Q, fig.Clique[i])
+		aEdges = append(aEdges, [2]int{fig.Q, fig.Clique[i]})
 		for j := 0; j < i; j++ {
-			a.AddEdge(fig.Clique[j], fig.Clique[i])
+			aEdges = append(aEdges, [2]int{fig.Clique[j], fig.Clique[i]})
 		}
 	}
-	a.Sort()
-	fig.A = a
+	fig.A = FromEdges(total, aEdges)
 
 	// ---- Network B: three-fold cover of the gadget. ----
 	// All edges lift with the identity permutation except the connector's
@@ -189,7 +183,7 @@ func BuildFigure1(D, n int) *Figure1 {
 	// identity, so c_i bridges copy i (via b3) and copy i+1 (via a1),
 	// interlocking the three copies into a connected cover that satisfies
 	// property (*) of Lemma 3.6.
-	b := New(total)
+	var bEdges [][2]int
 	for i := 0; i < 3; i++ {
 		off := i * size
 		nodes := make([]int, size)
@@ -202,18 +196,17 @@ func BuildFigure1(D, n int) *Figure1 {
 	cEdge := [2]int{gad.C(), gad.A(1)}
 	for _, e := range gad.edges() {
 		for i := 0; i < 3; i++ {
+			to := i
 			if e == cEdge {
-				b.AddEdge(fig.BCopy[i][e[0]], fig.BCopy[rot(i)][e[1]])
-			} else {
-				b.AddEdge(fig.BCopy[i][e[0]], fig.BCopy[i][e[1]])
+				to = rot(i)
 			}
+			bEdges = append(bEdges, [2]int{fig.BCopy[i][e[0]], fig.BCopy[to][e[1]]})
 		}
 	}
-	b.Sort()
-	fig.B = b
+	fig.B = FromEdges(total, bEdges)
 
-	fig.DiamA = a.Diameter()
-	fig.DiamB = b.Diameter()
+	fig.DiamA = fig.A.Diameter()
+	fig.DiamB = fig.B.Diameter()
 	return fig
 }
 
@@ -297,15 +290,15 @@ func BuildKD(D int) *KDNetwork {
 	lineLen := D + 1 // |L_D|
 	tailLen := D - 1 // |L_{D-1}| - 1 nodes beyond the hub
 	total := 2*lineLen + 1 + tailLen
-	g := New(total)
-	kd := &KDNetwork{G: g, D: D}
+	kd := &KDNetwork{D: D}
+	var edges [][2]int
 
 	build := func(off int) []int {
 		nodes := make([]int, lineLen)
 		for i := 0; i < lineLen; i++ {
 			nodes[i] = off + i
 			if i > 0 {
-				g.AddEdge(nodes[i-1], nodes[i])
+				edges = append(edges, [2]int{nodes[i-1], nodes[i]})
 			}
 		}
 		return nodes
@@ -317,15 +310,15 @@ func BuildKD(D int) *KDNetwork {
 	prev := kd.Hub
 	for i := 0; i < tailLen; i++ {
 		kd.Tail[i] = kd.Hub + 1 + i
-		g.AddEdge(prev, kd.Tail[i])
+		edges = append(edges, [2]int{prev, kd.Tail[i]})
 		prev = kd.Tail[i]
 	}
 	for _, u := range kd.L1 {
-		g.AddEdge(u, kd.Hub)
+		edges = append(edges, [2]int{u, kd.Hub})
 	}
 	for _, u := range kd.L2 {
-		g.AddEdge(u, kd.Hub)
+		edges = append(edges, [2]int{u, kd.Hub})
 	}
-	g.Sort()
+	kd.G = FromEdges(total, edges)
 	return kd
 }

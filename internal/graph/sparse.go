@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // This file holds the large-n sparse topology families: random regular
@@ -11,37 +10,8 @@ import (
 // Both are degree-bounded — degree stays fixed while n grows into the
 // 10^3..10^4 range — which is exactly the regime where the abstract MAC
 // layer's degree- and diameter-proportional costs stay flat as the
-// network scales. Both emit their edges in canonical ascending order, so
-// the graph's adjacency rows are sorted by construction (no Sort pass).
-
-// FromEdges builds a graph from an edge list, emitting the edges in
-// canonical ascending (min,max) lexicographic order so every adjacency
-// row comes out sorted by construction: a node's smaller neighbors are
-// appended while the enumeration passes their rows, then its larger
-// neighbors in ascending order. The input list must be duplicate-free
-// after normalization (AddEdge still panics otherwise); the input slice
-// is not modified.
-func FromEdges(n int, edges [][2]int) *Graph {
-	es := make([][2]int, len(edges))
-	for i, e := range edges {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
-		}
-		es[i] = [2]int{u, v}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-	g := New(n)
-	for _, e := range es {
-		g.AddEdge(e[0], e[1])
-	}
-	return g
-}
+// network scales. Both hand their edge list to FromEdges, so their
+// adjacency rows are ascending.
 
 // edgeKey packs a normalized edge for set membership during sampling.
 func edgeKey(u, v int) int64 {

@@ -28,15 +28,12 @@ func edgesOf(g *Graph) [][2]int {
 }
 
 // TestHasEdgeSortedAndUnsorted drives both HasEdge paths: the binary
-// search over sorted rows and the edge-set fallback for unsorted or
-// still-dirty graphs. Both must agree with a brute-force reference on
-// every pair.
+// search over ascending rows and the scan of rows that are not. Both must
+// agree with a brute-force reference on every pair.
 func TestHasEdgeSortedAndUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 17
 	ref := make(map[int64]bool)
-	sorted := New(n)   // edges added in ascending order: rows sorted
-	unsorted := New(n) // same edges in shuffled order: rows unsorted
 	var pairs [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -46,23 +43,17 @@ func TestHasEdgeSortedAndUnsorted(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range pairs {
-		sorted.AddEdge(e[0], e[1])
-	}
+	sorted := Build(n, pairs) // edges in ascending order: rows ascending
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-	for _, e := range pairs {
-		unsorted.AddEdge(e[1], e[0]) // reversed endpoints too
-		// Probe mid-construction: the dirty path must answer without
-		// forcing a CSR rebuild per AddEdge.
-		if !unsorted.HasEdge(e[1], e[0]) {
-			t.Fatalf("mid-construction HasEdge(%d,%d) = false right after AddEdge", e[1], e[0])
-		}
+	for i, e := range pairs {
+		pairs[i] = [2]int{e[1], e[0]} // reversed endpoints too
 	}
+	unsorted := Build(n, pairs) // same edges, shuffled
 	if !sorted.Sorted() {
-		t.Fatal("ascending construction did not yield sorted rows")
+		t.Fatal("ascending edge list did not yield sorted rows")
 	}
 	if unsorted.Sorted() {
-		t.Fatal("shuffled construction claims sorted rows")
+		t.Fatal("shuffled edge list claims sorted rows")
 	}
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -77,16 +68,16 @@ func TestHasEdgeSortedAndUnsorted(t *testing.T) {
 	}
 }
 
-// TestCSRMatchesAdjacencyList replays random AddEdge sequences into both
-// the CSR graph and a shadow adjacency list with the old append-to-both-
-// endpoints semantics: every row must come back in exact insertion order
+// TestCSRMatchesAdjacencyList hands random edge lists to Build and
+// appends the same edges to a shadow adjacency list, each edge to both
+// endpoints' rows: every CSR row must come back in exactly that order
 // (the delivery-plan schedulers draw per-neighbor randomness by row
 // index, so row order is part of the determinism contract).
 func TestCSRMatchesAdjacencyList(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(14)
-		g := New(n)
+		var edges [][2]int
 		shadow := make([][]int, n)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
@@ -95,77 +86,71 @@ func TestCSRMatchesAdjacencyList(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						a, b = b, a
 					}
-					g.AddEdge(a, b)
+					edges = append(edges, [2]int{a, b})
 					shadow[a] = append(shadow[a], b)
 					shadow[b] = append(shadow[b], a)
 				}
 			}
 		}
-		// Interleave reads to force rebuilds between appends.
-		if trial%3 == 0 && g.M() > 0 {
-			_ = g.Neighbors(0)
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				g.AddEdge(u, v)
-				shadow[u] = append(shadow[u], v)
-				shadow[v] = append(shadow[v], u)
+		if trial%3 == 0 {
+			// Not in pair order either: rows must follow the list.
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			shadow = make([][]int, n)
+			for _, e := range edges {
+				shadow[e[0]] = append(shadow[e[0]], e[1])
+				shadow[e[1]] = append(shadow[e[1]], e[0])
 			}
+		}
+		g := Build(n, edges)
+		if g.M() != len(edges) {
+			t.Fatalf("trial %d: M = %d, want %d", trial, g.M(), len(edges))
 		}
 		for u := 0; u < n; u++ {
 			got := g.Neighbors(u)
+			if len(got) != g.Degree(u) {
+				t.Fatalf("trial %d: row %d has %d entries, degree %d", trial, u, len(got), g.Degree(u))
+			}
 			if len(got) == 0 && len(shadow[u]) == 0 {
 				continue
 			}
 			if !reflect.DeepEqual(got, shadow[u]) {
-				t.Fatalf("trial %d: row %d = %v, want insertion order %v", trial, u, got, shadow[u])
+				t.Fatalf("trial %d: row %d = %v, want edge-list order %v", trial, u, got, shadow[u])
 			}
 		}
 	}
 }
 
-// TestSortCanonicalizes covers Sort on an unsorted graph (rows become
-// ascending, edges preserved) and its no-op verification path on an
-// already-sorted one (rows bit-identical before and after).
+// TestSortCanonicalizes: FromEdges over an edge list in any order and
+// orientation yields ascending rows over the same edge set, and over a
+// list that is already canonical it is Build.
 func TestSortCanonicalizes(t *testing.T) {
-	g := New(6)
-	for _, e := range [][2]int{{4, 1}, {0, 5}, {2, 0}, {3, 4}, {1, 0}} {
-		g.AddEdge(e[0], e[1])
+	list := [][2]int{{4, 1}, {0, 5}, {2, 0}, {3, 4}, {1, 0}}
+	if Build(6, list).Sorted() {
+		t.Fatal("Build reordered rows it was given unsorted")
 	}
-	before := edgesOf(g)
-	g.Sort()
+	g := FromEdges(6, list)
 	if !g.Sorted() {
-		t.Fatal("Sort did not mark rows sorted")
+		t.Fatal("FromEdges did not mark rows sorted")
 	}
 	for u := 0; u < g.N(); u++ {
 		row := g.Neighbors(u)
 		if !sort.IntsAreSorted(row) {
-			t.Fatalf("row %d not ascending after Sort: %v", u, row)
+			t.Fatalf("row %d not ascending: %v", u, row)
 		}
 	}
-	if !reflect.DeepEqual(edgesOf(g), before) {
-		t.Fatal("Sort changed the edge set")
+	if !reflect.DeepEqual(edgesOf(g), edgesOf(Build(6, list))) {
+		t.Fatal("FromEdges changed the edge set")
 	}
 
-	s := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 4}, {2, 3}})
-	if !s.Sorted() {
-		t.Fatal("FromEdges did not build sorted rows")
+	canonical := [][2]int{{0, 1}, {0, 4}, {1, 2}, {2, 3}}
+	s, b := FromEdges(5, canonical), Build(5, canonical)
+	if !s.Sorted() || !b.Sorted() {
+		t.Fatal("a canonical list did not build sorted rows")
 	}
-	rows := make([][]int, s.N())
-	for u := range rows {
-		rows[u] = append([]int(nil), s.Neighbors(u)...)
-	}
-	s.Sort() // must be a pure no-op on a sorted-by-construction graph
-	for u := range rows {
-		if !reflect.DeepEqual(s.Neighbors(u), rows[u]) {
-			t.Fatalf("no-op Sort changed row %d: %v -> %v", u, rows[u], s.Neighbors(u))
+	for u := 0; u < s.N(); u++ {
+		if !reflect.DeepEqual(s.Neighbors(u), b.Neighbors(u)) {
+			t.Fatalf("row %d: FromEdges %v, Build %v", u, s.Neighbors(u), b.Neighbors(u))
 		}
-	}
-
-	// Appending after Sort lands at the row tails (old semantics).
-	g.AddEdge(0, 3)
-	row := g.Neighbors(0)
-	if row[len(row)-1] != 3 {
-		t.Fatalf("append after Sort not at row tail: %v", row)
 	}
 }
 

@@ -189,8 +189,6 @@ var overlayFamilies = map[string]func(arg string, base *graph.Graph, seed int64)
 			seen[[2]int{a, b}] = true
 			chords = append(chords, [2]int{u, v})
 		}
-		// FromEdges emits the chords in canonical order, reproducing the
-		// sorted rows the old build-then-Sort pass returned.
 		return graph.FromEdges(n, chords), nil
 	},
 }

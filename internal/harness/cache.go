@@ -25,8 +25,9 @@ import (
 // identical to a freshly built one — cache_test.go pins this.
 //
 // Cached graphs and input slices are shared across concurrently running
-// workers and must be treated as immutable, which is already the contract
-// of graph.Graph.Neighbors and sim.Config.Inputs.
+// workers. A graph.Graph is immutable once built, so sharing one needs no
+// preparation; an input slice must be treated as immutable, which is
+// already the contract of sim.Config.Inputs.
 
 // topoKey keys the topology cache. Topo is a comparable value, so the key
 // is a plain struct — no string rendering on the lookup path.
@@ -108,9 +109,6 @@ func (c *caches) topo(t Topo, seed int64) (*topoEntry, error) {
 	c.mu.Unlock()
 	e.once.Do(func() {
 		e.g, e.err = t.Build(seed)
-		if e.err == nil {
-			e.g.Freeze() // shared across workers: no lazy CSR rebuild under readers
-		}
 	})
 	return e, e.err
 }
@@ -142,9 +140,6 @@ func (c *caches) overlay(spec string, t Topo, base *graph.Graph, seed int64) (*g
 	c.mu.Unlock()
 	e.once.Do(func() {
 		e.g, e.deliverP, e.err = NewOverlay(spec, base, seed)
-		if e.g != nil {
-			e.g.Freeze() // shared across workers: no lazy CSR rebuild under readers
-		}
 	})
 	return e.g, e.deliverP, e.err
 }

@@ -1,10 +1,16 @@
 package harness
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/graph"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -120,6 +126,38 @@ func TestTopoBuildErrors(t *testing.T) {
 			t.Errorf("Build(%+v) accepted", tp)
 		}
 	}
+	// Node counts that overflow int, or exceed sim.MaxNodes, on the way to
+	// a constructor: an error naming the spec, not a panic inside
+	// internal/graph.
+	for _, spec := range []string{
+		"tree:2x70",
+		"grid:3037000500x3037000500",
+		"starlines:4611686018427387904x4",
+		"pods:4611686018427387904:4:1",
+		"line:2147483648",
+	} {
+		tp, err := ParseTopo(spec)
+		if err == nil {
+			_, err = tp.Build(1)
+		}
+		if err == nil || !strings.Contains(err.Error(), spec) {
+			t.Errorf("%s: got error %v, want one naming the spec", spec, err)
+		}
+	}
+}
+
+// familySpecs names one small instance of every registered topology family.
+var familySpecs = map[string]string{
+	"clique":    "clique:6",
+	"expander":  "expander:12:3",
+	"grid":      "grid:3x4",
+	"line":      "line:7",
+	"pods":      "pods:3:4:2",
+	"random":    "random:10:0.2",
+	"ring":      "ring:6",
+	"star":      "star:6",
+	"starlines": "starlines:3x2",
+	"tree":      "tree:2x2",
 }
 
 // TestEveryFamilyAdjacencyConsistent builds one small instance of every
@@ -127,23 +165,11 @@ func TestTopoBuildErrors(t *testing.T) {
 // against itself: rows symmetric and duplicate-free, degrees and edge
 // count consistent, HasEdge agreeing with row membership on every pair.
 // This is the representation-equivalence guard for the flat CSR storage —
-// any divergence between the packed rows, the degree counters and the
-// edge set shows up here for every family at once.
+// any divergence between the packed rows, the row offsets and HasEdge's
+// search of them shows up here for every family at once.
 func TestEveryFamilyAdjacencyConsistent(t *testing.T) {
-	specs := map[string]string{
-		"clique":    "clique:6",
-		"expander":  "expander:12:3",
-		"grid":      "grid:3x4",
-		"line":      "line:7",
-		"pods":      "pods:3:4:2",
-		"random":    "random:10:0.2",
-		"ring":      "ring:6",
-		"star":      "star:6",
-		"starlines": "starlines:3x2",
-		"tree":      "tree:2x2",
-	}
 	for _, kind := range Topologies() {
-		spec, ok := specs[kind]
+		spec, ok := familySpecs[kind]
 		if !ok {
 			t.Errorf("registered family %q has no consistency spec; add one", kind)
 			continue
@@ -196,6 +222,114 @@ func TestEveryFamilyAdjacencyConsistent(t *testing.T) {
 	}
 	if got := ring.Neighbors(4); !reflect.DeepEqual(got, []int{3, 0}) {
 		t.Errorf("ring:5 node 4 row = %v, want legacy insertion order [3 0] (golden grid depends on it)", got)
+	}
+}
+
+// rowsDigest folds every adjacency row, in node order and row order, into
+// one FNV-1a hash: a neighbor changing position changes it.
+func rowsDigest(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		h.Write(b[:])
+	}
+	put(g.N())
+	for u := 0; u < g.N(); u++ {
+		row := g.Neighbors(u)
+		put(len(row))
+		for _, v := range row {
+			put(v)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestAdjacencyRowsPinned pins the order of every adjacency row the
+// constructors emit: delivery plans are positional over Neighbors, so a
+// row changing order changes executions, and the goldens only cover the
+// topologies they happen to use (no expander, pods or random cell). One
+// instance of every registered family (the seeded ones at seeds 0-2), the
+// three overlay families over an unsorted-row base and a sorted-row one,
+// and the paper's lower-bound networks. The constants were recorded at
+// PR 23, on the mutable edge-log graph, before graph.Build replaced it.
+func TestAdjacencyRowsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"K_4":                      0xc2dcbc61d792d24f,
+		"clique:6#0":               0x7d707a02ded2b722,
+		"expander:12:3#0":          0xc49247e40beb5d49,
+		"expander:12:3#1":          0x2488f088595e79c9,
+		"expander:12:3#2":          0xd3f00dd558263749,
+		"figure1.A":                0xb108a98f229a503f,
+		"figure1.B":                0xfc2a9105387fbed4,
+		"gadget":                   0x1808dbec6fbaac66,
+		"grid:3x3+chords":          0x364ae1c703c4216e,
+		"grid:3x3+extra:4":         0x8eb714923b9964d,
+		"grid:3x3+randomextra:0.3": 0x43998b518afec669,
+		"grid:3x4#0":               0x25f3707d4e17d24a,
+		"line:7#0":                 0xa98f20c1fdfedd26,
+		"pods:3:4:2#0":             0xd02a819bc8b2b404,
+		"pods:3:4:2#1":             0xf4b9910d2faca36f,
+		"pods:3:4:2#2":             0xf97147dfe3352fed,
+		"random:10:0.2#0":          0x19bf4b3d2568d4a6,
+		"random:10:0.2#1":          0xdc8cbaf252eb6c42,
+		"random:10:0.2#2":          0xee77212a6b1c6b06,
+		"ring:6#0":                 0xde17e0c2f727bd23,
+		"ring:9+chords":            0x364ae1c703c4216e,
+		"ring:9+extra:4":           0x21cef571e162be2a,
+		"ring:9+randomextra:0.3":   0x200b7db8d183e301,
+		"star:6#0":                 0xfccb25e50f563fa6,
+		"starlines:3x2#0":          0x90af710db416dd42,
+		"tree:2x2#0":               0xb8b9a99066d02d27,
+	}
+	got := map[string]uint64{}
+	for _, kind := range Topologies() {
+		tp, err := ParseTopo(familySpecs[kind])
+		if err != nil {
+			t.Fatalf("ParseTopo(%q): %v", familySpecs[kind], err)
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			if seed > 0 && tp.buildSeed(seed) == 0 {
+				break // the family ignores its seed
+			}
+			g, err := tp.Build(seed)
+			if err != nil {
+				t.Fatalf("Build(%s, %d): %v", tp, seed, err)
+			}
+			got[fmt.Sprintf("%s#%d", tp, seed)] = rowsDigest(g)
+		}
+	}
+	for _, base := range []Topo{{Kind: "ring", N: 9}, {Kind: "grid", Rows: 3, Cols: 3}} {
+		g, err := base.Build(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []string{"randomextra:0.3", "extra:4", "chords"} {
+			o, _, err := NewOverlay(spec, g, 1)
+			if err != nil {
+				t.Fatalf("NewOverlay(%s, %s): %v", spec, base, err)
+			}
+			got[fmt.Sprintf("%s+%s", base, spec)] = rowsDigest(o)
+		}
+	}
+	fig := graph.BuildFigure1(6, 20)
+	got["figure1.A"] = rowsDigest(fig.A)
+	got["figure1.B"] = rowsDigest(fig.B)
+	got["gadget"] = rowsDigest(fig.Gadget.Build())
+	got["K_4"] = rowsDigest(graph.BuildKD(4).G)
+
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%q: %#x, // rows moved: pinned %#x", name, got[name], want[name])
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d graphs digested, %d pinned", len(got), len(want))
 	}
 }
 

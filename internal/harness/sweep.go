@@ -207,19 +207,13 @@ type Cell struct {
 
 // CellMetric is one aggregated flight-recorder metric of a cell. Counter
 // rows carry Value (summed across the cell's runs); gauge rows carry the
-// last run's Value plus the maximal High high-water; histogram rows carry
-// the merged Count/Sum and the merged distribution's p50/p99 bucket upper
-// bounds. Zero-valued fields are omitted, so each kind serializes only
-// its own columns.
+// last run's Value plus the maximal High high-water. Zero-valued fields
+// are omitted, so each kind serializes only its own columns.
 type CellMetric struct {
 	Name  string `json:"name"`
 	Kind  string `json:"kind"`
 	Value int64  `json:"value,omitempty"`
 	High  int64  `json:"high,omitempty"`
-	Count int64  `json:"count,omitempty"`
-	Sum   int64  `json:"sum,omitempty"`
-	P50   int64  `json:"p50,omitempty"`
-	P99   int64  `json:"p99,omitempty"`
 }
 
 // cellMetrics converts an aggregation registry into the cell's metric
@@ -230,24 +224,10 @@ func cellMetrics(agg *metrics.Registry) []CellMetric {
 	samples := agg.Snapshot()
 	rows := make([]CellMetric, 0, len(samples))
 	for _, s := range samples {
-		switch s.Kind {
-		case "counter":
-			if s.Value == 0 {
-				continue
-			}
-			rows = append(rows, CellMetric{Name: s.Name, Kind: s.Kind, Value: s.Value})
-		case "gauge":
-			if s.Value == 0 && s.High == 0 {
-				continue
-			}
-			rows = append(rows, CellMetric{Name: s.Name, Kind: s.Kind, Value: s.Value, High: s.High})
-		case "histogram":
-			if s.Count == 0 {
-				continue
-			}
-			rows = append(rows, CellMetric{Name: s.Name, Kind: s.Kind, Count: s.Count, Sum: s.Sum,
-				P50: s.Quantile(50), P99: s.Quantile(99)})
+		if s.Value == 0 && s.High == 0 { // a counter's High is always 0
+			continue
 		}
+		rows = append(rows, CellMetric{Name: s.Name, Kind: s.Kind, Value: s.Value, High: s.High})
 	}
 	if len(rows) == 0 {
 		return nil
@@ -402,8 +382,8 @@ type SweepOptions struct {
 	SaturateAfter int
 	// Metrics installs a per-worker metrics.Registry on every run and
 	// aggregates each cell's values into Cell.Metrics (counters sum across
-	// seeds, gauge high-waters max, histograms merge bucket-wise). Off by
-	// default: an unset flag hands the engine a nil registry — disabled
+	// seeds, gauge high-waters max). Off by default:
+	// an unset flag hands the engine a nil registry — disabled
 	// handles all the way down — and the sweep hot path stays
 	// allocation-identical to a build without the feature.
 	Metrics bool

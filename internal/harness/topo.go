@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/sim"
 )
 
 // Topo describes a topology by family name plus the family's parameters.
@@ -185,6 +186,9 @@ func (t Topo) buildSeed(seed int64) int64 {
 // buildSeed); every other family ignores it, so the same Topo builds the
 // same graph.
 func (t Topo) Build(seed int64) (*graph.Graph, error) {
+	if t.nodes() > sim.MaxNodes {
+		return nil, fmt.Errorf("harness: %s has more than sim.MaxNodes=%d nodes", t, sim.MaxNodes)
+	}
 	switch t.Kind {
 	case "clique":
 		return checkN(graph.Clique, t)
@@ -229,6 +233,40 @@ func (t Topo) Build(seed int64) (*graph.Graph, error) {
 		return graph.Pods(t.Pods, t.PodSize, t.Cross, podsSeed(seed)), nil
 	default:
 		return nil, fmt.Errorf("harness: unknown topology kind %q (have %v)", t.Kind, Topologies())
+	}
+}
+
+// nodes is the node count t's parameters multiply out to, saturating just
+// above sim.MaxNodes so that no spec — flags and artifact JSON bring them
+// in from outside — overflows on the way to a constructor. A parameter
+// below 1 counts as 1: Build's per-family checks name those.
+func (t Topo) nodes() int64 {
+	const limit = int64(sim.MaxNodes) + 1
+	mul := func(a int64, b int) int64 {
+		if b < 1 {
+			return a
+		}
+		if a > limit/int64(b) {
+			return limit
+		}
+		return a * int64(b)
+	}
+	switch t.Kind {
+	case "grid":
+		return mul(mul(1, t.Rows), t.Cols)
+	case "tree":
+		total, level := int64(1), int64(1)
+		for i := 0; i < t.Depth && total < limit; i++ {
+			level = mul(level, t.Branch)
+			total += level
+		}
+		return min(total, limit)
+	case "starlines":
+		return 1 + mul(mul(1, t.Arms), t.ArmLen)
+	case "pods":
+		return mul(mul(1, t.Pods), t.PodSize)
+	default:
+		return int64(t.N)
 	}
 }
 

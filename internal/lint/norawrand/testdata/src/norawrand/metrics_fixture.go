@@ -1,6 +1,6 @@
 // Metrics-layer cases: the observability packages (internal/metrics,
 // internal/critpath) are inside the deterministic core — synthetic load
-// for a histogram must come from a seed-derived generator, exactly like
+// for a counter must come from a seed-derived generator, exactly like
 // scheduler jitter.
 package norawrand
 
@@ -11,22 +11,22 @@ import (
 	"github.com/absmac/absmac/internal/metrics"
 )
 
-// observeSeeded is the sanctioned pattern for generating synthetic metric
+// addSeeded is the sanctioned pattern for generating synthetic metric
 // load (benchmarks, property tests): the generator derives from a seed.
-func observeSeeded(h metrics.Histogram, seed int64, n int) {
+func addSeeded(c metrics.Counter, seed int64, n int) {
 	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		h.Observe(int64(r.Intn(1 << 20)))
+		c.Add(int64(r.Intn(1 << 20)))
 	}
 }
 
-func observeAmbient(h metrics.Histogram, n int) {
+func addAmbient(c metrics.Counter, n int) {
 	for i := 0; i < n; i++ {
-		h.Observe(int64(rand.Intn(1 << 20))) // want `global rand source`
+		c.Add(int64(rand.Intn(1 << 20))) // want `global rand source`
 	}
 }
 
-func observeWallClockSeeded(h metrics.Histogram) {
+func addWallClockSeeded(c metrics.Counter) {
 	r := rand.New(rand.NewSource(time.Now().UnixNano())) // want `wall-clock-seeded`
-	h.Observe(int64(r.Intn(8)))
+	c.Add(int64(r.Intn(8)))
 }

@@ -283,8 +283,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // RunMAC is Run over the MAC that open returns. open is called once, with
-// the configuration validated and the graph frozen; if it fails, so does
-// the run, with a nil result.
+// the configuration validated; if it fails, so does the run, with a nil
+// result.
 func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (*Result, error) {
 	if cfg.Graph == nil {
 		panic("live: Config.Graph is nil")
@@ -310,10 +310,6 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-
-	// Node and MAC goroutines read the graph concurrently; materialize the
-	// CSR now, while it is still single-threaded.
-	cfg.Graph.Freeze()
 
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)

@@ -1,11 +1,11 @@
 // Package metrics is the repository's allocation-free, deterministic
-// metrics layer: fixed-slot counters, gauges with high-water tracking and
-// power-of-two-bucket histograms, registered once per engine Reset and
-// read back in sorted registration order.
+// metrics layer: fixed-slot counters and gauges with high-water tracking,
+// registered once per engine Reset and read back in sorted registration
+// order.
 //
 // Design rules, all load-bearing for the determinism contract:
 //
-//   - Handles are values. Counter/Gauge/Histogram are two-word structs
+//   - Handles are values. Counter and Gauge are two-word structs
 //     {registry, slot}; every mutator no-ops when the registry pointer is
 //     nil, so code paths instrument unconditionally and a disabled
 //     registry costs one predictable branch — no allocation, no interface
@@ -31,8 +31,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 )
 
 type kind uint8
@@ -40,7 +38,6 @@ type kind uint8
 const (
 	kindCounter kind = iota + 1
 	kindGauge
-	kindHistogram
 )
 
 func (k kind) String() string {
@@ -49,30 +46,16 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
-
-// NumBuckets is the fixed bucket count of every histogram: bucket 0 holds
-// observations <= 0 and bucket i (1..63) holds values v with
-// bits.Len64(v) == i, i.e. the power-of-two range [2^(i-1), 2^i).
-const NumBuckets = 64
 
 type slot struct {
 	name string
 	k    kind
 	val  int64 // counter total, or gauge current value
 	high int64 // gauge high-water mark
-	hist *histData
-}
-
-type histData struct {
-	count   int64
-	sum     int64
-	buckets [NumBuckets]int64
 }
 
 // Registry owns a fixed set of named metric slots. The zero value of
@@ -102,11 +85,7 @@ func (r *Registry) register(name string, k kind) int {
 		return i
 	}
 	i := len(r.slots)
-	s := slot{name: name, k: k}
-	if k == kindHistogram {
-		s.hist = &histData{}
-	}
-	r.slots = append(r.slots, s)
+	r.slots = append(r.slots, slot{name: name, k: k})
 	r.index[name] = i
 	// Insert i into the name-sorted order slice (registration is rare and
 	// the slice is small; linear insertion keeps this dependency-free).
@@ -141,15 +120,6 @@ func (r *Registry) Gauge(name string) Gauge {
 	return Gauge{r: r, i: r.register(name, kindGauge)}
 }
 
-// Histogram registers (or re-opens) a power-of-two-bucket histogram.
-// On a nil registry it returns the disabled handle.
-func (r *Registry) Histogram(name string) Histogram {
-	if r == nil {
-		return Histogram{}
-	}
-	return Histogram{r: r, i: r.register(name, kindHistogram)}
-}
-
 // Reset zeroes every slot's value while keeping all registrations, so a
 // reused engine pays O(registered slots) per run. Nil-safe.
 func (r *Registry) Reset() {
@@ -159,9 +129,6 @@ func (r *Registry) Reset() {
 	for i := range r.slots {
 		s := &r.slots[i]
 		s.val, s.high = 0, 0
-		if s.hist != nil {
-			*s.hist = histData{}
-		}
 	}
 }
 
@@ -237,143 +204,13 @@ func (g Gauge) High() int64 {
 	return g.r.slots[g.i].high
 }
 
-// Histogram is a power-of-two-bucket histogram handle. The zero value is
-// disabled.
-type Histogram struct {
-	r *Registry
-	i int
-}
-
-// bucketOf maps an observation to its bucket: <= 0 lands in bucket 0,
-// positive v in bucket bits.Len64(v) (so bucket i covers [2^(i-1), 2^i)).
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// BucketUpper returns the inclusive upper bound of bucket i — the value a
-// quantile read out of that bucket reports.
-func BucketUpper(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 63 {
-		return math.MaxInt64
-	}
-	return int64(1)<<uint(i) - 1
-}
-
-// Observe records one sample.
-func (h Histogram) Observe(v int64) {
-	if h.r == nil {
-		return
-	}
-	d := h.r.slots[h.i].hist
-	d.buckets[bucketOf(v)]++
-	d.count++
-	d.sum += v
-}
-
-// Count returns the number of recorded samples.
-func (h Histogram) Count() int64 {
-	if h.r == nil {
-		return 0
-	}
-	return h.r.slots[h.i].hist.count
-}
-
-// Sum returns the sum of recorded samples.
-func (h Histogram) Sum() int64 {
-	if h.r == nil {
-		return 0
-	}
-	return h.r.slots[h.i].hist.sum
-}
-
-// Quantile returns the nearest-rank p-th percentile resolved to its
-// bucket's upper bound (the same rank convention as stats.Percentile,
-// coarsened to power-of-two resolution). p is clamped to [0, 100]; an
-// empty histogram reports 0.
-func (h Histogram) Quantile(p float64) int64 {
-	if h.r == nil {
-		return 0
-	}
-	d := h.r.slots[h.i].hist
-	if d.count == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	rank := int64(math.Ceil(p / 100 * float64(d.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < NumBuckets; i++ {
-		seen += d.buckets[i]
-		if seen >= rank {
-			return BucketUpper(i)
-		}
-	}
-	return BucketUpper(NumBuckets - 1)
-}
-
-// Buckets returns a copy of the bucket counts.
-func (h Histogram) Buckets() []int64 {
-	if h.r == nil {
-		return nil
-	}
-	d := h.r.slots[h.i].hist
-	out := make([]int64, NumBuckets)
-	copy(out, d.buckets[:])
-	return out
-}
-
-// Sample is one exported slot. Exactly the fields meaningful for the kind
-// are set: Value for counters; Value and High for gauges; Count, Sum and
-// Buckets for histograms.
+// Sample is one exported slot: Value for counters, Value and High for
+// gauges (a counter's High is always 0).
 type Sample struct {
-	Name    string
-	Kind    string
-	Value   int64
-	High    int64
-	Count   int64
-	Sum     int64
-	Buckets []int64
-}
-
-// Quantile computes the nearest-rank p-quantile from a histogram sample's
-// bucket counts — the same convention as Histogram.Quantile, for consumers
-// holding a Sample rather than a live handle (the harness's per-cell
-// aggregation rows). Returns 0 for non-histogram or empty samples.
-func (s Sample) Quantile(p float64) int64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	rank := int64(math.Ceil(p / 100 * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, c := range s.Buckets {
-		seen += c
-		if seen >= rank {
-			return BucketUpper(i)
-		}
-	}
-	return BucketUpper(len(s.Buckets) - 1)
+	Name  string
+	Kind  string
+	Value int64
+	High  int64
 }
 
 // Snapshot returns every slot as a Sample, sorted by name. The sort order
@@ -386,18 +223,7 @@ func (r *Registry) Snapshot() []Sample {
 	out := make([]Sample, 0, len(r.order))
 	for _, i := range r.order {
 		s := &r.slots[i]
-		smp := Sample{Name: s.name, Kind: s.k.String()}
-		switch s.k {
-		case kindCounter:
-			smp.Value = s.val
-		case kindGauge:
-			smp.Value, smp.High = s.val, s.high
-		case kindHistogram:
-			smp.Count, smp.Sum = s.hist.count, s.hist.sum
-			smp.Buckets = make([]int64, NumBuckets)
-			copy(smp.Buckets, s.hist.buckets[:])
-		}
-		out = append(out, smp)
+		out = append(out, Sample{Name: s.name, Kind: s.k.String(), Value: s.val, High: s.high})
 	}
 	return out
 }
@@ -406,7 +232,6 @@ func (r *Registry) Snapshot() []Sample {
 //
 //	name value                                  (counter)
 //	name value high=H                           (gauge)
-//	name count=N sum=S p50=A p99=B              (histogram)
 //
 // Identical registries render byte-identically. Nil-safe (writes nothing).
 func (r *Registry) WriteText(w io.Writer) error {
@@ -421,10 +246,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", s.name, s.val)
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %d high=%d\n", s.name, s.val, s.high)
-		case kindHistogram:
-			h := Histogram{r: r, i: i}
-			_, err = fmt.Fprintf(w, "%s count=%d sum=%d p50=%d p99=%d\n",
-				s.name, s.hist.count, s.hist.sum, h.Quantile(50), h.Quantile(99))
 		}
 		if err != nil {
 			return fmt.Errorf("metrics: write: %w", err)
@@ -434,10 +255,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 }
 
 // Merge folds src into r: counters add, gauges keep src's last value and
-// the maximum of the two high-water marks, histograms add bucket-wise.
-// Slots missing from r are registered. Merging histograms built from two
-// sample sets yields exactly the histogram of the concatenated samples
-// (pinned by TestHistogramMergeEqualsConcat). Nil-safe in both directions.
+// the maximum of the two high-water marks. Slots missing from r are
+// registered. Nil-safe in both directions.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
@@ -453,12 +272,6 @@ func (r *Registry) Merge(src *Registry) {
 			ds.val = ss.val
 			if ss.high > ds.high {
 				ds.high = ss.high
-			}
-		case kindHistogram:
-			ds.hist.count += ss.hist.count
-			ds.hist.sum += ss.hist.sum
-			for b := range ss.hist.buckets {
-				ds.hist.buckets[b] += ss.hist.buckets[b]
 			}
 		}
 	}

@@ -1,13 +1,10 @@
 package metrics_test
 
 import (
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/absmac/absmac/internal/metrics"
-	"github.com/absmac/absmac/internal/stats"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -50,12 +47,10 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	var r *metrics.Registry
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h")
 	c.Inc()
 	c.Add(3)
 	g.Set(9)
-	h.Observe(5)
-	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 {
 		t.Fatal("disabled handles must read zero")
 	}
 	if r.Len() != 0 || r.Snapshot() != nil {
@@ -75,11 +70,9 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 func TestZeroHandleIsDisabled(t *testing.T) {
 	var c metrics.Counter
 	var g metrics.Gauge
-	var h metrics.Histogram
 	c.Inc()
 	g.Set(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(50) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 {
 		t.Fatal("zero handles must no-op")
 	}
 }
@@ -88,15 +81,13 @@ func TestResetKeepsRegistrations(t *testing.T) {
 	r := metrics.New()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h")
 	c.Add(10)
 	g.Set(20)
-	h.Observe(30)
 	r.Reset()
-	if r.Len() != 3 {
-		t.Fatalf("Len after Reset = %d, want 3", r.Len())
+	if r.Len() != 2 {
+		t.Fatalf("Len after Reset = %d, want 2", r.Len())
 	}
-	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 {
 		t.Fatal("Reset must zero every slot")
 	}
 	c.Inc()
@@ -109,7 +100,7 @@ func TestSnapshotSortedByName(t *testing.T) {
 	r := metrics.New()
 	r.Counter("zeta")
 	r.Gauge("alpha")
-	r.Histogram("mid")
+	r.Counter("mid")
 	snap := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d samples, want 3", len(snap))
@@ -123,7 +114,7 @@ func TestSnapshotSortedByName(t *testing.T) {
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := "alpha 0 high=0\nmid count=0 sum=0 p50=0 p99=0\nzeta 0\n"
+	want := "alpha 0 high=0\nmid 0\nzeta 0\n"
 	if b.String() != want {
 		t.Fatalf("WriteText = %q, want %q", b.String(), want)
 	}
@@ -148,127 +139,5 @@ func TestMergeCountersAndGauges(t *testing.T) {
 	g := a.Gauge("g")
 	if g.Value() != 5 || g.High() != 10 {
 		t.Fatalf("merged gauge = (%d, high %d), want (5, high 10)", g.Value(), g.High())
-	}
-}
-
-// buckets returns the histogram of samples as one fresh registry histogram.
-func histOf(samples []int64) metrics.Histogram {
-	h := metrics.New().Histogram("h")
-	for _, v := range samples {
-		h.Observe(v)
-	}
-	return h
-}
-
-// TestHistogramMergeEqualsConcat is the quick-check half of the
-// stats/histogram interplay satellite: for seeded random sample splits,
-// merging the histograms of the two halves is bucket-for-bucket equal to
-// the histogram of the concatenation.
-func TestHistogramMergeEqualsConcat(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n1, n2 := rng.Intn(200), rng.Intn(200)
-		draw := func(n int) []int64 {
-			out := make([]int64, n)
-			for i := range out {
-				// Mix magnitudes so every bucket regime appears: small
-				// ints, mid-range, and the occasional huge value.
-				switch rng.Intn(3) {
-				case 0:
-					out[i] = int64(rng.Intn(8))
-				case 1:
-					out[i] = int64(rng.Intn(1 << 20))
-				default:
-					out[i] = rng.Int63()
-				}
-			}
-			return out
-		}
-		s1, s2 := draw(n1), draw(n2)
-
-		ra, rb := metrics.New(), metrics.New()
-		ha, hb := ra.Histogram("h"), rb.Histogram("h")
-		for _, v := range s1 {
-			ha.Observe(v)
-		}
-		for _, v := range s2 {
-			hb.Observe(v)
-		}
-		ra.Merge(rb)
-
-		want := histOf(append(append([]int64(nil), s1...), s2...))
-		if ha.Count() != want.Count() || ha.Sum() != want.Sum() {
-			t.Fatalf("seed %d: merged count/sum = %d/%d, want %d/%d",
-				seed, ha.Count(), ha.Sum(), want.Count(), want.Sum())
-		}
-		gb, wb := ha.Buckets(), want.Buckets()
-		for i := range gb {
-			if gb[i] != wb[i] {
-				t.Fatalf("seed %d: bucket %d = %d, want %d", seed, i, gb[i], wb[i])
-			}
-		}
-	}
-}
-
-// TestQuantileBracketsPercentile pins the relation between the histogram's
-// coarsened quantile and stats.Percentile over the raw samples: for every
-// p, the exact percentile falls inside the power-of-two bucket whose upper
-// bound the histogram reports.
-func TestQuantileBracketsPercentile(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed * 7919))
-		n := 1 + rng.Intn(300)
-		samples := make([]int64, n)
-		fs := make([]float64, n)
-		for i := range samples {
-			samples[i] = int64(rng.Intn(1 << 16))
-			fs[i] = float64(samples[i])
-		}
-		h := histOf(samples)
-		for _, p := range []float64{1, 10, 25, 50, 75, 90, 99, 100} {
-			upper := h.Quantile(p)
-			exact := stats.Percentile(fs, p)
-			if exact > float64(upper) {
-				t.Fatalf("seed %d p=%v: exact percentile %v above bucket upper bound %d", seed, p, exact, upper)
-			}
-			// The exact value must lie within the reported bucket: no
-			// more than one power of two below its upper bound.
-			lower := float64(0)
-			if upper > 0 {
-				lower = float64(upper+1) / 2
-			}
-			if exact < lower {
-				t.Fatalf("seed %d p=%v: exact percentile %v below bucket lower bound %v (upper %d)", seed, p, exact, lower, upper)
-			}
-		}
-	}
-}
-
-func TestBucketUpperEdges(t *testing.T) {
-	if got := metrics.BucketUpper(0); got != 0 {
-		t.Fatalf("BucketUpper(0) = %d, want 0", got)
-	}
-	if got := metrics.BucketUpper(1); got != 1 {
-		t.Fatalf("BucketUpper(1) = %d, want 1", got)
-	}
-	if got := metrics.BucketUpper(10); got != 1023 {
-		t.Fatalf("BucketUpper(10) = %d, want 1023", got)
-	}
-	if got := metrics.BucketUpper(63); got != math.MaxInt64 {
-		t.Fatalf("BucketUpper(63) = %d, want MaxInt64", got)
-	}
-	h := metrics.New().Histogram("h")
-	h.Observe(-5)
-	h.Observe(0)
-	h.Observe(math.MaxInt64)
-	if got := h.Count(); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
-	}
-	b := h.Buckets()
-	if b[0] != 2 || b[63] != 1 {
-		t.Fatalf("edge buckets = b[0]=%d b[63]=%d, want 2 and 1", b[0], b[63])
-	}
-	if got := h.Quantile(100); got != math.MaxInt64 {
-		t.Fatalf("p100 = %d, want MaxInt64", got)
 	}
 }

@@ -14,11 +14,7 @@ import (
 func recordRing(t *testing.T, seed int64) (*Schedule, Config) {
 	t.Helper()
 	g := graph.Ring(6)
-	o := graph.New(6)
-	for u := 0; u < 3; u++ {
-		o.AddEdge(u, u+3)
-	}
-	o.Sort()
+	o := graph.Build(6, [][2]int{{0, 3}, {1, 4}, {2, 5}})
 	inputs := []amac.Value{0, 1, 0, 1, 0, 1}
 	base := NewLossy(NewRandom(4, seed), 0.5, seed+100)
 	rec := RecordSchedule(base)

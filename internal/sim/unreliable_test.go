@@ -15,8 +15,7 @@ func TestUnreliableDelivery(t *testing.T) {
 	// disconnected from 0... it must still be in the topology; use a
 	// 3-line 0-1-2 with unreliable chord {0,2}).
 	g := graph.Line(3)
-	u := graph.New(3)
-	u.AddEdge(0, 2)
+	u := graph.Build(3, [][2]int{{0, 2}})
 
 	countFrom0To2 := 0
 	run := func(p float64) {
@@ -47,8 +46,7 @@ func TestUnreliableDelivery(t *testing.T) {
 func TestUnreliableNeverBlocksAck(t *testing.T) {
 	// Reliable deliveries and the ack must be unaffected by the overlay.
 	g := graph.Line(3)
-	u := graph.New(3)
-	u.AddEdge(0, 2)
+	u := graph.Build(3, [][2]int{{0, 2}})
 	res := Run(Config{
 		Graph:           g,
 		Unreliable:      u,
@@ -73,15 +71,14 @@ func TestUnreliableValidation(t *testing.T) {
 		{"node count mismatch", func() Config {
 			return Config{
 				Graph:      graph.Line(3),
-				Unreliable: graph.New(2),
+				Unreliable: graph.Build(2, nil),
 				Inputs:     inputs(0, 0, 0),
 				Factory:    onceFactory,
 				Scheduler:  Synchronous{},
 			}
 		}},
 		{"overlapping edge", func() Config {
-			u := graph.New(3)
-			u.AddEdge(0, 1) // also a reliable edge
+			u := graph.Build(3, [][2]int{{0, 1}}) // also a reliable edge
 			return Config{
 				Graph:      graph.Line(3),
 				Unreliable: u,
@@ -138,9 +135,7 @@ func TestMidBroadcastCrashDropsPendingUnreliable(t *testing.T) {
 	// deliveries happen (a crash at T takes effect strictly after T),
 	// the t=3 unreliable delivery and the ack are lost.
 	g := graph.Line(4)
-	u := graph.New(4)
-	u.AddEdge(0, 2)
-	u.AddEdge(0, 3)
+	u := graph.Build(4, [][2]int{{0, 2}, {0, 3}})
 	sched := planFunc{f: func(b Broadcast, p *Plan) {
 		for i := range b.Neighbors {
 			p.Recv[i] = b.Now + 1

@@ -23,21 +23,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation, or 0 for fewer than
-// two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
 // Median returns the median, or 0 for an empty sample.
 func Median(xs []float64) float64 {
 	return Percentile(xs, 50)

@@ -18,15 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("singleton stddev")
-	}
-	if !almost(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
-		t.Fatalf("stddev = %v", StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-}
-
 func TestPercentiles(t *testing.T) {
 	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
 	if !almost(Median(xs), 5) {

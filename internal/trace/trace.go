@@ -1,5 +1,5 @@
 // Package trace records simulator events for post-mortem inspection: a
-// bounded ring buffer with kind filtering, plain-text rendering, JSON
+// recorder that retains every event of a run, plain-text rendering, JSON
 // Lines dumping (the machine-readable format shared by `amacsim -trace`
 // and `amacexplore -replay -trace`), and per-kind summaries. It plugs
 // into sim.Config.Observer.
@@ -9,97 +9,41 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// Recorder captures simulator events. The zero value is unusable; create
+// Recorder captures every event of a run — what -v and -trace promise —
+// so memory grows with the execution. The zero value is unusable; create
 // recorders with New.
 type Recorder struct {
-	cap     int
-	events  []sim.Event
-	start   int // ring start when full
-	total   int
-	dropped int // retained-kind events overwritten by the full ring
-	counts  map[sim.EventKind]int
-	keep    map[sim.EventKind]bool
+	events []sim.Event
+	counts map[sim.EventKind]int
 }
 
-// New returns a recorder retaining at most capacity events (older events
-// fall off). A capacity of 0 means DefaultCapacity. With no kinds given,
-// every kind is retained; otherwise only the listed kinds are.
-func New(capacity int, kinds ...sim.EventKind) *Recorder {
-	if capacity < 0 {
-		panic(fmt.Sprintf("trace: negative capacity %d", capacity))
-	}
-	if capacity == 0 {
-		capacity = DefaultCapacity
-	}
-	r := &Recorder{
-		cap:    capacity,
-		counts: make(map[sim.EventKind]int),
-	}
-	if len(kinds) > 0 {
-		r.keep = make(map[sim.EventKind]bool, len(kinds))
-		for _, k := range kinds {
-			r.keep[k] = true
-		}
-	}
-	return r
+// New returns an empty recorder.
+func New() *Recorder {
+	return &Recorder{counts: make(map[sim.EventKind]int)}
 }
-
-// DefaultCapacity bounds retained events when New is called with 0.
-const DefaultCapacity = 4096
-
-// Unbounded is a capacity for recorders that must retain every event of a
-// run (full-trace dumps like `amacsim -trace`): memory grows with the
-// execution, which is the point. The ring buffer allocates lazily, so an
-// Unbounded recorder costs only what the run actually emits.
-const Unbounded = math.MaxInt
 
 // Observer returns the callback to install as sim.Config.Observer.
 func (r *Recorder) Observer() func(sim.Event) { return r.record }
 
 func (r *Recorder) record(ev sim.Event) {
 	r.counts[ev.Kind]++
-	r.total++
-	if r.keep != nil && !r.keep[ev.Kind] {
-		return
-	}
-	if len(r.events) < r.cap {
-		r.events = append(r.events, ev)
-		return
-	}
-	r.events[r.start] = ev
-	r.start = (r.start + 1) % r.cap
-	r.dropped++
+	r.events = append(r.events, ev)
 }
-
-// Total returns the number of events observed (including filtered ones).
-func (r *Recorder) Total() int { return r.total }
-
-// Dropped returns how many retained-kind events fell off the full ring —
-// the gap between what the run emitted and what Events still holds.
-// Always zero for Unbounded recorders. A non-zero count means the trace
-// is a window, not the whole run; Summary and DumpJSONL both surface it
-// so a truncated trace can never pass as complete.
-func (r *Recorder) Dropped() int { return r.dropped }
 
 // Count returns how many events of the given kind were observed.
 func (r *Recorder) Count(k sim.EventKind) int { return r.counts[k] }
 
-// Events returns the retained events in observation order. Event.Message
-// references may point at buffers a pooling algorithm has since recycled
-// (see sim.Config.Observer); inspect their dynamic type, not their
-// contents — Format prints only %T for this reason.
-func (r *Recorder) Events() []sim.Event {
-	out := make([]sim.Event, 0, len(r.events))
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
-}
+// Events returns the recorded events in observation order (the recorder's
+// own slice: read it, do not modify it). Event.Message references may
+// point at buffers a pooling algorithm has since recycled (see
+// sim.Config.Observer); inspect their dynamic type, not their contents —
+// Format prints only %T for this reason.
+func (r *Recorder) Events() []sim.Event { return r.events }
 
 // Format renders one event as a single line.
 func Format(ev sim.Event) string {
@@ -117,9 +61,9 @@ func Format(ev sim.Event) string {
 	return b.String()
 }
 
-// Dump writes the retained events to w, one line each.
+// Dump writes the recorded events to w, one line each.
 func (r *Recorder) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
+	for _, ev := range r.events {
 		if _, err := fmt.Fprintln(w, Format(ev)); err != nil {
 			return fmt.Errorf("trace: dump: %w", err)
 		}
@@ -136,9 +80,6 @@ func (r *Recorder) Summary() string {
 		if c := r.counts[k]; c > 0 {
 			fmt.Fprintf(&b, "%s=%d ", k, c)
 		}
-	}
-	if r.dropped > 0 {
-		fmt.Fprintf(&b, "dropped=%d ", r.dropped)
 	}
 	return strings.TrimSpace(b.String())
 }
@@ -177,26 +118,11 @@ func ToJSONL(ev sim.Event) JSONLEvent {
 	return je
 }
 
-// JSONLHeader is the optional first line of a DumpJSONL stream: emitted
-// only when the ring dropped events, it tells a consumer the trace is a
-// window. Complete traces carry no header, so their output is unchanged
-// from before drop accounting existed.
-type JSONLHeader struct {
-	Dropped  int `json:"dropped"`
-	Retained int `json:"retained"`
-}
-
-// DumpJSONL writes the retained events to w as JSON Lines, one JSONLEvent
-// object per line — the machine-readable counterpart of Dump. When the
-// ring dropped events, one JSONLHeader line precedes them.
+// DumpJSONL writes the recorded events to w as JSON Lines, one JSONLEvent
+// object per line — the machine-readable counterpart of Dump.
 func (r *Recorder) DumpJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	if r.dropped > 0 {
-		if err := enc.Encode(JSONLHeader{Dropped: r.dropped, Retained: len(r.events)}); err != nil {
-			return fmt.Errorf("trace: dump jsonl: %w", err)
-		}
-	}
-	for _, ev := range r.Events() {
+	for _, ev := range r.events {
 		if err := enc.Encode(ToJSONL(ev)); err != nil {
 			return fmt.Errorf("trace: dump jsonl: %w", err)
 		}

@@ -24,13 +24,17 @@ func runWith(r *Recorder) {
 }
 
 func TestRecorderCapturesEverything(t *testing.T) {
-	r := New(0)
+	r := New()
 	runWith(r)
-	if r.Total() == 0 {
+	total := 0
+	for _, k := range sim.EventKinds() {
+		total += r.Count(k)
+	}
+	if total == 0 {
 		t.Fatal("no events recorded")
 	}
-	if got := len(r.Events()); got != r.Total() {
-		t.Fatalf("retained %d of %d events with default capacity", got, r.Total())
+	if got := len(r.Events()); got != total {
+		t.Fatalf("retained %d of %d events", got, total)
 	}
 	if r.Count(sim.EventDecide) != 3 {
 		t.Fatalf("decides = %d, want 3", r.Count(sim.EventDecide))
@@ -40,45 +44,8 @@ func TestRecorderCapturesEverything(t *testing.T) {
 	}
 }
 
-func TestRecorderRingBuffer(t *testing.T) {
-	r := New(5)
-	runWith(r)
-	evs := r.Events()
-	if len(evs) != 5 {
-		t.Fatalf("retained %d events, want capacity 5", len(evs))
-	}
-	// The retained window is the most recent five, in order.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			t.Fatalf("ring order broken: %v after %v", evs[i].Time, evs[i-1].Time)
-		}
-	}
-	// The last retained event is the run's last event (a decide).
-	if evs[len(evs)-1].Kind != sim.EventDecide {
-		t.Fatalf("last retained event %v, want a decide", evs[len(evs)-1].Kind)
-	}
-}
-
-func TestRecorderKindFilter(t *testing.T) {
-	r := New(100, sim.EventDecide)
-	runWith(r)
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3 decides", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Kind != sim.EventDecide {
-			t.Fatalf("retained %v despite filter", ev.Kind)
-		}
-	}
-	// Counts still cover everything.
-	if r.Total() <= 3 {
-		t.Fatalf("total = %d, should include filtered events", r.Total())
-	}
-}
-
 func TestFormatAndDump(t *testing.T) {
-	r := New(100)
+	r := New()
 	runWith(r)
 	var b strings.Builder
 	if err := r.Dump(&b); err != nil {
@@ -93,7 +60,7 @@ func TestFormatAndDump(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	r := New(10)
+	r := New()
 	runWith(r)
 	s := r.Summary()
 	for _, want := range []string{"broadcast=", "deliver=", "ack=", "decide=3"} {
@@ -104,15 +71,15 @@ func TestSummary(t *testing.T) {
 }
 
 func TestDumpJSONL(t *testing.T) {
-	r := New(100)
+	r := New()
 	runWith(r)
 	var b strings.Builder
 	if err := r.DumpJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != r.Total() {
-		t.Fatalf("dumped %d lines for %d events", len(lines), r.Total())
+	if len(lines) != len(r.Events()) {
+		t.Fatalf("dumped %d lines for %d events", len(lines), len(r.Events()))
 	}
 	decides, delivers := 0, 0
 	for _, line := range lines {
@@ -145,7 +112,7 @@ func TestDumpJSONL(t *testing.T) {
 // to the simulator cannot be silently skipped (the old implementation
 // iterated a hard-coded first..last range).
 func TestSummaryCoversAllKinds(t *testing.T) {
-	r := New(100)
+	r := New()
 	for _, k := range sim.EventKinds() {
 		r.record(sim.Event{Kind: k, Time: 1, Node: 0})
 	}
@@ -155,64 +122,4 @@ func TestSummaryCoversAllKinds(t *testing.T) {
 			t.Fatalf("summary %q misses kind %s", s, k)
 		}
 	}
-}
-
-// TestDroppedAccounting: a ring that overflows reports exactly how many
-// events it lost, in Dropped, in the Summary line, and as a JSONL header —
-// while a recorder that retained everything reports nothing extra (so
-// complete traces stay byte-identical to the pre-accounting format).
-func TestDroppedAccounting(t *testing.T) {
-	r := New(5)
-	runWith(r)
-	want := r.Total() - 5
-	if want <= 0 {
-		t.Fatalf("run emitted only %d events; ring never overflowed", r.Total())
-	}
-	if got := r.Dropped(); got != want {
-		t.Fatalf("Dropped() = %d, want %d", got, want)
-	}
-	if s := r.Summary(); !strings.Contains(s, "dropped=") {
-		t.Fatalf("summary %q missing dropped count", s)
-	}
-	var b strings.Builder
-	if err := r.DumpJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("dumped %d lines, want header + 5 events", len(lines))
-	}
-	var hdr JSONLHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		t.Fatalf("header line %q: %v", lines[0], err)
-	}
-	if hdr.Dropped != want || hdr.Retained != 5 {
-		t.Fatalf("header = %+v, want dropped=%d retained=5", hdr, want)
-	}
-
-	// A complete trace: no dropped marker anywhere.
-	full := New(Unbounded)
-	runWith(full)
-	if full.Dropped() != 0 {
-		t.Fatalf("unbounded recorder dropped %d", full.Dropped())
-	}
-	if s := full.Summary(); strings.Contains(s, "dropped=") {
-		t.Fatalf("complete summary %q mentions dropped", s)
-	}
-	var fb strings.Builder
-	if err := full.DumpJSONL(&fb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(fb.String(), `"retained"`) {
-		t.Fatal("complete JSONL dump carries a header line")
-	}
-}
-
-func TestNewPanicsOnNegativeCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(-1)
 }
