@@ -3,6 +3,7 @@ package twophase
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -143,6 +144,12 @@ func idPools(rng *rand.Rand) []idPool {
 	for i := range strided {
 		strided[i] = amac.NodeID(i) << 20
 	}
+	// One id per 64-id block: every member has a slot of its own, so the
+	// table grows with the ids, not with the blocks dense ids share.
+	onePerBlock := make([]amac.NodeID, 48)
+	for i := range onePerBlock {
+		onePerBlock[i] = amac.NodeID(64*i - 1000)
+	}
 	return []idPool{
 		{"dense", dense},
 		{"shuffled", shuffled},
@@ -150,6 +157,11 @@ func idPools(rng *rand.Rand) []idPool {
 		{"strided", strided},
 		{"noid-nearby", []amac.NodeID{amac.NoID - 1, amac.NoID, 0, 1, 2, math.MinInt64, math.MaxInt64}},
 		{"few", []amac.NodeID{7, 9}},
+		// The first and last id of blocks around zero and at both ends of
+		// int64, where id >> 6 and id & 63 meet sign and overflow.
+		{"block-edges", []amac.NodeID{-129, -65, -64, -1, 0, 63, 64, 127, 128,
+			math.MinInt64, math.MinInt64 + 63, math.MaxInt64 - 63, math.MaxInt64}},
+		{"one-per-block", onePerBlock},
 	}
 }
 
@@ -244,10 +256,11 @@ func TestDifferentialAgainstListing(t *testing.T) {
 }
 
 // TestRetainedBytesPerNode pins what a node keeps once it has heard a
-// whole 1024-clique: the key array at load 1/2 plus two bitsets, 17 KB (the
-// three maps it replaces grew with every id to several times that).
+// whole 1024-clique: ids 1..1024 span 17 blocks, so the table is 64 block
+// records at load under 1/2, about 1.5 KB, where a table of one key per
+// id would be 16 KB.
 func TestRetainedBytesPerNode(t *testing.T) {
-	const n, budget = 1024, 24 << 10
+	const n, budget = 1024, 2 << 10
 	a := New(0)
 	api := &scriptAPI{id: 1}
 	a.Start(api)
@@ -262,11 +275,15 @@ func TestRetainedBytesPerNode(t *testing.T) {
 	if len(api.decided) != 1 {
 		t.Fatalf("node decided %v after hearing every phase-2 message", api.decided)
 	}
-	if a.ids.n != n {
-		t.Fatalf("id set holds %d members, want %d", a.ids.n, n)
+	members := 0
+	for _, b := range a.ids.slots {
+		members += bits.OnesCount64(b.member)
 	}
-	retained := int(unsafe.Sizeof(*a)) + 8*(cap(a.ids.keys)+cap(a.ids.used)+cap(a.ids.phase2))
+	if members != n {
+		t.Fatalf("id set holds %d members, want %d", members, n)
+	}
+	retained := int(unsafe.Sizeof(*a) + unsafe.Sizeof(block{})*uintptr(cap(a.ids.slots)))
 	if retained > budget {
-		t.Errorf("a node of clique:%d retains %d B (%d key slots), budget %d B", n, retained, cap(a.ids.keys), budget)
+		t.Errorf("a node of clique:%d retains %d B (%d slots), budget %d B", n, retained, cap(a.ids.slots), budget)
 	}
 }

@@ -108,6 +108,32 @@ func BenchmarkWPaxosDecideLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkTwoPhaseDecideClique is one whole two-phase execution on the
+// single-hop case — scenario assembly and a run to all-decided on
+// clique:256 — with metrics off. Its allocs/op is pinned (BENCH_engine.json):
+// a delivery allocates nothing, so what is left is the clique itself and
+// each node's id set growing to the few blocks 256 dense ids span; a set
+// that regrows per id, or a delivery that allocates, shows as a multiple.
+func BenchmarkTwoPhaseDecideClique(b *testing.B) {
+	sc := Scenario{
+		Algo:  "twophase",
+		Topo:  Topo{Kind: "clique", N: 256},
+		Sched: "random",
+		Fack:  4,
+		Seed:  1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg, err := sc.Config()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := sim.Run(cfg); !res.AllDecided() {
+			b.Fatalf("not all decided after %d events", res.Events)
+		}
+	}
+}
+
 // BenchmarkSweepGrid measures a whole multi-cell grid end to end, the
 // workload the cell-grouped sweep pipeline exists for: cells share cached
 // topologies, diameters and overlays across the cross product, and each

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -126,8 +127,8 @@ func TestTopoBuildErrors(t *testing.T) {
 			t.Errorf("Build(%+v) accepted", tp)
 		}
 	}
-	// Node counts that overflow int, or exceed sim.MaxNodes, on the way to
-	// a constructor: an error naming the spec, not a panic inside
+	// Node or edge counts that overflow int, or exceed sim.MaxNodes or the
+	// graph's int32 offsets, on the way to a constructor: an error naming the spec, not a panic inside
 	// internal/graph.
 	for _, spec := range []string{
 		"tree:2x70",
@@ -135,6 +136,11 @@ func TestTopoBuildErrors(t *testing.T) {
 		"starlines:4611686018427387904x4",
 		"pods:4611686018427387904:4:1",
 		"line:2147483648",
+		// Directed edge counts past graph.Build's int32 offsets: refused
+		// before the clique's edge list is allocated.
+		"clique:46342",
+		"clique:50000",
+		"clique:2147483647",
 	} {
 		tp, err := ParseTopo(spec)
 		if err == nil {
@@ -143,6 +149,11 @@ func TestTopoBuildErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), spec) {
 			t.Errorf("%s: got error %v, want one naming the spec", spec, err)
 		}
+	}
+	// The largest clique whose n(n-1) still fits stays legal (building it
+	// would take 16 GB of edge list, so only the bound is checked).
+	if tp, err := ParseTopo("clique:46341"); err != nil || tp.arcs() > math.MaxInt32 {
+		t.Errorf("clique:46341: arcs %d (parse error %v), want within math.MaxInt32", tp.arcs(), err)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -189,6 +190,9 @@ func (t Topo) Build(seed int64) (*graph.Graph, error) {
 	if t.nodes() > sim.MaxNodes {
 		return nil, fmt.Errorf("harness: %s has more than sim.MaxNodes=%d nodes", t, sim.MaxNodes)
 	}
+	if t.arcs() > math.MaxInt32 {
+		return nil, fmt.Errorf("harness: %s may have more than %d directed edges, the most a graph's int32 row offsets hold", t, math.MaxInt32)
+	}
 	switch t.Kind {
 	case "clique":
 		return checkN(graph.Clique, t)
@@ -242,15 +246,7 @@ func (t Topo) Build(seed int64) (*graph.Graph, error) {
 // below 1 counts as 1: Build's per-family checks name those.
 func (t Topo) nodes() int64 {
 	const limit = int64(sim.MaxNodes) + 1
-	mul := func(a int64, b int) int64 {
-		if b < 1 {
-			return a
-		}
-		if a > limit/int64(b) {
-			return limit
-		}
-		return a * int64(b)
-	}
+	mul := func(a int64, b int) int64 { return mulSat(a, b, limit) }
 	switch t.Kind {
 	case "grid":
 		return mul(mul(1, t.Rows), t.Cols)
@@ -268,6 +264,40 @@ func (t Topo) nodes() int64 {
 	default:
 		return int64(t.N)
 	}
+}
+
+// arcs bounds the directed edges (twice the undirected ones) t's graph
+// can have, saturating just above math.MaxInt32, so that a spec whose
+// edge list could not fit graph.Build's int32 offsets is refused before
+// its constructor allocates that list. It assumes nodes() is within
+// sim.MaxNodes, so n(n-1) cannot overflow; parameters below 1 count as 1,
+// as in nodes.
+func (t Topo) arcs() int64 {
+	const limit = int64(math.MaxInt32) + 1
+	n := t.nodes()
+	switch t.Kind {
+	case "clique", "random": // random's bound is p = 1
+		return min(n*(n-1), limit)
+	case "expander":
+		return mulSat(n, t.Deg, limit)
+	case "pods": // a ring per pod plus Cross links per pod
+		return min(2*(n+mulSat(int64(max(t.Pods, 1)), t.Cross, limit)), limit)
+	case "grid":
+		return min(4*n, limit)
+	default: // line, ring, star, tree, starlines: at most n edges
+		return min(2*n, limit)
+	}
+}
+
+// mulSat is a·b for a >= 0, saturating at limit; b below 1 counts as 1.
+func mulSat(a int64, b int, limit int64) int64 {
+	if b < 1 {
+		return a
+	}
+	if a > limit/int64(b) {
+		return limit
+	}
+	return a * int64(b)
 }
 
 func checkN(mk func(int) *graph.Graph, t Topo) (*graph.Graph, error) {
