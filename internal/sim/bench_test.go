@@ -97,6 +97,50 @@ func BenchmarkBroadcastPlanLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmRunClique is the engine layer's own row for the single-hop
+// decide workload: one engine on clique:1024 under Random(4, 7), every node
+// broadcasting once at Start and deciding at its ack, StopWhenDecided. All
+// of the ~1 M events are engine work (queue, plan validation, dispatch to
+// a handler that does nothing), so ns/event is the engine's per-event
+// cost. Nodes come from one slice and share one boxed message, the
+// scheduler is re-seeded rather than rebuilt, and one untimed op warms the
+// bucket arrays, so a warm Reset+Run allocates nothing: an allocation per
+// op means a Reset left queue state behind for the next run to grow.
+func BenchmarkWarmRunClique(b *testing.B) {
+	g := graph.Clique(1024)
+	ins := make([]amac.Value, g.N())
+	msg := amac.Message(testMsg{tag: "once"})
+	nodes := make([]onceAlg, g.N())
+	sched := NewRandom(4, 7)
+	cfg := Config{
+		Graph:  g,
+		Inputs: ins,
+		Factory: func(nc amac.NodeConfig) amac.Algorithm {
+			a := &nodes[nc.ID-1]
+			*a = onceAlg{input: nc.Input, msg: msg}
+			return a
+		},
+		Scheduler:       sched,
+		StopWhenDecided: true,
+	}
+	e := NewEngine(cfg)
+	warm := e.Run()
+	if !warm.AllDecided() {
+		b.Fatalf("warm-up run did not decide (events %d)", warm.Events)
+	}
+	events := warm.Events
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sched.rng.Seed(7)
+		e.Reset(cfg)
+		if res := e.Run(); res.Events != events || !res.AllDecided() {
+			b.Fatalf("warm run processed %d events (decided %v), warm-up %d", res.Events, res.AllDecided(), events)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
 func benchBroadcast(b *testing.B, g, u *graph.Graph, reg *metrics.Registry) {
 	ins := make([]amac.Value, g.N())
 	factory := func(amac.NodeConfig) amac.Algorithm { return &chatterAlg{} }

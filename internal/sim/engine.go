@@ -46,6 +46,7 @@ type Engine struct {
 	crashAt []int64
 
 	q      eventQueue
+	fack   int64 // the scheduler's declared horizon, read once per Reset
 	now    int64
 	res    *Result
 	maxEvt int
@@ -68,9 +69,9 @@ type Engine struct {
 	// reference scan at every stop evaluation.
 	checkStops bool
 	// queueHook, set by tests, sees every event the engine pushes
-	// (popped false) and pops (popped true), in that order: the
+	// (popped false) and processes (popped true), in that order: the
 	// differential test mirrors the pushes into the reference heap and
-	// asserts each pop against it.
+	// asserts each processed event against it.
 	queueHook func(t int64, ev event, popped bool)
 
 	// Hot-path metric handles, re-registered at every Reset. With
@@ -126,7 +127,8 @@ func (e *Engine) Reset(cfg Config) {
 	}
 	// Empty the queue and re-arm the calendar ring for the new scheduler's
 	// horizon.
-	e.q.init(cfg.Scheduler.Fack())
+	e.fack = cfg.Scheduler.Fack()
+	e.q.init(e.fack)
 	e.cfg = cfg
 	e.now = 0
 	n := cfg.Graph.N()
@@ -265,15 +267,6 @@ func (e *Engine) crashedBy(i int, t int64) bool {
 	return at >= 0 && at < t
 }
 
-// push enqueues one event at time t.
-func (e *Engine) push(t int64, ev event) {
-	e.q.push(t, ev)
-	if e.queueHook != nil {
-		e.queueHook(t, ev, false)
-	}
-	e.mQueueHigh.Set(int64(e.q.len()))
-}
-
 func (e *Engine) broadcast(u int, m amac.Message) bool {
 	if m == nil {
 		panic(fmt.Sprintf("sim: node %d broadcast a nil message", u))
@@ -327,21 +320,62 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	for i, v := range nbrs {
 		at := e.plan.Recv[i]
 		e.plan.Recv[i] = NoDelivery
-		e.push(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)})
+		e.q.pushDelivery(at, int32(v), int32(u))
+		if e.queueHook != nil {
+			e.queueHook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
+		}
 	}
 	for i, v := range b.Unreliable {
 		if at := e.plan.Recv[len(nbrs)+i]; at != NoDelivery {
 			e.plan.Recv[len(nbrs)+i] = NoDelivery
-			e.push(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)})
+			e.q.pushDelivery(at, int32(v), int32(u))
+			if e.queueHook != nil {
+				e.queueHook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
+			}
 		}
 	}
-	e.push(e.plan.Ack, event{kind: EventAck, node: int32(u), bseq: int32(b.Seq)})
+	e.q.pushAck(e.plan.Ack, int32(u), int32(b.Seq))
+	if e.queueHook != nil {
+		e.queueHook(e.plan.Ack, event{kind: EventAck, node: int32(u), bseq: int32(b.Seq)}, false)
+	}
+	// The queue only grows inside a broadcast, so its depth after the ack
+	// is the broadcast's high-water mark.
+	e.mQueueHigh.Set(int64(e.q.len()))
 	return true
 }
 
+// validatePlan checks p against the model contract in one pass: every
+// reliable slot and every delivered unreliable slot in (Now, Ack], and Now
+// < Ack <= Now+Fack. Only a plan that fails takes planError's slot-by-slot
+// pass, which names the first broken rule.
 func (e *Engine) validatePlan(b Broadcast, p *Plan) {
-	f := e.cfg.Scheduler.Fack()
-	deadline := b.Now + f
+	nr := len(b.Neighbors)
+	ok := len(p.Recv) == nr+len(b.Unreliable) && b.Now < p.Ack && p.Ack <= b.Now+e.fack
+	if ok && nr > 0 {
+		// NoDelivery is below every Now, so a missed reliable slot fails
+		// the min test.
+		lo, hi := p.Recv[0], p.Recv[0]
+		for _, t := range p.Recv[1:nr] {
+			lo, hi = min(lo, t), max(hi, t)
+		}
+		ok = lo > b.Now && hi <= p.Ack
+	}
+	if ok {
+		for _, t := range p.Recv[nr:] {
+			if t != NoDelivery && (t <= b.Now || t > p.Ack) {
+				ok = false
+				break
+			}
+		}
+	}
+	if !ok {
+		e.planError(b, p)
+	}
+}
+
+// planError panics with the first contract rule p breaks.
+func (e *Engine) planError(b Broadcast, p *Plan) {
+	deadline := b.Now + e.fack
 	checkTiming := func(v int, t int64) {
 		if t <= b.Now {
 			panic(fmt.Sprintf("sim: scheduler delivers to %d at t=%d, not after broadcast at t=%d", v, t, b.Now))
@@ -371,6 +405,7 @@ func (e *Engine) validatePlan(b Broadcast, p *Plan) {
 	if p.Ack > deadline {
 		panic(fmt.Sprintf("sim: scheduler acks at t=%d, past Fack deadline %d", p.Ack, deadline))
 	}
+	panic(fmt.Sprintf("sim: scheduler acks at t=%d, not after broadcast at t=%d", p.Ack, b.Now))
 }
 
 func (e *Engine) decide(u int, v amac.Value) {
@@ -399,10 +434,11 @@ func (e *Engine) decide(u int, v amac.Value) {
 }
 
 // advanceCrashCursor replays scheduled crash cutoffs up to the current
-// clock: a node whose cutoff has passed no longer owes a decision. Run
-// calls it immediately after advancing now — before any callback can
-// decide at the same instant — so decide's "already written off" check
-// (crashAt <= now) agrees exactly with what the cursor has consumed.
+// clock: a node whose cutoff has passed no longer owes a decision. drain
+// calls it once per bucket, immediately after advancing now — before any
+// callback can decide at the same instant — so decide's "already written
+// off" check (crashAt <= now) agrees exactly with what the cursor has
+// consumed.
 func (e *Engine) advanceCrashCursor() {
 	for e.pendIdx < len(e.pendCrash) && e.pendCrash[e.pendIdx].At <= e.now {
 		if !e.res.Decided[e.pendCrash[e.pendIdx].Node] {
@@ -440,76 +476,7 @@ func (e *Engine) Run() *Result {
 		e.algs[i].Start(&e.apis[i])
 	}
 
-	for e.q.len() > 0 {
-		if e.res.Events >= e.maxEvt {
-			e.res.Cutoff = true
-			break
-		}
-		t, ev := e.q.pop()
-		if e.queueHook != nil {
-			e.queueHook(t, ev, true)
-		}
-		if t < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %d -> %d", e.now, t))
-		}
-		e.now = t
-		e.advanceCrashCursor()
-		e.res.Events++
-		e.mEvents.Inc()
-		e.res.Time = e.now
-
-		switch ev.kind {
-		case EventDeliver:
-			// A delivery is lost when the receiver has crashed, or
-			// when the sender crashed before this delivery time
-			// (mid-broadcast crash: the remaining neighbors never
-			// receive the message).
-			v, u := int(ev.node), int(ev.peer)
-			if e.crashedBy(v, t) {
-				e.markCrashed(v)
-				e.mDrops.Inc()
-				continue
-			}
-			if e.crashedBy(u, t) {
-				e.markCrashed(u)
-				e.mDrops.Inc()
-				continue
-			}
-			e.res.Deliveries++
-			e.mDeliver.Inc()
-			msg := e.inMsg[u]
-			e.observe(Event{Kind: EventDeliver, Time: t, Node: v, Peer: u, Message: msg})
-			e.algs[v].OnReceive(msg)
-		case EventAck:
-			u := int(ev.node)
-			if e.crashedBy(u, t) {
-				e.markCrashed(u)
-				e.mDrops.Inc()
-				continue
-			}
-			if !e.inflight[u] || int32(e.bseq[u]-1) != ev.bseq {
-				panic(fmt.Sprintf("sim: stray ack for node %d bseq %d", u, ev.bseq))
-			}
-			e.inflight[u] = false
-			msg := e.inMsg[u]
-			e.inMsg[u] = nil
-			e.res.Acks++
-			e.observe(Event{Kind: EventAck, Time: t, Node: u, Message: msg})
-			e.algs[u].OnAck(msg)
-		default:
-			panic(fmt.Sprintf("sim: unexpected queue event kind %v", ev.kind))
-		}
-
-		if e.cfg.StopWhenDecided {
-			done := e.undecided == 0
-			if e.checkStops && done != e.allDecidedScan() {
-				panic(fmt.Sprintf("sim: undecided counter %d disagrees with reference scan at t=%d", e.undecided, e.now))
-			}
-			if done {
-				break
-			}
-		}
-	}
+	e.drain()
 
 	if e.q.len() == 0 {
 		e.res.Quiescent = true
@@ -522,6 +489,135 @@ func (e *Engine) Run() *Result {
 		}
 	}
 	return e.res
+}
+
+// drain processes the queue one calendar bucket per clock step until it
+// empties or a stop rule fires. The clock, the crash cursor and Result.Time
+// move once per bucket; the bucket's delivery array and then its ack array
+// are read in place, front to back. No handler pushes into the bucket
+// being drained — validatePlan puts every delivery and ack strictly after
+// the broadcast's Now — so the arrays cannot grow under the loop. A
+// drained bucket is reset once; a run that stops inside a bucket leaves it
+// marked, and the next Reset clears it (eventQueue.init).
+func (e *Engine) drain() {
+	q := &e.q
+	for q.count > 0 {
+		// Checked before the clock moves too, so a cutoff between buckets
+		// leaves Result.Time at the last processed event.
+		if e.cutoff() {
+			return
+		}
+		t := q.nextBucketTime()
+		q.cur = t
+		e.now = t
+		e.advanceCrashCursor()
+		e.res.Time = t
+		b := &q.buckets[t&q.mask]
+		for _, d := range b.dels {
+			if e.cutoff() {
+				return
+			}
+			e.admit()
+			if e.queueHook != nil {
+				e.queueHook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
+			}
+			e.deliver(int(d.node), int(d.peer))
+			if e.stopped() {
+				return
+			}
+		}
+		for _, a := range b.acks {
+			if e.cutoff() {
+				return
+			}
+			e.admit()
+			if e.queueHook != nil {
+				e.queueHook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
+			}
+			e.ack(int(a.node), a.bseq)
+			if e.stopped() {
+				return
+			}
+		}
+		q.drained(t)
+	}
+}
+
+// cutoff reports, and records in the Result, that the run has spent its
+// event budget.
+func (e *Engine) cutoff() bool {
+	if e.res.Events < e.maxEvt {
+		return false
+	}
+	e.res.Cutoff = true
+	return true
+}
+
+// admit takes the next event of the bucket being drained off the queue's
+// count and counts it as processed.
+func (e *Engine) admit() {
+	e.q.count--
+	e.res.Events++
+	e.mEvents.Inc()
+}
+
+// stopped reports whether StopWhenDecided ends the run after the event
+// just processed.
+func (e *Engine) stopped() bool {
+	if !e.cfg.StopWhenDecided {
+		return false
+	}
+	if e.checkStops {
+		e.checkStopCounter()
+	}
+	return e.undecided == 0
+}
+
+func (e *Engine) checkStopCounter() {
+	if (e.undecided == 0) != e.allDecidedScan() {
+		panic(fmt.Sprintf("sim: undecided counter %d disagrees with reference scan at t=%d", e.undecided, e.now))
+	}
+}
+
+// deliver hands sender u's in-flight message to v at the current time. A
+// delivery is lost when the receiver has crashed, or when the sender
+// crashed before this delivery time (mid-broadcast crash: the remaining
+// neighbors never receive the message).
+func (e *Engine) deliver(v, u int) {
+	if e.crashedBy(v, e.now) {
+		e.markCrashed(v)
+		e.mDrops.Inc()
+		return
+	}
+	if e.crashedBy(u, e.now) {
+		e.markCrashed(u)
+		e.mDrops.Inc()
+		return
+	}
+	e.res.Deliveries++
+	e.mDeliver.Inc()
+	msg := e.inMsg[u]
+	e.observe(Event{Kind: EventDeliver, Time: e.now, Node: v, Peer: u, Message: msg})
+	e.algs[v].OnReceive(msg)
+}
+
+// ack completes u's broadcast bseq at the current time, unless u has
+// crashed.
+func (e *Engine) ack(u int, bseq int32) {
+	if e.crashedBy(u, e.now) {
+		e.markCrashed(u)
+		e.mDrops.Inc()
+		return
+	}
+	if !e.inflight[u] || int32(e.bseq[u]-1) != bseq {
+		panic(fmt.Sprintf("sim: stray ack for node %d bseq %d", u, bseq))
+	}
+	e.inflight[u] = false
+	msg := e.inMsg[u]
+	e.inMsg[u] = nil
+	e.res.Acks++
+	e.observe(Event{Kind: EventAck, Time: e.now, Node: u, Message: msg})
+	e.algs[u].OnAck(msg)
 }
 
 func (e *Engine) markCrashed(i int) {

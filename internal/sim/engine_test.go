@@ -111,8 +111,8 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 	// Every bucket the engine owns, past the new ring's span too: a stale
 	// entry there would replay when a later Reset widens the ring again.
 	for i, b := range e.q.buckets[:cap(e.q.buckets)] {
-		if len(b.dels) != 0 || len(b.acks) != 0 || b.nextDel != 0 || b.nextAck != 0 {
-			t.Errorf("bucket %d not empty after Reset: %d deliveries (cursor %d), %d acks (cursor %d)", i, len(b.dels), b.nextDel, len(b.acks), b.nextAck)
+		if len(b.dels) != 0 || len(b.acks) != 0 {
+			t.Errorf("bucket %d not empty after Reset: %d deliveries, %d acks", i, len(b.dels), len(b.acks))
 		}
 	}
 	for i, m := range e.inMsg[:cap(e.inMsg)] {
@@ -139,6 +139,62 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 	}
 	if !res.AllDecided() {
 		t.Errorf("fault-free run after reuse did not decide everywhere: %+v", res)
+	}
+}
+
+// TestResetAfterEarlyStop reuses one engine across runs that stop before
+// the queue is done with its bucket, alternating (b), (a), (b): (a) every
+// node of clique:64 broadcasts once and decides at its ack, so
+// StopWhenDecided fires on the last event with the queue empty but the
+// last bucket undrained; (b) the same broadcasts under a MaxEvents cutoff
+// inside a bucket. Both push exactly the same events, so every warm run
+// must repeat its fresh-engine result and leave the bucket arrays as large
+// as it found them. A Reset that kept run (a)'s last bucket would have run
+// 3 append behind its stale entries.
+func TestResetAfterEarlyStop(t *testing.T) {
+	g := graph.Clique(64)
+	mk := func(maxEvents int) Config {
+		return Config{
+			Graph:           g,
+			Inputs:          make([]amac.Value, g.N()),
+			Factory:         onceFactory,
+			Scheduler:       NewRandom(4, 7),
+			StopWhenDecided: true,
+			MaxEvents:       maxEvents,
+		}
+	}
+	const cut = 1000 // of 4096 events; the loop checks it falls inside a bucket
+	var e *Engine
+	caps := make([]int, 3)
+	for run, maxEvents := range []int{cut, 0, cut} {
+		if e == nil {
+			e = NewEngine(mk(maxEvents))
+		} else {
+			e.Reset(mk(maxEvents))
+		}
+		checked := e.CheckQueueOrder(t)
+		got := e.Run()
+		if checked() != got.Events {
+			t.Fatalf("run %d: oracle checked %d events, engine processed %d", run, checked(), got.Events)
+		}
+		caps[run] = e.QueueCap()
+		if maxEvents == 0 {
+			if !got.AllDecided() || e.q.len() != 0 {
+				t.Fatalf("run %d: decided=%v with %d events queued, want every node decided on the last event", run, got.AllDecided(), e.q.len())
+			}
+		} else {
+			b := e.q.buckets[got.Time&e.q.mask]
+			if !got.Cutoff || len(b.dels)+len(b.acks) == 0 {
+				t.Fatalf("run %d: cutoff=%v at t=%d, want a cutoff inside that bucket", run, got.Cutoff, got.Time)
+			}
+		}
+		want := Run(mk(maxEvents))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: reused engine result differs from fresh engine:\ngot  %+v\nwant %+v", run, got, want)
+		}
+	}
+	if caps[2] != caps[1] {
+		t.Fatalf("bucket arrays hold %d entries after run 3, %d after run 2: a warm run grew them", caps[2], caps[1])
 	}
 }
 

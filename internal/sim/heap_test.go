@@ -83,9 +83,9 @@ func (h *refHeap) siftDown(i int) {
 }
 
 // CheckQueueOrder arms e's queue hook with a reference heap: every push is
-// mirrored into it, and every event the engine pops must be the heap's
-// minimum. It returns a func reporting how many pops were checked. Call it
-// after NewEngine/Reset and before Run.
+// mirrored into it, and every event the engine processes must be the
+// heap's minimum. It returns a func reporting how many events were
+// checked. Call it after NewEngine/Reset and before Run.
 func (e *Engine) CheckQueueOrder(t testing.TB) (checked func() int) {
 	var h refHeap
 	pops := 0
@@ -111,3 +111,13 @@ func (e *Engine) CheckQueueOrder(t testing.TB) (checked func() int) {
 
 // QueueSpan exposes the ring size Reset chose for the current scheduler.
 func (e *Engine) QueueSpan() int64 { return e.q.span }
+
+// QueueCap sums the capacities of every bucket array the engine owns: it
+// stays flat across warm runs unless a run appends behind stale entries.
+func (e *Engine) QueueCap() int {
+	n := 0
+	for _, b := range e.q.buckets[:cap(e.q.buckets)] {
+		n += cap(b.dels) + cap(b.acks)
+	}
+	return n
+}

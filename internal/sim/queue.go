@@ -7,18 +7,20 @@ import (
 
 // eventQueue is the engine's pending-event queue: a calendar ring of
 // per-time buckets, each a pair of append-only arrays of payload-free
-// entries.
+// entries, which the engine drains a whole bucket at a time.
 //
 // Invariant: the ring covers the scheduler's declared horizon. validatePlan
 // admits only plans whose deliveries and ack land in (Now, Now+Fack], and
-// Now is the time of the last pop, so every queued event lies in
-// [cur, cur+Fack]. init sizes the ring to the smallest power of two above
-// Fack (Config.Validate bounds Fack by MaxFack), which makes time
-// -> bucket a mask and gives every live time its own bucket; push panics
-// on an event outside that window, so a plan that slipped past
-// validatePlan cannot alias an earlier bucket. Push appends to a bucket
-// array and pop advances the cursor to the next nonempty bucket by a bitmap
-// word scan — both O(1) regardless of backlog.
+// Now is the time of the bucket being drained, so every queued event lies
+// in [cur, cur+Fack] and no handler pushes into the bucket being drained.
+// init sizes the ring to the smallest power of two above Fack
+// (Config.Validate bounds Fack by MaxFack), which makes time -> bucket a
+// mask and gives every live time its own bucket; a push panics on an event
+// outside that window, so a plan that slipped past validatePlan cannot
+// alias an earlier bucket. A push appends to a bucket array and sets the
+// bucket's bit; nextBucketTime finds the next nonempty bucket by a bitmap
+// word scan. Engine.drain reads that bucket's arrays in place and then
+// resets the bucket and clears its bit (see drained).
 //
 // Order: the engine's event order is (time, deliveries before acks,
 // insertion order). An array read front to back is insertion order, so one
@@ -26,7 +28,7 @@ import (
 // visits times in order, and within a time the delivery array drains before
 // the ack array. The reference for that order is the quaternary heap in
 // heap_test.go, which the differential test attaches through
-// Engine.queueHook and compares against on every pop.
+// Engine.queueHook and compares against on every processed event.
 //
 // Entries carry no time (it is the bucket), no sequence number (it is the
 // array position) and no message: the abstract MAC layer gives a node one
@@ -37,13 +39,15 @@ import (
 // (Config.Validate bounds the node count by MaxNodes) with no pointer in
 // it.
 type eventQueue struct {
+	// count is the number of queued events not yet processed.
 	count int
 
 	// The calendar ring: span buckets (a power of two, so time maps to a
 	// bucket by mask) covering absolute times [cur, cur+span). cur is the
-	// time of the last pop — no queued event is earlier. bits marks
-	// nonempty buckets, one bit per bucket, so pop finds the next event
-	// time with a word scan.
+	// time of the bucket last drained or being drained — no queued event is
+	// earlier. bits marks buckets holding entries, one bit per bucket, so
+	// nextBucketTime is a word scan. A bit stays set until its bucket is
+	// reset, so a run stopped mid-bucket leaves the bit for init to find.
 	span    int64
 	mask    int64
 	cur     int64
@@ -63,30 +67,29 @@ type (
 )
 
 // bucket holds one time step's events: deliveries drain before acks,
-// matching the model's deliveries-first order, each array from its read
-// cursor up. A bucket that drains is truncated in place, so its arrays are
-// reused the next time the ring comes round.
+// matching the model's deliveries-first order. A drained bucket is
+// truncated in place, so its arrays are reused the next time the ring
+// comes round.
 type bucket struct {
-	dels    []delivery
-	acks    []ack
-	nextDel int32
-	nextAck int32
+	dels []delivery
+	acks []ack
 }
 
-func (b *bucket) reset() {
-	b.dels, b.acks, b.nextDel, b.nextAck = b.dels[:0], b.acks[:0], 0, 0
-}
+func (b *bucket) reset() { b.dels, b.acks = b.dels[:0], b.acks[:0] }
 
-// init empties the queue — a run stopped early leaves events behind — and
-// re-arms it for a scheduler horizon of fack: the ring gets the smallest
-// power-of-two span above fack. Bucket arrays persist for the next run.
+// init empties the queue and re-arms it for a scheduler horizon of fack:
+// the ring gets the smallest power-of-two span above fack. Every bucket
+// still marked in bits is reset first. That is not only the count > 0
+// case: a run stopped on the last event of a bucket leaves the queue empty
+// but that bucket undrained, and a later run would append behind its
+// stale entries. Bucket arrays persist for the next run.
 func (q *eventQueue) init(fack int64) {
-	if q.count > 0 {
-		for i := range q.buckets {
-			q.buckets[i].reset()
+	for wi, w := range q.bits {
+		for ; w != 0; w &= w - 1 {
+			q.buckets[wi<<6+bits.TrailingZeros64(w)].reset()
 		}
-		q.count = 0
 	}
+	q.count = 0
 	span := int64(1)
 	for span <= fack {
 		span <<= 1
@@ -107,28 +110,53 @@ func (q *eventQueue) init(fack int64) {
 
 func (q *eventQueue) len() int { return q.count }
 
-// push enqueues ev at time t, behind every queued event of that time and
-// kind. A time outside [cur, cur+span) would alias another time's bucket;
-// the ring covers the declared horizon, so that is a broken invariant.
-func (q *eventQueue) push(t int64, ev event) {
+// pushDelivery enqueues the delivery of peer's message to node at time t,
+// behind every queued delivery of that time. It runs once per delivery and
+// is written out in full: a helper shared with pushAck would be too large
+// for the compiler to inline.
+func (q *eventQueue) pushDelivery(t int64, node, peer int32) {
 	if d := t - q.cur; d < 0 || d >= q.span {
-		panic(fmt.Sprintf("sim: event at t=%d outside the queue ring [%d, %d)", t, q.cur, q.cur+q.span))
+		q.outsideRing(t)
 	}
 	bi := t & q.mask
 	b := &q.buckets[bi]
-	if ev.kind == EventDeliver {
-		if len(b.dels) == cap(b.dels) && cap(b.dels) < carveMax {
-			b.dels = carve(&q.delBlock, b.dels)
-		}
-		b.dels = append(b.dels, delivery{node: ev.node, peer: ev.peer})
-	} else {
-		if len(b.acks) == cap(b.acks) && cap(b.acks) < carveMax {
-			b.acks = carve(&q.ackBlock, b.acks)
-		}
-		b.acks = append(b.acks, ack{node: ev.node, bseq: ev.bseq})
+	if len(b.dels) == cap(b.dels) && cap(b.dels) < carveMax {
+		b.dels = carve(&q.delBlock, b.dels)
 	}
+	b.dels = append(b.dels, delivery{node: node, peer: peer})
 	q.bits[bi>>6] |= 1 << uint(bi&63)
 	q.count++
+}
+
+// pushAck enqueues the ack of node's broadcast bseq at time t, behind every
+// queued ack of that time.
+func (q *eventQueue) pushAck(t int64, node, bseq int32) {
+	if d := t - q.cur; d < 0 || d >= q.span {
+		q.outsideRing(t)
+	}
+	bi := t & q.mask
+	b := &q.buckets[bi]
+	if len(b.acks) == cap(b.acks) && cap(b.acks) < carveMax {
+		b.acks = carve(&q.ackBlock, b.acks)
+	}
+	b.acks = append(b.acks, ack{node: node, bseq: bseq})
+	q.bits[bi>>6] |= 1 << uint(bi&63)
+	q.count++
+}
+
+// outsideRing panics on an event time outside [cur, cur+span), which would
+// alias another time's bucket. The ring covers the declared horizon, so
+// that is a broken invariant.
+func (q *eventQueue) outsideRing(t int64) {
+	panic(fmt.Sprintf("sim: event at t=%d outside the queue ring [%d, %d)", t, q.cur, q.cur+q.span))
+}
+
+// drained resets the bucket at time t, whose events have all been
+// processed, and clears its bit.
+func (q *eventQueue) drained(t int64) {
+	bi := t & q.mask
+	q.buckets[bi].reset()
+	q.bits[bi>>6] &^= 1 << uint(bi&63)
 }
 
 // A fresh engine on a small topology — every sim.Run of a test, the first
@@ -154,36 +182,10 @@ func carve[T any](block *[]T, s []T) []T {
 	return grown
 }
 
-// pop removes and returns the minimum event and its time: the next
-// delivery of the earliest nonempty bucket, or its next ack when no
-// deliveries remain. It panics on an empty queue (the engine's run loop
-// checks len first).
-func (q *eventQueue) pop() (int64, event) {
-	q.cur = q.nextBucketTime()
-	bi := q.cur & q.mask
-	b := &q.buckets[bi]
-	var ev event
-	if int(b.nextDel) < len(b.dels) {
-		d := b.dels[b.nextDel]
-		b.nextDel++
-		ev = event{kind: EventDeliver, node: d.node, peer: d.peer}
-	} else {
-		a := b.acks[b.nextAck]
-		b.nextAck++
-		ev = event{kind: EventAck, node: a.node, bseq: a.bseq}
-	}
-	if int(b.nextDel) == len(b.dels) && int(b.nextAck) == len(b.acks) {
-		b.reset()
-		q.bits[bi>>6] &^= 1 << uint(bi&63)
-	}
-	q.count--
-	return q.cur, ev
-}
-
 // nextBucketTime returns the absolute time of the earliest nonempty
 // bucket at or after cur — a circular bitmap scan from the cursor's
 // bucket, one word compare per 64 buckets. Must only be called on a
-// nonempty queue.
+// nonempty queue whose bucket at cur, if drained, has been reset.
 func (q *eventQueue) nextBucketTime() int64 {
 	start := q.cur & q.mask
 	wi := int(start >> 6)
@@ -202,5 +204,5 @@ func (q *eventQueue) nextBucketTime() int64 {
 			return q.cur + ((b - start) & q.mask)
 		}
 	}
-	panic("sim: pop from an empty event queue")
+	panic("sim: next bucket of an empty event queue")
 }

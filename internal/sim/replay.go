@@ -88,7 +88,7 @@ func (r *Replay) matches(st *ScheduleStep, b Broadcast, p *Plan) bool {
 	if st.NR != len(b.Neighbors) || len(st.Recv) != len(p.Recv) {
 		return false
 	}
-	if st.Ack > st.Now+r.s.Fack {
+	if st.Ack <= st.Now || st.Ack > st.Now+r.s.Fack {
 		return false
 	}
 	for i, t := range st.Recv {

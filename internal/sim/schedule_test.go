@@ -145,6 +145,29 @@ func TestReplayStrictPanicsOnDivergence(t *testing.T) {
 	Run(rcfg)
 }
 
+// TestReplayDivergesOnAckAtBroadcast: a hand-edited step that acks at its
+// own broadcast time, with no recipient slot to give it away, is not a plan
+// the engine would accept, so Replay must diverge to its fallback planner
+// rather than hand it to the validator.
+func TestReplayDivergesOnAckAtBroadcast(t *testing.T) {
+	s := &Schedule{Fack: 4, FallbackSeed: 3, Steps: []ScheduleStep{
+		{Sender: 0, Seq: 0, Now: 0, NR: 0, Recv: []int64{}, Ack: 0},
+	}}
+	rp := NewReplay(s)
+	res := Run(Config{
+		Graph:     graph.Clique(1),
+		Inputs:    []amac.Value{1},
+		Factory:   onceFactory,
+		Scheduler: rp,
+	})
+	if !rp.Diverged() || rp.DivergedAt() != 0 {
+		t.Fatalf("replay diverged=%v at %d, want a divergence at step 0", rp.Diverged(), rp.DivergedAt())
+	}
+	if !res.Decided[0] || res.Time <= 0 || res.Time > s.Fack {
+		t.Fatalf("fallback run: decided=%v at t=%d, want a decision at an ack in (0, %d]", res.Decided[0], res.Time, s.Fack)
+	}
+}
+
 func TestSchedulePerturbationOps(t *testing.T) {
 	s := &Schedule{
 		Fack: 4,

@@ -6,18 +6,20 @@
 // each broadcast the scheduler fills a delivery plan (a receive time per
 // neighbor plus an acknowledgment time) into an engine-owned reusable
 // buffer, and the engine executes plans on a bounded-horizon calendar
-// queue of per-tick event arrays (see eventQueue) — push and pop are O(1)
-// on the hot path, and the steady-state broadcast path allocates nothing
-// and dispatches no interface methods. Engines are
-// reusable: NewEngine/Reset re-arm one engine for configuration after
-// configuration, keeping node state, Result slices, the plan buffer and
-// the queue's arrays, which is how sweep workers amortize per-run setup
-// across the seeds of a cell.
-// The engine validates every plan against the
-// model contract — deliveries strictly after the broadcast, the ack no
-// earlier than any delivery, everything within the scheduler's declared
-// Fack — so a buggy scheduler fails loudly instead of silently producing an
-// execution outside the model.
+// queue of per-tick event arrays (see eventQueue). A push appends to the
+// array of its tick; the run loop advances the clock once per nonempty
+// tick and reads that tick's arrays in place. In the steady state neither
+// the broadcast path nor the run loop allocates; the interface calls left
+// are Scheduler.Plan, once per broadcast, and the algorithm handlers.
+// Engines are reusable: NewEngine/Reset re-arm one engine for
+// configuration after configuration, keeping node state, Result slices,
+// the plan buffer and the queue's arrays, which is how sweep workers
+// amortize per-run setup across the seeds of a cell.
+// The engine validates every plan against the model contract — deliveries
+// and the ack strictly after the broadcast, the ack no earlier than any
+// delivery, everything within the scheduler's declared Fack — so a buggy
+// scheduler fails loudly instead of silently producing an execution
+// outside the model.
 //
 // Crash failures (used by the Theorem 3.2 experiments) are expressed as a
 // per-node cutoff time: events affecting a node after its crash time are
@@ -66,8 +68,9 @@ const NoDelivery int64 = -1
 // the message and at which the sender is acked. Recv is positional: slot i
 // belongs to Broadcast.Neighbors[i] when i < len(Neighbors) and to
 // Broadcast.Unreliable[i-len(Neighbors)] otherwise. A valid plan satisfies
-// Now < Recv[i] <= Ack <= Now+Fack for every reliable slot; unreliable
-// slots may instead hold NoDelivery (the scheduler declines that edge).
+// Now < Recv[i] <= Ack <= Now+Fack for every reliable slot, and Now < Ack
+// <= Now+Fack even when there is no recipient; unreliable slots may
+// instead hold NoDelivery (the scheduler declines that edge).
 //
 // The engine owns the Recv buffer and reuses it across broadcasts — it
 // arrives pre-sized to the recipient count with every slot set to
@@ -159,7 +162,7 @@ const DefaultMaxEvents = 20_000_000
 
 // MaxFack is the widest horizon a scheduler may declare. The event queue
 // keeps one bucket per time in [Now, Now+Fack], rounded up to a power of
-// two; MaxFack caps that ring at 2^20 buckets (56 MiB of bucket headers).
+// two; MaxFack caps that ring at 2^20 buckets (48 MiB of bucket headers).
 const MaxFack = 1<<20 - 1
 
 // MaxNodes is the largest topology the engine runs: the event queue stores
@@ -366,11 +369,10 @@ func (r *Result) DecidedValues() []amac.Value {
 	return vals
 }
 
-// event is a queued occurrence as the engine pushes and pops it: what
-// happens (kind) and to whom; its time travels beside it. The queue stores
-// less than this — see eventQueue in queue.go for what it drops and why.
-// Four fields in 24 bytes is within what the compiler passes and returns
-// in registers; push and pop run once per delivery.
+// event is a queued occurrence as Engine.queueHook sees it: what happens
+// (kind) and to whom; its time travels beside it. The engine builds one
+// only when the hook is set. The queue stores less than this — see
+// eventQueue in queue.go for what it drops and why.
 type event struct {
 	kind EventKind
 	node int32 // acted-on node (receiver for deliver, sender for ack)

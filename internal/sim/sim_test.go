@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,15 +19,21 @@ type testMsg struct {
 
 func (m testMsg) IDCount() int { return m.ids }
 
-// onceAlg broadcasts a single message at start and decides its input on ack.
+// onceAlg broadcasts a single message at start and decides its input on
+// ack. A benchmark sets msg to one message boxed up front, so that Start
+// does not allocate.
 type onceAlg struct {
 	api   amac.API
 	input amac.Value
+	msg   amac.Message
 }
 
 func (a *onceAlg) Start(api amac.API) {
 	a.api = api
-	api.Broadcast(testMsg{from: api.ID(), tag: "once", ids: 1})
+	if a.msg == nil {
+		a.msg = testMsg{from: api.ID(), tag: "once", ids: 1}
+	}
+	api.Broadcast(a.msg)
 }
 func (a *onceAlg) OnReceive(amac.Message) {}
 func (a *onceAlg) OnAck(amac.Message)     { a.api.Decide(a.input) }
@@ -478,62 +485,91 @@ func TestConfigValidationNodeCount(t *testing.T) {
 func TestQueuePushOutsideRingPanics(t *testing.T) {
 	var q eventQueue
 	q.init(4) // 8 buckets: times [0, 8)
-	q.push(7, event{kind: EventDeliver})
+	q.pushDelivery(7, 0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("push at t=8 into an 8-bucket ring at cur=0 did not panic")
 		}
 	}()
-	q.push(8, event{kind: EventDeliver})
+	q.pushDelivery(8, 0, 1)
 }
 
+// TestBadSchedulerPanics: every contract rule a plan can break panics with
+// the message naming it. The two single-node cases have no recipient, so
+// only the ack's own check can catch them; their node rebroadcasts on every
+// ack, and the event cap keeps a regression from spinning at one instant.
 func TestBadSchedulerPanics(t *testing.T) {
 	cases := []struct {
-		name string
-		plan func(b Broadcast, p *Plan)
+		name   string
+		single bool // graph.Clique(1) with a rebroadcasting node
+		plan   func(b Broadcast, p *Plan)
+		want   string
 	}{
-		{"late delivery", func(b Broadcast, p *Plan) {
+		{"late delivery", false, func(b Broadcast, p *Plan) {
 			for i := range b.Neighbors {
 				p.Recv[i] = b.Now + 100
 			}
 			p.Ack = b.Now + 100
-		}},
-		{"delivery at now", func(b Broadcast, p *Plan) {
+		}, "sim: scheduler delivers to 1 at t=100, past Fack deadline 10"},
+		{"delivery at now", false, func(b Broadcast, p *Plan) {
 			for i := range b.Neighbors {
 				p.Recv[i] = b.Now
 			}
 			p.Ack = b.Now + 1
-		}},
-		{"ack before delivery", func(b Broadcast, p *Plan) {
+		}, "sim: scheduler delivers to 1 at t=0, not after broadcast at t=0"},
+		{"ack before delivery", false, func(b Broadcast, p *Plan) {
 			for i := range b.Neighbors {
 				p.Recv[i] = b.Now + 2
 			}
 			p.Ack = b.Now + 1
-		}},
-		{"missing neighbor", func(b Broadcast, p *Plan) {
+		}, "sim: scheduler delivers to 1 at t=2, after the ack at t=1"},
+		{"missing neighbor", false, func(b Broadcast, p *Plan) {
 			p.Ack = b.Now + 1 // every Recv slot left at NoDelivery
-		}},
-		{"resized plan", func(b Broadcast, p *Plan) {
+		}, "sim: scheduler plan misses reliable neighbor 1 of sender 0"},
+		{"resized plan", false, func(b Broadcast, p *Plan) {
 			for i := range b.Neighbors {
 				p.Recv[i] = b.Now + 1
 			}
 			p.Recv = append(p.Recv, b.Now+1) // a slot with no recipient
 			p.Ack = b.Now + 1
-		}},
+		}, "sim: scheduler plan has 2 slots for 1 recipients of sender 0"},
+		{"late ack", false, func(b Broadcast, p *Plan) {
+			for i := range b.Neighbors {
+				p.Recv[i] = b.Now + 1
+			}
+			p.Ack = b.Now + 11
+		}, "sim: scheduler acks at t=11, past Fack deadline 10"},
+		{"ack at now, no recipient", true, func(b Broadcast, p *Plan) {
+			p.Ack = b.Now
+		}, "sim: scheduler acks at t=0, not after broadcast at t=0"},
+		{"ack before now, no recipient", true, func(b Broadcast, p *Plan) {
+			p.Ack = b.Now - 1
+		}, "sim: scheduler acks at t=-1, not after broadcast at t=0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatal("expected panic")
 				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want it to contain %q", msg, tc.want)
+				}
 			}()
-			Run(Config{
+			cfg := Config{
 				Graph:     graph.Clique(2),
 				Inputs:    inputs(0, 0),
 				Factory:   onceFactory,
 				Scheduler: planFunc{f: tc.plan},
-			})
+			}
+			if tc.single {
+				cfg.Graph = graph.Clique(1)
+				cfg.Inputs = inputs(0)
+				cfg.Factory = func(amac.NodeConfig) amac.Algorithm { return &chatterAlg{} }
+				cfg.MaxEvents = 1000
+			}
+			Run(cfg)
 		})
 	}
 }
