@@ -445,8 +445,11 @@
 // reads the bucket's delivery array and its ack array in place, front to
 // back, handing each entry to Engine.deliver or Engine.ack. The per-event
 // checks stay per event: the MaxEvents cutoff, the event counts, the
-// StopWhenDecided test and the differential hook. A drained bucket is
-// truncated and its bit cleared once.
+// StopWhenDecided test and the differential hook. The StopWhenDecided test
+// runs after an event that reaches a node, never after a crash drop, so a
+// run whose last undecided node is written off by the crash cursor goes on
+// to the next delivered event or to quiescence (TestStopWaitsPastCrashDrops).
+// A drained bucket is truncated and its bit cleared once.
 //
 // Invariant: no handler pushes into the bucket being drained. validatePlan
 // requires every delivery and the ack to fall strictly after the

@@ -321,23 +321,17 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 		at := e.plan.Recv[i]
 		e.plan.Recv[i] = NoDelivery
 		e.q.pushDelivery(at, int32(v), int32(u))
-		if e.queueHook != nil {
-			e.queueHook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
-		}
+		e.hook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
 	}
 	for i, v := range b.Unreliable {
 		if at := e.plan.Recv[len(nbrs)+i]; at != NoDelivery {
 			e.plan.Recv[len(nbrs)+i] = NoDelivery
 			e.q.pushDelivery(at, int32(v), int32(u))
-			if e.queueHook != nil {
-				e.queueHook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
-			}
+			e.hook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
 		}
 	}
 	e.q.pushAck(e.plan.Ack, int32(u), int32(b.Seq))
-	if e.queueHook != nil {
-		e.queueHook(e.plan.Ack, event{kind: EventAck, node: int32(u), bseq: int32(b.Seq)}, false)
-	}
+	e.hook(e.plan.Ack, event{kind: EventAck, node: int32(u), bseq: int32(b.Seq)}, false)
 	// The queue only grows inside a broadcast, so its depth after the ack
 	// is the broadcast's high-water mark.
 	e.mQueueHigh.Set(int64(e.q.len()))
@@ -518,11 +512,8 @@ func (e *Engine) drain() {
 				return
 			}
 			e.admit()
-			if e.queueHook != nil {
-				e.queueHook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
-			}
-			e.deliver(int(d.node), int(d.peer))
-			if e.stopped() {
+			e.hook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
+			if e.deliver(int(d.node), int(d.peer)) && e.stopped() {
 				return
 			}
 		}
@@ -531,11 +522,8 @@ func (e *Engine) drain() {
 				return
 			}
 			e.admit()
-			if e.queueHook != nil {
-				e.queueHook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
-			}
-			e.ack(int(a.node), a.bseq)
-			if e.stopped() {
+			e.hook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
+			if e.ack(int(a.node), a.bseq) && e.stopped() {
 				return
 			}
 		}
@@ -561,8 +549,16 @@ func (e *Engine) admit() {
 	e.mEvents.Inc()
 }
 
+// hook passes ev at time t to the test's queue hook, if one is armed.
+func (e *Engine) hook(t int64, ev event, popped bool) {
+	if e.queueHook != nil {
+		e.queueHook(t, ev, popped)
+	}
+}
+
 // stopped reports whether StopWhenDecided ends the run after the event
-// just processed.
+// just processed. A crash drop is not checked: the run goes on to the next
+// event that reaches a node, or to quiescence.
 func (e *Engine) stopped() bool {
 	if !e.cfg.StopWhenDecided {
 		return false
@@ -582,32 +578,34 @@ func (e *Engine) checkStopCounter() {
 // deliver hands sender u's in-flight message to v at the current time. A
 // delivery is lost when the receiver has crashed, or when the sender
 // crashed before this delivery time (mid-broadcast crash: the remaining
-// neighbors never receive the message).
-func (e *Engine) deliver(v, u int) {
+// neighbors never receive the message). It reports whether the message was
+// delivered.
+func (e *Engine) deliver(v, u int) bool {
 	if e.crashedBy(v, e.now) {
 		e.markCrashed(v)
 		e.mDrops.Inc()
-		return
+		return false
 	}
 	if e.crashedBy(u, e.now) {
 		e.markCrashed(u)
 		e.mDrops.Inc()
-		return
+		return false
 	}
 	e.res.Deliveries++
 	e.mDeliver.Inc()
 	msg := e.inMsg[u]
 	e.observe(Event{Kind: EventDeliver, Time: e.now, Node: v, Peer: u, Message: msg})
 	e.algs[v].OnReceive(msg)
+	return true
 }
 
 // ack completes u's broadcast bseq at the current time, unless u has
-// crashed.
-func (e *Engine) ack(u int, bseq int32) {
+// crashed. It reports whether the broadcast was acked.
+func (e *Engine) ack(u int, bseq int32) bool {
 	if e.crashedBy(u, e.now) {
 		e.markCrashed(u)
 		e.mDrops.Inc()
-		return
+		return false
 	}
 	if !e.inflight[u] || int32(e.bseq[u]-1) != bseq {
 		panic(fmt.Sprintf("sim: stray ack for node %d bseq %d", u, bseq))
@@ -618,6 +616,7 @@ func (e *Engine) ack(u int, bseq int32) {
 	e.res.Acks++
 	e.observe(Event{Kind: EventAck, Time: e.now, Node: u, Message: msg})
 	e.algs[u].OnAck(msg)
+	return true
 }
 
 func (e *Engine) markCrashed(i int) {

@@ -198,6 +198,42 @@ func TestResetAfterEarlyStop(t *testing.T) {
 	}
 }
 
+// TestStopWaitsPastCrashDrops pins when StopWhenDecided is evaluated: after
+// an event that reaches a node, never after a crash drop. On clique:3,
+// nodes 0 and 1 broadcast and decide at t=1; node 2 crashes at t=2 before
+// deciding, and its broadcast is planned for t=3. The undecided counter
+// reaches zero as the clock enters t=3, whose events are all drops (the
+// sender crashed at t=2), so the run drains them and ends quiescent rather
+// than stopping on the first drop.
+func TestStopWaitsPastCrashDrops(t *testing.T) {
+	plan := func(b Broadcast, p *Plan) {
+		at := int64(1)
+		if b.Sender == 2 {
+			at = 3
+		}
+		for i := range p.Recv {
+			p.Recv[i] = at
+		}
+		p.Ack = at
+	}
+	e := NewEngine(Config{
+		Graph:           graph.Clique(3),
+		Inputs:          inputs(0, 0, 0),
+		Factory:         onceFactory,
+		Scheduler:       planFunc{f: plan},
+		Crashes:         []Crash{{Node: 2, At: 2}},
+		StopWhenDecided: true,
+	})
+	e.checkStops = true
+	res := e.Run()
+	// t=1: four deliveries and two acks; t=3: two dropped deliveries and a
+	// dropped ack.
+	if res.Events != 9 || !res.Quiescent || res.Time != 3 || res.Deliveries != 4 || res.Acks != 2 {
+		t.Fatalf("events=%d quiescent=%v time=%d deliveries=%d acks=%d, want 9/true/3/4/2",
+			res.Events, res.Quiescent, res.Time, res.Deliveries, res.Acks)
+	}
+}
+
 // TestEngineResetShrinksAndGrows exercises node-count changes in both
 // directions: result slices must track the new topology size exactly.
 func TestEngineResetShrinksAndGrows(t *testing.T) {

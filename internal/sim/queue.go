@@ -111,44 +111,51 @@ func (q *eventQueue) init(fack int64) {
 func (q *eventQueue) len() int { return q.count }
 
 // pushDelivery enqueues the delivery of peer's message to node at time t,
-// behind every queued delivery of that time. It runs once per delivery and
-// is written out in full: a helper shared with pushAck would be too large
-// for the compiler to inline.
+// behind every queued delivery of that time.
 func (q *eventQueue) pushDelivery(t int64, node, peer int32) {
-	if d := t - q.cur; d < 0 || d >= q.span {
-		q.outsideRing(t)
-	}
-	bi := t & q.mask
+	bi := q.index(t)
 	b := &q.buckets[bi]
 	if len(b.dels) == cap(b.dels) && cap(b.dels) < carveMax {
 		b.dels = carve(&q.delBlock, b.dels)
 	}
 	b.dels = append(b.dels, delivery{node: node, peer: peer})
-	q.bits[bi>>6] |= 1 << uint(bi&63)
-	q.count++
+	q.mark(bi)
 }
 
 // pushAck enqueues the ack of node's broadcast bseq at time t, behind every
 // queued ack of that time.
 func (q *eventQueue) pushAck(t int64, node, bseq int32) {
-	if d := t - q.cur; d < 0 || d >= q.span {
-		q.outsideRing(t)
-	}
-	bi := t & q.mask
+	bi := q.index(t)
 	b := &q.buckets[bi]
 	if len(b.acks) == cap(b.acks) && cap(b.acks) < carveMax {
 		b.acks = carve(&q.ackBlock, b.acks)
 	}
 	b.acks = append(b.acks, ack{node: node, bseq: bseq})
-	q.bits[bi>>6] |= 1 << uint(bi&63)
-	q.count++
+	q.mark(bi)
 }
 
-// outsideRing panics on an event time outside [cur, cur+span), which would
-// alias another time's bucket. The ring covers the declared horizon, so
-// that is a broken invariant.
+// index returns the bucket of time t. A time outside [cur, cur+span) would
+// alias another time's bucket; the ring covers the declared horizon, so
+// that is a broken invariant and index panics.
+func (q *eventQueue) index(t int64) int64 {
+	if uint64(t-q.cur) >= uint64(q.span) {
+		q.outsideRing(t)
+	}
+	return t & q.mask
+}
+
+// outsideRing is index's panic, kept out of line so that index inlines
+// into the pushes.
+//
+//go:noinline
 func (q *eventQueue) outsideRing(t int64) {
 	panic(fmt.Sprintf("sim: event at t=%d outside the queue ring [%d, %d)", t, q.cur, q.cur+q.span))
+}
+
+// mark sets bucket bi's bit and counts the event just pushed into it.
+func (q *eventQueue) mark(bi int64) {
+	q.bits[bi>>6] |= 1 << uint(bi&63)
+	q.count++
 }
 
 // drained resets the bucket at time t, whose events have all been

@@ -370,9 +370,9 @@ func (r *Result) DecidedValues() []amac.Value {
 }
 
 // event is a queued occurrence as Engine.queueHook sees it: what happens
-// (kind) and to whom; its time travels beside it. The engine builds one
-// only when the hook is set. The queue stores less than this — see
-// eventQueue in queue.go for what it drops and why.
+// (kind) and to whom; its time travels beside it. It exists only for the
+// hook (Engine.hook): the queue stores less than this — see eventQueue in
+// queue.go for what it drops and why.
 type event struct {
 	kind EventKind
 	node int32 // acted-on node (receiver for deliver, sender for ack)
