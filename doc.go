@@ -116,25 +116,10 @@
 //     acceptor-state gossip, merged idempotently, with a chosen-value
 //     watch that lets any node observe a majority and decide even if
 //     the proposer who assembled it is dead. What "superseded" means for
-//     floodpaxos's individually flooded responses is its relay
-//     invariant: a node's live number is the highest proposal number it
-//     has seen from anyone; a response is live — relayed, deduplicated,
-//     tallied — only if it answers a proposition for that number, and a
-//     Propose retires the Prepare responses for its own number. A higher
-//     number clears everything a node holds for the old one, so a node
-//     relays at most two propositions' worth of responses (2n) and its
-//     per-acceptor tables grow with what it hears instead of being sized
-//     for the worst case. Dropping a relay is message loss, which PAXOS
-//     tolerates: acceptor state is written only when an acceptor answers
-//     a proposition and is never touched by the relay rules. A proposer
-//     learns that its round lost by seeing the higher number in the
-//     flood (there are no refusals to relay) and retries while it is
-//     still Ω and has budget; past that, the detector's re-arm below is
-//     the backstop. The rule is what keeps the strawman at the paper's
-//     Θ(n·Fack) (measured ≈ 0.25·n·Fack on expanders): responses to
-//     rounds that have already lost would otherwise cycle through every
-//     node's one-response-per-broadcast queue in front of the countable
-//     ones.
+//     floodpaxos's individually flooded responses is the relay invariant
+//     of its package comment: only responses to the highest proposal
+//     number a node has seen are relayed, which keeps the strawman at the
+//     paper's Θ(n·Fack) (measured ≈ 0.25·n·Fack on expanders).
 //   - Suspicion-based Ω with deterministic rotation. Each node estimates
 //     Fack from observed broadcast-to-ack delays (fhat) and suspects the
 //     current omega after fhat·(4n+8)·mult ticks of silence, doubling
@@ -148,6 +133,17 @@
 //     round-robin membership dissemination, keeping election fast while
 //     every node converges on the same sorted member list, which makes
 //     rotation deterministic across nodes and seeds.
+//
+// # Reading a node
+//
+// Every algorithm implements amac.Inspector: Inspect returns an amac.View
+// of Decided and Decision, the leader estimate Omega with OmegaSince and
+// RouteSince (when it last moved, when the route to it last improved), the
+// acceptor's Promised, Accepted and AcceptedVal (ballots are
+// amac.Ballot{Tag, ID}) and MaxTag, the highest tag seen. It is computed on
+// request, never on the run path; fields an algorithm does not track are
+// zero, and Omega is NoID where there is no leader. Its readers are
+// experiments E6 and E8, examples/sensorfield and tests.
 //
 // # Determinism contract
 //

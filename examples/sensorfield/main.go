@@ -46,12 +46,12 @@ func main() {
 	}
 
 	audit := wpaxos.NewCountAudit()
-	var nodes []*wpaxos.Node
+	var nodes []amac.Inspector
 	build := wpaxos.NewFactory(wpaxos.Config{N: n, Audit: audit})
 	factory := func(nc amac.NodeConfig) amac.Algorithm {
-		nd := build(nc).(*wpaxos.Node)
-		nodes = append(nodes, nd)
-		return nd
+		a := build(nc)
+		nodes = append(nodes, a.(amac.Inspector))
+		return a
 	}
 
 	res := sim.Run(sim.Config{
@@ -85,5 +85,5 @@ func main() {
 		}
 	}
 	fmt.Printf("decide times:  healthy majority first at t=%d, whole field done by t=%d\n", fastest, slowest)
-	fmt.Printf("leader:        node id %d (max id wins the election)\n", nodes[0].Leader())
+	fmt.Printf("leader:        node id %d (max id wins the election)\n", nodes[0].Inspect().Omega)
 }

@@ -13,7 +13,8 @@
 // Algorithm interface and run unmodified on any substrate that implements
 // the contract: the discrete-event simulator (internal/sim), the FLP
 // valid-step explorer (internal/lowerbound), and the goroutine runtime
-// (internal/live).
+// (internal/live). Through Inspector, experiments, tests and examples read
+// a node's View without naming its concrete type.
 package amac
 
 import (
@@ -81,11 +82,41 @@ type Algorithm interface {
 	OnAck(m Message)
 }
 
-// Decider is implemented by algorithms that expose whether they have
-// decided and what they decided; the harness uses it for reporting beyond
-// the substrate's own decision records.
-type Decider interface {
-	Decided() (Value, bool)
+// Ballot is a Paxos proposal number: a tag, then the proposer's id,
+// compared in that order. The zero Ballot is below every real one.
+type Ballot struct {
+	Tag int64
+	ID  NodeID
+}
+
+// View is a read-only snapshot of one node's state, shaped after weave's
+// gossip Paxos claims (promise, accepted ballot, accepted value). It is
+// computed only when Inspect is called. Fields an algorithm does not track
+// stay zero, and Omega is NoID where there is no leader.
+type View struct {
+	Decided  bool
+	Decision Value
+	// Omega is the node's leader estimate; OmegaSince is when it last
+	// moved and RouteSince when the node's distance to it last improved.
+	Omega                  NodeID
+	OmegaSince, RouteSince int64
+	// Promised is the highest ballot the node's acceptor promised,
+	// Accepted and AcceptedVal what it last accepted (a zero Accepted:
+	// nothing), and MaxTag the highest ballot tag the node has seen.
+	Promised, Accepted Ballot
+	AcceptedVal        Value
+	MaxTag             int64
+}
+
+// Inspector is implemented by every algorithm in this repository. Inspect
+// runs between handlers or after the execution, never inside one.
+type Inspector interface {
+	Inspect() View
+}
+
+// DecisionView is the View of an algorithm that tracks only its decision.
+func DecisionView(decided bool, v Value) View {
+	return View{Decided: decided, Decision: v, Omega: NoID}
 }
 
 // NodeConfig carries the per-node instantiation parameters a Factory

@@ -39,19 +39,6 @@ type Node struct {
 	decision   amac.Value
 }
 
-// New returns an anonymous flooding node that will broadcast for the given
-// number of rounds (ack cycles). Callers derive rounds from a diameter
-// bound; RoundsForDiameter gives the package's canonical choice.
-func New(input amac.Value, rounds int) *Node {
-	if input != 0 && input != 1 {
-		panic(fmt.Sprintf("anonflood: input %d is not binary", input))
-	}
-	if rounds < 1 {
-		panic(fmt.Sprintf("anonflood: invalid round budget %d", rounds))
-	}
-	return &Node{rounds: rounds, has0: input == 0, has1: input == 1}
-}
-
 // RoundsForDiameter returns the round budget the algorithm uses for a
 // network with the given diameter bound: one hop of spread per round plus
 // slack for interleaving.
@@ -62,11 +49,22 @@ func RoundsForDiameter(diam int) int {
 	return 2*diam + 2
 }
 
-// NewFactory returns a factory with a fixed round budget. Note that the
-// factory ignores cfg.ID: the algorithm is anonymous (verified by
-// consensus.AnonymityAudit in the experiments).
+// NewFactory returns a factory of anonymous flooding nodes that broadcast
+// for the given number of rounds (ack cycles), for binary inputs. Callers
+// derive rounds from a diameter bound; RoundsForDiameter gives the
+// package's canonical choice. Note that the factory ignores cfg.ID: the
+// algorithm is anonymous (verified by consensus.AnonymityAudit in the
+// experiments).
 func NewFactory(rounds int) amac.Factory {
-	return func(cfg amac.NodeConfig) amac.Algorithm { return New(cfg.Input, rounds) }
+	if rounds < 1 {
+		panic(fmt.Sprintf("anonflood: invalid round budget %d", rounds))
+	}
+	return func(cfg amac.NodeConfig) amac.Algorithm {
+		if cfg.Input != 0 && cfg.Input != 1 {
+			panic(fmt.Sprintf("anonflood: input %d is not binary", cfg.Input))
+		}
+		return &Node{rounds: rounds, has0: cfg.Input == 0, has1: cfg.Input == 1}
+	}
 }
 
 // Start implements amac.Algorithm.
@@ -104,11 +102,11 @@ func (a *Node) OnAck(amac.Message) {
 	a.api.Decide(a.decision)
 }
 
-// Decided implements amac.Decider.
-func (a *Node) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector.
+func (a *Node) Inspect() amac.View { return amac.DecisionView(a.decided, a.decision) }
 
 var (
 	_ amac.Algorithm = (*Node)(nil)
-	_ amac.Decider   = (*Node)(nil)
+	_ amac.Inspector = (*Node)(nil)
 	_ amac.Message   = SetMsg{}
 )

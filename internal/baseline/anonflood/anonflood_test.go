@@ -97,8 +97,8 @@ func TestDecisionUsesRoundBudget(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(2, 4) },
-		func() { New(0, 0) },
+		func() { NewFactory(4)(amac.NodeConfig{Input: 2}) },
+		func() { NewFactory(0) },
 	} {
 		func() {
 			defer func() {

@@ -588,11 +588,21 @@ func (a *Node) decide(v amac.Value) {
 	a.api.Decide(v)
 }
 
-// Decided implements amac.Decider.
-func (a *Node) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector; a node that never started has no Ω.
+func (a *Node) Inspect() amac.View {
+	v := amac.View{Decided: a.decided, Decision: a.decision, Omega: amac.NoID,
+		Promised: amac.Ballot(a.promised), MaxTag: a.live.Tag}
+	if a.det != nil {
+		v.Omega = a.det.Omega()
+	}
+	if a.accepted != nil {
+		v.Accepted, v.AcceptedVal = amac.Ballot(a.accepted.Num), a.accepted.Val
+	}
+	return v
+}
 
 var (
 	_ amac.Algorithm = (*Node)(nil)
-	_ amac.Decider   = (*Node)(nil)
+	_ amac.Inspector = (*Node)(nil)
 	_ amac.Message   = (*Combined)(nil)
 )

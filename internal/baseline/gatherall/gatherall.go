@@ -43,22 +43,20 @@ type Node struct {
 	decision amac.Value
 }
 
-// New returns a gather-all node that knows the network size n.
-func New(input amac.Value, n int) *Node {
+// NewFactory returns a factory of gather-all nodes that know the network
+// size n.
+func NewFactory(n int) amac.Factory {
 	if n < 1 {
 		panic(fmt.Sprintf("gatherall: invalid network size %d", n))
 	}
-	return &Node{
-		n:      n,
-		input:  input,
-		known:  make(map[amac.NodeID]amac.Value, n),
-		queued: make(map[amac.NodeID]bool, n),
+	return func(cfg amac.NodeConfig) amac.Algorithm {
+		return &Node{
+			n:      n,
+			input:  cfg.Input,
+			known:  make(map[amac.NodeID]amac.Value, n),
+			queued: make(map[amac.NodeID]bool, n),
+		}
 	}
-}
-
-// NewFactory returns a factory for networks of the given size.
-func NewFactory(n int) amac.Factory {
-	return func(cfg amac.NodeConfig) amac.Algorithm { return New(cfg.Input, n) }
 }
 
 // Start implements amac.Algorithm.
@@ -120,11 +118,11 @@ func (a *Node) pump() {
 	a.api.Broadcast(m)
 }
 
-// Decided implements amac.Decider.
-func (a *Node) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector.
+func (a *Node) Inspect() amac.View { return amac.DecisionView(a.decided, a.decision) }
 
 var (
 	_ amac.Algorithm = (*Node)(nil)
-	_ amac.Decider   = (*Node)(nil)
+	_ amac.Inspector = (*Node)(nil)
 	_ amac.Message   = PairMsg{}
 )

@@ -113,5 +113,5 @@ func TestPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, 0)
+	NewFactory(0)
 }

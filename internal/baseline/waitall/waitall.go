@@ -48,19 +48,6 @@ type Node struct {
 	decision amac.Value
 }
 
-// New returns a wait-all node with the given round budget (derived from a
-// diameter bound via RoundsForDiameter; the algorithm must not know n).
-func New(input amac.Value, rounds int) *Node {
-	if rounds < 1 {
-		panic(fmt.Sprintf("waitall: invalid round budget %d", rounds))
-	}
-	return &Node{
-		rounds: rounds,
-		input:  input,
-		known:  make(map[amac.NodeID]amac.Value),
-	}
-}
-
 // RoundsForDiameter returns the canonical round budget for a diameter
 // bound: enough cycles for every pair to traverse the network one
 // broadcast at a time on the worst supported instances (pairs queue behind
@@ -72,9 +59,16 @@ func RoundsForDiameter(diam int) int {
 	return 6 * (diam + 1)
 }
 
-// NewFactory returns a factory with a fixed round budget.
+// NewFactory returns a factory of wait-all nodes with the given round
+// budget (derived from a diameter bound via RoundsForDiameter; the
+// algorithm must not know n).
 func NewFactory(rounds int) amac.Factory {
-	return func(cfg amac.NodeConfig) amac.Algorithm { return New(cfg.Input, rounds) }
+	if rounds < 1 {
+		panic(fmt.Sprintf("waitall: invalid round budget %d", rounds))
+	}
+	return func(cfg amac.NodeConfig) amac.Algorithm {
+		return &Node{rounds: rounds, input: cfg.Input, known: make(map[amac.NodeID]amac.Value)}
+	}
 }
 
 // Start implements amac.Algorithm.
@@ -141,11 +135,11 @@ func (a *Node) broadcastNext() {
 	a.api.Broadcast(PairMsg{Heartbeat: true})
 }
 
-// Decided implements amac.Decider.
-func (a *Node) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector.
+func (a *Node) Inspect() amac.View { return amac.DecisionView(a.decided, a.decision) }
 
 var (
 	_ amac.Algorithm = (*Node)(nil)
-	_ amac.Decider   = (*Node)(nil)
+	_ amac.Inspector = (*Node)(nil)
 	_ amac.Message   = PairMsg{}
 )

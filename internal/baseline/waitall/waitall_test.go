@@ -95,5 +95,5 @@ func TestPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, 0)
+	NewFactory(0)
 }

@@ -66,7 +66,7 @@ const (
 	phaseDone
 )
 
-// TwoPhase is the per-node state machine. Create instances with New.
+// TwoPhase is the per-node state machine. Create instances with Factory.
 type TwoPhase struct {
 	api   amac.API
 	input amac.Value
@@ -96,16 +96,13 @@ type TwoPhase struct {
 	decision amac.Value
 }
 
-// New returns a two-phase consensus instance for the given binary input.
-func New(input amac.Value) *TwoPhase {
-	if input != 0 && input != 1 {
-		panic(fmt.Sprintf("twophase: input %d is not binary", input))
+// Factory returns a two-phase node for cfg.Input, which must be binary.
+func Factory(cfg amac.NodeConfig) amac.Algorithm {
+	if cfg.Input != 0 && cfg.Input != 1 {
+		panic(fmt.Sprintf("twophase: input %d is not binary", cfg.Input))
 	}
-	return &TwoPhase{input: input}
+	return &TwoPhase{input: cfg.Input}
 }
-
-// Factory adapts New to the amac.Factory shape.
-func Factory(cfg amac.NodeConfig) amac.Algorithm { return New(cfg.Input) }
 
 // Start implements amac.Algorithm.
 func (a *TwoPhase) Start(api amac.API) {
@@ -200,12 +197,12 @@ func (a *TwoPhase) decide(v amac.Value) {
 	a.api.Decide(v)
 }
 
-// Decided implements amac.Decider.
-func (a *TwoPhase) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector.
+func (a *TwoPhase) Inspect() amac.View { return amac.DecisionView(a.decided, a.decision) }
 
 var (
 	_ amac.Algorithm = (*TwoPhase)(nil)
-	_ amac.Decider   = (*TwoPhase)(nil)
+	_ amac.Inspector = (*TwoPhase)(nil)
 	_ amac.Message   = Phase1{}
 	_ amac.Message   = Phase2{}
 )

@@ -189,7 +189,7 @@ func TestDifferentialAgainstListing(t *testing.T) {
 			// in the script (a duplicate id is the model's problem, not
 			// the set's: both sides must still agree).
 			self := pool[rng.Intn(len(pool))]
-			got, want := New(input), newOracle(input)
+			got, want := Factory(amac.NodeConfig{Input: input}).(*TwoPhase), newOracle(input)
 			gotAPI, wantAPI := &scriptAPI{id: self}, &scriptAPI{id: self}
 			got.Start(gotAPI)
 			want.Start(wantAPI)
@@ -261,7 +261,7 @@ func TestDifferentialAgainstListing(t *testing.T) {
 // id would be 16 KB.
 func TestRetainedBytesPerNode(t *testing.T) {
 	const n, budget = 1024, 2 << 10
-	a := New(0)
+	a := Factory(amac.NodeConfig{}).(*TwoPhase)
 	api := &scriptAPI{id: 1}
 	a.Start(api)
 	for id := amac.NodeID(2); id <= n; id++ {

@@ -194,19 +194,18 @@ func TestNonBinaryInputPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(2)
+	Factory(amac.NodeConfig{Input: 2})
 }
 
 func TestDecidedAccessor(t *testing.T) {
-	alg := New(1)
-	if _, ok := alg.Decided(); ok {
+	if Factory(amac.NodeConfig{Input: 1}).(amac.Inspector).Inspect().Decided {
 		t.Fatal("fresh instance reports decided")
 	}
 	inputs := []amac.Value{1, 1}
-	algs := make([]*TwoPhase, 0, 2)
+	algs := make([]amac.Inspector, 0, 2)
 	factory := func(cfg amac.NodeConfig) amac.Algorithm {
-		a := New(cfg.Input)
-		algs = append(algs, a)
+		a := Factory(cfg)
+		algs = append(algs, a.(amac.Inspector))
 		return a
 	}
 	sim.Run(sim.Config{
@@ -217,9 +216,8 @@ func TestDecidedAccessor(t *testing.T) {
 		StopWhenDecided: true,
 	})
 	for i, a := range algs {
-		v, ok := a.Decided()
-		if !ok || v != 1 {
-			t.Fatalf("node %d: Decided() = %d,%v", i, v, ok)
+		if v := a.Inspect(); v != (amac.View{Decided: true, Decision: 1, Omega: amac.NoID}) {
+			t.Fatalf("node %d: Inspect() = %+v", i, v)
 		}
 	}
 }

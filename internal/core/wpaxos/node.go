@@ -117,11 +117,9 @@ type Node struct {
 	decided    bool
 	decision   amac.Value
 
-	// maxTagUsed tracks the largest tag this node proposed with
-	// (experiment E8 / Lemma 4.4).
-	maxTagUsed int64
 	// lastLeaderUpdate and lastLeaderDistUpdate record stabilization
-	// times for the GST decomposition of experiment E6.
+	// times for the GST decomposition of experiment E6 (View.OmegaSince
+	// and View.RouteSince).
 	lastLeaderUpdate, lastLeaderDistUpdate int64
 
 	// mreg is the metrics registry handed down by the substrate (nil when
@@ -718,12 +716,8 @@ func (nd *Node) generateProposal() {
 func (nd *Node) startProposal() {
 	nd.met.proposals.Inc()
 	nd.prop.triesLeft--
-	tag := nd.prop.maxTagSeen + 1
-	nd.prop.maxTagSeen = tag
-	if tag > nd.maxTagUsed {
-		nd.maxTagUsed = tag
-	}
-	nd.prop.num = ProposalNum{Tag: tag, ID: nd.id}
+	nd.prop.maxTagSeen++
+	nd.prop.num = ProposalNum{Tag: nd.prop.maxTagSeen, ID: nd.id}
 	nd.prop.phase = propPreparing
 	nd.prop.acks, nd.prop.nacks = 0, 0
 	nd.prop.bestPrev = nil
@@ -825,21 +819,19 @@ func (nd *Node) retry() {
 	nd.startProposal()
 }
 
-// ---- Introspection (used by experiments and tests) ----
-
-// Decided implements amac.Decider.
-func (nd *Node) Decided() (amac.Value, bool) { return nd.decision, nd.decided }
-
-// Leader returns the node's current leader estimate.
-func (nd *Node) Leader() amac.NodeID { return nd.det.Omega() }
-
-// DistToLeader returns the node's best known distance to its current
-// leader estimate, or -1 when unknown.
-func (nd *Node) DistToLeader() int64 { return nd.tree.distTo(nd.det.Omega()) }
-
-// ParentToLeader returns the next hop toward the current leader estimate,
-// or amac.NoID when unknown.
-func (nd *Node) ParentToLeader() amac.NodeID { return nd.tree.parentTo(nd.det.Omega()) }
+// Inspect implements amac.Inspector; a node that never started has no Ω.
+func (nd *Node) Inspect() amac.View {
+	v := amac.View{Decided: nd.decided, Decision: nd.decision, Omega: amac.NoID,
+		OmegaSince: nd.lastLeaderUpdate, RouteSince: nd.lastLeaderDistUpdate,
+		Promised: amac.Ballot(nd.acc.promised), MaxTag: nd.prop.maxTagSeen}
+	if nd.api != nil {
+		v.Omega = nd.det.Omega()
+	}
+	if p := nd.acc.accepted; p != nil {
+		v.Accepted, v.AcceptedVal = amac.Ballot(p.Num), p.Val
+	}
+	return v
+}
 
 // WorkingSet returns the sizes of the node's three growing tables: the roots
 // its tree service tracks, the origins in its state gossip table and the
@@ -849,17 +841,7 @@ func (nd *Node) WorkingSet() (treeRoots, stateOrigins, seenProps int) {
 	return len(nd.tree.ents), len(nd.states), len(nd.seenProps)
 }
 
-// MaxTagUsed returns the largest proposal tag this node proposed with
-// (0 when it never proposed); Lemma 4.4 bounds it polynomially in n.
-func (nd *Node) MaxTagUsed() int64 { return nd.maxTagUsed }
-
-// StabilizationTimes returns the times of the node's last leader-estimate
-// update and last leader-distance update, for the E6 GST decomposition.
-func (nd *Node) StabilizationTimes() (leaderUpdate, distUpdate int64) {
-	return nd.lastLeaderUpdate, nd.lastLeaderDistUpdate
-}
-
 var (
 	_ amac.Algorithm = (*Node)(nil)
-	_ amac.Decider   = (*Node)(nil)
+	_ amac.Inspector = (*Node)(nil)
 )

@@ -44,8 +44,8 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	nd, api := startedNode(3, 5)
 	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
 	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 6}}) // a member below Ω
-	if nd.Leader() != 9 || nd.DistToLeader() != 4 {
-		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.Leader(), nd.DistToLeader())
+	if nd.det.Omega() != 9 || nd.tree.distTo(9) != 4 {
+		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.det.Omega(), nd.tree.distTo(9))
 	}
 	roots, pending, novel := trackedRoots(nd), pendingRoots(nd), nd.det.lastNovel
 
@@ -65,8 +65,8 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	api.now = 20 + nd.det.Bound() + 1
 	nd.det.NoteSend(api.now) // the ack below is prompt: fhat stays put
 	nd.OnAck(nil)
-	if nd.Leader() != 6 || !nd.det.Suspects(9) {
-		t.Fatalf("after the silence bound: leader %d, suspects(9)=%v", nd.Leader(), nd.det.Suspects(9))
+	if nd.det.Omega() != 6 || !nd.det.Suspects(9) {
+		t.Fatalf("after the silence bound: leader %d, suspects(9)=%v", nd.det.Omega(), nd.det.Suspects(9))
 	}
 	novel = nd.det.lastNovel
 	api.now++
@@ -80,8 +80,8 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	// The successor's tree is now wanted, and the old one is kept for a
 	// wrap to find.
 	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
-	if nd.DistToLeader() != 1 || !slices.Equal(trackedRoots(nd), []amac.NodeID{3, 6, 9}) {
-		t.Fatalf("after demotion: dist to leader %d, roots %v", nd.DistToLeader(), trackedRoots(nd))
+	if nd.tree.distTo(nd.det.Omega()) != 1 || !slices.Equal(trackedRoots(nd), []amac.NodeID{3, 6, 9}) {
+		t.Fatalf("after demotion: dist to leader %d, roots %v", nd.tree.distTo(nd.det.Omega()), trackedRoots(nd))
 	}
 }
 
@@ -328,15 +328,16 @@ func TestFailoverBuildsSuccessorsTree(t *testing.T) {
 	}
 	successor, demoted := amac.NodeID(n-1), 0
 	for i, nd := range nodes[:n-1] {
-		if nd.Leader() != successor {
+		if nd.det.Omega() != successor {
 			continue
 		}
 		demoted++
-		if nd.id != successor && nd.ParentToLeader() == amac.NoID {
+		parent := nd.tree.parentTo(successor)
+		if nd.id != successor && parent == amac.NoID {
 			t.Errorf("node %d follows successor %d but has no route to it", i, successor)
 		}
-		if nd.id == successor && nd.ParentToLeader() != successor {
-			t.Errorf("the successor's parent to itself is %d", nd.ParentToLeader())
+		if nd.id == successor && parent != successor {
+			t.Errorf("the successor's parent to itself is %d", parent)
 		}
 	}
 	if demoted == 0 {

@@ -247,9 +247,7 @@ func TestTagGrowthModest(t *testing.T) {
 		}
 		maxTag := int64(0)
 		for _, nd := range nodes {
-			if nd.MaxTagUsed() > maxTag {
-				maxTag = nd.MaxTagUsed()
-			}
+			maxTag = max(maxTag, nd.prop.maxTagSeen)
 		}
 		if maxTag > int64(4*n*n) {
 			t.Fatalf("n=%d: max tag %d exceeds the O(n^2) change-event budget", n, maxTag)
@@ -306,17 +304,18 @@ func TestIntrospectionAfterRun(t *testing.T) {
 	}
 	maxID := amac.NodeID(n)
 	for i, nd := range nodes {
-		if nd.Leader() != maxID {
-			t.Fatalf("node %d leader estimate %d, want %d", i, nd.Leader(), maxID)
+		v := nd.Inspect()
+		if v.Omega != maxID {
+			t.Fatalf("node %d leader estimate %d, want %d", i, v.Omega, maxID)
 		}
-		if v, ok := nd.Decided(); !ok || v != rep.Value {
-			t.Fatalf("node %d Decided() = %d,%v want %d,true", i, v, ok, rep.Value)
+		if !v.Decided || v.Decision != rep.Value {
+			t.Fatalf("node %d view decided %v, %d; want true, %d", i, v.Decided, v.Decision, rep.Value)
 		}
 		// On a line with ids 1..n, the leader (id n) sits at index n-1;
 		// distances should match the line distance.
 		wantDist := int64(n - 1 - i)
-		if nd.DistToLeader() != wantDist {
-			t.Fatalf("node %d dist to leader %d, want %d", i, nd.DistToLeader(), wantDist)
+		if d := nd.tree.distTo(v.Omega); d != wantDist {
+			t.Fatalf("node %d dist to leader %d, want %d", i, d, wantDist)
 		}
 	}
 }
@@ -473,7 +472,7 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 	msg := fullMessage()
 	nd.OnReceive(msg) // first sight: everything is learned here
 	_, seen := nd.findSeen(msg.Proposer.Proposition())
-	if nd.Leader() != 9 || nd.DistToLeader() != 1 || stateOf(nd, 9) == nil || !seen {
+	if nd.det.Omega() != 9 || nd.tree.distTo(9) != 1 || stateOf(nd, 9) == nil || !seen {
 		t.Fatal("the first delivery was not absorbed")
 	}
 	api.now = 20

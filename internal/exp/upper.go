@@ -74,15 +74,14 @@ func E5TwoPhase() *Experiment {
 	return e
 }
 
-// keepNodes returns a wPAXOS factory and the nodes it has built so far, for
-// experiments that read a node's introspection accessors after the run.
-func keepNodes(cfg wpaxos.Config) (amac.Factory, *[]*wpaxos.Node) {
-	build := wpaxos.NewFactory(cfg)
-	nodes := new([]*wpaxos.Node)
+// keepNodes wraps build and returns the nodes it has built so far, for
+// experiments that read a node's amac.View after the run.
+func keepNodes(build amac.Factory) (amac.Factory, *[]amac.Inspector) {
+	nodes := new([]amac.Inspector)
 	return func(nc amac.NodeConfig) amac.Algorithm {
-		nd := build(nc).(*wpaxos.Node)
-		*nodes = append(*nodes, nd)
-		return nd
+		a := build(nc)
+		*nodes = append(*nodes, a.(amac.Inspector))
+		return a
 	}, nodes
 }
 
@@ -117,7 +116,7 @@ func E6WPaxos() *Experiment {
 			var sample, leaderStabs, treeStabs []float64
 			for seed := int64(0); seed < 4; seed++ {
 				inputs := mixedInputs(in.g.N())
-				factory, nodes := keepNodes(wpaxos.Config{N: in.g.N()})
+				factory, nodes := keepNodes(wpaxos.NewFactory(wpaxos.Config{N: in.g.N()}))
 				res := sim.Run(sim.Config{
 					Graph:           in.g,
 					Inputs:          inputs,
@@ -133,13 +132,8 @@ func E6WPaxos() *Experiment {
 				sample = append(sample, float64(res.MaxDecideTime))
 				var ls, ts int64
 				for _, nd := range *nodes {
-					l, tr := nd.StabilizationTimes()
-					if l > ls {
-						ls = l
-					}
-					if tr > ts {
-						ts = tr
-					}
+					v := nd.Inspect()
+					ls, ts = max(ls, v.OmegaSince), max(ts, v.RouteSince)
 				}
 				leaderStabs = append(leaderStabs, float64(ls))
 				treeStabs = append(treeStabs, float64(ts))
@@ -237,7 +231,7 @@ func E8TagGrowth() *Experiment {
 		for seed := int64(0); seed < 4; seed++ {
 			g := graph.RandomConnected(n, 0.1, int64(n)*31+seed)
 			inputs := mixedInputs(n)
-			factory, nodes := keepNodes(wpaxos.Config{N: n})
+			factory, nodes := keepNodes(wpaxos.NewFactory(wpaxos.Config{N: n}))
 			res := sim.Run(sim.Config{
 				Graph:           g,
 				Inputs:          inputs,
@@ -249,10 +243,10 @@ func E8TagGrowth() *Experiment {
 			if !rep.OK() {
 				e.OK = false
 			}
+			// Every tag a node has seen was proposed with by some node, so
+			// the largest seen is the largest used.
 			for _, nd := range *nodes {
-				if nd.MaxTagUsed() > maxTag {
-					maxTag = nd.MaxTagUsed()
-				}
+				maxTag = max(maxTag, nd.Inspect().MaxTag)
 			}
 		}
 		if maxTag > int64(n*n) {

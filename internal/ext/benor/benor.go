@@ -107,25 +107,22 @@ type Node struct {
 	decideVal amac.Value
 }
 
-// New returns a Ben-Or node for the given binary input.
-func New(input amac.Value, cfg Config) *Node {
-	if input != 0 && input != 1 {
-		panic(fmt.Sprintf("benor: input %d is not binary", input))
-	}
+// NewFactory returns a factory of Ben-Or nodes sharing cfg (binary inputs).
+func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 || cfg.F < 0 || cfg.N < 2*cfg.F+1 {
 		panic(fmt.Sprintf("benor: invalid configuration n=%d f=%d (need n >= 2f+1)", cfg.N, cfg.F))
 	}
-	return &Node{
-		cfg:       cfg,
-		x:         input,
-		reports:   make(map[int]map[amac.NodeID]amac.Value),
-		proposals: make(map[int]map[amac.NodeID]*amac.Value),
+	return func(nc amac.NodeConfig) amac.Algorithm {
+		if nc.Input != 0 && nc.Input != 1 {
+			panic(fmt.Sprintf("benor: input %d is not binary", nc.Input))
+		}
+		return &Node{
+			cfg:       cfg,
+			x:         nc.Input,
+			reports:   make(map[int]map[amac.NodeID]amac.Value),
+			proposals: make(map[int]map[amac.NodeID]*amac.Value),
+		}
 	}
-}
-
-// NewFactory returns a factory sharing the configuration.
-func NewFactory(cfg Config) amac.Factory {
-	return func(nc amac.NodeConfig) amac.Algorithm { return New(nc.Input, cfg) }
 }
 
 // Start implements amac.Algorithm.
@@ -304,12 +301,12 @@ func (a *Node) queueDecide(v amac.Value) {
 	a.send(Decide{V: v})
 }
 
-// Decided implements amac.Decider.
-func (a *Node) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector.
+func (a *Node) Inspect() amac.View { return amac.DecisionView(a.decided, a.decision) }
 
 var (
 	_ amac.Algorithm = (*Node)(nil)
-	_ amac.Decider   = (*Node)(nil)
+	_ amac.Inspector = (*Node)(nil)
 	_ amac.Message   = Report{}
 	_ amac.Message   = Proposal{}
 	_ amac.Message   = Decide{}

@@ -105,10 +105,10 @@ func TestSingleNode(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(2, Config{N: 3, F: 1}) },
-		func() { New(0, Config{N: 3, F: 2}) }, // n < 2f+1
-		func() { New(0, Config{N: 0, F: 0}) },
-		func() { New(0, Config{N: 3, F: -1}) },
+		func() { NewFactory(Config{N: 3, F: 1})(amac.NodeConfig{Input: 2}) },
+		func() { NewFactory(Config{N: 3, F: 2}) }, // n < 2f+1
+		func() { NewFactory(Config{N: 0, F: 0}) },
+		func() { NewFactory(Config{N: 3, F: -1}) },
 	} {
 		func() {
 			defer func() {

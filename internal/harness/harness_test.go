@@ -38,6 +38,64 @@ func TestRegistriesCoverSeedNames(t *testing.T) {
 	}
 }
 
+// TestInspectAgreesWithResult runs every registered algorithm on clique:5,
+// which all of them support, crash-free and under minorityrand (at seed 24
+// node 1 crashes at 0, before it starts, and node 2 at 8), and reads every
+// node's amac.View afterwards, crashed or not. The view's decision must be
+// the one the simulator recorded. The two Paxos variants must also report
+// a sane ballot state and a leader estimate that is an id of the run (the
+// harness's ids are 1..n), or none on a node that never started; every
+// other algorithm tracks its decision alone, so the rest of its view is
+// zero.
+func TestInspectAgreesWithResult(t *testing.T) {
+	paxos := map[string]bool{"wpaxos": true, "floodpaxos": true}
+	lessEq := func(a, b amac.Ballot) bool { return a.Tag < b.Tag || a.Tag == b.Tag && a.ID <= b.ID }
+	for _, algo := range Algorithms() {
+		for _, crashes := range []string{"none", "minorityrand"} {
+			cfg, err := Scenario{Algo: algo, Topo: Topo{Kind: "clique", N: 5}, Sched: "random",
+				Fack: 4, Seed: 24, Crashes: crashes, MaxEvents: 200_000}.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nodes []amac.Inspector
+			build := cfg.Factory
+			cfg.Factory = func(nc amac.NodeConfig) amac.Algorithm {
+				a := build(nc)
+				nodes = append(nodes, a.(amac.Inspector))
+				return a
+			}
+			res := sim.Run(cfg)
+			unstarted := map[int]bool{}
+			for _, c := range cfg.Crashes {
+				unstarted[c.Node] = unstarted[c.Node] || c.At == 0
+			}
+			for i, nd := range nodes {
+				v := nd.Inspect()
+				where := fmt.Sprintf("%s crashes=%s node %d (crashed %v)", algo, crashes, i, res.Crashed[i])
+				if v.Decided != res.Decided[i] || v.Decision != res.Decision[i] {
+					t.Errorf("%s: view decided %v, %d; result %v, %d", where, v.Decided, v.Decision, res.Decided[i], res.Decision[i])
+				}
+				if !paxos[algo] {
+					if v != (amac.View{Decided: v.Decided, Decision: v.Decision, Omega: amac.NoID}) {
+						t.Errorf("%s: untracked fields are not zero: %+v", where, v)
+					}
+					continue
+				}
+				if !lessEq(v.Accepted, v.Promised) || v.MaxTag < v.Promised.Tag {
+					t.Errorf("%s: accepted %v, promised %v, max tag %d", where, v.Accepted, v.Promised, v.MaxTag)
+				}
+				ok := v.Omega >= 1 && int(v.Omega) <= len(nodes)
+				if unstarted[i] {
+					ok = v.Omega == amac.NoID
+				}
+				if !ok {
+					t.Errorf("%s: leader estimate %d (started %v)", where, v.Omega, !unstarted[i])
+				}
+			}
+		}
+	}
+}
+
 func TestRegistryErrors(t *testing.T) {
 	if _, err := NewFactory("nope", 4, 1); err == nil {
 		t.Error("unknown algorithm accepted")

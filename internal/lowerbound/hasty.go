@@ -33,17 +33,14 @@ type HastyMsg struct {
 // IDCount implements amac.Message.
 func (HastyMsg) IDCount() int { return 0 }
 
-// NewHasty returns a hasty node with the given ack-cycle budget.
-func NewHasty(input amac.Value, cycles int) *Hasty {
+// NewHastyFactory returns a factory of hasty nodes with a fixed cycle budget.
+func NewHastyFactory(cycles int) amac.Factory {
 	if cycles < 1 {
 		panic(fmt.Sprintf("lowerbound: invalid hasty cycle budget %d", cycles))
 	}
-	return &Hasty{cycles: cycles, has0: input == 0, has1: input == 1}
-}
-
-// NewHastyFactory returns a factory with a fixed cycle budget.
-func NewHastyFactory(cycles int) amac.Factory {
-	return func(cfg amac.NodeConfig) amac.Algorithm { return NewHasty(cfg.Input, cycles) }
+	return func(cfg amac.NodeConfig) amac.Algorithm {
+		return &Hasty{cycles: cycles, has0: cfg.Input == 0, has1: cfg.Input == 1}
+	}
 }
 
 // Start implements amac.Algorithm.
@@ -80,12 +77,12 @@ func (a *Hasty) OnAck(amac.Message) {
 	}
 }
 
-// Decided implements amac.Decider.
-func (a *Hasty) Decided() (amac.Value, bool) { return a.decision, a.decided }
+// Inspect implements amac.Inspector.
+func (a *Hasty) Inspect() amac.View { return amac.DecisionView(a.decided, a.decision) }
 
 var (
 	_ amac.Algorithm = (*Hasty)(nil)
-	_ amac.Decider   = (*Hasty)(nil)
+	_ amac.Inspector = (*Hasty)(nil)
 	_ amac.Message   = HastyMsg{}
 )
 
