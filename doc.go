@@ -102,7 +102,7 @@
 //
 // Both multihop algorithms (internal/core/wpaxos and its flooding
 // baseline internal/baseline/floodpaxos) survive the death of their
-// elected proposer. Two mechanisms, shared via wpaxos.Detector:
+// elected proposer. Two mechanisms, the second shared as internal/omega:
 //
 //   - Retransmit until superseded. Every queue a node pumps — leader
 //     announcements, change notices, the highest-numbered proposition,
@@ -120,19 +120,8 @@
 //     of its package comment: only responses to the highest proposal
 //     number a node has seen are relayed, which keeps the strawman at the
 //     paper's Θ(n·Fack) (measured ≈ 0.25·n·Fack on expanders).
-//   - Suspicion-based Ω with deterministic rotation. Each node estimates
-//     Fack from observed broadcast-to-ack delays (fhat) and suspects the
-//     current omega after fhat·(4n+8)·mult ticks of silence, doubling
-//     mult on each firing so false suspicions under slow schedules die
-//     out. Membership is learned from gossip and kept sorted; on
-//     suspicion the detector demotes omega to the next-highest
-//     unsuspected id, and when every member is suspected it clears all
-//     suspicions and re-promotes the maximum — so a false cascade
-//     self-heals. Detector.Gossip alternates between flooding the
-//     current omega (the paper's O(D·Fack) leader-election flood) and
-//     round-robin membership dissemination, keeping election fast while
-//     every node converges on the same sorted member list, which makes
-//     rotation deterministic across nodes and seeds.
+//   - Suspicion-based Ω with deterministic rotation: silence demotes Ω to
+//     the next-highest member (internal/omega's package comment).
 //
 // # Reading a node
 //
@@ -157,10 +146,11 @@
 // rules:
 //
 //   - norawrand: in the deterministic core (internal/sim, graph, harness,
-//     explore, baseline, ext) randomness must flow through a *rand.Rand
-//     constructed as rand.New(rand.NewSource(seed)) from a scenario- or
-//     search-seed derivation. Global math/rand functions, opaque sources
-//     and wall-clock seeds are rejected.
+//     explore, baseline, ext, metrics, critpath, core, omega) randomness
+//     must flow through a *rand.Rand constructed as
+//     rand.New(rand.NewSource(seed)) from a scenario- or search-seed
+//     derivation. Global math/rand functions, opaque sources and
+//     wall-clock seeds are rejected.
 //   - nowallclock: no time.Now/Since/Until anywhere under internal/
 //     except the wall-clock runtime internal/live and its UDP MAC
 //     internal/netmac; simulated time is the event queue's logical clock.
@@ -282,7 +272,7 @@
 //     cycle needs id order anyway: a table would want a second, sorted
 //     structure beside it. Every other set a delivery consults is the
 //     same thing, a sorted slice with a written-out binary search: as
-//     idSet (sets.go) the detector's members and suspected ids, the
+//     omega.IDSet the detector's members and suspected ids, the
 //     proposer's two gossip tallies and the origins behind each
 //     chosen-value tally (one tally per accepted proposal number: a
 //     handful, scanned), and under Node.findSeen the propositions seen,

@@ -5,8 +5,7 @@
 // The scenario is assembled by internal/harness — the same named
 // registries behind cmd/amacsim — so this example stays in lockstep with
 // the CLIs: `amacsim -algo twophase -topo clique:8 -sched random -fack 10
-// -seed 42` runs the same execution (modulo the custom input assignment
-// below).
+// -seed 42 -inputs half` runs the same execution.
 //
 // Run with:
 //
@@ -17,33 +16,30 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/explore"
 	"github.com/absmac/absmac/internal/harness"
 )
 
 func main() {
 	const n = 8
-	// Initial values: three nodes propose 1, the rest 0.
-	inputs := make([]amac.Value, n)
-	inputs[1], inputs[4], inputs[6] = 1, 1, 1
-
-	out, err := harness.Scenario{
+	sc := harness.Scenario{
 		Algo: "twophase", // no knowledge of n required!
 		Topo: harness.Topo{Kind: "clique", N: n},
+		// Initial values: the first half of the nodes propose 0, the rest 1.
+		Inputs: "half",
 		// The scheduler is the adversary: deliveries and acks land at
 		// arbitrary times within Fack=10 of each broadcast.
-		Sched:       "random",
-		Fack:        10,
-		Seed:        42,
-		InputValues: inputs,
-	}.Run()
+		Sched: "random",
+		Fack:  10,
+		Seed:  42,
+	}
+	out, err := sc.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	res, rep := out.Result, out.Report
-	fmt.Printf("inputs:       %v\n", inputs)
+	fmt.Printf("inputs:       %s\n", sc.Inputs)
 	fmt.Printf("all decided:  %v\n", res.AllDecided())
 	fmt.Printf("agreed value: %d\n", rep.Value)
 	fmt.Printf("decide time:  %d (Fack=10; Theorem 4.1 promises O(Fack))\n", res.MaxDecideTime)
@@ -83,10 +79,7 @@ func main() {
 	// broadcast and replay; any execution within the Fack bound must still
 	// satisfy the consensus properties. (cmd/amacexplore automates this
 	// search and minimizes what it finds; see internal/explore.)
-	recorded, schedule, err := harness.Scenario{
-		Algo: "twophase", Topo: harness.Topo{Kind: "clique", N: n},
-		Sched: "random", Fack: 10, Seed: 42, InputValues: inputs,
-	}.RunRecorded()
+	recorded, schedule, err := sc.RunRecorded()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,10 +93,7 @@ func main() {
 	if !swapped {
 		log.Fatal("no step had two distinct delivery times to swap")
 	}
-	runner, err := harness.Scenario{
-		Algo: "twophase", Topo: harness.Topo{Kind: "clique", N: n},
-		Sched: "random", Fack: 10, Seed: 42, InputValues: inputs,
-	}.NewReplayRunner()
+	runner, err := sc.NewReplayRunner()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,6 @@ func main() {
 		Factory:         factory,
 		Scheduler:       sched,
 		StopWhenDecided: true,
-		Audit:           true,
 	})
 	rep := consensus.Check(inputs, res)
 

@@ -33,7 +33,7 @@ const NoID NodeID = -1
 
 // Value is a consensus input/decision value. The paper studies binary
 // consensus, so values are 0 or 1 throughout, but the type does not
-// restrict this: the harness validates inputs per problem instance.
+// restrict this: the harness's input patterns are binary by construction.
 type Value int
 
 // Message is the unit of communication. Implementations must be immutable
@@ -153,29 +153,13 @@ type Factory func(cfg NodeConfig) Algorithm
 // wPAXOS's multiplexed broadcast carries up to twelve — one per service
 // message plus routing and proposal-number ids, including the gossiped
 // acceptor-state triple of origin, promised number, and accepted number).
-// The simulator audits broadcasts against this bound when auditing is on.
+// The simulator audits every broadcast against this bound.
 const MaxMessageIDs = 12
 
 // AuditIDCount returns an error when m reports more than MaxMessageIDs ids.
 func AuditIDCount(m Message) error {
 	if c := m.IDCount(); c > MaxMessageIDs {
 		return fmt.Errorf("amac: message %T carries %d ids, exceeding the model bound %d", m, c, MaxMessageIDs)
-	}
-	return nil
-}
-
-// ValidateBinaryInputs checks a binary-consensus input assignment: at least
-// one node, every value 0 or 1. The paper studies binary consensus
-// throughout, so the harness applies this to every problem instance it
-// constructs.
-func ValidateBinaryInputs(inputs []Value) error {
-	if len(inputs) == 0 {
-		return fmt.Errorf("amac: empty input assignment")
-	}
-	for i, v := range inputs {
-		if v != 0 && v != 1 {
-			return fmt.Errorf("amac: input %d of node %d is not binary", v, i)
-		}
 	}
 	return nil
 }

@@ -41,29 +41,3 @@ func TestAuditIDCount(t *testing.T) {
 		t.Fatalf("audit error %q does not name the model bound", err)
 	}
 }
-
-func TestValidateBinaryInputs(t *testing.T) {
-	valid := [][]Value{
-		{0},
-		{1},
-		{0, 1, 0, 1},
-		{1, 1, 1},
-	}
-	for _, in := range valid {
-		if err := ValidateBinaryInputs(in); err != nil {
-			t.Errorf("ValidateBinaryInputs(%v) = %v, want nil", in, err)
-		}
-	}
-	invalid := [][]Value{
-		nil,
-		{},
-		{2},
-		{0, 1, -1},
-		{0, 7, 1},
-	}
-	for _, in := range invalid {
-		if err := ValidateBinaryInputs(in); err == nil {
-			t.Errorf("ValidateBinaryInputs(%v) = nil, want error", in)
-		}
-	}
-}

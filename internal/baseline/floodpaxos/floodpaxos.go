@@ -9,11 +9,11 @@
 // proposer needs Theta(n*Fack) time to count a majority — versus wPAXOS's
 // O(D*Fack) aggregation. Experiment E7 measures the contrast.
 //
-// Like wPAXOS it assumes unique ids and knowledge of n. Leader election is
-// the shared suspicion-based Ω detector (internal/core/wpaxos/detector.go):
-// membership is gossiped one id per broadcast, the maximum unsuspected
-// member is the leader, and silence demotes it so the proposership rotates
-// off corpses.
+// Like wPAXOS it assumes unique ids and knowledge of n, and it runs the
+// same Ω (internal/omega): membership is gossiped one id per broadcast,
+// the maximum unsuspected member is the leader, silence demotes it so the
+// proposership rotates off corpses, and change notices restart the leader's
+// proposer.
 //
 // # The relay invariant
 //
@@ -59,19 +59,8 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/metrics"
+	"github.com/absmac/absmac/internal/omega"
 )
-
-// LeaderMsg gossips one known member id (the detector's membership
-// rotation; the maximum unsuspected member is the leader).
-type LeaderMsg struct {
-	ID amac.NodeID
-}
-
-// ChangeMsg is the change notification.
-type ChangeMsg struct {
-	T  int64
-	ID amac.NodeID
-}
 
 // ProposerMsg floods a prepare or propose.
 type ProposerMsg struct {
@@ -106,8 +95,8 @@ type DecideMsg struct {
 // itself — and nothing at all on a node that owns the one message it
 // refills (see NewFactory).
 type Combined struct {
-	Leader   *LeaderMsg
-	Change   *ChangeMsg
+	Leader   *omega.LeaderMsg
+	Change   *omega.ChangeMsg
 	Proposer *ProposerMsg
 	Response *ResponseMsg
 	Decide   *DecideMsg
@@ -117,8 +106,8 @@ type Combined struct {
 	// copy what they keep (they do), because a sender that owns its
 	// message refills the whole object — buf included — after the ack.
 	buf struct {
-		leader   LeaderMsg
-		change   ChangeMsg
+		leader   omega.LeaderMsg
+		change   omega.ChangeMsg
 		proposer ProposerMsg
 		response ResponseMsg
 		decide   DecideMsg
@@ -146,21 +135,17 @@ func (m *Combined) IDCount() int {
 	return c
 }
 
-// Node is the per-node state machine. The outbound queues (changeQ, propQ,
-// decideQ) are value slots with presence flags; respQ is a sticky cycle
-// whose entries leave only when superseded. Everything keyed by the live
-// number starts empty and grows with what the node hears.
+// Node is the per-node state machine. The outbound queues (propQ, decideQ)
+// are value slots with presence flags; respQ is a sticky cycle whose
+// entries leave only when superseded. Everything keyed by the live number
+// starts empty and grows with what the node hears.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
 	n     int
 	input amac.Value
 
-	det *wpaxos.Detector
-
-	lastChange int64
-	hasChangeQ bool
-	changeQ    ChangeMsg
+	det omega.Service
 
 	// live is the highest proposal number seen from anyone; prepared and
 	// proposed record which of its two propositions this node has seen
@@ -252,7 +237,7 @@ func NewFactory(n int) amac.Factory {
 
 // instrument registers the node's metric slots against r (nil-safe; all
 // nodes share the slots, so values are network totals) and stashes the
-// registry so Start can instrument the shared Ω detector.
+// registry so Start can instrument Ω.
 // flood_superseded counts the responses the relay rules dropped on arrival
 // or pruned from a pending cycle.
 func (a *Node) instrument(r *metrics.Registry) {
@@ -267,9 +252,7 @@ func (a *Node) instrument(r *metrics.Registry) {
 func (a *Node) Start(api amac.API) {
 	a.api = api
 	a.id = api.ID()
-	a.det = wpaxos.NewDetector(a.id, a.n)
-	a.det.Instrument(a.mreg)
-	a.lastChange = -1
+	a.det.Init(api, a.n, a.mreg)
 	if a.n == 1 {
 		a.decide(a.input)
 		return
@@ -283,24 +266,11 @@ func (a *Node) OnReceive(m amac.Message) {
 	if !ok {
 		panic(fmt.Sprintf("floodpaxos: unexpected message type %T", m))
 	}
-	if c.Leader != nil {
-		prev := a.det.Omega()
-		if a.det.Learn(c.Leader.ID) {
-			a.det.Novel(a.api.Now())
-			if a.det.Omega() != prev {
-				// A leader update is the change event.
-				a.localChange()
-			}
-		}
+	if c.Leader != nil && a.det.Hear(c.Leader.ID) {
+		a.localChange() // a leader update is the change event
 	}
-	if c.Change != nil && c.Change.T > a.lastChange {
-		a.lastChange = c.Change.T
-		a.hasChangeQ = true
-		a.changeQ = ChangeMsg{T: c.Change.T, ID: c.Change.ID}
-		a.det.Novel(a.api.Now())
-		if a.det.Omega() == a.id {
-			a.generateProposal()
-		}
+	if c.Change != nil && a.det.Notice(*c.Change) && a.det.Omega() == a.id {
+		a.generateProposal()
 	}
 	if c.Proposer != nil {
 		a.onProposer(*c.Proposer)
@@ -317,9 +287,7 @@ func (a *Node) OnReceive(m amac.Message) {
 // localChange floods a change notification and restarts the proposer when
 // this node believes it is the leader.
 func (a *Node) localChange() {
-	a.lastChange = a.api.Now()
-	a.hasChangeQ = true
-	a.changeQ = ChangeMsg{T: a.lastChange, ID: a.id}
+	a.det.Changed()
 	if a.det.Omega() == a.id {
 		a.generateProposal()
 	}
@@ -334,9 +302,9 @@ func (a *Node) OnAck(amac.Message) {
 	a.det.NoteAck(now)
 	if !a.decided {
 		switch a.det.Check(now) {
-		case wpaxos.DetectorDemoted:
+		case omega.Demoted:
 			a.localChange()
-		case wpaxos.DetectorRearm:
+		case omega.Rearm:
 			a.generateProposal()
 		}
 	}
@@ -360,15 +328,13 @@ func (a *Node) pump() {
 		a.hasDecideQ = false
 	}
 	if !a.decided {
-		// Membership gossip: one known id per pump, cycling. This slot
-		// is always non-empty, so an undecided node is never silent —
-		// the detector's liveness tick.
-		c.buf.leader = LeaderMsg{ID: a.det.Gossip()}
+		// The Ω slots: membership gossip, never empty, so an undecided
+		// node is never silent (the detector's liveness tick), and the
+		// sticky newest change notice.
+		var hasChange bool
+		c.buf.leader, c.buf.change, hasChange = a.det.Next()
 		c.Leader = &c.buf.leader
-		if a.hasChangeQ {
-			// Sticky: the newest change is re-broadcast until a newer
-			// one supersedes it (receivers dedup by timestamp).
-			c.buf.change = a.changeQ
+		if hasChange {
 			c.Change = &c.buf.change
 		}
 		if a.hasPropQ {
@@ -592,7 +558,7 @@ func (a *Node) decide(v amac.Value) {
 func (a *Node) Inspect() amac.View {
 	v := amac.View{Decided: a.decided, Decision: a.decision, Omega: amac.NoID,
 		Promised: amac.Ballot(a.promised), MaxTag: a.live.Tag}
-	if a.det != nil {
+	if a.api != nil {
 		v.Omega = a.det.Omega()
 	}
 	if a.accepted != nil {

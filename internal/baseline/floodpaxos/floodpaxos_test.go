@@ -8,6 +8,7 @@ import (
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/omega"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -36,7 +37,6 @@ func TestCorrectAcrossTopologies(t *testing.T) {
 				Factory:         NewFactory(g.N()),
 				Scheduler:       sim.NewRandom(3, seed),
 				StopWhenDecided: true,
-				Audit:           true,
 			})
 			rep := consensus.Check(inputs, res)
 			if !rep.OK() {
@@ -223,7 +223,7 @@ func TestSupersededProposerRetriesWithinBudget(t *testing.T) {
 	a.Start(&fakeAPI{id: 3})
 	// Alone in its membership the node is its own leader; a change
 	// notification makes it propose.
-	a.OnReceive(&Combined{Change: &ChangeMsg{T: 1, ID: 9}})
+	a.OnReceive(&Combined{Change: &omega.ChangeMsg{T: 1, ID: 9}})
 	if want := (wpaxos.ProposalNum{Tag: 1, ID: 3}); a.phase != 1 || a.live != want {
 		t.Fatalf("after the change: phase %d, live %v, want phase 1, live %v", a.phase, a.live, want)
 	}

@@ -67,7 +67,7 @@ func TestDecideTimeScalesWithN(t *testing.T) {
 // the other nodes' silence windows).
 func TestSurvivorsDecideAfterHighestProposerDies(t *testing.T) {
 	const n, fack = 32, 4
-	bound := int64(fack * (4*n + 8)) // wpaxos.Detector.Bound at fhat = Fack, mult = 1
+	bound := int64(fack * (4*n + 8)) // omega.Detector.Bound at fhat = Fack, mult = 1
 	for _, overlay := range []string{"none", "chords"} {
 		for seed := int64(1); seed <= 4; seed++ {
 			sc := harness.Scenario{

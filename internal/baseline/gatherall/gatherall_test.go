@@ -35,7 +35,6 @@ func TestCorrectAcrossTopologies(t *testing.T) {
 				Factory:         NewFactory(g.N()),
 				Scheduler:       sim.NewRandom(3, seed),
 				StopWhenDecided: true,
-				Audit:           true,
 			})
 			rep := consensus.Check(inputs, res)
 			if !rep.OK() {

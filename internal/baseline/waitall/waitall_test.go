@@ -29,7 +29,6 @@ func TestCorrectUnderSynchronousScheduler(t *testing.T) {
 			Factory:         NewFactory(rounds),
 			Scheduler:       sim.Synchronous{},
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {

@@ -19,7 +19,6 @@ func run(t *testing.T, n int, inputs []amac.Value, sched sim.Scheduler) *sim.Res
 		Factory:         Factory,
 		Scheduler:       sched,
 		StopWhenDecided: true,
-		Audit:           true,
 	})
 }
 
@@ -169,7 +168,6 @@ func TestCrashLosesTerminationNotSafety(t *testing.T) {
 			Factory:   Factory,
 			Scheduler: &sim.EdgeOrder{MaxDegree: n},
 			Crashes:   []sim.Crash{{Node: 0, At: crashAt}},
-			Audit:     true,
 		})
 		rep := consensus.Check(inputs, res)
 		// Safety must hold unconditionally.
@@ -281,7 +279,6 @@ func TestConsensusProperty(t *testing.T) {
 			Factory:         Factory,
 			Scheduler:       sim.NewRandom(fack, seed),
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, res)
 		return rep.OK() && res.MaxDecideTime <= 4*fack

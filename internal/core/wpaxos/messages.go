@@ -1,18 +1,9 @@
 package wpaxos
 
-import "github.com/absmac/absmac/internal/amac"
-
-// LeaderMsg is the leader election service's <leader, id> message
-// (Algorithm 2).
-type LeaderMsg struct {
-	ID amac.NodeID
-}
-
-// ChangeMsg is the change service's <change, t, id> message (Algorithm 3).
-type ChangeMsg struct {
-	T  int64
-	ID amac.NodeID
-}
+import (
+	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/omega"
+)
 
 // SearchMsg is the tree building service's <search, id, h> message
 // (Algorithm 4). Sender identifies the broadcasting node; a receiver that
@@ -111,8 +102,8 @@ type DecideMsg struct {
 // fills the inline slots of buf and points the exported fields at them, so
 // a broadcast allocates at most the Combined itself (see NewFactory).
 type Combined struct {
-	Leader   *LeaderMsg
-	Change   *ChangeMsg
+	Leader   *omega.LeaderMsg
+	Change   *omega.ChangeMsg
 	Search   *SearchMsg
 	Proposer *ProposerMsg
 	Response *ResponseMsg
@@ -124,8 +115,8 @@ type Combined struct {
 	// they keep (they do): on an AckAfterHandlers substrate it is valid only
 	// until the sender's ack, after which the sender refills all of it.
 	buf struct {
-		leader   LeaderMsg
-		change   ChangeMsg
+		leader   omega.LeaderMsg
+		change   omega.ChangeMsg
 		search   SearchMsg
 		proposer ProposerMsg
 		response ResponseMsg

@@ -6,6 +6,7 @@ import (
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
+	"github.com/absmac/absmac/internal/omega"
 )
 
 // Config carries a node's knowledge assumptions and instrumentation.
@@ -49,7 +50,7 @@ func NewFactory(cfg Config) amac.Factory {
 type chosenTally struct {
 	num ProposalNum
 	val amac.Value
-	by  idSet
+	by  omega.IDSet
 }
 
 // Node is one wPAXOS participant: the support services, the suspicion-based
@@ -62,11 +63,10 @@ type Node struct {
 	input amac.Value
 	audit *CountAudit
 
-	det    Detector
-	change changeService
-	tree   treeService
-	prop   proposerState
-	acc    acceptorState
+	det  omega.Service
+	tree treeService
+	prop proposerState
+	acc  acceptorState
 
 	// propQ is the proposer flood queue: the highest-numbered proposition
 	// seen anywhere (a propose supersedes the prepare of the same
@@ -108,8 +108,8 @@ type Node struct {
 	// number (a propose's acceptances are the chosen-value watch's to
 	// count). They are tallied separately from the fast path's aggregated
 	// counts — each tally is individually sound, and they are never summed.
-	gossAcks  idSet
-	gossNacks idSet
+	gossAcks  omega.IDSet
+	gossNacks omega.IDSet
 
 	decideQ    DecideMsg
 	hasDecideQ bool
@@ -192,9 +192,7 @@ func (nd *Node) instrument(r *metrics.Registry) {
 func (nd *Node) Start(api amac.API) {
 	nd.api = api
 	nd.id = api.ID()
-	nd.det.init(nd.id, nd.n)
-	nd.det.Instrument(nd.mreg)
-	nd.change.init()
+	nd.det.Init(api, nd.n, nd.mreg)
 	nd.tree.init(nd.id)
 	if nd.n == 1 {
 		// A singleton network has no peers to talk to; decide directly
@@ -245,10 +243,10 @@ func (nd *Node) OnAck(amac.Message) {
 	nd.det.NoteAck(now)
 	if !nd.decided {
 		switch nd.det.Check(now) {
-		case DetectorDemoted:
+		case omega.Demoted:
 			nd.onOmegaChange()
 			nd.localChange()
-		case DetectorRearm:
+		case omega.Rearm:
 			nd.generateProposal()
 		}
 	}
@@ -276,9 +274,9 @@ func (nd *Node) pump() {
 		c.Decide = &c.buf.decide
 	}
 	if !nd.decided {
-		c.buf.leader = LeaderMsg{ID: nd.det.Gossip()}
+		c.buf.leader, c.buf.change, ok = nd.det.Next()
 		c.Leader = &c.buf.leader
-		if c.buf.change, ok = nd.change.pop(); ok {
+		if ok {
 			c.Change = &c.buf.change
 		}
 		if c.buf.search, ok = nd.tree.pop(nd.det.Fired()); ok {
@@ -338,13 +336,8 @@ func (nd *Node) popState() (StateMsg, bool) {
 
 // ---- Service message handlers ----
 
-func (nd *Node) onLeader(m LeaderMsg) {
-	prev := nd.det.Omega()
-	if !nd.det.Learn(m.ID) {
-		return
-	}
-	nd.det.Novel(nd.api.Now())
-	if nd.det.Omega() != prev {
+func (nd *Node) onLeader(m omega.LeaderMsg) {
+	if nd.det.Hear(m.ID) {
 		nd.onOmegaChange()
 		// A leader update is a change event (Algorithm 3).
 		nd.localChange()
@@ -372,11 +365,11 @@ func (nd *Node) onSearch(m SearchMsg) {
 	// responses are routed up Ω's tree alone, and a root below Ω or a
 	// suspected one is not Ω until a suspicion or a wrap says otherwise —
 	// after which the fired nodes re-advertise (treeService).
-	omega := nd.det.Omega()
-	if m.Root < omega || nd.det.Suspects(m.Root) {
+	leader := nd.det.Omega()
+	if m.Root < leader || nd.det.Suspects(m.Root) {
 		return
 	}
-	if !nd.tree.receive(m, omega) {
+	if !nd.tree.receive(m, leader) {
 		return
 	}
 	nd.met.treeRoots.Set(int64(len(nd.tree.ents)))
@@ -392,18 +385,14 @@ func (nd *Node) onSearch(m SearchMsg) {
 }
 
 func (nd *Node) localChange() {
-	nd.change.onChange(nd.api.Now(), nd.id)
+	nd.det.Changed()
 	if nd.det.Omega() == nd.id {
 		nd.generateProposal()
 	}
 }
 
-func (nd *Node) onChange(m ChangeMsg) {
-	if !nd.change.receive(m) {
-		return
-	}
-	nd.det.Novel(nd.api.Now())
-	if nd.det.Omega() == nd.id {
+func (nd *Node) onChange(m omega.ChangeMsg) {
+	if nd.det.Notice(m) && nd.det.Omega() == nd.id {
 		nd.generateProposal()
 	}
 }
@@ -671,7 +660,7 @@ func (nd *Node) tallyChosen(p Proposal, origin amac.NodeID) {
 		nd.chosen = append(nd.chosen, chosenTally{num: p.Num, val: p.Val})
 	}
 	t := &nd.chosen[i]
-	if t.by.add(origin) && !nd.decided && 2*len(t.by) > nd.n {
+	if t.by.Add(origin) && !nd.decided && 2*len(t.by) > nd.n {
 		nd.decide(t.val)
 	}
 }
@@ -686,14 +675,14 @@ func (nd *Node) countState(st StateMsg) {
 	}
 	num := nd.prop.num
 	// An origin committed past our number will never answer it positively.
-	if num.Less(st.Promised) && nd.gossNacks.add(st.Origin) && 2*len(nd.gossNacks) > nd.n {
+	if num.Less(st.Promised) && nd.gossNacks.Add(st.Origin) && 2*len(nd.gossNacks) > nd.n {
 		nd.retry()
 		return
 	}
 	// Acceptances of num are not tallied here: mergeState hands every one
 	// to the chosen-value watch first, which counts the same origins and
 	// decides at the same majority.
-	if nd.prop.phase == propPreparing && st.Promised == num && nd.gossAcks.add(st.Origin) {
+	if nd.prop.phase == propPreparing && st.Promised == num && nd.gossAcks.Add(st.Origin) {
 		nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
 		if 2*len(nd.gossAcks) > nd.n {
 			nd.beginPropose()
@@ -845,3 +834,7 @@ var (
 	_ amac.Algorithm = (*Node)(nil)
 	_ amac.Inspector = (*Node)(nil)
 )
+
+// NewDetector forwards to omega.NewDetector for the benchmark module's
+// detector probe.
+func NewDetector(self amac.NodeID, n int) *omega.Detector { return omega.NewDetector(self, n) }

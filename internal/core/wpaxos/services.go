@@ -6,57 +6,9 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 )
 
-// This file implements the queue-backed support services of Figure 3.
-// Each service owns a queue drained by the broadcast service (node.go);
-// queue semantics follow the paper's UpdateQ procedures, extended with
-// retransmit-until-superseded: once a service has something to say it
-// keeps saying it on every pump until newer state supersedes it, so a
-// message lost to a lossy overlay edge (or a crashed relay) is re-offered
-// forever rather than gone. (The tree service is the exception until the
-// node's detector fires; see treeService for why its improvements are
-// flooded once.) Leader election itself moved to the suspicion
-// detector (detector.go); the leader slot of every broadcast now carries
-// membership gossip from Detector.Gossip.
-
-// changeService implements Algorithm 3 (change notification). Its queue
-// holds the newest change — the largest timestamp wins — and re-broadcasts
-// it until a newer change supersedes it. Receivers deduplicate by
-// timestamp, so the retransmissions are idempotent. The caller is
-// responsible for invoking the proposer's GenerateNewPAXOSProposal when
-// receive reports true and the node currently believes it is the leader.
-type changeService struct {
-	lastChange int64 // -1 stands in for the paper's negative infinity
-	queue      ChangeMsg
-	queued     bool
-}
-
-func (s *changeService) init() {
-	*s = changeService{lastChange: -1}
-}
-
-// onChange handles a local change event (Omega_u or dist[Omega_u]
-// updated) at time now.
-func (s *changeService) onChange(now int64, self amac.NodeID) {
-	s.lastChange = now
-	s.queue, s.queued = ChangeMsg{T: now, ID: self}, true
-}
-
-// receive processes <change, t, id>; it reports whether the message was
-// fresh (t beyond lastChange), in which case the queue was updated.
-func (s *changeService) receive(m ChangeMsg) bool {
-	if m.T <= s.lastChange {
-		return false
-	}
-	s.lastChange = m.T
-	s.queue, s.queued = m, true
-	return true
-}
-
-// pop returns the current queue entry without clearing it: the newest
-// change is re-broadcast until superseded.
-func (s *changeService) pop() (ChangeMsg, bool) {
-	return s.queue, s.queued
-}
+// This file implements the tree service of Figure 3, whose queue the
+// broadcast service (node.go) drains. Leader election and change notices
+// are internal/omega's.
 
 // treeService implements Algorithm 4 (tree building), Bellman-Ford style,
 // for the roots the node asks it to keep: the node itself and every root

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/omega"
 )
 
 func TestProposalNumOrdering(t *testing.T) {
@@ -46,31 +47,22 @@ func TestMaxPrev(t *testing.T) {
 	}
 }
 
-func TestChangeService(t *testing.T) {
-	var s changeService
-	s.init()
-	if _, ok := s.pop(); ok {
-		t.Fatal("fresh change service has queued message")
+func TestStateMsgNewer(t *testing.T) {
+	base := StateMsg{Origin: 1, Promised: ProposalNum{1, 2}}
+	if base.Newer(base) {
+		t.Fatal("equal state reported newer")
 	}
-	s.onChange(10, 4)
-	if m, ok := s.pop(); !ok || m.T != 10 || m.ID != 4 {
-		t.Fatalf("queued %v", m)
+	higher := StateMsg{Origin: 1, Promised: ProposalNum{2, 1}}
+	if !higher.Newer(base) || base.Newer(higher) {
+		t.Fatal("promised ordering wrong")
 	}
-	// pop is sticky: the newest change stays queued until superseded.
-	if m, ok := s.pop(); !ok || m.T != 10 {
-		t.Fatalf("sticky pop %v", m)
+	accepted := StateMsg{Origin: 1, Promised: ProposalNum{1, 2},
+		Accepted: &Proposal{Num: ProposalNum{1, 2}, Val: 1}}
+	if !accepted.Newer(base) || base.Newer(accepted) {
+		t.Fatal("acceptance at equal promise not newer")
 	}
-	if s.receive(ChangeMsg{T: 9, ID: 1}) {
-		t.Fatal("stale timestamp accepted")
-	}
-	if s.receive(ChangeMsg{T: 10, ID: 1}) {
-		t.Fatal("equal timestamp accepted")
-	}
-	if !s.receive(ChangeMsg{T: 11, ID: 1}) {
-		t.Fatal("fresh timestamp rejected")
-	}
-	if m, ok := s.pop(); !ok || m != (ChangeMsg{T: 11, ID: 1}) {
-		t.Fatalf("queued %v after a fresh change", m)
+	if accepted.Newer(higher) {
+		t.Fatal("lower promise with acceptance beat a higher promise")
 	}
 }
 
@@ -279,8 +271,8 @@ func TestCombinedIDCount(t *testing.T) {
 		t.Fatalf("empty combined counts %d ids", c.IDCount())
 	}
 	full := Combined{
-		Leader:   &LeaderMsg{ID: 1},
-		Change:   &ChangeMsg{T: 1, ID: 2},
+		Leader:   &omega.LeaderMsg{ID: 1},
+		Change:   &omega.ChangeMsg{T: 1, ID: 2},
 		Search:   &SearchMsg{Root: 3, Hops: 1, Sender: 4},
 		Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{1, 5}},
 		Response: &ResponseMsg{

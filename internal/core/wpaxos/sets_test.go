@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/omega"
 )
 
-// TestIDSetMatchesMapOracle drives the sorted-slice id set and a Go map —
-// what Detector.suspected, gossAcks, gossNacks and chosenTally.by were,
-// and survive as only here — with the same seeded stream of add / has /
+// TestIDSetMatchesMapOracle drives omega.IDSet and a Go map — what the
+// detector's suspects, gossAcks, gossNacks and chosenTally.by were, and
+// survive as only here — with the same seeded stream of add / has /
 // clear calls over every id universe the tree oracle uses (dense, sparse
 // and shuffled, mixed, the extremes of the id type, negative ids), and
 // requires the same answers, the same size, and a strictly ascending slice
@@ -20,18 +21,18 @@ func TestIDSetMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, u := range treeIDUniverses(rng) {
-			var got idSet
+			var got omega.IDSet
 			want := map[amac.NodeID]bool{}
 			for step := 0; step < 2000; step++ {
 				id := u.ids[rng.Intn(len(u.ids))]
 				switch op := rng.Intn(100); {
 				case op < 45:
-					if g, w := got.add(id), !want[id]; g != w {
+					if g, w := got.Add(id), !want[id]; g != w {
 						t.Fatalf("seed %d %s step %d: add(%d) = %v, oracle %v", seed, u.name, step, id, g, w)
 					}
 					want[id] = true
 				case op < 98:
-					if g, w := got.has(id), want[id]; g != w {
+					if g, w := got.Has(id), want[id]; g != w {
 						t.Fatalf("seed %d %s step %d: has(%d) = %v, oracle %v", seed, u.name, step, id, g, w)
 					}
 				default:
@@ -97,22 +98,22 @@ func TestSeenPropsMatchMapOracle(t *testing.T) {
 }
 
 // mapsIn returns the paths of every map-kind type reachable from ty through
-// struct fields, slices, arrays and pointers declared in this package or
-// unnamed. What hangs behind *CountAudit is exempt — an opt-in instrument
-// shared by a whole run, nil on every measured path — and the types of
-// other packages (the metrics handles, the amac.API interface) are the
-// substrate's, not per-node state, and are not entered.
-func mapsIn(ty reflect.Type) []string {
-	pkg := reflect.TypeOf(Node{}).PkgPath()
+// struct fields, slices, arrays and pointers declared in this package, in
+// internal/omega (the node's embedded Ω) or unnamed. What hangs behind
+// *CountAudit is exempt — an opt-in instrument shared by a whole run, nil
+// on every measured path — and the types of other packages (the metrics
+// handles, the amac.API interface) are the substrate's, not per-node
+// state, and are not entered. walked holds every type the walk entered.
+func mapsIn(ty reflect.Type) (found []string, walked map[reflect.Type]bool) {
+	pkgs := []string{"", reflect.TypeOf(Node{}).PkgPath(), reflect.TypeOf(omega.Service{}).PkgPath()}
 	audit := reflect.TypeOf((*CountAudit)(nil))
-	seen := map[reflect.Type]bool{}
-	var found []string
+	walked = map[reflect.Type]bool{}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
-		if ty == audit || seen[ty] || (ty.PkgPath() != "" && ty.PkgPath() != pkg) {
+		if ty == audit || walked[ty] || !slices.Contains(pkgs, ty.PkgPath()) {
 			return
 		}
-		seen[ty] = true
+		walked[ty] = true
 		switch ty.Kind() {
 		case reflect.Map:
 			found = append(found, path+" "+ty.String())
@@ -125,17 +126,19 @@ func mapsIn(ty reflect.Type) []string {
 		}
 	}
 	walk(ty.Name(), ty)
-	return found
+	return found, walked
 }
 
 // TestNoMapsOnTheDeliveryPath is the guard that keeps Go maps from coming
-// back into a node: every lookup a delivery makes is a sorted slice
-// (sets.go) or a short scan.
+// back into a node, its Ω included: every lookup a delivery makes is a
+// sorted slice (omega.IDSet and the like) or a short scan.
 func TestNoMapsOnTheDeliveryPath(t *testing.T) {
-	for _, ty := range []reflect.Type{reflect.TypeOf(Node{}), reflect.TypeOf(Detector{})} {
-		if maps := mapsIn(ty); len(maps) > 0 {
-			t.Errorf("%v holds maps: %v", ty, maps)
-		}
+	maps, walked := mapsIn(reflect.TypeOf(Node{}))
+	if len(maps) > 0 {
+		t.Errorf("Node holds maps: %v", maps)
+	}
+	if !walked[reflect.TypeOf(omega.Detector{})] {
+		t.Error("the walk did not enter the node's Ω detector")
 	}
 	// The walk must see a map where there is one, however deep.
 	type tally struct{ by map[amac.NodeID]bool }
@@ -143,7 +146,7 @@ func TestNoMapsOnTheDeliveryPath(t *testing.T) {
 		audit   *CountAudit
 		tallies []*tally
 	}
-	if maps := mapsIn(reflect.TypeOf(withMap{})); !slices.Equal(maps, []string{"withMap.tallies.by map[amac.NodeID]bool"}) {
+	if maps, _ := mapsIn(reflect.TypeOf(withMap{})); !slices.Equal(maps, []string{"withMap.tallies.by map[amac.NodeID]bool"}) {
 		t.Fatalf("walking a struct with one reachable map found %q", maps)
 	}
 }

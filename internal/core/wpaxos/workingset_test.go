@@ -7,6 +7,7 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/omega"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -42,12 +43,12 @@ func pendingRoots(nd *Node) []amac.NodeID {
 // pending relay — and is not novel information to the detector.
 func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	nd, api := startedNode(3, 5)
-	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
-	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 6}}) // a member below Ω
+	nd.OnReceive(&Combined{Leader: &omega.LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
+	nd.OnReceive(&Combined{Leader: &omega.LeaderMsg{ID: 6}}) // a member below Ω
 	if nd.det.Omega() != 9 || nd.tree.distTo(9) != 4 {
 		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.det.Omega(), nd.tree.distTo(9))
 	}
-	roots, pending, novel := trackedRoots(nd), pendingRoots(nd), nd.det.lastNovel
+	roots, pending, novel := trackedRoots(nd), pendingRoots(nd), nd.det.LastNovel()
 
 	api.now = 20
 	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
@@ -57,7 +58,7 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	if got := pendingRoots(nd); !slices.Equal(got, pending) {
 		t.Fatalf("a search for a root below Ω is pending relay: %v, was %v", got, pending)
 	}
-	if nd.det.lastNovel != novel {
+	if nd.det.LastNovel() != novel {
 		t.Fatal("a search for a root below Ω reset the silence window")
 	}
 
@@ -68,13 +69,13 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	if nd.det.Omega() != 6 || !nd.det.Suspects(9) {
 		t.Fatalf("after the silence bound: leader %d, suspects(9)=%v", nd.det.Omega(), nd.det.Suspects(9))
 	}
-	novel = nd.det.lastNovel
+	novel = nd.det.LastNovel()
 	api.now++
 	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 9, Hops: 1, Sender: 4}})
 	if nd.tree.distTo(9) != 4 || nd.tree.parentTo(9) != 2 {
 		t.Fatalf("a search for suspected root 9 was adopted: dist %d parent %d", nd.tree.distTo(9), nd.tree.parentTo(9))
 	}
-	if nd.det.lastNovel != novel {
+	if nd.det.LastNovel() != novel {
 		t.Fatal("a search for a suspected root reset the silence window")
 	}
 	// The successor's tree is now wanted, and the old one is kept for a
@@ -96,7 +97,7 @@ func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
 	if got := trackedRoots(nd); !slices.Equal(got, []amac.NodeID{3, 4, 7, 8}) {
 		t.Fatalf("tracked %v, want [3 4 7 8]", got)
 	}
-	nd.OnReceive(&Combined{Leader: &LeaderMsg{ID: 8}})
+	nd.OnReceive(&Combined{Leader: &omega.LeaderMsg{ID: 8}})
 	if got := trackedRoots(nd); !slices.Equal(got, []amac.NodeID{3, 8}) {
 		t.Fatalf("tracked after Ω rose to 8: %v, want [3 8]", got)
 	}
@@ -118,7 +119,7 @@ func stateOf(nd *Node, origin amac.NodeID) *StateMsg {
 
 // chosenBy returns the origins the chosen-value watch has seen accepting
 // num.
-func chosenBy(nd *Node, num ProposalNum) idSet {
+func chosenBy(nd *Node, num ProposalNum) omega.IDSet {
 	for _, t := range nd.chosen {
 		if t.num == num {
 			return t.by
@@ -150,11 +151,11 @@ func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	if own := stateOf(nd, 3); own == nil || own.Promised != num {
 		t.Fatalf("own acceptor state not published: %+v", own)
 	}
-	novel := nd.det.lastNovel
+	novel := nd.det.LastNovel()
 	api.now = 20
 
 	nd.OnReceive(&Combined{State: &StateMsg{Origin: 4, Promised: ProposalNum{Tag: 1, ID: 4}}})
-	if stateOf(nd, 4) != nil || nd.det.lastNovel != novel {
+	if stateOf(nd, 4) != nil || nd.det.LastNovel() != novel {
 		t.Fatal("a bare promise below the highest number seen was stored or counted as novel")
 	}
 	old := &Proposal{Num: ProposalNum{Tag: 1, ID: 5}, Val: 1}

@@ -7,6 +7,7 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/omega"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -20,7 +21,6 @@ func runOn(t *testing.T, g *graph.Graph, inputs []amac.Value, sched sim.Schedule
 		Scheduler:       sched,
 		IDs:             ids,
 		StopWhenDecided: true,
-		Audit:           true,
 	})
 	return res, audit
 }
@@ -169,7 +169,6 @@ func TestSlowMinorityDoesNotBlock(t *testing.T) {
 		Factory:         NewFactory(Config{N: n, Audit: audit}),
 		Scheduler:       sched,
 		StopWhenDecided: true,
-		Audit:           true,
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() {
@@ -342,7 +341,6 @@ func TestSafetyUnderUnreliableLinks(t *testing.T) {
 			Factory:         NewFactory(Config{N: 14, Audit: audit}),
 			Scheduler:       sim.NewLossy(sim.NewRandom(4, seed*3+1), 0.4, seed*5+2),
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.Agreement {
@@ -380,7 +378,6 @@ func TestMultivaluedConsensus(t *testing.T) {
 			Factory:         func(nc amac.NodeConfig) amac.Algorithm { return newGeneral(nc.Input, Config{N: 12}) },
 			Scheduler:       sim.NewRandom(4, seed*3+1),
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {
@@ -425,7 +422,6 @@ func TestCrashSafetyOnly(t *testing.T) {
 			Factory:   NewFactory(Config{N: n}),
 			Scheduler: sim.NewRandom(3, seed*11+1),
 			Crashes:   crashes,
-			Audit:     true,
 			MaxEvents: 500_000,
 		})
 		rep := consensus.Check(inputs, res)
@@ -490,8 +486,8 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 func fullMessage() *Combined {
 	num := ProposalNum{Tag: 1, ID: 9}
 	return &Combined{
-		Leader:   &LeaderMsg{ID: 9},
-		Change:   &ChangeMsg{T: 5, ID: 9},
+		Leader:   &omega.LeaderMsg{ID: 9},
+		Change:   &omega.ChangeMsg{T: 5, ID: 9},
 		Search:   &SearchMsg{Root: 9, Hops: 1, Sender: 9},
 		Proposer: &ProposerMsg{Kind: Prepare, Num: num},
 		State:    &StateMsg{Origin: 9, Promised: num},

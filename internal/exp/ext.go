@@ -63,7 +63,6 @@ func E11UnreliableLinks() *Experiment {
 					Factory:         wpaxos.NewFactory(wpaxos.Config{N: tc.g.N(), Audit: audit}),
 					Scheduler:       sim.NewLossy(sim.NewRandom(4, seed*3+1), p, seed*7+2),
 					StopWhenDecided: true,
-					Audit:           true,
 				})
 				rep := consensus.Check(inputs, res)
 				if !rep.Agreement || (rep.SomeoneDecided && !rep.Validity) {

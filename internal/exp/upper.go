@@ -51,7 +51,6 @@ func E5TwoPhase() *Experiment {
 					Factory:         twophase.Factory,
 					Scheduler:       sim.NewRandom(f, seed),
 					StopWhenDecided: true,
-					Audit:           true,
 				})
 				sample = append(sample, float64(res.MaxDecideTime))
 				if res.MaxDecideTime > 4*f {
@@ -123,7 +122,6 @@ func E6WPaxos() *Experiment {
 					Factory:         factory,
 					Scheduler:       sim.NewRandom(f, seed),
 					StopWhenDecided: true,
-					Audit:           true,
 				})
 				rep := consensus.Check(inputs, res)
 				if !rep.OK() {
@@ -346,7 +344,6 @@ func E10UnknownParticipants() *Experiment {
 					Factory:         twophase.Factory,
 					Scheduler:       sc.mk(seed),
 					StopWhenDecided: true,
-					Audit:           true,
 				})
 				rep := consensus.Check(inputs, res)
 				if !rep.OK() {

@@ -46,12 +46,6 @@ func (a *Artifact) Validate() error {
 	if a.Schedule == nil {
 		return fmt.Errorf("explore: artifact has no schedule")
 	}
-	if a.Scenario.InputValues != nil {
-		// InputValues does not serialize (json:"-"), so an artifact
-		// carrying one would silently replay with the named pattern's
-		// inputs instead — a different execution. Refuse at write time.
-		return fmt.Errorf("explore: scenario carries explicit InputValues, which do not serialize; use a named input pattern")
-	}
 	return a.Schedule.Validate()
 }
 

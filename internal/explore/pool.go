@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -51,12 +50,6 @@ const runnerCacheCap = 16
 
 // runner returns the worker's runner for sc, building it on first use.
 func (rs *runnerSet) runner(sc harness.Scenario) (*harness.ReplayRunner, error) {
-	if sc.InputValues != nil {
-		// InputValues is a slice — it has no comparable identity to key
-		// runner reuse on, and it does not serialize into artifacts either
-		// (Artifact.Validate refuses it for the same reason).
-		return nil, fmt.Errorf("explore: scenario carries explicit InputValues; use a named input pattern")
-	}
 	k := runnerKey{sc.Key(), sc.MaxEvents}
 	if r, ok := rs.runners[k]; ok {
 		return r, nil

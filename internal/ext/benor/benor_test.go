@@ -17,7 +17,6 @@ func run(n int, inputs []amac.Value, cfg Config, sched sim.Scheduler, crashes []
 		Scheduler:       sched,
 		Crashes:         crashes,
 		StopWhenDecided: true,
-		Audit:           true,
 		MaxEvents:       2_000_000,
 	})
 }

@@ -89,8 +89,7 @@ import (
 // Scenario names one execution: which algorithm, on which topology, with
 // which inputs, under which scheduler. Scenarios are plain values — they
 // marshal to JSON and rebuild identical executions, which is what makes
-// sweeps reproducible. InputValues makes the struct itself incomparable;
-// Key is a scenario's comparable identity.
+// sweeps reproducible. Key is a scenario's identity with defaults applied.
 type Scenario struct {
 	// Algo is a registered algorithm name (see Algorithms).
 	Algo string `json:"algo"`
@@ -118,18 +117,13 @@ type Scenario struct {
 	// default). Sweeps set it so one non-quiescent cell cannot stall the
 	// whole grid.
 	MaxEvents int `json:"-"`
-	// InputValues optionally overrides Inputs with an explicit
-	// assignment (length must match the topology's node count).
-	InputValues []amac.Value `json:"-"`
 }
 
 // Key is a scenario's comparable identity: every serialized axis with its
 // default applied (empty Inputs is "alternating", empty Crashes and Overlay
 // are "none") — the one rendering behind cell rows, duplicate-cell
 // detection, artifact file names and runner reuse. A cell's identity is
-// its Key with Seed zeroed; an execution's adds the event cap. InputValues
-// has no comparable form and is not part of it: code that keys executions
-// refuses scenarios that carry one (explore, Artifact.Validate).
+// its Key with Seed zeroed; an execution's adds the event cap.
 type Key struct {
 	Algo             string
 	Topo             Topo
@@ -339,15 +333,8 @@ func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
 		return sim.Config{}, nil, err
 	}
 	g := te.g
-	ins := s.InputValues
-	if ins == nil {
-		if ins, err = c.inputValues(s.Inputs, g.N()); err != nil {
-			return sim.Config{}, nil, err
-		}
-	} else if len(ins) != g.N() {
-		return sim.Config{}, nil, fmt.Errorf("harness: %d input values for %d nodes", len(ins), g.N())
-	}
-	if err := amac.ValidateBinaryInputs(ins); err != nil {
+	ins, err := c.inputValues(s.Inputs, g.N())
+	if err != nil {
 		return sim.Config{}, nil, err
 	}
 	factory, err := NewFactory(s.Algo, g.N(), s.Seed)
@@ -382,7 +369,6 @@ func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
 		Crashes:         crashes,
 		MaxEvents:       s.MaxEvents,
 		StopWhenDecided: true,
-		Audit:           true,
 	}, te, nil
 }
 

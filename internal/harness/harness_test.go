@@ -426,8 +426,6 @@ func TestScenarioConfigErrors(t *testing.T) {
 		func() Scenario { s := base; s.Fack = sim.MaxFack + 1; return s }(),
 		func() Scenario { s := base; s.Topo = Topo{Kind: "nope"}; return s }(),
 		func() Scenario { s := base; s.Inputs = "nope"; return s }(),
-		func() Scenario { s := base; s.InputValues = []amac.Value{0, 1}; return s }(),
-		func() Scenario { s := base; s.InputValues = []amac.Value{0, 1, 2, 1}; return s }(),
 	}
 	for i, s := range bad {
 		if _, err := s.Config(); err == nil {

@@ -27,11 +27,11 @@
 // the offending statement suppresses a finding — e.g. a single-task
 // closure whose completion is awaited before the result is read.
 //
-// Scope: the deterministic parallel layers — internal/sim,
-// internal/graph, internal/harness, internal/explore, internal/baseline,
-// internal/ext, internal/metrics, internal/critpath. The wall-clock
-// runtime and its MACs (internal/live, internal/netmac) order results by
-// real arrival on purpose and are exempt.
+// Scope: the deterministic layers — internal/sim, internal/graph,
+// internal/harness, internal/explore, internal/baseline, internal/ext,
+// internal/metrics, internal/critpath, internal/core, internal/omega. The
+// wall-clock runtime and its MACs (internal/live, internal/netmac) order
+// results by real arrival on purpose and are exempt.
 package goroutineorder
 
 import (
@@ -54,6 +54,8 @@ var Analyzer = &analysis.Analyzer{
 		"github.com/absmac/absmac/internal/ext",
 		"github.com/absmac/absmac/internal/metrics",
 		"github.com/absmac/absmac/internal/critpath",
+		"github.com/absmac/absmac/internal/core",
+		"github.com/absmac/absmac/internal/omega",
 	),
 	Run: run,
 }

@@ -12,7 +12,7 @@ func TestFixture(t *testing.T) {
 }
 
 // TestScope pins the package allowlist: ordering of worker publications
-// is policed exactly in the deterministic parallel layers.
+// is policed exactly in the deterministic layers.
 func TestScope(t *testing.T) {
 	scope := goroutineorder.Analyzer.Scope
 	for path, want := range map[string]bool{
@@ -21,6 +21,8 @@ func TestScope(t *testing.T) {
 		"github.com/absmac/absmac/internal/sim":                                             true,
 		"github.com/absmac/absmac/internal/metrics":                                         true,
 		"github.com/absmac/absmac/internal/critpath":                                        true,
+		"github.com/absmac/absmac/internal/core/wpaxos":                                     true,
+		"github.com/absmac/absmac/internal/omega":                                           true,
 		"github.com/absmac/absmac/internal/live":                                            false,
 		"github.com/absmac/absmac/internal/netmac":                                          false,
 		"github.com/absmac/absmac/cmd/amacexplore":                                          false,

@@ -18,7 +18,8 @@
 //     fact.
 //
 // Scope: internal/sim, internal/graph, internal/harness, internal/explore,
-// internal/baseline, internal/ext, internal/metrics, internal/critpath
+// internal/baseline, internal/ext, internal/metrics, internal/critpath,
+// and the paper's algorithms and their Ω, internal/core and internal/omega
 // (and their subpackages). The wall-clock runtime and its UDP MAC
 // (internal/live, internal/netmac) and the cmd/ front-ends may seed
 // however they like. There is deliberately no comment escape hatch:
@@ -46,6 +47,8 @@ var Analyzer = &analysis.Analyzer{
 		"github.com/absmac/absmac/internal/ext",
 		"github.com/absmac/absmac/internal/metrics",
 		"github.com/absmac/absmac/internal/critpath",
+		"github.com/absmac/absmac/internal/core",
+		"github.com/absmac/absmac/internal/omega",
 	),
 	Run: run,
 }

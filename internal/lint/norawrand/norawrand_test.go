@@ -24,6 +24,9 @@ func TestScope(t *testing.T) {
 		"github.com/absmac/absmac/internal/ext/benor":                             true,
 		"github.com/absmac/absmac/internal/metrics":                               true,
 		"github.com/absmac/absmac/internal/critpath":                              true,
+		"github.com/absmac/absmac/internal/core/wpaxos":                           true,
+		"github.com/absmac/absmac/internal/core/twophase":                         true,
+		"github.com/absmac/absmac/internal/omega":                                 true,
 		"github.com/absmac/absmac/internal/live":                                  false,
 		"github.com/absmac/absmac/internal/netmac":                                false,
 		"github.com/absmac/absmac/cmd/amacsim":                                    false,

@@ -133,7 +133,6 @@ func RunPartition(D int, fack int64) (*PartitionResult, error) {
 		Factory:         NewHastyFactory(cycles),
 		Scheduler:       sim.MaxDelay{F: fack},
 		StopWhenDecided: true,
-		Audit:           true,
 	})
 	rep := consensus.Check(inputs, res)
 	out := &PartitionResult{

@@ -71,7 +71,6 @@ func RunAnonImpossibility(D, n int) (*AnonResult, error) {
 			Factory:         factory,
 			Scheduler:       sim.Synchronous{},
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, out)
 		res.ControlOK = rep.OK()
@@ -98,7 +97,6 @@ func RunAnonImpossibility(D, n int) (*AnonResult, error) {
 			Factory:         factory,
 			Scheduler:       gate,
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, out)
 		res.ViolationInA = !rep.Agreement
@@ -156,7 +154,6 @@ func RunSizeImpossibility(D int) (*SizeResult, error) {
 			Factory:         waitall.NewFactory(rounds),
 			Scheduler:       sim.Synchronous{},
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		res.ControlLineOK = consensus.Check(inputs, out).OK()
 	}
@@ -181,7 +178,6 @@ func RunSizeImpossibility(D int) (*SizeResult, error) {
 			Factory:         waitall.NewFactory(rounds),
 			Scheduler:       gate,
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		rep := consensus.Check(inputs, out)
 		res.ViolationInKD = !rep.Agreement
@@ -202,7 +198,6 @@ func RunSizeImpossibility(D int) (*SizeResult, error) {
 			Factory:         gatherall.NewFactory(kd.G.N()),
 			Scheduler:       gate,
 			StopWhenDecided: true,
-			Audit:           true,
 		})
 		res.ControlWithNOK = consensus.Check(inputs, out).OK()
 	}

@@ -1,76 +1,40 @@
-package wpaxos
+package omega
 
 import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
 )
 
-// This file implements the Ω failure detector shared by wPAXOS and the
-// floodpaxos baseline. The paper's Algorithm 2 elects the maximum id ever
-// heard, monotonically — correct in crash-free executions but fatal under
-// leader death: every survivor gates its proposer on omega == self and
-// waits on a corpse (Theorem 3.2 made concrete; see the two stall
-// artifacts retired by PR 8). The redesign keeps the deterministic
-// max-id rule but adds suspicion:
-//
-//   - Membership: ids are learned by gossip (the leader slot of every
-//     broadcast cycles through the known member set) and kept sorted, so
-//     rotation order is identical across nodes and seeds.
-//   - Suspicion: a node tracks the time of the last *novel* information it
-//     observed — any dedup-passing state change (new member, fresh change
-//     notification, tree improvement, first-seen proposition or response,
-//     advancing acceptor state). When nothing novel arrives for longer
-//     than the silence bound, the current omega is demoted and the next
-//     highest unsuspected member takes over.
-//   - Silence bound: fhat * (4n+8) * mult, where fhat is the largest
-//     broadcast-to-ack delay this node has observed (its running Fack
-//     estimate) and mult doubles on every firing (capped). The 4n+8
-//     factor covers the worst-case information latency of a proposal
-//     round trip across the network; the doubling makes false suspicion
-//     self-healing — a too-small bound only delays, never prevents,
-//     convergence, because a falsely demoted leader's proposals still get
-//     responses (proposer gating is relaxed; see node.go).
-//   - Re-promotion: when the local node is omega and every other member
-//     is suspected, continued silence clears all suspicions and
-//     re-promotes the maximum member, re-probing nodes that may have been
-//     falsely demoted ("recovery-free silence" wraps the rotation).
-//
-// False suspicion is safe — PAXOS safety is proposer-independent — so the
-// detector only needs eventual accuracy in the Ω sense: if any majority
-// survives, some survivor eventually believes itself leader long enough
-// to drive a proposal to completion. Undecided nodes broadcast on every
-// pump (retransmit-until-superseded keeps their queues non-empty), so the
-// ack stream that clocks Check never dries up.
-
-// DetectorEvent is the outcome of a silence check.
-type DetectorEvent int
+// Event is the outcome of a silence check.
+type Event int
 
 const (
-	// DetectorQuiet: the silence bound has not elapsed; nothing changed.
-	DetectorQuiet DetectorEvent = iota
-	// DetectorDemoted: omega changed (a suspicion was added, or the
-	// rotation wrapped and re-promoted the maximum member). The caller
-	// should treat this as a change event.
-	DetectorDemoted
-	// DetectorRearm: this node already believes itself leader but nothing
-	// is progressing; the caller should restart its proposer.
-	DetectorRearm
+	// Quiet: the silence bound has not elapsed; nothing changed.
+	Quiet Event = iota
+	// Demoted: omega changed (a suspicion was added, or the rotation
+	// wrapped and re-promoted the maximum member). The caller should
+	// treat this as a change event.
+	Demoted
+	// Rearm: this node already believes itself leader but nothing is
+	// progressing; the caller should restart its proposer.
+	Rearm
 )
 
-// Detector is the suspicion-based Ω failure detector. One instance per
-// node; all methods are called from the node's serialized event handlers.
+// Detector is the suspicion-based Ω failure detector (see the package
+// comment). One instance per node; all methods are called from the node's
+// serialized event handlers.
 type Detector struct {
 	self amac.NodeID
 	n    int
 
-	members idSet // always contains self and omega
+	members IDSet // always contains self and omega
 	// known is a membership bitset over the ids [0, 64*len(known)), sized
 	// from n so the simulator's default ids 1..n fall inside. It only
 	// answers Learn's "already a member?" without touching members, which
 	// stays the source of truth and the rotation and gossip order; ids
 	// outside the range take the binary search.
 	known      []uint64
-	suspected  idSet
+	suspected  IDSet
 	omega      amac.NodeID
 	gossipCur  int
 	gossipTick int
@@ -101,8 +65,7 @@ func NewDetector(self amac.NodeID, n int) *Detector {
 	return d
 }
 
-// init sets up a detector in place; wPAXOS embeds one by value in its
-// node.
+// init sets up a detector in place; Service embeds one by value.
 func (d *Detector) init(self amac.NodeID, n int) {
 	*d = Detector{
 		self:   self,
@@ -138,11 +101,14 @@ func (d *Detector) Omega() amac.NodeID { return d.omega }
 func (d *Detector) Members() []amac.NodeID { return d.members }
 
 // Suspects reports whether id is currently suspected.
-func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected.has(id) }
+func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected.Has(id) }
 
 // Fired reports whether this node's silence check has ever fired (the
 // bound multiplier has left 1): the node has seen a suspicion of its own.
 func (d *Detector) Fired() bool { return d.mult > 1 }
+
+// LastNovel returns the time novel information was last observed.
+func (d *Detector) LastNovel() int64 { return d.lastNovel }
 
 // Learn adds id to the member set, reporting whether it was new. The
 // caller should compare Omega before and after: a newly learned maximum
@@ -155,7 +121,7 @@ func (d *Detector) learn(id amac.NodeID) bool {
 	// A negative id wraps far past the last word and takes the search.
 	w, bit := uint64(id)>>6, uint64(1)<<(uint64(id)&63)
 	inRange := w < uint64(len(d.known))
-	if inRange && d.known[w]&bit != 0 || !d.members.add(id) {
+	if inRange && d.known[w]&bit != 0 || !d.members.Add(id) {
 		return false
 	}
 	if inRange {
@@ -222,9 +188,9 @@ func (d *Detector) Bound() int64 { return d.fhat * int64(4*d.n+8) * d.mult }
 // highest unsuspected member), wrap the rotation when everyone else is
 // already suspected, or — when this node is omega with no one suspected —
 // tell the caller to re-arm its own proposer.
-func (d *Detector) Check(now int64) DetectorEvent {
+func (d *Detector) Check(now int64) Event {
 	if now-d.lastNovel <= d.Bound() {
-		return DetectorQuiet
+		return Quiet
 	}
 	d.lastNovel = now
 	if d.mult < maxDetectorMult {
@@ -232,14 +198,14 @@ func (d *Detector) Check(now int64) DetectorEvent {
 		d.mMult.Set(d.mult)
 	}
 	if d.omega != d.self {
-		d.suspected.add(d.omega)
+		d.suspected.Add(d.omega)
 		d.mSuspicions.Inc()
 		d.elect()
-		return DetectorDemoted
+		return Demoted
 	}
 	if len(d.suspected) == 0 {
 		d.mRearms.Inc()
-		return DetectorRearm
+		return Rearm
 	}
 	// This node rotated all the way down to itself and still nothing
 	// moved: clear the suspicions and re-probe from the top. A demoted
@@ -249,9 +215,9 @@ func (d *Detector) Check(now int64) DetectorEvent {
 	d.mWraps.Inc()
 	if d.omega == d.self {
 		d.mRearms.Inc()
-		return DetectorRearm
+		return Rearm
 	}
-	return DetectorDemoted
+	return Demoted
 }
 
 // elect recomputes omega: the maximum unsuspected member, wrapping (all
@@ -259,7 +225,7 @@ func (d *Detector) Check(now int64) DetectorEvent {
 // so the scan is deterministic.
 func (d *Detector) elect() {
 	for i := len(d.members) - 1; i >= 0; i-- {
-		if !d.suspected.has(d.members[i]) {
+		if !d.suspected.Has(d.members[i]) {
 			d.omega = d.members[i]
 			return
 		}

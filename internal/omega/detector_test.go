@@ -1,4 +1,4 @@
-package wpaxos
+package omega
 
 import (
 	"math/rand"
@@ -58,8 +58,8 @@ func TestDetectorDemotionRotation(t *testing.T) {
 	// Silence demotes the current omega and rotates to the next highest
 	// unsuspected member: 4, then 3, then 2, then self.
 	for _, want := range []amac.NodeID{3, 2, 1} {
-		if ev := d.Check(now); ev != DetectorDemoted {
-			t.Fatalf("Check = %v, want DetectorDemoted", ev)
+		if ev := d.Check(now); ev != Demoted {
+			t.Fatalf("Check = %v, want Demoted", ev)
 		}
 		if d.Omega() != want {
 			t.Fatalf("omega = %d, want %d", d.Omega(), want)
@@ -85,8 +85,8 @@ func TestDetectorWrapRepromotesAfterSilence(t *testing.T) {
 		d.Check(now)
 	}
 	now += d.Bound() + 1
-	if ev := d.Check(now); ev != DetectorDemoted {
-		t.Fatalf("wrap Check = %v, want DetectorDemoted", ev)
+	if ev := d.Check(now); ev != Demoted {
+		t.Fatalf("wrap Check = %v, want Demoted", ev)
 	}
 	if d.Omega() != 3 {
 		t.Fatalf("omega after wrap = %d, want re-promoted max 3", d.Omega())
@@ -100,16 +100,16 @@ func TestDetectorRearmWhenSelfIsLeader(t *testing.T) {
 	d := NewDetector(9, 3)
 	d.Learn(1)
 	d.Novel(0)
-	if ev := d.Check(d.Bound() + 1); ev != DetectorRearm {
-		t.Fatalf("Check = %v, want DetectorRearm for a silent self-leader", ev)
+	if ev := d.Check(d.Bound() + 1); ev != Rearm {
+		t.Fatalf("Check = %v, want Rearm for a silent self-leader", ev)
 	}
 }
 
 func TestDetectorQuietWithinBound(t *testing.T) {
 	d := NewDetector(1, 3)
 	d.Novel(100)
-	if ev := d.Check(100 + d.Bound()); ev != DetectorQuiet {
-		t.Fatalf("Check at the bound = %v, want DetectorQuiet", ev)
+	if ev := d.Check(100 + d.Bound()); ev != Quiet {
+		t.Fatalf("Check at the bound = %v, want Quiet", ev)
 	}
 }
 
@@ -184,25 +184,6 @@ func TestDetectorRotationDeterministicAcrossSeeds(t *testing.T) {
 				t.Fatalf("seed %d: omega trajectory %v, want %v", seed, got, want)
 			}
 		}
-	}
-}
-
-func TestStateMsgNewer(t *testing.T) {
-	base := StateMsg{Origin: 1, Promised: ProposalNum{1, 2}}
-	if base.Newer(base) {
-		t.Fatal("equal state reported newer")
-	}
-	higher := StateMsg{Origin: 1, Promised: ProposalNum{2, 1}}
-	if !higher.Newer(base) || base.Newer(higher) {
-		t.Fatal("promised ordering wrong")
-	}
-	accepted := StateMsg{Origin: 1, Promised: ProposalNum{1, 2},
-		Accepted: &Proposal{Num: ProposalNum{1, 2}, Val: 1}}
-	if !accepted.Newer(base) || base.Newer(accepted) {
-		t.Fatal("acceptance at equal promise not newer")
-	}
-	if accepted.Newer(higher) {
-		t.Fatal("lower promise with acceptance beat a higher promise")
 	}
 }
 

@@ -277,10 +277,8 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 		e.observe(Event{Kind: EventDiscard, Time: e.now, Node: u, Message: m})
 		return false
 	}
-	if e.cfg.Audit {
-		if err := amac.AuditIDCount(m); err != nil {
-			e.res.Violations = append(e.res.Violations, Violation{Time: e.now, Node: u, Desc: err.Error()})
-		}
+	if err := amac.AuditIDCount(m); err != nil {
+		e.res.Violations = append(e.res.Violations, Violation{Time: e.now, Node: u, Desc: err.Error()})
 	}
 	nbrs := e.cfg.Graph.Neighbors(u)
 	b := Broadcast{Sender: u, Seq: e.bseq[u], Neighbors: nbrs, Now: e.now, Message: m}

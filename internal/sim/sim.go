@@ -133,8 +133,6 @@ type Config struct {
 	// has decided (the default harness behaviour). When false the run
 	// continues to quiescence, which exercises post-decision behaviour.
 	StopWhenDecided bool
-	// Audit enables the per-message id-count audit.
-	Audit bool
 	// Observer, when non-nil, receives every engine event in execution
 	// order (for tracing). Event.Message is only guaranteed valid for the
 	// duration of the callback: pooling algorithms (e.g. floodpaxos's

@@ -262,7 +262,6 @@ func TestAuditIDCount(t *testing.T) {
 		Inputs:    inputs(0, 0),
 		Factory:   factory,
 		Scheduler: Synchronous{},
-		Audit:     true,
 	})
 	if len(res.Violations) != 2 {
 		t.Fatalf("violations=%d, want 2 (one oversized message per node)", len(res.Violations))
