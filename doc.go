@@ -272,7 +272,7 @@
 //     cycle needs id order anyway: a table would want a second, sorted
 //     structure beside it. Every other set a delivery consults is the
 //     same thing, a sorted slice with a written-out binary search: as
-//     omega.IDSet the detector's members and suspected ids, the
+//     omega.IDSet the detector's suspects and off-bitset members, the
 //     proposer's two gossip tallies and the origins behind each
 //     chosen-value tally (one tally per accepted proposal number: a
 //     handful, scanned), and under Node.findSeen the propositions seen,
@@ -340,12 +340,12 @@
 //     (queue invariant (1) of Section 4.2.1).
 //   - Pointer validity: the tree service's entry pointers are valid
 //     until its next receive or purge. Callers use them at once.
-//   - The one n-sized per-node structure is the Ω detector's membership
-//     bitset (n/64+1 words: 520 B per node, 2 MB in total at n = 4096).
-//     It answers Learn's "already a member?" with a bit test for ids in
-//     [0, 64·words); any other id falls through to the binary search over
-//     the sorted member slice, which stays the source of truth and the
-//     rotation and gossip order. The detector is embedded in the node by
+//   - The one n-sized per-node structure is the Ω detector's member set,
+//     a bitset (n/64+1 words: 520 B per node, 2 MB in total at n = 4096)
+//     for ids in [0, 64·words) and an omega.IDSet for any other id; read
+//     in id order it is the rotation order, and the gossip walk picks its
+//     k-th member by popcount. Learning a member is a bit test and a bit
+//     set, with no allocation. The detector is embedded in the node by
 //     value, so a delivery does not chase a pointer to reach it.
 //   - The tree service's pending queue holds root ids, one per root with
 //     an unsent improvement; the message is rebuilt from the table at pop

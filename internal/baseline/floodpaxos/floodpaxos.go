@@ -33,7 +33,8 @@
 // the live proposition and every pending response stay queued and are
 // re-broadcast (responses round-robin, one per broadcast) until
 // superseded, so a message lost to a lossy overlay edge is re-offered
-// rather than gone; receivers deduplicate per acceptor, keeping the
+// rather than gone; receivers deduplicate per acceptor — a byte per id in
+// 0..n, a sorted omega.IDSet for any other id, no Go map — keeping the
 // retransmissions idempotent. Every node relays every live response, one
 // by one — no aggregation, no majority cap, no batching: the Theta(n)
 // backlog is the point.
@@ -137,8 +138,9 @@ func (m *Combined) IDCount() int {
 
 // Node is the per-node state machine. The outbound queues (propQ, decideQ)
 // are value slots with presence flags; respQ is a sticky cycle whose
-// entries leave only when superseded. Everything keyed by the live number
-// starts empty and grows with what the node hears.
+// entries leave only when superseded. Of the state keyed by the live
+// number, heard is n+1 bytes from the start; the rest starts empty and
+// grows with what the node hears.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
@@ -162,12 +164,15 @@ type Node struct {
 
 	respQ   []ResponseMsg
 	respCur int
-	// heard has, per acceptor, one bit for each of live's propositions
-	// (heardBit) the acceptor was heard answering: the flood's dedup set
-	// and the tally in one. promises and accepts count the set bits; a
-	// majority of accepts means liveVal is chosen and any observer
-	// decides, proposer dead or alive.
-	heard    map[amac.NodeID]uint8
+	// heard has, per acceptor id in [0, n], one bit for each of live's
+	// propositions (heardBit) the acceptor was heard answering: the flood's
+	// dedup set and the tally in one, indexed by id. An acceptor id outside
+	// that range (sparse ids) goes to heardFar instead, one set per kind.
+	// promises and accepts count what both hold; a majority of accepts
+	// means liveVal is chosen and any observer decides, proposer dead or
+	// alive.
+	heard    []uint8
+	heardFar [2]omega.IDSet // indexed by kind - Prepare
 	promises int
 	accepts  int
 
@@ -205,6 +210,18 @@ type Node struct {
 // proposition of the given kind.
 func heardBit(k wpaxos.PropKind) uint8 { return 1 << uint(k) }
 
+// markHeard records that acceptor was heard answering live's proposition
+// of kind k, reporting whether that was news.
+func (a *Node) markHeard(k wpaxos.PropKind, acceptor amac.NodeID) bool {
+	// A negative id wraps past the table's end and goes to heardFar.
+	if uint64(acceptor) < uint64(len(a.heard)) {
+		h, bit := a.heard[acceptor], heardBit(k)
+		a.heard[acceptor] = h | bit
+		return h&bit == 0
+	}
+	return a.heardFar[k-wpaxos.Prepare].Add(acceptor)
+}
+
 // newNode returns the bare flood-paxos node NewFactory completes, knowing
 // the network size n.
 func newNode(input amac.Value, n int) *Node {
@@ -214,7 +231,7 @@ func newNode(input amac.Value, n int) *Node {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("floodpaxos: input %d is not binary", input))
 	}
-	return &Node{n: n, input: input, heard: make(map[amac.NodeID]uint8)}
+	return &Node{n: n, input: input, heard: make([]uint8, n+1)}
 }
 
 // NewFactory returns a factory for networks of the given size. On
@@ -373,6 +390,9 @@ func (a *Node) supersede(num wpaxos.ProposalNum) {
 	a.respQ = a.respQ[:0]
 	a.respCur = 0
 	clear(a.heard)
+	for k := range a.heardFar {
+		a.heardFar[k] = a.heardFar[k][:0]
+	}
 	a.promises, a.accepts = 0, 0
 	a.hasPropQ = false
 	a.live = num
@@ -465,12 +485,9 @@ func (a *Node) routeResponse(r ResponseMsg) {
 		a.mSuperseded.Inc()
 		return
 	}
-	bit := heardBit(r.Prop.Kind)
-	h := a.heard[r.Acceptor]
-	if h&bit != 0 {
+	if !a.markHeard(r.Prop.Kind, r.Acceptor) {
 		return
 	}
-	a.heard[r.Acceptor] = h | bit
 	a.det.Novel(a.api.Now())
 	if r.Prop.Num.ID != a.id {
 		a.respQ = append(a.respQ, r)

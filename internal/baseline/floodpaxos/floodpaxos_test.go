@@ -1,6 +1,7 @@
 package floodpaxos
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -85,6 +86,91 @@ func TestSlowerThanWPaxosOnBottleneck(t *testing.T) {
 	tTree := runWith(wpaxos.NewFactory(wpaxos.Config{N: g.N()}))
 	if float64(tFlood) < 1.5*float64(tTree) {
 		t.Fatalf("flood=%d tree=%d: expected the flooding baseline to be clearly slower", tFlood, tTree)
+	}
+}
+
+// TestSparseAndMixedIDs: nothing in the node may assume ids are 1..n. Run
+// with a shuffle of sparse ids far above n (every acceptor misses the heard
+// table and the detector's bitset) and with a mix of ids at most n and ids
+// far above them (both paths in one execution), under the random scheduler.
+func TestSparseAndMixedIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid4x4", graph.Grid(4, 4)},
+		{"expander64x4", graph.Expander(64, 4, 3)},
+	} {
+		n := tc.g.N()
+		rng := rand.New(rand.NewSource(int64(n)))
+		sparseIDs := make([]amac.NodeID, n)
+		mixedIDs := make([]amac.NodeID, n)
+		for i := range sparseIDs {
+			sparseIDs[i] = amac.NodeID(1_000_000_000 + 17*i)
+			if mixedIDs[i] = amac.NodeID(i/2 + 1); i%2 == 1 {
+				mixedIDs[i] = amac.NodeID(1<<40 + 1_000_003*i)
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { sparseIDs[i], sparseIDs[j] = sparseIDs[j], sparseIDs[i] })
+		rng.Shuffle(n, func(i, j int) { mixedIDs[i], mixedIDs[j] = mixedIDs[j], mixedIDs[i] })
+		inputs := mixed(n)
+		for seed := int64(0); seed < 4; seed++ {
+			for _, ids := range []struct {
+				name string
+				ids  []amac.NodeID
+			}{{"sparse", sparseIDs}, {"mixed", mixedIDs}} {
+				res := sim.Run(sim.Config{
+					Graph:           tc.g,
+					Inputs:          inputs,
+					Factory:         NewFactory(n),
+					Scheduler:       sim.NewRandom(4, seed),
+					IDs:             ids.ids,
+					StopWhenDecided: true,
+				})
+				if rep := consensus.Check(inputs, res); !rep.OK() {
+					t.Fatalf("%s/%s seed %d: %v", tc.name, ids.name, seed, rep.Errors)
+				}
+			}
+		}
+	}
+}
+
+// TestHeardMatchesMapOracle drives the heard table and the map it replaced
+// with one seeded stream of responses from acceptors inside the table (0
+// and n), past it (n+1, 2^40) and below it (-1), across supersessions, and
+// requires the same dedup answers: the same promise and accept tallies and
+// the same number of responses queued for the relay.
+func TestHeardMatchesMapOracle(t *testing.T) {
+	const n = 8
+	a := newNode(0, n)
+	a.Start(&fakeAPI{id: 3})
+	ids := []amac.NodeID{0, 1, n, n + 1, -1, 1 << 40}
+	rng := rand.New(rand.NewSource(1))
+	type key struct {
+		kind wpaxos.PropKind
+		id   amac.NodeID
+	}
+	want := map[key]bool{}
+	for tag := int64(1); tag <= 4; tag++ {
+		num := wpaxos.ProposalNum{Tag: tag, ID: 2}
+		clear(want) // a higher number supersedes everything heard
+		for step := 0; step < 60; step++ {
+			k := key{wpaxos.Prepare + wpaxos.PropKind(rng.Intn(2)), ids[rng.Intn(len(ids))]}
+			want[k] = true
+			a.onResponse(ResponseMsg{Prop: wpaxos.Proposition{Kind: k.kind, Num: num}, Acceptor: k.id})
+			promises, accepts := 0, 0
+			for w := range want {
+				if w.kind == wpaxos.Prepare {
+					promises++
+				} else {
+					accepts++
+				}
+			}
+			if a.live != num || a.promises != promises || a.accepts != accepts || len(a.respQ) != len(want) {
+				t.Fatalf("number %v step %d after %v: live %v, %d promises, %d accepts, %d queued; oracle %d, %d, %d",
+					num, step, k, a.live, a.promises, a.accepts, len(a.respQ), promises, accepts, len(want))
+			}
+		}
 	}
 }
 
@@ -250,10 +336,10 @@ func TestSupersededProposerRetriesWithinBudget(t *testing.T) {
 	}
 }
 
-// TestNewAllocatesLittle pins the table sizing: everything keyed by the live
-// number starts empty, so building a node costs the same at any n (it was
-// 74 KB at n=128 and over 500 KB at n=1024 when the tables were sized for
-// the worst case up front).
+// TestNewAllocatesLittle pins the table sizing: of what is keyed by the live
+// number only the heard table is sized up front, one byte per id (1 KB at
+// n=1024), and the rest starts empty (a node was 74 KB at n=128 and over
+// 500 KB at n=1024 when every table was sized for the worst case).
 func TestNewAllocatesLittle(t *testing.T) {
 	const n, nodes = 1024, 64
 	keep := make([]*Node, nodes)

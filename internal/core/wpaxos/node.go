@@ -21,15 +21,15 @@ type Config struct {
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
 // given configuration. Every call of the factory allocates a fresh node
 // with empty tables: nothing is pooled across nodes, runs or
-// Engine.Reset. Apart from the detector's membership (an N-bit set and
-// the sorted ids heard of), a node keeps what it can still use, not what
-// it has heard: trees for the roots that can be its leader estimate and
-// the gossiped acceptor states a counter can still count (doc.go, "wPAXOS
-// per-node state and the n² budget"). What a node recycles, on
-// substrates that declare amac.NodeConfig.AckAfterHandlers, is its one
-// broadcast message, refilled at the next pump (at most one is in flight,
-// and after its ack no handler is reading it); elsewhere a receiver may
-// still be, so every pump allocates a fresh one.
+// Engine.Reset. Apart from the detector's membership (an N-bit set, and a
+// sorted set for any id beyond it), a node keeps what it can still use,
+// not what it has heard: trees for the roots that can be its leader
+// estimate and the gossiped acceptor states a counter can still count
+// (doc.go, "wPAXOS per-node state and the n² budget"). What a node
+// recycles, on substrates that declare amac.NodeConfig.AckAfterHandlers,
+// is its one broadcast message, refilled at the next pump (at most one is
+// in flight, and after its ack no handler is reading it); elsewhere a
+// receiver may still be, so every pump allocates a fresh one.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))

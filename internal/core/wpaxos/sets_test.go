@@ -2,7 +2,6 @@ package wpaxos
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -94,59 +93,5 @@ func TestSeenPropsMatchMapOracle(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// mapsIn returns the paths of every map-kind type reachable from ty through
-// struct fields, slices, arrays and pointers declared in this package, in
-// internal/omega (the node's embedded Ω) or unnamed. What hangs behind
-// *CountAudit is exempt — an opt-in instrument shared by a whole run, nil
-// on every measured path — and the types of other packages (the metrics
-// handles, the amac.API interface) are the substrate's, not per-node
-// state, and are not entered. walked holds every type the walk entered.
-func mapsIn(ty reflect.Type) (found []string, walked map[reflect.Type]bool) {
-	pkgs := []string{"", reflect.TypeOf(Node{}).PkgPath(), reflect.TypeOf(omega.Service{}).PkgPath()}
-	audit := reflect.TypeOf((*CountAudit)(nil))
-	walked = map[reflect.Type]bool{}
-	var walk func(path string, ty reflect.Type)
-	walk = func(path string, ty reflect.Type) {
-		if ty == audit || walked[ty] || !slices.Contains(pkgs, ty.PkgPath()) {
-			return
-		}
-		walked[ty] = true
-		switch ty.Kind() {
-		case reflect.Map:
-			found = append(found, path+" "+ty.String())
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
-			}
-		case reflect.Slice, reflect.Array, reflect.Pointer:
-			walk(path, ty.Elem())
-		}
-	}
-	walk(ty.Name(), ty)
-	return found, walked
-}
-
-// TestNoMapsOnTheDeliveryPath is the guard that keeps Go maps from coming
-// back into a node, its Ω included: every lookup a delivery makes is a
-// sorted slice (omega.IDSet and the like) or a short scan.
-func TestNoMapsOnTheDeliveryPath(t *testing.T) {
-	maps, walked := mapsIn(reflect.TypeOf(Node{}))
-	if len(maps) > 0 {
-		t.Errorf("Node holds maps: %v", maps)
-	}
-	if !walked[reflect.TypeOf(omega.Detector{})] {
-		t.Error("the walk did not enter the node's Ω detector")
-	}
-	// The walk must see a map where there is one, however deep.
-	type tally struct{ by map[amac.NodeID]bool }
-	type withMap struct {
-		audit   *CountAudit
-		tallies []*tally
-	}
-	if maps, _ := mapsIn(reflect.TypeOf(withMap{})); !slices.Equal(maps, []string{"withMap.tallies.by map[amac.NodeID]bool"}) {
-		t.Fatalf("walking a struct with one reachable map found %q", maps)
 	}
 }

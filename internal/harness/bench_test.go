@@ -108,6 +108,32 @@ func BenchmarkWPaxosDecideLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkFloodPaxosDecide is the same row for floodpaxos on the cell of
+// bench's decide_flood128 workload, expander:128:8. Its allocs/op is pinned
+// (BENCH_engine.json): the per-acceptor dedup table is one byte per id and
+// Ω's members a bitset, so what is left is the graph, the nodes and the
+// pending response cycles; a map or a sorted slice growing per id heard
+// shows as a multiple.
+func BenchmarkFloodPaxosDecide(b *testing.B) {
+	sc := Scenario{
+		Algo:  "floodpaxos",
+		Topo:  Topo{Kind: "expander", N: 128, Deg: 8},
+		Sched: "random",
+		Fack:  4,
+		Seed:  1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg, err := sc.Config()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := sim.Run(cfg); !res.AllDecided() {
+			b.Fatalf("not all decided after %d events", res.Events)
+		}
+	}
+}
+
 // BenchmarkTwoPhaseDecideClique is one whole two-phase execution on the
 // single-hop case — scenario assembly and a run to all-decided on
 // clique:256 — with metrics off. Its allocs/op is pinned (BENCH_engine.json):

@@ -60,6 +60,49 @@ func TestLargeNDecidesWithinEventBudget(t *testing.T) {
 	}
 }
 
+// TestFailoverDecidesWithinEventBudget is the scale guard's crash half:
+// both multihop algorithms on expander:64:8 with the max-id leader dead
+// while its election flood spreads (maxid@10) or mid-round (maxid@40),
+// seeds 1-4. Each row runs Ω's rotation and gossip walk (21-59
+// suspicions in a maxid@40 run) and decides in 10k-1.3M events; the
+// budgets are about twice the largest row of each algorithm (wpaxos
+// maxid@10 seed 3 at 1.30M, floodpaxos maxid@40 seed 4 at 1.14M), so a
+// failover that stops deciding fails here instead of spinning to the cap.
+func TestFailoverDecidesWithinEventBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1.3M-event failover runs; the test-long CI job runs this")
+	}
+	for _, tc := range []struct {
+		algo   string
+		budget int
+	}{
+		{"wpaxos", 2_600_000},
+		{"floodpaxos", 2_300_000},
+	} {
+		for _, crash := range []string{"maxid@10", "maxid@40"} {
+			for seed := int64(1); seed <= 4; seed++ {
+				out, err := Scenario{
+					Algo:      tc.algo,
+					Topo:      Topo{Kind: "expander", N: 64, Deg: 8},
+					Sched:     "random",
+					Fack:      4,
+					Seed:      seed,
+					Crashes:   crash,
+					MaxEvents: tc.budget,
+				}.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !out.OK() || out.Result.Cutoff {
+					t.Errorf("%s %s seed %d: used %d of %d events (cutoff=%v), survivors decided at %d, agreement=%v validity=%v termination=%v",
+						tc.algo, crash, seed, out.Result.Events, tc.budget, out.Result.Cutoff, out.Report.SurvivorDecideTime,
+						out.Report.Agreement, out.Report.Validity, out.Report.Termination)
+				}
+			}
+		}
+	}
+}
+
 // TestWPaxosWorkingSetStaysSmall is the memory half of the scale guard:
 // on expander:1024:8 a wPAXOS node at decide time tracks a handful of tree
 // roots (itself, its leader, a root or two it heard of before its detector

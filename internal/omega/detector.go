@@ -1,6 +1,9 @@
 package omega
 
 import (
+	"math/bits"
+	"slices"
+
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
 )
@@ -22,21 +25,23 @@ const (
 
 // Detector is the suspicion-based Ω failure detector (see the package
 // comment). One instance per node; all methods are called from the node's
-// serialized event handlers.
+// serialized event handlers. Its member set is an n-bit set plus an IDSet
+// for the ids beyond it, so learning a member in 1..n costs a bit test and
+// no allocation.
 type Detector struct {
 	self amac.NodeID
 	n    int
 
-	members IDSet // always contains self and omega
-	// known is a membership bitset over the ids [0, 64*len(known)), sized
-	// from n so the simulator's default ids 1..n fall inside. It only
-	// answers Learn's "already a member?" without touching members, which
-	// stays the source of truth and the rotation and gossip order; ids
-	// outside the range take the binary search.
+	// The member set, which always contains self and omega, is known for
+	// the ids in [0, 64*len(known)) — a bitset sized from n, so the
+	// simulator's default ids 1..n fall inside — and outside for any other
+	// id. Its ascending order is outside's negative ids, the set bits,
+	// then outside's ids past the bitset: the rotation and gossip order.
 	known      []uint64
+	outside    IDSet
 	suspected  IDSet
 	omega      amac.NodeID
-	gossipCur  int
+	gossipCur  int // rank of the member the walk announces next
 	gossipTick int
 
 	fhat      int64 // largest observed broadcast-to-ack delay, >= 1
@@ -71,11 +76,12 @@ func (d *Detector) init(self amac.NodeID, n int) {
 		self:   self,
 		n:      n,
 		known:  make([]uint64, n/64+1),
+		omega:  self,
 		fhat:   1,
 		sendAt: -1,
 		mult:   1,
 	}
-	d.learn(self) // the first member, hence omega
+	d.learn(self) // the first member
 }
 
 // Instrument registers the detector's metric slots against r (nil-safe:
@@ -96,10 +102,6 @@ func (d *Detector) Instrument(r *metrics.Registry) {
 // member.
 func (d *Detector) Omega() amac.NodeID { return d.omega }
 
-// Members returns the sorted known member set (shared slice; callers must
-// not mutate it).
-func (d *Detector) Members() []amac.NodeID { return d.members }
-
 // Suspects reports whether id is currently suspected.
 func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected.Has(id) }
 
@@ -118,16 +120,21 @@ func (d *Detector) LastNovel() int64 { return d.lastNovel }
 func (d *Detector) Learn(id amac.NodeID) bool { return id != d.omega && d.learn(id) }
 
 func (d *Detector) learn(id amac.NodeID) bool {
-	// A negative id wraps far past the last word and takes the search.
-	w, bit := uint64(id)>>6, uint64(1)<<(uint64(id)&63)
-	inRange := w < uint64(len(d.known))
-	if inRange && d.known[w]&bit != 0 || !d.members.Add(id) {
+	// A negative id wraps far past the last word and goes to outside.
+	if w := uint64(id) >> 6; w < uint64(len(d.known)) {
+		bit := uint64(1) << (uint64(id) & 63)
+		if d.known[w]&bit != 0 {
+			return false
+		}
+		d.known[w] |= bit
+	} else if !d.outside.Add(id) {
 		return false
 	}
-	if inRange {
-		d.known[w] |= bit
+	// Omega is the maximum unsuspected member and only members are ever
+	// suspected, so a new member leads exactly when it is above omega.
+	if id > d.omega {
+		d.omega = id
 	}
-	d.elect()
 	return true
 }
 
@@ -143,12 +150,63 @@ func (d *Detector) Gossip() amac.NodeID {
 	if d.gossipTick%2 == 1 {
 		return d.omega
 	}
-	if d.gossipCur >= len(d.members) {
+	id, ok := d.member(d.gossipCur)
+	if !ok {
 		d.gossipCur = 0
+		id, _ = d.member(0)
 	}
-	id := d.members[d.gossipCur]
 	d.gossipCur++
 	return id
+}
+
+// member returns the member of rank k, counting up from 0 at the smallest,
+// and false when there are only k members or fewer. The walk goes by rank,
+// not by id: a member learned below the cursor shifts every rank above it
+// by one, and the walk repeats the id it announced last.
+func (d *Detector) member(k int) (amac.NodeID, bool) {
+	neg, _ := d.outside.find(0)
+	if k < neg {
+		return d.outside[k], true
+	}
+	k -= neg
+	for i, w := range d.known {
+		if c := bits.OnesCount64(w); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1 // drop the lowest member of the word
+		}
+		return amac.NodeID(i<<6 | bits.TrailingZeros64(w)), true
+	}
+	if k += neg; k < len(d.outside) {
+		return d.outside[k], true
+	}
+	return 0, false
+}
+
+// descending yields the members from the largest down.
+func (d *Detector) descending(yield func(amac.NodeID) bool) {
+	neg, _ := d.outside.find(0)
+	for _, id := range slices.Backward(d.outside[neg:]) {
+		if !yield(id) {
+			return
+		}
+	}
+	for i := len(d.known) - 1; i >= 0; i-- {
+		for w := d.known[i]; w != 0; {
+			b := 63 - bits.LeadingZeros64(w)
+			if !yield(amac.NodeID(i<<6 | b)) {
+				return
+			}
+			w &^= 1 << b
+		}
+	}
+	for _, id := range slices.Backward(d.outside[:neg]) {
+		if !yield(id) {
+			return
+		}
+	}
 }
 
 // Novel records that novel information was observed at time now, resetting
@@ -220,16 +278,14 @@ func (d *Detector) Check(now int64) Event {
 	return Demoted
 }
 
-// elect recomputes omega: the maximum unsuspected member, wrapping (all
-// suspicions cleared) when every member is suspected. Members are sorted,
-// so the scan is deterministic.
+// elect recomputes omega after a suspicion: the maximum unsuspected
+// member, found by a scan from the top. Self is never suspected (Check
+// suspects only an omega other than self), so the scan always finds one.
 func (d *Detector) elect() {
-	for i := len(d.members) - 1; i >= 0; i-- {
-		if !d.suspected.Has(d.members[i]) {
-			d.omega = d.members[i]
+	for id := range d.descending {
+		if !d.suspected.Has(id) {
+			d.omega = id
 			return
 		}
 	}
-	d.suspected = d.suspected[:0]
-	d.omega = d.members[len(d.members)-1]
 }

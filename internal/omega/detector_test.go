@@ -1,7 +1,9 @@
 package omega
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -22,7 +24,7 @@ func TestDetectorLearnAndElect(t *testing.T) {
 		t.Fatalf("learning a smaller id moved omega to %d", d.Omega())
 	}
 	want := []amac.NodeID{1, 3, 7}
-	got := d.Members()
+	got := d.members()
 	if len(got) != len(want) {
 		t.Fatalf("members %v", got)
 	}
@@ -187,10 +189,10 @@ func TestDetectorRotationDeterministicAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestDetectorLearnStraddlesBitsetRange: the membership bitset answers ids
+// TestDetectorLearnStraddlesBitsetRange: the membership bitset holds ids
 // inside [0, 64*words) and everything else — larger, negative, or a self
-// id out of range — takes the binary search over members. Both paths must
-// agree with a plain set, in any order, and keep members sorted.
+// id out of range — goes to the sorted outside set. Both paths must agree
+// with a plain set, in any order, and read back in ascending order.
 func TestDetectorLearnStraddlesBitsetRange(t *testing.T) {
 	const n = 100 // 2 words: ids 0..127 are in range
 	for _, self := range []amac.NodeID{5, 127, 128, 1_000_000_007, -3} {
@@ -209,7 +211,7 @@ func TestDetectorLearnStraddlesBitsetRange(t *testing.T) {
 				seen[id] = true
 			}
 		}
-		m := d.Members()
+		m := d.members()
 		if len(m) != len(seen) {
 			t.Fatalf("self %d: %d members, want %d: %v", self, len(m), len(seen), m)
 		}
@@ -221,5 +223,146 @@ func TestDetectorLearnStraddlesBitsetRange(t *testing.T) {
 		if d.Omega() != m[len(m)-1] {
 			t.Fatalf("self %d: omega %d is not the maximum member %d", self, d.Omega(), m[len(m)-1])
 		}
+	}
+}
+
+// members returns the member set in ascending order.
+func (d *Detector) members() []amac.NodeID {
+	var m []amac.NodeID
+	for id := range d.descending {
+		m = append(m, id)
+	}
+	slices.Reverse(m)
+	return m
+}
+
+// sortedDetector is the detector as it was before its member set became a
+// bitset: one sorted slice holds every member and the gossip walk indexes
+// it. It covers what that change touched — membership, election, the walk
+// and a Check past the silence bound — and is the oracle of
+// TestDetectorMatchesSortedOracle.
+type sortedDetector struct {
+	self                  amac.NodeID
+	members, suspected    IDSet
+	omega                 amac.NodeID
+	gossipCur, gossipTick int
+}
+
+func newSortedDetector(self amac.NodeID) *sortedDetector {
+	o := &sortedDetector{self: self}
+	o.learn(self)
+	return o
+}
+
+func (o *sortedDetector) learn(id amac.NodeID) bool {
+	if !o.members.Add(id) {
+		return false
+	}
+	o.elect()
+	return true
+}
+
+func (o *sortedDetector) gossip() amac.NodeID {
+	o.gossipTick++
+	if o.gossipTick%2 == 1 {
+		return o.omega
+	}
+	if o.gossipCur >= len(o.members) {
+		o.gossipCur = 0
+	}
+	id := o.members[o.gossipCur]
+	o.gossipCur++
+	return id
+}
+
+// fire is Check once the silence bound has elapsed.
+func (o *sortedDetector) fire() Event {
+	if o.omega != o.self {
+		o.suspected.Add(o.omega)
+		o.elect()
+		return Demoted
+	}
+	if len(o.suspected) == 0 {
+		return Rearm
+	}
+	o.suspected = o.suspected[:0]
+	o.elect()
+	if o.omega == o.self {
+		return Rearm
+	}
+	return Demoted
+}
+
+func (o *sortedDetector) elect() {
+	for i := len(o.members) - 1; i >= 0; i-- {
+		if !o.suspected.Has(o.members[i]) {
+			o.omega = o.members[i]
+			return
+		}
+	}
+	o.suspected = o.suspected[:0]
+	o.omega = o.members[len(o.members)-1]
+}
+
+// TestDetectorMatchesSortedOracle drives the detector and sortedDetector
+// through the same seeded interleavings of Learn, Gossip and firing Checks —
+// ids on both sides of the bitset range and negative ones, selves in and out
+// of it, demotions, wraps, and learns that land below the gossip cursor — and
+// requires equal answers, Omega, Suspects and member sets after every call.
+// The walk must go by rank: an id-ordered one skips the repeat that a
+// member learned below the cursor causes.
+func TestDetectorMatchesSortedOracle(t *testing.T) {
+	const n = 100 // 2 words: ids 0..127 are in the bitset
+	pool := []amac.NodeID{0, 1, 2, 7, 63, 64, 99, 100, 126, 127, 128, 129, 4096, 1 << 40, -1, -2, -64, -1 << 62}
+	var below, demotions, wraps int
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, self := range []amac.NodeID{0, 5, 127, 128, 1 << 40, -3} {
+			d, o := NewDetector(self, n), newSortedDetector(self)
+			now := int64(0)
+			for step := 0; step < 600; step++ {
+				where := func() string { return fmt.Sprintf("seed %d self %d step %d", seed, self, step) }
+				switch op := rng.Intn(10); {
+				case op < 3:
+					id := pool[rng.Intn(len(pool))]
+					if i, found := o.members.find(id); !found && i < o.gossipCur {
+						below++
+					}
+					if g, w := d.Learn(id), o.learn(id); g != w {
+						t.Fatalf("%s: Learn(%d) = %v, oracle %v", where(), id, g, w)
+					}
+				case op < 8:
+					if g, w := d.Gossip(), o.gossip(); g != w {
+						t.Fatalf("%s: Gossip() = %d, oracle %d (members %v)", where(), g, w, o.members)
+					}
+				default:
+					if o.omega == o.self && len(o.suspected) > 0 {
+						wraps++
+					}
+					now += d.Bound() + 1
+					g, w := d.Check(now), o.fire()
+					if g != w {
+						t.Fatalf("%s: Check = %v, oracle %v", where(), g, w)
+					}
+					if w == Demoted {
+						demotions++
+					}
+				}
+				if d.Omega() != o.omega {
+					t.Fatalf("%s: Omega() = %d, oracle %d", where(), d.Omega(), o.omega)
+				}
+				for _, id := range pool {
+					if d.Suspects(id) != o.suspected.Has(id) {
+						t.Fatalf("%s: Suspects(%d) = %v, oracle %v", where(), id, d.Suspects(id), o.suspected.Has(id))
+					}
+				}
+				if m := d.members(); !slices.Equal(m, o.members) {
+					t.Fatalf("%s: members %v, oracle %v", where(), m, o.members)
+				}
+			}
+		}
+	}
+	if below == 0 || demotions == 0 || wraps == 0 {
+		t.Fatalf("the interleavings missed a case: %d learns below the cursor, %d demotions, %d wraps", below, demotions, wraps)
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 )
 
-// IDSet is a set of node ids, sorted ascending: the detector's members and
-// suspects, and wPAXOS' origin tallies. It is a slice, not a Go map,
+// IDSet is a set of node ids, sorted ascending: the detector's suspects and
+// the members its bitset cannot hold, floodpaxos' responders with such ids,
+// and wPAXOS' origin tallies. It is a slice, not a Go map,
 // because a map lookup is a chain of dependent loads (header, directory,
 // control word, slot), each a cache miss at large n, where a binary search
 // over a few dozen contiguous entries touches a line or two. The zero value

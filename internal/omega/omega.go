@@ -12,10 +12,11 @@
 // suspicion:
 //
 //   - Membership: ids are learned by gossip (the leader slot of every
-//     broadcast, Gossip) and kept sorted, so rotation order is identical
-//     across nodes and seeds. Gossip alternates between the current omega —
-//     the paper's O(D·Fack) leader flood — and a round-robin walk of the
-//     member set, so every node converges on the same member list.
+//     broadcast, Gossip) into a bitset over 0..n and a sorted IDSet for any
+//     other id; read in id order, so rotation order is identical across
+//     nodes and seeds. Gossip alternates between the current omega — the
+//     paper's O(D·Fack) leader flood — and a round-robin walk of the member
+//     set by rank, so every node converges on the same member list.
 //   - Suspicion: a node tracks the time of the last *novel* information it
 //     observed — any dedup-passing state change (new member, fresh change
 //     notice, tree improvement, first-seen proposition or response,
