@@ -195,7 +195,7 @@
 // (all decided, timeout, cancellation, contract breach), teardown order
 // and the result. A MAC (live.MAC) only moves messages: handed
 // (sender, msg) it owes the runtime exactly one Deliver(sender, to, msg)
-// per neighbor of sender and then one Ack(sender, msg). The timer MAC in
+// per neighbor of sender and then one Ack(sender). The timer MAC in
 // internal/live sleeps seeded random delays inside a wall-clock Fack;
 // internal/netmac retransmits gob datagrams over loopback UDP until every
 // neighbor's socket has acknowledged them, so its Fack is emergent.
@@ -210,15 +210,14 @@
 // so a datagram that does not decode, or whose source address is not the
 // socket of the neighbor it names, is dropped and counted (net_dropped).
 //
-// Delivered means enqueued, not handled: a receiver may still be inside
-// OnReceive when the sender's OnAck runs, so the runtime leaves
-// amac.NodeConfig.AckAfterHandlers false and nodes allocate a message per
-// broadcast here instead of recycling send buffers. The periodic metrics
-// exposition (live_* from the runtime, net_* from the UDP MAC) is the only
-// place in the repository wall-clock stamps surface. One contract test,
-// TestSubstrateContract in internal/netmac, runs the same algorithm rows
-// on the simulator and on both MACs through a decorator that asserts the
-// amac.Algorithm/API contract as the algorithm sees it.
+// The runtime then holds the ack until every neighbor's OnReceive of the
+// broadcast has returned, the order amac.Algorithm promises on every
+// substrate. The periodic metrics exposition (live_* from the runtime,
+// net_* from the UDP MAC) is the only place in the repository wall-clock
+// stamps surface. One contract test, TestSubstrateContract in
+// internal/netmac, runs the same algorithm rows on the simulator and on
+// both MACs through a decorator that asserts the amac.Algorithm/API
+// contract as the algorithm sees it.
 //
 // # Scale
 //
@@ -289,14 +288,11 @@
 //   - What is sent. The outbound queues are value slots with presence
 //     flags, and a broadcast is one *Combined whose exported pointer
 //     fields point into its own inline slots. A delivered *Combined is
-//     immutable, and receivers copy what they keep; on a substrate that
-//     declares AckAfterHandlers (the simulator) it is valid until the
+//     immutable, and receivers copy what they keep; it is valid until the
 //     sender's ack, after which the sender — who owns exactly one message,
 //     one broadcast being in flight at a time — refills it, so neither
-//     sending nor receiving allocates in steady state. Elsewhere (live,
-//     netmac) a receiver may still be reading when the ack lands, and
-//     every pump allocates a fresh message. floodpaxos' Combined makes the
-//     same promise.
+//     sending nor receiving allocates in steady state. floodpaxos'
+//     Combined makes the same promise.
 //   - Rule 1, trees: a root is tracked only while it can be this node's
 //     leader estimate. A <search> for a root below Ω, or for a suspected
 //     root, is dropped before any lookup and is not novel to the detector

@@ -75,7 +75,9 @@ type API interface {
 // Start exactly once before any other handler, then OnReceive for every
 // message delivered to this node and OnAck when the node's in-flight
 // broadcast completes. Handlers run serially per node and must not retain
-// the API beyond the execution.
+// the API beyond the execution. On every substrate OnAck(m) runs after
+// every neighbor's OnReceive(m) has returned, so from then on the sender
+// may reuse m.
 type Algorithm interface {
 	Start(api API)
 	OnReceive(m Message)
@@ -135,13 +137,6 @@ type NodeConfig struct {
 	// registry hands back disabled handles that no-op, so algorithms
 	// instrument unconditionally.
 	Metrics *metrics.Registry
-	// AckAfterHandlers is set by a substrate that guarantees every
-	// OnReceive of a broadcast has returned before its sender's OnAck
-	// runs (the serialized simulator). Only then may an algorithm recycle
-	// a message it broadcast once the ack arrives; on wall-clock
-	// substrates a receiver may still be reading it, so they leave the
-	// zero value.
-	AckAfterHandlers bool
 }
 
 // Factory builds one node's algorithm instance. A Factory is invoked once

@@ -92,9 +92,7 @@ type DecideMsg struct {
 
 // Combined multiplexes one message per queue into a single broadcast. The
 // sender fills the unexported inline slots and points the exported fields
-// at them, so assembling a broadcast allocates nothing beyond the Combined
-// itself — and nothing at all on a node that owns the one message it
-// refills (see NewFactory).
+// at them, so assembling a broadcast allocates nothing (see NewFactory).
 type Combined struct {
 	Leader   *omega.LeaderMsg
 	Change   *omega.ChangeMsg
@@ -104,8 +102,8 @@ type Combined struct {
 
 	// buf backs the pointer fields above when the message is assembled by
 	// pump. Receivers must treat a delivered Combined as immutable and
-	// copy what they keep (they do), because a sender that owns its
-	// message refills the whole object — buf included — after the ack.
+	// copy what they keep (they do), because the sender refills the whole
+	// object — buf included — after the ack.
 	buf struct {
 		leader   omega.LeaderMsg
 		change   omega.ChangeMsg
@@ -191,8 +189,8 @@ type Node struct {
 	decided    bool
 	decision   amac.Value
 
-	// msg, where the substrate lets a node have one (see NewFactory), is
-	// the one message it ever broadcasts, refilled by every pump.
+	// msg is the one message the node ever broadcasts, refilled by every
+	// pump.
 	msg *Combined
 
 	// mreg is the substrate's metrics registry (nil when metrics are off);
@@ -231,22 +229,16 @@ func newNode(input amac.Value, n int) *Node {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("floodpaxos: input %d is not binary", input))
 	}
-	return &Node{n: n, input: input, heard: make([]uint8, n+1)}
+	return &Node{n: n, input: input, heard: make([]uint8, n+1), msg: new(Combined)}
 }
 
-// NewFactory returns a factory for networks of the given size. On
-// substrates that declare amac.NodeConfig.AckAfterHandlers a node owns one
-// broadcast message and refills it at every pump (at most one is in
+// NewFactory returns a factory for networks of the given size. A node owns
+// one broadcast message and refills it at every pump (at most one is in
 // flight, and after its ack no handler is reading it), which makes the
-// steady-state broadcast path allocation-free; elsewhere a receiver may
-// still be reading the message when the ack lands, so every pump
-// allocates a fresh one.
+// steady-state broadcast path allocation-free.
 func NewFactory(n int) amac.Factory {
 	return func(cfg amac.NodeConfig) amac.Algorithm {
 		a := newNode(cfg.Input, n)
-		if cfg.AckAfterHandlers {
-			a.msg = new(Combined)
-		}
 		a.instrument(cfg.Metrics)
 		return a
 	}
@@ -334,11 +326,7 @@ func (a *Node) pump() {
 		return
 	}
 	c := a.msg
-	if c == nil {
-		c = new(Combined)
-	} else {
-		*c = Combined{}
-	}
+	*c = Combined{}
 	if a.hasDecideQ {
 		c.buf.decide = a.decideQ
 		c.Decide = &c.buf.decide

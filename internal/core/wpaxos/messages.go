@@ -100,7 +100,7 @@ type DecideMsg struct {
 // one message from each non-empty queue, sent as a single bounded-size
 // broadcast. Nil fields mean the corresponding queue was empty. The sender
 // fills the inline slots of buf and points the exported fields at them, so
-// a broadcast allocates at most the Combined itself (see NewFactory).
+// a broadcast allocates nothing (see NewFactory).
 type Combined struct {
 	Leader   *omega.LeaderMsg
 	Change   *omega.ChangeMsg
@@ -112,8 +112,8 @@ type Combined struct {
 
 	// buf backs the pointer fields above when pump assembles the message.
 	// Receivers must treat a delivered Combined as immutable and copy what
-	// they keep (they do): on an AckAfterHandlers substrate it is valid only
-	// until the sender's ack, after which the sender refills all of it.
+	// they keep (they do): it is valid only until the sender's ack, after
+	// which the sender refills all of it.
 	buf struct {
 		leader   omega.LeaderMsg
 		change   omega.ChangeMsg

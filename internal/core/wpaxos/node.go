@@ -26,19 +26,14 @@ type Config struct {
 // not what it has heard: trees for the roots that can be its leader
 // estimate and the gossiped acceptor states a counter can still count
 // (doc.go, "wPAXOS per-node state and the n² budget"). What a node
-// recycles, on substrates that declare amac.NodeConfig.AckAfterHandlers,
-// is its one broadcast message, refilled at the next pump (at most one is
-// in flight, and after its ack no handler is reading it); elsewhere a
-// receiver may still be, so every pump allocates a fresh one.
+// recycles is its one broadcast message, refilled at the next pump: at
+// most one is in flight, and after its ack no handler is reading it.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return func(nc amac.NodeConfig) amac.Algorithm {
 		a := newNode(nc.Input, cfg)
-		if nc.AckAfterHandlers {
-			a.msg = new(Combined)
-		}
 		a.instrument(nc.Metrics)
 		return a
 	}
@@ -131,9 +126,9 @@ type Node struct {
 	met      nodeMetrics
 	propSent bool
 
-	// msg, where the substrate lets a node have one (see NewFactory), is
-	// the one message it ever broadcasts, refilled by every pump. The queues
-	// are values and value slices, so steady-state pumping does not allocate.
+	// msg is the one message the node ever broadcasts, refilled by every
+	// pump. The queues are values and value slices, so steady-state pumping
+	// does not allocate.
 	msg *Combined
 }
 
@@ -158,7 +153,7 @@ func newGeneral(input amac.Value, cfg Config) *Node {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
-	return &Node{n: cfg.N, input: input, audit: cfg.Audit}
+	return &Node{n: cfg.N, input: input, audit: cfg.Audit, msg: new(Combined)}
 }
 
 // nodeMetrics is the wPAXOS node's counter set. All nodes of a run share
@@ -263,11 +258,7 @@ func (nd *Node) pump() {
 		return
 	}
 	c := nd.msg
-	if c == nil {
-		c = new(Combined)
-	} else {
-		*c = Combined{}
-	}
+	*c = Combined{}
 	var ok bool
 	if nd.hasDecideQ {
 		c.buf.decide, nd.hasDecideQ = nd.decideQ, false

@@ -494,13 +494,12 @@ func fullMessage() *Combined {
 	}
 }
 
-// TestSteadyStateBroadcastDoesNotAllocate pins the sending half on a
-// substrate that acks after the handlers (the simulator): the node owns one
-// message and every ack -> pump -> broadcast refills it, so a broadcast
-// costs no allocation once that message exists.
+// TestSteadyStateBroadcastDoesNotAllocate pins the sending half: the node
+// owns one message and every ack -> pump -> broadcast refills it, so a
+// broadcast costs no allocation once that message exists.
 func TestSteadyStateBroadcastDoesNotAllocate(t *testing.T) {
 	api := &stubAPI{id: 3, now: 10}
-	nd := NewFactory(Config{N: 5})(amac.NodeConfig{ID: 3, Input: 1, AckAfterHandlers: true}).(*Node)
+	nd := NewFactory(Config{N: 5})(amac.NodeConfig{ID: 3, Input: 1}).(*Node)
 	nd.Start(api)
 	own := api.last
 	nd.OnReceive(fullMessage())
@@ -518,33 +517,5 @@ func TestSteadyStateBroadcastDoesNotAllocate(t *testing.T) {
 	c := own.(*Combined)
 	if c.Leader == nil || c.Change == nil || c.Proposer == nil || c.State == nil {
 		t.Fatalf("the steady-state broadcast is missing a sticky slot: %+v", c)
-	}
-}
-
-// TestBroadcastsAreDistinctWithoutAckAfterHandlers pins the other half of
-// the pooling contract, the one live and netmac rely on: where a receiver
-// may still be reading a message when its ack lands, two consecutive pumps
-// hand Broadcast distinct objects and the second does not touch the first.
-func TestBroadcastsAreDistinctWithoutAckAfterHandlers(t *testing.T) {
-	nd, api := startedNode(3, 5)
-	nd.OnReceive(fullMessage())
-	nd.OnAck(api.last)
-	first := api.last.(*Combined)
-	before := *first
-	if first.Proposer == nil || first.State == nil {
-		t.Fatalf("the first message carries no proposition or state: %+v", first)
-	}
-	api.now = 20
-	nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 2, ID: 9}}})
-	nd.OnAck(first)
-	second := api.last.(*Combined)
-	if second == first {
-		t.Fatal("the second pump reused the first message")
-	}
-	if *first != before {
-		t.Fatalf("the second pump changed the first message:\n%+v\nwas\n%+v", *first, before)
-	}
-	if second.Proposer == nil || *second.Proposer == *first.Proposer {
-		t.Fatalf("the second message does not carry the newer proposition: %+v", second.Proposer)
 	}
 }

@@ -18,7 +18,9 @@
 // The model's one guarantee — every neighbor receives a broadcast before
 // its sender is acknowledged — is checked here, for every MAC, by a
 // per-sender countdown in Deliver/Ack; a MAC that breaks it ends the run
-// with ErrContract.
+// with ErrContract. The runtime then holds the ack until every neighbor's
+// OnReceive of the broadcast has returned, so OnAck runs after the
+// receivers' handlers here as on the simulator.
 //
 // Crash failures are deliberately out of scope here; the Theorem 3.2
 // experiments need the simulator's reproducible schedules.
@@ -91,7 +93,7 @@ type MAC interface {
 	// Broadcast starts transmitting m from node sender and returns without
 	// waiting for it. The MAC then owes the runtime, from any goroutine,
 	// exactly one Deliver(sender, to, m) for each neighbor of sender,
-	// followed by one Ack(sender, m). The runtime never calls it again for
+	// followed by one Ack(sender). The runtime never calls it again for
 	// that sender before the Ack.
 	Broadcast(sender int, m amac.Message)
 	// Expose adds the MAC's own counters to one exposition snapshot.
@@ -131,10 +133,11 @@ func (r *Result) Report(inputs []amac.Value) *consensus.Report {
 	return consensus.Check(inputs, sr)
 }
 
-// event is a mailbox entry: a delivery or an acknowledgment.
+// event is a mailbox entry: msg delivered from node from or, with msg nil,
+// the ack of the node's own broadcast.
 type event struct {
-	ack bool
-	msg amac.Message
+	msg  amac.Message
+	from int
 }
 
 // Runtime is one execution as its MAC sees it: where deliveries and acks
@@ -145,6 +148,7 @@ type Runtime struct {
 	mac     MAC
 	boxes   []*mailbox.Mailbox[event]
 	owed    []atomic.Int64 // per sender: deliveries its broadcast still owes
+	held    []atomic.Int64 // per sender: the OnReceives and MAC Ack its ack still waits for
 	clock   atomic.Int64
 	started time.Time
 	done    <-chan struct{}
@@ -170,24 +174,33 @@ func (rt *Runtime) Deliver(sender, to int, m amac.Message) {
 		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered more than once per neighbor or after its ack", ErrContract, sender))
 		return
 	}
-	rt.boxes[to].Push(event{msg: m})
+	rt.boxes[to].Push(event{msg: m, from: sender})
 }
 
-// Ack completes sender's broadcast of m.
-func (rt *Runtime) Ack(sender int, m amac.Message) {
+// Ack completes sender's broadcast; the sender's OnAck runs once its
+// receivers' OnReceives have returned too.
+func (rt *Runtime) Ack(sender int) {
 	if owed := rt.owed[sender].Load(); owed != 0 {
 		rt.fail(fmt.Errorf("%w: node %d acked with %d deliveries outstanding", ErrContract, sender, owed))
 		return
 	}
-	rt.boxes[sender].Push(event{ack: true, msg: m})
+	rt.release(sender)
+}
+
+// release counts down what sender's ack waits for and enqueues the ack at
+// zero.
+func (rt *Runtime) release(sender int) {
+	if rt.held[sender].Add(-1) == 0 {
+		rt.boxes[sender].Push(event{})
+	}
 }
 
 // api implements amac.API for one node. Its methods are only called from
-// the node's event loop goroutine, which owns the in-flight flag.
+// the node's event loop goroutine, which owns the in-flight broadcast.
 type api struct {
-	rt       *Runtime
-	node     int
-	inflight bool
+	rt   *Runtime
+	node int
+	sent amac.Message // the broadcast in flight, nil when none is
 }
 
 func (a *api) ID() amac.NodeID { return a.rt.ids[a.node] }
@@ -201,13 +214,15 @@ func (a *api) Broadcast(m amac.Message) bool {
 		panic(fmt.Sprintf("live: node %d broadcast a nil message", a.node))
 	}
 	rt := a.rt
-	if a.inflight {
+	if a.sent != nil {
 		rt.discards.Add(1)
 		return false
 	}
-	a.inflight = true
+	a.sent = m
 	rt.broadcasts.Add(1)
-	rt.owed[a.node].Store(int64(rt.graph.Degree(a.node)))
+	deg := int64(rt.graph.Degree(a.node))
+	rt.owed[a.node].Store(deg)
+	rt.held[a.node].Store(deg + 1)
 	rt.mac.Broadcast(a.node, m)
 	return true
 }
@@ -235,11 +250,13 @@ func (rt *Runtime) loop(node int, alg amac.Algorithm) {
 		if !ok {
 			return
 		}
-		if ev.ack {
-			a.inflight = false
-			alg.OnAck(ev.msg)
+		if ev.msg == nil {
+			m := a.sent
+			a.sent = nil
+			alg.OnAck(m)
 		} else {
 			alg.OnReceive(ev.msg)
+			rt.release(ev.from)
 		}
 	}
 }
@@ -319,6 +336,7 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 		ids:        ids,
 		boxes:      make([]*mailbox.Mailbox[event], n),
 		owed:       make([]atomic.Int64, n),
+		held:       make([]atomic.Int64, n),
 		started:    time.Now(),
 		done:       runCtx.Done(),
 		fail:       cancel,
@@ -334,9 +352,6 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 		rt.boxes[i] = mailbox.New[event]()
 	}
 
-	// AckAfterHandlers stays false: a receiver may still be inside
-	// OnReceive when the sender's OnAck runs, so nodes must not recycle
-	// the messages they broadcast.
 	algs := make([]amac.Algorithm, n)
 	for i := range algs {
 		algs[i] = cfg.Factory(amac.NodeConfig{ID: ids[i], Input: cfg.Inputs[i]})
@@ -440,7 +455,7 @@ func (t *timers) Broadcast(sender int, m amac.Message) {
 			t.rt.Deliver(sender, h.to, m)
 		}
 		if t.sleepUntil(start.Add(ackDelay)) {
-			t.rt.Ack(sender, m)
+			t.rt.Ack(sender)
 		}
 	}()
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func (f *fakeMAC) Broadcast(sender int, m amac.Message) {
 	for _, v := range to {
 		f.rt.Deliver(sender, v, m)
 	}
-	f.rt.Ack(sender, m)
+	f.rt.Ack(sender)
 }
 func (f *fakeMAC) Expose(*metrics.Registry) {}
 func (f *fakeMAC) Close()                   {}
@@ -94,12 +95,35 @@ func TestContractViolations(t *testing.T) {
 	}
 }
 
-// TestPaxosFactoriesDoNotRecycleLiveMessages runs the two factories whose
-// nodes recycle send buffers on the simulator: this runtime hands the
-// message pointer to concurrently running receivers and does not declare
-// amac.NodeConfig.AckAfterHandlers, so the nodes must allocate per
-// broadcast — under -race, a recycled buffer is a reported data race.
-func TestPaxosFactoriesDoNotRecycleLiveMessages(t *testing.T) {
+// recycler passes one node through, counting each broadcast that hands
+// Broadcast another message than the node's first.
+type recycler struct {
+	amac.Algorithm
+	amac.API
+	first amac.Message
+	fresh *atomic.Int64
+}
+
+func (r *recycler) Start(api amac.API) {
+	r.API = api
+	r.Algorithm.Start(r)
+}
+
+func (r *recycler) Broadcast(m amac.Message) bool {
+	if r.first == nil {
+		r.first = m
+	} else if m != r.first {
+		r.fresh.Add(1)
+	}
+	return r.API.Broadcast(m)
+}
+
+// TestPaxosFactoriesRecycleLiveMessages runs the two factories whose nodes
+// own one message and refill it at every pump: a node's consecutive
+// broadcasts are one pointer here too, which is safe only because the
+// runtime holds each ack until the receivers' handlers have returned —
+// under -race, an ack that overtook a handler is a reported data race.
+func TestPaxosFactoriesRecycleLiveMessages(t *testing.T) {
 	g := graph.Grid(3, 3)
 	inputs := mixed(g.N())
 	for _, tc := range []struct {
@@ -109,18 +133,24 @@ func TestPaxosFactoriesDoNotRecycleLiveMessages(t *testing.T) {
 		{"wpaxos", wpaxos.NewFactory(wpaxos.Config{N: g.N()})},
 		{"floodpaxos", floodpaxos.NewFactory(g.N())},
 	} {
+		var fresh atomic.Int64
 		res, err := Run(context.Background(), Config{
-			Graph:   g,
-			Inputs:  inputs,
-			Factory: tc.factory,
-			Fack:    2 * time.Millisecond,
-			Seed:    7,
+			Graph:  g,
+			Inputs: inputs,
+			Factory: func(nc amac.NodeConfig) amac.Algorithm {
+				return &recycler{Algorithm: tc.factory(nc), fresh: &fresh}
+			},
+			Fack: 2 * time.Millisecond,
+			Seed: 7,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if rep := res.Report(inputs); !rep.OK() {
 			t.Fatalf("%s: %v", tc.name, rep.Errors)
+		}
+		if n := fresh.Load(); n != 0 || res.Broadcasts <= int64(g.N()) {
+			t.Fatalf("%s: %d of %d broadcasts sent a message other than the node's first", tc.name, n, res.Broadcasts)
 		}
 	}
 }

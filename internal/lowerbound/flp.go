@@ -9,8 +9,8 @@
 //     (unknown n, Theorem 3.9) indistinguishability constructions, which
 //     run a concrete algorithm of the forbidden class into an agreement
 //     violation while control runs succeed;
-//   - the Theorem 3.10 partition harness, including a deliberately hasty
-//     algorithm that decides before floor(D/2)*Fack and pays for it.
+//   - the Theorem 3.10 partition harness, which runs anonflood with too
+//     few ack cycles, so it decides before floor(D/2)*Fack and pays for it.
 package lowerbound
 
 import (

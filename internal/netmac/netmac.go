@@ -79,8 +79,9 @@ type node struct {
 	delivered []int64        // highest seq delivered, per sender; the reader's alone
 
 	mu      sync.Mutex
-	seq     int64        // the broadcast awaiting wire acks
-	waiting map[int]bool // neighbors yet to ack seq
+	seq     int64         // the broadcast awaiting wire acks
+	waiting map[int]bool  // neighbors yet to ack seq
+	acked   chan struct{} // closed when waiting empties
 }
 
 // udp implements live.MAC.
@@ -136,7 +137,8 @@ func encode(v any) []byte {
 
 // Broadcast starts the reliability loop for one broadcast: transmit to
 // every unacked neighbor each RTO until all have acked, then ack the
-// sender.
+// sender. The reader wakes the loop on the last wire ack, so a broadcast
+// that loses nothing costs a round trip, not an RTO.
 func (u *udp) Broadcast(sender int, m amac.Message) {
 	payload := encode(envelope{M: m})
 	nd := u.nodes[sender]
@@ -148,6 +150,8 @@ func (u *udp) Broadcast(sender int, m amac.Message) {
 			nd.waiting[v] = true
 		}
 	}
+	acked := make(chan struct{})
+	nd.acked = acked
 	nd.mu.Unlock()
 	wire := encode(packet{Node: sender, Seq: seq, Payload: payload})
 
@@ -164,7 +168,7 @@ func (u *udp) Broadcast(sender int, m amac.Message) {
 			}
 			nd.mu.Unlock()
 			if len(targets) == 0 {
-				u.rt.Ack(sender, m)
+				u.rt.Ack(sender)
 				return
 			}
 			for _, v := range targets {
@@ -174,6 +178,7 @@ func (u *udp) Broadcast(sender int, m amac.Message) {
 			}
 			select {
 			case <-ticker.C:
+			case <-acked:
 			case <-u.rt.Done():
 				return
 			}
@@ -227,8 +232,11 @@ func (u *udp) receive(nd *node, from *net.UDPAddr, datagram []byte) bool {
 	}
 	if pkt.Ack {
 		nd.mu.Lock()
-		if pkt.Seq == nd.seq {
+		if pkt.Seq == nd.seq && nd.waiting[pkt.Node] {
 			delete(nd.waiting, pkt.Node)
+			if len(nd.waiting) == 0 {
+				close(nd.acked)
+			}
 		}
 		nd.mu.Unlock()
 		return true

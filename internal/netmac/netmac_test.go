@@ -202,6 +202,87 @@ type beat struct{ N int }
 
 func (beat) IDCount() int { return 0 }
 
+// patient is a node of a star whose hub (id 1) broadcasts once: a leaf
+// sleeps in OnReceive, then counts its return and decides; the hub decides
+// in OnAck, recording how many leaves had returned by then.
+type patient struct {
+	api             amac.API
+	returned, atAck *atomic.Int64
+}
+
+func (p *patient) Start(api amac.API) {
+	p.api = api
+	if api.ID() == 1 {
+		api.Broadcast(beat{})
+	}
+}
+
+func (p *patient) OnReceive(amac.Message) {
+	time.Sleep(20 * time.Millisecond)
+	p.returned.Add(1)
+	p.api.Decide(0)
+}
+
+func (p *patient) OnAck(amac.Message) {
+	p.atAck.Store(p.returned.Load())
+	p.api.Decide(0)
+}
+
+// TestAckWaitsForReceivers: over either MAC, the hub of star:4 gets its
+// OnAck only after all three leaves have returned from OnReceive — the
+// order the simulator has, and the one that lets a sender reuse its
+// message once acked.
+func TestAckWaitsForReceivers(t *testing.T) {
+	register()
+	for _, mac := range []struct {
+		name string
+		run  func(live.Config) (*live.Result, error)
+	}{
+		{"timer", func(cfg live.Config) (*live.Result, error) { return live.Run(context.Background(), cfg) }},
+		{"udp", func(cfg live.Config) (*live.Result, error) {
+			res, err := Run(context.Background(), cfg, 2*time.Millisecond)
+			if res == nil {
+				return nil, err
+			}
+			return &res.Result, err
+		}},
+	} {
+		t.Run(mac.name, func(t *testing.T) {
+			var returned, atAck atomic.Int64
+			atAck.Store(-1)
+			g := graph.Star(4)
+			_, err := mac.run(live.Config{Graph: g, Inputs: mixed(g.N()), Fack: 2 * time.Millisecond,
+				Factory: func(amac.NodeConfig) amac.Algorithm { return &patient{returned: &returned, atAck: &atAck} }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := atAck.Load(); got != 3 {
+				t.Fatalf("the hub's OnAck saw %d of 3 leaves returned from OnReceive", got)
+			}
+		})
+	}
+}
+
+// TestLastWireAckEndsTheBroadcast: the reader wakes the retransmission loop
+// on the last neighbor's wire ack, so a broadcast nobody loses costs a
+// loopback round trip rather than an RTO — two-phase on clique:2, two
+// broadcasts per node, ends well inside one 300 ms RTO.
+func TestLastWireAckEndsTheBroadcast(t *testing.T) {
+	register()
+	const rto = 300 * time.Millisecond
+	inputs := mixed(2)
+	res, err := Run(context.Background(), live.Config{Graph: graph.Clique(2), Inputs: inputs, Factory: twophase.Factory}, rto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := res.Report(inputs); !rep.OK() {
+		t.Fatal(rep.Errors)
+	}
+	if res.Elapsed >= rto {
+		t.Fatalf("run took %v with %d retransmits, want under one RTO (%v)", res.Elapsed, res.Retransmits, rto)
+	}
+}
+
 // TestTimeoutOverUDP: the runtime's timeout (tested on the runtime itself in
 // internal/live) reaches this MAC's Close with retransmission loops and
 // readers busy; Run must come back, with the runtime's error and the wire

@@ -209,7 +209,7 @@ func (e *Engine) Reset(cfg Config) {
 		}
 		// Handlers run serially and co-timed deliveries precede acks, so
 		// every receiver is done with a message when its sender is acked.
-		alg := cfg.Factory(amac.NodeConfig{ID: id, Input: cfg.Inputs[i], Metrics: cfg.Metrics, AckAfterHandlers: true})
+		alg := cfg.Factory(amac.NodeConfig{ID: id, Input: cfg.Inputs[i], Metrics: cfg.Metrics})
 		if alg == nil {
 			panic(fmt.Sprintf("sim: factory returned nil algorithm for node %d", i))
 		}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Replay is a Scheduler that re-executes a recorded Schedule. As long as
 // the execution asks for exactly the broadcasts the recording answered —
@@ -25,9 +22,6 @@ import (
 // one per execution with NewReplay.
 type Replay struct {
 	s *Schedule
-	// Strict turns the first divergence into a panic instead of a
-	// fallback — for pinned artifacts that must replay exactly.
-	Strict bool
 	// Observer, when non-nil, receives an EventDiverge at the first
 	// divergence (wire it to the same trace recorder as Config.Observer to
 	// see divergences inline with engine events).
@@ -106,10 +100,6 @@ func (r *Replay) matches(st *ScheduleStep, b Broadcast, p *Plan) bool {
 }
 
 func (r *Replay) diverge(b Broadcast) {
-	if r.Strict {
-		panic(fmt.Sprintf("sim: strict replay diverged at step %d: broadcast (sender=%d seq=%d now=%d) not answered by the recording",
-			r.cursor, b.Sender, b.Seq, b.Now))
-	}
 	r.diverged = true
 	r.divergedAt = r.cursor
 	if r.Observer != nil {

@@ -135,10 +135,10 @@ type Config struct {
 	StopWhenDecided bool
 	// Observer, when non-nil, receives every engine event in execution
 	// order (for tracing). Event.Message is only guaranteed valid for the
-	// duration of the callback: pooling algorithms (e.g. floodpaxos's
-	// NewFactory nodes) recycle their broadcast buffers once acked, so an
-	// observer that retains events must extract what it needs rather than
-	// hold the Message reference (trace.Recorder formats only the type).
+	// duration of the callback: a sender may reuse its message once acked
+	// (wpaxos and floodpaxos nodes do), so an observer that retains events
+	// must extract what it needs rather than hold the Message reference
+	// (trace.Recorder formats only the type).
 	Observer func(Event)
 	// Metrics, when non-nil, receives the engine's hot-path counters
 	// (events processed, deliveries, crash drops, discards, queue-depth
