@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -39,6 +42,14 @@ func TestE10(t *testing.T) { checkExperiment(t, E10UnknownParticipants()) }
 func TestE11(t *testing.T) { checkExperiment(t, E11UnreliableLinks()) }
 func TestE12(t *testing.T) { checkExperiment(t, E12Randomization()) }
 
+// TestAllOrdered runs the whole index in order and compares what
+// cmd/benchsuite prints against testdata/experiments.golden byte for byte,
+// so any moved row in any table shows up as a diff of that file.
+//
+// Regenerate (only when an experiment's runs or table intentionally
+// change; the diff is the row-by-row account of what moved) with:
+//
+//	go run ./cmd/benchsuite > internal/exp/testdata/experiments.golden
 func TestAllOrdered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
@@ -47,9 +58,20 @@ func TestAllOrdered(t *testing.T) {
 	if len(all) != 12 {
 		t.Fatalf("All() returned %d experiments, want 12", len(all))
 	}
+	var got bytes.Buffer
 	for i, e := range all {
 		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
 			t.Fatalf("experiment %d has id %q, want %q", i, e.ID, want)
 		}
+		fmt.Fprintln(&got, e.Render())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "experiments.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("experiment tables diverged from testdata/experiments.golden "+
+			"(got %d bytes, want %d); diff `go run ./cmd/benchsuite` against it:\n%s",
+			got.Len(), len(want), got.String())
 	}
 }
