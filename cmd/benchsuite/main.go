@@ -1,8 +1,11 @@
 // Command benchsuite prints every experiment table (one experiment per
-// theorem/figure/complexity claim of the paper; internal/exp's All is the
-// index, E1..E12) and, with -grid, runs the canonical
-// scenario grid — every registered algorithm crossed with the topology,
-// scheduler and Fack axes — in parallel through internal/harness.
+// theorem/figure/complexity claim of the paper; internal/exp's Index is
+// the index, E1..E12, and -only runs one entry of it) and, with -grid,
+// runs the canonical scenario grid — every registered algorithm crossed
+// with the topology, scheduler and Fack axes — in parallel through
+// internal/harness. E4's wPAXOS control and E5–E12 run on the same
+// harness executor as the grid; E1–E3 and E4's partition half are the
+// lower-bound constructions of internal/lowerbound.
 //
 // The grid's topology zoo covers every registered family (grammar in
 // cmd/amacsim's package doc): clique:N, line:N, ring:N, star:N, grid:RxC,
@@ -83,14 +86,14 @@ func main() {
 }
 
 func runExperiments(only string, quiet bool) int {
-	experiments := exp.All()
 	failed := 0
 	ran := 0
-	for _, e := range experiments {
-		if only != "" && e.ID != only {
+	for _, d := range exp.Index {
+		if only != "" && d.ID != only {
 			continue
 		}
 		ran++
+		e := d.Run()
 		if quiet {
 			status := "PASS"
 			if !e.OK {

@@ -8,7 +8,9 @@
 // argues against, and executable versions of all four lower-bound
 // constructions. This page is the per-layer architecture reference (the
 // sections below state each layer's contracts and invariants);
-// internal/exp's All is the experiment index E1..E12 and
+// internal/exp's Index is the experiment index E1..E12, whose simulated
+// runs outside the lower-bound constructions (E4's wPAXOS control and
+// E5–E12) are harness Scenarios and Grids on the harness executor, and
 // `go run ./cmd/benchsuite` prints the paper-vs-measured tables;
 // CHANGES.md records what each PR changed and measured.
 //

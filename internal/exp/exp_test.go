@@ -3,8 +3,12 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,17 +55,17 @@ func TestE12(t *testing.T) { checkExperiment(t, E12Randomization()) }
 //
 //	go run ./cmd/benchsuite > internal/exp/testdata/experiments.golden
 func TestAllOrdered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in short mode")
-	}
-	all := All()
-	if len(all) != 12 {
-		t.Fatalf("All() returned %d experiments, want 12", len(all))
+	if len(Index) != 12 {
+		t.Fatalf("Index lists %d experiments, want 12", len(Index))
 	}
 	var got bytes.Buffer
-	for i, e := range all {
-		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
-			t.Fatalf("experiment %d has id %q, want %q", i, e.ID, want)
+	for i, d := range Index {
+		if want := fmt.Sprintf("E%d", i+1); d.ID != want {
+			t.Fatalf("index entry %d has id %q, want %q", i, d.ID, want)
+		}
+		e := d.Run()
+		if e.ID != d.ID {
+			t.Fatalf("index entry %s ran experiment %q", d.ID, e.ID)
 		}
 		fmt.Fprintln(&got, e.Render())
 	}
@@ -73,5 +77,57 @@ func TestAllOrdered(t *testing.T) {
 		t.Fatalf("experiment tables diverged from testdata/experiments.golden "+
 			"(got %d bytes, want %d); diff `go run ./cmd/benchsuite` against it:\n%s",
 			got.Len(), len(want), got.String())
+	}
+}
+
+// TestClaimsRunThroughTheExecutor keeps every simulated run of the
+// experiments on the harness executor, where replay, recording, observers
+// and the consensus verdict are installed: no non-test file of this
+// package may call the engine or the checker directly.
+func TestClaimsRunThroughTheExecutor(t *testing.T) {
+	banned := map[string]map[string]bool{
+		"github.com/absmac/absmac/internal/sim":       {"Run": true, "NewEngine": true},
+		"github.com/absmac/absmac/internal/consensus": {"Check": true},
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The local name each banned package is imported under.
+		local := map[string]map[string]bool{}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if funcs, ok := banned[path]; ok {
+				pkg := filepath.Base(path)
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+				local[pkg] = funcs
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && local[pkg.Name][sel.Sel.Name] {
+				t.Errorf("%s: %s.%s runs outside the harness executor; build a harness.Scenario or Grid",
+					fset.Position(call.Pos()), pkg.Name, sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }

@@ -2,14 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
-	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
-	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
-	"github.com/absmac/absmac/internal/ext/benor"
-	"github.com/absmac/absmac/internal/graph"
-	"github.com/absmac/absmac/internal/sim"
+	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/stats"
 )
 
@@ -34,38 +31,35 @@ func E11UnreliableLinks() *Experiment {
 	e := &Experiment{
 		ID:    "E11",
 		Claim: "Sec 2/5: the dual-graph abstract MAC layer variant; adapting the multihop upper bound to it is explicitly open",
-		Table: &stats.Table{Columns: []string{"topology", "overlay edges", "loss prob", "runs", "safety OK", "Lemma 4.2 OK", "terminated"}},
+		Table: &stats.Table{Columns: []string{"topology", "overlay edges", "deliver prob", "runs", "safety OK", "Lemma 4.2 OK", "terminated"}},
 	}
 	e.OK = true
 	total, stalled := 0, 0
 	cases := []struct {
 		name    string
-		g       *graph.Graph
+		topo    harness.Topo
 		overlay int
 	}{
-		{"line-12", graph.Line(12), 8},
-		{"grid-4x4", graph.Grid(4, 4), 10},
-		{"random-16", graph.RandomConnected(16, 0.1, 21), 12},
+		{"line-12", harness.Topo{Kind: "line", N: 12}, 8},
+		{"grid-4x4", harness.Topo{Kind: "grid", Rows: 4, Cols: 4}, 10},
+		{"random-16", harness.Topo{Kind: "random", N: 16, P: 0.1}, 12},
 	}
 	for _, tc := range cases {
 		for _, p := range []float64{0.2, 0.8} {
 			const runs = 4
 			safeAll, auditOK := true, true
 			terminated := 0
-			for seed := int64(0); seed < runs; seed++ {
-				overlay := graph.RandomOverlay(tc.g, tc.overlay, seed+50)
-				inputs := mixedInputs(tc.g.N())
+			for _, seed := range seedRange(runs) {
 				audit := wpaxos.NewCountAudit()
-				res := sim.Run(sim.Config{
-					Graph:           tc.g,
-					Unreliable:      overlay,
-					Inputs:          inputs,
-					Factory:         wpaxos.NewFactory(wpaxos.Config{N: tc.g.N(), Audit: audit}),
-					Scheduler:       sim.NewLossy(sim.NewRandom(4, seed*3+1), p, seed*7+2),
-					StopWhenDecided: true,
-				})
-				rep := consensus.Check(inputs, res)
-				if !rep.Agreement || (rep.SomeoneDecided && !rep.Validity) {
+				s := harness.Scenario{Algo: "wpaxos", Topo: tc.topo, Sched: "random", Fack: 4, Seed: seed,
+					Overlay: fmt.Sprintf("extra:%d@%g", tc.overlay, p)}
+				out, _, err := run(s, audit)
+				if err != nil {
+					e.fail("%s: %v", tc.name, err)
+					return e
+				}
+				rep := out.Report
+				if !rep.Agreement || !rep.Validity {
 					safeAll = false
 					e.OK = false
 				}
@@ -118,58 +112,41 @@ func E12Randomization() *Experiment {
 		Table: &stats.Table{Columns: []string{"n", "f", "crash schedules", "two-phase stalls", "Ben-Or decides", "safety violations"}},
 	}
 	e.OK = true
-	for _, tc := range []struct{ n, f int }{{3, 1}, {5, 2}, {7, 3}} {
-		const runs = 8
-		stalls, decides, unsafe := 0, 0, 0
-		for seed := int64(0); seed < runs; seed++ {
-			inputs := make([]amac.Value, tc.n)
-			for i := range inputs {
-				inputs[i] = amac.Value((i + int(seed)) % 2)
-			}
-			crashes := []sim.Crash{{Node: int(seed) % tc.n, At: 1 + seed%4}}
-			if tc.f >= 2 {
-				crashes = append(crashes, sim.Crash{Node: (int(seed) + 1) % tc.n, At: 2 + seed%5})
-			}
-			// Deterministic two-phase under the crash schedule.
-			resTP := sim.Run(sim.Config{
-				Graph:     graph.Clique(tc.n),
-				Inputs:    inputs,
-				Factory:   twophase.Factory,
-				Scheduler: &sim.EdgeOrder{MaxDegree: tc.n},
-				Crashes:   crashes,
-			})
-			repTP := consensus.Check(inputs, resTP)
-			if !repTP.Agreement || (repTP.SomeoneDecided && !repTP.Validity) {
-				unsafe++
-			}
-			if !repTP.Termination {
-				stalls++
-			}
-			// Randomized Ben-Or under the same schedule.
-			resBO := sim.Run(sim.Config{
-				Graph:           graph.Clique(tc.n),
-				Inputs:          inputs,
-				Factory:         benor.NewFactory(benor.Config{N: tc.n, F: tc.f, Seed: seed}),
-				Scheduler:       &sim.EdgeOrder{MaxDegree: tc.n},
-				Crashes:         crashes,
-				StopWhenDecided: true,
-				MaxEvents:       2_000_000,
-			})
-			repBO := consensus.Check(inputs, resBO)
-			if !repBO.Agreement || (repBO.SomeoneDecided && !repBO.Validity) {
-				unsafe++
-			}
-			if repBO.Termination && !resBO.Cutoff {
-				decides++
-			}
+	// minorityrand crashes f = (n-1)/2 nodes, the most benor (registered
+	// with that f) tolerates, at seeded times in [0, 4*Fack]. edgeorder
+	// ignores the requested Fack, so Fack 1 only puts the crashes inside
+	// the first broadcasts.
+	ns := []int{3, 5, 7}
+	var mu sync.Mutex
+	stalls, unsafe := make([]int, 2*len(ns)), make([]int, 2*len(ns))
+	cells, err := sweep(harness.Grid{
+		Algos: []string{"twophase", "benor"}, Topos: cliques(ns...),
+		Scheds: []string{"edgeorder"}, Facks: []int64{1}, Crashes: []string{"minorityrand"},
+		Seeds: seedRange(8), MaxEvents: 2_000_000,
+	}, harness.SweepOptions{OnFlag: func(f harness.FlaggedRun) {
+		mu.Lock()
+		defer mu.Unlock()
+		if f.Violation.Kind == consensus.KindNonTermination {
+			stalls[f.Cell]++
+		} else {
+			unsafe[f.Cell]++
 		}
-		if decides != runs || unsafe != 0 {
+	}})
+	if err != nil {
+		e.fail("%v", err)
+		return e
+	}
+	for i, n := range ns {
+		// Cells are algorithm-major: two-phase, then Ben-Or.
+		tp, bo := i, len(ns)+i
+		runs, decides := cells[tp].Runs, cells[bo].Runs-stalls[bo]
+		if decides != runs || unsafe[tp]+unsafe[bo] != 0 {
 			e.OK = false
 		}
-		if stalls == 0 {
-			e.Notes = append(e.Notes, fmt.Sprintf("n=%d: no two-phase stall observed under these schedules (Thm 3.2 still guarantees one exists; see E1)", tc.n))
+		if stalls[tp] == 0 {
+			e.Notes = append(e.Notes, fmt.Sprintf("n=%d: no two-phase stall observed under these schedules (Thm 3.2 still guarantees one exists; see E1)", n))
 		}
-		e.Table.AddRow(tc.n, tc.f, runs, stalls, decides, unsafe)
+		e.Table.AddRow(n, (n-1)/2, runs, stalls[tp], decides, unsafe[tp]+unsafe[bo])
 	}
 	e.Notes = append(e.Notes, "Ben-Or terminates with probability 1 under up to f < n/2 crashes; both algorithms keep agreement and validity unconditionally")
 	return e

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"github.com/absmac/absmac/internal/amac"
-	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/twophase"
-	"github.com/absmac/absmac/internal/core/wpaxos"
-	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/lowerbound"
-	"github.com/absmac/absmac/internal/sim"
 	"github.com/absmac/absmac/internal/stats"
 )
 
@@ -79,8 +76,7 @@ func E2Anonymous() *Experiment {
 	for _, tc := range []struct{ d, n int }{{6, 6}, {8, 40}, {10, 64}} {
 		res, err := lowerbound.RunAnonImpossibility(tc.d, tc.n)
 		if err != nil {
-			e.OK = false
-			e.Notes = append(e.Notes, fmt.Sprintf("D=%d: %v", tc.d, err))
+			e.fail("D=%d: %v", tc.d, err)
 			continue
 		}
 		if !res.ControlOK || !res.ViolationInA || res.IDReads != 0 {
@@ -108,7 +104,7 @@ func E3SizeKnowledge() *Experiment {
 	for _, d := range []int{2, 4, 6, 8} {
 		res, err := lowerbound.RunSizeImpossibility(d)
 		if err != nil {
-			e.OK = false
+			e.fail("D=%d: %v", d, err)
 			continue
 		}
 		if !res.ControlLineOK || !res.ViolationInKD || !res.ControlWithNOK {
@@ -138,28 +134,25 @@ func E4TimeLowerBound() *Experiment {
 	}{{4, 2}, {8, 2}, {16, 4}, {32, 4}} {
 		part, err := lowerbound.RunPartition(tc.d, tc.fack)
 		if err != nil {
-			e.OK = false
+			e.fail("D=%d: %v", tc.d, err)
 			continue
 		}
 		// A correct algorithm on the same instance: earliest decision
 		// must respect the bound.
-		n := tc.d + 1
-		inputs := mixedInputs(n)
-		res := sim.Run(sim.Config{
-			Graph:           graph.Line(n),
-			Inputs:          inputs,
-			Factory:         wpaxos.NewFactory(wpaxos.Config{N: n}),
-			Scheduler:       sim.MaxDelay{F: tc.fack},
-			StopWhenDecided: true,
-		})
-		rep := consensus.Check(inputs, res)
+		out, err := harness.Scenario{Algo: "wpaxos", Topo: harness.Topo{Kind: "line", N: tc.d + 1},
+			Sched: "maxdelay", Fack: tc.fack}.Run()
+		if err != nil {
+			e.fail("D=%d: %v", tc.d, err)
+			continue
+		}
+		res := out.Result
 		earliest := res.MaxDecideTime
 		for i, dec := range res.Decided {
 			if dec && res.DecideTime[i] < earliest {
 				earliest = res.DecideTime[i]
 			}
 		}
-		if !part.HastyViolated || part.HastyDecideTime >= part.Bound || !rep.OK() || earliest < part.Bound {
+		if !part.HastyViolated || part.HastyDecideTime >= part.Bound || !out.OK() || earliest < part.Bound {
 			e.OK = false
 		}
 		e.Table.AddRow(tc.d, tc.fack, part.Bound, part.HastyDecideTime, boolMark(part.HastyViolated), earliest)

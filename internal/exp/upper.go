@@ -4,28 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/absmac/absmac/internal/amac"
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
-	"github.com/absmac/absmac/internal/baseline/gatherall"
-	"github.com/absmac/absmac/internal/consensus"
-	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
-	"github.com/absmac/absmac/internal/graph"
-	"github.com/absmac/absmac/internal/sim"
+	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/stats"
 )
-
-// runChecked executes one simulator run and fails the experiment when the
-// consensus properties do not hold.
-func runChecked(e *Experiment, cfg sim.Config) *sim.Result {
-	res := sim.Run(cfg)
-	rep := consensus.Check(cfg.Inputs, res)
-	if !rep.OK() {
-		e.OK = false
-		e.Notes = append(e.Notes, fmt.Sprintf("consensus violated: %v", rep.Errors))
-	}
-	return res
-}
 
 // E5TwoPhase reproduces Theorem 4.1: two-phase consensus decides in
 // O(Fack) in single-hop networks — flat in n, linear in Fack, without
@@ -38,31 +20,24 @@ func E5TwoPhase() *Experiment {
 		Table: &stats.Table{Columns: []string{"n", "Fack", "decide time (med)", "decide/Fack", "max over seeds"}},
 	}
 	e.OK = true
+	cells, err := sweep(harness.Grid{
+		Algos: []string{"twophase"}, Topos: cliques(2, 8, 32, 128),
+		Scheds: []string{"random"}, Facks: []int64{1, 8, 32}, Seeds: seedRange(5),
+	}, harness.SweepOptions{})
+	if err != nil {
+		e.fail("%v", err)
+		return e
+	}
+	e.checkCells(cells)
 	var ns, times []float64
-	const seeds = 5
-	for _, n := range []int{2, 8, 32, 128} {
-		for _, f := range []int64{1, 8, 32} {
-			var sample []float64
-			for seed := int64(0); seed < seeds; seed++ {
-				inputs := mixedInputs(n)
-				res := runChecked(e, sim.Config{
-					Graph:           graph.Clique(n),
-					Inputs:          inputs,
-					Factory:         twophase.Factory,
-					Scheduler:       sim.NewRandom(f, seed),
-					StopWhenDecided: true,
-				})
-				sample = append(sample, float64(res.MaxDecideTime))
-				if res.MaxDecideTime > 4*f {
-					e.OK = false
-				}
-			}
-			med := stats.Median(sample)
-			e.Table.AddRow(n, f, med, med/float64(f), stats.Max(sample))
-			if f == 8 {
-				ns = append(ns, float64(n))
-				times = append(times, med)
-			}
+	for _, c := range cells {
+		if c.Decide.Max > float64(4*c.Fack) {
+			e.OK = false
+		}
+		e.Table.AddRow(c.N, c.Fack, c.Decide.Median, c.DecidePerFack, c.Decide.Max)
+		if c.Fack == 8 {
+			ns = append(ns, float64(c.N))
+			times = append(times, c.Decide.Median)
 		}
 	}
 	slope, _ := stats.LinFit(ns, times)
@@ -71,17 +46,6 @@ func E5TwoPhase() *Experiment {
 		e.OK = false
 	}
 	return e
-}
-
-// keepNodes wraps build and returns the nodes it has built so far, for
-// experiments that read a node's amac.View after the run.
-func keepNodes(build amac.Factory) (amac.Factory, *[]amac.Inspector) {
-	nodes := new([]amac.Inspector)
-	return func(nc amac.NodeConfig) amac.Algorithm {
-		a := build(nc)
-		*nodes = append(*nodes, a.(amac.Inspector))
-		return a
-	}, nodes
 }
 
 // E6WPaxos reproduces Theorem 4.6: wPAXOS decides in O(D*Fack), with the
@@ -97,51 +61,50 @@ func E6WPaxos() *Experiment {
 	e.OK = true
 	type inst struct {
 		name string
-		g    *graph.Graph
+		topo harness.Topo
 	}
 	var instances []inst
 	for _, d := range []int{4, 8, 16, 32} {
-		instances = append(instances, inst{fmt.Sprintf("line-D%d", d), graph.Line(d + 1)})
+		instances = append(instances, inst{fmt.Sprintf("line-D%d", d), harness.Topo{Kind: "line", N: d + 1}})
 	}
 	instances = append(instances,
-		inst{"grid-6x6", graph.Grid(6, 6)},
-		inst{"tree-2x5", graph.BalancedTree(2, 5)},
-		inst{"random-48", graph.RandomConnected(48, 0.08, 7)},
+		inst{"grid-6x6", harness.Topo{Kind: "grid", Rows: 6, Cols: 6}},
+		inst{"tree-2x5", harness.Topo{Kind: "tree", Branch: 2, Depth: 5}},
+		inst{"random-48", harness.Topo{Kind: "random", N: 48, P: 0.08}},
 	)
 	var ds, times []float64
 	for _, in := range instances {
-		d := in.g.Diameter()
 		for _, f := range []int64{2, 8} {
-			var sample, leaderStabs, treeStabs []float64
-			for seed := int64(0); seed < 4; seed++ {
-				inputs := mixedInputs(in.g.N())
-				factory, nodes := keepNodes(wpaxos.NewFactory(wpaxos.Config{N: in.g.N()}))
-				res := sim.Run(sim.Config{
-					Graph:           in.g,
-					Inputs:          inputs,
-					Factory:         factory,
-					Scheduler:       sim.NewRandom(f, seed),
-					StopWhenDecided: true,
-				})
-				rep := consensus.Check(inputs, res)
-				if !rep.OK() {
-					e.OK = false
+			var n int
+			var sample, diameters, leaderStabs, treeStabs []float64
+			for _, seed := range seedRange(4) {
+				out, views, err := run(harness.Scenario{Algo: "wpaxos", Topo: in.topo, Sched: "random", Fack: f, Seed: seed}, nil)
+				if err != nil {
+					e.fail("%s: %v", in.name, err)
+					return e
 				}
-				sample = append(sample, float64(res.MaxDecideTime))
+				if !out.OK() {
+					e.fail("%s Fack %d seed %d: %v", in.name, f, seed, out.Report.Errors)
+				}
+				n = out.N
+				sample = append(sample, float64(out.Result.MaxDecideTime))
+				diameters = append(diameters, float64(out.Diameter))
 				var ls, ts int64
-				for _, nd := range *nodes {
-					v := nd.Inspect()
+				for _, v := range views {
 					ls, ts = max(ls, v.OmegaSince), max(ts, v.RouteSince)
 				}
 				leaderStabs = append(leaderStabs, float64(ls))
 				treeStabs = append(treeStabs, float64(ts))
 			}
+			// A random topology's diameter varies with the seed; like a
+			// sweep cell, the row reports the median.
+			d := int(stats.Median(diameters))
 			med := stats.Median(sample)
 			ratio := med / float64(int64(d)*f)
 			if ratio > 25 {
 				e.OK = false
 			}
-			e.Table.AddRow(in.name, in.g.N(), d, f, med, ratio, stats.Median(leaderStabs), stats.Median(treeStabs))
+			e.Table.AddRow(in.name, n, d, f, med, ratio, stats.Median(leaderStabs), stats.Median(treeStabs))
 			if f == 2 {
 				ds = append(ds, float64(d))
 				times = append(times, med)
@@ -166,31 +129,32 @@ func E7FloodingBaseline() *Experiment {
 		Table: &stats.Table{Columns: []string{"n", "D", "wPAXOS", "floodPAXOS", "gatherall", "flood/wPAXOS"}},
 	}
 	e.OK = true
-	sched := sim.Synchronous{}
-	timeOf := func(g *graph.Graph, factory amac.Factory) float64 {
-		inputs := mixedInputs(g.N())
-		res := runChecked(e, sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         factory,
-			Scheduler:       sched,
-			StopWhenDecided: true,
-		})
-		return float64(res.MaxDecideTime)
+	const fack = 1
+	// Stars of 2-hop arms have diameter 4 at every n.
+	var topos []harness.Topo
+	for _, arms := range []int{4, 16, 48} {
+		topos = append(topos, harness.Topo{Kind: "starlines", Arms: arms, ArmLen: 2})
 	}
+	cells, err := sweep(harness.Grid{
+		Algos: []string{"wpaxos", "floodpaxos", "gatherall"}, Topos: topos,
+		Scheds: []string{"sync"}, Facks: []int64{fack}, Seeds: seedRange(1),
+	}, harness.SweepOptions{})
+	if err != nil {
+		e.fail("%v", err)
+		return e
+	}
+	e.checkCells(cells)
 	var ns, floods, trees []float64
 	var consts []string
-	for _, arms := range []int{4, 16, 48} {
-		g := graph.StarOfLines(arms, 2) // diameter 4 at every n
-		n := g.N()
-		tw := timeOf(g, wpaxos.NewFactory(wpaxos.Config{N: n}))
-		tf := timeOf(g, floodpaxos.NewFactory(n))
-		tg := timeOf(g, gatherall.NewFactory(n))
-		e.Table.AddRow(n, g.Diameter(), tw, tf, tg, tf/tw)
+	for i := range topos {
+		// Cells are algorithm-major: wPAXOS, floodPAXOS, gatherall.
+		cw, cf, cg := cells[i], cells[len(topos)+i], cells[2*len(topos)+i]
+		n, tw, tf := cw.N, cw.Decide.Max, cf.Decide.Max
+		e.Table.AddRow(n, cw.Diameter, tw, tf, cg.Decide.Max, tf/tw)
 		ns = append(ns, float64(n))
 		floods = append(floods, tf)
 		trees = append(trees, tw)
-		consts = append(consts, fmt.Sprintf("%.2f at n=%d", tf/float64(int64(n)*sched.Fack()), n))
+		consts = append(consts, fmt.Sprintf("%.2f at n=%d", tf/float64(n*fack), n))
 	}
 	fslope, _ := stats.LinFit(ns, floods)
 	tslope, _ := stats.LinFit(ns, trees)
@@ -204,12 +168,10 @@ func E7FloodingBaseline() *Experiment {
 	// each — 0.5*Fack ticks per node. The 20% slack is for a fit over
 	// three points, not for a cheaper flood: an implementation that got
 	// under it would be aggregating.
-	floodFloor := 0.8 * 0.5 * float64(sched.Fack())
+	floodFloor := 0.8 * 0.5 * fack
 	if fslope < floodFloor || tslope > fslope/3 {
-		e.OK = false
-		e.Notes = append(e.Notes, fmt.Sprintf(
-			"shape check failed: flooding slope %.3f (want >= %.3f), wPAXOS slope %.3f (want <= flooding/3 = %.3f)",
-			fslope, floodFloor, tslope, fslope/3))
+		e.fail("shape check failed: flooding slope %.3f (want >= %.3f), wPAXOS slope %.3f (want <= flooding/3 = %.3f)",
+			fslope, floodFloor, tslope, fslope/3)
 	}
 	return e
 }
@@ -226,25 +188,20 @@ func E8TagGrowth() *Experiment {
 	e.OK = true
 	for _, n := range []int{8, 16, 32, 64} {
 		maxTag := int64(0)
-		for seed := int64(0); seed < 4; seed++ {
-			g := graph.RandomConnected(n, 0.1, int64(n)*31+seed)
-			inputs := mixedInputs(n)
-			factory, nodes := keepNodes(wpaxos.NewFactory(wpaxos.Config{N: n}))
-			res := sim.Run(sim.Config{
-				Graph:           g,
-				Inputs:          inputs,
-				Factory:         factory,
-				Scheduler:       sim.NewRandom(3, seed*17+1),
-				StopWhenDecided: true,
-			})
-			rep := consensus.Check(inputs, res)
-			if !rep.OK() {
-				e.OK = false
+		for _, seed := range seedRange(4) {
+			s := harness.Scenario{Algo: "wpaxos", Topo: harness.Topo{Kind: "random", N: n, P: 0.1}, Sched: "random", Fack: 3, Seed: seed}
+			out, views, err := run(s, nil)
+			if err != nil {
+				e.fail("n=%d: %v", n, err)
+				return e
+			}
+			if !out.OK() {
+				e.fail("n=%d seed %d: %v", n, seed, out.Report.Errors)
 			}
 			// Every tag a node has seen was proposed with by some node, so
 			// the largest seen is the largest used.
-			for _, nd := range *nodes {
-				maxTag = max(maxTag, nd.Inspect().MaxTag)
+			for _, v := range views {
+				maxTag = max(maxTag, v.MaxTag)
 			}
 		}
 		if maxTag > int64(n*n) {
@@ -269,30 +226,28 @@ func E9AggregationAudit() *Experiment {
 	e.OK = true
 	cases := []struct {
 		name string
-		mk   func(seed int64) *graph.Graph
+		topo harness.Topo
 	}{
-		{"random-20", func(seed int64) *graph.Graph { return graph.RandomConnected(20, 0.12, seed) }},
-		{"line-16", func(int64) *graph.Graph { return graph.Line(16) }},
-		{"grid-5x5", func(int64) *graph.Graph { return graph.Grid(5, 5) }},
-		{"star-lines", func(int64) *graph.Graph { return graph.StarOfLines(6, 3) }},
+		{"random-20", harness.Topo{Kind: "random", N: 20, P: 0.12}},
+		{"line-16", harness.Topo{Kind: "line", N: 16}},
+		{"grid-5x5", harness.Topo{Kind: "grid", Rows: 5, Cols: 5}},
+		{"star-lines", harness.Topo{Kind: "starlines", Arms: 6, ArmLen: 3}},
 	}
 	const seeds = 6
 	for _, tc := range cases {
 		props, violations := 0, 0
-		for seed := int64(0); seed < seeds; seed++ {
-			g := tc.mk(seed)
+		for _, seed := range seedRange(seeds) {
 			audit := wpaxos.NewCountAudit()
-			inputs := mixedInputs(g.N())
-			res := sim.Run(sim.Config{
-				Graph:           g,
-				Inputs:          inputs,
-				Factory:         wpaxos.NewFactory(wpaxos.Config{N: g.N(), Audit: audit}),
-				Scheduler:       sim.NewRandom(1+seed%5, seed*7+3),
-				StopWhenDecided: true,
-			})
-			rep := consensus.Check(inputs, res)
-			if !rep.OK() {
-				e.OK = false
+			// Fack varies with the seed, so trees stabilize at different
+			// paces across the runs.
+			s := harness.Scenario{Algo: "wpaxos", Topo: tc.topo, Sched: "random", Fack: 1 + seed%5, Seed: seed}
+			out, _, err := run(s, audit)
+			if err != nil {
+				e.fail("%s: %v", tc.name, err)
+				return e
+			}
+			if !out.OK() {
+				e.fail("%s seed %d: %v", tc.name, seed, out.Report.Errors)
 			}
 			props += audit.Propositions()
 			violations += len(audit.Violations())
@@ -317,45 +272,21 @@ func E10UnknownParticipants() *Experiment {
 		Table: &stats.Table{Columns: []string{"n (hidden from algorithm)", "scheduler", "runs", "all correct", "worst decide/Fack"}},
 	}
 	e.OK = true
-	scheds := []struct {
-		name string
-		mk   func(seed int64) sim.Scheduler
-		fack int64
-	}{
-		{"random(F=6)", func(seed int64) sim.Scheduler { return sim.NewRandom(6, seed) }, 6},
-		{"maxdelay(F=6)", func(int64) sim.Scheduler { return sim.MaxDelay{F: 6} }, 6},
-		{"edgeorder", func(int64) sim.Scheduler { return &sim.EdgeOrder{MaxDegree: 64} }, 65},
+	// twophase's factory closes over nothing: the algorithm learns
+	// neither n nor who participates. edgeorder ignores the requested
+	// Fack and declares the clique's degree + 1.
+	cells, err := sweep(harness.Grid{
+		Algos: []string{"twophase"}, Topos: cliques(3, 9, 33, 64),
+		Scheds: []string{"random", "maxdelay", "edgeorder"}, Facks: []int64{6}, Seeds: seedRange(4),
+	}, harness.SweepOptions{})
+	if err != nil {
+		e.fail("%v", err)
+		return e
 	}
-	for _, n := range []int{3, 9, 33, 64} {
-		for _, sc := range scheds {
-			allOK := true
-			worst := 0.0
-			const runs = 4
-			for seed := int64(0); seed < runs; seed++ {
-				inputs := make([]amac.Value, n)
-				for i := range inputs {
-					inputs[i] = amac.Value((i + int(seed)) % 2)
-				}
-				// The factory closes over nothing: the algorithm
-				// learns neither n nor who participates.
-				res := sim.Run(sim.Config{
-					Graph:           graph.Clique(n),
-					Inputs:          inputs,
-					Factory:         twophase.Factory,
-					Scheduler:       sc.mk(seed),
-					StopWhenDecided: true,
-				})
-				rep := consensus.Check(inputs, res)
-				if !rep.OK() {
-					allOK = false
-					e.OK = false
-				}
-				if r := float64(res.MaxDecideTime) / float64(sc.fack); r > worst {
-					worst = r
-				}
-			}
-			e.Table.AddRow(n, sc.name, runs, boolMark(allOK), worst)
-		}
+	e.checkCells(cells)
+	for _, c := range cells {
+		e.Table.AddRow(c.N, fmt.Sprintf("%s(F=%d)", c.Sched, c.EffectiveFack), c.Runs, boolMark(c.OK()),
+			c.Decide.Max/float64(c.EffectiveFack))
 	}
 	e.Notes = append(e.Notes, "worst decide/Fack stays bounded by a small constant across sizes: O(Fack), independent of n")
 	return e
