@@ -113,9 +113,10 @@ func E12Randomization() *Experiment {
 	}
 	e.OK = true
 	// minorityrand crashes f = (n-1)/2 nodes, the most benor (registered
-	// with that f) tolerates, at seeded times in [0, 4*Fack]. edgeorder
-	// ignores the requested Fack, so Fack 1 only puts the crashes inside
-	// the first broadcasts.
+	// with that f) tolerates, at seeded times in [0, 4*Fack]; both
+	// algorithms of a seed see the same crashes. edgeorder ignores the
+	// requested Fack, so Fack 1 only puts the crashes inside the first
+	// broadcasts.
 	ns := []int{3, 5, 7}
 	var mu sync.Mutex
 	stalls, unsafe := make([]int, 2*len(ns)), make([]int, 2*len(ns))
