@@ -47,6 +47,10 @@
 //	            -overlays chords,extra:4@0.6 -seeds 8 -maxevents 200000 \
 //	            -budget 0 -minimize -artifacts out/
 //
+// -maxevents sets the event cap on the scenario (with -grid, the grid) and
+// artifacts record it; 0 keeps the simulator's one default (5 000 000),
+// which amacsim runs under too, so both CLIs run the same execution.
+//
 // With -replay FILE the tool instead re-verifies a committed artifact:
 // the schedule replays against its recorded scenario and the outcome is
 // checked against the artifact's recorded violation (reproducing a
@@ -113,7 +117,7 @@ func main() {
 	// Exploration flags (shared by -grid where noted).
 	budget := flag.Int("budget", 256, "perturbed schedules to replay (with -grid: per flagged run; 0 skips the search)")
 	searchSeed := flag.Int64("searchseed", 1, "seed for candidate generation (independent of the scenario seed)")
-	maxEvents := flag.Int("maxevents", 0, "per-execution event cap; capped undecided runs classify as non-termination (0 = sweep default)")
+	maxEvents := flag.Int("maxevents", 0, "per-execution event cap, set on the scenario (with -grid: on the grid); capped undecided runs classify as non-termination (0 = the simulator's one default, 5000000)")
 	minimize := flag.Bool("minimize", false, "delta-debug each violation down to a minimal failing schedule")
 	out := flag.String("out", "", "write the found (minimized with -minimize) counterexample artifact to this file")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
@@ -168,9 +172,10 @@ func main() {
 		if err != nil {
 			os.Exit(fail(err))
 		}
+		grid.MaxEvents = *maxEvents
 		os.Exit(runGrid(grid, explore.CampaignOptions{
 			Workers: *axes.Workers, Budget: *budget, SearchSeed: *searchSeed,
-			MaxEvents: *maxEvents, Minimize: *minimize, PerCell: *perCell,
+			Minimize: *minimize, PerCell: *perCell,
 			SaturateAfter: *saturate, ArtifactDir: *artifactDir,
 		}, *jsonOut))
 	}
@@ -182,10 +187,9 @@ func main() {
 	if err != nil {
 		os.Exit(fail(err))
 	}
-	sc := harness.Scenario{Algo: *algo, Topo: t, Inputs: *inputs, Sched: *sched, Fack: *fack, Seed: *seed, Crashes: *crash, Overlay: *overlay}
-	os.Exit(runExplore(sc, explore.Options{
-		Budget: *budget, Workers: *axes.Workers, Seed: *searchSeed, MaxEvents: *maxEvents,
-	}, *minimize, *out, *jsonOut))
+	sc := harness.Scenario{Algo: *algo, Topo: t, Inputs: *inputs, Sched: *sched, Fack: *fack, Seed: *seed,
+		Crashes: *crash, Overlay: *overlay, MaxEvents: *maxEvents}
+	os.Exit(runExplore(sc, explore.Options{Budget: *budget, Workers: *axes.Workers, Seed: *searchSeed}, *minimize, *out, *jsonOut))
 }
 
 func fail(err error) int {
@@ -228,8 +232,7 @@ func runExplore(sc harness.Scenario, opts explore.Options, minimize bool, out st
 		Note: fmt.Sprintf("amacexplore budget=%d searchseed=%d", opts.Budget, opts.Seed),
 	}
 	if minimize && violation != nil {
-		res, err := explore.Shrink(rep.Scenario, schedule, kind,
-			explore.ShrinkOptions{MaxEvents: rep.Scenario.MaxEvents, Workers: opts.Workers})
+		res, err := explore.Shrink(rep.Scenario, schedule, kind, explore.ShrinkOptions{Workers: opts.Workers})
 		if err != nil {
 			return fail(err)
 		}

@@ -140,7 +140,10 @@
 //
 // Everything above leans on one invariant: a (scenario, seed) pair fully
 // determines an execution — byte-identical schedule replay, golden cell
-// JSON, campaign reports identical at any worker count. The contract is
+// JSON, campaign reports identical at any worker count. The event cap is
+// part of the scenario (Scenario.MaxEvents; 0 is sim.DefaultMaxEvents, the
+// one default), so every entry point stops a run at the same event. The
+// contract is
 // enforced statically by cmd/detlint (a standard-library multichecker
 // over the internal/lint analyzer suite; `go run ./cmd/detlint ./...`
 // must exit 0 and CI runs it on every push), so a violation is rejected

@@ -116,14 +116,15 @@ func main() {
 	// doc.go's "Liveness under leader death"). (`amacexplore -grid` is
 	// the CLI face of exactly this call.)
 	campaign, err := explore.Campaign(harness.Grid{
-		Algos:    []string{"twophase", "wpaxos"},
-		Topos:    []harness.Topo{{Kind: "ring", N: 9}},
-		Scheds:   []string{"random"},
-		Facks:    []int64{4},
-		Crashes:  []string{"coordinator"},
-		Overlays: []string{"chords"},
-		Seeds:    []int64{1, 2, 3, 4, 5, 6, 7, 8},
-	}, explore.CampaignOptions{MaxEvents: 200_000, Minimize: true})
+		Algos:     []string{"twophase", "wpaxos"},
+		Topos:     []harness.Topo{{Kind: "ring", N: 9}},
+		Scheds:    []string{"random"},
+		Facks:     []int64{4},
+		Crashes:   []string{"coordinator"},
+		Overlays:  []string{"chords"},
+		Seeds:     []int64{1, 2, 3, 4, 5, 6, 7, 8},
+		MaxEvents: 200_000,
+	}, explore.CampaignOptions{Minimize: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,8 @@ type Artifact struct {
 	// Its crash pattern and seed are recorded for provenance, but the
 	// replay takes crashes from the Schedule, not the registry.
 	Scenario harness.Scenario `json:"scenario"`
-	// MaxEvents caps the replay (Scenario.MaxEvents does not serialize);
+	// MaxEvents is the scenario's event cap (Scenario.MaxEvents does not
+	// serialize), omitted for the default (sim.DefaultMaxEvents);
 	// non-terminating counterexamples rely on it to fail fast.
 	MaxEvents int `json:"max_events,omitempty"`
 	// Schedule is the complete recorded nondeterminism of the violating

@@ -28,8 +28,8 @@ import (
 
 // CampaignOptions tunes a campaign. The zero value means: GOMAXPROCS
 // workers, no perturbation search (record + minimize flagged base runs
-// only), one flagged run explored per cell, the sweep default event cap,
-// no coverage early-stop, no artifacts written.
+// only), one flagged run explored per cell, no coverage early-stop, no
+// artifacts written. Every execution runs under Grid.MaxEvents.
 type CampaignOptions struct {
 	// Workers sizes the shared worker pool used by the sweep, the
 	// perturbation searches and the parallel shrinker (<= 0 = GOMAXPROCS).
@@ -41,9 +41,6 @@ type CampaignOptions struct {
 	Budget int
 	// SearchSeed drives candidate generation (explore.Options.Seed).
 	SearchSeed int64
-	// MaxEvents caps every execution — sweep runs, recordings, candidate
-	// replays (0 = harness.DefaultSweepMaxEvents).
-	MaxEvents int
 	// Minimize delta-debugs each flagged run's schedule down to a minimal
 	// artifact (parallel Shrink on the shared pool).
 	Minimize bool
@@ -64,9 +61,6 @@ type CampaignOptions struct {
 func (o CampaignOptions) withDefaults() CampaignOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = harness.DefaultSweepMaxEvents
 	}
 	if o.PerCell <= 0 {
 		o.PerCell = 1
@@ -144,7 +138,6 @@ type CampaignReport struct {
 // wall-clock time.
 func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) {
 	opts = opts.withDefaults()
-	grid.MaxEvents = opts.MaxEvents
 	work, err := grid.Cells()
 	if err != nil {
 		return nil, err
@@ -229,8 +222,7 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 // run (byte-identical to the sweep's execution), optionally search its
 // perturbation neighborhood, optionally minimize, optionally write.
 func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions) (*CampaignFinding, error) {
-	sc := f.Scenario
-	sc.MaxEvents = opts.MaxEvents
+	sc := f.Scenario // carries the grid's event cap
 
 	var (
 		schedule  *sim.Schedule
@@ -238,9 +230,7 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 		explored  *Stats
 	)
 	if opts.Budget > 0 {
-		er, err := exploreOn(pool, sc, Options{
-			Budget: opts.Budget, Seed: opts.SearchSeed, MaxEvents: opts.MaxEvents,
-		})
+		er, err := exploreOn(pool, sc, Options{Budget: opts.Budget, Seed: opts.SearchSeed})
 		if err != nil {
 			return nil, err
 		}
@@ -290,12 +280,12 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 		Explored: explored,
 	}
 	artifact := &Artifact{
-		Format: ArtifactFormat, Scenario: sc, MaxEvents: opts.MaxEvents,
+		Format: ArtifactFormat, Scenario: sc, MaxEvents: sc.MaxEvents,
 		Schedule: schedule, Violation: violation,
 		Note: "campaign",
 	}
 	if opts.Minimize {
-		res, err := shrinkOn(pool, sc, schedule, violation.Kind, opts.MaxEvents)
+		res, err := shrinkOn(pool, sc, schedule, violation.Kind)
 		if err != nil {
 			return nil, err
 		}

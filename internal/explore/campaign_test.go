@@ -23,11 +23,13 @@ func campaignGrid() harness.Grid {
 		Crashes:  []string{"coordinator"},
 		Overlays: []string{"chords"},
 		Seeds:    []int64{1, 2, 3, 4, 5, 6, 7, 8},
+		// The stall quiesces; the cap only bounds the healthy cell.
+		MaxEvents: 200_000,
 	}
 }
 
 func TestCampaignFindsKnownStall(t *testing.T) {
-	rep, err := Campaign(campaignGrid(), CampaignOptions{MaxEvents: 200_000, Minimize: true})
+	rep, err := Campaign(campaignGrid(), CampaignOptions{Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestCampaignFindsKnownStall(t *testing.T) {
 // and 8. The perturbation search runs too (Budget > 0), so this covers
 // sweep streaming, exploreOn and shrinkOn on the shared pool.
 func TestCampaignDeterministicAcrossWidths(t *testing.T) {
-	opts := CampaignOptions{MaxEvents: 200_000, Budget: 24, SearchSeed: 3, Minimize: true}
+	opts := CampaignOptions{Budget: 24, SearchSeed: 3, Minimize: true}
 	var refReport []byte
 	var refArtifacts [][]byte
 	for _, workers := range []int{1, 2, 8} {
@@ -135,12 +137,13 @@ func TestCampaignCleanGrid(t *testing.T) {
 		cells int
 	}{
 		{"crash-free", harness.Grid{
-			Algos:  []string{"floodpaxos"},
-			Topos:  []harness.Topo{{Kind: "ring", N: 5}},
-			Scheds: []string{"sync", "random"},
-			Facks:  []int64{3},
-			Seeds:  []int64{1, 2, 3, 4},
-		}, CampaignOptions{MaxEvents: 200_000, Minimize: true}, 2},
+			Algos:     []string{"floodpaxos"},
+			Topos:     []harness.Topo{{Kind: "ring", N: 5}},
+			Scheds:    []string{"sync", "random"},
+			Facks:     []int64{3},
+			Seeds:     []int64{1, 2, 3, 4},
+			MaxEvents: 200_000,
+		}, CampaignOptions{Minimize: true}, 2},
 		{"crashes x overlays", faultGrid(), CampaignOptions{}, 12},
 	} {
 		rep, err := Campaign(tc.grid, tc.opts)

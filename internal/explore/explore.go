@@ -51,7 +51,8 @@ import (
 )
 
 // Options tunes an exploration. The zero value means: budget 256, workers
-// GOMAXPROCS, seed 1, the sweep default event cap.
+// GOMAXPROCS, seed 1. Every replay runs under Scenario.MaxEvents; a capped
+// run with undecided survivors classifies as non-termination.
 type Options struct {
 	// Budget is the number of perturbed schedules to replay.
 	Budget int
@@ -59,9 +60,6 @@ type Options struct {
 	Workers int
 	// Seed drives candidate generation.
 	Seed int64
-	// MaxEvents caps each execution; a capped run with undecided survivors
-	// classifies as non-termination. 0 means harness.DefaultSweepMaxEvents.
-	MaxEvents int
 }
 
 // walkLen is the random-walk chain length: every walkLen-th walk candidate
@@ -78,9 +76,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = harness.DefaultSweepMaxEvents
 	}
 	return o
 }
@@ -162,7 +157,6 @@ func Explore(sc harness.Scenario, opts Options) (*Report, error) {
 // rules.
 func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	sc.MaxEvents = opts.MaxEvents
 	baseOut, baseSched, err := sc.RunRecorded()
 	if err != nil {
 		return nil, err

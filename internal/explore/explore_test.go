@@ -22,12 +22,12 @@ func stallCell() harness.Scenario {
 	return harness.Scenario{
 		Algo: "twophase", Topo: harness.Topo{Kind: "ring", N: 9},
 		Sched: "random", Fack: 4, Seed: 4,
-		Crashes: "coordinator", Overlay: "chords",
+		Crashes: "coordinator", Overlay: "chords", MaxEvents: 200_000,
 	}
 }
 
 func TestExploreStallCell(t *testing.T) {
-	rep, err := Explore(stallCell(), Options{Budget: 64, Seed: 1, MaxEvents: 200_000, Workers: 4})
+	rep, err := Explore(stallCell(), Options{Budget: 64, Seed: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestExploreStallCell(t *testing.T) {
 // (scenario, options): same findings, same stats, regardless of worker
 // interleaving.
 func TestExploreDeterministic(t *testing.T) {
-	opts := Options{Budget: 48, Seed: 7, MaxEvents: 200_000}
+	opts := Options{Budget: 48, Seed: 7}
 	a, err := Explore(stallCell(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestExploreHealthyCellFindsNothingFalse(t *testing.T) {
 	// model may break it, so every finding would be a false positive.
 	sc := stallCell()
 	sc.Algo = "wpaxos"
-	rep, err := Explore(sc, Options{Budget: 48, Seed: 1, MaxEvents: 200_000})
+	rep, err := Explore(sc, Options{Budget: 48, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +99,11 @@ func TestExploreHealthyCellFindsNothingFalse(t *testing.T) {
 
 func TestShrinkPreservesViolationAndReduces(t *testing.T) {
 	sc := stallCell()
-	sc.MaxEvents = 200_000
 	_, sched, err := sc.RunRecorded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Shrink(sc, sched, consensus.KindNonTermination, ShrinkOptions{MaxEvents: 200_000})
+	res, err := Shrink(sc, sched, consensus.KindNonTermination, ShrinkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,25 +133,23 @@ func TestShrinkPreservesViolationAndReduces(t *testing.T) {
 func TestShrinkRefusesHealthySchedule(t *testing.T) {
 	sc := stallCell()
 	sc.Algo = "wpaxos"
-	sc.MaxEvents = 200_000
 	_, sched, err := sc.RunRecorded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Shrink(sc, sched, consensus.KindNonTermination, ShrinkOptions{MaxEvents: 200_000}); err == nil {
+	if _, err := Shrink(sc, sched, consensus.KindNonTermination, ShrinkOptions{}); err == nil {
 		t.Fatal("Shrink accepted a schedule that violates nothing")
 	}
 }
 
 func TestArtifactRoundTrip(t *testing.T) {
 	sc := stallCell()
-	sc.MaxEvents = 200_000
 	out, sched, err := sc.RunRecorded()
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := &Artifact{
-		Format: ArtifactFormat, Scenario: sc, MaxEvents: 200_000,
+		Format: ArtifactFormat, Scenario: sc, MaxEvents: sc.MaxEvents,
 		Schedule: sched, Violation: out.Violation(), Note: "round-trip test",
 	}
 	var buf bytes.Buffer

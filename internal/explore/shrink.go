@@ -49,7 +49,8 @@ func cost(s *sim.Schedule) int {
 
 // ShrinkOptions tunes a minimization.
 type ShrinkOptions struct {
-	// MaxEvents caps each candidate replay (0 means the sweep default).
+	// MaxEvents, when > 0, overrides the scenario's event cap for every
+	// candidate replay and for the artifact; 0 keeps Scenario.MaxEvents.
 	MaxEvents int
 	// Workers is the speculative-evaluation pool width (<= 0 means
 	// GOMAXPROCS). The result is identical at every width.
@@ -96,18 +97,17 @@ type shrinker struct {
 // schedule exhibiting the same violation kind. It errors when the input
 // schedule does not itself reproduce a violation of kind.
 func Shrink(sc harness.Scenario, sched *sim.Schedule, kind string, opts ShrinkOptions) (*ShrinkResult, error) {
+	if opts.MaxEvents > 0 {
+		sc.MaxEvents = opts.MaxEvents
+	}
 	p := newEvalPool(opts.Workers)
 	defer p.close()
-	return shrinkOn(p, sc, sched, kind, opts.MaxEvents)
+	return shrinkOn(p, sc, sched, kind)
 }
 
 // shrinkOn runs one minimization on a caller-owned pool (the campaign
-// entry point).
-func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string, maxEvents int) (*ShrinkResult, error) {
-	if maxEvents <= 0 {
-		maxEvents = harness.DefaultSweepMaxEvents
-	}
-	sc.MaxEvents = maxEvents
+// entry point) under the scenario's own event cap.
+func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string) (*ShrinkResult, error) {
 	sh := &shrinker{sc: sc, pool: p, kind: kind}
 
 	// Close and verify the input: the minimized artifact must start from a
@@ -120,7 +120,7 @@ func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string
 	}
 	res := &ShrinkResult{FromSteps: len(sched.Steps), FromDeliveries: sched.Deliveries(), FromCrashes: len(sched.Crashes)}
 
-	sh.shrinkTopology(maxEvents)
+	sh.shrinkTopology()
 	for sh.attempts < shrinkAttemptCap {
 		improved, err := sh.dropCrashes()
 		if err != nil {
@@ -156,7 +156,7 @@ func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string
 	res.Artifact = &Artifact{
 		Format:    ArtifactFormat,
 		Scenario:  sh.sc,
-		MaxEvents: maxEvents,
+		MaxEvents: sh.sc.MaxEvents,
 		Schedule:  sh.cur,
 		Violation: v,
 	}
@@ -271,7 +271,7 @@ func (s *shrinker) round(cands []*sim.Schedule) (int, error) {
 // minimization state on the smallest instance that still reproduces the
 // violation. Re-recording is inherently serial — each size gates the next
 // — so this pass does not use the pool.
-func (s *shrinker) shrinkTopology(maxEvents int) {
+func (s *shrinker) shrinkTopology() {
 	for s.attempts < shrinkAttemptCap {
 		t, ok := smallerTopo(s.sc.Topo)
 		if !ok {

@@ -113,9 +113,9 @@ type Scenario struct {
 	// overlay also wraps the scheduler in sim.Lossy with the spec's
 	// delivery probability, so the unreliable edges carry messages.
 	Overlay string `json:"overlay,omitempty"`
-	// MaxEvents optionally caps the execution (0 means the simulator
-	// default). Sweeps set it so one non-quiescent cell cannot stall the
-	// whole grid.
+	// MaxEvents caps the execution; 0 means sim.DefaultMaxEvents, the one
+	// budget. It is the only place a caller sets the cap: sweeps, explore,
+	// campaigns and shrink run each scenario under its own MaxEvents.
 	MaxEvents int `json:"-"`
 }
 

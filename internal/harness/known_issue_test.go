@@ -61,7 +61,7 @@ func TestFloodPaxosLeaderDeathExtraOverlayFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !out.Report.Termination {
-		t.Fatalf("floodpaxos stalled on ring:9 one@3+extra seed 6 "+
+		t.Fatalf("floodpaxos stalled on grid:3x3 one@3+extra seed 1 "+
 			"(events=%d quiescent=%v cutoff=%v): the leader-death liveness fix regressed",
 			out.Result.Events, out.Result.Quiescent, out.Result.Cutoff)
 	}

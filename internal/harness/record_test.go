@@ -52,7 +52,7 @@ func TestRecordReplayByteIdentity(t *testing.T) {
 			// Crashing a minority of a ring can partition the survivors,
 			// and floodpaxos retransmits until superseded — a partitioned
 			// run only ends at the event cap. Byte-identity doesn't need
-			// the default 20M-event cutoff; cap well below it so the
+			// the default 5M-event cutoff; cap well below it so the
 			// partitioned combos stay fast (the cutoff execution is still
 			// recorded and replayed like any other).
 			sc := Scenario{

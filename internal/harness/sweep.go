@@ -9,6 +9,7 @@ import (
 
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/metrics"
+	"github.com/absmac/absmac/internal/sim"
 	"github.com/absmac/absmac/internal/stats"
 )
 
@@ -27,15 +28,14 @@ type Grid struct {
 	Crashes  []string
 	Overlays []string
 	Seeds    []int64
-	// MaxEvents caps each execution; 0 means DefaultSweepMaxEvents, so
-	// one non-quiescent cell cannot stall the whole grid.
+	// MaxEvents caps each execution; 0 means sim.DefaultMaxEvents, the one
+	// budget. Cells copies it onto every scenario as given.
 	MaxEvents int
 }
 
-// DefaultSweepMaxEvents bounds each sweep execution when Grid.MaxEvents is
-// zero — tighter than the simulator's own default so a non-quiescent cell
-// fails fast (as a termination violation) instead of stalling the grid.
-const DefaultSweepMaxEvents = 5_000_000
+// DefaultSweepMaxEvents is an alias of sim.DefaultMaxEvents, not a second
+// budget, kept only because bench/ names it (ROADMAP item 7 deletes it).
+const DefaultSweepMaxEvents = sim.DefaultMaxEvents
 
 // CellWork is one sweep work-unit: the scenario family of one cell — every
 // axis fixed except the seed — and the seeds that replicate it. Sweeps
@@ -81,10 +81,6 @@ func (g Grid) Cells() ([]CellWork, error) {
 			return nil, fmt.Errorf("harness: sweep grid has an empty %s axis", axis.name)
 		}
 	}
-	maxEvents := g.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = DefaultSweepMaxEvents
-	}
 	cells := make([]CellWork, 0, len(g.Algos)*len(g.Topos)*len(inputs)*len(g.Scheds)*len(g.Facks)*len(crashes)*len(overlays))
 	for _, algo := range g.Algos {
 		for _, topo := range g.Topos {
@@ -98,7 +94,7 @@ func (g Grid) Cells() ([]CellWork, error) {
 										Algo: algo, Topo: topo, Inputs: in,
 										Sched: sched, Fack: fack,
 										Crashes: crash, Overlay: overlay,
-										MaxEvents: maxEvents,
+										MaxEvents: g.MaxEvents,
 									},
 									Seeds: g.Seeds,
 								})
@@ -147,6 +143,8 @@ type Cell struct {
 	// why DecidePerFack normalizes by EffectiveFack.
 	Fack          int64 `json:"fack"`
 	EffectiveFack int64 `json:"effective_fack"`
+	// MaxEvents is the cap the cell's scenarios ran under (0: the default).
+	MaxEvents int `json:"max_events,omitempty"`
 
 	// N is the node count; Diameter is the median topology diameter
 	// across the cell's seeds (both are seed-independent for every
@@ -277,7 +275,7 @@ func (a *cellAccum) add(o *Outcome, fpOn bool) bool {
 		k := o.Scenario.Key()
 		a.cell = Cell{Algo: k.Algo, Topo: k.Topo.String(), Inputs: k.Inputs,
 			Sched: k.Sched, Crashes: k.Crashes, Overlay: k.Overlay,
-			Fack: k.Fack, N: o.N}
+			Fack: k.Fack, MaxEvents: o.Scenario.MaxEvents, N: o.N}
 	}
 	a.cell.Runs++
 	if o.OK() {

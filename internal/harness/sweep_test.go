@@ -239,9 +239,15 @@ func TestEffectiveFack(t *testing.T) {
 		Facks:  []int64{4},
 		Seeds:  []int64{1},
 	}
-	if me := mustCells(t, g)[0].Base.MaxEvents; me != DefaultSweepMaxEvents {
-		t.Fatalf("sweep scenarios default MaxEvents=%d, want %d", me, DefaultSweepMaxEvents)
+	// Cells passes the grid's cap through as given: the one default
+	// lives in the engine.
+	for _, me := range []int{0, 1234} {
+		g.MaxEvents = me
+		if got := mustCells(t, g)[0].Base.MaxEvents; got != me {
+			t.Fatalf("Grid.MaxEvents=%d: cell scenarios carry MaxEvents=%d", me, got)
+		}
 	}
+	g.MaxEvents = 0
 	cells := mustSweep(t, g, 1)
 	byName := map[string]Cell{}
 	for _, c := range cells {

@@ -127,7 +127,7 @@ type Config struct {
 	// Crashes optionally schedules crash failures.
 	Crashes []Crash
 	// MaxEvents caps processed events to guard against non-quiescent
-	// executions; 0 means DefaultMaxEvents.
+	// executions; 0 means DefaultMaxEvents, the one budget.
 	MaxEvents int
 	// StopWhenDecided stops the run as soon as every non-crashed node
 	// has decided (the default harness behaviour). When false the run
@@ -156,7 +156,9 @@ type Config struct {
 }
 
 // DefaultMaxEvents bounds event processing when Config.MaxEvents is zero.
-const DefaultMaxEvents = 20_000_000
+// It is the only default: every layer above the engine passes a zero cap
+// through, so a (scenario, seed) runs the same execution from every entry.
+const DefaultMaxEvents = 5_000_000
 
 // MaxFack is the widest horizon a scheduler may declare. The event queue
 // keeps one bucket per time in [Now, Now+Fack], rounded up to a power of
