@@ -32,10 +32,10 @@
 // -facks, -crashes, -overlays, -seeds — see cmd/amacsim; the two CLIs
 // share the harness.AxisFlags helper), the grid sweeps with
 // schedule-coverage fingerprints on, and every run that violates a
-// consensus property streams out of the sweep and into the explorer: up
-// to -percell flagged runs per cell are re-recorded, optionally
+// consensus property streams out of the sweep and into the explorer: the
+// first flagged run of each cell is re-recorded, optionally
 // perturbation-searched (-budget > 0), optionally minimized (-minimize,
-// parallel shrink), and written as artifacts into -artifacts DIR. The
+// parallel shrink), and written as an artifact into -artifacts DIR. The
 // report (a JSON object with -json: cells, per-cell coverage, flagged
 // counts, findings with artifact paths) says which delivery orderings
 // each cell actually exercised (distinct schedule fingerprints) and
@@ -49,7 +49,8 @@
 //
 // -maxevents sets the event cap on the scenario (with -grid, the grid) and
 // artifacts record it; 0 keeps the simulator's one default (5 000 000),
-// which amacsim runs under too, so both CLIs run the same execution.
+// which amacsim runs under too, so both CLIs run the same execution. A
+// negative cap is refused (exit 2).
 //
 // With -replay FILE the tool instead re-verifies a committed artifact:
 // the schedule replays against its recorded scenario and the outcome is
@@ -117,7 +118,7 @@ func main() {
 	// Exploration flags (shared by -grid where noted).
 	budget := flag.Int("budget", 256, "perturbed schedules to replay (with -grid: per flagged run; 0 skips the search)")
 	searchSeed := flag.Int64("searchseed", 1, "seed for candidate generation (independent of the scenario seed)")
-	maxEvents := flag.Int("maxevents", 0, "per-execution event cap, set on the scenario (with -grid: on the grid); capped undecided runs classify as non-termination (0 = the simulator's one default, 5000000)")
+	maxEvents := flag.Int("maxevents", 0, "per-execution event cap, set on the scenario (with -grid: on the grid); capped undecided runs classify as non-termination (0 = the simulator's one default, 5000000; negative is an error)")
 	minimize := flag.Bool("minimize", false, "delta-debug each violation down to a minimal failing schedule")
 	out := flag.String("out", "", "write the found (minimized with -minimize) counterexample artifact to this file")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
@@ -128,7 +129,6 @@ func main() {
 	gridMode := flag.Bool("grid", false, "campaign mode: sweep a whole grid and hunt every flagged cell")
 	axes := harness.RegisterAxisFlags(flag.CommandLine, "grid")
 	artifactDir := flag.String("artifacts", "", "grid: write one counterexample artifact per finding into this directory")
-	perCell := flag.Int("percell", 1, "grid: flagged runs to explore per cell")
 	saturate := flag.Int("saturate", 0, "grid: stop a cell after this many consecutive seeds add no new schedule fingerprint (0 = run all seeds)")
 
 	// Replay mode.
@@ -145,7 +145,7 @@ func main() {
 	// The mode flag itself is not "grid-only": -grid=false must select
 	// explore mode, not trip its own stray-flag guard (flag.Visit sees
 	// every explicitly-set flag, defaults included).
-	gridOnly := harness.NameSet(axes.Names(), []string{"artifacts", "percell", "saturate"})
+	gridOnly := harness.NameSet(axes.Names(), []string{"artifacts", "saturate"})
 	delete(gridOnly, "workers") // -workers sizes every mode's pool
 
 	if *replay != "" {
@@ -175,8 +175,7 @@ func main() {
 		grid.MaxEvents = *maxEvents
 		os.Exit(runGrid(grid, explore.CampaignOptions{
 			Workers: *axes.Workers, Budget: *budget, SearchSeed: *searchSeed,
-			Minimize: *minimize, PerCell: *perCell,
-			SaturateAfter: *saturate, ArtifactDir: *artifactDir,
+			Minimize: *minimize, SaturateAfter: *saturate, ArtifactDir: *artifactDir,
 		}, *jsonOut))
 	}
 	stray := harness.StrayFlags(flag.CommandLine, func(name string) bool { return gridOnly[name] })

@@ -428,15 +428,16 @@
 //
 // The run loop (Engine.drain) works a bucket at a time. Once per nonempty
 // bucket it advances the cursor by a bitmap word scan (one word per 64
-// buckets) and moves the clock, the crash cursor and Result.Time; then it
-// reads the bucket's delivery array and its ack array in place, front to
-// back, handing each entry to Engine.deliver or Engine.ack. The per-event
-// checks stay per event: the MaxEvents cutoff, the event counts, the
-// StopWhenDecided test and the differential hook. The StopWhenDecided test
-// runs after an event that reaches a node, never after a crash drop, so a
-// run whose last undecided node is written off by the crash cursor goes on
-// to the next delivered event or to quiescence (TestStopWaitsPastCrashDrops).
-// A drained bucket is truncated and its bit cleared once.
+// buckets) and moves the clock and Result.Time; then it reads the bucket's
+// delivery array and its ack array in place, front to back, handing each
+// entry to Engine.deliver or Engine.ack. The per-event checks stay per
+// event: the MaxEvents cutoff, the event counts, the StopWhenDecided test
+// and the differential hook. The StopWhenDecided test runs after an event
+// that reaches a node, never after a crash drop, and owes a decision only
+// to the nodes with no scheduled crash — the ones the verdict judges — so
+// a run stops on the event that decides the last of them, whatever doomed
+// nodes are still running (TestStopOwesOnlyCrashFreeNodes). A drained
+// bucket is truncated and its bit cleared once.
 //
 // Invariant: no handler pushes into the bucket being drained. validatePlan
 // requires every delivery and the ack to fall strictly after the

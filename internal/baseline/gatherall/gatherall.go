@@ -37,7 +37,6 @@ type Node struct {
 
 	known    map[amac.NodeID]amac.Value
 	queue    []PairMsg // pairs not yet broadcast by this node
-	queued   map[amac.NodeID]bool
 	inflight bool
 	decided  bool
 	decision amac.Value
@@ -51,10 +50,9 @@ func NewFactory(n int) amac.Factory {
 	}
 	return func(cfg amac.NodeConfig) amac.Algorithm {
 		return &Node{
-			n:      n,
-			input:  cfg.Input,
-			known:  make(map[amac.NodeID]amac.Value, n),
-			queued: make(map[amac.NodeID]bool, n),
+			n:     n,
+			input: cfg.Input,
+			known: make(map[amac.NodeID]amac.Value, n),
 		}
 	}
 }
@@ -89,10 +87,7 @@ func (a *Node) learn(p PairMsg) {
 		return
 	}
 	a.known[p.ID] = p.V
-	if !a.queued[p.ID] {
-		a.queued[p.ID] = true
-		a.queue = append(a.queue, p)
-	}
+	a.queue = append(a.queue, p)
 	if len(a.known) == a.n && !a.decided {
 		min := p.V
 		for _, v := range a.known {

@@ -47,6 +47,9 @@ func (a *Artifact) Validate() error {
 	if a.Schedule == nil {
 		return fmt.Errorf("explore: artifact has no schedule")
 	}
+	if a.MaxEvents < 0 {
+		return fmt.Errorf("explore: artifact max_events %d is negative", a.MaxEvents)
+	}
 	return a.Schedule.Validate()
 }
 

@@ -28,8 +28,10 @@ import (
 
 // CampaignOptions tunes a campaign. The zero value means: GOMAXPROCS
 // workers, no perturbation search (record + minimize flagged base runs
-// only), one flagged run explored per cell, no coverage early-stop, no
-// artifacts written. Every execution runs under Grid.MaxEvents.
+// only), no coverage early-stop, no artifacts written. A campaign always
+// explores the first flagged run of each cell — one counterexample per
+// cell is what the artifact pipeline wants. Every execution runs under
+// Grid.MaxEvents.
 type CampaignOptions struct {
 	// Workers sizes the shared worker pool used by the sweep, the
 	// perturbation searches and the parallel shrinker (<= 0 = GOMAXPROCS).
@@ -44,10 +46,6 @@ type CampaignOptions struct {
 	// Minimize delta-debugs each flagged run's schedule down to a minimal
 	// artifact (parallel Shrink on the shared pool).
 	Minimize bool
-	// PerCell bounds how many flagged runs are explored per cell (the
-	// rest are counted but not recorded; default 1 — one counterexample
-	// per cell is what the artifact pipeline wants).
-	PerCell int
 	// SaturateAfter stops a cell's sweep early once that many consecutive
 	// seeds added no new schedule fingerprint (see
 	// harness.SweepOptions.SaturateAfter; 0 = run every seed).
@@ -61,9 +59,6 @@ type CampaignOptions struct {
 func (o CampaignOptions) withDefaults() CampaignOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.PerCell <= 0 {
-		o.PerCell = 1
 	}
 	return o
 }
@@ -126,14 +121,14 @@ type CampaignReport struct {
 	Runs         int `json:"runs"`
 	Flagged      int `json:"flagged_runs"`
 	CellsFlagged int `json:"cells_flagged"`
-	// Findings lists one entry per explored flagged run, ordered by
-	// (cell, seed position).
+	// Findings lists one entry per flagged cell, its first flagged run,
+	// in cell order.
 	Findings []*CampaignFinding `json:"findings"`
 }
 
 // Campaign sweeps the grid, streams flagged runs out of the sweep, and
-// turns up to PerCell flagged runs per cell into replayable (optionally
-// minimized) counterexample artifacts on one shared worker pool.
+// turns the first flagged run of each cell into a replayable (optionally
+// minimized) counterexample artifact on one shared worker pool.
 // Deterministic given (grid, opts) modulo Workers, which only changes
 // wall-clock time.
 func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) {
@@ -202,12 +197,10 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 	// determinism argument one-dimensional.
 	pool := newEvalPool(opts.Workers)
 	defer pool.close()
-	taken := map[int]int{}
-	for _, f := range flagged {
-		if taken[f.Cell] >= opts.PerCell {
-			continue
+	for i, f := range flagged {
+		if i > 0 && flagged[i-1].Cell == f.Cell {
+			continue // flagged is sorted by cell: explore each cell's first run
 		}
-		taken[f.Cell]++
 		finding, err := campaignFinding(pool, f, opts)
 		if err != nil {
 			return nil, fmt.Errorf("explore: campaign cell %d (%s on %s, seed %d): %w",

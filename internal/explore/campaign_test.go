@@ -40,7 +40,7 @@ func TestCampaignFindsKnownStall(t *testing.T) {
 		t.Fatalf("flagged %d runs in %d cells; the twophase stall cell alone must flag", rep.Flagged, rep.CellsFlagged)
 	}
 	if len(rep.Findings) != 1 {
-		t.Fatalf("%d findings, want 1 (PerCell defaults to 1)", len(rep.Findings))
+		t.Fatalf("%d findings, want 1 (one per flagged cell)", len(rep.Findings))
 	}
 	f := rep.Findings[0]
 	if f.Cell != 0 || f.Violation.Kind != consensus.KindNonTermination || !f.Minimized {

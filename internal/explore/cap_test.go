@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"github.com/absmac/absmac/internal/consensus"
@@ -59,5 +62,23 @@ func TestScenarioCapReachesEveryReplay(t *testing.T) {
 	}
 	if a := res.Artifact; a.MaxEvents != maxEvents || a.Violation.Events != maxEvents {
 		t.Fatalf("shrunk artifact cap %d, %d events; want both %d", a.MaxEvents, a.Violation.Events, maxEvents)
+	}
+}
+
+// TestArtifactRejectsNegativeCap: an artifact whose max_events is below
+// zero does not decode, so it can never replay at a cap other than the one
+// it records.
+func TestArtifactRejectsNegativeCap(t *testing.T) {
+	sc := harness.Scenario{Algo: "twophase", Topo: harness.Topo{Kind: "clique", N: 3}, Sched: "random", Fack: 2, Seed: 1}
+	_, sched, err := sc.RunRecorded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(&Artifact{Format: ArtifactFormat, Scenario: sc, MaxEvents: -1, Schedule: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "max_events") {
+		t.Fatalf("Decode: error %v, want one naming max_events", err)
 	}
 }

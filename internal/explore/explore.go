@@ -28,8 +28,8 @@
 // (campaign.go): Campaign sweeps a whole harness.Grid with flagged-run
 // streaming and schedule-coverage fingerprints on (harness.SweepOptions),
 // collects every violating (scenario, seed) the cell workers classify,
-// and turns up to PerCell flagged runs per cell into recorded,
-// perturbation-explored and minimized counterexample artifacts. All
+// and turns the first flagged run of each cell into a recorded,
+// perturbation-explored and minimized counterexample artifact. All
 // replay work — exploration candidates and shrink candidates across every
 // flagged cell — runs on one shared worker pool (pool.go) whose workers
 // cache ReplayRunners per scenario, and shrinking evaluates its ddmin

@@ -71,6 +71,28 @@ func TestOneCapPerScenarioSeed(t *testing.T) {
 	check("ReplayRunner.Run", out.Result)
 }
 
+// TestNegativeCapRefused: a cap below zero is an error from every entry
+// point, never a run cut off at zero events and classified as
+// non-termination.
+func TestNegativeCapRefused(t *testing.T) {
+	sc := Scenario{Algo: "twophase", Topo: Topo{Kind: "clique", N: 3}, Sched: "random", Fack: 2, Seed: 1, MaxEvents: -1}
+	if out, err := sc.Run(); err == nil {
+		t.Errorf("Scenario.Run: no error, %d events (cutoff %v)", out.Result.Events, out.Result.Cutoff)
+	}
+	flagged := 0
+	if _, err := SweepCellsOpts([]CellWork{{Base: sc, Seeds: []int64{1, 2}}}, SweepOptions{
+		Workers: 1,
+		OnFlag:  func(FlaggedRun) { flagged++ },
+	}); err == nil {
+		t.Errorf("SweepCellsOpts: no error, %d runs flagged", flagged)
+	}
+	g := Grid{Algos: []string{sc.Algo}, Topos: []Topo{sc.Topo}, Scheds: []string{sc.Sched},
+		Facks: []int64{sc.Fack}, Seeds: []int64{1}, MaxEvents: -1}
+	if _, err := g.Cells(); err == nil {
+		t.Error("Grid.Cells: no error")
+	}
+}
+
 // TestOneEventCapDefault keeps the event budget's default in one place:
 // outside internal/sim (and bench/, a separate module), no non-test Go
 // names sim.DefaultMaxEvents or DefaultSweepMaxEvents, except the alias

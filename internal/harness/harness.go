@@ -328,6 +328,9 @@ func (s Scenario) Config() (sim.Config, error) {
 // answers the topology's diameter on first demand, so a caller that never
 // asks (Config) never pays the all-pairs BFS.
 func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
+	if s.MaxEvents < 0 {
+		return sim.Config{}, nil, fmt.Errorf("harness: event cap %d is negative (0 means the default)", s.MaxEvents)
+	}
 	te, err := c.topo(s.Topo, s.Seed)
 	if err != nil {
 		return sim.Config{}, nil, err

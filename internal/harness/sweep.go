@@ -81,6 +81,9 @@ func (g Grid) Cells() ([]CellWork, error) {
 			return nil, fmt.Errorf("harness: sweep grid has an empty %s axis", axis.name)
 		}
 	}
+	if g.MaxEvents < 0 {
+		return nil, fmt.Errorf("harness: event cap %d is negative (0 means the default)", g.MaxEvents)
+	}
 	cells := make([]CellWork, 0, len(g.Algos)*len(g.Topos)*len(inputs)*len(g.Scheds)*len(g.Facks)*len(crashes)*len(overlays))
 	for _, algo := range g.Algos {
 		for _, topo := range g.Topos {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
@@ -58,13 +57,11 @@ type Engine struct {
 	// for events; together they keep the hot path allocation-free).
 	plan Plan
 
-	// O(1) StopWhenDecided bookkeeping: undecided counts nodes that have
-	// neither decided nor passed their crash cutoff. pendCrash holds the
-	// scheduled cutoffs sorted by time; pendIdx is the clock cursor into
-	// it — as now advances past a cutoff, its node stops owing a decision.
+	// O(1) StopWhenDecided bookkeeping: undecided counts the nodes with no
+	// scheduled crash that have not yet decided. A node with a scheduled
+	// crash never owes a decision — Run marks it crashed, so no verdict
+	// waits on it.
 	undecided int
-	pendCrash []Crash
-	pendIdx   int
 	// checkStops, set by tests, asserts the counter against the O(n)
 	// reference scan at every stop evaluation.
 	checkStops bool
@@ -223,24 +220,14 @@ func (e *Engine) Reset(cfg Config) {
 		}
 	}
 
-	// Arm the O(1) StopWhenDecided counter: every node owes a decision
-	// until it decides or the clock passes its crash cutoff. The cutoffs
-	// are replayed in time order by a cursor in the run loop.
-	e.undecided = n
-	e.pendCrash = e.pendCrash[:0]
-	for i, at := range e.crashAt {
-		if at >= 0 {
-			e.pendCrash = append(e.pendCrash, Crash{Node: i, At: at})
+	// Arm the O(1) StopWhenDecided counter: every node with no scheduled
+	// crash owes a decision.
+	e.undecided = 0
+	for _, at := range e.crashAt {
+		if at < 0 {
+			e.undecided++
 		}
 	}
-	sort.Slice(e.pendCrash, func(i, j int) bool {
-		a, b := e.pendCrash[i], e.pendCrash[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.Node < b.Node
-	})
-	e.pendIdx = 0
 
 	// Re-assert the plan-buffer invariant (all slots NoDelivery): the push
 	// loops maintain it run to run, but a run aborted mid-broadcast — a
@@ -413,10 +400,7 @@ func (e *Engine) decide(u int, v amac.Value) {
 	e.res.Decided[u] = true
 	e.res.Decision[u] = v
 	e.res.DecideTime[u] = e.now
-	// The node stops owing a decision — unless the crash cursor already
-	// wrote it off (its cutoff is at or before now), in which case the
-	// counter must not move twice.
-	if at := e.crashAt[u]; at < 0 || at > e.now {
+	if e.crashAt[u] < 0 {
 		e.undecided--
 	}
 	if e.now > e.res.MaxDecideTime {
@@ -425,28 +409,13 @@ func (e *Engine) decide(u int, v amac.Value) {
 	e.observe(Event{Kind: EventDecide, Time: e.now, Node: u, Value: v})
 }
 
-// advanceCrashCursor replays scheduled crash cutoffs up to the current
-// clock: a node whose cutoff has passed no longer owes a decision. drain
-// calls it once per bucket, immediately after advancing now — before any
-// callback can decide at the same instant — so decide's "already written
-// off" check (crashAt <= now) agrees exactly with what the cursor has
-// consumed.
-func (e *Engine) advanceCrashCursor() {
-	for e.pendIdx < len(e.pendCrash) && e.pendCrash[e.pendIdx].At <= e.now {
-		if !e.res.Decided[e.pendCrash[e.pendIdx].Node] {
-			e.undecided--
-		}
-		e.pendIdx++
-	}
-}
-
 // allDecidedScan is the O(n) reference for the undecided counter: every
-// node has decided or passed its crash cutoff. The run loop consults the
+// node with no scheduled crash has decided. The run loop consults the
 // counter; tests set checkStops to assert the two agree at every stop
 // evaluation.
 func (e *Engine) allDecidedScan() bool {
 	for i, decided := range e.res.Decided {
-		if !decided && !(e.crashAt[i] >= 0 && e.crashAt[i] <= e.now) {
+		if !decided && e.crashAt[i] < 0 {
 			return false
 		}
 	}
@@ -459,7 +428,6 @@ func (e *Engine) allDecidedScan() bool {
 func (e *Engine) Run() *Result {
 	// Start every node at time 0 in index order. A node scheduled to
 	// crash at time 0 never starts.
-	e.advanceCrashCursor()
 	for i := range e.algs {
 		if e.crashAt[i] == 0 {
 			e.markCrashed(i)
@@ -484,13 +452,13 @@ func (e *Engine) Run() *Result {
 }
 
 // drain processes the queue one calendar bucket per clock step until it
-// empties or a stop rule fires. The clock, the crash cursor and Result.Time
-// move once per bucket; the bucket's delivery array and then its ack array
-// are read in place, front to back. No handler pushes into the bucket
-// being drained — validatePlan puts every delivery and ack strictly after
-// the broadcast's Now — so the arrays cannot grow under the loop. A
-// drained bucket is reset once; a run that stops inside a bucket leaves it
-// marked, and the next Reset clears it (eventQueue.init).
+// empties or a stop rule fires. The clock and Result.Time move once per
+// bucket; the bucket's delivery array and then its ack array are read in
+// place, front to back. No handler pushes into the bucket being drained —
+// validatePlan puts every delivery and ack strictly after the broadcast's
+// Now — so the arrays cannot grow under the loop. A drained bucket is
+// reset once; a run that stops inside a bucket leaves it marked, and the
+// next Reset clears it (eventQueue.init).
 func (e *Engine) drain() {
 	q := &e.q
 	for q.count > 0 {
@@ -502,7 +470,6 @@ func (e *Engine) drain() {
 		t := q.nextBucketTime()
 		q.cur = t
 		e.now = t
-		e.advanceCrashCursor()
 		e.res.Time = t
 		b := &q.buckets[t&q.mask]
 		for _, d := range b.dels {

@@ -198,42 +198,6 @@ func TestResetAfterEarlyStop(t *testing.T) {
 	}
 }
 
-// TestStopWaitsPastCrashDrops pins when StopWhenDecided is evaluated: after
-// an event that reaches a node, never after a crash drop. On clique:3,
-// nodes 0 and 1 broadcast and decide at t=1; node 2 crashes at t=2 before
-// deciding, and its broadcast is planned for t=3. The undecided counter
-// reaches zero as the clock enters t=3, whose events are all drops (the
-// sender crashed at t=2), so the run drains them and ends quiescent rather
-// than stopping on the first drop.
-func TestStopWaitsPastCrashDrops(t *testing.T) {
-	plan := func(b Broadcast, p *Plan) {
-		at := int64(1)
-		if b.Sender == 2 {
-			at = 3
-		}
-		for i := range p.Recv {
-			p.Recv[i] = at
-		}
-		p.Ack = at
-	}
-	e := NewEngine(Config{
-		Graph:           graph.Clique(3),
-		Inputs:          inputs(0, 0, 0),
-		Factory:         onceFactory,
-		Scheduler:       planFunc{f: plan},
-		Crashes:         []Crash{{Node: 2, At: 2}},
-		StopWhenDecided: true,
-	})
-	e.checkStops = true
-	res := e.Run()
-	// t=1: four deliveries and two acks; t=3: two dropped deliveries and a
-	// dropped ack.
-	if res.Events != 9 || !res.Quiescent || res.Time != 3 || res.Deliveries != 4 || res.Acks != 2 {
-		t.Fatalf("events=%d quiescent=%v time=%d deliveries=%d acks=%d, want 9/true/3/4/2",
-			res.Events, res.Quiescent, res.Time, res.Deliveries, res.Acks)
-	}
-}
-
 // TestEngineResetShrinksAndGrows exercises node-count changes in both
 // directions: result slices must track the new topology size exactly.
 func TestEngineResetShrinksAndGrows(t *testing.T) {
@@ -259,10 +223,11 @@ func TestEngineResetShrinksAndGrows(t *testing.T) {
 // TestStopCounterMatchesScan pins the O(1) undecided counter that drives
 // StopWhenDecided against the O(n) reference scan: with checkStops set the
 // engine asserts agreement at every stop evaluation, so any interleaving
-// of decisions and crash cutoffs that would stop at a different event
-// panics. The crash schedules cover cutoffs before, at, and after the
-// decision, a node crashed at time 0, and a run where every node crashes
-// (the counter reaches zero through the cursor alone).
+// of decisions and scheduled crashes that would stop at a different event
+// panics. The crash schedules cover crashes before, at, and after the
+// node's decision, a node crashed at time 0, a doomed node whose crash
+// comes after every crash-free node has decided, and a run where every
+// node crashes (the counter starts at zero).
 func TestStopCounterMatchesScan(t *testing.T) {
 	ring := graph.Ring(6)
 	ins := inputs(0, 1, 0, 1, 0, 1)
@@ -271,7 +236,8 @@ func TestStopCounterMatchesScan(t *testing.T) {
 		{{Node: 5, At: 0}},
 		{{Node: 0, At: 1}, {Node: 3, At: 2}},
 		{{Node: 2, At: 4}, {Node: 2, At: 9}},
-		{{Node: 1, At: 40}}, // typically after node 1 decides
+		{{Node: 1, At: 40}},                  // typically after node 1 decides
+		{{Node: 0, At: 4}, {Node: 5, At: 7}}, // node 5 crashes after every crash-free decision (t <= 5)
 		{{Node: 0, At: 1}, {Node: 1, At: 1}, {Node: 2, At: 1}, {Node: 3, At: 1}, {Node: 4, At: 1}, {Node: 5, At: 1}},
 	}
 	for ci, crashes := range schedules {

@@ -129,9 +129,12 @@ type Config struct {
 	// MaxEvents caps processed events to guard against non-quiescent
 	// executions; 0 means DefaultMaxEvents, the one budget.
 	MaxEvents int
-	// StopWhenDecided stops the run as soon as every non-crashed node
-	// has decided (the default harness behaviour). When false the run
-	// continues to quiescence, which exercises post-decision behaviour.
+	// StopWhenDecided stops the run as soon as every node with no
+	// scheduled crash has decided (the default harness behaviour): the
+	// nodes the verdict judges, since Run marks every scheduled crash in
+	// Result.Crashed. The test runs after an event that reaches a node.
+	// When false the run continues to quiescence, which exercises
+	// post-decision behaviour.
 	StopWhenDecided bool
 	// Observer, when non-nil, receives every engine event in execution
 	// order (for tracing). Event.Message is only guaranteed valid for the
@@ -191,6 +194,9 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Scheduler == nil {
 		return fmt.Errorf("sim: Config.Scheduler is nil")
+	}
+	if cfg.MaxEvents < 0 {
+		return fmt.Errorf("sim: MaxEvents=%d is negative (0 means DefaultMaxEvents)", cfg.MaxEvents)
 	}
 	if cfg.Scheduler.Fack() <= 0 {
 		return fmt.Errorf("sim: scheduler declares Fack=%d, need > 0", cfg.Scheduler.Fack())

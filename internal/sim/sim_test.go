@@ -422,6 +422,7 @@ func TestConfigValidation(t *testing.T) {
 		{"id mismatch", func(c *Config) { c.IDs = []amac.NodeID{7} }},
 		{"bad crash node", func(c *Config) { c.Crashes = []Crash{{Node: 9, At: 1}} }},
 		{"negative crash time", func(c *Config) { c.Crashes = []Crash{{Node: 0, At: -2}} }},
+		{"negative event cap", func(c *Config) { c.MaxEvents = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
