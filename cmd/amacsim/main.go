@@ -61,8 +61,10 @@
 //     comfortably.
 //   - -facks: comma-separated positive integers.
 //   - -crashes: comma-separated crash patterns, grammar name[@T] — none,
-//     one@T (highest-index node crashes at T), coordinator (node 0
-//     crashes at Fack), midbroadcast (node 0 crashes at max(1, Fack/2),
+//     one@T (highest-index node crashes at T), maxid@T (alias of one@T:
+//     that node carries the maximum id, so crashing it kills the stable
+//     leader of a max-id election), coordinator (node 0 crashes at
+//     Fack), midbroadcast (node 0 crashes at max(1, Fack/2),
 //     inside its first broadcast window: the Theorem 3.2 crash),
 //     minorityrand (a seeded random minority at seeded random times in
 //     [0, 4*Fack]). Default none.

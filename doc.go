@@ -414,86 +414,8 @@
 //
 // # Event queue and the Fack horizon
 //
-// Invariant: the engine's event ring covers the scheduler's declared
-// horizon. validatePlan panics on any plan whose deliveries or ack fall
-// outside (Now, Now+Fack], so every queued event lies within one Fack of
-// the clock. internal/sim/queue.go therefore keeps one structure, a
-// calendar ring of per-time buckets whose span is the smallest power of
-// two above Scheduler.Fack(). Config.Validate rejects a Fack above
-// sim.MaxFack (2^20-1) with an error naming the number, and a push panics
-// on an event outside [cur, cur+span), so nothing can alias another time's
-// bucket. A push appends to a bucket array and sets the bucket's bit in a
-// bitmap; deliveries and acks have a push each, so the per-delivery push
-// has no kind switch.
-//
-// The run loop (Engine.drain) works a bucket at a time. Once per nonempty
-// bucket it advances the cursor by a bitmap word scan (one word per 64
-// buckets) and moves the clock and Result.Time; then it reads the bucket's
-// delivery array and its ack array in place, front to back, handing each
-// entry to Engine.deliver or Engine.ack. The per-event checks stay per
-// event: the MaxEvents cutoff, the event counts, the StopWhenDecided test
-// and the differential hook. The StopWhenDecided test runs after an event
-// that reaches a node, never after a crash drop, and owes a decision only
-// to the nodes with no scheduled crash — the ones the verdict judges — so
-// a run stops on the event that decides the last of them, whatever doomed
-// nodes are still running (TestStopOwesOnlyCrashFreeNodes). A drained
-// bucket is truncated and its bit cleared once.
-//
-// Invariant: no handler pushes into the bucket being drained. validatePlan
-// requires every delivery and the ack to fall strictly after the
-// broadcast's Now, including the ack of a sender with no recipient, so
-// the arrays being read cannot grow under the loop. Replay applies the
-// same rule to recorded steps, so a hand-edited artifact that acks at its
-// broadcast diverges to the fallback planner instead.
-//
-// Re-arm rule: a run stopped by StopWhenDecided or MaxEvents returns from
-// inside a bucket and leaves it untruncated, with its bit still set. That
-// happens even with no event left queued: StopWhenDecided fires on the
-// last ack of a run in which every node decides. Reset therefore resets
-// every bucket still marked in the bitmap, not only when events remain;
-// otherwise the next run would append behind the stale entries and every
-// warm run would grow the arrays (TestResetAfterEarlyStop, and the zero
-// allocs/op pin of BenchmarkWarmRunClique).
-//
-// Invariant: the message of a queued delivery is its sender's in-flight
-// message. The abstract MAC layer gives a node one outstanding broadcast
-// (Engine.broadcast discards a second), validatePlan puts every delivery
-// of a broadcast at or before its ack, and co-timed deliveries are
-// processed before acks — so from the moment a delivery is pushed until it
-// is processed, Engine.inMsg[sender] is the message it was planned with.
-// The queue stores none: a bucket is two append-only arrays, []{receiver,
-// sender int32} for deliveries and []{node, bseq int32} for acks. Time is
-// the bucket and insertion order is the array position, so neither is
-// stored; an entry is 8 bytes with no pointer in it (clique:1024 peaks at
-// 2^20 queued deliveries: 8 MB, where an event that carried its message
-// was 72 B and 72 MB). Config.Validate bounds the node count by
-// sim.MaxNodes so indices fit. A test outside the engine
-// (TestDeliveryCarriesItsBroadcastsMessage) logs every plan and checks
-// each delivery against it — message, time, before the ack, once — under
-// mid-broadcast crashes, lossy overlays and the plan-stretching
-// schedulers.
-//
-// What the GC sees: the entry arrays are pointer-free and never scanned;
-// the ring itself is 48 B a bucket (two slice headers) and is scanned, as
-// is inMsg (one interface per node). The ring is 384 B at Fack 4, 24 KiB
-// for Gate at Until ≈ 500, 384 KiB for EdgeOrder on clique:4096 and 48 MiB
-// at MaxFack. Entry arrays stay with their bucket across runs, so a reused
-// engine allocates nothing on the event path once every bucket has seen
-// its peak. A fresh engine would pay for its 2·span arrays one doubling at
-// a time, so arrays under 2048 entries are cut from shared 4096-entry
-// blocks instead (a sim.Run on clique:16 allocates 53 times, 2 of them for
-// the queue; the outgrown halves stay in their block, at most 32 KiB an
-// array) and only larger ones grow by append. BENCH_engine.json pins those
-// counts.
-//
-// The engine's total order is (time, deliveries before acks, insertion
-// order); an array read front to back is insertion order, so one array per
-// (bucket, kind) yields exactly that order. The reference is a quaternary
-// heap that exists only in internal/sim's tests: the differential test
-// attaches it to an engine through an unexported hook, stamps its own
-// sequence number on every push it mirrors, and requires every processed
-// event to be the heap's minimum — across every registered scheduler,
-// crash pattern and overlay family plus a seeded fuzz loop.
+// The simulator's event queue, its run loop and the parallel bucket
+// phases are documented in internal/sim's package comment (sim.go).
 //
 // # Observability
 //

@@ -78,6 +78,14 @@ type API interface {
 // the API beyond the execution. On every substrate OnAck(m) runs after
 // every neighbor's OnReceive(m) has returned, so from then on the sender
 // may reuse m.
+//
+// Handlers of different nodes may run concurrently on every substrate:
+// always on the wall-clock runtime (internal/live), and within one
+// calendar bucket on the simulator (internal/sim). So the nodes of one run
+// share no unsynchronized mutable state — wpaxos.CountAudit, the one
+// object they share, guards itself with a mutex — and a delivered message
+// is read-only until its sender's ack: neither the sender nor a receiver
+// may write it before then.
 type Algorithm interface {
 	Start(api API)
 	OnReceive(m Message)

@@ -79,6 +79,9 @@ type Engine struct {
 	mDrops     metrics.Counter // deliveries/acks lost to crash cutoffs
 	mDiscards  metrics.Counter // broadcasts attempted while one in flight
 	mQueueHigh metrics.Gauge   // event-queue depth (high-water tracked)
+
+	// par runs large bucket arrays on every core (phase.go).
+	par phases
 }
 
 // api implements amac.API for one node. Engine.Reset pre-boxes one per
@@ -259,16 +262,36 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 		panic(fmt.Sprintf("sim: node %d broadcast a nil message", u))
 	}
 	if e.inflight[u] {
+		if e.par.on {
+			e.par.owner(u).discards++
+			return false
+		}
 		e.res.Discards++
 		e.mDiscards.Inc()
 		e.observe(Event{Kind: EventDiscard, Time: e.now, Node: u, Message: m})
 		return false
 	}
+	seq := e.bseq[u]
+	e.inflight[u] = true
+	e.inMsg[u] = m
+	e.bseq[u]++
+	if e.par.on {
+		e.par.record(u, phaseOp{seq: seq, msg: m})
+		return true
+	}
+	e.send(u, seq, m)
+	return true
+}
+
+// send is the engine half of node u's broadcast seq of m: the audit, the
+// plan, its validation, the count and the queue pushes. A broadcast runs it
+// at once; in a bucket phase the replay runs it, in event order.
+func (e *Engine) send(u, seq int, m amac.Message) {
 	if err := amac.AuditIDCount(m); err != nil {
 		e.res.Violations = append(e.res.Violations, Violation{Time: e.now, Node: u, Desc: err.Error()})
 	}
 	nbrs := e.cfg.Graph.Neighbors(u)
-	b := Broadcast{Sender: u, Seq: e.bseq[u], Neighbors: nbrs, Now: e.now, Message: m}
+	b := Broadcast{Sender: u, Seq: seq, Neighbors: nbrs, Now: e.now, Message: m}
 	if e.cfg.Unreliable != nil {
 		b.Unreliable = e.cfg.Unreliable.Neighbors(u)
 	}
@@ -290,9 +313,6 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	e.cfg.Scheduler.Plan(b, &e.plan)
 	e.validatePlan(b, &e.plan)
 
-	e.inflight[u] = true
-	e.inMsg[u] = m
-	e.bseq[u]++
 	e.res.Broadcasts++
 	e.observe(Event{Kind: EventBroadcast, Time: e.now, Node: u, Message: m})
 
@@ -320,7 +340,6 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	// The queue only grows inside a broadcast, so its depth after the ack
 	// is the broadcast's high-water mark.
 	e.mQueueHigh.Set(int64(e.q.len()))
-	return true
 }
 
 // validatePlan checks p against the model contract in one pass: every
@@ -390,16 +409,22 @@ func (e *Engine) planError(b Broadcast, p *Plan) {
 func (e *Engine) decide(u int, v amac.Value) {
 	if e.res.Decided[u] {
 		if e.res.Decision[u] != v {
-			e.res.Violations = append(e.res.Violations, Violation{
-				Time: e.now, Node: u,
-				Desc: fmt.Sprintf("second decide(%d) after decide(%d): decisions are irrevocable", v, e.res.Decision[u]),
-			})
+			desc := fmt.Sprintf("second decide(%d) after decide(%d): decisions are irrevocable", v, e.res.Decision[u])
+			if e.par.on {
+				e.par.record(u, phaseOp{desc: desc})
+				return
+			}
+			e.res.Violations = append(e.res.Violations, Violation{Time: e.now, Node: u, Desc: desc})
 		}
 		return
 	}
 	e.res.Decided[u] = true
 	e.res.Decision[u] = v
 	e.res.DecideTime[u] = e.now
+	if e.par.on {
+		e.par.decided(u, e.crashAt[u] < 0)
+		return
+	}
 	if e.crashAt[u] < 0 {
 		e.undecided--
 	}
@@ -454,7 +479,8 @@ func (e *Engine) Run() *Result {
 // drain processes the queue one calendar bucket per clock step until it
 // empties or a stop rule fires. The clock and Result.Time move once per
 // bucket; the bucket's delivery array and then its ack array are read in
-// place, front to back. No handler pushes into the bucket being drained —
+// place, front to back, or run as parallel phases when phaseWidth admits
+// them (phase.go). No handler pushes into the bucket being drained —
 // validatePlan puts every delivery and ack strictly after the broadcast's
 // Now — so the arrays cannot grow under the loop. A drained bucket is
 // reset once; a run that stops inside a bucket leaves it marked, and the
@@ -472,24 +498,36 @@ func (e *Engine) drain() {
 		e.now = t
 		e.res.Time = t
 		b := &q.buckets[t&q.mask]
-		for _, d := range b.dels {
-			if e.cutoff() {
+		if w := e.phaseWidth(len(b.dels)); w > 1 {
+			if e.phase(w, b.dels, nil) {
 				return
 			}
-			e.admit()
-			e.hook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
-			if e.deliver(int(d.node), int(d.peer)) && e.stopped() {
-				return
+		} else {
+			for _, d := range b.dels {
+				if e.cutoff() {
+					return
+				}
+				e.admit()
+				e.hook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
+				if e.deliver(int(d.node), int(d.peer), &e.res.Deliveries) && e.stopped() {
+					return
+				}
 			}
 		}
-		for _, a := range b.acks {
-			if e.cutoff() {
+		if w := e.phaseWidth(len(b.acks)); w > 1 {
+			if e.phase(w, nil, b.acks) {
 				return
 			}
-			e.admit()
-			e.hook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
-			if e.ack(int(a.node), a.bseq) && e.stopped() {
-				return
+		} else {
+			for _, a := range b.acks {
+				if e.cutoff() {
+					return
+				}
+				e.admit()
+				e.hook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
+				if e.ack(int(a.node), a.bseq, &e.res.Acks) && e.stopped() {
+					return
+				}
 			}
 		}
 		q.drained(t)
@@ -540,23 +578,27 @@ func (e *Engine) checkStopCounter() {
 	}
 }
 
-// deliver hands sender u's in-flight message to v at the current time. A
-// delivery is lost when the receiver has crashed, or when the sender
-// crashed before this delivery time (mid-broadcast crash: the remaining
-// neighbors never receive the message). It reports whether the message was
-// delivered.
-func (e *Engine) deliver(v, u int) bool {
+// deliver hands sender u's in-flight message to v at the current time and
+// counts it in *count. A delivery is lost when the receiver has crashed,
+// or when the sender crashed before this delivery time (mid-broadcast
+// crash: the remaining neighbors never receive the message). It reports
+// whether the message was delivered.
+func (e *Engine) deliver(v, u int, count *int) bool {
 	if e.crashedBy(v, e.now) {
 		e.markCrashed(v)
 		e.mDrops.Inc()
 		return false
 	}
 	if e.crashedBy(u, e.now) {
-		e.markCrashed(u)
+		// In a bucket phase u may belong to another worker; Run marks
+		// every scheduled crash once the run is over.
+		if !e.par.on {
+			e.markCrashed(u)
+		}
 		e.mDrops.Inc()
 		return false
 	}
-	e.res.Deliveries++
+	*count++
 	e.mDeliver.Inc()
 	msg := e.inMsg[u]
 	e.observe(Event{Kind: EventDeliver, Time: e.now, Node: v, Peer: u, Message: msg})
@@ -565,8 +607,9 @@ func (e *Engine) deliver(v, u int) bool {
 }
 
 // ack completes u's broadcast bseq at the current time, unless u has
-// crashed. It reports whether the broadcast was acked.
-func (e *Engine) ack(u int, bseq int32) bool {
+// crashed, and counts it in *count. It reports whether the broadcast was
+// acked.
+func (e *Engine) ack(u int, bseq int32, count *int) bool {
 	if e.crashedBy(u, e.now) {
 		e.markCrashed(u)
 		e.mDrops.Inc()
@@ -578,7 +621,7 @@ func (e *Engine) ack(u int, bseq int32) bool {
 	e.inflight[u] = false
 	msg := e.inMsg[u]
 	e.inMsg[u] = nil
-	e.res.Acks++
+	*count++
 	e.observe(Event{Kind: EventAck, Time: e.now, Node: u, Message: msg})
 	e.algs[u].OnAck(msg)
 	return true

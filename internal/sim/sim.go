@@ -26,6 +26,151 @@
 // dropped, which yields exactly the paper's mid-broadcast crash semantics
 // (some neighbors received the in-flight message, the rest never will, and
 // the ack is lost).
+//
+// # Event queue and the Fack horizon
+//
+// Invariant: the engine's event ring covers the scheduler's declared
+// horizon. validatePlan panics on any plan whose deliveries or ack fall
+// outside (Now, Now+Fack], so every queued event lies within one Fack of
+// the clock. queue.go therefore keeps one structure, a
+// calendar ring of per-time buckets whose span is the smallest power of
+// two above Scheduler.Fack(). Config.Validate rejects a Fack above
+// MaxFack (2^20-1) with an error naming the number, and a push panics
+// on an event outside [cur, cur+span), so nothing can alias another time's
+// bucket. A push appends to a bucket array and sets the bucket's bit in a
+// bitmap; deliveries and acks have a push each, so the per-delivery push
+// has no kind switch.
+//
+// The run loop (Engine.drain) works a bucket at a time. Once per nonempty
+// bucket it advances the cursor by a bitmap word scan (one word per 64
+// buckets) and moves the clock and Result.Time; then it reads the bucket's
+// delivery array and its ack array in place, front to back, handing each
+// entry to Engine.deliver or Engine.ack — or, for a large array, runs it
+// as a parallel phase (Bucket phases, below). The per-event checks stay
+// per event: the MaxEvents cutoff, the event counts, the StopWhenDecided
+// test and the differential hook. The StopWhenDecided test runs after an event
+// that reaches a node, never after a crash drop, and owes a decision only
+// to the nodes with no scheduled crash — the ones the verdict judges — so
+// a run stops on the event that decides the last of them, whatever doomed
+// nodes are still running (TestStopOwesOnlyCrashFreeNodes). A drained
+// bucket is truncated and its bit cleared once.
+//
+// Invariant: no handler pushes into the bucket being drained. validatePlan
+// requires every delivery and the ack to fall strictly after the
+// broadcast's Now, including the ack of a sender with no recipient, so
+// the arrays being read cannot grow under the loop. Replay applies the
+// same rule to recorded steps, so a hand-edited artifact that acks at its
+// broadcast diverges to the fallback planner instead.
+//
+// Re-arm rule: a run stopped by StopWhenDecided or MaxEvents returns from
+// inside a bucket and leaves it untruncated, with its bit still set. That
+// happens even with no event left queued: StopWhenDecided fires on the
+// last ack of a run in which every node decides. Reset therefore resets
+// every bucket still marked in the bitmap, not only when events remain;
+// otherwise the next run would append behind the stale entries and every
+// warm run would grow the arrays (TestResetAfterEarlyStop, and the zero
+// allocs/op pin of BenchmarkWarmRunClique).
+//
+// Invariant: the message of a queued delivery is its sender's in-flight
+// message. The abstract MAC layer gives a node one outstanding broadcast
+// (Engine.broadcast discards a second), validatePlan puts every delivery
+// of a broadcast at or before its ack, and co-timed deliveries are
+// processed before acks — so from the moment a delivery is pushed until it
+// is processed, Engine.inMsg[sender] is the message it was planned with.
+// The queue stores none: a bucket is two append-only arrays, []{receiver,
+// sender int32} for deliveries and []{node, bseq int32} for acks. Time is
+// the bucket and insertion order is the array position, so neither is
+// stored; an entry is 8 bytes with no pointer in it (clique:1024 peaks at
+// 2^20 queued deliveries: 8 MB, where an event that carried its message
+// was 72 B and 72 MB). Config.Validate bounds the node count by
+// MaxNodes so indices fit. A test outside the engine
+// (TestDeliveryCarriesItsBroadcastsMessage) logs every plan and checks
+// each delivery against it — message, time, before the ack, once — under
+// mid-broadcast crashes, lossy overlays and the plan-stretching
+// schedulers.
+//
+// What the GC sees: the entry arrays are pointer-free and never scanned;
+// the ring itself is 48 B a bucket (two slice headers) and is scanned, as
+// is inMsg (one interface per node). The ring is 384 B at Fack 4, 24 KiB
+// for Gate at Until ≈ 500, 384 KiB for EdgeOrder on clique:4096 and 48 MiB
+// at MaxFack. Entry arrays stay with their bucket across runs, so a reused
+// engine allocates nothing on the event path once every bucket has seen
+// its peak. A fresh engine would pay for its 2·span arrays one doubling at
+// a time, so arrays under 2048 entries are cut from shared 4096-entry
+// blocks instead (a Run on clique:16 allocates 53 times, 2 of them for
+// the queue; the outgrown halves stay in their block, at most 32 KiB an
+// array) and only larger ones grow by append. BENCH_engine.json pins those
+// counts.
+//
+// The engine's total order is (time, deliveries before acks, insertion
+// order); an array read front to back is insertion order, so one array per
+// (bucket, kind) yields exactly that order. The reference is a quaternary
+// heap that exists only in this package's tests: the differential test
+// attaches it to an engine through an unexported hook, stamps its own
+// sequence number on every push it mirrors, and requires every processed
+// event to be the heap's minimum — across every registered scheduler,
+// crash pattern and overlay family plus a seeded fuzz loop.
+//
+// # Bucket phases
+//
+// Within one bucket array the handlers of different nodes are independent:
+// a delivery carries its sender's in-flight message, fixed before the
+// bucket; no handler pushes into the bucket being drained; and nodes share
+// no unsynchronized state (the amac.Algorithm contract — the wall-clock
+// runtime already runs one goroutine per node). drain therefore runs a
+// large array, the deliveries of a time and then its acks, as a parallel
+// phase (phase.go) when all of these hold:
+//   - the array holds at least phaseMin (4096) events;
+//   - GOMAXPROCS is 2 or more;
+//   - the run has no Observer, no Metrics and no test hook;
+//   - the array fits in the remaining event budget;
+//   - StopWhenDecided has not already fired (the undecided counter is not
+//     0 — the sequential loop would stop after the array's first event
+//     that reaches a node);
+//   - the scheduler is one of this package's own: Synchronous, MaxDelay,
+//     Random, EdgeOrder, or Lossy, Gate or SlowSubset around one of them.
+//     Replay, ScheduleRecorder, Fingerprinter and any wrapper that watches
+//     the run (a tracer bracketing handlers with spans keeps one span
+//     stack) stay on the sequential loop.
+//
+// GOMAXPROCS=1 runs the sequential loop everywhere: it is the A/B switch.
+// Inside a phase:
+//   - Each worker owns a contiguous node range and walks the array front
+//     to back, so every node handles its events in queue order. The range
+//     is phases.span, the one node-to-worker map; owner inverts it for the
+//     handlers' Broadcast and Decide. Worker 0 runs on drain's goroutine
+//     and the rest on a process-wide pool, so a warm phase allocates
+//     nothing (BENCH_engine.json pins BenchmarkWarmRunClique at -cpu 2,
+//     whose clique:1024 buckets all take phases).
+//   - A handler's node-local effects are written in place: the in-flight
+//     flag, message and sequence number, Decided, Decision and DecideTime,
+//     and Crashed for its own node. A sender-crash drop does not mark the
+//     sender, which another worker owns; Run marks every scheduled crash
+//     once the run is over.
+//   - Everything else is logged per worker, tagged with the event index:
+//     the ID audit, Scheduler.Plan and validatePlan, the queue pushes and
+//     the Broadcasts count (all of them send, the engine half of a
+//     broadcast) and second-decide violations. After the phase the logs
+//     are merged and replayed in index order, so plans, rng draws, queue
+//     order and violation order are the sequential ones. Deliveries, Acks,
+//     Discards and the undecided counter are per-worker sums.
+//   - The stop stays exact. Under StopWhenDecided the owing nodes — no
+//     scheduled crash, undecided when the phase starts — run first, each
+//     up to and including the event at which it decides. If that decides
+//     them all, the stop index k is the latest of those events and a
+//     second pass runs the rest of the array only below k; otherwise the
+//     second pass runs the rest in full.
+//   - A handler panic is recovered in its worker. The events before the
+//     lowest panicking index, and what that handler did before it
+//     panicked, are replayed — so a scheduler panic among them is raised
+//     first, as the sequential loop would — and the panic is re-raised
+//     on Run's goroutine.
+//
+// TestBucketPhasesMatchSequential forces every array of the golden sweep
+// grid, the large bench-shaped runs and probes built to stop mid-bucket,
+// decide twice and panic onto 2, 3 and 5 workers, and compares every
+// Result field, every node's amac.View and every plan, in order, with the
+// sequential loop.
 package sim
 
 import (
