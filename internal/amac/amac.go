@@ -82,10 +82,11 @@ type API interface {
 // Handlers of different nodes may run concurrently on every substrate:
 // always on the wall-clock runtime (internal/live), and within one
 // calendar bucket on the simulator (internal/sim). So the nodes of one run
-// share no unsynchronized mutable state — wpaxos.CountAudit, the one
-// object they share, guards itself with a mutex — and a delivered message
-// is read-only until its sender's ack: neither the sender nor a receiver
-// may write it before then.
+// share no unsynchronized mutable state — an object they all see, such as
+// wpaxos.CountAudit (a mutex) or consensus.AnonymityAudit's counter (an
+// atomic), guards itself — and a delivered message is read-only until its
+// sender's ack: neither the sender nor a receiver may write it before
+// then.
 type Algorithm interface {
 	Start(api API)
 	OnReceive(m Message)

@@ -57,8 +57,8 @@ func TestGenuinelyAnonymous(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("%v", rep.Errors)
 	}
-	if *reads != 0 {
-		t.Fatalf("anonymous algorithm read its id %d times", *reads)
+	if reads.Load() != 0 {
+		t.Fatalf("anonymous algorithm read its id %d times", reads.Load())
 	}
 }
 

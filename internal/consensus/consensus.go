@@ -21,6 +21,7 @@ package consensus
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/sim"
@@ -111,18 +112,18 @@ func Check(inputs []amac.Value, res *sim.Result) *Report {
 // anonAPI wraps an amac.API and records id reads.
 type anonAPI struct {
 	amac.API
-	reads *int
+	reads *atomic.Int64
 }
 
 func (a anonAPI) ID() amac.NodeID {
-	*a.reads++
+	a.reads.Add(1)
 	return a.API.ID()
 }
 
 // anonAlg defers wrapping until Start, where the API becomes available.
 type anonAlg struct {
 	inner amac.Algorithm
-	reads *int
+	reads *atomic.Int64
 }
 
 func (a *anonAlg) Start(api amac.API)       { a.inner.Start(anonAPI{API: api, reads: a.reads}) }
@@ -131,9 +132,11 @@ func (a *anonAlg) OnAck(m amac.Message)     { a.inner.OnAck(m) }
 
 // AnonymityAudit wraps a factory so that every id read through the API is
 // counted. The returned counter can be inspected after the run: a truly
-// anonymous algorithm (Section 3.2) leaves it at zero.
-func AnonymityAudit(f amac.Factory) (amac.Factory, *int) {
-	reads := new(int)
+// anonymous algorithm (Section 3.2) leaves it at zero. Every node of a run
+// shares it, so it is atomic: handlers of different nodes may run
+// concurrently (amac.Algorithm).
+func AnonymityAudit(f amac.Factory) (amac.Factory, *atomic.Int64) {
+	reads := new(atomic.Int64)
 	wrapped := func(cfg amac.NodeConfig) amac.Algorithm {
 		// Hide the id from the constructor too: anonymous algorithms
 		// must not see it even at build time.

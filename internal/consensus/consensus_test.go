@@ -155,8 +155,8 @@ func TestAnonymityAudit(t *testing.T) {
 		Factory:   reader,
 		Scheduler: sim.Synchronous{},
 	})
-	if *readerCount != 3 {
-		t.Fatalf("id reads counted %d, want 3", *readerCount)
+	if readerCount.Load() != 3 {
+		t.Fatalf("id reads counted %d, want 3", readerCount.Load())
 	}
 
 	ignorer, ignorerCount := AnonymityAudit(func(amac.NodeConfig) amac.Algorithm { return &idIgnorer{} })
@@ -166,8 +166,8 @@ func TestAnonymityAudit(t *testing.T) {
 		Factory:   ignorer,
 		Scheduler: sim.Synchronous{},
 	})
-	if *ignorerCount != 0 {
-		t.Fatalf("anonymous algorithm counted %d id reads", *ignorerCount)
+	if ignorerCount.Load() != 0 {
+		t.Fatalf("anonymous algorithm counted %d id reads", ignorerCount.Load())
 	}
 }
 

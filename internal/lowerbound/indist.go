@@ -74,7 +74,7 @@ func RunAnonImpossibility(D, n int) (*AnonResult, error) {
 		})
 		rep := consensus.Check(inputs, out)
 		res.ControlOK = rep.OK()
-		totalReads += *reads
+		totalReads += int(reads.Load())
 	}
 
 	// Counterexample: network A, gadget copy 0 starts with 0, gadget
@@ -100,7 +100,7 @@ func RunAnonImpossibility(D, n int) (*AnonResult, error) {
 		})
 		rep := consensus.Check(inputs, out)
 		res.ViolationInA = !rep.Agreement
-		totalReads += *reads
+		totalReads += int(reads.Load())
 		g0 := fig.AGadget[0][fig.Gadget.C()]
 		g1 := fig.AGadget[1][fig.Gadget.C()]
 		if out.Decided[g0] {

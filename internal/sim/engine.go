@@ -80,8 +80,14 @@ type Engine struct {
 	mDiscards  metrics.Counter // broadcasts attempted while one in flight
 	mQueueHigh metrics.Gauge   // event-queue depth (high-water tracked)
 
-	// par runs large bucket arrays on every core (phase.go).
-	par phases
+	// par runs large bucket arrays on every core (phase.go); it is made by
+	// the engine's first phase. phasing is set while a pass runs: handlers
+	// log their engine half.
+	par     *phases
+	phasing bool
+	// forcePhases, set by tests, runs every nonempty array as a phase of
+	// that many workers and admits any scheduler.
+	forcePhases int
 }
 
 // api implements amac.API for one node. Engine.Reset pre-boxes one per
@@ -262,7 +268,7 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 		panic(fmt.Sprintf("sim: node %d broadcast a nil message", u))
 	}
 	if e.inflight[u] {
-		if e.par.on {
+		if e.phasing {
 			e.par.owner(u).discards++
 			return false
 		}
@@ -275,7 +281,7 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	e.inflight[u] = true
 	e.inMsg[u] = m
 	e.bseq[u]++
-	if e.par.on {
+	if e.phasing {
 		e.par.record(u, phaseOp{seq: seq, msg: m})
 		return true
 	}
@@ -410,7 +416,7 @@ func (e *Engine) decide(u int, v amac.Value) {
 	if e.res.Decided[u] {
 		if e.res.Decision[u] != v {
 			desc := fmt.Sprintf("second decide(%d) after decide(%d): decisions are irrevocable", v, e.res.Decision[u])
-			if e.par.on {
+			if e.phasing {
 				e.par.record(u, phaseOp{desc: desc})
 				return
 			}
@@ -421,7 +427,7 @@ func (e *Engine) decide(u int, v amac.Value) {
 	e.res.Decided[u] = true
 	e.res.Decision[u] = v
 	e.res.DecideTime[u] = e.now
-	if e.par.on {
+	if e.phasing {
 		e.par.decided(u, e.crashAt[u] < 0)
 		return
 	}
@@ -486,6 +492,8 @@ func (e *Engine) Run() *Result {
 // reset once; a run that stops inside a bucket leaves it marked, and the
 // next Reset clears it (eventQueue.init).
 func (e *Engine) drain() {
+	draining.Add(1)
+	defer draining.Add(-1)
 	q := &e.q
 	for q.count > 0 {
 		// Checked before the clock moves too, so a cutoff between buckets
@@ -509,8 +517,11 @@ func (e *Engine) drain() {
 				}
 				e.admit()
 				e.hook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
-				if e.deliver(int(d.node), int(d.peer), &e.res.Deliveries) && e.stopped() {
-					return
+				if e.deliver(int(d.node), int(d.peer)) {
+					e.res.Deliveries++
+					if e.stopped() {
+						return
+					}
 				}
 			}
 		}
@@ -525,8 +536,11 @@ func (e *Engine) drain() {
 				}
 				e.admit()
 				e.hook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
-				if e.ack(int(a.node), a.bseq, &e.res.Acks) && e.stopped() {
-					return
+				if e.ack(int(a.node), a.bseq) {
+					e.res.Acks++
+					if e.stopped() {
+						return
+					}
 				}
 			}
 		}
@@ -578,12 +592,12 @@ func (e *Engine) checkStopCounter() {
 	}
 }
 
-// deliver hands sender u's in-flight message to v at the current time and
-// counts it in *count. A delivery is lost when the receiver has crashed,
-// or when the sender crashed before this delivery time (mid-broadcast
-// crash: the remaining neighbors never receive the message). It reports
-// whether the message was delivered.
-func (e *Engine) deliver(v, u int, count *int) bool {
+// deliver hands sender u's in-flight message to v at the current time. A
+// delivery is lost when the receiver has crashed, or when the sender
+// crashed before this delivery time (mid-broadcast crash: the remaining
+// neighbors never receive the message). It reports whether the message was
+// delivered; the caller counts it.
+func (e *Engine) deliver(v, u int) bool {
 	if e.crashedBy(v, e.now) {
 		e.markCrashed(v)
 		e.mDrops.Inc()
@@ -592,13 +606,12 @@ func (e *Engine) deliver(v, u int, count *int) bool {
 	if e.crashedBy(u, e.now) {
 		// In a bucket phase u may belong to another worker; Run marks
 		// every scheduled crash once the run is over.
-		if !e.par.on {
+		if !e.phasing {
 			e.markCrashed(u)
 		}
 		e.mDrops.Inc()
 		return false
 	}
-	*count++
 	e.mDeliver.Inc()
 	msg := e.inMsg[u]
 	e.observe(Event{Kind: EventDeliver, Time: e.now, Node: v, Peer: u, Message: msg})
@@ -607,9 +620,9 @@ func (e *Engine) deliver(v, u int, count *int) bool {
 }
 
 // ack completes u's broadcast bseq at the current time, unless u has
-// crashed, and counts it in *count. It reports whether the broadcast was
-// acked.
-func (e *Engine) ack(u int, bseq int32, count *int) bool {
+// crashed. It reports whether the broadcast was acked; the caller counts
+// it.
+func (e *Engine) ack(u int, bseq int32) bool {
 	if e.crashedBy(u, e.now) {
 		e.markCrashed(u)
 		e.mDrops.Inc()
@@ -621,7 +634,6 @@ func (e *Engine) ack(u int, bseq int32, count *int) bool {
 	e.inflight[u] = false
 	msg := e.inMsg[u]
 	e.inMsg[u] = nil
-	*count++
 	e.observe(Event{Kind: EventAck, Time: e.now, Node: u, Message: msg})
 	e.algs[u].OnAck(msg)
 	return true

@@ -5,10 +5,15 @@ import "github.com/absmac/absmac/internal/amac"
 // ForcePhases makes e run every nonempty bucket array as a parallel phase
 // of w workers, whatever its size, the number of Ps or the scheduler; w = 1
 // keeps every bucket on the sequential loop, and 0 restores the default.
-func ForcePhases(e *Engine, w int) { e.par.force = w }
+func ForcePhases(e *Engine, w int) { e.forcePhases = w }
 
 // PhasesRun returns how many parallel phases e has run since it was made.
-func PhasesRun(e *Engine) int { return int(e.par.epoch) }
+func PhasesRun(e *Engine) int {
+	if e.par == nil {
+		return 0
+	}
+	return int(e.par.epoch)
+}
 
 // Views returns every node's amac.View (nodes must be amac.Inspectors).
 func Views(e *Engine) []amac.View {

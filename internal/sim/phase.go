@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/absmac/absmac/internal/amac"
 )
@@ -33,27 +34,29 @@ const (
 // phases is an engine's parallel-phase state. Everything in it is written
 // by the goroutine that runs Engine.drain between passes; during a pass
 // each worker writes only its own phaseWorker and the entries of marks
-// for its own nodes.
+// for its own nodes, and claim advances ticket atomically.
 type phases struct {
-	on    bool // a pass is running: handlers log their engine half
 	pass  int
 	limit int32 // events at or past limit are not run in this pass
 	// The array of the phase: dels, or acks when dels is nil.
 	dels []delivery
 	acks []ack
-	// nodes is the node count the workers' spans divide.
-	nodes   int
-	workers []phaseWorker
+	// The workers' spans cut nodes into runs of chunk; the last ones may be
+	// shorter or empty.
+	nodes, chunk int
+	workers      []phaseWorker
 	// marks[v] records, for an owing node v that decided in the first pass
 	// of phase epoch, the index of that event; the second pass runs only
 	// v's later events. An entry from an older phase never matches.
 	marks []phaseMark
 	epoch uint32
-	wg    sync.WaitGroup
 
-	// force, set by tests, runs every nonempty array as a phase of force
-	// workers and admits any scheduler.
-	force int
+	// ticket hands out the workers of the current pass: the worker count
+	// in the high 32 bits, the next unclaimed worker in the low 32. A
+	// claimed-out pass leaves the two equal, so a job that arrives late
+	// claims nothing. wg counts the workers of the pass still running.
+	ticket atomic.Uint64
+	wg     sync.WaitGroup
 }
 
 type phaseMark struct {
@@ -112,18 +115,32 @@ func (s Gate) phaseSafe() bool       { return phaseSafe(s.Base) }
 func (s SlowSubset) phaseSafe() bool { return phaseSafe(s.Base) }
 func (s *Lossy) phaseSafe() bool     { return phaseSafe(s.Base) }
 
+// draining counts the engines of the process inside drain. A phase takes
+// only the Ps the other draining engines leave it, so engines that already
+// hold every P — a parallel sweep — keep the sequential loop.
+var draining atomic.Int32
+
 // phaseWidth returns how many workers run an array of n events at the
 // current bucket, or 1 for the sequential loop. A phase needs at least
-// phaseMin events, two or more Ps, a run nothing watches (no Observer, no
-// Metrics, no test hook), a bucket inside the event budget, a stop rule
-// that has not already fired, and one of the package's schedulers.
+// phaseMin events, two or more Ps no other draining engine holds, a run
+// nothing watches (no Observer, no Metrics, no test hook), a bucket inside
+// the event budget, a stop rule that has not already fired, and one of the
+// package's schedulers. The size test comes first and alone, so that it
+// inlines into drain and a small array pays no call.
 func (e *Engine) phaseWidth(n int) int {
-	w := e.par.force
+	if n < phaseMin && e.forcePhases == 0 {
+		return 1
+	}
+	return e.phaseWidthLarge(n)
+}
+
+func (e *Engine) phaseWidthLarge(n int) int {
+	w := e.forcePhases
 	if w == 0 {
-		if n < phaseMin || !phaseSafe(e.cfg.Scheduler) {
+		if !phaseSafe(e.cfg.Scheduler) {
 			return 1
 		}
-		w = runtime.GOMAXPROCS(0)
+		w = runtime.GOMAXPROCS(0) - int(draining.Load()) + 1
 	}
 	if w < 2 || n == 0 || e.cfg.Observer != nil || e.cfg.Metrics != nil || e.queueHook != nil || e.checkStops ||
 		e.res.Events+n > e.maxEvt || (e.cfg.StopWhenDecided && e.undecided == 0) {
@@ -137,12 +154,15 @@ func (e *Engine) phaseWidth(n int) int {
 // inside it. A handler panic is re-raised here once the events before it
 // have been replayed, the lowest event index first.
 func (e *Engine) phase(w int, dels []delivery, acks []ack) bool {
-	p := &e.par
+	if e.par == nil {
+		e.par = new(phases)
+	}
+	p := e.par
 	p.arm(w, len(e.algs))
 	p.dels, p.acks = dels, acks
 	n := int32(len(dels) + len(acks))
 	limit, stop := n, false
-	p.on = true
+	e.phasing = true
 	if e.cfg.StopWhenDecided {
 		p.run(e, passOwing, n)
 		owed, last, deferred := 0, int32(-1), false
@@ -164,7 +184,7 @@ func (e *Engine) phase(w int, dels []delivery, acks []ack) bool {
 	} else {
 		p.run(e, passAll, n)
 	}
-	p.on = false
+	e.phasing = false
 
 	end, failed := limit, p.panicked()
 	if failed != nil {
@@ -200,7 +220,7 @@ func (p *phases) arm(w, n int) {
 		wk := &p.workers[i]
 		*wk = phaseWorker{logs: [2][]phaseOp{wk.logs[0][:0], wk.logs[1][:0]}, lastOwed: -1}
 	}
-	p.nodes = n
+	p.nodes, p.chunk = n, (n+w-1)/w
 	if len(p.marks) < n {
 		p.marks = make([]phaseMark, n)
 	}
@@ -211,24 +231,16 @@ func (p *phases) arm(w, n int) {
 	}
 }
 
-// span returns the nodes [lo, hi) worker w owns. It is the one
-// node-to-worker map: a worker's pass walks its span, and owner inverts it
-// for the handlers' Broadcast and Decide.
+// span returns the nodes [lo, hi) worker w owns. With owner it is the one
+// node-to-worker map: a worker's pass walks its span, and owner finds the
+// worker of a handler's Broadcast and Decide.
 func (p *phases) span(w int) (lo, hi int32) {
-	n, ws := int64(p.nodes), int64(len(p.workers))
-	return int32(int64(w) * n / ws), int32(int64(w+1) * n / ws)
+	return int32(min(w*p.chunk, p.nodes)), int32(min((w+1)*p.chunk, p.nodes))
 }
 
 // owner returns the worker whose span holds node v.
 func (p *phases) owner(v int) *phaseWorker {
-	w := int(int64(v) * int64(len(p.workers)) / int64(p.nodes))
-	for lo, _ := p.span(w); int32(v) < lo; lo, _ = p.span(w) {
-		w--
-	}
-	for _, hi := p.span(w); int32(v) >= hi; _, hi = p.span(w) {
-		w++
-	}
-	return &p.workers[w]
+	return &p.workers[v/p.chunk]
 }
 
 // record appends op to the log of node v's worker, tagged with the event
@@ -255,28 +267,24 @@ func (p *phases) decided(v int, owing bool) {
 	}
 }
 
-// phaseJob asks a pool goroutine to run worker w of e's current pass.
-type phaseJob struct {
-	e *Engine
-	w int
-}
-
-// phasePool runs the workers past the first of every engine's passes. Its
-// goroutines start on first need and stay for the life of the process; a
-// job never blocks, so engines running side by side share them.
+// phasePool helps every engine's passes: an engine sent on jobs asks a
+// pool goroutine to claim workers of its current pass. The goroutines
+// start on first need and stay for the life of the process; engines
+// running side by side share them, and a job only claims workers no one
+// has started, so a busy pool leaves them to the engine's own goroutine.
 var phasePool struct {
 	mu   sync.Mutex
 	size int
-	jobs chan phaseJob
+	jobs chan *Engine
 }
 
 // phaseJobs returns the pool's job channel with at least n goroutines
 // reading it.
-func phaseJobs(n int) chan<- phaseJob {
+func phaseJobs(n int) chan<- *Engine {
 	phasePool.mu.Lock()
 	defer phasePool.mu.Unlock()
 	if phasePool.jobs == nil {
-		phasePool.jobs = make(chan phaseJob, 64)
+		phasePool.jobs = make(chan *Engine, 64)
 	}
 	for ; phasePool.size < n; phasePool.size++ {
 		go phaseLoop(phasePool.jobs)
@@ -284,29 +292,54 @@ func phaseJobs(n int) chan<- phaseJob {
 	return phasePool.jobs
 }
 
-func phaseLoop(jobs <-chan phaseJob) {
-	for j := range jobs {
-		j.e.work(j.w)
+func phaseLoop(jobs <-chan *Engine) {
+	for e := range jobs {
+		e.claim()
 	}
 }
 
-// run runs one pass over the events below limit: worker 0 on the calling
-// goroutine, the others on the pool, and returns when all are done.
+// run runs one pass over the events below limit. It offers the workers to
+// the pool, runs every worker the pool has not started on the calling
+// goroutine, and returns when all are done: when every P is busy the pass
+// degrades to the workers one after another rather than waiting for the
+// pool.
 func (p *phases) run(e *Engine, pass int, limit int32) {
 	p.pass, p.limit = pass, limit
-	p.wg.Add(len(p.workers))
-	jobs := phaseJobs(len(p.workers) - 1)
-	for w := 1; w < len(p.workers); w++ {
-		jobs <- phaseJob{e: e, w: w}
+	w := len(p.workers)
+	p.wg.Add(w)
+	p.ticket.Store(uint64(w) << 32)
+	jobs := phaseJobs(w - 1)
+	for range w - 1 {
+		select {
+		case jobs <- e:
+		default: // the pool is behind; claim runs it here
+		}
 	}
-	e.work(0)
+	e.claim()
 	p.wg.Wait()
+}
+
+// claim runs workers of e's current pass until none is left unclaimed. A
+// job that arrives between passes finds none and touches nothing but the
+// ticket; one that arrives during a later pass than its own helps that
+// one, whose state the ticket's store published.
+func (e *Engine) claim() {
+	t := &e.par.ticket
+	for {
+		x := t.Load()
+		if uint32(x) >= uint32(x>>32) {
+			return
+		}
+		if t.CompareAndSwap(x, x+1) {
+			e.work(int(uint32(x)))
+		}
+	}
 }
 
 // work is worker w's part of the current pass. A panic stops the worker
 // and is kept, with the index of its event, for phase to re-raise.
 func (e *Engine) work(w int) {
-	p := &e.par
+	p := e.par
 	wk := &p.workers[w]
 	defer p.wg.Done()
 	defer func() {
@@ -338,9 +371,11 @@ func (e *Engine) work(w int) {
 		}
 		wk.cur = i
 		if p.dels != nil {
-			e.deliver(int(v), int(p.dels[i].peer), &wk.deliveries)
-		} else {
-			e.ack(int(v), p.acks[i].bseq, &wk.acks)
+			if e.deliver(int(v), int(p.dels[i].peer)) {
+				wk.deliveries++
+			}
+		} else if e.ack(int(v), p.acks[i].bseq) {
+			wk.acks++
 		}
 	}
 }
@@ -361,7 +396,7 @@ func (p *phases) panicked() *phaseWorker {
 // order — a merge of the workers' logs, each already in order — and drops
 // the logged messages so that they do not outlive the phase.
 func (e *Engine) replay(end int32) {
-	p := &e.par
+	p := e.par
 	for {
 		var op *phaseOp
 		var from *int

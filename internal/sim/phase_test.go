@@ -3,7 +3,9 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -70,42 +72,48 @@ func sameExecution(t *testing.T, name string, mk func() sim.Config, widths ...in
 		t.Fatalf("%s: the sequential reference ran %d phases", name, want.phases)
 	}
 	for _, w := range widths {
-		got := execute(mk(), w)
-		if got.phases == 0 && want.res.Events > 0 {
-			t.Errorf("%s w=%d: no bucket ran as a phase", name, w)
-		}
-		if !reflect.DeepEqual(got.panic, want.panic) {
-			t.Errorf("%s w=%d: panic %v, sequential %v", name, w, got.panic, want.panic)
-			continue
-		}
-		if want.panic != nil {
-			// What a run leaves after a panic is undefined; the panic and
-			// the plans before it are not.
-			if !slices.Equal(got.plans, want.plans) {
-				t.Errorf("%s w=%d: %d plan words before the panic, sequential %d", name, w, len(got.plans), len(want.plans))
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got.res, want.res) {
-			t.Errorf("%s w=%d: result differs\n got  %+v\n want %+v", name, w, summary(&got.res), summary(&want.res))
-		}
-		if !reflect.DeepEqual(got.views, want.views) {
-			for i := range want.views {
-				if got.views[i] != want.views[i] {
-					t.Errorf("%s w=%d: node %d view %+v, sequential %+v", name, w, i, got.views[i], want.views[i])
-					break
-				}
-			}
-		}
-		if !slices.Equal(got.plans, want.plans) {
-			i := 0
-			for i < min(len(got.plans), len(want.plans)) && got.plans[i] == want.plans[i] {
-				i++
-			}
-			t.Errorf("%s w=%d: plans differ from word %d (%d words, sequential %d)", name, w, i, len(got.plans), len(want.plans))
-		}
+		sameAs(t, fmt.Sprintf("%s w=%d", name, w), execute(mk(), w), want)
 	}
 	return want
+}
+
+// sameAs fails unless the phased execution got agrees with the sequential
+// one, want.
+func sameAs(t *testing.T, name string, got, want execution) {
+	t.Helper()
+	if got.phases == 0 && want.res.Events > 0 {
+		t.Errorf("%s: no bucket ran as a phase", name)
+	}
+	if !reflect.DeepEqual(got.panic, want.panic) {
+		t.Errorf("%s: panic %v, sequential %v", name, got.panic, want.panic)
+		return
+	}
+	if want.panic != nil {
+		// What a run leaves after a panic is undefined; the panic and the
+		// plans before it are not.
+		if !slices.Equal(got.plans, want.plans) {
+			t.Errorf("%s: %d plan words before the panic, sequential %d", name, len(got.plans), len(want.plans))
+		}
+		return
+	}
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("%s: result differs\n got  %+v\n want %+v", name, summary(&got.res), summary(&want.res))
+	}
+	if !reflect.DeepEqual(got.views, want.views) {
+		for i := range want.views {
+			if got.views[i] != want.views[i] {
+				t.Errorf("%s: node %d view %+v, sequential %+v", name, i, got.views[i], want.views[i])
+				break
+			}
+		}
+	}
+	if !slices.Equal(got.plans, want.plans) {
+		i := 0
+		for i < min(len(got.plans), len(want.plans)) && got.plans[i] == want.plans[i] {
+			i++
+		}
+		t.Errorf("%s: plans differ from word %d (%d words, sequential %d)", name, i, len(got.plans), len(want.plans))
+	}
 }
 
 func summary(r *sim.Result) string {
@@ -129,8 +137,9 @@ func scenarioConfig(t *testing.T, sc harness.Scenario) func() sim.Config {
 // workers (the large runs on 2 and 3) and compared with the sequential
 // loop. The cases are the golden sweep grid, the large runs that take
 // phases unforced (outside -short; the wpaxos maxid@10 run is cut off),
-// and probe runs built to stop mid-bucket, to decide twice, to fail the
-// ID audit and to panic in handlers and in the scheduler.
+// more engines than Ps running phases at once, and probe runs built to
+// stop mid-bucket, to decide twice, to fail the ID audit and to panic in
+// handlers and in the scheduler.
 func TestBucketPhasesMatchSequential(t *testing.T) {
 	t.Run("golden grid", func(t *testing.T) {
 		cells, err := harness.Grid{
@@ -199,6 +208,36 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 			if c.sc.MaxEvents > 0 && !x.res.Cutoff {
 				t.Errorf("%v: expected the run to reach its cap of %d events (ran %d)", c.sc.Key(), c.sc.MaxEvents, x.res.Events)
 			}
+		}
+	})
+
+	t.Run("engines side by side", func(t *testing.T) {
+		// Four engines a P, every one forcing phases: the pool is busy, so
+		// each drain runs most of its workers itself, and a job that
+		// reaches the pool after its pass must find nothing to do.
+		tp, err := harness.ParseTopo("grid:5x5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := harness.Scenario{Algo: "wpaxos", Topo: tp, Sched: "random", Fack: 4, Seed: 3, Crashes: "midbroadcast", Overlay: "chords"}
+		mk := scenarioConfig(t, sc)
+		want := execute(mk(), 1)
+		got := make([]execution, 4*runtime.GOMAXPROCS(0))
+		cfgs := make([]sim.Config, len(got))
+		for i := range cfgs {
+			cfgs[i] = mk()
+		}
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = execute(cfgs[i], 3)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			sameAs(t, fmt.Sprintf("engine %d", i), got[i], want)
 		}
 	})
 

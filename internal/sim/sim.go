@@ -121,7 +121,9 @@
 // large array, the deliveries of a time and then its acks, as a parallel
 // phase (phase.go) when all of these hold:
 //   - the array holds at least phaseMin (4096) events;
-//   - GOMAXPROCS is 2 or more;
+//   - at least two Ps are left: GOMAXPROCS, less one for every other
+//     engine of the process inside its drain, is 2 or more. Engines that
+//     already hold every P — a parallel sweep — keep the sequential loop;
 //   - the run has no Observer, no Metrics and no test hook;
 //   - the array fits in the remaining event budget;
 //   - StopWhenDecided has not already fired (the undecided counter is not
@@ -136,12 +138,15 @@
 // GOMAXPROCS=1 runs the sequential loop everywhere: it is the A/B switch.
 // Inside a phase:
 //   - Each worker owns a contiguous node range and walks the array front
-//     to back, so every node handles its events in queue order. The range
-//     is phases.span, the one node-to-worker map; owner inverts it for the
-//     handlers' Broadcast and Decide. Worker 0 runs on drain's goroutine
-//     and the rest on a process-wide pool, so a warm phase allocates
-//     nothing (BENCH_engine.json pins BenchmarkWarmRunClique at -cpu 2,
-//     whose clique:1024 buckets all take phases).
+//     to back, so every node handles its events in queue order. The
+//     ranges are runs of ceil(n/workers) nodes: phases.span and owner are
+//     the one node-to-worker map, for the passes and for the handlers'
+//     Broadcast and Decide. drain's goroutine offers the workers to a
+//     process-wide pool and runs every worker the pool has not started
+//     yet: it waits only for workers already running, never for a pool
+//     kept busy by other engines to get round to it. A warm phase
+//     allocates nothing (BENCH_engine.json pins BenchmarkWarmRunClique at
+//     -cpu 2, whose clique:1024 buckets all take phases).
 //   - A handler's node-local effects are written in place: the in-flight
 //     flag, message and sequence number, Decided, Decision and DecideTime,
 //     and Crashed for its own node. A sender-crash drop does not mark the
