@@ -31,8 +31,8 @@
 // the axes are exactly amacsim's sweep grammar (-algos, -topos, -scheds,
 // -facks, -crashes, -overlays, -seeds — see cmd/amacsim; the two CLIs
 // share the harness.AxisFlags helper), the grid sweeps with
-// schedule-coverage fingerprints on, and every run that violates a
-// consensus property streams out of the sweep and into the explorer: the
+// schedule-coverage fingerprints on, and the runs that violate a
+// consensus property come back in their cells and go to the explorer: the
 // first flagged run of each cell is re-recorded, optionally
 // perturbation-searched (-budget > 0), optionally minimized (-minimize,
 // parallel shrink), and written as an artifact into -artifacts DIR. The

@@ -297,7 +297,7 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 			return fail(err)
 		}
 	}
-	if len(rep.Errors) > 0 {
+	if out.Violation() != nil {
 		printErrors(res, rep)
 		return 1
 	}

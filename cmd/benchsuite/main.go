@@ -170,11 +170,11 @@ func canonicalGrids() []harness.Grid {
 		Crashes: []string{"one@0", "coordinator", "midbroadcast", "maxid@6"},
 		Seeds:   seeds,
 	}
-	// Crash x overlay cross product on multihop topologies. Since the Ω
-	// failure-detector redesign (suspicion + rotation + retransmit-until-
-	// superseded) both PAXOS variants survive every crash-pattern/overlay
-	// combination here, including maxid@T — the stable leader dying after
-	// election has settled, the axis that used to stall them both.
+	// Crash x overlay cross product on multihop topologies. With the Ω
+	// failure detector (suspicion + rotation + retransmit-until-superseded)
+	// both PAXOS variants survive every crash-pattern/overlay combination
+	// here, including maxid@T — the stable leader dying after election has
+	// settled.
 	faultmultihop := harness.Grid{
 		Algos:    []string{"wpaxos", "floodpaxos"},
 		Topos:    []harness.Topo{{Kind: "ring", N: 9}, {Kind: "grid", Rows: 3, Cols: 3}},

@@ -84,21 +84,23 @@
 //
 // The campaign layer composes sweeps and the explorer: a sweep whose
 // requests ask for fingerprints reports how many distinct delivery
-// orderings each cell exercised and stops saturated cells early, and
-// streams every violating (scenario, seed) to a consumer as cell workers
-// classify it (harness.SweepOptions/FlaggedRun, the verdict being
-// consensus.Classify on both sides); internal/explore.Campaign then
-// re-records, perturbs and parallel-shrinks every flagged cell on one
-// shared pool of per-worker ReplayRunners into minimized artifacts, all
-// byte-reproducible at any worker count. `amacexplore -grid` runs
-// campaigns from the same sweep-axis grammar as `amacsim -sweep` (the
-// shared harness.AxisFlags helper) and emits a JSON campaign report. The
-// first artifacts found this way were two multihop liveness stalls (a
-// wPAXOS response lost forever on a lossy chord, a floodpaxos leader
-// dying after election); both are fixed (see the next section). The
-// canonical violating artifact under internal/harness/testdata/ is the
-// minimized two-phase coordinator-crash stall — the paper's Theorem 3.2
-// counterexample, which is supposed to stall.
+// orderings each cell exercised and stops saturated cells early, and every
+// sweep returns each cell's violating (scenario, seed) runs in seed order
+// in harness.Cell.Flagged. A run is flagged exactly when consensus.Classify
+// returns a violation, the one verdict behind Correct, the sweep exit
+// codes, amacsim's exit code and the explorer. internal/explore.Campaign
+// then re-records, perturbs and parallel-shrinks the first flagged run of
+// every flagged cell on one shared pool of per-worker ReplayRunners into
+// minimized artifacts, all byte-reproducible at any worker count.
+// `amacexplore -grid` runs campaigns from the same sweep-axis grammar as
+// `amacsim -sweep` (the shared harness.AxisFlags helper) and emits a JSON
+// campaign report. The first artifacts found this way were two multihop
+// liveness stalls (a wPAXOS response lost forever on a lossy chord, a
+// floodpaxos leader dying after election); both are fixed (see the next
+// section). The canonical violating artifact under
+// internal/harness/testdata/ is the minimized two-phase coordinator-crash
+// stall — the paper's Theorem 3.2 counterexample, which is supposed to
+// stall.
 //
 // # Liveness under leader death
 //
@@ -256,161 +258,13 @@
 //
 // # wPAXOS per-node state and the n² budget
 //
-// Theorem 4.6 has wPAXOS decide in O(D·Fack) — long before a node has
-// heard from all n peers — and routes every aggregated response up one
-// tree, the one rooted at the receiver's current leader estimate. A node
-// therefore stores and relays only what can still be used; n nodes that
-// each remember every id they hear of are the n² this section is named
-// after. The contract, all of it in internal/core/wpaxos:
-//
-//   - What is kept. The tree service tracks (parent, dist, pending) for
-//     the node itself and for the roots that can be its leader estimate —
-//     a short slice sorted by root, a handful of entries. The state gossip
-//     keeps the latest StateMsg of the origins some counter can still
-//     count in one slice sorted by origin, which is the lookup (binary
-//     search), the gossip cycle (a cursor walks it in id order, one entry
-//     a pump) and the purge target (compacted in place; the cursor is not
-//     adjusted, so the lap goes on over what is left and wraps when it
-//     runs off the end). A slice and not a hash table because rule 2
-//     keeps it at tens of entries however large n is, and because the
-//     cycle needs id order anyway: a table would want a second, sorted
-//     structure beside it. Every other set a delivery consults is the
-//     same thing, a sorted slice with a written-out binary search: as
-//     omega.IDSet the detector's suspects and off-bitset members, the
-//     proposer's two gossip tallies and the origins behind each
-//     chosen-value tally (one tally per accepted proposal number: a
-//     handful, scanned), and under Node.findSeen the propositions seen,
-//     sorted by (number, kind) — the one table that is never purged, a
-//     few dozen entries a node at n = 4096. A Go map lookup
-//     is four dependent loads and at this scale each one misses the cache;
-//     there is no map in a node (TestNoMapsOnTheDeliveryPath; the opt-in
-//     CountAudit, shared by a run, keeps its two), so there is no
-//     iteration order for detlint to police either. Keys are arbitrary
-//     NodeIDs — sparse, shuffled or negative ids take the same path as
-//     1..n. The wpaxos_tree_roots, wpaxos_state_origins and
-//     wpaxos_seen_props gauges are the largest of each table any node
-//     held; Node.WorkingSet reads one node's.
-//   - What is sent. The outbound queues are value slots with presence
-//     flags, and a broadcast is one *Combined whose exported pointer
-//     fields point into its own inline slots. A delivered *Combined is
-//     immutable, and receivers copy what they keep; it is valid until the
-//     sender's ack, after which the sender — who owns exactly one message,
-//     one broadcast being in flight at a time — refills it, so neither
-//     sending nor receiving allocates in steady state. floodpaxos'
-//     Combined makes the same promise.
-//   - Rule 1, trees: a root is tracked only while it can be this node's
-//     leader estimate. A <search> for a root below Ω, or for a suspected
-//     root, is dropped before any lookup and is not novel to the detector
-//     (without a suspicion Ω only rises, so such a root is never routed
-//     toward); whenever Ω moves, the roots below it other than the node
-//     itself leave the table, the idle cycle and the pending queue.
-//     Suspected roots above Ω stay, frozen: a wrap may re-promote them,
-//     and a falsely suspected leader that never fired would not
-//     re-advertise its own tree.
-//   - Rule 2, gossip: another origin's acceptor state is stored and
-//     relayed only while some counter can still count it — it carries an
-//     acceptance (the chosen-value watch counts those whatever their
-//     number), or its promise is at least the highest proposition number
-//     this node has seen (the proposer's two gossip tallies look at
-//     Promised == num and num < Promised, so a bare promise below that
-//     number can only serve a proposal it has already superseded). The
-//     rest is dropped before the table lookup, and when the highest number
-//     seen rises the entries that now fail the test leave the table.
-//   - Own acceptor state is exempt from rule 2, always. "Acceptors must
-//     not forget their promises" (weave's ipam/paxos): promised and
-//     accepted live in acceptorState and are never pruned, and the node's
-//     own gossip entry — how everyone else hears of them — stays whatever
-//     it says, including the instant between a higher proposition
-//     entering the flood queue and the local acceptor answering it. What
-//     rules 1 and 2 drop is routing state and other nodes' state, both of
-//     which the network re-offers.
-//   - Rule 3, re-advertisement waits for a suspicion. Improvements are
-//     flooded once, pending-first, and over reliable edges that reaches
-//     every neighbor. The idle round-robin over the tracked roots (self
-//     included) is anti-entropy that runs only once this node's own
-//     detector has fired: a root ignored under rule 1 can only matter
-//     after a suspicion, and after one the fired nodes re-offer what they
-//     hold so the successor's tree forms over the region that demoted.
-//     This is observed, not configured, and it is load-bearing: an
-//     always-on cycle over {self, Ω} re-offers the leader's tree every
-//     other broadcast, lossy overlay edges then hand nodes
-//     shorter-but-lossy parents late, and each adoption is a change event
-//     that restarts the proposal (TestWPaxosLossyOverlayDecideTime). A
-//     node that has not fired neither tracks nor relays the successor's
-//     tree, exactly as it refuses to relay the successor's responses
-//     (queue invariant (1) of Section 4.2.1).
-//   - Pointer validity: the tree service's entry pointers are valid
-//     until its next receive or purge. Callers use them at once.
-//   - The one n-sized per-node structure is the Ω detector's member set,
-//     a bitset (n/64+1 words: 520 B per node, 2 MB in total at n = 4096)
-//     for ids in [0, 64·words) and an omega.IDSet for any other id; read
-//     in id order it is the rotation order, and the gossip walk picks its
-//     k-th member by popcount. Learning a member is a bit test and a bit
-//     set, with no allocation. The detector is embedded in the node by
-//     value, so a delivery does not chase a pointer to reach it.
-//   - The tree service's pending queue holds root ids, one per root with
-//     an unsent improvement; the message is rebuilt from the table at pop
-//     time (an improvement that arrives before the previous one went out
-//     dominates it, so the table always describes the pending message).
-//     The queue is head-indexed over a reused backing array. Invariant:
-//     if the current leader is pending it is at the head — every change
-//     of the leader estimate goes through purge and prioritize, other
-//     roots are only appended behind it, pop removes the head — so
-//     updateQ re-pins only when the root it enqueued is the leader. The
-//     map-based service that tracked every root lives on as the oracle of
-//     a differential test that drives receive, purge, prioritize and pop
-//     through both and checks the invariant after every call.
-//   - The proposer flood remembers the last proposition it looked up:
-//     the flood queue is sticky, so nearly two in three deliveries repeat
-//     it and skip the search of the seen set.
-//
-// Dense 0..n-1 slices for dist, parent and state — the obvious
-// alternative when ids are dense — stay rejected on arithmetic (8 B ×
-// 4096² is 128 MB for dist and parent alone, and they would need a second
-// path for sparse ids). Measurements, before and after each change to
-// this contract, are in CHANGES.md.
+// What a wPAXOS node keeps, sends and forgets, and why, is documented in
+// internal/core/wpaxos's package comment (proposal.go).
 //
 // # Two-phase per-node state
 //
-// Two-phase (internal/core/twophase) runs on cliques, where every node
-// hears every other twice: at n = 1024 that is 2·n·(n−1) ≈ 2.1 M deliveries
-// in 2·Fack ticks, each of which only has to answer "is this sender a
-// witness, and has its phase-2 message arrived". The contract for that
-// state:
-//
-//   - One probe per delivery. The ids a node has heard live in one
-//     open-addressed table keyed by 64-id block (id >> 6; Fibonacci hash,
-//     linear probing, doubled before it passes half full). A slot is one
-//     24 B record {blk, member, phase2}: bit id & 63 of member marks a
-//     member, the same bit of phase2 marks that member's phase-2 delivery.
-//     A delivery hashes the sender's block, probes once over those
-//     records, and writes at most one bit.
-//   - Keys are arbitrary NodeIDs (sim.Config.IDs): 0, NoID, negative ids
-//     and both ends of int64 are members like any other. A slot is empty
-//     iff its member word is zero, so no key value is reserved and no
-//     occupancy bitset sits beside the table.
-//   - Size follows the blocks, not the ids. The harness's dense ids
-//     1..n share n/64 + 1 blocks, so a node of clique:1024 keeps 17 blocks
-//     in 64 slots, about 1.5 KB, and all 1024 nodes' tables fit in cache.
-//     Sparse ids pay up to one block each, about 48 B of table per id;
-//     only tests use them.
-//   - The witness set is the table at the phase-2 ack, frozen by not
-//     inserting afterwards: an id first heard in the witness wait is by
-//     definition not in W, so its messages only feed the decided(0) scan.
-//     The table therefore never grows after the freeze, and a node that
-//     has decided stops probing at all.
-//   - missing counts witnesses without their phase-2 flag. It is armed at
-//     the freeze (Σ popcount(member &^ phase2) over the slots) and
-//     decremented when a witness's flag is first set, so the release test
-//     of the witness wait is a compare, where the listing walks W on every
-//     delivery.
-//   - The listing's three maps survive as the oracle of a differential test
-//     (twophase_oracle_test.go) that compares phase, status, broadcasts and
-//     decisions after every call over dense, shuffled, strided, negative,
-//     NoID-adjacent, block-edge and one-per-block ids; idset_test.go checks
-//     the set against maps on random int64 ids, whose blocks collide; and
-//     a test pins a node of clique:1024 at ≤ 2 KB retained (struct plus
-//     slot records). Measurements are in CHANGES.md.
+// The clique algorithm's one-probe-per-delivery id table is documented in
+// internal/core/twophase's package comment (twophase.go).
 //
 // # Event queue and the Fack horizon
 //

@@ -2,15 +2,12 @@ package consensus
 
 import "github.com/absmac/absmac/internal/sim"
 
-// This file classifies checked executions into violations. It used to live
-// in internal/explore, but the campaign pipeline needs the classification
-// on both sides of the sweep→explore boundary: sweep workers
+// This file classifies checked executions into violations. Sweeps
 // (internal/harness) classify each seed's outcome to decide what to flag,
-// and the explorer/minimizer (internal/explore) preserve the violation
-// kind across perturbation and shrinking. consensus is below both, so the
-// verdict lives here and both import it without a cycle.
+// and the explorer and minimizer (internal/explore) preserve the violation
+// kind across perturbation and shrinking; consensus sits below both.
 
-// Violation kinds, in the severity order Classify assigns them.
+// Violation kinds.
 const (
 	KindAgreement      = "agreement"
 	KindValidity       = "validity"
@@ -18,27 +15,36 @@ const (
 	KindSubstrate      = "substrate"
 )
 
-// Severity ranks a violation kind, most severe first (0 = agreement),
-// matching the order Classify assigns dominant kinds. It is the one place
-// the severity order is encoded — the campaign's escalation policy sorts
-// with it. Unknown kinds rank least severe.
+// verdicts is the severity order, most severe first: each kind with the
+// failed property that makes a run that kind. Classify returns the first
+// entry that failed and Severity ranks a kind by its index, so this table
+// is the one place the order is written. The last entry catches a run
+// whose three properties held but whose substrate reported errors.
+var verdicts = []struct {
+	kind   string
+	failed func(*Report) bool
+}{
+	{KindAgreement, func(r *Report) bool { return !r.Agreement }},
+	{KindValidity, func(r *Report) bool { return !r.Validity }},
+	{KindNonTermination, func(r *Report) bool { return !r.Termination }},
+	{KindSubstrate, func(r *Report) bool { return len(r.Errors) > 0 }},
+}
+
+// Severity ranks a violation kind, most severe first (0 = agreement). The
+// campaign's escalation policy sorts with it. Unknown kinds rank below
+// every known one.
 func Severity(kind string) int {
-	switch kind {
-	case KindAgreement:
-		return 0
-	case KindValidity:
-		return 1
-	case KindNonTermination:
-		return 2
-	default:
-		return 3
+	for i, v := range verdicts {
+		if v.kind == kind {
+			return i
+		}
 	}
+	return len(verdicts)
 }
 
 // Violation describes one property breach found in an execution.
 type Violation struct {
-	// Kind is the dominant violated property (severity order: agreement,
-	// validity, non-termination, substrate).
+	// Kind is the most severe violated property (see Severity).
 	Kind string `json:"kind"`
 	// Errors lists every property error the checker reported.
 	Errors []string `json:"errors,omitempty"`
@@ -50,25 +56,19 @@ type Violation struct {
 	Events int `json:"events"`
 }
 
-// Classify reduces a checked execution to its violation, or nil when it
-// satisfied agreement, validity and termination with a clean substrate.
+// Classify reduces a checked execution to its violation, or nil exactly
+// when rep.OK(): agreement, validity and termination held with a clean
+// substrate.
 func Classify(rep *Report, res *sim.Result) *Violation {
-	if rep.OK() {
-		return nil
+	for _, v := range verdicts {
+		if v.failed(rep) {
+			return &Violation{
+				Kind:      v.kind,
+				Errors:    rep.Errors,
+				Quiescent: res.Quiescent,
+				Events:    res.Events,
+			}
+		}
 	}
-	kind := KindSubstrate
-	switch {
-	case !rep.Agreement:
-		kind = KindAgreement
-	case !rep.Validity:
-		kind = KindValidity
-	case !rep.Termination:
-		kind = KindNonTermination
-	}
-	return &Violation{
-		Kind:      kind,
-		Errors:    rep.Errors,
-		Quiescent: res.Quiescent,
-		Events:    res.Events,
-	}
+	return nil
 }

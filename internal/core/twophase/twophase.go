@@ -28,6 +28,47 @@
 // while a slow bivalent node is still in phase 1, landing in R1. We
 // therefore scan R1 ∪ R2 (i.e. every message seen), which is what the
 // proof's case analysis actually uses.
+//
+// # Per-node state
+//
+// Two-phase runs on cliques, where every node hears every other twice: at
+// n = 1024 that is 2·n·(n−1) ≈ 2.1 M deliveries in 2·Fack ticks, each of
+// which only has to answer "is this sender a witness, and has its phase-2
+// message arrived". The contract for that state:
+//
+//   - One probe per delivery. The ids a node has heard live in one
+//     open-addressed table keyed by 64-id block (id >> 6; Fibonacci hash,
+//     linear probing, doubled before it passes half full). A slot is one
+//     24 B record {blk, member, phase2}: bit id & 63 of member marks a
+//     member, the same bit of phase2 marks that member's phase-2 delivery.
+//     A delivery hashes the sender's block, probes once over those
+//     records, and writes at most one bit.
+//   - Keys are arbitrary NodeIDs (sim.Config.IDs): 0, NoID, negative ids
+//     and both ends of int64 are members like any other. A slot is empty
+//     iff its member word is zero, so no key value is reserved and no
+//     occupancy bitset sits beside the table.
+//   - Size follows the blocks, not the ids. The harness's dense ids
+//     1..n share n/64 + 1 blocks, so a node of clique:1024 keeps 17 blocks
+//     in 64 slots, about 1.5 KB, and all 1024 nodes' tables fit in cache.
+//     Sparse ids pay up to one block each, about 48 B of table per id;
+//     only tests use them.
+//   - The witness set is the table at the phase-2 ack, frozen by not
+//     inserting afterwards: an id first heard in the witness wait is by
+//     definition not in W, so its messages only feed the decided(0) scan.
+//     The table therefore never grows after the freeze, and a node that
+//     has decided stops probing at all.
+//   - missing counts witnesses without their phase-2 flag. It is armed at
+//     the freeze (Σ popcount(member &^ phase2) over the slots) and
+//     decremented when a witness's flag is first set, so the release test
+//     of the witness wait is a compare, where the listing walks W on every
+//     delivery.
+//   - The listing's three maps survive as the oracle of a differential test
+//     (twophase_oracle_test.go) that compares phase, status, broadcasts and
+//     decisions after every call over dense, shuffled, strided, negative,
+//     NoID-adjacent, block-edge and one-per-block ids; idset_test.go checks
+//     the set against maps on random int64 ids, whose blocks collide; and
+//     a test pins a node of clique:1024 at ≤ 2 KB retained (struct plus
+//     slot records). Measurements are in CHANGES.md.
 package twophase
 
 import (

@@ -25,7 +25,7 @@ type Config struct {
 // sorted set for any id beyond it), a node keeps what it can still use,
 // not what it has heard: trees for the roots that can be its leader
 // estimate and the gossiped acceptor states a counter can still count
-// (doc.go, "wPAXOS per-node state and the n² budget"). What a node
+// (package comment, "Per-node state and the n² budget"). What a node
 // recycles is its one broadcast message, refilled at the next pump: at
 // most one is in flight, and after its ack no handler is reading it.
 func NewFactory(cfg Config) amac.Factory {
@@ -133,25 +133,12 @@ type Node struct {
 }
 
 // newNode returns the bare wPAXOS node NewFactory completes, for the given
-// binary input. The paper studies binary consensus (which strengthens its
-// lower bounds); newGeneral takes arbitrary value sets.
+// binary input. The paper restricts consensus to binary inputs because that
+// strengthens its lower bounds; the algorithm itself carries any value
+// unchanged (TestMultivaluedConsensus).
 func newNode(input amac.Value, cfg Config) *Node {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("wpaxos: input %d is not binary", input))
-	}
-	return newGeneral(input, cfg)
-}
-
-// newGeneral returns a wPAXOS node for an arbitrary input value. The
-// binary restriction in the paper exists to strengthen its lower bounds,
-// not because the algorithm needs it: a PAXOS value rides along in
-// propose messages and previous-proposal reports unchanged, still within
-// the O(1)-ids message bound. (The paper's open problem about general
-// values concerns solutions built from binary consensus bit by bit; wPAXOS
-// sidesteps it because the value never needs to be decomposed.)
-func newGeneral(input amac.Value, cfg Config) *Node {
-	if cfg.N < 1 {
-		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return &Node{n: cfg.N, input: input, audit: cfg.Audit, msg: new(Combined)}
 }

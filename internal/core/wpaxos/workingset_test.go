@@ -11,10 +11,10 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// These tests pin the three rules that bound a node's working set (doc.go,
-// "wPAXOS per-node state and the n² budget") at the node's handlers; the
-// tree service's own half is in services_test.go and the differential
-// test.
+// These tests pin the three rules that bound a node's working set (the
+// package comment, "Per-node state and the n² budget") at the node's
+// handlers; the tree service's own half is in services_test.go and the
+// differential test.
 
 // startedNode returns node `id` of a network of n, started on a substrate
 // that never acks — so it stays in flight and its queues keep what the

@@ -266,7 +266,6 @@ func TestEdgeOrderAdversary(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { newNode(2, Config{N: 3}) },
-		func() { newNode(0, Config{N: 0}) },
 		func() { NewFactory(Config{N: 0}) },
 	} {
 		func() {
@@ -364,7 +363,8 @@ func TestSafetyUnderUnreliableLinks(t *testing.T) {
 // TestMultivaluedConsensus runs wPAXOS with arbitrary (non-binary) values:
 // the PAXOS value rides along unchanged, so agreement/validity/termination
 // hold for any value set. The paper restricts to binary consensus to
-// strengthen its lower bounds; the algorithm itself does not care.
+// strengthen its lower bounds, and so does newNode; the test sets each
+// node's input behind the constructor's check.
 func TestMultivaluedConsensus(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.RandomConnected(12, 0.15, seed)
@@ -373,9 +373,13 @@ func TestMultivaluedConsensus(t *testing.T) {
 			inputs[i] = amac.Value(10 + (i*7+int(seed))%9) // values in 10..18
 		}
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         func(nc amac.NodeConfig) amac.Algorithm { return newGeneral(nc.Input, Config{N: 12}) },
+			Graph:  g,
+			Inputs: inputs,
+			Factory: func(nc amac.NodeConfig) amac.Algorithm {
+				nd := newNode(0, Config{N: 12})
+				nd.input = nc.Input
+				return nd
+			},
 			Scheduler:       sim.NewRandom(4, seed*3+1),
 			StopWhenDecided: true,
 		})

@@ -98,12 +98,12 @@ var Index = []Driver{
 
 // sweep runs g on the harness worker pool and returns its cells in the
 // grid's axis-nesting order (algorithm outermost, seeds folded in).
-func sweep(g harness.Grid, opts harness.SweepOptions) ([]harness.Cell, error) {
+func sweep(g harness.Grid) ([]harness.Cell, error) {
 	work, err := g.Cells()
 	if err != nil {
 		return nil, err
 	}
-	return harness.SweepCellsOpts(work, opts)
+	return harness.SweepCellsOpts(work, harness.SweepOptions{})
 }
 
 // run executes one scenario on the harness executor and returns, beside

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/wpaxos"
@@ -118,24 +117,24 @@ func E12Randomization() *Experiment {
 	// requested Fack, so Fack 1 only puts the crashes inside the first
 	// broadcasts.
 	ns := []int{3, 5, 7}
-	var mu sync.Mutex
-	stalls, unsafe := make([]int, 2*len(ns)), make([]int, 2*len(ns))
 	cells, err := sweep(harness.Grid{
 		Algos: []string{"twophase", "benor"}, Topos: cliques(ns...),
 		Scheds: []string{"edgeorder"}, Facks: []int64{1}, Crashes: []string{"minorityrand"},
 		Seeds: seedRange(8), MaxEvents: 2_000_000,
-	}, harness.SweepOptions{OnFlag: func(f harness.FlaggedRun) {
-		mu.Lock()
-		defer mu.Unlock()
-		if f.Violation.Kind == consensus.KindNonTermination {
-			stalls[f.Cell]++
-		} else {
-			unsafe[f.Cell]++
-		}
-	}})
+	})
 	if err != nil {
 		e.fail("%v", err)
 		return e
+	}
+	stalls, unsafe := make([]int, len(cells)), make([]int, len(cells))
+	for i := range cells {
+		for _, f := range cells[i].Flagged {
+			if f.Violation.Kind == consensus.KindNonTermination {
+				stalls[i]++
+			} else {
+				unsafe[i]++
+			}
+		}
 	}
 	for i, n := range ns {
 		// Cells are algorithm-major: two-phase, then Ben-Or.

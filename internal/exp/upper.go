@@ -23,7 +23,7 @@ func E5TwoPhase() *Experiment {
 	cells, err := sweep(harness.Grid{
 		Algos: []string{"twophase"}, Topos: cliques(2, 8, 32, 128),
 		Scheds: []string{"random"}, Facks: []int64{1, 8, 32}, Seeds: seedRange(5),
-	}, harness.SweepOptions{})
+	})
 	if err != nil {
 		e.fail("%v", err)
 		return e
@@ -138,7 +138,7 @@ func E7FloodingBaseline() *Experiment {
 	cells, err := sweep(harness.Grid{
 		Algos: []string{"wpaxos", "floodpaxos", "gatherall"}, Topos: topos,
 		Scheds: []string{"sync"}, Facks: []int64{fack}, Seeds: seedRange(1),
-	}, harness.SweepOptions{})
+	})
 	if err != nil {
 		e.fail("%v", err)
 		return e
@@ -278,7 +278,7 @@ func E10UnknownParticipants() *Experiment {
 	cells, err := sweep(harness.Grid{
 		Algos: []string{"twophase"}, Topos: cliques(3, 9, 33, 64),
 		Scheds: []string{"random", "maxdelay", "edgeorder"}, Facks: []int64{6}, Seeds: seedRange(4),
-	}, harness.SweepOptions{})
+	})
 	if err != nil {
 		e.fail("%v", err)
 		return e

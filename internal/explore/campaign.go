@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"sync"
 
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
@@ -14,15 +12,15 @@ import (
 
 // This file implements the campaign driver: grid-wide violation hunting.
 // A campaign is the composition the sweep and explore pipelines could not
-// previously express — sweep a whole scenario grid, stream every violating
-// (scenario, seed) out of the cell workers as it is classified, then turn
-// each flagged cell into a recorded, perturbation-explored and minimized
+// previously express — sweep a whole scenario grid, take each cell's
+// violating (scenario, seed) runs from the sweep, then turn each flagged
+// cell into a recorded, perturbation-explored and minimized
 // counterexample artifact, all phases sharing one replay worker pool and
 // its per-worker runner caches. Sweeping runs with schedule-coverage
 // fingerprints on, so the campaign also reports how many distinct delivery
 // orderings each cell actually exercised and can stop saturated cells
-// early. Campaigns are deterministic at every worker count: the flagged
-// set is sorted by (cell, seed position), exploration and shrinking are
+// early. Campaigns are deterministic at every worker count: each cell's
+// flagged runs come in seed order, exploration and shrinking are
 // width-invariant by construction, and artifact names are derived from the
 // scenario alone.
 
@@ -126,11 +124,10 @@ type CampaignReport struct {
 	Findings []*CampaignFinding `json:"findings"`
 }
 
-// Campaign sweeps the grid, streams flagged runs out of the sweep, and
-// turns the first flagged run of each cell into a replayable (optionally
-// minimized) counterexample artifact on one shared worker pool.
-// Deterministic given (grid, opts) modulo Workers, which only changes
-// wall-clock time.
+// Campaign sweeps the grid and turns the first flagged run of each cell
+// into a replayable (optionally minimized) counterexample artifact on one
+// shared worker pool. Deterministic given (grid, opts) modulo Workers,
+// which only changes wall-clock time.
 func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) {
 	opts = opts.withDefaults()
 	work, err := grid.Cells()
@@ -138,54 +135,37 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 		return nil, err
 	}
 
-	// Phase 1 — sweep with flag streaming and coverage fingerprints. The
-	// flag callback fires concurrently from cell workers; collect under a
-	// lock and sort by the deterministic (cell, seed position) identity.
-	var (
-		mu      sync.Mutex
-		flagged []harness.FlaggedRun
-	)
+	// Phase 1 — sweep with coverage fingerprints; each cell returns its
+	// flagged runs in seed order.
 	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{
 		Workers:       opts.Workers,
 		Fingerprint:   true,
 		SaturateAfter: opts.SaturateAfter,
-		OnFlag: func(f harness.FlaggedRun) {
-			mu.Lock()
-			flagged = append(flagged, f)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(flagged, func(i, j int) bool {
-		if flagged[i].Cell != flagged[j].Cell {
-			return flagged[i].Cell < flagged[j].Cell
-		}
-		return flagged[i].Run < flagged[j].Run
-	})
 
 	// Findings starts non-nil so a clean grid's report serializes the
 	// documented array shape ("findings": []), like Cells and Coverage.
 	rep := &CampaignReport{Cells: cells, Coverage: make([]CellCoverage, len(cells)), Findings: []*CampaignFinding{}}
 	for i := range cells {
+		flagged := len(cells[i].Flagged)
 		rep.Runs += cells[i].Runs
+		rep.Flagged += flagged
+		if flagged > 0 {
+			rep.CellsFlagged++
+		}
 		rep.Coverage[i] = CellCoverage{
 			Cell:      i,
 			Planned:   len(grid.Seeds),
 			Runs:      cells[i].Runs,
 			Distinct:  cells[i].DistinctSchedules,
 			Saturated: cells[i].Runs < len(grid.Seeds),
+			Flagged:   flagged,
 		}
 	}
-	for _, f := range flagged {
-		if rep.Coverage[f.Cell].Flagged == 0 {
-			rep.CellsFlagged++
-		}
-		rep.Coverage[f.Cell].Flagged++
-	}
-	rep.Flagged = len(flagged)
-	if len(flagged) == 0 {
+	if rep.Flagged == 0 {
 		return rep, nil
 	}
 
@@ -197,14 +177,15 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 	// determinism argument one-dimensional.
 	pool := newEvalPool(opts.Workers)
 	defer pool.close()
-	for i, f := range flagged {
-		if i > 0 && flagged[i-1].Cell == f.Cell {
-			continue // flagged is sorted by cell: explore each cell's first run
+	for i := range cells {
+		if len(cells[i].Flagged) == 0 {
+			continue
 		}
-		finding, err := campaignFinding(pool, f, opts)
+		f := cells[i].Flagged[0] // explore each cell's first flagged run
+		finding, err := campaignFinding(pool, i, f, opts)
 		if err != nil {
 			return nil, fmt.Errorf("explore: campaign cell %d (%s on %s, seed %d): %w",
-				f.Cell, f.Scenario.Algo, f.Scenario.Topo, f.Scenario.Seed, err)
+				i, f.Scenario.Algo, f.Scenario.Topo, f.Scenario.Seed, err)
 		}
 		rep.Findings = append(rep.Findings, finding)
 	}
@@ -214,7 +195,7 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 // campaignFinding turns one flagged run into an artifact: re-record the
 // run (byte-identical to the sweep's execution), optionally search its
 // perturbation neighborhood, optionally minimize, optionally write.
-func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions) (*CampaignFinding, error) {
+func campaignFinding(pool *evalPool, cell int, f harness.FlaggedRun, opts CampaignOptions) (*CampaignFinding, error) {
 	sc := f.Scenario // carries the grid's event cap
 
 	var (
@@ -269,7 +250,7 @@ func campaignFinding(pool *evalPool, f harness.FlaggedRun, opts CampaignOptions)
 	}
 
 	finding := &CampaignFinding{
-		Cell: f.Cell, Scenario: sc, Violation: violation,
+		Cell: cell, Scenario: sc, Violation: violation,
 		Explored: explored,
 	}
 	artifact := &Artifact{

@@ -42,13 +42,11 @@ func TestOneCapPerScenarioSeed(t *testing.T) {
 	}
 	check("Scenario.Run", out.Result)
 
-	var flagged []FlaggedRun
-	if _, err := SweepCellsOpts([]CellWork{{Base: livelock, Seeds: []int64{livelock.Seed}}}, SweepOptions{
-		Workers: 1,
-		OnFlag:  func(f FlaggedRun) { flagged = append(flagged, f) },
-	}); err != nil {
+	cells, err := SweepCellsOpts([]CellWork{{Base: livelock, Seeds: []int64{livelock.Seed}}}, SweepOptions{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
+	flagged := cells[0].Flagged
 	if len(flagged) != 1 {
 		t.Fatalf("sweep flagged %d runs, want 1", len(flagged))
 	}
@@ -79,12 +77,8 @@ func TestNegativeCapRefused(t *testing.T) {
 	if out, err := sc.Run(); err == nil {
 		t.Errorf("Scenario.Run: no error, %d events (cutoff %v)", out.Result.Events, out.Result.Cutoff)
 	}
-	flagged := 0
-	if _, err := SweepCellsOpts([]CellWork{{Base: sc, Seeds: []int64{1, 2}}}, SweepOptions{
-		Workers: 1,
-		OnFlag:  func(FlaggedRun) { flagged++ },
-	}); err == nil {
-		t.Errorf("SweepCellsOpts: no error, %d runs flagged", flagged)
+	if cells, err := SweepCellsOpts([]CellWork{{Base: sc, Seeds: []int64{1, 2}}}, SweepOptions{Workers: 1}); err == nil {
+		t.Errorf("SweepCellsOpts: no error, %d runs flagged", len(cells[0].Flagged))
 	}
 	g := Grid{Algos: []string{sc.Algo}, Topos: []Topo{sc.Topo}, Scheds: []string{sc.Sched},
 		Facks: []int64{sc.Fack}, Seeds: []int64{1}, MaxEvents: -1}

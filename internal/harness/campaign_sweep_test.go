@@ -1,15 +1,13 @@
 package harness
 
 import (
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/absmac/absmac/internal/sim"
 )
 
 // This file tests the sweep features the campaign layer is built on:
-// flagged-run streaming, schedule-coverage fingerprints and coverage
+// flagged runs, schedule-coverage fingerprints and coverage
 // saturation (SweepOptions), plus the identity between the streaming
 // fingerprinter and the fingerprint of a recorded schedule.
 
@@ -89,52 +87,35 @@ func stallGrid(seeds int) Grid {
 	return g
 }
 
-// TestSweepStreamsFlaggedRuns: every violating run must surface through
-// OnFlag exactly once, with a classification consistent with the cell
-// aggregates, identically at every pool width.
-func TestSweepStreamsFlaggedRuns(t *testing.T) {
+// TestSweepReturnsFlaggedRuns: every violating run must appear in its
+// cell's Flagged list exactly once, in seed order, with a classification
+// consistent with the cell aggregates, identically at every pool width.
+func TestSweepReturnsFlaggedRuns(t *testing.T) {
 	work, err := stallGrid(8).Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref []FlaggedRun
 	for _, workers := range []int{1, 2, 8} {
-		var (
-			mu      sync.Mutex
-			flagged []FlaggedRun
-		)
-		cells, err := SweepCellsOpts(work, SweepOptions{
-			Workers:     workers,
-			Fingerprint: true,
-			OnFlag: func(f FlaggedRun) {
-				mu.Lock()
-				flagged = append(flagged, f)
-				mu.Unlock()
-			},
-		})
+		cells, err := SweepCellsOpts(work, SweepOptions{Workers: workers, Fingerprint: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sort.Slice(flagged, func(i, j int) bool {
-			if flagged[i].Cell != flagged[j].Cell {
-				return flagged[i].Cell < flagged[j].Cell
+		for i := range cells {
+			if len(cells[i].Flagged) != cells[i].Runs-cells[i].Correct {
+				t.Fatalf("cell %d: %d flagged runs, %d incorrect runs", i, len(cells[i].Flagged), cells[i].Runs-cells[i].Correct)
 			}
-			return flagged[i].Run < flagged[j].Run
-		})
+			if i != 0 && len(cells[i].Flagged) > 0 {
+				t.Fatalf("flagged run in cell %d; only cell 0 (twophase) may violate", i)
+			}
+		}
+		flagged := cells[0].Flagged
 		if len(flagged) == 0 {
 			t.Fatal("the two-phase coordinator stall cell produced no flagged runs")
 		}
-		// Flag stream must agree with the cell aggregates.
-		badRuns := 0
-		for i := range cells {
-			badRuns += cells[i].Runs - cells[i].Correct
-		}
-		if len(flagged) != badRuns {
-			t.Fatalf("%d flagged runs, cells count %d incorrect runs", len(flagged), badRuns)
-		}
-		for _, f := range flagged {
-			if f.Cell != 0 {
-				t.Fatalf("flagged run in cell %d; only cell 0 (twophase) may violate", f.Cell)
+		for i, f := range flagged {
+			if i > 0 && f.Run <= flagged[i-1].Run {
+				t.Fatalf("flagged runs out of seed order: run %d after run %d", f.Run, flagged[i-1].Run)
 			}
 			if f.Violation == nil || f.Violation.Kind == "" {
 				t.Fatalf("flagged run carries no violation: %+v", f)
@@ -142,7 +123,7 @@ func TestSweepStreamsFlaggedRuns(t *testing.T) {
 			if f.Fingerprint == 0 {
 				t.Fatalf("fingerprinting on, but flagged run has zero fingerprint")
 			}
-			if f.Scenario.Algo != "twophase" || f.Scenario.Seed == 0 {
+			if f.Scenario.Algo != "twophase" || f.Scenario.Seed != work[0].Seeds[f.Run] {
 				t.Fatalf("flagged scenario not filled in: %+v", f.Scenario)
 			}
 		}
@@ -155,7 +136,7 @@ func TestSweepStreamsFlaggedRuns(t *testing.T) {
 		}
 		for i := range ref {
 			a, b := ref[i], flagged[i]
-			if a.Cell != b.Cell || a.Run != b.Run || a.Fingerprint != b.Fingerprint ||
+			if a.Run != b.Run || a.Fingerprint != b.Fingerprint ||
 				a.Violation.Kind != b.Violation.Kind || a.Scenario.Seed != b.Scenario.Seed {
 				t.Fatalf("workers=%d: flagged run %d differs: %+v vs %+v", workers, i, a, b)
 			}

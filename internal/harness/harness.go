@@ -57,10 +57,10 @@
 // (topo, seed) is computed once per sweep, per-seed state once per run.
 // See cmd/amacsim's package comment for the sweep grammar.
 //
-// Sweeps also feed the campaign layer (internal/explore.Campaign):
-// SweepCellsOpts streams every violating run out of the cell workers as a
-// FlaggedRun the moment it is classified (consensus.Classify — the same
-// judgment the explorer applies to perturbed schedules), and can request
+// Sweeps also feed the campaign layer (internal/explore.Campaign): each
+// cell SweepCellsOpts returns lists its violating runs in seed order as
+// Cell.Flagged, classified once by consensus.Classify (the same judgment
+// the explorer applies to perturbed schedules), and a sweep can request
 // fingerprints to report per-cell schedule coverage
 // (Cell.DistinctSchedules — how many distinct delivery orderings the seeds
 // actually exercised) and stop a cell early when coverage saturates. Both

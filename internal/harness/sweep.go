@@ -155,9 +155,10 @@ type Cell struct {
 	N        int `json:"n"`
 	Diameter int `json:"diameter"`
 
-	// Runs counts executions; Correct counts those satisfying agreement,
-	// validity and termination; Undecided counts runs where no node
-	// decided (those are excluded from the Decide summary).
+	// Runs counts executions; Correct counts those consensus.Classify
+	// passes (agreement, validity and termination held on a clean
+	// substrate); Undecided counts runs where no node decided (those are
+	// excluded from the Decide summary).
 	Runs      int `json:"runs"`
 	Correct   int `json:"correct"`
 	Undecided int `json:"undecided"`
@@ -190,20 +191,24 @@ type Cell struct {
 	// (see sim.Fingerprinter) observed across the cell's runs — how many
 	// different delivery orderings the seeds actually exercised. Zero when
 	// the sweep did not ask for fingerprints (SweepOptions.Fingerprint),
-	// and omitted from the JSON then, so fingerprint-free sweep output is
-	// byte-identical to earlier releases.
+	// and omitted from the JSON then, so fingerprint-free sweep output
+	// does not carry it.
 	DistinctSchedules int `json:"distinct_schedules,omitempty"`
 
 	// Metrics lists the cell's aggregated flight-recorder metrics (engine,
 	// detector and algorithm counters summed across the cell's runs; gauge
 	// high-waters maxed), sorted by name with all-zero rows dropped. Nil
 	// unless the sweep asked for metrics (SweepOptions.Metrics), and
-	// omitted from the JSON then, so metric-free sweep output is
-	// byte-identical to earlier releases.
+	// omitted from the JSON then, so metric-free sweep output does not
+	// carry it.
 	Metrics []CellMetric `json:"metrics,omitempty"`
 
 	// Errors lists distinct consensus violations observed in the cell.
 	Errors []string `json:"errors,omitempty"`
+
+	// Flagged lists the Runs-Correct violating runs in seed order. It is
+	// what the campaign layer explores; cell JSON leaves it out.
+	Flagged []FlaggedRun `json:"-"`
 }
 
 // CellMetric is one aggregated flight-recorder metric of a cell. Counter
@@ -280,10 +285,12 @@ func (a *cellAccum) add(o *Outcome, fpOn bool) bool {
 			Sched: k.Sched, Crashes: k.Crashes, Overlay: k.Overlay,
 			Fack: k.Fack, MaxEvents: o.Scenario.MaxEvents, N: o.N}
 	}
-	a.cell.Runs++
-	if o.OK() {
+	if v := o.Violation(); v == nil {
 		a.cell.Correct++
+	} else {
+		a.cell.Flagged = append(a.cell.Flagged, FlaggedRun{Run: a.cell.Runs, Scenario: o.Scenario, Violation: v, Fingerprint: o.Fingerprint})
 	}
+	a.cell.Runs++
 	for _, e := range o.Report.Errors {
 		if a.errSeen == nil {
 			a.errSeen = map[string]bool{}
@@ -337,16 +344,13 @@ func (a *cellAccum) finish() Cell {
 	return a.cell
 }
 
-// FlaggedRun is one violating execution streamed out of a sweep: the
-// scenario (seed included), its classification, where it sits in the
-// sweep's cell list, and — when fingerprinting is on — its
-// schedule-coverage fingerprint. This is the sweep→explore work item: the
-// campaign layer (internal/explore.Campaign) collects flagged runs and
-// turns each flagged cell into a recorded, perturbed and minimized
-// counterexample instead of a buried Errors entry.
+// FlaggedRun is one violating execution of a sweep cell: the scenario
+// (seed included), its classification and — when fingerprinting is on —
+// its schedule-coverage fingerprint. This is the sweep→explore work item:
+// the campaign layer (internal/explore.Campaign) turns each flagged cell
+// into a recorded, perturbed and minimized counterexample instead of a
+// buried Errors entry.
 type FlaggedRun struct {
-	// Cell indexes the sweep's returned cell slice.
-	Cell int
 	// Run is the scenario's position within its cell (seed order).
 	Run int
 	// Scenario is the complete violating scenario, replayable as is.
@@ -363,12 +367,6 @@ type FlaggedRun struct {
 type SweepOptions struct {
 	// Workers is the worker-pool width (<= 0 means GOMAXPROCS).
 	Workers int
-	// OnFlag, when non-nil, receives every run that violates a consensus
-	// property, as soon as its cell's worker classifies it. It is called
-	// concurrently from worker goroutines and must be safe for that;
-	// cross-cell ordering follows worker scheduling, so deterministic
-	// consumers sort by (Cell, Run) — both are deterministic identities.
-	OnFlag func(FlaggedRun)
 	// Fingerprint computes a schedule-coverage fingerprint per run (one
 	// sim.Fingerprinter wrapper per execution) and reports the number of
 	// distinct fingerprints per cell in Cell.DistinctSchedules. Off by
@@ -406,8 +404,8 @@ func (o SweepOptions) normalized() SweepOptions {
 // of a cell, and all workers share memoized topology, diameter, overlay
 // and input caches. Work-units without seeds or sharing a cell identity
 // are rejected, and scenario construction errors abort the sweep;
-// consensus violations do not — they are reported per cell and streamed
-// to SweepOptions.OnFlag.
+// consensus violations do not — they are reported per cell, each
+// violating run in Cell.Flagged.
 func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 	seen := make(map[Key]bool, len(work))
 	for _, cw := range work {
@@ -441,7 +439,7 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 	// Captured as individual locals, not via opts, so the options struct
 	// does not escape into the worker closures (the plain sweep path's
 	// allocation count is pinned by BENCH_engine.json).
-	fingerprint, onFlag, saturateAfter, metricsOn := opts.Fingerprint, opts.OnFlag, opts.SaturateAfter, opts.Metrics
+	fingerprint, saturateAfter, metricsOn := opts.Fingerprint, opts.SaturateAfter, opts.Metrics
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -481,11 +479,6 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 					}
 					cellAgg.Merge(reg)
 					fresh := acc.add(o, fingerprint)
-					if onFlag != nil {
-						if v := o.Violation(); v != nil {
-							onFlag(FlaggedRun{Cell: gi, Run: k, Scenario: s, Violation: v, Fingerprint: o.Fingerprint})
-						}
-					}
 					if saturateAfter > 0 {
 						if fresh {
 							stale = 0

@@ -46,9 +46,9 @@ func TestUnanimousConfigsUnivalent(t *testing.T) {
 // TestNoCrashAlwaysTerminates verifies that without crash steps every
 // valid-step schedule of two-phase reaches a decision (Theorem 4.1's
 // termination, checked exhaustively on small cliques). The n=3 state space
-// dominates the whole test suite's runtime (~24s), so short mode stops at
-// n=2 — still an exhaustive proof at that size; CI's long-mode job keeps
-// the full exploration.
+// dominates the whole test suite's runtime, so short mode stops at n=2 —
+// still an exhaustive proof at that size; CI's long-mode job keeps the
+// full exploration.
 func TestNoCrashAlwaysTerminates(t *testing.T) {
 	maxN, depth := 3, 60
 	if testing.Short() {
