@@ -248,7 +248,10 @@
 //     performs no per-node interface allocation. Steady-state allocs/op
 //     on a reused engine are independent of n (BenchmarkBroadcastPlanLarge
 //     pins this at n=1024 and n=4096; BENCH_engine.json holds the
-//     ceilings CI enforces).
+//     ceilings CI enforces). Reset also hands each slot's algorithm back
+//     to the factory (amac.NodeConfig.Prev), and every registered factory
+//     re-arms its own nodes in place with their tables' storage, so a
+//     warm run does not rebuild its nodes either (BenchmarkWarmRunWPaxos).
 //   - Two degree-bounded sparse families put large n on sweep axes:
 //     expander:N:D (seeded random D-regular via stub pairing with
 //     conflict repair) and pods:P:K:C (an Octopus-style mesh of P

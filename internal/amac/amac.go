@@ -146,11 +146,46 @@ type NodeConfig struct {
 	// registry hands back disabled handles that no-op, so algorithms
 	// instrument unconditionally.
 	Metrics *metrics.Registry
+	// Prev is the algorithm this node's slot ran in the engine's previous
+	// run, or nil. Only the simulator's Engine.Reset sets it. A factory
+	// that recognizes Prev as one of its own nodes re-arms it in place for
+	// this run — same state as a fresh node, the previous run's table
+	// storage kept (Reuse) — and any other factory ignores it.
+	Prev Algorithm
 }
 
 // Factory builds one node's algorithm instance. A Factory is invoked once
-// per node before the execution starts.
+// per node before the execution starts. An algorithm a factory returns
+// belongs to the engine until its next Reset, which may hand it back to a
+// factory as NodeConfig.Prev: whoever keeps a node to read it after the
+// run (Inspect) must read it before that Reset.
 type Factory func(cfg NodeConfig) Algorithm
+
+// Reuse returns s emptied for a re-armed node (NodeConfig.Prev). It keeps
+// the backing array only when the last run left s at least half full — as
+// full as append's doubling leaves a fresh slice — so a slot's tables
+// follow what its last run used instead of ratcheting up to the largest
+// run the slot ever served.
+func Reuse[S ~[]E, E any](s S) S {
+	if 2*len(s) < cap(s) {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// ReuseSized returns s as n zeroed elements for a re-armed node's table
+// whose size the configuration fixes (a bitset or a byte per id). It keeps
+// the backing array when that holds n elements and no more than 2n, so a
+// slot that served a larger network lets go of it.
+func ReuseSized[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n || cap(s) > 2*n {
+		return make(S, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // MaxMessageIDs is the constant bound on ids per message this repository's
 // algorithms adhere to (the model requires only that some constant exists;

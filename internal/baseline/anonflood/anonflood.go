@@ -63,7 +63,13 @@ func NewFactory(rounds int) amac.Factory {
 		if cfg.Input != 0 && cfg.Input != 1 {
 			panic(fmt.Sprintf("anonflood: input %d is not binary", cfg.Input))
 		}
-		return &Node{rounds: rounds, has0: cfg.Input == 0, has1: cfg.Input == 1}
+		// A node the engine hands back is re-armed in place.
+		a, ok := cfg.Prev.(*Node)
+		if !ok {
+			a = new(Node)
+		}
+		*a = Node{rounds: rounds, has0: cfg.Input == 0, has1: cfg.Input == 1}
+		return a
 	}
 }
 

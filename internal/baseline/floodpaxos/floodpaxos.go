@@ -220,25 +220,42 @@ func (a *Node) markHeard(k wpaxos.PropKind, acceptor amac.NodeID) bool {
 	return a.heardFar[k-wpaxos.Prepare].Add(acceptor)
 }
 
-// newNode returns the bare flood-paxos node NewFactory completes, knowing
-// the network size n.
-func newNode(input amac.Value, n int) *Node {
-	if n < 1 {
-		panic(fmt.Sprintf("floodpaxos: invalid network size %d", n))
-	}
+// arm makes a — a zero Node or one a finished run left — the unstarted
+// node for the given binary input in a network of size n: every field as
+// a fresh node has it, except the storage of its message and its tables
+// (amac.ReuseSized, amac.Reuse).
+func (a *Node) arm(input amac.Value, n int) {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("floodpaxos: input %d is not binary", input))
 	}
-	return &Node{n: n, input: input, heard: make([]uint8, n+1), msg: new(Combined)}
+	msg := a.msg
+	if msg == nil {
+		msg = new(Combined)
+	}
+	*a = Node{
+		n: n, input: input, heard: amac.ReuseSized(a.heard, n+1), msg: msg,
+		det:      a.det, // Start re-initializes it, keeping its tables
+		respQ:    amac.Reuse(a.respQ),
+		heardFar: [2]omega.IDSet{amac.Reuse(a.heardFar[0]), amac.Reuse(a.heardFar[1])},
+	}
 }
 
-// NewFactory returns a factory for networks of the given size. A node owns
-// one broadcast message and refills it at every pump (at most one is in
-// flight, and after its ack no handler is reading it), which makes the
-// steady-state broadcast path allocation-free.
+// NewFactory returns a factory for networks of the given size. A node the
+// engine hands back (amac.NodeConfig.Prev) is re-armed in place, keeping
+// its struct, message and tables' storage; any other call re-arms a zero
+// node. A node owns one broadcast message and refills it at every pump
+// (at most one is in flight, and after its ack no handler is reading it),
+// which makes the steady-state broadcast path allocation-free.
 func NewFactory(n int) amac.Factory {
+	if n < 1 {
+		panic(fmt.Sprintf("floodpaxos: invalid network size %d", n))
+	}
 	return func(cfg amac.NodeConfig) amac.Algorithm {
-		a := newNode(cfg.Input, n)
+		a, ok := cfg.Prev.(*Node)
+		if !ok {
+			a = new(Node)
+		}
+		a.arm(cfg.Input, n)
 		a.instrument(cfg.Metrics)
 		return a
 	}
@@ -564,7 +581,7 @@ func (a *Node) Inspect() amac.View {
 	v := amac.View{Decided: a.decided, Decision: a.decision, Omega: amac.NoID,
 		Promised: amac.Ballot(a.promised), MaxTag: a.live.Tag}
 	if a.api != nil {
-		v.Omega = a.det.Omega()
+		v.Omega, v.OmegaSince = a.det.Omega(), a.det.OmegaSince()
 	}
 	if a.accepted != nil {
 		v.Accepted, v.AcceptedVal = amac.Ballot(a.accepted.Num), a.accepted.Val

@@ -13,6 +13,12 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
+// newNode returns an unstarted node for the given input in a network of
+// size n, as NewFactory builds one on a fresh engine.
+func newNode(input amac.Value, n int) *Node {
+	return NewFactory(n)(amac.NodeConfig{Input: input}).(*Node)
+}
+
 func mixed(n int) []amac.Value {
 	inputs := make([]amac.Value, n)
 	for i := range inputs {
@@ -86,6 +92,45 @@ func TestSlowerThanWPaxosOnBottleneck(t *testing.T) {
 	tTree := runWith(wpaxos.NewFactory(wpaxos.Config{N: g.N()}))
 	if float64(tFlood) < 1.5*float64(tTree) {
 		t.Fatalf("flood=%d tree=%d: expected the flooding baseline to be clearly slower", tFlood, tTree)
+	}
+}
+
+// TestOmegaSinceStamped reads the Ω stabilization time every node reports
+// after a crash-free run on expander:64:8 (default ids 1..n): the max-id
+// node leads itself from the start, so its Ω never moved and its
+// OmegaSince is 0; every other node moved its Ω at least once, when it
+// first heard a larger id, so its OmegaSince is after time 0.
+func TestOmegaSinceStamped(t *testing.T) {
+	g := graph.Expander(64, 8, 1)
+	n := g.N()
+	inputs := mixed(n)
+	nodes := make([]*Node, n)
+	build := NewFactory(n)
+	res := sim.Run(sim.Config{
+		Graph:  g,
+		Inputs: inputs,
+		Factory: func(nc amac.NodeConfig) amac.Algorithm {
+			a := build(nc).(*Node)
+			nodes[nc.ID-1] = a
+			return a
+		},
+		Scheduler:       sim.NewRandom(4, 1),
+		StopWhenDecided: true,
+	})
+	if rep := consensus.Check(inputs, res); !rep.OK() {
+		t.Fatalf("%v", rep.Errors)
+	}
+	for i, a := range nodes {
+		v := a.Inspect()
+		if i == n-1 {
+			if v.OmegaSince != 0 {
+				t.Errorf("max-id node %d: OmegaSince %d, want 0 (its Ω never moved)", i, v.OmegaSince)
+			}
+			continue
+		}
+		if v.OmegaSince <= 0 {
+			t.Errorf("node %d: OmegaSince %d, want > 0 (Ω %d is not its own id)", i, v.OmegaSince, v.Omega)
+		}
 	}
 }
 

@@ -49,11 +49,14 @@ func NewFactory(n int) amac.Factory {
 		panic(fmt.Sprintf("gatherall: invalid network size %d", n))
 	}
 	return func(cfg amac.NodeConfig) amac.Algorithm {
-		return &Node{
-			n:     n,
-			input: cfg.Input,
-			known: make(map[amac.NodeID]amac.Value, n),
+		// A node the engine hands back is re-armed in place.
+		a, ok := cfg.Prev.(*Node)
+		if !ok {
+			a = &Node{known: make(map[amac.NodeID]amac.Value, n)}
 		}
+		clear(a.known)
+		*a = Node{n: n, input: cfg.Input, known: a.known, queue: amac.Reuse(a.queue)}
+		return a
 	}
 }
 

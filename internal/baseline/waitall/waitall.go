@@ -67,7 +67,14 @@ func NewFactory(rounds int) amac.Factory {
 		panic(fmt.Sprintf("waitall: invalid round budget %d", rounds))
 	}
 	return func(cfg amac.NodeConfig) amac.Algorithm {
-		return &Node{rounds: rounds, input: cfg.Input, known: make(map[amac.NodeID]amac.Value)}
+		// A node the engine hands back is re-armed in place.
+		a, ok := cfg.Prev.(*Node)
+		if !ok {
+			a = &Node{known: make(map[amac.NodeID]amac.Value)}
+		}
+		clear(a.known)
+		*a = Node{rounds: rounds, input: cfg.Input, known: a.known, queue: amac.Reuse(a.queue)}
+		return a
 	}
 }
 

@@ -90,6 +90,18 @@ func (s *idSet) add(id amac.NodeID) idRef {
 	return r
 }
 
+// reuse returns s emptied for a re-armed node. It keeps the table only
+// when the last run left it at least a quarter full — as full as doubling
+// past half full leaves a fresh one — so the storage follows the last run
+// instead of ratcheting up to the largest.
+func (s *idSet) reuse() idSet {
+	if 4*s.n < len(s.slots) {
+		return idSet{}
+	}
+	clear(s.slots)
+	return idSet{slots: s.slots, shift: s.shift}
+}
+
 // grow doubles the table (or makes the first one) and reinserts every
 // block record whole.
 func (s *idSet) grow() {

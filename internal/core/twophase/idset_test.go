@@ -11,11 +11,13 @@ import (
 // uniformly random int64 ids, which land in distinct blocks whose home
 // slots collide: probe chains form in find, add and every grow, which the
 // harness's dense ids (consecutive blocks, spread evenly by the hash)
-// rarely produce.
+// rarely produce. Each iteration starts from the previous one's set
+// emptied by reuse, as a re-armed node's does.
 func TestIDSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1D5E7))
+	var s idSet
 	for iter := 0; iter < 50; iter++ {
-		var s idSet
+		s = s.reuse()
 		member := make(map[amac.NodeID]bool)
 		phase2 := make(map[amac.NodeID]bool)
 		universe := make([]amac.NodeID, 1+rng.Intn(300))
@@ -54,5 +56,30 @@ func TestIDSetMatchesMap(t *testing.T) {
 		if got, want := s.withoutPhase2(), len(member)-len(phase2); got != want {
 			t.Fatalf("iter %d: withoutPhase2 = %d, want %d", iter, got, want)
 		}
+	}
+}
+
+// TestIDSetReuseKeepsQuarterFullTables: a re-armed node keeps its id table
+// only when the last run left it at least a quarter full, which is as full
+// as doubling past half full leaves a fresh one; a kept table is empty.
+func TestIDSetReuseKeepsQuarterFullTables(t *testing.T) {
+	var s idSet
+	for blk := 0; blk < 5; blk++ { // 5 blocks: grown to 16 slots
+		s.add(amac.NodeID(blk << 6))
+	}
+	kept := s.reuse()
+	if len(kept.slots) != 16 || &kept.slots[0] != &s.slots[0] {
+		t.Fatalf("5 blocks in %d slots: table not kept", len(s.slots))
+	}
+	if _, ok := kept.find(0); ok || kept.n != 0 || kept.withoutPhase2() != 0 {
+		t.Fatal("kept table is not empty")
+	}
+	s = idSet{}
+	for blk := 0; blk < 9; blk++ { // 32 slots
+		s.add(amac.NodeID(blk << 6))
+	}
+	s.n = 7 // as if the run had left 7 of them: under a quarter
+	if got := s.reuse(); got.slots != nil {
+		t.Fatalf("table %d of %d slots full was kept", s.n, len(s.slots))
 	}
 }

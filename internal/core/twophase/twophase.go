@@ -137,12 +137,19 @@ type TwoPhase struct {
 	decision amac.Value
 }
 
-// Factory returns a two-phase node for cfg.Input, which must be binary.
+// Factory returns a two-phase node for cfg.Input, which must be binary. A
+// node the engine hands back (amac.NodeConfig.Prev) is re-armed in place,
+// keeping its id set's table when the last run filled it enough.
 func Factory(cfg amac.NodeConfig) amac.Algorithm {
 	if cfg.Input != 0 && cfg.Input != 1 {
 		panic(fmt.Sprintf("twophase: input %d is not binary", cfg.Input))
 	}
-	return &TwoPhase{input: cfg.Input}
+	a, ok := cfg.Prev.(*TwoPhase)
+	if !ok {
+		a = new(TwoPhase)
+	}
+	*a = TwoPhase{input: cfg.Input, ids: a.ids.reuse()}
+	return a
 }
 
 // Start implements amac.Algorithm.

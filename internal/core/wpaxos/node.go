@@ -19,23 +19,25 @@ type Config struct {
 }
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
-// given configuration. Every call of the factory allocates a fresh node
-// with empty tables: nothing is pooled across nodes, runs or
-// Engine.Reset. Apart from the detector's membership (an N-bit set, and a
-// sorted set for any id beyond it), a node keeps what it can still use,
-// not what it has heard: trees for the roots that can be its leader
-// estimate and the gossiped acceptor states a counter can still count
-// (package comment, "Per-node state and the n² budget"). What a node
-// recycles is its one broadcast message, refilled at the next pump: at
-// most one is in flight, and after its ack no handler is reading it.
+// given configuration. A node the engine hands back (amac.NodeConfig.Prev)
+// is re-armed in place, keeping its struct, its broadcast message and its
+// tables' storage from the previous run; any other call re-arms a zero
+// node (package comment, "Per-node state and the n² budget"). Within a
+// run, what a node recycles is its one broadcast message, refilled at the
+// next pump: at most one is in flight, and after its ack no handler is
+// reading it.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return func(nc amac.NodeConfig) amac.Algorithm {
-		a := newNode(nc.Input, cfg)
-		a.instrument(nc.Metrics)
-		return a
+		nd, ok := nc.Prev.(*Node)
+		if !ok {
+			nd = new(Node)
+		}
+		nd.arm(nc.Input, cfg)
+		nd.instrument(nc.Metrics)
+		return nd
 	}
 }
 
@@ -112,10 +114,10 @@ type Node struct {
 	decided    bool
 	decision   amac.Value
 
-	// lastLeaderUpdate and lastLeaderDistUpdate record stabilization
-	// times for the GST decomposition of experiment E6 (View.OmegaSince
-	// and View.RouteSince).
-	lastLeaderUpdate, lastLeaderDistUpdate int64
+	// routeSince is when the distance to the current leader last improved,
+	// the second stabilization time of experiment E6's GST decomposition
+	// (View.RouteSince; the first, View.OmegaSince, is the detector's).
+	routeSince int64
 
 	// mreg is the metrics registry handed down by the substrate (nil when
 	// metrics are off); met holds the node's counter handles (zero =
@@ -132,15 +134,31 @@ type Node struct {
 	msg *Combined
 }
 
-// newNode returns the bare wPAXOS node NewFactory completes, for the given
-// binary input. The paper restricts consensus to binary inputs because that
-// strengthens its lower bounds; the algorithm itself carries any value
-// unchanged (TestMultivaluedConsensus).
-func newNode(input amac.Value, cfg Config) *Node {
+// arm makes nd — a zero Node or one a finished run left — the unstarted
+// node for the given binary input: every field as a fresh node has it,
+// except the storage of its message and tables, which it keeps when the
+// last run filled them enough (amac.Reuse). The paper restricts consensus
+// to binary inputs because that strengthens its lower bounds; the
+// algorithm itself carries any value unchanged (TestMultivaluedConsensus).
+func (nd *Node) arm(input amac.Value, cfg Config) {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("wpaxos: input %d is not binary", input))
 	}
-	return &Node{n: cfg.N, input: input, audit: cfg.Audit, msg: new(Combined)}
+	msg := nd.msg
+	if msg == nil {
+		msg = new(Combined)
+	}
+	*nd = Node{
+		n: cfg.N, input: input, audit: cfg.Audit, msg: msg,
+		det:       nd.det, // Start re-initializes it, keeping its tables
+		tree:      treeService{ents: amac.Reuse(nd.tree.ents), queue: amac.Reuse(nd.tree.queue)},
+		seenProps: amac.Reuse(nd.seenProps),
+		respQ:     amac.Reuse(nd.respQ),
+		states:    amac.Reuse(nd.states),
+		chosen:    amac.Reuse(nd.chosen),
+		gossAcks:  amac.Reuse(nd.gossAcks),
+		gossNacks: amac.Reuse(nd.gossNacks),
+	}
 }
 
 // nodeMetrics is the wPAXOS node's counter set. All nodes of a run share
@@ -327,7 +345,6 @@ func (nd *Node) onLeader(m omega.LeaderMsg) {
 // the leader estimate moved (a new maximum member, a demotion, or a
 // wrap-around re-promotion).
 func (nd *Node) onOmegaChange() {
-	nd.lastLeaderUpdate = nd.api.Now()
 	nd.tree.purge(nd.det.Omega())
 	// OnLeaderChange (Algorithm 4): re-pin the tree queue.
 	nd.tree.prioritize(nd.det.Omega())
@@ -357,7 +374,7 @@ func (nd *Node) onSearch(m SearchMsg) {
 	// Algorithm 3's "Omega_u or dist_u updated" is the one that yields
 	// the paper's O(D*Fack) global stabilization time.
 	if m.Root == nd.det.Omega() {
-		nd.lastLeaderDistUpdate = nd.api.Now()
+		nd.routeSince = nd.api.Now()
 		nd.localChange()
 	}
 }
@@ -789,10 +806,9 @@ func (nd *Node) retry() {
 // Inspect implements amac.Inspector; a node that never started has no Ω.
 func (nd *Node) Inspect() amac.View {
 	v := amac.View{Decided: nd.decided, Decision: nd.decision, Omega: amac.NoID,
-		OmegaSince: nd.lastLeaderUpdate, RouteSince: nd.lastLeaderDistUpdate,
-		Promised: amac.Ballot(nd.acc.promised), MaxTag: nd.prop.maxTagSeen}
+		RouteSince: nd.routeSince, Promised: amac.Ballot(nd.acc.promised), MaxTag: nd.prop.maxTagSeen}
 	if nd.api != nil {
-		v.Omega = nd.det.Omega()
+		v.Omega, v.OmegaSince = nd.det.Omega(), nd.det.OmegaSince()
 	}
 	if p := nd.acc.accepted; p != nil {
 		v.Accepted, v.AcceptedVal = amac.Ballot(p.Num), p.Val

@@ -142,6 +142,17 @@
 //   - The proposer flood remembers the last proposition it looked up:
 //     the flood queue is sticky, so nearly two in three deliveries repeat
 //     it and skip the search of the seen set.
+//   - Across runs nothing is rebuilt. Engine.Reset hands each slot's node
+//     back to NewFactory (amac.NodeConfig.Prev), which re-arms it in
+//     place: every field as a fresh node has it, while the struct, its
+//     *Combined, the detector's bitset and sets, the tree, states,
+//     seenProps, respQ, chosen and the two tallies keep their storage. A
+//     table keeps it only when the last run left it at least half full
+//     (amac.Reuse; the bitset, whose size n fixes, while it fits:
+//     amac.ReuseSized), so a slot's storage follows its last run instead
+//     of ratcheting to the largest. On decide_expander4096 this took a warm
+//     op from 42 MB allocated to about 8 MB, every execution unchanged
+//     (TestRecycledNodesMatchFresh).
 //
 // Dense 0..n-1 slices for dist, parent and state — the obvious
 // alternative when ids are dense — stay rejected on arithmetic (8 B ×

@@ -66,8 +66,8 @@ type treeEnt struct {
 
 func (s *treeService) init(self amac.NodeID) {
 	s.self = self
-	s.ents = []treeEnt{{root: self, parent: self, queued: true}}
-	s.queue = []amac.NodeID{self}
+	s.ents = append(s.ents[:0], treeEnt{root: self, parent: self, queued: true})
+	s.queue = append(s.queue[:0], self)
 }
 
 // find returns root's entry, or nil with the position it would take.

@@ -25,6 +25,14 @@ func runOn(t *testing.T, g *graph.Graph, inputs []amac.Value, sched sim.Schedule
 	return res, audit
 }
 
+// newNode returns an unstarted node for the given binary input, as
+// NewFactory builds one on a fresh engine.
+func newNode(input amac.Value, cfg Config) *Node {
+	nd := new(Node)
+	nd.arm(input, cfg)
+	return nd
+}
+
 func mixedInputs(n int) []amac.Value {
 	inputs := make([]amac.Value, n)
 	for i := range inputs {

@@ -116,12 +116,20 @@ func NewFactory(cfg Config) amac.Factory {
 		if nc.Input != 0 && nc.Input != 1 {
 			panic(fmt.Sprintf("benor: input %d is not binary", nc.Input))
 		}
-		return &Node{
-			cfg:       cfg,
-			x:         nc.Input,
-			reports:   make(map[int]map[amac.NodeID]amac.Value),
-			proposals: make(map[int]map[amac.NodeID]*amac.Value),
+		// A node the engine hands back is re-armed in place: its maps are
+		// cleared and its coin source is re-seeded at Start.
+		a, ok := nc.Prev.(*Node)
+		if !ok {
+			a = &Node{
+				reports:   make(map[int]map[amac.NodeID]amac.Value),
+				proposals: make(map[int]map[amac.NodeID]*amac.Value),
+			}
 		}
+		clear(a.reports)
+		clear(a.proposals)
+		*a = Node{cfg: cfg, rng: a.rng, x: nc.Input, reports: a.reports, proposals: a.proposals,
+			pending: amac.Reuse(a.pending)}
+		return a
 	}
 }
 
@@ -132,7 +140,12 @@ func (a *Node) Start(api amac.API) {
 	// (overlay seed*1000003+17, loss coins seed*6700417+257, minorityrand
 	// crashes seed*2654435761+97): the previous seed*1000003+ID derivation
 	// made node 17's coins walk the overlay builder's exact stream.
-	a.rng = rand.New(rand.NewSource(a.cfg.Seed*7368787 + int64(api.ID())*1299721 + 31))
+	seed := a.cfg.Seed*7368787 + int64(api.ID())*1299721 + 31
+	if a.rng == nil {
+		a.rng = rand.New(rand.NewSource(seed))
+	} else {
+		a.rng.Seed(seed)
+	}
 	if a.cfg.N == 1 {
 		a.decideNow(a.x)
 		return

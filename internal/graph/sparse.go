@@ -31,6 +31,12 @@ func edgeKey(u, v int) int64 {
 // (and connected) with high probability for d >= 3, so restarts are
 // rare; the whole construction is deterministic for a given seed.
 //
+// Above half degree (2d > n-1) the pairing rarely closes — the last stubs
+// left over mostly belong to nodes that are already neighbors — so a
+// dense expander is the complement of a random (n-1-d)-regular graph,
+// which pairs easily. It is connected because every degree is at least
+// n/2.
+//
 // Requires 3 <= d < n and n*d even.
 func Expander(n, d int, seed int64) *Graph {
 	if d < 3 || d >= n {
@@ -40,18 +46,40 @@ func Expander(n, d int, seed int64) *Graph {
 		panic(fmt.Sprintf("graph: expander needs n*d even, got n=%d d=%d", n, d))
 	}
 	rng := rand.New(rand.NewSource(seed))
+	dense := 2*d > n-1
+	k := d
+	if dense {
+		k = n - 1 - d
+	}
 	const maxAttempts = 100
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		edges, ok := pairStubs(n, d, rng)
+		edges, ok := pairStubs(n, k, rng)
 		if !ok {
 			continue
 		}
 		g := FromEdges(n, edges)
+		if dense {
+			g = complement(g)
+		}
 		if g.IsConnected() {
 			return g
 		}
 	}
 	panic(fmt.Sprintf("graph: expander(%d,%d) failed to converge after %d pairing attempts", n, d, maxAttempts))
+}
+
+// complement returns the graph on g's nodes whose edges are g's non-edges.
+func complement(g *Graph) *Graph {
+	n := g.N()
+	edges := make([][2]int, 0, n*(n-1)/2-g.M())
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !g.HasEdge(u, v) {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	return FromEdges(n, edges)
 }
 
 // pairStubs runs one pairing attempt: shuffle the remaining stubs, pair
@@ -113,8 +141,17 @@ func Pods(p, k, c int, seed int64) *Graph {
 	}
 	n := p * k
 	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[int64]struct{}, n+p*c)
-	edges := make([][2]int, 0, n+p*c)
+	// Room for the rings and the cross links, which number at most the
+	// node pairs: past that every link is a duplicate, and one pod has no
+	// cross links at all.
+	links := n * (n - 1) / 2
+	if p == 1 {
+		links = 0
+	} else if c < links/p {
+		links = p * c
+	}
+	seen := make(map[int64]struct{}, n+links)
+	edges := make([][2]int, 0, n+links)
 	add := func(u, v int) bool {
 		if u == v {
 			return false

@@ -169,9 +169,10 @@ func TestFromEdgesNormalizes(t *testing.T) {
 
 // TestExpanderProperties checks regularity, connectivity, diameter
 // sanity and sortedness for a spread of sizes including odd n with even
-// n*d.
+// n*d and degrees above n/2, where the pairing would not close.
 func TestExpanderProperties(t *testing.T) {
-	cases := []struct{ n, d int }{{8, 3}, {10, 4}, {65, 4}, {128, 3}, {256, 8}}
+	cases := []struct{ n, d int }{{8, 3}, {10, 4}, {65, 4}, {128, 3}, {256, 8},
+		{9, 6}, {16, 14}, {12, 11}, {128, 100}} // dense: complements
 	for _, tc := range cases {
 		g := Expander(tc.n, tc.d, 5)
 		if g.N() != tc.n || g.M() != tc.n*tc.d/2 {

@@ -155,7 +155,7 @@ var overlayFamilies = map[string]func(arg string, base *graph.Graph, seed int64)
 	},
 	"randomextra": func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error) {
 		p, err := strconv.ParseFloat(arg, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN is no probability either
 			return nil, fmt.Errorf("harness: randomextra needs a probability in [0,1], got %q", arg)
 		}
 		n := base.N()
@@ -229,7 +229,7 @@ func overlayDeliverP(spec string) (float64, error) {
 		return DefaultOverlayDeliverP, nil
 	}
 	v, err := strconv.ParseFloat(q, 64)
-	if err != nil || v < 0 || v > 1 {
+	if err != nil || !(v >= 0 && v <= 1) { // NaN is no probability either
 		return 0, fmt.Errorf("harness: bad delivery probability in overlay %q: want @Q with Q in [0,1]", spec)
 	}
 	return v, nil

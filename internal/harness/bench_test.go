@@ -183,3 +183,42 @@ func BenchmarkSweepGrid(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmRunWPaxos is the algorithm layer's warm row: Reset and Run
+// of one engine on wpaxos expander:256:8, alternating seeds 1 and 2, with
+// metrics off. Every op hands the slots' nodes back to the factory
+// (amac.NodeConfig.Prev), which re-arms them with the other seed's tables,
+// so what is left is a fresh scheduler per op and the tables one seed
+// outgrows the other's storage in. Its allocs/op is pinned
+// (BENCH_engine.json): a factory that stops re-arming its nodes, or a
+// table that stops keeping its storage, shows as a multiple of the pin.
+func BenchmarkWarmRunWPaxos(b *testing.B) {
+	var cfgs [2]sim.Config
+	var events [2]int
+	for i := range cfgs {
+		cfg, err := Scenario{Algo: "wpaxos", Topo: Topo{Kind: "expander", N: 256, Deg: 8},
+			Sched: "random", Fack: 4, Seed: int64(i + 1)}.Config()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfgs[i] = cfg
+		events[i] = sim.Run(cfg).Events
+	}
+	eng := new(sim.Engine)
+	op := func(i int) {
+		cfg := cfgs[i%2]
+		cfg.Scheduler = sim.NewRandom(4, int64(i%2+1))
+		eng.Reset(cfg)
+		if res := eng.Run(); res.Events != events[i%2] || !res.AllDecided() {
+			b.Fatalf("seed %d: warm run processed %d events (decided %v), a fresh engine %d",
+				i%2+1, res.Events, res.AllDecided(), events[i%2])
+		}
+	}
+	op(0) // untimed: the cold engine and nodes of both seeds
+	op(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}

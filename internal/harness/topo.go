@@ -221,7 +221,7 @@ func (t Topo) Build(seed int64) (*graph.Graph, error) {
 		}
 		return graph.StarOfLines(t.Arms, t.ArmLen), nil
 	case "random":
-		if t.N < 1 || t.P < 0 || t.P > 1 {
+		if t.N < 1 || !(t.P >= 0 && t.P <= 1) { // NaN is no probability either
 			return nil, fmt.Errorf("harness: %s needs n >= 1 and p in [0,1]", t)
 		}
 		return graph.RandomConnected(t.N, t.P, seed), nil
@@ -233,6 +233,11 @@ func (t Topo) Build(seed int64) (*graph.Graph, error) {
 	case "pods":
 		if t.Pods < 1 || t.PodSize < 1 || t.Cross < 0 || (t.Pods > 1 && t.Cross < 1) {
 			return nil, fmt.Errorf("harness: %s needs p, k >= 1 and c >= 1 when p > 1", t)
+		}
+		// A pod has k·(n-k) distinct cross pairs; a larger c only adds
+		// duplicates, each a few rng draws.
+		if n := int64(t.Pods) * int64(t.PodSize); t.Pods > 1 && int64(t.Cross) > int64(t.PodSize)*(n-int64(t.PodSize)) {
+			return nil, fmt.Errorf("harness: %s asks for more cross links per pod than the k*(n-k) = %d pairs a pod has", t, int64(t.PodSize)*(n-int64(t.PodSize)))
 		}
 		return graph.Pods(t.Pods, t.PodSize, t.Cross, podsSeed(seed)), nil
 	default:

@@ -41,7 +41,8 @@ type Detector struct {
 	outside    IDSet
 	suspected  IDSet
 	omega      amac.NodeID
-	gossipCur  int // rank of the member the walk announces next
+	since      int64 // when omega last moved (OmegaSince)
+	gossipCur  int   // rank of the member the walk announces next
 	gossipTick int
 
 	fhat      int64 // largest observed broadcast-to-ack delay, >= 1
@@ -70,16 +71,20 @@ func NewDetector(self amac.NodeID, n int) *Detector {
 	return d
 }
 
-// init sets up a detector in place; Service embeds one by value.
+// init sets up a detector in place; Service embeds one by value. A
+// detector that served an earlier run keeps its tables' storage
+// (amac.ReuseSized, amac.Reuse).
 func (d *Detector) init(self amac.NodeID, n int) {
 	*d = Detector{
-		self:   self,
-		n:      n,
-		known:  make([]uint64, n/64+1),
-		omega:  self,
-		fhat:   1,
-		sendAt: -1,
-		mult:   1,
+		self:      self,
+		n:         n,
+		known:     amac.ReuseSized(d.known, n/64+1),
+		outside:   amac.Reuse(d.outside),
+		suspected: amac.Reuse(d.suspected),
+		omega:     self,
+		fhat:      1,
+		sendAt:    -1,
+		mult:      1,
 	}
 	d.learn(self) // the first member
 }
@@ -101,6 +106,11 @@ func (d *Detector) Instrument(r *metrics.Registry) {
 // Omega returns the current leader estimate: the maximum unsuspected
 // member.
 func (d *Detector) Omega() amac.NodeID { return d.omega }
+
+// OmegaSince returns when Omega last moved, through Service.Hear or a
+// demotion (Check), or 0 if it never has: the stabilization time that
+// amac.View.OmegaSince reports.
+func (d *Detector) OmegaSince() int64 { return d.since }
 
 // Suspects reports whether id is currently suspected.
 func (d *Detector) Suspects(id amac.NodeID) bool { return d.suspected.Has(id) }
@@ -259,6 +269,7 @@ func (d *Detector) Check(now int64) Event {
 		d.suspected.Add(d.omega)
 		d.mSuspicions.Inc()
 		d.elect()
+		d.since = now
 		return Demoted
 	}
 	if len(d.suspected) == 0 {
@@ -275,6 +286,7 @@ func (d *Detector) Check(now int64) Event {
 		d.mRearms.Inc()
 		return Rearm
 	}
+	d.since = now
 	return Demoted
 }
 

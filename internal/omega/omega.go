@@ -80,9 +80,10 @@ type Service struct {
 }
 
 // Init sets the service up for the node api belongs to, in a network of
-// size n, with its metric slots registered against r (nil-safe).
+// size n, with its metric slots registered against r (nil-safe). A
+// service that served an earlier run keeps its detector's table storage.
 func (s *Service) Init(api amac.API, n int, r *metrics.Registry) {
-	*s = Service{api: api, change: ChangeMsg{T: -1}}
+	s.api, s.change = api, ChangeMsg{T: -1}
 	s.init(api.ID(), n)
 	s.Instrument(r)
 }
@@ -96,8 +97,13 @@ func (s *Service) hear(id amac.NodeID) bool {
 	if !s.learn(id) {
 		return false
 	}
-	s.Novel(s.api.Now())
-	return s.omega != prev
+	now := s.api.Now()
+	s.Novel(now)
+	if s.omega == prev {
+		return false
+	}
+	s.since = now
+	return true
 }
 
 // Changed queues a notice of a local change (Ω or the route to Ω moved).

@@ -10,9 +10,12 @@ import (
 // Engine executes configurations on a reusable arena: Reset re-arms the
 // same engine for a new configuration, keeping the node-state arrays, the
 // Result slices, the delivery-plan buffer and the event queue's per-tick
-// arrays from the previous run. A sweep worker that runs the seeds of one
-// cell back to back on one Engine pays the engine's allocation cost once
-// per cell instead of once per seed.
+// arrays from the previous run. It also hands each slot's algorithm from
+// the previous run to the factory (amac.NodeConfig.Prev), and every
+// registered factory re-arms its own nodes in place, tables included. A
+// sweep worker that runs the seeds of one cell back to back on one Engine
+// pays the engine's and the nodes' allocation cost once per cell instead
+// of once per seed.
 //
 // Node runtime state is stored structure-of-arrays: one flat slice per
 // field (algorithm, id, in-flight broadcast, crash time) instead of one
@@ -125,8 +128,11 @@ func NewEngine(cfg Config) *Engine {
 // (crash flags, decisions, in-flight broadcasts), the Result, the clock,
 // and the queue are all reinitialized; events still queued from a run
 // stopped early (StopWhenDecided, MaxEvents) are dropped, and with them the
-// in-flight messages they would have delivered. It panics on configuration
-// errors, exactly as Run does.
+// in-flight messages they would have delivered. Each slot's algorithm goes
+// back to the factory as amac.NodeConfig.Prev; a factory that re-arms it
+// leaves none of the previous run in it (the harness's
+// TestRecycledNodesMatchFresh holds every registered algorithm to a fresh
+// engine). It panics on configuration errors, exactly as Run does.
 func (e *Engine) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -159,7 +165,9 @@ func (e *Engine) Reset(cfg Config) {
 		clear(e.inMsg)
 		clear(e.bseq)
 	} else {
-		e.algs = make([]amac.Algorithm, n)
+		algs := make([]amac.Algorithm, n)
+		copy(algs, e.algs) // the previous run's nodes, for the factory to re-arm
+		e.algs = algs
 		e.apis = make([]api, n)
 		e.ids = make([]amac.NodeID, n)
 		e.inflight = make([]bool, n)
@@ -215,7 +223,9 @@ func (e *Engine) Reset(cfg Config) {
 		}
 		// Handlers run serially and co-timed deliveries precede acks, so
 		// every receiver is done with a message when its sender is acked.
-		alg := cfg.Factory(amac.NodeConfig{ID: id, Input: cfg.Inputs[i], Metrics: cfg.Metrics})
+		// The slot's node from the previous run goes back to the factory,
+		// which may re-arm it instead of building one.
+		alg := cfg.Factory(amac.NodeConfig{ID: id, Input: cfg.Inputs[i], Metrics: cfg.Metrics, Prev: e.algs[i]})
 		if alg == nil {
 			panic(fmt.Sprintf("sim: factory returned nil algorithm for node %d", i))
 		}
