@@ -207,11 +207,12 @@
 // internal/netmac retransmits gob datagrams over loopback UDP until every
 // neighbor's socket has acknowledged them, so its Fack is emergent.
 //
-// Invariant, enforced in one place for every MAC: Broadcast arms a
-// per-sender countdown with the sender's degree, Deliver decrements it
-// (and rejects a non-neighbor), Ack requires it to be exactly zero. A MAC
-// that acks with a delivery outstanding, delivers twice or delivers after
-// the ack ends the run with live.ErrContract naming the sender. For the
+// Invariant, enforced in one place for every MAC: Broadcast clears a
+// per-sender bitset over the sender's adjacency row, Deliver sets the
+// receiver's bit (rejecting a non-neighbor, or a bit already set), Ack
+// requires every bit to be set. A MAC that acks with a delivery
+// outstanding, delivers twice to one neighbor or delivers after the ack
+// ends the run with live.ErrContract naming the sender. For the
 // UDP MAC this dictates the reader's order: enqueue the datagram, then
 // acknowledge it on the wire. Its sockets are open to any local process,
 // so a datagram that does not decode, or whose source address is not the

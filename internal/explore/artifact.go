@@ -50,6 +50,9 @@ func (a *Artifact) Validate() error {
 	if a.MaxEvents < 0 {
 		return fmt.Errorf("explore: artifact max_events %d is negative", a.MaxEvents)
 	}
+	if a.Scenario.Topo.Kind == "" {
+		return fmt.Errorf("explore: artifact scenario has no topology")
+	}
 	return a.Schedule.Validate()
 }
 
@@ -94,6 +97,13 @@ func Decode(r io.Reader) (*Artifact, error) {
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
+	}
+	// An empty list reads as none, as Encode writes it.
+	if len(a.Schedule.Crashes) == 0 {
+		a.Schedule.Crashes = nil
+	}
+	if a.Violation != nil && len(a.Violation.Errors) == 0 {
+		a.Violation.Errors = nil
 	}
 	return &a, nil
 }

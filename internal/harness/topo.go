@@ -105,7 +105,7 @@ func ParseTopo(s string) (Topo, error) {
 		}
 		n, err1 := strconv.Atoi(parts[1])
 		p, err2 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil {
+		if err1 != nil || err2 != nil || math.IsNaN(p) {
 			return bad()
 		}
 		return Topo{Kind: kind, N: n, P: p}, nil

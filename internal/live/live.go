@@ -15,12 +15,13 @@
 // delays drawn from a seeded generator inside a wall-clock Fack, and
 // internal/netmac's retransmission layer over loopback UDP sockets.
 //
-// The model's one guarantee — every neighbor receives a broadcast before
-// its sender is acknowledged — is checked here, for every MAC, by a
-// per-sender countdown in Deliver/Ack; a MAC that breaks it ends the run
-// with ErrContract. The runtime then holds the ack until every neighbor's
-// OnReceive of the broadcast has returned, so OnAck runs after the
-// receivers' handlers here as on the simulator.
+// The model's one guarantee — every neighbor receives a broadcast once,
+// before its sender is acknowledged — is checked here, for every MAC, by
+// a per-sender bitset over its neighbors, set in Deliver and read in Ack;
+// a MAC that breaks it ends the run with ErrContract. The
+// runtime then holds the ack until every neighbor's OnReceive of the
+// broadcast has returned, so OnAck runs after the receivers' handlers
+// here as on the simulator.
 //
 // Crash failures are deliberately out of scope here; the Theorem 3.2
 // experiments need the simulator's reproducible schedules.
@@ -31,7 +32,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -147,12 +150,15 @@ type Runtime struct {
 	ids     []amac.NodeID
 	mac     MAC
 	boxes   []*mailbox.Mailbox[event]
-	owed    []atomic.Int64 // per sender: deliveries its broadcast still owes
 	held    []atomic.Int64 // per sender: the OnReceives and MAC Ack its ack still waits for
 	clock   atomic.Int64
 	started time.Time
 	done    <-chan struct{}
 	fail    context.CancelCauseFunc // ends the run with a contract error
+	// got[gotOff[s]:gotOff[s+1]] is sender s's bitset over the positions
+	// in its adjacency row: the neighbors its broadcast has reached.
+	got    []atomic.Uint64
+	gotOff []int
 
 	broadcasts, discards atomic.Int64
 
@@ -166,21 +172,40 @@ func (rt *Runtime) Done() <-chan struct{} { return rt.done }
 
 // Deliver hands m, broadcast by sender, to node to.
 func (rt *Runtime) Deliver(sender, to int, m amac.Message) {
-	if !rt.graph.HasEdge(sender, to) {
+	i := rt.slot(sender, to)
+	if i < 0 {
 		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered to non-neighbor %d", ErrContract, sender, to))
 		return
 	}
-	if rt.owed[sender].Add(-1) < 0 {
-		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered more than once per neighbor or after its ack", ErrContract, sender))
+	bit := uint64(1) << (i % 64)
+	if rt.got[rt.gotOff[sender]+i/64].Or(bit)&bit != 0 {
+		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered to neighbor %d more than once, or after its ack", ErrContract, sender, to))
 		return
 	}
 	rt.boxes[to].Push(event{msg: m, from: sender})
 }
 
+// slot returns to's position in sender's adjacency row, or -1 when to is
+// not a neighbor of sender.
+func (rt *Runtime) slot(sender, to int) int {
+	row := rt.graph.Neighbors(sender)
+	if !rt.graph.Sorted() {
+		return slices.Index(row, to)
+	}
+	if i, ok := slices.BinarySearch(row, to); ok {
+		return i
+	}
+	return -1
+}
+
 // Ack completes sender's broadcast; the sender's OnAck runs once its
 // receivers' OnReceives have returned too.
 func (rt *Runtime) Ack(sender int) {
-	if owed := rt.owed[sender].Load(); owed != 0 {
+	reached := 0
+	for i := rt.gotOff[sender]; i < rt.gotOff[sender+1]; i++ {
+		reached += bits.OnesCount64(rt.got[i].Load())
+	}
+	if owed := rt.graph.Degree(sender) - reached; owed != 0 {
 		rt.fail(fmt.Errorf("%w: node %d acked with %d deliveries outstanding", ErrContract, sender, owed))
 		return
 	}
@@ -221,7 +246,9 @@ func (a *api) Broadcast(m amac.Message) bool {
 	a.sent = m
 	rt.broadcasts.Add(1)
 	deg := int64(rt.graph.Degree(a.node))
-	rt.owed[a.node].Store(deg)
+	for i := rt.gotOff[a.node]; i < rt.gotOff[a.node+1]; i++ {
+		rt.got[i].Store(0)
+	}
 	rt.held[a.node].Store(deg + 1)
 	rt.mac.Broadcast(a.node, m)
 	return true
@@ -335,7 +362,6 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 		graph:      cfg.Graph,
 		ids:        ids,
 		boxes:      make([]*mailbox.Mailbox[event], n),
-		owed:       make([]atomic.Int64, n),
 		held:       make([]atomic.Int64, n),
 		started:    time.Now(),
 		done:       runCtx.Done(),
@@ -347,6 +373,11 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 			DecideTime: make([]time.Duration, n),
 		},
 	}
+	rt.gotOff = make([]int, n+1)
+	for i := range n {
+		rt.gotOff[i+1] = rt.gotOff[i] + (cfg.Graph.Degree(i)+63)/64
+	}
+	rt.got = make([]atomic.Uint64, rt.gotOff[n])
 	rt.undecided.Store(int64(n))
 	for i := range rt.boxes {
 		rt.boxes[i] = mailbox.New[event]()

@@ -80,6 +80,8 @@ func TestContractViolations(t *testing.T) {
 	}{
 		{"ack with one delivery outstanding", func(_ int, nbrs []int) []int { return nbrs[1:] }, "acked with 1 deliveries outstanding"},
 		{"delivers twice", func(_ int, nbrs []int) []int { return append([]int{nbrs[0]}, nbrs...) }, "more than once"},
+		// As many deliveries as neighbors, so a per-sender count balances.
+		{"delivers twice to one neighbor, never to another", func(_ int, nbrs []int) []int { return []int{nbrs[0], nbrs[0]} }, "more than once"},
 		{"delivers to a non-neighbor", func(sender int, _ []int) []int { return []int{(sender + 2) % 4} }, "non-neighbor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

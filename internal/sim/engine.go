@@ -83,7 +83,7 @@ type Engine struct {
 	mDiscards  metrics.Counter // broadcasts attempted while one in flight
 	mQueueHigh metrics.Gauge   // event-queue depth (high-water tracked)
 
-	// par runs large bucket arrays on every core (phase.go); it is made by
+	// par runs large buckets on every core (phase.go); it is made by
 	// the engine's first phase. phasing is set while a pass runs: handlers
 	// log their engine half.
 	par     *phases
@@ -495,12 +495,12 @@ func (e *Engine) Run() *Result {
 // drain processes the queue one calendar bucket per clock step until it
 // empties or a stop rule fires. The clock and Result.Time move once per
 // bucket; the bucket's delivery array and then its ack array are read in
-// place, front to back, or run as parallel phases when phaseWidth admits
-// them (phase.go). No handler pushes into the bucket being drained —
-// validatePlan puts every delivery and ack strictly after the broadcast's
-// Now — so the arrays cannot grow under the loop. A drained bucket is
-// reset once; a run that stops inside a bucket leaves it marked, and the
-// next Reset clears it (eventQueue.init).
+// place, front to back, or, when phaseWidth admits the bucket, run as
+// parallel phases, one per array (phase.go). No handler pushes into the
+// bucket being drained — validatePlan puts every delivery and ack strictly
+// after the broadcast's Now — so the arrays cannot grow under the loop. A
+// drained bucket is reset once; a run that stops inside a bucket leaves it
+// marked, and the next Reset clears it (eventQueue.init).
 func (e *Engine) drain() {
 	draining.Add(1)
 	defer draining.Add(-1)
@@ -516,8 +516,11 @@ func (e *Engine) drain() {
 		e.now = t
 		e.res.Time = t
 		b := &q.buckets[t&q.mask]
-		if w := e.phaseWidth(len(b.dels)); w > 1 {
-			if e.phase(w, b.dels, nil) {
+		if w := e.phaseWidth(len(b.dels) + len(b.acks)); w > 1 {
+			if len(b.dels) > 0 && e.phase(w, b.dels, nil) {
+				return
+			}
+			if len(b.acks) > 0 && e.phase(w, nil, b.acks) {
 				return
 			}
 		} else {
@@ -534,12 +537,6 @@ func (e *Engine) drain() {
 					}
 				}
 			}
-		}
-		if w := e.phaseWidth(len(b.acks)); w > 1 {
-			if e.phase(w, nil, b.acks) {
-				return
-			}
-		} else {
 			for _, a := range b.acks {
 				if e.cutoff() {
 					return

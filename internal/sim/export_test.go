@@ -7,6 +7,16 @@ import "github.com/absmac/absmac/internal/amac"
 // keeps every bucket on the sequential loop, and 0 restores the default.
 func ForcePhases(e *Engine, w int) { e.forcePhases = w }
 
+// PhaseSafe wraps s so that the engine's own admission rule takes its runs
+// as phases, as it does the package's schedulers. A test scheduler that
+// logs plans qualifies: a phase calls Plan only from its replay, on the
+// goroutine that runs drain.
+func PhaseSafe(s Scheduler) Scheduler { return phaseSafeScheduler{s} }
+
+type phaseSafeScheduler struct{ Scheduler }
+
+func (phaseSafeScheduler) phaseSafe() bool { return true }
+
 // PhasesRun returns how many parallel phases e has run since it was made.
 func PhasesRun(e *Engine) int {
 	if e.par == nil {

@@ -8,16 +8,17 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 )
 
-// This file runs a large bucket array — the deliveries of one time, or its
-// acks — as a parallel phase. The rules are in the package comment,
-// "Bucket phases".
+// This file runs a large bucket — the deliveries of one time, then its
+// acks — as parallel phases, one per array. The rules are in the package
+// comment, "Bucket phases".
 
-// phaseMin is the shortest array that runs as a phase. Arrays of 89 % of
-// the events of wpaxos on expander:4096:8 and 99.9 % on clique:1024 reach
-// it; floodpaxos on expander:1024:8 (arrays up to ~2 200 events) read
-// slower with phases at 1024 and 2048, its handlers being too cheap to pay
-// for the fan-out, merge and replay (CHANGES.md has the distributions and
-// the A/B).
+// phaseMin is the fewest events, deliveries and acks together, of a bucket
+// that runs as phases. Buckets holding 99.8 % of the events of wpaxos on
+// expander:4096:8 and all of twophase's on clique:1024 reach it (arrays
+// alone: 89 % and 99.9 %, no ack array among them); floodpaxos on
+// expander:1024:8 (buckets up to ~2 200 events) read slower with phases
+// at 1024 and 2048, its handlers being too cheap to pay for the fan-out,
+// merge and replay (CHANGES.md has the distributions and the A/B).
 const phaseMin = 4096
 
 // Passes of a phase. Under StopWhenDecided the owing nodes — crash-free and
@@ -120,13 +121,13 @@ func (s *Lossy) phaseSafe() bool     { return phaseSafe(s.Base) }
 // hold every P — a parallel sweep — keep the sequential loop.
 var draining atomic.Int32
 
-// phaseWidth returns how many workers run an array of n events at the
-// current bucket, or 1 for the sequential loop. A phase needs at least
-// phaseMin events, two or more Ps no other draining engine holds, a run
-// nothing watches (no Observer, no Metrics, no test hook), a bucket inside
-// the event budget, a stop rule that has not already fired, and one of the
-// package's schedulers. The size test comes first and alone, so that it
-// inlines into drain and a small array pays no call.
+// phaseWidth returns how many workers run the phases of the current
+// bucket, which holds n events, or 1 for the sequential loop. Phases need
+// at least phaseMin events, two or more Ps no other draining engine holds,
+// a run nothing watches (no Observer, no Metrics, no test hook), a bucket
+// inside the event budget, a stop rule that has not already fired, and one
+// of the package's schedulers. The size test comes first and alone, so
+// that it inlines into drain and a small bucket pays no call.
 func (e *Engine) phaseWidth(n int) int {
 	if n < phaseMin && e.forcePhases == 0 {
 		return 1
@@ -142,7 +143,7 @@ func (e *Engine) phaseWidthLarge(n int) int {
 		}
 		w = runtime.GOMAXPROCS(0) - int(draining.Load()) + 1
 	}
-	if w < 2 || n == 0 || e.cfg.Observer != nil || e.cfg.Metrics != nil || e.queueHook != nil || e.checkStops ||
+	if w < 2 || e.cfg.Observer != nil || e.cfg.Metrics != nil || e.queueHook != nil || e.checkStops ||
 		e.res.Events+n > e.maxEvt || (e.cfg.StopWhenDecided && e.undecided == 0) {
 		return 1
 	}

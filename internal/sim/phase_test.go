@@ -40,10 +40,10 @@ type execution struct {
 }
 
 // execute runs cfg with every bucket array forced onto w workers (w = 1:
-// the sequential loop).
+// the sequential loop; w = 0: the engine's own admission rule).
 func execute(cfg sim.Config, w int) (x execution) {
 	pl := &planTape{base: cfg.Scheduler}
-	cfg.Scheduler = pl
+	cfg.Scheduler = sim.PhaseSafe(pl)
 	e := sim.NewEngine(cfg)
 	sim.ForcePhases(e, w)
 	defer func() {
@@ -72,18 +72,25 @@ func sameExecution(t *testing.T, name string, mk func() sim.Config, widths ...in
 		t.Fatalf("%s: the sequential reference ran %d phases", name, want.phases)
 	}
 	for _, w := range widths {
-		sameAs(t, fmt.Sprintf("%s w=%d", name, w), execute(mk(), w), want)
+		forcedSameAs(t, fmt.Sprintf("%s w=%d", name, w), execute(mk(), w), want)
 	}
 	return want
 }
 
-// sameAs fails unless the phased execution got agrees with the sequential
-// one, want.
-func sameAs(t *testing.T, name string, got, want execution) {
+// forcedSameAs is sameAs for a run forced onto phases: it also fails unless
+// some bucket ran as one.
+func forcedSameAs(t *testing.T, name string, got, want execution) {
 	t.Helper()
 	if got.phases == 0 && want.res.Events > 0 {
 		t.Errorf("%s: no bucket ran as a phase", name)
 	}
+	sameAs(t, name, got, want)
+}
+
+// sameAs fails unless the execution got agrees with the sequential one,
+// want.
+func sameAs(t *testing.T, name string, got, want execution) {
+	t.Helper()
 	if !reflect.DeepEqual(got.panic, want.panic) {
 		t.Errorf("%s: panic %v, sequential %v", name, got.panic, want.panic)
 		return
@@ -237,7 +244,7 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 		}
 		wg.Wait()
 		for i := range got {
-			sameAs(t, fmt.Sprintf("engine %d", i), got[i], want)
+			forcedSameAs(t, fmt.Sprintf("engine %d", i), got[i], want)
 		}
 	})
 
@@ -308,6 +315,92 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBucketPhaseAdmission runs the engine's own admission rule, which the
+// forced test above bypasses: a bucket of at least phaseMin events runs as
+// a phase, its deliveries and then its acks, even when the ack array alone
+// is far below phaseMin. Every tick of a 96-node clique under Synchronous
+// holds 9 120 deliveries and 96 acks. With two or more Ps each such bucket
+// must run two phases, with one P none, and either way the Result, the
+// views and the plans must equal the sequential loop's.
+func TestBucketPhaseAdmission(t *testing.T) {
+	const n = 96
+	g := graph.Clique(n)
+	for _, stop := range []bool{false, true} {
+		name := fmt.Sprintf("stop=%v", stop)
+		mk := func() sim.Config {
+			return sim.Config{
+				Graph:           g,
+				Inputs:          make([]amac.Value, n),
+				Factory:         chorusFactory,
+				Scheduler:       sim.Synchronous{Round: 1},
+				StopWhenDecided: stop,
+			}
+		}
+		want := execute(mk(), 1)
+		got := execute(mk(), 0)
+		sameAs(t, name, got, want)
+
+		// The workload is what the test claims: every tick up to the last
+		// is one full bucket. Without the stop rule every node broadcasts
+		// chorusRounds times; with it the run ends on the last owing
+		// decide, in the ack array of tick chorusDecideMax.
+		ticks := int64(chorusRounds)
+		if stop {
+			ticks = chorusDecideMax
+		}
+		if r := want.res; r.Time != ticks || r.Deliveries != int(ticks)*n*(n-1) || r.Acks > int(ticks)*n || r.Acks <= int(ticks-1)*n {
+			t.Fatalf("%s: t=%d, %d deliveries, %d acks; want %d full ticks of %d deliveries and %d acks", name, r.Time, r.Deliveries, r.Acks, ticks, n*(n-1), n)
+		}
+		phases := 0
+		if runtime.GOMAXPROCS(0) >= 2 {
+			phases = 2 * int(ticks)
+		}
+		if got.phases != phases {
+			t.Errorf("%s at GOMAXPROCS %d: %d phases over %d buckets, want %d", name, runtime.GOMAXPROCS(0), got.phases, ticks, phases)
+		}
+	}
+}
+
+// A chorus node broadcasts chorusRounds messages, the first at Start and
+// each next one at an ack, and decides its input at ack 2 + i%3 (node
+// index i), chorusDecideMax at the latest: every node rebroadcasts, and
+// the last decide falls inside an ack array.
+const chorusRounds, chorusDecideMax = 6, 4
+
+type chorus struct {
+	api        amac.API
+	input      amac.Value
+	decideAt   int
+	recv, acks int
+	decided    bool
+}
+
+func chorusFactory(nc amac.NodeConfig) amac.Algorithm {
+	return &chorus{input: nc.Input, decideAt: chorusDecideMax - 2 + int(nc.ID-1)%3}
+}
+
+func (a *chorus) Start(api amac.API) {
+	a.api = api
+	api.Broadcast(probeMsg{ids: 1})
+}
+
+func (a *chorus) OnReceive(amac.Message) { a.recv++ }
+
+func (a *chorus) OnAck(amac.Message) {
+	a.acks++
+	if a.acks == a.decideAt {
+		a.decided = true
+		a.api.Decide(a.input)
+	}
+	if a.acks < chorusRounds {
+		a.api.Broadcast(probeMsg{ids: 1})
+	}
+}
+
+func (a *chorus) Inspect() amac.View {
+	return amac.View{Decided: a.decided, Decision: a.input, Omega: amac.NoID, MaxTag: int64(a.recv), OmegaSince: int64(a.acks)}
 }
 
 // panicPlan panics when sender plans its broadcast seq.

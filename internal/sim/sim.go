@@ -45,8 +45,9 @@
 // bucket it advances the cursor by a bitmap word scan (one word per 64
 // buckets) and moves the clock and Result.Time; then it reads the bucket's
 // delivery array and its ack array in place, front to back, handing each
-// entry to Engine.deliver or Engine.ack — or, for a large array, runs it
-// as a parallel phase (Bucket phases, below). The per-event checks stay
+// entry to Engine.deliver or Engine.ack — or, for a large bucket, runs
+// each array as a parallel phase (Bucket phases, below). The choice is
+// made once per bucket. The per-event checks stay
 // per event: the MaxEvents cutoff, the event counts, the StopWhenDecided
 // test and the differential hook. The StopWhenDecided test runs after an event
 // that reaches a node, never after a crash drop, and owes a decision only
@@ -118,16 +119,24 @@
 // bucket; no handler pushes into the bucket being drained; and nodes share
 // no unsynchronized state (the amac.Algorithm contract — the wall-clock
 // runtime already runs one goroutine per node). drain therefore runs a
-// large array, the deliveries of a time and then its acks, as a parallel
-// phase (phase.go) when all of these hold:
-//   - the array holds at least phaseMin (4096) events;
+// large bucket as parallel phases (phase.go): its deliveries as one
+// phase, replayed, then its acks as another, replayed. Admission is per
+// bucket, so the acks of a bucket whose deliveries are large run on every
+// core too, however few they are (on expander:4096:8 no ack array reaches
+// phaseMin by itself; left sequential, the acks took a third of drain's
+// wall time on two Ps). The
+// acks stay a pass of their own: wpaxos and floodpaxos refill their one
+// message in place at the ack, and a co-timed delivery of the old
+// message must run first. A bucket runs as phases when all of these hold:
+//   - the bucket holds at least phaseMin (4096) events, deliveries and
+//     acks together;
 //   - at least two Ps are left: GOMAXPROCS, less one for every other
 //     engine of the process inside its drain, is 2 or more. Engines that
 //     already hold every P — a parallel sweep — keep the sequential loop;
 //   - the run has no Observer, no Metrics and no test hook;
-//   - the array fits in the remaining event budget;
+//   - the bucket fits in the remaining event budget;
 //   - StopWhenDecided has not already fired (the undecided counter is not
-//     0 — the sequential loop would stop after the array's first event
+//     0 — the sequential loop would stop after the bucket's first event
 //     that reaches a node);
 //   - the scheduler is one of this package's own: Synchronous, MaxDelay,
 //     Random, EdgeOrder, or Lossy, Gate or SlowSubset around one of them.
@@ -146,7 +155,8 @@
 //     yet: it waits only for workers already running, never for a pool
 //     kept busy by other engines to get round to it. A warm phase
 //     allocates nothing (BENCH_engine.json pins BenchmarkWarmRunClique at
-//     -cpu 2, whose clique:1024 buckets all take phases).
+//     -cpu 2, whose clique:1024 buckets all take phases, ack arrays
+//     included).
 //   - A handler's node-local effects are written in place: the in-flight
 //     flag, message and sequence number, Decided, Decision and DecideTime,
 //     and Crashed for its own node. A sender-crash drop does not mark the
@@ -175,7 +185,10 @@
 // grid, the large bench-shaped runs and probes built to stop mid-bucket,
 // decide twice and panic onto 2, 3 and 5 workers, and compares every
 // Result field, every node's amac.View and every plan, in order, with the
-// sequential loop.
+// sequential loop. TestBucketPhaseAdmission runs the unforced rule on
+// buckets of 9 120 deliveries and 96 acks: each must take a delivery
+// phase and an ack phase when there are Ps to spare and none on one P,
+// with the same execution.
 package sim
 
 import (
