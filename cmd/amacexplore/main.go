@@ -16,8 +16,13 @@
 //	amacexplore -algo wpaxos -topo ring:9 -sched random -fack 4 -seed 4 \
 //	            -crash midbroadcast -overlay chords -budget 512
 //
-// With -minimize the first violation (the base run's own, if it
-// violates) is delta-debugged down to a minimal failing schedule: crashes
+// The violation carried forward is the most severe one found, in
+// consensus.Severity's order (agreement first); among equals the base
+// run's own wins, then the earliest candidate. -budget 0 skips the
+// search, so the base run's own violation is carried. A perturbed pick is
+// re-recorded into a complete schedule. Campaigns pick by the same rule
+// (explore.Counterexample is the one path for both). With -minimize that
+// violation is delta-debugged down to a minimal failing schedule: crashes
 // dropped, unreliable deliveries pruned chunk-wise, the recorded suffix
 // truncated, and the topology itself shrunk where the family allows —
 // each reduction accepted only if the violation reproduces, and re-closed
@@ -116,7 +121,7 @@ func main() {
 	overlay := flag.String("overlay", "none", "unreliable overlay family[:param][@Q]: "+strings.Join(harness.Overlays(), " | "))
 
 	// Exploration flags (shared by -grid where noted).
-	budget := flag.Int("budget", 256, "perturbed schedules to replay (with -grid: per flagged run; 0 skips the search)")
+	budget := flag.Int("budget", 256, "perturbed schedules to replay around the base run (with -grid: around each cell's first flagged run); 0 skips the search in both modes")
 	searchSeed := flag.Int64("searchseed", 1, "seed for candidate generation (independent of the scenario seed)")
 	maxEvents := flag.Int("maxevents", 0, "per-execution event cap, set on the scenario (with -grid: on the grid); capped undecided runs classify as non-termination (0 = the simulator's one default, 5000000; negative is an error)")
 	minimize := flag.Bool("minimize", false, "delta-debug each violation down to a minimal failing schedule")
@@ -203,41 +208,17 @@ type exploreOutput struct {
 }
 
 func runExplore(sc harness.Scenario, opts explore.Options, minimize bool, out string, jsonOut bool) int {
-	rep, err := explore.Explore(sc, opts)
+	rep, artifact, shrink, err := explore.Counterexample(sc, opts, minimize)
 	if err != nil {
 		return fail(err)
 	}
-
-	// Pick the violation to carry forward: the base run's own beats any
-	// perturbed finding (it needs no perturbation to reproduce).
-	var (
-		kind      string
-		schedule  = rep.BaseSchedule
-		violation = rep.Base
-	)
-	if violation == nil && len(rep.Findings) > 0 {
-		if schedule, violation, err = explore.CloseFinding(rep.Scenario, rep.Findings[0]); err != nil {
-			return fail(err)
+	var violation *consensus.Violation
+	if artifact != nil {
+		violation = artifact.Violation
+		artifact.Note = fmt.Sprintf("amacexplore budget=%d searchseed=%d", opts.Budget, opts.Seed)
+		if shrink != nil {
+			artifact.Note += " minimized"
 		}
-	}
-	if violation != nil {
-		kind = violation.Kind
-	}
-
-	output := exploreOutput{Report: rep}
-	artifact := &explore.Artifact{
-		Format: explore.ArtifactFormat, Scenario: rep.Scenario,
-		MaxEvents: rep.Scenario.MaxEvents, Schedule: schedule, Violation: violation,
-		Note: fmt.Sprintf("amacexplore budget=%d searchseed=%d", opts.Budget, opts.Seed),
-	}
-	if minimize && violation != nil {
-		res, err := explore.Shrink(rep.Scenario, schedule, kind, explore.ShrinkOptions{Workers: opts.Workers})
-		if err != nil {
-			return fail(err)
-		}
-		res.Artifact.Note = artifact.Note + " minimized"
-		output.Shrink = res
-		artifact = res.Artifact
 	}
 	if out != "" {
 		if violation == nil {
@@ -250,11 +231,11 @@ func runExplore(sc harness.Scenario, opts explore.Options, minimize bool, out st
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(output); err != nil {
+		if err := enc.Encode(exploreOutput{Report: rep, Shrink: shrink}); err != nil {
 			return fail(err)
 		}
 	} else {
-		printReport(rep, output.Shrink, out, violation)
+		printReport(rep, shrink, out, violation)
 	}
 	if violation != nil {
 		return 1

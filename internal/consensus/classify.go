@@ -30,9 +30,10 @@ var verdicts = []struct {
 	{KindSubstrate, func(r *Report) bool { return len(r.Errors) > 0 }},
 }
 
-// Severity ranks a violation kind, most severe first (0 = agreement). The
-// campaign's escalation policy sorts with it. Unknown kinds rank below
-// every known one.
+// Severity ranks a violation kind, most severe first (0 = agreement).
+// explore.Counterexample, the one counterexample path of explore mode and
+// campaigns, carries forward the violation it ranks first. Unknown kinds
+// rank below every known one.
 func Severity(kind string) int {
 	for i, v := range verdicts {
 		if v.kind == kind {

@@ -3,11 +3,9 @@ package explore
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
-	"github.com/absmac/absmac/internal/sim"
 )
 
 // This file implements the campaign driver: grid-wide violation hunting.
@@ -54,13 +52,6 @@ type CampaignOptions struct {
 	ArtifactDir string
 }
 
-func (o CampaignOptions) withDefaults() CampaignOptions {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
 // CellCoverage reports one cell's schedule coverage.
 type CellCoverage struct {
 	// Cell indexes CampaignReport.Cells.
@@ -84,10 +75,10 @@ type CampaignFinding struct {
 	Cell int `json:"cell"`
 	// Scenario is the violating scenario (seed included).
 	Scenario harness.Scenario `json:"scenario"`
-	// Violation is the classification of the artifact's schedule. Its
-	// kind equals what the sweep flagged, except when a perturbation
-	// search (Budget > 0) escalated to a more severe violation found in
-	// the flagged run's schedule neighborhood.
+	// Violation is the classification of the artifact's schedule: the
+	// most severe violation Counterexample found, so its kind is what the
+	// sweep flagged unless a perturbation search (Budget > 0) found a
+	// more severe one in the flagged run's schedule neighborhood.
 	Violation *consensus.Violation `json:"violation"`
 	// Steps and Deliveries size the artifact's schedule.
 	Steps      int `json:"steps"`
@@ -129,7 +120,6 @@ type CampaignReport struct {
 // shared worker pool. Deterministic given (grid, opts) modulo Workers,
 // which only changes wall-clock time.
 func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) {
-	opts = opts.withDefaults()
 	work, err := grid.Cells()
 	if err != nil {
 		return nil, err
@@ -192,87 +182,35 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 	return rep, nil
 }
 
-// campaignFinding turns one flagged run into an artifact: re-record the
-// run (byte-identical to the sweep's execution), optionally search its
-// perturbation neighborhood, optionally minimize, optionally write.
+// campaignFinding turns one flagged run into an artifact through the one
+// counterexample path, then optionally writes it.
 func campaignFinding(pool *evalPool, cell int, f harness.FlaggedRun, opts CampaignOptions) (*CampaignFinding, error) {
 	sc := f.Scenario // carries the grid's event cap
-
-	var (
-		schedule  *sim.Schedule
-		violation *consensus.Violation
-		explored  *Stats
-	)
-	if opts.Budget > 0 {
-		er, err := exploreOn(pool, sc, Options{Budget: opts.Budget, Seed: opts.SearchSeed})
-		if err != nil {
-			return nil, err
-		}
-		schedule, violation = er.BaseSchedule, er.Base
-		explored = &er.Stats
-		if violation == nil || violation.Kind != f.Violation.Kind {
-			// The sweep flagged this exact execution and recording does not
-			// perturb it, so the recorded base run must reproduce the
-			// flagged kind; a mismatch means determinism broke below us.
-			return nil, fmt.Errorf("flagged %s violation did not reproduce on recording (got %+v)", f.Violation.Kind, violation)
-		}
-		// Severity escalation: the base run's violation is the default
-		// artifact (it needs no perturbation to reproduce), but a perturbed
-		// finding that breaks a MORE severe property — a safety break found
-		// behind a stall — explains more. Take the MOST severe finding
-		// (first in candidate order among ties) and close it into a
-		// complete recording so the artifact still replays divergence-free.
-		var best *Finding
-		for _, pf := range er.Findings {
-			if consensus.Severity(pf.Violation.Kind) >= consensus.Severity(violation.Kind) {
-				continue
-			}
-			if best == nil || consensus.Severity(pf.Violation.Kind) < consensus.Severity(best.Violation.Kind) {
-				best = pf
-			}
-		}
-		if best != nil {
-			closed, v, err := CloseFinding(sc, best)
-			if err != nil {
-				return nil, err
-			}
-			schedule, violation = closed, v
-		}
-	} else {
-		out, sched, err := sc.RunRecorded()
-		if err != nil {
-			return nil, err
-		}
-		schedule, violation = sched, out.Violation()
-		if violation == nil || violation.Kind != f.Violation.Kind {
-			return nil, fmt.Errorf("flagged %s violation did not reproduce on recording (got %+v)", f.Violation.Kind, violation)
-		}
+	rep, artifact, shrunk, err := counterexampleOn(pool, sc, Options{Budget: opts.Budget, Seed: opts.SearchSeed}, opts.Minimize)
+	if err != nil {
+		return nil, err
 	}
-
+	if rep.Base == nil || rep.Base.Kind != f.Violation.Kind {
+		// The sweep flagged this exact execution and recording does not
+		// perturb it, so the recorded base run must reproduce the flagged
+		// kind; a mismatch means determinism broke below us.
+		return nil, fmt.Errorf("flagged %s violation did not reproduce on recording (got %+v)", f.Violation.Kind, rep.Base)
+	}
 	finding := &CampaignFinding{
-		Cell: cell, Scenario: sc, Violation: violation,
-		Explored: explored,
+		Cell:      cell,
+		Scenario:  artifact.Scenario, // a topology shrink may have moved it
+		Violation: artifact.Violation,
+		Steps:     len(artifact.Schedule.Steps), Deliveries: artifact.Schedule.Deliveries(),
+		Minimized: shrunk != nil, Artifact: artifact,
 	}
-	artifact := &Artifact{
-		Format: ArtifactFormat, Scenario: sc, MaxEvents: sc.MaxEvents,
-		Schedule: schedule, Violation: violation,
-		Note: "campaign",
-	}
-	if opts.Minimize {
-		res, err := shrinkOn(pool, sc, schedule, violation.Kind)
-		if err != nil {
-			return nil, err
-		}
-		artifact = res.Artifact
+	artifact.Note = "campaign"
+	if shrunk != nil {
 		artifact.Note = "campaign minimized"
-		finding.Minimized = true
-		finding.ShrinkAttempts = res.Attempts
-		finding.Scenario = artifact.Scenario // topology shrink may have moved it
-		finding.Violation = artifact.Violation
+		finding.ShrinkAttempts = shrunk.Attempts
 	}
-	finding.Steps = len(artifact.Schedule.Steps)
-	finding.Deliveries = artifact.Schedule.Deliveries()
-	finding.Artifact = artifact
+	if opts.Budget > 0 {
+		finding.Explored = &rep.Stats
+	}
 	if opts.ArtifactDir != "" {
 		path := filepath.Join(opts.ArtifactDir, ArtifactName(f.Scenario))
 		if err := artifact.WriteFile(path); err != nil {
@@ -306,26 +244,4 @@ func ArtifactName(sc harness.Scenario) string {
 		}
 	}
 	return string(out) + ".json"
-}
-
-// CloseFinding re-records a perturbed finding's execution — its schedule
-// diverges by construction, the replay falling back past the perturbation
-// point — and returns the closed schedule (every broadcast a recorded
-// step, so it replays with zero divergence and passes -replay
-// verification) with its classification. It errors when the finding's
-// violation kind does not reproduce on re-recording.
-func CloseFinding(sc harness.Scenario, f *Finding) (*sim.Schedule, *consensus.Violation, error) {
-	runner, err := sc.NewReplayRunner()
-	if err != nil {
-		return nil, nil, err
-	}
-	out, _, closed, err := runner.RunRecorded(f.Schedule, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	v := out.Violation()
-	if v == nil || v.Kind != f.Violation.Kind {
-		return nil, nil, fmt.Errorf("finding %d did not reproduce on re-recording (got %+v, want %s)", f.Candidate, v, f.Violation.Kind)
-	}
-	return closed, v, nil
 }

@@ -24,24 +24,25 @@
 // minimal failing artifact; Artifact (artifact.go) is the JSON file format
 // cmd/amacexplore reads and writes.
 //
-// On top of single-scenario exploration sits the campaign pipeline
-// (campaign.go): Campaign sweeps a whole harness.Grid with flagged-run
-// streaming and schedule-coverage fingerprints on (harness.SweepOptions),
-// collects every violating (scenario, seed) the cell workers classify,
-// and turns the first flagged run of each cell into a recorded,
-// perturbation-explored and minimized counterexample artifact. All
-// replay work — exploration candidates and shrink candidates across every
-// flagged cell — runs on one shared worker pool (pool.go) whose workers
-// cache ReplayRunners per scenario, and shrinking evaluates its ddmin
-// candidate batches speculatively in parallel while accepting in
-// deterministic candidate order, so campaign reports and artifacts are
-// byte-identical at every pool width. cmd/amacexplore -grid is the CLI.
+// Counterexample is the one path from a scenario to an artifact (search,
+// pick, close, shrink). cmd/amacexplore's explore mode calls it once; the
+// campaign pipeline (campaign.go) calls it per flagged cell. Campaign
+// sweeps a whole harness.Grid with schedule-coverage fingerprints on
+// (harness.SweepOptions), collects every violating (scenario, seed) the
+// cell workers classify, and runs the first flagged run of each cell
+// through Counterexample. All replay work — exploration candidates and
+// shrink candidates across every flagged cell — runs on one shared worker
+// pool (pool.go) whose workers cache ReplayRunners per scenario, and
+// shrinking evaluates its ddmin candidate batches speculatively in
+// parallel while accepting in deterministic candidate order, so campaign
+// reports and artifacts are byte-identical at every pool width.
+// cmd/amacexplore -grid is the CLI.
 package explore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -50,11 +51,13 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// Options tunes an exploration. The zero value means: budget 256, workers
-// GOMAXPROCS, seed 1. Every replay runs under Scenario.MaxEvents; a capped
-// run with undecided survivors classifies as non-termination.
+// Options tunes an exploration. The zero value means: no search (the
+// report holds the recorded base run alone), workers GOMAXPROCS, seed 1.
+// Every replay runs under Scenario.MaxEvents; a capped run with undecided
+// survivors classifies as non-termination.
 type Options struct {
-	// Budget is the number of perturbed schedules to replay.
+	// Budget is the number of perturbed schedules to replay (<= 0 skips
+	// the search).
 	Budget int
 	// Workers is the replay worker-pool width (<= 0 means GOMAXPROCS).
 	Workers int
@@ -68,12 +71,7 @@ type Options struct {
 const walkLen = 8
 
 func (o Options) withDefaults() Options {
-	if o.Budget <= 0 {
-		o.Budget = 256
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o.Budget = max(o.Budget, 0)
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -145,16 +143,14 @@ type candidate struct {
 // rerunning an exploration reproduces its findings exactly, at any worker
 // count.
 func Explore(sc harness.Scenario, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	p := newEvalPool(opts.Workers)
 	defer p.close()
 	return exploreOn(p, sc, opts)
 }
 
-// exploreOn runs one exploration on a caller-owned pool — the campaign
-// entry point, where many explorations and shrinks share one pool and its
-// per-worker runner caches. opts.Workers is ignored here; the pool's width
-// rules.
+// exploreOn runs one exploration on a caller-owned pool, where the
+// counterexample path's search, close and shrink share its per-worker
+// runner caches. opts.Workers is ignored here; the pool's width rules.
 func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	baseOut, baseSched, err := sc.RunRecorded()
@@ -243,6 +239,63 @@ func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) 
 		rep.Findings = append(rep.Findings, f)
 	}
 	return rep, nil
+}
+
+// Counterexample is the one counterexample path, behind explore mode and
+// every campaign finding. It records sc's base run and searches
+// opts.Budget perturbations of its schedule, picks the most severe
+// violation (consensus.Severity; among equals the base run, then the
+// earliest candidate), closes a perturbed pick into a complete recording,
+// and minimizes when asked. The artifact is nil when nothing violated;
+// with minimize it is the ShrinkResult's. Deterministic given (sc, opts,
+// minimize) at any width.
+func Counterexample(sc harness.Scenario, opts Options, minimize bool) (*Report, *Artifact, *ShrinkResult, error) {
+	p := newEvalPool(opts.Workers)
+	defer p.close()
+	return counterexampleOn(p, sc, opts, minimize)
+}
+
+// counterexampleOn is Counterexample on a caller-owned pool (a
+// campaign's, shared across its flagged cells).
+func counterexampleOn(p *evalPool, sc harness.Scenario, opts Options, minimize bool) (*Report, *Artifact, *ShrinkResult, error) {
+	rep, err := exploreOn(p, sc, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	schedule, v := rep.BaseSchedule, rep.Base
+	var pick *Finding
+	rank := math.MaxInt // a clean base loses to any finding
+	if v != nil {
+		rank = consensus.Severity(v.Kind)
+	}
+	for _, f := range rep.Findings {
+		if r := consensus.Severity(f.Violation.Kind); r < rank {
+			pick, rank = f, r
+		}
+	}
+	if pick != nil {
+		// A perturbed schedule diverges by construction; re-recording
+		// closes it so the artifact replays with zero divergence.
+		p.runOne(func(rs *runnerSet) { schedule, v, _, err = rs.rerecord(sc, pick.Schedule) })
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if v == nil || v.Kind != pick.Violation.Kind {
+			return nil, nil, nil, fmt.Errorf("finding %d did not reproduce on re-recording (got %+v, want %s)", pick.Candidate, v, pick.Violation.Kind)
+		}
+	}
+	if v == nil {
+		return rep, nil, nil, nil
+	}
+	a := &Artifact{Format: ArtifactFormat, Scenario: sc, MaxEvents: sc.MaxEvents, Schedule: schedule, Violation: v}
+	if !minimize {
+		return rep, a, nil, nil
+	}
+	res, err := shrinkOn(p, sc, schedule, v.Kind)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rep, res.Artifact, res, nil
 }
 
 // generator produces the deterministic candidate sequence.

@@ -3,6 +3,8 @@ package explore
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/absmac/absmac/internal/consensus"
@@ -184,5 +186,119 @@ func TestArtifactRoundTrip(t *testing.T) {
 	bad := bytes.NewBufferString(`{"format": 99, "schedule": {"fack": 4}}`)
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("Decode accepted an unknown format version")
+	}
+}
+
+// TestCounterexamplePicksMostSevere pins the one pick rule on the
+// canonical stall cell: the most severe violation wins, the base run wins
+// among equals, then the earliest candidate.
+func TestCounterexamplePicksMostSevere(t *testing.T) {
+	t.Run("perturbed agreement beats the base stall", func(t *testing.T) {
+		rep, a, _, err := Counterexample(stallCell(), Options{Budget: 64, Seed: 1}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Base == nil || rep.Base.Kind != consensus.KindNonTermination {
+			t.Fatalf("base violation = %+v, want the known non-termination stall", rep.Base)
+		}
+		if a == nil || a.Violation.Kind != consensus.KindAgreement {
+			t.Fatalf("pick = %+v, want an agreement violation", a)
+		}
+		out, rp, err := a.Replay(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.Diverged() {
+			t.Fatalf("closed pick diverged at step %d on replay", rp.DivergedAt())
+		}
+		if v := out.Violation(); v == nil || v.Kind != consensus.KindAgreement {
+			t.Fatalf("closed pick replays as %+v, want agreement", v)
+		}
+	})
+
+	t.Run("budget 0 carries the base run", func(t *testing.T) {
+		rep, a, _, err := Counterexample(stallCell(), Options{Seed: 1}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats != (Stats{}) || len(rep.Findings) != 0 {
+			t.Fatalf("budget 0 searched: %+v, %d findings", rep.Stats, len(rep.Findings))
+		}
+		if a == nil || a.Violation.Kind != consensus.KindNonTermination ||
+			a.Schedule.Fingerprint() != rep.BaseSchedule.Fingerprint() {
+			t.Fatalf("pick = %+v, want the base run's non-termination", a)
+		}
+	})
+
+	t.Run("clean base: most severe, earliest among ties", func(t *testing.T) {
+		// The stall cell's algorithm and overlay on line:4 with a
+		// mid-broadcast crash: seed 2's base run decides, and its
+		// neighborhood holds stalls first and several agreement breaks
+		// later.
+		sc := stallCell()
+		sc.Topo = harness.Topo{Kind: "line", N: 4}
+		sc.Crashes, sc.Seed = "midbroadcast", 2
+		rep, a, _, err := Counterexample(sc, Options{Budget: 64, Seed: 1}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Base != nil {
+			t.Fatalf("base run violated: %+v", rep.Base)
+		}
+		var agreements []*Finding
+		for _, f := range rep.Findings {
+			if f.Violation.Kind == consensus.KindAgreement {
+				agreements = append(agreements, f)
+			}
+		}
+		if len(rep.Findings) == 0 || rep.Findings[0].Violation.Kind == consensus.KindAgreement || len(agreements) < 2 {
+			t.Fatalf("findings no longer mix kinds with a tie behind a less severe first: %d findings, %d agreement",
+				len(rep.Findings), len(agreements))
+		}
+		rs := &runnerSet{runners: map[runnerKey]*harness.ReplayRunner{}}
+		first, _, _, err := rs.rerecord(sc, agreements[0].Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, _, _, err := rs.rerecord(sc, agreements[1].Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Fingerprint() == second.Fingerprint() {
+			t.Fatal("the tied agreement findings close to one schedule; the tie case no longer discriminates")
+		}
+		if a == nil || a.Schedule.Fingerprint() != first.Fingerprint() {
+			t.Fatalf("pick is not candidate %d, the earliest agreement finding", agreements[0].Candidate)
+		}
+	})
+}
+
+// TestCounterexampleProducesStallWitness: the committed Theorem 3.2
+// witness is what the tool produces — the stall cell's base run, minimized
+// without a search, encodes to the committed file byte for byte except
+// for its provenance note.
+func TestCounterexampleProducesStallWitness(t *testing.T) {
+	path := filepath.Join("..", "harness", "testdata", "stall_twophase_coordinator_chords.json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := Decode(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := stallCell()
+	sc.Inputs = "alternating" // as amacexplore's -inputs default names it
+	_, a, _, err := Counterexample(sc, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Note = committed.Note
+	var got bytes.Buffer
+	if err := a.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("minimized stall differs from %s:\n%s", path, got.Bytes())
 	}
 }

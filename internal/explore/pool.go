@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"sync"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/harness"
+	"github.com/absmac/absmac/internal/sim"
 )
 
 // This file implements the shared replay worker pool behind every
@@ -63,6 +65,22 @@ func (rs *runnerSet) runner(sc harness.Scenario) (*harness.ReplayRunner, error) 
 	}
 	rs.runners[k] = r
 	return r, nil
+}
+
+// rerecord replays sched on the worker's runner for sc while re-recording
+// the execution it produces, and extracts what outlives the run: the
+// closed schedule (every broadcast a recorded step), the classification
+// and the divergence step (-1 = none).
+func (rs *runnerSet) rerecord(sc harness.Scenario, sched *sim.Schedule) (*sim.Schedule, *consensus.Violation, int, error) {
+	runner, err := rs.runner(sc)
+	if err != nil {
+		return nil, nil, -1, err
+	}
+	out, rp, closed, err := runner.RunRecorded(sched, nil)
+	if err != nil {
+		return nil, nil, -1, err
+	}
+	return closed, out.Violation(), rp.DivergedAt(), nil
 }
 
 // evalPool is a fixed-width pool of replay workers.

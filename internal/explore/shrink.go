@@ -143,7 +143,12 @@ func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string
 
 	// Final verification replay (strictness belt-and-braces: the accepted
 	// schedule is closed, so it must replay without divergence).
-	v, divergedAt, err := sh.verify()
+	var (
+		v          *consensus.Violation
+		divergedAt int
+		err        error
+	)
+	p.runOne(func(rs *runnerSet) { _, v, divergedAt, err = rs.rerecord(sh.sc, sh.cur) })
 	if err != nil {
 		return nil, err
 	}
@@ -162,37 +167,6 @@ func shrinkOn(p *evalPool, sc harness.Scenario, sched *sim.Schedule, kind string
 	}
 	res.Attempts = sh.attempts
 	return res, nil
-}
-
-// verify replays the current schedule without re-recording, on the pool
-// (so the evaluation reuses a worker's runner for the scenario). The
-// classification and the divergence step (-1 = none) are extracted inside
-// the worker, per the pool's engine-ownership rule — the Outcome's Result
-// would not survive the worker's next run.
-func (s *shrinker) verify() (*consensus.Violation, int, error) {
-	var (
-		v          *consensus.Violation
-		divergedAt = -1
-		err        error
-	)
-	sc, cur := s.sc, s.cur
-	s.pool.runOne(func(rs *runnerSet) {
-		runner, e := rs.runner(sc)
-		if e != nil {
-			err = e
-			return
-		}
-		out, rp, e := runner.Run(cur, nil)
-		if e != nil {
-			err = e
-			return
-		}
-		v = out.Violation()
-		if rp.Diverged() {
-			divergedAt = rp.DivergedAt()
-		}
-	})
-	return v, divergedAt, err
 }
 
 // evalOut is one candidate's speculative evaluation.
@@ -233,17 +207,12 @@ func (s *shrinker) round(cands []*sim.Schedule) (int, error) {
 		wg.Add(1)
 		s.pool.submit(func(rs *runnerSet) {
 			defer wg.Done()
-			runner, err := rs.runner(sc)
+			closed, v, _, err := rs.rerecord(sc, cand)
 			if err != nil {
 				outs[i].err = err
 				return
 			}
-			out, _, closed, err := runner.RunRecorded(cand, nil)
-			if err != nil {
-				outs[i].err = err
-				return
-			}
-			if v := out.Violation(); v != nil && v.Kind == kind {
+			if v != nil && v.Kind == kind {
 				outs[i] = evalOut{closed: closed, ok: true, cost: cost(closed)}
 			}
 		})

@@ -34,7 +34,7 @@ type Grid struct {
 }
 
 // DefaultSweepMaxEvents is an alias of sim.DefaultMaxEvents, not a second
-// budget, kept only because bench/ names it (ROADMAP item 7 deletes it).
+// budget, kept only because bench/ names it (ROADMAP item 8 deletes it).
 const DefaultSweepMaxEvents = sim.DefaultMaxEvents
 
 // CellWork is one sweep work-unit: the scenario family of one cell — every
