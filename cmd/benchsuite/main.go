@@ -138,7 +138,8 @@ func canonicalGrids() []harness.Grid {
 		Seeds:  seeds,
 	}
 	// The sparse families run here at small parameters so every registered
-	// topology kind appears in the canonical grid (their large-n shapes —
+	// topology kind appears in the canonical grid
+	// (TestCanonicalGridCoversEveryFamily; their large-n shapes —
 	// expander:4096:8, pods:64:64:4 — belong to the bench tier and the CI
 	// large-n smoke, not an 8-seed correctness grid).
 	multihop := harness.Grid{
@@ -146,6 +147,7 @@ func canonicalGrids() []harness.Grid {
 		Topos: []harness.Topo{
 			{Kind: "line", N: 8},
 			{Kind: "ring", N: 9},
+			{Kind: "star", N: 8},
 			{Kind: "grid", Rows: 4, Cols: 4},
 			{Kind: "tree", Branch: 2, Depth: 3},
 			{Kind: "starlines", Arms: 4, ArmLen: 2},

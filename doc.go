@@ -180,12 +180,12 @@
 // norawrand and nowallclock have no annotation escape on purpose: their
 // exceptions are whole packages (the scope lists above), not lines.
 // Seed-derivation hygiene, audited with the suite's introduction: the
-// scheduler consumes the scenario seed directly, overlay construction
-// uses seed*1000003+17, per-delivery loss coins seed*6700417+257,
-// minorityrand crashes seed*2654435761+97, the seeded topology builders
-// use seed*9176741+389 (expander) and seed*15485863+577 (pods), and
-// ben-or decorrelates per node — distinct affine maps, so no two
-// consumers ever walk the same stream. Each analyzer's package doc
+// scheduler consumes the scenario seed directly, every other consumer in
+// internal/harness draws its own stream through one affine map of the
+// seed-stream block in internal/harness/harness.go, and ben-or
+// decorrelates per node — distinct multipliers
+// (TestSeedStreamsDistinct), so no two consumers ever walk the same
+// stream. Each analyzer's package doc
 // states its precise rule; fixtures under internal/lint/*/testdata pin
 // both the findings and the escape hatches, and `detlint -fix` inserts
 // annotation skeletons for human audit.

@@ -102,10 +102,10 @@ func main() {
 	}
 	fmt.Println("5. Same algorithm, survivable fault: wPAXOS on clique:8, mid-broadcast crash of node 0.")
 	fmt.Printf("   consensus OK: %v — %d crashed, survivors decided %d by t=%d (termination despite faults)\n",
-		majority.OK(), majority.Report.Crashed, majority.Report.Value, majority.Report.SurvivorDecideTime)
+		majority.Violation() == nil, majority.Report.Crashed, majority.Report.Value, majority.Report.SurvivorDecideTime)
 
 	if !res.ViolationInKD || !res.ControlLineOK || !res.ControlWithNOK ||
-		!stalled || !hubCrash.Report.Agreement || !majority.OK() {
+		!stalled || !hubCrash.Report.Agreement || majority.Violation() != nil {
 		os.Exit(1)
 	}
 }

@@ -36,7 +36,7 @@ func TestDecideTimeScalesWithN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !out.OK() {
+			if out.Violation() != nil {
 				t.Fatalf("n=%d seed %d: %v", n, seed, out.Report.Errors)
 			}
 			got := out.Result.MaxDecideTime
@@ -115,7 +115,7 @@ func TestSurvivorsDecideAfterHighestProposerDies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !out.OK() {
+				if out.Violation() != nil {
 					t.Fatalf("overlay %s seed %d, leader dead at t=%d: %v", overlay, seed, crashAt, out.Report.Errors)
 				}
 				if got := out.Report.SurvivorDecideTime; crash.bounded && got > crashAt+2*bound {

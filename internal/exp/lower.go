@@ -152,7 +152,7 @@ func E4TimeLowerBound() *Experiment {
 				earliest = res.DecideTime[i]
 			}
 		}
-		if !part.HastyViolated || part.HastyDecideTime >= part.Bound || !out.OK() || earliest < part.Bound {
+		if !part.HastyViolated || part.HastyDecideTime >= part.Bound || out.Violation() != nil || earliest < part.Bound {
 			e.OK = false
 		}
 		e.Table.AddRow(tc.d, tc.fack, part.Bound, part.HastyDecideTime, boolMark(part.HastyViolated), earliest)

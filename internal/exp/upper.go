@@ -83,7 +83,7 @@ func E6WPaxos() *Experiment {
 					e.fail("%s: %v", in.name, err)
 					return e
 				}
-				if !out.OK() {
+				if out.Violation() != nil {
 					e.fail("%s Fack %d seed %d: %v", in.name, f, seed, out.Report.Errors)
 				}
 				n = out.N
@@ -195,7 +195,7 @@ func E8TagGrowth() *Experiment {
 				e.fail("n=%d: %v", n, err)
 				return e
 			}
-			if !out.OK() {
+			if out.Violation() != nil {
 				e.fail("n=%d seed %d: %v", n, seed, out.Report.Errors)
 			}
 			// Every tag a node has seen was proposed with by some node, so
@@ -246,7 +246,7 @@ func E9AggregationAudit() *Experiment {
 				e.fail("%s: %v", tc.name, err)
 				return e
 			}
-			if !out.OK() {
+			if out.Violation() != nil {
 				e.fail("%s seed %d: %v", tc.name, seed, out.Report.Errors)
 			}
 			props += audit.Propositions()

@@ -234,15 +234,15 @@ func (s *shrinker) round(cands []*sim.Schedule) (int, error) {
 	return -1, nil
 }
 
-// shrinkTopology retries the whole scenario on smaller instances of
-// single-parameter topology families, re-recording from scratch (the
+// shrinkTopology retries the whole scenario on smaller instances of its
+// topology family (harness.Topo.Smaller), re-recording from scratch (the
 // current schedule cannot transfer across node counts). It restarts the
 // minimization state on the smallest instance that still reproduces the
 // violation. Re-recording is inherently serial — each size gates the next
 // — so this pass does not use the pool.
 func (s *shrinker) shrinkTopology() {
 	for s.attempts < shrinkAttemptCap {
-		t, ok := smallerTopo(s.sc.Topo)
+		t, ok := s.sc.Topo.Smaller()
 		if !ok {
 			return
 		}
@@ -262,25 +262,6 @@ func (s *shrinker) shrinkTopology() {
 		// build runners for the smaller scenario lazily on the next round.
 		s.sc, s.cur, s.curCost = sc2, sched2, cost(sched2)
 	}
-}
-
-// smallerTopo returns the next-smaller instance of single-size families
-// (ring, line, clique, star, random), or ok=false when the family has no
-// size knob or is at its minimum.
-func smallerTopo(t harness.Topo) (harness.Topo, bool) {
-	min := 2
-	switch t.Kind {
-	case "ring":
-		min = 3
-	case "line", "clique", "star", "random":
-	default:
-		return t, false
-	}
-	if t.N <= min {
-		return t, false
-	}
-	t.N--
-	return t, true
 }
 
 // dropCrashes tries removing each scheduled crash, highest index first,

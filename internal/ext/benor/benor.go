@@ -136,10 +136,10 @@ func NewFactory(cfg Config) amac.Factory {
 // Start implements amac.Algorithm.
 func (a *Node) Start(api amac.API) {
 	a.api = api
-	// Affine map distinct from every other seed consumer in the tree
-	// (overlay seed*1000003+17, loss coins seed*6700417+257, minorityrand
-	// crashes seed*2654435761+97): the previous seed*1000003+ID derivation
-	// made node 17's coins walk the overlay builder's exact stream.
+	// Affine map distinct from every other seed consumer in the tree (the
+	// seed-stream block in internal/harness/harness.go): the previous
+	// seed*1000003+ID derivation made node 17's coins walk the overlay
+	// builder's exact stream.
 	seed := a.cfg.Seed*7368787 + int64(api.ID())*1299721 + 31
 	if a.rng == nil {
 		a.rng = rand.New(rand.NewSource(seed))

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -75,7 +76,7 @@ var crashPatterns = map[string]crashCtor{
 		if k == 0 {
 			return nil
 		}
-		rng := rand.New(rand.NewSource(seed*2654435761 + 97))
+		rng := rand.New(rand.NewSource(minorityRandSeed(seed)))
 		perm := rng.Perm(n)
 		crashes := make([]sim.Crash, k)
 		for i := range crashes {
@@ -146,14 +147,21 @@ func NewCrashes(spec string, n int, fack, seed int64) ([]sim.Crash, error) {
 // when an overlay spec has no @Q suffix.
 const DefaultOverlayDeliverP = 0.5
 
-var overlayFamilies = map[string]func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error){
-	"none": func(arg string, _ *graph.Graph, _ int64) (*graph.Graph, error) {
+type overlayCtor struct {
+	mk func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error)
+	// seedFree declares that the overlay is fully determined by its base
+	// graph, as topoFamily.seedFree does for a topology.
+	seedFree bool
+}
+
+var overlayFamilies = map[string]overlayCtor{
+	"none": {seedFree: true, mk: func(arg string, _ *graph.Graph, _ int64) (*graph.Graph, error) {
 		if arg != "" {
 			return nil, fmt.Errorf("harness: overlay none takes no parameter")
 		}
 		return nil, nil
-	},
-	"randomextra": func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error) {
+	}},
+	"randomextra": {mk: func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error) {
 		p, err := strconv.ParseFloat(arg, 64)
 		if err != nil || !(p >= 0 && p <= 1) { // NaN is no probability either
 			return nil, fmt.Errorf("harness: randomextra needs a probability in [0,1], got %q", arg)
@@ -162,15 +170,15 @@ var overlayFamilies = map[string]func(arg string, base *graph.Graph, seed int64)
 		nonEdges := n*(n-1)/2 - base.M()
 		extra := int(p*float64(nonEdges) + 0.5)
 		return graph.RandomOverlay(base, extra, seed), nil
-	},
-	"extra": func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error) {
+	}},
+	"extra": {mk: func(arg string, base *graph.Graph, seed int64) (*graph.Graph, error) {
 		k, err := strconv.Atoi(arg)
 		if err != nil || k < 0 {
 			return nil, fmt.Errorf("harness: extra needs a non-negative edge count, got %q", arg)
 		}
 		return graph.RandomOverlay(base, k, seed), nil
-	},
-	"chords": func(arg string, base *graph.Graph, _ int64) (*graph.Graph, error) {
+	}},
+	"chords": {seedFree: true, mk: func(arg string, base *graph.Graph, _ int64) (*graph.Graph, error) {
 		if arg != "" {
 			return nil, fmt.Errorf("harness: chords takes no parameter")
 		}
@@ -190,22 +198,14 @@ var overlayFamilies = map[string]func(arg string, base *graph.Graph, seed int64)
 			chords = append(chords, [2]int{u, v})
 		}
 		return graph.FromEdges(n, chords), nil
-	},
+	}},
 }
 
-// deterministicOverlayFamilies marks the families whose built graph is
-// fully determined by the base graph (no seed dependence; the empty name
-// is the "none" default). Only these share a sweep-cache entry across the
-// seed axis — an allowlist on purpose, so a family not named here
-// (including any future one) conservatively keys on the full seed and a
-// missing classification costs cache hits, never correctness.
-var deterministicOverlayFamilies = map[string]bool{
-	"":       true,
-	"none":   true,
-	"chords": true,
+// overlaySeedFree reports the seed declaration of a spec's family (the
+// empty spec is "none").
+func overlaySeedFree(spec string) bool {
+	return overlayFamilies[cmp.Or(overlayFamily(spec), "none")].seedFree
 }
-
-func overlaySeedDependent(family string) bool { return !deterministicOverlayFamilies[family] }
 
 // overlayFamily returns the family name of a spec — the token before the
 // first ':' (parameter) or '@' (delivery probability). It is the single
@@ -250,29 +250,13 @@ func NewOverlay(spec string, base *graph.Graph, seed int64) (*graph.Graph, float
 	body, _, _ := strings.Cut(spec, "@")
 	name := overlayFamily(spec)
 	_, arg, _ := strings.Cut(body, ":")
-	mk, ok := overlayFamilies[name]
+	ctor, ok := overlayFamilies[name]
 	if !ok {
 		return nil, 0, fmt.Errorf("harness: unknown overlay family %q (have %v; grammar family[:param][@Q])", spec, Overlays())
 	}
-	o, err := mk(arg, base, overlaySeed(seed))
+	o, err := ctor.mk(arg, base, overlaySeed(seed))
 	if err != nil {
 		return nil, 0, err
 	}
 	return o, deliverP, nil
 }
-
-// overlaySeed decorrelates the overlay construction from the scheduler,
-// which consumes the scenario seed directly; lossySeed decorrelates the
-// per-delivery coin flips from both, so the overlay's shape and its
-// delivery luck vary independently across the seed axis.
-//
-// Every affine seed map in the tree must be distinct (doc.go,
-// "Determinism contract"): these two, minorityrand's seed*2654435761+97
-// above, the seeded topology builders' expanderSeed (seed*9176741+389)
-// and podsSeed (seed*15485863+577) in topo.go, and ben-or's per-node
-// seed*7368787 + ID*1299721 + 31 — pick a fresh multiplier when adding a
-// consumer, or two "independent" streams will silently walk the same
-// sequence.
-func overlaySeed(seed int64) int64 { return seed*1000003 + 17 }
-
-func lossySeed(seed int64) int64 { return seed*6700417 + 257 }

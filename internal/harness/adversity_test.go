@@ -227,7 +227,7 @@ func TestScenarioRunUnderAdversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.OK() {
+	if out.Violation() != nil {
 		t.Fatalf("wpaxos under a coordinator crash violated consensus: %v", out.Report.Errors)
 	}
 	if out.Report.Crashed != 1 {

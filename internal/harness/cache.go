@@ -16,13 +16,12 @@ import (
 // running the all-pairs BFS for the diameter once per key — instead of
 // once per scenario — removes the dominant per-run setup cost.
 //
-// Keys are normalized to maximize sharing: a topology family that ignores
-// its seed (every family except random) caches under seed 0, so a whole
-// seed axis shares one graph; an overlay family that is deterministic
-// given its base graph (none, chords) does the same when its base is
-// seed-independent. The normalization is exactly the seed-dependence
-// documented on Topo.Build and the overlay registry, so a cached value is
-// identical to a freshly built one — cache_test.go pins this.
+// Keys are normalized to maximize sharing: a topology family declared
+// seed-free (topoFamily.seedFree) caches under seed 0, so a whole seed
+// axis shares one graph; an overlay family declared seed-free does the
+// same when its base is seed-free too. The normalization reads exactly
+// those declarations, so a cached value is identical to a freshly built
+// one — cache_test.go and TestSeedDeclarations pin this.
 //
 // Cached graphs and input slices are shared across concurrently running
 // workers. A graph.Graph is immutable once built, so sharing one needs no
@@ -113,13 +112,11 @@ func (c *caches) topo(t Topo, seed int64) (*topoEntry, error) {
 	return e, e.err
 }
 
-// overlayCacheSeed is the overlay cache-key seed: a family that is
-// deterministic given its base graph (see overlaySeedDependent, declared
-// beside the overlay registry) shares one entry across the seed axis when
-// its base topology is seed-independent too; everything else keys on the
-// full seed.
+// overlayCacheSeed is the overlay cache-key seed: a family declared
+// seed-free shares one entry across the seed axis when its base topology
+// is seed-free too; everything else keys on the full seed.
 func overlayCacheSeed(spec string, t Topo, seed int64) int64 {
-	if !overlaySeedDependent(overlayFamily(spec)) && t.buildSeed(seed) == 0 {
+	if overlaySeedFree(spec) && t.buildSeed(seed) == 0 {
 		return 0
 	}
 	return seed

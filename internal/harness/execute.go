@@ -56,11 +56,6 @@ func ChainObservers(obs ...func(sim.Event)) func(sim.Event) {
 	}
 }
 
-// fallbackSeed decorrelates a replay's fallback planner from every other
-// consumer of the scenario seed (scheduler, overlay, lossy coins), so a
-// perturbed execution's post-divergence randomness is its own axis.
-func fallbackSeed(seed int64) int64 { return seed*48271 + 11 }
-
 // executor runs executions one after another on one engine, so a sweep
 // worker or a ReplayRunner pays the engine's allocations once. It is
 // single-goroutine, and an Outcome's Result is valid until its next

@@ -51,7 +51,7 @@ func TestExecutionPathsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !plain.OK() {
+			if plain.Violation() != nil {
 				t.Fatalf("scenario is not healthy: %v", plain.Report.Errors)
 			}
 			want := plain.Result

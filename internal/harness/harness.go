@@ -102,8 +102,8 @@ type Scenario struct {
 	Sched string `json:"sched"`
 	// Fack is the scheduler's delivery bound.
 	Fack int64 `json:"fack"`
-	// Seed feeds the scheduler, the algorithm (when randomized), the
-	// random topology family, and the crash/overlay registries.
+	// Seed feeds the scheduler, the crash/overlay registries and every
+	// algorithm and topology family not declared seed-free.
 	Seed int64 `json:"seed"`
 	// Crashes is a registered crash-pattern spec (see NewCrashes).
 	// Empty means "none".
@@ -147,7 +147,7 @@ type Outcome struct {
 	Result *sim.Result
 	Report *consensus.Report
 	// N and Diameter describe the topology the run was built on (they
-	// vary with the seed for the random family).
+	// vary with the seed for the seeded families).
 	N, Diameter int
 	// Fack is the delivery bound the scheduler actually declared, which
 	// differs from Scenario.Fack for schedulers with a structural bound
@@ -158,10 +158,6 @@ type Outcome struct {
 	// same run's recording, salted where fingerprintSalt says so.
 	Fingerprint uint64
 }
-
-// OK reports whether the run decided everywhere and satisfied agreement,
-// validity and termination.
-func (o *Outcome) OK() bool { return o.Report.OK() }
 
 // Violation classifies the outcome (see consensus.Classify), or nil when
 // the run was clean. Sweep workers use it to flag violating runs for the
@@ -174,51 +170,50 @@ func (o *Outcome) Violation() *consensus.Violation {
 
 // --- algorithm registry ---
 
-type algoCtor func(n int, seed int64) amac.Factory
+type algoCtor struct {
+	mk func(n int, seed int64) amac.Factory
+	// seedFree declares that the algorithm draws no randomness of its own
+	// (it inherits all nondeterminism from the scheduler), as
+	// topoFamily.seedFree does for a topology; benor's coin flips consume
+	// the seed.
+	seedFree bool
+}
 
 var algorithms = map[string]algoCtor{
-	"twophase":   func(int, int64) amac.Factory { return twophase.Factory },
-	"wpaxos":     func(n int, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) },
-	"floodpaxos": func(n int, _ int64) amac.Factory { return floodpaxos.NewFactory(n) },
-	"gatherall":  func(n int, _ int64) amac.Factory { return gatherall.NewFactory(n) },
-	"benor": func(n int, seed int64) amac.Factory {
+	"twophase":   {seedFree: true, mk: func(int, int64) amac.Factory { return twophase.Factory }},
+	"wpaxos":     {seedFree: true, mk: func(n int, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) }},
+	"floodpaxos": {seedFree: true, mk: func(n int, _ int64) amac.Factory { return floodpaxos.NewFactory(n) }},
+	"gatherall":  {seedFree: true, mk: func(n int, _ int64) amac.Factory { return gatherall.NewFactory(n) }},
+	"benor": {mk: func(n int, seed int64) amac.Factory {
 		return benor.NewFactory(benor.Config{N: n, F: (n - 1) / 2, Seed: seed})
-	},
+	}},
 	// The two defeated baselines take a round budget derived from a
 	// diameter bound; the registry only knows n, so it uses the universal
 	// bound diameter <= n-1. That keeps them correct exactly where the
 	// paper says they are (crash-free reliable executions whose scheduler
 	// lets information traverse within the budget) while sweeps can now
-	// reach the regimes that defeat them. Algorithms that consume the
-	// seed must also appear in seededAlgos below.
-	"anonflood": func(n int, _ int64) amac.Factory {
+	// reach the regimes that defeat them.
+	"anonflood": {seedFree: true, mk: func(n int, _ int64) amac.Factory {
 		return anonflood.NewFactory(anonflood.RoundsForDiameter(n - 1))
-	},
-	"waitall": func(n int, _ int64) amac.Factory {
+	}},
+	"waitall": {seedFree: true, mk: func(n int, _ int64) amac.Factory {
 		return waitall.NewFactory(waitall.RoundsForDiameter(n - 1))
-	},
+	}},
 }
-
-// seededAlgos names the registered algorithms whose behaviour depends on
-// the scenario seed (they draw randomness of their own — benor's coin
-// flips — rather than inheriting all nondeterminism from the scheduler).
-// Coverage fingerprinting consults it: see fingerprintSalt.
-var seededAlgos = map[string]bool{"benor": true}
 
 // fingerprintSalt returns the word to fold into the scenario's coverage
 // fingerprint beyond the schedule digest: the seed when the execution
-// depends on it through channels the digest cannot see (algorithm RNG,
-// a seed-built topology, a seed-built overlay), 0 otherwise. Salting
-// makes every seed of such a cell a distinct "ordering", which is
-// exactly right — saturation must never skip seeds that genuinely change
-// the execution, and DistinctSchedules must count executions, not
-// schedule skeletons.
+// depends on it through channels the digest cannot see (an algorithm, a
+// topology or an overlay whose entry is not declared seed-free), 0
+// otherwise. Salting makes every seed of such a cell a distinct
+// "ordering", which is exactly right — saturation must never skip seeds
+// that genuinely change the execution, and DistinctSchedules must count
+// executions, not schedule skeletons.
 func (s Scenario) fingerprintSalt() int64 {
-	if seededAlgos[s.Algo] || s.Topo.buildSeed(s.Seed) != 0 ||
-		(s.Overlay != "" && s.Overlay != "none" && overlaySeedDependent(overlayFamily(s.Overlay))) {
-		return s.Seed
+	if algorithms[s.Algo].seedFree && topoFamilies[s.Topo.Kind].seedFree && overlaySeedFree(s.Overlay) {
+		return 0
 	}
-	return 0
+	return s.Seed
 }
 
 // Algorithms returns the registered algorithm names, sorted.
@@ -230,7 +225,7 @@ func NewFactory(algo string, n int, seed int64) (amac.Factory, error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown algorithm %q (have %v)", algo, Algorithms())
 	}
-	return ctor(n, seed), nil
+	return ctor.mk(n, seed), nil
 }
 
 // --- scheduler registry ---
@@ -374,6 +369,20 @@ func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
 		StopWhenDecided: true,
 	}, te, nil
 }
+
+// Seed streams. The scheduler consumes the scenario seed as is; every
+// other consumer in this package draws its own stream through one affine
+// map here, each with a multiplier of its own (TestSeedStreamsDistinct),
+// or two "independent" streams would walk the same sequence. ben-or's
+// per-node seed*7368787 + ID*1299721 + 31 (internal/ext/benor) is the one
+// map kept elsewhere. A new consumer gets a line here and a fresh
+// multiplier.
+func overlaySeed(seed int64) int64      { return seed*1000003 + 17 }    // overlay construction
+func lossySeed(seed int64) int64        { return seed*6700417 + 257 }   // the lossy wrapper's delivery coins
+func minorityRandSeed(seed int64) int64 { return seed*2654435761 + 97 } // minorityrand's victims and times
+func expanderSeed(seed int64) int64     { return seed*9176741 + 389 }   // expander topologies
+func podsSeed(seed int64) int64         { return seed*15485863 + 577 }  // pods topologies
+func fallbackSeed(seed int64) int64     { return seed*48271 + 11 }      // a replay's post-divergence planner
 
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))

@@ -402,6 +402,105 @@ func TestAdjacencyRowsPinned(t *testing.T) {
 	}
 }
 
+// TestSeedDeclarations holds every registry entry's seed declaration to
+// what the entry builds: one declared seed-free must give the same result
+// on seeds 1 and 2 (an algorithm the same sim.Result running sync on
+// clique:5, a topology the same rows, an overlay the same edges on
+// ring:9), and one that is not must differ — today benor, random,
+// expander, pods, randomextra and extra. A wrong seed-free declaration
+// would let the sweep caches and the coverage fingerprints merge
+// executions that differ.
+func TestSeedDeclarations(t *testing.T) {
+	check := func(registry, name string, seedFree bool, build func(seed int64) any) {
+		switch same := reflect.DeepEqual(build(1), build(2)); {
+		case seedFree && !same:
+			t.Errorf("%s %q is declared seed-free but differs on seeds 1 and 2", registry, name)
+		case !seedFree && same:
+			t.Errorf("%s %q is declared to consume the seed but gives the same result on seeds 1 and 2", registry, name)
+		}
+	}
+	for _, algo := range Algorithms() {
+		check("algorithm", algo, algorithms[algo].seedFree, func(seed int64) any {
+			out, err := Scenario{Algo: algo, Topo: Topo{Kind: "clique", N: 5}, Sched: "sync", Fack: 2, Seed: seed}.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return *out.Result
+		})
+	}
+	for _, kind := range Topologies() {
+		tp, err := ParseTopo(familySpecs[kind])
+		if err != nil {
+			t.Fatalf("ParseTopo(%q): %v", familySpecs[kind], err)
+		}
+		check("topology", kind, topoFamilies[kind].seedFree, func(seed int64) any {
+			g, err := tp.Build(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rowsDigest(g)
+		})
+	}
+	ring := graph.Ring(9)
+	params := map[string]string{"randomextra": ":0.3", "extra": ":4"}
+	for _, family := range Overlays() {
+		check("overlay", family, overlayFamilies[family].seedFree, func(seed int64) any {
+			o, _, err := NewOverlay(family+params[family], ring, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o == nil {
+				return uint64(0)
+			}
+			return rowsDigest(o)
+		})
+	}
+}
+
+// TestSmaller pins the steps explore's shrinker takes: one node fewer on
+// the single-size families, down to ring:3 and two nodes for the rest,
+// and none on the families shaped by more than a size.
+func TestSmaller(t *testing.T) {
+	for spec, want := range map[string]string{
+		"ring:4": "ring:3", "ring:3": "", "line:3": "line:2", "line:2": "", "clique:5": "clique:4",
+		"star:2": "", "random:3:0.5": "random:2:0.5", "random:2:0.5": "",
+		"grid:3x3": "", "tree:2x2": "", "starlines:3x2": "", "expander:12:3": "", "pods:3:4:2": "",
+	} {
+		tp, err := ParseTopo(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if smaller, ok := tp.Smaller(); ok {
+			got = smaller.String()
+		}
+		if got != want {
+			t.Errorf("%s.Smaller() = %q, want %q", spec, got, want)
+		}
+	}
+}
+
+// TestSeedStreamsDistinct holds the seed-stream block (harness.go) to one
+// multiplier per stream, the scheduler's identity map included.
+func TestSeedStreamsDistinct(t *testing.T) {
+	streams := []struct {
+		name string
+		f    func(int64) int64
+	}{
+		{"scheduler", func(seed int64) int64 { return seed }},
+		{"overlaySeed", overlaySeed}, {"lossySeed", lossySeed}, {"minorityRandSeed", minorityRandSeed},
+		{"expanderSeed", expanderSeed}, {"podsSeed", podsSeed}, {"fallbackSeed", fallbackSeed},
+	}
+	seen := map[int64]string{}
+	for _, s := range streams {
+		m := s.f(1) - s.f(0)
+		if other, dup := seen[m]; dup {
+			t.Errorf("%s and %s share the multiplier %d", s.name, other, m)
+		}
+		seen[m] = s.name
+	}
+}
+
 func TestTopoJSONTextForm(t *testing.T) {
 	tp := Topo{Kind: "grid", Rows: 3, Cols: 4}
 	b, err := tp.MarshalText()
@@ -449,7 +548,7 @@ func TestDefeatedBaselineRegistration(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %s under %s: %v", algo, topo, sched, err)
 				}
-				if !out.OK() {
+				if out.Violation() != nil {
 					t.Errorf("%s on %s under %s: %v", algo, topo, sched, out.Report.Errors)
 				}
 			}
@@ -476,7 +575,7 @@ func TestScenarioDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on %s: %v", sc.Algo, sc.Topo, err)
 		}
-		if !a.OK() {
+		if a.Violation() != nil {
 			t.Errorf("%s on %s: consensus violated: %v", sc.Algo, sc.Topo, a.Report.Errors)
 		}
 		if !reflect.DeepEqual(a.Result, b.Result) {

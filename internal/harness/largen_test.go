@@ -46,7 +46,7 @@ func TestLargeNDecidesWithinEventBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.OK() || out.Result.Cutoff {
+		if out.Violation() != nil || out.Result.Cutoff {
 			undecided := 0
 			for i, d := range out.Result.Decided {
 				if !d && !out.Result.Crashed[i] {
@@ -93,7 +93,7 @@ func TestFailoverDecidesWithinEventBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !out.OK() || out.Result.Cutoff {
+				if out.Violation() != nil || out.Result.Cutoff {
 					t.Errorf("%s %s seed %d: used %d of %d events (cutoff=%v), survivors decided at %d, agreement=%v validity=%v termination=%v",
 						tc.algo, crash, seed, out.Result.Events, tc.budget, out.Result.Cutoff, out.Report.SurvivorDecideTime,
 						out.Report.Agreement, out.Report.Validity, out.Report.Termination)

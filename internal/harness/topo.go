@@ -14,10 +14,10 @@ import (
 // The zero value is invalid; construct via ParseTopo or a literal with Kind
 // set. Topologies marshal to their compact string form in JSON.
 type Topo struct {
-	// Kind is a registered family: clique | line | ring | star | grid |
-	// tree | starlines | random | expander | pods.
+	// Kind is a registered family (see Topologies; ParseTopo's error
+	// message lists every family with its grammar).
 	Kind string
-	// N is the node count for clique/line/ring/star/random/expander.
+	// N is the node count of the families whose grammar starts with N.
 	N int
 	// Rows and Cols shape grids.
 	Rows, Cols int
@@ -34,125 +34,208 @@ type Topo struct {
 	Pods, PodSize, Cross int
 }
 
+// topoFamily is one registered topology family: everything the package
+// knows about it is its row in topoFamilies.
+type topoFamily struct {
+	// grammar names the spec's parameters after "kind:", one letter each,
+	// separated as the spec separates them (':' or 'x'): "RxC", "N:P".
+	grammar string
+	// params points at the Topo fields the grammar's letters fill, in
+	// order: *int, or *float64 (NaN refused).
+	params func(t *Topo) []any
+	// need is "" when t's parameters build, else the rest of Build's error
+	// after the spec.
+	need  func(t Topo) string
+	build func(t Topo, seed int64) *graph.Graph
+	// nodes is the node count the parameters multiply out to, saturating
+	// just above sim.MaxNodes (mulSat) so that no spec — flags and artifact
+	// JSON bring them in from outside — overflows on the way to build; a
+	// parameter below 1 counts as 1, need names those. nil means N.
+	nodes func(t Topo) int64
+	// arcs bounds the directed edges (twice the undirected ones) of an
+	// n-node instance, saturating just above math.MaxInt32, so that a spec
+	// whose edge list could not fit graph.Build's int32 offsets is refused
+	// before build allocates it. nil means 2n: at most n edges.
+	arcs func(t Topo, n int64) int64
+	// minN is the smallest N that Smaller steps down to; 0 means the
+	// family has no single size to step.
+	minN int
+	// seedFree declares that build ignores its seed, so that the sweep
+	// caches share one graph across a seed axis and coverage fingerprints
+	// go unsalted. Algorithm and overlay entries carry the same
+	// declaration. The zero value means "consumes the seed": a forgotten
+	// declaration costs cache hits, never correctness.
+	// TestSeedDeclarations holds every declaration to seeds 1 and 2.
+	seedFree bool
+}
+
+const (
+	nodeLimit = int64(sim.MaxNodes) + 1
+	arcLimit  = int64(math.MaxInt32) + 1
+)
+
+func sizeN(t *Topo) []any { return []any{&t.N} }
+
+// sized is the row of a seed-free family built from N alone, which needs
+// n >= least and which Smaller steps down to shrinkTo.
+func sized(mk func(int) *graph.Graph, least, shrinkTo int, arcs func(Topo, int64) int64) topoFamily {
+	return topoFamily{grammar: "N", params: sizeN, minN: shrinkTo, arcs: arcs, seedFree: true,
+		need:  func(t Topo) string { return needs(t.N >= least, fmt.Sprintf("n >= %d", least)) },
+		build: func(t Topo, _ int64) *graph.Graph { return mk(t.N) }}
+}
+
+// needs is a row's need: "" when ok, else what the parameters need.
+func needs(ok bool, what string) string {
+	if ok {
+		return ""
+	}
+	return "needs " + what
+}
+
+// denseArcs bounds a graph that may be complete.
+func denseArcs(_ Topo, n int64) int64 { return min(n*(n-1), arcLimit) }
+
+var topoFamilies = map[string]topoFamily{
+	"clique": sized(graph.Clique, 1, 2, denseArcs),
+	"line":   sized(graph.Line, 1, 2, nil),
+	"ring":   sized(graph.Ring, 3, 3, nil),
+	"star":   sized(graph.Star, 1, 2, nil),
+	"grid": {grammar: "RxC", seedFree: true,
+		params: func(t *Topo) []any { return []any{&t.Rows, &t.Cols} },
+		need:   func(t Topo) string { return needs(t.Rows >= 1 && t.Cols >= 1, "rows, cols >= 1") },
+		build:  func(t Topo, _ int64) *graph.Graph { return graph.Grid(t.Rows, t.Cols) },
+		nodes:  func(t Topo) int64 { return mulSat(mulSat(1, t.Rows, nodeLimit), t.Cols, nodeLimit) },
+		arcs:   func(_ Topo, n int64) int64 { return min(4*n, arcLimit) }},
+	"tree": {grammar: "BxD", seedFree: true,
+		params: func(t *Topo) []any { return []any{&t.Branch, &t.Depth} },
+		need:   func(t Topo) string { return needs(t.Branch >= 1 && t.Depth >= 0, "branch >= 1, depth >= 0") },
+		build:  func(t Topo, _ int64) *graph.Graph { return graph.BalancedTree(t.Branch, t.Depth) },
+		nodes: func(t Topo) int64 {
+			total, level := int64(1), int64(1)
+			for i := 0; i < t.Depth && total < nodeLimit; i++ {
+				level = mulSat(level, t.Branch, nodeLimit)
+				total += level
+			}
+			return min(total, nodeLimit)
+		}},
+	"starlines": {grammar: "AxL", seedFree: true,
+		params: func(t *Topo) []any { return []any{&t.Arms, &t.ArmLen} },
+		need:   func(t Topo) string { return needs(t.Arms >= 1 && t.ArmLen >= 1, "arms, armlen >= 1") },
+		build:  func(t Topo, _ int64) *graph.Graph { return graph.StarOfLines(t.Arms, t.ArmLen) },
+		nodes:  func(t Topo) int64 { return 1 + mulSat(mulSat(1, t.Arms, nodeLimit), t.ArmLen, nodeLimit) }},
+	"random": {grammar: "N:P", minN: 2, arcs: denseArcs, // the bound of p = 1
+		params: func(t *Topo) []any { return []any{&t.N, &t.P} },
+		need: func(t Topo) string { // NaN is no probability either
+			return needs(t.N >= 1 && t.P >= 0 && t.P <= 1, "n >= 1 and p in [0,1]")
+		},
+		build: func(t Topo, seed int64) *graph.Graph { return graph.RandomConnected(t.N, t.P, seed) }},
+	"expander": {grammar: "N:D",
+		params: func(t *Topo) []any { return []any{&t.N, &t.Deg} },
+		need: func(t Topo) string {
+			return needs(t.Deg >= 3 && t.Deg < t.N && t.N*t.Deg%2 == 0, "3 <= d < n with n*d even")
+		},
+		build: func(t Topo, seed int64) *graph.Graph { return graph.Expander(t.N, t.Deg, expanderSeed(seed)) },
+		arcs:  func(t Topo, n int64) int64 { return mulSat(n, t.Deg, arcLimit) }},
+	"pods": {grammar: "P:K:C",
+		params: func(t *Topo) []any { return []any{&t.Pods, &t.PodSize, &t.Cross} },
+		need: func(t Topo) string {
+			if t.Pods < 1 || t.PodSize < 1 || t.Cross < 0 || (t.Pods > 1 && t.Cross < 1) {
+				return "needs p, k >= 1 and c >= 1 when p > 1"
+			}
+			// A pod has k·(n-k) distinct cross pairs; a larger c only adds
+			// duplicates, each a few rng draws.
+			if pairs := int64(t.PodSize) * (int64(t.Pods)*int64(t.PodSize) - int64(t.PodSize)); t.Pods > 1 && int64(t.Cross) > pairs {
+				return fmt.Sprintf("asks for more cross links per pod than the k*(n-k) = %d pairs a pod has", pairs)
+			}
+			return ""
+		},
+		build: func(t Topo, seed int64) *graph.Graph { return graph.Pods(t.Pods, t.PodSize, t.Cross, podsSeed(seed)) },
+		nodes: func(t Topo) int64 { return mulSat(mulSat(1, t.Pods, nodeLimit), t.PodSize, nodeLimit) },
+		arcs: func(t Topo, n int64) int64 { // a ring per pod plus Cross links per pod
+			return min(2*(n+mulSat(int64(max(t.Pods, 1)), t.Cross, arcLimit)), arcLimit)
+		}},
+}
+
 // Topologies returns the registered topology family names, sorted.
-func Topologies() []string {
-	return []string{"clique", "expander", "grid", "line", "pods", "random", "ring", "star", "starlines", "tree"}
+func Topologies() []string { return sortedKeys(topoFamilies) }
+
+// topoGrammar lists every family with its parameter grammar.
+func topoGrammar() string {
+	specs := Topologies()
+	for i, kind := range specs {
+		specs[i] += ":" + topoFamilies[kind].grammar
+	}
+	return strings.Join(specs, ", ")
 }
 
-// ParseTopo parses the compact topology grammar used by sweep flags:
-//
-//	clique:N  line:N  ring:N  star:N       one size parameter
-//	grid:RxC  tree:BxD  starlines:AxL      two, separated by 'x'
-//	random:N:P                             size and edge probability
-//	expander:N:D                           seeded random D-regular graph
-//	pods:P:K:C                             P pods of K nodes, C cross links
-//
-// Examples: "clique:16", "grid:4x4", "tree:2x3", "random:24:0.1",
-// "expander:1024:8", "pods:16:64:4".
+// ParseTopo parses the compact topology grammar used by sweep flags,
+// kind:params, where each family's row declares its parameters; the
+// error message lists every family with its grammar. Examples:
+// "clique:16", "grid:4x4", "tree:2x3", "random:24:0.1", "expander:1024:8",
+// "pods:16:64:4".
 func ParseTopo(s string) (Topo, error) {
-	parts := strings.Split(s, ":")
-	kind := parts[0]
-	bad := func() (Topo, error) {
-		return Topo{}, fmt.Errorf("harness: cannot parse topology %q (grammar: kind:N, kind:AxB, random:N:P, expander:N:D or pods:P:K:C; kinds %v)", s, Topologies())
+	kind, text, _ := strings.Cut(s, ":")
+	f, ok := topoFamilies[kind]
+	t := Topo{Kind: kind}
+	if !ok || !f.scan(text, f.params(&t)) {
+		return Topo{}, fmt.Errorf("harness: cannot parse topology %q (grammar: %s)", s, topoGrammar())
 	}
-	one := func() (int, bool) {
-		if len(parts) != 2 {
-			return 0, false
-		}
-		n, err := strconv.Atoi(parts[1])
-		return n, err == nil
-	}
-	two := func() (int, int, bool) {
-		if len(parts) != 2 {
-			return 0, 0, false
-		}
-		ab := strings.SplitN(parts[1], "x", 2)
-		if len(ab) != 2 {
-			return 0, 0, false
-		}
-		a, err1 := strconv.Atoi(ab[0])
-		b, err2 := strconv.Atoi(ab[1])
-		return a, b, err1 == nil && err2 == nil
-	}
-	switch kind {
-	case "clique", "line", "ring", "star":
-		n, ok := one()
-		if !ok {
-			return bad()
-		}
-		return Topo{Kind: kind, N: n}, nil
-	case "grid":
-		r, c, ok := two()
-		if !ok {
-			return bad()
-		}
-		return Topo{Kind: kind, Rows: r, Cols: c}, nil
-	case "tree":
-		b, d, ok := two()
-		if !ok {
-			return bad()
-		}
-		return Topo{Kind: kind, Branch: b, Depth: d}, nil
-	case "starlines":
-		a, l, ok := two()
-		if !ok {
-			return bad()
-		}
-		return Topo{Kind: kind, Arms: a, ArmLen: l}, nil
-	case "random":
-		if len(parts) != 3 {
-			return bad()
-		}
-		n, err1 := strconv.Atoi(parts[1])
-		p, err2 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil || math.IsNaN(p) {
-			return bad()
-		}
-		return Topo{Kind: kind, N: n, P: p}, nil
-	case "expander":
-		if len(parts) != 3 {
-			return bad()
-		}
-		n, err1 := strconv.Atoi(parts[1])
-		d, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil {
-			return bad()
-		}
-		return Topo{Kind: kind, N: n, Deg: d}, nil
-	case "pods":
-		if len(parts) != 4 {
-			return bad()
-		}
-		p, err1 := strconv.Atoi(parts[1])
-		k, err2 := strconv.Atoi(parts[2])
-		c, err3 := strconv.Atoi(parts[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return bad()
-		}
-		return Topo{Kind: kind, Pods: p, PodSize: k, Cross: c}, nil
-	default:
-		return bad()
-	}
+	return t, nil
 }
 
-// String renders the topology in the ParseTopo grammar.
-func (t Topo) String() string {
-	switch t.Kind {
-	case "grid":
-		return fmt.Sprintf("grid:%dx%d", t.Rows, t.Cols)
-	case "tree":
-		return fmt.Sprintf("tree:%dx%d", t.Branch, t.Depth)
-	case "starlines":
-		return fmt.Sprintf("starlines:%dx%d", t.Arms, t.ArmLen)
-	case "random":
-		return fmt.Sprintf("random:%d:%g", t.N, t.P)
-	case "expander":
-		return fmt.Sprintf("expander:%d:%d", t.N, t.Deg)
-	case "pods":
-		return fmt.Sprintf("pods:%d:%d:%d", t.Pods, t.PodSize, t.Cross)
-	default:
-		return fmt.Sprintf("%s:%d", t.Kind, t.N)
+// scan fills ps from a spec's parameter text, one per grammar letter.
+func (f topoFamily) scan(text string, ps []any) bool {
+	for i, p := range ps {
+		tok := text
+		if i < len(ps)-1 {
+			var ok bool
+			if tok, text, ok = strings.Cut(text, f.sep(i+1)); !ok {
+				return false
+			}
+		}
+		var err error
+		switch p := p.(type) {
+		case *int:
+			*p, err = strconv.Atoi(tok)
+		case *float64:
+			*p, err = strconv.ParseFloat(tok, 64)
+			if math.IsNaN(*p) {
+				return false
+			}
+		}
+		if err != nil {
+			return false
+		}
 	}
+	return true
+}
+
+// String renders the topology in the ParseTopo grammar (an unregistered
+// kind as kind:N).
+func (t Topo) String() string {
+	f, ok := topoFamilies[t.Kind]
+	if !ok {
+		f.params = sizeN
+	}
+	b := []byte(t.Kind)
+	for i, p := range f.params(&t) {
+		switch p := p.(type) {
+		case *int:
+			b = fmt.Appendf(b, "%s%d", f.sep(i), *p)
+		case *float64:
+			b = fmt.Appendf(b, "%s%g", f.sep(i), *p)
+		}
+	}
+	return string(b)
+}
+
+// sep is the separator in front of parameter i: ':' after the kind, then
+// the grammar's.
+func (f topoFamily) sep(i int) string {
+	if i == 0 {
+		return ":"
+	}
+	return f.grammar[2*i-1 : 2*i]
 }
 
 // MarshalText renders the compact grammar (so Topo JSON-encodes as a
@@ -169,23 +252,19 @@ func (t *Topo) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// buildSeed is the seed as far as Build's output is concerned: it
-// normalizes to 0 for the families known to ignore their seed, which lets
-// the sweep caches share one graph across a whole seed axis. The list is
-// an allowlist on purpose — a family not named here (including any future
-// one) conservatively keys on the full seed, so forgetting to classify a
-// new family costs cache hits, never correctness.
+// buildSeed is the seed as far as Build's output is concerned: 0 for a
+// family declared seed-free, which lets the sweep caches share one graph
+// across a whole seed axis.
 func (t Topo) buildSeed(seed int64) int64 {
-	switch t.Kind {
-	case "clique", "line", "ring", "star", "grid", "tree", "starlines":
+	if topoFamilies[t.Kind].seedFree {
 		return 0
 	}
 	return seed
 }
 
-// Build constructs the graph. The seed feeds the random family only (see
-// buildSeed); every other family ignores it, so the same Topo builds the
-// same graph.
+// Build constructs the graph. Only the families not declared seed-free
+// read the seed; every other family builds the same graph from the same
+// Topo.
 func (t Topo) Build(seed int64) (*graph.Graph, error) {
 	if t.nodes() > sim.MaxNodes {
 		return nil, fmt.Errorf("harness: %s has more than sim.MaxNodes=%d nodes", t, sim.MaxNodes)
@@ -193,105 +272,44 @@ func (t Topo) Build(seed int64) (*graph.Graph, error) {
 	if t.arcs() > math.MaxInt32 {
 		return nil, fmt.Errorf("harness: %s may have more than %d directed edges, the most a graph's int32 row offsets hold", t, math.MaxInt32)
 	}
-	switch t.Kind {
-	case "clique":
-		return checkN(graph.Clique, t)
-	case "line":
-		return checkN(graph.Line, t)
-	case "ring":
-		if t.N < 3 {
-			return nil, fmt.Errorf("harness: %s needs n >= 3", t)
-		}
-		return graph.Ring(t.N), nil
-	case "star":
-		return checkN(graph.Star, t)
-	case "grid":
-		if t.Rows < 1 || t.Cols < 1 {
-			return nil, fmt.Errorf("harness: %s needs rows, cols >= 1", t)
-		}
-		return graph.Grid(t.Rows, t.Cols), nil
-	case "tree":
-		if t.Branch < 1 || t.Depth < 0 {
-			return nil, fmt.Errorf("harness: %s needs branch >= 1, depth >= 0", t)
-		}
-		return graph.BalancedTree(t.Branch, t.Depth), nil
-	case "starlines":
-		if t.Arms < 1 || t.ArmLen < 1 {
-			return nil, fmt.Errorf("harness: %s needs arms, armlen >= 1", t)
-		}
-		return graph.StarOfLines(t.Arms, t.ArmLen), nil
-	case "random":
-		if t.N < 1 || !(t.P >= 0 && t.P <= 1) { // NaN is no probability either
-			return nil, fmt.Errorf("harness: %s needs n >= 1 and p in [0,1]", t)
-		}
-		return graph.RandomConnected(t.N, t.P, seed), nil
-	case "expander":
-		if t.Deg < 3 || t.Deg >= t.N || t.N*t.Deg%2 != 0 {
-			return nil, fmt.Errorf("harness: %s needs 3 <= d < n with n*d even", t)
-		}
-		return graph.Expander(t.N, t.Deg, expanderSeed(seed)), nil
-	case "pods":
-		if t.Pods < 1 || t.PodSize < 1 || t.Cross < 0 || (t.Pods > 1 && t.Cross < 1) {
-			return nil, fmt.Errorf("harness: %s needs p, k >= 1 and c >= 1 when p > 1", t)
-		}
-		// A pod has k·(n-k) distinct cross pairs; a larger c only adds
-		// duplicates, each a few rng draws.
-		if n := int64(t.Pods) * int64(t.PodSize); t.Pods > 1 && int64(t.Cross) > int64(t.PodSize)*(n-int64(t.PodSize)) {
-			return nil, fmt.Errorf("harness: %s asks for more cross links per pod than the k*(n-k) = %d pairs a pod has", t, int64(t.PodSize)*(n-int64(t.PodSize)))
-		}
-		return graph.Pods(t.Pods, t.PodSize, t.Cross, podsSeed(seed)), nil
-	default:
+	f, ok := topoFamilies[t.Kind]
+	if !ok {
 		return nil, fmt.Errorf("harness: unknown topology kind %q (have %v)", t.Kind, Topologies())
 	}
+	if need := f.need(t); need != "" {
+		return nil, fmt.Errorf("harness: %s %s", t, need)
+	}
+	return f.build(t, seed), nil
 }
 
-// nodes is the node count t's parameters multiply out to, saturating just
-// above sim.MaxNodes so that no spec — flags and artifact JSON bring them
-// in from outside — overflows on the way to a constructor. A parameter
-// below 1 counts as 1: Build's per-family checks name those.
+// Smaller returns the next-smaller instance of t's family, one node
+// fewer, or false when the family has no single size to step down or t
+// is at its family's smallest. explore's shrinker re-runs a violation on
+// the smaller instances.
+func (t Topo) Smaller() (Topo, bool) {
+	if minN := topoFamilies[t.Kind].minN; minN == 0 || t.N <= minN {
+		return t, false
+	}
+	t.N--
+	return t, true
+}
+
+// nodes is the node count of t's row.
 func (t Topo) nodes() int64 {
-	const limit = int64(sim.MaxNodes) + 1
-	mul := func(a int64, b int) int64 { return mulSat(a, b, limit) }
-	switch t.Kind {
-	case "grid":
-		return mul(mul(1, t.Rows), t.Cols)
-	case "tree":
-		total, level := int64(1), int64(1)
-		for i := 0; i < t.Depth && total < limit; i++ {
-			level = mul(level, t.Branch)
-			total += level
-		}
-		return min(total, limit)
-	case "starlines":
-		return 1 + mul(mul(1, t.Arms), t.ArmLen)
-	case "pods":
-		return mul(mul(1, t.Pods), t.PodSize)
-	default:
-		return int64(t.N)
+	if f := topoFamilies[t.Kind]; f.nodes != nil {
+		return f.nodes(t)
 	}
+	return int64(t.N)
 }
 
-// arcs bounds the directed edges (twice the undirected ones) t's graph
-// can have, saturating just above math.MaxInt32, so that a spec whose
-// edge list could not fit graph.Build's int32 offsets is refused before
-// its constructor allocates that list. It assumes nodes() is within
-// sim.MaxNodes, so n(n-1) cannot overflow; parameters below 1 count as 1,
-// as in nodes.
+// arcs is the directed-edge bound of t's row. It assumes nodes() is
+// within sim.MaxNodes, so n(n-1) cannot overflow.
 func (t Topo) arcs() int64 {
-	const limit = int64(math.MaxInt32) + 1
 	n := t.nodes()
-	switch t.Kind {
-	case "clique", "random": // random's bound is p = 1
-		return min(n*(n-1), limit)
-	case "expander":
-		return mulSat(n, t.Deg, limit)
-	case "pods": // a ring per pod plus Cross links per pod
-		return min(2*(n+mulSat(int64(max(t.Pods, 1)), t.Cross, limit)), limit)
-	case "grid":
-		return min(4*n, limit)
-	default: // line, ring, star, tree, starlines: at most n edges
-		return min(2*n, limit)
+	if f := topoFamilies[t.Kind]; f.arcs != nil {
+		return f.arcs(t, n)
 	}
+	return min(2*n, arcLimit)
 }
 
 // mulSat is a·b for a >= 0, saturating at limit; b below 1 counts as 1.
@@ -304,18 +322,3 @@ func mulSat(a int64, b int, limit int64) int64 {
 	}
 	return a * int64(b)
 }
-
-func checkN(mk func(int) *graph.Graph, t Topo) (*graph.Graph, error) {
-	if t.N < 1 {
-		return nil, fmt.Errorf("harness: %s needs n >= 1", t)
-	}
-	return mk(t.N), nil
-}
-
-// expanderSeed and podsSeed decorrelate the seeded topology builders from
-// the scheduler (which consumes the scenario seed directly) and from each
-// other. They are part of the affine seed-map registry kept beside
-// overlaySeed in adversity.go: every map there must stay distinct.
-func expanderSeed(seed int64) int64 { return seed*9176741 + 389 }
-
-func podsSeed(seed int64) int64 { return seed*15485863 + 577 }
