@@ -274,7 +274,7 @@ func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile 
 	if len(cfg.Crashes) > 0 {
 		fmt.Printf("crashes     %s -> %v (%d crashed)\n", crash, cfg.Crashes, rep.Crashed)
 	}
-	fmt.Printf("decided     %v\n", res.AllDecided())
+	fmt.Printf("decided     %v\n", rep.Termination)
 	if rep.SomeoneDecided {
 		fmt.Printf("value       %d\n", rep.Value)
 	}

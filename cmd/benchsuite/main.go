@@ -51,13 +51,10 @@ func main() {
 
 	// Flags have no effect outside their mode; fail loudly rather than
 	// silently drop them.
-	expOnly := map[string]bool{"only": true, "q": true}
-	gridOnly := map[string]bool{"json": true, "workers": true}
-	var stray []string
-	flag.Visit(func(f *flag.Flag) {
-		if (*grid && expOnly[f.Name]) || (!*grid && gridOnly[f.Name]) {
-			stray = append(stray, "-"+f.Name)
-		}
+	expOnly := harness.NameSet([]string{"only", "q"})
+	gridOnly := harness.NameSet([]string{"json", "workers"})
+	stray := harness.StrayFlags(flag.CommandLine, func(name string) bool {
+		return (*grid && expOnly[name]) || (!*grid && gridOnly[name])
 	})
 	if len(stray) > 0 {
 		if *grid {

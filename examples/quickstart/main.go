@@ -40,7 +40,7 @@ func main() {
 
 	res, rep := out.Result, out.Report
 	fmt.Printf("inputs:       %s\n", sc.Inputs)
-	fmt.Printf("all decided:  %v\n", res.AllDecided())
+	fmt.Printf("all decided:  %v\n", rep.Termination)
 	fmt.Printf("agreed value: %d\n", rep.Value)
 	fmt.Printf("decide time:  %d (Fack=10; Theorem 4.1 promises O(Fack))\n", res.MaxDecideTime)
 	fmt.Printf("agreement=%v validity=%v termination=%v\n", rep.Agreement, rep.Validity, rep.Termination)

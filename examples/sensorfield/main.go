@@ -55,16 +55,15 @@ func main() {
 	}
 
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         factory,
-		Scheduler:       sched,
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   factory,
+		Scheduler: sched,
 	})
 	rep := consensus.Check(inputs, res)
 
 	fmt.Printf("grid %dx%d (diameter %d), %d slow sensors (25x delays)\n", rows, cols, g.Diameter(), len(slow))
-	fmt.Printf("all decided:   %v, value %d\n", res.AllDecided(), rep.Value)
+	fmt.Printf("all decided:   %v, value %d\n", rep.Termination, rep.Value)
 	fmt.Printf("consensus:     agreement=%v validity=%v termination=%v\n", rep.Agreement, rep.Validity, rep.Termination)
 	fmt.Printf("aggregation:   %d propositions audited, %d Lemma 4.2 violations\n",
 		audit.Propositions(), len(audit.Violations()))

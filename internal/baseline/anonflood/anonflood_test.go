@@ -24,11 +24,10 @@ func TestCorrectUnderSynchronousScheduler(t *testing.T) {
 				inputs[j] = amac.Value((j + mask) % 2)
 			}
 			res := sim.Run(sim.Config{
-				Graph:           g,
-				Inputs:          inputs,
-				Factory:         NewFactory(rounds),
-				Scheduler:       sim.Synchronous{},
-				StopWhenDecided: true,
+				Graph:     g,
+				Inputs:    inputs,
+				Factory:   NewFactory(rounds),
+				Scheduler: sim.Synchronous{},
 			})
 			rep := consensus.Check(inputs, res)
 			if !rep.OK() {
@@ -47,11 +46,10 @@ func TestGenuinelyAnonymous(t *testing.T) {
 	inputs[3] = 1
 	factory, reads := consensus.AnonymityAudit(NewFactory(RoundsForDiameter(g.Diameter())))
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         factory,
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   factory,
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() {
@@ -82,11 +80,10 @@ func TestDecisionUsesRoundBudget(t *testing.T) {
 	inputs := make([]amac.Value, 4)
 	rounds := RoundsForDiameter(g.Diameter())
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         NewFactory(rounds),
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   NewFactory(rounds),
+		Scheduler: sim.Synchronous{},
 	})
 	// Under the synchronous scheduler each round takes one time unit.
 	if res.MaxDecideTime != int64(rounds) {

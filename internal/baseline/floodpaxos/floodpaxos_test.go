@@ -39,11 +39,10 @@ func TestCorrectAcrossTopologies(t *testing.T) {
 		inputs := mixed(g.N())
 		for seed := int64(0); seed < 3; seed++ {
 			res := sim.Run(sim.Config{
-				Graph:           g,
-				Inputs:          inputs,
-				Factory:         NewFactory(g.N()),
-				Scheduler:       sim.NewRandom(3, seed),
-				StopWhenDecided: true,
+				Graph:     g,
+				Inputs:    inputs,
+				Factory:   NewFactory(g.N()),
+				Scheduler: sim.NewRandom(3, seed),
 			})
 			rep := consensus.Check(inputs, res)
 			if !rep.OK() {
@@ -56,11 +55,10 @@ func TestCorrectAcrossTopologies(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	inputs := []amac.Value{1}
 	res := sim.Run(sim.Config{
-		Graph:           graph.Clique(1),
-		Inputs:          inputs,
-		Factory:         NewFactory(1),
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(1),
+		Inputs:    inputs,
+		Factory:   NewFactory(1),
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() || rep.Value != 1 {
@@ -76,11 +74,10 @@ func TestSlowerThanWPaxosOnBottleneck(t *testing.T) {
 	inputs := mixed(g.N())
 	runWith := func(f amac.Factory) int64 {
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         f,
-			Scheduler:       sim.Synchronous{},
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   f,
+			Scheduler: sim.Synchronous{},
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {
@@ -114,8 +111,7 @@ func TestOmegaSinceStamped(t *testing.T) {
 			nodes[nc.ID-1] = a
 			return a
 		},
-		Scheduler:       sim.NewRandom(4, 1),
-		StopWhenDecided: true,
+		Scheduler: sim.NewRandom(4, 1),
 	})
 	if rep := consensus.Check(inputs, res); !rep.OK() {
 		t.Fatalf("%v", rep.Errors)
@@ -165,12 +161,11 @@ func TestSparseAndMixedIDs(t *testing.T) {
 				ids  []amac.NodeID
 			}{{"sparse", sparseIDs}, {"mixed", mixedIDs}} {
 				res := sim.Run(sim.Config{
-					Graph:           tc.g,
-					Inputs:          inputs,
-					Factory:         NewFactory(n),
-					Scheduler:       sim.NewRandom(4, seed),
-					IDs:             ids.ids,
-					StopWhenDecided: true,
+					Graph:     tc.g,
+					Inputs:    inputs,
+					Factory:   NewFactory(n),
+					Scheduler: sim.NewRandom(4, seed),
+					IDs:       ids.ids,
 				})
 				if rep := consensus.Check(inputs, res); !rep.OK() {
 					t.Fatalf("%s/%s seed %d: %v", tc.name, ids.name, seed, rep.Errors)
@@ -227,11 +222,10 @@ func TestUnanimousValidity(t *testing.T) {
 			inputs[i] = v
 		}
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         NewFactory(6),
-			Scheduler:       sim.NewRandom(2, 9),
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   NewFactory(6),
+			Scheduler: sim.NewRandom(2, 9),
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() || rep.Value != v {
@@ -309,8 +303,7 @@ func TestRelayInvariant(t *testing.T) {
 				nodes[cfg.ID-1] = a
 				return a
 			},
-			Scheduler:       sim.NewRandom(4, seed),
-			StopWhenDecided: true,
+			Scheduler: sim.NewRandom(4, seed),
 			Observer: func(ev sim.Event) {
 				// Deliver and ack events are reported before the handler
 				// runs: the node is as its previous handler left it.

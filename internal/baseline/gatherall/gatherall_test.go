@@ -30,11 +30,10 @@ func TestCorrectAcrossTopologies(t *testing.T) {
 		inputs := mixed(g.N())
 		for seed := int64(0); seed < 3; seed++ {
 			res := sim.Run(sim.Config{
-				Graph:           g,
-				Inputs:          inputs,
-				Factory:         NewFactory(g.N()),
-				Scheduler:       sim.NewRandom(3, seed),
-				StopWhenDecided: true,
+				Graph:     g,
+				Inputs:    inputs,
+				Factory:   NewFactory(g.N()),
+				Scheduler: sim.NewRandom(3, seed),
 			})
 			rep := consensus.Check(inputs, res)
 			if !rep.OK() {
@@ -52,11 +51,10 @@ func TestUnanimousOne(t *testing.T) {
 	g := graph.Line(5)
 	inputs := []amac.Value{1, 1, 1, 1, 1}
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         NewFactory(5),
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   NewFactory(5),
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() || rep.Value != 1 {
@@ -67,11 +65,10 @@ func TestUnanimousOne(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	inputs := []amac.Value{1}
 	res := sim.Run(sim.Config{
-		Graph:           graph.Clique(1),
-		Inputs:          inputs,
-		Factory:         NewFactory(1),
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(1),
+		Inputs:    inputs,
+		Factory:   NewFactory(1),
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() || rep.Value != 1 {
@@ -86,11 +83,10 @@ func TestBottleneckLinearInN(t *testing.T) {
 		g := graph.StarOfLines(arms, 2) // diameter 4 regardless of arms
 		inputs := mixed(g.N())
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         NewFactory(g.N()),
-			Scheduler:       sim.Synchronous{},
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   NewFactory(g.N()),
+			Scheduler: sim.Synchronous{},
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {

@@ -24,11 +24,10 @@ func TestCorrectUnderSynchronousScheduler(t *testing.T) {
 			inputs[j] = amac.Value(j % 2)
 		}
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         NewFactory(rounds),
-			Scheduler:       sim.Synchronous{},
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   NewFactory(rounds),
+			Scheduler: sim.Synchronous{},
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {
@@ -53,11 +52,10 @@ func TestUnanimous(t *testing.T) {
 	g := graph.Line(6)
 	inputs := []amac.Value{1, 1, 1, 1, 1, 1}
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         NewFactory(RoundsForDiameter(g.Diameter())),
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   NewFactory(RoundsForDiameter(g.Diameter())),
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() || rep.Value != 1 {
@@ -75,11 +73,10 @@ func TestRoundBudgetIsOblivousToN(t *testing.T) {
 		inputs := make([]amac.Value, n)
 		inputs[n-1] = 1
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         NewFactory(rounds),
-			Scheduler:       sim.Synchronous{},
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   NewFactory(rounds),
+			Scheduler: sim.Synchronous{},
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {

@@ -14,11 +14,10 @@ import (
 func run(t *testing.T, n int, inputs []amac.Value, sched sim.Scheduler) *sim.Result {
 	t.Helper()
 	return sim.Run(sim.Config{
-		Graph:           graph.Clique(n),
-		Inputs:          inputs,
-		Factory:         Factory,
-		Scheduler:       sched,
-		StopWhenDecided: true,
+		Graph:     graph.Clique(n),
+		Inputs:    inputs,
+		Factory:   Factory,
+		Scheduler: sched,
 	})
 }
 
@@ -207,11 +206,10 @@ func TestDecidedAccessor(t *testing.T) {
 		return a
 	}
 	sim.Run(sim.Config{
-		Graph:           graph.Clique(2),
-		Inputs:          inputs,
-		Factory:         factory,
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(2),
+		Inputs:    inputs,
+		Factory:   factory,
+		Scheduler: sim.Synchronous{},
 	})
 	for i, a := range algs {
 		if v := a.Inspect(); v != (amac.View{Decided: true, Decision: 1, Omega: amac.NoID}) {
@@ -254,11 +252,10 @@ func TestTimeScalesWithFackNotN(t *testing.T) {
 func ExampleFactory() {
 	inputs := []amac.Value{0, 1, 0}
 	res := sim.Run(sim.Config{
-		Graph:           graph.Clique(3),
-		Inputs:          inputs,
-		Factory:         Factory,
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(3),
+		Inputs:    inputs,
+		Factory:   Factory,
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	fmt.Println("agreed:", rep.OK(), "value:", rep.Value)
@@ -274,11 +271,10 @@ func TestConsensusProperty(t *testing.T) {
 		fack := int64(fRaw%20) + 1
 		inputs := inputBits(n, int(mask))
 		res := sim.Run(sim.Config{
-			Graph:           graph.Clique(n),
-			Inputs:          inputs,
-			Factory:         Factory,
-			Scheduler:       sim.NewRandom(fack, seed),
-			StopWhenDecided: true,
+			Graph:     graph.Clique(n),
+			Inputs:    inputs,
+			Factory:   Factory,
+			Scheduler: sim.NewRandom(fack, seed),
 		})
 		rep := consensus.Check(inputs, res)
 		return rep.OK() && res.MaxDecideTime <= 4*fack

@@ -319,13 +319,12 @@ func TestFailoverBuildsSuccessorsTree(t *testing.T) {
 			nodes = append(nodes, nd)
 			return nd
 		},
-		Scheduler:       sim.NewRandom(4, 1),
-		Crashes:         []sim.Crash{{Node: n - 1, At: 40}}, // default ids: node n-1 holds id n
-		StopWhenDecided: true,
-		MaxEvents:       2_000_000,
+		Scheduler: sim.NewRandom(4, 1),
+		Crashes:   []sim.Crash{{Node: n - 1, At: 40}}, // default ids: node n-1 holds id n
+		MaxEvents: 2_000_000,
 	})
-	if rep := consensus.Check(inputs, res); !rep.Agreement || !rep.Validity || !res.AllDecided() {
-		t.Fatalf("survivors did not all decide: %v (all decided %v)", rep.Errors, res.AllDecided())
+	if rep := consensus.Check(inputs, res); !rep.Agreement || !rep.Validity || !rep.Termination {
+		t.Fatalf("survivors did not all decide: %v (termination %v)", rep.Errors, rep.Termination)
 	}
 	successor, demoted := amac.NodeID(n-1), 0
 	for i, nd := range nodes[:n-1] {

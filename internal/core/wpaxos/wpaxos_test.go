@@ -15,12 +15,11 @@ func runOn(t *testing.T, g *graph.Graph, inputs []amac.Value, sched sim.Schedule
 	t.Helper()
 	audit := NewCountAudit()
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         NewFactory(Config{N: g.N(), Audit: audit}),
-		Scheduler:       sched,
-		IDs:             ids,
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   NewFactory(Config{N: g.N(), Audit: audit}),
+		Scheduler: sched,
+		IDs:       ids,
 	})
 	return res, audit
 }
@@ -172,11 +171,10 @@ func TestSlowMinorityDoesNotBlock(t *testing.T) {
 	sched := sim.SlowSubset{Base: sim.NewRandom(2, 5), Slow: slow, Factor: 50}
 	audit := NewCountAudit()
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         NewFactory(Config{N: n, Audit: audit}),
-		Scheduler:       sched,
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   NewFactory(Config{N: n, Audit: audit}),
+		Scheduler: sched,
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() {
@@ -242,11 +240,10 @@ func TestTagGrowthModest(t *testing.T) {
 			return nd
 		}
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         factory,
-			Scheduler:       sim.NewRandom(3, 17),
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   factory,
+			Scheduler: sim.NewRandom(3, 17),
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {
@@ -298,11 +295,10 @@ func TestIntrospectionAfterRun(t *testing.T) {
 		return nd
 	}
 	res := sim.Run(sim.Config{
-		Graph:           g,
-		Inputs:          inputs,
-		Factory:         factory,
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
+		Graph:     g,
+		Inputs:    inputs,
+		Factory:   factory,
+		Scheduler: sim.Synchronous{},
 	})
 	rep := consensus.Check(inputs, res)
 	if !rep.OK() {
@@ -342,12 +338,11 @@ func TestSafetyUnderUnreliableLinks(t *testing.T) {
 		inputs := mixedInputs(14)
 		audit := NewCountAudit()
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Unreliable:      overlay,
-			Inputs:          inputs,
-			Factory:         NewFactory(Config{N: 14, Audit: audit}),
-			Scheduler:       sim.NewLossy(sim.NewRandom(4, seed*3+1), 0.4, seed*5+2),
-			StopWhenDecided: true,
+			Graph:      g,
+			Unreliable: overlay,
+			Inputs:     inputs,
+			Factory:    NewFactory(Config{N: 14, Audit: audit}),
+			Scheduler:  sim.NewLossy(sim.NewRandom(4, seed*3+1), 0.4, seed*5+2),
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.Agreement {
@@ -388,8 +383,7 @@ func TestMultivaluedConsensus(t *testing.T) {
 				nd.input = nc.Input
 				return nd
 			},
-			Scheduler:       sim.NewRandom(4, seed*3+1),
-			StopWhenDecided: true,
+			Scheduler: sim.NewRandom(4, seed*3+1),
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {

@@ -316,7 +316,7 @@ func (s *shrinker) pruneDeliveries() (bool, error) {
 		for i := 0; i < len(items); i += chunk {
 			cand := s.cur.Clone()
 			applied := 0
-			for _, it := range items[i:minInt(i+chunk, len(items))] {
+			for _, it := range items[i:min(i+chunk, len(items))] {
 				if cand.FlipCoin(it.step, it.slot) {
 					applied++
 				}
@@ -376,11 +376,4 @@ func (s *shrinker) truncateSteps() (bool, error) {
 		improved = true
 	}
 	return improved, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

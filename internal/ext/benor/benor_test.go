@@ -11,13 +11,12 @@ import (
 
 func run(n int, inputs []amac.Value, cfg Config, sched sim.Scheduler, crashes []sim.Crash) *sim.Result {
 	return sim.Run(sim.Config{
-		Graph:           graph.Clique(n),
-		Inputs:          inputs,
-		Factory:         NewFactory(cfg),
-		Scheduler:       sched,
-		Crashes:         crashes,
-		StopWhenDecided: true,
-		MaxEvents:       2_000_000,
+		Graph:     graph.Clique(n),
+		Inputs:    inputs,
+		Factory:   NewFactory(cfg),
+		Scheduler: sched,
+		Crashes:   crashes,
+		MaxEvents: 2_000_000,
 	})
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -102,7 +103,7 @@ func BenchmarkWPaxosDecideLarge(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := sim.Run(cfg); !res.AllDecided() {
+		if res := sim.Run(cfg); !consensus.Check(cfg.Inputs, res).Termination {
 			b.Fatalf("not all decided after %d events", res.Events)
 		}
 	}
@@ -128,7 +129,7 @@ func BenchmarkFloodPaxosDecide(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := sim.Run(cfg); !res.AllDecided() {
+		if res := sim.Run(cfg); !consensus.Check(cfg.Inputs, res).Termination {
 			b.Fatalf("not all decided after %d events", res.Events)
 		}
 	}
@@ -154,7 +155,7 @@ func BenchmarkTwoPhaseDecideClique(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := sim.Run(cfg); !res.AllDecided() {
+		if res := sim.Run(cfg); !consensus.Check(cfg.Inputs, res).Termination {
 			b.Fatalf("not all decided after %d events", res.Events)
 		}
 	}
@@ -209,9 +210,10 @@ func BenchmarkWarmRunWPaxos(b *testing.B) {
 		cfg := cfgs[i%2]
 		cfg.Scheduler = sim.NewRandom(4, int64(i%2+1))
 		eng.Reset(cfg)
-		if res := eng.Run(); res.Events != events[i%2] || !res.AllDecided() {
+		res := eng.Run()
+		if decided := consensus.Check(cfg.Inputs, res).Termination; res.Events != events[i%2] || !decided {
 			b.Fatalf("seed %d: warm run processed %d events (decided %v), a fresh engine %d",
-				i%2+1, res.Events, res.AllDecided(), events[i%2])
+				i%2+1, res.Events, decided, events[i%2])
 		}
 	}
 	op(0) // untimed: the cold engine and nodes of both seeds

@@ -359,14 +359,13 @@ func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
 	// Every Validate check is already guaranteed by the construction
 	// above (and the engine re-validates), so the config is returned as is.
 	return sim.Config{
-		Graph:           g,
-		Inputs:          ins,
-		Factory:         factory,
-		Scheduler:       scheduler,
-		Unreliable:      unreliable,
-		Crashes:         crashes,
-		MaxEvents:       s.MaxEvents,
-		StopWhenDecided: true,
+		Graph:      g,
+		Inputs:     ins,
+		Factory:    factory,
+		Scheduler:  scheduler,
+		Unreliable: unreliable,
+		Crashes:    crashes,
+		MaxEvents:  s.MaxEvents,
 	}, te, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/metrics"
 	"github.com/absmac/absmac/internal/sim"
@@ -139,7 +140,7 @@ func TestWPaxosWorkingSetStaysSmall(t *testing.T) {
 		nodes = append(nodes, a.(*wpaxos.Node))
 		return a
 	}
-	if res := sim.Run(cfg); !res.AllDecided() {
+	if res := sim.Run(cfg); !consensus.Check(cfg.Inputs, res).Termination {
 		t.Fatalf("not all decided after %d events", res.Events)
 	}
 	var roots, origins, props, maxRoots, maxOrigins, maxProps int

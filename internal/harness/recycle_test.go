@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -123,7 +124,7 @@ func TestRecycledNodesMatchFresh(t *testing.T) {
 		} else {
 			eng.Reset(cfg)
 		}
-		if res := eng.Run(); !res.AllDecided() {
+		if res := eng.Run(); !consensus.Check(cfg.Inputs, res).Termination {
 			t.Fatalf("seed %d: not all decided after %d events", seed, res.Events)
 		}
 		runtime.GC()

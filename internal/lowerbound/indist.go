@@ -66,11 +66,10 @@ func RunAnonImpossibility(D, n int) (*AnonResult, error) {
 		}
 		factory, reads := consensus.AnonymityAudit(anonflood.NewFactory(rounds))
 		out := sim.Run(sim.Config{
-			Graph:           fig.B,
-			Inputs:          inputs,
-			Factory:         factory,
-			Scheduler:       sim.Synchronous{},
-			StopWhenDecided: true,
+			Graph:     fig.B,
+			Inputs:    inputs,
+			Factory:   factory,
+			Scheduler: sim.Synchronous{},
 		})
 		rep := consensus.Check(inputs, out)
 		res.ControlOK = rep.OK()
@@ -92,11 +91,10 @@ func RunAnonImpossibility(D, n int) (*AnonResult, error) {
 			Until: int64(rounds) + 2,
 		}
 		out := sim.Run(sim.Config{
-			Graph:           fig.A,
-			Inputs:          inputs,
-			Factory:         factory,
-			Scheduler:       gate,
-			StopWhenDecided: true,
+			Graph:     fig.A,
+			Inputs:    inputs,
+			Factory:   factory,
+			Scheduler: gate,
 		})
 		rep := consensus.Check(inputs, out)
 		res.ViolationInA = !rep.Agreement
@@ -149,11 +147,10 @@ func RunSizeImpossibility(D int) (*SizeResult, error) {
 			inputs[i] = amac.Value(i % 2)
 		}
 		out := sim.Run(sim.Config{
-			Graph:           line,
-			Inputs:          inputs,
-			Factory:         waitall.NewFactory(rounds),
-			Scheduler:       sim.Synchronous{},
-			StopWhenDecided: true,
+			Graph:     line,
+			Inputs:    inputs,
+			Factory:   waitall.NewFactory(rounds),
+			Scheduler: sim.Synchronous{},
 		})
 		res.ControlLineOK = consensus.Check(inputs, out).OK()
 	}
@@ -173,11 +170,10 @@ func RunSizeImpossibility(D int) (*SizeResult, error) {
 	// they would alone.
 	{
 		out := sim.Run(sim.Config{
-			Graph:           kd.G,
-			Inputs:          inputs,
-			Factory:         waitall.NewFactory(rounds),
-			Scheduler:       gate,
-			StopWhenDecided: true,
+			Graph:     kd.G,
+			Inputs:    inputs,
+			Factory:   waitall.NewFactory(rounds),
+			Scheduler: gate,
 		})
 		rep := consensus.Check(inputs, out)
 		res.ViolationInKD = !rep.Agreement
@@ -193,11 +189,10 @@ func RunSizeImpossibility(D int) (*SizeResult, error) {
 	// it; once the gate lifts, everyone completes the census and agrees.
 	{
 		out := sim.Run(sim.Config{
-			Graph:           kd.G,
-			Inputs:          inputs,
-			Factory:         gatherall.NewFactory(kd.G.N()),
-			Scheduler:       gate,
-			StopWhenDecided: true,
+			Graph:     kd.G,
+			Inputs:    inputs,
+			Factory:   gatherall.NewFactory(kd.G.N()),
+			Scheduler: gate,
 		})
 		res.ControlWithNOK = consensus.Check(inputs, out).OK()
 	}

@@ -92,11 +92,10 @@ func TestCorrectAlgorithmsRespectTheBound(t *testing.T) {
 			inputs[i] = amac.Value(i % 2)
 		}
 		res := sim.Run(sim.Config{
-			Graph:           g,
-			Inputs:          inputs,
-			Factory:         wpaxos.NewFactory(wpaxos.Config{N: g.N()}),
-			Scheduler:       sim.MaxDelay{F: fack},
-			StopWhenDecided: true,
+			Graph:     g,
+			Inputs:    inputs,
+			Factory:   wpaxos.NewFactory(wpaxos.Config{N: g.N()}),
+			Scheduler: sim.MaxDelay{F: fack},
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {

@@ -53,11 +53,10 @@ func RunPartition(D int, fack int64) (*PartitionResult, error) {
 		cycles--
 	}
 	res := sim.Run(sim.Config{
-		Graph:           graph.Line(n),
-		Inputs:          inputs,
-		Factory:         anonflood.NewFactory(cycles),
-		Scheduler:       sim.MaxDelay{F: fack},
-		StopWhenDecided: true,
+		Graph:     graph.Line(n),
+		Inputs:    inputs,
+		Factory:   anonflood.NewFactory(cycles),
+		Scheduler: sim.MaxDelay{F: fack},
 	})
 	rep := consensus.Check(inputs, res)
 	out := &PartitionResult{

@@ -125,7 +125,7 @@ func TestSubstrateContract(t *testing.T) {
 		run  func(t *testing.T, g *graph.Graph, inputs []amac.Value, f amac.Factory) outcome
 	}{
 		{"sim", func(t *testing.T, g *graph.Graph, inputs []amac.Value, f amac.Factory) outcome {
-			res := sim.Run(sim.Config{Graph: g, Inputs: inputs, Factory: f, Scheduler: sim.NewRandom(4, 1), StopWhenDecided: true})
+			res := sim.Run(sim.Config{Graph: g, Inputs: inputs, Factory: f, Scheduler: sim.NewRandom(4, 1)})
 			if len(res.Violations) != 0 {
 				t.Errorf("simulator violations: %v", res.Violations)
 			}

@@ -99,7 +99,7 @@ func BenchmarkBroadcastPlanLarge(b *testing.B) {
 
 // BenchmarkWarmRunClique is the engine layer's own row for the single-hop
 // decide workload: one engine on clique:1024 under Random(4, 7), every node
-// broadcasting once at Start and deciding at its ack, StopWhenDecided. All
+// broadcasting once at Start and deciding at its ack, until the last. All
 // of the ~1 M events are engine work (queue, plan validation, dispatch to
 // a handler that does nothing), so ns/event is the engine's per-event
 // cost. Nodes come from one slice and share one boxed message, the
@@ -120,12 +120,11 @@ func BenchmarkWarmRunClique(b *testing.B) {
 			*a = onceAlg{input: nc.Input, msg: msg}
 			return a
 		},
-		Scheduler:       sched,
-		StopWhenDecided: true,
+		Scheduler: sched,
 	}
 	e := NewEngine(cfg)
 	warm := e.Run()
-	if !warm.AllDecided() {
+	if !allDecided(warm) {
 		b.Fatalf("warm-up run did not decide (events %d)", warm.Events)
 	}
 	events := warm.Events
@@ -134,8 +133,8 @@ func BenchmarkWarmRunClique(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched.rng.Seed(7)
 		e.Reset(cfg)
-		if res := e.Run(); res.Events != events || !res.AllDecided() {
-			b.Fatalf("warm run processed %d events (decided %v), warm-up %d", res.Events, res.AllDecided(), events)
+		if res := e.Run(); res.Events != events || !allDecided(res) {
+			b.Fatalf("warm run processed %d events (decided %v), warm-up %d", res.Events, allDecided(res), events)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")

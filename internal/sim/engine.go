@@ -28,6 +28,9 @@ import (
 // interface-conversion allocation — at n=10^4 that was the last O(n)
 // allocation on the run path.
 //
+// Every run ends on the event that makes the last owed decision (owes; the
+// package comment's "Stop rule"), at quiescence, or at its event budget.
+//
 // The Result returned by Run is owned by the engine and valid only until
 // the next Reset; callers that retain results across runs must copy them.
 // The one-shot Run function keeps its allocate-per-call semantics.
@@ -60,10 +63,9 @@ type Engine struct {
 	// for events; together they keep the hot path allocation-free).
 	plan Plan
 
-	// O(1) StopWhenDecided bookkeeping: undecided counts the nodes with no
-	// scheduled crash that have not yet decided. A node with a scheduled
-	// crash never owes a decision — Run marks it crashed, so no verdict
-	// waits on it.
+	// O(1) stop bookkeeping: undecided counts the nodes that owe a
+	// decision (owes) and have not yet made it. The run stops on the event
+	// that brings it to 0.
 	undecided int
 	// checkStops, set by tests, asserts the counter against the O(n)
 	// reference scan at every stop evaluation.
@@ -127,12 +129,14 @@ func NewEngine(cfg Config) *Engine {
 // the previous run left behind. No state leaks across runs: node states
 // (crash flags, decisions, in-flight broadcasts), the Result, the clock,
 // and the queue are all reinitialized; events still queued from a run
-// stopped early (StopWhenDecided, MaxEvents) are dropped, and with them the
-// in-flight messages they would have delivered. Each slot's algorithm goes
-// back to the factory as amac.NodeConfig.Prev; a factory that re-arms it
-// leaves none of the previous run in it (the harness's
-// TestRecycledNodesMatchFresh holds every registered algorithm to a fresh
-// engine). It panics on configuration errors, exactly as Run does.
+// stopped early (by the stop rule or MaxEvents) are dropped, and with them
+// the in-flight messages they would have delivered. Every node array and
+// Result slice is re-armed by one path, fit, whatever the new node count.
+// Each slot's algorithm goes back to the factory as amac.NodeConfig.Prev;
+// a factory that re-arms it leaves none of the previous run in it (the
+// harness's TestRecycledNodesMatchFresh holds every registered algorithm
+// to a fresh engine). It panics on configuration errors, exactly as Run
+// does.
 func (e *Engine) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -149,60 +153,39 @@ func (e *Engine) Reset(cfg Config) {
 		e.maxEvt = DefaultMaxEvents
 	}
 
-	if cap(e.algs) >= n {
-		// Zero the tails beyond n so a shrink does not pin the prior
-		// run's algorithm state through stale alg/message references.
-		clear(e.algs[n:cap(e.algs)])
-		clear(e.inMsg[n:cap(e.inMsg)])
-		e.algs = e.algs[:n]
-		e.apis = e.apis[:n]
-		e.ids = e.ids[:n]
-		e.inflight = e.inflight[:n]
-		e.inMsg = e.inMsg[:n]
-		e.bseq = e.bseq[:n]
-		e.crashAt = e.crashAt[:n]
-		clear(e.inflight)
-		clear(e.inMsg)
-		clear(e.bseq)
-	} else {
-		algs := make([]amac.Algorithm, n)
-		copy(algs, e.algs) // the previous run's nodes, for the factory to re-arm
-		e.algs = algs
-		e.apis = make([]api, n)
-		e.ids = make([]amac.NodeID, n)
-		e.inflight = make([]bool, n)
-		e.inMsg = make([]amac.Message, n)
-		e.bseq = make([]int, n)
-		e.crashAt = make([]int64, n)
-	}
+	// fit keeps each array's storage when it can hold n nodes and copies
+	// it into a larger one when it cannot, and zeroes the slots past n, so
+	// a shrink pins nothing of the previous run. algs keeps its first n
+	// slots for the factory (amac.NodeConfig.Prev), the loop below
+	// overwrites apis and ids, and the rest are cleared here.
+	e.algs = fit(e.algs, n)
+	e.apis = fit(e.apis, n)
+	e.ids = fit(e.ids, n)
+	e.inflight = fit(e.inflight, n)
+	e.inMsg = fit(e.inMsg, n)
+	e.bseq = fit(e.bseq, n)
+	e.crashAt = fit(e.crashAt, n)
+	clear(e.inflight)
+	clear(e.inMsg)
+	clear(e.bseq)
 	for i := range e.crashAt {
 		e.crashAt[i] = -1
 	}
-
-	if e.res == nil || cap(e.res.Decided) < n {
-		e.res = &Result{
-			Decided:    make([]bool, n),
-			Decision:   make([]amac.Value, n),
-			DecideTime: make([]int64, n),
-			Crashed:    make([]bool, n),
-		}
-	} else {
-		e.res.Decided = e.res.Decided[:n]
-		e.res.Decision = e.res.Decision[:n]
-		e.res.DecideTime = e.res.DecideTime[:n]
-		e.res.Crashed = e.res.Crashed[:n]
-		clear(e.res.Decided)
-		clear(e.res.Decision)
-		clear(e.res.DecideTime)
-		clear(e.res.Crashed)
+	if e.res == nil {
+		e.res = new(Result)
 	}
-	*e.res = Result{
-		Decided:       e.res.Decided,
-		Decision:      e.res.Decision,
-		DecideTime:    e.res.DecideTime,
-		Crashed:       e.res.Crashed,
+	r := e.res
+	*r = Result{
+		Decided:       fit(r.Decided, n),
+		Decision:      fit(r.Decision, n),
+		DecideTime:    fit(r.DecideTime, n),
+		Crashed:       fit(r.Crashed, n),
 		MaxDecideTime: -1,
 	}
+	clear(r.Decided)
+	clear(r.Decision)
+	clear(r.DecideTime)
+	clear(r.Crashed)
 
 	// Metrics: zero the registry's values for the new run and (re-)register
 	// the engine's slots. Registration dedups by name, so after the first
@@ -239,11 +222,10 @@ func (e *Engine) Reset(cfg Config) {
 		}
 	}
 
-	// Arm the O(1) StopWhenDecided counter: every node with no scheduled
-	// crash owes a decision.
+	// Arm the O(1) stop counter.
 	e.undecided = 0
-	for _, at := range e.crashAt {
-		if at < 0 {
+	for i := range n {
+		if e.owes(i) {
 			e.undecided++
 		}
 	}
@@ -255,6 +237,19 @@ func (e *Engine) Reset(cfg Config) {
 	for i := range e.plan.Recv {
 		e.plan.Recv[i] = NoDelivery
 	}
+}
+
+// fit returns s with length n and nothing held past n: s itself when it
+// can hold n, its slots past n zeroed, or else a new slice that starts
+// with a copy of s.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		t := make([]T, n)
+		copy(t, s)
+		return t
+	}
+	clear(s[n:cap(s)])
+	return s[:n]
 }
 
 func (e *Engine) observe(ev Event) {
@@ -438,10 +433,10 @@ func (e *Engine) decide(u int, v amac.Value) {
 	e.res.Decision[u] = v
 	e.res.DecideTime[u] = e.now
 	if e.phasing {
-		e.par.decided(u, e.crashAt[u] < 0)
+		e.par.decided(u, e.owes(u))
 		return
 	}
-	if e.crashAt[u] < 0 {
+	if e.owes(u) {
 		e.undecided--
 	}
 	if e.now > e.res.MaxDecideTime {
@@ -450,13 +445,21 @@ func (e *Engine) decide(u int, v amac.Value) {
 	e.observe(Event{Kind: EventDecide, Time: e.now, Node: u, Value: v})
 }
 
+// owes reports whether node i owes a decision: the run does not stop
+// before it has decided. A node with a scheduled crash owes none — Run
+// marks it crashed, so no verdict waits on it. This is the one stop rule:
+// Reset's counter, decide, allDecidedScan and the phases' passes read it.
+func (e *Engine) owes(i int) bool {
+	return e.crashAt[i] < 0
+}
+
 // allDecidedScan is the O(n) reference for the undecided counter: every
-// node with no scheduled crash has decided. The run loop consults the
+// node that owes a decision has made it. The run loop consults the
 // counter; tests set checkStops to assert the two agree at every stop
 // evaluation.
 func (e *Engine) allDecidedScan() bool {
 	for i, decided := range e.res.Decided {
-		if !decided && e.crashAt[i] < 0 {
+		if !decided && e.owes(i) {
 			return false
 		}
 	}
@@ -580,13 +583,10 @@ func (e *Engine) hook(t int64, ev event, popped bool) {
 	}
 }
 
-// stopped reports whether StopWhenDecided ends the run after the event
-// just processed. A crash drop is not checked: the run goes on to the next
-// event that reaches a node, or to quiescence.
+// stopped reports whether the event just processed made the last owed
+// decision, which ends the run. A crash drop is not checked: the run goes
+// on to the next event that reaches a node, or to quiescence.
 func (e *Engine) stopped() bool {
-	if !e.cfg.StopWhenDecided {
-		return false
-	}
 	if e.checkStops {
 		e.checkStopCounter()
 	}

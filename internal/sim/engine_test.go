@@ -39,11 +39,10 @@ func engineResetConfigs() []Config {
 			Unreliable: chords,
 		},
 		{
-			Graph:           line,
-			Inputs:          inputs(0, 1, 1, 0),
-			Factory:         onceFactory,
-			Scheduler:       Synchronous{Round: 3},
-			StopWhenDecided: true,
+			Graph:     line,
+			Inputs:    inputs(0, 1, 1, 0),
+			Factory:   onceFactory,
+			Scheduler: Synchronous{Round: 3},
 		},
 	}
 }
@@ -137,16 +136,16 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 			t.Errorf("node %d reported crashed in a fault-free run", i)
 		}
 	}
-	if !res.AllDecided() {
+	if !allDecided(res) {
 		t.Errorf("fault-free run after reuse did not decide everywhere: %+v", res)
 	}
 }
 
 // TestResetAfterEarlyStop reuses one engine across runs that stop before
 // the queue is done with its bucket, alternating (b), (a), (b): (a) every
-// node of clique:64 broadcasts once and decides at its ack, so
-// StopWhenDecided fires on the last event with the queue empty but the
-// last bucket undrained; (b) the same broadcasts under a MaxEvents cutoff
+// node of clique:64 broadcasts once and decides at its ack, so the stop
+// rule fires on the last event with the queue empty but the last bucket
+// undrained; (b) the same broadcasts under a MaxEvents cutoff
 // inside a bucket. Both push exactly the same events, so every warm run
 // must repeat its fresh-engine result and leave the bucket arrays as large
 // as it found them. A Reset that kept run (a)'s last bucket would have run
@@ -155,12 +154,11 @@ func TestResetAfterEarlyStop(t *testing.T) {
 	g := graph.Clique(64)
 	mk := func(maxEvents int) Config {
 		return Config{
-			Graph:           g,
-			Inputs:          make([]amac.Value, g.N()),
-			Factory:         onceFactory,
-			Scheduler:       NewRandom(4, 7),
-			StopWhenDecided: true,
-			MaxEvents:       maxEvents,
+			Graph:     g,
+			Inputs:    make([]amac.Value, g.N()),
+			Factory:   onceFactory,
+			Scheduler: NewRandom(4, 7),
+			MaxEvents: maxEvents,
 		}
 	}
 	const cut = 1000 // of 4096 events; the loop checks it falls inside a bucket
@@ -179,8 +177,8 @@ func TestResetAfterEarlyStop(t *testing.T) {
 		}
 		caps[run] = e.QueueCap()
 		if maxEvents == 0 {
-			if !got.AllDecided() || e.q.len() != 0 {
-				t.Fatalf("run %d: decided=%v with %d events queued, want every node decided on the last event", run, got.AllDecided(), e.q.len())
+			if !allDecided(got) || e.q.len() != 0 {
+				t.Fatalf("run %d: decided=%v with %d events queued, want every node decided on the last event", run, allDecided(got), e.q.len())
 			}
 		} else {
 			b := e.q.buckets[got.Time&e.q.mask]
@@ -199,18 +197,44 @@ func TestResetAfterEarlyStop(t *testing.T) {
 }
 
 // TestEngineResetShrinksAndGrows exercises node-count changes in both
-// directions: result slices must track the new topology size exactly.
+// directions: result slices must track the new topology size exactly, a
+// shrink must leave no node or message of the previous run past the new
+// size, and a grow — within the arrays' capacity or past it — must hand
+// the factory the previous run's node for exactly the slots that run had.
 func TestEngineResetShrinksAndGrows(t *testing.T) {
-	big := freshResetConfig(t, 0)   // 6 nodes
-	small := freshResetConfig(t, 3) // 4 nodes
-	e := NewEngine(big)
+	small := freshResetConfig(t, 3) // 4 nodes; the others have 6
+	// grow resets e to config 0 and fails unless the factory gets a Prev
+	// for exactly the 4 slots of the small run.
+	grow := func(name string, e *Engine) {
+		t.Helper()
+		cfg := freshResetConfig(t, 0)
+		prev := make([]bool, cfg.Graph.N())
+		factory := cfg.Factory
+		cfg.Factory = func(nc amac.NodeConfig) amac.Algorithm {
+			prev[nc.ID-1] = nc.Prev != nil
+			return factory(nc)
+		}
+		e.Reset(cfg)
+		if want := []bool{true, true, true, true, false, false}; !reflect.DeepEqual(prev, want) {
+			t.Fatalf("%s: the factory got Prev at %v, want %v", name, prev, want)
+		}
+	}
+	// The chatter run is cut off with broadcasts in flight, so slots 4 and
+	// 5 hold a node and a message when the shrink comes.
+	e := NewEngine(freshResetConfig(t, 1))
 	e.Run()
+	if e.inMsg[4] == nil && e.inMsg[5] == nil {
+		t.Fatal("the chatter run left no message in flight at nodes 4 and 5")
+	}
 	e.Reset(small)
+	if algs, msgs := heldPastLen(e); algs != 0 || msgs != 0 {
+		t.Fatalf("after the shrink, %d nodes and %d messages are held past n", algs, msgs)
+	}
 	res := e.Run()
 	if len(res.Decided) != 4 || len(res.Crashed) != 4 {
 		t.Fatalf("result slices not resized down: %d/%d", len(res.Decided), len(res.Crashed))
 	}
-	e.Reset(freshResetConfig(t, 0))
+	grow("grow within capacity", e)
 	res = e.Run()
 	if len(res.Decided) != 6 {
 		t.Fatalf("result slices not resized up: %d", len(res.Decided))
@@ -218,10 +242,17 @@ func TestEngineResetShrinksAndGrows(t *testing.T) {
 	if !reflect.DeepEqual(res, Run(freshResetConfig(t, 0))) {
 		t.Fatal("grow-after-shrink run differs from fresh engine")
 	}
+
+	e = NewEngine(small)
+	e.Run()
+	grow("grow past capacity", e)
+	if !reflect.DeepEqual(e.Run(), Run(freshResetConfig(t, 0))) {
+		t.Fatal("grow-past-capacity run differs from fresh engine")
+	}
 }
 
 // TestStopCounterMatchesScan pins the O(1) undecided counter that drives
-// StopWhenDecided against the O(n) reference scan: with checkStops set the
+// the stop rule against the O(n) reference scan: with checkStops set the
 // engine asserts agreement at every stop evaluation, so any interleaving
 // of decisions and scheduled crashes that would stop at a different event
 // panics. The crash schedules cover crashes before, at, and after the
@@ -244,12 +275,11 @@ func TestStopCounterMatchesScan(t *testing.T) {
 		for seed := int64(1); seed <= 8; seed++ {
 			mk := func() Config {
 				return Config{
-					Graph:           ring,
-					Inputs:          ins,
-					Factory:         onceFactory,
-					Scheduler:       NewRandom(5, seed),
-					Crashes:         crashes,
-					StopWhenDecided: true,
+					Graph:     ring,
+					Inputs:    ins,
+					Factory:   onceFactory,
+					Scheduler: NewRandom(5, seed),
+					Crashes:   crashes,
 				}
 			}
 			e := NewEngine(mk())

@@ -33,3 +33,31 @@ func Views(e *Engine) []amac.View {
 	}
 	return vs
 }
+
+// allDecided reports whether every node not marked crashed decided:
+// consensus.Check's termination rule, which this package's tests cannot
+// import.
+func allDecided(r *Result) bool {
+	for i, d := range r.Decided {
+		if !d && !r.Crashed[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// heldPastLen counts the slots of e's algs and inMsg arrays, between their
+// length and their capacity, that still hold a node or a message.
+func heldPastLen(e *Engine) (algs, msgs int) {
+	for _, a := range e.algs[len(e.algs):cap(e.algs)] {
+		if a != nil {
+			algs++
+		}
+	}
+	for _, m := range e.inMsg[len(e.inMsg):cap(e.inMsg)] {
+		if m != nil {
+			msgs++
+		}
+	}
+	return algs, msgs
+}

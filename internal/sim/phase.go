@@ -21,14 +21,12 @@ import (
 // merge and replay (CHANGES.md has the distributions and the A/B).
 const phaseMin = 4096
 
-// Passes of a phase. Under StopWhenDecided the owing nodes — crash-free and
-// undecided when the phase starts — run first, each up to and including
-// the event at which it decides; that fixes the stop index, and the second
-// pass runs everything else below it. Without the stop rule one pass runs
-// the whole array.
+// Passes of a phase. The owing nodes — those that owe a decision
+// (Engine.owes) and are undecided when the phase starts — run first, each
+// up to and including the event at which it decides; that fixes the stop
+// index, and the second pass runs everything else below it.
 const (
-	passAll = iota
-	passOwing
+	passOwing = iota
 	passRest
 )
 
@@ -75,8 +73,8 @@ type phaseWorker struct {
 	decided                    bool  // some node decided (MaxDecideTime)
 	deferred                   bool  // the first pass left events to the second
 	deliveries, acks, discards int
-	// logs holds the engine halves of the first (or only) pass and of the
-	// second, each in event order; next is replay's cursor into each.
+	// logs holds the engine halves of each pass, indexed by pass, each in
+	// event order; next is replay's cursor into each.
 	logs [2][]phaseOp
 	next [2]int
 
@@ -144,15 +142,15 @@ func (e *Engine) phaseWidthLarge(n int) int {
 		w = runtime.GOMAXPROCS(0) - int(draining.Load()) + 1
 	}
 	if w < 2 || e.cfg.Observer != nil || e.cfg.Metrics != nil || e.queueHook != nil || e.checkStops ||
-		e.res.Events+n > e.maxEvt || (e.cfg.StopWhenDecided && e.undecided == 0) {
+		e.res.Events+n > e.maxEvt || e.undecided == 0 {
 		return 1
 	}
 	return min(w, len(e.algs))
 }
 
 // phase runs one array of the bucket at e.now on w workers — dels, or acks
-// when dels is nil — and reports whether StopWhenDecided ended the run
-// inside it. A handler panic is re-raised here once the events before it
+// when dels is nil — and reports whether the last owed decision ended the
+// run inside it. A handler panic is re-raised here once the events before it
 // have been replayed, the lowest event index first.
 func (e *Engine) phase(w int, dels []delivery, acks []ack) bool {
 	if e.par == nil {
@@ -164,26 +162,22 @@ func (e *Engine) phase(w int, dels []delivery, acks []ack) bool {
 	n := int32(len(dels) + len(acks))
 	limit, stop := n, false
 	e.phasing = true
-	if e.cfg.StopWhenDecided {
-		p.run(e, passOwing, n)
-		owed, last, deferred := 0, int32(-1), false
-		for i := range p.workers {
-			wk := &p.workers[i]
-			owed += wk.owed
-			last = max(last, wk.lastOwed)
-			deferred = deferred || wk.deferred
-		}
-		if owed == e.undecided {
-			limit, stop = last+1, true
-		}
-		if wk := p.panicked(); wk != nil {
-			limit = min(limit, wk.panicAt)
-		}
-		if deferred {
-			p.run(e, passRest, limit)
-		}
-	} else {
-		p.run(e, passAll, n)
+	p.run(e, passOwing, n)
+	owed, last, deferred := 0, int32(-1), false
+	for i := range p.workers {
+		wk := &p.workers[i]
+		owed += wk.owed
+		last = max(last, wk.lastOwed)
+		deferred = deferred || wk.deferred
+	}
+	if owed == e.undecided {
+		limit, stop = last+1, true
+	}
+	if wk := p.panicked(); wk != nil {
+		limit = min(limit, wk.panicAt)
+	}
+	if deferred {
+		p.run(e, passRest, limit)
 	}
 	e.phasing = false
 
@@ -249,11 +243,7 @@ func (p *phases) owner(v int) *phaseWorker {
 func (p *phases) record(v int, op phaseOp) {
 	wk := p.owner(v)
 	op.at, op.node = wk.cur, int32(v)
-	second := 0
-	if p.pass == passRest {
-		second = 1
-	}
-	wk.logs[second] = append(wk.logs[second], op)
+	wk.logs[p.pass] = append(wk.logs[p.pass], op)
 }
 
 // decided notes node v's first decide; owing tells whether it was an owing
@@ -361,12 +351,12 @@ func (e *Engine) work(w int) {
 		}
 		switch p.pass {
 		case passOwing:
-			if e.crashAt[v] >= 0 || e.res.Decided[v] {
+			if !e.owes(int(v)) || e.res.Decided[v] {
 				wk.deferred = true
 				continue
 			}
 		case passRest:
-			if m := p.marks[v]; e.crashAt[v] < 0 && (!e.res.Decided[v] || m.epoch == p.epoch && i <= m.at) {
+			if m := p.marks[v]; e.owes(int(v)) && (!e.res.Decided[v] || m.epoch == p.epoch && i <= m.at) {
 				continue
 			}
 		}

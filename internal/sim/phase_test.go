@@ -254,16 +254,15 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 		for i := range ins {
 			ins[i] = amac.Value(i % 2)
 		}
-		mk := func(sched func() sim.Scheduler, stop bool, crashes []sim.Crash, p probeConfig) func() sim.Config {
+		mk := func(sched func() sim.Scheduler, crashes []sim.Crash, p probeConfig) func() sim.Config {
 			return func() sim.Config {
 				return sim.Config{
-					Graph:           g,
-					Inputs:          ins,
-					Factory:         p.factory(),
-					Scheduler:       sched(),
-					Crashes:         crashes,
-					StopWhenDecided: stop,
-					MaxEvents:       20_000,
+					Graph:     g,
+					Inputs:    ins,
+					Factory:   p.factory(),
+					Scheduler: sched(),
+					Crashes:   crashes,
+					MaxEvents: 20_000,
 				}
 			}
 		}
@@ -276,40 +275,43 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 		// inside the t=1 delivery array; every event past it would show up
 		// in a node's reception count (its View's MaxTag) or the discards.
 		stopMid := probeConfig{needBase: 2, needSpread: 5, startDeciders: []amac.NodeID{1, 7}}
-		x := sameExecution(t, "mid-bucket stop", mk(syncSched, true, nil, stopMid))
+		x := sameExecution(t, "mid-bucket stop", mk(syncSched, nil, stopMid))
 		if x.res.Time != 1 || x.res.Events >= g.N()*(g.N()-1) {
 			t.Errorf("mid-bucket stop: stopped at t=%d after %d events, want inside the t=1 deliveries", x.res.Time, x.res.Events)
 		}
-		sameExecution(t, "mid-bucket stop, crashes", mk(syncSched, true, crashes, stopMid))
-		sameExecution(t, "mid-bucket stop, random", mk(randSched, true, crashes, stopMid))
+		sameExecution(t, "mid-bucket stop, crashes", mk(syncSched, crashes, stopMid))
+		sameExecution(t, "mid-bucket stop, random", mk(randSched, crashes, stopMid))
 
 		// Every node decides again, differently, on a later reception and
 		// broadcasts an over-wide message at every ack: the violations of
-		// many nodes interleave inside one bucket.
-		violate := probeConfig{needBase: 1, needSpread: 3, againAt: 4, fatAcks: true}
-		x = sameExecution(t, "second decide and audit", mk(syncSched, false, nil, violate))
+		// many nodes interleave inside one bucket. Node 1 (id 2) never
+		// decides, so the run goes on past every other node's decide;
+		// so do the probes below that carry it.
+		violate := probeConfig{needBase: 1, needSpread: 3, againAt: 4, fatAcks: true, silent: 2}
+		x = sameExecution(t, "second decide and audit", mk(syncSched, nil, violate))
 		if len(x.res.Violations) < g.N() {
 			t.Errorf("second decide and audit: %d violations, want at least %d", len(x.res.Violations), g.N())
 		}
-		sameExecution(t, "second decide and audit, random", mk(randSched, false, crashes, violate))
+		sameExecution(t, "second decide and audit, random", mk(randSched, crashes, violate))
 
 		// Handler panics on two nodes of different workers in one bucket:
 		// the one the sequential loop meets first is raised.
 		for _, at := range []int{3, 5} {
 			p := probeConfig{needBase: 2, needSpread: 5, panicAt: at, panicNodes: []amac.NodeID{10, 3}}
-			x = sameExecution(t, fmt.Sprintf("handler panic at reception %d", at), mk(syncSched, true, nil, p))
+			x = sameExecution(t, fmt.Sprintf("handler panic at reception %d", at), mk(syncSched, nil, p))
 			if x.panic == nil {
 				t.Errorf("handler panic at reception %d: the run did not panic", at)
 			}
-			sameExecution(t, fmt.Sprintf("handler panic at reception %d, random", at), mk(randSched, false, crashes, p))
+			p.silent = 2
+			sameExecution(t, fmt.Sprintf("handler panic at reception %d, random", at), mk(randSched, crashes, p))
 		}
 
 		// A scheduler panic raised on replay, racing handler panics later
 		// and earlier in the same bucket.
 		for _, seq := range []int{1, 2} {
-			p := probeConfig{needBase: 1, needSpread: 3, panicAt: 6, panicNodes: []amac.NodeID{12}}
+			p := probeConfig{needBase: 1, needSpread: 3, panicAt: 6, panicNodes: []amac.NodeID{12}, silent: 2}
 			planPanic := func() sim.Scheduler { return &panicPlan{base: sim.Synchronous{Round: 1}, sender: 5, seq: seq} }
-			x = sameExecution(t, fmt.Sprintf("plan panic at seq %d", seq), mk(planPanic, false, nil, p))
+			x = sameExecution(t, fmt.Sprintf("plan panic at seq %d", seq), mk(planPanic, nil, p))
 			if x.panic == nil {
 				t.Errorf("plan panic at seq %d: the run did not panic", seq)
 			}
@@ -327,46 +329,38 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 func TestBucketPhaseAdmission(t *testing.T) {
 	const n = 96
 	g := graph.Clique(n)
-	for _, stop := range []bool{false, true} {
-		name := fmt.Sprintf("stop=%v", stop)
-		mk := func() sim.Config {
-			return sim.Config{
-				Graph:           g,
-				Inputs:          make([]amac.Value, n),
-				Factory:         chorusFactory,
-				Scheduler:       sim.Synchronous{Round: 1},
-				StopWhenDecided: stop,
-			}
+	mk := func() sim.Config {
+		return sim.Config{
+			Graph:     g,
+			Inputs:    make([]amac.Value, n),
+			Factory:   chorusFactory,
+			Scheduler: sim.Synchronous{Round: 1},
 		}
-		want := execute(mk(), 1)
-		got := execute(mk(), 0)
-		sameAs(t, name, got, want)
+	}
+	want := execute(mk(), 1)
+	got := execute(mk(), 0)
+	sameAs(t, "clique:96", got, want)
 
-		// The workload is what the test claims: every tick up to the last
-		// is one full bucket. Without the stop rule every node broadcasts
-		// chorusRounds times; with it the run ends on the last owing
-		// decide, in the ack array of tick chorusDecideMax.
-		ticks := int64(chorusRounds)
-		if stop {
-			ticks = chorusDecideMax
-		}
-		if r := want.res; r.Time != ticks || r.Deliveries != int(ticks)*n*(n-1) || r.Acks > int(ticks)*n || r.Acks <= int(ticks-1)*n {
-			t.Fatalf("%s: t=%d, %d deliveries, %d acks; want %d full ticks of %d deliveries and %d acks", name, r.Time, r.Deliveries, r.Acks, ticks, n*(n-1), n)
-		}
-		phases := 0
-		if runtime.GOMAXPROCS(0) >= 2 {
-			phases = 2 * int(ticks)
-		}
-		if got.phases != phases {
-			t.Errorf("%s at GOMAXPROCS %d: %d phases over %d buckets, want %d", name, runtime.GOMAXPROCS(0), got.phases, ticks, phases)
-		}
+	// The workload is what the test claims: every tick up to the last is
+	// one full bucket, and the run ends on the last owing decide, in the
+	// ack array of tick chorusDecideMax.
+	const ticks = chorusDecideMax
+	if r := want.res; r.Time != ticks || r.Deliveries != ticks*n*(n-1) || r.Acks > ticks*n || r.Acks <= (ticks-1)*n {
+		t.Fatalf("t=%d, %d deliveries, %d acks; want %d full ticks of %d deliveries and %d acks", r.Time, r.Deliveries, r.Acks, ticks, n*(n-1), n)
+	}
+	phases := 0
+	if runtime.GOMAXPROCS(0) >= 2 {
+		phases = 2 * ticks
+	}
+	if got.phases != phases {
+		t.Errorf("at GOMAXPROCS %d: %d phases over %d buckets, want %d", runtime.GOMAXPROCS(0), got.phases, ticks, phases)
 	}
 }
 
 // A chorus node broadcasts chorusRounds messages, the first at Start and
 // each next one at an ack, and decides its input at ack 2 + i%3 (node
-// index i), chorusDecideMax at the latest: every node rebroadcasts, and
-// the last decide falls inside an ack array.
+// index i), chorusDecideMax at the latest: every node rebroadcasts past
+// its decide, and the last decide falls inside an ack array.
 const chorusRounds, chorusDecideMax = 6, 4
 
 type chorus struct {
@@ -421,9 +415,10 @@ func (s *panicPlan) Plan(b sim.Broadcast, p *sim.Plan) {
 // probeConfig shapes a probe network. Node i (id i+1) decides its input
 // after needBase + i%needSpread receptions (ids in startDeciders decide at
 // Start), decides the other value at reception againAt when set, and
-// panics at reception panicAt when its id is in panicNodes. Every node
-// broadcasts at Start and at every reception (a discard while one is in
-// flight), and after each ack, with an over-wide message when fatAcks.
+// panics at reception panicAt when its id is in panicNodes. The node with
+// id silent, when set, never decides. Every node broadcasts at Start and
+// at every reception (a discard while one is in flight), and after each
+// ack, with an over-wide message when fatAcks.
 type probeConfig struct {
 	needBase, needSpread int
 	startDeciders        []amac.NodeID
@@ -431,6 +426,7 @@ type probeConfig struct {
 	fatAcks              bool
 	panicAt              int
 	panicNodes           []amac.NodeID
+	silent               amac.NodeID
 }
 
 func (p probeConfig) factory() amac.Factory {
@@ -457,6 +453,9 @@ type probe struct {
 }
 
 func (a *probe) decide(v amac.Value) {
+	if a.id == a.cfg.silent {
+		return
+	}
 	a.api.Decide(v)
 	if !a.decided {
 		a.decided, a.decision, a.lastDecideAt = true, v, a.api.Now()

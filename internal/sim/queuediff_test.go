@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/graph"
 	"github.com/absmac/absmac/internal/harness"
@@ -166,7 +167,7 @@ func TestQueueRingCoversDeclaredHorizon(t *testing.T) {
 			t.Errorf("%s: ring spans %d buckets for Fack %d, want the smallest power of two above it", tc.name, span, f)
 		}
 		e.CheckQueueOrder(t)
-		if res := e.Run(); !res.AllDecided() {
+		if res := e.Run(); !consensus.Check(inputs, res).Termination {
 			t.Errorf("%s: run did not decide (events %d)", tc.name, res.Events)
 		}
 	}

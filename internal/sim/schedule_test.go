@@ -22,13 +22,12 @@ func recordRing(t *testing.T, seed int64) (*Schedule, Config) {
 	rec.S.FallbackSeed = seed + 7
 	rec.S.Crashes = []Crash{{Node: 5, At: 3}}
 	cfg := Config{
-		Graph:           g,
-		Unreliable:      o,
-		Inputs:          inputs,
-		Factory:         floodpaxos.NewFactory(6),
-		Scheduler:       rec,
-		Crashes:         rec.S.Crashes,
-		StopWhenDecided: true,
+		Graph:      g,
+		Unreliable: o,
+		Inputs:     inputs,
+		Factory:    floodpaxos.NewFactory(6),
+		Scheduler:  rec,
+		Crashes:    rec.S.Crashes,
 	}
 	Run(cfg)
 	if len(rec.S.Steps) == 0 {
@@ -50,7 +49,7 @@ func TestReplayByteIdentical(t *testing.T) {
 	want := Run(Config{
 		Graph: cfg.Graph, Unreliable: cfg.Unreliable, Inputs: cfg.Inputs,
 		Factory: floodpaxos.NewFactory(6), Scheduler: NewLossy(NewRandom(4, 11), 0.5, 111),
-		Crashes: s.Crashes, StopWhenDecided: true,
+		Crashes: s.Crashes,
 	})
 	rcfg, rp := replayCfg(cfg, s)
 	got := Run(rcfg)
@@ -103,7 +102,7 @@ func TestReplayDivergesOnPerturbationAndEmitsEvent(t *testing.T) {
 	if divergeEvents != 1 {
 		t.Fatalf("observer saw %d diverge events, want exactly 1", divergeEvents)
 	}
-	if !res.Quiescent && !res.Cutoff && !res.AllDecided() {
+	if !res.Quiescent && !res.Cutoff && !allDecided(res) {
 		t.Fatal("perturbed replay neither terminated nor hit the cap")
 	}
 }

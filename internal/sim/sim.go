@@ -47,14 +47,17 @@
 // delivery array and its ack array in place, front to back, handing each
 // entry to Engine.deliver or Engine.ack — or, for a large bucket, runs
 // each array as a parallel phase (Bucket phases, below). The choice is
-// made once per bucket. The per-event checks stay
-// per event: the MaxEvents cutoff, the event counts, the StopWhenDecided
-// test and the differential hook. The StopWhenDecided test runs after an event
-// that reaches a node, never after a crash drop, and owes a decision only
-// to the nodes with no scheduled crash — the ones the verdict judges — so
-// a run stops on the event that decides the last of them, whatever doomed
-// nodes are still running (TestStopOwesOnlyCrashFreeNodes). A drained
-// bucket is truncated and its bit cleared once.
+// made once per bucket. The per-event checks stay per event: the MaxEvents
+// cutoff, the event counts, the stop test and the differential hook. A
+// drained bucket is truncated and its bit cleared once.
+//
+// Stop rule: every run ends on the event that makes the last owed
+// decision, or at quiescence or the MaxEvents cutoff if that comes first.
+// Engine.owes is the rule: a node owes a decision when it has no scheduled
+// crash — the nodes the verdict judges, since Run marks every scheduled
+// crash in Result.Crashed. The stop test runs after an event that reaches
+// a node, never after a crash drop, so a run stops whatever doomed nodes
+// are still running (TestStopOwesOnlyCrashFreeNodes).
 //
 // Invariant: no handler pushes into the bucket being drained. validatePlan
 // requires every delivery and the ack to fall strictly after the
@@ -63,14 +66,14 @@
 // same rule to recorded steps, so a hand-edited artifact that acks at its
 // broadcast diverges to the fallback planner instead.
 //
-// Re-arm rule: a run stopped by StopWhenDecided or MaxEvents returns from
+// Re-arm rule: a run stopped by the stop rule or MaxEvents returns from
 // inside a bucket and leaves it untruncated, with its bit still set. That
-// happens even with no event left queued: StopWhenDecided fires on the
-// last ack of a run in which every node decides. Reset therefore resets
-// every bucket still marked in the bitmap, not only when events remain;
-// otherwise the next run would append behind the stale entries and every
-// warm run would grow the arrays (TestResetAfterEarlyStop, and the zero
-// allocs/op pin of BenchmarkWarmRunClique).
+// happens even with no event left queued: the stop rule fires on the last
+// ack of a run in which every node decides at its ack. Reset therefore
+// resets every bucket still marked in the bitmap, not only when events
+// remain; otherwise the next run would append behind the stale entries and
+// every warm run would grow the arrays (TestResetAfterEarlyStop, and the
+// zero allocs/op pin of BenchmarkWarmRunClique).
 //
 // Invariant: the message of a queued delivery is its sender's in-flight
 // message. The abstract MAC layer gives a node one outstanding broadcast
@@ -135,7 +138,7 @@
 //     already hold every P — a parallel sweep — keep the sequential loop;
 //   - the run has no Observer, no Metrics and no test hook;
 //   - the bucket fits in the remaining event budget;
-//   - StopWhenDecided has not already fired (the undecided counter is not
+//   - the stop rule has not already fired (the undecided counter is not
 //     0 — the sequential loop would stop after the bucket's first event
 //     that reaches a node);
 //   - the scheduler is one of this package's own: Synchronous, MaxDelay,
@@ -169,12 +172,12 @@
 //     are merged and replayed in index order, so plans, rng draws, queue
 //     order and violation order are the sequential ones. Deliveries, Acks,
 //     Discards and the undecided counter are per-worker sums.
-//   - The stop stays exact. Under StopWhenDecided the owing nodes — no
-//     scheduled crash, undecided when the phase starts — run first, each
-//     up to and including the event at which it decides. If that decides
-//     them all, the stop index k is the latest of those events and a
-//     second pass runs the rest of the array only below k; otherwise the
-//     second pass runs the rest in full.
+//   - The stop stays exact. The owing nodes — those Engine.owes names,
+//     undecided when the phase starts — run first, each up to and
+//     including the event at which it decides. If that decides them all,
+//     the stop index k is the latest of those events and a second pass
+//     runs the rest of the array only below k; otherwise the second pass
+//     runs the rest in full.
 //   - A handler panic is recovered in its worker. The events before the
 //     lowest panicking index, and what that handler did before it
 //     panicked, are replayed — so a scheduler panic among them is raised
@@ -292,13 +295,6 @@ type Config struct {
 	// MaxEvents caps processed events to guard against non-quiescent
 	// executions; 0 means DefaultMaxEvents, the one budget.
 	MaxEvents int
-	// StopWhenDecided stops the run as soon as every node with no
-	// scheduled crash has decided (the default harness behaviour): the
-	// nodes the verdict judges, since Run marks every scheduled crash in
-	// Result.Crashed. The test runs after an event that reaches a node.
-	// When false the run continues to quiescence, which exercises
-	// post-decision behaviour.
-	StopWhenDecided bool
 	// Observer, when non-nil, receives every engine event in execution
 	// order (for tracing). Event.Message is only guaranteed valid for the
 	// duration of the callback: a sender may reuse its message once acked
@@ -513,16 +509,6 @@ type Result struct {
 	Cutoff bool
 	// Violations lists contract breaches (double decide, audit failures).
 	Violations []Violation
-}
-
-// AllDecided reports whether every non-crashed node decided.
-func (r *Result) AllDecided() bool {
-	for i, d := range r.Decided {
-		if !d && !r.Crashed[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DecidedValues returns the set of distinct decided values.

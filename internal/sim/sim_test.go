@@ -81,13 +81,12 @@ func inputs(vs ...int) []amac.Value {
 
 func TestSynchronousOnce(t *testing.T) {
 	res := Run(Config{
-		Graph:           graph.Line(3),
-		Inputs:          inputs(0, 1, 0),
-		Factory:         onceFactory,
-		Scheduler:       Synchronous{},
-		StopWhenDecided: true,
+		Graph:     graph.Line(3),
+		Inputs:    inputs(0, 1, 0),
+		Factory:   onceFactory,
+		Scheduler: Synchronous{},
 	})
-	if !res.AllDecided() {
+	if !allDecided(res) {
 		t.Fatal("not all nodes decided")
 	}
 	// One synchronous round: everything at time 1.
@@ -108,11 +107,10 @@ func TestSynchronousOnce(t *testing.T) {
 
 func TestSynchronousRoundLength(t *testing.T) {
 	res := Run(Config{
-		Graph:           graph.Clique(2),
-		Inputs:          inputs(1, 1),
-		Factory:         onceFactory,
-		Scheduler:       Synchronous{Round: 10},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(2),
+		Inputs:    inputs(1, 1),
+		Factory:   onceFactory,
+		Scheduler: Synchronous{Round: 10},
 	})
 	if res.MaxDecideTime != 10 {
 		t.Fatalf("decision time %d, want 10", res.MaxDecideTime)
@@ -121,11 +119,10 @@ func TestSynchronousRoundLength(t *testing.T) {
 
 func TestMaxDelay(t *testing.T) {
 	res := Run(Config{
-		Graph:           graph.Clique(4),
-		Inputs:          inputs(0, 0, 0, 0),
-		Factory:         onceFactory,
-		Scheduler:       MaxDelay{F: 7},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(4),
+		Inputs:    inputs(0, 0, 0, 0),
+		Factory:   onceFactory,
+		Scheduler: MaxDelay{F: 7},
 	})
 	if res.MaxDecideTime != 7 {
 		t.Fatalf("decision time %d, want 7", res.MaxDecideTime)
@@ -295,11 +292,10 @@ func TestMaxEventsCutoff(t *testing.T) {
 func TestRandomSchedulerDeterminism(t *testing.T) {
 	run := func(seed int64) *Result {
 		return Run(Config{
-			Graph:           graph.RandomConnected(12, 0.2, 3),
-			Inputs:          make([]amac.Value, 12),
-			Factory:         onceFactory,
-			Scheduler:       NewRandom(16, seed),
-			StopWhenDecided: true,
+			Graph:     graph.RandomConnected(12, 0.2, 3),
+			Inputs:    make([]amac.Value, 12),
+			Factory:   onceFactory,
+			Scheduler: NewRandom(16, seed),
 		})
 	}
 	a, b := run(5), run(5)
@@ -317,11 +313,10 @@ func TestRandomSchedulerWithinBound(t *testing.T) {
 	// effective property test of the Random scheduler's plan validity.
 	for seed := int64(0); seed < 25; seed++ {
 		Run(Config{
-			Graph:           graph.Clique(6),
-			Inputs:          make([]amac.Value, 6),
-			Factory:         onceFactory,
-			Scheduler:       NewRandom(1+seed%7, seed),
-			StopWhenDecided: true,
+			Graph:     graph.Clique(6),
+			Inputs:    make([]amac.Value, 6),
+			Factory:   onceFactory,
+			Scheduler: NewRandom(1+seed%7, seed),
 		})
 	}
 }
@@ -612,11 +607,10 @@ func TestEventKindString(t *testing.T) {
 
 func TestDecidedValues(t *testing.T) {
 	res := Run(Config{
-		Graph:           graph.Clique(2),
-		Inputs:          inputs(0, 1),
-		Factory:         onceFactory, // decides own input: deliberate disagreement
-		Scheduler:       Synchronous{},
-		StopWhenDecided: true,
+		Graph:     graph.Clique(2),
+		Inputs:    inputs(0, 1),
+		Factory:   onceFactory, // decides own input: deliberate disagreement
+		Scheduler: Synchronous{},
 	})
 	vals := res.DecidedValues()
 	if len(vals) != 2 {

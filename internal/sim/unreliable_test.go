@@ -48,14 +48,13 @@ func TestUnreliableNeverBlocksAck(t *testing.T) {
 	g := graph.Line(3)
 	u := graph.Build(3, [][2]int{{0, 2}})
 	res := Run(Config{
-		Graph:           g,
-		Unreliable:      u,
-		Inputs:          inputs(1, 1, 1),
-		Factory:         onceFactory,
-		Scheduler:       NewLossy(Synchronous{}, 0.5, 3),
-		StopWhenDecided: true,
+		Graph:      g,
+		Unreliable: u,
+		Inputs:     inputs(1, 1, 1),
+		Factory:    onceFactory,
+		Scheduler:  NewLossy(Synchronous{}, 0.5, 3),
 	})
-	if !res.AllDecided() {
+	if !allDecided(res) {
 		t.Fatal("reliable substrate failed under the overlay")
 	}
 	if res.MaxDecideTime != 1 {
@@ -198,12 +197,11 @@ func TestLossyDeterministic(t *testing.T) {
 	u := graph.RandomOverlay(g, 4, 2)
 	run := func() *Result {
 		return Run(Config{
-			Graph:           g,
-			Unreliable:      u,
-			Inputs:          inputs(0, 1, 0, 1, 0, 1),
-			Factory:         onceFactory,
-			Scheduler:       NewLossy(NewRandom(5, 7), 0.5, 7),
-			StopWhenDecided: true,
+			Graph:      g,
+			Unreliable: u,
+			Inputs:     inputs(0, 1, 0, 1, 0, 1),
+			Factory:    onceFactory,
+			Scheduler:  NewLossy(NewRandom(5, 7), 0.5, 7),
 		})
 	}
 	a, b := run(), run()

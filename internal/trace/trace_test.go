@@ -14,12 +14,11 @@ import (
 func runWith(r *Recorder) {
 	inputs := []amac.Value{0, 1, 0}
 	sim.Run(sim.Config{
-		Graph:           graph.Clique(3),
-		Inputs:          inputs,
-		Factory:         twophase.Factory,
-		Scheduler:       sim.Synchronous{},
-		StopWhenDecided: true,
-		Observer:        r.Observer(),
+		Graph:     graph.Clique(3),
+		Inputs:    inputs,
+		Factory:   twophase.Factory,
+		Scheduler: sim.Synchronous{},
+		Observer:  r.Observer(),
 	})
 }
 
