@@ -1,124 +1,139 @@
 // Command amacsim runs consensus executions in the abstract MAC layer
-// simulator — one execution by default, a parallel scenario sweep with
-// -sweep. All construction goes through internal/harness, so the
-// algorithm, topology, input, scheduler, crash-pattern and overlay names
-// accepted here are exactly the harness registries.
+// simulator. One scenario — the eight flags -algo, -topo, -sched, -fack,
+// -seed, -inputs, -crash, -overlay, plus the event cap -maxevents — is
+// named the same way in every mode, and all construction goes through
+// internal/harness, so the names accepted here are exactly the harness
+// registries. The command has five modes; setting two is exit 2, and a
+// mode flag given as =false selects nothing:
 //
-// Single-cell examples:
+//	amacsim [scenario]             one execution (the default)
+//	amacsim -sweep [axes]          a parallel scenario sweep
+//	amacsim -explore [scenario]    schedule-space search of one scenario
+//	amacsim -grid [axes]           the same search over a whole sweep grid
+//	amacsim -replay FILE           re-verify a counterexample artifact
+//
+// Each mode accepts only its own flags (the modes table in main.go); any
+// other flag is exit 2 rather than an option silently dropped.
+//
+// # Single run
 //
 //	amacsim -algo twophase -topo clique:16 -sched random -fack 8
-//	amacsim -algo wpaxos -topo grid:5x5 -sched maxdelay -fack 4
-//	amacsim -algo floodpaxos -topo starlines:8x3 -sched sync -v
 //	amacsim -algo floodpaxos -topo ring:9 -sched random -fack 4 \
 //	        -crash midbroadcast -overlay chords@0.8
 //
-// In single-cell mode, -trace FILE dumps the full event trace as JSON
-// Lines (one trace.JSONLEvent per line — the same format amacexplore's
-// replay traces use; -v keeps printing the human-readable trace to
-// stdout), and -record FILE records the execution's schedule — every
-// delivery plan, unreliable-edge coin and crash time — as a replayable
-// counterexample artifact for `amacexplore -replay` / `-minimize` (see
-// cmd/amacexplore for the artifact format):
-//
-//	amacsim -algo wpaxos -topo ring:9 -sched random -fack 4 -seed 4 \
-//	        -crash midbroadcast -overlay chords -record stall.json
-//	amacexplore -replay stall.json
-//
-// -metrics turns on the flight-recorder registry (internal/metrics) and
-// works in both modes. In single-cell mode it prints the registry's
-// name-sorted text dump after the run, followed by the decide-latency
+// It prints the run's facts and the agreement/validity/termination
+// verdict. -v prints the full event trace; -trace FILE dumps it as JSON
+// Lines (one trace.JSONLEvent per line); -record FILE writes the run's
+// schedule — every delivery plan, unreliable-edge coin and crash time —
+// as a counterexample artifact that -replay re-verifies; -metrics prints
+// the flight-recorder registry (internal/metrics) and the decide-latency
 // critical path (internal/critpath): the causal delivery chain from the
-// first broadcast to the first decision, with the latency attributed to
-// algorithm phases and stalls. In sweep mode it adds an aggregated
-// "metrics" array to every JSON cell (counters summed, gauge high-water
-// marks maxed, across all runs of the cell); without the flag the sweep
-// output is byte-identical to a build without the metrics layer, and the
-// engine's hot path stays allocation-free.
+// first broadcast to the first decision, attributed to algorithm phases
+// and stalls.
 //
-// Sweep mode expands the cross product of comma-separated axes and runs it
-// on a GOMAXPROCS-wide worker pool, aggregating each (algo, topo, inputs,
-// sched, fack, crashes, overlay) cell over all seeds:
+// # Sweep
+//
+// -sweep expands the cross product of the comma-separated axes -algos,
+// -topos, -scheds, -facks, -crashes, -overlays and -inputs over seeds
+// 1..-seeds, runs it on a -workers-wide pool (0 = GOMAXPROCS) and
+// aggregates each cell over its seeds, as a text table or, with -json, an
+// array of cell objects (harness.Cell: decide-time and traffic summaries,
+// survivor decide time, faults, the distinct consensus violations).
+// Properties are judged over survivors: a crashed node owes nothing.
+// -metrics adds aggregated per-cell metric rows; without it the output is
+// byte-identical to a build without the metrics layer. -cpuprofile and
+// -memprofile profile the whole sweep.
 //
 //	amacsim -sweep -algos wpaxos,floodpaxos -topos clique:8,grid:3x3 \
 //	        -scheds sync,random -facks 2,8 -seeds 8 -json
-//	amacsim -sweep -algos floodpaxos -topos ring:9 -scheds random -facks 4 \
-//	        -crashes one@0,midbroadcast -overlays randomextra:0.25,chords \
-//	        -seeds 8
 //
-// Sweep grammar:
+// Topology specs: clique:N, line:N, ring:N, star:N, grid:RxC, tree:BxD,
+// starlines:AxL, random:N:P, expander:N:D, pods:P:K:C. Crash patterns,
+// name[@T]: none, one@T, maxid@T, coordinator, midbroadcast,
+// minorityrand. Overlays, family[:param][@Q]: none, randomextra:P,
+// extra:K, chords, with Q the delivery probability (default 0.5). A bad
+// name's error lists the registry.
 //
-//   - -algos, -scheds, -inputs: comma-separated registry names
-//     (algorithms: anonflood | benor | floodpaxos | gatherall | twophase |
-//     waitall | wpaxos;
-//     schedulers: sync | random | maxdelay | edgeorder;
-//     inputs: alternating | zeros | ones | half).
-//   - -topos: comma-separated topology specs — clique:N, line:N, ring:N,
-//     star:N, grid:RxC, tree:BxD, starlines:AxL, random:N:P,
-//     expander:N:D (seeded random D-regular; needs 3 <= D < N, N*D
-//     even), pods:P:K:C (P ring-pods of K nodes joined by C cross
-//     links per pod). The two seeded sparse families are degree-bounded
-//     and built for large n — expander:4096:8 and pods:64:64:4 sweep
-//     comfortably.
-//   - -facks: comma-separated positive integers.
-//   - -crashes: comma-separated crash patterns, grammar name[@T] — none,
-//     one@T (highest-index node crashes at T), maxid@T (alias of one@T:
-//     that node carries the maximum id, so crashing it kills the stable
-//     leader of a max-id election), coordinator (node 0 crashes at
-//     Fack), midbroadcast (node 0 crashes at max(1, Fack/2),
-//     inside its first broadcast window: the Theorem 3.2 crash),
-//     minorityrand (a seeded random minority at seeded random times in
-//     [0, 4*Fack]). Default none.
-//   - -overlays: comma-separated overlay families building the unreliable
-//     dual graph (Kuhn–Lynch–Newport model variant), grammar
-//     family[:param][@Q] — none, randomextra:P (a seeded random
-//     P-fraction of the non-edges; same density every seed), extra:K
-//     (K random non-edges), chords (antipodal chords). Q in [0,1] is the
-//     delivery probability (default 0.5): the scenario's scheduler is
-//     wrapped in the lossy adapter so overlay edges carry messages.
-//     Default none.
-//   - -seeds: a replication count; seeds 1..k run for every cell.
+// # Explore
 //
-// Sweep mode also accepts -cpuprofile FILE and -memprofile FILE, which
-// write pprof CPU and heap profiles covering the whole sweep (worker pool
-// included) — the starting point for any wall-clock investigation:
+// -explore records the scenario's base execution as a sim.Schedule, then
+// replays -budget seeded perturbations of it (swapped delivery orders,
+// re-jittered delays within Fack, flipped overlay coins, shifted or
+// dropped crashes) on a parallel pool, deduplicated by schedule
+// fingerprint and deterministic given the scenario and -searchseed.
+// The violation carried forward is the most severe one found
+// (consensus.Severity's order); among equals the base run's own wins,
+// then the earliest candidate; -budget 0 carries the base run's own.
+// -minimize delta-debugs it down to a minimal failing schedule (crashes
+// dropped, unreliable deliveries pruned, the suffix truncated, the
+// topology shrunk where the family allows), each step re-verified;
+// -out FILE writes the artifact.
 //
-//	amacsim -sweep -topos expander:4096:8 -scheds random -seeds 4 \
-//	        -cpuprofile cpu.out && go tool pprof cpu.out
+//	amacsim -explore -algo twophase -topo ring:9 -sched random -fack 4 -seed 4 \
+//	        -crash coordinator -overlay chords -maxevents 200000 \
+//	        -budget 0 -minimize -out stall.json
 //
-// With -json the sweep emits a JSON array of cell objects:
+// # Grid
 //
-//	[{"algo": "wpaxos", "topo": "grid:3x3", "inputs": "alternating",
-//	  "sched": "random", "crashes": "one@0", "overlay": "extra:4",
-//	  "fack": 8, "effective_fack": 8, "n": 9, "diameter": 4,
-//	  "runs": 8, "correct": 8, "undecided": 0,
-//	  "decide_time": {"min": …, "median": …, "mean": …, "p95": …, "max": …},
-//	  "decide_per_fack": …,
-//	  "survivor_decide_time": {…}, "faults": {…},
-//	  "terminated_despite_faults": 8,
-//	  "broadcasts": {…}, "deliveries": {…},
-//	  "errors": ["…"]}, …]
+// -grid sweeps the axes with schedule-coverage fingerprints on and hands
+// each cell's first flagged run to the same counterexample path as
+// -explore (-budget, -searchseed, -minimize), writing one artifact per
+// finding into -artifacts DIR. -saturate K stops a cell after K
+// consecutive seeds add no new ordering. Campaigns are deterministic at
+// any -workers width.
 //
-// where decide_time summarizes per-run decision latency over the runs
-// that decided (undecided counts the rest), survivor_decide_time is the
-// same latency restricted to nodes that survived the run (the meaningful
-// number under crash patterns), faults summarizes the per-run crashed-node
-// count, terminated_despite_faults counts runs with at least one crash in
-// which every survivor still decided, fack is the requested axis value
-// while effective_fack is the bound the scheduler actually declared (they
-// differ for edgeorder, whose bound is structural) and normalizes
-// decide_per_fack, diameter is the median topology diameter across seeds
-// (seed-dependent only for the seeded families random:N:P, expander:N:D
-// and pods:P:K:C), broadcasts/deliveries summarize
-// MAC-layer message counts, and errors lists the distinct consensus
-// violations seen in the cell (absent when none). Consensus properties are
-// judged over survivors: a crashed node owes nothing. Without -json the
-// same cells render as an aligned text table. Exit status 1 when any run
-// violates a consensus property.
+//	amacsim -grid -algos wpaxos,floodpaxos -topos ring:9,grid:3x3 \
+//	        -scheds random -facks 4 -crashes midbroadcast,one@3 \
+//	        -overlays chords,extra:4@0.6 -seeds 8 -maxevents 200000 \
+//	        -budget 0 -minimize -artifacts out/
+//
+// -maxevents sets the cap on the scenario or grid, and -record, -out and
+// -artifacts write it into the artifact; 0 keeps the simulator's one
+// default (5 000 000) and a negative cap is exit 2.
+//
+// # Replay
+//
+// -replay FILE replays the artifact's schedule against its recorded
+// scenario and cap, and checks the outcome against the recorded
+// violation (reproducing it is success). -trace FILE dumps the replay's
+// event trace as -trace does for a single run; -critpath prints its
+// decide-latency critical path, which is the recorded run's (with -json
+// it rides along as "critical_path").
+//
+//	amacsim -replay internal/harness/testdata/stall_twophase_coordinator_chords.json -critpath
+//
+// # Artifact format
+//
+// Artifacts are indented JSON (explore.Artifact):
+//
+//	{"format": 1,
+//	 "scenario": {"algo": …, "topo": …, "inputs": …, "sched": …, "fack": …,
+//	              "seed": …, "crashes": …, "overlay": …},
+//	 "max_events": …,
+//	 "schedule": {"fack": …, "deliver_p": …, "fallback_seed": …,
+//	              "crashes": [{"node": …, "at": …}, …],
+//	              "steps": [{"sender": …, "seq": …, "now": …, "nr": …,
+//	                         "recv": [t | -1, …], "ack": …}, …]},
+//	 "violation": {"kind": …, "errors": […], "quiescent": …, "events": …},
+//	 "note": …}
+//
+// where steps[i].recv is positional (slot j < nr is the j-th reliable
+// neighbor of sender, later slots are unreliable neighbors, -1 means not
+// delivered) and all times are absolute virtual times.
+//
+// # Exit status
+//
+// 0 on success; 1 when a single run, sweep, search or campaign found a
+// consensus violation, or a replay did not reproduce its artifact's
+// recorded outcome; 2 on usage and I/O errors.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -132,182 +147,264 @@ import (
 )
 
 func main() {
-	// Single-cell flags.
-	algo := flag.String("algo", "wpaxos", "algorithm: "+strings.Join(harness.Algorithms(), " | "))
-	topo := flag.String("topo", "line:8", "topology spec, e.g. clique:16, grid:4x4, random:24:0.1")
-	sched := flag.String("sched", "random", "scheduler: "+strings.Join(harness.Schedulers(), " | "))
-	fack := flag.Int64("fack", 4, "scheduler delivery bound Fack")
-	seed := flag.Int64("seed", 1, "random seed (scheduler, algorithm, random topology, crashes, overlay)")
-	inputs := flag.String("inputs", "alternating",
-		"input pattern (comma-separated list in sweep mode): "+strings.Join(harness.InputPatterns(), " | "))
-	crash := flag.String("crash", "none", "crash pattern name[@T]: "+strings.Join(harness.CrashPatterns(), " | "))
-	overlay := flag.String("overlay", "none", "unreliable overlay family[:param][@Q]: "+strings.Join(harness.Overlays(), " | "))
-	verbose := flag.Bool("v", false, "print the full event trace (single-cell mode only)")
-	metricsOn := flag.Bool("metrics", false, "flight-recorder metrics: print the registry and the decide-latency critical path after a single run, or add aggregated per-cell metric rows to sweep output")
-	traceFile := flag.String("trace", "", "dump the full event trace to this file as JSON Lines (single-cell mode only)")
-	recordFile := flag.String("record", "", "record the execution's schedule to this counterexample artifact file (single-cell mode only; replay with amacexplore -replay)")
-
-	// Sweep flags: the axis grammar is shared with amacexplore -grid
-	// (harness.RegisterAxisFlags), so both CLIs accept identical sweeps.
-	sweep := flag.Bool("sweep", false, "run a scenario sweep instead of a single execution")
-	axes := harness.RegisterAxisFlags(flag.CommandLine, "sweep")
-	jsonOut := flag.Bool("json", false, "sweep: emit JSON instead of a text table")
-	prof := harness.RegisterProfileFlags(flag.CommandLine)
-	flag.Parse()
-
-	// Flags have no effect outside their mode; fail loudly rather than
-	// let the user attribute results to a flag that was dropped.
-	// (-metrics is deliberately in neither set: it means something in both
-	// modes.)
-	singleOnly := harness.NameSet([]string{"algo", "topo", "sched", "fack", "seed", "crash", "overlay", "v", "trace", "record"})
-	sweepOnly := harness.NameSet(axes.Names(), []string{"json"}, prof.Names())
-	stray := harness.StrayFlags(flag.CommandLine, func(name string) bool {
-		if *sweep {
-			return singleOnly[name]
-		}
-		return sweepOnly[name]
-	})
-	if len(stray) > 0 {
-		if *sweep {
-			os.Exit(fail(fmt.Errorf("%s not allowed in sweep mode; use -algos/-topos/-scheds/-facks/-crashes/-overlays/-seeds", strings.Join(stray, ", "))))
-		}
-		os.Exit(fail(fmt.Errorf("%s only apply with -sweep", strings.Join(stray, ", "))))
-	}
-	if *sweep {
-		grid, err := axes.Grid(*inputs)
-		if err != nil {
-			os.Exit(fail(err))
-		}
-		stopProf, err := prof.Start()
-		if err != nil {
-			os.Exit(fail(err))
-		}
-		code := runSweep(grid, *axes.Workers, *jsonOut, *metricsOn)
-		stopProf()
-		os.Exit(code)
-	}
-	os.Exit(runSingle(*algo, *topo, *sched, *inputs, *crash, *overlay, *traceFile, *recordFile, *fack, *seed, *verbose, *metricsOn))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "amacsim:", err)
-	return 2
+// A mode is one way to run the command: the flag that selects it (its
+// name; the single run has none), the flags it accepts besides the mode
+// selectors, and what it runs. A run reports whether it found a consensus
+// violation (exit 1) or failed (exit 2).
+type mode struct {
+	name  string
+	flags string
+	run   func(*cli) (violated bool, err error)
 }
 
-func runSingle(algo, topo, sched, inputs, crash, overlay, traceFile, recordFile string, fack, seed int64, verbose, metricsOn bool) int {
-	t, err := harness.ParseTopo(topo)
-	if err != nil {
-		return fail(err)
-	}
-	sc := harness.Scenario{Algo: algo, Topo: t, Inputs: inputs, Sched: sched, Fack: fack, Seed: seed, Crashes: crash, Overlay: overlay}
-	// Built once: the summary lines print facts (edge counts, the crash
-	// schedule, the overlay graph) that Outcome does not carry, and the
-	// same configuration is what the executor runs.
-	cfg, err := sc.Config()
-	if err != nil {
-		return fail(err)
-	}
-	req := harness.Exec{Record: recordFile != ""}
-	var observers []func(sim.Event)
-	var rec *trace.Recorder
-	if verbose || traceFile != "" {
-		rec = trace.New()
-		observers = append(observers, rec.Observer())
-	}
-	var coll *critpath.Collector
-	if metricsOn {
-		req.Metrics = metrics.New()
-		coll = critpath.NewCollector(critpath.ClassifierFor(algo))
-		observers = append(observers, coll.Observer())
-	}
-	req.Observer = harness.ChainObservers(observers...)
-	out, _, schedule, err := harness.Execute(sc, cfg, req)
-	if err != nil {
-		return fail(err)
-	}
-	res, rep := out.Result, out.Report
-	if recordFile != "" {
-		// Write the recorded schedule as a replayable artifact (the escape
-		// hatch into amacexplore -replay / -minimize). The recorded run is
-		// byte-identical to an unrecorded one.
-		artifact := &explore.Artifact{
-			Format: explore.ArtifactFormat, Scenario: sc,
-			Schedule: schedule, Violation: out.Violation(),
-			Note: "amacsim -record",
-		}
-		if err := artifact.WriteFile(recordFile); err != nil {
-			return fail(err)
-		}
-	}
-	if rec != nil {
-		if verbose {
-			if err := rec.Dump(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "amacsim:", err)
-			}
-		}
-		if traceFile != "" {
-			f, err := os.Create(traceFile)
-			if err != nil {
-				return fail(err)
-			}
-			if err := rec.DumpJSONL(f); err != nil {
-				f.Close()
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
-				return fail(err)
-			}
-		}
-		fmt.Println("trace summary:", rec.Summary())
-	}
+var modes = []mode{
+	{"single", "algo topo sched fack seed inputs crash overlay maxevents v metrics trace record", (*cli).runSingle},
+	{"sweep", "algos topos scheds facks crashes overlays seeds workers inputs maxevents json metrics cpuprofile memprofile", (*cli).runSweep},
+	{"explore", "algo topo sched fack seed inputs crash overlay maxevents budget searchseed minimize out json workers", (*cli).runExplore},
+	{"grid", "algos topos scheds facks crashes overlays seeds workers inputs maxevents budget searchseed minimize artifacts saturate json", (*cli).runGrid},
+	{"replay", "trace critpath json", (*cli).runReplay},
+}
 
-	g, diameter := cfg.Graph, out.Diameter
-	// Structural schedulers (edgeorder) override the requested bound, so
-	// report and normalize by what the scheduler actually declared.
-	fack = out.Fack
-	fmt.Printf("algorithm   %s\n", algo)
-	fmt.Printf("topology    %s (n=%d, m=%d, diameter=%d)\n", t, g.N(), g.M(), diameter)
-	if cfg.Unreliable != nil {
-		fmt.Printf("overlay     %s (%d unreliable edges)\n", overlay, cfg.Unreliable.M())
-	}
-	fmt.Printf("scheduler   %s (Fack=%d, seed=%d)\n", sched, fack, seed)
-	if len(cfg.Crashes) > 0 {
-		fmt.Printf("crashes     %s -> %v (%d crashed)\n", crash, cfg.Crashes, rep.Crashed)
-	}
-	fmt.Printf("decided     %v\n", rep.Termination)
-	if rep.SomeoneDecided {
-		fmt.Printf("value       %d\n", rep.Value)
-	}
-	if rep.SurvivorDecideTime >= 0 {
-		fmt.Printf("decide time %d (%.2f x Fack, %.2f x D*Fack; survivors)\n", rep.SurvivorDecideTime,
-			float64(rep.SurvivorDecideTime)/float64(fack),
-			float64(rep.SurvivorDecideTime)/float64(fack*int64(diameter+1)))
-	} else {
-		fmt.Println("decide time n/a (no survivor decided)")
-	}
-	fmt.Printf("traffic     %d broadcasts, %d deliveries, %d discards\n", res.Broadcasts, res.Deliveries, res.Discards)
-	fmt.Printf("agreement   %v\nvalidity    %v\ntermination %v\n", rep.Agreement, rep.Validity, rep.Termination)
-	if metricsOn {
-		fmt.Println("\nmetrics:")
-		if err := req.Metrics.WriteText(os.Stdout); err != nil {
-			return fail(err)
+// cli holds the parsed flags of one invocation and where it writes.
+type cli struct {
+	stdout, stderr io.Writer
+
+	algo, topo, sched, inputs, crash, overlay string
+	fack, seed, searchSeed                    int64
+	maxEvents, budget, saturate               int
+
+	replay                                 string
+	verbose, metrics, json, minimize, crit bool
+	trace, record, out, artifacts          string
+
+	axes *harness.AxisFlags
+	prof *harness.ProfileFlags
+}
+
+// run is the command: it parses args, picks the one mode they select and
+// runs it, returning the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("amacsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		fmt.Println()
-		if err := coll.Extract().WriteText(os.Stdout); err != nil {
-			return fail(err)
+		return 2
+	}
+	m, chosen := modes[0], 0
+	for _, md := range modes[1:] {
+		if v := fs.Lookup(md.name).Value.(flag.Getter).Get(); v != false && v != "" {
+			m, chosen = md, chosen+1
 		}
 	}
-	if out.Violation() != nil {
-		printErrors(res, rep)
+	if chosen > 1 {
+		return fail(stderr, errors.New("-sweep, -explore, -grid and -replay are separate modes; choose one"))
+	}
+	allowed := harness.NameSet(strings.Fields(m.flags))
+	for _, md := range modes {
+		allowed[md.name] = true // a mode flag set to false selects nothing
+	}
+	if stray := harness.StrayFlags(fs, func(name string) bool { return !allowed[name] }); len(stray) > 0 {
+		return fail(stderr, fmt.Errorf("%s not allowed in %s mode, which takes -%s",
+			strings.Join(stray, ", "), m.name, strings.Join(strings.Fields(m.flags), " -")))
+	}
+	violated, err := m.run(c)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	if violated {
 		return 1
 	}
 	return 0
 }
 
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "amacsim:", err)
+	return 2
+}
+
+// bind defines every flag of every mode on fs, each once.
+func (c *cli) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.algo, "algo", "wpaxos", "algorithm: "+strings.Join(harness.Algorithms(), " | "))
+	fs.StringVar(&c.topo, "topo", "line:8", "topology spec, e.g. clique:16, grid:4x4, random:24:0.1")
+	fs.StringVar(&c.sched, "sched", "random", "scheduler: "+strings.Join(harness.Schedulers(), " | "))
+	fs.Int64Var(&c.fack, "fack", 4, "scheduler delivery bound Fack")
+	fs.Int64Var(&c.seed, "seed", 1, "scenario seed (scheduler, algorithm, topology, crashes, overlay)")
+	fs.StringVar(&c.inputs, "inputs", "alternating",
+		"input pattern (a comma-separated list with -sweep and -grid): "+strings.Join(harness.InputPatterns(), " | "))
+	fs.StringVar(&c.crash, "crash", "none", "crash pattern name[@T]: "+strings.Join(harness.CrashPatterns(), " | "))
+	fs.StringVar(&c.overlay, "overlay", "none", "unreliable overlay family[:param][@Q]: "+strings.Join(harness.Overlays(), " | "))
+	fs.IntVar(&c.maxEvents, "maxevents", 0, "per-execution event cap; capped undecided runs classify as non-termination (0 = the simulator's one default, 5000000; negative is an error)")
+
+	fs.Bool("sweep", false, "run a scenario sweep over the axis flags")
+	fs.Bool("explore", false, "search the scenario's schedule space for consensus violations")
+	fs.Bool("grid", false, "campaign mode: sweep the axis flags and hunt every flagged cell")
+	fs.StringVar(&c.replay, "replay", "", "re-verify this counterexample artifact file")
+
+	fs.BoolVar(&c.verbose, "v", false, "print the full event trace")
+	fs.BoolVar(&c.metrics, "metrics", false, "flight-recorder metrics: print the registry and the decide-latency critical path after a single run, or add aggregated per-cell metric rows to sweep output")
+	fs.StringVar(&c.trace, "trace", "", "dump the full event trace (with -replay, the replay's) to this file as JSON Lines")
+	fs.StringVar(&c.record, "record", "", "record the run's schedule to this counterexample artifact file (re-verify it with -replay)")
+	fs.BoolVar(&c.json, "json", false, "emit JSON instead of text")
+	c.axes = harness.RegisterAxisFlags(fs)
+	c.prof = harness.RegisterProfileFlags(fs)
+
+	fs.IntVar(&c.budget, "budget", 256, "perturbed schedules to replay around the base run (with -grid: around each cell's first flagged run); 0 skips the search")
+	fs.Int64Var(&c.searchSeed, "searchseed", 1, "seed for candidate generation (independent of the scenario seed)")
+	fs.BoolVar(&c.minimize, "minimize", false, "delta-debug each violation down to a minimal failing schedule")
+	fs.StringVar(&c.out, "out", "", "write the found (minimized with -minimize) counterexample artifact to this file")
+	fs.StringVar(&c.artifacts, "artifacts", "", "write one counterexample artifact per finding into this directory")
+	fs.IntVar(&c.saturate, "saturate", 0, "stop a cell after this many consecutive seeds add no new schedule fingerprint (0 = run all seeds)")
+	fs.BoolVar(&c.crit, "critpath", false, "print the replayed execution's decide-latency critical path (phase breakdown + causal hop chain)")
+}
+
+func (c *cli) scenario() (harness.Scenario, error) {
+	t, err := harness.ParseTopo(c.topo)
+	return harness.Scenario{Algo: c.algo, Topo: t, Inputs: c.inputs, Sched: c.sched, Fack: c.fack, Seed: c.seed,
+		Crashes: c.crash, Overlay: c.overlay, MaxEvents: c.maxEvents}, err
+}
+
+func (c *cli) sweepGrid() (harness.Grid, error) {
+	grid, err := c.axes.Grid(c.inputs)
+	grid.MaxEvents = c.maxEvents
+	return grid, err
+}
+
+// emit writes v as indented JSON with -json, and its text rendering
+// otherwise.
+func (c *cli) emit(v any, text func(w io.Writer) error) error {
+	if !c.json {
+		return text(c.stdout)
+	}
+	enc := json.NewEncoder(c.stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// observe returns what a single run or a replay watches its execution
+// with: a trace recorder (-v, -trace) and a decide-latency critical-path
+// collector (-metrics, -critpath), each nil unless asked for.
+func observe(traced, critPath bool, algo string) (rec *trace.Recorder, coll *critpath.Collector, observer func(sim.Event)) {
+	var fns []func(sim.Event)
+	if traced {
+		rec = trace.New()
+		fns = append(fns, rec.Observer())
+	}
+	if critPath {
+		coll = critpath.NewCollector(critpath.ClassifierFor(algo))
+		fns = append(fns, coll.Observer())
+	}
+	return rec, coll, harness.ChainObservers(fns...)
+}
+
+// writeTrace dumps rec to path as JSON Lines; an empty path writes
+// nothing.
+func writeTrace(rec *trace.Recorder, path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(rec.DumpJSONL(f), f.Close())
+}
+
+func (c *cli) runSingle() (bool, error) {
+	sc, err := c.scenario()
+	if err != nil {
+		return false, err
+	}
+	// Built once: the summary lines print facts (edge counts, the crash
+	// schedule, the overlay graph) that Outcome does not carry, and the
+	// same configuration is what the executor runs.
+	cfg, err := sc.Config()
+	if err != nil {
+		return false, err
+	}
+	rec, coll, observer := observe(c.verbose || c.trace != "", c.metrics, sc.Algo)
+	req := harness.Exec{Record: c.record != "", Observer: observer}
+	if c.metrics {
+		req.Metrics = metrics.New()
+	}
+	out, _, schedule, err := harness.Execute(sc, cfg, req)
+	if err != nil {
+		return false, err
+	}
+	res, rep := out.Result, out.Report
+	if c.record != "" {
+		// The recorded run is byte-identical to an unrecorded one.
+		artifact := &explore.Artifact{Format: explore.ArtifactFormat, Scenario: sc, MaxEvents: sc.MaxEvents,
+			Schedule: schedule, Violation: out.Violation(), Note: "amacsim -record"}
+		if err := artifact.WriteFile(c.record); err != nil {
+			return false, err
+		}
+	}
+	w := c.stdout
+	if rec != nil {
+		if c.verbose {
+			if err := rec.Dump(w); err != nil {
+				fmt.Fprintln(c.stderr, "amacsim:", err)
+			}
+		}
+		if err := writeTrace(rec, c.trace); err != nil {
+			return false, err
+		}
+		fmt.Fprintln(w, "trace summary:", rec.Summary())
+	}
+
+	// Structural schedulers (edgeorder) override the requested bound, so
+	// report and normalize by what the scheduler actually declared.
+	g, diameter, fack := cfg.Graph, out.Diameter, out.Fack
+	fmt.Fprintf(w, "algorithm   %s\n", sc.Algo)
+	fmt.Fprintf(w, "topology    %s (n=%d, m=%d, diameter=%d)\n", sc.Topo, g.N(), g.M(), diameter)
+	if cfg.Unreliable != nil {
+		fmt.Fprintf(w, "overlay     %s (%d unreliable edges)\n", sc.Overlay, cfg.Unreliable.M())
+	}
+	fmt.Fprintf(w, "scheduler   %s (Fack=%d, seed=%d)\n", sc.Sched, fack, sc.Seed)
+	if len(cfg.Crashes) > 0 {
+		fmt.Fprintf(w, "crashes     %s -> %v (%d crashed)\n", sc.Crashes, cfg.Crashes, rep.Crashed)
+	}
+	fmt.Fprintf(w, "decided     %v\n", rep.Termination)
+	if rep.SomeoneDecided {
+		fmt.Fprintf(w, "value       %d\n", rep.Value)
+	}
+	if rep.SurvivorDecideTime >= 0 {
+		fmt.Fprintf(w, "decide time %d (%.2f x Fack, %.2f x D*Fack; survivors)\n", rep.SurvivorDecideTime,
+			float64(rep.SurvivorDecideTime)/float64(fack),
+			float64(rep.SurvivorDecideTime)/float64(fack*int64(diameter+1)))
+	} else {
+		fmt.Fprintln(w, "decide time n/a (no survivor decided)")
+	}
+	fmt.Fprintf(w, "traffic     %d broadcasts, %d deliveries, %d discards\n", res.Broadcasts, res.Deliveries, res.Discards)
+	fmt.Fprintf(w, "agreement   %v\nvalidity    %v\ntermination %v\n", rep.Agreement, rep.Validity, rep.Termination)
+	if c.metrics {
+		fmt.Fprintln(w, "\nmetrics:")
+		if err := req.Metrics.WriteText(w); err != nil {
+			return false, err
+		}
+		fmt.Fprintln(w)
+		if err := coll.Extract().WriteText(w); err != nil {
+			return false, err
+		}
+	}
+	violated := out.Violation() != nil
+	if violated {
+		printErrors(w, res, rep)
+	}
+	return violated, nil
+}
+
 // printErrors reports a failed run in a few lines whatever n is: how many
 // non-faulty nodes never decided (the report carries one error per such
 // node) and the first eight errors.
-func printErrors(res *sim.Result, rep *consensus.Report) {
+func printErrors(w io.Writer, res *sim.Result, rep *consensus.Report) {
 	const show = 8
 	var undecided []int
 	for i, d := range res.Decided {
@@ -316,38 +413,238 @@ func printErrors(res *sim.Result, rep *consensus.Report) {
 		}
 	}
 	if k := len(undecided); k > 0 {
-		fmt.Printf("undecided   %d of %d non-faulty nodes never decided (first ids: %v)\n",
+		fmt.Fprintf(w, "undecided   %d of %d non-faulty nodes never decided (first ids: %v)\n",
 			k, len(res.Decided)-rep.Crashed, undecided[:min(k, show)])
 	}
-	fmt.Printf("errors      %s", strings.Join(rep.Errors[:min(len(rep.Errors), show)], "; "))
+	fmt.Fprintf(w, "errors      %s", strings.Join(rep.Errors[:min(len(rep.Errors), show)], "; "))
 	if more := len(rep.Errors) - show; more > 0 {
-		fmt.Printf("; and %d more", more)
+		fmt.Fprintf(w, "; and %d more", more)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func runSweep(grid harness.Grid, workers int, jsonOut, metricsOn bool) int {
+func (c *cli) runSweep() (bool, error) {
+	grid, err := c.sweepGrid()
+	if err != nil {
+		return false, err
+	}
+	stopProf, err := c.prof.Start()
+	if err != nil {
+		return false, err
+	}
+	defer stopProf()
 	// Expand to cell work-units and sweep them directly: one worker runs
 	// all seeds of a cell on one reusable engine, and workers share the
 	// sweep's topology/diameter/overlay caches.
 	work, err := grid.Cells()
 	if err != nil {
-		return fail(err)
+		return false, err
 	}
-	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: workers, Metrics: metricsOn})
+	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: *c.axes.Workers, Metrics: c.metrics})
 	if err != nil {
-		return fail(err)
+		return false, err
 	}
-	if !jsonOut {
-		fmt.Printf("%d scenarios, %d cells\n\n", len(work)*len(grid.Seeds), len(cells))
+	if !c.json {
+		fmt.Fprintf(c.stdout, "%d scenarios, %d cells\n\n", len(work)*len(grid.Seeds), len(cells))
 	}
-	bad, err := harness.Report(os.Stdout, cells, jsonOut)
+	bad, err := harness.Report(c.stdout, cells, c.json)
+	if err == nil && bad > 0 {
+		fmt.Fprintf(c.stderr, "amacsim: %d cell(s) contain consensus violations\n", bad)
+	}
+	return bad > 0, err
+}
+
+// exploreOutput is the -json schema of explore mode.
+type exploreOutput struct {
+	Report *explore.Report       `json:"report"`
+	Shrink *explore.ShrinkResult `json:"shrink,omitempty"`
+}
+
+func (c *cli) runExplore() (bool, error) {
+	sc, err := c.scenario()
 	if err != nil {
-		return fail(err)
+		return false, err
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "amacsim: %d cell(s) contain consensus violations\n", bad)
-		return 1
+	opts := explore.Options{Budget: c.budget, Workers: *c.axes.Workers, Seed: c.searchSeed}
+	rep, artifact, shrink, err := explore.Counterexample(sc, opts, c.minimize)
+	if err != nil {
+		return false, err
 	}
-	return 0
+	// The artifact is nil when nothing violated.
+	if artifact != nil {
+		artifact.Note = fmt.Sprintf("amacsim -explore budget=%d searchseed=%d", opts.Budget, opts.Seed)
+		if shrink != nil {
+			artifact.Note += " minimized"
+		}
+	}
+	if c.out != "" {
+		if artifact == nil {
+			fmt.Fprintln(c.stderr, "amacsim: no violation found; not writing", c.out)
+		} else if err := artifact.WriteFile(c.out); err != nil {
+			return false, err
+		}
+	}
+	return artifact != nil, c.emit(exploreOutput{Report: rep, Shrink: shrink}, func(w io.Writer) error {
+		printReport(w, rep, shrink, c.out, artifact)
+		return nil
+	})
+}
+
+func printReport(w io.Writer, rep *explore.Report, shrink *explore.ShrinkResult, out string, artifact *explore.Artifact) {
+	fmt.Fprintf(w, "scenario    %s on %s under %s (Fack=%d, seed=%d, crashes=%s, overlay=%s)\n",
+		rep.Scenario.Algo, rep.Scenario.Topo, rep.Scenario.Sched, rep.Scenario.Fack, rep.Scenario.Seed,
+		rep.Scenario.Crashes, rep.Scenario.Overlay)
+	fmt.Fprintf(w, "base run    %d steps, %d deliveries", rep.BaseSteps, rep.BaseDeliveries)
+	if rep.Base != nil {
+		fmt.Fprintf(w, " — VIOLATES (%s, %d events, quiescent=%v)", rep.Base.Kind, rep.Base.Events, rep.Base.Quiescent)
+	}
+	fmt.Fprintln(w)
+	s := rep.Stats
+	fmt.Fprintf(w, "search      %d replays (%d deduped, %d diverged): %d violating schedules\n",
+		s.Replays, s.Deduped, s.Diverged, s.Violations)
+	for i, f := range rep.Findings {
+		if i == 5 {
+			fmt.Fprintf(w, "            … %d more\n", len(rep.Findings)-i)
+			break
+		}
+		fmt.Fprintf(w, "  finding   candidate %d: %s (%d steps, %d deliveries, diverged at %d)\n",
+			f.Candidate, f.Violation.Kind, f.Steps, f.Deliveries, f.DivergedAt)
+	}
+	if shrink != nil {
+		a := shrink.Artifact
+		fmt.Fprintf(w, "minimized   %d->%d steps, %d->%d deliveries, %d->%d crashes on %s (%d attempts)\n",
+			shrink.FromSteps, len(a.Schedule.Steps), shrink.FromDeliveries, a.Schedule.Deliveries(),
+			shrink.FromCrashes, len(a.Schedule.Crashes), a.Scenario.Topo, shrink.Attempts)
+	}
+	switch {
+	case artifact == nil:
+		fmt.Fprintln(w, "verdict     no violation found")
+	case out != "":
+		fmt.Fprintf(w, "verdict     %s violation; artifact written to %s\n", artifact.Violation.Kind, out)
+	default:
+		fmt.Fprintf(w, "verdict     %s violation (pass -out FILE to keep the artifact)\n", artifact.Violation.Kind)
+	}
+}
+
+func (c *cli) runGrid() (bool, error) {
+	grid, err := c.sweepGrid()
+	if err != nil {
+		return false, err
+	}
+	if c.artifacts != "" {
+		if err := os.MkdirAll(c.artifacts, 0o755); err != nil {
+			return false, err
+		}
+	}
+	rep, err := explore.Campaign(grid, explore.CampaignOptions{
+		Workers: *c.axes.Workers, Budget: c.budget, SearchSeed: c.searchSeed,
+		Minimize: c.minimize, SaturateAfter: c.saturate, ArtifactDir: c.artifacts,
+	})
+	if err != nil {
+		return false, err
+	}
+	err = c.emit(rep, func(w io.Writer) error { printCampaign(w, rep); return nil })
+	if err == nil && rep.Flagged > 0 {
+		fmt.Fprintf(c.stderr, "amacsim: %d flagged run(s) in %d cell(s)\n", rep.Flagged, rep.CellsFlagged)
+	}
+	return rep.Flagged > 0, err
+}
+
+func printCampaign(w io.Writer, rep *explore.CampaignReport) {
+	distinct, saturated := 0, 0
+	for _, c := range rep.Coverage {
+		distinct += c.Distinct
+		if c.Saturated {
+			saturated++
+		}
+	}
+	fmt.Fprintf(w, "campaign    %d cells, %d runs, %d distinct schedules (%d cell(s) saturated early)\n",
+		len(rep.Cells), rep.Runs, distinct, saturated)
+	fmt.Fprintf(w, "flagged     %d run(s) in %d cell(s)\n", rep.Flagged, rep.CellsFlagged)
+	for _, f := range rep.Findings {
+		c := &rep.Cells[f.Cell]
+		fmt.Fprintf(w, "  finding   cell %d (%s on %s under %s, crashes=%s, overlay=%s, seed=%d): %s, %d steps, %d deliveries",
+			f.Cell, c.Algo, c.Topo, c.Sched, c.Crashes, c.Overlay, f.Scenario.Seed,
+			f.Violation.Kind, f.Steps, f.Deliveries)
+		if f.Minimized {
+			fmt.Fprintf(w, " (minimized, %d attempts)", f.ShrinkAttempts)
+		}
+		fmt.Fprintln(w)
+		if f.ArtifactPath != "" {
+			fmt.Fprintf(w, "            artifact %s\n", f.ArtifactPath)
+		}
+	}
+	if rep.Flagged == 0 {
+		fmt.Fprintln(w, "verdict     no violation found")
+	} else {
+		fmt.Fprintf(w, "verdict     %d counterexample(s) recorded\n", len(rep.Findings))
+	}
+}
+
+// replayOutput is the -json schema of replay mode.
+type replayOutput struct {
+	Artifact   string               `json:"artifact"`
+	Violation  *consensus.Violation `json:"violation,omitempty"`
+	Recorded   *consensus.Violation `json:"recorded_violation,omitempty"`
+	Diverged   bool                 `json:"diverged"`
+	DivergedAt int                  `json:"diverged_at"`
+	Reproduced bool                 `json:"reproduced"`
+	// CritPath is the decide-latency critical path of the replayed
+	// execution (-critpath; spans always sum to decide_time).
+	CritPath *critpath.Report `json:"critical_path,omitempty"`
+}
+
+// runReplay reports a replay that does not reproduce its artifact's
+// recorded outcome as violated.
+func (c *cli) runReplay() (bool, error) {
+	a, err := explore.ReadFile(c.replay)
+	if err != nil {
+		return false, err
+	}
+	rec, coll, observer := observe(c.trace != "", c.crit, a.Scenario.Algo)
+	out, rp, err := a.Replay(observer)
+	if err != nil {
+		return false, err
+	}
+	if err := writeTrace(rec, c.trace); err != nil {
+		return false, err
+	}
+	got := out.Violation()
+	// Reproduction: a clean replay (no divergence — the schedule fully
+	// drove the run) whose violation kind matches what the artifact
+	// recorded (both nil for a healthy artifact).
+	reproduced := !rp.Diverged() &&
+		((got == nil) == (a.Violation == nil)) &&
+		(got == nil || got.Kind == a.Violation.Kind)
+	o := replayOutput{
+		Artifact: c.replay, Violation: got, Recorded: a.Violation,
+		Diverged: rp.Diverged(), DivergedAt: rp.DivergedAt(), Reproduced: reproduced,
+	}
+	if coll != nil {
+		o.CritPath = coll.Extract()
+	}
+	return !reproduced, c.emit(o, func(w io.Writer) error {
+		fmt.Fprintf(w, "artifact    %s\n", c.replay)
+		fmt.Fprintf(w, "scenario    %s on %s under %s (seed=%d, crashes=%s, overlay=%s)\n",
+			a.Scenario.Algo, a.Scenario.Topo, a.Scenario.Sched, a.Scenario.Seed, a.Scenario.Crashes, a.Scenario.Overlay)
+		fmt.Fprintf(w, "schedule    %d steps, %d deliveries, %d crashes\n",
+			len(a.Schedule.Steps), a.Schedule.Deliveries(), len(a.Schedule.Crashes))
+		fmt.Fprintf(w, "replay      diverged=%v events=%d quiescent=%v\n", rp.Diverged(), out.Result.Events, out.Result.Quiescent)
+		if got != nil {
+			fmt.Fprintf(w, "violation   %s: %v\n", got.Kind, got.Errors)
+		} else {
+			fmt.Fprintln(w, "violation   none")
+		}
+		if o.CritPath != nil {
+			if err := o.CritPath.WriteText(w); err != nil {
+				return err
+			}
+		}
+		if reproduced {
+			fmt.Fprintln(w, "verdict     artifact reproduces")
+		} else {
+			fmt.Fprintln(w, "verdict     MISMATCH: replay does not reproduce the recorded outcome")
+		}
+		return nil
+	})
 }

@@ -37,16 +37,14 @@
 // and the ack — and overlay families (none, randomextra:P, extra:K,
 // chords, each with an optional @Q delivery probability) build the
 // unreliable dual graph of the Kuhn–Lynch–Newport model variant, with
-// consensus properties judged over the surviving nodes. cmd/amacsim
-// (single cell and -sweep), cmd/benchsuite -grid and the examples are all
-// built on it; see cmd/amacsim's package comment for the sweep grammar —
-// e.g.
+// consensus properties judged over the surviving nodes. cmd/amacsim, one
+// command with five modes (a single run, -sweep, -explore, -grid,
+// -replay), cmd/benchsuite -grid and the examples are all built on it;
+// cmd/amacsim's package comment has the grammar and the JSON cell schema:
 //
 //	amacsim -sweep -algos floodpaxos -topos ring:9 -scheds random \
 //	        -facks 4 -crashes one@0,midbroadcast \
 //	        -overlays randomextra:0.25,chords -seeds 8
-//
-// — and the JSON cell schema.
 //
 // Every execution — a single run, a recording, a replay, a sweep run, a
 // CLI invocation — goes through one executor in internal/harness
@@ -78,9 +76,9 @@
 // Schedule.Fingerprint, then delta-debugs what it finds into minimal
 // replayable counterexample artifacts (every accepted reduction is a
 // replay-with-re-recording, so artifacts replay with zero divergence).
-// cmd/amacexplore is the CLI (-budget, -minimize, -replay); `amacsim
-// -record` captures any single run as an artifact and `amacsim -trace`
-// dumps machine-readable JSONL event traces.
+// `amacsim -explore` runs it (-budget, -minimize, -out), `amacsim
+// -record` captures any single run as an artifact, `amacsim -replay`
+// re-verifies one, and `-trace` dumps machine-readable JSONL event traces.
 //
 // The campaign layer composes sweeps and the explorer: a sweep whose
 // requests ask for fingerprints reports how many distinct delivery
@@ -92,12 +90,11 @@
 // then re-records, perturbs and parallel-shrinks the first flagged run of
 // every flagged cell on one shared pool of per-worker ReplayRunners into
 // minimized artifacts, all byte-reproducible at any worker count.
-// `amacexplore -grid` runs campaigns from the same sweep-axis grammar as
-// `amacsim -sweep` (the shared harness.AxisFlags helper) and emits a JSON
-// campaign report. The first artifacts found this way were two multihop
-// liveness stalls (a wPAXOS response lost forever on a lossy chord, a
-// floodpaxos leader dying after election); both are fixed (see the next
-// section). The canonical violating artifact under
+// `amacsim -grid` runs campaigns over the same sweep axes as `-sweep`.
+// The first artifacts found this way were two multihop liveness stalls (a
+// wPAXOS response lost forever on a lossy chord, a floodpaxos leader
+// dying after election); both are fixed (see the next section). The
+// canonical violating artifact under
 // internal/harness/testdata/ is the minimized two-phase coordinator-crash
 // stall — the paper's Theorem 3.2 counterexample, which is supposed to
 // stall.
@@ -302,7 +299,7 @@
 // time by construction, and a golden test pins both committed replay
 // artifacts' breakdowns. `amacsim -metrics` prints the registry and the
 // critical path after a single run (and adds aggregated per-cell metric
-// rows to sweep JSON); `amacexplore -replay -critpath` recovers the
+// rows to sweep JSON); `amacsim -replay -critpath` recovers the
 // same breakdown from a recorded artifact, because a replayed schedule
 // produces the identical execution.
 package absmac

@@ -4,7 +4,7 @@
 //
 // The scenario is assembled by internal/harness — the same named
 // registries behind cmd/amacsim — so this example stays in lockstep with
-// the CLIs: `amacsim -algo twophase -topo clique:8 -sched random -fack 10
+// the CLI: `amacsim -algo twophase -topo clique:8 -sched random -fack 10
 // -seed 42 -inputs half` runs the same execution.
 //
 // Run with:
@@ -77,8 +77,8 @@ func main() {
 	// every decision into a Schedule that replays byte-identically — and
 	// perturbs. Here we swap the delivery order of the very first
 	// broadcast and replay; any execution within the Fack bound must still
-	// satisfy the consensus properties. (cmd/amacexplore automates this
-	// search and minimizes what it finds; see internal/explore.)
+	// satisfy the consensus properties. (`amacsim -explore` automates
+	// this search and minimizes what it finds; see internal/explore.)
 	recorded, schedule, err := sc.RunRecorded()
 	if err != nil {
 		log.Fatal(err)
@@ -113,8 +113,8 @@ func main() {
 	// paper's Theorem 3.2 counterexample: every witness strands forever —
 	// with wPAXOS in the same cell, which survives the crash (since the Ω
 	// failure-detector redesign it rotates to a live proposer; see
-	// doc.go's "Liveness under leader death"). (`amacexplore -grid` is
-	// the CLI face of exactly this call.)
+	// doc.go's "Liveness under leader death"). (`amacsim -grid` is the
+	// CLI face of exactly this call.)
 	campaign, err := explore.Campaign(harness.Grid{
 		Algos:     []string{"twophase", "wpaxos"},
 		Topos:     []harness.Topo{{Kind: "ring", N: 9}},

@@ -16,7 +16,7 @@ const ArtifactFormat = 1
 
 // Artifact is the on-disk counterexample format: a scenario plus the
 // complete schedule that drives it into a violation, self-contained enough
-// to re-verify anywhere (`amacexplore -replay FILE`, the golden replay
+// to re-verify anywhere (`amacsim -replay FILE`, the golden replay
 // test in internal/harness). Artifacts are indented JSON, diff-friendly on
 // purpose — they get committed under testdata/ as executable bug reports.
 type Artifact struct {

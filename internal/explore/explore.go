@@ -22,10 +22,10 @@
 //
 // The Shrinker (shrink.go) delta-debugs a violating schedule down to a
 // minimal failing artifact; Artifact (artifact.go) is the JSON file format
-// cmd/amacexplore reads and writes.
+// `amacsim -record`, `-explore`, `-grid` and `-replay` read and write.
 //
 // Counterexample is the one path from a scenario to an artifact (search,
-// pick, close, shrink). cmd/amacexplore's explore mode calls it once; the
+// pick, close, shrink). `amacsim -explore` calls it once; the
 // campaign pipeline (campaign.go) calls it per flagged cell. Campaign
 // sweeps a whole harness.Grid with schedule-coverage fingerprints on
 // (harness.SweepOptions), collects every violating (scenario, seed) the
@@ -36,7 +36,7 @@
 // shrinking evaluates its ddmin candidate batches speculatively in
 // parallel while accepting in deterministic candidate order, so campaign
 // reports and artifacts are byte-identical at every pool width.
-// cmd/amacexplore -grid is the CLI.
+// `amacsim -grid` is the CLI.
 package explore
 
 import (

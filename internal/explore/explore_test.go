@@ -288,7 +288,7 @@ func TestCounterexampleProducesStallWitness(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := stallCell()
-	sc.Inputs = "alternating" // as amacexplore's -inputs default names it
+	sc.Inputs = "alternating" // as amacsim's -inputs default names it
 	_, a, _, err := Counterexample(sc, Options{}, true)
 	if err != nil {
 		t.Fatal(err)

@@ -10,19 +10,18 @@ import (
 	"strings"
 )
 
-// This file is the shared sweep-axis flag grammar of the CLIs: cmd/amacsim
-// (-sweep) and cmd/amacexplore (-grid) accept exactly the same
-// -algos/-topos/-scheds/-facks/-crashes/-overlays/-seeds/-workers axes, so
-// the registration, parsing and guard logic live here once instead of
-// being hand-rolled per command. AxisFlags.Grid validates nothing beyond
-// syntax — the semantic checks (unknown names, empty axes) happen in
-// Grid.Cells and the registries, in their documented deterministic order.
+// This file is the sweep-axis flag grammar of cmd/amacsim, whose -sweep
+// and -grid modes accept the same -algos/-topos/-scheds/-facks/-crashes/
+// -overlays/-seeds/-workers axes, plus the flag helpers the CLIs share.
+// AxisFlags.Grid validates nothing beyond syntax — the semantic checks
+// (unknown names, empty axes) happen in Grid.Cells and the registries, in
+// their documented deterministic order.
 
-// AxisFlags holds the sweep-axis flags both CLIs share. Register them on a
-// FlagSet with RegisterAxisFlags; after parsing, Grid assembles the sweep
-// grid. The -inputs axis is deliberately not registered here: both CLIs
-// already own an -inputs flag that does double duty in their single-
-// scenario modes, so they pass its value to Grid explicitly.
+// AxisFlags holds the sweep-axis flags. Register them on a FlagSet with
+// RegisterAxisFlags; after parsing, Grid assembles the sweep grid. The
+// -inputs axis is deliberately not registered here: the CLI's -inputs
+// flag does double duty as the single scenario's input pattern, so its
+// value goes to Grid explicitly.
 type AxisFlags struct {
 	Algos    *string
 	Topos    *string
@@ -32,39 +31,21 @@ type AxisFlags struct {
 	Overlays *string
 	Seeds    *int
 	Workers  *int
-
-	names []string // recorded at registration, so Names cannot drift
 }
 
-// RegisterAxisFlags registers the shared sweep-axis flags on fs with the
-// canonical defaults and usage strings. mode names the sweep mode in the
-// usage text ("sweep" for amacsim, "grid" for amacexplore).
-func RegisterAxisFlags(fs *flag.FlagSet, mode string) *AxisFlags {
-	a := &AxisFlags{}
-	str := func(name, def, usage string) *string {
-		a.names = append(a.names, name)
-		return fs.String(name, def, usage)
+// RegisterAxisFlags registers the sweep-axis flags on fs with the
+// canonical defaults and usage strings.
+func RegisterAxisFlags(fs *flag.FlagSet) *AxisFlags {
+	return &AxisFlags{
+		Algos:    fs.String("algos", "wpaxos", "sweep axis: comma-separated algorithms"),
+		Topos:    fs.String("topos", "clique:8,grid:3x3", "sweep axis: comma-separated topology specs"),
+		Scheds:   fs.String("scheds", "sync,random", "sweep axis: comma-separated schedulers"),
+		Facks:    fs.String("facks", "4", "sweep axis: comma-separated Fack values"),
+		Crashes:  fs.String("crashes", "none", "sweep axis: comma-separated crash patterns"),
+		Overlays: fs.String("overlays", "none", "sweep axis: comma-separated overlay families"),
+		Seeds:    fs.Int("seeds", 8, "sweep axis: seeds 1..k per cell"),
+		Workers:  fs.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)"),
 	}
-	num := func(name string, def int, usage string) *int {
-		a.names = append(a.names, name)
-		return fs.Int(name, def, usage)
-	}
-	a.Algos = str("algos", "wpaxos", mode+": comma-separated algorithms")
-	a.Topos = str("topos", "clique:8,grid:3x3", mode+": comma-separated topology specs")
-	a.Scheds = str("scheds", "sync,random", mode+": comma-separated schedulers")
-	a.Facks = str("facks", "4", mode+": comma-separated Fack values")
-	a.Crashes = str("crashes", "none", mode+": comma-separated crash patterns")
-	a.Overlays = str("overlays", "none", mode+": comma-separated overlay families")
-	a.Seeds = num("seeds", 8, mode+": seeds 1..k per cell")
-	a.Workers = num("workers", 0, "worker pool width (0 = GOMAXPROCS)")
-	return a
-}
-
-// Names returns the registered flag names in registration order, for
-// per-mode stray-flag guards — derived from what RegisterAxisFlags
-// actually registered, so adding an axis flag keeps the guards in sync.
-func (a *AxisFlags) Names() []string {
-	return append([]string(nil), a.names...)
 }
 
 // Grid assembles the parsed axes into a sweep grid. inputs is the CLI's
@@ -115,7 +96,7 @@ func SplitList(s string) []string {
 
 // StrayFlags returns the names of flags that were explicitly set but are
 // disallowed in the active mode, in the FlagSet's visit order (lexical, so
-// the resulting error message is deterministic). Both CLIs fail loudly on
+// the resulting error message is deterministic). The CLIs fail loudly on
 // stray flags rather than let the user attribute results to a flag that
 // was silently dropped.
 func StrayFlags(fs *flag.FlagSet, disallowed func(name string) bool) []string {
@@ -148,8 +129,6 @@ func NameSet(names ...[]string) map[string]bool {
 type ProfileFlags struct {
 	CPU *string
 	Mem *string
-
-	names []string
 }
 
 // RegisterProfileFlags registers the profiling flags on fs.
@@ -157,13 +136,7 @@ func RegisterProfileFlags(fs *flag.FlagSet) *ProfileFlags {
 	p := &ProfileFlags{}
 	p.CPU = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	p.Mem = fs.String("memprofile", "", "write a heap profile to this file on exit")
-	p.names = []string{"cpuprofile", "memprofile"}
 	return p
-}
-
-// Names returns the registered flag names, for per-mode stray-flag guards.
-func (p *ProfileFlags) Names() []string {
-	return append([]string(nil), p.names...)
 }
 
 // Start begins CPU profiling if requested and returns the stop function,

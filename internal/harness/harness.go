@@ -43,10 +43,10 @@
 // into a template and one engine across the explorer's thousands of
 // replays), the sweep worker (sweep.go: one executor over the sweep's
 // shared caches, running a cell's seeds back to back) and Execute (for
-// amacsim, which also prints facts only the configuration carries). The
-// method signatures are what bench/ compiles against, which is why they
-// exist beside Execute; internal/explore builds its search and its
-// minimizer on RunRecorded and ReplayRunner.
+// amacsim's single run, which also prints facts only the configuration
+// carries). The method signatures are what bench/ compiles against, which
+// is why they exist beside Execute; internal/explore builds its search and
+// its minimizer on RunRecorded and ReplayRunner.
 //
 // sweep.go expands a Grid (the cross product of named axes, the two fault
 // axes included) into cell work-units — one per (algo, topo, inputs, sched,

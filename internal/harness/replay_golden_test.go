@@ -23,18 +23,14 @@ import (
 // critpath's TestGoldenCriticalPaths, which replays the same two files):
 //
 //	go run ./cmd/amacsim -algo wpaxos -topo ring:9 -sched random -fack 4 -seed 4 \
-//	    -crash midbroadcast -overlay chords -record /tmp/w.json
+//	    -crash midbroadcast -overlay chords -maxevents 200000 -record testdata/golden_wpaxos_midbroadcast_chords.json
 //	go run ./cmd/amacsim -algo floodpaxos -topo grid:3x3 -sched random -fack 4 -seed 1 \
-//	    -crash one@3 -overlay extra:4@0.6 -record /tmp/f.json
+//	    -crash one@3 -overlay extra:4@0.6 -record testdata/golden_floodpaxos_one3_extra.json
 //
-// and splices the new schedule under the committed header, which keeps
-// the note and the wPAXOS artifact's "max_events": 200000 (-record writes
-// neither):
-//
-//	jq --slurpfile n /tmp/w.json '.schedule = $n[0].schedule' testdata/golden_wpaxos_midbroadcast_chords.json
-//
-// CI re-records both and compares the schedules, so a stale artifact
-// fails there by name rather than as a replay divergence here.
+// -record writes the cap as "max_events"; only the free-text note
+// differs from the committed header. The test below re-records both and
+// compares the schedules, so a stale artifact fails by name rather than
+// as a replay divergence.
 const (
 	goldenWPaxos = "testdata/golden_wpaxos_midbroadcast_chords.json"
 	goldenFlood  = "testdata/golden_floodpaxos_one3_extra.json"
@@ -43,7 +39,8 @@ const (
 // TestTerminatingGoldensReplayByteIdentically is the golden replay test
 // for the re-recorded cells: zero divergence, no violation (the artifacts
 // record healthy terminating runs), and deterministic — two replays yield
-// byte-identical results. If this test starts failing after an engine,
+// byte-identical results. Each artifact must also be what recording its
+// own scenario under its own cap produces today. If this test starts failing after an engine,
 // detector or scheduler change, the execution semantics changed in a way
 // that breaks recorded schedules; that is a compatibility break, not a
 // flake.
@@ -77,11 +74,28 @@ func TestTerminatingGoldensReplayByteIdentically(t *testing.T) {
 		if replay() != replay() {
 			t.Fatalf("%s: two replays differ", path)
 		}
+		sc := a.Scenario
+		sc.MaxEvents = a.MaxEvents
+		_, sched, err := sc.RunRecorded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(a.Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s is not the schedule its scenario records; regenerate it (see the commands above)", path)
+		}
 	}
 }
 
 // twophaseStallArtifact is the minimized two-phase stall produced by
-// `amacexplore -minimize` from the ring:9 coordinator-crash chords cell
+// `amacsim -explore -minimize` from the ring:9 coordinator-crash chords cell
 // (minimized onto ring:3) — the paper's Theorem 3.2 counterexample, kept
 // as the repo's canonical violating artifact now that the wPAXOS and
 // floodpaxos stalls are fixed. See internal/explore/campaign_test.go for

@@ -25,7 +25,7 @@ func TestScope(t *testing.T) {
 		"github.com/absmac/absmac/internal/omega":                                           true,
 		"github.com/absmac/absmac/internal/live":                                            false,
 		"github.com/absmac/absmac/internal/netmac":                                          false,
-		"github.com/absmac/absmac/cmd/amacexplore":                                          false,
+		"github.com/absmac/absmac/cmd/amacsim":                                              false,
 		"github.com/absmac/absmac/internal/lint/goroutineorder/testdata/src/goroutineorder": true,
 	} {
 		if got := scope(path); got != want {

@@ -1,7 +1,7 @@
 // Package trace records simulator events for post-mortem inspection: a
 // recorder that retains every event of a run, plain-text rendering, JSON
-// Lines dumping (the machine-readable format shared by `amacsim -trace`
-// and `amacexplore -replay -trace`), and per-kind summaries. It plugs
+// Lines dumping (the machine-readable format of `amacsim -trace`, for a
+// single run and for `-replay` alike), and per-kind summaries. It plugs
 // into sim.Config.Observer.
 package trace
 
@@ -85,8 +85,8 @@ func (r *Recorder) Summary() string {
 }
 
 // JSONLEvent is the machine-readable rendering of one event: the schema of
-// DumpJSONL lines, shared by `amacsim -trace` and `amacexplore`'s replay
-// traces. Message contents are never serialized — pooling algorithms may
+// DumpJSONL lines, which `amacsim -trace` writes for a single run and a
+// replay alike. Message contents are never serialized — pooling algorithms may
 // have recycled the buffer by dump time (see Events) — only the dynamic
 // type name.
 type JSONLEvent struct {
