@@ -42,7 +42,8 @@
 // Properties are judged over survivors: a crashed node owes nothing.
 // -metrics adds aggregated per-cell metric rows; without it the output is
 // byte-identical to a build without the metrics layer. -cpuprofile and
-// -memprofile profile the whole sweep.
+// -memprofile profile the whole sweep; a profile that cannot be written
+// is exit 2.
 //
 //	amacsim -sweep -algos wpaxos,floodpaxos -topos clique:8,grid:3x3 \
 //	        -scheds sync,random -facks 2,8 -seeds 8 -json
@@ -423,7 +424,7 @@ func printErrors(w io.Writer, res *sim.Result, rep *consensus.Report) {
 	fmt.Fprintln(w)
 }
 
-func (c *cli) runSweep() (bool, error) {
+func (c *cli) runSweep() (violated bool, err error) {
 	grid, err := c.sweepGrid()
 	if err != nil {
 		return false, err
@@ -432,7 +433,7 @@ func (c *cli) runSweep() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	defer stopProf()
+	defer func() { err = errors.Join(err, stopProf()) }()
 	// Expand to cell work-units and sweep them directly: one worker runs
 	// all seeds of a cell on one reusable engine, and workers share the
 	// sweep's topology/diameter/overlay caches.

@@ -66,6 +66,11 @@ func TestCommandLine(t *testing.T) {
 		row{name: "explore and replay", args: []string{"-explore", "-replay", stall}, code: 2},
 		row{name: "=false selects nothing", args: []string{"-sweep=false", "-grid=false", "-topo", "clique:4", "-v"}, code: 0},
 		row{
+			name: "unwritable -memprofile",
+			args: []string{"-sweep", "-seeds", "1", "-topos", "clique:4", "-scheds", "sync", "-memprofile", filepath.Join(dir, "missing", "x.out")},
+			code: 2,
+		},
+		row{
 			name: "sweep golden output",
 			args: strings.Fields("-sweep -algos wpaxos,floodpaxos -topos clique:4,ring:5 -scheds sync,random" +
 				" -facks 3 -seeds 3 -crashes none,one@0 -overlays none,chords -json"),

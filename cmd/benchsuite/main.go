@@ -12,7 +12,7 @@
 // tree:BxD, starlines:AxL, random:N:P, and the degree-bounded sparse
 // families expander:N:D and pods:P:K:C at small parameters — their
 // large-n shapes live in internal/sim's BenchmarkBroadcastPlanLarge tier
-// and the CI large-n smoke instead.
+// and the large-n tests instead.
 //
 // Usage:
 //
@@ -26,13 +26,16 @@
 //
 //	benchsuite -grid -cpuprofile cpu.out && go tool pprof cpu.out
 //
-// Exit status is non-zero when any experiment fails its shape check or any
-// grid cell violates a consensus property.
+// Exit status is 1 when any experiment fails its shape check or any grid
+// cell violates a consensus property, and 2 on a usage error or a profile
+// that cannot be written. `go test ./cmd/benchsuite/` runs the grid.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -41,48 +44,64 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment by id (e.g. E6)")
-	quiet := flag.Bool("q", false, "print only the summary line per experiment")
-	grid := flag.Bool("grid", false, "run the canonical scenario grid instead of the experiments")
-	jsonOut := flag.Bool("json", false, "grid: emit JSON instead of a text table")
-	workers := flag.Int("workers", 0, "grid: worker pool width (0 = GOMAXPROCS)")
-	prof := harness.RegisterProfileFlags(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs the experiments or the grid
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "run a single experiment by id (e.g. E6)")
+	quiet := fs.Bool("q", false, "print only the summary line per experiment")
+	grid := fs.Bool("grid", false, "run the canonical scenario grid instead of the experiments")
+	jsonOut := fs.Bool("json", false, "grid: emit JSON instead of a text table")
+	workers := fs.Int("workers", 0, "grid: worker pool width (0 = GOMAXPROCS)")
+	prof := harness.RegisterProfileFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Flags have no effect outside their mode; fail loudly rather than
 	// silently drop them.
 	expOnly := harness.NameSet([]string{"only", "q"})
 	gridOnly := harness.NameSet([]string{"json", "workers"})
-	stray := harness.StrayFlags(flag.CommandLine, func(name string) bool {
+	stray := harness.StrayFlags(fs, func(name string) bool {
 		return (*grid && expOnly[name]) || (!*grid && gridOnly[name])
 	})
 	if len(stray) > 0 {
 		if *grid {
-			fmt.Fprintf(os.Stderr, "benchsuite: %s ignored with -grid\n", strings.Join(stray, ", "))
+			fmt.Fprintf(stderr, "benchsuite: %s ignored with -grid\n", strings.Join(stray, ", "))
 		} else {
-			fmt.Fprintf(os.Stderr, "benchsuite: %s only apply with -grid\n", strings.Join(stray, ", "))
+			fmt.Fprintf(stderr, "benchsuite: %s only apply with -grid\n", strings.Join(stray, ", "))
 		}
-		os.Exit(2)
+		return 2
 	}
 
 	// Profiling applies in both modes (-cpuprofile/-memprofile are
 	// deliberately in neither stray set).
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchsuite:", err)
+		return 2
 	}
 	var code int
 	if *grid {
-		code = runGrid(*workers, *jsonOut)
+		code = runGrid(stdout, stderr, *workers, *jsonOut)
 	} else {
-		code = runExperiments(*only, *quiet)
+		code = runExperiments(stdout, stderr, *only, *quiet)
 	}
-	stopProf()
-	os.Exit(code)
+	if err := stopProf(); err != nil {
+		fmt.Fprintln(stderr, "benchsuite:", err)
+		return 2
+	}
+	return code
 }
 
-func runExperiments(only string, quiet bool) int {
+func runExperiments(stdout, stderr io.Writer, only string, quiet bool) int {
 	failed := 0
 	ran := 0
 	for _, d := range exp.Index {
@@ -96,20 +115,20 @@ func runExperiments(only string, quiet bool) int {
 			if !e.OK {
 				status = "FAIL"
 			}
-			fmt.Printf("%-4s %-4s %s\n", e.ID, status, e.Title)
+			fmt.Fprintf(stdout, "%-4s %-4s %s\n", e.ID, status, e.Title)
 		} else {
-			fmt.Println(e.Render())
+			fmt.Fprintln(stdout, e.Render())
 		}
 		if !e.OK {
 			failed++
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: no experiment matches -only=%s\n", only)
+		fmt.Fprintf(stderr, "benchsuite: no experiment matches -only=%s\n", only)
 		return 2
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: %d experiment(s) failed their shape checks\n", failed)
+		fmt.Fprintf(stderr, "benchsuite: %d experiment(s) failed their shape checks\n", failed)
 		return 1
 	}
 	return 0
@@ -137,8 +156,8 @@ func canonicalGrids() []harness.Grid {
 	// The sparse families run here at small parameters so every registered
 	// topology kind appears in the canonical grid
 	// (TestCanonicalGridCoversEveryFamily; their large-n shapes —
-	// expander:4096:8, pods:64:64:4 — belong to the bench tier and the CI
-	// large-n smoke, not an 8-seed correctness grid).
+	// expander:4096:8, pods:64:64:4 — belong to the bench tier and the
+	// large-n tests, not an 8-seed correctness grid).
 	multihop := harness.Grid{
 		Algos: []string{"wpaxos", "floodpaxos", "gatherall"},
 		Topos: []harness.Topo{
@@ -186,7 +205,7 @@ func canonicalGrids() []harness.Grid {
 	return []harness.Grid{singlehop, multihop, faultclique, faultmultihop}
 }
 
-func runGrid(workers int, jsonOut bool) int {
+func runGrid(stdout, stderr io.Writer, workers int, jsonOut bool) int {
 	// Expand every grid to cell work-units and run them in one sweep, so
 	// the topology/diameter/overlay caches are shared across all four
 	// grids and each worker reuses one engine per cell. (The canonical
@@ -197,7 +216,7 @@ func runGrid(workers int, jsonOut bool) int {
 	for _, g := range canonicalGrids() {
 		expanded, err := g.Cells()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsuite:", err)
+			fmt.Fprintln(stderr, "benchsuite:", err)
 			return 2
 		}
 		work = append(work, expanded...)
@@ -205,19 +224,19 @@ func runGrid(workers int, jsonOut bool) int {
 	}
 	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: workers})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
+		fmt.Fprintln(stderr, "benchsuite:", err)
 		return 2
 	}
 	if !jsonOut {
-		fmt.Printf("canonical grid: %d scenarios, %d cells\n\n", runs, len(cells))
+		fmt.Fprintf(stdout, "canonical grid: %d scenarios, %d cells\n\n", runs, len(cells))
 	}
-	bad, err := harness.Report(os.Stdout, cells, jsonOut)
+	bad, err := harness.Report(stdout, cells, jsonOut)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
+		fmt.Fprintln(stderr, "benchsuite:", err)
 		return 2
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: %d cell(s) contain consensus violations\n", bad)
+		fmt.Fprintf(stderr, "benchsuite: %d cell(s) contain consensus violations\n", bad)
 		return 1
 	}
 	return 0

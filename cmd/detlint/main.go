@@ -11,8 +11,9 @@
 //	path/file.go:line:col: [analyzer] message
 //
 // and the exit status is 0 when the tree is clean, 1 when there are
-// findings, 2 on a load/internal error — so CI can simply run
-// `go run ./cmd/detlint ./...` and fail the build on any violation.
+// findings, 2 on a load/internal error. `go test ./cmd/detlint/` runs it
+// over the whole module and on each analyzer's fixture, so the tier-1
+// gate enforces the contract.
 //
 // The suite (see each analyzer's package documentation for the precise
 // rule, scope and escape hatches):
@@ -33,9 +34,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,17 +57,29 @@ type finding struct {
 }
 
 func main() {
-	fix := flag.Bool("fix", false, "apply suggested fixes in place (see command doc: fixes are audit scaffolding)")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	flag.Parse()
-	os.Exit(run(*fix, *only, flag.Args()))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(fix bool, only string, patterns []string) int {
+// run is the command: it parses args, runs the selected analyzers over
+// the patterns (relative to the working directory) and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fix := fs.Bool("fix", false, "apply suggested fixes in place (see command doc: fixes are audit scaffolding)")
+	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	patterns := fs.Args()
+
 	analyzers := lint.Analyzers()
-	if only != "" {
+	if *only != "" {
 		keep := map[string]bool{}
-		for _, name := range strings.Split(only, ",") {
+		for _, name := range strings.Split(*only, ",") {
 			keep[strings.TrimSpace(name)] = true
 		}
 		var sel []*analysis.Analyzer
@@ -80,7 +95,7 @@ func run(fix bool, only string, patterns []string) int {
 				unknown = append(unknown, name)
 			}
 			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "detlint: unknown analyzer(s): %s\n", strings.Join(unknown, ", "))
+			fmt.Fprintf(stderr, "detlint: unknown analyzer(s): %s\n", strings.Join(unknown, ", "))
 			return 2
 		}
 		analyzers = sel
@@ -88,7 +103,7 @@ func run(fix bool, only string, patterns []string) int {
 
 	pkgs, err := load.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
+		fmt.Fprintf(stderr, "detlint: %v\n", err)
 		return 2
 	}
 
@@ -114,7 +129,7 @@ func run(fix bool, only string, patterns []string) int {
 				})
 			}
 			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(os.Stderr, "detlint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
+				fmt.Fprintf(stderr, "detlint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
 				return 2
 			}
 		}
@@ -140,17 +155,17 @@ func run(fix bool, only string, patterns []string) int {
 		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
 			name = rel
 		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", name, f.pos.Line, f.pos.Column, f.analyzer, f.diag.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", name, f.pos.Line, f.pos.Column, f.analyzer, f.diag.Message)
 	}
 
-	if fix {
-		if err := applyFixes(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: applying fixes: %v\n", err)
+	if *fix {
+		if err := applyFixes(stderr, findings); err != nil {
+			fmt.Fprintf(stderr, "detlint: applying fixes: %v\n", err)
 			return 2
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "detlint: %d finding(s)\n", len(findings))
+		fmt.Fprintf(stderr, "detlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
@@ -158,7 +173,7 @@ func run(fix bool, only string, patterns []string) int {
 
 // applyFixes rewrites files with every suggested edit, back to front so
 // earlier offsets stay valid.
-func applyFixes(findings []finding) error {
+func applyFixes(stderr io.Writer, findings []finding) error {
 	type edit struct {
 		start, end int
 		text       []byte
@@ -194,7 +209,7 @@ func applyFixes(findings []finding) error {
 		}
 	}
 	if applied > 0 {
-		fmt.Fprintf(os.Stderr, "detlint: applied %d suggested edit(s); replace inserted FIXMEs with real justifications\n", applied)
+		fmt.Fprintf(stderr, "detlint: applied %d suggested edit(s); replace inserted FIXMEs with real justifications\n", applied)
 	}
 	return nil
 }

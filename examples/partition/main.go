@@ -24,7 +24,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/absmac/absmac/internal/harness"
@@ -32,33 +34,39 @@ import (
 )
 
 func main() {
-	const d = 6
-	res, err := lowerbound.RunSizeImpossibility(d)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "partition:", err)
 		os.Exit(1)
 	}
-	fmt.Println("Part I — partition by silence (Theorem 3.9)")
-	fmt.Printf("K_%d: two lines of %d nodes plus a %d-node tail, all wired to one hub (%d nodes total)\n",
+}
+
+func run(w io.Writer) error {
+	const d = 6
+	res, err := lowerbound.RunSizeImpossibility(d)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "Part I — partition by silence (Theorem 3.9)")
+	fmt.Fprintf(w, "K_%d: two lines of %d nodes plus a %d-node tail, all wired to one hub (%d nodes total)\n",
 		d, d+1, d-1, res.KD.G.N())
-	fmt.Printf("round budget from the (known) diameter bound: %d\n\n", res.Rounds)
+	fmt.Fprintf(w, "round budget from the (known) diameter bound: %d\n\n", res.Rounds)
 
-	fmt.Println("1. Control: the n-oblivious gatherer on a standalone line, synchronous scheduler.")
-	fmt.Printf("   consensus OK: %v  (this is Lemma 3.8: the algorithm is fine when the network IS a line)\n\n", res.ControlLineOK)
+	fmt.Fprintln(w, "1. Control: the n-oblivious gatherer on a standalone line, synchronous scheduler.")
+	fmt.Fprintf(w, "   consensus OK: %v  (this is Lemma 3.8: the algorithm is fine when the network IS a line)\n\n", res.ControlLineOK)
 
-	fmt.Println("2. The construction: same algorithm on K_D, hub silenced by the scheduler.")
-	fmt.Printf("   split-brain: %v — the all-zeros line decided %d, the all-ones line decided %d\n",
+	fmt.Fprintln(w, "2. The construction: same algorithm on K_D, hub silenced by the scheduler.")
+	fmt.Fprintf(w, "   split-brain: %v — the all-zeros line decided %d, the all-ones line decided %d\n",
 		res.ViolationInKD, res.L1Decision, res.L2Decision)
-	fmt.Println("   (each line cannot tell K_D from the standalone line of Lemma 3.8: Theorem 3.9)")
-	fmt.Println()
+	fmt.Fprintln(w, "   (each line cannot tell K_D from the standalone line of Lemma 3.8: Theorem 3.9)")
+	fmt.Fprintln(w)
 
-	fmt.Println("3. Control: gatherall, which knows n, on the same K_D under the same scheduler.")
-	fmt.Printf("   consensus OK: %v  (knowing n, it simply waits out the silence)\n\n", res.ControlWithNOK)
+	fmt.Fprintln(w, "3. Control: gatherall, which knows n, on the same K_D under the same scheduler.")
+	fmt.Fprintf(w, "   consensus OK: %v  (knowing n, it simply waits out the silence)\n\n", res.ControlWithNOK)
 
 	// Part II assembles everything by registry name — the same specs work
 	// as `amacsim -crash coordinator` or as `-crashes`/`-overlays` sweep
 	// axes.
-	fmt.Println("Part II — partition by crashing (adversity registries)")
+	fmt.Fprintln(w, "Part II — partition by crashing (adversity registries)")
 
 	hubCrash, err := harness.Scenario{
 		Algo: "wpaxos",
@@ -72,18 +80,17 @@ func main() {
 		MaxEvents: 500_000,
 	}.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "partition:", err)
-		os.Exit(1)
+		return err
 	}
 	// No survivor can decide: each 3-node arm is below the majority of 7.
-	// The run is not quiescent — since the Ω failure-detector redesign the
-	// survivors keep suspecting, rotating and retransmitting — so it ends
-	// only at the event cap, still undecided.
+	// The run is not quiescent — the survivors keep suspecting, rotating
+	// and retransmitting — so it ends only at the event cap, still
+	// undecided.
 	stalled := !hubCrash.Report.SomeoneDecided && hubCrash.Result.Cutoff
-	fmt.Println("4. wPAXOS on starlines:2x3 with the hub crashed (crashes=coordinator).")
-	fmt.Printf("   stalled: %v, split-brain: %v — no 3-node arm can reach a majority of 7,\n", stalled, !hubCrash.Report.Agreement)
-	fmt.Println("   so wPAXOS searches forever rather than decide inconsistently (safety over liveness)")
-	fmt.Println()
+	fmt.Fprintln(w, "4. wPAXOS on starlines:2x3 with the hub crashed (crashes=coordinator).")
+	fmt.Fprintf(w, "   stalled: %v, split-brain: %v — no 3-node arm can reach a majority of 7,\n", stalled, !hubCrash.Report.Agreement)
+	fmt.Fprintln(w, "   so wPAXOS searches forever rather than decide inconsistently (safety over liveness)")
+	fmt.Fprintln(w)
 
 	majority, err := harness.Scenario{
 		Algo: "wpaxos",
@@ -97,15 +104,15 @@ func main() {
 		MaxEvents: 500_000,
 	}.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "partition:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("5. Same algorithm, survivable fault: wPAXOS on clique:8, mid-broadcast crash of node 0.")
-	fmt.Printf("   consensus OK: %v — %d crashed, survivors decided %d by t=%d (termination despite faults)\n",
+	fmt.Fprintln(w, "5. Same algorithm, survivable fault: wPAXOS on clique:8, mid-broadcast crash of node 0.")
+	fmt.Fprintf(w, "   consensus OK: %v — %d crashed, survivors decided %d by t=%d (termination despite faults)\n",
 		majority.Violation() == nil, majority.Report.Crashed, majority.Report.Value, majority.Report.SurvivorDecideTime)
 
 	if !res.ViolationInKD || !res.ControlLineOK || !res.ControlWithNOK ||
 		!stalled || !hubCrash.Report.Agreement || majority.Violation() != nil {
-		os.Exit(1)
+		return errors.New("a construction or control did not come out as the paper says")
 	}
+	return nil
 }

@@ -13,14 +13,23 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/absmac/absmac/internal/explore"
 	"github.com/absmac/absmac/internal/harness"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const n = 8
 	sc := harness.Scenario{
 		Algo: "twophase", // no knowledge of n required!
@@ -35,15 +44,15 @@ func main() {
 	}
 	out, err := sc.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	res, rep := out.Result, out.Report
-	fmt.Printf("inputs:       %s\n", sc.Inputs)
-	fmt.Printf("all decided:  %v\n", rep.Termination)
-	fmt.Printf("agreed value: %d\n", rep.Value)
-	fmt.Printf("decide time:  %d (Fack=10; Theorem 4.1 promises O(Fack))\n", res.MaxDecideTime)
-	fmt.Printf("agreement=%v validity=%v termination=%v\n", rep.Agreement, rep.Validity, rep.Termination)
+	fmt.Fprintf(w, "inputs:       %s\n", sc.Inputs)
+	fmt.Fprintf(w, "all decided:  %v\n", rep.Termination)
+	fmt.Fprintf(w, "agreed value: %d\n", rep.Value)
+	fmt.Fprintf(w, "decide time:  %d (Fack=10; Theorem 4.1 promises O(Fack))\n", res.MaxDecideTime)
+	fmt.Fprintf(w, "agreement=%v validity=%v termination=%v\n", rep.Agreement, rep.Validity, rep.Termination)
 
 	// One execution is an anecdote; the harness measures distributions.
 	// A Grid expands to cell work-units — here a single cell whose seeds
@@ -63,14 +72,14 @@ func main() {
 		Seeds:  seeds,
 	}.Cells()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	c := cells[0]
-	fmt.Printf("\nacross %d seeds of the same cell: correct %d/%d, decide time median %.0f p95 %.0f (x Fack: %.2f)\n",
+	fmt.Fprintf(w, "\nacross %d seeds of the same cell: correct %d/%d, decide time median %.0f p95 %.0f (x Fack: %.2f)\n",
 		len(seeds), c.Correct, c.Runs, c.Decide.Median, c.Decide.P95, c.DecidePerFack)
 
 	// Every run is also recordable: RunRecorded captures the scheduler's
@@ -81,7 +90,7 @@ func main() {
 	// this search and minimizes what it finds; see internal/explore.)
 	recorded, schedule, err := sc.RunRecorded()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	perturbed := schedule.Clone()
 	swapped := false
@@ -91,17 +100,17 @@ func main() {
 		swapped = perturbed.SwapRecv(k, 0, 1)
 	}
 	if !swapped {
-		log.Fatal("no step had two distinct delivery times to swap")
+		return errors.New("no step had two distinct delivery times to swap")
 	}
 	runner, err := sc.NewReplayRunner()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	replayed, rp, err := runner.Run(perturbed, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nrecorded %d broadcast decisions (decide time %d); perturbed replay (diverged=%v) still correct: %v (decide time %d)\n",
+	fmt.Fprintf(w, "\nrecorded %d broadcast decisions (decide time %d); perturbed replay (diverged=%v) still correct: %v (decide time %d)\n",
 		len(schedule.Steps), recorded.Result.MaxDecideTime, rp.Diverged(), replayed.Report.OK(), replayed.Result.MaxDecideTime)
 
 	// Act 4 — sweep → campaign → minimized artifact. A campaign composes
@@ -111,10 +120,9 @@ func main() {
 	// minimal replayable counterexample. This grid pairs the canonical
 	// violating cell — two-phase consensus losing its coordinator, the
 	// paper's Theorem 3.2 counterexample: every witness strands forever —
-	// with wPAXOS in the same cell, which survives the crash (since the Ω
-	// failure-detector redesign it rotates to a live proposer; see
-	// doc.go's "Liveness under leader death"). (`amacsim -grid` is the
-	// CLI face of exactly this call.)
+	// with wPAXOS in the same cell, which survives the crash (its Ω
+	// detector rotates to a live proposer; see internal/omega's package
+	// comment). (`amacsim -grid` is the CLI face of exactly this call.)
 	campaign, err := explore.Campaign(harness.Grid{
 		Algos:     []string{"twophase", "wpaxos"},
 		Topos:     []harness.Topo{{Kind: "ring", N: 9}},
@@ -126,17 +134,18 @@ func main() {
 		MaxEvents: 200_000,
 	}, explore.CampaignOptions{Minimize: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncampaign over %d cells (%d runs): %d flagged run(s) in %d cell(s)\n",
+	fmt.Fprintf(w, "\ncampaign over %d cells (%d runs): %d flagged run(s) in %d cell(s)\n",
 		len(campaign.Cells), campaign.Runs, campaign.Flagged, campaign.CellsFlagged)
 	for _, cov := range campaign.Coverage {
 		c := &campaign.Cells[cov.Cell]
-		fmt.Printf("  %-10s exercised %d distinct delivery orderings over %d seeds, flagged %d\n",
+		fmt.Fprintf(w, "  %-10s exercised %d distinct delivery orderings over %d seeds, flagged %d\n",
 			c.Algo, cov.Distinct, cov.Runs, cov.Flagged)
 	}
 	for _, f := range campaign.Findings {
-		fmt.Printf("  minimized %s counterexample: %s on %s, seed %d -> %d steps, %d deliveries (replayable artifact)\n",
+		fmt.Fprintf(w, "  minimized %s counterexample: %s on %s, seed %d -> %d steps, %d deliveries (replayable artifact)\n",
 			f.Violation.Kind, f.Scenario.Algo, f.Scenario.Topo, f.Scenario.Seed, f.Steps, f.Deliveries)
 	}
+	return nil
 }

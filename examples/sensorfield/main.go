@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
@@ -21,6 +23,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sensorfield:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	const rows, cols = 6, 6
 	g := graph.Grid(rows, cols)
 	n := g.N()
@@ -62,10 +71,10 @@ func main() {
 	})
 	rep := consensus.Check(inputs, res)
 
-	fmt.Printf("grid %dx%d (diameter %d), %d slow sensors (25x delays)\n", rows, cols, g.Diameter(), len(slow))
-	fmt.Printf("all decided:   %v, value %d\n", rep.Termination, rep.Value)
-	fmt.Printf("consensus:     agreement=%v validity=%v termination=%v\n", rep.Agreement, rep.Validity, rep.Termination)
-	fmt.Printf("aggregation:   %d propositions audited, %d Lemma 4.2 violations\n",
+	fmt.Fprintf(w, "grid %dx%d (diameter %d), %d slow sensors (25x delays)\n", rows, cols, g.Diameter(), len(slow))
+	fmt.Fprintf(w, "all decided:   %v, value %d\n", rep.Termination, rep.Value)
+	fmt.Fprintf(w, "consensus:     agreement=%v validity=%v termination=%v\n", rep.Agreement, rep.Validity, rep.Termination)
+	fmt.Fprintf(w, "aggregation:   %d propositions audited, %d Lemma 4.2 violations\n",
 		audit.Propositions(), len(audit.Violations()))
 
 	// How fast did the healthy majority decide, versus the field total?
@@ -82,6 +91,10 @@ func main() {
 			slowest = t
 		}
 	}
-	fmt.Printf("decide times:  healthy majority first at t=%d, whole field done by t=%d\n", fastest, slowest)
-	fmt.Printf("leader:        node id %d (max id wins the election)\n", nodes[0].Inspect().Omega)
+	fmt.Fprintf(w, "decide times:  healthy majority first at t=%d, whole field done by t=%d\n", fastest, slowest)
+	fmt.Fprintf(w, "leader:        node id %d (max id wins the election)\n", nodes[0].Inspect().Omega)
+	if !rep.OK() {
+		return fmt.Errorf("consensus failed: %v", rep.Errors)
+	}
+	return nil
 }

@@ -212,7 +212,7 @@ func campaignFinding(pool *evalPool, cell int, f harness.FlaggedRun, opts Campai
 		finding.Explored = &rep.Stats
 	}
 	if opts.ArtifactDir != "" {
-		path := filepath.Join(opts.ArtifactDir, ArtifactName(f.Scenario))
+		path := filepath.Join(opts.ArtifactDir, artifactName(f.Scenario))
 		if err := artifact.WriteFile(path); err != nil {
 			return nil, err
 		}
@@ -221,13 +221,13 @@ func campaignFinding(pool *evalPool, cell int, f harness.FlaggedRun, opts Campai
 	return finding, nil
 }
 
-// ArtifactName derives a deterministic, filesystem-safe artifact filename
+// artifactName derives a deterministic, filesystem-safe artifact filename
 // from a scenario — the campaign's on-disk naming scheme. Every axis that
 // distinguishes one cell from another appears in the stem (two findings
 // may never collide on one file). Punctuation in topology/crash/overlay
 // specs ( : @ . ) flattens to '-' (letters and digits survive, so
 // grid:3x3 names grid-3x3).
-func ArtifactName(sc harness.Scenario) string {
+func artifactName(sc harness.Scenario) string {
 	// harness.Key applies the defaults exactly as the sweep's Cell rows
 	// report them, so a finding's filename and its cell row name the same
 	// scenario.

@@ -53,14 +53,15 @@ type crashCtor struct {
 	mk       func(at int64, n int, fack, seed int64) []sim.Crash
 }
 
+// crashMaxID is one@T and its alias maxid@T: the highest-index node crashes at T.
+var crashMaxID = crashCtor{takesArg: true, mk: func(at int64, n int, _, _ int64) []sim.Crash {
+	return []sim.Crash{{Node: n - 1, At: at}}
+}}
+
 var crashPatterns = map[string]crashCtor{
-	"none": {mk: func(_ int64, _ int, _, _ int64) []sim.Crash { return nil }},
-	"one": {takesArg: true, mk: func(at int64, n int, _, _ int64) []sim.Crash {
-		return []sim.Crash{{Node: n - 1, At: at}}
-	}},
-	"maxid": {takesArg: true, mk: func(at int64, n int, _, _ int64) []sim.Crash {
-		return []sim.Crash{{Node: n - 1, At: at}}
-	}},
+	"none":  {mk: func(_ int64, _ int, _, _ int64) []sim.Crash { return nil }},
+	"one":   crashMaxID,
+	"maxid": crashMaxID,
 	"coordinator": {mk: func(_ int64, _ int, fack, _ int64) []sim.Crash {
 		return []sim.Crash{{Node: 0, At: fack}}
 	}},

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,20 +57,20 @@ func RegisterAxisFlags(fs *flag.FlagSet) *AxisFlags {
 // which report in a deterministic order regardless of axis contents.
 func (a *AxisFlags) Grid(inputs string) (Grid, error) {
 	grid := Grid{
-		Algos:    SplitList(*a.Algos),
-		Scheds:   SplitList(*a.Scheds),
-		Inputs:   SplitList(inputs),
-		Crashes:  SplitList(*a.Crashes),
-		Overlays: SplitList(*a.Overlays),
+		Algos:    splitList(*a.Algos),
+		Scheds:   splitList(*a.Scheds),
+		Inputs:   splitList(inputs),
+		Crashes:  splitList(*a.Crashes),
+		Overlays: splitList(*a.Overlays),
 	}
-	for _, s := range SplitList(*a.Topos) {
+	for _, s := range splitList(*a.Topos) {
 		t, err := ParseTopo(s)
 		if err != nil {
 			return Grid{}, err
 		}
 		grid.Topos = append(grid.Topos, t)
 	}
-	for _, s := range SplitList(*a.Facks) {
+	for _, s := range splitList(*a.Facks) {
 		f, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			return Grid{}, fmt.Errorf("bad -facks entry %q: %w", s, err)
@@ -82,9 +83,9 @@ func (a *AxisFlags) Grid(inputs string) (Grid, error) {
 	return grid, nil
 }
 
-// SplitList splits a comma-separated flag value, trimming blanks — the
+// splitList splits a comma-separated flag value, trimming blanks — the
 // list grammar of every sweep axis.
-func SplitList(s string) []string {
+func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
 		if p := strings.TrimSpace(part); p != "" {
@@ -124,8 +125,8 @@ func NameSet(names ...[]string) map[string]bool {
 // ProfileFlags holds the -cpuprofile/-memprofile flags shared by the
 // bench-facing CLIs (cmd/benchsuite, and cmd/amacsim's sweep mode): a
 // wall-clock hunt should start from a profile, not a guess. Register with
-// RegisterProfileFlags; call Start after flag parsing and defer the
-// returned stop function.
+// RegisterProfileFlags; call Start after flag parsing and the returned
+// stop function before exit.
 type ProfileFlags struct {
 	CPU *string
 	Mem *string
@@ -140,10 +141,11 @@ func RegisterProfileFlags(fs *flag.FlagSet) *ProfileFlags {
 }
 
 // Start begins CPU profiling if requested and returns the stop function,
-// which finishes the CPU profile and writes the heap profile. The stop
-// function must run before the process exits (defer it in main, and call
-// it explicitly before any os.Exit path).
-func (p *ProfileFlags) Start() (stop func(), err error) {
+// which finishes the CPU profile and writes the heap profile, and returns
+// the error of either. The stop function must run before the process
+// exits, and the command must fail on its error: a profile that was asked
+// for and not written is not a successful run.
+func (p *ProfileFlags) Start() (stop func() error, err error) {
 	var cpuFile *os.File
 	if *p.CPU != "" {
 		cpuFile, err = os.Create(*p.CPU)
@@ -155,22 +157,29 @@ func (p *ProfileFlags) Start() (stop func(), err error) {
 			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
 	}
-	return func() {
+	return func() error {
+		var cpuErr error
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if *p.Mem != "" {
-			f, err := os.Create(*p.Mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush recent frees so the heap profile is settled
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "-memprofile: %v\n", err)
+			if err := cpuFile.Close(); err != nil {
+				cpuErr = fmt.Errorf("-cpuprofile: %w", err)
 			}
 		}
+		if *p.Mem == "" {
+			return cpuErr
+		}
+		return errors.Join(cpuErr, writeHeapProfile(*p.Mem))
 	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	runtime.GC() // flush recent frees so the heap profile is settled
+	if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	return nil
 }

@@ -12,8 +12,8 @@ import (
 // pre-cell-refactor flat-scenario sweep, so this test proves the
 // cell-grouped pipeline (work-unit scheduling, shared caches, engine
 // reuse, streaming accumulation) reproduces the old aggregation byte for
-// byte. CI additionally diffs `amacsim -sweep -json` on the same grid
-// against the same file, covering the CLI flag plumbing.
+// byte. cmd/amacsim's TestCommandLine diffs `amacsim -sweep -json` on the
+// same grid against the same file, covering the CLI flag plumbing.
 //
 // Regenerate (only when the cell schema or an algorithm's executions
 // intentionally change; the diff must touch that algorithm's cells alone)

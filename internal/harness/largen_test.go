@@ -23,7 +23,7 @@ import (
 // 2*n acks = 2 097 152 events, so a third round of anything does not fit.
 func TestLargeNDecidesWithinEventBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1024-node runs; the test-long CI job runs this by name")
+		t.Skip("1024-node runs; the full tier-1 suite runs this")
 	}
 	expander := Topo{Kind: "expander", N: 1024, Deg: 8}
 	for _, tc := range []struct {
@@ -71,7 +71,7 @@ func TestLargeNDecidesWithinEventBudget(t *testing.T) {
 // failover that stops deciding fails here instead of spinning to the cap.
 func TestFailoverDecidesWithinEventBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1.3M-event failover runs; the test-long CI job runs this")
+		t.Skip("1.3M-event failover runs; the full tier-1 suite runs this")
 	}
 	for _, tc := range []struct {
 		algo   string

@@ -47,7 +47,7 @@ func TestUnanimousConfigsUnivalent(t *testing.T) {
 // valid-step schedule of two-phase reaches a decision (Theorem 4.1's
 // termination, checked exhaustively on small cliques). The n=3 state space
 // dominates the whole test suite's runtime, so short mode stops at n=2 —
-// still an exhaustive proof at that size; CI's long-mode job keeps the
+// still an exhaustive proof at that size; the full tier-1 suite keeps the
 // full exploration.
 func TestNoCrashAlwaysTerminates(t *testing.T) {
 	maxN, depth := 3, 60

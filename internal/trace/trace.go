@@ -101,29 +101,24 @@ type JSONLEvent struct {
 	Msg   string `json:"msg,omitempty"`
 }
 
-// ToJSONL converts an event to its JSONL form.
-func ToJSONL(ev sim.Event) JSONLEvent {
-	je := JSONLEvent{Time: ev.Time, Kind: ev.Kind.String(), Node: ev.Node}
-	switch ev.Kind {
-	case sim.EventDeliver:
-		peer := ev.Peer
-		je.Peer = &peer
-	case sim.EventDecide:
-		v := int(ev.Value)
-		je.Value = &v
-	}
-	if ev.Message != nil && ev.Kind != sim.EventDecide && ev.Kind != sim.EventCrash {
-		je.Msg = fmt.Sprintf("%T", ev.Message)
-	}
-	return je
-}
-
 // DumpJSONL writes the recorded events to w as JSON Lines, one JSONLEvent
 // object per line — the machine-readable counterpart of Dump.
 func (r *Recorder) DumpJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range r.events {
-		if err := enc.Encode(ToJSONL(ev)); err != nil {
+		je := JSONLEvent{Time: ev.Time, Kind: ev.Kind.String(), Node: ev.Node}
+		switch ev.Kind {
+		case sim.EventDeliver:
+			peer := ev.Peer
+			je.Peer = &peer
+		case sim.EventDecide:
+			v := int(ev.Value)
+			je.Value = &v
+		}
+		if ev.Message != nil && ev.Kind != sim.EventDecide && ev.Kind != sim.EventCrash {
+			je.Msg = fmt.Sprintf("%T", ev.Message)
+		}
+		if err := enc.Encode(je); err != nil {
 			return fmt.Errorf("trace: dump jsonl: %w", err)
 		}
 	}
