@@ -19,3 +19,22 @@ func BenchmarkCampaignScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExploreCandidates is the explore_replay cell's candidate path
+// at a budget CI can afford: record the base run, generate 64 perturbed
+// candidates and replay each on one worker. Its allocs/op is pinned in
+// BENCH_engine.json: a candidate that deep-copies the recording again
+// (one Recv per step) multiplies it.
+func BenchmarkExploreCandidates(b *testing.B) {
+	sc := replayCell()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := Explore(sc, Options{Budget: 64, Workers: 1, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Stats.Replays != 64 || rep.Stats.Violations != 0 {
+			b.Fatalf("stats %+v, want 64 clean replays", rep.Stats)
+		}
+	}
+}

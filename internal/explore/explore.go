@@ -18,7 +18,10 @@
 // generated centrally — a bounded radius-1 neighborhood enumeration of the
 // base schedule followed by seeded random walks — deduplicated by schedule
 // fingerprint, and findings are reported in candidate order regardless of
-// worker scheduling.
+// worker scheduling. A candidate is a sim.Schedule.Clone of its
+// predecessor and shares every step it does not perturb, so it costs one
+// pointer per step plus the step it rewrote, and replay workers read
+// shared steps that the generator never writes.
 //
 // The Shrinker (shrink.go) delta-debugs a violating schedule down to a
 // minimal failing artifact; Artifact (artifact.go) is the JSON file format
@@ -176,12 +179,7 @@ func exploreOn(p *evalPool, sc harness.Scenario, opts Options) (*Report, error) 
 	// so far (and against the base schedule). The generator runs on this
 	// goroutine and the pool's submit blocks when every worker is busy, so
 	// generation never outruns the replays by more than the pool width.
-	gen := &generator{
-		base: baseSched,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
-		seen: map[uint64]bool{baseSched.Fingerprint(): true},
-		opts: opts,
-	}
+	gen := newGenerator(baseSched, opts)
 	gen.run(func(c candidate) {
 		if failed.Load() {
 			// The exploration is already doomed to return an error;
@@ -308,6 +306,17 @@ type generator struct {
 	deduped  int
 }
 
+// newGenerator starts the candidate sequence of base under opts (with
+// defaults applied): the base schedule counts as already seen.
+func newGenerator(base *sim.Schedule, opts Options) *generator {
+	return &generator{
+		base: base,
+		rng:  rand.New(rand.NewSource(opts.Seed)),
+		seen: map[uint64]bool{base.Fingerprint(): true},
+		opts: opts,
+	}
+}
+
 // emit deduplicates and sinks a candidate; it reports whether the
 // candidate was fresh.
 func (g *generator) emit(work func(candidate), s *sim.Schedule) bool {
@@ -338,7 +347,7 @@ func (g *generator) run(work func(candidate)) {
 		if c := g.base.Clone(); c.SwapRecv(k, 0, 1) {
 			g.emit(work, c)
 		}
-		st := &g.base.Steps[k]
+		st := g.base.Steps[k]
 		for slot := st.NR; slot < len(st.Recv) && g.produced < nbCap; slot++ {
 			if c := g.base.Clone(); c.FlipCoin(k, slot) {
 				g.emit(work, c)
@@ -402,7 +411,7 @@ func perturb(rng *rand.Rand, s *sim.Schedule) bool {
 			}
 		case 4: // flip one unreliable-edge coin
 			k := rng.Intn(len(s.Steps))
-			st := &s.Steps[k]
+			st := s.Steps[k]
 			if len(st.Recv) == st.NR {
 				continue
 			}

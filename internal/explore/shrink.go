@@ -292,8 +292,7 @@ type overlaySlot struct{ step, slot int }
 
 func deliveredOverlaySlots(s *sim.Schedule) []overlaySlot {
 	var out []overlaySlot
-	for k := range s.Steps {
-		st := &s.Steps[k]
+	for k, st := range s.Steps {
 		for slot := st.NR; slot < len(st.Recv); slot++ {
 			if st.Recv[slot] != sim.NoDelivery {
 				out = append(out, overlaySlot{k, slot})

@@ -118,8 +118,7 @@ func SaltFingerprint(fp uint64, salt int64) uint64 { return fnvWord(fp, salt) }
 // deduplicates candidates by it.
 func (s *Schedule) Fingerprint() uint64 {
 	h := foldConfig(s.Fack, s.Crashes)
-	for i := range s.Steps {
-		st := &s.Steps[i]
+	for _, st := range s.Steps {
 		h = foldStep(h, st.Sender, st.Seq, st.Now, st.NR, st.Recv, st.Ack)
 	}
 	return fnvWord(h, int64(len(s.Steps)))

@@ -58,7 +58,7 @@ func (r *Replay) Diverged() bool { return r.diverged }
 func (r *Replay) Plan(b Broadcast, p *Plan) {
 	if !r.diverged {
 		if r.cursor < len(r.s.Steps) {
-			st := &r.s.Steps[r.cursor]
+			st := r.s.Steps[r.cursor]
 			if r.matches(st, b, p) {
 				copy(p.Recv, st.Recv)
 				p.Ack = st.Ack

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 )
 
 // This file implements schedule recording: capturing every nondeterministic
@@ -54,14 +55,17 @@ type Schedule struct {
 	// Crashes is the execution's crash schedule. Replayers must install it
 	// as Config.Crashes (harness.ReplayRunner does).
 	Crashes []Crash `json:"crashes,omitempty"`
-	// Steps are the recorded broadcast decisions, in broadcast order.
-	Steps []ScheduleStep `json:"steps"`
+	// Steps are the recorded broadcast decisions, in broadcast order. A
+	// step may be shared with the schedule this one was cloned from (or
+	// with its clones): write a step only through the perturbation ops,
+	// or by installing a new step pointer.
+	Steps []*ScheduleStep `json:"steps"`
 }
 
 // ScheduleRecorder wraps a scheduler and records every plan it produces
 // into S. Install it as the outermost wrapper (outside Lossy, so the coin
 // outcomes are captured in the recorded slots). The recorder is the only
-// cost of recording: one step append plus one Recv copy per broadcast,
+// cost of recording: one step object plus one Recv copy per broadcast,
 // nothing on the delivery path.
 type ScheduleRecorder struct {
 	Base Scheduler
@@ -85,7 +89,7 @@ func (r *ScheduleRecorder) Fack() int64 { return r.Base.Fack() }
 // Plan implements Scheduler: delegate, then record the finished plan.
 func (r *ScheduleRecorder) Plan(b Broadcast, p *Plan) {
 	r.Base.Plan(b, p)
-	r.S.Steps = append(r.S.Steps, ScheduleStep{
+	r.S.Steps = append(r.S.Steps, &ScheduleStep{
 		Sender: b.Sender,
 		Seq:    b.Seq,
 		Now:    b.Now,
@@ -95,19 +99,31 @@ func (r *ScheduleRecorder) Plan(b Broadcast, p *Plan) {
 	})
 }
 
-// Clone returns a deep copy: mutating the copy's steps, slots or crashes
-// never touches the original. Perturbation searches clone before mutating.
+// Clone returns a copy that shares every step with the original: it
+// copies the crashes and one pointer per step, not the steps' slots.
+// Perturbation searches clone before mutating; an op that writes a step
+// first replaces it with a private copy, so mutating a clone through the
+// ops never touches the original. Code that edits a step by hand must
+// install a new step pointer instead of writing through the shared one.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{Fack: s.Fack, DeliverP: s.DeliverP, FallbackSeed: s.FallbackSeed}
 	if s.Crashes != nil {
 		c.Crashes = append([]Crash(nil), s.Crashes...)
 	}
-	c.Steps = make([]ScheduleStep, len(s.Steps))
-	for i, st := range s.Steps {
-		st.Recv = append([]int64(nil), st.Recv...)
-		c.Steps[i] = st
-	}
+	c.Steps = make([]*ScheduleStep, len(s.Steps))
+	copy(c.Steps, s.Steps)
 	return c
+}
+
+// own replaces step k with a private copy (the step and its Recv) and
+// returns it. Every op that writes a step calls it after its refusal
+// checks, so a refused op allocates nothing and an applied one never
+// writes a step another schedule shares.
+func (s *Schedule) own(k int) *ScheduleStep {
+	st := *s.Steps[k]
+	st.Recv = slices.Clone(st.Recv)
+	s.Steps[k] = &st
+	return &st
 }
 
 // Deliveries counts the delivered slots across all steps (reliable slots
@@ -115,8 +131,8 @@ func (s *Schedule) Clone() *Schedule {
 // how much message traffic a schedule explains.
 func (s *Schedule) Deliveries() int {
 	n := 0
-	for i := range s.Steps {
-		for _, t := range s.Steps[i].Recv {
+	for _, st := range s.Steps {
+		for _, t := range st.Recv {
 			if t != NoDelivery {
 				n++
 			}
@@ -128,12 +144,13 @@ func (s *Schedule) Deliveries() int {
 // --- perturbations ---
 //
 // Each perturbation mutates the schedule in place and reports whether it
-// applied. A perturbation that applied leaves the mutated step valid
-// relative to its own recorded Now (deliveries in (Now, Now+Fack], none
-// after the ack), so a replay that reaches the step at the recorded time
-// executes it; if earlier perturbations shifted time, Replay detects the
-// mismatch and switches to its fallback planner instead of handing the
-// engine an invalid plan.
+// applied; one that writes a step writes its own copy of it (own). A
+// perturbation that applied leaves the mutated step valid relative to its
+// own recorded Now (deliveries in (Now, Now+Fack], none after the ack), so
+// a replay that reaches the step at the recorded time executes it; if
+// earlier perturbations shifted time, Replay detects the mismatch and
+// switches to its fallback planner instead of handing the engine an
+// invalid plan.
 
 // stepOK reports whether step index k is addressable.
 func (s *Schedule) stepOK(k int) bool { return k >= 0 && k < len(s.Steps) }
@@ -146,7 +163,7 @@ func (s *Schedule) SwapRecv(k, i, j int) bool {
 	if !s.stepOK(k) || i == j {
 		return false
 	}
-	st := &s.Steps[k]
+	st := s.Steps[k]
 	if i < 0 || j < 0 || i >= len(st.Recv) || j >= len(st.Recv) {
 		return false
 	}
@@ -156,6 +173,7 @@ func (s *Schedule) SwapRecv(k, i, j int) bool {
 	if st.Recv[i] == st.Recv[j] {
 		return false
 	}
+	st = s.own(k)
 	st.Recv[i], st.Recv[j] = st.Recv[j], st.Recv[i]
 	return true
 }
@@ -163,17 +181,26 @@ func (s *Schedule) SwapRecv(k, i, j int) bool {
 // JitterStep redraws every delivered slot of step k and its ack with the
 // uniform planner (uniformTimes), seeded — the "same coin outcomes,
 // different timing" perturbation. Undelivered slots stay undelivered.
+// The draws are those of rand.New(rand.NewSource(seed)), taken from a
+// pooled source re-seeded per call.
 func (s *Schedule) JitterStep(k int, seed int64) bool {
 	if !s.stepOK(k) {
 		return false
 	}
-	st := &s.Steps[k]
-	if !slices.ContainsFunc(st.Recv, func(t int64) bool { return t != NoDelivery }) {
+	if !slices.ContainsFunc(s.Steps[k].Recv, func(t int64) bool { return t != NoDelivery }) {
 		return false
 	}
-	st.Ack = uniformTimes(rand.New(rand.NewSource(seed)), st.Now, s.Fack, st.Recv, true)
+	st := s.own(k)
+	rng := jitterRands.Get().(*rand.Rand)
+	rng.Seed(seed)
+	st.Ack = uniformTimes(rng, st.Now, s.Fack, st.Recv, true)
+	jitterRands.Put(rng)
 	return true
 }
+
+// jitterRands holds JitterStep's sources: a math/rand source is ~5 KB, and
+// the explorer jitters once per few candidates.
+var jitterRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // FlipCoin toggles unreliable slot `slot` of step k: a delivered slot
 // becomes NoDelivery, an undelivered one delivers at the step's ack time
@@ -183,10 +210,10 @@ func (s *Schedule) FlipCoin(k, slot int) bool {
 	if !s.stepOK(k) {
 		return false
 	}
-	st := &s.Steps[k]
-	if slot < st.NR || slot >= len(st.Recv) {
+	if slot < s.Steps[k].NR || slot >= len(s.Steps[k].Recv) {
 		return false
 	}
+	st := s.own(k)
 	if st.Recv[slot] == NoDelivery {
 		st.Recv[slot] = st.Ack
 	} else {
@@ -224,7 +251,8 @@ func (s *Schedule) Truncate(k int) bool {
 }
 
 // Validate performs the structural checks a replayer relies on: positive
-// Fack, sane slot counts, crash times non-negative and DeliverP in [0,1].
+// Fack, no nil step, sane slot counts, crash times non-negative and
+// DeliverP in [0,1].
 // Per-step timing is checked live by Replay (a step whose times no longer
 // fit the replayed execution is a divergence, not an error).
 func (s *Schedule) Validate() error {
@@ -239,8 +267,10 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("sim: schedule crash %d at negative time %d", i, c.At)
 		}
 	}
-	for i := range s.Steps {
-		st := &s.Steps[i]
+	for i, st := range s.Steps {
+		if st == nil {
+			return fmt.Errorf("sim: schedule step %d is null", i)
+		}
 		if st.NR < 0 || st.NR > len(st.Recv) {
 			return fmt.Errorf("sim: schedule step %d has %d reliable slots of %d", i, st.NR, len(st.Recv))
 		}

@@ -2,6 +2,10 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -9,23 +13,31 @@ import (
 	"github.com/absmac/absmac/internal/graph"
 )
 
-// recordRing records a small dual-graph floodpaxos run and returns its
+// recordRing records a dual-graph floodpaxos run on ring:n (n even, the
+// antipodal chords unreliable, node n-1 crashing at t=3) and returns its
 // schedule plus the config pieces a replay needs.
-func recordRing(t *testing.T, seed int64) (*Schedule, Config) {
+func recordRing(t *testing.T, n int, seed int64) (*Schedule, Config) {
 	t.Helper()
-	g := graph.Ring(6)
-	o := graph.Build(6, [][2]int{{0, 3}, {1, 4}, {2, 5}})
-	inputs := []amac.Value{0, 1, 0, 1, 0, 1}
+	g := graph.Ring(n)
+	var chords [][2]int
+	inputs := make([]amac.Value, n)
+	for i := range n {
+		if i < n/2 {
+			chords = append(chords, [2]int{i, i + n/2})
+		}
+		inputs[i] = amac.Value(i % 2)
+	}
+	o := graph.Build(n, chords)
 	base := NewLossy(NewRandom(4, seed), 0.5, seed+100)
 	rec := RecordSchedule(base)
 	rec.S.DeliverP = 0.5
 	rec.S.FallbackSeed = seed + 7
-	rec.S.Crashes = []Crash{{Node: 5, At: 3}}
+	rec.S.Crashes = []Crash{{Node: n - 1, At: 3}}
 	cfg := Config{
 		Graph:      g,
 		Unreliable: o,
 		Inputs:     inputs,
-		Factory:    floodpaxos.NewFactory(6),
+		Factory:    floodpaxos.NewFactory(n),
 		Scheduler:  rec,
 		Crashes:    rec.S.Crashes,
 	}
@@ -45,7 +57,7 @@ func replayCfg(cfg Config, s *Schedule) (Config, *Replay) {
 }
 
 func TestReplayByteIdentical(t *testing.T) {
-	s, cfg := recordRing(t, 11)
+	s, cfg := recordRing(t, 6, 11)
 	want := Run(Config{
 		Graph: cfg.Graph, Unreliable: cfg.Unreliable, Inputs: cfg.Inputs,
 		Factory: floodpaxos.NewFactory(6), Scheduler: NewLossy(NewRandom(4, 11), 0.5, 111),
@@ -64,13 +76,15 @@ func TestReplayByteIdentical(t *testing.T) {
 }
 
 func TestReplayDivergesOnPerturbationAndEmitsEvent(t *testing.T) {
-	s, cfg := recordRing(t, 12)
+	s, cfg := recordRing(t, 6, 12)
 	mutated := s.Clone()
 	// Move step 0's ack by one tick (inside the Fack window, still no
 	// earlier than any delivery): the sender's OnAck now fires at a
 	// different time, so its next broadcast cannot match the recording —
-	// divergence is certain, not timing luck.
-	st := &mutated.Steps[0]
+	// divergence is certain, not timing luck. The clone shares its steps
+	// with s, so the edit goes to a copy of step 0 installed in its place.
+	st := *mutated.Steps[0]
+	mutated.Steps[0] = &st
 	if st.Ack < st.Now+mutated.Fack {
 		st.Ack++
 	} else {
@@ -108,7 +122,7 @@ func TestReplayDivergesOnPerturbationAndEmitsEvent(t *testing.T) {
 }
 
 func TestReplayTruncatedScheduleUsesFallbackDeterministically(t *testing.T) {
-	s, cfg := recordRing(t, 13)
+	s, cfg := recordRing(t, 6, 13)
 	short := s.Clone()
 	if !short.Truncate(len(short.Steps) / 2) {
 		t.Fatal("truncate refused")
@@ -132,7 +146,7 @@ func TestReplayTruncatedScheduleUsesFallbackDeterministically(t *testing.T) {
 // the engine would accept, so Replay must diverge to its fallback planner
 // rather than hand it to the validator.
 func TestReplayDivergesOnAckAtBroadcast(t *testing.T) {
-	s := &Schedule{Fack: 4, FallbackSeed: 3, Steps: []ScheduleStep{
+	s := &Schedule{Fack: 4, FallbackSeed: 3, Steps: []*ScheduleStep{
 		{Sender: 0, Seq: 0, Now: 0, NR: 0, Recv: []int64{}, Ack: 0},
 	}}
 	rp := NewReplay(s)
@@ -153,7 +167,7 @@ func TestReplayDivergesOnAckAtBroadcast(t *testing.T) {
 func TestSchedulePerturbationOps(t *testing.T) {
 	s := &Schedule{
 		Fack: 4,
-		Steps: []ScheduleStep{
+		Steps: []*ScheduleStep{
 			{Sender: 0, Seq: 0, Now: 0, NR: 2, Recv: []int64{1, 3, NoDelivery}, Ack: 3},
 			{Sender: 1, Seq: 0, Now: 1, NR: 1, Recv: []int64{2, 4}, Ack: 5},
 		},
@@ -172,7 +186,7 @@ func TestSchedulePerturbationOps(t *testing.T) {
 		t.Fatal("swap did not change the hash")
 	}
 	if s.Steps[0].Recv[0] != 1 {
-		t.Fatal("Clone is not deep: mutation reached the original")
+		t.Fatal("swap on a clone reached the original")
 	}
 	if s.Fingerprint() != h0 {
 		t.Fatal("original hash changed")
@@ -184,7 +198,7 @@ func TestSchedulePerturbationOps(t *testing.T) {
 	}
 	// Swapping equal times is a no-op and must refuse (hash-dedup safety).
 	eq := s.Clone()
-	eq.Steps[1].Recv[1] = 2
+	eq.Steps[1] = &ScheduleStep{Sender: 1, Seq: 0, Now: 1, NR: 1, Recv: []int64{2, 2}, Ack: 5}
 	if eq.SwapRecv(1, 0, 1) {
 		t.Fatal("swap of equal times accepted")
 	}
@@ -245,16 +259,133 @@ func TestSchedulePerturbationOps(t *testing.T) {
 	}
 }
 
+// TestScheduleOpsShareSteps pins Clone's sharing contract on a recording
+// of 1808 steps: an op applied to a clone leaves the original's steps (the
+// pointers and what they point to) as they were, an applied op replaces
+// only the step it writes, a refused op changes and allocates nothing, and
+// Clone plus one op costs the same few allocations however long the
+// schedule is.
+func TestScheduleOpsShareSteps(t *testing.T) {
+	s, _ := recordRing(t, 12, 5)
+	if len(s.Steps) < 500 {
+		t.Fatalf("recorded %d steps, want >= 500", len(s.Steps))
+	}
+	k := slices.IndexFunc(s.Steps, func(st *ScheduleStep) bool {
+		return st.NR >= 2 && len(st.Recv) > st.NR && st.Recv[0] != st.Recv[1]
+	})
+	if k < 0 || k >= 50 {
+		t.Fatalf("first step with two distinct reliable slots and an unreliable one is %d, want one in [0, 50)", k)
+	}
+	short := s.Clone()
+	short.Truncate(50)
+	h0, ptrs := s.Fingerprint(), slices.Clone(s.Steps)
+	want := make([]ScheduleStep, len(s.Steps))
+	for i, st := range s.Steps {
+		want[i] = *st
+		want[i].Recv = slices.Clone(st.Recv)
+	}
+	at := s.Crashes[0].At
+
+	for _, op := range []struct {
+		name   string
+		writes int // the step an applied op replaces, or -1
+		apply  func(c *Schedule) bool
+	}{
+		{"SwapRecv", k, func(c *Schedule) bool { return c.SwapRecv(k, 0, 1) }},
+		{"JitterStep", k, func(c *Schedule) bool { return c.JitterStep(k, 7) }},
+		{"FlipCoin", k, func(c *Schedule) bool { return c.FlipCoin(k, c.Steps[k].NR) }},
+		{"ShiftCrash", -1, func(c *Schedule) bool { return c.ShiftCrash(0, at+1) }},
+		{"DropCrash", -1, func(c *Schedule) bool { return c.DropCrash(0) }},
+		{"Truncate", -1, func(c *Schedule) bool { return c.Truncate(len(c.Steps) / 2) }},
+	} {
+		c := s.Clone()
+		if !op.apply(c) {
+			t.Fatalf("%s refused", op.name)
+		}
+		if s.Fingerprint() != h0 {
+			t.Fatalf("%s on a clone changed the original's fingerprint", op.name)
+		}
+		for i, st := range s.Steps {
+			if st != ptrs[i] || !reflect.DeepEqual(*st, want[i]) {
+				t.Fatalf("%s on a clone changed the original's step %d", op.name, i)
+			}
+		}
+		for i, st := range c.Steps {
+			if (st == s.Steps[i]) == (i == op.writes) {
+				t.Fatalf("%s: clone's step %d shared=%v, want shared exactly where the op did not write", op.name, i, st == s.Steps[i])
+			}
+		}
+		long := testing.AllocsPerRun(20, func() { op.apply(s.Clone()) })
+		brief := testing.AllocsPerRun(20, func() { op.apply(short.Clone()) })
+		if long != brief || long > 5 {
+			t.Fatalf("%s: Clone plus the op allocates %v times on %d steps and %v on %d, want the same few",
+				op.name, long, len(s.Steps), brief, len(short.Steps))
+		}
+	}
+
+	for _, op := range []struct {
+		name  string
+		apply func(c *Schedule) bool
+	}{
+		{"SwapRecv of a slot with itself", func(c *Schedule) bool { return c.SwapRecv(k, 0, 0) }},
+		{"SwapRecv past the slots", func(c *Schedule) bool { return c.SwapRecv(k, 0, len(c.Steps[k].Recv)) }},
+		{"JitterStep past the steps", func(c *Schedule) bool { return c.JitterStep(len(c.Steps), 7) }},
+		{"FlipCoin of a reliable slot", func(c *Schedule) bool { return c.FlipCoin(k, 0) }},
+		{"ShiftCrash to its own time", func(c *Schedule) bool { return c.ShiftCrash(0, at) }},
+		{"DropCrash past the crashes", func(c *Schedule) bool { return c.DropCrash(len(c.Crashes)) }},
+		{"Truncate to the full length", func(c *Schedule) bool { return c.Truncate(len(c.Steps)) }},
+	} {
+		c := s.Clone()
+		if n := testing.AllocsPerRun(20, func() {
+			if op.apply(c) {
+				t.Fatalf("%s applied", op.name)
+			}
+		}); n != 0 {
+			t.Fatalf("%s allocates %v times", op.name, n)
+		}
+		if c.Steps[k] != s.Steps[k] || c.Fingerprint() != h0 {
+			t.Fatalf("%s changed the clone", op.name)
+		}
+	}
+}
+
+// TestJitterStepDrawsFromItsSeed: JitterStep re-seeds a pooled source, so
+// every call must draw exactly what a fresh rand.New(rand.NewSource(seed))
+// draws, whatever seed the pooled source saw last.
+func TestJitterStepDrawsFromItsSeed(t *testing.T) {
+	s, _ := recordRing(t, 6, 11)
+	jittered := 0
+	for _, seed := range []int64{42, 0, -1, 1 << 40, 42, math.MaxInt64, 7} {
+		for k := range min(len(s.Steps), 8) {
+			c := s.Clone()
+			if !c.JitterStep(k, seed) {
+				continue
+			}
+			want := *s.Steps[k]
+			want.Recv = slices.Clone(want.Recv)
+			want.Ack = uniformTimes(rand.New(rand.NewSource(seed)), want.Now, s.Fack, want.Recv, true)
+			if !reflect.DeepEqual(*c.Steps[k], want) {
+				t.Fatalf("seed %d, step %d: jittered to %+v, want %+v", seed, k, *c.Steps[k], want)
+			}
+			jittered++
+		}
+	}
+	if jittered == 0 {
+		t.Fatal("no step jittered")
+	}
+}
+
 func TestScheduleValidate(t *testing.T) {
-	good := &Schedule{Fack: 4, Steps: []ScheduleStep{{NR: 1, Recv: []int64{1}, Ack: 1}}}
+	good := &Schedule{Fack: 4, Steps: []*ScheduleStep{{NR: 1, Recv: []int64{1}, Ack: 1}}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []*Schedule{
 		{Fack: 0},
+		{Fack: 4, Steps: []*ScheduleStep{{NR: 1, Recv: []int64{1}, Ack: 1}, nil}},
 		{Fack: 4, DeliverP: 1.5},
 		{Fack: 4, Crashes: []Crash{{Node: 0, At: -1}}},
-		{Fack: 4, Steps: []ScheduleStep{{NR: 3, Recv: []int64{1}, Ack: 1}}},
+		{Fack: 4, Steps: []*ScheduleStep{{NR: 3, Recv: []int64{1}, Ack: 1}}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("Validate accepted %+v", bad)
