@@ -56,13 +56,14 @@ func ChainObservers(obs ...func(sim.Event)) func(sim.Event) {
 	}
 }
 
-// executor runs executions one after another on one engine, so a sweep
-// worker or a ReplayRunner pays the engine's allocations once. It is
-// single-goroutine, and an Outcome's Result is valid until its next
-// execution.
+// executor runs executions one after another on one engine and one
+// sim.Replay, so a sweep worker or a ReplayRunner pays their allocations
+// once. It is single-goroutine, and an Outcome's Result and the returned
+// Replay are valid until its next execution.
 type executor struct {
 	caches *caches
 	eng    *sim.Engine
+	rp     *sim.Replay
 }
 
 func (x *executor) run(s Scenario, req Exec) (*Outcome, *sim.Replay, *sim.Schedule, error) {
@@ -85,7 +86,12 @@ func (x *executor) execute(s Scenario, cfg sim.Config, diameter int, req Exec) (
 		if err := req.Replay.Validate(); err != nil {
 			return nil, nil, nil, err
 		}
-		rp = sim.NewReplay(req.Replay)
+		if x.rp == nil {
+			x.rp = sim.NewReplay(req.Replay)
+		} else {
+			x.rp.Reset(req.Replay)
+		}
+		rp = x.rp
 		rp.Observer = req.Observer
 		cfg.Scheduler, cfg.Crashes = rp, req.Replay.Crashes
 		if err := cfg.Validate(); err != nil {
@@ -189,8 +195,8 @@ func (s Scenario) NewReplayRunner() (*ReplayRunner, error) {
 // replays with Diverged()==false and reproduces the original sim.Result
 // byte for byte; a perturbed or truncated schedule diverges at its first
 // unanswered broadcast and continues on the schedule's seeded fallback
-// planner. The Outcome's Result is valid only until the runner's next Run
-// or RunRecorded.
+// planner. The Outcome's Result and the Replay are valid only until the
+// runner's next Run or RunRecorded.
 func (r *ReplayRunner) Run(sched *sim.Schedule, observer func(sim.Event)) (*Outcome, *sim.Replay, error) {
 	out, rp, _, err := r.replay(Exec{Replay: sched, Observer: observer})
 	return out, rp, err

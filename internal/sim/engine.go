@@ -67,14 +67,6 @@ type Engine struct {
 	// decision (owes) and have not yet made it. The run stops on the event
 	// that brings it to 0.
 	undecided int
-	// checkStops, set by tests, asserts the counter against the O(n)
-	// reference scan at every stop evaluation.
-	checkStops bool
-	// queueHook, set by tests, sees every event the engine pushes
-	// (popped false) and processes (popped true), in that order: the
-	// differential test mirrors the pushes into the reference heap and
-	// asserts each processed event against it.
-	queueHook func(t int64, ev event, popped bool)
 
 	// Hot-path metric handles, re-registered at every Reset. With
 	// Config.Metrics nil these are zero handles and every mutation is one
@@ -337,17 +329,14 @@ func (e *Engine) send(u, seq int, m amac.Message) {
 		at := e.plan.Recv[i]
 		e.plan.Recv[i] = NoDelivery
 		e.q.pushDelivery(at, int32(v), int32(u))
-		e.hook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
 	}
 	for i, v := range b.Unreliable {
 		if at := e.plan.Recv[len(nbrs)+i]; at != NoDelivery {
 			e.plan.Recv[len(nbrs)+i] = NoDelivery
 			e.q.pushDelivery(at, int32(v), int32(u))
-			e.hook(at, event{kind: EventDeliver, node: int32(v), peer: int32(u)}, false)
 		}
 	}
 	e.q.pushAck(e.plan.Ack, int32(u), int32(b.Seq))
-	e.hook(e.plan.Ack, event{kind: EventAck, node: int32(u), bseq: int32(b.Seq)}, false)
 	// The queue only grows inside a broadcast, so its depth after the ack
 	// is the broadcast's high-water mark.
 	e.mQueueHigh.Set(int64(e.q.len()))
@@ -448,22 +437,10 @@ func (e *Engine) decide(u int, v amac.Value) {
 // owes reports whether node i owes a decision: the run does not stop
 // before it has decided. A node with a scheduled crash owes none — Run
 // marks it crashed, so no verdict waits on it. This is the one stop rule:
-// Reset's counter, decide, allDecidedScan and the phases' passes read it.
+// Reset's counter, decide and the phases' passes read it, and the test
+// oracle checks every run's stop against it from outside.
 func (e *Engine) owes(i int) bool {
 	return e.crashAt[i] < 0
-}
-
-// allDecidedScan is the O(n) reference for the undecided counter: every
-// node that owes a decision has made it. The run loop consults the
-// counter; tests set checkStops to assert the two agree at every stop
-// evaluation.
-func (e *Engine) allDecidedScan() bool {
-	for i, decided := range e.res.Decided {
-		if !decided && e.owes(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // Run executes the engine's current configuration to completion and returns
@@ -532,7 +509,6 @@ func (e *Engine) drain() {
 					return
 				}
 				e.admit()
-				e.hook(t, event{kind: EventDeliver, node: d.node, peer: d.peer}, true)
 				if e.deliver(int(d.node), int(d.peer)) {
 					e.res.Deliveries++
 					if e.stopped() {
@@ -545,7 +521,6 @@ func (e *Engine) drain() {
 					return
 				}
 				e.admit()
-				e.hook(t, event{kind: EventAck, node: a.node, bseq: a.bseq}, true)
 				if e.ack(int(a.node), a.bseq) {
 					e.res.Acks++
 					if e.stopped() {
@@ -576,27 +551,11 @@ func (e *Engine) admit() {
 	e.mEvents.Inc()
 }
 
-// hook passes ev at time t to the test's queue hook, if one is armed.
-func (e *Engine) hook(t int64, ev event, popped bool) {
-	if e.queueHook != nil {
-		e.queueHook(t, ev, popped)
-	}
-}
-
 // stopped reports whether the event just processed made the last owed
 // decision, which ends the run. A crash drop is not checked: the run goes
 // on to the next event that reaches a node, or to quiescence.
 func (e *Engine) stopped() bool {
-	if e.checkStops {
-		e.checkStopCounter()
-	}
 	return e.undecided == 0
-}
-
-func (e *Engine) checkStopCounter() {
-	if (e.undecided == 0) != e.allDecidedScan() {
-		panic(fmt.Sprintf("sim: undecided counter %d disagrees with reference scan at t=%d", e.undecided, e.now))
-	}
 }
 
 // deliver hands sender u's in-flight message to v at the current time. A

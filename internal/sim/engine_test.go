@@ -148,8 +148,8 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 // undrained; (b) the same broadcasts under a MaxEvents cutoff
 // inside a bucket. Both push exactly the same events, so every warm run
 // must repeat its fresh-engine result and leave the bucket arrays as large
-// as it found them. A Reset that kept run (a)'s last bucket would have run
-// 3 append behind its stale entries.
+// as it found them, and each runs as the oracle requires. A Reset that kept
+// run (a)'s last bucket would have run 3 append behind its stale entries.
 func TestResetAfterEarlyStop(t *testing.T) {
 	g := graph.Clique(64)
 	mk := func(maxEvents int) Config {
@@ -165,16 +165,14 @@ func TestResetAfterEarlyStop(t *testing.T) {
 	var e *Engine
 	caps := make([]int, 3)
 	for run, maxEvents := range []int{cut, 0, cut} {
+		cfg, o := Watch(t, mk(maxEvents))
 		if e == nil {
-			e = NewEngine(mk(maxEvents))
+			e = NewEngine(cfg)
 		} else {
-			e.Reset(mk(maxEvents))
+			e.Reset(cfg)
 		}
-		checked := e.CheckQueueOrder(t)
 		got := e.Run()
-		if checked() != got.Events {
-			t.Fatalf("run %d: oracle checked %d events, engine processed %d", run, checked(), got.Events)
-		}
+		o.Check(got)
 		caps[run] = e.QueueCap()
 		if maxEvents == 0 {
 			if !allDecided(got) || e.q.len() != 0 {
@@ -251,15 +249,16 @@ func TestEngineResetShrinksAndGrows(t *testing.T) {
 	}
 }
 
-// TestStopCounterMatchesScan pins the O(1) undecided counter that drives
-// the stop rule against the O(n) reference scan: with checkStops set the
-// engine asserts agreement at every stop evaluation, so any interleaving
-// of decisions and scheduled crashes that would stop at a different event
-// panics. The crash schedules cover crashes before, at, and after the
-// node's decision, a node crashed at time 0, a doomed node whose crash
-// comes after every crash-free node has decided, and a run where every
-// node crashes (the counter starts at zero).
-func TestStopCounterMatchesScan(t *testing.T) {
+// TestStopSchedules runs the stop rule under the oracle, which requires
+// each run to end on the event that makes the last owed decision. The crash
+// schedules cover crashes before, at, and after the node's decision, a node
+// crashed at time 0, a doomed node whose crash comes after every crash-free
+// node has decided, and runs where every node has a scheduled crash, so
+// none owes a decision and the run ends on the first event that reaches a
+// node, never on a crash drop. That last case is the only test of the
+// rule that a crash drop does not evaluate the stop: with the stop test
+// also run after drops, every other test in the module passes.
+func TestStopSchedules(t *testing.T) {
 	ring := graph.Ring(6)
 	ins := inputs(0, 1, 0, 1, 0, 1)
 	schedules := [][]Crash{
@@ -273,25 +272,15 @@ func TestStopCounterMatchesScan(t *testing.T) {
 	}
 	for ci, crashes := range schedules {
 		for seed := int64(1); seed <= 8; seed++ {
-			mk := func() Config {
-				return Config{
-					Graph:     ring,
-					Inputs:    ins,
-					Factory:   onceFactory,
-					Scheduler: NewRandom(5, seed),
-					Crashes:   crashes,
-				}
-			}
-			e := NewEngine(mk())
-			e.checkStops = true // panic if counter and scan ever disagree
-			got := e.Run()
-			want := Run(mk())
-			if got.Events != want.Events || got.Time != want.Time {
-				t.Errorf("crashes[%d] seed %d: checked run stopped at event %d (t=%d), plain run at %d (t=%d)",
-					ci, seed, got.Events, got.Time, want.Events, want.Time)
-			}
-			if !reflect.DeepEqual(got.Decided, want.Decided) || !reflect.DeepEqual(got.Crashed, want.Crashed) {
-				t.Errorf("crashes[%d] seed %d: checked and plain runs disagree on outcomes", ci, seed)
+			res, _ := RunWatched(t, Config{
+				Graph:     ring,
+				Inputs:    ins,
+				Factory:   onceFactory,
+				Scheduler: NewRandom(5, seed),
+				Crashes:   crashes,
+			})
+			if res.Events == 0 {
+				t.Errorf("crashes[%d] seed %d: the run processed no event", ci, seed)
 			}
 		}
 	}

@@ -61,3 +61,16 @@ func heldPastLen(e *Engine) (algs, msgs int) {
 	}
 	return algs, msgs
 }
+
+// QueueSpan exposes the ring size Reset chose for the current scheduler.
+func (e *Engine) QueueSpan() int64 { return e.q.span }
+
+// QueueCap sums the capacities of every bucket array the engine owns: it
+// stays flat across warm runs unless a run appends behind stale entries.
+func (e *Engine) QueueCap() int {
+	n := 0
+	for _, b := range e.q.buckets[:cap(e.q.buckets)] {
+		n += cap(b.dels) + cap(b.acks)
+	}
+	return n
+}

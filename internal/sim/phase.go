@@ -122,9 +122,9 @@ var draining atomic.Int32
 // phaseWidth returns how many workers run the phases of the current
 // bucket, which holds n events, or 1 for the sequential loop. Phases need
 // at least phaseMin events, two or more Ps no other draining engine holds,
-// a run nothing watches (no Observer, no Metrics, no test hook), a bucket
-// inside the event budget, a stop rule that has not already fired, and one
-// of the package's schedulers. The size test comes first and alone, so
+// a run nothing watches (no Observer, so no run under the test oracle, and
+// no Metrics), a bucket inside the event budget, a stop rule that has not
+// already fired, and one of the package's schedulers. The size test comes first and alone, so
 // that it inlines into drain and a small bucket pays no call.
 func (e *Engine) phaseWidth(n int) int {
 	if n < phaseMin && e.forcePhases == 0 {
@@ -141,7 +141,7 @@ func (e *Engine) phaseWidthLarge(n int) int {
 		}
 		w = runtime.GOMAXPROCS(0) - int(draining.Load()) + 1
 	}
-	if w < 2 || e.cfg.Observer != nil || e.cfg.Metrics != nil || e.queueHook != nil || e.checkStops ||
+	if w < 2 || e.cfg.Observer != nil || e.cfg.Metrics != nil ||
 		e.res.Events+n > e.maxEvt || e.undecided == 0 {
 		return 1
 	}

@@ -26,9 +26,8 @@ import (
 // insertion order). An array read front to back is insertion order, so one
 // array per (bucket, kind) reproduces the total order exactly: the cursor
 // visits times in order, and within a time the delivery array drains before
-// the ack array. The reference for that order is the quaternary heap in
-// heap_test.go, which the differential test attaches through
-// Engine.queueHook and compares against on every processed event.
+// the ack array. The test oracle (oracle_test.go) checks that order from
+// outside the engine.
 //
 // Entries carry no time (it is the bucket), no sequence number (it is the
 // array position) and no message: the abstract MAC layer gives a node one

@@ -12,35 +12,24 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// The differential queue test is the pop-order oracle for all queue work:
-// an engine runs with the reference heap attached (Engine.CheckQueueOrder
-// mirrors every push and asserts every pop is the heap's minimum) on every
-// registered scheduler crossed with every registered crash pattern and
-// overlay family, plus a seeded fuzz loop over random scenarios. It lives
-// in the external test package because the registries are harness's.
+// The differential queue tests run the engine under the oracle (Watch,
+// oracle_test.go) on every registered scheduler crossed with every
+// registered crash pattern and overlay family, plus a seeded fuzz loop over
+// random scenarios. They live in the external test package because the
+// registries are harness's.
 
-// runChecked runs cfg on a fresh engine under the reference heap and
-// asserts the oracle saw every processed event.
-func runChecked(t *testing.T, cfg sim.Config) *sim.Result {
-	t.Helper()
-	e := sim.NewEngine(cfg)
-	checked := e.CheckQueueOrder(t)
-	res := e.Run()
-	if checked() != res.Events {
-		t.Fatalf("oracle checked %d pops, engine processed %d events", checked(), res.Events)
-	}
-	return res
-}
-
-func runCheckedScenario(t *testing.T, s harness.Scenario) {
+// runCheckedScenario runs s under the oracle and returns its crash drops.
+func runCheckedScenario(t *testing.T, s harness.Scenario) sim.Drops {
 	t.Helper()
 	cfg, err := s.Config()
 	if err != nil {
 		t.Fatalf("%+v: %v", s, err)
 	}
-	if res := runChecked(t, cfg); res.Events == 0 {
+	res, drops := sim.RunWatched(t, cfg)
+	if res.Events == 0 {
 		t.Fatalf("%+v: run processed no events", s)
 	}
+	return drops
 }
 
 // queueDiffCrashSpecs gives each registered crash pattern a concrete spec.
@@ -63,12 +52,14 @@ var queueDiffOverlaySpecs = map[string]string{
 }
 
 // TestQueueDifferentialRegistry drives every registered scheduler through
-// every registered crash pattern and overlay family.
+// every registered crash pattern and overlay family. Its runs must drop
+// events of all three kinds, or the oracle's crash rule goes unchecked.
 func TestQueueDifferentialRegistry(t *testing.T) {
 	topo, err := harness.ParseTopo("grid:3x3")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var drops sim.Drops
 	for _, sched := range harness.Schedulers() {
 		for _, crash := range harness.CrashPatterns() {
 			spec, ok := queueDiffCrashSpecs[crash]
@@ -80,7 +71,7 @@ func TestQueueDifferentialRegistry(t *testing.T) {
 				if !ok {
 					t.Fatalf("no differential spec for overlay family %q — add one to queueDiffOverlaySpecs", overlay)
 				}
-				runCheckedScenario(t, harness.Scenario{
+				drops.Add(runCheckedScenario(t, harness.Scenario{
 					Algo:      "twophase",
 					Topo:      topo,
 					Sched:     sched,
@@ -89,9 +80,12 @@ func TestQueueDifferentialRegistry(t *testing.T) {
 					Crashes:   spec,
 					Overlay:   ospec,
 					MaxEvents: 50_000,
-				})
+				}))
 			}
 		}
+	}
+	if drops.Receiver == 0 || drops.Sender == 0 || drops.Ack == 0 {
+		t.Fatalf("drops %+v: some kind of crash drop never happened", drops)
 	}
 }
 
@@ -133,7 +127,7 @@ func TestQueueDifferentialFuzz(t *testing.T) {
 // registered scheduler and the wide-horizon wrappers, Reset sizes the ring
 // past the declared Fack, and a full run — whose every delivery and ack
 // validatePlan confines to that horizon — never trips push's out-of-ring
-// panic.
+// panic, and runs as the oracle requires.
 func TestQueueRingCoversDeclaredHorizon(t *testing.T) {
 	clique := graph.Clique(12)
 	type namedSched struct {
@@ -157,17 +151,19 @@ func TestQueueRingCoversDeclaredHorizon(t *testing.T) {
 		inputs[i] = amac.Value(i % 2)
 	}
 	for _, tc := range scheds {
-		e := sim.NewEngine(sim.Config{
+		cfg, o := sim.Watch(t, sim.Config{
 			Graph:     clique,
 			Inputs:    inputs,
 			Factory:   twophase.Factory,
 			Scheduler: tc.s,
 		})
+		e := sim.NewEngine(cfg)
 		if span, f := e.QueueSpan(), tc.s.Fack(); span <= f || span > 2*f {
 			t.Errorf("%s: ring spans %d buckets for Fack %d, want the smallest power of two above it", tc.name, span, f)
 		}
-		e.CheckQueueOrder(t)
-		if res := e.Run(); !consensus.Check(inputs, res).Termination {
+		res := e.Run()
+		o.Check(res)
+		if !consensus.Check(inputs, res).Termination {
 			t.Errorf("%s: run did not decide (events %d)", tc.name, res.Events)
 		}
 	}

@@ -18,8 +18,8 @@ import "math/rand"
 // absolute time. The first divergence is observable: DivergedAt reports
 // the step index, and an optional Observer receives an EventDiverge.
 //
-// Replay carries run state (a cursor and the fallback rng): build a fresh
-// one per execution with NewReplay.
+// Replay carries run state (a cursor and the fallback rng): build one per
+// execution with NewReplay, or re-arm one with Reset.
 type Replay struct {
 	s *Schedule
 	// Observer, when non-nil, receives an EventDiverge at the first
@@ -37,10 +37,18 @@ type Replay struct {
 // invalid schedule (see Schedule.Validate — callers assembling schedules
 // from external files should Validate first and surface the error).
 func NewReplay(s *Schedule) *Replay {
+	r := new(Replay)
+	r.Reset(s)
+	return r
+}
+
+// Reset re-arms r to replay s from its first step, as NewReplay(s) would,
+// but keeps the fallback rng, which the next divergence re-seeds in place.
+func (r *Replay) Reset(s *Schedule) {
 	if err := s.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Replay{s: s, divergedAt: -1}
+	r.s, r.cursor, r.diverged, r.divergedAt = s, 0, false, -1
 }
 
 // Fack implements Scheduler: replay re-declares the recorded bound.
@@ -102,6 +110,11 @@ func (r *Replay) matches(st *ScheduleStep, b Broadcast, p *Plan) bool {
 func (r *Replay) diverge(b Broadcast) {
 	r.diverged = true
 	r.divergedAt = r.cursor
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.s.FallbackSeed))
+	} else {
+		r.rng.Seed(r.s.FallbackSeed)
+	}
 	if r.Observer != nil {
 		r.Observer(Event{Kind: EventDiverge, Time: b.Now, Node: b.Sender})
 	}
@@ -109,12 +122,9 @@ func (r *Replay) diverge(b Broadcast) {
 
 // fallback plans one broadcast the recording no longer covers with the
 // uniform planner and DeliverP coins — what Random under Lossy does, on
-// one rng seeded by the schedule so perturbed executions stay
-// deterministic.
+// one rng seeded by the schedule at the divergence so perturbed executions
+// stay deterministic.
 func (r *Replay) fallback(b Broadcast, p *Plan) {
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.s.FallbackSeed))
-	}
 	p.Ack = uniformTimes(r.rng, b.Now, r.s.Fack, p.Recv[:len(b.Neighbors)], false)
 	flipUnreliable(r.rng, r.s.DeliverP, b, p)
 }

@@ -141,6 +141,41 @@ func TestReplayTruncatedScheduleUsesFallbackDeterministically(t *testing.T) {
 	}
 }
 
+// TestReplayResetReseedsFallback re-arms one Replay for schedules of
+// several fallback seeds, a seed again after others among them: at each
+// divergence its fallback must draw exactly what rand.New(rand.NewSource(
+// FallbackSeed)) draws, so a re-armed Replay plans what a fresh one would.
+func TestReplayResetReseedsFallback(t *testing.T) {
+	b := Broadcast{Sender: 0, Neighbors: []int{1, 2, 3}, Unreliable: []int{4, 5}}
+	var r *Replay
+	for _, seed := range []int64{3, 11, 3, 42, 1 << 40} {
+		s := &Schedule{Fack: 6, DeliverP: 0.5, FallbackSeed: seed}
+		if r == nil {
+			r = NewReplay(s)
+		} else {
+			r.Reset(s)
+		}
+		want := rand.New(rand.NewSource(seed))
+		for k := range 4 {
+			b.Seq, b.Now = k, int64(10*k)
+			got := Plan{Recv: slices.Repeat([]int64{NoDelivery}, 5)}
+			r.Plan(b, &got)
+			exp := Plan{Recv: slices.Repeat([]int64{NoDelivery}, 5)}
+			exp.Ack = uniformTimes(want, b.Now, s.Fack, exp.Recv[:3], false)
+			flipUnreliable(want, s.DeliverP, b, &exp)
+			if !reflect.DeepEqual(got, exp) {
+				t.Fatalf("seed %d broadcast %d: fallback planned %+v, a fresh source %+v", seed, k, got, exp)
+			}
+		}
+		if !r.Diverged() || r.DivergedAt() != 0 {
+			t.Fatalf("seed %d: diverged=%v at %d, want a divergence at step 0", seed, r.Diverged(), r.DivergedAt())
+		}
+		if g, w := r.rng.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: the fallback source draws %d next, a fresh one %d", seed, g, w)
+		}
+	}
+}
+
 // TestReplayDivergesOnAckAtBroadcast: a hand-edited step that acks at its
 // own broadcast time, with no recipient slot to give it away, is not a plan
 // the engine would accept, so Replay must diverge to its fallback planner

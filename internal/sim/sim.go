@@ -48,8 +48,8 @@
 // entry to Engine.deliver or Engine.ack — or, for a large bucket, runs
 // each array as a parallel phase (Bucket phases, below). The choice is
 // made once per bucket. The per-event checks stay per event: the MaxEvents
-// cutoff, the event counts, the stop test and the differential hook. A
-// drained bucket is truncated and its bit cleared once.
+// cutoff, the event counts and the stop test. A drained bucket is
+// truncated and its bit cleared once.
 //
 // Stop rule: every run ends on the event that makes the last owed
 // decision, or at quiescence or the MaxEvents cutoff if that comes first.
@@ -87,11 +87,8 @@
 // stored; an entry is 8 bytes with no pointer in it (clique:1024 peaks at
 // 2^20 queued deliveries: 8 MB, where an event that carried its message
 // was 72 B and 72 MB). Config.Validate bounds the node count by
-// MaxNodes so indices fit. A test outside the engine
-// (TestDeliveryCarriesItsBroadcastsMessage) logs every plan and checks
-// each delivery against it — message, time, before the ack, once — under
-// mid-broadcast crashes, lossy overlays and the plan-stretching
-// schedulers.
+// MaxNodes so indices fit. The test oracle checks each delivery against
+// its plan and its broadcast's message.
 //
 // What the GC sees: the entry arrays are pointer-free and never scanned;
 // the ring itself is 48 B a bucket (two slice headers) and is scanned, as
@@ -108,12 +105,11 @@
 //
 // The engine's total order is (time, deliveries before acks, insertion
 // order); an array read front to back is insertion order, so one array per
-// (bucket, kind) yields exactly that order. The reference is a quaternary
-// heap that exists only in this package's tests: the differential test
-// attaches it to an engine through an unexported hook, stamps its own
-// sequence number on every push it mirrors, and requires every processed
-// event to be the heap's minimum — across every registered scheduler,
-// crash pattern and overlay family plus a seeded fuzz loop.
+// (bucket, kind) yields exactly that order. The test oracle checks it from
+// outside, through a Scheduler wrapper and Config.Observer: the processed
+// events must be the pushes sorted by that order, less the crash drops —
+// across every registered scheduler, crash pattern and overlay family plus
+// a seeded fuzz loop.
 //
 // # Bucket phases
 //
@@ -136,7 +132,8 @@
 //   - at least two Ps are left: GOMAXPROCS, less one for every other
 //     engine of the process inside its drain, is 2 or more. Engines that
 //     already hold every P — a parallel sweep — keep the sequential loop;
-//   - the run has no Observer, no Metrics and no test hook;
+//   - the run has no Observer (so none under the test oracle) and no
+//     Metrics;
 //   - the bucket fits in the remaining event budget;
 //   - the stop rule has not already fired (the undecided counter is not
 //     0 — the sequential loop would stop after the bucket's first event
@@ -509,33 +506,6 @@ type Result struct {
 	Cutoff bool
 	// Violations lists contract breaches (double decide, audit failures).
 	Violations []Violation
-}
-
-// DecidedValues returns the set of distinct decided values.
-func (r *Result) DecidedValues() []amac.Value {
-	seen := map[amac.Value]bool{}
-	var vals []amac.Value
-	for i, d := range r.Decided {
-		if d && !seen[r.Decision[i]] {
-			seen[r.Decision[i]] = true
-			vals = append(vals, r.Decision[i])
-		}
-	}
-	return vals
-}
-
-// event is a queued occurrence as Engine.queueHook sees it: what happens
-// (kind) and to whom; its time travels beside it. It exists only for the
-// hook (Engine.hook): the queue stores less than this — see eventQueue in
-// queue.go for what it drops and why.
-type event struct {
-	kind EventKind
-	node int32 // acted-on node (receiver for deliver, sender for ack)
-	peer int32 // deliveries only: the sender
-	// bseq (acks only) is the sender's broadcast sequence number truncated
-	// to 32 bits: it only feeds the stray-ack check, which compares it
-	// under the same truncation.
-	bseq int32
 }
 
 // Run executes the configuration to completion and returns the result. It

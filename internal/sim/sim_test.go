@@ -604,16 +604,3 @@ func TestEventKindString(t *testing.T) {
 		}
 	}
 }
-
-func TestDecidedValues(t *testing.T) {
-	res := Run(Config{
-		Graph:     graph.Clique(2),
-		Inputs:    inputs(0, 1),
-		Factory:   onceFactory, // decides own input: deliberate disagreement
-		Scheduler: Synchronous{},
-	})
-	vals := res.DecidedValues()
-	if len(vals) != 2 {
-		t.Fatalf("decided values %v, want two distinct", vals)
-	}
-}
