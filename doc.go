@@ -27,9 +27,8 @@
 //     replay and fingerprinting scheduler wrappers.
 //   - internal/graph: immutable CSR topologies, the standard and sparse
 //     large-n families, and the paper's lower-bound networks.
-//   - internal/live, internal/netmac, internal/mailbox: the wall-clock
-//     runtime with its timer MAC, the loopback-UDP MAC, and the
-//     runtime's per-node mailbox.
+//   - internal/live, internal/netmac: the wall-clock runtime with its
+//     timer MAC, and the loopback-UDP MAC.
 //
 // The algorithms:
 //
@@ -117,7 +116,8 @@
 // The wall-clock runtime keeps the same contracts. internal/live checks
 // deliver-before-ack for every MAC with a per-sender bitset over the
 // sender's neighbors and ends a run that breaks it with live.ErrContract;
-// it then holds the ack until the receivers' handlers have returned.
+// it then holds the ack until the receivers' handlers have returned, which
+// bounds node v's inbox to Degree(v)+1 entries.
 //
 // # Determinism contract
 //

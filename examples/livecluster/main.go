@@ -12,6 +12,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,8 +24,13 @@ import (
 	"github.com/absmac/absmac/internal/netmac"
 )
 
-func main() {
-	run := func(name string, g *graph.Graph, factory amac.Factory, inputs []amac.Value) {
+func main() { os.Exit(run(os.Stdout, os.Stderr)) }
+
+// run executes the four runs and returns the exit code: 0 when every run
+// reaches consensus, 1 when one does not, 2 when one fails to run.
+func run(stdout, stderr io.Writer) int {
+	code := 0
+	runTimers := func(name string, g *graph.Graph, factory amac.Factory, inputs []amac.Value) {
 		res, err := live.Run(context.Background(), live.Config{
 			Graph:   g,
 			Inputs:  inputs,
@@ -34,11 +40,15 @@ func main() {
 			Timeout: 20 * time.Second,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			code = 2
+			return
 		}
 		rep := res.Report(inputs)
-		fmt.Printf("%-22s n=%-3d decided value %d in %v wall-clock (%d broadcasts); consensus ok: %v\n",
+		if !rep.OK() {
+			code = max(code, 1)
+		}
+		fmt.Fprintf(stdout, "%-22s n=%-3d decided value %d in %v wall-clock (%d broadcasts); consensus ok: %v\n",
 			name, g.N(), rep.Value, res.Elapsed.Round(time.Millisecond), res.Broadcasts, rep.OK())
 	}
 
@@ -48,7 +58,7 @@ func main() {
 	for i := range inputs {
 		inputs[i] = amac.Value(i % 2)
 	}
-	run("two-phase on clique", clique, twophase.Factory, inputs)
+	runTimers("two-phase on clique", clique, twophase.Factory, inputs)
 
 	// Multihop mesh: wPAXOS across a random connected topology.
 	mesh := graph.RandomConnected(20, 0.15, 99)
@@ -56,7 +66,7 @@ func main() {
 	for i := range meshInputs {
 		meshInputs[i] = amac.Value((i / 3) % 2)
 	}
-	run("wPAXOS on random mesh", mesh, wpaxos.NewFactory(wpaxos.Config{N: 20}), meshInputs)
+	runTimers("wPAXOS on random mesh", mesh, wpaxos.NewFactory(wpaxos.Config{N: 20}), meshInputs)
 
 	// A long line: the O(D*Fack) shape is visible in wall-clock time.
 	line := graph.Line(24)
@@ -64,7 +74,7 @@ func main() {
 	for i := 12; i < 24; i++ {
 		lineInputs[i] = 1
 	}
-	run("wPAXOS on 24-node line", line, wpaxos.NewFactory(wpaxos.Config{N: 24}), lineInputs)
+	runTimers("wPAXOS on 24-node line", line, wpaxos.NewFactory(wpaxos.Config{N: 24}), lineInputs)
 
 	// The same algorithms over real UDP sockets on loopback: gob on the
 	// wire, reliability by retransmission, Fack emergent.
@@ -80,11 +90,15 @@ func main() {
 		Factory: wpaxos.NewFactory(wpaxos.Config{N: udpGraph.N()}),
 	}, 2*time.Millisecond)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "udp: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "udp: %v\n", err)
+		return 2
 	}
 	udpRep := udpRes.Report(udpInputs)
-	fmt.Printf("%-22s n=%-3d decided value %d in %v over UDP (%d packets, %d bytes, %d retransmits); consensus ok: %v\n",
+	if !udpRep.OK() {
+		code = max(code, 1)
+	}
+	fmt.Fprintf(stdout, "%-22s n=%-3d decided value %d in %v over UDP (%d packets, %d bytes, %d retransmits); consensus ok: %v\n",
 		"wPAXOS over UDP grid", udpGraph.N(), udpRep.Value, udpRes.Elapsed.Round(time.Millisecond),
 		udpRes.PacketsSent, udpRes.BytesSent, udpRes.Retransmits, udpRep.OK())
+	return code
 }

@@ -6,14 +6,14 @@
 // Its purpose is the paper's deployability claim (Section 1): algorithms
 // written against the abstract MAC layer contract port unchanged from
 // analysis to a running system. The split is runtime versus MAC. The
-// runtime (this package) owns everything an algorithm can observe — ids,
-// the amac.API with its one-broadcast-in-flight rule, the per-node
-// mailboxes and serialized handler loops, termination, teardown, the
-// result and the metrics exposition. A MAC only moves messages: handed
-// (sender, msg), it owes the runtime one Deliver per neighbor and then one
-// Ack. Two MACs exist: the timer goroutine in this package (Run), with
-// delays drawn from a seeded generator inside a wall-clock Fack, and
-// internal/netmac's retransmission layer over loopback UDP sockets.
+// runtime (this package) owns everything an algorithm can observe — ids
+// (index+1), the amac.API with its one-broadcast-in-flight rule, the
+// per-node inboxes and serialized handler loops, termination, teardown and
+// the result. A MAC only moves messages: handed (sender, msg), it owes the
+// runtime one Deliver per neighbor and then one Ack. Two MACs exist: the
+// timer goroutine in this package (Run), with delays drawn from a seeded
+// generator inside a wall-clock Fack, and internal/netmac's retransmission
+// layer over loopback UDP sockets.
 //
 // The model's one guarantee — every neighbor receives a broadcast once,
 // before its sender is acknowledged — is checked here, for every MAC, by
@@ -23,6 +23,12 @@
 // broadcast has returned, so OnAck runs after the receivers' handlers
 // here as on the simulator.
 //
+// That hold bounds every inbox. A sender has one broadcast in flight, and
+// it cannot broadcast again before a receiver has run OnReceive of the
+// last one, so node v's inbox holds at most one message per neighbor plus
+// v's own ack: Degree(v)+1 entries. Each inbox is a channel of exactly
+// that capacity; a push that finds it full is a runtime bug and panics.
+//
 // Crash failures are deliberately out of scope here; the Theorem 3.2
 // experiments need the simulator's reproducible schedules.
 package live
@@ -31,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -43,8 +48,6 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/graph"
-	"github.com/absmac/absmac/internal/mailbox"
-	"github.com/absmac/absmac/internal/metrics"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -62,19 +65,8 @@ type Config struct {
 	Fack time.Duration
 	// Seed seeds the timer MAC's randomized delays.
 	Seed int64
-	// IDs optionally assigns node ids (defaults to index+1).
-	IDs []amac.NodeID
 	// Timeout bounds the whole run; 0 means DefaultTimeout.
 	Timeout time.Duration
-	// MetricsInterval enables periodic flight-recorder exposition: every
-	// interval a wall-clock-stamped text snapshot of the run's counters is
-	// written to MetricsOut (both must be set). This is the only place in
-	// the repository timestamps surface — the metrics package itself is
-	// wall-clock free, which is what keeps the simulator deterministic.
-	MetricsInterval time.Duration
-	// MetricsOut receives the exposition lines. Writes happen from a
-	// dedicated goroutine that exits before the run returns.
-	MetricsOut io.Writer
 }
 
 // DefaultFack is the delivery bound when Config.Fack is zero.
@@ -99,8 +91,6 @@ type MAC interface {
 	// followed by one Ack(sender). The runtime never calls it again for
 	// that sender before the Ack.
 	Broadcast(sender int, m amac.Message)
-	// Expose adds the MAC's own counters to one exposition snapshot.
-	Expose(reg *metrics.Registry)
 	// Close releases the MAC's resources and returns once its goroutines
 	// have exited. It is called once, after Done is closed and every node
 	// loop has returned.
@@ -136,7 +126,7 @@ func (r *Result) Report(inputs []amac.Value) *consensus.Report {
 	return consensus.Check(inputs, sr)
 }
 
-// event is a mailbox entry: msg delivered from node from or, with msg nil,
+// event is an inbox entry: msg delivered from node from or, with msg nil,
 // the ack of the node's own broadcast.
 type event struct {
 	msg  amac.Message
@@ -147,9 +137,8 @@ type event struct {
 // go, and when to stop.
 type Runtime struct {
 	graph   *graph.Graph
-	ids     []amac.NodeID
 	mac     MAC
-	boxes   []*mailbox.Mailbox[event]
+	boxes   []chan event   // node v's holds Degree(v)+1 (package comment)
 	held    []atomic.Int64 // per sender: the OnReceives and MAC Ack its ack still waits for
 	clock   atomic.Int64
 	started time.Time
@@ -182,7 +171,17 @@ func (rt *Runtime) Deliver(sender, to int, m amac.Message) {
 		rt.fail(fmt.Errorf("%w: node %d's broadcast delivered to neighbor %d more than once, or after its ack", ErrContract, sender, to))
 		return
 	}
-	rt.boxes[to].Push(event{msg: m, from: sender})
+	rt.push(to, event{msg: m, from: sender})
+}
+
+// push queues ev in node's inbox without blocking; a full inbox breaks the
+// bound the package comment derives, so it panics.
+func (rt *Runtime) push(node int, ev event) {
+	select {
+	case rt.boxes[node] <- ev:
+	default:
+		panic(fmt.Sprintf("live: node %d's inbox is full (%d entries, degree %d)", node, cap(rt.boxes[node]), rt.graph.Degree(node)))
+	}
 }
 
 // slot returns to's position in sender's adjacency row, or -1 when to is
@@ -216,7 +215,7 @@ func (rt *Runtime) Ack(sender int) {
 // zero.
 func (rt *Runtime) release(sender int) {
 	if rt.held[sender].Add(-1) == 0 {
-		rt.boxes[sender].Push(event{})
+		rt.push(sender, event{})
 	}
 }
 
@@ -228,7 +227,7 @@ type api struct {
 	sent amac.Message // the broadcast in flight, nil when none is
 }
 
-func (a *api) ID() amac.NodeID { return a.rt.ids[a.node] }
+func (a *api) ID() amac.NodeID { return amac.NodeID(a.node + 1) }
 
 // Now returns a strictly increasing logical timestamp shared by all nodes
 // (the total order the change service needs).
@@ -267,15 +266,17 @@ func (a *api) Decide(v amac.Value) {
 	}
 }
 
-// loop is one node's goroutine: Start, then serve the mailbox until it is
-// closed and drained.
+// loop is one node's goroutine: Start, then serve the inbox until the run
+// is over.
 func (rt *Runtime) loop(node int, alg amac.Algorithm) {
 	a := &api{rt: rt, node: node}
 	alg.Start(a)
 	for {
-		ev, ok := rt.boxes[node].Pop()
-		if !ok {
+		var ev event
+		select {
+		case <-rt.done:
 			return
+		case ev = <-rt.boxes[node]:
 		}
 		if ev.msg == nil {
 			m := a.sent
@@ -284,30 +285,6 @@ func (rt *Runtime) loop(node int, alg amac.Algorithm) {
 		} else {
 			alg.OnReceive(ev.msg)
 			rt.release(ev.from)
-		}
-	}
-}
-
-// expose is the exposition loop: every interval, one wall-clock stamp line
-// (RFC 3339 plus elapsed time) and the runtime's and the MAC's counters as
-// sorted text.
-func (rt *Runtime) expose(w io.Writer, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.done:
-			return
-		case now := <-t.C:
-			reg := metrics.New()
-			reg.Counter("live_broadcasts").Add(rt.broadcasts.Load())
-			reg.Counter("live_discards").Add(rt.discards.Load())
-			reg.Gauge("live_decided").Set(int64(len(rt.boxes)) - rt.undecided.Load())
-			rt.mac.Expose(reg)
-			fmt.Fprintf(w, "# %s elapsed=%s\n", now.Format(time.RFC3339Nano), now.Sub(rt.started).Round(time.Millisecond))
-			if err := reg.WriteText(w); err != nil {
-				return
-			}
 		}
 	}
 }
@@ -340,16 +317,6 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 	if cfg.Factory == nil {
 		panic("live: Config.Factory is nil")
 	}
-	ids := cfg.IDs
-	if ids == nil {
-		ids = make([]amac.NodeID, n)
-		for i := range ids {
-			ids[i] = amac.NodeID(i + 1)
-		}
-	}
-	if len(ids) != n {
-		panic(fmt.Sprintf("live: %d ids for %d nodes", len(ids), n))
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -360,8 +327,7 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 
 	rt := &Runtime{
 		graph:      cfg.Graph,
-		ids:        ids,
-		boxes:      make([]*mailbox.Mailbox[event], n),
+		boxes:      make([]chan event, n),
 		held:       make([]atomic.Int64, n),
 		started:    time.Now(),
 		done:       runCtx.Done(),
@@ -380,12 +346,12 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 	rt.got = make([]atomic.Uint64, rt.gotOff[n])
 	rt.undecided.Store(int64(n))
 	for i := range rt.boxes {
-		rt.boxes[i] = mailbox.New[event]()
+		rt.boxes[i] = make(chan event, cfg.Graph.Degree(i)+1)
 	}
 
 	algs := make([]amac.Algorithm, n)
 	for i := range algs {
-		algs[i] = cfg.Factory(amac.NodeConfig{ID: ids[i], Input: cfg.Inputs[i]})
+		algs[i] = cfg.Factory(amac.NodeConfig{ID: amac.NodeID(i + 1), Input: cfg.Inputs[i]})
 		if algs[i] == nil {
 			panic(fmt.Sprintf("live: factory returned nil algorithm for node %d", i))
 		}
@@ -397,14 +363,7 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 	}
 	rt.mac = mac
 
-	var running sync.WaitGroup // node loops and the exposition loop
-	if cfg.MetricsInterval > 0 && cfg.MetricsOut != nil {
-		running.Add(1)
-		go func() {
-			defer running.Done()
-			rt.expose(cfg.MetricsOut, cfg.MetricsInterval)
-		}()
-	}
+	var running sync.WaitGroup
 	for i := range algs {
 		running.Add(1)
 		go func() {
@@ -421,13 +380,11 @@ func RunMAC(ctx context.Context, cfg Config, open func(*Runtime) (MAC, error)) (
 		err = context.Cause(runCtx)
 	}
 
-	// Teardown order: stop the MAC's goroutines at their next wait, let
-	// the node loops drain and exit (a Push after Close is a no-op), and
-	// only then close the MAC, so no Broadcast reaches a closed one.
+	// Teardown order: stop the MAC's goroutines and the node loops at
+	// their next wait, and close the MAC only once the loops have exited,
+	// so no Broadcast reaches a closed one. What is left in the inboxes
+	// stays there; the bound holds for pushes that land after the loops.
 	cancel(nil)
-	for _, b := range rt.boxes {
-		b.Close()
-	}
 	running.Wait()
 	mac.Close()
 
@@ -449,8 +406,6 @@ type timers struct {
 	rng  *rand.Rand
 	wg   sync.WaitGroup
 }
-
-func (t *timers) Expose(*metrics.Registry) {}
 
 func (t *timers) Close() { t.wg.Wait() }
 

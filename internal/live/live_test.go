@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/graph"
-	"github.com/absmac/absmac/internal/metrics"
 )
 
 // The algorithm-facing contract of the runtime, over this package's timer
@@ -49,8 +47,7 @@ func (f *fakeMAC) Broadcast(sender int, m amac.Message) {
 	}
 	f.rt.Ack(sender)
 }
-func (f *fakeMAC) Expose(*metrics.Registry) {}
-func (f *fakeMAC) Close()                   {}
+func (f *fakeMAC) Close() {}
 
 func runFake(ctx context.Context, cfg Config, targets func(int, []int) []int) (*Result, error) {
 	return RunMAC(ctx, cfg, func(rt *Runtime) (MAC, error) {
@@ -158,7 +155,7 @@ func TestPaxosFactoriesRecycleLiveMessages(t *testing.T) {
 }
 
 // stubborn never decides and always has a broadcast in flight, so timeout
-// and cancellation tear the run down with traffic in the mailboxes.
+// and cancellation tear the run down with traffic in the inboxes.
 type stubborn struct{ api amac.API }
 
 func (s *stubborn) Start(api amac.API) {
@@ -222,7 +219,6 @@ func TestConfigValidationPanics(t *testing.T) {
 		{"nil graph", Config{}},
 		{"bad inputs", Config{Graph: graph.Clique(2), Inputs: mixed(1), Factory: twophase.Factory}},
 		{"nil factory", Config{Graph: graph.Clique(2), Inputs: mixed(2)}},
-		{"bad ids", Config{Graph: graph.Clique(2), Inputs: mixed(2), Factory: twophase.Factory, IDs: []amac.NodeID{1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,34 +244,56 @@ func TestNowStrictlyIncreasing(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: with MetricsInterval set, the run emits
-// wall-clock-stamped registry snapshots to MetricsOut, and the exposition
-// goroutine is gone before Run returns (this test reads the buffer
-// unsynchronized right after).
-func TestMetricsExposition(t *testing.T) {
-	var buf bytes.Buffer
-	inputs := mixed(6)
-	res, err := Run(context.Background(), Config{
-		Graph:           graph.Clique(6),
-		Inputs:          inputs,
-		Factory:         twophase.Factory,
-		Fack:            5 * time.Millisecond,
-		MetricsInterval: time.Millisecond,
-		MetricsOut:      &buf,
+// filler broadcasts in Start and decides in OnAck. The hub (id 1), after
+// its broadcast, waits in Start until its inbox is full: it pops nothing
+// meanwhile, so every leaf's message stays queued, and the leaves'
+// OnReceives of the hub's message release the hub's ack into it too.
+type filler struct {
+	api  amac.API
+	rt   func() *Runtime
+	full chan int // the hub's inbox length once it stopped waiting
+}
+
+func (f *filler) Start(api amac.API) {
+	f.api = api
+	api.Broadcast(beat{})
+	if api.ID() != 1 {
+		return
+	}
+	rt := f.rt()
+	want := rt.graph.Degree(0) + 1
+	deadline := time.Now().Add(5 * time.Second)
+	for len(rt.boxes[0]) < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	f.full <- len(rt.boxes[0])
+}
+func (f *filler) OnReceive(amac.Message) {}
+func (f *filler) OnAck(amac.Message)     { f.api.Decide(0) }
+
+// TestInboxFillsToDegreePlusOne: the hub of star:6 holds one message from
+// each of its five leaves and its own ack at once, so an inbox of
+// Degree(v)+1 entries is reachable, and one entry fewer panics on the push.
+func TestInboxFillsToDegreePlusOne(t *testing.T) {
+	g := graph.Star(6)
+	var rt *Runtime
+	full := make(chan int, 1)
+	res, err := RunMAC(context.Background(), Config{
+		Graph:   g,
+		Inputs:  mixed(g.N()),
+		Factory: func(amac.NodeConfig) amac.Algorithm { return &filler{rt: func() *Runtime { return rt }, full: full} },
+		Timeout: 10 * time.Second,
+	}, func(r *Runtime) (MAC, error) {
+		rt = r
+		return &fakeMAC{rt: r}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Report(inputs).OK() {
-		t.Fatalf("run not OK: %v", res.Report(inputs).Errors)
+	if got, want := <-full, g.Degree(0)+1; got != want {
+		t.Fatalf("the hub's inbox held %d entries at most, want %d", got, want)
 	}
-	out := buf.String()
-	if out == "" {
-		t.Skip("run finished before the first exposition tick")
-	}
-	for _, want := range []string{"# 2", "elapsed=", "live_broadcasts ", "live_discards ", "live_decided "} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition output missing %q:\n%s", want, out)
-		}
+	if rep := res.Report(mixed(g.N())); !rep.OK() {
+		t.Fatal(rep.Errors)
 	}
 }

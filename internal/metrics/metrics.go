@@ -20,9 +20,8 @@
 //     index slice incrementally at registration time; Snapshot and
 //     WriteText iterate that slice, so detlint's maporder rule holds by
 //     construction and identical runs export byte-identical text.
-//   - The package is wall-clock-free and seedless. Timestamped exposition
-//     (the live/netmac substrates) prefixes its own stamp line before
-//     calling WriteText; nothing here calls time.Now.
+//   - The package is wall-clock-free and seedless: nothing here calls
+//     time.Now.
 //
 // A Registry is not goroutine-safe: one registry per engine (or per sweep
 // worker), merged with Merge where aggregation is wanted.

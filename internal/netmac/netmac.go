@@ -28,7 +28,6 @@ import (
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/graph"
 	"github.com/absmac/absmac/internal/live"
-	"github.com/absmac/absmac/internal/metrics"
 )
 
 // envelope wraps the algorithm message for gob: concrete message types
@@ -255,13 +254,6 @@ func (u *udp) receive(nd *node, from *net.UDPAddr, datagram []byte) bool {
 	return true
 }
 
-func (u *udp) Expose(reg *metrics.Registry) {
-	reg.Counter("net_packets_sent").Add(u.packets.Load())
-	reg.Counter("net_bytes_sent").Add(u.bytes.Load())
-	reg.Counter("net_retransmits").Add(u.retransmits.Load())
-	reg.Counter("net_dropped").Add(u.dropped.Load())
-}
-
 // Close closes the sockets, which ends the readers, and waits for them and
 // for the retransmission loops (which end on the runtime's Done).
 func (u *udp) Close() {
@@ -274,7 +266,8 @@ func (u *udp) Close() {
 // Run executes the configuration over loopback UDP, retransmitting every
 // rto (0 means DefaultRTO), until every node decides, the context is
 // canceled, or cfg.Timeout elapses. Validation, defaults and errors are
-// live.Run's; cfg.Fack and cfg.Seed are unused.
+// live.Run's; cfg.Fack and cfg.Seed are unused. The wire counters are read
+// once, after the run, into the Result.
 func Run(ctx context.Context, cfg live.Config, rto time.Duration) (*Result, error) {
 	if rto <= 0 {
 		rto = DefaultRTO

@@ -1,7 +1,6 @@
 package netmac
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -314,7 +313,6 @@ func TestValidationPanics(t *testing.T) {
 		{"nil graph", live.Config{}},
 		{"bad inputs", live.Config{Graph: graph.Clique(2), Inputs: mixed(3), Factory: twophase.Factory}},
 		{"nil factory", live.Config{Graph: graph.Clique(2), Inputs: mixed(2)}},
-		{"bad ids", live.Config{Graph: graph.Clique(2), Inputs: mixed(2), Factory: twophase.Factory, IDs: []amac.NodeID{1, 2, 3}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -399,35 +397,5 @@ func TestUndecodablePayloadIsDropped(t *testing.T) {
 	}
 	if nd.delivered[1] != 0 {
 		t.Fatal("truncated payload consumed its sequence number")
-	}
-}
-
-// TestMetricsExposition: the runtime's exposition over this MAC carries the
-// runtime's counters and the wire-level ones.
-func TestMetricsExposition(t *testing.T) {
-	register()
-	var buf bytes.Buffer
-	inputs := mixed(5)
-	res, err := Run(context.Background(), live.Config{
-		Graph:           graph.Clique(5),
-		Inputs:          inputs,
-		Factory:         twophase.Factory,
-		MetricsInterval: time.Millisecond,
-		MetricsOut:      &buf,
-	}, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Report(inputs).OK() {
-		t.Fatalf("run not OK: %v", res.Report(inputs).Errors)
-	}
-	out := buf.String()
-	if out == "" {
-		t.Skip("run finished before the first exposition tick")
-	}
-	for _, want := range []string{"elapsed=", "live_broadcasts ", "live_decided ", "net_packets_sent ", "net_bytes_sent ", "net_retransmits ", "net_dropped "} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition output missing %q:\n%s", want, out)
-		}
 	}
 }
