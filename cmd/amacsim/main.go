@@ -377,9 +377,12 @@ func (c *cli) runSingle() (bool, error) {
 		fmt.Fprintf(w, "value       %d\n", rep.Value)
 	}
 	if rep.SurvivorDecideTime >= 0 {
-		fmt.Fprintf(w, "decide time %d (%.2f x Fack, %.2f x D*Fack; survivors)\n", rep.SurvivorDecideTime,
-			float64(rep.SurvivorDecideTime)/float64(fack),
-			float64(rep.SurvivorDecideTime)/float64(fack*int64(diameter+1)))
+		perDFack := "n/a" // a single node has no diameter to scale by
+		if diameter > 0 {
+			perDFack = fmt.Sprintf("%.2f", float64(rep.SurvivorDecideTime)/float64(fack*int64(diameter)))
+		}
+		fmt.Fprintf(w, "decide time %d (%.2f x Fack, %s x D*Fack; survivors)\n", rep.SurvivorDecideTime,
+			float64(rep.SurvivorDecideTime)/float64(fack), perDFack)
 	} else {
 		fmt.Fprintln(w, "decide time n/a (no survivor decided)")
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,7 @@ func TestCommandLine(t *testing.T) {
 		args   []string
 		code   int
 		stdout string // when set, stdout must equal this file
+		line   string // when set, stdout must hold this line
 	}
 	var rows []row
 	for _, mode := range []string{"single", "sweep", "explore", "grid", "replay"} {
@@ -81,6 +83,13 @@ func TestCommandLine(t *testing.T) {
 			args: strings.Fields("-explore -algo floodpaxos -topo ring:9 -sched random -fack 4 -seed 4" +
 				" -crash midbroadcast -overlay chords -budget 24"),
 		},
+		// decide/(D·Fack) has one definition across single runs, sweeps
+		// and bench: D = 4 here, and 97 / (4·4) = 6.06.
+		row{
+			name: "decide time ratio",
+			args: strings.Fields("-algo wpaxos -topo expander:256:8 -seed 1"),
+			line: "decide time 97 (24.25 x Fack, 6.06 x D*Fack; survivors)",
+		},
 		row{name: "replay the stall", args: []string{"-replay", stall}},
 		row{name: "replay the wpaxos golden", args: []string{"-replay", testdata + "golden_wpaxos_midbroadcast_chords.json", "-critpath"}},
 		row{name: "replay the floodpaxos golden", args: []string{"-replay", testdata + "golden_floodpaxos_one3_extra.json", "-json"}},
@@ -101,6 +110,9 @@ func TestCommandLine(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			stdout := runOK(t, r.args, r.code)
+			if r.line != "" && !slices.Contains(strings.Split(stdout, "\n"), r.line) {
+				t.Errorf("stdout lacks the line %q:\n%s", r.line, stdout)
+			}
 			if r.stdout == "" {
 				return
 			}
