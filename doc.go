@@ -34,10 +34,11 @@
 //
 //   - internal/core/twophase (Algorithm 1, single-hop) and
 //     internal/core/wpaxos (wPAXOS, multihop), on the leader estimate Ω
-//     of internal/omega.
-//   - internal/baseline: floodpaxos (responses flooded, not aggregated),
-//     gatherall (knows n), anonflood and waitall (the natural attempts
-//     the Figure 1 and Figure 2 constructions defeat).
+//     of internal/omega. wPAXOS has two response transports: the paper's
+//     tree aggregation, and floodpaxos, the strawman that floods every
+//     response instead (Config.Flood).
+//   - internal/baseline: gatherall (knows n), anonflood and waitall (the
+//     natural attempts the Figure 1 and Figure 2 constructions defeat).
 //   - internal/ext/benor: randomized consensus, beyond the paper.
 //
 // Judging and running executions:
@@ -92,9 +93,9 @@
 // Deliver → handle → ack. A broadcast reaches every neighbor of its
 // sender once, and only then is the sender acknowledged. On every
 // substrate OnAck(m) runs after every neighbor's OnReceive(m) has
-// returned, so from the ack on the sender may reuse m. wpaxos and
-// floodpaxos refill one message per node at each ack, so anything that
-// keeps a delivered message past its sender's ack must copy it.
+// returned, so from the ack on the sender may reuse m. wPAXOS, under
+// either transport, refills one message per node at each ack, so anything
+// that keeps a delivered message past its sender's ack must copy it.
 //
 // Plan. All nondeterminism lives in the scheduler. At each broadcast,
 // sim.Scheduler.Plan fills a sim.Plan in an engine-owned buffer: Recv[i]

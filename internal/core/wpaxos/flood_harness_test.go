@@ -1,26 +1,26 @@
-package floodpaxos_test
+package wpaxos_test
 
-// These tests drive the baseline through the harness (the topology, crash
-// and overlay registries the CLIs use), which imports this package — hence
-// the external test package.
+// These tests drive the flood transport through the harness (the
+// topology, crash and overlay registries the CLIs use, under the name
+// floodpaxos), which imports this package — hence the external test
+// package.
 
 import (
 	"fmt"
 	"testing"
 
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/sim"
 )
 
-// TestDecideTimeScalesWithN pins the strawman's cost from both sides on
-// expander:{64,128,256}:8 (diameter 3-4 throughout, so any growth is the
-// response backlog): decide time stays under 1*n*Fack — measured 0.25-0.31;
-// relaying responses nobody can count any more costs ~18*n — and grows
-// strictly with n at every seed, which aggregation or a majority cap would
-// flatten to O(D*Fack).
-func TestDecideTimeScalesWithN(t *testing.T) {
+// TestFloodDecideTimeScalesWithN pins the flood transport's cost from both
+// sides on expander:{64,128,256}:8 (diameter 3-4 throughout, so any growth
+// is the response backlog): decide time stays under 1*n*Fack — measured
+// 0.25-0.31; relaying responses nobody can count any more costs ~18*n — and
+// grows strictly with n at every seed, which aggregation or a majority cap
+// would flatten to O(D*Fack).
+func TestFloodDecideTimeScalesWithN(t *testing.T) {
 	const fack = 4
 	for seed := int64(1); seed <= 4; seed++ {
 		prev := int64(0)
@@ -45,7 +45,7 @@ func TestDecideTimeScalesWithN(t *testing.T) {
 					n, seed, got, float64(got)/float64(int64(n)*fack))
 			}
 			if got <= prev {
-				t.Errorf("n=%d seed %d: decided at t=%d, no later than t=%d at half the size: the baseline stopped paying per acceptor",
+				t.Errorf("n=%d seed %d: decided at t=%d, no later than t=%d at half the size: the flood transport stopped paying per acceptor",
 					n, seed, got, prev)
 			}
 			prev = got
@@ -53,15 +53,15 @@ func TestDecideTimeScalesWithN(t *testing.T) {
 	}
 }
 
-// TestSurvivorsDecideAfterHighestProposerDies crashes the max-id leader —
-// the proposer holding the highest number — inside its accept phase, which
-// runs from its first Propose broadcast to the first decision of the
-// crash-free execution (identical up to the crash). The nacks of the old
-// design are gone and so is the proposer. Halfway through the phase the
-// accept responses in flight are live at every survivor and the
-// chosen-value watch must finish the job within two silence bounds of the
-// crash. One tick into it the Propose has reached almost nobody: the
-// survivors hold a dead round that only the detector's rotation can
+// TestSurvivorsDecideAfterHighestProposerDies runs the flood transport
+// and crashes the max-id leader — the proposer holding the highest number —
+// inside its accept phase, which runs from its first Propose broadcast to
+// the first decision of the crash-free execution (identical up to the
+// crash). No refusal travels and the proposer is gone. Halfway through the
+// phase the accept responses in flight are live at every survivor, and the
+// survivors' accept tallies must finish the job within two silence bounds
+// of the crash. One tick into it the Propose has reached almost nobody:
+// the survivors hold a dead round that only the detector's rotation can
 // supersede, so there the test asks for termination and safety alone (the
 // rotation takes several bounds, each demotion's change flood resetting
 // the other nodes' silence windows).
@@ -87,7 +87,7 @@ func TestSurvivorsDecideAfterHighestProposerDies(t *testing.T) {
 			cfg.Observer = func(ev sim.Event) {
 				switch ev.Kind {
 				case sim.EventBroadcast:
-					c := ev.Message.(*floodpaxos.Combined)
+					c := ev.Message.(*wpaxos.Combined)
 					if proposeAt < 0 && ev.Node == n-1 && c.Proposer != nil && c.Proposer.Kind == wpaxos.Propose {
 						proposeAt = ev.Time
 					}

@@ -29,7 +29,9 @@ func (m ProposerMsg) Proposition() Proposition {
 
 // ResponseMsg is an (aggregated) acceptor response traveling up the
 // proposer-rooted tree. It is broadcast like everything else but addressed
-// to a single next hop (Dest); other receivers ignore it.
+// to a single next hop (Dest); other receivers ignore it. Under the flood
+// transport it is instead one acceptor's positive answer (Count 1, no Dest,
+// no Committed) that every node relays.
 type ResponseMsg struct {
 	// Dest is the next hop (the relay's parent in the tree rooted at the
 	// proposer).
@@ -48,6 +50,8 @@ type ResponseMsg struct {
 	// aggregated rejections (the paper's standard optimization: a
 	// rejecting acceptor appends the number it is committed to).
 	Committed ProposalNum
+	// Acceptor is the acceptor a flooded response speaks for.
+	Acceptor amac.NodeID
 }
 
 // StateMsg gossips one acceptor's state (the weaveworks/weave ipam/paxos
@@ -143,7 +147,7 @@ func (m *Combined) IDCount() int {
 		c++ // the number's proposer id
 	}
 	if m.Response != nil {
-		c += 2 // dest and proposer
+		c += 2 // dest (flooded: the acceptor) and proposer
 		if m.Response.Prev != nil {
 			c++
 		}

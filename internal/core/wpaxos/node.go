@@ -16,6 +16,11 @@ type Config struct {
 	N int
 	// Audit optionally instruments the Lemma 4.2 counting invariant.
 	Audit *CountAudit
+	// Flood selects the flood transport (flood.go): every acceptor
+	// response is relayed individually through the whole network instead
+	// of aggregated up the leader's tree. It is Section 4.2's strawman,
+	// registered as floodpaxos; everything else about the node is the same.
+	Flood bool
 }
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
@@ -50,27 +55,40 @@ type chosenTally struct {
 	by  omega.IDSet
 }
 
-// Node is one wPAXOS participant: the support services, the suspicion-based
-// Ω detector, the PAXOS proposer and acceptor roles, the gossiped
-// acceptor-state fallback, and the decide flood.
+// Node is one wPAXOS participant: the suspicion-based Ω detector, the
+// PAXOS proposer and acceptor roles, the proposer flood and the decide
+// flood, and one of two response transports. The tree transport (the
+// default) is the tree service, the send-once aggregated response queue
+// and its loss-proof fallback, the gossiped acceptor states with the
+// chosen-value watch; the flood transport is fl (flood.go).
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
 	n     int
 	input amac.Value
 	audit *CountAudit
+	flood bool
 
 	det  omega.Service
 	tree treeService
 	prop proposerState
 	acc  acceptorState
 
+	// live is the highest proposal number seen: in a proposition, and
+	// under the flood transport in a response too. A rise prunes what the
+	// transport holds for lower numbers (rise).
+	live ProposalNum
 	// propQ is the proposer flood queue: the highest-numbered proposition
 	// seen anywhere (a propose supersedes the prepare of the same
 	// number). It is sticky — re-broadcast on every pump until superseded
 	// — so a proposition survives lossy overlay edges.
 	propQ    ProposerMsg
 	hasPropQ bool
+
+	// fl is the flood transport's state (flood.go). The fields from
+	// seenProps to gossNacks and the tree above are the tree transport's.
+	fl floodRelay
+
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
 	// and doubles as the acceptor's responded-once guard; it only grows.
 	// lastProp is the member looked up last: the flood queue is sticky, so
@@ -148,8 +166,15 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 	if msg == nil {
 		msg = new(Combined)
 	}
+	fl := floodRelay{
+		cycle: amac.Reuse(nd.fl.cycle), heard: nd.fl.heard[:0],
+		far: [2]omega.IDSet{amac.Reuse(nd.fl.far[0]), amac.Reuse(nd.fl.far[1])},
+	}
+	if cfg.Flood {
+		fl.heard = amac.ReuseSized(nd.fl.heard, cfg.N+1)
+	}
 	*nd = Node{
-		n: cfg.N, input: input, audit: cfg.Audit, msg: msg,
+		n: cfg.N, input: input, audit: cfg.Audit, flood: cfg.Flood, msg: msg,
 		det:       nd.det, // Start re-initializes it, keeping its tables
 		tree:      treeService{ents: amac.Reuse(nd.tree.ents), queue: amac.Reuse(nd.tree.queue)},
 		seenProps: amac.Reuse(nd.seenProps),
@@ -158,6 +183,7 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 		chosen:    amac.Reuse(nd.chosen),
 		gossAcks:  amac.Reuse(nd.gossAcks),
 		gossNacks: amac.Reuse(nd.gossNacks),
+		fl:        fl,
 	}
 }
 
@@ -168,6 +194,7 @@ type nodeMetrics struct {
 	retries     metrics.Counter // proposals abandoned after a nack majority
 	nacks       metrics.Counter // negative fast-path responses consumed
 	retransmits metrics.Counter // sticky proposer-queue re-broadcasts
+	superseded  metrics.Counter // flooded responses dropped or pruned as dead
 	// The working set: the high-water marks are the largest tree table,
 	// gossip table and seen-proposition set any node held.
 	treeRoots    metrics.Gauge // roots tracked by the tree service
@@ -177,8 +204,17 @@ type nodeMetrics struct {
 
 // instrument registers the node's metric slots against r (nil-safe) and
 // stashes the registry so Start can instrument the failure detector too.
+// The flood transport's counters are named apart, so a sweep reports the
+// two transports' cells under their own names.
 func (nd *Node) instrument(r *metrics.Registry) {
 	nd.mreg = r
+	if nd.flood {
+		nd.met = nodeMetrics{
+			proposals: r.Counter("flood_proposals"), retries: r.Counter("flood_retries"),
+			retransmits: r.Counter("flood_retransmits"), superseded: r.Counter("flood_superseded"),
+		}
+		return
+	}
 	nd.met.proposals = r.Counter("wpaxos_proposals")
 	nd.met.retries = r.Counter("wpaxos_retries")
 	nd.met.nacks = r.Counter("wpaxos_nacks")
@@ -193,7 +229,9 @@ func (nd *Node) Start(api amac.API) {
 	nd.api = api
 	nd.id = api.ID()
 	nd.det.Init(api, nd.n, nd.mreg)
-	nd.tree.init(nd.id)
+	if !nd.flood {
+		nd.tree.init(nd.id)
+	}
 	if nd.n == 1 {
 		// A singleton network has no peers to talk to; decide directly
 		// (validity is trivial). The services would otherwise idle
@@ -223,7 +261,7 @@ func (nd *Node) OnReceive(m amac.Message) {
 		nd.onProposer(*c.Proposer)
 	}
 	if c.Response != nil {
-		nd.onResponse(*c.Response)
+		nd.onResponse(c.Response)
 	}
 	if c.State != nil {
 		nd.mergeState(*c.State)
@@ -275,9 +313,6 @@ func (nd *Node) pump() {
 		if ok {
 			c.Change = &c.buf.change
 		}
-		if c.buf.search, ok = nd.tree.pop(nd.det.Fired()); ok {
-			c.Search = &c.buf.search
-		}
 		if nd.hasPropQ {
 			c.buf.proposer = nd.propQ // sticky: retransmitted until superseded
 			c.Proposer = &c.buf.proposer
@@ -287,11 +322,20 @@ func (nd *Node) pump() {
 				nd.propSent = true
 			}
 		}
-		if c.buf.response, ok = nd.popResp(); ok {
-			c.Response = &c.buf.response
-		}
-		if c.buf.state, ok = nd.popState(); ok {
-			c.State = &c.buf.state
+		if nd.flood {
+			if nd.popFlood(&c.buf.response) {
+				c.Response = &c.buf.response
+			}
+		} else {
+			if c.buf.search, ok = nd.tree.pop(nd.det.Fired()); ok {
+				c.Search = &c.buf.search
+			}
+			if c.buf.response, ok = nd.popResp(); ok {
+				c.Response = &c.buf.response
+			}
+			if c.buf.state, ok = nd.popState(); ok {
+				c.State = &c.buf.state
+			}
 		}
 	}
 	nd.det.NoteSend(nd.api.Now())
@@ -343,8 +387,11 @@ func (nd *Node) onLeader(m omega.LeaderMsg) {
 // onOmegaChange drops the trees the new estimate has overtaken, re-pins
 // the tree queue and resets the fast-path response queue invariants after
 // the leader estimate moved (a new maximum member, a demotion, or a
-// wrap-around re-promotion).
+// wrap-around re-promotion). The flood transport keeps nothing keyed by Ω.
 func (nd *Node) onOmegaChange() {
+	if nd.flood {
+		return
+	}
 	nd.tree.purge(nd.det.Omega())
 	// OnLeaderChange (Algorithm 4): re-pin the tree queue.
 	nd.tree.prioritize(nd.det.Omega())
@@ -411,25 +458,59 @@ func (nd *Node) decide(v amac.Value) {
 // ---- Proposer flood and acceptor role ----
 
 func (nd *Node) onProposer(m ProposerMsg) {
-	if nd.prop.maxTagSeen < m.Num.Tag {
-		nd.prop.maxTagSeen = m.Num.Tag
+	if nd.live.Less(m.Num) {
+		nd.rise(m.Num)
 	}
-	key := m.Proposition()
-	if key == nd.lastProp {
-		return
-	}
-	nd.lastProp = key
-	if !nd.markSeen(key) {
+	if !nd.admit(m) {
 		return // flood dedup: relay and respond only on first sight
 	}
 	nd.det.Novel(nd.api.Now())
-	// Relay and answer every first-seen proposition, whoever proposed it:
+	// Relay and answer every admitted proposition, whoever proposed it:
 	// with a rotating Ω, nodes may disagree about the leader, and safety
-	// is proposer-independent. The fast-path relay queue stays gated on
-	// the current leader (see respond); everyone else's counting flows
+	// is proposer-independent. The tree transport's fast path stays gated
+	// on the current leader (see respond); everyone else's counting flows
 	// through the state gossip.
 	nd.enqueueProp(m)
 	nd.respond(m)
+}
+
+// rise makes num the live number and tells the transport to prune what
+// only a lower number could use: the tree transport's gossiped states
+// (purgeStates), everything the flood transport holds (supersede). The
+// flood transport has no refusals, so there a rise past the node's own
+// round is how the proposer learns the round lost, and it retries.
+func (nd *Node) rise(num ProposalNum) {
+	nd.live = num
+	if nd.prop.maxTagSeen < num.Tag {
+		nd.prop.maxTagSeen = num.Tag
+	}
+	if !nd.flood {
+		nd.purgeStates()
+		return
+	}
+	nd.supersede()
+	if nd.prop.phase != propIdle && num.ID != nd.id {
+		nd.retry()
+	}
+}
+
+// admit reports whether this node answers and relays m, and marks it
+// seen. The tree transport admits every first sight; the flood transport
+// only those for the live number (admitFlood).
+func (nd *Node) admit(m ProposerMsg) bool {
+	if nd.flood {
+		return nd.admitFlood(m)
+	}
+	return nd.firstSight(m.Proposition())
+}
+
+// firstSight reports whether p was never seen before, and marks it seen.
+func (nd *Node) firstSight(p Proposition) bool {
+	if p == nd.lastProp {
+		return false
+	}
+	nd.lastProp = p
+	return nd.markSeen(p)
 }
 
 // findSeen returns p's position in seenProps, or the position it would be
@@ -479,19 +560,16 @@ func (nd *Node) noteLeaderNum(num ProposalNum) {
 // the same number).
 func (nd *Node) enqueueProp(m ProposerMsg) {
 	cur := &nd.propQ
-	rose := !nd.hasPropQ || cur.Num.Less(m.Num)
-	if rose || (cur.Num == m.Num && cur.Kind == Prepare && m.Kind == Propose) {
+	if !nd.hasPropQ || cur.Num.Less(m.Num) || (cur.Num == m.Num && cur.Kind == Prepare && m.Kind == Propose) {
 		nd.propQ, nd.hasPropQ = m, true
 		nd.propSent = false
 	}
-	if rose {
-		nd.purgeStates()
-	}
 }
 
-// respond runs the acceptor against a proposition, publishes the updated
-// acceptor state to the gossip layer, and routes the response toward the
-// proposer when the fast path applies.
+// respond runs the acceptor against a proposition and hands the answer to
+// the transport: the flood transport relays a positive one; the tree
+// transport publishes the updated acceptor state to the gossip layer and
+// routes the response toward the proposer when the fast path applies.
 func (nd *Node) respond(m ProposerMsg) {
 	var r ResponseMsg
 	r.Prop = m.Proposition()
@@ -502,6 +580,14 @@ func (nd *Node) respond(m ProposerMsg) {
 		r.Positive, r.Committed = nd.acc.handlePropose(m.Num, m.Val)
 	default:
 		panic(fmt.Sprintf("wpaxos: unknown proposer message kind %v", m.Kind))
+	}
+	if nd.flood {
+		// No refusals travel: the live number is never below a promise.
+		if r.Positive {
+			nd.routeFlood(floodResp{prop: r.Prop, acceptor: nd.id, prev: r.Prev})
+		}
+		nd.decideIfChosen() // the accepts may have outrun the Propose
+		return
 	}
 	r.Count = 1
 	if r.Positive {
@@ -549,7 +635,12 @@ func (nd *Node) enqueueResp(r ResponseMsg) {
 // onResponse handles an incoming fast-path response: consume it when this
 // node is the addressee and the proposer, relay it (re-aggregated) when
 // this node is the addressee but not the proposer, ignore it otherwise.
-func (nd *Node) onResponse(r ResponseMsg) {
+// r is the sender's, valid until its ack: what is kept is copied.
+func (nd *Node) onResponse(r *ResponseMsg) {
+	if nd.flood {
+		nd.onFlooded(r)
+		return
+	}
 	if nd.prop.maxTagSeen < r.Committed.Tag {
 		nd.prop.maxTagSeen = r.Committed.Tag
 	}
@@ -563,10 +654,10 @@ func (nd *Node) onResponse(r ResponseMsg) {
 	// aggregate once, so there are no retransmitted duplicates.
 	nd.det.Novel(nd.api.Now())
 	if r.Prop.Num.ID == nd.id {
-		nd.consumeResponse(r)
+		nd.consumeResponse(*r)
 		return
 	}
-	nd.enqueueResp(r)
+	nd.enqueueResp(*r)
 }
 
 // ---- Gossiped acceptor state (the weave idiom) ----
@@ -579,17 +670,16 @@ func (nd *Node) noteOwnState() {
 // countable reports whether some counter can still count another origin's
 // gossiped state. The chosen-value watch counts any acceptance; a
 // proposer's tallies look at Promised == num and num < Promised, so a bare
-// promise below the highest proposition number seen here (propQ is the
-// flood's maximum) can only be counted toward a proposal that number has
-// already superseded.
+// promise below the live number can only be counted toward a proposal
+// that number has already superseded.
 func (nd *Node) countable(st *StateMsg) bool {
-	return st.Accepted != nil || !nd.hasPropQ || !st.Promised.Less(nd.propQ.Num)
+	return st.Accepted != nil || !st.Promised.Less(nd.live)
 }
 
 // purgeStates drops the other origins' states that stopped being
-// countable when the highest proposition number seen rose. The node's own
-// acceptor state stays whatever it says: acceptors must not forget their
-// promises, and this entry is how the rest of the network hears of them.
+// countable when the live number rose. The node's own acceptor state stays
+// whatever it says: acceptors must not forget their promises, and this
+// entry is how the rest of the network hears of them.
 func (nd *Node) purgeStates() {
 	kept := nd.states[:0]
 	for i := range nd.states { // in place: countable sees the stored entry, nothing is copied out
@@ -712,7 +802,10 @@ func (nd *Node) startProposal() {
 // originate floods one of this node's own proposer messages and runs the
 // local acceptor against it.
 func (nd *Node) originate(m ProposerMsg) {
-	nd.markSeen(m.Proposition())
+	if nd.live.Less(m.Num) {
+		nd.rise(m.Num)
+	}
+	nd.admit(m)
 	if nd.det.Omega() == nd.id {
 		nd.noteLeaderNum(m.Num)
 	}
@@ -785,7 +878,8 @@ func (nd *Node) beginPropose() {
 	nd.originate(ProposerMsg{Kind: Propose, Num: nd.prop.num, Val: nd.prop.value})
 }
 
-// retry abandons the current number after a majority rejected it. The
+// retry abandons the current number after a majority rejected it (under
+// the flood transport: after a higher number superseded it, rise). The
 // proposer has learned the largest committed number from the aggregated
 // rejections (already folded into maxTagSeen), so the next number — if the
 // two-numbers budget allows one and this node still believes it is the

@@ -1,7 +1,4 @@
-package wpaxos_test
-
-// An external test package, so that the walk can take floodpaxos' node too
-// (floodpaxos imports wpaxos).
+package wpaxos
 
 import (
 	"reflect"
@@ -9,24 +6,21 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
-	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/omega"
 )
 
 // mapsIn returns the paths of every map-kind type reachable from ty through
 // struct fields, slices, arrays and pointers declared in wpaxos,
-// floodpaxos, internal/omega (the nodes' embedded Ω), this file (the
-// self-check's probe) or unnamed. What
-// hangs behind *wpaxos.CountAudit is exempt — an opt-in instrument shared
-// by a whole run, nil on every measured path — and the types of other
-// packages (the metrics handles, the amac.API interface) are the
-// substrate's, not per-node state, and are not entered. walked holds every
-// type the walk entered.
+// internal/omega (the node's embedded Ω) or unnamed. What hangs behind
+// *CountAudit is exempt — an opt-in instrument shared by a whole run, nil
+// on every measured path — and the types of other packages (the metrics
+// handles, the amac.API interface) are the substrate's, not per-node
+// state, and are not entered. The walk does not enter an interface's
+// dynamic type, so per-node state must sit in concrete fields. walked holds
+// every type the walk entered.
 func mapsIn(ty reflect.Type) (found []string, walked map[reflect.Type]bool) {
-	pkgs := []string{"", reflect.TypeOf(wpaxos.Node{}).PkgPath(), reflect.TypeOf(floodpaxos.Node{}).PkgPath(),
-		reflect.TypeOf(omega.Service{}).PkgPath(), reflect.TypeOf(withMap{}).PkgPath()}
-	audit := reflect.TypeOf((*wpaxos.CountAudit)(nil))
+	pkgs := []string{"", reflect.TypeOf(Node{}).PkgPath(), reflect.TypeOf(omega.Service{}).PkgPath()}
+	audit := reflect.TypeOf((*CountAudit)(nil))
 	walked = map[reflect.Type]bool{}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -52,24 +46,26 @@ func mapsIn(ty reflect.Type) (found []string, walked map[reflect.Type]bool) {
 // withMap is the self-check's probe: one map, two levels down, beside the
 // exempt audit.
 type withMap struct {
-	audit   *wpaxos.CountAudit
+	audit   *CountAudit
 	tallies []*tally
 }
 
 type tally struct{ by map[amac.NodeID]bool }
 
 // TestNoMapsOnTheDeliveryPath is the guard that keeps Go maps from coming
-// back into a multihop node, wPAXOS' or floodpaxos', its Ω included: every
+// back into a node, under either response transport, its Ω included: every
 // lookup a delivery makes is a bitset, a table indexed by id, a sorted
 // slice (omega.IDSet and the like) or a short scan.
 func TestNoMapsOnTheDeliveryPath(t *testing.T) {
-	for _, node := range []reflect.Type{reflect.TypeOf(wpaxos.Node{}), reflect.TypeOf(floodpaxos.Node{})} {
-		maps, walked := mapsIn(node)
-		if len(maps) > 0 {
-			t.Errorf("%v holds maps: %v", node, maps)
-		}
-		if !walked[reflect.TypeOf(omega.Detector{})] {
-			t.Errorf("the walk of %v did not enter the node's Ω detector", node)
+	maps, walked := mapsIn(reflect.TypeOf(Node{}))
+	if len(maps) > 0 {
+		t.Errorf("Node holds maps: %v", maps)
+	}
+	// The walk must reach each transport's state and the detector.
+	for _, ty := range []reflect.Type{reflect.TypeOf(omega.Detector{}), reflect.TypeOf(treeService{}),
+		reflect.TypeOf(floodRelay{}), reflect.TypeOf(floodResp{}), reflect.TypeOf(StateMsg{})} {
+		if !walked[ty] {
+			t.Errorf("the walk of Node did not enter %v", ty)
 		}
 	}
 	// The walk must see a map where there is one, however deep.

@@ -33,6 +33,16 @@
 // the proposer never counts more affirmative responses than acceptors
 // generated — can be audited at runtime via CountAudit.
 //
+// # Two response transports
+//
+// Config.Flood changes how acceptor responses reach a counter, and nothing
+// else. The flood transport (flood.go, registered as floodpaxos) relays
+// every acceptor's response individually through the whole network: the
+// strawman of Section 4.2, Θ(n·Fack) near bottlenecks against the tree's
+// O(D·Fack). Ω, the proposer lifecycle, the acceptor, the proposition and
+// decide floods and the broadcast multiplexer are the same code under
+// both, so experiment E7 compares the two transports and nothing else.
+//
 // # Per-node state and the n² budget
 //
 // Theorem 4.6 has wPAXOS decide in O(D·Fack) — long before a node has
@@ -75,8 +85,7 @@
 //     immutable, and receivers copy what they keep; it is valid until the
 //     sender's ack, after which the sender — who owns exactly one message,
 //     one broadcast being in flight at a time — refills it, so neither
-//     sending nor receiving allocates in steady state. floodpaxos'
-//     Combined makes the same promise.
+//     sending nor receiving allocates in steady state.
 //   - Rule 1, trees: a root is tracked only while it can be this node's
 //     leader estimate. A <search> for a root below Ω, or for a suspected
 //     root, is dropped before any lookup and is not novel to the detector
@@ -120,13 +129,15 @@
 //     (queue invariant (1) of Section 4.2.1).
 //   - Pointer validity: the tree service's entry pointers are valid
 //     until its next receive or purge. Callers use them at once.
-//   - The one n-sized per-node structure is the Ω detector's member set,
-//     a bitset (n/64+1 words: 520 B per node, 2 MB in total at n = 4096)
-//     for ids in [0, 64·words) and an omega.IDSet for any other id; read
-//     in id order it is the rotation order, and the gossip walk picks its
-//     k-th member by popcount. Learning a member is a bit test and a bit
-//     set, with no allocation. The detector is embedded in the node by
-//     value, so a delivery does not chase a pointer to reach it.
+//   - The one n-sized per-node structure of the tree transport is the Ω
+//     detector's member set, a bitset (n/64+1 words: 520 B per node, 2 MB
+//     in total at n = 4096) for ids in [0, 64·words) and an omega.IDSet
+//     for any other id; read in id order it is the rotation order, and the
+//     gossip walk picks its k-th member by popcount. Learning a member is a
+//     bit test and a bit set, with no allocation. The detector is embedded
+//     in the node by value, so a delivery does not chase a pointer to
+//     reach it. The flood transport adds a second, its heard table (a byte
+//     per id in [0, n]); the tree transport leaves it empty.
 //   - The tree service's pending queue holds root ids, one per root with
 //     an unsent improvement; the message is rebuilt from the table at pop
 //     time (an improvement that arrives before the previous one went out
@@ -146,10 +157,10 @@
 //     back to NewFactory (amac.NodeConfig.Prev), which re-arms it in
 //     place: every field as a fresh node has it, while the struct, its
 //     *Combined, the detector's bitset and sets, the tree, states,
-//     seenProps, respQ, chosen and the two tallies keep their storage. A
-//     table keeps it only when the last run left it at least half full
-//     (amac.Reuse; the bitset, whose size n fixes, while it fits:
-//     amac.ReuseSized), so a slot's storage follows its last run instead
+//     seenProps, respQ, chosen, the two tallies and the flood transport's
+//     tables keep their storage. A table keeps it only when the last run
+//     left it at least half full (amac.Reuse; the bitset and the heard
+//     table, whose size n fixes, while they fit: amac.ReuseSized), so a slot's storage follows its last run instead
 //     of ratcheting to the largest. On decide_expander4096 this took a warm
 //     op from 42 MB allocated to about 8 MB, every execution unchanged
 //     (TestRecycledNodesMatchFresh).

@@ -178,16 +178,16 @@ func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
 	if stateOf(nd, 6) != nil {
 		t.Fatal("origin 6 is still in the table")
 	}
-	// The flood can run ahead of the local acceptor (enqueueProp comes
+	// The live number can run ahead of the local acceptor (rise comes
 	// before respond): the node's own entry is exempt, whatever it says.
-	nd.enqueueProp(ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 9, ID: 9}})
+	nd.rise(ProposalNum{Tag: 9, ID: 9})
 	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5}) {
 		t.Fatalf("after the flood ran ahead: origins %v, want [3 5]", got)
 	}
 	if own := stateOf(nd, 3); own == nil || own.Promised != (ProposalNum{Tag: 3, ID: 9}) {
 		t.Fatalf("own acceptor state after the purge: %+v", own)
 	}
-	// Two prepares came through onProposer; the enqueueProp above did not.
+	// Two prepares came through onProposer; the rise above did not.
 	if _, so, sp := nd.WorkingSet(); so != 2 || sp != 2 {
 		t.Fatalf("WorkingSet reports %d state origins and %d seen propositions, want 2 and 2", so, sp)
 	}
@@ -224,7 +224,7 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 		propose bool        // the node starts its own proposal, (1,3), first
 		merge   []StateMsg  // gossip delivered, in this order
 		pops    int         // states popped before the purge
-		raise   ProposalNum // then the highest proposition number seen rises to this (zero: it does not)
+		raise   ProposalNum // then the live number rises to this (zero: it does not)
 		lap     []amac.NodeID
 		next    []amac.NodeID
 		decided []amac.Value
@@ -267,7 +267,7 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 				pop()
 			}
 			if tc.raise != (ProposalNum{}) {
-				nd.enqueueProp(ProposerMsg{Kind: Prepare, Num: tc.raise})
+				nd.rise(tc.raise)
 			}
 			for nd.stateCur < len(nd.states) {
 				pop()

@@ -2,6 +2,7 @@ package wpaxos
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -11,13 +12,20 @@ import (
 	"github.com/absmac/absmac/internal/sim"
 )
 
-func runOn(t *testing.T, g *graph.Graph, inputs []amac.Value, sched sim.Scheduler, ids []amac.NodeID) (*sim.Result, *CountAudit) {
+// transports are the two response transports, the rows of the tests that
+// hold for both.
+var transports = []struct {
+	name  string
+	flood bool
+}{{"tree", false}, {"flood", true}}
+
+func runOn(t *testing.T, flood bool, g *graph.Graph, inputs []amac.Value, sched sim.Scheduler, ids []amac.NodeID) (*sim.Result, *CountAudit) {
 	t.Helper()
 	audit := NewCountAudit()
 	res := sim.Run(sim.Config{
 		Graph:     g,
 		Inputs:    inputs,
-		Factory:   NewFactory(Config{N: g.N(), Audit: audit}),
+		Factory:   NewFactory(Config{N: g.N(), Audit: audit, Flood: flood}),
 		Scheduler: sched,
 		IDs:       ids,
 	})
@@ -54,17 +62,21 @@ func checkOK(t *testing.T, name string, inputs []amac.Value, res *sim.Result, au
 func TestLineSynchronous(t *testing.T) {
 	g := graph.Line(5)
 	inputs := mixedInputs(5)
-	res, audit := runOn(t, g, inputs, sim.Synchronous{}, nil)
+	res, audit := runOn(t, false, g, inputs, sim.Synchronous{}, nil)
 	checkOK(t, "line5", inputs, res, audit)
 }
 
 func TestSingleNode(t *testing.T) {
-	g := graph.Clique(1)
-	inputs := []amac.Value{1}
-	res, audit := runOn(t, g, inputs, sim.Synchronous{}, nil)
-	checkOK(t, "single", inputs, res, audit)
-	if res.Decision[0] != 1 {
-		t.Fatalf("decided %d, want own input 1", res.Decision[0])
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			g := graph.Clique(1)
+			inputs := []amac.Value{1}
+			res, audit := runOn(t, tr.flood, g, inputs, sim.Synchronous{}, nil)
+			checkOK(t, "single", inputs, res, audit)
+			if res.Decision[0] != 1 {
+				t.Fatalf("decided %d, want own input 1", res.Decision[0])
+			}
+		})
 	}
 }
 
@@ -86,9 +98,15 @@ func TestTopologyFamilies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			inputs := mixedInputs(tc.g.N())
 			for seed := int64(0); seed < 4; seed++ {
-				res, audit := runOn(t, tc.g, inputs, sim.NewRandom(4, seed), nil)
+				res, audit := runOn(t, false, tc.g, inputs, sim.NewRandom(4, seed), nil)
 				checkOK(t, tc.name, inputs, res, audit)
 			}
+			t.Run("flood", func(t *testing.T) {
+				for seed := int64(0); seed < 4; seed++ {
+					res, audit := runOn(t, true, tc.g, inputs, sim.NewRandom(4, seed), nil)
+					checkOK(t, tc.name, inputs, res, audit)
+				}
+			})
 		})
 	}
 }
@@ -103,15 +121,15 @@ func TestLeaderFarFromCenter(t *testing.T) {
 		ids[i] = amac.NodeID(n - i) // node 0 has the max id
 	}
 	inputs := mixedInputs(n)
-	res, audit := runOn(t, g, inputs, sim.NewRandom(3, 7), ids)
+	res, audit := runOn(t, false, g, inputs, sim.NewRandom(3, 7), ids)
 	checkOK(t, "leader-at-end", inputs, res, audit)
 }
 
 // TestSparseAndMixedIDs: nothing in the node may assume ids are 1..n. Run
 // with a shuffle of sparse ids far above n (every id misses the
-// detector's membership bitset) and with a mix of ids at most n and ids
-// far above it (both Learn paths in one execution), under the random
-// scheduler.
+// detector's membership bitset and the flood transport's heard table) and
+// with a mix of ids at most n and ids far above it (both paths in one
+// execution), under the random scheduler, on both transports.
 func TestSparseAndMixedIDs(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -134,11 +152,15 @@ func TestSparseAndMixedIDs(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { sparse[i], sparse[j] = sparse[j], sparse[i] })
 		rng.Shuffle(n, func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
 		inputs := mixedInputs(n)
-		for seed := int64(0); seed < 4; seed++ {
-			res, audit := runOn(t, tc.g, inputs, sim.NewRandom(4, seed), sparse)
-			checkOK(t, tc.name+"/sparse", inputs, res, audit)
-			res, audit = runOn(t, tc.g, inputs, sim.NewRandom(4, seed), mixed)
-			checkOK(t, tc.name+"/mixed", inputs, res, audit)
+		for _, tr := range transports {
+			t.Run(tr.name, func(t *testing.T) {
+				for seed := int64(0); seed < 4; seed++ {
+					res, audit := runOn(t, tr.flood, tc.g, inputs, sim.NewRandom(4, seed), sparse)
+					checkOK(t, tc.name+"/sparse", inputs, res, audit)
+					res, audit = runOn(t, tr.flood, tc.g, inputs, sim.NewRandom(4, seed), mixed)
+					checkOK(t, tc.name+"/mixed", inputs, res, audit)
+				}
+			})
 		}
 	}
 }
@@ -152,7 +174,7 @@ func TestDecisionTimeScalesWithDiameter(t *testing.T) {
 	for _, d := range []int{4, 8, 16, 32} {
 		g := graph.Line(d + 1)
 		inputs := mixedInputs(d + 1)
-		res, audit := runOn(t, g, inputs, sim.NewRandom(f, 1), nil)
+		res, audit := runOn(t, false, g, inputs, sim.NewRandom(f, 1), nil)
 		checkOK(t, "line", inputs, res, audit)
 		bound := int64(20 * (d + 1) * f)
 		if res.MaxDecideTime > bound {
@@ -198,18 +220,25 @@ func TestSlowMinorityDoesNotBlock(t *testing.T) {
 }
 
 func TestValidityUnanimous(t *testing.T) {
-	for _, v := range []amac.Value{0, 1} {
-		g := graph.Grid(3, 3)
-		inputs := make([]amac.Value, g.N())
-		for i := range inputs {
-			inputs[i] = v
-		}
-		res, audit := runOn(t, g, inputs, sim.NewRandom(3, 2), nil)
-		checkOK(t, "unanimous", inputs, res, audit)
-		rep := consensus.Check(inputs, res)
-		if rep.Value != v {
-			t.Fatalf("unanimous %d: decided %d", v, rep.Value)
-		}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			for _, v := range []amac.Value{0, 1} {
+				for _, tc := range []struct {
+					g          *graph.Graph
+					fack, seed int64
+				}{{graph.Grid(3, 3), 3, 2}, {graph.Line(6), 2, 9}} {
+					inputs := make([]amac.Value, tc.g.N())
+					for i := range inputs {
+						inputs[i] = v
+					}
+					res, audit := runOn(t, tr.flood, tc.g, inputs, sim.NewRandom(tc.fack, tc.seed), nil)
+					checkOK(t, "unanimous", inputs, res, audit)
+					if rep := consensus.Check(inputs, res); rep.Value != v {
+						t.Fatalf("unanimous %d on n=%d: decided %d", v, tc.g.N(), rep.Value)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -219,7 +248,7 @@ func TestAggregationAuditAcrossSeeds(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := graph.RandomConnected(15, 0.12, seed)
 		inputs := mixedInputs(15)
-		res, audit := runOn(t, g, inputs, sim.NewRandom(1+seed%5, seed*13), nil)
+		res, audit := runOn(t, false, g, inputs, sim.NewRandom(1+seed%5, seed*13), nil)
 		checkOK(t, "audit-sweep", inputs, res, audit)
 		if audit.Propositions() == 0 {
 			t.Fatal("audit saw no propositions; instrumentation broken?")
@@ -262,9 +291,9 @@ func TestTagGrowthModest(t *testing.T) {
 func TestEdgeOrderAdversary(t *testing.T) {
 	g := graph.Grid(3, 4)
 	inputs := mixedInputs(g.N())
-	res, audit := runOn(t, g, inputs, &sim.EdgeOrder{MaxDegree: 4}, nil)
+	res, audit := runOn(t, false, g, inputs, &sim.EdgeOrder{MaxDegree: 4}, nil)
 	checkOK(t, "edgeorder", inputs, res, audit)
-	res, audit = runOn(t, g, inputs, &sim.EdgeOrder{MaxDegree: 4, Descending: true}, nil)
+	res, audit = runOn(t, false, g, inputs, &sim.EdgeOrder{MaxDegree: 4, Descending: true}, nil)
 	checkOK(t, "edgeorder-desc", inputs, res, audit)
 }
 
@@ -272,6 +301,8 @@ func TestConstructorValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { newNode(2, Config{N: 3}) },
 		func() { NewFactory(Config{N: 0}) },
+		func() { newNode(2, Config{N: 3, Flood: true}) },
+		func() { NewFactory(Config{N: 0, Flood: true}) },
 	} {
 		func() {
 			defer func() {
@@ -319,6 +350,73 @@ func TestIntrospectionAfterRun(t *testing.T) {
 		if d := nd.tree.distTo(v.Omega); d != wantDist {
 			t.Fatalf("node %d dist to leader %d, want %d", i, d, wantDist)
 		}
+	}
+}
+
+// TestOmegaSinceStamped reads the Ω stabilization time every node reports
+// after a crash-free run on expander:64:8 (default ids 1..n): the max-id
+// node leads itself from the start, so its Ω never moved and its
+// OmegaSince is 0; every other node moved its Ω at least once, when it
+// first heard a larger id, so its OmegaSince is after time 0.
+func TestOmegaSinceStamped(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			g := graph.Expander(64, 8, 1)
+			n := g.N()
+			inputs := mixedInputs(n)
+			nodes := make([]*Node, n)
+			build := NewFactory(Config{N: n, Flood: tr.flood})
+			res := sim.Run(sim.Config{
+				Graph:  g,
+				Inputs: inputs,
+				Factory: func(nc amac.NodeConfig) amac.Algorithm {
+					nd := build(nc).(*Node)
+					nodes[nc.ID-1] = nd
+					return nd
+				},
+				Scheduler: sim.NewRandom(4, 1),
+			})
+			if rep := consensus.Check(inputs, res); !rep.OK() {
+				t.Fatalf("%v", rep.Errors)
+			}
+			for i, nd := range nodes {
+				v := nd.Inspect()
+				if i == n-1 {
+					if v.OmegaSince != 0 {
+						t.Errorf("max-id node %d: OmegaSince %d, want 0 (its Ω never moved)", i, v.OmegaSince)
+					}
+					continue
+				}
+				if v.OmegaSince <= 0 {
+					t.Errorf("node %d: OmegaSince %d, want > 0 (Ω %d is not its own id)", i, v.OmegaSince, v.Omega)
+				}
+			}
+		})
+	}
+}
+
+// TestNewAllocatesLittle pins the table sizing: of the node's tables only
+// the flood transport's heard table is sized up front, one byte per id
+// (1 KB at n=1024), and the rest starts empty (a flooding node was 74 KB at
+// n=128 and over 500 KB at n=1024 when every table was sized for the worst
+// case).
+func TestNewAllocatesLittle(t *testing.T) {
+	const n, nodes = 1024, 64
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			build := NewFactory(Config{N: n, Flood: tr.flood})
+			keep := make([]amac.Algorithm, nodes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range keep {
+				keep[i] = build(amac.NodeConfig{Input: amac.Value(i % 2)})
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(keep)
+			if perNode := (after.TotalAlloc - before.TotalAlloc) / nodes; perNode >= 64<<10 {
+				t.Fatalf("New at n=%d allocates %d bytes per node, want < 64 KB", n, perNode)
+			}
+		})
 	}
 }
 

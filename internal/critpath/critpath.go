@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"github.com/absmac/absmac/internal/amac"
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/sim"
 )
@@ -82,7 +81,7 @@ type Classifier func(amac.Message) Phase
 // PhaseOther — the breakdown still sums to the decide time, it just
 // carries no per-phase detail.
 //
-// For the two multihop PAXOS variants the priority order matters: a
+// For wPAXOS, under either response transport, the priority order matters: a
 // combined broadcast multiplexes one message per service queue, and the
 // most information-bearing constituent wins — a decide flood outranks
 // everything, acceptor responses / gossiped acceptor state (the counting
@@ -90,10 +89,8 @@ type Classifier func(amac.Message) Phase
 // always-present election/membership gossip.
 func ClassifierFor(algo string) Classifier {
 	switch algo {
-	case "wpaxos":
+	case "wpaxos", "floodpaxos":
 		return classifyWPaxos
-	case "floodpaxos":
-		return classifyFloodPaxos
 	default:
 		return func(amac.Message) Phase { return PhaseOther }
 	}
@@ -112,25 +109,6 @@ func classifyWPaxos(m amac.Message) Phase {
 	case c.Proposer != nil:
 		return PhaseProposal
 	case c.Leader != nil || c.Change != nil || c.Search != nil:
-		return PhaseElection
-	default:
-		return PhaseOther
-	}
-}
-
-func classifyFloodPaxos(m amac.Message) Phase {
-	c, ok := m.(*floodpaxos.Combined)
-	if !ok {
-		return PhaseOther
-	}
-	switch {
-	case c.Decide != nil:
-		return PhaseDecide
-	case c.Response != nil:
-		return PhaseAggregation
-	case c.Proposer != nil:
-		return PhaseProposal
-	case c.Leader != nil || c.Change != nil:
 		return PhaseElection
 	default:
 		return PhaseOther

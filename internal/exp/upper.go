@@ -120,7 +120,9 @@ func E6WPaxos() *Experiment {
 
 // E7FloodingBaseline reproduces the Section 4.2 motivation: naive response
 // flooding costs Theta(n*Fack) at bottlenecks while wPAXOS's aggregating
-// trees stay at O(D*Fack).
+// trees stay at O(D*Fack). floodPAXOS is the wPAXOS node with its flood
+// transport (wpaxos.Config.Flood), so the response transport is the only
+// variable between the two columns.
 func E7FloodingBaseline() *Experiment {
 	e := &Experiment{
 		ID:    "E7",
@@ -160,7 +162,8 @@ func E7FloodingBaseline() *Experiment {
 	tslope, _ := stats.LinFit(ns, trees)
 	e.Notes = append(e.Notes,
 		fmt.Sprintf("flooding grows at %.3f time/node; wPAXOS at %.3f time/node (fixed D=4)", fslope, tslope),
-		"the strawman's constant, floodPAXOS ticks / (n*Fack): "+strings.Join(consts, ", "))
+		"the strawman's constant, floodPAXOS ticks / (n*Fack): "+strings.Join(consts, ", "),
+		"wPAXOS and floodPAXOS are one node with two response transports: the transport is the only variable")
 	// The shape claim: flooding clearly linear in n, wPAXOS much flatter.
 	// The floor comes from the argument, not from the measurement: every
 	// response crosses the hub, which relays one per broadcast, and a

@@ -75,7 +75,6 @@ import (
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/baseline/anonflood"
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
 	"github.com/absmac/absmac/internal/baseline/gatherall"
 	"github.com/absmac/absmac/internal/baseline/waitall"
 	"github.com/absmac/absmac/internal/consensus"
@@ -182,7 +181,7 @@ type algoCtor struct {
 var algorithms = map[string]algoCtor{
 	"twophase":   {seedFree: true, mk: func(int, int64) amac.Factory { return twophase.Factory }},
 	"wpaxos":     {seedFree: true, mk: func(n int, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) }},
-	"floodpaxos": {seedFree: true, mk: func(n int, _ int64) amac.Factory { return floodpaxos.NewFactory(n) }},
+	"floodpaxos": {seedFree: true, mk: func(n int, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n, Flood: true}) }},
 	"gatherall":  {seedFree: true, mk: func(n int, _ int64) amac.Factory { return gatherall.NewFactory(n) }},
 	"benor": {mk: func(n int, seed int64) amac.Factory {
 		return benor.NewFactory(benor.Config{N: n, F: (n - 1) / 2, Seed: seed})

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/absmac/absmac/internal/amac"
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/graph"
@@ -130,7 +129,7 @@ func TestPaxosFactoriesRecycleLiveMessages(t *testing.T) {
 		factory amac.Factory
 	}{
 		{"wpaxos", wpaxos.NewFactory(wpaxos.Config{N: g.N()})},
-		{"floodpaxos", floodpaxos.NewFactory(g.N())},
+		{"floodpaxos", wpaxos.NewFactory(wpaxos.Config{N: g.N(), Flood: true})},
 	} {
 		var fresh atomic.Int64
 		res, err := Run(context.Background(), Config{

@@ -91,7 +91,7 @@ func (d *Detector) init(self amac.NodeID, n int) {
 
 // Instrument registers the detector's metric slots against r (nil-safe:
 // a nil registry leaves the zero, disabled handles in place). Slot names
-// are shared across all nodes and both algorithms — suspicions, wrap
+// are shared across all nodes and both transports — suspicions, wrap
 // re-promotions and re-arms are network-wide totals, det_fhat's
 // high-water is the largest Fack estimate any node formed, det_mult the
 // largest silence-bound multiplier reached.

@@ -1,6 +1,5 @@
-// Package omega is the leader estimate Ω that both multihop algorithms,
-// wPAXOS (internal/core/wpaxos) and its flooding baseline
-// (internal/baseline/floodpaxos), run on: the paper's leader election
+// Package omega is the leader estimate Ω that wPAXOS (internal/core/wpaxos)
+// runs on under both of its response transports: the paper's leader election
 // (Algorithm 2) and change notices (Algorithm 3), with a suspicion-based
 // failure detector in place of Algorithm 2's monotone max-id rule. A node
 // embeds one Service by value.
@@ -30,7 +29,7 @@
 //     round trip across the network; the doubling makes false suspicion
 //     self-healing — a too-small bound only delays, never prevents,
 //     convergence, because a falsely demoted leader's proposals still get
-//     responses (both algorithms answer every proposer).
+//     responses (both transports answer every proposer).
 //   - Re-promotion: when the local node is omega and every other member
 //     is suspected, continued silence clears all suspicions and
 //     re-promotes the maximum member, re-probing nodes that may have been

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/amac"
-	"github.com/absmac/absmac/internal/baseline/floodpaxos"
+	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/graph"
 )
 
@@ -37,7 +37,7 @@ func recordRing(t *testing.T, n int, seed int64) (*Schedule, Config) {
 		Graph:      g,
 		Unreliable: o,
 		Inputs:     inputs,
-		Factory:    floodpaxos.NewFactory(n),
+		Factory:    wpaxos.NewFactory(wpaxos.Config{N: n, Flood: true}),
 		Scheduler:  rec,
 		Crashes:    rec.S.Crashes,
 	}
@@ -50,7 +50,7 @@ func recordRing(t *testing.T, n int, seed int64) (*Schedule, Config) {
 
 func replayCfg(cfg Config, s *Schedule) (Config, *Replay) {
 	rp := NewReplay(s)
-	cfg.Factory = floodpaxos.NewFactory(cfg.Graph.N())
+	cfg.Factory = wpaxos.NewFactory(wpaxos.Config{N: cfg.Graph.N(), Flood: true})
 	cfg.Scheduler = rp
 	cfg.Crashes = s.Crashes
 	return cfg, rp
@@ -60,7 +60,7 @@ func TestReplayByteIdentical(t *testing.T) {
 	s, cfg := recordRing(t, 6, 11)
 	want := Run(Config{
 		Graph: cfg.Graph, Unreliable: cfg.Unreliable, Inputs: cfg.Inputs,
-		Factory: floodpaxos.NewFactory(6), Scheduler: NewLossy(NewRandom(4, 11), 0.5, 111),
+		Factory: wpaxos.NewFactory(wpaxos.Config{N: 6, Flood: true}), Scheduler: NewLossy(NewRandom(4, 11), 0.5, 111),
 		Crashes: s.Crashes,
 	})
 	rcfg, rp := replayCfg(cfg, s)
