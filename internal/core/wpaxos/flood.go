@@ -167,8 +167,8 @@ func (nd *Node) routeFlood(r floodResp) {
 }
 
 // decideIfChosen decides once a majority of acceptors was heard accepting
-// the live number and its value is known (the accepts may outrun the
-// Propose; the check is repeated when it arrives).
+// the live number and its value is known. The accepts may outrun the
+// Propose; when it arrives, the node's own accept repeats the check.
 func (nd *Node) decideIfChosen() {
 	if f := &nd.fl; !nd.decided && f.proposed && 2*f.accepts > nd.n {
 		nd.decide(f.val)
@@ -196,6 +196,6 @@ func (nd *Node) popFlood(r *ResponseMsg) bool {
 	}
 	e := &f.cycle[f.cur]
 	f.cur++
-	*r = ResponseMsg{Prop: e.prop, Positive: true, Count: 1, Prev: e.prev, Acceptor: e.acceptor}
+	*r = ResponseMsg{Prop: e.prop, Prev: e.prev, Acceptor: e.acceptor}
 	return true
 }

@@ -34,7 +34,7 @@ func TestHeardMatchesMapOracle(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			k := key{Prepare + PropKind(rng.Intn(2)), ids[rng.Intn(len(ids))]}
 			want[k] = true
-			nd.onResponse(&ResponseMsg{Prop: Proposition{Kind: k.kind, Num: num}, Acceptor: k.id})
+			nd.onFlooded(&ResponseMsg{Prop: Proposition{Kind: k.kind, Num: num}, Acceptor: k.id})
 			promises, accepts := 0, 0
 			for w := range want {
 				if w.kind == Prepare {

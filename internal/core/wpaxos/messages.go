@@ -30,8 +30,8 @@ func (m ProposerMsg) Proposition() Proposition {
 // ResponseMsg is an (aggregated) acceptor response traveling up the
 // proposer-rooted tree. It is broadcast like everything else but addressed
 // to a single next hop (Dest); other receivers ignore it. Under the flood
-// transport it is instead one acceptor's positive answer (Count 1, no Dest,
-// no Committed) that every node relays.
+// transport it is instead one acceptor's answer (Prop, Prev and Acceptor
+// only: there are no refusals) that every node relays.
 type ResponseMsg struct {
 	// Dest is the next hop (the relay's parent in the tree rooted at the
 	// proposer).

@@ -57,10 +57,11 @@ type chosenTally struct {
 
 // Node is one wPAXOS participant: the suspicion-based Ω detector, the
 // PAXOS proposer and acceptor roles, the proposer flood and the decide
-// flood, and one of two response transports. The tree transport (the
-// default) is the tree service, the send-once aggregated response queue
+// flood, and one of two response transports, whose state follows the
+// shared fields: the flood transport's (fl, flood.go), then the tree
+// transport's — the tree service, the send-once aggregated response queue
 // and its loss-proof fallback, the gossiped acceptor states with the
-// chosen-value watch; the flood transport is fl (flood.go).
+// chosen-value watch.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
@@ -70,7 +71,6 @@ type Node struct {
 	flood bool
 
 	det  omega.Service
-	tree treeService
 	prop proposerState
 	acc  acceptorState
 
@@ -85,10 +85,29 @@ type Node struct {
 	propQ    ProposerMsg
 	hasPropQ bool
 
-	// fl is the flood transport's state (flood.go). The fields from
-	// seenProps to gossNacks and the tree above are the tree transport's.
+	decideQ    DecideMsg
+	hasDecideQ bool
+	inflight   bool
+	decided    bool
+	decision   amac.Value
+
+	// mreg is the metrics registry handed down by the substrate (nil when
+	// metrics are off); met holds the node's counter handles (zero =
+	// disabled). propSent marks the sticky proposer queue entry as having
+	// been broadcast at least once, so retransmissions can be told apart
+	// from first sends.
+	mreg     *metrics.Registry
+	met      nodeMetrics
+	propSent bool
+
+	// msg is the one message the node ever broadcasts, refilled by every
+	// pump. The queues are values and value slices, so steady-state pumping
+	// does not allocate.
+	msg *Combined
+
 	fl floodRelay
 
+	tree treeService
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
 	// and doubles as the acceptor's responded-once guard; it only grows.
 	// lastProp is the member looked up last: the flood queue is sticky, so
@@ -126,30 +145,10 @@ type Node struct {
 	gossAcks  omega.IDSet
 	gossNacks omega.IDSet
 
-	decideQ    DecideMsg
-	hasDecideQ bool
-	inflight   bool
-	decided    bool
-	decision   amac.Value
-
 	// routeSince is when the distance to the current leader last improved,
 	// the second stabilization time of experiment E6's GST decomposition
 	// (View.RouteSince; the first, View.OmegaSince, is the detector's).
 	routeSince int64
-
-	// mreg is the metrics registry handed down by the substrate (nil when
-	// metrics are off); met holds the node's counter handles (zero =
-	// disabled). propSent marks the sticky proposer queue entry as having
-	// been broadcast at least once, so retransmissions can be told apart
-	// from first sends.
-	mreg     *metrics.Registry
-	met      nodeMetrics
-	propSent bool
-
-	// msg is the one message the node ever broadcasts, refilled by every
-	// pump. The queues are values and value slices, so steady-state pumping
-	// does not allocate.
-	msg *Combined
 }
 
 // arm makes nd — a zero Node or one a finished run left — the unstarted
@@ -248,26 +247,31 @@ func (nd *Node) OnReceive(m amac.Message) {
 	if !ok {
 		panic(fmt.Sprintf("wpaxos: unexpected message type %T", m))
 	}
-	if c.Leader != nil {
-		nd.onLeader(*c.Leader)
+	if c.Leader != nil && nd.det.Hear(c.Leader.ID) {
+		nd.onOmegaChange()
+		nd.localChange() // a leader update is a change event (Algorithm 3)
 	}
 	if c.Search != nil {
 		nd.onSearch(*c.Search)
 	}
-	if c.Change != nil {
-		nd.onChange(*c.Change)
+	if c.Change != nil && nd.det.Notice(*c.Change) && nd.det.Omega() == nd.id {
+		nd.generateProposal()
 	}
 	if c.Proposer != nil {
 		nd.onProposer(*c.Proposer)
 	}
 	if c.Response != nil {
-		nd.onResponse(c.Response)
+		if nd.flood {
+			nd.onFlooded(c.Response)
+		} else {
+			nd.onResponse(c.Response)
+		}
 	}
 	if c.State != nil {
 		nd.mergeState(*c.State)
 	}
-	if c.Decide != nil {
-		nd.onDecide(*c.Decide)
+	if c.Decide != nil && !nd.decided {
+		nd.decide(c.Decide.Val)
 	}
 	nd.pump()
 }
@@ -376,14 +380,6 @@ func (nd *Node) popState() (StateMsg, bool) {
 
 // ---- Service message handlers ----
 
-func (nd *Node) onLeader(m omega.LeaderMsg) {
-	if nd.det.Hear(m.ID) {
-		nd.onOmegaChange()
-		// A leader update is a change event (Algorithm 3).
-		nd.localChange()
-	}
-}
-
 // onOmegaChange drops the trees the new estimate has overtaken, re-pins
 // the tree queue and resets the fast-path response queue invariants after
 // the leader estimate moved (a new maximum member, a demotion, or a
@@ -431,19 +427,6 @@ func (nd *Node) localChange() {
 	if nd.det.Omega() == nd.id {
 		nd.generateProposal()
 	}
-}
-
-func (nd *Node) onChange(m omega.ChangeMsg) {
-	if nd.det.Notice(m) && nd.det.Omega() == nd.id {
-		nd.generateProposal()
-	}
-}
-
-func (nd *Node) onDecide(m DecideMsg) {
-	if nd.decided {
-		return
-	}
-	nd.decide(m.Val)
 }
 
 // decide decides v and queues the decide flood (which a singleton network
@@ -582,11 +565,11 @@ func (nd *Node) respond(m ProposerMsg) {
 		panic(fmt.Sprintf("wpaxos: unknown proposer message kind %v", m.Kind))
 	}
 	if nd.flood {
-		// No refusals travel: the live number is never below a promise.
+		// No refusal travels: a proposition for the live number is never
+		// below a promise.
 		if r.Positive {
 			nd.routeFlood(floodResp{prop: r.Prop, acceptor: nd.id, prev: r.Prev})
 		}
-		nd.decideIfChosen() // the accepts may have outrun the Propose
 		return
 	}
 	r.Count = 1
@@ -637,10 +620,6 @@ func (nd *Node) enqueueResp(r ResponseMsg) {
 // this node is the addressee but not the proposer, ignore it otherwise.
 // r is the sender's, valid until its ack: what is kept is copied.
 func (nd *Node) onResponse(r *ResponseMsg) {
-	if nd.flood {
-		nd.onFlooded(r)
-		return
-	}
 	if nd.prop.maxTagSeen < r.Committed.Tag {
 		nd.prop.maxTagSeen = r.Committed.Tag
 	}

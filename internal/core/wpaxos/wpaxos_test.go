@@ -397,9 +397,9 @@ func TestOmegaSinceStamped(t *testing.T) {
 
 // TestNewAllocatesLittle pins the table sizing: of the node's tables only
 // the flood transport's heard table is sized up front, one byte per id
-// (1 KB at n=1024), and the rest starts empty (a flooding node was 74 KB at
-// n=128 and over 500 KB at n=1024 when every table was sized for the worst
-// case).
+// (1 KB at n=1024), and the rest starts empty and grows with what the node
+// hears. Tables sized for the worst case cost hundreds of KB per node at
+// n=1024.
 func TestNewAllocatesLittle(t *testing.T) {
 	const n, nodes = 1024, 64
 	for _, tr := range transports {
