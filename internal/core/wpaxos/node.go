@@ -441,9 +441,6 @@ func (nd *Node) decide(v amac.Value) {
 // ---- Proposer flood and acceptor role ----
 
 func (nd *Node) onProposer(m ProposerMsg) {
-	if nd.live.Less(m.Num) {
-		nd.rise(m.Num)
-	}
 	if !nd.admit(m) {
 		return // flood dedup: relay and respond only on first sight
 	}
@@ -477,23 +474,23 @@ func (nd *Node) rise(num ProposalNum) {
 	}
 }
 
-// admit reports whether this node answers and relays m, and marks it
-// seen. The tree transport admits every first sight; the flood transport
-// only those for the live number (admitFlood).
+// admit raises the live number to m's when m's is higher, then reports
+// whether this node answers and relays m, and marks it seen. The tree
+// transport admits every first sight; the flood transport only those for
+// the live number (admitFlood).
 func (nd *Node) admit(m ProposerMsg) bool {
+	if nd.live.Less(m.Num) {
+		nd.rise(m.Num)
+	}
 	if nd.flood {
 		return nd.admitFlood(m)
 	}
-	return nd.firstSight(m.Proposition())
-}
-
-// firstSight reports whether p was never seen before, and marks it seen.
-func (nd *Node) firstSight(p Proposition) bool {
-	if p == nd.lastProp {
+	key := m.Proposition()
+	if key == nd.lastProp {
 		return false
 	}
-	nd.lastProp = p
-	return nd.markSeen(p)
+	nd.lastProp = key
+	return nd.markSeen(key)
 }
 
 // findSeen returns p's position in seenProps, or the position it would be
@@ -781,9 +778,6 @@ func (nd *Node) startProposal() {
 // originate floods one of this node's own proposer messages and runs the
 // local acceptor against it.
 func (nd *Node) originate(m ProposerMsg) {
-	if nd.live.Less(m.Num) {
-		nd.rise(m.Num)
-	}
 	nd.admit(m)
 	if nd.det.Omega() == nd.id {
 		nd.noteLeaderNum(m.Num)
