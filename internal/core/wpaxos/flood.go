@@ -185,7 +185,7 @@ func (nd *Node) onFlooded(r *ResponseMsg) {
 }
 
 // popFlood writes the next pending response of the sticky cycle to r,
-// reporting whether there was one.
+// which pump has zeroed, reporting whether there was one.
 func (nd *Node) popFlood(r *ResponseMsg) bool {
 	f := &nd.fl
 	if len(f.cycle) == 0 {
@@ -196,6 +196,6 @@ func (nd *Node) popFlood(r *ResponseMsg) bool {
 	}
 	e := &f.cycle[f.cur]
 	f.cur++
-	*r = ResponseMsg{Prop: e.prop, Prev: e.prev, Acceptor: e.acceptor}
+	r.Prop, r.Prev, r.Acceptor = e.prop, e.prev, e.acceptor
 	return true
 }

@@ -84,6 +84,10 @@ type Node struct {
 	// — so a proposition survives lossy overlay edges.
 	propQ    ProposerMsg
 	hasPropQ bool
+	// lastProp is the proposition onProposer looked at last: the flood
+	// queue is sticky, so nearly every delivery repeats it and is turned
+	// away without a search.
+	lastProp Proposition
 
 	decideQ    DecideMsg
 	hasDecideQ bool
@@ -110,10 +114,7 @@ type Node struct {
 	tree treeService
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
 	// and doubles as the acceptor's responded-once guard; it only grows.
-	// lastProp is the member looked up last: the flood queue is sticky, so
-	// nearly every delivery repeats it and is answered without a search.
 	seenProps []Proposition // sorted by (number, kind)
-	lastProp  Proposition
 	// maxLeaderNum is the largest proposal number seen from the current
 	// leader; the fast-path response queue is pruned against it.
 	maxLeaderNum ProposalNum
@@ -441,6 +442,13 @@ func (nd *Node) decide(v amac.Value) {
 // ---- Proposer flood and acceptor role ----
 
 func (nd *Node) onProposer(m ProposerMsg) {
+	// The proposition flood is sticky, so nearly every delivery repeats
+	// the last proposition looked at, which is never admitted twice.
+	key := m.Proposition()
+	if key == nd.lastProp {
+		return
+	}
+	nd.lastProp = key
 	if !nd.admit(m) {
 		return // flood dedup: relay and respond only on first sight
 	}
@@ -485,12 +493,7 @@ func (nd *Node) admit(m ProposerMsg) bool {
 	if nd.flood {
 		return nd.admitFlood(m)
 	}
-	key := m.Proposition()
-	if key == nd.lastProp {
-		return false
-	}
-	nd.lastProp = key
-	return nd.markSeen(key)
+	return nd.markSeen(m.Proposition())
 }
 
 // findSeen returns p's position in seenProps, or the position it would be
