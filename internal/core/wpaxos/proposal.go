@@ -160,9 +160,10 @@
 //     seenProps, respQ, chosen, the two tallies and the flood transport's
 //     tables keep their storage. A table keeps it only when the last run
 //     left it at least half full (amac.Reuse; the bitset and the heard
-//     table, whose size n fixes, while they fit: amac.ReuseSized), so a slot's storage follows its last run instead
-//     of ratcheting to the largest. On decide_expander4096 this took a warm
-//     op from 42 MB allocated to about 8 MB, every execution unchanged
+//     table, whose size n fixes, while they fit: amac.ReuseSized), so a
+//     slot's storage follows its last run instead of ratcheting to the
+//     largest. On decide_expander4096 this took a warm op from 42 MB
+//     allocated to about 8 MB, every execution unchanged
 //     (TestRecycledNodesMatchFresh).
 //
 // Dense 0..n-1 slices for dist, parent and state — the obvious

@@ -81,11 +81,11 @@ type Classifier func(amac.Message) Phase
 // PhaseOther — the breakdown still sums to the decide time, it just
 // carries no per-phase detail.
 //
-// For wPAXOS, under either response transport, the priority order matters: a
-// combined broadcast multiplexes one message per service queue, and the
-// most information-bearing constituent wins — a decide flood outranks
-// everything, acceptor responses / gossiped acceptor state (the counting
-// machinery) outrank the proposition flood, which outranks the
+// For wPAXOS, under either response transport, the priority order
+// matters: a combined broadcast multiplexes one message per service queue,
+// and the most information-bearing constituent wins — a decide flood
+// outranks everything, acceptor responses / gossiped acceptor state (the
+// counting machinery) outrank the proposition flood, which outranks the
 // always-present election/membership gossip.
 func ClassifierFor(algo string) Classifier {
 	switch algo {
