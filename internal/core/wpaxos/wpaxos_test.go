@@ -298,20 +298,22 @@ func TestEdgeOrderAdversary(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
-	for _, f := range []func(){
-		func() { newNode(2, Config{N: 3}) },
-		func() { NewFactory(Config{N: 0}) },
-		func() { newNode(2, Config{N: 3, Flood: true}) },
-		func() { NewFactory(Config{N: 0, Flood: true}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			for _, f := range []func(){
+				func() { newNode(2, Config{N: 3, Flood: tr.flood}) },
+				func() { NewFactory(Config{N: 0, Flood: tr.flood}) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("expected panic")
+						}
+					}()
+					f()
+				}()
+			}
+		})
 	}
 }
 
