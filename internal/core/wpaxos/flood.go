@@ -74,11 +74,12 @@ type floodRelay struct {
 }
 
 // floodResp is one acceptor's answer to one proposition, as the cycle
-// stores it; pump puts it on the wire as a ResponseMsg.
+// stores it; pump puts it on the wire as a ResponseMsg. Every entry answers
+// a proposition for the live number, so the entry keeps only its kind.
 type floodResp struct {
-	prop     Proposition
 	acceptor amac.NodeID
 	prev     *Proposal
+	kind     PropKind
 }
 
 // heardBit is the bit of a heard entry that records an answer to a
@@ -125,7 +126,7 @@ func (nd *Node) admitFlood(m ProposerMsg) bool {
 	f.proposed, f.val = true, m.Val
 	kept := f.cycle[:0]
 	for _, r := range f.cycle {
-		if r.prop.Kind == Propose {
+		if r.kind == Propose {
 			kept = append(kept, r)
 		}
 	}
@@ -134,23 +135,23 @@ func (nd *Node) admitFlood(m ProposerMsg) bool {
 	return true
 }
 
-// routeFlood drops a dead response, dedups a live one against the heard
-// table, tallies it, and queues it for the sticky relay unless this node
-// is the proposer it was travelling to.
-func (nd *Node) routeFlood(r floodResp) {
+// routeFlood drops a dead response to a proposition numbered num, dedups a
+// live one against the heard table, tallies it, and queues it for the
+// sticky relay unless this node is the proposer it was travelling to.
+func (nd *Node) routeFlood(num ProposalNum, r floodResp) {
 	f := &nd.fl
-	if r.prop.Num != nd.live || f.proposed && r.prop.Kind == Prepare {
+	if num != nd.live || f.proposed && r.kind == Prepare {
 		nd.met.superseded.Inc()
 		return
 	}
-	if !f.markHeard(r.prop.Kind, r.acceptor) {
+	if !f.markHeard(r.kind, r.acceptor) {
 		return
 	}
 	nd.det.Novel(nd.api.Now())
-	if r.prop.Num.ID != nd.id {
+	if num.ID != nd.id {
 		f.cycle = append(f.cycle, r)
 	}
-	if r.prop.Kind == Propose {
+	if r.kind == Propose {
 		f.accepts++
 		nd.decideIfChosen()
 		return
@@ -181,11 +182,12 @@ func (nd *Node) onFlooded(r *ResponseMsg) {
 	if nd.live.Less(r.Prop.Num) {
 		nd.rise(r.Prop.Num)
 	}
-	nd.routeFlood(floodResp{prop: r.Prop, acceptor: r.Acceptor, prev: r.Prev})
+	nd.routeFlood(r.Prop.Num, floodResp{acceptor: r.Acceptor, prev: r.Prev, kind: r.Prop.Kind})
 }
 
 // popFlood writes the next pending response of the sticky cycle to r,
-// which pump has zeroed, reporting whether there was one.
+// which pump has zeroed, reporting whether there was one. Its proposition
+// is the entry's kind for the live number.
 func (nd *Node) popFlood(r *ResponseMsg) bool {
 	f := &nd.fl
 	if len(f.cycle) == 0 {
@@ -196,6 +198,6 @@ func (nd *Node) popFlood(r *ResponseMsg) bool {
 	}
 	e := &f.cycle[f.cur]
 	f.cur++
-	r.Prop, r.Prev, r.Acceptor = e.prop, e.prev, e.acceptor
+	r.Prop, r.Prev, r.Acceptor = Proposition{Kind: e.kind, Num: nd.live}, e.prev, e.acceptor
 	return true
 }

@@ -56,10 +56,11 @@ func TestHeardMatchesMapOracle(t *testing.T) {
 // proposers duelling while Ω settles, then the winner's two phases — and
 // checks the relay invariant on a node before each of its handlers runs,
 // and on every node at the end: so after every handler. The pending cycle
-// holds only responses to the node's live number, never a Prepare response
-// once the Propose was seen, and at most 2n of them; and the live number is
-// no lower than any proposal number the node was ever sent, tracked here
-// from the messages alone.
+// holds never a Prepare response once the Propose was seen, and at most 2n
+// responses; every response a node broadcasts is to its live number (the
+// entries hold no number: pump stamps the live one); and the live number
+// is no lower than any proposal number the node was ever sent, tracked
+// here from the messages alone.
 func TestRelayInvariant(t *testing.T) {
 	const n = 32
 	g := graph.Expander(n, 4, 1)
@@ -89,12 +90,16 @@ func TestRelayInvariant(t *testing.T) {
 				t.Fatalf("seed %d t=%d node %d: %d pending responses, want <= 2n = %d", seed, at, i, len(nd.fl.cycle), 2*n)
 			}
 			for _, r := range nd.fl.cycle {
-				if r.prop.Num != nd.live {
-					t.Fatalf("seed %d t=%d node %d: pending response to %v, live number is %v", seed, at, i, r.prop, nd.live)
+				if r.kind == Prepare && proposed[i] == nd.live {
+					t.Fatalf("seed %d t=%d node %d: pending response to %v after its Propose was seen", seed, at, i,
+						Proposition{Kind: r.kind, Num: nd.live})
 				}
-				if r.prop.Kind == Prepare && proposed[i] == nd.live {
-					t.Fatalf("seed %d t=%d node %d: pending response to %v after its Propose was seen", seed, at, i, r.prop)
-				}
+			}
+		}
+		// sentResp checks what pump puts on the wire, as it goes out.
+		sentResp := func(i int, at int64, c *Combined) {
+			if r := c.Response; r != nil && r.Prop.Num != nodes[i].live {
+				t.Fatalf("seed %d t=%d node %d: broadcast a response to %v, live number is %v", seed, at, i, r.Prop, nodes[i].live)
 			}
 		}
 		res := sim.Run(sim.Config{
@@ -112,6 +117,8 @@ func TestRelayInvariant(t *testing.T) {
 				switch ev.Kind {
 				case sim.EventDeliver, sim.EventAck:
 					check(ev.Node, ev.Time)
+				case sim.EventBroadcast:
+					sentResp(ev.Node, ev.Time, ev.Message.(*Combined))
 				}
 				if ev.Kind == sim.EventDeliver || ev.Kind == sim.EventBroadcast {
 					note(ev.Node, ev.Message.(*Combined))

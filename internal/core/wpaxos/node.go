@@ -3,6 +3,7 @@ package wpaxos
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/metrics"
@@ -26,22 +27,34 @@ type Config struct {
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
 // given configuration. A node the engine hands back (amac.NodeConfig.Prev)
 // is re-armed in place, keeping its struct, its broadcast message and its
-// tables' storage from the previous run; any other call re-arms a zero
-// node (package comment, "Per-node state and the n² budget"). Within a
+// tables' storage from the previous run; any other call arms a new node
+// (package comment, "Per-node state and the n² budget"). Within a
 // run, what a node recycles is its one broadcast message, refilled at the
 // next pump: at most one is in flight, and after its ack no handler is
-// reading it.
+// reading it. The factory registers the metric handles once per registry
+// and hands every node of the run the same set.
 func NewFactory(cfg Config) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
+	// The last registry seen and its handles, in one allocation.
+	last := &struct {
+		sync.Mutex // a factory may serve several engines at once
+		reg        *metrics.Registry
+		met        *nodeMetrics
+	}{met: &noMetrics}
 	return func(nc amac.NodeConfig) amac.Algorithm {
 		nd, ok := nc.Prev.(*Node)
 		if !ok {
-			nd = new(Node)
+			nd = allocNode(cfg.Flood)
 		}
 		nd.arm(nc.Input, cfg)
-		nd.instrument(nc.Metrics)
+		last.Lock()
+		if nc.Metrics != last.reg {
+			last.reg, last.met = nc.Metrics, newNodeMetrics(nc.Metrics, cfg.Flood)
+		}
+		nd.mreg, nd.met = nc.Metrics, last.met
+		last.Unlock()
 		return nd
 	}
 }
@@ -57,11 +70,10 @@ type chosenTally struct {
 
 // Node is one wPAXOS participant: the suspicion-based Ω detector, the
 // PAXOS proposer and acceptor roles, the proposer flood and the decide
-// flood, and one of two response transports, whose state follows the
-// shared fields: the flood transport's (fl, flood.go), then the tree
-// transport's — the tree service, the send-once aggregated response queue
-// and its loss-proof fallback, the gossiped acceptor states with the
-// chosen-value watch.
+// flood, and one of two response transports. The flood transport's state
+// (fl, flood.go) is inline; the tree transport's sits behind tr, which only
+// a node armed for a tree run allocates and which re-arms keep. The metric
+// handles (met) are the run's, shared by every node.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
@@ -96,12 +108,12 @@ type Node struct {
 	decision   amac.Value
 
 	// mreg is the metrics registry handed down by the substrate (nil when
-	// metrics are off); met holds the node's counter handles (zero =
+	// metrics are off); met holds the run's counter handles (zero =
 	// disabled). propSent marks the sticky proposer queue entry as having
 	// been broadcast at least once, so retransmissions can be told apart
 	// from first sends.
 	mreg     *metrics.Registry
-	met      nodeMetrics
+	met      *nodeMetrics
 	propSent bool
 
 	// msg is the one message the node ever broadcasts, refilled by every
@@ -110,7 +122,13 @@ type Node struct {
 	msg *Combined
 
 	fl floodRelay
+	tr *treeTransport // nil for a node that never served a tree run
+}
 
+// treeTransport is the tree transport's own state: the tree service, the
+// send-once aggregated response queue and its loss-proof fallback, the
+// gossiped acceptor states with the chosen-value watch.
+type treeTransport struct {
 	tree treeService
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
 	// and doubles as the acceptor's responded-once guard; it only grows.
@@ -152,12 +170,34 @@ type Node struct {
 	routeSince int64
 }
 
+// treeNode is how NewFactory allocates a node for a tree run: the node with
+// its tree state beside it.
+type treeNode struct {
+	Node
+	tree treeTransport
+}
+
+// allocNode returns a zero node for the given transport. A tree node and
+// its tree state share one allocation, so a delivery finds both in
+// neighbouring cache lines.
+func allocNode(flood bool) *Node {
+	if flood {
+		return new(Node)
+	}
+	tn := new(treeNode)
+	tn.tr = &tn.tree
+	return &tn.Node
+}
+
 // arm makes nd — a zero Node or one a finished run left — the unstarted
 // node for the given binary input: every field as a fresh node has it,
 // except the storage of its message and tables, which it keeps when the
-// last run filled them enough (amac.Reuse). The paper restricts consensus
-// to binary inputs because that strengthens its lower bounds; the
-// algorithm itself carries any value unchanged (TestMultivaluedConsensus).
+// last run filled them enough (amac.Reuse). A node armed for a tree run
+// without tree state gets it here; a node keeps its tree state through
+// later re-arms, flood runs included, each re-arm resetting it. The paper
+// restricts consensus to binary inputs because that strengthens its lower
+// bounds; the algorithm itself carries any value unchanged
+// (TestMultivaluedConsensus).
 func (nd *Node) arm(input amac.Value, cfg Config) {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("wpaxos: input %d is not binary", input))
@@ -173,22 +213,31 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 	if cfg.Flood {
 		fl.heard = amac.ReuseSized(nd.fl.heard, cfg.N+1)
 	}
+	tr := nd.tr
+	if tr != nil {
+		*tr = treeTransport{
+			tree:      treeService{ents: amac.Reuse(tr.tree.ents), queue: amac.Reuse(tr.tree.queue)},
+			seenProps: amac.Reuse(tr.seenProps),
+			respQ:     amac.Reuse(tr.respQ),
+			states:    amac.Reuse(tr.states),
+			chosen:    amac.Reuse(tr.chosen),
+			gossAcks:  amac.Reuse(tr.gossAcks),
+			gossNacks: amac.Reuse(tr.gossNacks),
+		}
+	} else if !cfg.Flood {
+		tr = new(treeTransport)
+	}
 	*nd = Node{
 		n: cfg.N, input: input, audit: cfg.Audit, flood: cfg.Flood, msg: msg,
-		det:       nd.det, // Start re-initializes it, keeping its tables
-		tree:      treeService{ents: amac.Reuse(nd.tree.ents), queue: amac.Reuse(nd.tree.queue)},
-		seenProps: amac.Reuse(nd.seenProps),
-		respQ:     amac.Reuse(nd.respQ),
-		states:    amac.Reuse(nd.states),
-		chosen:    amac.Reuse(nd.chosen),
-		gossAcks:  amac.Reuse(nd.gossAcks),
-		gossNacks: amac.Reuse(nd.gossNacks),
-		fl:        fl,
+		det: nd.det, // Start re-initializes it, keeping its tables
+		fl:  fl,
+		tr:  tr,
 	}
 }
 
 // nodeMetrics is the wPAXOS node's counter set. All nodes of a run share
-// the slots (registration dedups by name), so values are network totals.
+// one (registration dedups by name, so the handles would be equal anyway),
+// and values are network totals.
 type nodeMetrics struct {
 	proposals   metrics.Counter // proposal numbers started
 	retries     metrics.Counter // proposals abandoned after a nack majority
@@ -202,26 +251,32 @@ type nodeMetrics struct {
 	seenProps    metrics.Gauge // propositions seen (never purged)
 }
 
-// instrument registers the node's metric slots against r (nil-safe) and
-// stashes the registry so Start can instrument the failure detector too.
-// The flood transport's counters are named apart, so a sweep reports the
-// two transports' cells under their own names.
-func (nd *Node) instrument(r *metrics.Registry) {
-	nd.mreg = r
-	if nd.flood {
-		nd.met = nodeMetrics{
+// noMetrics is the disabled handle set, shared by every node of every run
+// without a registry.
+var noMetrics nodeMetrics
+
+// newNodeMetrics registers a run's metric slots against r. The flood
+// transport's counters are named apart, so a sweep reports the two
+// transports' cells under their own names.
+func newNodeMetrics(r *metrics.Registry, flood bool) *nodeMetrics {
+	if r == nil {
+		return &noMetrics
+	}
+	if flood {
+		return &nodeMetrics{
 			proposals: r.Counter("flood_proposals"), retries: r.Counter("flood_retries"),
 			retransmits: r.Counter("flood_retransmits"), superseded: r.Counter("flood_superseded"),
 		}
-		return
 	}
-	nd.met.proposals = r.Counter("wpaxos_proposals")
-	nd.met.retries = r.Counter("wpaxos_retries")
-	nd.met.nacks = r.Counter("wpaxos_nacks")
-	nd.met.retransmits = r.Counter("wpaxos_retransmits")
-	nd.met.treeRoots = r.Gauge("wpaxos_tree_roots")
-	nd.met.stateOrigins = r.Gauge("wpaxos_state_origins")
-	nd.met.seenProps = r.Gauge("wpaxos_seen_props")
+	return &nodeMetrics{
+		proposals:    r.Counter("wpaxos_proposals"),
+		retries:      r.Counter("wpaxos_retries"),
+		nacks:        r.Counter("wpaxos_nacks"),
+		retransmits:  r.Counter("wpaxos_retransmits"),
+		treeRoots:    r.Gauge("wpaxos_tree_roots"),
+		stateOrigins: r.Gauge("wpaxos_state_origins"),
+		seenProps:    r.Gauge("wpaxos_seen_props"),
+	}
 }
 
 // Start implements amac.Algorithm.
@@ -230,7 +285,7 @@ func (nd *Node) Start(api amac.API) {
 	nd.id = api.ID()
 	nd.det.Init(api, nd.n, nd.mreg)
 	if !nd.flood {
-		nd.tree.init(nd.id)
+		nd.tr.tree.init(nd.id)
 	}
 	if nd.n == 1 {
 		// A singleton network has no peers to talk to; decide directly
@@ -332,13 +387,14 @@ func (nd *Node) pump() {
 				c.Response = &c.buf.response
 			}
 		} else {
-			if c.buf.search, ok = nd.tree.pop(nd.det.Fired()); ok {
+			t := nd.tr
+			if c.buf.search, ok = t.tree.pop(nd.det.Fired()); ok {
 				c.Search = &c.buf.search
 			}
-			if c.buf.response, ok = nd.popResp(); ok {
+			if c.buf.response, ok = t.popResp(); ok {
 				c.Response = &c.buf.response
 			}
-			if c.buf.state, ok = nd.popState(); ok {
+			if c.buf.state, ok = t.popState(); ok {
 				c.State = &c.buf.state
 			}
 		}
@@ -350,15 +406,15 @@ func (nd *Node) pump() {
 
 // popResp removes the first relayable response (one whose next hop toward
 // the proposer is known) and stamps its destination at send time.
-func (nd *Node) popResp() (ResponseMsg, bool) {
-	for i := range nd.respQ {
-		parent := nd.tree.parentTo(nd.respQ[i].Prop.Num.ID)
+func (t *treeTransport) popResp() (ResponseMsg, bool) {
+	for i := range t.respQ {
+		parent := t.tree.parentTo(t.respQ[i].Prop.Num.ID)
 		if parent == amac.NoID {
 			continue
 		}
-		r := nd.respQ[i]
+		r := t.respQ[i]
 		r.Dest = parent
-		nd.respQ = append(nd.respQ[:i], nd.respQ[i+1:]...)
+		t.respQ = append(t.respQ[:i], t.respQ[i+1:]...)
 		return r, true
 	}
 	return ResponseMsg{}, false
@@ -367,15 +423,15 @@ func (nd *Node) popResp() (ResponseMsg, bool) {
 // popState returns the next acceptor state in the gossip cycle: each is
 // re-broadcast until superseded in place by newer state from its origin,
 // or dropped by purgeStates.
-func (nd *Node) popState() (StateMsg, bool) {
-	if len(nd.states) == 0 {
+func (t *treeTransport) popState() (StateMsg, bool) {
+	if len(t.states) == 0 {
 		return StateMsg{}, false
 	}
-	if nd.stateCur >= len(nd.states) {
-		nd.stateCur = 0
+	if t.stateCur >= len(t.states) {
+		t.stateCur = 0
 	}
-	st := nd.states[nd.stateCur]
-	nd.stateCur++
+	st := t.states[t.stateCur]
+	t.stateCur++
 	return st, true
 }
 
@@ -389,14 +445,15 @@ func (nd *Node) onOmegaChange() {
 	if nd.flood {
 		return
 	}
-	nd.tree.purge(nd.det.Omega())
+	t := nd.tr
+	t.tree.purge(nd.det.Omega())
 	// OnLeaderChange (Algorithm 4): re-pin the tree queue.
-	nd.tree.prioritize(nd.det.Omega())
+	t.tree.prioritize(nd.det.Omega())
 	// The fast-path response queue only ever holds material for the
 	// current leader (Section 4.2.1 queue invariants); responses to
 	// other proposers travel as state gossip instead.
-	nd.maxLeaderNum = ProposalNum{}
-	nd.respQ = nd.respQ[:0]
+	t.maxLeaderNum = ProposalNum{}
+	t.respQ = t.respQ[:0]
 }
 
 func (nd *Node) onSearch(m SearchMsg) {
@@ -408,17 +465,18 @@ func (nd *Node) onSearch(m SearchMsg) {
 	if m.Root < leader || nd.det.Suspects(m.Root) {
 		return
 	}
-	if !nd.tree.receive(m, leader) {
+	t := nd.tr
+	if !t.tree.receive(m, leader) {
 		return
 	}
-	nd.met.treeRoots.Set(int64(len(nd.tree.ents)))
+	nd.met.treeRoots.Set(int64(len(t.tree.ents)))
 	nd.det.Novel(nd.api.Now())
 	// Only improvements of the distance to the *current leader* are
 	// change events; see the package comment for why this reading of
 	// Algorithm 3's "Omega_u or dist_u updated" is the one that yields
 	// the paper's O(D*Fack) global stabilization time.
 	if m.Root == nd.det.Omega() {
-		nd.routeSince = nd.api.Now()
+		t.routeSince = nd.api.Now()
 		nd.localChange()
 	}
 }
@@ -498,8 +556,8 @@ func (nd *Node) admit(m ProposerMsg) bool {
 
 // findSeen returns p's position in seenProps, or the position it would be
 // inserted at.
-func (nd *Node) findSeen(p Proposition) (int, bool) {
-	s := nd.seenProps
+func (t *treeTransport) findSeen(p Proposition) (int, bool) {
+	s := t.seenProps
 	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -514,10 +572,11 @@ func (nd *Node) findSeen(p Proposition) (int, bool) {
 
 // markSeen adds p to seenProps, reporting whether this is its first sight.
 func (nd *Node) markSeen(p Proposition) bool {
-	i, found := nd.findSeen(p)
+	t := nd.tr
+	i, found := t.findSeen(p)
 	if !found {
-		nd.seenProps = slices.Insert(nd.seenProps, i, p)
-		nd.met.seenProps.Set(int64(len(nd.seenProps)))
+		t.seenProps = slices.Insert(t.seenProps, i, p)
+		nd.met.seenProps.Set(int64(len(t.seenProps)))
 	}
 	return !found
 }
@@ -525,16 +584,16 @@ func (nd *Node) markSeen(p Proposition) bool {
 // noteLeaderNum updates the largest proposal number seen from the current
 // leader and prunes the fast-path response queue accordingly (queue
 // invariant (2)).
-func (nd *Node) noteLeaderNum(num ProposalNum) {
-	if nd.maxLeaderNum.Less(num) {
-		nd.maxLeaderNum = num
-		kept := nd.respQ[:0]
-		for _, r := range nd.respQ {
+func (t *treeTransport) noteLeaderNum(num ProposalNum) {
+	if t.maxLeaderNum.Less(num) {
+		t.maxLeaderNum = num
+		kept := t.respQ[:0]
+		for _, r := range t.respQ {
 			if !r.Prop.Num.Less(num) {
 				kept = append(kept, r)
 			}
 		}
-		nd.respQ = kept
+		t.respQ = kept
 	}
 }
 
@@ -568,7 +627,7 @@ func (nd *Node) respond(m ProposerMsg) {
 		// No refusal travels: a proposition for the live number is never
 		// below a promise.
 		if r.Positive {
-			nd.routeFlood(floodResp{prop: r.Prop, acceptor: nd.id, prev: r.Prev})
+			nd.routeFlood(m.Num, floodResp{acceptor: nd.id, prev: r.Prev, kind: m.Kind})
 		}
 		return
 	}
@@ -586,7 +645,7 @@ func (nd *Node) respond(m ProposerMsg) {
 		return
 	}
 	if m.Num.ID == nd.det.Omega() {
-		nd.noteLeaderNum(m.Num)
+		nd.tr.noteLeaderNum(m.Num)
 		nd.enqueueResp(r)
 	}
 }
@@ -599,12 +658,13 @@ func (nd *Node) enqueueResp(r ResponseMsg) {
 	if r.Prop.Num.ID != nd.det.Omega() {
 		return // queue invariant (1)
 	}
-	if r.Prop.Num.Less(nd.maxLeaderNum) {
+	t := nd.tr
+	if r.Prop.Num.Less(t.maxLeaderNum) {
 		return // queue invariant (2): stale proposition
 	}
-	nd.noteLeaderNum(r.Prop.Num)
-	for i := range nd.respQ {
-		q := &nd.respQ[i]
+	t.noteLeaderNum(r.Prop.Num)
+	for i := range t.respQ {
+		q := &t.respQ[i]
 		if q.Prop == r.Prop && q.Positive == r.Positive {
 			q.Count += r.Count
 			q.Prev = maxPrev(q.Prev, r.Prev)
@@ -612,7 +672,7 @@ func (nd *Node) enqueueResp(r ResponseMsg) {
 			return
 		}
 	}
-	nd.respQ = append(nd.respQ, r)
+	t.respQ = append(t.respQ, r)
 }
 
 // onResponse handles an incoming fast-path response: consume it when this
@@ -660,14 +720,15 @@ func (nd *Node) countable(st *StateMsg) bool {
 // whatever it says: acceptors must not forget their promises, and this
 // entry is how the rest of the network hears of them.
 func (nd *Node) purgeStates() {
-	kept := nd.states[:0]
-	for i := range nd.states { // in place: countable sees the stored entry, nothing is copied out
-		if st := &nd.states[i]; st.Origin == nd.id || nd.countable(st) {
+	t := nd.tr
+	kept := t.states[:0]
+	for i := range t.states { // in place: countable sees the stored entry, nothing is copied out
+		if st := &t.states[i]; st.Origin == nd.id || nd.countable(st) {
 			kept = append(kept, *st)
 		}
 	}
-	clear(nd.states[len(kept):]) // let go of the dropped entries' acceptances
-	nd.states = kept
+	clear(t.states[len(kept):]) // let go of the dropped entries' acceptances
+	t.states = kept
 }
 
 // findState returns the position of origin's entry in the gossip table,
@@ -675,16 +736,17 @@ func (nd *Node) purgeStates() {
 // past countable comes through here, so the search is written out:
 // slices.BinarySearchFunc is not inlined and calls its comparison through
 // a pointer with a 32-byte StateMsg copied in.
-func (nd *Node) findState(origin amac.NodeID) (int, bool) {
-	lo, hi := 0, len(nd.states)
+func (t *treeTransport) findState(origin amac.NodeID) (int, bool) {
+	s := t.states
+	lo, hi := 0, len(s)
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); nd.states[mid].Origin < origin {
+		if mid := int(uint(lo+hi) >> 1); s[mid].Origin < origin {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(nd.states) && nd.states[lo].Origin == origin
+	return lo, lo < len(s) && s[lo].Origin == origin
 }
 
 // mergeState merges a gossiped acceptor state: newer state per origin
@@ -695,13 +757,14 @@ func (nd *Node) mergeState(st StateMsg) {
 	if st.Origin != nd.id && !nd.countable(&st) {
 		return
 	}
-	i, found := nd.findState(st.Origin)
+	t := nd.tr
+	i, found := t.findState(st.Origin)
 	switch {
 	case !found:
-		nd.states = slices.Insert(nd.states, i, st)
-		nd.met.stateOrigins.Set(int64(len(nd.states)))
-	case st.Newer(nd.states[i]):
-		nd.states[i] = st
+		t.states = slices.Insert(t.states, i, st)
+		nd.met.stateOrigins.Set(int64(len(t.states)))
+	case st.Newer(t.states[i]):
+		t.states[i] = st
 	default:
 		return // retransmission or stale: not novel
 	}
@@ -716,16 +779,17 @@ func (nd *Node) mergeState(st StateMsg) {
 // acceptors having accepted the same proposal means its value is chosen
 // (the PAXOS chosen condition); any observer may decide it.
 func (nd *Node) tallyChosen(p Proposal, origin amac.NodeID) {
+	chosen := nd.tr.chosen
 	i := 0
-	for i < len(nd.chosen) && nd.chosen[i].num != p.Num {
+	for i < len(chosen) && chosen[i].num != p.Num {
 		i++
 	}
-	if i == len(nd.chosen) {
-		nd.chosen = append(nd.chosen, chosenTally{num: p.Num, val: p.Val})
+	if i == len(chosen) {
+		nd.tr.chosen = append(chosen, chosenTally{num: p.Num, val: p.Val})
 	}
-	t := &nd.chosen[i]
-	if t.by.Add(origin) && !nd.decided && 2*len(t.by) > nd.n {
-		nd.decide(t.val)
+	c := &nd.tr.chosen[i]
+	if c.by.Add(origin) && !nd.decided && 2*len(c.by) > nd.n {
+		nd.decide(c.val)
 	}
 }
 
@@ -737,18 +801,18 @@ func (nd *Node) countState(st StateMsg) {
 	if nd.decided || nd.prop.phase == propIdle {
 		return
 	}
-	num := nd.prop.num
+	num, t := nd.prop.num, nd.tr
 	// An origin committed past our number will never answer it positively.
-	if num.Less(st.Promised) && nd.gossNacks.Add(st.Origin) && 2*len(nd.gossNacks) > nd.n {
+	if num.Less(st.Promised) && t.gossNacks.Add(st.Origin) && 2*len(t.gossNacks) > nd.n {
 		nd.retry()
 		return
 	}
 	// Acceptances of num are not tallied here: mergeState hands every one
 	// to the chosen-value watch first, which counts the same origins and
 	// decides at the same majority.
-	if nd.prop.phase == propPreparing && st.Promised == num && nd.gossAcks.Add(st.Origin) {
+	if nd.prop.phase == propPreparing && st.Promised == num && t.gossAcks.Add(st.Origin) {
 		nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
-		if 2*len(nd.gossAcks) > nd.n {
+		if 2*len(t.gossAcks) > nd.n {
 			nd.beginPropose()
 		}
 	}
@@ -774,16 +838,25 @@ func (nd *Node) startProposal() {
 	nd.prop.phase = propPreparing
 	nd.prop.acks, nd.prop.nacks = 0, 0
 	nd.prop.bestPrev = nil
-	nd.gossAcks, nd.gossNacks = nd.gossAcks[:0], nd.gossNacks[:0]
+	nd.resetTallies()
 	nd.originate(ProposerMsg{Kind: Prepare, Num: nd.prop.num})
+}
+
+// resetTallies empties the gossip tallies for the proposer's next phase.
+// The flood transport has none: it counts in its relay.
+func (nd *Node) resetTallies() {
+	if !nd.flood {
+		t := nd.tr
+		t.gossAcks, t.gossNacks = t.gossAcks[:0], t.gossNacks[:0]
+	}
 }
 
 // originate floods one of this node's own proposer messages and runs the
 // local acceptor against it.
 func (nd *Node) originate(m ProposerMsg) {
 	nd.admit(m)
-	if nd.det.Omega() == nd.id {
-		nd.noteLeaderNum(m.Num)
+	if !nd.flood && nd.det.Omega() == nd.id {
+		nd.tr.noteLeaderNum(m.Num)
 	}
 	nd.enqueueProp(m)
 	nd.respond(m)
@@ -845,7 +918,7 @@ func (nd *Node) consumeResponse(r ResponseMsg) {
 func (nd *Node) beginPropose() {
 	nd.prop.phase = propProposing
 	nd.prop.acks, nd.prop.nacks = 0, 0
-	nd.gossAcks, nd.gossNacks = nd.gossAcks[:0], nd.gossNacks[:0]
+	nd.resetTallies()
 	if nd.prop.bestPrev != nil {
 		nd.prop.value = nd.prop.bestPrev.Val
 	} else {
@@ -876,7 +949,10 @@ func (nd *Node) retry() {
 // Inspect implements amac.Inspector; a node that never started has no Ω.
 func (nd *Node) Inspect() amac.View {
 	v := amac.View{Decided: nd.decided, Decision: nd.decision, Omega: amac.NoID,
-		RouteSince: nd.routeSince, Promised: amac.Ballot(nd.acc.promised), MaxTag: nd.prop.maxTagSeen}
+		Promised: amac.Ballot(nd.acc.promised), MaxTag: nd.prop.maxTagSeen}
+	if nd.tr != nil {
+		v.RouteSince = nd.tr.routeSince
+	}
 	if nd.api != nil {
 		v.Omega, v.OmegaSince = nd.det.Omega(), nd.det.OmegaSince()
 	}
@@ -890,8 +966,12 @@ func (nd *Node) Inspect() amac.View {
 // its tree service tracks, the origins in its state gossip table and the
 // propositions it has seen (the one never purged). The wpaxos_tree_roots,
 // wpaxos_state_origins and wpaxos_seen_props gauges carry their high-water marks.
+// They are the tree transport's; a flood node reports zeros.
 func (nd *Node) WorkingSet() (treeRoots, stateOrigins, seenProps int) {
-	return len(nd.tree.ents), len(nd.states), len(nd.seenProps)
+	if t := nd.tr; t != nil {
+		return len(t.tree.ents), len(t.states), len(t.seenProps)
+	}
+	return 0, 0, 0
 }
 
 var (

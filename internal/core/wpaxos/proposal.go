@@ -86,6 +86,21 @@
 //     sender's ack, after which the sender — who owns exactly one message,
 //     one broadcast being in flight at a time — refills it, so neither
 //     sending nor receiving allocates in steady state.
+//   - What a node is made of: the shared fields, the Ω detector by value
+//     and the state of the one transport its run uses. The flood relay is
+//     inline; the tree transport's tables sit behind one pointer
+//     (Node.tr), and a flood node has none. A fresh tree node is allocated
+//     with its 248-byte tree state beside it (treeNode, the 1 024-byte
+//     size class), so a delivery finds both in neighbouring cache lines;
+//     a flood node re-armed for a tree run allocates the tree state then.
+//     The metric handles are one set per run, shared by its nodes, and a
+//     run without metrics shares a package-level zero set. A relay entry
+//     keeps an acceptor, its previous proposal and a kind — no proposal
+//     number, since every entry answers the live number and pump stamps it
+//     on the way out — so it is 24 B. A flood node is 696 B (the 704-byte
+//     size class); one node carrying both transports' fields and its own
+//     handles was 1 056 B (the 1 152-byte class). TestNodeLayout pins the
+//     sizes.
 //   - Rule 1, trees: a root is tracked only while it can be this node's
 //     leader estimate. A <search> for a root below Ω, or for a suspected
 //     root, is dropped before any lookup and is not novel to the detector
@@ -156,15 +171,16 @@
 //   - Across runs nothing is rebuilt. Engine.Reset hands each slot's node
 //     back to NewFactory (amac.NodeConfig.Prev), which re-arms it in
 //     place: every field as a fresh node has it, while the struct, its
-//     *Combined, the detector's bitset and sets, the tree, states,
-//     seenProps, respQ, chosen, the two tallies and the flood transport's
-//     tables keep their storage. A table keeps it only when the last run
-//     left it at least half full (amac.Reuse; the bitset and the heard
-//     table, whose size n fixes, while they fit: amac.ReuseSized), so a
-//     slot's storage follows its last run instead of ratcheting to the
-//     largest. On decide_expander4096 this took a warm op from 42 MB
-//     allocated to about 8 MB, every execution unchanged
-//     (TestRecycledNodesMatchFresh).
+//     *Combined, the detector's bitset and sets, the tree transport's
+//     state (its struct, kept through flood runs too, and the tree,
+//     states, seenProps, respQ, chosen and the two tallies) and the flood
+//     transport's tables keep their storage. A table keeps it only when
+//     the last run left it at least half full (amac.Reuse; the bitset and
+//     the heard table, whose size n fixes, while they fit:
+//     amac.ReuseSized), so a slot's storage follows its last run instead
+//     of ratcheting to the largest. On decide_expander4096 this took a
+//     warm op from 42 MB allocated to about 8 MB, every execution
+//     unchanged (TestRecycledNodesMatchFresh).
 //
 // Dense 0..n-1 slices for dist, parent and state — the obvious
 // alternative when ids are dense — stay rejected on arithmetic (8 B ×

@@ -60,7 +60,7 @@ func TestSeenPropsMatchMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, u := range treeIDUniverses(rng) {
-			var nd Node // markSeen needs nothing started: the gauge handle is off
+			nd := Node{met: &noMetrics, tr: new(treeTransport)} // markSeen needs nothing started
 			want := map[Proposition]bool{}
 			for step := 0; step < 2000; step++ {
 				p := Proposition{
@@ -72,10 +72,10 @@ func TestSeenPropsMatchMapOracle(t *testing.T) {
 						t.Fatalf("seed %d %s step %d: markSeen(%v) = %v, oracle %v", seed, u.name, step, p, g, w)
 					}
 					want[p] = true
-				} else if _, g := nd.findSeen(p); g != want[p] {
+				} else if _, g := nd.tr.findSeen(p); g != want[p] {
 					t.Fatalf("seed %d %s step %d: find(%v) = %v, oracle %v", seed, u.name, step, p, g, want[p])
 				}
-				got := nd.seenProps
+				got := nd.tr.seenProps
 				if len(got) != len(want) {
 					t.Fatalf("seed %d %s step %d: %d propositions, oracle %d", seed, u.name, step, len(got), len(want))
 				}

@@ -28,14 +28,14 @@ func startedNode(id amac.NodeID, n int) (*Node, *stubAPI) {
 
 func trackedRoots(nd *Node) []amac.NodeID {
 	var roots []amac.NodeID
-	for _, e := range nd.tree.ents {
+	for _, e := range nd.tr.tree.ents {
 		roots = append(roots, e.root)
 	}
 	return roots
 }
 
 func pendingRoots(nd *Node) []amac.NodeID {
-	return slices.Clone(nd.tree.queue[nd.tree.qhead:])
+	return slices.Clone(nd.tr.tree.queue[nd.tr.tree.qhead:])
 }
 
 // TestSearchForRootThatCannotLeadIsIgnored: a <search> for a root below Ω,
@@ -45,14 +45,14 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	nd, api := startedNode(3, 5)
 	nd.OnReceive(&Combined{Leader: &omega.LeaderMsg{ID: 9}, Search: &SearchMsg{Root: 9, Hops: 4, Sender: 2}})
 	nd.OnReceive(&Combined{Leader: &omega.LeaderMsg{ID: 6}}) // a member below Ω
-	if nd.det.Omega() != 9 || nd.tree.distTo(9) != 4 {
-		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.det.Omega(), nd.tree.distTo(9))
+	if nd.det.Omega() != 9 || nd.tr.tree.distTo(9) != 4 {
+		t.Fatalf("leader %d at distance %d, want 9 at 4", nd.det.Omega(), nd.tr.tree.distTo(9))
 	}
 	roots, pending, novel := trackedRoots(nd), pendingRoots(nd), nd.det.LastNovel()
 
 	api.now = 20
 	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
-	if got := trackedRoots(nd); !slices.Equal(got, roots) || nd.tree.distTo(6) != -1 {
+	if got := trackedRoots(nd); !slices.Equal(got, roots) || nd.tr.tree.distTo(6) != -1 {
 		t.Fatalf("a search for root 6 < Ω = 9 was tracked: roots %v", got)
 	}
 	if got := pendingRoots(nd); !slices.Equal(got, pending) {
@@ -72,8 +72,8 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	novel = nd.det.LastNovel()
 	api.now++
 	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 9, Hops: 1, Sender: 4}})
-	if nd.tree.distTo(9) != 4 || nd.tree.parentTo(9) != 2 {
-		t.Fatalf("a search for suspected root 9 was adopted: dist %d parent %d", nd.tree.distTo(9), nd.tree.parentTo(9))
+	if nd.tr.tree.distTo(9) != 4 || nd.tr.tree.parentTo(9) != 2 {
+		t.Fatalf("a search for suspected root 9 was adopted: dist %d parent %d", nd.tr.tree.distTo(9), nd.tr.tree.parentTo(9))
 	}
 	if nd.det.LastNovel() != novel {
 		t.Fatal("a search for a suspected root reset the silence window")
@@ -81,8 +81,8 @@ func TestSearchForRootThatCannotLeadIsIgnored(t *testing.T) {
 	// The successor's tree is now wanted, and the old one is kept for a
 	// wrap to find.
 	nd.OnReceive(&Combined{Search: &SearchMsg{Root: 6, Hops: 1, Sender: 6}})
-	if nd.tree.distTo(nd.det.Omega()) != 1 || !slices.Equal(trackedRoots(nd), []amac.NodeID{3, 6, 9}) {
-		t.Fatalf("after demotion: dist to leader %d, roots %v", nd.tree.distTo(nd.det.Omega()), trackedRoots(nd))
+	if nd.tr.tree.distTo(nd.det.Omega()) != 1 || !slices.Equal(trackedRoots(nd), []amac.NodeID{3, 6, 9}) {
+		t.Fatalf("after demotion: dist to leader %d, roots %v", nd.tr.tree.distTo(nd.det.Omega()), trackedRoots(nd))
 	}
 }
 
@@ -111,8 +111,8 @@ func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
 
 // stateOf returns the gossip table's entry for origin, or nil.
 func stateOf(nd *Node, origin amac.NodeID) *StateMsg {
-	if i, ok := nd.findState(origin); ok {
-		return &nd.states[i]
+	if i, ok := nd.tr.findState(origin); ok {
+		return &nd.tr.states[i]
 	}
 	return nil
 }
@@ -120,7 +120,7 @@ func stateOf(nd *Node, origin amac.NodeID) *StateMsg {
 // chosenBy returns the origins the chosen-value watch has seen accepting
 // num.
 func chosenBy(nd *Node, num ProposalNum) omega.IDSet {
-	for _, t := range nd.chosen {
+	for _, t := range nd.tr.chosen {
 		if t.num == num {
 			return t.by
 		}
@@ -132,8 +132,8 @@ func chosenBy(nd *Node, num ProposalNum) omega.IDSet {
 // offers.
 func gossiped(nd *Node) []amac.NodeID {
 	var origins []amac.NodeID
-	for range nd.states {
-		st, _ := nd.popState()
+	for range nd.tr.states {
+		st, _ := nd.tr.popState()
 		origins = append(origins, st.Origin)
 	}
 	slices.Sort(origins)
@@ -257,7 +257,7 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 			// One lap: pop until the cursor is about to wrap.
 			var lap []amac.NodeID
 			pop := func() {
-				st, ok := nd.popState()
+				st, ok := nd.tr.popState()
 				if !ok {
 					t.Fatal("the gossip table is empty: the node's own entry is gone")
 				}
@@ -269,14 +269,14 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 			if tc.raise != (ProposalNum{}) {
 				nd.rise(tc.raise)
 			}
-			for nd.stateCur < len(nd.states) {
+			for nd.tr.stateCur < len(nd.tr.states) {
 				pop()
 			}
 			if !slices.Equal(lap, tc.lap) {
 				t.Errorf("the lap offered origins %v, want %v", lap, tc.lap)
 			}
 			lap = nil
-			for range nd.states {
+			for range nd.tr.states {
 				pop()
 			}
 			if !slices.Equal(lap, tc.next) {
@@ -292,8 +292,8 @@ func TestStateGossipCycleAndChosenTally(t *testing.T) {
 				if nd.prop.phase != propProposing || nd.prop.num != mine {
 					t.Fatalf("proposer is in phase %v at %v, want proposing %v", nd.prop.phase, nd.prop.num, mine)
 				}
-				if by := chosenBy(nd, mine); len(by) != 5 || len(nd.gossAcks) != 0 {
-					t.Errorf("acceptances of %v: chosen-value watch counts %d origins, the prepare tally %d; want 5 and 0", mine, len(by), len(nd.gossAcks))
+				if by := chosenBy(nd, mine); len(by) != 5 || len(nd.tr.gossAcks) != 0 {
+					t.Errorf("acceptances of %v: chosen-value watch counts %d origins, the prepare tally %d; want 5 and 0", mine, len(by), len(nd.tr.gossAcks))
 				}
 			}
 		})
@@ -332,7 +332,7 @@ func TestFailoverBuildsSuccessorsTree(t *testing.T) {
 			continue
 		}
 		demoted++
-		parent := nd.tree.parentTo(successor)
+		parent := nd.tr.tree.parentTo(successor)
 		if nd.id != successor && parent == amac.NoID {
 			t.Errorf("node %d follows successor %d but has no route to it", i, successor)
 		}

@@ -4,10 +4,12 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/metrics"
 	"github.com/absmac/absmac/internal/omega"
 	"github.com/absmac/absmac/internal/sim"
 )
@@ -33,11 +35,9 @@ func runOn(t *testing.T, flood bool, g *graph.Graph, inputs []amac.Value, sched 
 }
 
 // newNode returns an unstarted node for the given binary input, as
-// NewFactory builds one on a fresh engine.
+// NewFactory builds one on a fresh engine with metrics off.
 func newNode(input amac.Value, cfg Config) *Node {
-	nd := new(Node)
-	nd.arm(input, cfg)
-	return nd
+	return NewFactory(cfg)(amac.NodeConfig{Input: input}).(*Node)
 }
 
 func mixedInputs(n int) []amac.Value {
@@ -349,7 +349,7 @@ func TestIntrospectionAfterRun(t *testing.T) {
 		// On a line with ids 1..n, the leader (id n) sits at index n-1;
 		// distances should match the line distance.
 		wantDist := int64(n - 1 - i)
-		if d := nd.tree.distTo(v.Omega); d != wantDist {
+		if d := nd.tr.tree.distTo(v.Omega); d != wantDist {
 			t.Fatalf("node %d dist to leader %d, want %d", i, d, wantDist)
 		}
 	}
@@ -417,6 +417,46 @@ func TestNewAllocatesLittle(t *testing.T) {
 			runtime.KeepAlive(keep)
 			if perNode := (after.TotalAlloc - before.TotalAlloc) / nodes; perNode >= 64<<10 {
 				t.Fatalf("New at n=%d allocates %d bytes per node, want < 64 KB", n, perNode)
+			}
+		})
+	}
+}
+
+// TestNodeLayout pins what a node holds. A relay entry is 24 bytes: every
+// entry answers the live number, so it keeps a kind and no Proposition. A
+// node fits the 704-byte size class: the tree transport's state is behind
+// one pointer that a flood node never allocates and that a fresh tree
+// node's points beside it, and the metric handles are one set per
+// registry, shared by the run. A re-armed node, on either transport,
+// allocates nothing.
+func TestNodeLayout(t *testing.T) {
+	if s := unsafe.Sizeof(floodResp{}); s != 24 {
+		t.Errorf("floodResp is %d bytes, want 24", s)
+	}
+	if s := unsafe.Sizeof(Node{}); s > 704 {
+		t.Errorf("Node is %d bytes, want <= 704", s)
+	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			build, reg := NewFactory(Config{N: 8, Flood: tr.flood}), metrics.New()
+			a := build(amac.NodeConfig{Input: 0, Metrics: reg}).(*Node)
+			b := build(amac.NodeConfig{Input: 1, Metrics: reg}).(*Node)
+			if hasTree := a.tr != nil; hasTree == tr.flood {
+				t.Errorf("node holds tree state: %v, want %v", hasTree, !tr.flood)
+			}
+			if at := uintptr(unsafe.Pointer(a.tr)) - uintptr(unsafe.Pointer(a)); !tr.flood && at != unsafe.Offsetof(treeNode{}.tree) {
+				t.Errorf("a fresh node's tree state is %d bytes from it, want beside it", at)
+			}
+			if a.met != b.met {
+				t.Error("two nodes of one run hold two handle sets")
+			}
+			if off := build(amac.NodeConfig{}).(*Node); off.met != &noMetrics {
+				t.Error("a node without a registry holds its own handle set")
+			}
+			if allocs := testing.AllocsPerRun(10, func() {
+				build(amac.NodeConfig{Input: 1, Metrics: reg, Prev: a})
+			}); allocs != 0 {
+				t.Errorf("re-arming a node allocates %v times, want 0", allocs)
 			}
 		})
 	}
@@ -573,8 +613,8 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 	}
 	msg := fullMessage()
 	nd.OnReceive(msg) // first sight: everything is learned here
-	_, seen := nd.findSeen(msg.Proposer.Proposition())
-	if nd.det.Omega() != 9 || nd.tree.distTo(9) != 1 || stateOf(nd, 9) == nil || !seen {
+	_, seen := nd.tr.findSeen(msg.Proposer.Proposition())
+	if nd.det.Omega() != 9 || nd.tr.tree.distTo(9) != 1 || stateOf(nd, 9) == nil || !seen {
 		t.Fatal("the first delivery was not absorbed")
 	}
 	api.now = 20

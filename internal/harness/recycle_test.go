@@ -24,6 +24,11 @@ import (
 // over too. Each run's Result and every node's View must equal a run of
 // the same scenario whose nodes were built without a Prev.
 //
+// Then one executor runs floodpaxos, wpaxos, floodpaxos and wpaxos again
+// on one graph, the first wpaxos run cut by a crash: a flood node gets its
+// tree transport's state on its first tree run and keeps it through the
+// flood run after, and each run must still equal a fresh one.
+//
 // Then 8 runs of wpaxos expander:1024:8, alternating seeds 1 and 2, share
 // one engine (where every large bucket is a parallel phase when there are
 // Ps for it): the live heap after each run stays within 5 % of the heap
@@ -85,17 +90,12 @@ func TestRecycledNodesMatchFresh(t *testing.T) {
 		}
 		return out, views
 	}
-	reused := new(executor)
-	for _, s := range scenarios {
-		var ids []amac.NodeID
-		if rng.Intn(2) == 1 {
-			// Distinct and spread over about 2^40 values, negatives included.
-			for _, v := range rng.Perm(1 << 12)[:8] {
-				ids = append(ids, amac.NodeID(v)<<28-1<<39+amac.NodeID(rng.Intn(1<<28)))
-			}
-		}
+	// match runs s on x and on a fresh engine and requires the same
+	// Result and Views.
+	match := func(s Scenario, ids []amac.NodeID, x *executor) {
+		t.Helper()
 		want, wantViews := run(s, ids, nil)
-		got, gotViews := run(s, ids, reused)
+		got, gotViews := run(s, ids, x)
 		name := fmt.Sprintf("%s %s %s inputs=%s crashes=%s overlay=%s ids=%v", s.Algo, s.Topo, s.Sched, s.Inputs, s.Crashes, s.Overlay, ids)
 		if !reflect.DeepEqual(got.Result, want.Result) {
 			t.Fatalf("%s seed %d: recycled run differs from a fresh engine's:\n got %+v\nwant %+v", name, s.Seed, got.Result, want.Result)
@@ -105,6 +105,25 @@ func TestRecycledNodesMatchFresh(t *testing.T) {
 				t.Fatalf("%s seed %d node %d: recycled view %+v, fresh %+v", name, s.Seed, i, gotViews[i], wantViews[i])
 			}
 		}
+	}
+	reused := new(executor)
+	for _, s := range scenarios {
+		var ids []amac.NodeID
+		if rng.Intn(2) == 1 {
+			// Distinct and spread over about 2^40 values, negatives included.
+			for _, v := range rng.Perm(1 << 12)[:8] {
+				ids = append(ids, amac.NodeID(v)<<28-1<<39+amac.NodeID(rng.Intn(1<<28)))
+			}
+		}
+		match(s, ids, reused)
+	}
+	switched := new(executor)
+	for i, algo := range []string{"floodpaxos", "wpaxos", "floodpaxos", "wpaxos"} {
+		s := Scenario{Algo: algo, Topo: Topo{Kind: "expander", N: 32, Deg: 4}, Sched: "random", Fack: 4, Seed: int64(1 + i)}
+		if i == 1 {
+			s.Crashes = "maxid@6"
+		}
+		match(s, nil, switched)
 	}
 
 	if testing.Short() {

@@ -15,6 +15,7 @@ package lowerbound
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/absmac/absmac/internal/amac"
@@ -256,6 +257,7 @@ type flpConfig struct {
 	algs         []amac.Algorithm
 	cur          []amac.Message // current outgoing message; nil = noop
 	pending      []amac.Message // broadcast buffered for the next ack
+	sent         []int          // non-noop broadcasts each node has started
 	delivered    [][]bool
 	crashed      []bool
 	crashesUsed  int
@@ -298,6 +300,7 @@ func (e *Explorer) replay(schedule []Step) *flpConfig {
 		algs:      make([]amac.Algorithm, e.N),
 		cur:       make([]amac.Message, e.N),
 		pending:   make([]amac.Message, e.N),
+		sent:      make([]int, e.N),
 		delivered: make([][]bool, e.N),
 		crashed:   make([]bool, e.N),
 		hist:      make([]strings.Builder, e.N),
@@ -306,7 +309,7 @@ func (e *Explorer) replay(schedule []Step) *flpConfig {
 		cfg.delivered[i] = make([]bool, e.N)
 		cfg.algs[i] = e.Factory(amac.NodeConfig{ID: amac.NodeID(i + 1), Input: e.Inputs[i]})
 		cfg.algs[i].Start(flpAPI{cfg: cfg, node: i})
-		cfg.cur[i], cfg.pending[i] = cfg.pending[i], nil
+		cfg.next(i)
 	}
 	for _, s := range schedule {
 		cfg.apply(s)
@@ -386,7 +389,15 @@ func (c *flpConfig) apply(s Step) {
 		// receiving algorithm.
 		c.delivered[u][v] = true
 		if m := c.cur[u]; m != nil {
-			fmt.Fprintf(&c.hist[v], "r%d:%#v;", u, m)
+			// The message is fixed by its sender and the sender's
+			// broadcast index: the sender's history is in the same
+			// fingerprint.
+			h := &c.hist[v]
+			h.WriteByte('r')
+			h.WriteString(strconv.Itoa(u))
+			h.WriteByte(':')
+			h.WriteString(strconv.Itoa(c.sent[u]))
+			h.WriteByte(';')
 			c.algs[v].OnReceive(m)
 		}
 		return
@@ -399,14 +410,22 @@ func (c *flpConfig) apply(s Step) {
 		c.delivered[u][v] = false
 	}
 	if prev != nil {
-		fmt.Fprintf(&c.hist[u], "a;")
+		c.hist[u].WriteString("a;")
 		c.algs[u].OnAck(prev)
 	}
 	// Noop acks leave the algorithm untouched and are deliberately not
 	// recorded: a quiescent configuration cycling through noop rounds
 	// keeps a stable fingerprint, which is what lets the explorer detect
 	// the cycle and certify non-termination.
+	c.next(u)
+}
+
+// next starts u's next broadcast: the one buffered, else a noop.
+func (c *flpConfig) next(u int) {
 	c.cur[u], c.pending[u] = c.pending[u], nil
+	if c.cur[u] != nil {
+		c.sent[u]++
+	}
 }
 
 // fingerprint canonically encodes the configuration: per-node local
@@ -415,7 +434,9 @@ func (c *flpConfig) apply(s Step) {
 func (c *flpConfig) fingerprint() string {
 	var b strings.Builder
 	for i := 0; i < c.n; i++ {
-		fmt.Fprintf(&b, "|%d:", i)
+		b.WriteByte('|')
+		b.WriteString(strconv.Itoa(i))
+		b.WriteByte(':')
 		if c.crashed[i] {
 			b.WriteString("X")
 		}
@@ -423,7 +444,8 @@ func (c *flpConfig) fingerprint() string {
 		b.WriteString("/")
 		for v := 0; v < c.n; v++ {
 			if c.delivered[i][v] {
-				fmt.Fprintf(&b, "%d,", v)
+				b.WriteString(strconv.Itoa(v))
+				b.WriteByte(',')
 			}
 		}
 	}
