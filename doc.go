@@ -35,8 +35,8 @@
 //   - internal/core/twophase (Algorithm 1, single-hop) and
 //     internal/core/wpaxos (wPAXOS, multihop), on the leader estimate Ω
 //     of internal/omega. wPAXOS has two response transports: the paper's
-//     tree aggregation, and floodpaxos, the strawman that floods every
-//     response instead (Config.Flood).
+//     tree aggregation, backed by a relay that floods every response, and
+//     floodpaxos, the strawman with the relay alone (Config.Flood).
 //   - internal/baseline: gatherall (knows n), anonflood and waitall (the
 //     natural attempts the Figure 1 and Figure 2 constructions defeat).
 //   - internal/ext/benor: randomized consensus, beyond the paper.

@@ -190,8 +190,8 @@ func ReuseSized[S ~[]E, E any](s S, n int) S {
 // MaxMessageIDs is the constant bound on ids per message this repository's
 // algorithms adhere to (the model requires only that some constant exists;
 // wPAXOS's multiplexed broadcast carries up to twelve — one per service
-// message plus routing and proposal-number ids, including the gossiped
-// acceptor-state triple of origin, promised number, and accepted number).
+// message plus routing and proposal-number ids, including the relayed
+// response's triple of acceptor, proposer, and previous proposal's number).
 // The simulator audits every broadcast against this bound.
 const MaxMessageIDs = 12
 

@@ -34,7 +34,7 @@ func TestHeardMatchesMapOracle(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			k := key{Prepare + PropKind(rng.Intn(2)), ids[rng.Intn(len(ids))]}
 			want[k] = true
-			nd.onFlooded(&ResponseMsg{Prop: Proposition{Kind: k.kind, Num: num}, Acceptor: k.id})
+			nd.onFlooded(&RelayMsg{Prop: Proposition{Kind: k.kind, Num: num}, Acceptor: k.id})
 			promises, accepts := 0, 0
 			for w := range want {
 				if w.kind == Prepare {
@@ -77,8 +77,8 @@ func TestRelayInvariant(t *testing.T) {
 					proposed[i] = proposed[i].Max(c.Proposer.Num)
 				}
 			}
-			if c.Response != nil {
-				sent[i] = sent[i].Max(c.Response.Prop.Num)
+			if c.Relay != nil {
+				sent[i] = sent[i].Max(c.Relay.Prop.Num)
 			}
 		}
 		check := func(i int, at int64) {
@@ -98,7 +98,7 @@ func TestRelayInvariant(t *testing.T) {
 		}
 		// sentResp checks what pump puts on the wire, as it goes out.
 		sentResp := func(i int, at int64, c *Combined) {
-			if r := c.Response; r != nil && r.Prop.Num != nodes[i].live {
+			if r := c.Relay; r != nil && r.Prop.Num != nodes[i].live {
 				t.Fatalf("seed %d t=%d node %d: broadcast a response to %v, live number is %v", seed, at, i, r.Prop, nodes[i].live)
 			}
 		}
@@ -150,7 +150,7 @@ func TestSupersededProposerRetriesWithinBudget(t *testing.T) {
 		t.Fatalf("after the change: phase %d, live %v, want preparing, live %v", nd.prop.phase, nd.live, want)
 	}
 	rival := func(tag int64) *Combined {
-		return &Combined{Response: &ResponseMsg{
+		return &Combined{Relay: &RelayMsg{
 			Prop:     Proposition{Kind: Prepare, Num: ProposalNum{Tag: tag, ID: 2}},
 			Acceptor: 4,
 		}}

@@ -27,11 +27,10 @@ func (m ProposerMsg) Proposition() Proposition {
 	return Proposition{Kind: m.Kind, Num: m.Num}
 }
 
-// ResponseMsg is an (aggregated) acceptor response traveling up the
-// proposer-rooted tree. It is broadcast like everything else but addressed
-// to a single next hop (Dest); other receivers ignore it. Under the flood
-// transport it is instead one acceptor's answer (Prop, Prev and Acceptor
-// only: there are no refusals) that every node relays.
+// ResponseMsg is an aggregated acceptor response traveling up the
+// proposer-rooted tree (the tree transport's fast path). It is broadcast
+// like everything else but addressed to a single next hop (Dest); other
+// receivers ignore it.
 type ResponseMsg struct {
 	// Dest is the next hop (the relay's parent in the tree rooted at the
 	// proposer).
@@ -50,49 +49,20 @@ type ResponseMsg struct {
 	// aggregated rejections (the paper's standard optimization: a
 	// rejecting acceptor appends the number it is committed to).
 	Committed ProposalNum
-	// Acceptor is the acceptor a flooded response speaks for.
+}
+
+// RelayMsg is one acceptor's positive answer to one proposition, flooded
+// by the relay (flood.go) that both transports run: every node that sees
+// it while it can still be counted relays it, and any node counts it.
+// Refusals are not relayed; the tree transport's fast path carries them.
+type RelayMsg struct {
+	// Prop is the proposition answered; Prop.Num.ID is the proposer.
+	Prop Proposition
+	// Prev is the acceptor's previously accepted proposal, reported to a
+	// Prepare; nil when none.
+	Prev *Proposal
+	// Acceptor is the acceptor the response speaks for.
 	Acceptor amac.NodeID
-}
-
-// StateMsg gossips one acceptor's state (the weaveworks/weave ipam/paxos
-// idiom): the origin's current promised number and accepted proposal,
-// merged monotonically by every receiver. Unlike the tree-routed
-// aggregated responses, state gossip is origin-keyed and idempotent, so it
-// stays queued and is re-broadcast on every pump until superseded by a
-// newer state from the same origin — the retransmit-until-superseded
-// response class that keeps proposals countable when relays die or lossy
-// overlay edges eat the aggregated fast path. Safety never depends on who
-// proposes: any node that observes a majority of origins with the same
-// accepted proposal decides.
-type StateMsg struct {
-	// Origin is the acceptor whose state this is.
-	Origin amac.NodeID
-	// Promised is the origin's promised number (zero when it has not
-	// promised anything yet).
-	Promised ProposalNum
-	// Accepted is the origin's highest accepted proposal, nil when none.
-	Accepted *Proposal
-}
-
-// Newer reports whether s carries strictly newer information than cur for
-// the same origin. Acceptor state grows lexicographically in
-// (promised, accepted number): promises only rise, and an acceptance
-// raises the accepted number at equal promised.
-func (s StateMsg) Newer(cur StateMsg) bool {
-	if cur.Promised.Less(s.Promised) {
-		return true
-	}
-	if s.Promised != cur.Promised {
-		return false
-	}
-	var a, b ProposalNum
-	if cur.Accepted != nil {
-		a = cur.Accepted.Num
-	}
-	if s.Accepted != nil {
-		b = s.Accepted.Num
-	}
-	return a.Less(b)
 }
 
 // DecideMsg floods a decision through the network.
@@ -111,7 +81,7 @@ type Combined struct {
 	Search   *SearchMsg
 	Proposer *ProposerMsg
 	Response *ResponseMsg
-	State    *StateMsg
+	Relay    *RelayMsg
 	Decide   *DecideMsg
 
 	// buf backs the pointer fields above when pump assembles the message.
@@ -124,7 +94,7 @@ type Combined struct {
 		search   SearchMsg
 		proposer ProposerMsg
 		response ResponseMsg
-		state    StateMsg
+		relay    RelayMsg
 		decide   DecideMsg
 	}
 }
@@ -147,7 +117,7 @@ func (m *Combined) IDCount() int {
 		c++ // the number's proposer id
 	}
 	if m.Response != nil {
-		c += 2 // dest (flooded: the acceptor) and proposer
+		c += 2 // dest and proposer
 		if m.Response.Prev != nil {
 			c++
 		}
@@ -155,12 +125,9 @@ func (m *Combined) IDCount() int {
 			c++
 		}
 	}
-	if m.State != nil {
-		c++ // origin
-		if !m.State.Promised.IsZero() {
-			c++
-		}
-		if m.State.Accepted != nil {
+	if m.Relay != nil {
+		c += 2 // acceptor and proposer
+		if m.Relay.Prev != nil {
 			c++
 		}
 	}

@@ -17,10 +17,11 @@ type Config struct {
 	N int
 	// Audit optionally instruments the Lemma 4.2 counting invariant.
 	Audit *CountAudit
-	// Flood selects the flood transport (flood.go): every acceptor
-	// response is relayed individually through the whole network instead
-	// of aggregated up the leader's tree. It is Section 4.2's strawman,
-	// registered as floodpaxos; everything else about the node is the same.
+	// Flood selects the flood transport: no aggregated tree path, so every
+	// acceptor response reaches a counter through the relay (flood.go)
+	// alone, individually through the whole network. It is Section 4.2's
+	// strawman, registered as floodpaxos; everything else about the node,
+	// the relay included, is the same.
 	Flood bool
 }
 
@@ -59,21 +60,13 @@ func NewFactory(cfg Config) amac.Factory {
 	}
 }
 
-// chosenTally tracks, for one proposal number, the set of origins ever seen
-// with that proposal accepted. A majority means the value is chosen —
-// any node may then decide, whether or not the proposer survived.
-type chosenTally struct {
-	num ProposalNum
-	val amac.Value
-	by  omega.IDSet
-}
-
 // Node is one wPAXOS participant: the suspicion-based Ω detector, the
-// PAXOS proposer and acceptor roles, the proposer flood and the decide
-// flood, and one of two response transports. The flood transport's state
-// (fl, flood.go) is inline; the tree transport's sits behind tr, which only
-// a node armed for a tree run allocates and which re-arms keep. The metric
-// handles (met) are the run's, shared by every node.
+// PAXOS proposer and acceptor roles, the proposer flood, the decide flood,
+// the response relay (fl, flood.go) and, under the tree transport, the
+// aggregated fast path. The relay's state is inline; the tree transport's
+// sits behind tr, which only a node armed for a tree run allocates and
+// which re-arms keep. The metric handles (met) are the run's, shared by
+// every node.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
@@ -86,9 +79,9 @@ type Node struct {
 	prop proposerState
 	acc  acceptorState
 
-	// live is the highest proposal number seen: in a proposition, and
-	// under the flood transport in a response too. A rise prunes what the
-	// transport holds for lower numbers (rise).
+	// live is the highest proposal number seen, in a proposition or in a
+	// relayed response. A rise clears what the relay holds for lower
+	// numbers (rise).
 	live ProposalNum
 	// propQ is the proposer flood queue: the highest-numbered proposition
 	// seen anywhere (a propose supersedes the prepare of the same
@@ -126,8 +119,7 @@ type Node struct {
 }
 
 // treeTransport is the tree transport's own state: the tree service, the
-// send-once aggregated response queue and its loss-proof fallback, the
-// gossiped acceptor states with the chosen-value watch.
+// proposition dedup and the send-once aggregated response queue.
 type treeTransport struct {
 	tree treeService
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
@@ -141,28 +133,8 @@ type treeTransport struct {
 	// to relay to. Entries are sent once — aggregated counts cannot be
 	// retransmitted without double counting — so this path is the
 	// latency optimization (Theorem 4.3's O(D*Fack) argument) and the
-	// sticky state gossip below is the loss-proof fallback.
+	// sticky relay (flood.go) is the loss-proof fallback.
 	respQ []ResponseMsg
-
-	// states holds the latest known acceptor state per origin (the weave
-	// ipam/paxos idiom), sorted by origin: merged monotonically, each
-	// entry re-broadcast until superseded by newer state from its origin
-	// — or, for another node's, until no counter can count it any more
-	// (countable). The slice is the lookup (findState) and the gossip
-	// cycle at once; stateCur is the cycle's cursor into it.
-	states   []StateMsg
-	stateCur int
-	// chosen is the chosen-value watch: per accepted proposal number (a
-	// handful, scanned), the origins ever seen with it accepted. A majority
-	// decides, whoever proposed and whether or not the proposer survived.
-	chosen []chosenTally
-	// gossAcks/gossNacks count, via gossiped state, the distinct origins
-	// that promised the current prepare / are committed past the current
-	// number (a propose's acceptances are the chosen-value watch's to
-	// count). They are tallied separately from the fast path's aggregated
-	// counts — each tally is individually sound, and they are never summed.
-	gossAcks  omega.IDSet
-	gossNacks omega.IDSet
 
 	// routeSince is when the distance to the current leader last improved,
 	// the second stabilization time of experiment E6's GST decomposition
@@ -194,7 +166,8 @@ func allocNode(flood bool) *Node {
 // except the storage of its message and tables, which it keeps when the
 // last run filled them enough (amac.Reuse). A node armed for a tree run
 // without tree state gets it here; a node keeps its tree state through
-// later re-arms, flood runs included, each re-arm resetting it. The paper
+// later re-arms, and a flood run leaves it as the last tree run left it,
+// so the next tree re-arm finds that run's tables to reuse. The paper
 // restricts consensus to binary inputs because that strengthens its lower
 // bounds; the algorithm itself carries any value unchanged
 // (TestMultivaluedConsensus).
@@ -207,24 +180,19 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 		msg = new(Combined)
 	}
 	fl := floodRelay{
-		cycle: amac.Reuse(nd.fl.cycle), heard: nd.fl.heard[:0],
+		cycle: amac.Reuse(nd.fl.cycle), heard: amac.ReuseSized(nd.fl.heard, heardWords(cfg.N)),
 		far: [2]omega.IDSet{amac.Reuse(nd.fl.far[0]), amac.Reuse(nd.fl.far[1])},
 	}
-	if cfg.Flood {
-		fl.heard = amac.ReuseSized(nd.fl.heard, cfg.N+1)
-	}
 	tr := nd.tr
-	if tr != nil {
+	switch {
+	case cfg.Flood: // kept as the last tree run left it
+	case tr != nil:
 		*tr = treeTransport{
 			tree:      treeService{ents: amac.Reuse(tr.tree.ents), queue: amac.Reuse(tr.tree.queue)},
 			seenProps: amac.Reuse(tr.seenProps),
 			respQ:     amac.Reuse(tr.respQ),
-			states:    amac.Reuse(tr.states),
-			chosen:    amac.Reuse(tr.chosen),
-			gossAcks:  amac.Reuse(tr.gossAcks),
-			gossNacks: amac.Reuse(tr.gossNacks),
 		}
-	} else if !cfg.Flood {
+	default:
 		tr = new(treeTransport)
 	}
 	*nd = Node{
@@ -245,9 +213,9 @@ type nodeMetrics struct {
 	retransmits metrics.Counter // sticky proposer-queue re-broadcasts
 	superseded  metrics.Counter // flooded responses dropped or pruned as dead
 	// The working set: the high-water marks are the largest tree table,
-	// gossip table and seen-proposition set any node held.
+	// relay cycle and seen-proposition set any node held.
 	treeRoots    metrics.Gauge // roots tracked by the tree service
-	stateOrigins metrics.Gauge // origins held in the state gossip table
+	relayPending metrics.Gauge // responses pending in the relay's cycle
 	seenProps    metrics.Gauge // propositions seen (never purged)
 }
 
@@ -274,7 +242,7 @@ func newNodeMetrics(r *metrics.Registry, flood bool) *nodeMetrics {
 		nacks:        r.Counter("wpaxos_nacks"),
 		retransmits:  r.Counter("wpaxos_retransmits"),
 		treeRoots:    r.Gauge("wpaxos_tree_roots"),
-		stateOrigins: r.Gauge("wpaxos_state_origins"),
+		relayPending: r.Gauge("wpaxos_relay_pending"),
 		seenProps:    r.Gauge("wpaxos_seen_props"),
 	}
 }
@@ -317,14 +285,10 @@ func (nd *Node) OnReceive(m amac.Message) {
 		nd.onProposer(*c.Proposer)
 	}
 	if c.Response != nil {
-		if nd.flood {
-			nd.onFlooded(c.Response)
-		} else {
-			nd.onResponse(c.Response)
-		}
+		nd.onResponse(c.Response)
 	}
-	if c.State != nil {
-		nd.mergeState(*c.State)
+	if c.Relay != nil {
+		nd.onFlooded(c.Relay)
 	}
 	if c.Decide != nil && !nd.decided {
 		nd.decide(c.Decide.Val)
@@ -382,20 +346,16 @@ func (nd *Node) pump() {
 				nd.propSent = true
 			}
 		}
-		if nd.flood {
-			if nd.popFlood(&c.buf.response) {
-				c.Response = &c.buf.response
-			}
-		} else {
+		if nd.popFlood(&c.buf.relay) {
+			c.Relay = &c.buf.relay
+		}
+		if !nd.flood {
 			t := nd.tr
 			if c.buf.search, ok = t.tree.pop(nd.det.Fired()); ok {
 				c.Search = &c.buf.search
 			}
 			if c.buf.response, ok = t.popResp(); ok {
 				c.Response = &c.buf.response
-			}
-			if c.buf.state, ok = t.popState(); ok {
-				c.State = &c.buf.state
 			}
 		}
 	}
@@ -420,21 +380,6 @@ func (t *treeTransport) popResp() (ResponseMsg, bool) {
 	return ResponseMsg{}, false
 }
 
-// popState returns the next acceptor state in the gossip cycle: each is
-// re-broadcast until superseded in place by newer state from its origin,
-// or dropped by purgeStates.
-func (t *treeTransport) popState() (StateMsg, bool) {
-	if len(t.states) == 0 {
-		return StateMsg{}, false
-	}
-	if t.stateCur >= len(t.states) {
-		t.stateCur = 0
-	}
-	st := t.states[t.stateCur]
-	t.stateCur++
-	return st, true
-}
-
 // ---- Service message handlers ----
 
 // onOmegaChange drops the trees the new estimate has overtaken, re-pins
@@ -451,7 +396,7 @@ func (nd *Node) onOmegaChange() {
 	t.tree.prioritize(nd.det.Omega())
 	// The fast-path response queue only ever holds material for the
 	// current leader (Section 4.2.1 queue invariants); responses to
-	// other proposers travel as state gossip instead.
+	// other proposers travel through the relay instead.
 	t.maxLeaderNum = ProposalNum{}
 	t.respQ = t.respQ[:0]
 }
@@ -515,41 +460,38 @@ func (nd *Node) onProposer(m ProposerMsg) {
 	// with a rotating Ω, nodes may disagree about the leader, and safety
 	// is proposer-independent. The tree transport's fast path stays gated
 	// on the current leader (see respond); everyone else's counting flows
-	// through the state gossip.
+	// through the relay.
 	nd.enqueueProp(m)
 	nd.respond(m)
 }
 
-// rise makes num the live number and tells the transport to prune what
-// only a lower number could use: the tree transport's gossiped states
-// (purgeStates), everything the flood transport holds (supersede). The
-// flood transport has no refusals, so there a rise past the node's own
-// round is how the proposer learns the round lost, and it retries.
+// rise makes num the live number and clears what the relay holds for lower
+// numbers (supersede). The flood transport has no refusals, so there a rise
+// past the node's own round is how the proposer learns the round lost, and
+// it retries; the tree transport waits for its fast path's refusals.
 func (nd *Node) rise(num ProposalNum) {
 	nd.live = num
 	if nd.prop.maxTagSeen < num.Tag {
 		nd.prop.maxTagSeen = num.Tag
 	}
-	if !nd.flood {
-		nd.purgeStates()
-		return
-	}
 	nd.supersede()
-	if nd.prop.phase != propIdle && num.ID != nd.id {
+	if nd.flood && nd.prop.phase != propIdle && num.ID != nd.id {
 		nd.retry()
 	}
 }
 
-// admit raises the live number to m's when m's is higher, then reports
-// whether this node answers and relays m, and marks it seen. The tree
-// transport admits every first sight; the flood transport only those for
-// the live number (admitFlood).
+// admit raises the live number to m's when m's is higher and does the
+// relay's bookkeeping for it (admitFlood), then reports whether this node
+// answers and relays m, and marks it seen. The flood transport admits only
+// first sights for the live number; the tree transport admits every first
+// sight, since its fast path carries refusals.
 func (nd *Node) admit(m ProposerMsg) bool {
 	if nd.live.Less(m.Num) {
 		nd.rise(m.Num)
 	}
+	fresh := nd.admitFlood(m)
 	if nd.flood {
-		return nd.admitFlood(m)
+		return fresh
 	}
 	return nd.markSeen(m.Proposition())
 }
@@ -608,10 +550,9 @@ func (nd *Node) enqueueProp(m ProposerMsg) {
 	}
 }
 
-// respond runs the acceptor against a proposition and hands the answer to
-// the transport: the flood transport relays a positive one; the tree
-// transport publishes the updated acceptor state to the gossip layer and
-// routes the response toward the proposer when the fast path applies.
+// respond runs the acceptor against a proposition and hands the answer on:
+// the tree transport routes it toward the proposer when the fast path
+// applies, and a positive one enters the relay under both.
 func (nd *Node) respond(m ProposerMsg) {
 	var r ResponseMsg
 	r.Prop = m.Proposition()
@@ -623,30 +564,24 @@ func (nd *Node) respond(m ProposerMsg) {
 	default:
 		panic(fmt.Sprintf("wpaxos: unknown proposer message kind %v", m.Kind))
 	}
-	if nd.flood {
-		// No refusal travels: a proposition for the live number is never
-		// below a promise.
+	if !nd.flood {
+		r.Count = 1
 		if r.Positive {
-			nd.routeFlood(m.Num, floodResp{acceptor: nd.id, prev: r.Prev, kind: m.Kind})
+			nd.audit.addGenerated(r.Prop)
 		}
-		return
+		if m.Num.ID == nd.id {
+			// The proposer's own acceptor responds directly.
+			nd.consumeResponse(r)
+		} else if m.Num.ID == nd.det.Omega() {
+			nd.tr.noteLeaderNum(m.Num)
+			nd.enqueueResp(r)
+		}
 	}
-	r.Count = 1
+	// Only a positive answer enters the relay: under the flood transport a
+	// proposition for the live number is never below a promise, and the
+	// tree transport's refusals travel on its fast path.
 	if r.Positive {
-		nd.audit.addGenerated(r.Prop)
-		// The acceptor state advanced: let the gossip layer (and the local
-		// proposer) see it. A rejection changes nothing, and the promise
-		// behind it was published by the positive response that made it.
-		nd.noteOwnState()
-	}
-	if m.Num.ID == nd.id {
-		// The proposer's own acceptor responds directly.
-		nd.consumeResponse(r)
-		return
-	}
-	if m.Num.ID == nd.det.Omega() {
-		nd.tr.noteLeaderNum(m.Num)
-		nd.enqueueResp(r)
+		nd.routeFlood(m.Num, floodResp{acceptor: nd.id, prev: r.Prev, kind: m.Kind})
 	}
 }
 
@@ -699,125 +634,6 @@ func (nd *Node) onResponse(r *ResponseMsg) {
 	nd.enqueueResp(*r)
 }
 
-// ---- Gossiped acceptor state (the weave idiom) ----
-
-// noteOwnState publishes this node's acceptor state into the gossip table.
-func (nd *Node) noteOwnState() {
-	nd.mergeState(StateMsg{Origin: nd.id, Promised: nd.acc.promised, Accepted: nd.acc.accepted})
-}
-
-// countable reports whether some counter can still count another origin's
-// gossiped state. The chosen-value watch counts any acceptance; a
-// proposer's tallies look at Promised == num and num < Promised, so a bare
-// promise below the live number can only be counted toward a proposal
-// that number has already superseded.
-func (nd *Node) countable(st *StateMsg) bool {
-	return st.Accepted != nil || !st.Promised.Less(nd.live)
-}
-
-// purgeStates drops the other origins' states that stopped being
-// countable when the live number rose. The node's own acceptor state stays
-// whatever it says: acceptors must not forget their promises, and this
-// entry is how the rest of the network hears of them.
-func (nd *Node) purgeStates() {
-	t := nd.tr
-	kept := t.states[:0]
-	for i := range t.states { // in place: countable sees the stored entry, nothing is copied out
-		if st := &t.states[i]; st.Origin == nd.id || nd.countable(st) {
-			kept = append(kept, *st)
-		}
-	}
-	clear(t.states[len(kept):]) // let go of the dropped entries' acceptances
-	t.states = kept
-}
-
-// findState returns the position of origin's entry in the gossip table,
-// or the position it would be inserted at. Every gossiped state that gets
-// past countable comes through here, so the search is written out:
-// slices.BinarySearchFunc is not inlined and calls its comparison through
-// a pointer with a 32-byte StateMsg copied in.
-func (t *treeTransport) findState(origin amac.NodeID) (int, bool) {
-	s := t.states
-	lo, hi := 0, len(s)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); s[mid].Origin < origin {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(s) && s[lo].Origin == origin
-}
-
-// mergeState merges a gossiped acceptor state: newer state per origin
-// replaces older (monotone merge), feeds the chosen-value watch, and lets
-// the local proposer count the origin. Another origin's state that no
-// counter can count any more (countable) is neither stored nor relayed.
-func (nd *Node) mergeState(st StateMsg) {
-	if st.Origin != nd.id && !nd.countable(&st) {
-		return
-	}
-	t := nd.tr
-	i, found := t.findState(st.Origin)
-	switch {
-	case !found:
-		t.states = slices.Insert(t.states, i, st)
-		nd.met.stateOrigins.Set(int64(len(t.states)))
-	case st.Newer(t.states[i]):
-		t.states[i] = st
-	default:
-		return // retransmission or stale: not novel
-	}
-	nd.det.Novel(nd.api.Now())
-	if st.Accepted != nil {
-		nd.tallyChosen(*st.Accepted, st.Origin)
-	}
-	nd.countState(st)
-}
-
-// tallyChosen records that origin accepted p at some point. A majority of
-// acceptors having accepted the same proposal means its value is chosen
-// (the PAXOS chosen condition); any observer may decide it.
-func (nd *Node) tallyChosen(p Proposal, origin amac.NodeID) {
-	chosen := nd.tr.chosen
-	i := 0
-	for i < len(chosen) && chosen[i].num != p.Num {
-		i++
-	}
-	if i == len(chosen) {
-		nd.tr.chosen = append(chosen, chosenTally{num: p.Num, val: p.Val})
-	}
-	c := &nd.tr.chosen[i]
-	if c.by.Add(origin) && !nd.decided && 2*len(c.by) > nd.n {
-		nd.decide(c.val)
-	}
-}
-
-// countState lets the proposer count a gossiped origin toward its current
-// proposition. This is the loss-proof fallback tally: distinct origins,
-// kept strictly separate from the fast path's aggregated counts (each
-// tally is individually sound; they are never summed).
-func (nd *Node) countState(st StateMsg) {
-	if nd.decided || nd.prop.phase == propIdle {
-		return
-	}
-	num, t := nd.prop.num, nd.tr
-	// An origin committed past our number will never answer it positively.
-	if num.Less(st.Promised) && t.gossNacks.Add(st.Origin) && 2*len(t.gossNacks) > nd.n {
-		nd.retry()
-		return
-	}
-	// Acceptances of num are not tallied here: mergeState hands every one
-	// to the chosen-value watch first, which counts the same origins and
-	// decides at the same majority.
-	if nd.prop.phase == propPreparing && st.Promised == num && t.gossAcks.Add(st.Origin) {
-		nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
-		if 2*len(t.gossAcks) > nd.n {
-			nd.beginPropose()
-		}
-	}
-}
-
 // ---- Proposer logic ----
 
 // generateProposal is the change service's GenerateNewPAXOSProposal: start
@@ -838,17 +654,7 @@ func (nd *Node) startProposal() {
 	nd.prop.phase = propPreparing
 	nd.prop.acks, nd.prop.nacks = 0, 0
 	nd.prop.bestPrev = nil
-	nd.resetTallies()
 	nd.originate(ProposerMsg{Kind: Prepare, Num: nd.prop.num})
-}
-
-// resetTallies empties the gossip tallies for the proposer's next phase.
-// The flood transport has none: it counts in its relay.
-func (nd *Node) resetTallies() {
-	if !nd.flood {
-		t := nd.tr
-		t.gossAcks, t.gossNacks = t.gossAcks[:0], t.gossNacks[:0]
-	}
 }
 
 // originate floods one of this node's own proposer messages and runs the
@@ -918,7 +724,6 @@ func (nd *Node) consumeResponse(r ResponseMsg) {
 func (nd *Node) beginPropose() {
 	nd.prop.phase = propProposing
 	nd.prop.acks, nd.prop.nacks = 0, 0
-	nd.resetTallies()
 	if nd.prop.bestPrev != nil {
 		nd.prop.value = nd.prop.bestPrev.Val
 	} else {
@@ -950,7 +755,7 @@ func (nd *Node) retry() {
 func (nd *Node) Inspect() amac.View {
 	v := amac.View{Decided: nd.decided, Decision: nd.decision, Omega: amac.NoID,
 		Promised: amac.Ballot(nd.acc.promised), MaxTag: nd.prop.maxTagSeen}
-	if nd.tr != nil {
+	if !nd.flood && nd.tr != nil {
 		v.RouteSince = nd.tr.routeSince
 	}
 	if nd.api != nil {
@@ -963,15 +768,16 @@ func (nd *Node) Inspect() amac.View {
 }
 
 // WorkingSet returns the sizes of the node's three growing tables: the roots
-// its tree service tracks, the origins in its state gossip table and the
-// propositions it has seen (the one never purged). The wpaxos_tree_roots,
-// wpaxos_state_origins and wpaxos_seen_props gauges carry their high-water marks.
-// They are the tree transport's; a flood node reports zeros.
-func (nd *Node) WorkingSet() (treeRoots, stateOrigins, seenProps int) {
-	if t := nd.tr; t != nil {
-		return len(t.tree.ents), len(t.states), len(t.seenProps)
+// its tree service tracks, the responses pending in its relay's cycle and
+// the propositions it has seen (the one never purged). Under the tree
+// transport the wpaxos_tree_roots, wpaxos_relay_pending and
+// wpaxos_seen_props gauges carry their high-water marks; a flood node
+// reports zero roots and propositions.
+func (nd *Node) WorkingSet() (treeRoots, relayPending, seenProps int) {
+	if t := nd.tr; t != nil && !nd.flood {
+		treeRoots, seenProps = len(t.tree.ents), len(t.seenProps)
 	}
-	return 0, 0, 0
+	return treeRoots, len(nd.fl.cycle), seenProps
 }
 
 var (

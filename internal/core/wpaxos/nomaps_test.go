@@ -63,7 +63,7 @@ func TestNoMapsOnTheDeliveryPath(t *testing.T) {
 	}
 	// The walk must reach each transport's state and the detector.
 	for _, ty := range []reflect.Type{reflect.TypeOf(omega.Detector{}), reflect.TypeOf(treeService{}),
-		reflect.TypeOf(floodRelay{}), reflect.TypeOf(floodResp{}), reflect.TypeOf(StateMsg{})} {
+		reflect.TypeOf(floodRelay{}), reflect.TypeOf(floodResp{}), reflect.TypeOf(RelayMsg{})} {
 		if !walked[ty] {
 			t.Errorf("the walk of Node did not enter %v", ty)
 		}

@@ -36,12 +36,16 @@
 // # Two response transports
 //
 // Config.Flood changes how acceptor responses reach a counter, and nothing
-// else. The flood transport (flood.go, registered as floodpaxos) relays
-// every acceptor's response individually through the whole network: the
-// strawman of Section 4.2, Θ(n·Fack) near bottlenecks against the tree's
-// O(D·Fack). Ω, the proposer lifecycle, the acceptor, the proposition and
-// decide floods and the broadcast multiplexer are the same code under
-// both, so experiment E7 compares the two transports and nothing else.
+// else. Both transports run the response relay (flood.go), which floods
+// every acceptor's positive answer individually through the whole network
+// and lets any node count it. The flood transport (registered as
+// floodpaxos) has nothing else: the strawman of Section 4.2, Θ(n·Fack)
+// near bottlenecks against the tree's O(D·Fack). The tree transport adds
+// the aggregated fast path up Ω's tree, and the relay is its loss-proof
+// fallback: a majority heard either way decides, the two tallies never
+// summed. Ω, the proposer lifecycle, the acceptor, the proposition and
+// decide floods, the relay and the broadcast multiplexer are the same code
+// under both, so experiment E7 compares the fast path and nothing else.
 //
 // # Per-node state and the n² budget
 //
@@ -54,31 +58,21 @@
 //
 //   - What is kept. The tree service tracks (parent, dist, pending) for
 //     the node itself and for the roots that can be its leader estimate —
-//     a short slice sorted by root, a handful of entries. The state gossip
-//     keeps the latest StateMsg of the origins some counter can still
-//     count in one slice sorted by origin, which is the lookup (binary
-//     search), the gossip cycle (a cursor walks it in id order, one entry
-//     a pump) and the purge target (compacted in place; the cursor is not
-//     adjusted, so the lap goes on over what is left and wraps when it
-//     runs off the end). A slice and not a hash table because rule 2
-//     keeps it at tens of entries however large n is, and because the
-//     cycle needs id order anyway: a table would want a second, sorted
-//     structure beside it. Every other set a delivery consults is the
-//     same thing, a sorted slice with a written-out binary search: as
-//     omega.IDSet the detector's suspects and off-bitset members, the
-//     proposer's two gossip tallies and the origins behind each
-//     chosen-value tally (one tally per accepted proposal number: a
-//     handful, scanned), and under Node.findSeen the propositions seen,
-//     sorted by (number, kind) — the one table that is never purged, a
-//     few dozen entries a node at n = 4096. A Go map lookup
-//     is four dependent loads and at this scale each one misses the cache;
-//     there is no map in a node (TestNoMapsOnTheDeliveryPath; the opt-in
-//     CountAudit, shared by a run, keeps its two), so there is no
-//     iteration order for detlint to police either. Keys are arbitrary
-//     NodeIDs — sparse, shuffled or negative ids take the same path as
-//     1..n. The wpaxos_tree_roots, wpaxos_state_origins and
-//     wpaxos_seen_props gauges are the largest of each table any node
-//     held; Node.WorkingSet reads one node's.
+//     a short slice sorted by root, a handful of entries. The relay keeps
+//     the responses to the live number it has yet to pass on (rule 2).
+//     Every other set a delivery consults is a sorted slice with a
+//     written-out binary search: as omega.IDSet the detector's suspects
+//     and off-bitset members and the relay's two far sets, and under
+//     Node.findSeen the propositions seen, sorted by (number, kind) — the
+//     one table that is never purged, a few dozen entries a node at
+//     n = 4096. A Go map lookup is four dependent loads and at this scale
+//     each one misses the cache; there is no map in a node
+//     (TestNoMapsOnTheDeliveryPath; the opt-in CountAudit, shared by a
+//     run, keeps its two), so there is no iteration order for detlint to
+//     police either. Keys are arbitrary NodeIDs — sparse, shuffled or
+//     negative ids take the same path as 1..n. The wpaxos_tree_roots,
+//     wpaxos_relay_pending and wpaxos_seen_props gauges are the largest
+//     of each table any node held; Node.WorkingSet reads one node's.
 //   - What is sent. The outbound queues are value slots with presence
 //     flags, and a broadcast is one *Combined whose exported pointer
 //     fields point into its own inline slots. A delivered *Combined is
@@ -86,13 +80,14 @@
 //     sender's ack, after which the sender — who owns exactly one message,
 //     one broadcast being in flight at a time — refills it, so neither
 //     sending nor receiving allocates in steady state.
-//   - What a node is made of: the shared fields, the Ω detector by value
-//     and the state of the one transport its run uses. The flood relay is
-//     inline; the tree transport's tables sit behind one pointer
-//     (Node.tr), and a flood node has none. A fresh tree node is allocated
-//     with its 248-byte tree state beside it (treeNode, the 1 024-byte
-//     size class), so a delivery finds both in neighbouring cache lines;
-//     a flood node re-armed for a tree run allocates the tree state then.
+//   - What a node is made of: the shared fields, the Ω detector by value,
+//     the relay and the state of the tree transport if its run uses it.
+//     The relay is inline; the tree transport's tables sit behind one
+//     pointer (Node.tr), and a flood node has none. A fresh tree node is
+//     allocated with its 144-byte tree state beside it (treeNode, 840 B in
+//     the 896-byte size class), so a delivery finds both in neighbouring
+//     cache lines; a flood node re-armed for a tree run allocates the tree
+//     state then.
 //     The metric handles are one set per run, shared by its nodes, and a
 //     run without metrics shares a package-level zero set. A relay entry
 //     keeps an acceptor, its previous proposal and a kind — no proposal
@@ -110,23 +105,16 @@
 //     Suspected roots above Ω stay, frozen: a wrap may re-promote them,
 //     and a falsely suspected leader that never fired would not
 //     re-advertise its own tree.
-//   - Rule 2, gossip: another origin's acceptor state is stored and
-//     relayed only while some counter can still count it — it carries an
-//     acceptance (the chosen-value watch counts those whatever their
-//     number), or its promise is at least the highest proposition number
-//     this node has seen (the proposer's two gossip tallies look at
-//     Promised == num and num < Promised, so a bare promise below that
-//     number can only serve a proposal it has already superseded). The
-//     rest is dropped before the table lookup, and when the highest number
-//     seen rises the entries that now fail the test leave the table.
-//   - Own acceptor state is exempt from rule 2, always. "Acceptors must
-//     not forget their promises" (weave's ipam/paxos): promised and
-//     accepted live in acceptorState and are never pruned, and the node's
-//     own gossip entry — how everyone else hears of them — stays whatever
-//     it says, including the instant between a higher proposition
-//     entering the flood queue and the local acceptor answering it. What
-//     rules 1 and 2 drop is routing state and other nodes' state, both of
-//     which the network re-offers.
+//   - Rule 2, the relay: a response is stored and relayed only while it
+//     answers a proposition for the live number, the highest proposal
+//     number this node has seen (flood.go's relay invariant). A rise of
+//     that number clears the relay, a Propose retires the Prepare
+//     responses of its number, and the rest is dropped on arrival, so a
+//     node holds at most 2n responses and in practice tens.
+//   - Acceptors must not forget their promises (weave's ipam/paxos):
+//     promised and accepted live in acceptorState and are never pruned.
+//     What rules 1 and 2 drop is routing state and other nodes'
+//     responses, both of which the network re-offers.
 //   - Rule 3, re-advertisement waits for a suspicion. Improvements are
 //     flooded once, pending-first, and over reliable edges that reaches
 //     every neighbor. The idle round-robin over the tracked roots (self
@@ -140,19 +128,22 @@
 //     shorter-but-lossy parents late, and each adoption is a change event
 //     that restarts the proposal (TestWPaxosLossyOverlayDecideTime). A
 //     node that has not fired neither tracks nor relays the successor's
-//     tree, exactly as it refuses to relay the successor's responses
-//     (queue invariant (1) of Section 4.2.1).
+//     tree, exactly as it refuses to route the successor's responses on
+//     the fast path (queue invariant (1) of Section 4.2.1).
 //   - Pointer validity: the tree service's entry pointers are valid
 //     until its next receive or purge. Callers use them at once.
-//   - The one n-sized per-node structure of the tree transport is the Ω
+//   - The n-sized per-node structures are two. The first is the Ω
 //     detector's member set, a bitset (n/64+1 words: 520 B per node, 2 MB
 //     in total at n = 4096) for ids in [0, 64·words) and an omega.IDSet
 //     for any other id; read in id order it is the rotation order, and the
 //     gossip walk picks its k-th member by popcount. Learning a member is a
 //     bit test and a bit set, with no allocation. The detector is embedded
 //     in the node by value, so a delivery does not chase a pointer to
-//     reach it. The flood transport adds a second, its heard table (a byte
-//     per id in [0, n]); the tree transport leaves it empty.
+//     reach it. The second is the relay's heard table, under both
+//     transports: two bits per id in [0, n] (n/4 bytes, 1 KB at
+//     n = 4096), packed because a byte per id on tree nodes would add
+//     half again to decide_expander4096's live heap; ids outside that
+//     range go to the two far sets.
 //   - The tree service's pending queue holds root ids, one per root with
 //     an unsent improvement; the message is rebuilt from the table at pop
 //     time (an improvement that arrives before the previous one went out
@@ -172,17 +163,17 @@
 //     back to NewFactory (amac.NodeConfig.Prev), which re-arms it in
 //     place: every field as a fresh node has it, while the struct, its
 //     *Combined, the detector's bitset and sets, the tree transport's
-//     state (its struct, kept through flood runs too, and the tree,
-//     states, seenProps, respQ, chosen and the two tallies) and the flood
-//     transport's tables keep their storage. A table keeps it only when
-//     the last run left it at least half full (amac.Reuse; the bitset and
-//     the heard table, whose size n fixes, while they fit:
-//     amac.ReuseSized), so a slot's storage follows its last run instead
-//     of ratcheting to the largest. On decide_expander4096 this took a
-//     warm op from 42 MB allocated to about 8 MB, every execution
-//     unchanged (TestRecycledNodesMatchFresh).
+//     state (its struct and the tree, seenProps and respQ tables, which a
+//     flood run leaves as the last tree run left them) and the relay's
+//     tables keep their storage. A table keeps it only when the last run
+//     left it at least half full (amac.Reuse; the bitset and the heard
+//     table, whose size n fixes, while they fit: amac.ReuseSized), so a
+//     slot's storage follows its last run instead of ratcheting to the
+//     largest. On decide_expander4096 this took a warm op from 42 MB
+//     allocated to about 8 MB, every execution unchanged
+//     (TestRecycledNodesMatchFresh).
 //
-// Dense 0..n-1 slices for dist, parent and state — the obvious
+// Dense 0..n-1 slices for dist and parent — the obvious
 // alternative when ids are dense — stay rejected on arithmetic (8 B ×
 // 4096² is 128 MB for dist and parent alone, and they would need a second
 // path for sparse ids). Measurements, before and after each change to

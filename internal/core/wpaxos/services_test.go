@@ -47,25 +47,6 @@ func TestMaxPrev(t *testing.T) {
 	}
 }
 
-func TestStateMsgNewer(t *testing.T) {
-	base := StateMsg{Origin: 1, Promised: ProposalNum{1, 2}}
-	if base.Newer(base) {
-		t.Fatal("equal state reported newer")
-	}
-	higher := StateMsg{Origin: 1, Promised: ProposalNum{2, 1}}
-	if !higher.Newer(base) || base.Newer(higher) {
-		t.Fatal("promised ordering wrong")
-	}
-	accepted := StateMsg{Origin: 1, Promised: ProposalNum{1, 2},
-		Accepted: &Proposal{Num: ProposalNum{1, 2}, Val: 1}}
-	if !accepted.Newer(base) || base.Newer(accepted) {
-		t.Fatal("acceptance at equal promise not newer")
-	}
-	if accepted.Newer(higher) {
-		t.Fatal("lower promise with acceptance beat a higher promise")
-	}
-}
-
 func TestTreeServiceBasics(t *testing.T) {
 	var s treeService
 	s.init(1)
@@ -280,10 +261,10 @@ func TestCombinedIDCount(t *testing.T) {
 			Prev:      &Proposal{Num: ProposalNum{1, 2}, Val: 1},
 			Committed: ProposalNum{2, 2},
 		},
-		State: &StateMsg{
-			Origin:   7,
-			Promised: ProposalNum{1, 5},
-			Accepted: &Proposal{Num: ProposalNum{1, 2}, Val: 1},
+		Relay: &RelayMsg{
+			Prop:     Proposition{Kind: Prepare, Num: ProposalNum{1, 5}},
+			Prev:     &Proposal{Num: ProposalNum{1, 2}, Val: 1},
+			Acceptor: 7,
 		},
 		Decide: &DecideMsg{Val: 1},
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestIDSetMatchesMapOracle drives omega.IDSet and a Go map — what the
-// detector's suspects, gossAcks, gossNacks and chosenTally.by were, and
+// detector's suspects and the relay's far sets would otherwise be, and
 // survive as only here — with the same seeded stream of add / has /
 // clear calls over every id universe the tree oracle uses (dense, sparse
 // and shuffled, mixed, the extremes of the id type, negative ids), and

@@ -109,203 +109,80 @@ func TestOmegaRiseForgetsLowerRoots(t *testing.T) {
 	}
 }
 
-// stateOf returns the gossip table's entry for origin, or nil.
-func stateOf(nd *Node, origin amac.NodeID) *StateMsg {
-	if i, ok := nd.tr.findState(origin); ok {
-		return &nd.tr.states[i]
+// TestTreeCountsEitherTallyNeverTheirSum: a tree-transport node counts the
+// fast path's aggregated responses and the relay's heard acceptors apart.
+// Either majority alone moves a proposer on, or decides; one that only
+// their sum reaches does not. A node that did not propose decides on a
+// majority of relayed accepts of the live number too.
+func TestTreeCountsEitherTallyNeverTheirSum(t *testing.T) {
+	nd, api := startedNode(3, 5)
+	nd.generateProposal()
+	num := nd.prop.num
+	relay := func(k PropKind, acceptor amac.NodeID) *Combined {
+		return &Combined{Relay: &RelayMsg{Prop: Proposition{Kind: k, Num: num}, Acceptor: acceptor}}
 	}
-	return nil
-}
-
-// chosenBy returns the origins the chosen-value watch has seen accepting
-// num.
-func chosenBy(nd *Node, num ProposalNum) omega.IDSet {
-	for _, t := range nd.tr.chosen {
-		if t.num == num {
-			return t.by
-		}
+	// The node's own promise is in both tallies: with one relayed promise,
+	// three of five only when summed.
+	nd.OnReceive(relay(Prepare, 4))
+	if nd.prop.phase != propPreparing || nd.fl.promises != 2 || nd.prop.acks != 1 {
+		t.Fatalf("phase %v with %d heard promises and %d fast-path acks, want preparing, 2 and 1", nd.prop.phase, nd.fl.promises, nd.prop.acks)
 	}
-	return nil
-}
-
-// gossiped returns the origins one full turn of the state gossip cycle
-// offers.
-func gossiped(nd *Node) []amac.NodeID {
-	var origins []amac.NodeID
-	for range nd.tr.states {
-		st, _ := nd.tr.popState()
-		origins = append(origins, st.Origin)
+	nd.OnReceive(relay(Prepare, 5))
+	if nd.prop.phase != propProposing {
+		t.Fatalf("three heard promises of five: phase %v, want proposing", nd.prop.phase)
 	}
-	slices.Sort(origins)
-	return origins
-}
-
-// TestStateGossipKeepsOnlyWhatCanBeCounted: another origin's bare promise
-// below the highest proposition number seen is neither stored nor relayed,
-// nor is it novel; an acceptance always is; a rise of that number drops the
-// entries it overtook; and the node's own acceptor state is never dropped.
-func TestStateGossipKeepsOnlyWhatCanBeCounted(t *testing.T) {
-	nd, api := startedNode(3, 7)
-	num := ProposalNum{Tag: 2, ID: 9}
-	nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: num}})
-	if own := stateOf(nd, 3); own == nil || own.Promised != num {
-		t.Fatalf("own acceptor state not published: %+v", own)
+	nd.OnReceive(relay(Propose, 4))
+	nd.OnReceive(&Combined{Response: &ResponseMsg{Dest: 3, Prop: Proposition{Kind: Propose, Num: num}, Positive: true, Count: 1}})
+	if len(api.decisions) != 0 || nd.fl.accepts != 2 || nd.prop.acks != 2 {
+		t.Fatalf("decided %v on %d heard and %d fast-path accepts, want undecided on 2 and 2", api.decisions, nd.fl.accepts, nd.prop.acks)
 	}
-	novel := nd.det.LastNovel()
-	api.now = 20
-
-	nd.OnReceive(&Combined{State: &StateMsg{Origin: 4, Promised: ProposalNum{Tag: 1, ID: 4}}})
-	if stateOf(nd, 4) != nil || nd.det.LastNovel() != novel {
-		t.Fatal("a bare promise below the highest number seen was stored or counted as novel")
+	nd.OnReceive(relay(Propose, 5))
+	if !slices.Equal(api.decisions, []amac.Value{1}) {
+		t.Fatalf("three heard accepts of five: decided %v, want [1]", api.decisions)
 	}
-	old := &Proposal{Num: ProposalNum{Tag: 1, ID: 5}, Val: 1}
-	nd.OnReceive(&Combined{State: &StateMsg{Origin: 5, Promised: old.Num, Accepted: old}})
-	nd.OnReceive(&Combined{State: &StateMsg{Origin: 6, Promised: num}})
-	nd.OnReceive(&Combined{State: &StateMsg{Origin: 7, Promised: ProposalNum{Tag: 5, ID: 1}}})
-	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 6, 7}) {
-		t.Fatalf("gossip cycle offers origins %v, want [3 5 6 7]", got)
-	}
-	if len(chosenBy(nd, old.Num)) != 1 {
-		t.Fatal("the chosen-value watch did not see origin 5's acceptance")
+	if len(nd.fl.cycle) != 0 {
+		t.Fatalf("the proposer queued %d responses to its own proposition for the relay", len(nd.fl.cycle))
 	}
 
-	// A higher proposition: 6's promise can no longer be counted by
-	// anyone, 5's acceptance and 7's higher promise still can.
-	nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: ProposalNum{Tag: 3, ID: 9}}})
-	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5, 7}) {
-		t.Fatalf("after the number rose: origins %v, want [3 5 7]", got)
+	// An observer: its own accept and two relayed ones.
+	obs, oapi := startedNode(2, 5)
+	obs.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Propose, Num: num, Val: 0}})
+	obs.OnReceive(relay(Propose, 4))
+	if len(oapi.decisions) != 0 || len(obs.fl.cycle) != 2 {
+		t.Fatalf("observer: decided %v with %d responses pending, want undecided with 2", oapi.decisions, len(obs.fl.cycle))
 	}
-	if stateOf(nd, 6) != nil {
-		t.Fatal("origin 6 is still in the table")
+	obs.OnReceive(relay(Propose, 5))
+	if !slices.Equal(oapi.decisions, []amac.Value{0}) {
+		t.Fatalf("observer: decided %v, want [0]", oapi.decisions)
 	}
-	// The live number can run ahead of the local acceptor (rise comes
-	// before respond): the node's own entry is exempt, whatever it says.
-	nd.rise(ProposalNum{Tag: 9, ID: 9})
-	if got := gossiped(nd); !slices.Equal(got, []amac.NodeID{3, 5}) {
-		t.Fatalf("after the flood ran ahead: origins %v, want [3 5]", got)
+	if _, pending, _ := obs.WorkingSet(); pending != 3 {
+		t.Fatalf("WorkingSet reports %d relayed responses pending, want 3", pending)
 	}
-	if own := stateOf(nd, 3); own == nil || own.Promised != (ProposalNum{Tag: 3, ID: 9}) {
-		t.Fatalf("own acceptor state after the purge: %+v", own)
+
+	// A proposer overtaken by a higher number keeps its round (the tree
+	// transport retries on its fast path's refusals, not on a rise) and
+	// does not count the promises to that number as its own.
+	lag, _ := startedNode(3, 5)
+	lag.generateProposal()
+	mine, higher := lag.prop.num, ProposalNum{Tag: 2, ID: 9}
+	for _, a := range []amac.NodeID{1, 4, 5} {
+		lag.OnReceive(&Combined{Relay: &RelayMsg{Prop: Proposition{Kind: Prepare, Num: higher}, Acceptor: a}})
 	}
-	// Two prepares came through onProposer; the rise above did not.
-	if _, so, sp := nd.WorkingSet(); so != 2 || sp != 2 {
-		t.Fatalf("WorkingSet reports %d state origins and %d seen propositions, want 2 and 2", so, sp)
+	if lag.prop.phase != propPreparing || lag.prop.num != mine || lag.live != higher || lag.fl.promises != 3 {
+		t.Fatalf("overtaken proposer: phase %v at %v, live %v with %d promises heard; want preparing %v, live %v with 3",
+			lag.prop.phase, lag.prop.num, lag.live, lag.fl.promises, mine, higher)
 	}
 }
 
-// TestStateGossipCycleAndChosenTally pins the gossip table's two roles
-// beyond lookup. The cycle: popState offers origins in ascending id order
-// and wraps; a purge in mid-lap does not move the cursor, so the lap goes
-// on strictly ascending over what is left (nothing is offered twice, an
-// entry that slid below the cursor waits for the next lap), a cursor left
-// past the end wraps, and the node's own entry outlives any purge. The
-// tally: a proposer in its propose phase counts gossiped acceptances of its
-// number through the chosen-value watch alone, and decides that value once.
-//
-// Every row is node 3. Unless it proposes, it first hears <prepare, (2,9)>,
-// so its own acceptor state is in the table and (2,9) is the highest
-// proposition number seen.
-func TestStateGossipCycleAndChosenTally(t *testing.T) {
-	heard := ProposalNum{Tag: 2, ID: 9}
-	mine := ProposalNum{Tag: 1, ID: 3}
-	promise := func(origin amac.NodeID, num ProposalNum) StateMsg {
-		return StateMsg{Origin: origin, Promised: num}
-	}
-	accept := func(origin amac.NodeID, num ProposalNum) StateMsg {
-		return StateMsg{Origin: origin, Promised: num, Accepted: &Proposal{Num: num, Val: 1}}
-	}
-	// With the node's own, five entries, merged out of order. Origins 2
-	// and 6 hold bare promises a higher proposition overtakes; 4's
-	// acceptance and 8's higher promise stay countable.
-	five := []StateMsg{promise(8, ProposalNum{Tag: 5, ID: 1}), promise(2, heard), promise(6, heard), accept(4, ProposalNum{Tag: 1, ID: 4})}
-	for _, tc := range []struct {
-		name    string
-		n       int
-		propose bool        // the node starts its own proposal, (1,3), first
-		merge   []StateMsg  // gossip delivered, in this order
-		pops    int         // states popped before the purge
-		raise   ProposalNum // then the live number rises to this (zero: it does not)
-		lap     []amac.NodeID
-		next    []amac.NodeID
-		decided []amac.Value
-	}{
-		{name: "ascending order, wraps", n: 9, merge: five,
-			lap: []amac.NodeID{2, 3, 4, 6, 8}, next: []amac.NodeID{2, 3, 4, 6, 8}},
-		{name: "purge in mid-lap", n: 9, merge: five, pops: 2, raise: ProposalNum{Tag: 3, ID: 9},
-			lap: []amac.NodeID{2, 3, 8}, next: []amac.NodeID{3, 4, 8}},
-		{name: "purge leaves the cursor past the end", n: 9, merge: five, pops: 4, raise: ProposalNum{Tag: 3, ID: 9},
-			lap: []amac.NodeID{2, 3, 4, 6}, next: []amac.NodeID{3, 4, 8}},
-		{name: "purge drops everything but the node's own entry", n: 9, merge: []StateMsg{promise(2, heard), promise(6, heard)},
-			pops: 1, raise: ProposalNum{Tag: 9, ID: 9},
-			lap: []amac.NodeID{2}, next: []amac.NodeID{3}},
-		{name: "proposer decides on a majority of gossiped acceptances, once", n: 5, propose: true,
-			merge: []StateMsg{promise(1, mine), promise(2, mine), // a majority with its own: on to the propose phase
-				accept(1, mine), accept(2, mine), accept(4, mine), accept(5, mine)},
-			lap: []amac.NodeID{1, 2, 3, 4, 5}, next: []amac.NodeID{1, 2, 3, 4, 5},
-			decided: []amac.Value{1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nd, api := startedNode(3, tc.n)
-			if tc.propose {
-				nd.generateProposal()
-			} else {
-				nd.OnReceive(&Combined{Proposer: &ProposerMsg{Kind: Prepare, Num: heard}})
-			}
-			for i := range tc.merge {
-				nd.OnReceive(&Combined{State: &tc.merge[i]})
-			}
-			// One lap: pop until the cursor is about to wrap.
-			var lap []amac.NodeID
-			pop := func() {
-				st, ok := nd.tr.popState()
-				if !ok {
-					t.Fatal("the gossip table is empty: the node's own entry is gone")
-				}
-				lap = append(lap, st.Origin)
-			}
-			for range tc.pops {
-				pop()
-			}
-			if tc.raise != (ProposalNum{}) {
-				nd.rise(tc.raise)
-			}
-			for nd.tr.stateCur < len(nd.tr.states) {
-				pop()
-			}
-			if !slices.Equal(lap, tc.lap) {
-				t.Errorf("the lap offered origins %v, want %v", lap, tc.lap)
-			}
-			lap = nil
-			for range nd.tr.states {
-				pop()
-			}
-			if !slices.Equal(lap, tc.next) {
-				t.Errorf("the next lap offered origins %v, want %v", lap, tc.next)
-			}
-			if stateOf(nd, 3) == nil {
-				t.Error("the node's own acceptor state left the table")
-			}
-			if !slices.Equal(api.decisions, tc.decided) {
-				t.Errorf("decided %v, want %v", api.decisions, tc.decided)
-			}
-			if tc.propose {
-				if nd.prop.phase != propProposing || nd.prop.num != mine {
-					t.Fatalf("proposer is in phase %v at %v, want proposing %v", nd.prop.phase, nd.prop.num, mine)
-				}
-				if by := chosenBy(nd, mine); len(by) != 5 || len(nd.tr.gossAcks) != 0 {
-					t.Errorf("acceptances of %v: chosen-value watch counts %d origins, the prepare tally %d; want 5 and 0", mine, len(by), len(nd.tr.gossAcks))
-				}
-			}
-		})
-	}
-}
-
-// TestFailoverBuildsSuccessorsTree: the max id dies mid-round on grid:4x4.
-// Every survivor decides, and every survivor that has demoted the dead
-// leader holds a route to the successor — learned after its own suspicion
-// from the fired neighbors' re-advertisement, since until then it refused
-// to track that root (as it refuses to relay the successor's responses:
-// queue invariant (1)).
+// TestFailoverBuildsSuccessorsTree: the max id dies at t=10 on grid:4x4,
+// before any round of its can be chosen, so the survivors decide in the
+// successor's round. Every survivor decides, and every survivor that has
+// demoted the dead leader holds a route to the successor — learned after
+// its own suspicion from the fired neighbors' re-advertisement, since until
+// then it refused to track that root (as it refuses to route the
+// successor's responses on the fast path: queue invariant (1)). A crash
+// later in the dead leader's round lets survivors decide through the relay
+// before the successor's tree reaches them.
 func TestFailoverBuildsSuccessorsTree(t *testing.T) {
 	g := graph.Grid(4, 4)
 	n := g.N()
@@ -320,7 +197,7 @@ func TestFailoverBuildsSuccessorsTree(t *testing.T) {
 			return nd
 		},
 		Scheduler: sim.NewRandom(4, 1),
-		Crashes:   []sim.Crash{{Node: n - 1, At: 40}}, // default ids: node n-1 holds id n
+		Crashes:   []sim.Crash{{Node: n - 1, At: 10}}, // default ids: node n-1 holds id n
 		MaxEvents: 2_000_000,
 	})
 	if rep := consensus.Check(inputs, res); !rep.Agreement || !rep.Validity || !rep.Termination {
@@ -328,6 +205,9 @@ func TestFailoverBuildsSuccessorsTree(t *testing.T) {
 	}
 	successor, demoted := amac.NodeID(n-1), 0
 	for i, nd := range nodes[:n-1] {
+		if p := nd.acc.accepted; p == nil || p.Num.ID != successor {
+			t.Errorf("node %d accepted %v, want a proposal of the successor %d", i, p, successor)
+		}
 		if nd.det.Omega() != successor {
 			continue
 		}

@@ -398,10 +398,9 @@ func TestOmegaSinceStamped(t *testing.T) {
 }
 
 // TestNewAllocatesLittle pins the table sizing: of the node's tables only
-// the flood transport's heard table is sized up front, one byte per id
-// (1 KB at n=1024), and the rest starts empty and grows with what the node
-// hears. Tables sized for the worst case cost hundreds of KB per node at
-// n=1024.
+// the relay's heard table is sized up front, two bits per id (256 B at
+// n=1024), and the rest starts empty and grows with what the node hears.
+// Tables sized for the worst case cost hundreds of KB per node at n=1024.
 func TestNewAllocatesLittle(t *testing.T) {
 	const n, nodes = 1024, 64
 	for _, tr := range transports {
@@ -428,7 +427,8 @@ func TestNewAllocatesLittle(t *testing.T) {
 // one pointer that a flood node never allocates and that a fresh tree
 // node's points beside it, and the metric handles are one set per
 // registry, shared by the run. A re-armed node, on either transport,
-// allocates nothing.
+// allocates nothing, and a slot that alternates transports keeps the
+// tables each run filled.
 func TestNodeLayout(t *testing.T) {
 	if s := unsafe.Sizeof(floodResp{}); s != 24 {
 		t.Errorf("floodResp is %d bytes, want 24", s)
@@ -459,6 +459,23 @@ func TestNodeLayout(t *testing.T) {
 				t.Errorf("re-arming a node allocates %v times, want 0", allocs)
 			}
 		})
+	}
+	// Tree, flood, tree: each run re-arms the node, starts it and fills
+	// its tables with one delivery. Once both transports have run, a
+	// round allocates nothing.
+	tree, flood := NewFactory(Config{N: 8}), NewFactory(Config{N: 8, Flood: true})
+	nd, api := tree(amac.NodeConfig{Input: 1}).(*Node), &stubAPI{id: 3, now: 10}
+	treeMsg := fullMessage()
+	floodMsg := &Combined{Leader: treeMsg.Leader, Proposer: treeMsg.Proposer, Relay: treeMsg.Relay}
+	run := func(build amac.Factory, msg *Combined) {
+		build(amac.NodeConfig{Input: 1, Prev: nd})
+		nd.Start(api)
+		nd.OnReceive(msg)
+	}
+	run(tree, treeMsg)
+	run(flood, floodMsg)
+	if allocs := testing.AllocsPerRun(10, func() { run(tree, treeMsg); run(flood, floodMsg) }); allocs != 0 {
+		t.Errorf("a tree run and a flood run on one re-armed node allocate %v times, want 0", allocs)
 	}
 }
 
@@ -601,9 +618,9 @@ func (a *stubAPI) Now() int64          { return a.now }
 
 // TestSteadyStateDeliveryDoesNotAllocate pins the path nearly every
 // delivery of a large run takes: with the node's own broadcast in flight,
-// a Combined whose leader id, search (not an improvement), change, state
-// (a retransmission) and proposition are all already known is absorbed
-// without allocating.
+// a Combined whose leader id, search (not an improvement), change, relayed
+// response (a retransmission) and proposition are all already known is
+// absorbed without allocating.
 func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 	api := &stubAPI{id: 3, now: 10}
 	nd := NewFactory(Config{N: 5})(amac.NodeConfig{ID: 3, Input: 1}).(*Node)
@@ -614,7 +631,7 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 	msg := fullMessage()
 	nd.OnReceive(msg) // first sight: everything is learned here
 	_, seen := nd.tr.findSeen(msg.Proposer.Proposition())
-	if nd.det.Omega() != 9 || nd.tr.tree.distTo(9) != 1 || stateOf(nd, 9) == nil || !seen {
+	if nd.det.Omega() != 9 || nd.tr.tree.distTo(9) != 1 || len(nd.fl.cycle) != 2 || !seen {
 		t.Fatal("the first delivery was not absorbed")
 	}
 	api.now = 20
@@ -628,7 +645,7 @@ func TestSteadyStateDeliveryDoesNotAllocate(t *testing.T) {
 
 // fullMessage is a delivery that leaves a fresh node with something in
 // every sticky queue: a leader, a change, its tree, a proposition and two
-// acceptor states (the sender's and, after the response, the node's own).
+// relayed promises (the sender's and, after the response, the node's own).
 func fullMessage() *Combined {
 	num := ProposalNum{Tag: 1, ID: 9}
 	return &Combined{
@@ -636,7 +653,7 @@ func fullMessage() *Combined {
 		Change:   &omega.ChangeMsg{T: 5, ID: 9},
 		Search:   &SearchMsg{Root: 9, Hops: 1, Sender: 9},
 		Proposer: &ProposerMsg{Kind: Prepare, Num: num},
-		State:    &StateMsg{Origin: 9, Promised: num},
+		Relay:    &RelayMsg{Prop: Proposition{Kind: Prepare, Num: num}, Acceptor: 9},
 	}
 }
 
@@ -661,7 +678,7 @@ func TestSteadyStateBroadcastDoesNotAllocate(t *testing.T) {
 			api.broadcasts-sent, api.last, own)
 	}
 	c := own.(*Combined)
-	if c.Leader == nil || c.Change == nil || c.Proposer == nil || c.State == nil {
+	if c.Leader == nil || c.Change == nil || c.Proposer == nil || c.Relay == nil {
 		t.Fatalf("the steady-state broadcast is missing a sticky slot: %+v", c)
 	}
 }

@@ -84,8 +84,8 @@ type Classifier func(amac.Message) Phase
 // For wPAXOS, under either response transport, the priority order
 // matters: a combined broadcast multiplexes one message per service queue,
 // and the most information-bearing constituent wins — a decide flood
-// outranks everything, acceptor responses / gossiped acceptor state (the
-// counting machinery) outrank the proposition flood, which outranks the
+// outranks everything, acceptor responses, aggregated or relayed (the
+// counting machinery), outrank the proposition flood, which outranks the
 // always-present election/membership gossip.
 func ClassifierFor(algo string) Classifier {
 	switch algo {
@@ -104,7 +104,7 @@ func classifyWPaxos(m amac.Message) Phase {
 	switch {
 	case c.Decide != nil:
 		return PhaseDecide
-	case c.Response != nil || c.State != nil:
+	case c.Response != nil || c.Relay != nil:
 		return PhaseAggregation
 	case c.Proposer != nil:
 		return PhaseProposal

@@ -33,12 +33,13 @@ func TestGoldenCriticalPaths(t *testing.T) {
 		{
 			// ring:9 mid-broadcast crash + chords overlay, wPAXOS. The
 			// election settles in 11 ticks; the bulk of the latency is the
-			// proposer's response aggregation bouncing across the ring.
+			// acceptor responses, aggregated and relayed, bouncing across
+			// the ring.
 			path:       "../harness/testdata/golden_wpaxos_midbroadcast_chords.json",
-			decideTime: 70,
+			decideTime: 59,
 			decideNode: 2,
-			hops:       28,
-			spans:      map[string]int64{"election": 11, "aggregation": 40, "stall": 19},
+			hops:       26,
+			spans:      map[string]int64{"election": 11, "proposal": 2, "aggregation": 34, "stall": 12},
 		},
 		{
 			// grid:3x3 one@3 crash + extra edge, floodpaxos. The flooding

@@ -20,10 +20,10 @@ import (
 // not: the tree service can adopt a parent across an unreliable edge, and
 // an acceptor response routed over that edge is sent exactly once and may
 // be lost. What keeps the run live is the retransmit-until-superseded
-// state gossip, which carries the same acceptor state to the proposer by
-// another road — so every row must terminate in every run, and a row that
-// does not fails the shape check: it is a regression of that fallback, not
-// the paper's open question. "Optimizing our multihop upper bound to work
+// response relay, which floods each acceptor's answer individually and
+// lets any node count it — so every row must terminate in every run, and a
+// row that does not fails the shape check: it is a regression of that
+// fallback, not the paper's open question. "Optimizing our multihop upper bound to work
 // in the presence of such links ... is left an open question" (Sec 2) is
 // about the O(D*Fack) bound, which this table does not measure.
 func E11UnreliableLinks() *Experiment {
@@ -85,13 +85,13 @@ func E11UnreliableLinks() *Experiment {
 	}
 	if stalled == 0 {
 		e.Notes = append(e.Notes, fmt.Sprintf(
-			"liveness: all %d runs terminated — a fast-path response lost on an unreliable edge is sent once, and the sticky state gossip delivers the same acceptor state by another road",
+			"liveness: all %d runs terminated — a fast-path response lost on an unreliable edge is sent once, and the sticky response relay delivers each acceptor's answer by another road",
 			total))
 	} else {
 		e.OK = false
 		liveness = fmt.Sprintf("%d of %d runs stall", stalled, total)
 		e.Notes = append(e.Notes, fmt.Sprintf(
-			"liveness: %d of %d runs did not terminate — the state-gossip fallback for responses lost on unreliable edges has regressed",
+			"liveness: %d of %d runs did not terminate — the relay fallback for responses lost on unreliable edges has regressed",
 			stalled, total))
 	}
 	e.Title = fmt.Sprintf("Extension: unreliable links (dual-graph model) — %s, %s", safety, liveness)

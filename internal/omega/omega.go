@@ -18,8 +18,8 @@
 //     set by rank, so every node converges on the same member list.
 //   - Suspicion: a node tracks the time of the last *novel* information it
 //     observed — any dedup-passing state change (new member, fresh change
-//     notice, tree improvement, first-seen proposition or response,
-//     advancing acceptor state). When nothing novel arrives for longer
+//     notice, tree improvement, first-seen proposition, aggregated
+//     response or relayed response). When nothing novel arrives for longer
 //     than the silence bound, the current omega is demoted and the next
 //     highest unsuspected member takes over.
 //   - Silence bound: fhat * (4n+8) * mult, where fhat is the largest
