@@ -67,6 +67,31 @@ func TestReuseKeepsHalfFullTables(t *testing.T) {
 	}
 }
 
+// TestReuseUpToKeepsEmptiedTables: a table a run emptied keeps its backing
+// array, zeroed to its full capacity, while that holds at most max
+// elements; a larger one is dropped.
+func TestReuseUpToKeepsEmptiedTables(t *testing.T) {
+	drained := make([]*int, 4)
+	for i := range drained {
+		drained[i] = new(int)
+	}
+	got := ReuseUpTo(drained[:0], 4)
+	if len(got) != 0 || cap(got) != 4 || &got[:1][0] != &drained[0] {
+		t.Fatalf("emptied table: len %d cap %d, want the same array emptied", len(got), cap(got))
+	}
+	for i, p := range drained {
+		if p != nil {
+			t.Errorf("kept table still references element %d of the last run", i)
+		}
+	}
+	if got := ReuseUpTo(make([]int, 1, 5), 4); got != nil {
+		t.Fatalf("table over the bound kept: len %d cap %d", len(got), cap(got))
+	}
+	if got := ReuseUpTo([]int(nil), 4); got != nil {
+		t.Fatalf("nil table came back as len %d cap %d", len(got), cap(got))
+	}
+}
+
 // TestReuseSizedKeepsFittingTables: a table sized from the configuration
 // keeps its backing array, zeroed, while that holds n elements and no more
 // than 2n; otherwise it is made anew.

@@ -148,7 +148,10 @@ func (nd *Node) admitFlood(m ProposerMsg) bool {
 
 // routeFlood drops a dead response to a proposition numbered num, dedups a
 // live one against the heard table, tallies it, and queues it for the
-// sticky relay unless this node is the proposer it was travelling to.
+// sticky relay unless this node is the proposer it was travelling to or
+// has decided: a decided node's pump sends only the decide flood. The
+// tallies still count, since a decided proposer may still begin its
+// Propose.
 func (nd *Node) routeFlood(num ProposalNum, r floodResp) {
 	f := &nd.fl
 	if num != nd.live || f.proposed && r.kind == Prepare {
@@ -159,7 +162,7 @@ func (nd *Node) routeFlood(num ProposalNum, r floodResp) {
 		return
 	}
 	nd.det.Novel(nd.api.Now())
-	if num.ID != nd.id {
+	if num.ID != nd.id && !nd.decided {
 		f.cycle = append(f.cycle, r)
 		nd.met.relayPending.Set(int64(len(f.cycle)))
 	}

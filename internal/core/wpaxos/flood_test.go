@@ -172,6 +172,33 @@ func TestSupersededProposerRetriesWithinBudget(t *testing.T) {
 	}
 }
 
+// TestDecidedNodeStopsQueueing: a decided node's pump sends only the decide
+// flood, so a fresh relayed response it hears afterwards is deduplicated
+// and tallied as before but no longer queued for the relay.
+func TestDecidedNodeStopsQueueing(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			nd := newNode(0, Config{N: 8, Flood: tr.flood})
+			nd.Start(&stubAPI{id: 3})
+			accept := func(acceptor amac.NodeID) *Combined {
+				return &Combined{Relay: &RelayMsg{
+					Prop:     Proposition{Kind: Propose, Num: ProposalNum{Tag: 1, ID: 9}},
+					Acceptor: acceptor,
+				}}
+			}
+			nd.OnReceive(accept(1))
+			if len(nd.fl.cycle) != 1 {
+				t.Fatalf("an undecided node queued %d responses, want 1", len(nd.fl.cycle))
+			}
+			nd.OnReceive(&Combined{Decide: &DecideMsg{Val: 1}})
+			nd.OnReceive(accept(2))
+			if f := &nd.fl; len(f.cycle) != 1 || f.accepts != 2 {
+				t.Fatalf("a decided node holds %d pending responses and %d accepts, want 1 and 2", len(f.cycle), f.accepts)
+			}
+		})
+	}
+}
+
 // TestFloodSlowerThanTreeOnBottleneck is E7's contrast as a one-variable
 // A/B: on a hub topology the same node, flooding every acceptor response
 // individually, must take visibly longer than aggregating them up the

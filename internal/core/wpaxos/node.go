@@ -2,6 +2,7 @@ package wpaxos
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -73,7 +74,6 @@ type Node struct {
 	n     int
 	input amac.Value
 	audit *CountAudit
-	flood bool
 
 	det  omega.Service
 	prop proposerState
@@ -86,9 +86,11 @@ type Node struct {
 	// propQ is the proposer flood queue: the highest-numbered proposition
 	// seen anywhere (a propose supersedes the prepare of the same
 	// number). It is sticky — re-broadcast on every pump until superseded
-	// — so a proposition survives lossy overlay edges.
-	propQ    ProposerMsg
-	hasPropQ bool
+	// — so a proposition survives lossy overlay edges. propSent marks the
+	// entry as broadcast at least once, so retransmissions can be told
+	// apart from first sends.
+	propQ              ProposerMsg
+	hasPropQ, propSent bool
 	// lastProp is the proposition onProposer looked at last: the flood
 	// queue is sticky, so nearly every delivery repeats it and is turned
 	// away without a search.
@@ -98,16 +100,14 @@ type Node struct {
 	hasDecideQ bool
 	inflight   bool
 	decided    bool
+	flood      bool
 	decision   amac.Value
 
 	// mreg is the metrics registry handed down by the substrate (nil when
 	// metrics are off); met holds the run's counter handles (zero =
-	// disabled). propSent marks the sticky proposer queue entry as having
-	// been broadcast at least once, so retransmissions can be told apart
-	// from first sends.
-	mreg     *metrics.Registry
-	met      *nodeMetrics
-	propSent bool
+	// disabled).
+	mreg *metrics.Registry
+	met  *nodeMetrics
 
 	// msg is the one message the node ever broadcasts, refilled by every
 	// pump. The queues are values and value slices, so steady-state pumping
@@ -161,16 +161,27 @@ func allocNode(flood bool) *Node {
 	return &tn.Node
 }
 
+// keepCap bounds the storage a re-arm keeps for a table that a run empties
+// before it ends (amac.ReuseUpTo): the tree service's entries and queue,
+// seenProps, respQ and the acceptor's slab. They hold O(roots +
+// propositions), which grows with log n on the expanders measured (at
+// most 32 entries, 16 queued roots and 64 propositions a node at n = 4096;
+// 16, 16 and 32 at n = 256), so eight slots per bit of n keep what a run
+// of this size fills and let a slot that served a larger network go.
+func keepCap(n int) int { return 8 * bits.Len(uint(n)) }
+
 // arm makes nd — a zero Node or one a finished run left — the unstarted
 // node for the given binary input: every field as a fresh node has it,
-// except the storage of its message and tables, which it keeps when the
-// last run filled them enough (amac.Reuse). A node armed for a tree run
-// without tree state gets it here; a node keeps its tree state through
-// later re-arms, and a flood run leaves it as the last tree run left it,
-// so the next tree re-arm finds that run's tables to reuse. The paper
-// restricts consensus to binary inputs because that strengthens its lower
-// bounds; the algorithm itself carries any value unchanged
-// (TestMultivaluedConsensus).
+// except the storage of its message and tables. The tables a run empties
+// before it ends keep theirs up to keepCap (amac.ReuseUpTo); the relay's
+// cycle and far sets keep theirs when the last run left them at least
+// half full (amac.Reuse), and its heard table while it fits
+// (amac.ReuseSized). A node armed for a tree run without tree state gets
+// it here; a node keeps its tree state through later re-arms, and a flood
+// run leaves it as the last tree run left it, so the next tree re-arm
+// finds that run's tables to reuse. The paper restricts consensus to
+// binary inputs because that strengthens its lower bounds; the algorithm
+// itself carries any value unchanged (TestMultivaluedConsensus).
 func (nd *Node) arm(input amac.Value, cfg Config) {
 	if input != 0 && input != 1 {
 		panic(fmt.Sprintf("wpaxos: input %d is not binary", input))
@@ -183,14 +194,18 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 		cycle: amac.Reuse(nd.fl.cycle), heard: amac.ReuseSized(nd.fl.heard, heardWords(cfg.N)),
 		far: [2]omega.IDSet{amac.Reuse(nd.fl.far[0]), amac.Reuse(nd.fl.far[1])},
 	}
+	keep := keepCap(cfg.N)
 	tr := nd.tr
 	switch {
 	case cfg.Flood: // kept as the last tree run left it
 	case tr != nil:
 		*tr = treeTransport{
-			tree:      treeService{ents: amac.Reuse(tr.tree.ents), queue: amac.Reuse(tr.tree.queue)},
-			seenProps: amac.Reuse(tr.seenProps),
-			respQ:     amac.Reuse(tr.respQ),
+			tree: treeService{
+				ents:  amac.ReuseUpTo(tr.tree.ents, keep),
+				queue: amac.ReuseUpTo(tr.tree.queue, keep),
+			},
+			seenProps: amac.ReuseUpTo(tr.seenProps, keep),
+			respQ:     amac.ReuseUpTo(tr.respQ, keep),
 		}
 	default:
 		tr = new(treeTransport)
@@ -198,6 +213,7 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 	*nd = Node{
 		n: cfg.N, input: input, audit: cfg.Audit, flood: cfg.Flood, msg: msg,
 		det: nd.det, // Start re-initializes it, keeping its tables
+		acc: acceptorState{slab: amac.ReuseUpTo(nd.acc.slab, keep)},
 		fl:  fl,
 		tr:  tr,
 	}

@@ -46,8 +46,14 @@ type proposerState struct {
 type acceptorState struct {
 	// promised is the highest prepare number committed to.
 	promised ProposalNum
-	// accepted is the highest-numbered accepted proposal, if any.
+	// accepted is the highest-numbered accepted proposal, if any. It
+	// points into slab, which holds every proposal accepted in the run and
+	// only appends: a pointer handed out stays valid for the run, since an
+	// array that append outgrows stays alive for the pointers into it.
+	// arm empties the slab, so across runs only nodes re-armed together
+	// reference it, as with the recycled *Combined.
 	accepted *Proposal
+	slab     []Proposal
 }
 
 // handlePrepare applies a prepare message and returns the response
@@ -69,7 +75,8 @@ func (a *acceptorState) handlePropose(num ProposalNum, val amac.Value) (positive
 		return false, a.promised
 	}
 	a.promised = num
-	a.accepted = &Proposal{Num: num, Val: val}
+	a.slab = append(a.slab, Proposal{Num: num, Val: val})
+	a.accepted = &a.slab[len(a.slab)-1]
 	return true, ProposalNum{}
 }
 

@@ -84,7 +84,7 @@
 //     the relay and the state of the tree transport if its run uses it.
 //     The relay is inline; the tree transport's tables sit behind one
 //     pointer (Node.tr), and a flood node has none. A fresh tree node is
-//     allocated with its 144-byte tree state beside it (treeNode, 840 B in
+//     allocated with its 144-byte tree state beside it (treeNode, 848 B in
 //     the 896-byte size class), so a delivery finds both in neighbouring
 //     cache lines; a flood node re-armed for a tree run allocates the tree
 //     state then.
@@ -92,8 +92,9 @@
 //     run without metrics shares a package-level zero set. A relay entry
 //     keeps an acceptor, its previous proposal and a kind — no proposal
 //     number, since every entry answers the live number and pump stamps it
-//     on the way out — so it is 24 B. A flood node is 696 B (the 704-byte
-//     size class); one node carrying both transports' fields and its own
+//     on the way out — so it is 24 B. A flood node is 704 B (the 704-byte
+//     size class), with the acceptor's slab header in what field padding
+//     took before; one node carrying both transports' fields and its own
 //     handles was 1 056 B (the 1 152-byte class). TestNodeLayout pins the
 //     sizes.
 //   - Rule 1, trees: a root is tracked only while it can be this node's
@@ -163,15 +164,22 @@
 //     back to NewFactory (amac.NodeConfig.Prev), which re-arms it in
 //     place: every field as a fresh node has it, while the struct, its
 //     *Combined, the detector's bitset and sets, the tree transport's
-//     state (its struct and the tree, seenProps and respQ tables, which a
-//     flood run leaves as the last tree run left them) and the relay's
-//     tables keep their storage. A table keeps it only when the last run
-//     left it at least half full (amac.Reuse; the bitset and the heard
-//     table, whose size n fixes, while they fit: amac.ReuseSized), so a
-//     slot's storage follows its last run instead of ratcheting to the
-//     largest. On decide_expander4096 this took a warm op from 42 MB
-//     allocated to about 8 MB, every execution unchanged
-//     (TestRecycledNodesMatchFresh).
+//     state and every table keep their storage, each by the rule that
+//     fits how a run leaves it. The tables a run empties before it ends
+//     keep theirs whatever the last run left in them, up to keepCap(n),
+//     eight slots per bit of n (amac.ReuseUpTo): the tree service's
+//     entries and queue, which purge and pop drain, respQ, which Ω
+//     changes and leader numbers prune, seenProps, and the acceptor's
+//     slab of accepted proposals; a flood run leaves the tree tables as
+//     the last tree run left them. The relay's cycle and far sets keep
+//     theirs when the last run left them at least half full
+//     (amac.Reuse), and the detector's bitset and the heard table, whose
+//     size n fixes, while they fit (amac.ReuseSized), so no slot ratchets
+//     to the largest run it served. On decide_expander4096 a warm op
+//     allocates about 0.2 MB (3.6 MB while the tree tables kept their
+//     storage only when half full, 42 MB before nodes were re-armed),
+//     every execution unchanged (TestRecycledNodesMatchFresh,
+//     TestRearmKeepsEmptiedTables).
 //
 // Dense 0..n-1 slices for dist and parent — the obvious
 // alternative when ids are dense — stay rejected on arithmetic (8 B ×

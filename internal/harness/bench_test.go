@@ -189,10 +189,12 @@ func BenchmarkSweepGrid(b *testing.B) {
 // of one engine on wpaxos expander:256:8, alternating seeds 1 and 2, with
 // metrics off. Every op hands the slots' nodes back to the factory
 // (amac.NodeConfig.Prev), which re-arms them with the other seed's tables,
-// so what is left is a fresh scheduler per op and the tables one seed
-// outgrows the other's storage in. Its allocs/op is pinned
-// (BENCH_engine.json): a factory that stops re-arming its nodes, or a
-// table that stops keeping its storage, shows as a multiple of the pin.
+// so what is left is a fresh scheduler per op, the tables one seed
+// outgrows the other's storage in, and the relay cycles a run left under
+// half full (amac.Reuse), about three in four of the allocations. Its
+// allocs/op is pinned (BENCH_engine.json): a factory that stops re-arming
+// its nodes, or a table that stops keeping its storage, shows as a
+// multiple of the pin.
 func BenchmarkWarmRunWPaxos(b *testing.B) {
 	var cfgs [2]sim.Config
 	var events [2]int
