@@ -49,11 +49,16 @@
 //	        -scheds sync,random -facks 2,8 -seeds 8 -json
 //
 // Topology specs: clique:N, line:N, ring:N, star:N, grid:RxC, tree:BxD,
-// starlines:AxL, random:N:P, expander:N:D, pods:P:K:C. Crash patterns,
-// name[@T]: none, one@T, maxid@T, coordinator, midbroadcast,
-// minorityrand. Overlays, family[:param][@Q]: none, randomextra:P,
-// extra:K, chords, with Q the delivery probability (default 0.5). A bad
-// name's error lists the registry.
+// starlines:AxL, random:N:P, expander:N:D, pods:P:K:C, and Figure 1's
+// networks fig1a:D:N and fig1b:D:N (even D >= 6, n >= D) and Figure 2's
+// K_D, kd:D (D >= 2). Algorithms, schedulers and crash patterns share the
+// grammar name[@N]: anonflood@R and waitall@R set a round budget; gate@T
+// is sync with the graph's unique highest-degree node silent until T;
+// crash patterns none, one@T, maxid@T, coordinator, midbroadcast,
+// minorityrand. Inputs cut: ones on the second component, by lowest index,
+// that removing that node leaves. Overlays, family[:param][@Q]: none,
+// randomextra:P, extra:K, chords, with Q the delivery probability (default
+// 0.5). A bad name's error lists the registry.
 //
 // # Explore
 //

@@ -90,6 +90,14 @@ func TestCommandLine(t *testing.T) {
 			args: strings.Fields("-algo wpaxos -topo expander:256:8 -seed 1"),
 			line: "decide time 97 (24.25 x Fack, 6.06 x D*Fack; survivors)",
 		},
+		// E3's K_4 witness (Theorem 3.9) is an ordinary scenario: the
+		// n-oblivious gatherer, its hub silent, split-brains.
+		row{
+			name: "K_4 witness",
+			args: strings.Fields("-algo waitall@30 -topo kd:4 -sched gate@32 -inputs cut -fack 1"),
+			code: 1,
+			line: "agreement   false",
+		},
 		row{name: "replay the stall", args: []string{"-replay", stall}},
 		row{name: "replay the wpaxos golden", args: []string{"-replay", testdata + "golden_wpaxos_midbroadcast_chords.json", "-critpath"}},
 		row{name: "replay the floodpaxos golden", args: []string{"-replay", testdata + "golden_floodpaxos_one3_extra.json", "-json"}},

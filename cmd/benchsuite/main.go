@@ -3,13 +3,13 @@
 // the index, E1..E12, and -only runs one entry of it) and, with -grid,
 // runs the canonical scenario grid — every registered algorithm crossed
 // with the topology, scheduler and Fack axes — in parallel through
-// internal/harness. E4's wPAXOS control and E5–E12 run on the same
-// harness executor as the grid; E1–E3 and E4's partition half are the
-// lower-bound constructions of internal/lowerbound.
+// internal/harness. E2–E12 run on the same harness executor as the grid;
+// E1 is internal/lowerbound's valid-step explorer.
 //
 // The grid's topology zoo covers every registered family (grammar in
 // cmd/amacsim's package doc): clique:N, line:N, ring:N, star:N, grid:RxC,
-// tree:BxD, starlines:AxL, random:N:P, and the degree-bounded sparse
+// tree:BxD, starlines:AxL, random:N:P, the paper's fig1a:D:N, fig1b:D:N
+// and kd:D, and the degree-bounded sparse
 // families expander:N:D and pods:P:K:C at small parameters — their
 // large-n shapes live in internal/sim's BenchmarkBroadcastPlanLarge tier
 // and the large-n tests instead.
@@ -170,6 +170,9 @@ func canonicalGrids() []harness.Grid {
 			{Kind: "random", N: 16, P: 0.15},
 			{Kind: "expander", N: 16, Deg: 4},
 			{Kind: "pods", Pods: 4, PodSize: 4, Cross: 2},
+			{Kind: "fig1a", Diam: 6, N: 6},
+			{Kind: "fig1b", Diam: 6, N: 6},
+			{Kind: "kd", Diam: 2},
 		},
 		Scheds: []string{"sync", "random", "maxdelay"},
 		Facks:  []int64{2, 8},

@@ -59,9 +59,9 @@
 //   - internal/explore: schedule-space search around recorded runs,
 //     delta-debugging into minimal replayable artifacts, and campaigns
 //     that sweep a grid and hunt every flagged cell.
-//   - internal/lowerbound: the impossibility constructions — the FLP
-//     valid-step explorer (Theorem 3.2), the Figure 1 and Figure 2
-//     indistinguishability runs and the Theorem 3.10 partition.
+//   - internal/lowerbound: the FLP valid-step explorer (Theorem 3.2). The
+//     Figure 1 and Figure 2 constructions and the Theorem 3.10 partition
+//     are registered scenarios (the fig1a, fig1b and kd rows, gate, cut).
 //   - internal/metrics, internal/critpath, internal/trace: the
 //     allocation-free metrics registry, the decide-latency critical path,
 //     and event traces.

@@ -5,9 +5,9 @@
 // (which regenerates the full report) and this package's tests (one per
 // experiment).
 //
-// E1–E3 and E4's partition half run the impossibility constructions of
-// internal/lowerbound. Every other simulated run — E4's wPAXOS control and
-// E5–E12 — is a harness.Scenario run by the harness executor: the
+// E1 runs internal/lowerbound's valid-step explorer. Every simulated run —
+// E2–E4's impossibility constructions and their controls, and E5–E12 —
+// is a harness.Scenario run by the harness executor: the
 // experiments that read only aggregates sweep a harness.Grid, the ones
 // that read a node's amac.View or a Lemma 4.2 audit execute one scenario
 // at a time. Either way each run's Outcome.Scenario replays it.

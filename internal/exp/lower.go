@@ -2,9 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/absmac/absmac/internal/amac"
+	"github.com/absmac/absmac/internal/baseline/anonflood"
+	"github.com/absmac/absmac/internal/baseline/waitall"
+	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/twophase"
+	"github.com/absmac/absmac/internal/graph"
 	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/lowerbound"
 	"github.com/absmac/absmac/internal/stats"
@@ -64,7 +69,8 @@ func E1FLP() *Experiment {
 	return e
 }
 
-// E2Anonymous reproduces Theorem 3.3 / Figure 1.
+// E2Anonymous reproduces Theorem 3.3 / Figure 1 with anonRuns, every node
+// under the anonymity audit.
 func E2Anonymous() *Experiment {
 	e := &Experiment{
 		ID:    "E2",
@@ -74,17 +80,23 @@ func E2Anonymous() *Experiment {
 	}
 	e.OK = true
 	for _, tc := range []struct{ d, n int }{{6, 6}, {8, 40}, {10, 64}} {
-		res, err := lowerbound.RunAnonImpossibility(tc.d, tc.n)
+		fig := graph.BuildFigure1(tc.d, tc.n)
+		if err := fig.VerifyCoverProperty(); err != nil {
+			e.fail("D=%d: %v", tc.d, err)
+			continue
+		}
+		outs, reads, err := runAll(anonRuns(fig, tc.d, tc.n), true)
 		if err != nil {
 			e.fail("D=%d: %v", tc.d, err)
 			continue
 		}
-		if !res.ControlOK || !res.ViolationInA || res.IDReads != 0 {
+		controlOK, violation, witness := outs[0].Report.OK(), !outs[1].Report.Agreement, outs[1]
+		if !controlOK || !violation || reads != 0 {
 			e.OK = false
 		}
-		e.Table.AddRow(tc.d, res.Fig.N, res.Fig.DiamA, res.Fig.DiamB,
-			boolMark(res.ControlOK), boolMark(res.ViolationInA),
-			fmt.Sprintf("%d vs %d", res.Gadget0Decision, res.Gadget1Decision), res.IDReads)
+		e.Table.AddRow(tc.d, fig.N, fig.DiamA, fig.DiamB, boolMark(controlOK), boolMark(violation),
+			fmt.Sprintf("%d vs %d", decision(witness, fig.AGadget[0][fig.Gadget.C()]),
+				decision(witness, fig.AGadget[1][fig.Gadget.C()])), reads)
 	}
 	e.Notes = append(e.Notes,
 		"the anonymous min-flood algorithm is correct on the threefold cover B yet splits on network A",
@@ -92,7 +104,21 @@ func E2Anonymous() *Experiment {
 	return e
 }
 
-// E3SizeKnowledge reproduces Theorem 3.9 / Figure 2.
+// anonRuns is Theorem 3.3's construction on the Figure 1 networks fig of
+// (d, n): anonflood, with the budget of a diameter bound both networks
+// share, on network B under sync (the control), and on network A under
+// gate, q silent until both gadgets have decided, from the cut inputs —
+// gadget copy 1 starts with 1 (the witness).
+func anonRuns(fig *graph.Figure1, d, n int) []harness.Scenario {
+	rounds := anonflood.RoundsForDiameter(max(fig.DiamA, fig.DiamB))
+	control := harness.Scenario{Algo: fmt.Sprintf("anonflood@%d", rounds),
+		Topo: harness.Topo{Kind: "fig1b", Diam: d, N: n}, Sched: "sync", Fack: 1}
+	witness := control
+	witness.Topo.Kind, witness.Inputs, witness.Sched = "fig1a", "cut", fmt.Sprintf("gate@%d", rounds+2)
+	return []harness.Scenario{control, witness}
+}
+
+// E3SizeKnowledge reproduces Theorem 3.9 / Figure 2 with sizeRuns.
 func E3SizeKnowledge() *Experiment {
 	e := &Experiment{
 		ID:    "E3",
@@ -102,16 +128,18 @@ func E3SizeKnowledge() *Experiment {
 	}
 	e.OK = true
 	for _, d := range []int{2, 4, 6, 8} {
-		res, err := lowerbound.RunSizeImpossibility(d)
+		kd := graph.BuildKD(d)
+		outs, _, err := runAll(sizeRuns(d), false)
 		if err != nil {
 			e.fail("D=%d: %v", d, err)
 			continue
 		}
-		if !res.ControlLineOK || !res.ViolationInKD || !res.ControlWithNOK {
+		lineOK, splitBrain, withNOK := outs[0].Report.OK(), !outs[1].Report.Agreement, outs[2].Report.OK()
+		if !lineOK || !splitBrain || !withNOK {
 			e.OK = false
 		}
-		e.Table.AddRow(d, res.KD.G.N(), boolMark(res.ControlLineOK), boolMark(res.ViolationInKD),
-			fmt.Sprintf("%d vs %d", res.L1Decision, res.L2Decision), boolMark(res.ControlWithNOK))
+		e.Table.AddRow(d, kd.G.N(), boolMark(lineOK), boolMark(splitBrain),
+			fmt.Sprintf("%d vs %d", decision(outs[1], kd.L1[0]), decision(outs[1], kd.L2[0])), boolMark(withNOK))
 	}
 	e.Notes = append(e.Notes,
 		"the n-oblivious gatherer behaves identically on the silenced K_D lines and the standalone line (Lemma 3.8's indistinguishability)",
@@ -119,7 +147,23 @@ func E3SizeKnowledge() *Experiment {
 	return e
 }
 
-// E4TimeLowerBound reproduces Theorem 3.10.
+// sizeRuns is Theorem 3.9's construction for diameter d: waitall, which
+// knows d but not n, with the budget of d, on the line L_d under sync
+// (the control), then on K_d under gate, the hub silent until both lines
+// have decided, from the cut inputs — L2 starts with 1 (the witness);
+// then gatherall, which knows n, in the witness's place.
+func sizeRuns(d int) []harness.Scenario {
+	rounds := waitall.RoundsForDiameter(d)
+	line := harness.Scenario{Algo: fmt.Sprintf("waitall@%d", rounds), Topo: harness.Topo{Kind: "line", N: d + 1},
+		Sched: "sync", Fack: 1}
+	split := line
+	split.Topo, split.Inputs, split.Sched = harness.Topo{Kind: "kd", Diam: d}, "cut", fmt.Sprintf("gate@%d", rounds+2)
+	withN := split
+	withN.Algo = "gatherall"
+	return []harness.Scenario{line, split, withN}
+}
+
+// E4TimeLowerBound reproduces Theorem 3.10 with partitionRuns.
 func E4TimeLowerBound() *Experiment {
 	e := &Experiment{
 		ID:    "E4",
@@ -132,33 +176,74 @@ func E4TimeLowerBound() *Experiment {
 		d    int
 		fack int64
 	}{{4, 2}, {8, 2}, {16, 4}, {32, 4}} {
-		part, err := lowerbound.RunPartition(tc.d, tc.fack)
+		outs, _, err := runAll(partitionRuns(tc.d, tc.fack), false)
 		if err != nil {
 			e.fail("D=%d: %v", tc.d, err)
 			continue
 		}
-		// A correct algorithm on the same instance: earliest decision
-		// must respect the bound.
-		out, err := harness.Scenario{Algo: "wpaxos", Topo: harness.Topo{Kind: "line", N: tc.d + 1},
-			Sched: "maxdelay", Fack: tc.fack}.Run()
-		if err != nil {
-			e.fail("D=%d: %v", tc.d, err)
-			continue
-		}
-		res := out.Result
-		earliest := res.MaxDecideTime
-		for i, dec := range res.Decided {
-			if dec && res.DecideTime[i] < earliest {
-				earliest = res.DecideTime[i]
-			}
-		}
-		if !part.HastyViolated || part.HastyDecideTime >= part.Bound || out.Violation() != nil || earliest < part.Bound {
+		bound := int64(tc.d/2) * tc.fack
+		hastyAt, hastyViolated, earliest := outs[0].Result.MaxDecideTime, !outs[0].Report.Agreement, earliestDecision(outs[1])
+		if !hastyViolated || hastyAt >= bound || outs[1].Violation() != nil || earliest < bound {
 			e.OK = false
 		}
-		e.Table.AddRow(tc.d, tc.fack, part.Bound, part.HastyDecideTime, boolMark(part.HastyViolated), earliest)
+		e.Table.AddRow(tc.d, tc.fack, bound, hastyAt, boolMark(hastyViolated), earliest)
 	}
 	e.Notes = append(e.Notes,
 		"an algorithm deciding before the bound splits the two-valued line (partition argument);",
 		"wPAXOS's earliest decision always lands at or beyond floor(D/2)*Fack under the max-delay scheduler")
 	return e
+}
+
+// partitionRuns is Theorem 3.10's partition on the line of diameter d
+// under maxdelay: a hasty anonflood, whose max(1, floor(d/2)-1) ack cycles
+// cannot cross half the line, from the half inputs (the witness), then
+// wPAXOS.
+func partitionRuns(d int, fack int64) []harness.Scenario {
+	hasty := harness.Scenario{Algo: fmt.Sprintf("anonflood@%d", max(1, d/2-1)),
+		Topo: harness.Topo{Kind: "line", N: d + 1}, Inputs: "half", Sched: "maxdelay", Fack: fack}
+	correct := hasty
+	correct.Algo, correct.Inputs = "wpaxos", ""
+	return []harness.Scenario{hasty, correct}
+}
+
+// earliestDecision is the first decide time of out's run.
+func earliestDecision(out *harness.Outcome) int64 {
+	res := out.Result
+	earliest := res.MaxDecideTime
+	for i, dec := range res.Decided {
+		if dec && res.DecideTime[i] < earliest {
+			earliest = res.DecideTime[i]
+		}
+	}
+	return earliest
+}
+
+// runAll runs each scenario on its own executor, so that every Outcome's
+// Result stays valid. With audit every node is built under
+// consensus.AnonymityAudit, and reads counts the id reads of all runs.
+func runAll(ss []harness.Scenario, audit bool) (outs []*harness.Outcome, reads int64, err error) {
+	outs = make([]*harness.Outcome, len(ss))
+	for i, s := range ss {
+		cfg, err := s.Config()
+		if err != nil {
+			return nil, 0, err
+		}
+		counter := new(atomic.Int64)
+		if audit {
+			cfg.Factory, counter = consensus.AnonymityAudit(cfg.Factory)
+		}
+		if outs[i], _, _, err = harness.Execute(s, cfg, harness.Exec{}); err != nil {
+			return nil, 0, err
+		}
+		reads += counter.Load()
+	}
+	return outs, reads, nil
+}
+
+// decision is node u's decision in out, 0 if it did not decide.
+func decision(out *harness.Outcome, u int) amac.Value {
+	if !out.Result.Decided[u] {
+		return 0
+	}
+	return out.Result.Decision[u]
 }

@@ -49,12 +49,14 @@ import (
 // experiments vary).
 
 type crashCtor struct {
-	takesArg bool
-	mk       func(at int64, n int, fack, seed int64) []sim.Crash
+	arg argUse
+	mk  func(at int64, n int, fack, seed int64) []sim.Crash
 }
 
+func (c crashCtor) takes() argUse { return c.arg }
+
 // crashMaxID is one@T and its alias maxid@T: the highest-index node crashes at T.
-var crashMaxID = crashCtor{takesArg: true, mk: func(at int64, n int, _, _ int64) []sim.Crash {
+var crashMaxID = crashCtor{arg: needArg, mk: func(at int64, n int, _, _ int64) []sim.Crash {
 	return []sim.Crash{{Node: n - 1, At: at}}
 }}
 
@@ -95,26 +97,9 @@ func CrashPatterns() []string { return sortedKeys(crashPatterns) }
 // NewCrashes builds the named crash pattern for an n-node execution with
 // the given requested Fack and seed. The empty spec means "none".
 func NewCrashes(spec string, n int, fack, seed int64) ([]sim.Crash, error) {
-	if spec == "" {
-		spec = "none"
-	}
-	name, arg, hasArg := strings.Cut(spec, "@")
-	ctor, ok := crashPatterns[name]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown crash pattern %q (have %v; grammar name[@T])", spec, CrashPatterns())
-	}
-	var at int64
-	if hasArg {
-		if !ctor.takesArg {
-			return nil, fmt.Errorf("harness: crash pattern %q takes no @T argument (got %q)", name, spec)
-		}
-		v, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("harness: bad crash time in %q: want a non-negative integer", spec)
-		}
-		at = v
-	} else if ctor.takesArg {
-		return nil, fmt.Errorf("harness: crash pattern %q needs an @T argument (e.g. %q)", name, name+"@0")
+	ctor, at, err := resolve(crashPatterns, "crash pattern", cmp.Or(spec, "none"))
+	if err != nil {
+		return nil, err
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("harness: crash pattern %q on %d nodes", spec, n)

@@ -64,9 +64,12 @@ type overlayEntry struct {
 	err      error
 }
 
+// inputKey keys the input cache: by n, and for a pattern that reads the
+// graph by the graph too (the topo cache's, so one per topology key).
 type inputKey struct {
 	pattern string
 	n       int
+	g       *graph.Graph
 }
 
 type inputEntry struct {
@@ -141,13 +144,18 @@ func (c *caches) overlay(spec string, t Topo, base *graph.Graph, seed int64) (*g
 	return e.g, e.deliverP, e.err
 }
 
-// inputValues returns the named input assignment for n nodes, memoized per
-// (pattern, n). The returned slice is shared: callers must not mutate it.
-func (c *caches) inputValues(pattern string, n int) ([]amac.Value, error) {
+// inputValues returns the named input assignment for g's nodes, memoized
+// per (pattern, n), or per graph for a pattern that reads it. The returned
+// slice is shared: callers must not mutate it.
+func (c *caches) inputValues(pattern string, g *graph.Graph) ([]amac.Value, error) {
 	if pattern == "" {
 		pattern = "alternating"
 	}
-	key := inputKey{pattern, n}
+	key := inputKey{pattern: pattern, n: g.N()}
+	mk := graphInputs[pattern]
+	if mk != nil {
+		key.g = g
+	}
 	c.mu.Lock()
 	e, ok := c.inputs[key]
 	if !ok {
@@ -156,7 +164,11 @@ func (c *caches) inputValues(pattern string, n int) ([]amac.Value, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.vals, e.err = NewInputs(pattern, n)
+		if mk != nil {
+			e.vals, e.err = mk(g)
+		} else {
+			e.vals, e.err = NewInputs(pattern, key.n)
+		}
 	})
 	return e.vals, e.err
 }

@@ -33,6 +33,8 @@ func TestCacheHitDeterminism(t *testing.T) {
 		{Kind: "grid", Rows: 3, Cols: 3},
 		{Kind: "ring", N: 9},
 		{Kind: "random", N: 12, P: 0.2},
+		{Kind: "fig1a", Diam: 6, N: 6},
+		{Kind: "kd", Diam: 3},
 	}
 	overlays := []string{"none", "chords", "extra:4", "randomextra:0.25@0.8"}
 	for _, topo := range topos {
@@ -67,13 +69,21 @@ func TestCacheHitDeterminism(t *testing.T) {
 			}
 		}
 	}
-	// Inputs: cached assignment equals a fresh one.
+	// Inputs: cached assignment equals a fresh one, on K_2, whose hub
+	// leaves components for cut to split.
+	kd, err := c.topo(Topo{Kind: "kd", Diam: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pattern := range InputPatterns() {
-		got, err := c.inputValues(pattern, 9)
+		got, err := c.inputValues(pattern, kd.g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewInputs(pattern, 9)
+		want, err := NewInputs(pattern, kd.g.N())
+		if mk := graphInputs[pattern]; mk != nil {
+			want, err = mk(kd.g)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +176,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 						t.Errorf("worker %d: overlay on %s: %v", w, topo, err)
 						return
 					}
-					ins, err := c.inputValues("half", g.N())
+					ins, err := c.inputValues("half", g)
 					if err != nil || len(ins) != g.N() {
 						t.Errorf("worker %d: inputs on %s: %v", w, topo, err)
 						return

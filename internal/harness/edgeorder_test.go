@@ -11,7 +11,10 @@ import (
 var edgeOrderTopos = map[string]string{
 	"clique":    "clique:40",
 	"expander":  "expander:64:8",
+	"fig1a":     "fig1a:8:40",
+	"fig1b":     "fig1b:8:40",
 	"grid":      "grid:6x7",
+	"kd":        "kd:6",
 	"line":      "line:12",
 	"pods":      "pods:4:12:3",
 	"random":    "random:24:0.3",

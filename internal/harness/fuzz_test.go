@@ -30,7 +30,7 @@ const fuzzMaxNodes = 512
 // explores from there.
 func FuzzScenarioGrammar(f *testing.F) {
 	topos := []string{"clique:16", "line:5", "ring:9", "star:6", "grid:4x4", "tree:2x3",
-		"starlines:3x2", "random:24:0.1", "expander:64:8", "pods:4:4:1"}
+		"starlines:3x2", "random:24:0.1", "expander:64:8", "pods:4:4:1", "fig1a:6:6", "fig1b:8:40", "kd:4"}
 	crashes := []string{"none", "one@0", "maxid@10", "coordinator", "midbroadcast", "minorityrand"}
 	overlays := []string{"none", "randomextra:0.1", "extra:4", "chords", "extra:4@0.6"}
 	for i, topo := range topos {
@@ -50,6 +50,12 @@ func FuzzScenarioGrammar(f *testing.F) {
 	// one: a separator too many or in the wrong place, signs, an infinite
 	// or hexadecimal probability, no parameters at all.
 	for _, topo := range []string{"grid:3x4x5", "grid:3:x4", "pods:1:2:3:4", "clique:+3", "random:5:inf", "random:5:0x1p-2", "random:9:0.123456789", "clique"} {
+		f.Add(topo, "none", "none", int64(4), int64(1))
+	}
+	// Lower-bound networks graph.BuildFigure1 and graph.BuildKD would
+	// panic on: odd D, D < 6, n < D; D < 2. And sizes just past the
+	// rounding of Figure 1's node count.
+	for _, topo := range []string{"fig1a:7:20", "fig1b:4:4", "fig1a:8:6", "kd:1", "kd:-3", "fig1a:6", "kd:2:3", "fig1b:6:22", "fig1a:6:23"} {
 		f.Add(topo, "none", "none", int64(4), int64(1))
 	}
 	f.Fuzz(func(t *testing.T, topo, crash, overlay string, fack, seed int64) {
@@ -181,6 +187,25 @@ func referenceParseTopo(s string) (Topo, error) {
 			return bad()
 		}
 		return Topo{Kind: kind, N: n, Deg: d}, nil
+	case "fig1a", "fig1b":
+		if len(parts) != 3 {
+			return bad()
+		}
+		d, err1 := strconv.Atoi(parts[1])
+		n, err2 := strconv.Atoi(parts[2])
+		if err1 != nil || err2 != nil {
+			return bad()
+		}
+		return Topo{Kind: kind, Diam: d, N: n}, nil
+	case "kd":
+		if len(parts) != 2 {
+			return bad()
+		}
+		d, err := strconv.Atoi(parts[1])
+		if err != nil {
+			return bad()
+		}
+		return Topo{Kind: kind, Diam: d}, nil
 	case "pods":
 		if len(parts) != 4 {
 			return bad()
@@ -212,6 +237,10 @@ func referenceString(t Topo) string {
 		return fmt.Sprintf("expander:%d:%d", t.N, t.Deg)
 	case "pods":
 		return fmt.Sprintf("pods:%d:%d:%d", t.Pods, t.PodSize, t.Cross)
+	case "fig1a", "fig1b":
+		return fmt.Sprintf("%s:%d:%d", t.Kind, t.Diam, t.N)
+	case "kd":
+		return fmt.Sprintf("kd:%d", t.Diam)
 	default:
 		return fmt.Sprintf("%s:%d", t.Kind, t.N)
 	}

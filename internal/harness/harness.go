@@ -72,6 +72,8 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/baseline/anonflood"
@@ -170,35 +172,43 @@ func (o *Outcome) Violation() *consensus.Violation {
 // --- algorithm registry ---
 
 type algoCtor struct {
-	mk func(n int, seed int64) amac.Factory
+	// mk builds the factory; rounds is the row's @R argument, -1 without
+	// one.
+	mk func(n int, seed, rounds int64) amac.Factory
 	// seedFree declares that the algorithm draws no randomness of its own
 	// (it inherits all nondeterminism from the scheduler), as
 	// topoFamily.seedFree does for a topology; benor's coin flips consume
 	// the seed.
 	seedFree bool
+	arg      argUse
+}
+
+// budgeted is the row of a defeated baseline, whose round budget is @R or
+// else the one of the universal diameter bound n-1: correct where the
+// paper says it is (crash-free reliable runs whose scheduler lets
+// information traverse within the budget), defeated elsewhere.
+func budgeted(mk func(rounds int) amac.Factory, forDiameter func(int) int) algoCtor {
+	return algoCtor{seedFree: true, arg: optArg, mk: func(n int, _, rounds int64) amac.Factory {
+		if rounds < 0 {
+			return mk(forDiameter(n - 1))
+		}
+		return mk(int(rounds))
+	}}
 }
 
 var algorithms = map[string]algoCtor{
-	"twophase":   {seedFree: true, mk: func(int, int64) amac.Factory { return twophase.Factory }},
-	"wpaxos":     {seedFree: true, mk: func(n int, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) }},
-	"floodpaxos": {seedFree: true, mk: func(n int, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n, Flood: true}) }},
-	"gatherall":  {seedFree: true, mk: func(n int, _ int64) amac.Factory { return gatherall.NewFactory(n) }},
-	"benor": {mk: func(n int, seed int64) amac.Factory {
+	"twophase":   {seedFree: true, mk: func(int, int64, int64) amac.Factory { return twophase.Factory }},
+	"wpaxos":     {seedFree: true, mk: func(n int, _, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) }},
+	"floodpaxos": {seedFree: true, mk: func(n int, _, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n, Flood: true}) }},
+	"gatherall":  {seedFree: true, mk: func(n int, _, _ int64) amac.Factory { return gatherall.NewFactory(n) }},
+	"benor": {mk: func(n int, seed, _ int64) amac.Factory {
 		return benor.NewFactory(benor.Config{N: n, F: (n - 1) / 2, Seed: seed})
 	}},
-	// The two defeated baselines take a round budget derived from a
-	// diameter bound; the registry only knows n, so it uses the universal
-	// bound diameter <= n-1. That keeps them correct exactly where the
-	// paper says they are (crash-free reliable executions whose scheduler
-	// lets information traverse within the budget) while sweeps can now
-	// reach the regimes that defeat them.
-	"anonflood": {seedFree: true, mk: func(n int, _ int64) amac.Factory {
-		return anonflood.NewFactory(anonflood.RoundsForDiameter(n - 1))
-	}},
-	"waitall": {seedFree: true, mk: func(n int, _ int64) amac.Factory {
-		return waitall.NewFactory(waitall.RoundsForDiameter(n - 1))
-	}},
+	"anonflood": budgeted(anonflood.NewFactory, anonflood.RoundsForDiameter),
+	"waitall":   budgeted(waitall.NewFactory, waitall.RoundsForDiameter),
 }
+
+func (a algoCtor) takes() argUse { return a.arg }
 
 // fingerprintSalt returns the word to fold into the scenario's coverage
 // fingerprint beyond the schedule digest: the seed when the execution
@@ -209,7 +219,8 @@ var algorithms = map[string]algoCtor{
 // that genuinely change the execution, and DistinctSchedules must count
 // executions, not schedule skeletons.
 func (s Scenario) fingerprintSalt() int64 {
-	if algorithms[s.Algo].seedFree && topoFamilies[s.Topo.Kind].seedFree && overlaySeedFree(s.Overlay) {
+	algo, _, _ := resolve(algorithms, "algorithm", s.Algo)
+	if algo.seedFree && topoFamilies[s.Topo.Kind].seedFree && overlaySeedFree(s.Overlay) {
 		return 0
 	}
 	return s.Seed
@@ -218,49 +229,96 @@ func (s Scenario) fingerprintSalt() int64 {
 // Algorithms returns the registered algorithm names, sorted.
 func Algorithms() []string { return sortedKeys(algorithms) }
 
-// NewFactory builds the named algorithm's factory for an n-node execution.
+// NewFactory builds the algorithm spec's factory for an n-node execution.
 func NewFactory(algo string, n int, seed int64) (amac.Factory, error) {
-	ctor, ok := algorithms[algo]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown algorithm %q (have %v)", algo, Algorithms())
+	ctor, rounds, err := resolve(algorithms, "algorithm", algo)
+	if err != nil {
+		return nil, err
 	}
-	return ctor.mk(n, seed), nil
+	if rounds == 0 {
+		return nil, fmt.Errorf("harness: algorithm %q: the round budget must be at least 1", algo)
+	}
+	return ctor.mk(n, seed, rounds), nil
 }
 
 // --- scheduler registry ---
 
-type schedCtor func(fack, seed int64, g *graph.Graph) sim.Scheduler
+type schedCtor struct {
+	// mk builds the scheduler; at is the row's @T argument.
+	mk  func(at, fack, seed int64, g *graph.Graph) (sim.Scheduler, error)
+	arg argUse
+}
+
+func (c schedCtor) takes() argUse { return c.arg }
 
 var schedulers = map[string]schedCtor{
-	"sync":     func(fack, _ int64, _ *graph.Graph) sim.Scheduler { return sim.Synchronous{Round: fack} },
-	"random":   func(fack, seed int64, _ *graph.Graph) sim.Scheduler { return sim.NewRandom(fack, seed) },
-	"maxdelay": func(fack, _ int64, _ *graph.Graph) sim.Scheduler { return sim.MaxDelay{F: fack} },
-	"edgeorder": func(_, _ int64, g *graph.Graph) sim.Scheduler {
+	"sync": {mk: func(_, fack, _ int64, _ *graph.Graph) (sim.Scheduler, error) {
+		return sim.Synchronous{Round: fack}, nil
+	}},
+	"random": {mk: func(_, fack, seed int64, _ *graph.Graph) (sim.Scheduler, error) {
+		return sim.NewRandom(fack, seed), nil
+	}},
+	"maxdelay": {mk: func(_, fack, _ int64, _ *graph.Graph) (sim.Scheduler, error) { return sim.MaxDelay{F: fack}, nil }},
+	"edgeorder": {mk: func(_, _, _ int64, g *graph.Graph) (sim.Scheduler, error) {
 		maxDeg := 0
 		for u := 0; u < g.N(); u++ {
 			if d := g.Degree(u); d > maxDeg {
 				maxDeg = d
 			}
 		}
-		return &sim.EdgeOrder{MaxDegree: maxDeg}
-	},
+		return &sim.EdgeOrder{MaxDegree: maxDeg}, nil
+	}},
+	// gate@T is the semi-synchronous scheduler of Sections 3.2 and 3.3:
+	// sync, with the graph's hub (q in Figure 1's network A, the hub of
+	// K_D) silent until T.
+	"gate": {arg: needArg, mk: func(until, fack, _ int64, g *graph.Graph) (sim.Scheduler, error) {
+		hub, err := hubOf(g)
+		if err != nil {
+			return nil, err
+		}
+		if until > sim.MaxFack-fack {
+			return nil, fmt.Errorf("harness: gate@%d at Fack %d ends past sim.MaxFack=%d", until, fack, int64(sim.MaxFack))
+		}
+		return sim.Gate{Base: sim.Synchronous{Round: fack}, Gated: map[int]bool{hub: true}, Until: until}, nil
+	}},
+}
+
+// hubOf returns g's unique highest-degree node: the node gate@T silences
+// and cut removes.
+func hubOf(g *graph.Graph) (int, error) {
+	hub, unique := 0, true
+	for u := 1; u < g.N(); u++ {
+		switch d := g.Degree(u) - g.Degree(hub); {
+		case d > 0:
+			hub, unique = u, true
+		case d == 0:
+			unique = false
+		}
+	}
+	if !unique {
+		return 0, fmt.Errorf("harness: the graph has no unique highest-degree node to silence or cut")
+	}
+	return hub, nil
 }
 
 // Schedulers returns the registered scheduler names, sorted.
 func Schedulers() []string { return sortedKeys(schedulers) }
 
-// NewScheduler builds the named scheduler. The graph is consulted by
-// degree-driven schedulers (edgeorder); fack is ignored by schedulers whose
-// bound is structural.
+// NewScheduler builds the scheduler spec. The graph is consulted by
+// degree-driven schedulers (edgeorder, gate); fack is ignored by
+// schedulers whose bound is structural.
 func NewScheduler(name string, fack, seed int64, g *graph.Graph) (sim.Scheduler, error) {
-	ctor, ok := schedulers[name]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown scheduler %q (have %v)", name, Schedulers())
+	ctor, at, err := resolve(schedulers, "scheduler", name)
+	if err != nil {
+		return nil, err
 	}
 	if fack <= 0 {
 		return nil, fmt.Errorf("harness: Fack=%d, need > 0", fack)
 	}
-	s := ctor(fack, seed, g)
+	s, err := ctor.mk(at, fack, seed, g)
+	if err != nil {
+		return nil, err
+	}
 	if f := s.Fack(); f > sim.MaxFack {
 		return nil, fmt.Errorf("harness: scheduler %q declares Fack=%d, above sim.MaxFack=%d", name, f, int64(sim.MaxFack))
 	}
@@ -294,16 +352,60 @@ var inputPatterns = map[string]func(n int) []amac.Value{
 	},
 }
 
-// InputPatterns returns the registered input-pattern names, sorted.
-func InputPatterns() []string { return sortedKeys(inputPatterns) }
+// graphInputs are the input patterns that read the graph rather than n
+// alone. cut is the lower-bound constructions' split: ones on the second
+// component, by lowest index, that removing the hub (hubOf) leaves —
+// gadget copy 1 in Figure 1's network A, L2 in K_D.
+var graphInputs = map[string]func(g *graph.Graph) ([]amac.Value, error){
+	"cut": func(g *graph.Graph) ([]amac.Value, error) {
+		hub, err := hubOf(g)
+		if err != nil {
+			return nil, err
+		}
+		// comp[u] is 1 + the index of u's component; the hub is in none.
+		comp := make([]int, g.N())
+		comp[hub] = -1
+		ins := make([]amac.Value, g.N())
+		found := 0
+		for root := range comp {
+			if comp[root] != 0 {
+				continue
+			}
+			found++
+			comp[root] = found
+			for queue := []int{root}; len(queue) > 0; queue = queue[1:] {
+				if found == 2 {
+					ins[queue[0]] = 1
+				}
+				for _, v := range g.Neighbors(queue[0]) {
+					if comp[v] == 0 {
+						comp[v] = found
+						queue = append(queue, v)
+					}
+				}
+			}
+		}
+		if found < 2 {
+			return nil, fmt.Errorf("harness: removing the hub leaves one component: nothing to cut")
+		}
+		return ins, nil
+	},
+}
 
-// NewInputs builds the named input assignment for n nodes.
+// InputPatterns returns the registered input-pattern names, sorted.
+func InputPatterns() []string { return append(sortedKeys(inputPatterns), sortedKeys(graphInputs)...) }
+
+// NewInputs builds the named input assignment for n nodes; a pattern that
+// reads the graph (cut) is built from a Scenario.
 func NewInputs(pattern string, n int) ([]amac.Value, error) {
 	if pattern == "" {
 		pattern = "alternating"
 	}
 	mk, ok := inputPatterns[pattern]
-	if !ok {
+	switch {
+	case graphInputs[pattern] != nil:
+		return nil, fmt.Errorf("harness: input pattern %q reads the graph; name it in a Scenario", pattern)
+	case !ok:
 		return nil, fmt.Errorf("harness: unknown input pattern %q (have %v)", pattern, InputPatterns())
 	}
 	return mk(n), nil
@@ -330,7 +432,7 @@ func (s Scenario) build(c *caches) (sim.Config, *topoEntry, error) {
 		return sim.Config{}, nil, err
 	}
 	g := te.g
-	ins, err := c.inputValues(s.Inputs, g.N())
+	ins, err := c.inputValues(s.Inputs, g)
 	if err != nil {
 		return sim.Config{}, nil, err
 	}
@@ -381,6 +483,39 @@ func minorityRandSeed(seed int64) int64 { return seed*2654435761 + 97 } // minor
 func expanderSeed(seed int64) int64     { return seed*9176741 + 389 }   // expander topologies
 func podsSeed(seed int64) int64         { return seed*15485863 + 577 }  // pods topologies
 func fallbackSeed(seed int64) int64     { return seed*48271 + 11 }      // a replay's post-divergence planner
+
+// argUse is how a registry row takes the @N argument of the name[@N]
+// grammar that the algorithm, scheduler and crash registries share.
+type argUse uint8
+
+const (
+	noArg   argUse = iota
+	optArg         // name or name@N
+	needArg        // name@N only
+)
+
+// resolve is the one parse of the name[@N] grammar: it looks spec up in
+// reg (what names the registry in errors) and returns the row and N, a
+// non-negative integer, or -1 when spec has no @.
+func resolve[R interface{ takes() argUse }](reg map[string]R, what, spec string) (R, int64, error) {
+	name, text, has := strings.Cut(spec, "@")
+	row, ok := reg[name]
+	switch {
+	case !ok:
+		return row, 0, fmt.Errorf("harness: unknown %s %q (have %v; grammar name[@N])", what, spec, sortedKeys(reg))
+	case has && row.takes() == noArg:
+		return row, 0, fmt.Errorf("harness: %s %q takes no @ argument (got %q)", what, name, spec)
+	case !has && row.takes() == needArg:
+		return row, 0, fmt.Errorf("harness: %s %q needs an @ argument (e.g. %q)", what, name, name+"@0")
+	case !has:
+		return row, -1, nil
+	}
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil || v < 0 {
+		return row, 0, fmt.Errorf("harness: bad argument in %s %q: want a non-negative integer", what, spec)
+	}
+	return row, v, nil
+}
 
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))

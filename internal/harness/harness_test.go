@@ -112,6 +112,71 @@ func TestRegistryErrors(t *testing.T) {
 	}
 }
 
+// TestLowerBoundRows pins the rows the impossibility constructions run
+// on, in every instance experiments E2 and E3 run: gate's hub is q in
+// Figure 1's network A and the hub of K_D, and cut gives ones to gadget
+// copy 1 and to L2 alone.
+func TestLowerBoundRows(t *testing.T) {
+	check := func(name string, g *graph.Graph, hub int, ones []int) {
+		t.Helper()
+		if got, err := hubOf(g); got != hub || err != nil {
+			t.Errorf("%s: hub %d (%v), want %d", name, got, err, hub)
+		}
+		want := make([]amac.Value, g.N())
+		for _, u := range ones {
+			want[u] = 1
+		}
+		if got, err := graphInputs["cut"](g); !reflect.DeepEqual(got, want) || err != nil {
+			t.Errorf("%s: cut %v (%v), want %v", name, got, err, want)
+		}
+	}
+	for _, tc := range []struct{ d, n int }{{6, 6}, {8, 40}, {10, 64}} {
+		fig := graph.BuildFigure1(tc.d, tc.n)
+		check(fmt.Sprintf("fig1a:%d:%d", tc.d, tc.n), fig.A, fig.Q, fig.AGadget[1])
+	}
+	for _, d := range []int{2, 4, 6, 8} {
+		kd := graph.BuildKD(d)
+		check(fmt.Sprintf("kd:%d", d), kd.G, kd.Hub, kd.L2)
+	}
+	// The budgets resolve through the one parse, so a budgeted baseline
+	// is as seed-free as a bare one.
+	if salt := (Scenario{Algo: "anonflood@5", Topo: Topo{Kind: "kd", Diam: 2}, Seed: 3}).fingerprintSalt(); salt != 0 {
+		t.Errorf("anonflood@5 salts its fingerprint with %d", salt)
+	}
+}
+
+// TestLowerBoundRowErrors holds the lower-bound rows to errors, not
+// panics, on the parameters the constructions cannot take: a round
+// budget below 1, an argument where none belongs or none where one is
+// needed, a negative silence, and a graph without a hub to silence or cut.
+func TestLowerBoundRowErrors(t *testing.T) {
+	for _, algo := range []string{"anonflood@0", "waitall@-1", "waitall@x", "wpaxos@3"} {
+		if _, err := NewFactory(algo, 4, 1); err == nil {
+			t.Errorf("algorithm %q accepted", algo)
+		}
+	}
+	kd, ring := graph.BuildKD(2).G, graph.Ring(6)
+	for _, tc := range []struct {
+		sched string
+		g     *graph.Graph
+	}{{"gate", kd}, {"gate@", kd}, {"gate@-1", kd}, {"gate@1048576", kd}, {"gate@3", ring}, {"sync@3", kd}} {
+		if _, err := NewScheduler(tc.sched, 1, 1, tc.g); err == nil {
+			t.Errorf("scheduler %q on %d nodes accepted", tc.sched, tc.g.N())
+		}
+	}
+	if _, err := NewScheduler("gate@3", 0, 1, kd); err == nil {
+		t.Error("gate at Fack 0 accepted")
+	}
+	for _, g := range []*graph.Graph{ring, graph.Grid(3, 3), graph.Clique(4)} {
+		if _, err := graphInputs["cut"](g); err == nil {
+			t.Errorf("cut of a %d-node graph with no hub or one component accepted", g.N())
+		}
+	}
+	if _, err := NewInputs("cut", 4); err == nil {
+		t.Error("cut built without a graph")
+	}
+}
+
 func TestInputPatterns(t *testing.T) {
 	cases := map[string][]amac.Value{
 		"alternating": {0, 1, 0, 1},
@@ -179,6 +244,11 @@ func TestTopoBuildErrors(t *testing.T) {
 		{Kind: "expander", N: 4, Deg: 4}, // d >= n
 		{Kind: "pods", Pods: 0, PodSize: 3, Cross: 1},
 		{Kind: "pods", Pods: 3, PodSize: 4, Cross: 0}, // p > 1 needs cross links
+		// graph.BuildFigure1 and graph.BuildKD would panic on these.
+		{Kind: "fig1a", Diam: 7, N: 20}, // odd D
+		{Kind: "fig1b", Diam: 4, N: 20}, // D < 6
+		{Kind: "fig1a", Diam: 8, N: 6},  // n < D
+		{Kind: "kd", Diam: 1},
 		{Kind: "nope", N: 4},
 	} {
 		if _, err := tp.Build(1); err == nil {
@@ -219,7 +289,10 @@ func TestTopoBuildErrors(t *testing.T) {
 var familySpecs = map[string]string{
 	"clique":    "clique:6",
 	"expander":  "expander:12:3",
+	"fig1a":     "fig1a:6:20",
+	"fig1b":     "fig1b:6:20",
 	"grid":      "grid:3x4",
+	"kd":        "kd:4",
 	"line":      "line:7",
 	"pods":      "pods:3:4:2",
 	"random":    "random:10:0.2",
@@ -320,22 +393,22 @@ func rowsDigest(g *graph.Graph) uint64 {
 // topologies they happen to use (no expander, pods or random cell). One
 // instance of every registered family (the seeded ones at seeds 0-2), the
 // three overlay families over an unsorted-row base and a sorted-row one,
-// and the paper's lower-bound networks. The constants were recorded at
+// and Figure 1's gadget. The constants were recorded at
 // PR 23, on the mutable edge-log graph, before graph.Build replaced it.
 func TestAdjacencyRowsPinned(t *testing.T) {
 	want := map[string]uint64{
-		"K_4":                      0xc2dcbc61d792d24f,
 		"clique:6#0":               0x7d707a02ded2b722,
 		"expander:12:3#0":          0xc49247e40beb5d49,
 		"expander:12:3#1":          0x2488f088595e79c9,
 		"expander:12:3#2":          0xd3f00dd558263749,
-		"figure1.A":                0xb108a98f229a503f,
-		"figure1.B":                0xfc2a9105387fbed4,
+		"fig1a:6:20#0":             0xb108a98f229a503f,
+		"fig1b:6:20#0":             0xfc2a9105387fbed4,
 		"gadget":                   0x1808dbec6fbaac66,
 		"grid:3x3+chords":          0x364ae1c703c4216e,
 		"grid:3x3+extra:4":         0x8eb714923b9964d,
 		"grid:3x3+randomextra:0.3": 0x43998b518afec669,
 		"grid:3x4#0":               0x25f3707d4e17d24a,
+		"kd:4#0":                   0xc2dcbc61d792d24f,
 		"line:7#0":                 0xa98f20c1fdfedd26,
 		"pods:3:4:2#0":             0xd02a819bc8b2b404,
 		"pods:3:4:2#1":             0xf4b9910d2faca36f,
@@ -381,11 +454,7 @@ func TestAdjacencyRowsPinned(t *testing.T) {
 			got[fmt.Sprintf("%s+%s", base, spec)] = rowsDigest(o)
 		}
 	}
-	fig := graph.BuildFigure1(6, 20)
-	got["figure1.A"] = rowsDigest(fig.A)
-	got["figure1.B"] = rowsDigest(fig.B)
-	got["gadget"] = rowsDigest(fig.Gadget.Build())
-	got["K_4"] = rowsDigest(graph.BuildKD(4).G)
+	got["gadget"] = rowsDigest(graph.BuildFigure1(6, 20).Gadget.Build())
 
 	names := make([]string, 0, len(got))
 	for name := range got {

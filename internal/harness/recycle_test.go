@@ -14,8 +14,10 @@ import (
 
 // TestRecycledNodesMatchFresh holds every registered factory's re-armed
 // nodes (amac.NodeConfig.Prev) to fresh ones. The golden grid, widened to
-// all seven algorithms and every input pattern, runs on one executor in
-// shuffled order, so n, the algorithm, its configuration and the inputs
+// all seven algorithms and every input pattern that reads n alone, and a
+// grid of the lower-bound rows — Figure 1's networks and K_2, gate and
+// cut, which need the hub clique:4 and ring:5 lack, and the defeated
+// baselines' @R budgets — run on one executor in shuffled order, so n, the algorithm, its configuration and the inputs
 // change between Resets and each run's factory receives whatever node the
 // previous cell left in the slot — stopped early, mid-broadcast or
 // crashed. Half the runs, drawn at random, get sparse ids
@@ -37,11 +39,20 @@ import (
 // bound catches is storage that keeps growing with every run.
 func TestRecycledNodesMatchFresh(t *testing.T) {
 	g := goldenGrid()
-	g.Algos, g.Inputs = Algorithms(), InputPatterns()
+	g.Algos, g.Inputs = Algorithms(), sortedKeys(inputPatterns)
 	g.MaxEvents = 100_000 // benor and the defeated baselines may spin on ring:5
-	work, err := g.Cells()
-	if err != nil {
-		t.Fatal(err)
+	lower := Grid{Algos: append(Algorithms(), "anonflood@3", "waitall@3"),
+		Topos:  []Topo{{Kind: "kd", Diam: 2}, {Kind: "fig1a", Diam: 6, N: 6}},
+		Scheds: []string{"sync", "gate@4"}, Facks: []int64{1}, Inputs: InputPatterns(), Seeds: []int64{1}, MaxEvents: 100_000}
+	cover := lower
+	cover.Topos, cover.Scheds, cover.Inputs = []Topo{{Kind: "fig1b", Diam: 6, N: 6}}, []string{"sync"}, nil
+	var work []CellWork
+	for _, g := range []Grid{g, lower, cover} {
+		w, err := g.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		work = append(work, w...)
 	}
 	var scenarios []Scenario
 	for _, w := range work {
@@ -111,7 +122,7 @@ func TestRecycledNodesMatchFresh(t *testing.T) {
 		var ids []amac.NodeID
 		if rng.Intn(2) == 1 {
 			// Distinct and spread over about 2^40 values, negatives included.
-			for _, v := range rng.Perm(1 << 12)[:8] {
+			for _, v := range rng.Perm(1 << 12)[:18] { // fig1a:6:6 has 18 nodes
 				ids = append(ids, amac.NodeID(v)<<28-1<<39+amac.NodeID(rng.Intn(1<<28)))
 			}
 		}

@@ -32,6 +32,9 @@ type Topo struct {
 	// Pods, PodSize and Cross shape the multi-pod sparse mesh: Pods pods
 	// of PodSize nodes with Cross cross-pod links per pod.
 	Pods, PodSize, Cross int
+	// Diam is the diameter D of the paper's lower-bound networks: fig1a
+	// and fig1b (with N the least size n), kd.
+	Diam int
 }
 
 // topoFamily is one registered topology family: everything the package
@@ -95,7 +98,32 @@ func needs(ok bool, what string) string {
 // denseArcs bounds a graph that may be complete.
 func denseArcs(_ Topo, n int64) int64 { return min(n*(n-1), arcLimit) }
 
+// figure1 is the row of one of Figure 1's networks (graph.BuildFigure1,
+// which builds both, so both rows bound the arcs by network A's padding
+// clique).
+func figure1(pick func(*graph.Figure1) *graph.Graph) topoFamily {
+	return topoFamily{grammar: "D:N", seedFree: true, arcs: denseArcs,
+		params: func(t *Topo) []any { return []any{&t.Diam, &t.N} },
+		need: func(t Topo) string {
+			return needs(t.Diam >= 6 && t.Diam%2 == 0 && t.N >= t.Diam, "even D >= 6 and n >= D")
+		},
+		build: func(t Topo, _ int64) *graph.Graph { return pick(graph.BuildFigure1(t.Diam, t.N)) },
+		// 3(d+k)+12 for d = (D-2)/2 and the least k >= 0 reaching n.
+		nodes: func(t Topo) int64 {
+			d, n := min(int64(max(t.Diam, 6)-2)/2, nodeLimit), min(int64(t.N), nodeLimit)
+			return min(max(3*d+12, (n+2)/3*3), nodeLimit)
+		}}
+}
+
 var topoFamilies = map[string]topoFamily{
+	"fig1a": figure1(func(f *graph.Figure1) *graph.Graph { return f.A }),
+	"fig1b": figure1(func(f *graph.Figure1) *graph.Graph { return f.B }),
+	"kd": {grammar: "D", seedFree: true,
+		params: func(t *Topo) []any { return []any{&t.Diam} },
+		need:   func(t Topo) string { return needs(t.Diam >= 2, "D >= 2") },
+		build:  func(t Topo, _ int64) *graph.Graph { return graph.BuildKD(t.Diam).G },
+		nodes:  func(t Topo) int64 { return min(mulSat(3, t.Diam, nodeLimit)+2, nodeLimit) },
+		arcs:   func(_ Topo, n int64) int64 { return min(4*n, arcLimit) }},
 	"clique": sized(graph.Clique, 1, 2, denseArcs),
 	"line":   sized(graph.Line, 1, 2, nil),
 	"ring":   sized(graph.Ring, 3, 3, nil),

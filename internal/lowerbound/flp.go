@@ -1,16 +1,12 @@
-// Package lowerbound turns the paper's impossibility proofs into
-// executable machinery:
-//
-//   - an exhaustive explorer over the *valid step* schedules of Section 3.1
-//     (the restricted scheduler class behind the FLP generalization of
-//     Theorem 3.2), which classifies configurations by valency and finds
-//     crash-induced non-termination witnesses;
-//   - drivers for the Figure 1 (anonymous, Theorem 3.3) and Figure 2
-//     (unknown n, Theorem 3.9) indistinguishability constructions, which
-//     run a concrete algorithm of the forbidden class into an agreement
-//     violation while control runs succeed;
-//   - the Theorem 3.10 partition harness, which runs anonflood with too
-//     few ack cycles, so it decides before floor(D/2)*Fack and pays for it.
+// Package lowerbound explores the *valid step* schedules of Section 3.1 —
+// the scheduler class behind the FLP generalization of Theorem 3.2 —
+// exhaustively: it classifies configurations by valency and finds
+// crash-induced non-termination witnesses (experiment E1). The other
+// constructions (E2–E4) are registered harness scenarios. This explorer
+// keeps its own runtime because a valid step has no clock: a step sequence
+// maps onto a sim.Schedule only once each step is given a delivery time,
+// an exhaustive search on sim needs online invariants as its verdict, and
+// only then can this runtime go (ROADMAP item 7(b)–(d)).
 package lowerbound
 
 import (

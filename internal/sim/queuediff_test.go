@@ -32,6 +32,25 @@ func runCheckedScenario(t *testing.T, s harness.Scenario) sim.Drops {
 	return drops
 }
 
+// queueDiffSchedSpecs gives each registered scheduler a concrete spec.
+var queueDiffSchedSpecs = map[string]string{
+	"sync":      "sync",
+	"random":    "random",
+	"maxdelay":  "maxdelay",
+	"edgeorder": "edgeorder",
+	"gate":      "gate@8",
+}
+
+// schedSpec returns name's spec from queueDiffSchedSpecs.
+func schedSpec(t *testing.T, name string) string {
+	t.Helper()
+	spec, ok := queueDiffSchedSpecs[name]
+	if !ok {
+		t.Fatalf("no differential spec for scheduler %q — add one to queueDiffSchedSpecs", name)
+	}
+	return spec
+}
+
 // queueDiffCrashSpecs gives each registered crash pattern a concrete spec.
 var queueDiffCrashSpecs = map[string]string{
 	"none":         "none",
@@ -52,8 +71,9 @@ var queueDiffOverlaySpecs = map[string]string{
 }
 
 // TestQueueDifferentialRegistry drives every registered scheduler through
-// every registered crash pattern and overlay family. Its runs must drop
-// events of all three kinds, or the oracle's crash rule goes unchecked.
+// every registered crash pattern and overlay family on grid:3x3, whose
+// centre is the hub gate silences. Its runs must drop events of all three
+// kinds, or the oracle's crash rule goes unchecked.
 func TestQueueDifferentialRegistry(t *testing.T) {
 	topo, err := harness.ParseTopo("grid:3x3")
 	if err != nil {
@@ -61,6 +81,7 @@ func TestQueueDifferentialRegistry(t *testing.T) {
 	}
 	var drops sim.Drops
 	for _, sched := range harness.Schedulers() {
+		sched := schedSpec(t, sched)
 		for _, crash := range harness.CrashPatterns() {
 			spec, ok := queueDiffCrashSpecs[crash]
 			if !ok {
@@ -91,11 +112,13 @@ func TestQueueDifferentialRegistry(t *testing.T) {
 
 // TestQueueDifferentialFuzz runs a seeded loop of random scenarios —
 // random family, algorithm, scheduler, bound, adversity — under the oracle.
+// gate draws its family from those with a hub to silence.
 func TestQueueDifferentialFuzz(t *testing.T) {
 	topos := []string{
 		"ring:8", "grid:3x4", "clique:6", "tree:2x3", "expander:16:4",
-		"pods:3:6:2", "star:7", "line:9", "random:12:0.3", "starlines:2x3",
+		"pods:3:6:2", "star:7", "line:9", "random:12:0.3", "starlines:2x3", "fig1b:6:8",
 	}
+	hubs := []string{"star:7", "grid:3x3", "kd:3", "fig1a:6:8"}
 	algos := harness.Algorithms()
 	scheds := harness.Schedulers()
 	crashes := []string{"none", "one@1", "maxid@5", "coordinator", "midbroadcast", "minorityrand"}
@@ -106,14 +129,18 @@ func TestQueueDifferentialFuzz(t *testing.T) {
 		iters = 8
 	}
 	for i := 0; i < iters; i++ {
-		topo, err := harness.ParseTopo(topos[rng.Intn(len(topos))])
+		spec, algo, sched := topos[rng.Intn(len(topos))], algos[rng.Intn(len(algos))], scheds[rng.Intn(len(scheds))]
+		if sched == "gate" {
+			spec, sched = hubs[rng.Intn(len(hubs))], schedSpec(t, sched)
+		}
+		topo, err := harness.ParseTopo(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runCheckedScenario(t, harness.Scenario{
-			Algo:      algos[rng.Intn(len(algos))],
+			Algo:      algo,
 			Topo:      topo,
-			Sched:     scheds[rng.Intn(len(scheds))],
+			Sched:     sched,
 			Fack:      1 + rng.Int63n(8),
 			Seed:      rng.Int63n(1 << 30),
 			Crashes:   crashes[rng.Intn(len(crashes))],
@@ -139,8 +166,11 @@ func TestQueueRingCoversDeclaredHorizon(t *testing.T) {
 		{"slowsubset", sim.SlowSubset{Base: sim.NewRandom(4, 3), Slow: map[int]bool{1: true, 2: true}, Factor: 25}},
 		{"edgeorder on clique", &sim.EdgeOrder{MaxDegree: clique.N() - 1}},
 	}
+	// Built against star:12, whose hub gate silences and whose highest
+	// degree is the clique's.
+	star := graph.Star(clique.N())
 	for _, name := range harness.Schedulers() {
-		s, err := harness.NewScheduler(name, 6, 3, clique)
+		s, err := harness.NewScheduler(schedSpec(t, name), 6, 3, star)
 		if err != nil {
 			t.Fatal(err)
 		}
