@@ -19,7 +19,7 @@
 // rule, scope and escape hatches):
 //
 //	norawrand       no ambient math/rand in the deterministic core
-//	nowallclock     no time.Now/Since/Until outside the wall-clock substrates
+//	nowallclock     no time.Now/Since/Until under internal/
 //	maporder        no map iteration feeding JSON/fmt/hash/returned-append sinks
 //	goroutineorder  workers publish index-addressed or in candidate order
 //

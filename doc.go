@@ -16,7 +16,7 @@
 //
 // # Package map
 //
-// The model and its substrates:
+// The model and its simulator:
 //
 //   - internal/amac: the model contract — Message, API, Algorithm, and
 //     the read-only node View (Inspector) that experiments, tests and
@@ -27,8 +27,6 @@
 //     replay and fingerprinting scheduler wrappers.
 //   - internal/graph: immutable CSR topologies, the standard and sparse
 //     large-n families, and the paper's lower-bound networks.
-//   - internal/live, internal/netmac: the wall-clock runtime with its
-//     timer MAC, and the loopback-UDP MAC.
 //
 // The algorithms:
 //
@@ -78,7 +76,7 @@
 //   - cmd/benchsuite: the experiment tables, and -grid, the canonical
 //     scenario grid.
 //   - cmd/detlint: the determinism-contract multichecker.
-//   - examples/: quickstart, partition, sensorfield and livecluster.
+//   - examples/: quickstart, partition and sensorfield.
 //
 // # The model's contracts
 //
@@ -114,12 +112,6 @@
 // Engine.owes), and a run ends on the event that makes the last owed
 // decision, at quiescence, or at its event cap.
 //
-// The wall-clock runtime keeps the same contracts. internal/live checks
-// deliver-before-ack for every MAC with a per-sender bitset over the
-// sender's neighbors and ends a run that breaks it with live.ErrContract;
-// it then holds the ack until the receivers' handlers have returned, which
-// bounds node v's inbox to Degree(v)+1 entries.
-//
 // # Determinism contract
 //
 // Everything above leans on one invariant: a (scenario, seed) pair fully
@@ -139,9 +131,8 @@
 //     rand.New(rand.NewSource(seed)) from a scenario- or search-seed
 //     derivation. Global math/rand functions, opaque sources and
 //     wall-clock seeds are rejected.
-//   - nowallclock: no time.Now/Since/Until anywhere under internal/
-//     except the wall-clock runtime internal/live and its UDP MAC
-//     internal/netmac; simulated time is the event queue's logical clock.
+//   - nowallclock: no time.Now/Since/Until anywhere under internal/;
+//     simulated time is the event queue's logical clock.
 //   - maporder: a `range` over a map must not feed an order-sensitive
 //     sink (encoding/json, fmt output, hash writes, or an append whose
 //     slice the function returns). Collect the keys, sort them, iterate

@@ -11,10 +11,10 @@
 //
 // Algorithms are written as deterministic state machines against the
 // Algorithm interface and run unmodified on any substrate that implements
-// the contract: the discrete-event simulator (internal/sim), the FLP
-// valid-step explorer (internal/lowerbound), and the goroutine runtime
-// (internal/live). Through Inspector, experiments, tests and examples read
-// a node's View without naming its concrete type.
+// the contract: the discrete-event simulator (internal/sim) and the FLP
+// valid-step explorer (internal/lowerbound). Through Inspector,
+// experiments, tests and examples read a node's View without naming its
+// concrete type.
 package amac
 
 import (
@@ -65,9 +65,9 @@ type API interface {
 	Decide(v Value)
 
 	// Now returns the current timestamp. Timestamps are totally ordered
-	// and consistent across nodes (virtual time on the simulator, a
-	// shared monotonic counter on the live runtime). The paper's change
-	// service (Figure 3, Algorithm 3) requires such timestamps.
+	// and consistent across nodes (virtual time on the simulator). The
+	// paper's change service (Figure 3, Algorithm 3) requires such
+	// timestamps.
 	Now() int64
 }
 
@@ -79,9 +79,8 @@ type API interface {
 // every neighbor's OnReceive(m) has returned, so from then on the sender
 // may reuse m.
 //
-// Handlers of different nodes may run concurrently on every substrate:
-// always on the wall-clock runtime (internal/live), and within one
-// calendar bucket on the simulator (internal/sim). So the nodes of one run
+// Handlers of different nodes may run concurrently: within one calendar
+// bucket on the simulator (internal/sim). So the nodes of one run
 // share no unsynchronized mutable state — an object they all see, such as
 // wpaxos.CountAudit (a mutex) or consensus.AnonymityAudit's counter (an
 // atomic), guards itself — and a delivered message is read-only until its

@@ -13,10 +13,10 @@
 // The report still counts the crashed nodes so fault-injected sweeps can
 // aggregate fault statistics.
 //
-// The checkers consume simulator results; they are also used by the live
-// runtime's harness. The package additionally provides an anonymity
-// auditor used by the Section 3.2 experiments to certify that an algorithm
-// claimed to be anonymous never reads its node id.
+// The checkers consume simulator results. The package additionally
+// provides an anonymity auditor used by the Section 3.2 experiments to
+// certify that an algorithm claimed to be anonymous never reads its node
+// id.
 package consensus
 
 import (

@@ -84,7 +84,8 @@ func (a *acceptorState) handlePropose(num ProposalNum, val amac.Value) (positive
 // proposition, the total affirmative count received by the proposer never
 // exceeds the number of acceptors that generated an affirmative response.
 // One CountAudit is shared by all nodes of a run; it is safe for
-// concurrent use so the live runtime can share it too.
+// concurrent use, since the simulator's bucket phases run handlers of
+// different nodes at once.
 type CountAudit struct {
 	mu        sync.Mutex
 	generated map[Proposition]int64 // a(p)

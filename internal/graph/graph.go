@@ -185,9 +185,6 @@ func (g *Graph) Degree(u int) int {
 	return int(g.off[u+1] - g.off[u])
 }
 
-// Sorted reports whether every adjacency row is in ascending order.
-func (g *Graph) Sorted() bool { return g.sorted }
-
 // BFS returns the hop distance from src to every node; unreachable nodes
 // get -1.
 func (g *Graph) BFS(src int) []int {

@@ -49,10 +49,10 @@ func TestHasEdgeSortedAndUnsorted(t *testing.T) {
 		pairs[i] = [2]int{e[1], e[0]} // reversed endpoints too
 	}
 	unsorted := Build(n, pairs) // same edges, shuffled
-	if !sorted.Sorted() {
+	if !sorted.sorted {
 		t.Fatal("ascending edge list did not yield sorted rows")
 	}
-	if unsorted.Sorted() {
+	if unsorted.sorted {
 		t.Fatal("shuffled edge list claims sorted rows")
 	}
 	for u := 0; u < n; u++ {
@@ -125,11 +125,11 @@ func TestCSRMatchesAdjacencyList(t *testing.T) {
 // list that is already canonical it is Build.
 func TestSortCanonicalizes(t *testing.T) {
 	list := [][2]int{{4, 1}, {0, 5}, {2, 0}, {3, 4}, {1, 0}}
-	if Build(6, list).Sorted() {
+	if Build(6, list).sorted {
 		t.Fatal("Build reordered rows it was given unsorted")
 	}
 	g := FromEdges(6, list)
-	if !g.Sorted() {
+	if !g.sorted {
 		t.Fatal("FromEdges did not mark rows sorted")
 	}
 	for u := 0; u < g.N(); u++ {
@@ -144,7 +144,7 @@ func TestSortCanonicalizes(t *testing.T) {
 
 	canonical := [][2]int{{0, 1}, {0, 4}, {1, 2}, {2, 3}}
 	s, b := FromEdges(5, canonical), Build(5, canonical)
-	if !s.Sorted() || !b.Sorted() {
+	if !s.sorted || !b.sorted {
 		t.Fatal("a canonical list did not build sorted rows")
 	}
 	for u := 0; u < s.N(); u++ {
@@ -186,7 +186,7 @@ func TestExpanderProperties(t *testing.T) {
 		if !g.IsConnected() {
 			t.Fatalf("expander(%d,%d) disconnected", tc.n, tc.d)
 		}
-		if !g.Sorted() {
+		if !g.sorted {
 			t.Fatalf("expander(%d,%d) rows not sorted by construction", tc.n, tc.d)
 		}
 		if d := g.Diameter(); d < 1 || d > tc.n {
@@ -215,7 +215,7 @@ func TestPodsProperties(t *testing.T) {
 		if maxM := tc.p*intra + tc.p*tc.c; g.M() > maxM {
 			t.Fatalf("pods(%d,%d,%d): M=%d exceeds budget %d", tc.p, tc.k, tc.c, g.M(), maxM)
 		}
-		if !g.Sorted() {
+		if !g.sorted {
 			t.Fatalf("pods(%d,%d,%d) rows not sorted by construction", tc.p, tc.k, tc.c)
 		}
 		// No edge may leave a pod except via the cross-link budget: every

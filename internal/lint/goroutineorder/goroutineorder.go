@@ -29,9 +29,7 @@
 //
 // Scope: the deterministic layers — internal/sim, internal/graph,
 // internal/harness, internal/explore, internal/baseline, internal/ext,
-// internal/metrics, internal/critpath, internal/core, internal/omega. The
-// wall-clock runtime and its MACs (internal/live, internal/netmac) order
-// results by real arrival on purpose and are exempt.
+// internal/metrics, internal/critpath, internal/core, internal/omega.
 package goroutineorder
 
 import (

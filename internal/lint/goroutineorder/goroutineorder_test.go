@@ -23,8 +23,6 @@ func TestScope(t *testing.T) {
 		"github.com/absmac/absmac/internal/critpath":                                        true,
 		"github.com/absmac/absmac/internal/core/wpaxos":                                     true,
 		"github.com/absmac/absmac/internal/omega":                                           true,
-		"github.com/absmac/absmac/internal/live":                                            false,
-		"github.com/absmac/absmac/internal/netmac":                                          false,
 		"github.com/absmac/absmac/cmd/amacsim":                                              false,
 		"github.com/absmac/absmac/internal/lint/goroutineorder/testdata/src/goroutineorder": true,
 	} {

@@ -20,9 +20,8 @@
 // Scope: internal/sim, internal/graph, internal/harness, internal/explore,
 // internal/baseline, internal/ext, internal/metrics, internal/critpath,
 // and the paper's algorithms and their Ω, internal/core and internal/omega
-// (and their subpackages). The wall-clock runtime and its UDP MAC
-// (internal/live, internal/netmac) and the cmd/ front-ends may seed
-// however they like. There is deliberately no comment escape hatch:
+// (and their subpackages). The cmd/ front-ends may seed however they
+// like. There is deliberately no comment escape hatch:
 // unlike iteration order, ambient randomness is never justified in the
 // core — plumb a seed instead.
 package norawrand

@@ -27,8 +27,6 @@ func TestScope(t *testing.T) {
 		"github.com/absmac/absmac/internal/core/wpaxos":                           true,
 		"github.com/absmac/absmac/internal/core/twophase":                         true,
 		"github.com/absmac/absmac/internal/omega":                                 true,
-		"github.com/absmac/absmac/internal/live":                                  false,
-		"github.com/absmac/absmac/internal/netmac":                                false,
 		"github.com/absmac/absmac/cmd/amacsim":                                    false,
 		"github.com/absmac/absmac/internal/lint/norawrand/testdata/src/norawrand": true,
 	} {

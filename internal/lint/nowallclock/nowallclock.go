@@ -6,18 +6,15 @@
 // diverge and schedule replay stops being byte-identical. The analyzer
 // reports every call to those functions inside the scoped packages.
 //
-// Scope: every package under internal/ EXCEPT the wall-clock runtime
-// internal/live and its UDP MAC internal/netmac, whose whole point is real
-// time.
-// cmd/ front-ends and examples/ are also exempt (they time user-visible
-// work, not simulated executions). There is no comment escape hatch: code
-// in the deterministic core that genuinely needs a duration measurement
-// belongs behind a substrate interface, not behind an annotation.
+// Scope: every package under internal/. The cmd/ front-ends and
+// examples/ are exempt (they time user-visible work, not simulated
+// executions). There is no comment escape hatch: code in the deterministic
+// core that genuinely needs a duration measurement belongs in a front-end,
+// not behind an annotation.
 package nowallclock
 
 import (
 	"go/ast"
-	"strings"
 
 	"github.com/absmac/absmac/internal/lint/analysis"
 )
@@ -26,30 +23,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:  "nowallclock",
 	Doc:   "forbid time.Now/Since/Until in the simulator and algorithm packages; simulated time is the only clock there",
-	Scope: scope,
+	Scope: analysis.PathScope("github.com/absmac/absmac/internal"),
 	Run:   run,
-}
-
-// exempt lists the internal/ subtrees allowed to read the wall clock.
-var exempt = []string{"live", "netmac"}
-
-// scope admits every internal/ package except the wall-clock runtime and MAC;
-// fixture packages (any /testdata/ path) are always in scope.
-func scope(path string) bool {
-	if strings.Contains(path, "/testdata/") {
-		return true
-	}
-	const internal = "github.com/absmac/absmac/internal/"
-	rest, ok := strings.CutPrefix(path, internal)
-	if !ok {
-		return false
-	}
-	for _, e := range exempt {
-		if rest == e || strings.HasPrefix(rest, e+"/") {
-			return false
-		}
-	}
-	return true
 }
 
 // banned are the time package functions that read the wall clock.
@@ -65,7 +40,7 @@ func run(pass *analysis.Pass) error {
 			if analysis.IsPkgFunc(pass.TypesInfo, call, "time", banned...) {
 				fn := analysis.FuncOf(pass.TypesInfo, call)
 				pass.Reportf(call.Pos(),
-					"time.%s reads the wall clock inside the deterministic core; use simulated time (event timestamps) or move the measurement to a substrate package",
+					"time.%s reads the wall clock inside the deterministic core; use simulated time (event timestamps) or move the measurement to a front-end",
 					fn.Name())
 			}
 			return true

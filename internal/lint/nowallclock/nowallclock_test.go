@@ -11,9 +11,9 @@ func TestFixture(t *testing.T) {
 	linttest.Run(t, "testdata/src/nowallclock", nowallclock.Analyzer)
 }
 
-// TestScope pins the exemption list: the wall-clock substrates and the
-// cmd/ front-ends may read real time, everything else under internal/
-// may not, and fixtures are always in scope.
+// TestScope pins the scope: the cmd/ front-ends and examples may read
+// real time, nothing under internal/ may, and fixtures are always in
+// scope.
 func TestScope(t *testing.T) {
 	scope := nowallclock.Analyzer.Scope
 	for path, want := range map[string]bool{
@@ -22,8 +22,6 @@ func TestScope(t *testing.T) {
 		"github.com/absmac/absmac/internal/explore":                                   true,
 		"github.com/absmac/absmac/internal/core/wpaxos":                               true,
 		"github.com/absmac/absmac/internal/lint":                                      true,
-		"github.com/absmac/absmac/internal/live":                                      false,
-		"github.com/absmac/absmac/internal/netmac":                                    false,
 		"github.com/absmac/absmac/cmd/amacsim":                                        false,
 		"github.com/absmac/absmac/examples/quickstart":                                false,
 		"github.com/absmac/absmac/internal/lint/nowallclock/testdata/src/nowallclock": true,

@@ -250,10 +250,7 @@ func TestBucketPhasesMatchSequential(t *testing.T) {
 
 	t.Run("probes", func(t *testing.T) {
 		g := graph.Clique(12)
-		ins := make([]amac.Value, g.N())
-		for i := range ins {
-			ins[i] = amac.Value(i % 2)
-		}
+		ins := alternating(g.N())
 		mk := func(sched func() sim.Scheduler, crashes []sim.Crash, p probeConfig) func() sim.Config {
 			return func() sim.Config {
 				return sim.Config{

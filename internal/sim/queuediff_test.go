@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/absmac/absmac/internal/amac"
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/graph"
@@ -176,10 +175,7 @@ func TestQueueRingCoversDeclaredHorizon(t *testing.T) {
 		}
 		scheds = append(scheds, namedSched{"registered " + name, s})
 	}
-	inputs := make([]amac.Value, clique.N())
-	for i := range inputs {
-		inputs[i] = amac.Value(i % 2)
-	}
+	inputs := alternating(clique.N())
 	for _, tc := range scheds {
 		cfg, o := sim.Watch(t, sim.Config{
 			Graph:     clique,

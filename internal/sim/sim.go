@@ -116,9 +116,8 @@
 // Within one bucket array the handlers of different nodes are independent:
 // a delivery carries its sender's in-flight message, fixed before the
 // bucket; no handler pushes into the bucket being drained; and nodes share
-// no unsynchronized state (the amac.Algorithm contract — the wall-clock
-// runtime already runs one goroutine per node). drain therefore runs a
-// large bucket as parallel phases (phase.go): its deliveries as one
+// no unsynchronized state (the amac.Algorithm contract). drain therefore
+// runs a large bucket as parallel phases (phase.go): its deliveries as one
 // phase, replayed, then its acks as another, replayed. Admission is per
 // bucket, so the acks of a bucket whose deliveries are large run on every
 // core too, however few they are (on expander:4096:8 no ack array reaches
