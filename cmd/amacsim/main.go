@@ -3,17 +3,21 @@
 // -seed, -inputs, -crash, -overlay, plus the event cap -maxevents — is
 // named the same way in every mode, and all construction goes through
 // internal/harness, so the names accepted here are exactly the harness
-// registries. The command has five modes; setting two is exit 2, and a
-// mode flag given as =false selects nothing:
+// registries. The command has seven modes; setting two is exit 2, and a
+// mode flag given as =false or "" selects nothing:
 //
 //	amacsim [scenario]             one execution (the default)
 //	amacsim -sweep [axes]          a parallel scenario sweep
 //	amacsim -explore [scenario]    schedule-space search of one scenario
 //	amacsim -grid [axes]           the same search over a whole sweep grid
 //	amacsim -replay FILE           re-verify a counterexample artifact
+//	amacsim -claims ID|all [-q]    the paper's claims as tables, E1..E12
+//	amacsim -canonical             the canonical grid, swept as -sweep does
 //
 // Each mode accepts only its own flags (the modes table in main.go); any
-// other flag is exit 2 rather than an option silently dropped.
+// other flag is exit 2 rather than an option silently dropped. -sweep,
+// -claims and -canonical take -cpuprofile FILE and -memprofile FILE,
+// which profile the whole run, worker pool included.
 //
 // # Single run
 //
@@ -41,9 +45,7 @@
 // survivor decide time, faults, the distinct consensus violations).
 // Properties are judged over survivors: a crashed node owes nothing.
 // -metrics adds aggregated per-cell metric rows; without it the output is
-// byte-identical to a build without the metrics layer. -cpuprofile and
-// -memprofile profile the whole sweep; a profile that cannot be written
-// is exit 2.
+// byte-identical to a build without the metrics layer.
 //
 //	amacsim -sweep -algos wpaxos,floodpaxos -topos clique:8,grid:3x3 \
 //	        -scheds sync,random -facks 2,8 -seeds 8 -json
@@ -108,6 +110,22 @@
 //
 //	amacsim -replay internal/harness/testdata/stall_twophase_coordinator_chords.json -critpath
 //
+// # Claims
+//
+// -claims all prints one table per entry of internal/exp's Index, E1..E12,
+// one per theorem, figure or complexity claim of the paper, each with its
+// pass/fail shape check; internal/exp/testdata/experiments.golden is that
+// output. -claims E6 runs one entry, and -q prints only each claim's
+// summary line. E2–E12 run on the harness executor; E1 is
+// internal/lowerbound's valid-step explorer.
+//
+// # Canonical grid
+//
+// -canonical sweeps harness.CanonicalGrids — every registered algorithm
+// and topology family, crossed with the scheduler, Fack, crash and
+// overlay axes over 8 seeds — on the -sweep path, with -json and
+// -workers.
+//
 // # Artifact format
 //
 // Artifacts are indented JSON (explore.Artifact):
@@ -129,9 +147,11 @@
 //
 // # Exit status
 //
-// 0 on success; 1 when a single run, sweep, search or campaign found a
-// consensus violation, or a replay did not reproduce its artifact's
-// recorded outcome; 2 on usage and I/O errors.
+// 0 on success; 1 when a single run, sweep, search, campaign or the
+// canonical grid found a consensus violation, a replay did not reproduce
+// its artifact's recorded outcome, or a claim failed its shape check; 2 on
+// usage and I/O errors, including a negative -budget, -saturate or
+// -workers and a profile that cannot be written.
 package main
 
 import (
@@ -145,6 +165,7 @@ import (
 
 	"github.com/absmac/absmac/internal/consensus"
 	"github.com/absmac/absmac/internal/critpath"
+	"github.com/absmac/absmac/internal/exp"
 	"github.com/absmac/absmac/internal/explore"
 	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/metrics"
@@ -158,8 +179,8 @@ func main() {
 
 // A mode is one way to run the command: the flag that selects it (its
 // name; the single run has none), the flags it accepts besides the mode
-// selectors, and what it runs. A run reports whether it found a consensus
-// violation (exit 1) or failed (exit 2).
+// selectors, and what it runs. A run reports whether it found a violation
+// (exit 1; see Exit status) or failed (exit 2).
 type mode struct {
 	name  string
 	flags string
@@ -172,6 +193,8 @@ var modes = []mode{
 	{"explore", "algo topo sched fack seed inputs crash overlay maxevents budget searchseed minimize out json workers", (*cli).runExplore},
 	{"grid", "algos topos scheds facks crashes overlays seeds workers inputs maxevents budget searchseed minimize artifacts saturate json", (*cli).runGrid},
 	{"replay", "trace critpath json", (*cli).runReplay},
+	{"claims", "q cpuprofile memprofile", (*cli).runClaims},
+	{"canonical", "json workers cpuprofile memprofile", (*cli).runCanonical},
 }
 
 // cli holds the parsed flags of one invocation and where it writes.
@@ -182,9 +205,9 @@ type cli struct {
 	fack, seed, searchSeed                    int64
 	maxEvents, budget, saturate               int
 
-	replay                                 string
-	verbose, metrics, json, minimize, crit bool
-	trace, record, out, artifacts          string
+	replay, claims                                string
+	verbose, metrics, json, minimize, crit, quiet bool
+	trace, record, out, artifacts                 string
 
 	axes *harness.AxisFlags
 	prof *harness.ProfileFlags
@@ -210,18 +233,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if chosen > 1 {
-		return fail(stderr, errors.New("-sweep, -explore, -grid and -replay are separate modes; choose one"))
+		var names []string
+		for _, md := range modes[1:] {
+			names = append(names, "-"+md.name)
+		}
+		last := len(names) - 1
+		return fail(stderr, fmt.Errorf("%s and %s are separate modes; choose one", strings.Join(names[:last], ", "), names[last]))
 	}
-	allowed := harness.NameSet(strings.Fields(m.flags))
+	allowed := map[string]bool{}
 	for _, md := range modes {
 		allowed[md.name] = true // a mode flag set to false selects nothing
 	}
-	if stray := harness.StrayFlags(fs, func(name string) bool { return !allowed[name] }); len(stray) > 0 {
+	for _, name := range strings.Fields(m.flags) {
+		allowed[name] = true
+	}
+	// Visit is lexical, so the message is deterministic.
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if !allowed[f.Name] {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
 		return fail(stderr, fmt.Errorf("%s not allowed in %s mode, which takes -%s",
 			strings.Join(stray, ", "), m.name, strings.Join(strings.Fields(m.flags), " -")))
 	}
-	violated, err := m.run(c)
+	// The library reads a count <= 0 as "the default" or "none"; a
+	// negative one on the command line is a typo, not a request.
+	for _, name := range []string{"budget", "saturate", "workers"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			return fail(stderr, fmt.Errorf("-%s %d is negative", name, v))
+		}
+	}
+	stopProf, err := c.prof.Start()
 	if err != nil {
+		return fail(stderr, err)
+	}
+	violated, err := m.run(c)
+	if err = errors.Join(err, stopProf()); err != nil {
 		return fail(stderr, err)
 	}
 	if violated {
@@ -252,6 +301,8 @@ func (c *cli) bind(fs *flag.FlagSet) {
 	fs.Bool("explore", false, "search the scenario's schedule space for consensus violations")
 	fs.Bool("grid", false, "campaign mode: sweep the axis flags and hunt every flagged cell")
 	fs.StringVar(&c.replay, "replay", "", "re-verify this counterexample artifact file")
+	fs.StringVar(&c.claims, "claims", "", "print the paper's claims as tables: one experiment id (E1..E12) or all")
+	fs.Bool("canonical", false, "sweep the canonical grid (harness.CanonicalGrids)")
 
 	fs.BoolVar(&c.verbose, "v", false, "print the full event trace")
 	fs.BoolVar(&c.metrics, "metrics", false, "flight-recorder metrics: print the registry and the decide-latency critical path after a single run, or add aggregated per-cell metric rows to sweep output")
@@ -268,6 +319,7 @@ func (c *cli) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.artifacts, "artifacts", "", "write one counterexample artifact per finding into this directory")
 	fs.IntVar(&c.saturate, "saturate", 0, "stop a cell after this many consecutive seeds add no new schedule fingerprint (0 = run all seeds)")
 	fs.BoolVar(&c.crit, "critpath", false, "print the replayed execution's decide-latency critical path (phase breakdown + causal hop chain)")
+	fs.BoolVar(&c.quiet, "q", false, "print only the summary line per claim")
 }
 
 func (c *cli) scenario() (harness.Scenario, error) {
@@ -432,35 +484,82 @@ func printErrors(w io.Writer, res *sim.Result, rep *consensus.Report) {
 	fmt.Fprintln(w)
 }
 
-func (c *cli) runSweep() (violated bool, err error) {
+func (c *cli) runSweep() (bool, error) {
 	grid, err := c.sweepGrid()
 	if err != nil {
 		return false, err
 	}
-	stopProf, err := c.prof.Start()
-	if err != nil {
-		return false, err
-	}
-	defer func() { err = errors.Join(err, stopProf()) }()
-	// Expand to cell work-units and sweep them directly: one worker runs
-	// all seeds of a cell on one reusable engine, and workers share the
-	// sweep's topology/diameter/overlay caches.
-	work, err := grid.Cells()
-	if err != nil {
-		return false, err
+	return c.sweep(grid)
+}
+
+func (c *cli) runCanonical() (bool, error) {
+	return c.sweep(harness.CanonicalGrids()...)
+}
+
+// sweep expands the grids to cell work-units and sweeps them all at once:
+// one worker runs all seeds of a cell on one reusable engine, and workers
+// share the sweep's topology/diameter/overlay caches across the grids.
+func (c *cli) sweep(grids ...harness.Grid) (bool, error) {
+	var work []harness.CellWork
+	runs := 0
+	for _, g := range grids {
+		units, err := g.Cells()
+		if err != nil {
+			return false, err
+		}
+		work = append(work, units...)
+		runs += len(units) * len(g.Seeds)
 	}
 	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: *c.axes.Workers, Metrics: c.metrics})
 	if err != nil {
 		return false, err
 	}
 	if !c.json {
-		fmt.Fprintf(c.stdout, "%d scenarios, %d cells\n\n", len(work)*len(grid.Seeds), len(cells))
+		fmt.Fprintf(c.stdout, "%d scenarios, %d cells\n\n", runs, len(cells))
 	}
-	bad, err := harness.Report(c.stdout, cells, c.json)
+	err = c.emit(cells, func(w io.Writer) error {
+		_, err := io.WriteString(w, harness.Table(cells).Render())
+		return err
+	})
+	bad := 0
+	for i := range cells {
+		if !cells[i].OK() {
+			bad++
+		}
+	}
 	if err == nil && bad > 0 {
 		fmt.Fprintf(c.stderr, "amacsim: %d cell(s) contain consensus violations\n", bad)
 	}
 	return bad > 0, err
+}
+
+// runClaims runs the -claims entries of exp.Index and reports a claim
+// that fails its shape check as violated.
+func (c *cli) runClaims() (bool, error) {
+	ran, failed := 0, 0
+	for _, d := range exp.Index {
+		if c.claims != "all" && d.ID != c.claims {
+			continue
+		}
+		ran++
+		e := d.Run()
+		status := "PASS"
+		if !e.OK {
+			status, failed = "FAIL", failed+1
+		}
+		if c.quiet {
+			fmt.Fprintf(c.stdout, "%-4s %s %s\n", e.ID, status, e.Title)
+		} else {
+			fmt.Fprintln(c.stdout, e.Render())
+		}
+	}
+	if ran == 0 {
+		return false, fmt.Errorf("no claim %q: -claims takes all or one of E1..E%d", c.claims, len(exp.Index))
+	}
+	if failed > 0 {
+		fmt.Fprintf(c.stderr, "amacsim: %d claim(s) failed their shape checks\n", failed)
+	}
+	return failed > 0, nil
 }
 
 // exploreOutput is the -json schema of explore mode.

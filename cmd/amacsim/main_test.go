@@ -19,10 +19,10 @@ const (
 )
 
 // TestCommandLine drives the command in-process: the mode table's
-// stray-flag and two-mode refusals, the event cap's sign check in every
-// mode that takes it, and the end-to-end commands that pin each mode's
-// flag wiring (the sweep golden, the explore, replay and campaign runs,
-// and a -record/-replay round trip).
+// stray-flag and two-mode refusals, the sign check of every count in
+// every mode that takes it, and the end-to-end commands that pin each
+// mode's flag wiring (the sweep golden, the explore, replay and campaign
+// runs, a -record/-replay round trip, a claim and the canonical grid).
 func TestCommandLine(t *testing.T) {
 	dir := t.TempDir()
 	artifacts := filepath.Join(dir, "campaign")
@@ -32,18 +32,32 @@ func TestCommandLine(t *testing.T) {
 	// Each mode's selector, then one flag that another mode accepts and
 	// this one does not, per other mode.
 	selectors := map[string][]string{
-		"single":  nil,
-		"sweep":   {"-sweep"},
-		"explore": {"-explore"},
-		"grid":    {"-grid"},
-		"replay":  {"-replay", stall},
+		"single":    nil,
+		"sweep":     {"-sweep"},
+		"explore":   {"-explore"},
+		"grid":      {"-grid"},
+		"replay":    {"-replay", stall},
+		"claims":    {"-claims", "E5"},
+		"canonical": {"-canonical"},
 	}
 	strays := map[string][]string{
-		"single":  {"-algos=x", "-budget=1", "-saturate=1", "-critpath", "-json"},
-		"sweep":   {"-trace=x", "-record=x", "-algo=x", "-out=x", "-artifacts=x", "-critpath"},
-		"explore": {"-record=x", "-seeds=2", "-metrics", "-saturate=1", "-trace=x"},
-		"grid":    {"-v", "-metrics", "-cpuprofile=x", "-out=x", "-seed=2", "-critpath"},
-		"replay":  {"-algo=twophase", "-maxevents=5", "-seeds=2", "-budget=1", "-artifacts=x"},
+		"single":    {"-algos=x", "-budget=1", "-saturate=1", "-critpath", "-json"},
+		"sweep":     {"-trace=x", "-record=x", "-algo=x", "-out=x", "-artifacts=x", "-critpath"},
+		"explore":   {"-record=x", "-seeds=2", "-metrics", "-saturate=1", "-trace=x"},
+		"grid":      {"-v", "-metrics", "-cpuprofile=x", "-out=x", "-seed=2", "-critpath"},
+		"replay":    {"-algo=twophase", "-maxevents=5", "-seeds=2", "-budget=1", "-artifacts=x"},
+		"claims":    {"-json", "-workers=2", "-algo=twophase", "-seeds=2"},
+		"canonical": {"-q", "-metrics", "-seeds=2", "-maxevents=5"},
+	}
+	// Each count flag, what its rows call it, and the modes that take it.
+	negatives := []struct {
+		flag, what string
+		modes      []string
+	}{
+		{"maxevents", "cap", []string{"single", "sweep", "explore", "grid"}},
+		{"budget", "budget", []string{"explore", "grid"}},
+		{"saturate", "saturate", []string{"grid"}},
+		{"workers", "workers", []string{"sweep", "explore", "grid", "canonical"}},
 	}
 	type row struct {
 		name   string
@@ -53,30 +67,48 @@ func TestCommandLine(t *testing.T) {
 		line   string // when set, stdout must hold this line
 	}
 	var rows []row
-	for _, mode := range []string{"single", "sweep", "explore", "grid", "replay"} {
+	for _, mode := range []string{"single", "sweep", "explore", "grid", "replay", "claims", "canonical"} {
 		for _, s := range strays[mode] {
 			args := append(append([]string(nil), selectors[mode]...), s)
 			rows = append(rows, row{name: mode + " refuses " + s, args: args, code: 2})
 		}
-		if mode != "replay" {
-			args := append(append([]string(nil), selectors[mode]...), "-maxevents", "-1")
-			rows = append(rows, row{name: mode + " refuses a negative cap", args: args, code: 2})
+	}
+	for _, n := range negatives {
+		for _, mode := range n.modes {
+			args := append(append([]string(nil), selectors[mode]...), "-"+n.flag, "-1")
+			rows = append(rows, row{name: mode + " refuses a negative " + n.what, args: args, code: 2})
 		}
 	}
 	rows = append(rows,
 		row{name: "two modes", args: []string{"-sweep", "-grid"}, code: 2},
 		row{name: "explore and replay", args: []string{"-explore", "-replay", stall}, code: 2},
-		row{name: "=false selects nothing", args: []string{"-sweep=false", "-grid=false", "-topo", "clique:4", "-v"}, code: 0},
+		row{name: "claims and canonical", args: []string{"-claims", "all", "-canonical"}, code: 2},
+		row{name: "=false selects nothing", args: []string{"-sweep=false", "-grid=false", "-claims=", "-topo", "clique:4", "-v"}, code: 0},
 		row{
 			name: "unwritable -memprofile",
 			args: []string{"-sweep", "-seeds", "1", "-topos", "clique:4", "-scheds", "sync", "-memprofile", filepath.Join(dir, "missing", "x.out")},
 			code: 2,
 		},
 		row{
+			name: "claims unwritable -memprofile",
+			args: []string{"-claims", "E5", "-q", "-memprofile", filepath.Join(dir, "missing", "x.out")},
+			code: 2,
+		},
+		row{name: "one claim", args: []string{"-claims", "E5", "-q"}, line: "E5   PASS Two-phase consensus: O(Fack) decisions in single-hop networks"},
+		row{name: "unknown claim", args: []string{"-claims", "E0"}, code: 2},
+		// The whole canonical grid runs clean: exit 1 is a violating cell.
+		row{name: "canonical grid", args: []string{"-canonical"}},
+		row{
 			name: "sweep golden output",
 			args: strings.Fields("-sweep -algos wpaxos,floodpaxos -topos clique:4,ring:5 -scheds sync,random" +
 				" -facks 3 -seeds 3 -crashes none,one@0 -overlays none,chords -json"),
 			stdout: sweepGolden,
+		},
+		// E3's K_4 witness as a sweep cell: a violating cell is exit 1.
+		row{
+			name: "sweep flags a violating cell",
+			args: strings.Fields("-sweep -algos waitall@30 -topos kd:4 -scheds gate@32 -inputs cut -facks 1 -seeds 2"),
+			code: 1,
 		},
 		row{
 			name: "explore smoke",

@@ -70,11 +70,10 @@
 //
 // Commands:
 //
-//   - cmd/amacsim: one command with five modes — a single run, -sweep,
-//     -explore, -grid (campaigns) and -replay. Its package comment has the
+//   - cmd/amacsim: one command with seven modes — a single run, -sweep,
+//     -explore, -grid (campaigns), -replay, -claims (the experiment tables)
+//     and -canonical (the canonical grid). Its package comment has the
 //     spec grammar and the JSON cell schema.
-//   - cmd/benchsuite: the experiment tables, and -grid, the canonical
-//     scenario grid.
 //   - cmd/detlint: the determinism-contract multichecker.
 //   - examples/: quickstart, partition and sensorfield.
 //
@@ -164,10 +163,9 @@
 //
 // # Where the numbers live
 //
-//   - The paper's claims: `go run ./cmd/benchsuite` prints one table per
-//     experiment, E1..E12, each with a pass/fail shape check (internal/exp's
-//     Index lists them); internal/exp/testdata/experiments.golden is the
-//     committed output.
+//   - The paper's claims: `amacsim -claims all` prints one table per entry
+//     of internal/exp's Index, E1..E12, each with a pass/fail shape check;
+//     internal/exp/testdata/experiments.golden is its output.
 //   - Executions: the golden sweep and replay artifacts under
 //     internal/harness/testdata, which every execution change must keep or
 //     deliberately move.

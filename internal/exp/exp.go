@@ -1,9 +1,9 @@
 // Package exp contains the experiment drivers: one function per
 // experiment (E1..E12, listed in Index), each reproducing one of the
 // paper's theorems, figures, or complexity claims as a measured table
-// plus a pass/fail shape check. The drivers are shared by cmd/benchsuite
-// (which regenerates the full report) and this package's tests (one per
-// experiment).
+// plus a pass/fail shape check. The drivers are shared by `amacsim
+// -claims` (which regenerates the full report) and this package's tests
+// (one per experiment).
 //
 // E1 runs internal/lowerbound's valid-step explorer. Every simulated run —
 // E2–E4's impossibility constructions and their controls, and E5–E12 —
@@ -79,8 +79,8 @@ type Driver struct {
 	Run func() *Experiment
 }
 
-// Index lists every experiment in order. It is the driver behind
-// cmd/benchsuite, which runs the whole list or, with -only, one entry.
+// Index lists every experiment in order. It is the driver behind `amacsim
+// -claims`, which runs the whole list (-claims all) or one entry.
 var Index = []Driver{
 	{"E1", E1FLP},
 	{"E2", E2Anonymous},

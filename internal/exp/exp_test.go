@@ -47,13 +47,13 @@ func TestE11(t *testing.T) { checkExperiment(t, E11UnreliableLinks()) }
 func TestE12(t *testing.T) { checkExperiment(t, E12Randomization()) }
 
 // TestAllOrdered runs the whole index in order and compares what
-// cmd/benchsuite prints against testdata/experiments.golden byte for byte,
-// so any moved row in any table shows up as a diff of that file.
+// `amacsim -claims all` prints against testdata/experiments.golden byte
+// for byte, so any moved row in any table shows up as a diff of that file.
 //
 // Regenerate (only when an experiment's runs or table intentionally
 // change; the diff is the row-by-row account of what moved) with:
 //
-//	go run ./cmd/benchsuite > internal/exp/testdata/experiments.golden
+//	go run ./cmd/amacsim -claims all > internal/exp/testdata/experiments.golden
 func TestAllOrdered(t *testing.T) {
 	if len(Index) != 12 {
 		t.Fatalf("Index lists %d experiments, want 12", len(Index))
@@ -75,7 +75,7 @@ func TestAllOrdered(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("experiment tables diverged from testdata/experiments.golden "+
-			"(got %d bytes, want %d); diff `go run ./cmd/benchsuite` against it:\n%s",
+			"(got %d bytes, want %d); diff `go run ./cmd/amacsim -claims all` against it:\n%s",
 			got.Len(), len(want), got.String())
 	}
 }

@@ -30,7 +30,7 @@ func sweepGridBench() Grid {
 // engine's allocation-free broadcast path exists for.
 func BenchmarkSweepCell(b *testing.B) {
 	// floodpaxos: the one multihop algorithm whose liveness holds for
-	// every crash x overlay combination (see cmd/benchsuite).
+	// every crash x overlay combination (see CanonicalGrids).
 	grid := Grid{
 		Algos:    []string{"floodpaxos"},
 		Topos:    []Topo{{Kind: "grid", Rows: 3, Cols: 3}},

@@ -13,7 +13,7 @@ import (
 
 // This file is the sweep-axis flag grammar of cmd/amacsim, whose -sweep
 // and -grid modes accept the same -algos/-topos/-scheds/-facks/-crashes/
-// -overlays/-seeds/-workers axes, plus the flag helpers the CLIs share.
+// -overlays/-seeds/-workers axes, and its profiling flags.
 // AxisFlags.Grid validates nothing beyond syntax — the semantic checks
 // (unknown names, empty axes) happen in Grid.Cells and the registries, in
 // their documented deterministic order.
@@ -95,35 +95,7 @@ func splitList(s string) []string {
 	return out
 }
 
-// StrayFlags returns the names of flags that were explicitly set but are
-// disallowed in the active mode, in the FlagSet's visit order (lexical, so
-// the resulting error message is deterministic). The CLIs fail loudly on
-// stray flags rather than let the user attribute results to a flag that
-// was silently dropped.
-func StrayFlags(fs *flag.FlagSet, disallowed func(name string) bool) []string {
-	var stray []string
-	fs.Visit(func(f *flag.Flag) {
-		if disallowed(f.Name) {
-			stray = append(stray, "-"+f.Name)
-		}
-	})
-	return stray
-}
-
-// NameSet turns flag-name lists into the membership predicate StrayFlags
-// consumes most often.
-func NameSet(names ...[]string) map[string]bool {
-	set := map[string]bool{}
-	for _, list := range names {
-		for _, n := range list {
-			set[n] = true
-		}
-	}
-	return set
-}
-
-// ProfileFlags holds the -cpuprofile/-memprofile flags shared by the
-// bench-facing CLIs (cmd/benchsuite, and cmd/amacsim's sweep mode): a
+// ProfileFlags holds cmd/amacsim's -cpuprofile/-memprofile flags: a
 // wall-clock hunt should start from a profile, not a guess. Register with
 // RegisterProfileFlags; call Start after flag parsing and the returned
 // stop function before exit.

@@ -3,10 +3,10 @@
 // A Scenario names everything one execution needs — algorithm, topology,
 // input pattern, scheduler, Fack, seed, crash pattern, overlay family —
 // and the package holds the registries that map those names to
-// constructors. The CLIs (cmd/amacsim, cmd/benchsuite) and the examples
-// build on these registries instead of hand-rolling their own switch
-// statements, so a new algorithm, topology family, scheduler, crash
-// pattern or overlay registered here becomes available everywhere at once.
+// constructors. cmd/amacsim and the examples build on these registries
+// instead of hand-rolling their own switch statements, so a new
+// algorithm, topology family, scheduler, crash pattern or overlay
+// registered here becomes available everywhere at once.
 //
 // The adversity registries (adversity.go) cover the paper's fault models:
 // crash patterns schedule sim.Crash failures — including Theorem 3.2's

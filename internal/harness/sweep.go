@@ -512,24 +512,6 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 	return cells, nil
 }
 
-// Report writes the cells to w — an indented JSON array when jsonOut,
-// an aligned text table otherwise — and returns how many cells contain
-// consensus violations. It is the shared output path of `amacsim -sweep`
-// and `benchsuite -grid`.
-func Report(w io.Writer, cells []Cell, jsonOut bool) (bad int, err error) {
-	if jsonOut {
-		err = WriteJSON(w, cells)
-	} else {
-		_, err = io.WriteString(w, Table(cells).Render())
-	}
-	for i := range cells {
-		if !cells[i].OK() {
-			bad++
-		}
-	}
-	return bad, err
-}
-
 // WriteJSON emits the cells as an indented JSON array (the `amacsim -sweep
 // -json` output format).
 func WriteJSON(w io.Writer, cells []Cell) error {

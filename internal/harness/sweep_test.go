@@ -264,30 +264,6 @@ func TestEffectiveFack(t *testing.T) {
 	}
 }
 
-func TestReport(t *testing.T) {
-	cells := []Cell{
-		{Algo: "wpaxos", Topo: "clique:4", Sched: "sync", Runs: 2, Correct: 2},
-		{Algo: "wpaxos", Topo: "line:4", Sched: "sync", Runs: 2, Correct: 1, Errors: []string{"x"}},
-	}
-	var buf bytes.Buffer
-	bad, err := Report(&buf, cells, false)
-	if err != nil || bad != 1 {
-		t.Fatalf("text Report: bad=%d err=%v, want 1 nil", bad, err)
-	}
-	if !strings.Contains(buf.String(), "1/2") {
-		t.Fatalf("table missing the failing cell:\n%s", buf.String())
-	}
-	buf.Reset()
-	bad, err = Report(&buf, cells, true)
-	if err != nil || bad != 1 {
-		t.Fatalf("json Report: bad=%d err=%v, want 1 nil", bad, err)
-	}
-	var back []Cell
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("json Report output invalid: %v", err)
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	cells := []Cell{{
 		Algo: "wpaxos", Topo: "clique:4", Inputs: "alternating", Sched: "sync",
