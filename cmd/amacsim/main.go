@@ -83,12 +83,10 @@
 //
 // # Grid
 //
-// -grid sweeps the axes with schedule-coverage fingerprints on and hands
-// each cell's first flagged run to the same counterexample path as
-// -explore (-budget, -searchseed, -minimize), writing one artifact per
-// finding into -artifacts DIR. -saturate K stops a cell after K
-// consecutive seeds add no new ordering. Campaigns are deterministic at
-// any -workers width.
+// -grid sweeps the axes as -sweep does and hands each cell's first flagged
+// run to the same counterexample path as -explore (-budget, -searchseed,
+// -minimize), writing one artifact per finding into -artifacts DIR.
+// Campaigns are deterministic at any -workers width.
 //
 //	amacsim -grid -algos wpaxos,floodpaxos -topos ring:9,grid:3x3 \
 //	        -scheds random -facks 4 -crashes midbroadcast,one@3 \
@@ -150,8 +148,8 @@
 // 0 on success; 1 when a single run, sweep, search, campaign or the
 // canonical grid found a consensus violation, a replay did not reproduce
 // its artifact's recorded outcome, or a claim failed its shape check; 2 on
-// usage and I/O errors, including a negative -budget, -saturate or
-// -workers and a profile that cannot be written.
+// usage and I/O errors, including a negative -budget or -workers and a
+// profile that cannot be written.
 package main
 
 import (
@@ -161,6 +159,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"github.com/absmac/absmac/internal/consensus"
@@ -191,7 +192,7 @@ var modes = []mode{
 	{"single", "algo topo sched fack seed inputs crash overlay maxevents v metrics trace record", (*cli).runSingle},
 	{"sweep", "algos topos scheds facks crashes overlays seeds workers inputs maxevents json metrics cpuprofile memprofile", (*cli).runSweep},
 	{"explore", "algo topo sched fack seed inputs crash overlay maxevents budget searchseed minimize out json workers", (*cli).runExplore},
-	{"grid", "algos topos scheds facks crashes overlays seeds workers inputs maxevents budget searchseed minimize artifacts saturate json", (*cli).runGrid},
+	{"grid", "algos topos scheds facks crashes overlays seeds workers inputs maxevents budget searchseed minimize artifacts json", (*cli).runGrid},
 	{"replay", "trace critpath json", (*cli).runReplay},
 	{"claims", "q cpuprofile memprofile", (*cli).runClaims},
 	{"canonical", "json workers cpuprofile memprofile", (*cli).runCanonical},
@@ -203,14 +204,13 @@ type cli struct {
 
 	algo, topo, sched, inputs, crash, overlay string
 	fack, seed, searchSeed                    int64
-	maxEvents, budget, saturate               int
+	maxEvents, budget, seeds, workers         int
 
-	replay, claims                                string
-	verbose, metrics, json, minimize, crit, quiet bool
-	trace, record, out, artifacts                 string
-
-	axes *harness.AxisFlags
-	prof *harness.ProfileFlags
+	replay, claims                                 string
+	verbose, metrics, json, minimize, crit, quiet  bool
+	trace, record, out, artifacts                  string
+	algos, topos, scheds, facks, crashes, overlays string
+	cpuProfile, memProfile                         string
 }
 
 // run is the command: it parses args, picks the one mode they select and
@@ -260,12 +260,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// The library reads a count <= 0 as "the default" or "none"; a
 	// negative one on the command line is a typo, not a request.
-	for _, name := range []string{"budget", "saturate", "workers"} {
+	for _, name := range []string{"budget", "workers"} {
 		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
 			return fail(stderr, fmt.Errorf("-%s %d is negative", name, v))
 		}
 	}
-	stopProf, err := c.prof.Start()
+	stopProf, err := startProfile(c.cpuProfile, c.memProfile)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -309,15 +309,22 @@ func (c *cli) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.trace, "trace", "", "dump the full event trace (with -replay, the replay's) to this file as JSON Lines")
 	fs.StringVar(&c.record, "record", "", "record the run's schedule to this counterexample artifact file (re-verify it with -replay)")
 	fs.BoolVar(&c.json, "json", false, "emit JSON instead of text")
-	c.axes = harness.RegisterAxisFlags(fs)
-	c.prof = harness.RegisterProfileFlags(fs)
+	fs.StringVar(&c.algos, "algos", "wpaxos", "sweep axis: comma-separated algorithms")
+	fs.StringVar(&c.topos, "topos", "clique:8,grid:3x3", "sweep axis: comma-separated topology specs")
+	fs.StringVar(&c.scheds, "scheds", "sync,random", "sweep axis: comma-separated schedulers")
+	fs.StringVar(&c.facks, "facks", "4", "sweep axis: comma-separated Fack values")
+	fs.StringVar(&c.crashes, "crashes", "none", "sweep axis: comma-separated crash patterns")
+	fs.StringVar(&c.overlays, "overlays", "none", "sweep axis: comma-separated overlay families")
+	fs.IntVar(&c.seeds, "seeds", 8, "sweep axis: seeds 1..k per cell")
+	fs.IntVar(&c.workers, "workers", 0, "worker pool width (0 = GOMAXPROCS)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 
 	fs.IntVar(&c.budget, "budget", 256, "perturbed schedules to replay around the base run (with -grid: around each cell's first flagged run); 0 skips the search")
 	fs.Int64Var(&c.searchSeed, "searchseed", 1, "seed for candidate generation (independent of the scenario seed)")
 	fs.BoolVar(&c.minimize, "minimize", false, "delta-debug each violation down to a minimal failing schedule")
 	fs.StringVar(&c.out, "out", "", "write the found (minimized with -minimize) counterexample artifact to this file")
 	fs.StringVar(&c.artifacts, "artifacts", "", "write one counterexample artifact per finding into this directory")
-	fs.IntVar(&c.saturate, "saturate", 0, "stop a cell after this many consecutive seeds add no new schedule fingerprint (0 = run all seeds)")
 	fs.BoolVar(&c.crit, "critpath", false, "print the replayed execution's decide-latency critical path (phase breakdown + causal hop chain)")
 	fs.BoolVar(&c.quiet, "q", false, "print only the summary line per claim")
 }
@@ -328,10 +335,92 @@ func (c *cli) scenario() (harness.Scenario, error) {
 		Crashes: c.crash, Overlay: c.overlay, MaxEvents: c.maxEvents}, err
 }
 
+// sweepGrid assembles the axis flags into a sweep grid. Topology and Fack
+// entries are parsed here, so a syntax error surfaces before anything
+// runs; unknown names and empty axes are left to Grid.Cells and the
+// registries, which report them in a deterministic order.
 func (c *cli) sweepGrid() (harness.Grid, error) {
-	grid, err := c.axes.Grid(c.inputs)
-	grid.MaxEvents = c.maxEvents
-	return grid, err
+	grid := harness.Grid{
+		Algos:     splitList(c.algos),
+		Scheds:    splitList(c.scheds),
+		Inputs:    splitList(c.inputs),
+		Crashes:   splitList(c.crashes),
+		Overlays:  splitList(c.overlays),
+		MaxEvents: c.maxEvents,
+	}
+	for _, s := range splitList(c.topos) {
+		t, err := harness.ParseTopo(s)
+		if err != nil {
+			return harness.Grid{}, err
+		}
+		grid.Topos = append(grid.Topos, t)
+	}
+	for _, s := range splitList(c.facks) {
+		f, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return harness.Grid{}, fmt.Errorf("bad -facks entry %q: %w", s, err)
+		}
+		grid.Facks = append(grid.Facks, f)
+	}
+	for s := int64(1); s <= int64(c.seeds); s++ {
+		grid.Seeds = append(grid.Seeds, s)
+	}
+	return grid, nil
+}
+
+// splitList splits a comma-separated flag value, trimming blanks — the
+// list grammar of every sweep axis.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// startProfile begins CPU profiling if cpu names a file and returns the
+// stop function, which finishes the CPU profile, writes the heap profile
+// if mem names a file, and returns the error of either: a profile that was
+// asked for and not written is not a successful run.
+func startProfile(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		cpuFile, err = os.Create(cpu)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		var cpuErr error
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				cpuErr = fmt.Errorf("-cpuprofile: %w", err)
+			}
+		}
+		if mem == "" {
+			return cpuErr
+		}
+		return errors.Join(cpuErr, writeHeapProfile(mem))
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	runtime.GC() // flush recent frees so the heap profile is settled
+	if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	return nil
 }
 
 // emit writes v as indented JSON with -json, and its text rendering
@@ -510,7 +599,7 @@ func (c *cli) sweep(grids ...harness.Grid) (bool, error) {
 		work = append(work, units...)
 		runs += len(units) * len(g.Seeds)
 	}
-	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: *c.axes.Workers, Metrics: c.metrics})
+	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: c.workers, Metrics: c.metrics})
 	if err != nil {
 		return false, err
 	}
@@ -573,7 +662,7 @@ func (c *cli) runExplore() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	opts := explore.Options{Budget: c.budget, Workers: *c.axes.Workers, Seed: c.searchSeed}
+	opts := explore.Options{Budget: c.budget, Workers: c.workers, Seed: c.searchSeed}
 	rep, artifact, shrink, err := explore.Counterexample(sc, opts, c.minimize)
 	if err != nil {
 		return false, err
@@ -645,8 +734,8 @@ func (c *cli) runGrid() (bool, error) {
 		}
 	}
 	rep, err := explore.Campaign(grid, explore.CampaignOptions{
-		Workers: *c.axes.Workers, Budget: c.budget, SearchSeed: c.searchSeed,
-		Minimize: c.minimize, SaturateAfter: c.saturate, ArtifactDir: c.artifacts,
+		Workers: c.workers, Budget: c.budget, SearchSeed: c.searchSeed,
+		Minimize: c.minimize, ArtifactDir: c.artifacts,
 	})
 	if err != nil {
 		return false, err
@@ -659,15 +748,7 @@ func (c *cli) runGrid() (bool, error) {
 }
 
 func printCampaign(w io.Writer, rep *explore.CampaignReport) {
-	distinct, saturated := 0, 0
-	for _, c := range rep.Coverage {
-		distinct += c.Distinct
-		if c.Saturated {
-			saturated++
-		}
-	}
-	fmt.Fprintf(w, "campaign    %d cells, %d runs, %d distinct schedules (%d cell(s) saturated early)\n",
-		len(rep.Cells), rep.Runs, distinct, saturated)
+	fmt.Fprintf(w, "campaign    %d cells, %d runs\n", len(rep.Cells), rep.Runs)
 	fmt.Fprintf(w, "flagged     %d run(s) in %d cell(s)\n", rep.Flagged, rep.CellsFlagged)
 	for _, f := range rep.Findings {
 		c := &rep.Cells[f.Cell]

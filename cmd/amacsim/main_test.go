@@ -41,9 +41,9 @@ func TestCommandLine(t *testing.T) {
 		"canonical": {"-canonical"},
 	}
 	strays := map[string][]string{
-		"single":    {"-algos=x", "-budget=1", "-saturate=1", "-critpath", "-json"},
+		"single":    {"-algos=x", "-budget=1", "-critpath", "-json"},
 		"sweep":     {"-trace=x", "-record=x", "-algo=x", "-out=x", "-artifacts=x", "-critpath"},
-		"explore":   {"-record=x", "-seeds=2", "-metrics", "-saturate=1", "-trace=x"},
+		"explore":   {"-record=x", "-seeds=2", "-metrics", "-trace=x"},
 		"grid":      {"-v", "-metrics", "-cpuprofile=x", "-out=x", "-seed=2", "-critpath"},
 		"replay":    {"-algo=twophase", "-maxevents=5", "-seeds=2", "-budget=1", "-artifacts=x"},
 		"claims":    {"-json", "-workers=2", "-algo=twophase", "-seeds=2"},
@@ -56,7 +56,6 @@ func TestCommandLine(t *testing.T) {
 	}{
 		{"maxevents", "cap", []string{"single", "sweep", "explore", "grid"}},
 		{"budget", "budget", []string{"explore", "grid"}},
-		{"saturate", "saturate", []string{"grid"}},
 		{"workers", "workers", []string{"sweep", "explore", "grid", "canonical"}},
 	}
 	type row struct {

@@ -23,8 +23,9 @@
 //     examples read without naming a concrete algorithm.
 //   - internal/sim: the deterministic discrete-event simulator — the
 //     Scheduler interface and its plans, the calendar event queue, crash
-//     cutoffs, the stop rule, parallel bucket phases, and the recording,
-//     replay and fingerprinting scheduler wrappers.
+//     cutoffs, the stop rule, parallel bucket phases, the recording and
+//     replay scheduler wrappers, and the schedule fingerprint the
+//     explorer deduplicates by.
 //   - internal/graph: immutable CSR topologies, the standard and sparse
 //     large-n families, and the paper's lower-bound networks.
 //
@@ -50,10 +51,9 @@
 //     a sweep of them, run cell by cell on reusable engines. Every
 //     execution — a single run, a recording, a replay, a sweep run —
 //     goes through its one executor (execute.go), the one place that
-//     stacks the scheduler wrappers, in the one legal order: the
+//     stacks the two scheduler wrappers, in the one legal order: the
 //     scenario's scheduler (under sim.Lossy with an overlay) or a
-//     sim.Replay of a given schedule, then sim.ScheduleRecorder, then
-//     sim.Fingerprinter.
+//     sim.Replay of a given schedule, then sim.ScheduleRecorder.
 //   - internal/explore: schedule-space search around recorded runs,
 //     delta-debugging into minimal replayable artifacts, and campaigns
 //     that sweep a grid and hunt every flagged cell.

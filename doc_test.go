@@ -1,12 +1,14 @@
 package absmac
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,4 +73,96 @@ func TestDocNamesExistingCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCINamesExistingTests: every alternative of a -run, -bench or -fuzz
+// pattern in ci.yml matches a function declared in a _test.go file of the
+// packages its go test command names. A deleted or renamed test would
+// otherwise leave its step running nothing, and passing. (-run '^$' is
+// the deliberate run-nothing of a benchmark or fuzz step.)
+func TestCINamesExistingTests(t *testing.T) {
+	b, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands := 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(b), "\\\n", " "), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		commands++
+		var pkgs, patterns []string
+		fields := strings.Fields(cmd)
+		for i, f := range fields {
+			switch {
+			case strings.HasPrefix(f, "./"):
+				pkgs = append(pkgs, f)
+			case (f == "-run" || f == "-bench" || f == "-fuzz") && i+1 < len(fields):
+				if p := strings.Trim(fields[i+1], "'"); p != "^$" {
+					patterns = append(patterns, strings.Split(p, "|")...)
+				}
+			}
+		}
+		if len(patterns) == 0 {
+			continue
+		}
+		funcs := testFuncs(t, pkgs)
+		for _, p := range patterns {
+			re, err := regexp.Compile(p)
+			if err != nil {
+				t.Errorf("ci.yml pattern %q: %v", p, err)
+				continue
+			}
+			if !slices.ContainsFunc(funcs, re.MatchString) {
+				t.Errorf("ci.yml pattern %q matches no test function in %v", p, pkgs)
+			}
+		}
+	}
+	if commands == 0 {
+		t.Fatal("found no go test command in ci.yml")
+	}
+}
+
+// testFuncs lists the top-level functions declared in the _test.go files
+// of the package directories pkgs names (./... is every package).
+func testFuncs(t *testing.T, pkgs []string) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	for _, pkg := range pkgs {
+		root, recursive := strings.CutSuffix(pkg, "...")
+		err := filepath.WalkDir(filepath.Clean(root), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				// go test skips testdata, dot and underscore directories,
+				// and bench/ is a module of its own.
+				name := d.Name()
+				if path != filepath.Clean(root) && (!recursive || name == "testdata" || name == "bench" ||
+					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					names = append(names, fn.Name.Name)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return names
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -88,12 +89,18 @@ func (a *Artifact) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads one artifact and validates its structure.
+// Decode reads one artifact, and nothing after it, and validates its
+// structure.
 func Decode(r io.Reader) (*Artifact, error) {
 	var a Artifact
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("explore: decode artifact: %w", err)
+	}
+	// An artifact is one JSON value; a second one, or garbage, after it
+	// is a damaged or concatenated file, not an artifact.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("explore: decode artifact: data after the artifact")
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err

@@ -14,20 +14,17 @@ import (
 // violating (scenario, seed) runs from the sweep, then turn each flagged
 // cell into a recorded, perturbation-explored and minimized
 // counterexample artifact, all phases sharing one replay worker pool and
-// its per-worker runner caches. Sweeping runs with schedule-coverage
-// fingerprints on, so the campaign also reports how many distinct delivery
-// orderings each cell actually exercised and can stop saturated cells
-// early. Campaigns are deterministic at every worker count: each cell's
-// flagged runs come in seed order, exploration and shrinking are
+// its per-worker runner caches. The scan is a plain sweep: every seed of
+// every cell runs. Campaigns are deterministic at every worker count: each
+// cell's flagged runs come in seed order, exploration and shrinking are
 // width-invariant by construction, and artifact names are derived from the
 // scenario alone.
 
 // CampaignOptions tunes a campaign. The zero value means: GOMAXPROCS
 // workers, no perturbation search (record + minimize flagged base runs
-// only), no coverage early-stop, no artifacts written. A campaign always
-// explores the first flagged run of each cell — one counterexample per
-// cell is what the artifact pipeline wants. Every execution runs under
-// Grid.MaxEvents.
+// only), no artifacts written. A campaign always explores the first
+// flagged run of each cell — one counterexample per cell is what the
+// artifact pipeline wants. Every execution runs under Grid.MaxEvents.
 type CampaignOptions struct {
 	// Workers sizes the shared worker pool used by the sweep, the
 	// perturbation searches and the parallel shrinker (<= 0 = GOMAXPROCS).
@@ -42,31 +39,10 @@ type CampaignOptions struct {
 	// Minimize delta-debugs each flagged run's schedule down to a minimal
 	// artifact (parallel Shrink on the shared pool).
 	Minimize bool
-	// SaturateAfter stops a cell's sweep early once that many consecutive
-	// seeds added no new schedule fingerprint (see
-	// harness.SweepOptions.SaturateAfter; 0 = run every seed).
-	SaturateAfter int
 	// ArtifactDir, when non-empty, writes each finding's artifact to
 	// ArtifactDir/<scenario-derived name>.json and records the path in
 	// the finding.
 	ArtifactDir string
-}
-
-// CellCoverage reports one cell's schedule coverage.
-type CellCoverage struct {
-	// Cell indexes CampaignReport.Cells.
-	Cell int `json:"cell"`
-	// Planned and Runs count the cell's seed axis and how many seeds
-	// actually ran (fewer when coverage saturated early).
-	Planned int `json:"planned"`
-	Runs    int `json:"runs"`
-	// Distinct counts distinct schedule fingerprints across the runs —
-	// the delivery orderings the cell actually exercised.
-	Distinct int `json:"distinct_schedules"`
-	// Saturated reports that the cell stopped early under SaturateAfter.
-	Saturated bool `json:"saturated,omitempty"`
-	// Flagged counts the cell's violating runs.
-	Flagged int `json:"flagged,omitempty"`
 }
 
 // CampaignFinding is one flagged cell's counterexample.
@@ -100,11 +76,8 @@ type CampaignFinding struct {
 
 // CampaignReport is the result of one campaign.
 type CampaignReport struct {
-	// Cells are the sweep's aggregated cells, coverage fingerprints
-	// included, in grid axis-nesting order.
+	// Cells are the sweep's aggregated cells, in grid axis-nesting order.
 	Cells []harness.Cell `json:"cells"`
-	// Coverage reports per-cell schedule coverage, same order as Cells.
-	Coverage []CellCoverage `json:"coverage"`
 	// Runs counts executed sweep runs; Flagged counts the violating ones;
 	// CellsFlagged counts cells with at least one.
 	Runs         int `json:"runs"`
@@ -125,34 +98,21 @@ func Campaign(grid harness.Grid, opts CampaignOptions) (*CampaignReport, error) 
 		return nil, err
 	}
 
-	// Phase 1 — sweep with coverage fingerprints; each cell returns its
-	// flagged runs in seed order.
-	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{
-		Workers:       opts.Workers,
-		Fingerprint:   true,
-		SaturateAfter: opts.SaturateAfter,
-	})
+	// Phase 1 — sweep; each cell returns its flagged runs in seed order.
+	cells, err := harness.SweepCellsOpts(work, harness.SweepOptions{Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
 
 	// Findings starts non-nil so a clean grid's report serializes the
-	// documented array shape ("findings": []), like Cells and Coverage.
-	rep := &CampaignReport{Cells: cells, Coverage: make([]CellCoverage, len(cells)), Findings: []*CampaignFinding{}}
+	// documented array shape ("findings": []), like Cells.
+	rep := &CampaignReport{Cells: cells, Findings: []*CampaignFinding{}}
 	for i := range cells {
 		flagged := len(cells[i].Flagged)
 		rep.Runs += cells[i].Runs
 		rep.Flagged += flagged
 		if flagged > 0 {
 			rep.CellsFlagged++
-		}
-		rep.Coverage[i] = CellCoverage{
-			Cell:      i,
-			Planned:   len(grid.Seeds),
-			Runs:      cells[i].Runs,
-			Distinct:  cells[i].DistinctSchedules,
-			Saturated: cells[i].Runs < len(grid.Seeds),
-			Flagged:   flagged,
 		}
 	}
 	if rep.Flagged == 0 {

@@ -33,8 +33,8 @@ func TestCampaignFindsKnownStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != 2 || len(rep.Coverage) != 2 {
-		t.Fatalf("report covers %d cells / %d coverage rows, want 2/2", len(rep.Cells), len(rep.Coverage))
+	if len(rep.Cells) != 2 {
+		t.Fatalf("report covers %d cells, want 2", len(rep.Cells))
 	}
 	if rep.Flagged == 0 || rep.CellsFlagged != 1 {
 		t.Fatalf("flagged %d runs in %d cells; the twophase stall cell alone must flag", rep.Flagged, rep.CellsFlagged)
@@ -58,16 +58,20 @@ func TestCampaignFindsKnownStall(t *testing.T) {
 	if v := out.Violation(); v == nil || v.Kind != consensus.KindNonTermination {
 		t.Fatalf("campaign artifact does not reproduce: %+v", v)
 	}
-	// Coverage was measured for every cell.
-	for i, c := range rep.Coverage {
-		if c.Distinct == 0 || c.Runs == 0 {
-			t.Fatalf("coverage row %d empty: %+v", i, c)
+	// Every cell ran every seed.
+	seeds := len(campaignGrid().Seeds)
+	for i := range rep.Cells {
+		if c := &rep.Cells[i]; c.Runs != seeds {
+			t.Fatalf("cell %d ran %d of %d seeds", i, c.Runs, seeds)
 		}
+	}
+	if rep.Runs != 2*seeds {
+		t.Fatalf("report counts %d runs, want %d", rep.Runs, 2*seeds)
 	}
 }
 
-// TestCampaignDeterministicAcrossWidths pins the tentpole's determinism
-// claim: the whole campaign report — cells, coverage, violations, finding
+// TestCampaignDeterministicAcrossWidths pins the campaign's determinism
+// claim: the whole campaign report — cells, violations, finding
 // sizes — and every artifact byte must be identical at pool widths 1, 2
 // and 8. The perturbation search runs too (Budget > 0), so this covers
 // sweep streaming, exploreOn and shrinkOn on the shared pool.

@@ -30,9 +30,8 @@
 // Counterexample is the one path from a scenario to an artifact (search,
 // pick, close, shrink). `amacsim -explore` calls it once; the
 // campaign pipeline (campaign.go) calls it per flagged cell. Campaign
-// sweeps a whole harness.Grid with schedule-coverage fingerprints on
-// (harness.SweepOptions), collects every violating (scenario, seed) the
-// cell workers classify, and runs the first flagged run of each cell
+// sweeps a whole harness.Grid, collects every violating (scenario, seed)
+// the cell workers classify, and runs the first flagged run of each cell
 // through Counterexample. All replay work — exploration candidates and
 // shrink candidates across every flagged cell — runs on one shared worker
 // pool (pool.go) whose workers cache ReplayRunners per scenario, and

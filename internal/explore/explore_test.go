@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/absmac/absmac/internal/consensus"
@@ -186,6 +187,17 @@ func TestArtifactRoundTrip(t *testing.T) {
 	bad := bytes.NewBufferString(`{"format": 99, "schedule": {"fack": 4}}`)
 	if _, err := Decode(bad); err == nil {
 		t.Fatal("Decode accepted an unknown format version")
+	}
+	// So must anything after the artifact: a second value, or garbage.
+	var enc bytes.Buffer
+	if err := a.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", "\n", `{"format": 99} trailing garbage`, "x"} {
+		_, err := Decode(strings.NewReader(enc.String() + tail))
+		if clean := strings.TrimSpace(tail) == ""; (err == nil) != clean {
+			t.Errorf("Decode with %q after the artifact: err = %v", tail, err)
+		}
 	}
 }
 

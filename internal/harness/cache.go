@@ -20,8 +20,9 @@ import (
 // seed-free (topoFamily.seedFree) caches under seed 0, so a whole seed
 // axis shares one graph; an overlay family declared seed-free does the
 // same when its base is seed-free too. The normalization reads exactly
-// those declarations, so a cached value is identical to a freshly built
-// one — cache_test.go and TestSeedDeclarations pin this.
+// those two declarations, so a cached value is identical to a freshly
+// built one — cache_test.go pins this, and TestSeedDeclarations holds
+// each declaration to what its entry builds.
 //
 // Cached graphs and input slices are shared across concurrently running
 // workers. A graph.Graph is immutable once built, so sharing one needs no

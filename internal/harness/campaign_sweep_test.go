@@ -1,44 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
-
-	"github.com/absmac/absmac/internal/sim"
 )
 
-// This file tests the sweep features the campaign layer is built on:
-// flagged runs, schedule-coverage fingerprints and coverage
-// saturation (SweepOptions), plus the identity between the streaming
-// fingerprinter and the fingerprint of a recorded schedule.
-
-// TestFingerprintMatchesRecording pins the two routes to the coverage
-// digest against each other: a live sim.Fingerprinter watching an
-// execution must produce exactly Schedule.Fingerprint() of that
-// execution's recording — including crash times and unreliable-edge coin
-// outcomes.
-func TestFingerprintMatchesRecording(t *testing.T) {
-	for _, sc := range []Scenario{
-		{Algo: "floodpaxos", Topo: Topo{Kind: "ring", N: 7}, Sched: "random", Fack: 4, Seed: 3},
-		{Algo: "floodpaxos", Topo: Topo{Kind: "grid", Rows: 3, Cols: 3}, Sched: "random", Fack: 4, Seed: 5,
-			Crashes: "one@0", Overlay: "extra:4@0.6"},
-		{Algo: "twophase", Topo: Topo{Kind: "clique", N: 6}, Sched: "sync", Fack: 3, Seed: 1},
-	} {
-		_, sched, err := sc.RunRecorded()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := sc.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp := sim.NewFingerprinter(cfg.Scheduler, cfg.Crashes)
-		cfg.Scheduler = fp
-		sim.Run(cfg)
-		if got, want := fp.Sum(), sched.Fingerprint(); got != want {
-			t.Errorf("%s on %s: live fingerprint %x != recorded schedule fingerprint %x", sc.Algo, sc.Topo, got, want)
-		}
-	}
-}
+// This file tests what the campaign layer takes from the sweep and the
+// recorder: flagged runs in seed order, and schedule fingerprints that
+// tell seeds apart (the explorer's dedup key).
 
 // TestFingerprintDistinguishesSeeds: different seeds of a randomized cell
 // must fingerprint differently, and re-running a seed must reproduce its
@@ -97,7 +66,7 @@ func TestSweepReturnsFlaggedRuns(t *testing.T) {
 	}
 	var ref []FlaggedRun
 	for _, workers := range []int{1, 2, 8} {
-		cells, err := SweepCellsOpts(work, SweepOptions{Workers: workers, Fingerprint: true})
+		cells, err := SweepCellsOpts(work, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +89,6 @@ func TestSweepReturnsFlaggedRuns(t *testing.T) {
 			if f.Violation == nil || f.Violation.Kind == "" {
 				t.Fatalf("flagged run carries no violation: %+v", f)
 			}
-			if f.Fingerprint == 0 {
-				t.Fatalf("fingerprinting on, but flagged run has zero fingerprint")
-			}
 			if f.Scenario.Algo != "twophase" || f.Scenario.Seed != work[0].Seeds[f.Run] {
 				t.Fatalf("flagged scenario not filled in: %+v", f.Scenario)
 			}
@@ -136,78 +102,9 @@ func TestSweepReturnsFlaggedRuns(t *testing.T) {
 		}
 		for i := range ref {
 			a, b := ref[i], flagged[i]
-			if a.Run != b.Run || a.Fingerprint != b.Fingerprint ||
-				a.Violation.Kind != b.Violation.Kind || a.Scenario.Seed != b.Scenario.Seed {
+			if a.Run != b.Run || a.Scenario != b.Scenario || !reflect.DeepEqual(a.Violation, b.Violation) {
 				t.Fatalf("workers=%d: flagged run %d differs: %+v vs %+v", workers, i, a, b)
 			}
-		}
-	}
-}
-
-// TestSweepCoverageAndSaturation: a deterministic cell (sync scheduler, no
-// randomness anywhere) collapses to one distinct schedule, so with
-// SaturateAfter=2 the cell must stop after 3 runs; a random cell keeps
-// producing fresh fingerprints and runs its full seed axis.
-func TestSweepCoverageAndSaturation(t *testing.T) {
-	grid := Grid{
-		Algos:  []string{"floodpaxos"},
-		Topos:  []Topo{{Kind: "ring", N: 5}},
-		Scheds: []string{"sync", "random"},
-		Facks:  []int64{3},
-		Seeds:  []int64{1, 2, 3, 4, 5, 6, 7, 8},
-	}
-	work, err := grid.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := SweepCellsOpts(work, SweepOptions{SaturateAfter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync, random := cells[0], cells[1]
-	if sync.DistinctSchedules != 1 {
-		t.Fatalf("sync cell exercised %d distinct schedules, want 1", sync.DistinctSchedules)
-	}
-	if sync.Runs != 3 { // 1 fresh + 2 stale = stop
-		t.Fatalf("sync cell ran %d seeds, want saturation stop after 3", sync.Runs)
-	}
-	if random.Runs != 8 || random.DistinctSchedules != 8 {
-		t.Fatalf("random cell ran %d seeds with %d distinct schedules, want 8/8", random.Runs, random.DistinctSchedules)
-	}
-
-	// A seed-sensitive algorithm (benor draws its own coins from the
-	// seed) must never saturate on schedule-skeleton collisions: the
-	// fingerprint is salted with the seed exactly when the execution
-	// depends on it beyond the scheduler, so every seed counts as a
-	// distinct execution and the full axis runs.
-	bwork, err := Grid{
-		Algos:  []string{"benor"},
-		Topos:  []Topo{{Kind: "clique", N: 4}},
-		Scheds: []string{"sync"},
-		Facks:  []int64{4},
-		Seeds:  grid.Seeds,
-	}.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcells, err := SweepCellsOpts(bwork, SweepOptions{SaturateAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bcells[0].Runs != 8 || bcells[0].DistinctSchedules != 8 {
-		t.Fatalf("benor cell ran %d seeds with %d distinct fingerprints, want 8/8 (seed salt missing?)",
-			bcells[0].Runs, bcells[0].DistinctSchedules)
-	}
-
-	// Without fingerprinting the coverage field stays zero (and the JSON
-	// omits it — the golden sweep output pins that byte-for-byte).
-	plain, err := SweepCellsOpts(work, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i].DistinctSchedules != 0 {
-			t.Fatalf("fingerprinting off but cell %d reports coverage %d", i, plain[i].DistinctSchedules)
 		}
 	}
 }

@@ -26,8 +26,6 @@ type Exec struct {
 	// perturbed or truncated schedule into one that replays with no
 	// divergence.
 	Record bool
-	// Fingerprint computes Outcome.Fingerprint.
-	Fingerprint bool
 	// Observer receives every engine event in execution order, plus the
 	// EventDiverge marker of a Replay. It replaces cfg.Observer: the
 	// request is the one way to hand one over (ChainObservers joins several).
@@ -116,11 +114,6 @@ func (x *executor) execute(s Scenario, cfg sim.Config, diameter int, req Exec) (
 		}
 		cfg.Scheduler, sched = rec, rec.S
 	}
-	var fp *sim.Fingerprinter
-	if req.Fingerprint {
-		fp = sim.NewFingerprinter(cfg.Scheduler, cfg.Crashes)
-		cfg.Scheduler = fp
-	}
 	cfg.Observer, cfg.Metrics = req.Observer, req.Metrics
 	if x.eng == nil {
 		x.eng = sim.NewEngine(cfg)
@@ -128,21 +121,14 @@ func (x *executor) execute(s Scenario, cfg sim.Config, diameter int, req Exec) (
 		x.eng.Reset(cfg)
 	}
 	res := x.eng.Run()
-	out := &Outcome{
+	return &Outcome{
 		Scenario: s,
 		Result:   res,
 		Report:   consensus.Check(cfg.Inputs, res),
 		N:        cfg.Graph.N(),
 		Diameter: diameter,
 		Fack:     cfg.Scheduler.Fack(),
-	}
-	if fp != nil {
-		out.Fingerprint = fp.Sum()
-		if salt := s.fingerprintSalt(); salt != 0 {
-			out.Fingerprint = sim.SaltFingerprint(out.Fingerprint, salt)
-		}
-	}
-	return out, rp, sched, nil
+	}, rp, sched, nil
 }
 
 // Execute runs cfg — the configuration s.Config() returned, which the

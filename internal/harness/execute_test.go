@@ -19,13 +19,13 @@ func eventLog(lines *[]string) func(sim.Event) {
 }
 
 // TestExecutionPathsAgree holds every way to execute a scenario to one
-// execution: plain, recorded, fingerprinted, recorded and fingerprinted at
-// once, replayed, replayed while re-recording, and as a one-seed sweep
-// cell. They agree because they are one function (executor.execute) under
-// different requests; what this pins is that no request changes what runs
-// — the wrappers only watch — and that the wrappers agree with each other
-// inside a single execution: the Outcome's fingerprint is
-// Schedule.Fingerprint() of the schedule the same call recorded.
+// execution: plain, recorded (by RunRecorded, by a fresh executor with an
+// observer, and by a reused engine), replayed, replayed while
+// re-recording, and as a one-seed sweep cell. They agree because they are
+// one function (executor.execute) under different requests; what this
+// pins is that no request changes what runs — the wrappers only watch —
+// and that every recording of the scenario is the same schedule, step for
+// step.
 func TestExecutionPathsAgree(t *testing.T) {
 	scenarios := []Scenario{
 		{Algo: "wpaxos", Topo: Topo{Kind: "grid", Rows: 3, Cols: 3}, Sched: "random", Fack: 4, Seed: 2},
@@ -77,33 +77,12 @@ func TestExecutionPathsAgree(t *testing.T) {
 				t.Fatalf("recorded %d steps for %d broadcasts", len(schedule.Steps), want.Broadcasts)
 			}
 
-			// The digest of a run is Schedule.Fingerprint() of its
-			// recording, salted exactly when the seed reaches the execution
-			// past the scheduler (benor here).
-			digest := func(s *sim.Schedule) uint64 {
-				fp := s.Fingerprint()
-				if salt := sc.fingerprintSalt(); salt != 0 {
-					fp = sim.SaltFingerprint(fp, salt)
-				}
-				return fp
-			}
-			fingerprinted, _ := fresh(Exec{Fingerprint: true})
-			same("fingerprinted", fingerprinted)
-			if fingerprinted.Fingerprint != digest(schedule) {
-				t.Errorf("fingerprinted run digests to %x, the recording of the same scenario to %x",
-					fingerprinted.Fingerprint, digest(schedule))
-			}
-
-			// Both wrappers around one execution, with an observer.
+			// A fresh executor recording with an observer.
 			var freshEvents []string
-			both, bothSched := fresh(Exec{Record: true, Fingerprint: true, Observer: eventLog(&freshEvents)})
-			same("recorded+fingerprinted", both)
-			if !reflect.DeepEqual(bothSched, schedule) {
-				t.Error("recording under a fingerprinter differs from a plain recording")
-			}
-			if both.Fingerprint != digest(bothSched) || both.Fingerprint == 0 {
-				t.Errorf("Outcome.Fingerprint %x != Schedule.Fingerprint() of the same run %x",
-					both.Fingerprint, digest(bothSched))
+			observed, observedSched := fresh(Exec{Record: true, Observer: eventLog(&freshEvents)})
+			same("recorded+observed", observed)
+			if !reflect.DeepEqual(observedSched, schedule) {
+				t.Error("recording with an observer differs from a plain recording")
 			}
 
 			runner, err := sc.NewReplayRunner()
@@ -145,24 +124,24 @@ func TestExecutionPathsAgree(t *testing.T) {
 			if _, _, _, err := warm.run(other, Exec{}); err != nil {
 				t.Fatal(err)
 			}
-			swept, _, _, err := warm.run(sc, Exec{Fingerprint: true})
+			swept, _, sweptSched, err := warm.run(sc, Exec{Record: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			same("sweep worker on a reused engine", swept)
-			if swept.Fingerprint != fingerprinted.Fingerprint {
-				t.Errorf("reused-engine fingerprint %x, fresh %x", swept.Fingerprint, fingerprinted.Fingerprint)
+			if !reflect.DeepEqual(sweptSched, schedule) {
+				t.Error("recording on a reused engine differs from a fresh recording")
 			}
 
 			// The sweep entry point exposes no Result, so its cell is held
 			// to the same run aggregated by hand.
 			cells, err := SweepCellsOpts([]CellWork{{Base: sc, Seeds: []int64{sc.Seed}}},
-				SweepOptions{Workers: 1, Fingerprint: true})
+				SweepOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			acc := newCellAccum(1)
-			acc.add(fingerprinted, true)
+			acc.add(observed)
 			if wantCell := acc.finish(); !reflect.DeepEqual(cells[0], wantCell) {
 				t.Errorf("one-seed sweep cell differs from the run aggregated by hand:\n got %+v\nwant %+v", cells[0], wantCell)
 			}

@@ -18,16 +18,14 @@
 // assembles a sim.Config through a set of caches (cache.go) and
 // executor.execute runs it under an Exec, a request value naming what to
 // wrap around the run. The paper puts every nondeterministic choice in the
-// message scheduler, so replay, recording and coverage are scheduler
-// wrappers, stacked in the one legal order:
+// message scheduler, so replay and recording are scheduler wrappers,
+// stacked in the one legal order:
 //
 //	the scenario's scheduler, under sim.Lossy when there is an overlay
 //	  (Exec.Replay: a sim.Replay in their place, and the schedule's
 //	  crashes in place of the configuration's)
 //	sim.ScheduleRecorder  (Exec.Record: sees finished plans, so coin
 //	                       outcomes and replay fallbacks are captured)
-//	sim.Fingerprinter     (Exec.Fingerprint: folds what the recorder
-//	                       captures, salted as fingerprintSalt says)
 //
 // The executor then installs Exec.Observer and Exec.Metrics, runs on its
 // engine — allocated by its first execution, Reset by every later one —
@@ -60,12 +58,9 @@
 // Sweeps also feed the campaign layer (internal/explore.Campaign): each
 // cell SweepCellsOpts returns lists its violating runs in seed order as
 // Cell.Flagged, classified once by consensus.Classify (the same judgment
-// the explorer applies to perturbed schedules), and a sweep can request
-// fingerprints to report per-cell schedule coverage
-// (Cell.DistinctSchedules — how many distinct delivery orderings the seeds
-// actually exercised) and stop a cell early when coverage saturates. Both
-// are opt-in: a plain sweep requests neither and its hot path is pinned
-// allocation-for-allocation by BENCH_engine.json.
+// the explorer applies to perturbed schedules). A campaign's scan is a
+// plain sweep, whose hot path BENCH_engine.json pins
+// allocation-for-allocation.
 package harness
 
 import (
@@ -103,8 +98,9 @@ type Scenario struct {
 	Sched string `json:"sched"`
 	// Fack is the scheduler's delivery bound.
 	Fack int64 `json:"fack"`
-	// Seed feeds the scheduler, the crash/overlay registries and every
-	// algorithm and topology family not declared seed-free.
+	// Seed feeds the scheduler, the crash/overlay registries, a
+	// randomized algorithm (benor) and every topology family not declared
+	// seed-free.
 	Seed int64 `json:"seed"`
 	// Crashes is a registered crash-pattern spec (see NewCrashes).
 	// Empty means "none".
@@ -154,10 +150,6 @@ type Outcome struct {
 	// differs from Scenario.Fack for schedulers with a structural bound
 	// (edgeorder declares MaxDegree+1 and ignores the requested value).
 	Fack int64
-	// Fingerprint is the schedule-coverage digest of an execution run
-	// under Exec.Fingerprint (0 otherwise): Schedule.Fingerprint() of the
-	// same run's recording, salted where fingerprintSalt says so.
-	Fingerprint uint64
 }
 
 // Violation classifies the outcome (see consensus.Classify), or nil when
@@ -174,13 +166,8 @@ func (o *Outcome) Violation() *consensus.Violation {
 type algoCtor struct {
 	// mk builds the factory; rounds is the row's @R argument, -1 without
 	// one.
-	mk func(n int, seed, rounds int64) amac.Factory
-	// seedFree declares that the algorithm draws no randomness of its own
-	// (it inherits all nondeterminism from the scheduler), as
-	// topoFamily.seedFree does for a topology; benor's coin flips consume
-	// the seed.
-	seedFree bool
-	arg      argUse
+	mk  func(n int, seed, rounds int64) amac.Factory
+	arg argUse
 }
 
 // budgeted is the row of a defeated baseline, whose round budget is @R or
@@ -188,7 +175,7 @@ type algoCtor struct {
 // paper says it is (crash-free reliable runs whose scheduler lets
 // information traverse within the budget), defeated elsewhere.
 func budgeted(mk func(rounds int) amac.Factory, forDiameter func(int) int) algoCtor {
-	return algoCtor{seedFree: true, arg: optArg, mk: func(n int, _, rounds int64) amac.Factory {
+	return algoCtor{arg: optArg, mk: func(n int, _, rounds int64) amac.Factory {
 		if rounds < 0 {
 			return mk(forDiameter(n - 1))
 		}
@@ -197,10 +184,10 @@ func budgeted(mk func(rounds int) amac.Factory, forDiameter func(int) int) algoC
 }
 
 var algorithms = map[string]algoCtor{
-	"twophase":   {seedFree: true, mk: func(int, int64, int64) amac.Factory { return twophase.Factory }},
-	"wpaxos":     {seedFree: true, mk: func(n int, _, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) }},
-	"floodpaxos": {seedFree: true, mk: func(n int, _, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n, Flood: true}) }},
-	"gatherall":  {seedFree: true, mk: func(n int, _, _ int64) amac.Factory { return gatherall.NewFactory(n) }},
+	"twophase":   {mk: func(int, int64, int64) amac.Factory { return twophase.Factory }},
+	"wpaxos":     {mk: func(n int, _, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n}) }},
+	"floodpaxos": {mk: func(n int, _, _ int64) amac.Factory { return wpaxos.NewFactory(wpaxos.Config{N: n, Flood: true}) }},
+	"gatherall":  {mk: func(n int, _, _ int64) amac.Factory { return gatherall.NewFactory(n) }},
 	"benor": {mk: func(n int, seed, _ int64) amac.Factory {
 		return benor.NewFactory(benor.Config{N: n, F: (n - 1) / 2, Seed: seed})
 	}},
@@ -209,22 +196,6 @@ var algorithms = map[string]algoCtor{
 }
 
 func (a algoCtor) takes() argUse { return a.arg }
-
-// fingerprintSalt returns the word to fold into the scenario's coverage
-// fingerprint beyond the schedule digest: the seed when the execution
-// depends on it through channels the digest cannot see (an algorithm, a
-// topology or an overlay whose entry is not declared seed-free), 0
-// otherwise. Salting makes every seed of such a cell a distinct
-// "ordering", which is exactly right — saturation must never skip seeds
-// that genuinely change the execution, and DistinctSchedules must count
-// executions, not schedule skeletons.
-func (s Scenario) fingerprintSalt() int64 {
-	algo, _, _ := resolve(algorithms, "algorithm", s.Algo)
-	if algo.seedFree && topoFamilies[s.Topo.Kind].seedFree && overlaySeedFree(s.Overlay) {
-		return 0
-	}
-	return s.Seed
-}
 
 // Algorithms returns the registered algorithm names, sorted.
 func Algorithms() []string { return sortedKeys(algorithms) }

@@ -138,11 +138,6 @@ func TestLowerBoundRows(t *testing.T) {
 		kd := graph.BuildKD(d)
 		check(fmt.Sprintf("kd:%d", d), kd.G, kd.Hub, kd.L2)
 	}
-	// The budgets resolve through the one parse, so a budgeted baseline
-	// is as seed-free as a bare one.
-	if salt := (Scenario{Algo: "anonflood@5", Topo: Topo{Kind: "kd", Diam: 2}, Seed: 3}).fingerprintSalt(); salt != 0 {
-		t.Errorf("anonflood@5 salts its fingerprint with %d", salt)
-	}
 }
 
 // TestLowerBoundRowErrors holds the lower-bound rows to errors, not
@@ -471,14 +466,12 @@ func TestAdjacencyRowsPinned(t *testing.T) {
 	}
 }
 
-// TestSeedDeclarations holds every registry entry's seed declaration to
-// what the entry builds: one declared seed-free must give the same result
-// on seeds 1 and 2 (an algorithm the same sim.Result running sync on
-// clique:5, a topology the same rows, an overlay the same edges on
-// ring:9), and one that is not must differ — today benor, random,
-// expander, pods, randomextra and extra. A wrong seed-free declaration
-// would let the sweep caches and the coverage fingerprints merge
-// executions that differ.
+// TestSeedDeclarations holds every topology and overlay entry's seed
+// declaration to what the entry builds: one declared seed-free must give
+// the same result on seeds 1 and 2 (a topology the same rows, an overlay
+// the same edges on ring:9), and one that is not must differ — today
+// random, expander, pods, randomextra and extra. A wrong seed-free
+// declaration would let the sweep caches merge graphs that differ.
 func TestSeedDeclarations(t *testing.T) {
 	check := func(registry, name string, seedFree bool, build func(seed int64) any) {
 		switch same := reflect.DeepEqual(build(1), build(2)); {
@@ -487,15 +480,6 @@ func TestSeedDeclarations(t *testing.T) {
 		case !seedFree && same:
 			t.Errorf("%s %q is declared to consume the seed but gives the same result on seeds 1 and 2", registry, name)
 		}
-	}
-	for _, algo := range Algorithms() {
-		check("algorithm", algo, algorithms[algo].seedFree, func(seed int64) any {
-			out, err := Scenario{Algo: algo, Topo: Topo{Kind: "clique", N: 5}, Sched: "sync", Fack: 2, Seed: seed}.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return *out.Result
-		})
 	}
 	for _, kind := range Topologies() {
 		tp, err := ParseTopo(familySpecs[kind])

@@ -24,7 +24,7 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 func cellJSON(t *testing.T, o *Outcome) string {
 	t.Helper()
 	acc := newCellAccum(1)
-	acc.add(o, false)
+	acc.add(o)
 	c := acc.finish()
 	b, err := json.Marshal(c)
 	if err != nil {

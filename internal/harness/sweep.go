@@ -187,14 +187,6 @@ type Cell struct {
 	Broadcasts Summary `json:"broadcasts"`
 	Deliveries Summary `json:"deliveries"`
 
-	// DistinctSchedules counts the distinct schedule-coverage fingerprints
-	// (see sim.Fingerprinter) observed across the cell's runs — how many
-	// different delivery orderings the seeds actually exercised. Zero when
-	// the sweep did not ask for fingerprints (SweepOptions.Fingerprint),
-	// and omitted from the JSON then, so fingerprint-free sweep output
-	// does not carry it.
-	DistinctSchedules int `json:"distinct_schedules,omitempty"`
-
 	// Metrics lists the cell's aggregated flight-recorder metrics (engine,
 	// detector and algorithm counters summed across the cell's runs; gauge
 	// high-waters maxed), sorted by name with all-zero rows dropped. Nil
@@ -255,7 +247,6 @@ type cellAccum struct {
 	survivorDecide, faults         []float64
 	diameters, facks               []float64
 	errSeen                        map[string]bool
-	fpSeen                         map[uint64]bool
 }
 
 func newCellAccum(runs int) *cellAccum {
@@ -273,11 +264,8 @@ func newCellAccum(runs int) *cellAccum {
 	}
 }
 
-// add folds one outcome in; fpOn says whether the run computed
-// o.Fingerprint at all. It reports whether the fingerprint was fresh for
-// this cell (always false with fpOn unset), which is what the saturation
-// early-stop counts.
-func (a *cellAccum) add(o *Outcome, fpOn bool) bool {
+// add folds one outcome in.
+func (a *cellAccum) add(o *Outcome) {
 	if !a.started {
 		a.started = true
 		k := o.Scenario.Key()
@@ -288,7 +276,7 @@ func (a *cellAccum) add(o *Outcome, fpOn bool) bool {
 	if v := o.Violation(); v == nil {
 		a.cell.Correct++
 	} else {
-		a.cell.Flagged = append(a.cell.Flagged, FlaggedRun{Run: a.cell.Runs, Scenario: o.Scenario, Violation: v, Fingerprint: o.Fingerprint})
+		a.cell.Flagged = append(a.cell.Flagged, FlaggedRun{Run: a.cell.Runs, Scenario: o.Scenario, Violation: v})
 	}
 	a.cell.Runs++
 	for _, e := range o.Report.Errors {
@@ -316,18 +304,6 @@ func (a *cellAccum) add(o *Outcome, fpOn bool) bool {
 	}
 	a.broadcasts = append(a.broadcasts, float64(o.Result.Broadcasts))
 	a.deliveries = append(a.deliveries, float64(o.Result.Deliveries))
-	if !fpOn {
-		return false
-	}
-	if a.fpSeen == nil {
-		a.fpSeen = map[uint64]bool{}
-	}
-	if a.fpSeen[o.Fingerprint] {
-		return false
-	}
-	a.fpSeen[o.Fingerprint] = true
-	a.cell.DistinctSchedules++
-	return true
 }
 
 func (a *cellAccum) finish() Cell {
@@ -345,11 +321,10 @@ func (a *cellAccum) finish() Cell {
 }
 
 // FlaggedRun is one violating execution of a sweep cell: the scenario
-// (seed included), its classification and — when fingerprinting is on —
-// its schedule-coverage fingerprint. This is the sweep→explore work item:
-// the campaign layer (internal/explore.Campaign) turns each flagged cell
-// into a recorded, perturbed and minimized counterexample instead of a
-// buried Errors entry.
+// (seed included) and its classification. This is the sweep→explore work
+// item: the campaign layer (internal/explore.Campaign) turns each flagged
+// cell into a recorded, perturbed and minimized counterexample instead of
+// a buried Errors entry.
 type FlaggedRun struct {
 	// Run is the scenario's position within its cell (seed order).
 	Run int
@@ -357,9 +332,6 @@ type FlaggedRun struct {
 	Scenario Scenario
 	// Violation classifies what broke (see consensus.Classify).
 	Violation *consensus.Violation
-	// Fingerprint is the run's schedule-coverage digest, 0 when the sweep
-	// did not compute fingerprints.
-	Fingerprint uint64
 }
 
 // SweepOptions tunes a sweep. The zero value is a plain sweep at
@@ -367,18 +339,6 @@ type FlaggedRun struct {
 type SweepOptions struct {
 	// Workers is the worker-pool width (<= 0 means GOMAXPROCS).
 	Workers int
-	// Fingerprint computes a schedule-coverage fingerprint per run (one
-	// sim.Fingerprinter wrapper per execution) and reports the number of
-	// distinct fingerprints per cell in Cell.DistinctSchedules. Off by
-	// default: the sweep hot path is allocation-identical to a build
-	// without the feature when unset.
-	Fingerprint bool
-	// SaturateAfter stops a cell's seed loop early once that many
-	// consecutive seeds produced no new fingerprint — the cell's schedule
-	// coverage has saturated, so further seeds would re-measure the same
-	// executions. Cell.Runs then reports how many seeds actually ran.
-	// 0 means never stop early; setting it implies Fingerprint.
-	SaturateAfter int
 	// Metrics installs a per-worker metrics.Registry on every run and
 	// aggregates each cell's values into Cell.Metrics (counters sum across
 	// seeds, gauge high-waters max). Off by default:
@@ -391,9 +351,6 @@ type SweepOptions struct {
 func (o SweepOptions) normalized() SweepOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SaturateAfter > 0 {
-		o.Fingerprint = true
 	}
 	return o
 }
@@ -436,10 +393,10 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 		next <- i
 	}
 	close(next)
-	// Captured as individual locals, not via opts, so the options struct
-	// does not escape into the worker closures (the plain sweep path's
+	// Captured as a local, not via opts, so the options struct does not
+	// escape into the worker closures (the plain sweep path's
 	// allocation count is pinned by BENCH_engine.json).
-	fingerprint, saturateAfter, metricsOn := opts.Fingerprint, opts.SaturateAfter, opts.Metrics
+	metricsOn := opts.Metrics
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -467,27 +424,17 @@ func SweepCellsOpts(work []CellWork, opts SweepOptions) ([]Cell, error) {
 					cellAgg = metrics.New()
 				}
 				ok := true
-				stale := 0
 				for k, seed := range cw.Seeds {
 					s := cw.Base
 					s.Seed = seed
-					o, _, _, err := x.run(s, Exec{Fingerprint: fingerprint, Metrics: reg})
+					o, _, _, err := x.run(s, Exec{Metrics: reg})
 					if err != nil {
 						errs[gi] = cellErr{run: k, sc: s, err: err}
 						ok = false
 						break
 					}
 					cellAgg.Merge(reg)
-					fresh := acc.add(o, fingerprint)
-					if saturateAfter > 0 {
-						if fresh {
-							stale = 0
-						} else if stale++; stale >= saturateAfter {
-							// Coverage saturated: the remaining seeds would
-							// almost surely re-exercise known orderings.
-							break
-						}
-					}
+					acc.add(o)
 				}
 				if ok {
 					cells[gi] = acc.finish()

@@ -204,7 +204,7 @@ func TestCellAccumUndecided(t *testing.T) {
 	}
 	acc := newCellAccum(3)
 	for _, o := range []*Outcome{mk(10, true), mk(-1, false), mk(20, true)} {
-		acc.add(o, false)
+		acc.add(o)
 	}
 	c := acc.finish()
 	if c.Runs != 3 || c.Correct != 2 || c.Undecided != 1 {
@@ -222,7 +222,7 @@ func TestCellAccumUndecided(t *testing.T) {
 
 	// All-undecided cells report zero latency rather than -1.
 	acc = newCellAccum(1)
-	acc.add(mk(-1, false), false)
+	acc.add(mk(-1, false))
 	c = acc.finish()
 	if c.Undecided != 1 || c.Decide.Median != 0 || c.DecidePerFack != 0 {
 		t.Fatalf("all-undecided cell: %+v", c)

@@ -64,10 +64,9 @@ type topoFamily struct {
 	// family has no single size to step.
 	minN int
 	// seedFree declares that build ignores its seed, so that the sweep
-	// caches share one graph across a seed axis and coverage fingerprints
-	// go unsalted. Algorithm and overlay entries carry the same
-	// declaration. The zero value means "consumes the seed": a forgotten
-	// declaration costs cache hits, never correctness.
+	// caches share one graph across a seed axis. Overlay entries carry the
+	// same declaration. The zero value means "consumes the seed": a
+	// forgotten declaration costs cache hits, never correctness.
 	// TestSeedDeclarations holds every declaration to seeds 1 and 2.
 	seedFree bool
 }

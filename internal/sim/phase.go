@@ -98,9 +98,9 @@ type phaseOp struct {
 // phaseSafe reports whether s is one of the package's own schedulers —
 // Synchronous, MaxDelay, Random, EdgeOrder, or Lossy, Gate or SlowSubset
 // around one of them. Only those runs take parallel phases: any other
-// scheduler may watch the execution (Replay, ScheduleRecorder and
-// Fingerprinter do, and a tracer that brackets handlers with spans does
-// too), and keeps the sequential loop.
+// scheduler may watch the execution (Replay and ScheduleRecorder do, and
+// a tracer that brackets handlers with spans does too), and keeps the
+// sequential loop.
 func phaseSafe(s Scheduler) bool {
 	p, ok := s.(interface{ phaseSafe() bool })
 	return ok && p.phaseSafe()

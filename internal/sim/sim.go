@@ -139,9 +139,9 @@
 //     that reaches a node);
 //   - the scheduler is one of this package's own: Synchronous, MaxDelay,
 //     Random, EdgeOrder, or Lossy, Gate or SlowSubset around one of them.
-//     Replay, ScheduleRecorder, Fingerprinter and any wrapper that watches
-//     the run (a tracer bracketing handlers with spans keeps one span
-//     stack) stay on the sequential loop.
+//     Replay, ScheduleRecorder and any wrapper that watches the run (a
+//     tracer bracketing handlers with spans keeps one span stack) stay on
+//     the sequential loop.
 //
 // GOMAXPROCS=1 runs the sequential loop everywhere: it is the A/B switch.
 // Inside a phase:
