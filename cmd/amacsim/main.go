@@ -3,13 +3,16 @@
 // -seed, -inputs, -crash, -overlay, plus the event cap -maxevents — is
 // named the same way in every mode, and all construction goes through
 // internal/harness, so the names accepted here are exactly the harness
-// registries. The command has seven modes; setting two is exit 2, and a
-// mode flag given as =false or "" selects nothing:
+// registries. -sweep and -grid take -seeds in place of -seed and read the
+// other seven as comma-separated lists, one sweep axis each, so a bare
+// `amacsim -sweep` sweeps the scenario a bare `amacsim` runs. The command
+// has seven modes; setting two is exit 2, and a mode flag given as =false
+// or "" selects nothing:
 //
 //	amacsim [scenario]             one execution (the default)
-//	amacsim -sweep [axes]          a parallel scenario sweep
+//	amacsim -sweep [scenario]      a parallel scenario sweep
 //	amacsim -explore [scenario]    schedule-space search of one scenario
-//	amacsim -grid [axes]           the same search over a whole sweep grid
+//	amacsim -grid [scenario]       the same search over a whole sweep grid
 //	amacsim -replay FILE           re-verify a counterexample artifact
 //	amacsim -claims ID|all [-q]    the paper's claims as tables, E1..E12
 //	amacsim -canonical             the canonical grid, swept as -sweep does
@@ -37,8 +40,8 @@
 //
 // # Sweep
 //
-// -sweep expands the cross product of the comma-separated axes -algos,
-// -topos, -scheds, -facks, -crashes, -overlays and -inputs over seeds
+// -sweep expands the cross product of the comma-separated lists -algo,
+// -topo, -inputs, -sched, -fack, -crash and -overlay over seeds
 // 1..-seeds, runs it on a -workers-wide pool (0 = GOMAXPROCS) and
 // aggregates each cell over its seeds, as a text table or, with -json, an
 // array of cell objects (harness.Cell: decide-time and traffic summaries,
@@ -47,8 +50,10 @@
 // -metrics adds aggregated per-cell metric rows; without it the output is
 // byte-identical to a build without the metrics layer.
 //
-//	amacsim -sweep -algos wpaxos,floodpaxos -topos clique:8,grid:3x3 \
-//	        -scheds sync,random -facks 2,8 -seeds 8 -json
+//	amacsim -sweep -algo wpaxos,floodpaxos -topo clique:8,grid:3x3 \
+//	        -sched sync,random -fack 2,8 -seeds 8 -json
+//
+// The other modes run one scenario: a list there is exit 2.
 //
 // Topology specs: clique:N, line:N, ring:N, star:N, grid:RxC, tree:BxD,
 // starlines:AxL, random:N:P, expander:N:D, pods:P:K:C, and Figure 1's
@@ -88,9 +93,9 @@
 // -minimize), writing one artifact per finding into -artifacts DIR.
 // Campaigns are deterministic at any -workers width.
 //
-//	amacsim -grid -algos wpaxos,floodpaxos -topos ring:9,grid:3x3 \
-//	        -scheds random -facks 4 -crashes midbroadcast,one@3 \
-//	        -overlays chords,extra:4@0.6 -seeds 8 -maxevents 200000 \
+//	amacsim -grid -algo wpaxos,floodpaxos -topo ring:9,grid:3x3 \
+//	        -sched random -fack 4 -crash midbroadcast,one@3 \
+//	        -overlay chords,extra:4@0.6 -seeds 8 -maxevents 200000 \
 //	        -budget 0 -minimize -artifacts out/
 //
 // -maxevents sets the cap on the scenario or grid, and -record, -out and
@@ -190,9 +195,9 @@ type mode struct {
 
 var modes = []mode{
 	{"single", "algo topo sched fack seed inputs crash overlay maxevents v metrics trace record", (*cli).runSingle},
-	{"sweep", "algos topos scheds facks crashes overlays seeds workers inputs maxevents json metrics cpuprofile memprofile", (*cli).runSweep},
+	{"sweep", "algo topo sched fack inputs crash overlay seeds workers maxevents json metrics cpuprofile memprofile", (*cli).runSweep},
 	{"explore", "algo topo sched fack seed inputs crash overlay maxevents budget searchseed minimize out json workers", (*cli).runExplore},
-	{"grid", "algos topos scheds facks crashes overlays seeds workers inputs maxevents budget searchseed minimize artifacts json", (*cli).runGrid},
+	{"grid", "algo topo sched fack inputs crash overlay seeds workers maxevents budget searchseed minimize artifacts json", (*cli).runGrid},
 	{"replay", "trace critpath json", (*cli).runReplay},
 	{"claims", "q cpuprofile memprofile", (*cli).runClaims},
 	{"canonical", "json workers cpuprofile memprofile", (*cli).runCanonical},
@@ -202,15 +207,14 @@ var modes = []mode{
 type cli struct {
 	stdout, stderr io.Writer
 
-	algo, topo, sched, inputs, crash, overlay string
-	fack, seed, searchSeed                    int64
-	maxEvents, budget, seeds, workers         int
+	algo, topo, sched, fack, inputs, crash, overlay string
+	seed, searchSeed                                int64
+	maxEvents, budget, seeds, workers               int
 
-	replay, claims                                 string
-	verbose, metrics, json, minimize, crit, quiet  bool
-	trace, record, out, artifacts                  string
-	algos, topos, scheds, facks, crashes, overlays string
-	cpuProfile, memProfile                         string
+	replay, claims                                string
+	verbose, metrics, json, minimize, crit, quiet bool
+	trace, record, out, artifacts                 string
+	cpuProfile, memProfile                        string
 }
 
 // run is the command: it parses args, picks the one mode they select and
@@ -286,20 +290,21 @@ func fail(stderr io.Writer, err error) int {
 
 // bind defines every flag of every mode on fs, each once.
 func (c *cli) bind(fs *flag.FlagSet) {
-	fs.StringVar(&c.algo, "algo", "wpaxos", "algorithm: "+strings.Join(harness.Algorithms(), " | "))
-	fs.StringVar(&c.topo, "topo", "line:8", "topology spec, e.g. clique:16, grid:4x4, random:24:0.1")
-	fs.StringVar(&c.sched, "sched", "random", "scheduler: "+strings.Join(harness.Schedulers(), " | "))
-	fs.Int64Var(&c.fack, "fack", 4, "scheduler delivery bound Fack")
+	// The scenario axes (see grid).
+	const list = " (a comma-separated list with -sweep and -grid)"
+	fs.StringVar(&c.algo, "algo", "wpaxos", "algorithm"+list+": "+strings.Join(harness.Algorithms(), " | "))
+	fs.StringVar(&c.topo, "topo", "line:8", "topology spec"+list+", e.g. clique:16, grid:4x4, random:24:0.1")
+	fs.StringVar(&c.sched, "sched", "random", "scheduler"+list+": "+strings.Join(harness.Schedulers(), " | "))
+	fs.StringVar(&c.fack, "fack", "4", "scheduler delivery bound Fack, an integer"+list)
+	fs.StringVar(&c.inputs, "inputs", "alternating", "input pattern"+list+": "+strings.Join(harness.InputPatterns(), " | "))
+	fs.StringVar(&c.crash, "crash", "none", "crash pattern name[@T]"+list+": "+strings.Join(harness.CrashPatterns(), " | "))
+	fs.StringVar(&c.overlay, "overlay", "none", "unreliable overlay family[:param][@Q]"+list+": "+strings.Join(harness.Overlays(), " | "))
 	fs.Int64Var(&c.seed, "seed", 1, "scenario seed (scheduler, algorithm, topology, crashes, overlay)")
-	fs.StringVar(&c.inputs, "inputs", "alternating",
-		"input pattern (a comma-separated list with -sweep and -grid): "+strings.Join(harness.InputPatterns(), " | "))
-	fs.StringVar(&c.crash, "crash", "none", "crash pattern name[@T]: "+strings.Join(harness.CrashPatterns(), " | "))
-	fs.StringVar(&c.overlay, "overlay", "none", "unreliable overlay family[:param][@Q]: "+strings.Join(harness.Overlays(), " | "))
 	fs.IntVar(&c.maxEvents, "maxevents", 0, "per-execution event cap; capped undecided runs classify as non-termination (0 = the simulator's one default, 5000000; negative is an error)")
 
-	fs.Bool("sweep", false, "run a scenario sweep over the axis flags")
+	fs.Bool("sweep", false, "sweep the cross product of the scenario flags' comma-separated lists")
 	fs.Bool("explore", false, "search the scenario's schedule space for consensus violations")
-	fs.Bool("grid", false, "campaign mode: sweep the axis flags and hunt every flagged cell")
+	fs.Bool("grid", false, "campaign mode: sweep as -sweep does and hunt every flagged cell")
 	fs.StringVar(&c.replay, "replay", "", "re-verify this counterexample artifact file")
 	fs.StringVar(&c.claims, "claims", "", "print the paper's claims as tables: one experiment id (E1..E12) or all")
 	fs.Bool("canonical", false, "sweep the canonical grid (harness.CanonicalGrids)")
@@ -309,13 +314,7 @@ func (c *cli) bind(fs *flag.FlagSet) {
 	fs.StringVar(&c.trace, "trace", "", "dump the full event trace (with -replay, the replay's) to this file as JSON Lines")
 	fs.StringVar(&c.record, "record", "", "record the run's schedule to this counterexample artifact file (re-verify it with -replay)")
 	fs.BoolVar(&c.json, "json", false, "emit JSON instead of text")
-	fs.StringVar(&c.algos, "algos", "wpaxos", "sweep axis: comma-separated algorithms")
-	fs.StringVar(&c.topos, "topos", "clique:8,grid:3x3", "sweep axis: comma-separated topology specs")
-	fs.StringVar(&c.scheds, "scheds", "sync,random", "sweep axis: comma-separated schedulers")
-	fs.StringVar(&c.facks, "facks", "4", "sweep axis: comma-separated Fack values")
-	fs.StringVar(&c.crashes, "crashes", "none", "sweep axis: comma-separated crash patterns")
-	fs.StringVar(&c.overlays, "overlays", "none", "sweep axis: comma-separated overlay families")
-	fs.IntVar(&c.seeds, "seeds", 8, "sweep axis: seeds 1..k per cell")
+	fs.IntVar(&c.seeds, "seeds", 8, "with -sweep and -grid: seeds 1..k per cell")
 	fs.IntVar(&c.workers, "workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
@@ -329,47 +328,68 @@ func (c *cli) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&c.quiet, "q", false, "print only the summary line per claim")
 }
 
-func (c *cli) scenario() (harness.Scenario, error) {
-	t, err := harness.ParseTopo(c.topo)
-	return harness.Scenario{Algo: c.algo, Topo: t, Inputs: c.inputs, Sched: c.sched, Fack: c.fack, Seed: c.seed,
-		Crashes: c.crash, Overlay: c.overlay, MaxEvents: c.maxEvents}, err
-}
-
-// sweepGrid assembles the axis flags into a sweep grid. Topology and Fack
-// entries are parsed here, so a syntax error surfaces before anything
-// runs; unknown names and empty axes are left to Grid.Cells and the
-// registries, which report them in a deterministic order.
-func (c *cli) sweepGrid() (harness.Grid, error) {
+// grid assembles the scenario flags into a grid over seeds: -algo, -topo,
+// -sched, -fack, -inputs, -crash and -overlay each give a comma-separated
+// list of the axis's entries. Topology and Fack entries are parsed here,
+// so a syntax error surfaces before anything runs; unknown names and empty
+// axes are left to Grid.Cells and the registries, which report them in a
+// deterministic order.
+func (c *cli) grid(seeds []int64) (harness.Grid, error) {
 	grid := harness.Grid{
-		Algos:     splitList(c.algos),
-		Scheds:    splitList(c.scheds),
+		Algos:     splitList(c.algo),
+		Scheds:    splitList(c.sched),
 		Inputs:    splitList(c.inputs),
-		Crashes:   splitList(c.crashes),
-		Overlays:  splitList(c.overlays),
+		Crashes:   splitList(c.crash),
+		Overlays:  splitList(c.overlay),
+		Seeds:     seeds,
 		MaxEvents: c.maxEvents,
 	}
-	for _, s := range splitList(c.topos) {
+	for _, s := range splitList(c.topo) {
 		t, err := harness.ParseTopo(s)
 		if err != nil {
 			return harness.Grid{}, err
 		}
 		grid.Topos = append(grid.Topos, t)
 	}
-	for _, s := range splitList(c.facks) {
+	for _, s := range splitList(c.fack) {
 		f, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return harness.Grid{}, fmt.Errorf("bad -facks entry %q: %w", s, err)
+			return harness.Grid{}, fmt.Errorf("bad -fack entry %q: %w", s, err)
 		}
 		grid.Facks = append(grid.Facks, f)
-	}
-	for s := int64(1); s <= int64(c.seeds); s++ {
-		grid.Seeds = append(grid.Seeds, s)
 	}
 	return grid, nil
 }
 
+// scenario is the one execution of the single-run and explore modes: the
+// grid at -seed, which must be a single cell.
+func (c *cli) scenario() (harness.Scenario, error) {
+	grid, err := c.grid([]int64{c.seed})
+	if err != nil {
+		return harness.Scenario{}, err
+	}
+	for _, axis := range []struct {
+		flag string
+		n    int
+	}{
+		{"algo", len(grid.Algos)}, {"topo", len(grid.Topos)}, {"inputs", len(grid.Inputs)}, {"sched", len(grid.Scheds)},
+		{"fack", len(grid.Facks)}, {"crash", len(grid.Crashes)}, {"overlay", len(grid.Overlays)},
+	} {
+		if axis.n > 1 {
+			return harness.Scenario{}, fmt.Errorf("-%s lists %d entries; only -sweep and -grid take lists", axis.flag, axis.n)
+		}
+	}
+	cells, err := grid.Cells()
+	if err != nil {
+		return harness.Scenario{}, err
+	}
+	sc := cells[0].Base
+	sc.Seed = c.seed
+	return sc, nil
+}
+
 // splitList splits a comma-separated flag value, trimming blanks — the
-// list grammar of every sweep axis.
+// list grammar of every scenario axis.
 func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
@@ -573,8 +593,17 @@ func printErrors(w io.Writer, res *sim.Result, rep *consensus.Report) {
 	fmt.Fprintln(w)
 }
 
+// seedRange is seeds 1..-seeds, the replication axis of -sweep and -grid.
+func (c *cli) seedRange() []int64 {
+	var seeds []int64
+	for s := int64(1); s <= int64(c.seeds); s++ {
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
 func (c *cli) runSweep() (bool, error) {
-	grid, err := c.sweepGrid()
+	grid, err := c.grid(c.seedRange())
 	if err != nil {
 		return false, err
 	}
@@ -724,7 +753,7 @@ func printReport(w io.Writer, rep *explore.Report, shrink *explore.ShrinkResult,
 }
 
 func (c *cli) runGrid() (bool, error) {
-	grid, err := c.sweepGrid()
+	grid, err := c.grid(c.seedRange())
 	if err != nil {
 		return false, err
 	}

@@ -41,8 +41,8 @@ func TestCommandLine(t *testing.T) {
 		"canonical": {"-canonical"},
 	}
 	strays := map[string][]string{
-		"single":    {"-algos=x", "-budget=1", "-critpath", "-json"},
-		"sweep":     {"-trace=x", "-record=x", "-algo=x", "-out=x", "-artifacts=x", "-critpath"},
+		"single":    {"-seeds=2", "-budget=1", "-critpath", "-json"},
+		"sweep":     {"-trace=x", "-record=x", "-seed=2", "-out=x", "-artifacts=x", "-critpath"},
 		"explore":   {"-record=x", "-seeds=2", "-metrics", "-trace=x"},
 		"grid":      {"-v", "-metrics", "-cpuprofile=x", "-out=x", "-seed=2", "-critpath"},
 		"replay":    {"-algo=twophase", "-maxevents=5", "-seeds=2", "-budget=1", "-artifacts=x"},
@@ -78,6 +78,13 @@ func TestCommandLine(t *testing.T) {
 			rows = append(rows, row{name: mode + " refuses a negative " + n.what, args: args, code: 2})
 		}
 	}
+	// The scenario flags take lists only where a mode sweeps them.
+	for _, mode := range []string{"single", "explore"} {
+		for _, list := range [][]string{{"-topo", "clique:4,ring:5"}, {"-fack", "2,4"}} {
+			args := append(append([]string(nil), selectors[mode]...), list...)
+			rows = append(rows, row{name: mode + " refuses the list " + strings.Join(list, " "), args: args, code: 2})
+		}
+	}
 	rows = append(rows,
 		row{name: "two modes", args: []string{"-sweep", "-grid"}, code: 2},
 		row{name: "explore and replay", args: []string{"-explore", "-replay", stall}, code: 2},
@@ -85,7 +92,7 @@ func TestCommandLine(t *testing.T) {
 		row{name: "=false selects nothing", args: []string{"-sweep=false", "-grid=false", "-claims=", "-topo", "clique:4", "-v"}, code: 0},
 		row{
 			name: "unwritable -memprofile",
-			args: []string{"-sweep", "-seeds", "1", "-topos", "clique:4", "-scheds", "sync", "-memprofile", filepath.Join(dir, "missing", "x.out")},
+			args: []string{"-sweep", "-seeds", "1", "-topo", "clique:4", "-sched", "sync", "-memprofile", filepath.Join(dir, "missing", "x.out")},
 			code: 2,
 		},
 		row{
@@ -99,14 +106,14 @@ func TestCommandLine(t *testing.T) {
 		row{name: "canonical grid", args: []string{"-canonical"}},
 		row{
 			name: "sweep golden output",
-			args: strings.Fields("-sweep -algos wpaxos,floodpaxos -topos clique:4,ring:5 -scheds sync,random" +
-				" -facks 3 -seeds 3 -crashes none,one@0 -overlays none,chords -json"),
+			args: strings.Fields("-sweep -algo wpaxos,floodpaxos -topo clique:4,ring:5 -sched sync,random" +
+				" -fack 3 -seeds 3 -crash none,one@0 -overlay none,chords -json"),
 			stdout: sweepGolden,
 		},
 		// E3's K_4 witness as a sweep cell: a violating cell is exit 1.
 		row{
 			name: "sweep flags a violating cell",
-			args: strings.Fields("-sweep -algos waitall@30 -topos kd:4 -scheds gate@32 -inputs cut -facks 1 -seeds 2"),
+			args: strings.Fields("-sweep -algo waitall@30 -topo kd:4 -sched gate@32 -inputs cut -fack 1 -seeds 2"),
 			code: 1,
 		},
 		row{
@@ -134,15 +141,15 @@ func TestCommandLine(t *testing.T) {
 		row{name: "replay the floodpaxos golden", args: []string{"-replay", testdata + "golden_floodpaxos_one3_extra.json", "-json"}},
 		row{
 			name: "campaign smoke",
-			args: strings.Fields("-grid -algos floodpaxos -topos ring:5,clique:4 -scheds sync,random -facks 3" +
+			args: strings.Fields("-grid -algo floodpaxos -topo ring:5,clique:4 -sched sync,random -fack 3" +
 				" -seeds 4 -maxevents 200000"),
 		},
 		// Before the Ω failure-detector redesign this grid reproduced two
 		// liveness stalls; both PAXOS variants now terminate in every cell.
 		row{
 			name: "campaign end-to-end",
-			args: strings.Fields("-grid -algos wpaxos,floodpaxos -topos ring:9,grid:3x3 -scheds random -facks 4" +
-				" -crashes midbroadcast,one@3,maxid@3 -overlays chords,extra:4@0.6 -seeds 8 -maxevents 200000" +
+			args: strings.Fields("-grid -algo wpaxos,floodpaxos -topo ring:9,grid:3x3 -sched random -fack 4" +
+				" -crash midbroadcast,one@3,maxid@3 -overlay chords,extra:4@0.6 -seeds 8 -maxevents 200000" +
 				" -budget 0 -minimize -artifacts " + artifacts),
 		},
 	)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	detlint [-fix] [-only name,name] [packages]
+//	detlint [-only name,name] [packages]
 //
 // With no patterns it checks ./... . Each finding prints as
 //
@@ -22,13 +22,6 @@
 //	nowallclock     no time.Now/Since/Until under internal/
 //	maporder        no map iteration feeding JSON/fmt/hash/returned-append sinks
 //	goroutineorder  workers publish index-addressed or in candidate order
-//
-// -fix applies the analyzers' suggested fixes in place. Today the only
-// fixer is maporder's, which inserts a `//lint:deterministic FIXME: ...`
-// justification skeleton above the flagged range — scaffolding for a
-// human audit, not an automatic absolution: replace the FIXME with the
-// actual reason (or fix the iteration) before committing. Diagnostics
-// without a fix are unaffected, so -fix still exits 1 while any remain.
 //
 // -only restricts the run to a comma-separated subset of analyzer names.
 package main
@@ -52,8 +45,7 @@ import (
 type finding struct {
 	pos      token.Position
 	analyzer string
-	diag     analysis.Diagnostic
-	fset     *token.FileSet
+	message  string
 }
 
 func main() {
@@ -66,7 +58,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fix := fs.Bool("fix", false, "apply suggested fixes in place (see command doc: fixes are audit scaffolding)")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -121,12 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				TypesInfo: pkg.TypesInfo,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
-				findings = append(findings, finding{
-					pos:      pkg.Fset.Position(d.Pos),
-					analyzer: a.Name,
-					diag:     d,
-					fset:     pkg.Fset,
-				})
+				findings = append(findings, finding{pkg.Fset.Position(d.Pos), a.Name, d.Message})
 			}
 			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(stderr, "detlint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
@@ -155,61 +141,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
 			name = rel
 		}
-		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", name, f.pos.Line, f.pos.Column, f.analyzer, f.diag.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", name, f.pos.Line, f.pos.Column, f.analyzer, f.message)
 	}
 
-	if *fix {
-		if err := applyFixes(stderr, findings); err != nil {
-			fmt.Fprintf(stderr, "detlint: applying fixes: %v\n", err)
-			return 2
-		}
-	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "detlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// applyFixes rewrites files with every suggested edit, back to front so
-// earlier offsets stay valid.
-func applyFixes(stderr io.Writer, findings []finding) error {
-	type edit struct {
-		start, end int
-		text       []byte
-	}
-	perFile := map[string][]edit{}
-	applied := 0
-	for _, f := range findings {
-		for _, sf := range f.diag.SuggestedFixes {
-			for _, te := range sf.TextEdits {
-				p, e := f.fset.Position(te.Pos), f.fset.Position(te.End)
-				perFile[p.Filename] = append(perFile[p.Filename], edit{p.Offset, e.Offset, te.NewText})
-				applied++
-			}
-		}
-	}
-	files := make([]string, 0, len(perFile))
-	for name := range perFile {
-		files = append(files, name)
-	}
-	sort.Strings(files)
-	for _, name := range files {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return err
-		}
-		edits := perFile[name]
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
-		for _, e := range edits {
-			src = append(src[:e.start], append(append([]byte{}, e.text...), src[e.end:]...)...)
-		}
-		if err := os.WriteFile(name, src, 0o644); err != nil {
-			return err
-		}
-	}
-	if applied > 0 {
-		fmt.Fprintf(stderr, "detlint: applied %d suggested edit(s); replace inserted FIXMEs with real justifications\n", applied)
-	}
-	return nil
 }

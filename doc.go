@@ -158,8 +158,7 @@
 // (TestSeedStreamsDistinct), so no two consumers walk the same stream.
 //
 // Each analyzer's package doc states its precise rule; fixtures under
-// internal/lint/*/testdata pin both the findings and the escape hatches,
-// and `detlint -fix` inserts annotation skeletons for human audit.
+// internal/lint/*/testdata pin both the findings and the escape hatches.
 //
 // # Where the numbers live
 //

@@ -31,10 +31,58 @@ func TestDocBudgets(t *testing.T) {
 }
 
 // TestDocNamesExistingCommands: every cmd/<name> that the package map,
-// SKILL.md, CI or a Go comment under internal/ names is a directory, so a
-// deleted or renamed command cannot linger in the docs. (bench/ is its own
-// module, with its own docs.)
+// SKILL.md, CI or a Go comment names is a directory, so a deleted or
+// renamed command cannot linger in the docs. (bench/ is its own module,
+// with its own docs.)
 func TestDocNamesExistingCommands(t *testing.T) {
+	cmd := regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
+	for path, text := range docTexts(t) {
+		for _, m := range cmd.FindAllStringSubmatch(text, -1) {
+			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", path, m[0])
+			}
+		}
+	}
+}
+
+// TestDocNamesExistingFlags: every -name on a line that runs amacsim (a
+// line ending in \ continues on the next) in the package map, SKILL.md, CI
+// or a Go comment is a flag that
+// cmd/amacsim/main.go defines, so a deleted or renamed flag cannot linger
+// in a documented command.
+func TestDocNamesExistingFlags(t *testing.T) {
+	src, err := os.ReadFile("cmd/amacsim/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`fs\.\w+\((?:&c\.\w+, )?"(\w+)"`).FindAllStringSubmatch(string(src), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no flag definition in cmd/amacsim/main.go")
+	}
+	flagRE := regexp.MustCompile(`(?:^|[^\w-])-([a-zA-Z]\w*)`)
+	for path, text := range docTexts(t) {
+		for _, line := range strings.Split(strings.ReplaceAll(text, "\\\n", " "), "\n") {
+			if !strings.Contains(line, "amacsim") {
+				continue
+			}
+			for _, m := range flagRE.FindAllStringSubmatch(line, -1) {
+				if !defined[m[1]] {
+					t.Errorf("%s runs amacsim with -%s, which cmd/amacsim/main.go does not define: %s",
+						path, m[1], strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+}
+
+// docTexts returns the package map, SKILL.md and ci.yml whole, and the
+// comments of every Go file under cmd/, internal/ and examples/ (testdata
+// aside), by path.
+func docTexts(t *testing.T) map[string]string {
+	t.Helper()
 	texts := map[string]string{}
 	for _, path := range []string{"doc.go", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
 		b, err := os.ReadFile(path)
@@ -44,35 +92,30 @@ func TestDocNamesExistingCommands(t *testing.T) {
 		texts[path] = string(b)
 	}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() && d.Name() == "testdata" {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		var comments strings.Builder
-		for _, g := range f.Comments {
-			comments.WriteString(g.Text())
-		}
-		texts[path] = comments.String()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
-	for path, text := range texts {
-		for _, m := range cmd.FindAllStringSubmatch(text, -1) {
-			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
-				t.Errorf("%s names %s, which is not a directory", path, m[0])
+	for _, root := range []string{"cmd", "internal", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() && d.Name() == "testdata" {
+				return err
 			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			var comments strings.Builder
+			for _, g := range f.Comments {
+				comments.WriteString(g.Text())
+			}
+			texts[path] = comments.String()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
+	return texts
 }
 
 // TestCINamesExistingTests: every alternative of a -run, -bench or -fuzz

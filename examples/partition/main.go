@@ -83,8 +83,8 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "   consensus OK: %v  (knowing n, it simply waits out the silence)\n\n", controlWithNOK)
 
 	// Part II assembles everything by registry name — the same specs work
-	// as `amacsim -crash coordinator` or as `-crashes`/`-overlays` sweep
-	// axes.
+	// as `amacsim -crash coordinator` or as entries of the `-crash` and
+	// `-overlay` lists that `amacsim -sweep` crosses.
 	fmt.Fprintln(w, "Part II — partition by crashing (adversity registries)")
 
 	hubCrash, err := harness.Scenario{

@@ -19,9 +19,9 @@ import (
 // intentionally change; the diff must touch that algorithm's cells alone)
 // with:
 //
-//	go run ./cmd/amacsim -sweep -algos wpaxos,floodpaxos \
-//	    -topos clique:4,ring:5 -scheds sync,random -facks 3 -seeds 3 \
-//	    -crashes none,one@0 -overlays none,chords -json \
+//	go run ./cmd/amacsim -sweep -algo wpaxos,floodpaxos \
+//	    -topo clique:4,ring:5 -sched sync,random -fack 3 -seeds 3 \
+//	    -crash none,one@0 -overlay none,chords -json \
 //	    > internal/harness/testdata/golden_small_grid.json
 func goldenGrid() Grid {
 	return Grid{

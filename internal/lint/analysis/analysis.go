@@ -1,11 +1,9 @@
 // Package analysis is a minimal, dependency-free re-statement of the
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
-// type-checked package through a Pass and reports Diagnostics, optionally
-// carrying SuggestedFixes. The build environment for this repository bakes
-// in only the standard library, so rather than depending on x/tools the
-// determinism-lint suite (see the sibling analyzer packages and
-// cmd/detlint) runs on this shim; the API is kept shape-compatible so a
-// future swap to the real module is a handful of import rewrites.
+// type-checked package through a Pass and reports Diagnostics. The build
+// environment for this repository bakes in only the standard library, so
+// rather than depending on x/tools the determinism-lint suite (see the
+// sibling analyzer packages and cmd/detlint) runs on this shim.
 package analysis
 
 import (
@@ -54,24 +52,8 @@ type Pass struct {
 
 // A Diagnostic is one finding at a source position.
 type Diagnostic struct {
-	Pos            token.Pos
-	End            token.Pos // optional; token.NoPos if unset
-	Message        string
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is an optional machine-applicable resolution of a
-// diagnostic, expressed as raw text edits. detlint -fix applies them.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces source in [Pos, End) with NewText.
-type TextEdit struct {
 	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+	Message string
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

@@ -16,7 +16,6 @@ package linttest
 
 import (
 	"fmt"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -44,16 +43,14 @@ type lineKey struct {
 // directory, e.g. "testdata/src/maporder"), runs the analyzer over it
 // ignoring the analyzer's package Scope (fixtures are in scope by
 // definition), and checks every diagnostic against the fixture's `want`
-// comments. It returns the diagnostics and the fixture's file set (for
-// follow-up assertions, e.g. resolving suggested-fix edit offsets).
-func Run(t *testing.T, dir string, a *analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet) {
+// comments.
+func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
 	pkgs, err := load.Load(".", "./"+filepath.ToSlash(dir))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
 
-	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
@@ -67,7 +64,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) ([]analysis.Diagnostic,
 		if err := a.Run(pass); err != nil {
 			t.Fatalf("%s on %s: %v", a.Name, pkg.PkgPath, err)
 		}
-		all = append(all, diags...)
 
 		got := map[lineKey][]string{}
 		for _, d := range diags {
@@ -113,11 +109,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) ([]analysis.Diagnostic,
 			}
 		}
 	}
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	return all, fset
 }
 
 // expectations scans the fixture's files for `want` comments.

@@ -21,9 +21,7 @@
 //     to a sort (sort.* / slices.Sort*) call in the same function, the
 //     range is the canonical sortedKeys pattern and is not reported;
 //   - a //lint:deterministic justification comment on (or directly
-//     above) the range statement suppresses the finding; the suggested
-//     fix inserts a skeleton of that comment for sites a human has
-//     audited.
+//     above) the range statement suppresses the finding.
 //
 // Scope: the whole module (any package path); map-order bugs in cmd/
 // table printers are as real as in the simulator.
@@ -125,13 +123,8 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		if sink := findSink(pass, rs.Body, returned, sorted); sink != "" {
-			pass.Report(analysis.Diagnostic{
-				Pos: rs.Pos(),
-				Message: fmt.Sprintf(
-					"range over map %s feeds %s in random order; iterate a sorted key slice, or justify with a %s comment",
-					nodeString(pass.Fset, rs.X), sink, analysis.DeterministicTag),
-				SuggestedFixes: []analysis.SuggestedFix{annotateFix(pass, rs)},
-			})
+			pass.Reportf(rs.Pos(), "range over map %s feeds %s in random order; iterate a sorted key slice, or justify with a %s comment",
+				nodeString(pass.Fset, rs.X), sink, analysis.DeterministicTag)
 		}
 		return true
 	})
@@ -229,24 +222,6 @@ func isAppend(info *types.Info, call *ast.CallExpr) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "append"
-}
-
-// annotateFix builds the suggested fix that inserts a skeleton
-// justification comment above the range statement. It is scaffolding for
-// a human audit — the inserted FIXME must be replaced with an actual
-// reason before review.
-func annotateFix(pass *analysis.Pass, rs *ast.RangeStmt) analysis.SuggestedFix {
-	p := pass.Fset.Position(rs.Pos())
-	lineStart := rs.Pos() - token.Pos(p.Column-1)
-	indent := strings.Repeat("\t", p.Column-1)
-	return analysis.SuggestedFix{
-		Message: "insert a " + analysis.DeterministicTag + " justification skeleton",
-		TextEdits: []analysis.TextEdit{{
-			Pos:     lineStart,
-			End:     lineStart,
-			NewText: []byte(indent + analysis.DeterministicTag + " FIXME: explain why this order cannot be observed\n"),
-		}},
-	}
 }
 
 // nodeString renders a (small) expression for a diagnostic message.

@@ -25,38 +25,27 @@ func fnvWord(h uint64, v int64) uint64 {
 	return h
 }
 
-// foldConfig starts a digest with the decisions the configuration owns:
-// the declared Fack and the crash schedule.
-func foldConfig(fack int64, crashes []Crash) uint64 {
-	h := fnvWord(fnvOffset64, fack)
-	h = fnvWord(h, int64(len(crashes)))
-	for _, c := range crashes {
+// Fingerprint returns the schedule's digest over every decision it holds:
+// the declared Fack, the crash schedule, then each step in the field order
+// of a ScheduleStep, then the step count. Two schedules with equal
+// fingerprints are, for exploration purposes, the same execution
+// prescription: the explorer deduplicates candidates by it.
+func (s *Schedule) Fingerprint() uint64 {
+	h := fnvWord(fnvOffset64, s.Fack)
+	h = fnvWord(h, int64(len(s.Crashes)))
+	for _, c := range s.Crashes {
 		h = fnvWord(h, int64(c.Node))
 		h = fnvWord(h, c.At)
 	}
-	return h
-}
-
-// foldStep folds one broadcast's finished plan, in the field order of a
-// ScheduleStep.
-func foldStep(h uint64, sender, seq int, now int64, nr int, recv []int64, ack int64) uint64 {
-	h = fnvWord(h, int64(sender))
-	h = fnvWord(h, int64(seq))
-	h = fnvWord(h, now)
-	h = fnvWord(h, int64(nr))
-	for _, t := range recv {
-		h = fnvWord(h, t)
-	}
-	return fnvWord(h, ack)
-}
-
-// Fingerprint returns the schedule's digest over every decision it holds.
-// Two schedules with equal fingerprints are, for exploration purposes, the
-// same execution prescription: the explorer deduplicates candidates by it.
-func (s *Schedule) Fingerprint() uint64 {
-	h := foldConfig(s.Fack, s.Crashes)
 	for _, st := range s.Steps {
-		h = foldStep(h, st.Sender, st.Seq, st.Now, st.NR, st.Recv, st.Ack)
+		h = fnvWord(h, int64(st.Sender))
+		h = fnvWord(h, int64(st.Seq))
+		h = fnvWord(h, st.Now)
+		h = fnvWord(h, int64(st.NR))
+		for _, t := range st.Recv {
+			h = fnvWord(h, t)
+		}
+		h = fnvWord(h, st.Ack)
 	}
 	return fnvWord(h, int64(len(s.Steps)))
 }
