@@ -23,6 +23,8 @@ const (
 // every mode that takes it, and the end-to-end commands that pin each
 // mode's flag wiring (the sweep golden, the explore, replay and campaign
 // runs, a -record/-replay round trip, a claim and the canonical grid).
+// Every refusal (exit 2) names the message it must print, so a row fails
+// when the command refuses it for another reason.
 func TestCommandLine(t *testing.T) {
 	dir := t.TempDir()
 	artifacts := filepath.Join(dir, "campaign")
@@ -49,14 +51,15 @@ func TestCommandLine(t *testing.T) {
 		"claims":    {"-json", "-workers=2", "-algo=twophase", "-seeds=2"},
 		"canonical": {"-q", "-metrics", "-seeds=2", "-maxevents=5"},
 	}
-	// Each count flag, what its rows call it, and the modes that take it.
+	// Each count flag, what its rows call it, the refusal it prints and
+	// the modes that take it.
 	negatives := []struct {
-		flag, what string
-		modes      []string
+		flag, what, stderr string
+		modes              []string
 	}{
-		{"maxevents", "cap", []string{"single", "sweep", "explore", "grid"}},
-		{"budget", "budget", []string{"explore", "grid"}},
-		{"workers", "workers", []string{"sweep", "explore", "grid", "canonical"}},
+		{"maxevents", "cap", "event cap -1 is negative", []string{"single", "sweep", "explore", "grid"}},
+		{"budget", "budget", "-budget -1 is negative", []string{"explore", "grid"}},
+		{"workers", "workers", "-workers -1 is negative", []string{"sweep", "explore", "grid", "canonical"}},
 	}
 	type row struct {
 		name   string
@@ -64,44 +67,54 @@ func TestCommandLine(t *testing.T) {
 		code   int
 		stdout string // when set, stdout must equal this file
 		line   string // when set, stdout must hold this line
+		stderr string // stderr must hold this; set on every exit-2 row
 	}
 	var rows []row
 	for _, mode := range []string{"single", "sweep", "explore", "grid", "replay", "claims", "canonical"} {
 		for _, s := range strays[mode] {
 			args := append(append([]string(nil), selectors[mode]...), s)
-			rows = append(rows, row{name: mode + " refuses " + s, args: args, code: 2})
+			name, _, _ := strings.Cut(s, "=")
+			rows = append(rows, row{name: mode + " refuses " + s, args: args, code: 2,
+				stderr: name + " not allowed in " + mode + " mode"})
 		}
 	}
 	for _, n := range negatives {
 		for _, mode := range n.modes {
 			args := append(append([]string(nil), selectors[mode]...), "-"+n.flag, "-1")
-			rows = append(rows, row{name: mode + " refuses a negative " + n.what, args: args, code: 2})
+			rows = append(rows, row{name: mode + " refuses a negative " + n.what, args: args, code: 2, stderr: n.stderr})
 		}
 	}
 	// The scenario flags take lists only where a mode sweeps them.
 	for _, mode := range []string{"single", "explore"} {
 		for _, list := range [][]string{{"-topo", "clique:4,ring:5"}, {"-fack", "2,4"}} {
 			args := append(append([]string(nil), selectors[mode]...), list...)
-			rows = append(rows, row{name: mode + " refuses the list " + strings.Join(list, " "), args: args, code: 2})
+			rows = append(rows, row{name: mode + " refuses the list " + strings.Join(list, " "), args: args, code: 2,
+				stderr: list[0] + " lists 2 entries; only -sweep and -grid take lists"})
 		}
 	}
+	const twoModes = "are separate modes; choose one"
 	rows = append(rows,
-		row{name: "two modes", args: []string{"-sweep", "-grid"}, code: 2},
-		row{name: "explore and replay", args: []string{"-explore", "-replay", stall}, code: 2},
-		row{name: "claims and canonical", args: []string{"-claims", "all", "-canonical"}, code: 2},
+		row{name: "two modes", args: []string{"-sweep", "-grid"}, code: 2, stderr: twoModes},
+		row{name: "explore and replay", args: []string{"-explore", "-replay", stall}, code: 2, stderr: twoModes},
+		row{name: "claims and canonical", args: []string{"-claims", "all", "-canonical"}, code: 2, stderr: twoModes},
 		row{name: "=false selects nothing", args: []string{"-sweep=false", "-grid=false", "-claims=", "-topo", "clique:4", "-v"}, code: 0},
+		// An empty scenario list is refused by the flag that set it.
+		row{name: "empty -algo", args: []string{"-algo", ""}, code: 2, stderr: "amacsim: harness: sweep grid has an empty -algo axis\n"},
+		row{name: "sweep empty -topo", args: []string{"-sweep", "-topo", ""}, code: 2, stderr: "sweep grid has an empty -topo axis"},
 		row{
-			name: "unwritable -memprofile",
-			args: []string{"-sweep", "-seeds", "1", "-topo", "clique:4", "-sched", "sync", "-memprofile", filepath.Join(dir, "missing", "x.out")},
-			code: 2,
+			name:   "unwritable -memprofile",
+			args:   []string{"-sweep", "-seeds", "1", "-topo", "clique:4", "-sched", "sync", "-memprofile", filepath.Join(dir, "missing", "x.out")},
+			code:   2,
+			stderr: "-memprofile: open ",
 		},
 		row{
-			name: "claims unwritable -memprofile",
-			args: []string{"-claims", "E5", "-q", "-memprofile", filepath.Join(dir, "missing", "x.out")},
-			code: 2,
+			name:   "claims unwritable -memprofile",
+			args:   []string{"-claims", "E5", "-q", "-memprofile", filepath.Join(dir, "missing", "x.out")},
+			code:   2,
+			stderr: "-memprofile: open ",
 		},
 		row{name: "one claim", args: []string{"-claims", "E5", "-q"}, line: "E5   PASS Two-phase consensus: O(Fack) decisions in single-hop networks"},
-		row{name: "unknown claim", args: []string{"-claims", "E0"}, code: 2},
+		row{name: "unknown claim", args: []string{"-claims", "E0"}, code: 2, stderr: `no claim "E0"`},
 		// The whole canonical grid runs clean: exit 1 is a violating cell.
 		row{name: "canonical grid", args: []string{"-canonical"}},
 		row{
@@ -155,7 +168,13 @@ func TestCommandLine(t *testing.T) {
 	)
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			stdout := runOK(t, r.args, r.code)
+			stdout, stderr := runOK(t, r.args, r.code)
+			if r.code == 2 && r.stderr == "" {
+				t.Fatal("an exit-2 row must name the refusal it expects on stderr")
+			}
+			if !strings.Contains(stderr, r.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", r.stderr, stderr)
+			}
 			if r.line != "" && !slices.Contains(strings.Split(stdout, "\n"), r.line) {
 				t.Errorf("stdout lacks the line %q:\n%s", r.line, stdout)
 			}
@@ -195,20 +214,21 @@ func TestCommandLine(t *testing.T) {
 		if fi, err := os.Stat(tr); err != nil || fi.Size() == 0 {
 			t.Errorf("-trace wrote no trace: %v", err)
 		}
-		if stdout := runOK(t, []string{"-replay", rec}, 0); !strings.Contains(stdout, "artifact reproduces") {
+		if stdout, _ := runOK(t, []string{"-replay", rec}, 0); !strings.Contains(stdout, "artifact reproduces") {
 			t.Errorf("replay of the recorded run:\n%s", stdout)
 		}
 	})
 }
 
-// runOK runs the command and checks its exit status, returning stdout.
-func runOK(t *testing.T, args []string, code int) string {
+// runOK runs the command and checks its exit status, returning stdout and
+// stderr.
+func runOK(t *testing.T, args []string, code int) (stdout, stderr string) {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
-	if got := run(args, &stdout, &stderr); got != code {
-		t.Fatalf("amacsim %s exited %d, want %d; stderr:\n%s", strings.Join(args, " "), got, code, stderr.String())
+	var out, errs bytes.Buffer
+	if got := run(args, &out, &errs); got != code {
+		t.Fatalf("amacsim %s exited %d, want %d; stderr:\n%s", strings.Join(args, " "), got, code, errs.String())
 	}
-	return stdout.String()
+	return out.String(), errs.String()
 }
 
 func artifactSansNote(t *testing.T, path string) map[string]any {

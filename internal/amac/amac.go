@@ -149,7 +149,8 @@ type NodeConfig struct {
 	// run, or nil. Only the simulator's Engine.Reset sets it. A factory
 	// that recognizes Prev as one of its own nodes re-arms it in place for
 	// this run — same state as a fresh node, the previous run's table
-	// storage kept (Reuse) — and any other factory ignores it.
+	// storage kept (ReuseUpTo, ReuseSized) — and any other factory ignores
+	// it.
 	Prev Algorithm
 }
 
@@ -160,31 +161,16 @@ type NodeConfig struct {
 // run (Inspect) must read it before that Reset.
 type Factory func(cfg NodeConfig) Algorithm
 
-// Reuse returns s emptied for a re-armed node (NodeConfig.Prev). It keeps
-// the backing array only when the last run left s at least half full — as
-// full as append's doubling leaves a fresh slice — so a slot's tables
-// follow what its last run used instead of ratcheting up to the largest
-// run the slot ever served. It serves the baselines' and Ben-Or's queues,
-// the Ω detector's outside and suspected sets, and the wPAXOS relay's far
-// sets and cycle. The cycle's peak varies between runs across an append
-// size class (77 to 110 entries on expander:128:8, against classes of 85
-// and 170), so storage kept regardless of fill would ratchet to the larger
-// class. A table that a run empties before it ends uses ReuseUpTo instead.
-func Reuse[S ~[]E, E any](s S) S {
-	if 2*len(s) < cap(s) {
-		return nil
-	}
-	clear(s)
-	return s[:0]
-}
-
-// ReuseUpTo returns s emptied for a re-armed node's table that a run
-// empties again before it ends (a queue it drains, a set it purges), so
-// the length the last run left says nothing about the storage it used. It
-// keeps the backing array, zeroed to its full capacity so that nothing
-// the last run stored stays reachable, while that holds at most max
-// elements, a bound the configuration sets; a slot that served a larger
-// network lets go of it.
+// ReuseUpTo returns s emptied for a re-armed node (NodeConfig.Prev). It
+// keeps the backing array, zeroed to its full capacity so that nothing the
+// last run stored stays reachable, while that holds at most max elements,
+// a bound the configuration sets; a slot that served a larger network, or
+// a table that outgrew the bound, lets go of it. How full the last run
+// left s does not matter: a queue a run drains or a set it purges ends a
+// run short of what it used, and a table kept only when full enough is
+// dropped and regrown by append on most warm runs. A caller that wants
+// the fresh and the warm node to hold the same storage allocates the
+// table at max when ReuseUpTo returns less (the wPAXOS relay cycle).
 func ReuseUpTo[S ~[]E, E any](s S, max int) S {
 	if cap(s) > max {
 		return nil

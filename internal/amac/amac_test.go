@@ -42,46 +42,24 @@ func TestAuditIDCount(t *testing.T) {
 	}
 }
 
-// TestReuseKeepsHalfFullTables pins the rule that keeps a re-armed node's
-// storage from ratcheting: a table the last run left at least half full
-// keeps its backing array, emptied and zeroed; a sparser one is dropped.
-func TestReuseKeepsHalfFullTables(t *testing.T) {
-	full := make([]*int, 3, 6)
-	for i := range full {
-		full[i] = new(int)
-	}
-	got := Reuse(full)
-	if len(got) != 0 || cap(got) != 6 || &got[:1][0] != &full[0] {
-		t.Fatalf("half-full table: len %d cap %d, want the same array emptied", len(got), cap(got))
-	}
-	for i, p := range full {
-		if p != nil {
-			t.Errorf("kept table still references element %d of the last run", i)
-		}
-	}
-	if got := Reuse(make([]int, 2, 5)); got != nil {
-		t.Fatalf("table under half full kept: len %d cap %d", len(got), cap(got))
-	}
-	if got := Reuse([]int(nil)); got != nil {
-		t.Fatalf("nil table came back as len %d cap %d", len(got), cap(got))
-	}
-}
-
-// TestReuseUpToKeepsEmptiedTables: a table a run emptied keeps its backing
-// array, zeroed to its full capacity, while that holds at most max
-// elements; a larger one is dropped.
+// TestReuseUpToKeepsEmptiedTables: a table keeps its backing array,
+// emptied and zeroed to its full capacity, while that holds at most max
+// elements, however full the last run left it (drained, nearly empty,
+// half full, full); a larger one is dropped.
 func TestReuseUpToKeepsEmptiedTables(t *testing.T) {
-	drained := make([]*int, 4)
-	for i := range drained {
-		drained[i] = new(int)
-	}
-	got := ReuseUpTo(drained[:0], 4)
-	if len(got) != 0 || cap(got) != 4 || &got[:1][0] != &drained[0] {
-		t.Fatalf("emptied table: len %d cap %d, want the same array emptied", len(got), cap(got))
-	}
-	for i, p := range drained {
-		if p != nil {
-			t.Errorf("kept table still references element %d of the last run", i)
+	for _, left := range []int{0, 1, 2, 4} {
+		table := make([]*int, 4)
+		for i := range table {
+			table[i] = new(int)
+		}
+		got := ReuseUpTo(table[:left], 4)
+		if len(got) != 0 || cap(got) != 4 || &got[:1][0] != &table[0] {
+			t.Fatalf("table left with %d of 4: len %d cap %d, want the same array emptied", left, len(got), cap(got))
+		}
+		for i, p := range table {
+			if p != nil {
+				t.Errorf("table left with %d of 4: kept table still references element %d of the last run", left, i)
+			}
 		}
 	}
 	if got := ReuseUpTo(make([]int, 1, 5), 4); got != nil {

@@ -36,7 +36,8 @@ type Node struct {
 	input amac.Value
 
 	known    map[amac.NodeID]amac.Value
-	queue    []PairMsg // pairs not yet broadcast by this node
+	queue    []PairMsg // pairs not yet broadcast by this node, from head on
+	head     int
 	inflight bool
 	decided  bool
 	decision amac.Value
@@ -49,13 +50,15 @@ func NewFactory(n int) amac.Factory {
 		panic(fmt.Sprintf("gatherall: invalid network size %d", n))
 	}
 	return func(cfg amac.NodeConfig) amac.Algorithm {
-		// A node the engine hands back is re-armed in place.
+		// A node the engine hands back is re-armed in place. Its queue
+		// holds each of the n pairs at most once, so its storage is n
+		// pairs, like the map's (amac.ReuseSized).
 		a, ok := cfg.Prev.(*Node)
 		if !ok {
 			a = &Node{known: make(map[amac.NodeID]amac.Value, n)}
 		}
 		clear(a.known)
-		*a = Node{n: n, input: cfg.Input, known: a.known, queue: amac.Reuse(a.queue)}
+		*a = Node{n: n, input: cfg.Input, known: a.known, queue: amac.ReuseSized(a.queue, n)[:0]}
 		return a
 	}
 }
@@ -107,11 +110,13 @@ func (a *Node) learn(p PairMsg) {
 // pump floods one queued pair per broadcast. Forwarding continues after
 // deciding so that slower nodes can complete their census.
 func (a *Node) pump() {
-	if a.inflight || len(a.queue) == 0 {
+	if a.inflight || a.head == len(a.queue) {
 		return
 	}
-	m := a.queue[0]
-	a.queue = a.queue[1:]
+	m := a.queue[a.head]
+	if a.head++; a.head == len(a.queue) {
+		a.queue, a.head = a.queue[:0], 0 // drained: the storage stays
+	}
 	a.inflight = true
 	a.api.Broadcast(m)
 }

@@ -42,7 +42,8 @@ type Node struct {
 	input  amac.Value
 
 	known    map[amac.NodeID]amac.Value
-	queue    []PairMsg
+	queue    []PairMsg // pairs not yet broadcast, from head on
+	head     int
 	acks     int
 	decided  bool
 	decision amac.Value
@@ -67,13 +68,17 @@ func NewFactory(rounds int) amac.Factory {
 		panic(fmt.Sprintf("waitall: invalid round budget %d", rounds))
 	}
 	return func(cfg amac.NodeConfig) amac.Algorithm {
-		// A node the engine hands back is re-armed in place.
+		// A node the engine hands back is re-armed in place. The node
+		// does not know n, so the pairs its last run learned bound the
+		// queue storage it keeps (amac.ReuseUpTo): the queue held each at
+		// most once, in storage append grew to under twice that.
 		a, ok := cfg.Prev.(*Node)
 		if !ok {
 			a = &Node{known: make(map[amac.NodeID]amac.Value)}
 		}
+		queue := amac.ReuseUpTo(a.queue, 2*len(a.known))
 		clear(a.known)
-		*a = Node{rounds: rounds, input: cfg.Input, known: a.known, queue: amac.Reuse(a.queue)}
+		*a = Node{rounds: rounds, input: cfg.Input, known: a.known, queue: queue}
 		return a
 	}
 }
@@ -133,9 +138,11 @@ func (a *Node) minKnown() amac.Value {
 // broadcastNext sends the next queued pair, or a heartbeat to keep the
 // round count advancing when nothing is pending.
 func (a *Node) broadcastNext() {
-	if len(a.queue) > 0 {
-		m := a.queue[0]
-		a.queue = a.queue[1:]
+	if a.head < len(a.queue) {
+		m := a.queue[a.head]
+		if a.head++; a.head == len(a.queue) {
+			a.queue, a.head = a.queue[:0], 0 // drained: the storage stays
+		}
 		a.api.Broadcast(m)
 		return
 	}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/harness"
+	"github.com/absmac/absmac/internal/metrics"
 	"github.com/absmac/absmac/internal/sim"
 )
 
@@ -123,6 +124,51 @@ func TestSurvivorsDecideAfterHighestProposerDies(t *testing.T) {
 						overlay, seed, crashAt, got, 2*bound)
 				}
 			}
+		}
+	}
+}
+
+// TestRelayCapCoversMeasuredPeaks holds the relay cycle's capacity to the
+// peaks it was measured from: on expander:n:8 (random scheduler, Fack 4,
+// seeds 1-6) no node's cycle may outgrow relayCap, read from the relay
+// gauge's high-water, and relayCap may exceed that peak by at most a
+// third. A capacity below a peak regrows that node's cycle by append on
+// every run; one far above it is storage no run fills, held by every node
+// (a capacity of n fails at n = 128). -short runs the cells up to n = 256.
+func TestRelayCapCoversMeasuredPeaks(t *testing.T) {
+	for _, c := range []struct {
+		algo, gauge string
+		n           int
+	}{
+		{"floodpaxos", "flood_relay_pending", 128},
+		{"floodpaxos", "flood_relay_pending", 1024},
+		{"wpaxos", "wpaxos_relay_pending", 64},
+		{"wpaxos", "wpaxos_relay_pending", 256},
+		{"wpaxos", "wpaxos_relay_pending", 1024},
+		{"wpaxos", "wpaxos_relay_pending", 4096},
+	} {
+		if testing.Short() && c.n > 256 {
+			continue
+		}
+		limit := wpaxos.RelayCap(c.n, c.algo == "floodpaxos")
+		peak := int64(0)
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg, err := harness.Scenario{Algo: c.algo, Topo: harness.Topo{Kind: "expander", N: c.n, Deg: 8},
+				Sched: "random", Fack: 4, Seed: seed}.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.New()
+			cfg.Metrics = reg
+			sim.Run(cfg)
+			peak = max(peak, reg.Gauge(c.gauge).High())
+		}
+		t.Logf("%s expander:%d:8: relay cycle peak %d, capacity %d", c.algo, c.n, peak, limit)
+		if peak > int64(limit) {
+			t.Errorf("%s expander:%d:8: a relay cycle held %d responses, past its capacity %d", c.algo, c.n, peak, limit)
+		}
+		if 3*int64(limit) > 4*peak {
+			t.Errorf("%s expander:%d:8: capacity %d is more than a third above the peak %d", c.algo, c.n, limit, peak)
 		}
 	}
 }

@@ -135,6 +135,9 @@ type treeTransport struct {
 	// latency optimization (Theorem 4.3's O(D*Fack) argument) and the
 	// sticky relay (flood.go) is the loss-proof fallback.
 	respQ []ResponseMsg
+	// cycle is the relay cycle of the transport the node is not serving,
+	// parked until a run of that transport re-arms the node (arm).
+	cycle []floodResp
 
 	// routeSince is when the distance to the current leader last improved,
 	// the second stabilization time of experiment E6's GST decomposition
@@ -161,25 +164,45 @@ func allocNode(flood bool) *Node {
 	return &tn.Node
 }
 
-// keepCap bounds the storage a re-arm keeps for a table that a run empties
-// before it ends (amac.ReuseUpTo): the tree service's entries and queue,
-// seenProps, respQ and the acceptor's slab. They hold O(roots +
+// keepCap bounds the storage a re-arm keeps for the tree transport's
+// tables and the acceptor's slab (amac.ReuseUpTo): the tree service's
+// entries and queue, seenProps, respQ and the slab. They hold O(roots +
 // propositions), which grows with log n on the expanders measured (at
 // most 32 entries, 16 queued roots and 64 propositions a node at n = 4096;
 // 16, 16 and 32 at n = 256), so eight slots per bit of n keep what a run
 // of this size fills and let a slot that served a larger network go.
 func keepCap(n int) int { return 8 * bits.Len(uint(n)) }
 
+// relayCap is the capacity of the relay's cycle: a fresh node allocates it
+// and a re-arm keeps it (arm), so a warm node holds the same storage as a
+// fresh one and no slot ratchets across append's size classes. It is
+// measured, not a bound: the largest cycle any node held on expander:n:8
+// (random scheduler, Fack 4, seeds 1-6) was 91 and 594 entries under the
+// flood transport at n = 128 and 1024, and 32, 50, 61 and 71 under the
+// tree transport at n = 64, 256, 1024 and 4096. A cycle that outgrows it
+// grows by append for the rest of that run and is allocated anew at the
+// next re-arm; TestRelayCapCoversMeasuredPeaks fails when one of the
+// measured cells outgrows it.
+func relayCap(n int, flood bool) int {
+	if flood {
+		return (3*n + 3) / 4
+	}
+	return 6 * bits.Len(uint(n))
+}
+
 // arm makes nd — a zero Node or one a finished run left — the unstarted
 // node for the given binary input: every field as a fresh node has it,
-// except the storage of its message and tables. The tables a run empties
-// before it ends keep theirs up to keepCap (amac.ReuseUpTo); the relay's
-// cycle and far sets keep theirs when the last run left them at least
-// half full (amac.Reuse), and its heard table while it fits
-// (amac.ReuseSized). A node armed for a tree run without tree state gets
-// it here; a node keeps its tree state through later re-arms, and a flood
-// run leaves it as the last tree run left it, so the next tree re-arm
-// finds that run's tables to reuse. The paper restricts consensus to
+// except the storage of its message and tables. The tree transport's
+// tables and the acceptor's slab keep theirs up to keepCap
+// (amac.ReuseUpTo), the relay's far sets up to n (they hold acceptor
+// ids), and its cycle exactly at relayCap: a cycle of another capacity is
+// dropped and allocated anew. The heard table, whose size n fixes, is kept
+// while it fits (amac.ReuseSized). A node armed for a tree
+// run without tree state gets it here; a node keeps its tree state through
+// later re-arms, and a flood run leaves it as the last tree run left it.
+// A re-arm that switches transports parks the cycle in the tree state and
+// takes the one parked there, so a slot that alternates transports finds
+// each one's tables and cycle to reuse. The paper restricts consensus to
 // binary inputs because that strengthens its lower bounds; the algorithm
 // itself carries any value unchanged (TestMultivaluedConsensus).
 func (nd *Node) arm(input amac.Value, cfg Config) {
@@ -190,12 +213,11 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 	if msg == nil {
 		msg = new(Combined)
 	}
-	fl := floodRelay{
-		cycle: amac.Reuse(nd.fl.cycle), heard: amac.ReuseSized(nd.fl.heard, heardWords(cfg.N)),
-		far: [2]omega.IDSet{amac.Reuse(nd.fl.far[0]), amac.Reuse(nd.fl.far[1])},
-	}
 	keep := keepCap(cfg.N)
-	tr := nd.tr
+	cycle, tr := nd.fl.cycle, nd.tr
+	if tr != nil && cfg.Flood != nd.flood {
+		cycle, tr.cycle = tr.cycle, cycle
+	}
 	switch {
 	case cfg.Flood: // kept as the last tree run left it
 	case tr != nil:
@@ -206,9 +228,18 @@ func (nd *Node) arm(input amac.Value, cfg Config) {
 			},
 			seenProps: amac.ReuseUpTo(tr.seenProps, keep),
 			respQ:     amac.ReuseUpTo(tr.respQ, keep),
+			cycle:     tr.cycle,
 		}
 	default:
 		tr = new(treeTransport)
+	}
+	c := relayCap(cfg.N, cfg.Flood)
+	if cycle = amac.ReuseUpTo(cycle, c); cap(cycle) < c {
+		cycle = make([]floodResp, 0, c)
+	}
+	fl := floodRelay{
+		cycle: cycle, heard: amac.ReuseSized(nd.fl.heard, heardWords(cfg.N)),
+		far: [2]omega.IDSet{amac.ReuseUpTo(nd.fl.far[0], cfg.N), amac.ReuseUpTo(nd.fl.far[1], cfg.N)},
 	}
 	*nd = Node{
 		n: cfg.N, input: input, audit: cfg.Audit, flood: cfg.Flood, msg: msg,
@@ -250,6 +281,7 @@ func newNodeMetrics(r *metrics.Registry, flood bool) *nodeMetrics {
 		return &nodeMetrics{
 			proposals: r.Counter("flood_proposals"), retries: r.Counter("flood_retries"),
 			retransmits: r.Counter("flood_retransmits"), superseded: r.Counter("flood_superseded"),
+			relayPending: r.Gauge("flood_relay_pending"),
 		}
 	}
 	return &nodeMetrics{
@@ -787,8 +819,9 @@ func (nd *Node) Inspect() amac.View {
 // its tree service tracks, the responses pending in its relay's cycle and
 // the propositions it has seen (the one never purged). Under the tree
 // transport the wpaxos_tree_roots, wpaxos_relay_pending and
-// wpaxos_seen_props gauges carry their high-water marks; a flood node
-// reports zero roots and propositions.
+// wpaxos_seen_props gauges carry their high-water marks, under the flood
+// transport flood_relay_pending the relay's; a flood node reports zero
+// roots and propositions.
 func (nd *Node) WorkingSet() (treeRoots, relayPending, seenProps int) {
 	if t := nd.tr; t != nil && !nd.flood {
 		treeRoots, seenProps = len(t.tree.ents), len(t.seenProps)

@@ -72,7 +72,8 @@
 //     police either. Keys are arbitrary NodeIDs — sparse, shuffled or
 //     negative ids take the same path as 1..n. The wpaxos_tree_roots,
 //     wpaxos_relay_pending and wpaxos_seen_props gauges are the largest
-//     of each table any node held; Node.WorkingSet reads one node's.
+//     of each table any node held (flood_relay_pending the relay's under
+//     the flood transport); Node.WorkingSet reads one node's.
 //   - What is sent. The outbound queues are value slots with presence
 //     flags, and a broadcast is one *Combined whose exported pointer
 //     fields point into its own inline slots. A delivered *Combined is
@@ -164,22 +165,23 @@
 //     back to NewFactory (amac.NodeConfig.Prev), which re-arms it in
 //     place: every field as a fresh node has it, while the struct, its
 //     *Combined, the detector's bitset and sets, the tree transport's
-//     state and every table keep their storage, each by the rule that
-//     fits how a run leaves it. The tables a run empties before it ends
-//     keep theirs whatever the last run left in them, up to keepCap(n),
-//     eight slots per bit of n (amac.ReuseUpTo): the tree service's
-//     entries and queue, which purge and pop drain, respQ, which Ω
-//     changes and leader numbers prune, seenProps, and the acceptor's
-//     slab of accepted proposals; a flood run leaves the tree tables as
-//     the last tree run left them. The relay's cycle and far sets keep
-//     theirs when the last run left them at least half full
-//     (amac.Reuse), and the detector's bitset and the heard table, whose
-//     size n fixes, while they fit (amac.ReuseSized), so no slot ratchets
-//     to the largest run it served. On decide_expander4096 a warm op
-//     allocates about 0.2 MB (3.6 MB while the tree tables kept their
-//     storage only when half full, 42 MB before nodes were re-armed),
-//     every execution unchanged (TestRecycledNodesMatchFresh,
-//     TestRearmKeepsEmptiedTables).
+//     state and every table keep their storage. One rule keeps it: a
+//     table keeps its storage whatever the last run left in it, up to a
+//     bound the configuration sets (amac.ReuseUpTo), so no slot ratchets
+//     to the largest run it served. The tree service's entries and
+//     queue, which purge and pop drain, respQ, which Ω changes and leader
+//     numbers prune, seenProps and the acceptor's slab of accepted
+//     proposals keep up to keepCap(n), eight slots per bit of n; a flood
+//     run leaves the tree tables as the last tree run left them. The
+//     relay's cycle is allocated at relayCap, measured from the largest
+//     cycles the bench cells fill, and kept at it, so a warm node holds
+//     what a fresh one does. The detector's bitset and the heard table,
+//     whose size n fixes, are kept while they fit (amac.ReuseSized). On
+//     decide_flood128 a warm op allocates almost nothing (0.3 MB while
+//     the cycles were kept only when half full); on decide_expander4096
+//     about 0.13 MB (3.6 MB while the tree tables were kept only when
+//     half full, 42 MB before nodes were re-armed), every execution
+//     unchanged (TestRecycledNodesMatchFresh, TestRearmKeepsEmptiedTables).
 //
 // Dense 0..n-1 slices for dist and parent — the obvious
 // alternative when ids are dense — stay rejected on arithmetic (8 B ×

@@ -99,7 +99,8 @@ type Node struct {
 	proposals map[int]map[amac.NodeID]*amac.Value
 
 	inflight bool
-	pending  []amac.Message // broadcasts deferred until in-flight acks
+	pending  []amac.Message // broadcasts deferred until in-flight acks, from head on
+	head     int
 
 	decided   bool
 	decision  amac.Value
@@ -117,7 +118,9 @@ func NewFactory(cfg Config) amac.Factory {
 			panic(fmt.Sprintf("benor: input %d is not binary", nc.Input))
 		}
 		// A node the engine hands back is re-armed in place: its maps are
-		// cleared and its coin source is re-seeded at Start.
+		// cleared, its coin source is re-seeded at Start, and its pending
+		// queue keeps storage for up to n deferred sends (amac.ReuseUpTo;
+		// the canonical grids defer at most two).
 		a, ok := nc.Prev.(*Node)
 		if !ok {
 			a = &Node{
@@ -128,7 +131,7 @@ func NewFactory(cfg Config) amac.Factory {
 		clear(a.reports)
 		clear(a.proposals)
 		*a = Node{cfg: cfg, rng: a.rng, x: nc.Input, reports: a.reports, proposals: a.proposals,
-			pending: amac.Reuse(a.pending)}
+			pending: amac.ReuseUpTo(a.pending, cfg.N)}
 		return a
 	}
 }
@@ -177,9 +180,12 @@ func (a *Node) OnReceive(m amac.Message) {
 // OnAck implements amac.Algorithm.
 func (a *Node) OnAck(amac.Message) {
 	a.inflight = false
-	if len(a.pending) > 0 {
-		m := a.pending[0]
-		a.pending = a.pending[1:]
+	if a.head < len(a.pending) {
+		m := a.pending[a.head]
+		if a.head++; a.head == len(a.pending) {
+			clear(a.pending) // drained: the storage stays, the messages go
+			a.pending, a.head = a.pending[:0], 0
+		}
 		a.send(m)
 		return
 	}
@@ -310,7 +316,8 @@ func (a *Node) queueDecide(v amac.Value) {
 	a.decideVal = v
 	// Drop any deferred phase messages: once decided, only the decision
 	// flood matters.
-	a.pending = a.pending[:0]
+	clear(a.pending)
+	a.pending, a.head = a.pending[:0], 0
 	a.send(Decide{V: v})
 }
 

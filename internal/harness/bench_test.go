@@ -188,10 +188,10 @@ func BenchmarkSweepGrid(b *testing.B) {
 // BenchmarkWarmRunWPaxos is the algorithm layer's warm row: Reset and Run
 // of one engine on wpaxos expander:256:8, alternating seeds 1 and 2, with
 // metrics off. Every op hands the slots' nodes back to the factory
-// (amac.NodeConfig.Prev), which re-arms them with the other seed's tables,
-// so what is left is a fresh scheduler per op, the tables one seed
-// outgrows the other's storage in, and the relay cycles a run left under
-// half full (amac.Reuse), about three in four of the allocations. Its
+// (amac.NodeConfig.Prev), which re-arms them with the other seed's
+// tables, every one kept up to its bound (amac.ReuseUpTo), so what is
+// left is a fresh scheduler per op: 4 allocs/op, against 481 while the
+// relay cycles were kept only when a run left them half full. Its
 // allocs/op is pinned (BENCH_engine.json): a factory that stops re-arming
 // its nodes, or a table that stops keeping its storage, shows as a
 // multiple of the pin.

@@ -66,19 +66,20 @@ func (g Grid) Cells() ([]CellWork, error) {
 		overlays = []string{"none"}
 	}
 	// Validate in a fixed order so the reported axis is deterministic
-	// when several are empty.
+	// when several are empty. An axis is named by the amacsim flag that
+	// sets it.
 	for _, axis := range []struct {
-		name string
+		flag string
 		n    int
 	}{
-		{"algos", len(g.Algos)},
-		{"topos", len(g.Topos)},
-		{"scheds", len(g.Scheds)},
-		{"facks", len(g.Facks)},
-		{"seeds", len(g.Seeds)},
+		{"-algo", len(g.Algos)},
+		{"-topo", len(g.Topos)},
+		{"-sched", len(g.Scheds)},
+		{"-fack", len(g.Facks)},
+		{"-seeds", len(g.Seeds)},
 	} {
 		if axis.n == 0 {
-			return nil, fmt.Errorf("harness: sweep grid has an empty %s axis", axis.name)
+			return nil, fmt.Errorf("harness: sweep grid has an empty %s axis", axis.flag)
 		}
 	}
 	if g.MaxEvents < 0 {

@@ -64,15 +64,15 @@ func TestGridExpansion(t *testing.T) {
 
 // TestGridEmptyAxisDeterministicError pins the validation order: with
 // several axes empty the reported axis is always the first in the fixed
-// algos/topos/scheds/facks/seeds order (the old map iteration made it
-// random).
+// algo/topo/sched/fack/seeds order (the old map iteration made it random),
+// named by the amacsim flag that sets it.
 func TestGridEmptyAxisDeterministicError(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		_, err := Grid{Seeds: []int64{1}}.Cells()
 		if err == nil {
 			t.Fatal("grid with empty axes accepted")
 		}
-		if want := "empty algos axis"; !strings.Contains(err.Error(), want) {
+		if want := "empty -algo axis"; !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name the first empty axis (%q)", err, want)
 		}
 	}

@@ -72,15 +72,16 @@ func NewDetector(self amac.NodeID, n int) *Detector {
 }
 
 // init sets up a detector in place; Service embeds one by value. A
-// detector that served an earlier run keeps its tables' storage
-// (amac.ReuseSized, amac.Reuse).
+// detector that served an earlier run keeps its tables' storage: the
+// bitset while it fits n (amac.ReuseSized), and the outside and suspected
+// sets up to n, since both hold members only (amac.ReuseUpTo).
 func (d *Detector) init(self amac.NodeID, n int) {
 	*d = Detector{
 		self:      self,
 		n:         n,
 		known:     amac.ReuseSized(d.known, n/64+1),
-		outside:   amac.Reuse(d.outside),
-		suspected: amac.Reuse(d.suspected),
+		outside:   amac.ReuseUpTo(d.outside, n),
+		suspected: amac.ReuseUpTo(d.suspected, n),
 		omega:     self,
 		fhat:      1,
 		sendAt:    -1,
