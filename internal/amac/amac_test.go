@@ -42,12 +42,33 @@ func TestAuditIDCount(t *testing.T) {
 	}
 }
 
-// TestReuseUpToKeepsEmptiedTables: a table keeps its backing array,
-// emptied and zeroed to its full capacity, while that holds at most max
-// elements, however full the last run left it (drained, nearly empty,
-// half full, full); a larger one is dropped.
+// TestReuseKeepsHalfFullTables: a table the last run left half full or
+// full keeps its backing array, emptied and zeroed to its full capacity,
+// while that holds at most max elements, so a re-armed node's storage does
+// not ratchet with the fill of its last run.
+func TestReuseKeepsHalfFullTables(t *testing.T) {
+	for _, left := range []int{3, 6} {
+		table := make([]*int, 6)
+		for i := range table {
+			table[i] = new(int)
+		}
+		got := ReuseUpTo(table[:left], 6)
+		if len(got) != 0 || cap(got) != 6 || &got[:1][0] != &table[0] {
+			t.Fatalf("table left with %d of 6: len %d cap %d, want the same array emptied", left, len(got), cap(got))
+		}
+		for i, p := range table {
+			if p != nil {
+				t.Errorf("table left with %d of 6: kept table still references element %d of the last run", left, i)
+			}
+		}
+	}
+}
+
+// TestReuseUpToKeepsEmptiedTables: a table a run emptied, or left nearly
+// empty, keeps its backing array, zeroed to its full capacity, while that
+// holds at most max elements; a larger one is dropped.
 func TestReuseUpToKeepsEmptiedTables(t *testing.T) {
-	for _, left := range []int{0, 1, 2, 4} {
+	for _, left := range []int{0, 1} {
 		table := make([]*int, 4)
 		for i := range table {
 			table[i] = new(int)
